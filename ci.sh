@@ -111,4 +111,12 @@ grep -q "vgg_16" target/ci-results/autotune.txt
 grep -q "speedup" target/ci-results/autotune.txt
 ! grep -q -- "-[0-9]*\.[0-9]*%" target/ci-results/autotune.txt
 
+echo "== benchmark smoke =="
+# The repo's benchmark (benchmark/README.md) is a workspace of its own
+# that reaches this one through path dependencies: one untraced pass per
+# workload with every correctness check on, so a break of the surface it
+# pins fails here rather than in the benchmark pipeline. Timings are
+# never judged in CI — that is `ledger compare`'s job.
+benchmark/run.sh --smoke
+
 echo "== ci.sh: all green =="

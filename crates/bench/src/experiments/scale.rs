@@ -1,8 +1,7 @@
 //! Scale sweep: 16 → 1024 workers on every zoo model.
 //!
 //! The paper's measurements stop at tens of workers; this sweep pushes
-//! the same deployments to four-digit clusters, which only became
-//! tractable with the partitioned parallel engine. For each `(model, W)`
+//! the same deployments to four-digit clusters. For each `(model, W)`
 //! shape it reports:
 //!
 //! * TIC and TAC makespans under enforced schedules (schedules are
@@ -10,11 +9,11 @@
 //!   cost stays independent of `W`),
 //! * the realized scheduling efficiency `E` (Eq. 3) and speedup
 //!   potential `S` (Eq. 4) of the TAC run, and
-//! * the engine the driver auto-selected plus its simulation wall time.
-//!
-//! A second section pins the point of the parallel engine: the same
-//! simulation forced through the sequential oracle vs the partitioned
-//! engine, wall clock against wall clock.
+//! * the engine the driver auto-selected, and the wall time and cost per
+//!   simulated op of the TIC + TAC simulations on that engine *and* forced
+//!   through the sequential oracle at the same `W` — the pair of numbers
+//!   the parallel-engine threshold has to be justified by. Both engines
+//!   must agree on every makespan.
 //!
 //! PS shards scale as `W / 32`, clamped to the model's parameter count
 //! (`deploy` rejects shards that would host nothing).
@@ -47,23 +46,25 @@ fn deploy_at(model: Model, workers: usize) -> DeployedModel {
     deploy(&graph, &ClusterSpec::new(workers, shards)).expect("zoo model deploys at scale")
 }
 
-/// Runs one simulation, returning `(makespan, wall time)`.
-fn timed_sim(
+/// Simulates the TIC and the TAC schedule, returning both makespans, the
+/// wall time of the pair and the TAC run's realized efficiency.
+fn timed_pair(
     d: &DeployedModel,
-    schedule: &Schedule,
+    schedules: [&Schedule; 2],
     config: &SimConfig,
-) -> (SimDuration, f64, tictac_core::RealizedEfficiency) {
+) -> ([SimDuration; 2], f64, tictac_core::RealizedEfficiency) {
     let started = Instant::now();
-    let trace = simulate(d.graph(), schedule, config, 0);
+    let traces = schedules.map(|s| simulate(d.graph(), s, config, 0));
     let wall = started.elapsed().as_secs_f64();
-    let eff = realized_efficiency(d.graph(), &trace);
-    (trace.makespan(), wall, eff)
+    let eff = realized_efficiency(d.graph(), &traces[1]);
+    (traces.map(|t| t.makespan()), wall, eff)
 }
 
 pub fn run(quick: bool) -> String {
     let sizes: &[usize] = if quick { &SIZES[..2] } else { &SIZES };
     let models = super::pick_models_zoo(quick);
     let config = sweep_config();
+    let seq_config = config.clone().with_par_threshold(None);
     let oracle = CostOracle::new(Platform::cloud_gpu());
 
     let mut t = Table::new([
@@ -76,7 +77,11 @@ pub fn run(quick: bool) -> String {
         "tac vs tic",
         "E (tac)",
         "S_pot (tac)",
-        "sim wall",
+        "wall",
+        "ns/op",
+        "seq wall",
+        "seq ns/op",
+        "speedup",
     ]);
     for &model in &models {
         for &w in sizes {
@@ -89,8 +94,14 @@ pub fn run(quick: bool) -> String {
                 EngineChoice::Sequential => "seq",
                 EngineChoice::Parallel => "par",
             };
-            let (tic_make, tic_wall, _) = timed_sim(&d, &tic_s, &config);
-            let (tac_make, tac_wall, eff) = timed_sim(&d, &tac_s, &config);
+            let ([tic_make, tac_make], wall, eff) = timed_pair(&d, [&tic_s, &tac_s], &config);
+            let (seq_makes, seq_wall, _) = timed_pair(&d, [&tic_s, &tac_s], &seq_config);
+            assert_eq!(
+                seq_makes,
+                [tic_make, tac_make],
+                "engines must agree on the makespan"
+            );
+            let ns_per_op = |wall: f64| wall * 1e9 / (2 * g.len()) as f64;
             t.row([
                 model.name().to_string(),
                 w.to_string(),
@@ -104,45 +115,25 @@ pub fn run(quick: bool) -> String {
                 ),
                 format!("{:.3}", eff.efficiency),
                 format!("{:.3}", eff.speedup_potential),
-                format!("{:.0}ms", (tic_wall + tac_wall) * 1e3),
+                format!("{:.0}ms", wall * 1e3),
+                format!("{:.0}", ns_per_op(wall)),
+                format!("{:.0}ms", seq_wall * 1e3),
+                format!("{:.0}", ns_per_op(seq_wall)),
+                format!("{:.2}x", seq_wall / wall),
             ]);
         }
-    }
-
-    // Engine head-to-head: the same TAC simulation through the pinned
-    // sequential oracle vs the partitioned engine.
-    let race_w = if quick { 64 } else { 256 };
-    let race_models: &[Model] = if quick {
-        &[Model::AlexNetV2]
-    } else {
-        &[Model::AlexNetV2, Model::InceptionV3]
-    };
-    let mut race = Table::new(["model", "W", "seq wall", "par wall", "speedup"]);
-    for &model in race_models {
-        let d = deploy_at(model, race_w);
-        let schedule = d.replicate_schedule(&tac(d.graph(), d.workers()[0], &oracle));
-        let par_cfg = config.clone();
-        let seq_cfg = config.clone().with_par_threshold(None);
-        assert_eq!(selected_engine(d.graph(), &par_cfg), EngineChoice::Parallel);
-        let (par_make, par_wall, _) = timed_sim(&d, &schedule, &par_cfg);
-        let (seq_make, seq_wall, _) = timed_sim(&d, &schedule, &seq_cfg);
-        assert_eq!(par_make, seq_make, "engines must agree on the makespan");
-        race.row([
-            model.name().to_string(),
-            race_w.to_string(),
-            format!("{:.0}ms", seq_wall * 1e3),
-            format!("{:.0}ms", par_wall * 1e3),
-            format!("{:.2}x", seq_wall / par_wall),
-        ]);
     }
 
     format!(
         "Scale sweep (envG, training, batch 2, deterministic timing, enforced schedules)\n\
          S = PS shards (W/32, clamped to the model's parameter count); engine = what the\n\
-         driver auto-selected at the default threshold; E / S_pot = Eq. 3/4 on the TAC run\n\n{}\n\
-         Engine head-to-head at {race_w} workers (same TAC simulation, wall clock):\n\n{}\n",
+         driver auto-selected at the default threshold; E / S_pot = Eq. 3/4 on the TAC run;\n\
+         wall, ns/op = the TIC + TAC simulations on that engine, per simulated graph op;\n\
+         seq ... = the same two forced through the sequential engine; speedup = seq wall /\n\
+         wall (nproc {}, TICTAC_THREADS {})\n\n{}\n",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        std::env::var("TICTAC_THREADS").unwrap_or_else(|_| "unset".into()),
         t.render(),
-        race.render(),
     )
 }
 

@@ -639,7 +639,7 @@ impl DeployedModel {
 
     /// Ops per worker partition (the x-axis of Fig. 11).
     pub fn ops_per_worker(&self) -> usize {
-        self.graph.ops_on(self.workers[0]).count()
+        self.graph.device_ops(self.workers[0]).len()
     }
 
     /// Parameter bytes hosted per PS shard, in shard-index order.

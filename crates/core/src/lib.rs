@@ -83,9 +83,9 @@ pub use tictac_sched::{
     PartitionGraph, Random, Schedule, Scheduler, TacComparator, TacScheduler, TicScheduler,
 };
 pub use tictac_sim::{
-    selected_engine, simulate, simulate_with_plan, simulate_with_plan_observed, try_simulate,
-    try_simulate_observed, Blackout, Crash, EngineChoice, FaultClock, FaultCounters, FaultPlan,
-    FaultSpec, IterationMetrics, SimConfig, SimError, Stall, DEFAULT_PAR_THRESHOLD,
+    noise_free_profile, selected_engine, simulate, simulate_with_plan, simulate_with_plan_observed,
+    try_simulate, try_simulate_observed, Blackout, Crash, EngineChoice, FaultClock, FaultCounters,
+    FaultPlan, FaultSpec, IterationMetrics, SimConfig, SimError, Stall, DEFAULT_PAR_THRESHOLD,
 };
 pub use tictac_store::{
     self as store, diff_records, group_key, regress, MemorySink, Payload, RegressPolicy,

@@ -3,16 +3,15 @@
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use tictac_cluster::{ClusterSpec, DeployError, DeployedModel};
-use tictac_graph::{ModelGraph, OpId};
+use tictac_graph::ModelGraph;
 use tictac_obs::Registry;
 use tictac_scenario::{BackendKind, Scenario};
 use tictac_sched::{
     efficiency, no_ordering, Baseline, Random, Schedule, Scheduler, TacScheduler, TicScheduler,
 };
-use tictac_sim::{simulate, FaultCounters, FaultSpec, SimConfig};
+use tictac_sim::{noise_free_profile, simulate, FaultCounters, FaultSpec, SimConfig};
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
-use tictac_timing::MeasuredProfile;
-use tictac_timing::{GeneralOracle, SimDuration, TimeOracle};
+use tictac_timing::{GeneralOracle, MeasuredProfile, NoiseModel, SimDuration, TimeOracle};
 use tictac_trace::{analyze, estimate_profile, ExecutionTrace};
 
 use crate::backend::{ExecError, ExecutionBackend, SimBackend, TimeDomain};
@@ -231,9 +230,16 @@ const PROFILE_ITERATION_BASE: u64 = 1 << 40;
 /// would poison the estimated op durations. It also always runs on the
 /// *simulator*, whatever backend executes the session: schedules stay
 /// identical across backends, so sim and threaded runs are comparable.
+///
+/// Without noise the five runs measure the same durations by construction
+/// (see [`noise_free_profile`]), so the minimum is read off the engine's
+/// service times and nothing is simulated.
 fn profile_oracle(deployed: &DeployedModel, config: &SimConfig) -> MeasuredProfile {
     let graph = deployed.graph();
     let profile_config = config.clone().with_faults(FaultSpec::none());
+    if profile_config.noise == NoiseModel::none() {
+        return noise_free_profile(graph, &profile_config);
+    }
     let unordered = no_ordering(graph);
     let traces: Vec<_> = (0..5)
         .map(|i| {
@@ -633,12 +639,6 @@ impl Session {
         let offset = options.offset;
         let iterations = options.iterations.unwrap_or(self.iterations);
         let graph = self.deployed.graph();
-        let worker_ops: Vec<Vec<OpId>> = self
-            .deployed
-            .workers()
-            .iter()
-            .map(|&w| graph.ops_on(w).collect())
-            .collect();
 
         let m_iterations = self.registry.counter("session.iterations");
         let m_retries = self.registry.counter("session.retries");
@@ -668,12 +668,13 @@ impl Session {
             // slowest worker's.
             let mut min_e = 1.0_f64;
             let mut potential = 0.0;
-            for (&w, ops) in self.deployed.workers().iter().zip(&worker_ops) {
-                let finish = trace
-                    .device_finish(graph, w)
-                    .map(|t| t.duration_since(tictac_timing::SimTime::ZERO))
-                    .unwrap_or(SimDuration::ZERO);
-                let report = efficiency::evaluate(graph, ops, |op| trace.duration(op), finish);
+            for (&w, finish) in self.deployed.workers().iter().zip(&metrics.worker_finish) {
+                let report = efficiency::evaluate(
+                    graph,
+                    graph.device_ops(w),
+                    |op| trace.duration(op),
+                    finish.duration_since(tictac_timing::SimTime::ZERO),
+                );
                 min_e = min_e.min(report.efficiency_clamped());
                 potential = report.speedup_potential;
             }

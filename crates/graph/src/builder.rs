@@ -345,29 +345,25 @@ impl GraphBuilder {
             }
         }
 
-        // Derive the successor CSR by counting sort: succ lists come out
-        // sorted by successor id, as the per-op pushes used to produce.
+        // Derive the successor and device CSRs by counting sort: both come
+        // out sorted by op id, as per-op pushes would produce.
         let n = self.ops.len();
-        let mut succ_offsets = vec![0u32; n + 1];
-        for &p in &self.pred_edges {
-            succ_offsets[p.index() + 1] += 1;
-        }
-        for i in 0..n {
-            succ_offsets[i + 1] += succ_offsets[i];
-        }
-        let mut cursor: Vec<u32> = succ_offsets[..n].to_vec();
-        let mut succ_edges = vec![OpId::from_index(0); self.pred_edges.len()];
-        for i in 0..n {
-            let (s, e) = (
-                self.pred_offsets[i] as usize,
-                self.pred_offsets[i + 1] as usize,
-            );
-            for &p in &self.pred_edges[s..e] {
-                let c = &mut cursor[p.index()];
-                succ_edges[*c as usize] = OpId::from_index(i);
-                *c += 1;
-            }
-        }
+        let (pred_edges, pred_offsets) = (&self.pred_edges, &self.pred_offsets);
+        let (succ_edges, succ_offsets) = csr(
+            n,
+            (0..n).flat_map(|i| {
+                pred_edges[pred_offsets[i] as usize..pred_offsets[i + 1] as usize]
+                    .iter()
+                    .map(move |p| (p.index(), OpId::from_index(i)))
+            }),
+        );
+        let (device_ops, device_offsets) = csr(
+            self.devices.len(),
+            self.ops
+                .iter()
+                .enumerate()
+                .map(|(i, op)| (op.device.index(), OpId::from_index(i))),
+        );
 
         // Canonicalize heterogeneity: an all-1.0 table IS the uniform
         // cluster, and the empty vector is its single representation —
@@ -391,6 +387,8 @@ impl GraphBuilder {
             pred_offsets: self.pred_offsets,
             succ_edges,
             succ_offsets,
+            device_ops,
+            device_offsets,
             devices: self.devices,
             channels: self.channels,
             params: self.params,
@@ -406,6 +404,30 @@ impl GraphBuilder {
         crate::topo::topo_order(&graph)?;
         Ok(graph)
     }
+}
+
+/// Groups `(bucket, op)` pairs into compressed sparse row form by counting
+/// sort: bucket `b`'s ops are `edges[offsets[b]..offsets[b+1]]`, in the
+/// order the iterator produced them.
+fn csr(
+    buckets: usize,
+    pairs: impl Iterator<Item = (usize, OpId)> + Clone,
+) -> (Vec<OpId>, Vec<u32>) {
+    let mut offsets = vec![0u32; buckets + 1];
+    for (b, _) in pairs.clone() {
+        offsets[b + 1] += 1;
+    }
+    for b in 0..buckets {
+        offsets[b + 1] += offsets[b];
+    }
+    let mut cursor: Vec<u32> = offsets[..buckets].to_vec();
+    let mut edges = vec![OpId::from_index(0); offsets[buckets] as usize];
+    for (b, op) in pairs {
+        let c = &mut cursor[b];
+        edges[*c as usize] = op;
+        *c += 1;
+    }
+    (edges, offsets)
 }
 
 #[cfg(test)]

@@ -37,7 +37,9 @@ impl ParamInfo {
 /// arena indexed by [`OpId`]; dependency edges are stored in compressed
 /// sparse row form — one flat edge arena plus an offset table per
 /// direction — so building and cloning a graph costs a handful of
-/// allocations, not two per op.
+/// allocations, not two per op. A third arena of the same shape maps each
+/// device to the ops placed on it, so per-device walks cost the ops they
+/// visit, not the whole graph.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Graph {
     pub(crate) ops: Vec<Op>,
@@ -47,6 +49,10 @@ pub struct Graph {
     /// Successors of op `i`: `succ_edges[succ_offsets[i]..succ_offsets[i+1]]`.
     pub(crate) succ_edges: Vec<OpId>,
     pub(crate) succ_offsets: Vec<u32>,
+    /// Ops placed on device `d`, in id order:
+    /// `device_ops[device_offsets[d]..device_offsets[d+1]]`.
+    pub(crate) device_ops: Vec<OpId>,
+    pub(crate) device_offsets: Vec<u32>,
     pub(crate) devices: Vec<Device>,
     pub(crate) channels: Vec<Channel>,
     pub(crate) params: Vec<ParamInfo>,
@@ -239,11 +245,19 @@ impl Graph {
         out
     }
 
+    /// Ids of ops placed on `device`, in id order, as a slice of the
+    /// device index (empty for a device the graph does not have).
+    pub fn device_ops(&self, device: DeviceId) -> &[OpId] {
+        let d = device.index();
+        match self.device_offsets.get(d..d + 2) {
+            Some(&[start, end]) => &self.device_ops[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
     /// Ids of ops placed on `device`, in id order.
     pub fn ops_on(&self, device: DeviceId) -> impl Iterator<Item = OpId> + '_ {
-        self.ops()
-            .filter(move |(_, op)| op.device() == device)
-            .map(|(id, _)| id)
+        self.device_ops(device).iter().copied()
     }
 
     /// Ids of `recv` ops placed on `device`, in id order.
@@ -441,6 +455,8 @@ mod tests {
         assert_eq!(g.preds(op2), &[r2, op1]); // builder sorts deps by id
         assert_eq!(g.succs(r1), &[op1]);
         assert_eq!(g.recv_ops_on(w), vec![r1, r2]);
+        assert_eq!(g.device_ops(w), &[r1, r2, op1, op2]);
+        assert!(g.device_ops(ps).is_empty());
         assert_eq!(g.resource(r1), Resource::Channel(ch));
         assert_eq!(g.resource(op1), Resource::Compute(w));
         assert_eq!(g.total_param_bytes(), 200);

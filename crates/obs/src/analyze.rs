@@ -285,12 +285,13 @@ pub fn realized_efficiency(graph: &Graph, trace: &ExecutionTrace) -> RealizedEff
     let mut per_worker = Vec::new();
     let mut min_e = 1.0_f64;
     let mut potential = 0.0;
+    let finishes = trace.device_finishes(graph);
     for w in graph.workers() {
-        let ops: Vec<OpId> = graph.ops_on(w).collect();
+        let ops = graph.device_ops(w);
         let upper: SimDuration = ops.iter().map(|&op| trace.duration(op)).sum();
         let mut per_resource: std::collections::HashMap<Resource, SimDuration> =
             std::collections::HashMap::new();
-        for &op in &ops {
+        for &op in ops {
             *per_resource
                 .entry(graph.resource(op))
                 .or_insert(SimDuration::ZERO) += trace.duration(op);
@@ -299,8 +300,7 @@ pub fn realized_efficiency(graph: &Graph, trace: &ExecutionTrace) -> RealizedEff
             .into_values()
             .max()
             .unwrap_or(SimDuration::ZERO);
-        let finish = trace
-            .device_finish(graph, w)
+        let finish = finishes[w.index()]
             .map(|t| t.duration_since(SimTime::ZERO))
             .unwrap_or(SimDuration::ZERO);
         let span = upper.saturating_sub(lower);

@@ -14,7 +14,6 @@
 //!   throughput gain a perfect schedule can deliver over the worst one.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use tictac_graph::{Graph, OpId, Resource};
 use tictac_timing::SimDuration;
 
@@ -50,23 +49,44 @@ where
     durations.into_iter().sum()
 }
 
+/// Total duration per resource, as one dense vector: compute units by
+/// device index, then channels by channel index, each class spanning only
+/// the index range `ops` touch. A worker partition covers one device and
+/// its own channels, so the cost follows the partition, not the cluster.
+fn resource_loads(
+    graph: &Graph,
+    ops: &[OpId],
+    mut duration: impl FnMut(OpId) -> SimDuration,
+) -> Vec<SimDuration> {
+    let slot = |op: OpId| match graph.resource(op) {
+        Resource::Compute(d) => (0, d.index()),
+        Resource::Channel(c) => (1, c.index()),
+    };
+    let (mut lo, mut hi) = ([usize::MAX; 2], [0usize; 2]);
+    for &op in ops {
+        let (class, i) = slot(op);
+        lo[class] = lo[class].min(i);
+        hi[class] = hi[class].max(i + 1);
+    }
+    let devices = hi[0].saturating_sub(lo[0]);
+    let base = [0, devices];
+    let mut loads = vec![SimDuration::ZERO; devices + hi[1].saturating_sub(lo[1])];
+    for &op in ops {
+        let (class, i) = slot(op);
+        loads[base[class] + i - lo[class]] += duration(op);
+    }
+    loads
+}
+
 /// Equation 2: `L = max_d Σ_{op ∈ G_d} Time(op)` over the resources the
 /// given ops execute on.
 pub fn lower_makespan(
     graph: &Graph,
     ops: &[OpId],
-    mut duration: impl FnMut(OpId) -> SimDuration,
+    duration: impl FnMut(OpId) -> SimDuration,
 ) -> SimDuration {
-    let mut per_resource: HashMap<Resource, SimDuration> = HashMap::new();
-    for &op in ops {
-        *per_resource
-            .entry(graph.resource(op))
-            .or_insert(SimDuration::ZERO) += duration(op);
-    }
-    per_resource
-        .into_values()
-        .max()
-        .unwrap_or(SimDuration::ZERO)
+    let loads = resource_loads(graph, ops, duration);
+    loads.into_iter().max().unwrap_or_default()
 }
 
 /// Computes the full efficiency report (Equations 1–4) for `ops` with the
@@ -77,11 +97,14 @@ pub fn lower_makespan(
 pub fn evaluate(
     graph: &Graph,
     ops: &[OpId],
-    mut duration: impl FnMut(OpId) -> SimDuration,
+    duration: impl FnMut(OpId) -> SimDuration,
     makespan: SimDuration,
 ) -> EfficiencyReport {
-    let upper = upper_makespan(ops.iter().map(|&op| duration(op)));
-    let lower = lower_makespan(graph, ops, &mut duration);
+    // Both bounds from one walk: `U` is the sum of the per-resource loads
+    // whose maximum is `L`.
+    let loads = resource_loads(graph, ops, duration);
+    let upper = upper_makespan(loads.iter().copied());
+    let lower = loads.into_iter().max().unwrap_or_default();
     let span = upper.saturating_sub(lower);
     let efficiency = if span.is_zero() {
         1.0

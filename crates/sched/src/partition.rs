@@ -34,7 +34,7 @@ pub struct PartitionGraph {
 impl PartitionGraph {
     /// Extracts the partition of `device` from `graph`.
     pub fn new(graph: &Graph, device: DeviceId) -> Self {
-        let ops: Vec<OpId> = graph.ops_on(device).collect();
+        let ops: Vec<OpId> = graph.device_ops(device).to_vec();
         let mut local = vec![None; graph.len()];
         for (i, &id) in ops.iter().enumerate() {
             local[id.index()] = Some(i as u32);

@@ -11,14 +11,15 @@
 use crate::arena::{CalendarQueue, EventPool};
 use crate::config::SimConfig;
 use crate::error::SimError;
+use crate::service::{paired_send, ServiceTimes};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 use tictac_faults::{FaultClock, FaultPlan};
-use tictac_graph::{Channel, ChannelId, DeviceId, Graph, OpId, OpKind};
+use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
 use tictac_obs::{BucketHistogram, Counter, Registry};
 use tictac_sched::Schedule;
-use tictac_timing::{CostOracle, SimTime, TimeOracle};
+use tictac_timing::SimTime;
 use tictac_trace::{ExecutionTrace, FaultEventKind, TraceBuilder};
 
 /// Simulates one iteration of `graph` under `schedule` and returns its
@@ -510,12 +511,7 @@ pub(crate) fn enforcement_ranks(graph: &Graph, schedule: &Schedule) -> Vec<Optio
     {
         debug_assert!(ch < graph.channels().len());
         for (r, recv) in recvs.into_iter().enumerate() {
-            let send = graph
-                .preds(recv)
-                .iter()
-                .copied()
-                .find(|&p| graph.op(p).kind().is_send());
-            match send {
+            match paired_send(graph, recv) {
                 Some(send) => rank[send.index()] = Some(r as u64),
                 None => rank[recv.index()] = Some(r as u64),
             }
@@ -524,10 +520,56 @@ pub(crate) fn enforcement_ranks(graph: &Graph, schedule: &Schedule) -> Vec<Optio
     rank
 }
 
+/// Resource indices awaiting a start attempt, drained in ascending order.
+///
+/// The pump's worklist. An index is marked when its resource frees or its
+/// queue gains an entry — the only transitions that can make it startable
+/// besides an outage ending, and a resource skipped because it is down
+/// re-marks itself, so it is retried on every pump until it is back up.
+#[derive(Debug)]
+struct DirtySet {
+    queued: Vec<bool>,
+    pending: Vec<u32>,
+}
+
+impl DirtySet {
+    fn new(len: usize) -> Self {
+        Self {
+            queued: vec![false; len],
+            pending: Vec::new(),
+        }
+    }
+
+    fn mark(&mut self, index: usize) {
+        if !std::mem::replace(&mut self.queued[index], true) {
+            self.pending.push(index as u32);
+        }
+    }
+
+    /// Takes the marked indices, ascending; marks made while the batch is
+    /// processed land in the next one.
+    fn take_sorted(&mut self) -> Vec<u32> {
+        let mut batch = std::mem::take(&mut self.pending);
+        batch.sort_unstable();
+        for &i in &batch {
+            self.queued[i as usize] = false;
+        }
+        batch
+    }
+
+    /// Hands a processed batch's allocation back for the next one.
+    fn recycle(&mut self, mut batch: Vec<u32>) {
+        if self.pending.is_empty() {
+            batch.clear();
+            self.pending = batch;
+        }
+    }
+}
+
 struct Engine<'g> {
     graph: &'g Graph,
     schedule: &'g Schedule,
-    oracle: CostOracle,
+    service: ServiceTimes<'g>,
     noise: tictac_timing::NoiseModel,
     reorder_error: f64,
     enforcement: bool,
@@ -586,14 +628,10 @@ struct Engine<'g> {
     recv_rank: Vec<Option<u64>>,
     /// The send op feeding each recv (transfer pairing).
     send_of: Vec<Option<OpId>>,
-    /// Per-channel wire-time stretch factor: the topology fair share
-    /// (see [`Platform::transfer_time_shared`]) divided by the channel's
-    /// relative bandwidth. Uniform graphs divide by exactly `1.0`, so the
-    /// factor — and every transfer duration — is bit-for-bit the
-    /// homogeneous value.
-    ///
-    /// [`Platform::transfer_time_shared`]: tictac_timing::Platform::transfer_time_shared
-    chan_share: Vec<f64>,
+    /// Devices and channels an event may have made startable since the
+    /// last pump; everything else is known to be busy, empty or handled.
+    dirty_devices: DirtySet,
+    dirty_channels: DirtySet,
     /// Registry handles (read-only observation; `None` when disabled).
     metrics: Option<Box<EngineMetrics>>,
 }
@@ -637,25 +675,10 @@ impl<'g> Engine<'g> {
             .map(|i| graph.preds(OpId::from_index(i)).len() as u32)
             .collect();
 
-        let bandwidth_share = config.bandwidth_share_override.unwrap_or_else(|| {
-            // PS deployments fan every server out to all workers; pure
-            // peer topologies (rings) keep one steady stream per link.
-            if graph.channels().iter().all(Channel::is_peer) {
-                1.0
-            } else {
-                let workers = graph.workers().count();
-                let servers = graph.parameter_servers().count();
-                workers.max(servers).max(1) as f64
-            }
-        });
-        let chan_share: Vec<f64> = (0..graph.channels().len())
-            .map(|c| bandwidth_share / graph.channel_bandwidth(ChannelId::from_index(c)))
-            .collect();
-
         Self {
             graph,
             schedule,
-            oracle: CostOracle::new(config.platform.clone()),
+            service: ServiceTimes::new(graph, config),
             noise: config.noise,
             reorder_error: config.reorder_error,
             enforcement: config.enforcement,
@@ -693,7 +716,8 @@ impl<'g> Engine<'g> {
                 .collect(),
             recv_rank: vec![None; n],
             send_of: vec![None; n],
-            chan_share,
+            dirty_devices: DirtySet::new(graph.devices().len()),
+            dirty_channels: DirtySet::new(graph.channels().len()),
             metrics: None,
         }
     }
@@ -830,18 +854,43 @@ impl<'g> Engine<'g> {
         Ok(trace)
     }
 
-    /// Runs all synchronous starts enabled by the current state.
+    /// Runs all synchronous starts enabled by the current state: one start
+    /// attempt per dirty device, then per dirty channel, each in ascending
+    /// index order — the order, and so the RNG draw order (DESIGN.md §7),
+    /// of a sweep over every device and channel. A start only occupies its
+    /// resource and schedules a completion, so it never makes another
+    /// resource startable and one drain suffices.
     fn pump(&mut self) {
-        loop {
-            let mut progressed = false;
-            for d in 0..self.compute_busy.len() {
-                progressed |= self.try_start_compute(d);
-            }
-            progressed |= self.try_start_transfers();
-            if !progressed {
-                break;
-            }
+        let devices = self.dirty_devices.take_sorted();
+        for &dev in &devices {
+            self.try_start_compute(dev as usize);
         }
+        self.dirty_devices.recycle(devices);
+        let channels = self.dirty_channels.take_sorted();
+        for &ch in &channels {
+            self.try_start_transfer(ch as usize);
+        }
+        self.dirty_channels.recycle(channels);
+        debug_assert!(
+            self.nothing_startable(),
+            "a resource became startable without being marked dirty"
+        );
+    }
+
+    /// Whether a sweep over every device and channel would start nothing:
+    /// the invariant each pump restores (checked in debug builds).
+    fn nothing_startable(&self) -> bool {
+        let now = self.clock.as_nanos();
+        let device_startable = |d: usize| {
+            !self.compute_busy[d]
+                && !self.compute_ready[d].is_empty()
+                && self.device_down_until[d] <= now
+        };
+        let channel_startable = |c: usize| {
+            !self.chan_busy[c] && !self.chan_queue[c].is_empty() && self.chan_down_until[c] <= now
+        };
+        !(0..self.compute_busy.len()).any(device_startable)
+            && !(0..self.chan_busy.len()).any(channel_startable)
     }
 
     fn schedule_event(&mut self, at: SimTime, kind: EventKind) {
@@ -864,12 +913,7 @@ impl<'g> Engine<'g> {
                     .channel()
                     .expect("recv has a channel")
                     .index();
-                let send = self
-                    .graph
-                    .preds(op)
-                    .iter()
-                    .copied()
-                    .find(|&p| self.graph.op(p).kind().is_send());
+                let send = paired_send(self.graph, op);
                 self.send_of[op.index()] = send;
                 // Rank lives on the send for PS-built graphs, on the recv
                 // itself for sendless (hand-built) ones.
@@ -877,10 +921,12 @@ impl<'g> Engine<'g> {
                     .and_then(|s| self.rank[s.index()])
                     .or(self.rank[op.index()]);
                 self.chan_queue[ch].push(op, self.recv_rank[op.index()]);
+                self.dirty_channels.mark(ch);
             }
             _ => {
                 let dev = self.graph.op(op).device().index();
                 self.compute_ready[dev].push(op, self.schedule.priority(op));
+                self.dirty_devices.mark(dev);
             }
         }
     }
@@ -933,10 +979,10 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// Starts the next transfer on every idle, reachable channel. Channels
-    /// proceed concurrently at fair-shared bandwidth; blacked-out channels
-    /// (and channels of crashed workers) hold their queues until the
-    /// outage ends.
+    /// Starts the next transfer on `ch` if it is idle, reachable and has
+    /// one queued. Channels proceed concurrently at fair-shared bandwidth;
+    /// a blacked-out channel (or a channel of a crashed worker) holds its
+    /// queue — and stays dirty — until the outage ends.
     ///
     /// Queue discipline per channel: transfers carrying an enforcement
     /// rank go lowest-rank-first (they are handed off in rank order by the
@@ -949,48 +995,40 @@ impl<'g> Engine<'g> {
     /// processing of enforced hand-offs (§5.1). Retransmits re-enter the
     /// queue and compete under the same discipline, so enforced rank order
     /// survives transfer loss.
-    fn try_start_transfers(&mut self) -> bool {
-        let mut progressed = false;
-        for ch in 0..self.chan_queue.len() {
-            if self.chan_busy[ch]
-                || self.chan_queue[ch].is_empty()
-                || self.chan_down_until[ch] > self.clock.as_nanos()
-            {
-                continue;
-            }
-            // RNG draw-order contract (DESIGN.md §7): the reorder-error
-            // draw happens exactly when a ranked transfer is queued AND at
-            // least two transfers are queued; the disorder-window draw
-            // spans the live queue in hand-off order — both identical to
-            // the seed engine's flat-Vec scan.
-            let len = self.chan_queue[ch].live();
-            if let Some(m) = &self.metrics {
-                m.chan_queue_depth[ch].observe(len as u64);
-            }
-            let take_ranked = self.chan_queue[ch].has_ranked()
-                && !(len >= 2 && self.rng.gen::<f64>() < self.reorder_error);
-            let recv = if take_ranked {
-                self.chan_queue[ch].pop_min_rank()
-            } else {
-                // Unranked pops are locally disordered: pick among the
-                // oldest `disorder_window` queued transfers.
-                let pick = self.rng.gen_range(0..len.min(self.disorder_window));
-                self.chan_queue[ch].pop_live_index(pick)
-            };
-            self.start_transfer(ch, recv);
-            progressed = true;
+    fn try_start_transfer(&mut self, ch: usize) {
+        if self.chan_busy[ch] || self.chan_queue[ch].is_empty() {
+            return;
         }
-        progressed
+        if self.chan_down_until[ch] > self.clock.as_nanos() {
+            self.dirty_channels.mark(ch);
+            return;
+        }
+        // RNG draw-order contract (DESIGN.md §7): the reorder-error
+        // draw happens exactly when a ranked transfer is queued AND at
+        // least two transfers are queued; the disorder-window draw
+        // spans the live queue in hand-off order — both identical to
+        // the seed engine's flat-Vec scan.
+        let len = self.chan_queue[ch].live();
+        if let Some(m) = &self.metrics {
+            m.chan_queue_depth[ch].observe(len as u64);
+        }
+        let take_ranked = self.chan_queue[ch].has_ranked()
+            && !(len >= 2 && self.rng.gen::<f64>() < self.reorder_error);
+        let recv = if take_ranked {
+            self.chan_queue[ch].pop_min_rank()
+        } else {
+            // Unranked pops are locally disordered: pick among the
+            // oldest `disorder_window` queued transfers.
+            let pick = self.rng.gen_range(0..len.min(self.disorder_window));
+            self.chan_queue[ch].pop_live_index(pick)
+        };
+        self.start_transfer(ch, recv);
     }
 
     fn start_transfer(&mut self, ch: usize, recv: OpId) {
         self.chan_busy[ch] = true;
         self.inflight_recv[ch] = Some(recv);
-        let bytes = self.graph.op(recv).cost().bytes;
-        let base = self
-            .oracle
-            .platform()
-            .transfer_time_scaled(bytes, self.chan_share[ch]);
+        let base = self.service.of(recv);
         // The wire-time draw happens whether or not the attempt survives,
         // so the noise stream is independent of drop decisions.
         let dur = self.noise.apply(&mut self.rng, base);
@@ -1038,13 +1076,14 @@ impl<'g> Engine<'g> {
     /// The ready-queue rule of §3.1: candidates are the ready ops with the
     /// lowest priority number plus all unprioritized ready ops; the pick
     /// among candidates is uniformly random. Crashed or stalled devices
-    /// start nothing until they come back.
-    fn try_start_compute(&mut self, dev: usize) -> bool {
-        if self.compute_busy[dev]
-            || self.compute_ready[dev].is_empty()
-            || self.device_down_until[dev] > self.clock.as_nanos()
-        {
-            return false;
+    /// start nothing — and stay dirty — until they come back.
+    fn try_start_compute(&mut self, dev: usize) {
+        if self.compute_busy[dev] || self.compute_ready[dev].is_empty() {
+            return;
+        }
+        if self.device_down_until[dev] > self.clock.as_nanos() {
+            self.dirty_devices.mark(dev);
+            return;
         }
         if let Some(m) = &self.metrics {
             m.dev_ready_depth[dev].observe(self.compute_ready[dev].candidates() as u64);
@@ -1060,7 +1099,7 @@ impl<'g> Engine<'g> {
         let op = self.compute_ready[dev].take_candidate(chosen);
 
         self.compute_busy[dev] = true;
-        let base = self.oracle.duration(self.graph, op);
+        let base = self.service.of(op);
         let dur = self
             .noise
             .apply(&mut self.rng, base)
@@ -1070,13 +1109,13 @@ impl<'g> Engine<'g> {
         self.inflight_compute[dev] = Some((op, end.as_nanos()));
         let epoch = self.epoch[op.index()];
         self.schedule_event(end, EventKind::ComputeDone(op, epoch));
-        true
     }
 
     fn on_compute_done(&mut self, op: OpId) {
         let dev = self.graph.op(op).device().index();
         self.compute_busy[dev] = false;
         self.inflight_compute[dev] = None;
+        self.dirty_devices.mark(dev);
         if let Some(m) = &self.metrics {
             m.dev_busy_ns[dev].add(
                 self.clock
@@ -1094,6 +1133,7 @@ impl<'g> Engine<'g> {
         let ch_id = self.graph.op(recv).kind().channel().expect("recv channel");
         self.chan_busy[ch_id.index()] = false;
         self.inflight_recv[ch_id.index()] = None;
+        self.dirty_channels.mark(ch_id.index());
         let start = self.started_at[recv.index()];
         if let Some(m) = &self.metrics {
             let ch = ch_id.index();
@@ -1122,6 +1162,7 @@ impl<'g> Engine<'g> {
             .expect("recv channel")
             .index();
         self.chan_busy[ch] = false;
+        self.dirty_channels.mark(ch);
         if self.inflight_recv[ch] == Some(recv) {
             self.inflight_recv[ch] = None;
         }
@@ -1188,6 +1229,7 @@ impl<'g> Engine<'g> {
                     self.epoch[op.index()] += 1;
                     self.compute_busy[dev] = false;
                     self.compute_ready[dev].push(op, self.schedule.priority(op));
+                    self.dirty_devices.mark(dev);
                 }
                 // The crashed worker's channels go dark; in-flight
                 // transfers on them are lost and retried after detection.

@@ -48,6 +48,7 @@ mod engine;
 mod error;
 mod metrics;
 mod par;
+mod service;
 
 pub use config::{SimConfig, DEFAULT_PAR_THRESHOLD, DEFAULT_SEED};
 pub use engine::{
@@ -55,6 +56,7 @@ pub use engine::{
     try_simulate_observed, EngineChoice,
 };
 pub use error::SimError;
+pub use service::noise_free_profile;
 // The fault model lives in the backend-agnostic `tictac-faults` crate
 // (the threaded runtime samples the same plans); re-exported here so the
 // simulator's API is unchanged.

@@ -46,6 +46,7 @@ use crate::arena::CalendarQueue;
 use crate::config::SimConfig;
 use crate::engine::{enforcement_ranks, ChanQueue, ReadyQueue};
 use crate::error::SimError;
+use crate::service::{paired_send, ServiceTimes};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::num::NonZeroUsize;
@@ -53,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Barrier, Mutex};
 use tictac_graph::{Graph, OpId, OpKind};
 use tictac_sched::Schedule;
-use tictac_timing::{CostOracle, NoiseModel, SimTime, TimeOracle};
+use tictac_timing::{NoiseModel, SimTime};
 use tictac_trace::{ExecutionTrace, TraceBuilder};
 
 /// Whether `(graph, config)` is eligible for the parallel engine: at
@@ -133,9 +134,8 @@ fn supported_graph(graph: &Graph) -> bool {
 struct Shared<'g> {
     graph: &'g Graph,
     schedule: &'g Schedule,
-    oracle: CostOracle,
+    service: ServiceTimes<'g>,
     enforcement: bool,
-    share: f64,
     /// Op → owning partition (device index).
     home: Vec<u32>,
     /// Channel → local index within its owner's `channels` vec.
@@ -301,8 +301,7 @@ impl Part {
         let op = self.ready.take_candidate(0);
         self.busy = true;
         self.started_compute = self.clock;
-        let dur = sh.oracle.duration(sh.graph, op);
-        let end = self.clock + dur;
+        let end = self.clock + sh.service.of(op);
         self.schedule(end.as_nanos(), (op.index() as u32) << 1);
         true
     }
@@ -322,9 +321,7 @@ impl Part {
             };
             self.channels[local].busy = true;
             self.channels[local].inflight = Some((recv, self.clock));
-            let bytes = sh.graph.op(recv).cost().bytes;
-            let dur = sh.oracle.platform().transfer_time_shared(bytes, sh.share);
-            let end = self.clock + dur;
+            let end = self.clock + sh.service.of(recv);
             self.schedule(end.as_nanos(), ((recv.index() as u32) << 1) | 1);
             progressed = true;
         }
@@ -436,13 +433,7 @@ pub(crate) fn simulate_par(
     debug_assert!(eligible(graph, config));
     let n = graph.len();
     let parts_n = graph.devices().len();
-    let oracle = CostOracle::new(config.platform.clone());
-
-    let share = config.bandwidth_share_override.unwrap_or_else(|| {
-        let workers = graph.workers().count();
-        let servers = graph.parameter_servers().count();
-        workers.max(servers).max(1) as f64
-    });
+    let service = ServiceTimes::new(graph, config);
 
     let home: Vec<u32> = (0..n)
         .map(|i| home_of(graph, OpId::from_index(i)) as u32)
@@ -458,11 +449,7 @@ pub(crate) fn simulate_par(
         if !graph.op(op).is_recv() {
             continue;
         }
-        let send = graph
-            .preds(op)
-            .iter()
-            .copied()
-            .find(|&p| graph.op(p).kind().is_send());
+        let send = paired_send(graph, op);
         send_of[i] = send;
         recv_rank[i] = send.and_then(|s| rank[s.index()]).or(rank[i]);
     }
@@ -484,21 +471,13 @@ pub(crate) fn simulate_par(
         let op = OpId::from_index(i);
         let o = graph.op(op);
         let h = h as usize;
-        match o.kind() {
-            OpKind::Recv { .. } => {
-                let d = oracle
-                    .platform()
-                    .transfer_time_shared(o.cost().bytes, share)
-                    .as_nanos();
-                lookahead[h] = lookahead[h].min(d);
-            }
-            OpKind::Send { .. } => {}
-            _ => {
-                if graph.device(o.device()).is_parameter_server() {
-                    let d = oracle.duration(graph, op).as_nanos();
-                    lookahead[h] = lookahead[h].min(d);
-                }
-            }
+        let emits = match o.kind() {
+            OpKind::Recv { .. } => true,
+            OpKind::Send { .. } => false,
+            _ => graph.device(o.device()).is_parameter_server(),
+        };
+        if emits {
+            lookahead[h] = lookahead[h].min(service.of(op).as_nanos());
         }
     }
     let is_ps: Vec<bool> = graph
@@ -519,9 +498,8 @@ pub(crate) fn simulate_par(
     let shared = Shared {
         graph,
         schedule,
-        oracle,
+        service,
         enforcement: config.enforcement,
-        share,
         home,
         chan_local,
         rank,

@@ -185,6 +185,20 @@ impl ExecutionTrace {
             .max()
     }
 
+    /// [`device_finish`](Self::device_finish) of every device at once,
+    /// indexed by device: one pass over the trace instead of one per
+    /// device.
+    pub fn device_finishes(&self, graph: &Graph) -> Vec<Option<SimTime>> {
+        let mut finish = vec![None; graph.devices().len()];
+        for (i, record) in self.records.iter().enumerate() {
+            if let Some(r) = record {
+                let slot = &mut finish[graph.op(OpId::from_index(i)).device().index()];
+                *slot = (*slot).max(Some(r.end));
+            }
+        }
+        finish
+    }
+
     /// The order in which `recv` ops on `device` *completed* — the paper's
     /// "order of received parameters" (§2.2).
     pub fn recv_completion_order(&self, graph: &Graph, device: DeviceId) -> Vec<OpId> {
@@ -471,6 +485,8 @@ mod tests {
         let trace = tb.finish();
         assert_eq!(trace.recv_completion_order(&g, w), vec![ops[1], ops[0]]);
         assert_eq!(trace.device_finish(&g, w), Some(t(350)));
+        // The all-devices pass agrees; the PS ran nothing.
+        assert_eq!(trace.device_finishes(&g), vec![Some(t(350)), None]);
     }
 
     #[test]

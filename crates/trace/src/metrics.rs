@@ -208,9 +208,10 @@ pub fn straggler_pct(worker_finish: &[SimTime], makespan: SimDuration) -> f64 {
 ///
 /// `workers` are the worker devices, in worker-index order.
 pub fn analyze(graph: &Graph, workers: &[DeviceId], trace: &ExecutionTrace) -> IterationMetrics {
+    let finishes = trace.device_finishes(graph);
     let worker_finish: Vec<SimTime> = workers
         .iter()
-        .map(|&w| trace.device_finish(graph, w).unwrap_or(SimTime::ZERO))
+        .map(|&w| finishes[w.index()].unwrap_or(SimTime::ZERO))
         .collect();
     let goodput_pct = if graph.is_empty() {
         100.0

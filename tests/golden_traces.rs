@@ -20,8 +20,9 @@
 //! to print current fingerprints (for deliberate re-pinning).
 
 use tictac::{
-    deploy, no_ordering, simulate, tic, try_simulate, ClusterSpec, ExecutionTrace, FaultSpec, Mode,
-    Model, RetryPolicy, SimConfig, SimDuration,
+    deploy, no_ordering, simulate, simulate_with_plan, tic, try_simulate, Blackout, ClusterSpec,
+    Crash, ExecutionTrace, FaultPlan, FaultSpec, Mode, Model, RetryPolicy, SimConfig, SimDuration,
+    SimTime, Stall,
 };
 use tictac_models::tiny_mlp;
 
@@ -156,4 +157,44 @@ fn golden_degraded_barrier() {
     let s = no_ordering(d.graph());
     let trace = try_simulate(d.graph(), &s, &cfg, 0).unwrap();
     check("degraded_barrier_it0", &trace, 0x5e8737d0047e993a);
+}
+
+/// Overlapping outage windows on one device and one channel: two crashes
+/// of worker 0 whose windows overlap, a blackout of its first channel that
+/// outlasts both, two overlapping stalls of PS 0, and a crash of worker 1
+/// ending at the very instant worker 0 recovers (its end event pops
+/// first). Pins which pump restarts each resource — and so the RNG draw
+/// order — when availability is the maximum over several windows. Captured
+/// from the full-scan pump, before the engine went event-driven.
+#[test]
+fn golden_overlapping_outages() {
+    let d = deploy(&tiny_mlp(Mode::Training, 8), &ClusterSpec::new(2, 2)).unwrap();
+    let g = d.graph();
+    let (w0, w1, ps0) = (d.workers()[0], d.workers()[1], d.parameter_servers()[0]);
+    let channel = g.channel_between(w0, ps0).unwrap();
+    let us = |t: u64| SimTime::from_nanos(t * 1_000);
+    let window = |at: u64, until: u64| (us(at), us(until));
+    let mut plan = FaultPlan::quiet();
+    plan.crashes = [
+        (w1, window(90, 320)),
+        (w0, window(100, 260)),
+        (w0, window(180, 320)),
+    ]
+    .map(|(device, (at, until))| Crash { device, at, until })
+    .to_vec();
+    plan.blackouts = [window(50, 200), window(150, 400)]
+        .map(|(at, until)| Blackout { channel, at, until })
+        .to_vec();
+    plan.stalls = [window(120, 300), window(250, 350)]
+        .map(|(at, until)| Stall {
+            device: ps0,
+            at,
+            until,
+        })
+        .to_vec();
+    plan.drop_prob = 0.1;
+    plan.retry = RetryPolicy::fixed(SimDuration::from_micros(100), 30);
+    let trace = simulate_with_plan(g, &no_ordering(g), &SimConfig::cloud_gpu(), 5, &plan).unwrap();
+    assert_eq!(trace.executed_ops(), g.len());
+    check("overlapping_outages_it5", &trace, 0x010989942776ae40);
 }
