@@ -21,13 +21,25 @@ cargo fmt --all --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== bench smoke =="
-# Quick plan (2 small models, median of 3), written to a scratch path so
-# the committed BENCH_results.json stays untouched. --check fails the
-# gate on malformed output AND on any phase regressing more than 25%
-# (and 0.1 ms) against the checked-in BENCH_baseline.json.
-./target/release/bench --quick --out target/BENCH_results_smoke.json
-./target/release/bench --check target/BENCH_results_smoke.json
+echo "== code size and dependency edges =="
+# The deletion budget, tracked like a perf number (ROADMAP "Code diet"):
+# per package, the lines of every src/ file above its `#[cfg(test)]` and
+# how many of them open a `pub` item — target/ci-results/loc.txt is the
+# uploaded artifact. And the shipped binary's dependency closure stays
+# what it is: the library crates and `rand`.
+mkdir -p target/ci-results
+for src in crates/*/src src vendor/*/src; do
+    find "$src" -name '*.rs' | sort | xargs awk -v src="$src" '
+        FNR == 1 { test = 0 }
+        /^#\[cfg\(test\)\]/ { test = 1 }
+        !test { lines++; if ($0 ~ /^[ \t]*pub /) pubs++ }
+        END { printf "%-20s %6d lines %5d pub\n", src, lines, pubs }'
+done | tee target/ci-results/loc.txt
+if cargo tree --offline -p tictac -e normal |
+    grep -E 'tictac-bench|serde|crossbeam|parking_lot|criterion'; then
+    echo "error: the tictac package must not depend on the crates above" >&2
+    exit 1
+fi
 
 echo "== scale smoke =="
 # Partitioned-engine gate: the quick scale sweep must auto-select both
@@ -45,13 +57,10 @@ cargo test --offline -q --test golden_traces
 cargo test --offline -q --test perfetto_snapshot
 
 echo "== threaded backend smoke =="
-# Real-OS-thread runtime gate (DESIGN.md §9): time the threaded backend
-# through the micro-bench pipeline, then run the quick sim-vs-wall-clock
-# comparison, which fails unless enforced TAC shows zero priority
-# inversions on the wall clock. TICTAC_THREADS is pinned so the wall
-# clock is not polluted by experiment-level fan-out on small CI boxes.
-./target/release/bench --quick --backend threaded --out target/BENCH_results_threaded.json
-./target/release/bench --check target/BENCH_results_threaded.json
+# Real-OS-thread runtime gate (DESIGN.md §9): the quick sim-vs-wall-clock
+# comparison fails unless enforced TAC shows zero priority inversions on
+# the wall clock. TICTAC_THREADS is pinned so the wall clock is not
+# polluted by experiment-level fan-out on small CI boxes.
 TICTAC_THREADS=2 ./target/release/repro --exp exec --quick --out target/ci-results
 grep -q "priority inversions under enforced TAC (threaded): 0" target/ci-results/exec.txt
 

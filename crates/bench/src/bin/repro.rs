@@ -24,17 +24,23 @@
 //! regression-checkable trail. Reports are deterministic on the sim
 //! backend, so two same-seed invocations append byte-identical payloads.
 
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use tictac_bench::experiments;
 use tictac_core::{
-    validate_perfetto, ClusterSpec, Mode, Model, Registry, SchedulerKind, Session, SimConfig,
-    ThreadedBackend,
+    validate_perfetto, ClusterSpec, Fnv1a, Mode, Model, Registry, SchedulerKind, Session,
+    SimConfig, ThreadedBackend,
 };
+
+/// Exits 1 with `error: <path>: <cause>`: an output path that cannot be
+/// written is bad input, not a bug.
+fn io_fail(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("error: {}: {e}", path.display());
+    std::process::exit(1);
+}
 
 /// Exports one TAC-scheduled AlexNet iteration (2 workers, 1 PS, seed 0)
 /// as Chrome/Perfetto `trace_event` JSON — load it at `ui.perfetto.dev`.
-fn export_trace(path: &PathBuf) {
+fn export_trace(path: &Path) {
     let session = Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
         .cluster(ClusterSpec::new(2, 1))
         .config(SimConfig::cloud_gpu())
@@ -43,7 +49,7 @@ fn export_trace(path: &PathBuf) {
         .build()
         .expect("zoo model deploys");
     let json = session.perfetto_json(0).expect("fault-free iteration");
-    std::fs::write(path, &json).expect("write trace file");
+    std::fs::write(path, &json).unwrap_or_else(|e| io_fail(path, e));
     let stats = validate_perfetto(&json).expect("exporter emits valid trace JSON");
     eprintln!(
         "wrote {} ({} events: {} slices, {} instants, {} flows)",
@@ -59,7 +65,7 @@ fn export_trace(path: &PathBuf) {
 /// backend under the chaos reference fault spec (fixed seed), so the
 /// fault instants — drops, retransmits, blackout/crash windows — land in
 /// the wall-clock Perfetto lanes. CI uploads this as its chaos artifact.
-fn export_chaos_trace(path: &PathBuf) {
+fn export_chaos_trace(path: &Path) {
     let clean = Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
         .cluster(ClusterSpec::new(2, 1))
         .config(SimConfig::cloud_gpu())
@@ -86,7 +92,7 @@ fn export_chaos_trace(path: &PathBuf) {
         .build()
         .expect("zoo model deploys");
     let json = session.perfetto_json(0).expect("faulty iteration recovers");
-    std::fs::write(path, &json).expect("write trace file");
+    std::fs::write(path, &json).unwrap_or_else(|e| io_fail(path, e));
     let stats = validate_perfetto(&json).expect("exporter emits valid trace JSON");
     eprintln!(
         "wrote {} ({} events: {} slices, {} instants, {} fault instants: {:?})",
@@ -219,7 +225,7 @@ fn main() {
     };
 
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("create output directory");
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| io_fail(dir, e));
     }
 
     for name in selected {
@@ -257,8 +263,7 @@ fn main() {
         println!("{report}");
         if let Some(dir) = &out_dir {
             let path = dir.join(format!("{label}.txt"));
-            let mut f = std::fs::File::create(&path).expect("create report file");
-            f.write_all(report.as_bytes()).expect("write report");
+            std::fs::write(&path, report.as_bytes()).unwrap_or_else(|e| io_fail(&path, e));
             eprintln!("wrote {}", path.display());
         }
         if let Some(store) = tictac_store::global_store() {
@@ -278,7 +283,7 @@ fn main() {
                 comm_fp: 0,
                 provenance: std::env::var("TICTAC_PROVENANCE").unwrap_or_default(),
                 payload: tictac_store::Payload::Report(tictac_store::ReportEvidence {
-                    report_fp: tictac_store::fnv1a_64(report.as_bytes()),
+                    report_fp: Fnv1a::new().bytes(report.as_bytes()).finish(),
                     quick,
                 }),
             };

@@ -3,8 +3,8 @@
 //! sharding.
 
 use crate::format::Table;
-use crate::runner::{parallel_map, Point};
-use tictac_core::{speedup_pct, Mode, Model, SchedulerKind, Sharding, SimConfig};
+use crate::runner::Point;
+use tictac_core::{parallel_map, speedup_pct, Mode, Model, SchedulerKind, Sharding, SimConfig};
 
 /// Sensitivity of TIC's gain to the network's out-of-order probability.
 ///

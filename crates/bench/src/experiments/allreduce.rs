@@ -9,10 +9,9 @@
 //! recover?
 
 use crate::format::Table;
-use crate::runner::parallel_map;
 use tictac_core::{
-    deploy_all_reduce, no_ordering, simulate, speedup_pct, ClusterSpec, Mode, Model, SchedulerKind,
-    Session, SimConfig,
+    deploy_all_reduce, no_ordering, parallel_map, simulate, speedup_pct, ClusterSpec, Mode, Model,
+    SchedulerKind, Session, SimConfig,
 };
 
 /// Compares PS-baseline, PS+TIC and ring all-reduce throughput while

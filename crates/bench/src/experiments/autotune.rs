@@ -12,9 +12,8 @@
 
 use super::pick_models_zoo;
 use crate::format::Table;
-use crate::runner::parallel_map;
 use tictac_core::{
-    auto_tune_with, DeployCache, Mode, Model, SchedulerKind, SimConfig, TuneOptions,
+    auto_tune_with, parallel_map, DeployCache, Mode, Model, SchedulerKind, SimConfig, TuneOptions,
 };
 
 /// Renders a threshold as a human size, or `off` when the pass is

@@ -2,8 +2,8 @@
 
 use super::{mode_label, pick_models};
 use crate::format::Table;
-use crate::runner::{parallel_map, Point};
-use tictac_core::{speedup_pct, Mode, SchedulerKind, SimConfig};
+use crate::runner::Point;
+use tictac_core::{parallel_map, speedup_pct, Mode, SchedulerKind, SimConfig};
 
 /// Sweeps worker counts {1, 2, 4, 8, 16} with PS:W fixed at 1:4 on envG,
 /// reporting TIC's throughput gain over the baseline for training and

@@ -7,7 +7,7 @@
 //! only in gradient accumulation order at the PS.
 
 use crate::format::Table;
-use crate::runner::parallel_map;
+use tictac_core::parallel_map;
 use tictac_core::training::{loss_curve, TrainingConfig};
 
 /// Trains the Fig. 8 learner for 500 iterations under both policies and

@@ -3,8 +3,8 @@
 
 use super::{mode_label, pick_models};
 use crate::format::Table;
-use crate::runner::{parallel_map, Point};
-use tictac_core::{speedup_pct, Mode, SchedulerKind, SimConfig};
+use crate::runner::Point;
+use tictac_core::{parallel_map, speedup_pct, Mode, SchedulerKind, SimConfig};
 
 /// Sweeps PS counts {1, 2, 4} at 8 workers on envG; reports TIC's gain
 /// over the baseline per task.

@@ -3,8 +3,8 @@
 
 use super::pick_models;
 use crate::format::Table;
-use crate::runner::{parallel_map, Point};
-use tictac_core::{speedup_pct, Mode, SchedulerKind, SimConfig};
+use crate::runner::Point;
+use tictac_core::{parallel_map, speedup_pct, Mode, SchedulerKind, SimConfig};
 
 /// Scales each model's Table-1 batch by {0.5, 1, 2} and reports TIC's
 /// inference gain over the baseline.

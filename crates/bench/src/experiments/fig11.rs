@@ -2,8 +2,8 @@
 //! baseline vs TIC, against partition size (envG, training + inference).
 
 use crate::format::Table;
-use crate::runner::{parallel_map, Point};
-use tictac_core::{ClusterSpec, DeployCache, Mode, Model, SchedulerKind, SimConfig};
+use crate::runner::Point;
+use tictac_core::{parallel_map, ClusterSpec, DeployCache, Mode, Model, SchedulerKind, SimConfig};
 
 /// `(ops_per_worker, model, task, [E_base, E_tic], [strag_base, strag_tic])`.
 type Row = (usize, String, String, [f64; 2], [f64; 2]);

@@ -3,9 +3,8 @@
 //! TAC — 1000 single-iteration runs of Inception v2 on envC.
 
 use crate::format::Table;
-use crate::runner::parallel_map;
 use tictac_core::{
-    ols, Cdf, ClusterSpec, Mode, Model, RunOptions, SchedulerKind, Session, SimConfig,
+    ols, parallel_map, Cdf, ClusterSpec, Mode, Model, RunOptions, SchedulerKind, Session, SimConfig,
 };
 
 /// Runs Inception v2 training `N` times with and without TAC, then fits

@@ -1,8 +1,8 @@
 //! Figure 13 (Appendix B): TIC vs TAC throughput gains on envC.
 
 use crate::format::Table;
-use crate::runner::{parallel_map, Point};
-use tictac_core::{speedup_pct, Mode, Model, SchedulerKind, SimConfig};
+use crate::runner::Point;
+use tictac_core::{parallel_map, speedup_pct, Mode, Model, SchedulerKind, SimConfig};
 
 /// Compares TIC and TAC against the baseline on envC for the three models
 /// of Figure 13 (Inception v2, VGG-16, AlexNet v2), training and

@@ -6,8 +6,9 @@
 //! few enough for collisions).
 
 use crate::format::Table;
-use crate::runner::parallel_map;
-use tictac_core::{count_unique_recv_orders, ClusterSpec, DeployCache, Mode, Model, SimConfig};
+use tictac_core::{
+    count_unique_recv_orders, parallel_map, ClusterSpec, DeployCache, Mode, Model, SimConfig,
+};
 
 /// Counts unique parameter-arrival orders at one worker over N baseline
 /// iterations.

@@ -8,10 +8,9 @@
 //! table.
 
 use crate::format::Table;
-use crate::runner::parallel_map;
 use tictac_core::{
-    estimate_profile, no_ordering, simulate, tac, worst_case, ClusterSpec, Mode, Model, NoiseModel,
-    SchedulerKind, Session, SimConfig,
+    estimate_profile, no_ordering, parallel_map, simulate, tac, worst_case, ClusterSpec, Mode,
+    Model, NoiseModel, SchedulerKind, Session, SimConfig,
 };
 
 /// Measures the empirical spread (worst-order makespan over best-order

@@ -2,8 +2,7 @@
 //! reproduction's generators.
 
 use crate::format::Table;
-use crate::runner::parallel_map;
-use tictac_core::{Mode, Model};
+use tictac_core::{parallel_map, Mode, Model};
 
 /// Regenerates Table 1, printing the paper's numbers next to ours.
 ///

@@ -8,5 +8,4 @@
 
 pub mod experiments;
 pub mod format;
-pub mod micro;
 pub mod runner;

@@ -1,6 +1,5 @@
 //! Session execution helpers shared by all experiments.
 
-use parking_lot::Mutex;
 use tictac_core::{
     ClusterSpec, Mode, Model, RunReport, SchedulerKind, Session, Sharding, SimConfig,
 };
@@ -73,62 +72,9 @@ impl Point {
     }
 }
 
-/// Maps `f` over `items` on up to `available_parallelism` worker threads
-/// (override with the `TICTAC_THREADS` env var; `1` forces serial),
-/// preserving input order in the output.
-///
-/// Results are identical at any thread count: every point seeds its own
-/// random streams, and outputs are written back by input index.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = std::env::var("TICTAC_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<R>>> = Mutex::new(items.iter().map(|_| None).collect());
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                results.lock()[i] = Some(r);
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every item processed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect(), |&x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn point_runs_a_small_model() {

@@ -36,12 +36,11 @@ mod sharding;
 pub use allreduce::{deploy_all_reduce, AllReduceDeployment};
 pub use sharding::Sharding;
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use tictac_graph::{
-    ChannelId, CommRole, Cost, DeviceId, Graph, GraphBuilder, GraphError, ModelGraph, NameId, OpId,
-    OpKind, OpName, ParamId,
+    ChannelId, CommRole, Cost, DeviceId, Fnv1a, Graph, GraphBuilder, GraphError, ModelGraph,
+    NameId, OpId, OpKind, OpName, ParamId,
 };
 use tictac_sched::Schedule;
 
@@ -55,14 +54,12 @@ use tictac_sched::Schedule;
 /// `fusion_bytes` coalesces consecutive same-shard transfers smaller than
 /// the threshold into one fused transfer, saving the per-transfer latency
 /// floor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct CommConfig {
     /// Split parameters larger than this many bytes (`None` = never).
-    #[serde(default)]
     pub partition_bytes: Option<u64>,
     /// Fuse same-shard transfers smaller than this many bytes
     /// (`None` = never).
-    #[serde(default)]
     pub fusion_bytes: Option<u64>,
 }
 
@@ -93,23 +90,11 @@ impl CommConfig {
             return 0;
         }
         // FNV-1a over a tagged little-endian encoding.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(b"tictac-comm/v1");
-        eat(&self
-            .partition_bytes
-            .map_or(0, |b| b.wrapping_add(1))
-            .to_le_bytes());
-        eat(&self
-            .fusion_bytes
-            .map_or(0, |b| b.wrapping_add(1))
-            .to_le_bytes());
-        h
+        Fnv1a::new()
+            .bytes(b"tictac-comm/v1")
+            .u64(self.partition_bytes.map_or(0, |b| b.wrapping_add(1)))
+            .u64(self.fusion_bytes.map_or(0, |b| b.wrapping_add(1)))
+            .finish()
     }
 
     /// Rejects degenerate thresholds (a zero threshold is always a
@@ -136,7 +121,7 @@ impl CommConfig {
 /// speed factors and per-link bandwidth factors. Direct struct-literal
 /// construction is no longer possible outside this crate — the
 /// heterogeneity tables are private so every spec passes validation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Number of workers (model replicas).
     pub workers: usize,
@@ -155,7 +140,6 @@ pub struct ClusterSpec {
     link_bandwidths: Vec<f64>,
     /// Communication granularity (partition/fusion thresholds). Default =
     /// both passes off.
-    #[serde(default)]
     comm: CommConfig,
 }
 

@@ -1,10 +1,9 @@
 //! Parameter-to-PS sharding policies.
 
-use serde::{Deserialize, Serialize};
 use tictac_graph::ModelGraph;
 
 /// How parameters are assigned to parameter-server shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Sharding {
     /// Greedy size-balanced assignment (longest-processing-time first):
     /// parameters are placed, largest first, on the currently lightest

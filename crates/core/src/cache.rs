@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tictac_cluster::{deploy, ClusterSpec, DeployError, DeployedModel};
-use tictac_graph::ModelGraph;
+use tictac_graph::{Fnv1a, ModelGraph};
 use tictac_obs::Registry;
 use tictac_sched::Schedule;
 use tictac_sim::{FaultSpec, SimConfig};
@@ -77,12 +77,9 @@ pub struct CacheStats {
 /// noise model, seed) and nothing that cannot.
 fn schedule_config_hash(config: &SimConfig) -> u64 {
     let normalized = config.clone().with_faults(FaultSpec::none());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{normalized:?}").bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv1a::new()
+        .bytes(format!("{normalized:?}").as_bytes())
+        .finish()
 }
 
 /// A two-level deploy/schedule memoizer. See the module docs.

@@ -2,9 +2,11 @@
 //! examples.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use tictac_cluster::DeployedModel;
 use tictac_sched::no_ordering;
-use tictac_sim::{simulate, SimConfig};
+use tictac_sim::{simulate, thread_count, SimConfig};
 
 /// Counts how many distinct parameter-arrival orders the reference worker
 /// observes over `runs` baseline iterations — the experiment of §2.2
@@ -36,6 +38,54 @@ pub fn speedup_pct(baseline_throughput: f64, scheduled_throughput: f64) -> f64 {
     (scheduled_throughput / baseline_throughput - 1.0) * 100.0
 }
 
+/// Maps `f` over `items` on [`thread_count`]`(items.len())` worker
+/// threads (the `TICTAC_THREADS` env var overrides the available
+/// parallelism; `1` forces serial), preserving input order in the output.
+///
+/// Results are identical at any thread count: every point seeds its own
+/// random streams, and outputs are written back by input index. A panic
+/// in `f` propagates to the caller once every worker has stopped.
+pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    parallel_map_on(thread_count(items.len()), &items, f)
+}
+
+/// [`parallel_map`] on exactly `threads` workers pulling indices off a
+/// shared counter.
+fn parallel_map_on<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    const UNPOISONED: &str = "the results lock is never held across a call to `f`";
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<R>>> = Mutex::new(items.iter().map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let r = f(item);
+                results.lock().expect(UNPOISONED)[i] = Some(r);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect(UNPOISONED)
+        .into_iter()
+        .map(|r| r.expect("every item processed"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,6 +100,33 @@ mod tests {
         let n = count_unique_recv_orders(&d, &cfg, 8);
         // 116 parameters: every random iteration order should be fresh.
         assert_eq!(n, 8);
+    }
+
+    #[test]
+    fn parallel_map_output_is_input_ordered_at_any_thread_count() {
+        let items: Vec<u64> = (0..100).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * 2).collect();
+        for threads in [1, 2, 7] {
+            assert_eq!(parallel_map_on(threads, &items, |&x| x * 2), want);
+            // More threads than items, and no items at all.
+            assert_eq!(parallel_map_on(threads, &items[..3], |&x| x * 2), want[..3]);
+            assert_eq!(parallel_map_on(threads, &[], |&x: &u64| x), []);
+        }
+        assert_eq!(parallel_map(items, |&x| x * 2), want);
+    }
+
+    #[test]
+    fn parallel_map_propagates_a_worker_panic_to_the_caller() {
+        let items: Vec<u64> = (0..100).collect();
+        for threads in [1, 2, 7] {
+            let caught = std::panic::catch_unwind(|| {
+                parallel_map_on(threads, &items, |&x| {
+                    assert_ne!(x, 41, "boom");
+                    x
+                })
+            });
+            assert!(caught.is_err(), "{threads} threads swallowed the panic");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod tune;
 
 pub use backend::{ExecError, ExecutionBackend, SimBackend, ThreadedBackend, TimeDomain};
 pub use cache::{CacheStats, DeployCache};
-pub use experiments::{count_unique_recv_orders, speedup_pct};
+pub use experiments::{count_unique_recv_orders, parallel_map, speedup_pct};
 pub use optimal::{makespan_of_order, optimal_order, OptimalSearch};
 pub use session::{
     IterationRecord, RunOptions, RunReport, ScenarioBuildError, SchedulerKind, Session,
@@ -62,11 +62,11 @@ pub use tictac_exec::{
     RuntimeError,
 };
 pub use tictac_graph::{
-    Channel, ChannelId, CommRole, Cost, Device, DeviceId, DeviceKind, Graph, GraphBuilder,
+    Channel, ChannelId, CommRole, Cost, Device, DeviceId, DeviceKind, Fnv1a, Graph, GraphBuilder,
     GraphError, ModelGraph, ModelGraphBuilder, ModelOpId, ModelOpKind, NameId, NameTable, OpId,
     OpKind, OpName, ParamId, Resource, RingStage,
 };
-pub use tictac_metrics::{ols, percentile, Cdf, Histogram, OlsFit, Streaming, Summary};
+pub use tictac_metrics::{ols, percentile, Cdf, OlsFit, Summary};
 pub use tictac_models::{tiny_mlp, Mode, Model};
 pub use tictac_obs::{
     overlap_report, perfetto_json, priority_inversions, realized_efficiency, validate_perfetto,
@@ -79,8 +79,8 @@ pub use tictac_scenario::{
 };
 pub use tictac_sched::{
     efficiency, merge_schedules, no_ordering, random_order, tac, tac_observed, tac_order,
-    tac_order_naive, tac_order_observed, tic, tic_observed, worst_case, Baseline, OpProperties,
-    PartitionGraph, Random, Schedule, Scheduler, TacComparator, TacScheduler, TicScheduler,
+    tac_order_observed, tic, tic_observed, worst_case, Baseline, OpProperties, PartitionGraph,
+    Random, Schedule, Scheduler, TacComparator, TacScheduler, TicScheduler,
 };
 pub use tictac_sim::{
     noise_free_profile, selected_engine, simulate, simulate_with_plan, simulate_with_plan_observed,

@@ -1,6 +1,5 @@
 //! The end-to-end session: model → cluster → schedule → measure.
 
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use tictac_cluster::{ClusterSpec, DeployError, DeployedModel};
 use tictac_graph::ModelGraph;
@@ -281,7 +280,7 @@ pub(crate) fn compute_schedule(
 }
 
 /// One measured iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationRecord {
     /// Iteration makespan.
     pub makespan: SimDuration,
@@ -305,7 +304,7 @@ pub struct IterationRecord {
 }
 
 /// The result of [`Session::run`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Model name.
     pub model: String,

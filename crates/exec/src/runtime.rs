@@ -40,7 +40,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tictac_faults::{FaultClock, FaultPlan};
-use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
+use tictac_graph::{ChannelId, DeviceId, Fnv1a, Graph, OpId, OpKind};
 use tictac_sched::Schedule;
 use tictac_timing::{CostOracle, Platform, SimTime, TimeOracle};
 use tictac_trace::{ExecutionTrace, FaultEvent, FaultEventKind, TraceBuilder};
@@ -332,44 +332,34 @@ impl ExecPlan {
     /// to compute per iteration — unlike re-deriving the plan, it
     /// allocates nothing and sorts nothing.
     pub fn key(graph: &Graph, schedule: &Schedule) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        fold(graph.len() as u64);
-        fold(graph.devices().len() as u64);
-        fold(graph.channels().len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64(graph.len() as u64);
+        h.u64(graph.devices().len() as u64);
+        h.u64(graph.channels().len() as u64);
         // Heterogeneity tables change the baked-in per-channel shares and
         // oracle durations, so they are plan-relevant. Uniform graphs have
         // empty tables and fold nothing — their keys are unchanged.
         for d in 0..graph.devices().len() {
             let speed = graph.device_speed(tictac_graph::DeviceId::from_index(d));
             if speed != 1.0 {
-                fold(d as u64);
-                fold(speed.to_bits());
+                h.u64(d as u64);
+                h.u64(speed.to_bits());
             }
         }
         for c in 0..graph.channels().len() {
             let bw = graph.channel_bandwidth(tictac_graph::ChannelId::from_index(c));
             if bw != 1.0 {
-                fold(c as u64);
-                fold(bw.to_bits());
+                h.u64(c as u64);
+                h.u64(bw.to_bits());
             }
         }
         for op in graph.op_ids() {
             match schedule.priority(op) {
-                Some(r) => {
-                    fold(1);
-                    fold(r);
-                }
-                None => fold(0),
-            }
+                Some(r) => h.u64(1).u64(r),
+                None => h.u64(0),
+            };
         }
-        h
+        h.finish()
     }
 }
 

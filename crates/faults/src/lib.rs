@@ -22,8 +22,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use tictac_graph::{ChannelId, DeviceId, Graph, OpId};
+use tictac_graph::{ChannelId, DeviceId, Fnv1a, Graph, OpId};
 use tictac_timing::{RetryPolicy, SimDuration, SimTime};
 
 /// Stream tag separating fault sampling from any engine's noise RNG.
@@ -115,7 +114,7 @@ impl FaultClock {
 /// parameter server as appropriate). The quiet default —
 /// [`FaultSpec::none`] — injects nothing and leaves a backend's
 /// behaviour exactly as if the fault subsystem did not exist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Probability that any individual transfer attempt is lost on the
     /// wire (transient loss; detected by timeout, recovered by
@@ -187,35 +186,25 @@ impl FaultSpec {
     /// (floats compare by `to_bits`, so `-0.0 != 0.0` — acceptable, since
     /// specs are constructed from literals, not arithmetic).
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bits: u64| {
-            for b in bits.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
-        eat(self.drop_prob.to_bits());
-        eat(self.blackout_prob.to_bits());
-        eat(self.blackout.as_nanos());
-        eat(self.crash_prob.to_bits());
-        eat(self.crash_downtime.as_nanos());
-        eat(self.straggler_prob.to_bits());
-        eat(self.straggler_factor.to_bits());
-        eat(self.ps_stall_prob.to_bits());
-        eat(self.ps_stall.as_nanos());
-        eat(self.onset_window.as_nanos());
-        eat(self.retry.timeout.as_nanos());
-        eat(self.retry.backoff.to_bits());
-        eat(u64::from(self.retry.max_retries));
+        let mut h = Fnv1a::new();
+        h.u64(self.drop_prob.to_bits());
+        h.u64(self.blackout_prob.to_bits());
+        h.u64(self.blackout.as_nanos());
+        h.u64(self.crash_prob.to_bits());
+        h.u64(self.crash_downtime.as_nanos());
+        h.u64(self.straggler_prob.to_bits());
+        h.u64(self.straggler_factor.to_bits());
+        h.u64(self.ps_stall_prob.to_bits());
+        h.u64(self.ps_stall.as_nanos());
+        h.u64(self.onset_window.as_nanos());
+        h.u64(self.retry.timeout.as_nanos());
+        h.u64(self.retry.backoff.to_bits());
+        h.u64(u64::from(self.retry.max_retries));
         match self.barrier_timeout {
-            None => eat(0),
-            Some(t) => {
-                eat(1);
-                eat(t.as_nanos());
-            }
-        }
-        h
+            None => h.u64(0),
+            Some(t) => h.u64(1).u64(t.as_nanos()),
+        };
+        h.finish()
     }
 
     /// Overrides the per-attempt transfer loss probability.
@@ -305,7 +294,7 @@ impl Default for FaultSpec {
 }
 
 /// One channel blackout window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Blackout {
     /// The affected channel.
     pub channel: ChannelId,
@@ -316,7 +305,7 @@ pub struct Blackout {
 }
 
 /// One worker crash/recover cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Crash {
     /// The crashed worker.
     pub device: DeviceId,
@@ -327,7 +316,7 @@ pub struct Crash {
 }
 
 /// One parameter-server stall window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stall {
     /// The stalled parameter server.
     pub device: DeviceId,

@@ -6,11 +6,10 @@
 //! channel (mirroring gRPC's single channel per pair, paper §5.1).
 
 use crate::ids::{ChannelId, DeviceId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The role a device plays in a Model-Replica + Parameter-Server deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// A training or inference worker holding a replica of the model.
     Worker,
@@ -28,7 +27,7 @@ impl fmt::Display for DeviceKind {
 }
 
 /// A device participating in the deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     id: DeviceId,
     kind: DeviceKind,
@@ -83,7 +82,7 @@ impl fmt::Display for Device {
 /// time. In a Parameter-Server deployment channels connect a worker to a
 /// PS shard; peer channels (worker to worker) support the all-reduce
 /// extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Channel {
     id: ChannelId,
     a: DeviceId,
@@ -152,7 +151,7 @@ impl fmt::Display for Channel {
 ///
 /// The scheduling-efficiency bounds of the paper (§3.2) are defined per
 /// resource: the lower makespan bound is the busiest resource's total load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Resource {
     /// The computation unit of a device (GPU or CPU).
     Compute(DeviceId),

@@ -4,10 +4,9 @@ use crate::device::{Channel, Device, Resource};
 use crate::ids::{ChannelId, DeviceId, OpId, ParamId};
 use crate::name::{NameTable, OpName};
 use crate::op::{Op, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Metadata about one model parameter (a trainable tensor).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamInfo {
     pub(crate) name: String,
     pub(crate) bytes: u64,
@@ -40,7 +39,7 @@ impl ParamInfo {
 /// allocations, not two per op. A third arena of the same shape maps each
 /// device to the ops placed on it, so per-device walks cost the ops they
 /// visit, not the whole graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     pub(crate) ops: Vec<Op>,
     /// Predecessors of op `i`: `pred_edges[pred_offsets[i]..pred_offsets[i+1]]`.
@@ -62,24 +61,18 @@ pub struct Graph {
     /// platform reference; `0.5` means half speed. The empty vector is the
     /// canonical encoding of a uniform cluster, so homogeneous graphs are
     /// bit-for-bit identical to graphs built before heterogeneity existed.
-    #[serde(default)]
     pub(crate) device_speeds: Vec<f64>,
     /// Relative channel bandwidth factors, one per channel (empty =
     /// uniform). `2.0` = twice the platform bandwidth, `0.5` = half.
-    #[serde(default)]
     pub(crate) channel_bandwidths: Vec<f64>,
     /// Interned strings referenced by the ops' [`OpName`]s.
     pub(crate) names: NameTable,
     /// Lazily-rendered display names, one per op (see [`Graph::op_name`]).
-    #[serde(skip)]
     pub(crate) rendered: std::sync::OnceLock<Vec<String>>,
-    /// Lazily-built name → id index backing [`Graph::find_op`]. Skipped by
-    /// serde (and reset by `Default` on deserialize); rebuilt on first use.
-    #[serde(skip)]
+    /// Lazily-built name → id index backing [`Graph::find_op`].
     pub(crate) name_index: std::sync::OnceLock<std::collections::HashMap<String, OpId>>,
     /// Lazily-built structured-name → id index backing
     /// [`Graph::find_op_structured`].
-    #[serde(skip)]
     pub(crate) structured_index: std::sync::OnceLock<std::collections::HashMap<OpName, OpId>>,
 }
 
@@ -402,7 +395,7 @@ impl Graph {
 }
 
 /// Summary statistics of a graph, used by reporting code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphCounts {
     /// Total op count.
     pub ops: usize,

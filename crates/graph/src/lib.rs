@@ -53,6 +53,7 @@ mod device;
 mod dot;
 mod error;
 mod graph;
+mod hash;
 mod ids;
 mod model;
 mod name;
@@ -64,6 +65,7 @@ pub use device::{Channel, Device, DeviceKind, Resource};
 pub use dot::{model_to_dot, to_dot};
 pub use error::GraphError;
 pub use graph::{Graph, ParamInfo};
+pub use hash::Fnv1a;
 pub use ids::{ChannelId, DeviceId, ModelOpId, OpId, ParamId};
 pub use model::{
     ModelGraph, ModelGraphBuilder, ModelOp, ModelOpKind, ModelStats, ParamSpec, TensorShape,

@@ -6,12 +6,12 @@
 //! `tictac-cluster` crate *lowers* a model graph onto a partitioned
 //! [`Graph`](crate::Graph) spanning workers and parameter servers.
 
+use crate::hash::Fnv1a;
 use crate::ids::{ModelOpId, ParamId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape of a tensor, e.g. `[3, 3, 64, 128]` for a convolution kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TensorShape(Vec<usize>);
 
 impl TensorShape {
@@ -57,7 +57,7 @@ impl<const N: usize> From<[usize; N]> for TensorShape {
 }
 
 /// A trainable parameter tensor of the model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamSpec {
     name: String,
     shape: TensorShape,
@@ -96,7 +96,7 @@ impl ParamSpec {
 }
 
 /// The role of an op within the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelOpKind {
     /// Forward-pass computation.
     Forward,
@@ -107,7 +107,7 @@ pub enum ModelOpKind {
 }
 
 /// One op of a model graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelOp {
     pub(crate) name: String,
     pub(crate) kind: ModelOpKind,
@@ -153,7 +153,7 @@ impl ModelOp {
 
 /// Summary statistics of a model graph (compare against Table 1 of the
 /// paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelStats {
     /// Number of parameters (tensors, not scalars).
     pub params: usize,
@@ -173,7 +173,7 @@ impl ModelStats {
 }
 
 /// A validated, device-agnostic model graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelGraph {
     name: String,
     batch_size: usize,
@@ -253,42 +253,34 @@ impl ModelGraph {
     /// uses this as its model key. Stable within a process run — not a
     /// cross-version serialization format.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&(self.batch_size as u64).to_le_bytes());
-        eat(&(self.params.len() as u64).to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.bytes(self.name.as_bytes());
+        h.u64(self.batch_size as u64);
+        h.u64(self.params.len() as u64);
         for p in &self.params {
-            eat(p.name.as_bytes());
-            eat(&[0, p.dtype_bytes]);
+            h.bytes(p.name.as_bytes());
+            h.bytes(&[0, p.dtype_bytes]);
             for &d in p.shape.dims() {
-                eat(&(d as u64).to_le_bytes());
+                h.u64(d as u64);
             }
         }
-        eat(&(self.ops.len() as u64).to_le_bytes());
+        h.u64(self.ops.len() as u64);
         for op in &self.ops {
-            eat(op.name.as_bytes());
-            eat(&[0, op.kind as u8]);
-            eat(&op.flops.to_bits().to_le_bytes());
+            h.bytes(op.name.as_bytes());
+            h.bytes(&[0, op.kind as u8]);
+            h.u64(op.flops.to_bits());
             for d in &op.preds {
-                eat(&(d.index() as u64).to_le_bytes());
+                h.u64(d.index() as u64);
             }
             for p in &op.reads_params {
-                eat(&(p.index() as u64).to_le_bytes());
+                h.u64(p.index() as u64);
             }
-            eat(&[1]);
+            h.bytes(&[1]);
             for p in &op.produces_grads {
-                eat(&(p.index() as u64).to_le_bytes());
+                h.u64(p.index() as u64);
             }
         }
-        h
+        h.finish()
     }
 
     /// Returns a copy with every op's flops scaled by `factor`.

@@ -2,22 +2,19 @@
 //!
 //! Deployment used to mint one heap `String` per op
 //! (`format!("ps{shard}/send/{param}/w{w}")`, …) — on inception/resnet-class
-//! models that is tens of thousands of allocations on the deploy hot path,
-//! and `BENCH_results.json` showed deployment as the slowest phase after the
-//! scheduler fast paths landed. An [`OpName`] is a 16-byte `Copy` value
-//! instead: a role tag plus small integer fields, with model-level strings
-//! (parameter and layer names) deduplicated through a [`NameTable`]
-//! interner. Rendering to the legacy string happens lazily — and
+//! models that is tens of thousands of allocations on the deploy hot path.
+//! An [`OpName`] is a 16-byte `Copy` value instead: a role tag plus small
+//! integer fields, with model-level strings (parameter and layer names)
+//! deduplicated through a [`NameTable`] interner. Rendering to the legacy string happens lazily — and
 //! **byte-identically**, so the golden trace fingerprints and the pinned
 //! Perfetto snapshot do not move — only when something actually asks for a
 //! display name ([`Graph::op_name`](crate::Graph::op_name)).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Index of an interned string in a [`NameTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(u32);
 
 impl NameId {
@@ -34,7 +31,7 @@ impl NameId {
 /// [`NameId`]. Interning the same string twice returns the same id, which
 /// is what lets [`GraphBuilder`](crate::GraphBuilder) keep detecting
 /// duplicate raw op names by comparing `OpName`s.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NameTable {
     strings: Vec<String>,
     index: HashMap<String, NameId>,
@@ -84,7 +81,7 @@ impl NameTable {
 
 /// Phase of a ring all-reduce step (`tictac-cluster`'s collective
 /// lowering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RingStage {
     /// Reduce-scatter send.
     RsSend,
@@ -105,7 +102,7 @@ pub enum RingStage {
 /// plain MR+PS emission; [`OpName::Chunk`] and [`OpName::Fused`] pair a
 /// role with chunk/group coordinates instead of minting one enum variant
 /// per (pass × role) combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommRole {
     /// PS-side parameter read.
     Read,
@@ -131,7 +128,7 @@ pub enum CommRole {
 /// all-reduce lowering; and [`OpName::Raw`] holds arbitrary interned
 /// strings for hand-built graphs. [`OpName::render`] reproduces the
 /// historical `format!` strings byte for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpName {
     /// An arbitrary interned name (hand-built graphs, tests).
     Raw(NameId),

@@ -2,7 +2,6 @@
 
 use crate::ids::{ChannelId, ParamId};
 use crate::name::OpName;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What an op does, and — for communication ops — which parameter and
@@ -11,7 +10,7 @@ use std::fmt;
 /// The parameter-server DAG of the paper (§2.2) has five ops per parameter:
 /// `read`, `send`, `recv`, `aggregate` and `update`; the worker DAG has
 /// `recv` roots, compute ops, and `send` leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A computation op (convolution, matmul, gradient, …).
     Compute,
@@ -117,7 +116,7 @@ impl fmt::Display for OpKind {
 ///
 /// Compute ops carry floating-point work; communication ops carry a byte
 /// count. Either may be zero (e.g. a control-dependency barrier).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cost {
     /// Floating-point operations performed by the op.
     pub flops: f64,
@@ -158,7 +157,7 @@ impl Cost {
 /// Ops carry a compact [`OpName`] rather than a `String`; the rendered
 /// display name lives in the owning graph
 /// ([`Graph::op_name`](crate::Graph::op_name)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Op {
     pub(crate) name: OpName,
     pub(crate) kind: OpKind,

@@ -1,9 +1,7 @@
 //! Empirical cumulative distribution functions (Fig. 12b).
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

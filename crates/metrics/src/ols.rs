@@ -1,9 +1,7 @@
 //! Ordinary least squares (the regression test of Fig. 12a).
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted line `y = intercept + slope · x` with its goodness of fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OlsFit {
     /// Slope of the fitted line.
     pub slope: f64,

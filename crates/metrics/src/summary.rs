@@ -1,9 +1,7 @@
 //! Summary statistics and percentiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean / spread / extrema of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,

@@ -32,12 +32,11 @@ mod vgg;
 pub use layers::{Mode, NetBuilder, Norm, Padding, Tensor};
 pub use resnet::ResNetVersion;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tictac_graph::ModelGraph;
 
 /// The ten benchmark networks of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Model {
     /// AlexNet v2 (Krizhevsky, 2014).
     AlexNetV2,
@@ -62,7 +61,7 @@ pub enum Model {
 }
 
 /// A row of Table 1 of the paper (reference values for comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Row {
     /// Number of parameter tensors.
     pub params: usize,

@@ -1,14 +1,13 @@
 //! A minimal JSON value, parser, and string writer.
 //!
 //! The build environment vendors no JSON crate, so the workspace
-//! hand-rolls the little it needs: the bench harness renders and
-//! validates `BENCH_results.json` with it, the run store
-//! (`tictac-store`) encodes and strictly decodes its JSONL records with
-//! it, and the Perfetto exporter's validator
-//! ([`crate::perfetto::validate_perfetto`]) parses trace files back.
-//! Lives here (rather than in `bench`) so every side shares one
-//! implementation: [`Json`] is the value type, [`parse_json`] the
-//! parser, and [`render_json`] / [`render_json_pretty`] the writers.
+//! hand-rolls the little it needs: the run store (`tictac-store`)
+//! encodes and strictly decodes its JSONL records with it, the Perfetto
+//! exporter's validator ([`crate::perfetto::validate_perfetto`]) parses
+//! trace files back, and the benchmark (`benchmark/`) writes its reports
+//! with it. Lives here so every side shares one implementation:
+//! [`Json`] is the value type, [`parse_json`] the parser, and
+//! [`render_json`] / [`render_json_pretty`] the writers.
 //!
 //! Writer invariant: numbers are emitted in Rust's shortest `Display`
 //! form, which round-trips exactly through [`parse_json`] — for any
@@ -173,7 +172,7 @@ pub fn render_json(value: &Json) -> String {
 }
 
 /// Renders a JSON value pretty-printed with two-space indentation, one
-/// field or element per line (the layout of `BENCH_results.json`).
+/// field or element per line.
 pub fn render_json_pretty(value: &Json) -> String {
     let mut out = String::new();
     render_into(value, Some(2), 0, &mut out);

@@ -23,8 +23,8 @@
 //!   while a higher-priority transfer was already runnable on the same
 //!   channel.
 //! - [`json`] — the workspace's hand-rolled JSON value/parser/writer
-//!   (the build environment vendors no JSON crate), shared with the bench
-//!   harness and the run store (`tictac-store`).
+//!   (the build environment vendors no JSON crate), shared with the run
+//!   store (`tictac-store`) and the benchmark (`benchmark/`).
 //!
 //! Dependency discipline: this crate sees only `graph`, `timing`, and
 //! `trace`. The schedulers and the simulator depend on *it*, so the

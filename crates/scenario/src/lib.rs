@@ -27,13 +27,14 @@ use parse::Entry;
 use std::fmt;
 use tictac_cluster::{ClusterSpec, CommConfig};
 use tictac_faults::FaultSpec;
+use tictac_graph::Fnv1a;
 use tictac_models::{Mode, Model};
 use tictac_sched::SchedulerKind;
 use tictac_sim::{SimConfig, DEFAULT_SEED};
 use tictac_timing::SimDuration;
 
 /// Which execution backend runs the measured iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The discrete-event simulator (deterministic model time).
     Sim,
@@ -67,7 +68,7 @@ impl fmt::Display for BackendKind {
 }
 
 /// Which platform preset (`SimConfig`) the scenario runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnvPreset {
     /// envG: cloud GPUs on a fast network (`SimConfig::cloud_gpu`).
     G,
@@ -321,51 +322,43 @@ impl Scenario {
     /// change what ran. Grid siblings therefore get distinct fingerprints
     /// (they differ in scheduler, backend or seed).
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(b"tictac-scenario/v1");
-        eat(self.model.name().as_bytes());
-        eat(&[match self.mode {
+        let mut h = Fnv1a::new();
+        h.bytes(b"tictac-scenario/v1");
+        h.bytes(self.model.name().as_bytes());
+        h.bytes(&[match self.mode {
             Mode::Training => 1,
             Mode::Inference => 2,
         }]);
-        eat(&(self.batch as u64).to_le_bytes());
-        eat(&(self.cluster.workers as u64).to_le_bytes());
-        eat(&(self.cluster.parameter_servers as u64).to_le_bytes());
-        eat(format!("{:?}", self.cluster.sharding).as_bytes());
+        h.u64(self.batch as u64);
+        h.u64(self.cluster.workers as u64);
+        h.u64(self.cluster.parameter_servers as u64);
+        h.bytes(format!("{:?}", self.cluster.sharding).as_bytes());
         for w in 0..self.cluster.workers {
-            eat(&self.cluster.worker_speed(w).to_bits().to_le_bytes());
+            h.u64(self.cluster.worker_speed(w).to_bits());
         }
         for s in 0..self.cluster.parameter_servers {
-            eat(&self.cluster.ps_speed(s).to_bits().to_le_bytes());
+            h.u64(self.cluster.ps_speed(s).to_bits());
         }
         for w in 0..self.cluster.workers {
             for s in 0..self.cluster.parameter_servers {
-                eat(&self.cluster.link_bandwidth(w, s).to_bits().to_le_bytes());
+                h.u64(self.cluster.link_bandwidth(w, s).to_bits());
             }
         }
-        eat(self.env.name().as_bytes());
-        eat(self.scheduler.name().as_bytes());
-        eat(self.backend.name().as_bytes());
-        eat(&self.seed.to_le_bytes());
-        eat(&(self.iterations as u64).to_le_bytes());
-        eat(&(self.warmup as u64).to_le_bytes());
-        eat(&self.time_scale.unwrap_or(0.0).to_bits().to_le_bytes());
-        eat(&self.faults.fingerprint().to_le_bytes());
+        h.bytes(self.env.name().as_bytes());
+        h.bytes(self.scheduler.name().as_bytes());
+        h.bytes(self.backend.name().as_bytes());
+        h.u64(self.seed);
+        h.u64(self.iterations as u64);
+        h.u64(self.warmup as u64);
+        h.u64(self.time_scale.unwrap_or(0.0).to_bits());
+        h.u64(self.faults.fingerprint());
         // Communication granularity joined the schema after v1 shipped;
         // it is eaten only when non-default so every pre-existing
         // scenario file keeps its recorded fingerprint.
         if !self.cluster.comm().is_default() {
-            eat(&self.cluster.comm().fingerprint().to_le_bytes());
+            h.u64(self.cluster.comm().fingerprint());
         }
-        h
+        h.finish()
     }
 }
 

@@ -13,12 +13,11 @@
 //! * Equation 4 — **speedup potential** `S = (U − L) / L`: the maximum
 //!   throughput gain a perfect schedule can deliver over the worst one.
 
-use serde::{Deserialize, Serialize};
 use tictac_graph::{Graph, OpId, Resource};
 use tictac_timing::SimDuration;
 
 /// The makespan bounds and derived metrics for one iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyReport {
     /// Equation 1: sequential-execution upper bound `U`.
     pub upper: SimDuration,

@@ -36,6 +36,7 @@
 pub mod efficiency;
 mod partition;
 mod properties;
+pub mod reference;
 mod schedule;
 mod scheduler;
 mod tac;
@@ -47,7 +48,5 @@ pub use schedule::{merge_schedules, no_ordering, random_order, Schedule};
 pub use scheduler::{
     Baseline, Random, Scheduler, SchedulerKind, Tac as TacScheduler, Tic as TicScheduler,
 };
-pub use tac::{
-    tac, tac_observed, tac_order, tac_order_naive, tac_order_observed, worst_case, TacComparator,
-};
+pub use tac::{tac, tac_observed, tac_order, tac_order_observed, worst_case, TacComparator};
 pub use tic::{tic, tic_observed};

@@ -21,10 +21,9 @@
 //! are decremented in place, `P` accumulates exactly when an op's count
 //! drops to one, and `M⁺` is maintained by a frontier-restricted min-merge
 //! plus targeted re-derivation of the few bits whose minimum may have
-//! risen. The naive per-round sweep survives as
-//! [`OpProperties::recompute_m_plus`] / [`OpProperties::complete_naive`],
-//! the reference implementation that seeds the initial state and anchors
-//! the equivalence tests and benchmarks.
+//! risen. The naive per-round sweep survives crate-privately as
+//! `recompute_m_plus` (it seeds the initial state) and `complete_naive`,
+//! the steps of the test oracle [`crate::reference::tac_order_naive`].
 //!
 //! # Why the incremental `M⁺` is exact
 //!
@@ -223,9 +222,8 @@ impl OpProperties {
     /// Only ops whose dependency count actually changes (the reverse index
     /// of `bit`) are touched; `M⁺` is maintained by a frontier-restricted
     /// min-merge plus exact re-derivation of bits whose minimum may have
-    /// risen (see the module docs). Equivalent to
-    /// [`complete_naive`](Self::complete_naive) followed by
-    /// [`recompute_m_plus`](Self::recompute_m_plus).
+    /// risen (see the module docs). Equivalent to the reference's
+    /// `complete_naive` followed by `recompute_m_plus`.
     ///
     /// # Panics
     ///
@@ -343,13 +341,12 @@ impl OpProperties {
     /// Reference implementation of the completion step: the full `O(|G|)`
     /// sweep of the seed engine, leaving `M⁺` stale. Pair with
     /// [`recompute_m_plus`](Self::recompute_m_plus) to reproduce the naive
-    /// per-round cost; used by the equivalence tests and the benchmark
-    /// harness's `tac_naive` stage.
+    /// per-round cost.
     ///
     /// # Panics
     ///
     /// Panics if the recv is not outstanding.
-    pub fn complete_naive(&mut self, part: &PartitionGraph, bit: usize) {
+    pub(crate) fn complete_naive(&mut self, part: &PartitionGraph, bit: usize) {
         assert!(self.outstanding.contains(bit), "recv {bit} not outstanding");
         self.outstanding.remove(bit);
         self.n_outstanding -= 1;
@@ -372,8 +369,8 @@ impl OpProperties {
     /// Recomputes `M⁺` for all outstanding recvs with a full sweep — the
     /// naive per-round reference. [`complete`](Self::complete) maintains
     /// the same values incrementally; this remains for initialization and
-    /// as the oracle in equivalence tests and benchmarks.
-    pub fn recompute_m_plus(&mut self, part: &PartitionGraph) {
+    /// as the oracle in equivalence tests.
+    pub(crate) fn recompute_m_plus(&mut self, part: &PartitionGraph) {
         for v in &mut self.m_plus {
             *v = None;
         }

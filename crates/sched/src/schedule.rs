@@ -2,7 +2,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId};
 
 /// Priority assignments for a graph's ops.
@@ -11,7 +10,7 @@ use tictac_graph::{ChannelId, DeviceId, Graph, OpId};
 /// numbers are scheduled first; ops may share a priority if their relative
 /// order is insignificant; ops without a priority are unconstrained. The
 /// simulator's ready-queue rule consumes this type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     by_op: Vec<Option<u64>>,
 }

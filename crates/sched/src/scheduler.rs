@@ -24,7 +24,7 @@ use crate::tic::tic_observed;
 /// config surfaces (sessions, scenario files, run records, CLIs) carry a
 /// `SchedulerKind`; `tictac-core` lowers it onto the corresponding
 /// policy implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// No enforced order — the paper's baseline; transfer order is whatever
     /// the runtime's random ready-queue pops produce.

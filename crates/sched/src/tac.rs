@@ -57,7 +57,7 @@ impl TacComparator {
 
 /// Picks the minimum outstanding recv under [`TacComparator`] (ties broken
 /// by op id for determinism).
-fn select_best(part: &PartitionGraph, props: &OpProperties) -> usize {
+pub(crate) fn select_best(part: &PartitionGraph, props: &OpProperties) -> usize {
     props
         .outstanding()
         .map(|bit| {
@@ -89,8 +89,8 @@ fn select_best(part: &PartitionGraph, props: &OpProperties) -> usize {
 /// order.
 ///
 /// Properties are maintained incrementally across rounds (DESIGN.md §7);
-/// [`tac_order_naive`] is the reference implementation with the paper's
-/// per-round recomputation, kept for equivalence tests and benchmarks.
+/// [`reference::tac_order_naive`](crate::reference::tac_order_naive) is the
+/// paper's per-round recomputation, the oracle of the equivalence tests.
 pub fn tac_order(graph: &Graph, worker: DeviceId, oracle: &dyn TimeOracle) -> Vec<OpId> {
     tac_order_observed(graph, worker, oracle, &Registry::disabled())
 }
@@ -127,25 +127,6 @@ pub fn tac_order_observed(
     registry
         .counter("sched.tac.rederived")
         .add(props.rederived());
-    order
-}
-
-/// Reference implementation of [`tac_order`] using the naive full sweep
-/// (`complete_naive` + `recompute_m_plus`) every round, as the paper's
-/// pseudo-code is written. Returns the same order as [`tac_order`] — the
-/// proptest and zoo equivalence tests pin that — at `O(|R|²·|G|)` cost.
-pub fn tac_order_naive(graph: &Graph, worker: DeviceId, oracle: &dyn TimeOracle) -> Vec<OpId> {
-    let part = PartitionGraph::new(graph, worker);
-    let durations = part.durations(graph, oracle);
-    let mut props = OpProperties::new(&part, durations);
-
-    let mut order = Vec::with_capacity(part.recvs().len());
-    while props.outstanding_count() > 0 {
-        let best = select_best(&part, &props);
-        order.push(part.global(part.recvs()[best] as usize));
-        props.complete_naive(&part, best);
-        props.recompute_m_plus(&part);
-    }
     order
 }
 

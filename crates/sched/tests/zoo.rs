@@ -3,7 +3,8 @@
 
 use tictac_cluster::{deploy, ClusterSpec};
 use tictac_models::{Mode, Model};
-use tictac_sched::{tac_order, tac_order_naive, tic, PartitionGraph};
+use tictac_sched::reference::tac_order_naive;
+use tictac_sched::{tac_order, tic, PartitionGraph};
 use tictac_timing::{CostOracle, Platform};
 
 #[test]

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
 use tictac_faults::FaultSpec;
 use tictac_timing::{NoiseModel, Platform};
 
@@ -12,7 +11,7 @@ pub const DEFAULT_SEED: u64 = 0x11C7AC;
 pub const DEFAULT_PAR_THRESHOLD: usize = 64;
 
 /// Configuration of one simulated deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Hardware constants (envG / envC presets in [`Platform`]).
     pub platform: Platform,

@@ -56,6 +56,7 @@ pub use engine::{
     try_simulate_observed, EngineChoice,
 };
 pub use error::SimError;
+pub use par::thread_count;
 pub use service::noise_free_profile;
 // The fault model lives in the backend-agnostic `tictac-faults` crate
 // (the threaded runtime samples the same plans); re-exported here so the

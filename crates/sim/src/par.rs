@@ -403,20 +403,25 @@ impl Part {
     }
 }
 
-/// Worker threads for the round loop: `TICTAC_THREADS` override, else
-/// available parallelism, capped by the partition count (the same policy
-/// as `tictac-bench`'s `parallel_map`).
-fn thread_count(partitions: usize) -> usize {
-    std::env::var("TICTAC_THREADS")
-        .ok()
+/// Worker threads for `jobs` independent pieces of work: the
+/// `TICTAC_THREADS` environment variable when it holds a positive
+/// integer, else the available parallelism; never more than `jobs`,
+/// never fewer than one. The workspace's one thread-count policy — this
+/// engine's round loop and `tictac_core::parallel_map` both ask it.
+pub fn thread_count(jobs: usize) -> usize {
+    let available = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let request = std::env::var("TICTAC_THREADS").ok();
+    thread_policy(request.as_deref(), available, jobs)
+}
+
+/// [`thread_count`] with the environment passed in; `available` is asked
+/// only when the request does not settle it.
+fn thread_policy(request: Option<&str>, available: impl FnOnce() -> usize, jobs: usize) -> usize {
+    request
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .min(partitions)
+        .unwrap_or_else(available)
+        .min(jobs)
         .max(1)
 }
 
@@ -669,6 +674,29 @@ mod tests {
     use tictac_sched::no_ordering;
     use tictac_timing::Platform;
     use tictac_trace::analyze;
+
+    #[test]
+    fn thread_policy_honours_positive_requests_and_caps_by_jobs() {
+        // (TICTAC_THREADS, available parallelism, jobs) -> threads
+        let cases: [(Option<&str>, usize, usize, usize); 9] = [
+            (None, 4, 100, 4),
+            (Some("3"), 4, 100, 3),
+            (Some("0"), 4, 100, 4),
+            (Some(""), 4, 100, 4),
+            (Some("abc"), 4, 100, 4),
+            (Some("-2"), 4, 100, 4),
+            (Some("8"), 4, 2, 2),
+            (None, 4, 2, 2),
+            (Some("3"), 4, 0, 1),
+        ];
+        for (request, available, jobs, want) in cases {
+            assert_eq!(
+                thread_policy(request, || available, jobs),
+                want,
+                "request {request:?}, available {available}, jobs {jobs}"
+            );
+        }
+    }
 
     fn par_config() -> SimConfig {
         SimConfig::deterministic(Platform::cloud_gpu()).with_disorder_window(Some(1))

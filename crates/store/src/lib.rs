@@ -3,9 +3,8 @@
 //!
 //! The reproduction's experiments used to print their evidence into flat
 //! `results/*.txt` files and forget it; this crate is where observations
-//! go to *accumulate*. Every `Session`, `repro` experiment and `bench`
-//! invocation can emit a schema-versioned [`RunRecord`] — the run's
-//! identity (model fingerprint, cluster shape, scheduler/backend, seed,
+//! go to *accumulate*. Every `Session` and `repro` experiment can emit a
+//! schema-versioned [`RunRecord`] — the run's identity (model fingerprint, cluster shape, scheduler/backend, seed,
 //! fault-spec fingerprint, provenance) joined with its observed evidence
 //! (per-iteration makespans, realized efficiency, inversion counts,
 //! fault counters, the metrics snapshot) — appended as one strict JSONL
@@ -48,6 +47,6 @@ pub use record::{
     SessionEvidence, SCHEMA,
 };
 pub use store::{
-    arm_global_store, fnv1a_64, global_store, load_lines, resolve_store_path, set_global_store,
-    MemorySink, RunSink, RunStore, DEFAULT_STORE_PATH,
+    arm_global_store, global_store, load_lines, resolve_store_path, set_global_store, MemorySink,
+    RunSink, RunStore, DEFAULT_STORE_PATH,
 };

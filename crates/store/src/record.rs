@@ -90,7 +90,9 @@ pub enum Payload {
     /// same-seed runs carry byte-identical payloads.
     Session(SessionEvidence),
     /// A wall-clock micro-benchmark: per-phase mean timings. Machine-
-    /// dependent by nature; regression gating skips these groups.
+    /// dependent by nature; regression gating skips these groups. Nothing
+    /// in this workspace emits them any more (the `bench` binary is gone);
+    /// stores in the field hold such lines, so they stay decodable.
     Bench(BenchEvidence),
     /// A rendered experiment report, reduced to a fingerprint: cheap
     /// drift detection for experiments that run no sessions themselves.

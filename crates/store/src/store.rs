@@ -9,16 +9,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::record::RunRecord;
 
-/// FNV-1a over arbitrary bytes — the workspace's standard content hash
-/// (the same scheme `ModelGraph::fingerprint` and the golden traces use).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Anything that accepts finished [`RunRecord`]s. `Session` and the
 /// binaries write through this seam, so tests can capture records with a
 /// [`MemorySink`] while production appends to a [`RunStore`] file.
@@ -168,7 +158,7 @@ pub fn global_store() -> Option<Arc<RunStore>> {
 pub const DEFAULT_STORE_PATH: &str = "results/runs.jsonl";
 
 /// The one `--store` / `TICTAC_RUN_STORE` resolution rule, shared by
-/// every binary that *arms recording* (`tictac run`, `repro`, `bench`):
+/// every binary that *arms recording* (`tictac run`, `repro`):
 /// an explicit non-empty `--store` value arms the process-global store at
 /// that path; otherwise the global store stands as-is (set earlier, or
 /// inherited from `TICTAC_RUN_STORE` via [`global_store`]). Returns the

@@ -7,11 +7,10 @@
 
 use crate::time::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative log-normal per-op noise plus occasional whole-worker
 /// slowdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Standard deviation of the underlying normal; a per-op duration is
     /// multiplied by `exp(sigma * z)`, `z ~ N(0,1)`.

@@ -2,7 +2,6 @@
 
 use crate::platform::Platform;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use tictac_graph::{Graph, OpId, OpKind};
 
 /// Predicts the execution time of each op assuming a dedicated resource
@@ -34,7 +33,7 @@ impl<T: TimeOracle + ?Sized> TimeOracle for Box<T> {
 
 /// The *general time oracle* of Equation 5, used by TIC: `recv` ops cost
 /// one unit, every other op costs zero. Only relative magnitudes matter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GeneralOracle;
 
 impl GeneralOracle {
@@ -60,7 +59,7 @@ impl TimeOracle for GeneralOracle {
 /// * `recv` → latency + bytes at channel bandwidth (the wire time of the
 ///   transfer is attributed to the receiving end),
 /// * `send` → a fixed small hand-off cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostOracle {
     platform: Platform,
 }
@@ -115,7 +114,7 @@ impl TimeOracle for CostOracle {
 /// queueing delay and interference, approximating the dedicated-resource
 /// time the scheduling problem is defined over. Build profiles with
 /// [`MeasuredProfile::from_runs`] (typically fed by `tictac-trace`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasuredProfile {
     durations: Vec<SimDuration>,
 }

@@ -8,10 +8,9 @@
 //! benefit (paper §3.2) — is faithful.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Calibrated hardware constants of a deployment environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     name: String,
     /// Sustained compute throughput of a worker, in FLOP/s.

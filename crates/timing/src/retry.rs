@@ -8,7 +8,6 @@
 //! are exactly reproducible across platforms.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Per-transfer timeout/retransmit policy: a base detection timeout, an
 /// exponential backoff multiplier, and a bounded retry budget.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// `timeout_for(k)` after it starts; attempts `0..=max_retries` are made
 /// before the transfer is abandoned (deferred to the degraded barrier or
 /// surfaced as an error).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Loss-detection timeout of the first attempt.
     pub timeout: SimDuration,

@@ -1,6 +1,5 @@
 //! Nanosecond-resolution virtual time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -9,9 +8,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 ///
 /// All simulator and oracle arithmetic is integral to keep results exactly
 /// reproducible across platforms.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -175,9 +172,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// An instant of virtual time (nanoseconds since iteration start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -14,7 +14,6 @@ mod metrics;
 
 pub use metrics::{analyze, straggler_pct, FaultCounters, IterationMetrics};
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId};
 use tictac_timing::{MeasuredProfile, SimDuration, SimTime};
@@ -25,7 +24,7 @@ use tictac_timing::{MeasuredProfile, SimDuration, SimTime};
 /// machinery: injected losses, the detection timeouts and retransmits
 /// they trigger, availability windows of devices and channels, and the
 /// degraded-barrier decisions that close an iteration with work deferred.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEventKind {
     /// A transfer attempt was lost on the wire (noticed only at timeout).
     TransferDropped {
@@ -100,7 +99,7 @@ pub enum FaultEventKind {
 }
 
 /// One timestamped fault-handling event within an iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When the event occurred.
     pub at: SimTime,
@@ -109,7 +108,7 @@ pub struct FaultEvent {
 }
 
 /// When one op executed within an iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpRecord {
     /// Start of execution (transfer start for recv ops).
     pub start: SimTime,
@@ -125,7 +124,7 @@ impl OpRecord {
 }
 
 /// The execution timeline of one simulated iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionTrace {
     records: Vec<Option<OpRecord>>,
     makespan: SimDuration,

@@ -5,7 +5,6 @@
 //! backend (the discrete-event simulator or the threaded runtime) can be
 //! analyzed with them.
 
-use serde::{Deserialize, Serialize};
 use tictac_graph::{DeviceId, Graph};
 use tictac_timing::{SimDuration, SimTime};
 
@@ -14,7 +13,7 @@ use crate::{ExecutionTrace, FaultEvent, FaultEventKind};
 /// Tallies of fault and recovery activity in one or more iterations,
 /// derived from the [`FaultEvent`] stream of a trace. All-zero for a
 /// fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Transfer attempts lost on the wire (initial sends and retransmits).
     pub drops: u64,
@@ -158,7 +157,7 @@ impl std::fmt::Display for FaultCounters {
 }
 
 /// Summary of one executed iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationMetrics {
     /// The iteration makespan (all ops, including the PS update tail; for
     /// a degraded iteration, the barrier release time).

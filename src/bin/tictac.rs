@@ -19,11 +19,10 @@
 
 use std::collections::HashMap;
 use tictac::{
-    deploy, diff_records, estimate_profile, gantt, no_ordering, regress, simulate, tac_order, tic,
-    ClusterSpec, Mode, Model, Payload, RegressPolicy, RunFilter, RunRecord, RunStore, Scenario,
-    SchedulerKind, Session, SessionSummary, SimConfig,
+    deploy, diff_records, estimate_profile, gantt, no_ordering, parallel_map, regress, simulate,
+    tac_order, tic, ClusterSpec, Mode, Model, Payload, RegressPolicy, RunFilter, RunRecord,
+    RunStore, Scenario, SchedulerKind, Session, SessionSummary, SimConfig,
 };
-use tictac_bench::runner::parallel_map;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -481,7 +480,10 @@ fn timeline(args: &[String], flags: &HashMap<String, String>) {
     };
     match flags.get("out") {
         Some(path) if !path.is_empty() => {
-            std::fs::write(path, rendered).expect("write output file");
+            if let Err(e) = std::fs::write(path, rendered) {
+                eprintln!("error: {path}: {e}");
+                std::process::exit(1);
+            }
             eprintln!("wrote {path} (makespan {})", trace.makespan());
         }
         _ => println!("{rendered}"),

@@ -3,12 +3,8 @@
 //! answers, in id order, for every device — on random hand-built graphs
 //! (ops interleaved across devices, devices with no ops at all) and on
 //! every zoo deployment, including chunked/fused transfer ops, inference
-//! graphs and clones.
-//!
-//! There is no serde round-trip to test: the workspace's `serde` is the
-//! vendored no-op stub (`vendor/serde`), nothing serializes a `Graph`, and
-//! the index is a plain derived-over field like the two edge arenas, so a
-//! real serializer would carry it along.
+//! graphs and clones. (Nothing serialises a `Graph`, so there is no
+//! round-trip to test.)
 
 use proptest::prelude::*;
 use tictac::{

@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use tictac::{
-    no_ordering, simulate, tac_order, tac_order_naive, tic, Cost, Graph, GraphBuilder, OpId,
-    OpKind, Platform, SimConfig,
+    no_ordering, simulate, tac_order, tic, Cost, Graph, GraphBuilder, OpId, OpKind, Platform,
+    SimConfig,
 };
 use tictac_graph::topo;
+use tictac_sched::reference::tac_order_naive;
 
 /// A randomly shaped single-worker deployment: `n_params` transfers and a
 /// layered compute DAG where each layer depends on some earlier layers and
