@@ -91,6 +91,11 @@ cp results/runs.jsonl target/ci-runs.jsonl
 ./target/release/tictac run alexnet_v2 --workers 2 --ps 1 --scheduler tac \
     --iterations 4 --env g --store target/ci-runs.jsonl > /dev/null
 TICTAC_RUN_STORE=target/ci-runs.jsonl ./target/release/repro --exp table1 --quick > /dev/null
+# Two processes appended on top of the committed lines: the id on line k
+# is still r + zero-padded k-1 for the whole file.
+awk -F'"' '$6 != "id" || $8 != sprintf("r%06d", NR - 1) {
+        printf "target/ci-runs.jsonl line %d: id %s\n", NR, $8; bad = 1 }
+    END { exit bad }' target/ci-runs.jsonl
 ./target/release/tictac runs list --store target/ci-runs.jsonl
 ./target/release/tictac runs diff --store target/ci-runs.jsonl --kind session | grep -q "zero drift"
 ./target/release/tictac runs diff --store target/ci-runs.jsonl --kind report | grep -q "zero drift"

@@ -1,5 +1,6 @@
 //! `repro` must answer an unwritable output path with `error: <path>:
-//! <cause>` and exit code 1 — never with a panic (ROADMAP aim 3).
+//! <cause>` and exit code 1 — never with a panic (ROADMAP aim 3) — and a
+//! hostile trace file with `<path>: INVALID: <cause>`, never with a signal.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -50,4 +51,24 @@ fn unwritable_out_directories_are_errors_not_panics() {
     let report = dir.join("table1.txt");
     std::fs::create_dir(&report).expect("create blocking directory");
     assert_clean_failure(&table1_into(&dir), &report);
+}
+
+#[test]
+fn a_bottomless_trace_is_invalid_not_a_stack_overflow() {
+    let trace = scratch("repro-deep").join("deep.json");
+    std::fs::write(&trace, "[".repeat(200_000)).expect("write hostile trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--validate-trace")
+        .arg(&trace)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // A process killed by SIGSEGV/SIGABRT has no exit code at all.
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let expected = format!(
+        "{}: INVALID: json error at byte 128: nesting deeper than 128 levels",
+        trace.display()
+    );
+    assert!(stderr.contains(&expected), "{stderr}");
+    assert!(!stderr.contains("overflowed its stack"), "{stderr}");
 }

@@ -179,8 +179,13 @@ pub fn render_json_pretty(value: &Json) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse_json`] follows: it recurses once
+/// per level, so unbounded, a file of nothing but `[` overflows the stack.
+/// What the workspace writes nests six levels at most (a run record).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -190,13 +195,13 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -209,7 +214,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -217,11 +222,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// One value, `depth` arrays and objects down from the document.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -232,7 +241,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -245,7 +254,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -259,7 +268,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -268,7 +277,7 @@ impl<'a> Parser<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -285,6 +294,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote, backslash or control byte
+            // is copied as one run. All three are ASCII, so the run starts
+            // and ends on a char boundary of the (already valid) source.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0..=0x1f)) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -301,37 +318,37 @@ impl<'a> Parser<'a> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.err("bad \\u escape"),
+                        Some(b'u') => match self.unicode_escape() {
+                            Some((c, len)) => {
+                                out.push(c);
+                                self.pos += len;
                             }
-                        }
+                            None => return self.err("bad \\u escape"),
+                        },
                         _ => return self.err("bad escape"),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("json error at byte {}: invalid utf-8", self.pos))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return self.err("raw control character in string");
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return self.err("raw control character in string"),
                 None => return self.err("unterminated string"),
             }
+        }
+    }
+
+    /// The scalar spelled by the `\u` escape whose `u` is at `self.pos`,
+    /// and how many bytes follow that `u`: four hex digits, or ten when a
+    /// high surrogate is completed by an escaped low one. A lone
+    /// surrogate is no scalar.
+    fn unicode_escape(&self) -> Option<(char, usize)> {
+        let bytes = self.src.as_bytes();
+        let unit = hex4(bytes.get(self.pos + 1..self.pos + 5)?)?;
+        match (unit, bytes.get(self.pos + 5..self.pos + 11)) {
+            (0xD800..=0xDBFF, Some([b'\\', b'u', low @ ..])) => {
+                let low = hex4(low).filter(|low| (0xDC00..0xE000).contains(low))?;
+                let scalar = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                Some((char::from_u32(scalar)?, 10))
+            }
+            _ => Some((char::from_u32(unit)?, 4)),
         }
     }
 
@@ -346,7 +363,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.src[start..self.pos];
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Json::Num(n)),
             _ => self.err(&format!("bad number {text:?}")),
@@ -354,15 +371,21 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses one JSON document, rejecting trailing garbage.
+/// Exactly four hex digits as one UTF-16 code unit (`from_str_radix`
+/// would also take a sign).
+fn hex4(digits: &[u8]) -> Option<u32> {
+    digits
+        .iter()
+        .try_fold(0, |unit, &d| Some(unit * 16 + (d as char).to_digit(16)?))
+}
+
+/// Parses one JSON document, rejecting trailing garbage and nesting
+/// deeper than 128 levels.
 pub fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
+    let mut p = Parser { src, pos: 0 };
+    let value = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != src.len() {
         return p.err("trailing characters after document");
     }
     Ok(value)
@@ -384,9 +407,117 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected() {
-        for bad in ["", "{", "[1, 2", "{\"a\": }", "{} trailing", "\"\\q\""] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
+        let bottomless = "[".repeat(200_000);
+        for bad in [
+            "",
+            "{",
+            "[1, 2",
+            "{\"a\": }",
+            "{} trailing",
+            "\"\\q\"",
+            // `from_str_radix` took the sign; a `\u` is four hex digits.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u00""#,
+            // Surrogates only count as an escaped high+low pair.
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83dx\ude00""#,
+            bottomless.as_str(),
+        ] {
+            let head: String = bad.chars().take(20).collect();
+            assert!(parse_json(bad).is_err(), "accepted {head:?}");
         }
+        assert_eq!(
+            parse_json(&bottomless).unwrap_err(),
+            "json error at byte 128: nesting deeper than 128 levels"
+        );
+        // The bound counts arrays and objects alike, and 128 levels pass.
+        let deepest = format!("{}1{}", "[{\"k\":".repeat(64), "}]".repeat(64));
+        assert!(parse_json(&deepest).is_ok());
+        assert!(parse_json(&format!("[{deepest}]")).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_spell_one_scalar() {
+        let parsed = |doc: &str| parse_json(doc).unwrap();
+        assert_eq!(parsed(r#""\u0041\u00e9\u6f22""#), Json::Str("Aé漢".into()));
+        // U+1F600 as an escaped surrogate pair, upper- or lower-case hex.
+        assert_eq!(parsed(r#""\ud83d\ude00""#), Json::Str("😀".into()));
+        assert_eq!(parsed(r#""a\uD83D\uDE00b""#), Json::Str("a😀b".into()));
+    }
+
+    #[test]
+    fn multibyte_strings_roundtrip_next_to_escapes_and_quotes() {
+        for s in [
+            "é",
+            "漢",
+            "😀",
+            "é\"漢\\😀",
+            "\"é",
+            "é\"",
+            "\n漢\t",
+            "😀\u{1}é\u{1f}",
+            "plain, then é漢😀",
+            "é漢😀, then plain",
+            "",
+        ] {
+            let value = Json::Arr(vec![
+                Json::Str(s.into()),
+                Json::Obj(vec![(s.into(), Json::Str(s.into()))]),
+            ]);
+            let text = render_json(&value);
+            assert_eq!(parse_json(&text).unwrap(), value, "{text}");
+            assert_eq!(render_json(&parse_json(&text).unwrap()), text);
+            // A multi-byte string that ends the input.
+            assert_eq!(parse_json(&quote(s)).unwrap(), Json::Str(s.into()));
+        }
+    }
+
+    #[test]
+    fn error_positions_are_byte_offsets() {
+        for (doc, error) in [
+            (
+                "\"é\u{1}\"",
+                "json error at byte 3: raw control character in string",
+            ),
+            (
+                "[\"a\nb\"]",
+                "json error at byte 3: raw control character in string",
+            ),
+            ("\"漢字", "json error at byte 7: unterminated string"),
+            ("{\"k\": \"v", "json error at byte 8: unterminated string"),
+            ("\"a\\", "json error at byte 3: bad escape"),
+            ("\"é\\q\"", "json error at byte 4: bad escape"),
+            ("\"é\\u12\"", "json error at byte 4: bad \\u escape"),
+            (
+                "{} trailing",
+                "json error at byte 3: trailing characters after document",
+            ),
+            (
+                "\"é\" 1",
+                "json error at byte 5: trailing characters after document",
+            ),
+        ] {
+            assert_eq!(parse_json(doc).unwrap_err(), error, "{doc:?}");
+        }
+    }
+
+    /// A tripwire for per-character work that grows with the document: a
+    /// parser that re-validates the rest of the input for every character
+    /// needs minutes for this, a linear one a fraction of a debug-build
+    /// second.
+    #[test]
+    fn four_megabytes_of_strings_parse_in_the_ordinary_test_run() {
+        let item = quote("transfer é漢😀 \"recv\" on channel\t42");
+        let count = 4_000_000 / (item.len() + 1) + 1;
+        let doc = format!("[{}]", vec![item.as_str(); count].join(","));
+        assert!(doc.len() > 4_000_000);
+        let items = parse_json(&doc).unwrap();
+        let items = items.as_array().unwrap();
+        assert_eq!(items.len(), count);
+        assert_eq!(quote(items[count - 1].as_str().unwrap()), item);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! through, and the process-global store wired up from `TICTAC_RUN_STORE`.
 
 use std::fs::{self, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -45,13 +45,23 @@ impl RunSink for MemorySink {
 /// The append-only run store: one schema-checked JSONL line per record.
 ///
 /// Appends are serialized through a mutex because experiments fan
-/// sessions out across worker threads (`parallel_map`); a torn line would
-/// poison the whole corpus. Loads are strict — any undecodable line
-/// fails with its line number rather than being skipped.
+/// sessions out across worker threads (`parallel_map`), and each record
+/// reaches the `O_APPEND` file as one `write` of `line + '\n'`, so a
+/// second process appending to the same path cannot land inside a line;
+/// a torn line would poison the whole corpus. Loads are strict — any
+/// undecodable line fails with its line number rather than being skipped.
 #[derive(Debug)]
 pub struct RunStore {
     path: PathBuf,
-    lock: Mutex<()>,
+    /// The file length this handle's last append left and the records in
+    /// a file of that length; a missing or empty file holds none.
+    tail: Mutex<Tail>,
+}
+
+#[derive(Debug, Default)]
+struct Tail {
+    len: u64,
+    records: usize,
 }
 
 impl RunStore {
@@ -59,7 +69,7 @@ impl RunStore {
     pub fn at(path: impl Into<PathBuf>) -> Self {
         Self {
             path: path.into(),
-            lock: Mutex::new(()),
+            tail: Mutex::default(),
         }
     }
 
@@ -71,36 +81,55 @@ impl RunStore {
     /// Appends one record, assigning the next sequential id (`r000042`)
     /// and — when the caller left it zero — the current wall-clock
     /// timestamp. Returns the assigned id.
+    ///
+    /// The id is the number of records already in the file: remembered
+    /// while the file still has the length this handle's last append left,
+    /// counted afresh when it does not (first use, another handle or
+    /// process appended, the file was truncated or replaced).
     pub fn append(&self, mut record: RunRecord) -> io::Result<String> {
-        let _guard = self.lock.lock().unwrap();
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)?;
+        let mut tail = self
+            .tail
+            .lock()
+            .expect("an append panicked holding the store lock");
+        let mut options = OpenOptions::new();
+        options.read(true).create(true).append(true);
+        let mut file = match options.open(&self.path) {
+            // A creating open fails this way only for a missing directory.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                fs::create_dir_all(self.path.parent().unwrap_or(Path::new("")))?;
+                options.open(&self.path)?
             }
-        }
-        let existing = match fs::read_to_string(&self.path) {
-            Ok(text) => text.lines().filter(|l| !l.trim().is_empty()).count(),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(e),
+            opened => opened?,
         };
-        record.id = format!("r{existing:06}");
+        if file.metadata()?.len() != tail.len {
+            let mut text = String::new();
+            file.read_to_string(&mut text)?;
+            *tail = Tail {
+                len: text.len() as u64,
+                records: text.lines().filter(|l| !l.trim().is_empty()).count(),
+            };
+        }
+        record.id = format!("r{:06}", tail.records);
         if record.time_ms == 0 {
             record.time_ms = SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_millis() as u64)
                 .unwrap_or(0);
         }
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        writeln!(file, "{}", record.encode())?;
+        let mut line = record.encode();
+        line.push('\n');
+        file.write_all(line.as_bytes())?;
+        tail.len += line.len() as u64;
+        tail.records += 1;
         Ok(record.id)
     }
 
     /// Loads every record, in append order.
     pub fn load(&self) -> io::Result<Vec<RunRecord>> {
-        let _guard = self.lock.lock().unwrap();
+        let _appends_wait = self
+            .tail
+            .lock()
+            .expect("an append panicked holding the store lock");
         let text = match fs::read_to_string(&self.path) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -211,11 +240,27 @@ mod tests {
         }
     }
 
+    /// A fresh store file in a directory of its own, so parallel tests
+    /// share nothing; the directory is left for the first append to make.
+    fn scratch(name: &str) -> RunStore {
+        let dir = std::env::temp_dir().join(format!("tictac-store-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        RunStore::at(dir.join("runs.jsonl"))
+    }
+
+    fn cleanup(store: &RunStore) {
+        let _ = std::fs::remove_dir_all(store.path().parent().unwrap());
+    }
+
+    fn assert_ids_are_line_numbers(store: &RunStore) {
+        for (i, r) in store.load().unwrap().iter().enumerate() {
+            assert_eq!(r.id, format!("r{i:06}"));
+        }
+    }
+
     #[test]
     fn append_assigns_sequential_ids_and_loads_back() {
-        let dir = std::env::temp_dir().join(format!("tictac-store-{}", std::process::id()));
-        let store = RunStore::at(dir.join("runs.jsonl"));
-        let _ = std::fs::remove_file(store.path());
+        let store = scratch("append");
         assert_eq!(store.append(record(1)).unwrap(), "r000000");
         assert_eq!(store.append(record(2)).unwrap(), "r000001");
         let loaded = store.load().unwrap();
@@ -224,8 +269,84 @@ mod tests {
         assert_eq!(loaded[0].seed, 1);
         assert_eq!(loaded[1].seed, 2);
         assert!(loaded.iter().all(|r| r.time_ms > 0));
-        let _ = std::fs::remove_file(store.path());
-        let _ = std::fs::remove_dir(dir);
+        cleanup(&store);
+    }
+
+    #[test]
+    fn two_handles_on_one_path_number_as_one() {
+        let a = scratch("two-handles");
+        let b = RunStore::at(a.path());
+        for i in 0..4 {
+            assert_eq!(a.append(record(i)).unwrap(), format!("r{:06}", 2 * i));
+            assert_eq!(b.append(record(i)).unwrap(), format!("r{:06}", 2 * i + 1));
+        }
+        // A handle that saw only its own appends keeps counting without help.
+        assert_eq!(b.append(record(9)).unwrap(), "r000008");
+        assert_eq!(b.append(record(9)).unwrap(), "r000009");
+        assert_eq!(a.append(record(9)).unwrap(), "r000010");
+        assert_eq!(a.load().unwrap().len(), 11);
+        assert_ids_are_line_numbers(&a);
+        cleanup(&a);
+    }
+
+    #[test]
+    fn threads_sharing_a_handle_number_as_one() {
+        let store = scratch("threads");
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let store = &store;
+                scope.spawn(move || (0..10).for_each(|_| drop(store.append(record(t)).unwrap())));
+            }
+        });
+        assert_eq!(store.load().unwrap().len(), 40);
+        assert_ids_are_line_numbers(&store);
+        cleanup(&store);
+    }
+
+    #[test]
+    fn a_removed_or_truncated_file_is_recounted() {
+        let store = scratch("recount");
+        for i in 0..3 {
+            store.append(record(i)).unwrap();
+        }
+        std::fs::remove_file(store.path()).unwrap();
+        assert_eq!(store.append(record(3)).unwrap(), "r000000");
+        assert_eq!(store.append(record(4)).unwrap(), "r000001");
+        assert_eq!(store.append(record(5)).unwrap(), "r000002");
+        // Cut back to the first line: the next record is the second again.
+        let text = std::fs::read_to_string(store.path()).unwrap();
+        let first_line = text.find('\n').unwrap() as u64 + 1;
+        let truncate = |len| {
+            let file = OpenOptions::new().write(true).open(store.path()).unwrap();
+            file.set_len(len).unwrap();
+        };
+        truncate(first_line);
+        assert_eq!(store.append(record(6)).unwrap(), "r000001");
+        assert_ids_are_line_numbers(&store);
+        truncate(0);
+        assert_eq!(store.append(record(7)).unwrap(), "r000000");
+        assert_eq!(store.load().unwrap().len(), 1);
+        cleanup(&store);
+    }
+
+    #[test]
+    fn a_committed_corpus_continues_at_its_length() {
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/runs.jsonl");
+        let committed = std::fs::read_to_string(corpus).unwrap();
+        let n = committed.lines().count();
+        assert!(n > 0, "the committed corpus is not empty");
+        let store = scratch("committed");
+        std::fs::create_dir_all(store.path().parent().unwrap()).unwrap();
+        std::fs::write(store.path(), &committed).unwrap();
+        assert_eq!(store.append(record(1)).unwrap(), format!("r{n:06}"));
+        assert_eq!(store.append(record(2)).unwrap(), format!("r{:06}", n + 1));
+        // The committed bytes are still the file's prefix, every line
+        // ends in its newline, and the whole file loads strictly.
+        let text = std::fs::read_to_string(store.path()).unwrap();
+        assert!(text.starts_with(&committed) && text.ends_with('\n'));
+        assert_eq!(text.lines().count(), n + 2);
+        assert_ids_are_line_numbers(&store);
+        cleanup(&store);
     }
 
     #[test]
