@@ -123,7 +123,10 @@ echo "== autotune smoke =="
 TICTAC_THREADS=2 ./target/release/repro --exp autotune --quick --out target/ci-results
 grep -q "vgg_16" target/ci-results/autotune.txt
 grep -q "speedup" target/ci-results/autotune.txt
-! grep -q -- "-[0-9]*\.[0-9]*%" target/ci-results/autotune.txt
+if grep -q -- "-[0-9]*\.[0-9]*%" target/ci-results/autotune.txt; then
+    echo "error: autotune regressed a model" >&2
+    exit 1
+fi
 
 echo "== benchmark smoke =="
 # The repo's benchmark (benchmark/README.md) is a workspace of its own

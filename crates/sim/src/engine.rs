@@ -8,13 +8,13 @@
 //! parallel engine in [`crate::par`] for large, parallel-safe workloads
 //! (see [`selected_engine`]).
 
-use crate::arena::{CalendarQueue, EventPool};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::service::{paired_send, ServiceTimes};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use tictac_faults::{FaultClock, FaultPlan};
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
 use tictac_obs::{BucketHistogram, Counter, Registry};
@@ -274,7 +274,7 @@ impl EngineMetrics {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// Op finished on its compute unit (stale if the epoch mismatches).
     ComputeDone(OpId, u32),
@@ -290,14 +290,14 @@ enum EventKind {
 
 /// Availability transitions scheduled from a [`FaultPlan`]. Times are in
 /// nanoseconds (the `Ev` clock domain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum FaultAction {
-    BlackoutStart { ch: usize, until: u64 },
-    BlackoutEnd { ch: usize },
-    CrashStart { dev: usize, until: u64 },
-    CrashEnd { dev: usize },
-    StallStart { dev: usize, until: u64 },
-    StallEnd { dev: usize },
+    BlackoutStart { channel: ChannelId, until: u64 },
+    BlackoutEnd { channel: ChannelId },
+    CrashStart { device: DeviceId, until: u64 },
+    CrashEnd { device: DeviceId },
+    StallStart { device: DeviceId, until: u64 },
+    StallEnd { device: DeviceId },
 }
 
 /// Per-device ready set, bucketed by schedule priority.
@@ -496,28 +496,90 @@ impl ChanQueue {
     }
 }
 
-/// Enforcement ranks: priorities normalized to `[0, n)` per channel,
-/// attached to the PS-side send op of each prioritized transfer (§5.1:
-/// enforcement happens at the sender before gRPC hand-off). Hand-built
-/// graphs may model recvs as pure roots (no explicit send op); those
-/// transfers carry the rank on the recv itself and are ordered by the
-/// channel's rank-aware pop alone. Shared by both engines.
-pub(crate) fn enforcement_ranks(graph: &Graph, schedule: &Schedule) -> Vec<Option<u64>> {
-    let mut rank = vec![None; graph.len()];
-    for (ch, recvs) in schedule
-        .ordered_recvs_per_channel(graph)
-        .into_iter()
-        .enumerate()
-    {
-        debug_assert!(ch < graph.channels().len());
-        for (r, recv) in recvs.into_iter().enumerate() {
-            match paired_send(graph, recv) {
-                Some(send) => rank[send.index()] = Some(r as u64),
-                None => rank[recv.index()] = Some(r as u64),
+/// One channel's sender-side enforcement state (§5.1): how many
+/// prioritized transfers were handed off so far, and the sends held back
+/// until that count reaches their rank.
+#[derive(Debug, Default)]
+pub(crate) struct SendGate {
+    counter: u64,
+    /// Held sends, indexed by rank (grown on demand).
+    blocked: Vec<Option<OpId>>,
+}
+
+impl SendGate {
+    /// Whether the send of rank `r` may be handed off now.
+    pub(crate) fn admits(&self, r: u64) -> bool {
+        self.counter == r
+    }
+
+    /// Holds `send` back until the count reaches its rank `r`.
+    pub(crate) fn block(&mut self, r: u64, send: OpId) {
+        let r = r as usize;
+        if self.blocked.len() <= r {
+            self.blocked.resize(r + 1, None);
+        }
+        self.blocked[r] = Some(send);
+    }
+
+    /// Counts the hand-off of the send of rank `r` and releases the held
+    /// send that is due next, if it is waiting.
+    pub(crate) fn advance(&mut self, r: u64) -> Option<OpId> {
+        debug_assert_eq!(self.counter, r);
+        self.counter += 1;
+        self.blocked
+            .get_mut(self.counter as usize)
+            .and_then(Option::take)
+    }
+}
+
+/// Per-op transfer facts both engines read on the hand-off path, derived
+/// once per run.
+pub(crate) struct TransferTable {
+    /// Channel index of every send and recv op.
+    pub(crate) chan: Vec<u32>,
+    /// Enforcement ranks: priorities normalized to `[0, n)` per channel,
+    /// attached to the PS-side send op of each prioritized transfer (§5.1:
+    /// enforcement happens at the sender before gRPC hand-off). Hand-built
+    /// graphs may model recvs as pure roots (no explicit send op); those
+    /// transfers carry the rank on the recv itself and are ordered by the
+    /// channel's rank-aware pop alone.
+    pub(crate) rank: Vec<Option<u64>>,
+    /// The rank each recv carries into its channel's queue: its send's
+    /// for PS-built graphs, its own for sendless ones.
+    pub(crate) recv_rank: Vec<Option<u64>>,
+    /// The send op feeding each recv (transfer pairing).
+    pub(crate) send_of: Vec<Option<OpId>>,
+}
+
+impl TransferTable {
+    pub(crate) fn new(graph: &Graph, schedule: &Schedule) -> Self {
+        let n = graph.len();
+        let mut table = Self {
+            chan: vec![0; n],
+            rank: vec![None; n],
+            recv_rank: vec![None; n],
+            send_of: vec![None; n],
+        };
+        for recvs in schedule.ordered_recvs_per_channel(graph) {
+            for (r, recv) in recvs.into_iter().enumerate() {
+                let ranked_op = paired_send(graph, recv).unwrap_or(recv);
+                table.rank[ranked_op.index()] = Some(r as u64);
             }
         }
+        for (id, op) in graph.ops() {
+            if let Some(ch) = op.kind().channel() {
+                table.chan[id.index()] = ch.index() as u32;
+            }
+            if op.is_recv() {
+                let send = paired_send(graph, id);
+                table.send_of[id.index()] = send;
+                table.recv_rank[id.index()] = send
+                    .and_then(|s| table.rank[s.index()])
+                    .or(table.rank[id.index()]);
+            }
+        }
+        table
     }
-    rank
 }
 
 /// Resource indices awaiting a start attempt, drained in ascending order.
@@ -578,10 +640,9 @@ struct Engine<'g> {
     plan: &'g FaultPlan,
 
     clock: SimTime,
-    /// Event payloads, free-listed; the queue carries only handles.
-    pool: EventPool<EventKind>,
-    /// Pending events in exact `(at, seq)` pop order.
-    events: CalendarQueue,
+    /// Pending events `(at, seq, kind)`, popped in ascending `(at, seq)`;
+    /// `seq` is unique, so `kind` never decides a comparison.
+    events: BinaryHeap<Reverse<(u64, u64, EventKind)>>,
     seq: u64,
 
     indegree: Vec<u32>,
@@ -616,18 +677,12 @@ struct Engine<'g> {
     /// Channel unavailable until this instant (ns; blackout or endpoint
     /// crash).
     chan_down_until: Vec<u64>,
-    /// Enforcement counters: prioritized transfers handed so far.
-    counter: Vec<u64>,
-    /// Blocked prioritized sends, keyed by rank.
-    blocked: Vec<BTreeMap<u64, OpId>>,
-    /// Enforcement rank per op (send ops of prioritized transfers).
-    rank: Vec<Option<u64>>,
+    /// Sender-side enforcement state.
+    gate: Vec<SendGate>,
+    /// Channel, pairing and enforcement rank per transfer op.
+    transfers: TransferTable,
     /// Per-channel queues of handed-off transfers (recv ops).
     chan_queue: Vec<ChanQueue>,
-    /// Enforcement rank propagated to the recv side (for queue pops).
-    recv_rank: Vec<Option<u64>>,
-    /// The send op feeding each recv (transfer pairing).
-    send_of: Vec<Option<OpId>>,
     /// Devices and channels an event may have made startable since the
     /// last pump; everything else is known to be busy, empty or handled.
     dirty_devices: DirtySet,
@@ -669,8 +724,6 @@ impl<'g> Engine<'g> {
             slowdown[device.index()] *= factor;
         }
 
-        let rank = enforcement_ranks(graph, schedule);
-
         let indegree: Vec<u32> = (0..n)
             .map(|i| graph.preds(OpId::from_index(i)).len() as u32)
             .collect();
@@ -686,8 +739,7 @@ impl<'g> Engine<'g> {
             rng,
             plan,
             clock: SimTime::ZERO,
-            pool: EventPool::with_capacity(graph.devices().len() + graph.channels().len()),
-            events: CalendarQueue::new(),
+            events: BinaryHeap::with_capacity(graph.devices().len() + graph.channels().len()),
             seq: 0,
             indegree,
             done: vec![false; n],
@@ -708,14 +760,13 @@ impl<'g> Engine<'g> {
             chan_busy: vec![false; graph.channels().len()],
             inflight_recv: vec![None; graph.channels().len()],
             chan_down_until: vec![0; graph.channels().len()],
-            counter: vec![0; graph.channels().len()],
-            blocked: vec![BTreeMap::new(); graph.channels().len()],
-            rank,
+            gate: (0..graph.channels().len())
+                .map(|_| SendGate::default())
+                .collect(),
+            transfers: TransferTable::new(graph, schedule),
             chan_queue: (0..graph.channels().len())
                 .map(|_| ChanQueue::default())
                 .collect(),
-            recv_rank: vec![None; n],
-            send_of: vec![None; n],
             dirty_devices: DirtySet::new(graph.devices().len()),
             dirty_channels: DirtySet::new(graph.channels().len()),
             metrics: None,
@@ -743,45 +794,39 @@ impl<'g> Engine<'g> {
             self.schedule_event(
                 clock.instant(b.at),
                 EventKind::Fault(FaultAction::BlackoutStart {
-                    ch: b.channel.index(),
+                    channel: b.channel,
                     until: clock.instant(b.until).as_nanos(),
                 }),
             );
             self.schedule_event(
                 clock.instant(b.until),
-                EventKind::Fault(FaultAction::BlackoutEnd {
-                    ch: b.channel.index(),
-                }),
+                EventKind::Fault(FaultAction::BlackoutEnd { channel: b.channel }),
             );
         }
         for c in &plan.crashes {
             self.schedule_event(
                 clock.instant(c.at),
                 EventKind::Fault(FaultAction::CrashStart {
-                    dev: c.device.index(),
+                    device: c.device,
                     until: clock.instant(c.until).as_nanos(),
                 }),
             );
             self.schedule_event(
                 clock.instant(c.until),
-                EventKind::Fault(FaultAction::CrashEnd {
-                    dev: c.device.index(),
-                }),
+                EventKind::Fault(FaultAction::CrashEnd { device: c.device }),
             );
         }
         for s in &plan.stalls {
             self.schedule_event(
                 clock.instant(s.at),
                 EventKind::Fault(FaultAction::StallStart {
-                    dev: s.device.index(),
+                    device: s.device,
                     until: clock.instant(s.until).as_nanos(),
                 }),
             );
             self.schedule_event(
                 clock.instant(s.until),
-                EventKind::Fault(FaultAction::StallEnd {
-                    dev: s.device.index(),
-                }),
+                EventKind::Fault(FaultAction::StallEnd { device: s.device }),
             );
         }
         if let Some(timeout) = plan.barrier_timeout {
@@ -801,10 +846,9 @@ impl<'g> Engine<'g> {
         self.pump();
 
         while self.remaining > 0 {
-            let Some((at, _seq, handle)) = self.events.pop_min() else {
+            let Some(Reverse((at, _seq, kind))) = self.events.pop() else {
                 break;
             };
-            let kind = self.pool.take(handle);
             if let Some(m) = &self.metrics {
                 m.events.inc();
             }
@@ -894,9 +938,9 @@ impl<'g> Engine<'g> {
     }
 
     fn schedule_event(&mut self, at: SimTime, kind: EventKind) {
+        debug_assert!(at >= self.clock, "event scheduled into the past");
         self.seq += 1;
-        let handle = self.pool.alloc(kind);
-        self.events.push(at.as_nanos(), self.seq, handle);
+        self.events.push(Reverse((at.as_nanos(), self.seq, kind)));
     }
 
     /// Routes an op whose dependencies are all satisfied.
@@ -906,21 +950,8 @@ impl<'g> Engine<'g> {
             OpKind::Recv { .. } => {
                 // Handed to the network (its send completed): queue the
                 // transfer on its channel, carrying the sender's rank.
-                let ch = self
-                    .graph
-                    .op(op)
-                    .kind()
-                    .channel()
-                    .expect("recv has a channel")
-                    .index();
-                let send = paired_send(self.graph, op);
-                self.send_of[op.index()] = send;
-                // Rank lives on the send for PS-built graphs, on the recv
-                // itself for sendless (hand-built) ones.
-                self.recv_rank[op.index()] = send
-                    .and_then(|s| self.rank[s.index()])
-                    .or(self.rank[op.index()]);
-                self.chan_queue[ch].push(op, self.recv_rank[op.index()]);
+                let ch = self.transfers.chan[op.index()] as usize;
+                self.chan_queue[ch].push(op, self.transfers.recv_rank[op.index()]);
                 self.dirty_channels.mark(ch);
             }
             _ => {
@@ -934,16 +965,10 @@ impl<'g> Engine<'g> {
     /// Sender-side enforcement: a ranked transfer is handed to the channel
     /// only when its channel counter reaches its rank (§5.1).
     fn try_handoff(&mut self, send: OpId) {
-        let ch = self
-            .graph
-            .op(send)
-            .kind()
-            .channel()
-            .expect("send has a channel")
-            .index();
-        match self.rank[send.index()] {
-            Some(r) if self.enforcement && self.counter[ch] != r => {
-                self.blocked[ch].insert(r, send);
+        let ch = self.transfers.chan[send.index()] as usize;
+        match self.transfers.rank[send.index()] {
+            Some(r) if self.enforcement && !self.gate[ch].admits(r) => {
+                self.gate[ch].block(r, send);
             }
             _ => self.complete_send(send),
         }
@@ -957,23 +982,13 @@ impl<'g> Engine<'g> {
     /// likewise reports transfer time at the send op), so recording happens
     /// in [`on_transfer_done`](Self::on_transfer_done).
     fn complete_send(&mut self, send: OpId) {
-        let mut stack = vec![send];
-        while let Some(s) = stack.pop() {
+        let mut next = Some(send);
+        while let Some(s) = next.take() {
             self.mark_done(s);
-            if let Some(r) = self.rank[s.index()] {
+            if let Some(r) = self.transfers.rank[s.index()] {
                 if self.enforcement {
-                    let ch = self
-                        .graph
-                        .op(s)
-                        .kind()
-                        .channel()
-                        .expect("send has a channel")
-                        .index();
-                    debug_assert_eq!(self.counter[ch], r);
-                    self.counter[ch] += 1;
-                    if let Some(next) = self.blocked[ch].remove(&self.counter[ch]) {
-                        stack.push(next);
-                    }
+                    let ch = self.transfers.chan[s.index()] as usize;
+                    next = self.gate[ch].advance(r);
                 }
             }
         }
@@ -1130,13 +1145,12 @@ impl<'g> Engine<'g> {
     }
 
     fn on_transfer_done(&mut self, recv: OpId) {
-        let ch_id = self.graph.op(recv).kind().channel().expect("recv channel");
-        self.chan_busy[ch_id.index()] = false;
-        self.inflight_recv[ch_id.index()] = None;
-        self.dirty_channels.mark(ch_id.index());
+        let ch = self.transfers.chan[recv.index()] as usize;
+        self.chan_busy[ch] = false;
+        self.inflight_recv[ch] = None;
+        self.dirty_channels.mark(ch);
         let start = self.started_at[recv.index()];
         if let Some(m) = &self.metrics {
-            let ch = ch_id.index();
             m.chan_bytes[ch].add(self.graph.op(recv).cost().bytes);
             m.chan_transfers[ch].inc();
             m.chan_busy_ns[ch].add(self.clock.duration_since(start).as_nanos());
@@ -1144,7 +1158,7 @@ impl<'g> Engine<'g> {
         self.trace.record(recv, start, self.clock);
         // Attribute the same interval to the sending end (already `done`
         // for dependency purposes at hand-off time).
-        if let Some(send) = self.send_of[recv.index()] {
+        if let Some(send) = self.transfers.send_of[recv.index()] {
             self.trace.record(send, start, self.clock);
         }
         self.mark_done(recv);
@@ -1154,13 +1168,7 @@ impl<'g> Engine<'g> {
     /// retransmit (within budget) or give up — a hard error unless a
     /// degraded barrier will absorb the loss.
     fn on_transfer_timeout(&mut self, recv: OpId) {
-        let ch = self
-            .graph
-            .op(recv)
-            .kind()
-            .channel()
-            .expect("recv channel")
-            .index();
+        let ch = self.transfers.chan[recv.index()] as usize;
         self.chan_busy[ch] = false;
         self.dirty_channels.mark(ch);
         if self.inflight_recv[ch] == Some(recv) {
@@ -1184,7 +1192,7 @@ impl<'g> Engine<'g> {
                     attempt: next,
                 },
             );
-            self.chan_queue[ch].push(recv, self.recv_rank[recv.index()]);
+            self.chan_queue[ch].push(recv, self.transfers.recv_rank[recv.index()]);
         } else if self.plan.barrier_timeout.is_none() {
             self.error = Some(SimError::RetriesExhausted {
                 op: recv,
@@ -1198,32 +1206,22 @@ impl<'g> Engine<'g> {
 
     fn on_fault(&mut self, action: FaultAction) {
         match action {
-            FaultAction::BlackoutStart { ch, until } => {
+            FaultAction::BlackoutStart { channel, until } => {
+                let ch = channel.index();
                 self.chan_down_until[ch] = self.chan_down_until[ch].max(until);
-                self.trace.push_fault(
-                    self.clock,
-                    FaultEventKind::BlackoutStart {
-                        channel: ChannelId::from_index(ch),
-                    },
-                );
+                self.trace
+                    .push_fault(self.clock, FaultEventKind::BlackoutStart { channel });
                 self.kill_inflight_transfer(ch);
             }
-            FaultAction::BlackoutEnd { ch } => {
-                self.trace.push_fault(
-                    self.clock,
-                    FaultEventKind::BlackoutEnd {
-                        channel: ChannelId::from_index(ch),
-                    },
-                );
+            FaultAction::BlackoutEnd { channel } => {
+                self.trace
+                    .push_fault(self.clock, FaultEventKind::BlackoutEnd { channel });
             }
-            FaultAction::CrashStart { dev, until } => {
+            FaultAction::CrashStart { device, until } => {
+                let dev = device.index();
                 self.device_down_until[dev] = self.device_down_until[dev].max(until);
-                self.trace.push_fault(
-                    self.clock,
-                    FaultEventKind::WorkerCrashed {
-                        device: DeviceId::from_index(dev),
-                    },
-                );
+                self.trace
+                    .push_fault(self.clock, FaultEventKind::WorkerCrashed { device });
                 // In-flight compute is lost and re-run after recovery.
                 if let Some((op, _)) = self.inflight_compute[dev].take() {
                     self.epoch[op.index()] += 1;
@@ -1240,22 +1238,15 @@ impl<'g> Engine<'g> {
                     }
                 }
             }
-            FaultAction::CrashEnd { dev } => {
-                self.trace.push_fault(
-                    self.clock,
-                    FaultEventKind::WorkerRecovered {
-                        device: DeviceId::from_index(dev),
-                    },
-                );
+            FaultAction::CrashEnd { device } => {
+                self.trace
+                    .push_fault(self.clock, FaultEventKind::WorkerRecovered { device });
             }
-            FaultAction::StallStart { dev, until } => {
+            FaultAction::StallStart { device, until } => {
+                let dev = device.index();
                 self.device_down_until[dev] = self.device_down_until[dev].max(until);
-                self.trace.push_fault(
-                    self.clock,
-                    FaultEventKind::PsStallStart {
-                        device: DeviceId::from_index(dev),
-                    },
-                );
+                self.trace
+                    .push_fault(self.clock, FaultEventKind::PsStallStart { device });
                 // Pause semantics: the in-flight update is not lost, it
                 // finishes late by the stall length.
                 if let Some((op, end)) = self.inflight_compute[dev] {
@@ -1270,13 +1261,9 @@ impl<'g> Engine<'g> {
                     );
                 }
             }
-            FaultAction::StallEnd { dev } => {
-                self.trace.push_fault(
-                    self.clock,
-                    FaultEventKind::PsStallEnd {
-                        device: DeviceId::from_index(dev),
-                    },
-                );
+            FaultAction::StallEnd { device } => {
+                self.trace
+                    .push_fault(self.clock, FaultEventKind::PsStallEnd { device });
             }
         }
     }
@@ -1328,7 +1315,7 @@ impl<'g> Engine<'g> {
 mod tests {
     use super::*;
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_faults::FaultSpec;
+    use tictac_faults::{FaultSpec, Stall};
     use tictac_graph::{Cost, GraphBuilder};
     use tictac_models::{tiny_mlp, Mode};
     use tictac_sched::no_ordering;
@@ -1425,6 +1412,98 @@ mod tests {
         q.push(op(2), Some(2));
         assert!(q.has_ranked());
         assert_eq!(q.pop_min_rank(), op(2));
+    }
+
+    /// Four ops whose completions share the instant 100 us — `c` on the
+    /// PS and `r` on a worker start at 0 in that order (device order);
+    /// `a` and `z` take no time and are started by the drain of that very
+    /// instant, when `r` completes — each feeding one watcher op on an
+    /// otherwise idle worker whose ready queue (window 1) runs them in
+    /// arrival order. Returns the order the watchers ran in: the order the
+    /// four completions were processed in.
+    fn same_instant_order(c_ns: f64, stall: Option<(u64, u64)>) -> [&'static str; 4] {
+        // One flop is one nanosecond everywhere; nothing else costs time.
+        let (rate, free) = (1e9, SimDuration::ZERO);
+        let platform = Platform::new("unit", rate, rate, rate, free, free);
+        let cfg = SimConfig::deterministic(platform).with_disorder_window(Some(1));
+        let mut b = GraphBuilder::new();
+        let ps = b.add_parameter_server("ps0");
+        let [w1, w2, w3] = ["w1", "w2", "w3"].map(|w| b.add_worker(w));
+        let mut op = |name: &str, dev, ns: f64, deps: &[OpId]| {
+            b.add_op(name, dev, OpKind::Compute, Cost::flops(ns), deps)
+        };
+        let c = op("c", ps, c_ns, &[]);
+        let r = op("r", w1, 100_000.0, &[]);
+        let a = op("a", w1, 0.0, &[r]);
+        let z = op("z", w2, 0.0, &[r]);
+        let watchers = [("c", c), ("r", r), ("a", a), ("z", z)]
+            .map(|(name, dep)| (name, op(&format!("after_{name}"), w3, 10_000.0, &[dep])));
+        let g = b.build().unwrap();
+        let mut plan = FaultPlan::quiet();
+        plan.stalls.extend(stall.map(|(at, until)| Stall {
+            device: ps,
+            at: SimTime::from_nanos(at),
+            until: SimTime::from_nanos(until),
+        }));
+        let trace = simulate_with_plan(&g, &no_ordering(&g), &cfg, 0, &plan).unwrap();
+        let end = |op| trace.record(op).unwrap().end;
+        assert_eq!([end(c), end(a), end(z)], [end(r); 3]);
+        let mut order = watchers.map(|(name, w)| (trace.record(w).unwrap().start, name));
+        order.sort_unstable();
+        order.map(|(_, name)| name)
+    }
+
+    /// Equal-`at` completions are processed in schedule (`seq`) order,
+    /// including those the drain of that instant schedules itself.
+    #[test]
+    fn same_instant_completions_run_in_schedule_order() {
+        assert_eq!(same_instant_order(100_000.0, None), ["c", "r", "a", "z"]);
+    }
+
+    /// A 40 us stall at 20 us moves `c`'s completion from 60 to 100 us and
+    /// re-schedules it: it now runs after `r`, by its new `seq`, and still
+    /// before what the drain adds.
+    #[test]
+    fn stall_rescheduled_completion_takes_its_new_place_in_the_instant() {
+        let order = same_instant_order(60_000.0, Some((20_000, 60_000)));
+        assert_eq!(order, ["r", "c", "a", "z"]);
+    }
+
+    /// Ranks sit on the paired send when the graph models one and on the
+    /// recv itself when it does not; either way the recv carries the rank
+    /// into its channel's queue.
+    #[test]
+    fn transfer_table_pairs_sends_and_carries_ranks_to_recvs() {
+        let (g, [s1, s2, r1, r2, op1, _]) = fig1a();
+        let mut s = Schedule::empty(g.len());
+        s.set(r1, 7);
+        s.set(r2, 3);
+        let t = TransferTable::new(&g, &s);
+        assert_eq!(t.send_of[r1.index()], Some(s1));
+        assert_eq!(t.send_of[r2.index()], Some(s2));
+        assert_eq!(t.send_of[op1.index()], None);
+        // Priorities 3 < 7 normalize to ranks 0, 1 on the one channel.
+        assert_eq!((t.rank[s2.index()], t.rank[s1.index()]), (Some(0), Some(1)));
+        assert_eq!((t.rank[r1.index()], t.rank[r2.index()]), (None, None));
+        assert_eq!(t.recv_rank[r2.index()], Some(0));
+        assert_eq!(t.recv_rank[r1.index()], Some(1));
+        assert_eq!(t.chan[s1.index()], t.chan[r2.index()]);
+
+        let mut b = GraphBuilder::new();
+        let w = b.add_worker("w0");
+        let ps = b.add_parameter_server("ps0");
+        let _unused = b.add_channel(w, ps);
+        let ch = b.add_channel(w, ps);
+        let p = b.add_param("p", 8);
+        let recv = b.add_op("recv", w, OpKind::recv(p, ch), Cost::bytes(8), &[]);
+        let g = b.build().unwrap();
+        let mut s = Schedule::empty(g.len());
+        s.set(recv, 5);
+        let t = TransferTable::new(&g, &s);
+        assert_eq!(t.send_of[recv.index()], None);
+        assert_eq!(t.rank[recv.index()], Some(0));
+        assert_eq!(t.recv_rank[recv.index()], Some(0));
+        assert_eq!(t.chan[recv.index()], 1);
     }
 
     #[test]

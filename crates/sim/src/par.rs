@@ -42,13 +42,12 @@
 //! `tests/par_equivalence.rs` pins seq-vs-par equivalence at that level
 //! across the zoo and by proptest.
 
-use crate::arena::CalendarQueue;
 use crate::config::SimConfig;
-use crate::engine::{enforcement_ranks, ChanQueue, ReadyQueue};
+use crate::engine::{ChanQueue, ReadyQueue, SendGate, TransferTable};
 use crate::error::SimError;
-use crate::service::{paired_send, ServiceTimes};
+use crate::service::ServiceTimes;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -140,18 +139,21 @@ struct Shared<'g> {
     home: Vec<u32>,
     /// Channel → local index within its owner's `channels` vec.
     chan_local: Vec<u32>,
-    /// Send-side enforcement ranks (see [`enforcement_ranks`]).
-    rank: Vec<Option<u64>>,
-    /// Rank propagated to the recv side (for rank-aware channel pops).
-    recv_rank: Vec<Option<u64>>,
-    /// The send op feeding each recv (trace mirroring).
-    send_of: Vec<Option<OpId>>,
+    /// Channel, pairing and enforcement rank per transfer op.
+    transfers: TransferTable,
     /// Remaining unsatisfied predecessors per op.
     indegree: Vec<AtomicU32>,
     /// Latest predecessor completion time per op (ns). `fetch_max`ed
     /// *before* the indegree decrement, so whichever predecessor
     /// decrements last observes the true max readiness time.
     ready_at: Vec<AtomicU64>,
+}
+
+impl Shared<'_> {
+    /// Where transfer op `op`'s channel sits in its home's `channels`.
+    fn slot(&self, op: OpId) -> usize {
+        self.chan_local[self.transfers.chan[op.index()] as usize] as usize
+    }
 }
 
 /// One owned channel's runtime state (mirrors the sequential engine's
@@ -161,20 +163,18 @@ struct ChannelState {
     busy: bool,
     /// The transfer in flight and its start time.
     inflight: Option<(OpId, SimTime)>,
-    /// §5.1 sender-side enforcement counter.
-    counter: u64,
-    /// Blocked prioritized sends, keyed by rank.
-    blocked: BTreeMap<u64, OpId>,
+    gate: SendGate,
     queue: ChanQueue,
 }
 
 /// One partition: a device's compute timeline plus (for workers) its
-/// channels, with a private event calendar and an inter-partition inbox.
+/// channels, with a private event heap and an inter-partition inbox.
 struct Part {
     id: u32,
     clock: SimTime,
-    /// Private pending events; payload is `(op << 1) | is_transfer`.
-    events: CalendarQueue,
+    /// Private pending events `(at, seq, payload)`, popped in ascending
+    /// `(at, seq)`; payload is `(op << 1) | is_transfer`.
+    events: BinaryHeap<Reverse<(u64, u64, u32)>>,
     seq: u64,
     /// Incoming dispatch messages `(ready_at_ns, op)`, min-ordered by
     /// `(time, op id)` so arrival order never affects processing order.
@@ -200,8 +200,9 @@ struct Part {
 
 impl Part {
     fn schedule(&mut self, at: u64, payload: u32) {
+        debug_assert!(at >= self.clock.as_nanos(), "event scheduled into the past");
         self.seq += 1;
-        self.events.push(at, self.seq, payload);
+        self.events.push(Reverse((at, self.seq, payload)));
     }
 
     /// Routes an op whose dependencies are all satisfied (the sequential
@@ -210,16 +211,10 @@ impl Part {
         match sh.graph.op(op).kind() {
             OpKind::Send { .. } => self.try_handoff(sh, op),
             OpKind::Recv { .. } => {
-                let ch = sh
-                    .graph
-                    .op(op)
-                    .kind()
-                    .channel()
-                    .expect("recv has a channel");
-                let local = sh.chan_local[ch.index()] as usize;
+                let local = sh.slot(op);
                 self.channels[local]
                     .queue
-                    .push(op, sh.recv_rank[op.index()]);
+                    .push(op, sh.transfers.recv_rank[op.index()]);
             }
             _ => self.ready.push(op, sh.schedule.priority(op)),
         }
@@ -228,16 +223,10 @@ impl Part {
     /// Sender-side enforcement (§5.1): a ranked transfer is handed to
     /// the channel only when its counter reaches its rank.
     fn try_handoff(&mut self, sh: &Shared, send: OpId) {
-        let ch = sh
-            .graph
-            .op(send)
-            .kind()
-            .channel()
-            .expect("send has a channel");
-        let local = sh.chan_local[ch.index()] as usize;
-        match sh.rank[send.index()] {
-            Some(r) if sh.enforcement && self.channels[local].counter != r => {
-                self.channels[local].blocked.insert(r, send);
+        let local = sh.slot(send);
+        match sh.transfers.rank[send.index()] {
+            Some(r) if sh.enforcement && !self.channels[local].gate.admits(r) => {
+                self.channels[local].gate.block(r, send);
             }
             _ => self.complete_send(sh, send),
         }
@@ -246,19 +235,12 @@ impl Part {
     /// Completes a send (instantaneous hand-off), bumps the enforcement
     /// counter and releases newly-unblocked sends on the same channel.
     fn complete_send(&mut self, sh: &Shared, send: OpId) {
-        let mut stack = vec![send];
-        while let Some(s) = stack.pop() {
+        let mut next = Some(send);
+        while let Some(s) = next.take() {
             self.mark_done(sh, s);
-            if let Some(r) = sh.rank[s.index()] {
+            if let Some(r) = sh.transfers.rank[s.index()] {
                 if sh.enforcement {
-                    let ch = sh.graph.op(s).kind().channel().expect("send has a channel");
-                    let local = sh.chan_local[ch.index()] as usize;
-                    debug_assert_eq!(self.channels[local].counter, r);
-                    self.channels[local].counter += 1;
-                    let next = self.channels[local].counter;
-                    if let Some(op) = self.channels[local].blocked.remove(&next) {
-                        stack.push(op);
-                    }
+                    next = self.channels[sh.slot(s)].gate.advance(r);
                 }
             }
         }
@@ -343,8 +325,7 @@ impl Part {
         let op = OpId::from_index((payload >> 1) as usize);
         if payload & 1 == 1 {
             // TransferDone.
-            let ch = sh.graph.op(op).kind().channel().expect("recv channel");
-            let local = sh.chan_local[ch.index()] as usize;
+            let local = sh.slot(op);
             let (recv, start) = self.channels[local]
                 .inflight
                 .take()
@@ -354,7 +335,7 @@ impl Part {
             self.records.push((op, start, self.clock));
             // Attribute the same interval to the sending end, exactly as
             // the sequential engine does.
-            if let Some(send) = sh.send_of[op.index()] {
+            if let Some(send) = sh.transfers.send_of[op.index()] {
                 self.records.push((send, start, self.clock));
             }
             self.mark_done(sh, op);
@@ -371,7 +352,7 @@ impl Part {
     /// refreshes the cached minima the coordinator reads.
     fn run_round(&mut self, sh: &Shared, bound: u64) {
         loop {
-            let ev = self.events.peek_min();
+            let ev = self.events.peek().map(|&Reverse(e)| e);
             let msg = self.inbox.peek().map(|&Reverse(m)| m);
             let take_msg = match (ev, msg) {
                 (None, None) => break,
@@ -392,13 +373,13 @@ impl Part {
                 if at >= bound {
                     break;
                 }
-                self.events.pop_min();
+                self.events.pop();
                 self.clock = SimTime::from_nanos(at);
                 self.handle(sh, payload);
             }
             self.pump(sh);
         }
-        self.next_event_at = self.events.peek_min().map_or(u64::MAX, |(at, ..)| at);
+        self.next_event_at = self.events.peek().map_or(u64::MAX, |&Reverse((at, ..))| at);
         self.next_inbox_at = self.inbox.peek().map_or(u64::MAX, |&Reverse((at, _))| at);
     }
 }
@@ -443,22 +424,6 @@ pub(crate) fn simulate_par(
     let home: Vec<u32> = (0..n)
         .map(|i| home_of(graph, OpId::from_index(i)) as u32)
         .collect();
-    let rank = enforcement_ranks(graph, schedule);
-
-    // Recv→send pairing and recv-side ranks, precomputed (the sequential
-    // engine derives them lazily at dispatch).
-    let mut recv_rank: Vec<Option<u64>> = vec![None; n];
-    let mut send_of: Vec<Option<OpId>> = vec![None; n];
-    for i in 0..n {
-        let op = OpId::from_index(i);
-        if !graph.op(op).is_recv() {
-            continue;
-        }
-        let send = paired_send(graph, op);
-        send_of[i] = send;
-        recv_rank[i] = send.and_then(|s| rank[s.index()]).or(rank[i]);
-    }
-
     // Channel ownership: ascending channel index per owner.
     let mut chan_local = vec![0u32; graph.channels().len()];
     let mut chan_ids: Vec<Vec<u32>> = vec![Vec::new(); parts_n];
@@ -507,9 +472,7 @@ pub(crate) fn simulate_par(
         enforcement: config.enforcement,
         home,
         chan_local,
-        rank,
-        recv_rank,
-        send_of,
+        transfers: TransferTable::new(graph, schedule),
         indegree: (0..n)
             .map(|i| AtomicU32::new(graph.preds(OpId::from_index(i)).len() as u32))
             .collect(),
@@ -520,7 +483,7 @@ pub(crate) fn simulate_par(
         .map(|p| Part {
             id: p as u32,
             clock: SimTime::ZERO,
-            events: CalendarQueue::new(),
+            events: BinaryHeap::new(),
             seq: 0,
             inbox: BinaryHeap::new(),
             ready: ReadyQueue::default(),
@@ -547,7 +510,7 @@ pub(crate) fn simulate_par(
     }
     for part in &mut parts {
         part.pump(&shared);
-        part.next_event_at = part.events.peek_min().map_or(u64::MAX, |(at, ..)| at);
+        part.next_event_at = part.events.peek().map_or(u64::MAX, |&Reverse((at, ..))| at);
     }
 
     // Heaviest partitions first so the work-stealing claim order packs

@@ -47,6 +47,6 @@ pub use record::{
     SessionEvidence, SCHEMA,
 };
 pub use store::{
-    arm_global_store, global_store, load_lines, resolve_store_path, set_global_store, MemorySink,
-    RunSink, RunStore, DEFAULT_STORE_PATH,
+    arm_global_store, global_store, resolve_store_path, set_global_store, MemorySink, RunSink,
+    RunStore, DEFAULT_STORE_PATH,
 };

@@ -140,7 +140,7 @@ impl RunStore {
 }
 
 /// Parses a JSONL corpus, failing on the first bad line with its number.
-pub fn load_lines(text: &str) -> Result<Vec<RunRecord>, String> {
+fn load_lines(text: &str) -> Result<Vec<RunRecord>, String> {
     text.lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())

@@ -21,8 +21,8 @@
 
 use tictac::{
     deploy, no_ordering, simulate, simulate_with_plan, tic, try_simulate, Blackout, ClusterSpec,
-    Crash, ExecutionTrace, FaultPlan, FaultSpec, Mode, Model, RetryPolicy, SimConfig, SimDuration,
-    SimTime, Stall,
+    Crash, ExecutionTrace, FaultPlan, FaultSpec, Mode, Model, Platform, RetryPolicy, SimConfig,
+    SimDuration, SimTime, Stall,
 };
 use tictac_models::tiny_mlp;
 
@@ -197,4 +197,21 @@ fn golden_overlapping_outages() {
     let trace = simulate_with_plan(g, &no_ordering(g), &SimConfig::cloud_gpu(), 5, &plan).unwrap();
     assert_eq!(trace.executed_ops(), g.len());
     check("overlapping_outages_it5", &trace, 0x010989942776ae40);
+}
+
+/// Deterministic timing on identical workers: hundreds of completions
+/// share a timestamp, so the event queue's `seq` tie-break — not `at` —
+/// decides the pop order, and under the baseline schedule every RNG pick
+/// depends on it. The noisy goldens above almost never see a tie.
+#[test]
+fn golden_deterministic_ties() {
+    let model = Model::AlexNetV2.build_with_batch(Mode::Training, 2);
+    let d = deploy(&model, &ClusterSpec::new(16, 1)).unwrap();
+    let cfg = SimConfig::deterministic(Platform::cloud_gpu());
+    let s = no_ordering(d.graph());
+    check(
+        "deterministic_ties_alexnet_it2",
+        &simulate(d.graph(), &s, &cfg, 2),
+        0x451aa16e4464b446,
+    );
 }
