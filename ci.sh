@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Local CI entry point — the same gate as .github/workflows/ci.yml, runnable
-# offline. All dependencies are vendored (see vendor/README.md), so the
-# whole pipeline works without network access.
+# The CI gate — .github/workflows/ci.yml only installs the toolchain, runs
+# this script and uploads what it leaves under target/. All dependencies
+# are vendored (see vendor/README.md), so the whole pipeline works without
+# network access.
 #
 # Usage: ./ci.sh
 set -eu
@@ -24,9 +25,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== code size and dependency edges =="
 # The deletion budget, tracked like a perf number (ROADMAP "Code diet"):
 # per package, the lines of every src/ file above its `#[cfg(test)]` and
-# how many of them open a `pub` item — target/ci-results/loc.txt is the
-# uploaded artifact. And the shipped binary's dependency closure stays
-# what it is: the library crates and `rand`.
+# how many of them open a `pub` item, then one `total` row over crates/
+# and src/ (the budget is that one row) — target/ci-results/loc.txt is
+# the uploaded artifact. And the shipped binary's dependency closure
+# stays what it is: the library crates and `rand`.
 mkdir -p target/ci-results
 for src in crates/*/src src vendor/*/src; do
     find "$src" -name '*.rs' | sort | xargs awk -v src="$src" '
@@ -34,7 +36,10 @@ for src in crates/*/src src vendor/*/src; do
         /^#\[cfg\(test\)\]/ { test = 1 }
         !test { lines++; if ($0 ~ /^[ \t]*pub /) pubs++ }
         END { printf "%-20s %6d lines %5d pub\n", src, lines, pubs }'
-done | tee target/ci-results/loc.txt
+done | awk '{ print }
+    $1 !~ /^vendor/ { lines += $2; pubs += $4; if ($1 ~ /^crates/) pkgs++ }
+    END { printf "%-20s %6d lines %5d pub %3d packages\n", "total", lines, pubs, pkgs }' |
+    tee target/ci-results/loc.txt
 if cargo tree --offline -p tictac -e normal |
     grep -E 'tictac-bench|serde|crossbeam|parking_lot|criterion'; then
     echo "error: the tictac package must not depend on the crates above" >&2

@@ -1,5 +1,5 @@
 //! Backend comparison: the discrete-event simulator vs the in-process
-//! multi-threaded runtime (`tictac-exec`), per zoo model, baseline vs TIC
+//! multi-threaded runtime (`ThreadedBackend`), per zoo model, baseline vs TIC
 //! vs TAC.
 //!
 //! For every model the same deployment and the same schedules run on both

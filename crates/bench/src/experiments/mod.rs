@@ -1,7 +1,6 @@
 //! One module per table/figure of the paper's evaluation, plus ablations.
 
 mod ablations;
-mod allreduce;
 mod autotune;
 mod chaos;
 mod exec;
@@ -41,7 +40,6 @@ pub const ALL: &[(&str, Runner)] = &[
     ("fig13", fig13::run),
     ("sched-cost", sched_cost::run),
     ("scale", scale::run),
-    ("ext-allreduce", allreduce::run),
     ("ext-spread", spread::run),
     ("ablation-reorder", ablations::reorder),
     ("ablation-enforcement", ablations::enforcement),
@@ -124,7 +122,7 @@ mod tests {
             assert!(find(name).is_some(), "{name} missing");
         }
         assert!(find("nope").is_none());
-        assert_eq!(ALL.len(), 21);
+        assert_eq!(ALL.len(), 20);
     }
 
     #[test]

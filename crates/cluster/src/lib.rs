@@ -30,10 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod allreduce;
 mod sharding;
 
-pub use allreduce::{deploy_all_reduce, AllReduceDeployment};
 pub use sharding::Sharding;
 
 use std::error::Error;
@@ -476,9 +474,6 @@ pub enum DeployError {
         /// Which [`CommConfig`] field was malformed.
         field: &'static str,
     },
-    /// An all-reduce deployment was requested for an inference graph
-    /// (there are no gradients to aggregate).
-    NotTraining,
     /// Graph construction failed (indicates a malformed model graph).
     Graph(GraphError),
 }
@@ -496,9 +491,6 @@ impl fmt::Display for DeployError {
             ),
             DeployError::InvalidCommConfig { field } => {
                 write!(f, "comm config {field} must be at least 1 byte")
-            }
-            DeployError::NotTraining => {
-                f.write_str("all-reduce aggregation requires a training graph")
             }
             DeployError::Graph(e) => write!(f, "graph construction failed: {e}"),
         }

@@ -3,12 +3,12 @@
 //! A backend turns one iteration of a deployed model plus a schedule into
 //! an [`ExecutionTrace`]. Two implementations ship:
 //!
-//! * [`SimBackend`] — the discrete-event simulator (`tictac-sim`). The
-//!   default; deterministic, virtual-time, supports fault injection and
-//!   noise. Traces are byte-identical to the pre-backend-API sessions.
-//! * [`ThreadedBackend`] — the in-process multi-threaded runtime
-//!   (`tictac-exec`): real OS threads per device and channel, prioritized
-//!   queues with sender-side rank enforcement, wall-clock timestamps.
+//! * [`SimBackend`] — the discrete-event simulator. The default;
+//!   deterministic, virtual-time, supports fault injection and noise.
+//!   Traces are byte-identical to the pre-backend-API sessions.
+//! * [`ThreadedBackend`] — `tictac-sim`'s threaded runtime: real OS
+//!   threads per device and channel, prioritized queues with sender-side
+//!   rank enforcement, wall-clock timestamps.
 //!
 //! Both emit the same trace type, so every downstream consumer — metrics,
 //! `tictac-obs` analyzers, Perfetto export — works on either unchanged.
@@ -19,15 +19,13 @@
 
 use std::fmt;
 
-use std::sync::{Arc, Mutex};
-
 use tictac_cluster::DeployedModel;
-use tictac_exec::{
-    run_iteration_injected, run_iteration_with_plan, ExecOptions, ExecPlan, FaultPlan, RuntimeError,
-};
 use tictac_obs::Registry;
 use tictac_sched::Schedule;
-use tictac_sim::{try_simulate_observed, FaultSpec, SimConfig, SimError};
+use tictac_sim::{
+    run_iteration_injected, simulate_with_plan_observed, ExecOptions, FaultPlan, RuntimeError,
+    SimConfig, SimError,
+};
 use tictac_trace::{ExecutionTrace, FaultCounters};
 
 /// The clock domain a backend's trace timestamps live in.
@@ -144,14 +142,10 @@ impl ExecutionBackend for SimBackend {
         iteration: u64,
         registry: &Registry,
     ) -> Result<ExecutionTrace, ExecError> {
-        try_simulate_observed(
-            deployed.graph(),
-            schedule,
-            &self.config,
-            iteration,
-            registry,
-        )
-        .map_err(ExecError::Sim)
+        let graph = deployed.graph();
+        let plan = FaultPlan::sample(&self.config.faults, graph, self.config.seed, iteration);
+        simulate_with_plan_observed(graph, schedule, &self.config, iteration, &plan, registry)
+            .map_err(ExecError::Sim)
     }
 }
 
@@ -167,51 +161,19 @@ impl ExecutionBackend for SimBackend {
 /// rather than silently dropping them. Schedules (including TAC's
 /// profiled one) are identical across backends, so sim and threaded runs
 /// of one session are directly comparable.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ThreadedBackend {
+    /// Platform, enforcement flag, bandwidth share, fault spec and seed:
+    /// read by the runtime exactly as the simulator reads them.
+    config: SimConfig,
     opts: ExecOptions,
-    /// Fault model sampled per iteration ([`FaultSpec::none`] = quiet).
-    faults: FaultSpec,
-    /// Base seed of the per-iteration fault plans (the simulator's
-    /// `SimConfig::seed`, so both backends draw identical plans).
-    fault_seed: u64,
-    /// Single-entry [`ExecPlan`] cache keyed by [`ExecPlan::key`]: a
-    /// session runs many iterations of one `(graph, schedule)` pair, so
-    /// the schedule-derived setup (per-channel rank sort, send pairing,
-    /// platform clone) is done once instead of once per iteration.
-    plan: Mutex<Option<(u64, Arc<ExecPlan>)>>,
-}
-
-impl Clone for ThreadedBackend {
-    /// Clones the options; the plan cache starts empty (it repopulates on
-    /// the clone's first iteration).
-    fn clone(&self) -> Self {
-        Self {
-            opts: self.opts.clone(),
-            faults: self.faults.clone(),
-            fault_seed: self.fault_seed,
-            plan: Mutex::new(None),
-        }
-    }
 }
 
 impl ThreadedBackend {
-    /// A threaded backend with default options (cloud-GPU platform,
-    /// enforcement on, 1:1 time scale, 30 s watchdog, no faults).
-    pub fn new() -> Self {
-        Self {
-            opts: ExecOptions::default(),
-            faults: FaultSpec::none(),
-            fault_seed: tictac_sim::DEFAULT_SEED,
-            plan: Mutex::new(None),
-        }
-    }
-
-    /// A threaded backend honoring `config`: same platform (so the
-    /// busy-loops replay the durations the simulator models), same
-    /// bandwidth-share override, same enforcement flag, and the same
-    /// fault spec + seed (so both backends sample identical
-    /// [`FaultPlan`]s per iteration).
+    /// A threaded backend running under `config`, with a 1:1 time scale
+    /// and a 30 s watchdog: the busy-loops replay the durations the
+    /// simulator models, and both backends sample identical
+    /// [`FaultPlan`]s per iteration.
     ///
     /// # Errors
     ///
@@ -250,74 +212,25 @@ impl ThreadedBackend {
                 ),
             });
         }
-        let mut opts =
-            ExecOptions::new(config.platform.clone()).with_enforcement(config.enforcement);
-        if let Some(share) = config.bandwidth_share_override {
-            opts = opts.with_bandwidth_share(share);
-        }
         Ok(Self {
-            opts,
-            faults: config.faults.clone(),
-            fault_seed: config.seed,
-            plan: Mutex::new(None),
+            config: config.clone(),
+            opts: ExecOptions::default(),
         })
-    }
-
-    /// Overrides the fault-injection model.
-    #[must_use]
-    pub fn with_fault_spec(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Overrides the base seed of per-iteration fault plans.
-    #[must_use]
-    pub fn with_fault_seed(mut self, seed: u64) -> Self {
-        self.fault_seed = seed;
-        self
     }
 
     /// Scales every modeled duration by `scale` (smaller = faster wall
     /// clock, larger relative scheduling overhead).
     #[must_use]
     pub fn with_time_scale(mut self, scale: f64) -> Self {
-        self.opts = self.opts.with_time_scale(scale);
-        self
-    }
-
-    /// Enables or disables sender-side rank enforcement (§5.1).
-    #[must_use]
-    pub fn with_enforcement(mut self, on: bool) -> Self {
-        self.opts = self.opts.with_enforcement(on);
+        self.opts.time_scale = scale;
         self
     }
 
     /// Sets the per-iteration stall watchdog.
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: std::time::Duration) -> Self {
-        self.opts = self.opts.with_watchdog(watchdog);
+        self.opts.watchdog = watchdog;
         self
-    }
-
-    /// Sets the base seed of the unprioritized-pop shuffle. Each
-    /// iteration folds its index into this seed, so the baseline's
-    /// transfer order is arbitrary *and unique per iteration* — the
-    /// paper's observed DAG-framework behavior (§3).
-    #[must_use]
-    pub fn with_shuffle_seed(mut self, seed: u64) -> Self {
-        self.opts = self.opts.with_shuffle_seed(seed);
-        self
-    }
-
-    /// The underlying runtime options.
-    pub fn options(&self) -> &ExecOptions {
-        &self.opts
-    }
-}
-
-impl Default for ThreadedBackend {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -338,43 +251,14 @@ impl ExecutionBackend for ThreadedBackend {
         registry: &Registry,
     ) -> Result<ExecutionTrace, ExecError> {
         let started = std::time::Instant::now();
-        // Fold the iteration index into the shuffle seed: unprioritized
-        // queue pops land in a fresh arbitrary order every iteration,
-        // matching the paper's baseline observation (unique transfer
-        // order in every run). Ranked transfers are unaffected.
-        let opts = self.opts.clone().with_shuffle_seed(
-            self.opts.shuffle_seed ^ iteration.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        // Reuse the schedule-derived plan across iterations; rebuild only
-        // when a different (graph, schedule) pair arrives. The shuffle
-        // seed folded above does not enter the plan.
-        let key = ExecPlan::key(deployed.graph(), schedule);
-        let plan = {
-            let mut cached = self.plan.lock().unwrap_or_else(|e| e.into_inner());
-            match cached.as_ref() {
-                Some((k, plan)) if *k == key => Arc::clone(plan),
-                _ => {
-                    let plan = Arc::new(
-                        ExecPlan::new(deployed.graph(), schedule, &self.opts)
-                            .map_err(ExecError::Runtime)?,
-                    );
-                    registry.counter("exec.plan.builds").inc();
-                    *cached = Some((key, Arc::clone(&plan)));
-                    plan
-                }
-            }
-        };
-        let trace = if self.faults.is_quiet() {
-            run_iteration_with_plan(deployed.graph(), schedule, &opts, &plan)
-                .map_err(ExecError::Runtime)?
-        } else {
-            // Same (spec, graph, seed, iteration) key as the simulator:
-            // identical seeds inject the identical fault set.
-            let fault_plan =
-                FaultPlan::sample(&self.faults, deployed.graph(), self.fault_seed, iteration);
-            let trace =
-                run_iteration_injected(deployed.graph(), schedule, &opts, &plan, &fault_plan)
-                    .map_err(ExecError::Runtime)?;
+        let graph = deployed.graph();
+        // Same (spec, graph, seed, iteration) key as the simulator:
+        // identical seeds inject the identical fault set.
+        let plan = FaultPlan::sample(&self.config.faults, graph, self.config.seed, iteration);
+        let trace =
+            run_iteration_injected(graph, schedule, &self.config, &self.opts, iteration, &plan)
+                .map_err(ExecError::Runtime)?;
+        if !self.config.faults.is_quiet() {
             let c = FaultCounters::from_trace(&trace);
             registry.counter("exec.faults.drops").add(c.drops);
             registry
@@ -385,8 +269,7 @@ impl ExecutionBackend for ThreadedBackend {
             registry
                 .counter("exec.faults.deferred_ops")
                 .add(c.deferred_ops);
-            trace
-        };
+        }
         registry.counter("exec.iterations").inc();
         registry
             .histogram("exec.wall_us", &WALL_BUCKETS_US)
@@ -441,41 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn from_config_carries_the_bandwidth_share_override() {
-        let config = SimConfig::cloud_gpu().with_bandwidth_share(3.5);
-        let thr = ThreadedBackend::from_config(&config).expect("preset config is supported");
-        assert_eq!(thr.options().bandwidth_share, Some(3.5));
-        let plain = ThreadedBackend::from_config(&SimConfig::cloud_gpu())
-            .expect("preset config is supported");
-        assert_eq!(plain.options().bandwidth_share, None);
-    }
-
-    #[test]
-    fn threaded_backend_builds_one_plan_for_many_iterations() {
-        let model = tiny_mlp(Mode::Training, 8);
-        let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
-        let s = no_ordering(d.graph());
-        let reg = Registry::enabled();
-        let thr = ThreadedBackend::from_config(&SimConfig::cloud_gpu())
-            .expect("preset config is supported")
-            .with_time_scale(0.1);
-        for i in 0..3 {
-            thr.execute(&d, &s, i, &reg).unwrap();
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("exec.iterations"), Some(3));
-        assert_eq!(
-            snap.counter("exec.plan.builds"),
-            Some(1),
-            "iterations of one schedule must share one plan"
-        );
-        // A clone starts with a cold cache and rebuilds once.
-        let cloned = thr.clone();
-        cloned.execute(&d, &s, 0, &reg).unwrap();
-        assert_eq!(reg.snapshot().counter("exec.plan.builds"), Some(2));
-    }
-
-    #[test]
     fn exec_errors_wrap_and_display_both_sources() {
         let model = tiny_mlp(Mode::Training, 8);
         let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
@@ -489,7 +337,7 @@ mod tests {
             }
             other => panic!("expected sim mismatch, got {other:?}"),
         }
-        let thr = ThreadedBackend::new();
+        let thr = ThreadedBackend::from_config(&SimConfig::cloud_gpu()).unwrap();
         match thr.execute(&d, &bad, 0, &reg) {
             Err(e @ ExecError::Runtime(RuntimeError::ScheduleMismatch { .. })) => {
                 assert!(e.to_string().contains("threaded execution failed"));

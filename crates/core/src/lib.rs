@@ -53,18 +53,11 @@ pub use session::{
 pub use tune::{auto_tune_with, TuneOptions, TuneResult};
 
 // Re-export the substrate so downstream users need only one dependency.
-pub use tictac_cluster::{
-    deploy, deploy_all_reduce, AllReduceDeployment, ClusterSpec, CommConfig, DeployError,
-    DeployedModel, Sharding,
-};
-pub use tictac_exec::{
-    run_iteration, run_iteration_injected, run_iteration_with_plan, ExecOptions, ExecPlan,
-    RuntimeError,
-};
+pub use tictac_cluster::{deploy, ClusterSpec, CommConfig, DeployError, DeployedModel, Sharding};
 pub use tictac_graph::{
     Channel, ChannelId, CommRole, Cost, Device, DeviceId, DeviceKind, Fnv1a, Graph, GraphBuilder,
     GraphError, ModelGraph, ModelGraphBuilder, ModelOpId, ModelOpKind, NameId, NameTable, OpId,
-    OpKind, OpName, ParamId, Resource, RingStage,
+    OpKind, OpName, ParamId, Resource,
 };
 pub use tictac_metrics::{ols, percentile, Cdf, OlsFit, Summary};
 pub use tictac_models::{tiny_mlp, Mode, Model};
@@ -78,14 +71,15 @@ pub use tictac_scenario::{
     self as scenario, BackendKind, EnvPreset, ParseError as ScenarioParseError, Scenario,
 };
 pub use tictac_sched::{
-    efficiency, merge_schedules, no_ordering, random_order, tac, tac_observed, tac_order,
-    tac_order_observed, tic, tic_observed, worst_case, Baseline, OpProperties, PartitionGraph,
-    Random, Schedule, Scheduler, TacComparator, TacScheduler, TicScheduler,
+    efficiency, no_ordering, random_order, tac, tac_observed, tac_order, tac_order_observed, tic,
+    tic_observed, worst_case, Baseline, OpProperties, PartitionGraph, Random, Schedule, Scheduler,
+    TacScheduler, TicScheduler,
 };
 pub use tictac_sim::{
-    noise_free_profile, selected_engine, simulate, simulate_with_plan, simulate_with_plan_observed,
-    try_simulate, try_simulate_observed, Blackout, Crash, EngineChoice, FaultClock, FaultCounters,
-    FaultPlan, FaultSpec, IterationMetrics, SimConfig, SimError, Stall, DEFAULT_PAR_THRESHOLD,
+    noise_free_profile, run_iteration_injected, selected_engine, simulate,
+    simulate_with_plan_observed, try_simulate, Blackout, Crash, EngineChoice, ExecOptions,
+    FaultClock, FaultCounters, FaultPlan, FaultSpec, IterationMetrics, RuntimeError, SimConfig,
+    SimError, Stall, DEFAULT_PAR_THRESHOLD,
 };
 pub use tictac_store::{
     self as store, diff_records, group_key, regress, MemorySink, Payload, RegressPolicy,

@@ -193,7 +193,7 @@ pub enum ScenarioBuildError {
     /// The model/cluster deployment failed.
     Deploy(DeployError),
     /// The threaded backend rejected the scenario's configuration.
-    Runtime(tictac_exec::RuntimeError),
+    Runtime(tictac_sim::RuntimeError),
 }
 
 impl std::fmt::Display for ScenarioBuildError {
@@ -213,8 +213,8 @@ impl From<DeployError> for ScenarioBuildError {
     }
 }
 
-impl From<tictac_exec::RuntimeError> for ScenarioBuildError {
-    fn from(e: tictac_exec::RuntimeError) -> Self {
+impl From<tictac_sim::RuntimeError> for ScenarioBuildError {
+    fn from(e: tictac_sim::RuntimeError) -> Self {
         ScenarioBuildError::Runtime(e)
     }
 }
@@ -331,10 +331,10 @@ impl RunReport {
         self.iterations.iter().map(|r| r.throughput).sum::<f64>() / self.iterations.len() as f64
     }
 
-    /// Mean iteration makespan.
+    /// Mean iteration makespan ([`SimDuration::ZERO`] for an empty report).
     pub fn mean_makespan(&self) -> SimDuration {
         let total: SimDuration = self.iterations.iter().map(|r| r.makespan).sum();
-        total / self.iterations.len() as u64
+        total / self.iterations.len().max(1) as u64
     }
 
     /// Maximum straggler percentage across iterations (the paper reports
@@ -801,6 +801,10 @@ mod tests {
         let short = s.run_with(RunOptions::new().iterations(2));
         assert_eq!(short.iterations.len(), 2);
         assert_eq!(short.iterations, a.iterations[..2]);
+        // An empty report has a zero mean makespan, not a division by zero.
+        let empty = s.run_with(RunOptions::new().iterations(0));
+        assert!(empty.iterations.is_empty());
+        assert_eq!(empty.mean_makespan(), SimDuration::ZERO);
     }
 
     #[test]

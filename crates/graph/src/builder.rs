@@ -107,16 +107,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Registers a peer channel between two workers (all-reduce rings).
-    ///
-    /// Both endpoints must be distinct workers (validated at
-    /// [`build`](Self::build) time).
-    pub fn add_peer_channel(&mut self, a: DeviceId, b: DeviceId) -> ChannelId {
-        let id = ChannelId::from_index(self.channels.len());
-        self.channels.push(Channel::new_peer(id, a, b));
-        id
-    }
-
     /// Sets the relative speed factor of `device` (`1.0` = platform
     /// reference; `2.0` = twice as fast).
     ///
@@ -287,19 +277,17 @@ impl GraphBuilder {
     pub fn build(self) -> Result<Graph, GraphError> {
         // Validate channel endpoints.
         for ch in &self.channels {
-            let (a, b) = ch.endpoints();
-            let in_bounds = a.index() < self.devices.len() && b.index() < self.devices.len();
-            let endpoints_ok = in_bounds
-                && if ch.is_peer() {
-                    a != b
-                        && self.devices[a.index()].is_worker()
-                        && self.devices[b.index()].is_worker()
-                } else {
-                    self.devices[a.index()].is_worker()
-                        && self.devices[b.index()].is_parameter_server()
-                };
+            let (worker, ps) = (ch.worker(), ch.ps());
+            let endpoints_ok = self
+                .devices
+                .get(worker.index())
+                .is_some_and(Device::is_worker)
+                && self
+                    .devices
+                    .get(ps.index())
+                    .is_some_and(Device::is_parameter_server);
             if !endpoints_ok {
-                return Err(GraphError::InvalidChannelEndpoints { worker: a, ps: b });
+                return Err(GraphError::InvalidChannelEndpoints { worker, ps });
             }
         }
 
@@ -462,38 +450,6 @@ mod tests {
         let w0 = b.add_worker("w0");
         let w1 = b.add_worker("w1");
         b.add_channel(w0, w1);
-        assert!(matches!(
-            b.build(),
-            Err(GraphError::InvalidChannelEndpoints { .. })
-        ));
-    }
-
-    #[test]
-    fn peer_channels_connect_two_workers() {
-        let mut b = GraphBuilder::new();
-        let w0 = b.add_worker("w0");
-        let w1 = b.add_worker("w1");
-        let ch = b.add_peer_channel(w0, w1);
-        let g = b.build().unwrap();
-        assert!(g.channel(ch).is_peer());
-        assert_eq!(g.channel(ch).endpoints(), (w0, w1));
-        assert!(g.channel(ch).connects(w0) && g.channel(ch).connects(w1));
-    }
-
-    #[test]
-    fn rejects_peer_channel_to_self_or_ps() {
-        let mut b = GraphBuilder::new();
-        let w0 = b.add_worker("w0");
-        b.add_peer_channel(w0, w0);
-        assert!(matches!(
-            b.build(),
-            Err(GraphError::InvalidChannelEndpoints { .. })
-        ));
-
-        let mut b = GraphBuilder::new();
-        let w0 = b.add_worker("w0");
-        let ps = b.add_parameter_server("ps0");
-        b.add_peer_channel(w0, ps);
         assert!(matches!(
             b.build(),
             Err(GraphError::InvalidChannelEndpoints { .. })

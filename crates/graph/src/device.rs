@@ -79,34 +79,17 @@ impl fmt::Display for Device {
 ///
 /// Mirroring gRPC semantics in TensorFlow (paper §5.1): all transfers
 /// between the pair share one queue and only one transfer is active at a
-/// time. In a Parameter-Server deployment channels connect a worker to a
-/// PS shard; peer channels (worker to worker) support the all-reduce
-/// extension.
+/// time. Channels connect a worker to a PS shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Channel {
     id: ChannelId,
-    a: DeviceId,
-    b: DeviceId,
-    peer: bool,
+    worker: DeviceId,
+    ps: DeviceId,
 }
 
 impl Channel {
     pub(crate) fn new(id: ChannelId, worker: DeviceId, ps: DeviceId) -> Self {
-        Self {
-            id,
-            a: worker,
-            b: ps,
-            peer: false,
-        }
-    }
-
-    pub(crate) fn new_peer(id: ChannelId, a: DeviceId, b: DeviceId) -> Self {
-        Self {
-            id,
-            a,
-            b,
-            peer: true,
-        }
+        Self { id, worker, ps }
     }
 
     /// The channel's identifier.
@@ -114,35 +97,25 @@ impl Channel {
         self.id
     }
 
-    /// The first endpoint — the worker, for a worker–PS channel.
+    /// The worker endpoint.
     pub fn worker(&self) -> DeviceId {
-        self.a
+        self.worker
     }
 
-    /// The second endpoint — the parameter server, for a worker–PS channel.
+    /// The parameter-server endpoint.
     pub fn ps(&self) -> DeviceId {
-        self.b
-    }
-
-    /// The two endpoints `(a, b)`.
-    pub fn endpoints(&self) -> (DeviceId, DeviceId) {
-        (self.a, self.b)
-    }
-
-    /// Whether this is a worker-to-worker peer channel (all-reduce rings).
-    pub fn is_peer(&self) -> bool {
-        self.peer
+        self.ps
     }
 
     /// Whether `device` is one of the two endpoints.
     pub fn connects(&self, device: DeviceId) -> bool {
-        self.a == device || self.b == device
+        self.worker == device || self.ps == device
     }
 }
 
 impl fmt::Display for Channel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}<->{}]", self.id, self.a, self.b)
+        write!(f, "{}[{}<->{}]", self.id, self.worker, self.ps)
     }
 }
 

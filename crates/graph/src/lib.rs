@@ -70,5 +70,5 @@ pub use ids::{ChannelId, DeviceId, ModelOpId, OpId, ParamId};
 pub use model::{
     ModelGraph, ModelGraphBuilder, ModelOp, ModelOpKind, ModelStats, ParamSpec, TensorShape,
 };
-pub use name::{CommRole, NameId, NameTable, OpName, RingStage};
+pub use name::{CommRole, NameId, NameTable, OpName};
 pub use op::{Cost, Op, OpKind};

@@ -79,22 +79,6 @@ impl NameTable {
     }
 }
 
-/// Phase of a ring all-reduce step (`tictac-cluster`'s collective
-/// lowering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RingStage {
-    /// Reduce-scatter send.
-    RsSend,
-    /// Reduce-scatter receive.
-    RsRecv,
-    /// Reduce-scatter local fold.
-    RsReduce,
-    /// All-gather send.
-    AgSend,
-    /// All-gather receive.
-    AgRecv,
-}
-
 /// Which leg of the parameter round-trip a partitioned or fused
 /// communication op belongs to.
 ///
@@ -124,10 +108,9 @@ pub enum CommRole {
 ///
 /// The `Ps*`/`Worker*` variants cover every op the MR+PS lowering emits
 /// (paper §2.2); [`OpName::Chunk`] and [`OpName::Fused`] cover the
-/// partition/fusion communication passes; [`OpName::Ring`] covers the
-/// all-reduce lowering; and [`OpName::Raw`] holds arbitrary interned
-/// strings for hand-built graphs. [`OpName::render`] reproduces the
-/// historical `format!` strings byte for byte.
+/// partition/fusion communication passes; and [`OpName::Raw`] holds
+/// arbitrary interned strings for hand-built graphs. [`OpName::render`]
+/// reproduces the historical `format!` strings byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpName {
     /// An arbitrary interned name (hand-built graphs, tests).
@@ -220,19 +203,6 @@ pub enum OpName {
         worker: u16,
         /// Fusion group index (unique per shard).
         group: u32,
-    },
-    /// `w{worker}/b{bucket}/<rs|ag>{step}/<send|recv|reduce>/chunk{chunk}`
-    Ring {
-        /// Worker index (destination worker for recv/reduce stages).
-        worker: u16,
-        /// Gradient bucket index.
-        bucket: u16,
-        /// Ring step within the phase.
-        step: u16,
-        /// Sub-chunk index.
-        chunk: u16,
-        /// Which phase/role of the ring step this op is.
-        stage: RingStage,
     },
 }
 
@@ -334,22 +304,6 @@ impl OpName {
                     let _ = write!(out, "ps{shard}/update/fused{group}");
                 }
             },
-            OpName::Ring {
-                worker,
-                bucket,
-                step,
-                chunk,
-                stage,
-            } => {
-                let (phase, role) = match stage {
-                    RingStage::RsSend => ("rs", "send"),
-                    RingStage::RsRecv => ("rs", "recv"),
-                    RingStage::RsReduce => ("rs", "reduce"),
-                    RingStage::AgSend => ("ag", "send"),
-                    RingStage::AgRecv => ("ag", "recv"),
-                };
-                let _ = write!(out, "w{worker}/b{bucket}/{phase}{step}/{role}/chunk{chunk}");
-            }
         }
     }
 
@@ -436,26 +390,6 @@ mod tests {
         for (name, expected) in cases {
             assert_eq!(name.render(&t), expected);
         }
-    }
-
-    #[test]
-    fn ring_renders_every_stage() {
-        let t = NameTable::new();
-        let ring = |stage| OpName::Ring {
-            worker: 3,
-            bucket: 1,
-            step: 2,
-            chunk: 0,
-            stage,
-        };
-        assert_eq!(ring(RingStage::RsSend).render(&t), "w3/b1/rs2/send/chunk0");
-        assert_eq!(ring(RingStage::RsRecv).render(&t), "w3/b1/rs2/recv/chunk0");
-        assert_eq!(
-            ring(RingStage::RsReduce).render(&t),
-            "w3/b1/rs2/reduce/chunk0"
-        );
-        assert_eq!(ring(RingStage::AgSend).render(&t), "w3/b1/ag2/send/chunk0");
-        assert_eq!(ring(RingStage::AgRecv).render(&t), "w3/b1/ag2/recv/chunk0");
     }
 
     #[test]

@@ -26,11 +26,10 @@ pub use parse::{ParseError, Value};
 use parse::Entry;
 use std::fmt;
 use tictac_cluster::{ClusterSpec, CommConfig};
-use tictac_faults::FaultSpec;
 use tictac_graph::Fnv1a;
 use tictac_models::{Mode, Model};
 use tictac_sched::SchedulerKind;
-use tictac_sim::{SimConfig, DEFAULT_SEED};
+use tictac_sim::{FaultSpec, SimConfig, DEFAULT_SEED};
 use tictac_timing::SimDuration;
 
 /// Which execution backend runs the measured iterations.
@@ -250,7 +249,10 @@ impl Scenario {
         };
 
         let iterations = match f.take("iterations") {
-            Some(e) => parse_num::<usize>(&scalar(&e)?, e.line, "iterations")?,
+            Some(e) => match parse_num::<usize>(&scalar(&e)?, e.line, "iterations")? {
+                0 => return Err(ParseError::at(e.line, "iterations must be at least 1")),
+                n => n,
+            },
             None => 10,
         };
         let warmup = match f.take("warmup") {
@@ -714,6 +716,7 @@ seed: [1, 2, 3]
             (format!("{base}env: x\n"), "env must be"),
             (format!("{base}mode: eval\n"), "mode must be"),
             (format!("{base}iterations: many\n"), "invalid iterations"),
+            (format!("{base}iterations: 0\n"), "line 5: iterations must be at least 1"),
             (format!("{base}time_scale: -1\n"), "time_scale must be positive"),
             (
                 "model: alexnet_v2\ncluster:\n  workers: 2\n  parameter_servers: 1\n  worker_speeds: [1.0]\n".into(),

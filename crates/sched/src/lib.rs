@@ -44,9 +44,9 @@ mod tic;
 
 pub use partition::PartitionGraph;
 pub use properties::OpProperties;
-pub use schedule::{merge_schedules, no_ordering, random_order, Schedule};
+pub use schedule::{no_ordering, random_order, Schedule};
 pub use scheduler::{
     Baseline, Random, Scheduler, SchedulerKind, Tac as TacScheduler, Tic as TicScheduler,
 };
-pub use tac::{tac, tac_observed, tac_order, tac_order_observed, worst_case, TacComparator};
+pub use tac::{tac, tac_observed, tac_order, tac_order_observed, worst_case};
 pub use tic::{tic, tic_observed};

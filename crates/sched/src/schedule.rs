@@ -131,28 +131,6 @@ pub fn random_order(graph: &Graph, worker: DeviceId, rng: &mut impl Rng) -> Sche
     s
 }
 
-/// Merges per-worker schedules into one graph-wide schedule.
-///
-/// # Panics
-///
-/// Panics if schedules overlap (two schedules assign the same op) or cover
-/// different graph sizes.
-pub fn merge_schedules<I: IntoIterator<Item = Schedule>>(schedules: I) -> Schedule {
-    let mut iter = schedules.into_iter();
-    let mut merged = iter.next().expect("at least one schedule");
-    for s in iter {
-        assert_eq!(s.len(), merged.len(), "schedules cover different graphs");
-        for (op, pri) in s.prioritized() {
-            assert!(
-                merged.priority(op).is_none(),
-                "op {op} prioritized by two schedules"
-            );
-            merged.set(op, pri);
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,28 +230,5 @@ mod tests {
         let mut pris: Vec<u64> = recvs.iter().map(|&r| s1.priority(r).unwrap()).collect();
         pris.sort_unstable();
         assert_eq!(pris, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn merge_combines_disjoint_schedules() {
-        let (g, _, recvs) = two_channel_graph();
-        let mut a = Schedule::empty(g.len());
-        a.set(recvs[0], 0);
-        let mut b = Schedule::empty(g.len());
-        b.set(recvs[1], 7);
-        let merged = merge_schedules([a, b]);
-        assert_eq!(merged.priority(recvs[0]), Some(0));
-        assert_eq!(merged.priority(recvs[1]), Some(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "prioritized by two schedules")]
-    fn merge_rejects_overlap() {
-        let (g, _, recvs) = two_channel_graph();
-        let mut a = Schedule::empty(g.len());
-        a.set(recvs[0], 0);
-        let mut b = Schedule::empty(g.len());
-        b.set(recvs[0], 1);
-        merge_schedules([a, b]);
     }
 }

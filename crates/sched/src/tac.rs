@@ -25,22 +25,22 @@ use tictac_timing::{SimDuration, TimeOracle};
 /// Equation 6; we follow the derivation (and reproduce the paper's worked
 /// examples in tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TacComparator;
+pub(crate) struct TacComparator;
 
 /// The per-recv inputs consumed by [`TacComparator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvScore {
+pub(crate) struct RecvScore {
     /// Directly-dependent compute load `P`.
-    pub p: SimDuration,
+    pub(crate) p: SimDuration,
     /// Transfer time `M` of the recv itself.
-    pub m: SimDuration,
+    pub(crate) m: SimDuration,
     /// Impending communication load `M⁺` (`None` = ∞).
-    pub m_plus: Option<SimDuration>,
+    pub(crate) m_plus: Option<SimDuration>,
 }
 
 impl TacComparator {
     /// Whether `a` should strictly precede `b`.
-    pub fn precedes(self, a: RecvScore, b: RecvScore) -> bool {
+    pub(crate) fn precedes(self, a: RecvScore, b: RecvScore) -> bool {
         let lhs = b.p.min(a.m); // min{P_B, M_A}
         let rhs = a.p.min(b.m); // min{P_A, M_B}
         if lhs != rhs {

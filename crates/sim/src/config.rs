@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use tictac_faults::FaultSpec;
+use crate::faults::FaultSpec;
 use tictac_timing::{NoiseModel, Platform};
 
 /// Default base seed (reads roughly as "TICTAC").
@@ -43,10 +43,8 @@ pub struct SimConfig {
     pub disorder_window: Option<usize>,
     /// Overrides the fair-share factor applied to transfer wire time.
     ///
-    /// By default the engine derives it from the topology: `max(W, S)` for
-    /// a Parameter-Server deployment (every PS fans out to all `W`
-    /// workers), and `1` for pure peer topologies (a ring's directed links
-    /// each carry one steady stream).
+    /// By default it is derived from the topology: `max(W, S)`, since every
+    /// PS fans out to all `W` workers.
     pub bandwidth_share_override: Option<f64>,
     /// Fault-injection model. The quiet default ([`FaultSpec::none`])
     /// injects nothing and leaves every trace byte-identical to a run

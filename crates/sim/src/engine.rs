@@ -1,21 +1,20 @@
 //! The sequential discrete-event execution engine and the shared
 //! simulation driver.
 //!
-//! Every public `simulate*` entry point is a thin wrapper over one
-//! generic driver ([`run_simulation`]): validate the schedule, sample the
-//! iteration's fault plan if the caller didn't supply one, then select an
-//! engine — this sequential oracle, or the conservatively partitioned
+//! Every public `simulate*` entry point ends in one driver
+//! ([`simulate_with_plan_observed`]): validate the schedule, then select
+//! an engine — this sequential oracle, or the conservatively partitioned
 //! parallel engine in [`crate::par`] for large, parallel-safe workloads
 //! (see [`selected_engine`]).
 
 use crate::config::SimConfig;
 use crate::error::SimError;
+use crate::faults::{FaultClock, FaultPlan};
 use crate::service::{paired_send, ServiceTimes};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use tictac_faults::{FaultClock, FaultPlan};
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
 use tictac_obs::{BucketHistogram, Counter, Registry};
 use tictac_sched::Schedule;
@@ -62,63 +61,23 @@ pub fn try_simulate(
     config: &SimConfig,
     iteration: u64,
 ) -> Result<ExecutionTrace, SimError> {
-    run_simulation(
-        graph,
-        schedule,
-        config,
-        iteration,
-        None,
-        &Registry::disabled(),
-    )
+    let plan = FaultPlan::sample(&config.faults, graph, config.seed, iteration);
+    let registry = Registry::disabled();
+    simulate_with_plan_observed(graph, schedule, config, iteration, &plan, &registry)
 }
 
 /// Simulates one iteration under an explicit, pre-sampled [`FaultPlan`]
-/// (replayable: the same plan injects the same faults every time).
-///
-/// # Errors
-///
-/// As [`try_simulate`].
-pub fn simulate_with_plan(
-    graph: &Graph,
-    schedule: &Schedule,
-    config: &SimConfig,
-    iteration: u64,
-    plan: &FaultPlan,
-) -> Result<ExecutionTrace, SimError> {
-    run_simulation(
-        graph,
-        schedule,
-        config,
-        iteration,
-        Some(plan),
-        &Registry::disabled(),
-    )
-}
-
-/// Like [`try_simulate`], recording engine metrics — per-channel bytes,
-/// busy/idle time and queue depths, per-device busy time and ready-set
-/// depths, event and retransmit counts — into `registry`.
+/// (replayable: the same plan injects the same faults every time),
+/// recording engine metrics — per-channel bytes, busy/idle time and queue
+/// depths, per-device busy time and ready-set depths, event and
+/// retransmit counts — into `registry`. The driver behind every
+/// `simulate*` entry point: validates the schedule, then routes to the
+/// selected engine.
 ///
 /// The instrumentation only *reads* engine state: a run observed through
 /// an enabled registry produces exactly the trace the unobserved run
 /// does (the golden-trace fingerprints pin the disabled path, and
 /// `tests/observability.rs` pins enabled-vs-disabled equality).
-///
-/// # Errors
-///
-/// As [`try_simulate`].
-pub fn try_simulate_observed(
-    graph: &Graph,
-    schedule: &Schedule,
-    config: &SimConfig,
-    iteration: u64,
-    registry: &Registry,
-) -> Result<ExecutionTrace, SimError> {
-    run_simulation(graph, schedule, config, iteration, None, registry)
-}
-
-/// Like [`simulate_with_plan`], recording engine metrics into `registry`
-/// (see [`try_simulate_observed`]).
 ///
 /// # Errors
 ///
@@ -131,7 +90,18 @@ pub fn simulate_with_plan_observed(
     plan: &FaultPlan,
     registry: &Registry,
 ) -> Result<ExecutionTrace, SimError> {
-    run_simulation(graph, schedule, config, iteration, Some(plan), registry)
+    if schedule.len() != graph.len() {
+        return Err(SimError::ScheduleMismatch {
+            schedule_len: schedule.len(),
+            graph_len: graph.len(),
+        });
+    }
+    if !registry.is_enabled() && plan.is_quiet() && crate::par::eligible(graph, config) {
+        return crate::par::simulate_par(graph, schedule, config);
+    }
+    let mut engine = Engine::new(graph, schedule, config, iteration, plan);
+    engine.metrics = EngineMetrics::install(registry, graph);
+    engine.run()
 }
 
 /// The engine a `simulate*` call resolves to for a given workload.
@@ -161,39 +131,6 @@ pub fn selected_engine(graph: &Graph, config: &SimConfig) -> EngineChoice {
     } else {
         EngineChoice::Sequential
     }
-}
-
-/// The shared driver behind every public `simulate*` entry point:
-/// validates the schedule, samples the iteration's fault plan when the
-/// caller didn't pin one, then routes to the selected engine.
-fn run_simulation(
-    graph: &Graph,
-    schedule: &Schedule,
-    config: &SimConfig,
-    iteration: u64,
-    plan: Option<&FaultPlan>,
-    registry: &Registry,
-) -> Result<ExecutionTrace, SimError> {
-    if schedule.len() != graph.len() {
-        return Err(SimError::ScheduleMismatch {
-            schedule_len: schedule.len(),
-            graph_len: graph.len(),
-        });
-    }
-    let sampled;
-    let plan = match plan {
-        Some(plan) => plan,
-        None => {
-            sampled = FaultPlan::sample(&config.faults, graph, config.seed, iteration);
-            &sampled
-        }
-    };
-    if !registry.is_enabled() && plan.is_quiet() && crate::par::eligible(graph, config) {
-        return crate::par::simulate_par(graph, schedule, config);
-    }
-    let mut engine = Engine::new(graph, schedule, config, iteration, plan);
-    engine.metrics = EngineMetrics::install(registry, graph);
-    engine.run()
 }
 
 /// Queue/ready-set depth histogram bounds (powers of two).
@@ -1314,8 +1251,8 @@ impl<'g> Engine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultSpec, Stall};
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_faults::{FaultSpec, Stall};
     use tictac_graph::{Cost, GraphBuilder};
     use tictac_models::{tiny_mlp, Mode};
     use tictac_sched::no_ordering;
@@ -1445,7 +1382,15 @@ mod tests {
             at: SimTime::from_nanos(at),
             until: SimTime::from_nanos(until),
         }));
-        let trace = simulate_with_plan(&g, &no_ordering(&g), &cfg, 0, &plan).unwrap();
+        let trace = simulate_with_plan_observed(
+            &g,
+            &no_ordering(&g),
+            &cfg,
+            0,
+            &plan,
+            &Registry::disabled(),
+        )
+        .unwrap();
         let end = |op| trace.record(op).unwrap().end;
         assert_eq!([end(c), end(a), end(z)], [end(r); 3]);
         let mut order = watchers.map(|(name, w)| (trace.record(w).unwrap().start, name));
@@ -1782,7 +1727,9 @@ mod tests {
         let s = no_ordering(d.graph());
         let plain = try_simulate(d.graph(), &s, &cfg, 0).unwrap();
         let registry = Registry::enabled();
-        let observed = try_simulate_observed(d.graph(), &s, &cfg, 0, &registry).unwrap();
+        let quiet = FaultPlan::quiet();
+        let observed =
+            simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &quiet, &registry).unwrap();
         assert_eq!(plain, observed, "observation must not perturb the run");
 
         let snap = registry.snapshot();
@@ -1812,7 +1759,7 @@ mod tests {
         }
         // A disabled registry records nothing.
         let disabled = Registry::disabled();
-        let again = try_simulate_observed(d.graph(), &s, &cfg, 0, &disabled).unwrap();
+        let again = simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &quiet, &disabled).unwrap();
         assert_eq!(plain, again);
         assert!(disabled.snapshot().entries.is_empty());
     }
@@ -1829,8 +1776,11 @@ mod tests {
         );
         let s = no_ordering(d.graph());
         let plan = FaultPlan::sample(&cfg.faults, d.graph(), cfg.seed, 3);
-        let a = simulate_with_plan(d.graph(), &s, &cfg, 3, &plan).unwrap();
-        let b = simulate_with_plan(d.graph(), &s, &cfg, 3, &plan).unwrap();
+        let replay = || {
+            simulate_with_plan_observed(d.graph(), &s, &cfg, 3, &plan, &Registry::disabled())
+                .unwrap()
+        };
+        let (a, b) = (replay(), replay());
         assert_eq!(a, b, "same plan, same trace — bytes and all");
         let c = try_simulate(d.graph(), &s, &cfg, 3).unwrap();
         assert_eq!(a, c, "try_simulate samples exactly this plan");

@@ -1,6 +1,7 @@
-//! Backend-agnostic seeded fault injection: probabilistic specifications,
-//! the concrete per-iteration plans sampled from them, and the clock that
-//! maps plan instants onto an execution backend's time domain.
+//! Seeded fault injection shared by every backend: probabilistic
+//! specifications, the concrete per-iteration plans sampled from them, and
+//! the clock that maps plan instants onto an execution backend's time
+//! domain.
 //!
 //! A [`FaultSpec`] describes *rates* — how likely each fault class is per
 //! iteration — and the recovery policy ([`RetryPolicy`], degraded-barrier
@@ -28,8 +29,9 @@ use tictac_timing::{RetryPolicy, SimDuration, SimTime};
 /// Stream tag separating fault sampling from any engine's noise RNG.
 const FAULT_STREAM: u64 = 0xFA17_5EED_0DD5_ED17;
 
-/// SplitMix64 finalizer: the keyed hash behind per-attempt drop decisions.
-fn mix(seed: u64, x: u64) -> u64 {
+/// SplitMix64 finalizer: the keyed hash behind per-attempt drop decisions
+/// (and the threaded runtime's seeded-shuffle pop order).
+pub(crate) fn mix(seed: u64, x: u64) -> u64 {
     let mut z = seed ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -74,11 +76,6 @@ impl FaultClock {
         Self { scale: time_scale }
     }
 
-    /// The scale factor applied to plan instants.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Maps a plan instant into this clock's domain.
     pub fn instant(&self, at: SimTime) -> SimTime {
         if self.scale == 1.0 {
@@ -95,11 +92,6 @@ impl FaultClock {
         } else {
             d.mul_f64(self.scale)
         }
-    }
-
-    /// [`FaultClock::instant`] as a wall-clock offset from iteration start.
-    pub fn wall_instant(&self, at: SimTime) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.instant(at).as_nanos())
     }
 
     /// [`FaultClock::duration`] as a wall-clock duration.
@@ -599,12 +591,7 @@ mod tests {
         let wall = FaultClock::wall_clock(0.5);
         assert_eq!(wall.instant(at).as_nanos(), 61_728);
         assert_eq!(wall.duration(d).as_nanos(), 5_000);
-        assert_eq!(
-            wall.wall_instant(at),
-            std::time::Duration::from_nanos(61_728)
-        );
         assert_eq!(wall.wall_duration(d), std::time::Duration::from_micros(5));
-        assert_eq!(wall.scale(), 0.5);
     }
 
     #[test]

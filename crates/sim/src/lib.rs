@@ -22,6 +22,11 @@
 //! * **Runtime variance**: multiplicative log-normal per-op noise and
 //!   occasional whole-worker slowdowns ([`NoiseModel`]).
 //!
+//! * **A threaded runtime** ([`run_iteration_injected`]): the same graph,
+//!   schedule and [`SimConfig`] executed on real OS threads against the
+//!   wall clock, reading the same transfer table, send gate and service
+//!   times as the event engines (see the `threaded` module docs).
+//!
 //! * **Fault injection & fault-tolerant execution**: a seeded, fully
 //!   deterministic [`FaultSpec`]/[`FaultPlan`] model (transient transfer
 //!   drops, channel blackouts, worker crash/recover cycles, persistent
@@ -45,20 +50,19 @@
 mod config;
 mod engine;
 mod error;
+mod faults;
 mod metrics;
 mod par;
 mod service;
+mod threaded;
 
 pub use config::{SimConfig, DEFAULT_PAR_THRESHOLD, DEFAULT_SEED};
 pub use engine::{
-    selected_engine, simulate, simulate_with_plan, simulate_with_plan_observed, try_simulate,
-    try_simulate_observed, EngineChoice,
+    selected_engine, simulate, simulate_with_plan_observed, try_simulate, EngineChoice,
 };
 pub use error::SimError;
+pub use faults::{Blackout, Crash, FaultClock, FaultPlan, FaultSpec, Stall};
+pub use metrics::{FaultCounters, IterationMetrics};
 pub use par::thread_count;
 pub use service::noise_free_profile;
-// The fault model lives in the backend-agnostic `tictac-faults` crate
-// (the threaded runtime samples the same plans); re-exported here so the
-// simulator's API is unchanged.
-pub use metrics::{FaultCounters, IterationMetrics};
-pub use tictac_faults::{Blackout, Crash, FaultClock, FaultPlan, FaultSpec, Stall};
+pub use threaded::{run_iteration_injected, ExecOptions, RuntimeError};

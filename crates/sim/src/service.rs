@@ -1,12 +1,12 @@
 //! Noise-free service times: what an op costs on a dedicated resource
 //! before noise, slowdowns and faults are applied.
 //!
-//! Both engines and the TAC profiler read op durations from
-//! [`ServiceTimes::of`], so "what would a quiet, noise-free run measure"
-//! has one definition.
+//! Both event engines, the threaded runtime's busy-loops and the TAC
+//! profiler read op durations from [`ServiceTimes::of`], so "what would a
+//! quiet, noise-free run measure" has one definition.
 
 use crate::config::SimConfig;
-use tictac_graph::{Channel, ChannelId, Graph, OpId, OpKind};
+use tictac_graph::{ChannelId, Graph, OpId, OpKind};
 use tictac_timing::{CostOracle, MeasuredProfile, SimDuration, TimeOracle};
 
 /// The send op feeding `recv` (transfer pairing), if the graph models one:
@@ -36,15 +36,10 @@ pub(crate) struct ServiceTimes<'g> {
 impl<'g> ServiceTimes<'g> {
     pub(crate) fn new(graph: &'g Graph, config: &SimConfig) -> Self {
         let bandwidth_share = config.bandwidth_share_override.unwrap_or_else(|| {
-            // PS deployments fan every server out to all workers; pure
-            // peer topologies (rings) keep one steady stream per link.
-            if graph.channels().iter().all(Channel::is_peer) {
-                1.0
-            } else {
-                let workers = graph.workers().count();
-                let servers = graph.parameter_servers().count();
-                workers.max(servers).max(1) as f64
-            }
+            // Every server fans out to all workers.
+            let workers = graph.workers().count();
+            let servers = graph.parameter_servers().count();
+            workers.max(servers).max(1) as f64
         });
         let chan_share = (0..graph.channels().len())
             .map(|c| bandwidth_share / graph.channel_bandwidth(ChannelId::from_index(c)))

@@ -1,6 +1,6 @@
 //! Simulator invariants over realistic deployments of the model zoo.
 
-use tictac_cluster::{deploy, deploy_all_reduce, ClusterSpec};
+use tictac_cluster::{deploy, ClusterSpec};
 use tictac_models::{Mode, Model};
 use tictac_sched::no_ordering;
 use tictac_sim::{simulate, SimConfig};
@@ -61,29 +61,6 @@ fn transfers_never_overlap_on_any_channel() {
         intervals.sort_unstable();
         for pair in intervals.windows(2) {
             assert!(pair[0].1 <= pair[1].0, "channel {channel}: {pair:?}");
-        }
-    }
-}
-
-#[test]
-fn ring_allreduce_respects_per_link_serialization() {
-    let config = SimConfig::cloud_gpu();
-    let graph = Model::InceptionV1.build_with_batch(Mode::Training, 2);
-    let ring = deploy_all_reduce(&graph, 4).expect("valid ring");
-    let g = ring.graph();
-    let trace = simulate(g, &no_ordering(g), &config, 0);
-    assert_eq!(trace.executed_ops(), g.len());
-    for &link in ring.ring() {
-        let mut intervals: Vec<(u64, u64)> = g
-            .recv_ops()
-            .into_iter()
-            .filter(|&r| g.op(r).kind().channel() == Some(link))
-            .filter_map(|r| trace.record(r))
-            .map(|r| (r.start.as_nanos(), r.end.as_nanos()))
-            .collect();
-        intervals.sort_unstable();
-        for pair in intervals.windows(2) {
-            assert!(pair[0].1 <= pair[1].0, "link overlap: {pair:?}");
         }
     }
 }

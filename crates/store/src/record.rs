@@ -68,7 +68,7 @@ pub struct RunRecord {
     pub seed: u64,
     /// [`FaultSpec::fingerprint`] of the fault regime (0 = quiet default).
     ///
-    /// [`FaultSpec::fingerprint`]: https://docs.rs/tictac-faults
+    /// [`FaultSpec::fingerprint`]: https://docs.rs/tictac-sim
     pub fault_fp: u64,
     /// `Scenario::fingerprint` of the scenario file that drove the run
     /// (0 when the run was not scenario-driven).

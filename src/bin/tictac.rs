@@ -246,6 +246,9 @@ fn run(args: &[String], flags: &HashMap<String, String>) {
     let workers = flag_usize(flags, "workers", 4);
     let ps = flag_usize(flags, "ps", (workers / 4).max(1));
     let iterations = flag_usize(flags, "iterations", 10);
+    if iterations == 0 {
+        usage("--iterations must be at least 1");
+    }
     let scheduler = flag_scheduler(flags);
     if let Some(store) = tictac::store::arm_global_store(flags.get("store").map(String::as_str)) {
         eprintln!("recording to {}", store.path().display());

@@ -3,7 +3,7 @@
 //! guarantees the simulator models — while its timestamps live on the
 //! real wall clock.
 //!
-//! Three families of checks:
+//! Four families of checks:
 //!
 //! * **DAG-ordering invariants** (proptest): on a threaded trace no op
 //!   starts before its predecessors end. Send predecessors are skipped:
@@ -15,11 +15,15 @@
 //! * **Cross-backend agreement**: where the simulator predicts a clear
 //!   TAC-over-baseline win, the threaded runtime agrees within a jitter
 //!   margin, and schedules are byte-identical across backends.
+//! * **Service-time agreement off the uniform preset**: on a
+//!   heterogeneous cluster with a bandwidth-share override, every
+//!   threaded transfer takes at least the simulator's noise-free service
+//!   time, and the slow link is slow by the configured factor.
 
 use proptest::prelude::*;
 use tictac::{
-    priority_inversions, ClusterSpec, Mode, Model, RunOptions, SchedulerKind, Session, SimConfig,
-    ThreadedBackend,
+    noise_free_profile, priority_inversions, ClusterSpec, Mode, Model, RunOptions, Scenario,
+    SchedulerKind, Session, SimConfig, ThreadedBackend, TimeOracle,
 };
 use tictac_models::tiny_mlp;
 
@@ -197,4 +201,79 @@ fn decisive_sim_rankings_hold_on_the_wall_clock() {
         decisive > 0,
         "at least one model must show a decisive sim win"
     );
+}
+
+/// The threaded busy-loops replay the simulator's service times off the
+/// uniform preset too: on the `vgg19_hetero.yml` cluster (worker 3 at
+/// 0.5x speed behind a 0.25x link) with a bandwidth-share override, every
+/// recv lasts at least `time_scale` x its noise-free service time (a
+/// busy-loop only ever overshoots), and a fully connected layer's recv
+/// over the slow link takes ~4x its recv over a fast one.
+#[test]
+fn hetero_cluster_and_share_override_reach_the_threaded_busy_loops() {
+    const TIME_SCALE: f64 = 0.25;
+    let text = std::fs::read_to_string("examples/scenarios/vgg19_hetero.yml").expect("scenario");
+    let scenario = Scenario::parse_grid(&text)
+        .expect("scenario parses")
+        .remove(0);
+    let config = SimConfig::cloud_gpu().with_bandwidth_share(3.0);
+    let session = Session::builder(scenario.model.build_with_batch(Mode::Training, 2))
+        .cluster(scenario.cluster.clone())
+        .config(config.clone())
+        .scheduler(SchedulerKind::Tac)
+        .backend(
+            ThreadedBackend::from_config(&config)
+                .expect("preset config is supported")
+                .with_time_scale(TIME_SCALE)
+                .with_watchdog(std::time::Duration::from_secs(120)),
+        )
+        .warmup(0)
+        .iterations(1)
+        .build()
+        .expect("model deploys");
+    let deployed = session.deployed();
+    let graph = deployed.graph();
+    let profile = noise_free_profile(graph, &config);
+    let trace = session.trace_iteration(0).expect("iteration completes");
+    let wall = |op| {
+        let r = trace.record(op).expect("op recorded");
+        r.end - r.start
+    };
+    for recv in graph.recv_ops() {
+        let floor = profile.duration(graph, recv).mul_f64(TIME_SCALE);
+        assert!(
+            wall(recv) >= floor,
+            "{} flew in {} but is modeled at {floor}",
+            graph.op_name(recv),
+            wall(recv),
+        );
+    }
+    let mut compared = 0;
+    for (p, param) in graph.params().iter().enumerate() {
+        if param.bytes() < 16 << 20 {
+            // Small tensors are dominated by the fixed per-transfer latency
+            // and, on a loaded box, by wake-up jitter; the fully connected
+            // layers fly for tens of milliseconds even on a fast link.
+            continue;
+        }
+        let recv_on = |w: usize| {
+            deployed
+                .recv_op(w, tictac::ParamId::from_index(p))
+                .expect("recv")
+        };
+        // Preemption only ever inflates a busy-loop, so the fastest of the
+        // three fast links is the jitter-robust reference.
+        let fast = (0..3)
+            .map(|w| wall(recv_on(w)))
+            .min()
+            .expect("three fast links");
+        assert!(
+            wall(recv_on(3)) >= fast.mul_f64(3.5),
+            "{}: {} over the 0.25x link vs {fast} over a 1.0x link",
+            param.name(),
+            wall(recv_on(3)),
+        );
+        compared += 1;
+    }
+    assert!(compared > 0, "vgg_19 has parameters over 16 MiB");
 }

@@ -1,19 +1,42 @@
-//! `tictac` must answer an unwritable `--out` path with `error: <path>:
-//! <cause>` and exit code 1 — never with a panic (ROADMAP aim 3).
+//! `tictac` answers bad input with `error: ...` and a non-zero exit code —
+//! never with a panic (ROADMAP aim 3).
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn tictac(args: &[&str]) -> (Output, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_tictac"))
+        .args(args)
+        .output()
+        .expect("spawn tictac");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    (out, stderr)
+}
 
 #[test]
 fn timeline_to_an_unwritable_path_is_an_error_not_a_panic() {
     let missing = Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir/timeline.json");
     let path = missing.to_str().expect("utf-8 path");
-    let out = Command::new(env!("CARGO_BIN_EXE_tictac"))
-        .args(["timeline", "alexnet_v2", "--out", path])
-        .output()
-        .expect("spawn tictac");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (out, stderr) = tictac(&["timeline", "alexnet_v2", "--out", path]);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains(&format!("error: {path}: ")), "{stderr}");
-    assert!(!stderr.contains("panicked at"), "{stderr}");
+}
+
+#[test]
+fn zero_iterations_is_a_usage_error_not_a_division_by_zero() {
+    let (out, stderr) = tictac(&["run", "alexnet_v2", "--iterations", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: --iterations must be at least 1"));
+    assert!(stderr.contains("usage:"), "{stderr}");
+
+    let scenario = Path::new(env!("CARGO_TARGET_TMPDIR")).join("zero_iterations.yml");
+    let doc = "model: alexnet_v2\ncluster:\n  workers: 2\n  parameter_servers: 1\niterations: 0\n";
+    std::fs::write(&scenario, doc).expect("write scenario");
+    let (out, stderr) = tictac(&["run", scenario.to_str().expect("utf-8 path")]);
+    assert_ne!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("scenario line 5: iterations must be at least 1"),
+        "{stderr}"
+    );
 }

@@ -5,9 +5,9 @@
 
 use proptest::prelude::*;
 use tictac::{
-    deploy, no_ordering, simulate, simulate_with_plan, tic, tiny_mlp, try_simulate, ClusterSpec,
-    ExecError, FaultCounters, FaultPlan, FaultSpec, Mode, RetryPolicy, SchedulerKind, Session,
-    SimConfig, SimDuration, SimError,
+    deploy, no_ordering, simulate, simulate_with_plan_observed, tic, tiny_mlp, try_simulate,
+    ClusterSpec, ExecError, FaultCounters, FaultPlan, FaultSpec, Mode, Registry, RetryPolicy,
+    SchedulerKind, Session, SimConfig, SimDuration, SimError,
 };
 
 /// A fault spec exercising every fault class at once, with a retry budget
@@ -53,7 +53,8 @@ fn explicit_plans_replay_and_quiet_plans_change_nothing() {
 
     // Replay: sampling the plan up front is exactly try_simulate.
     let plan = FaultPlan::sample(&cfg.faults, d.graph(), cfg.seed, 2);
-    let a = simulate_with_plan(d.graph(), &s, &cfg, 2, &plan).unwrap();
+    let a =
+        simulate_with_plan_observed(d.graph(), &s, &cfg, 2, &plan, &Registry::disabled()).unwrap();
     let b = try_simulate(d.graph(), &s, &cfg, 2).unwrap();
     assert_eq!(a, b);
 

@@ -15,7 +15,7 @@
 //!    inverts on nearly every zoo model.
 
 use tictac::{
-    priority_inversions, realized_efficiency, simulate, try_simulate_observed, ClusterSpec,
+    priority_inversions, realized_efficiency, simulate, simulate_with_plan_observed, ClusterSpec,
     FaultCounters, FaultEventKind, Mode, Model, OpId, Registry, SchedulerKind, Session, SimConfig,
     TraceBuilder,
 };
@@ -138,9 +138,11 @@ fn observation_is_transparent_at_zoo_scale() {
     {
         let plain = simulate(g, &schedule, &config, 7);
         let registry = Registry::enabled();
-        let observed = try_simulate_observed(g, &schedule, &config, 7, &registry).unwrap();
-        let disabled =
-            try_simulate_observed(g, &schedule, &config, 7, &Registry::disabled()).unwrap();
+        let plan = tictac::FaultPlan::sample(&config.faults, g, config.seed, 7);
+        let run = |registry| {
+            simulate_with_plan_observed(g, &schedule, &config, 7, &plan, registry).unwrap()
+        };
+        let (observed, disabled) = (run(&registry), run(&Registry::disabled()));
         assert_eq!(plain, observed);
         assert_eq!(plain, disabled);
         assert!(registry.snapshot().counter("sim.events").unwrap() > 0);
