@@ -9,11 +9,8 @@
 //!   cost stays independent of `W`),
 //! * the realized scheduling efficiency `E` (Eq. 3) and speedup
 //!   potential `S` (Eq. 4) of the TAC run, and
-//! * the engine the driver auto-selected, and the wall time and cost per
-//!   simulated op of the TIC + TAC simulations on that engine *and* forced
-//!   through the sequential oracle at the same `W` — the pair of numbers
-//!   the parallel-engine threshold has to be justified by. Both engines
-//!   must agree on every makespan.
+//! * the wall time and cost per simulated op of the TIC + TAC
+//!   simulations.
 //!
 //! PS shards scale as `W / 32`, clamped to the model's parameter count
 //! (`deploy` rejects shards that would host nothing).
@@ -21,15 +18,14 @@
 use crate::format::Table;
 use std::time::Instant;
 use tictac_core::{
-    deploy, realized_efficiency, selected_engine, simulate, tac, tic, ClusterSpec, CostOracle,
-    DeployedModel, EngineChoice, Mode, Model, Platform, Schedule, SimConfig, SimDuration,
+    deploy, realized_efficiency, simulate, tac, tic, ClusterSpec, CostOracle, DeployedModel, Mode,
+    Model, Platform, SimConfig,
 };
 
 /// Worker counts of the full sweep.
 const SIZES: [usize; 4] = [16, 64, 256, 1024];
 
-/// The parallel-safe deterministic sweep config: the driver picks the
-/// engine from the worker count alone (threshold = the crate default).
+/// Deterministic timing, in-order queues: one run per shape is the answer.
 fn sweep_config() -> SimConfig {
     SimConfig::deterministic(Platform::cloud_gpu()).with_disorder_window(Some(1))
 }
@@ -46,32 +42,16 @@ fn deploy_at(model: Model, workers: usize) -> DeployedModel {
     deploy(&graph, &ClusterSpec::new(workers, shards)).expect("zoo model deploys at scale")
 }
 
-/// Simulates the TIC and the TAC schedule, returning both makespans, the
-/// wall time of the pair and the TAC run's realized efficiency.
-fn timed_pair(
-    d: &DeployedModel,
-    schedules: [&Schedule; 2],
-    config: &SimConfig,
-) -> ([SimDuration; 2], f64, tictac_core::RealizedEfficiency) {
-    let started = Instant::now();
-    let traces = schedules.map(|s| simulate(d.graph(), s, config, 0));
-    let wall = started.elapsed().as_secs_f64();
-    let eff = realized_efficiency(d.graph(), &traces[1]);
-    (traces.map(|t| t.makespan()), wall, eff)
-}
-
 pub fn run(quick: bool) -> String {
     let sizes: &[usize] = if quick { &SIZES[..2] } else { &SIZES };
     let models = super::pick_models_zoo(quick);
     let config = sweep_config();
-    let seq_config = config.clone().with_par_threshold(None);
     let oracle = CostOracle::new(Platform::cloud_gpu());
 
     let mut t = Table::new([
         "model",
         "W",
         "S",
-        "engine",
         "tic makespan",
         "tac makespan",
         "tac vs tic",
@@ -79,9 +59,6 @@ pub fn run(quick: bool) -> String {
         "S_pot (tac)",
         "wall",
         "ns/op",
-        "seq wall",
-        "seq ns/op",
-        "speedup",
     ]);
     for &model in &models {
         for &w in sizes {
@@ -90,23 +67,15 @@ pub fn run(quick: bool) -> String {
             let w0 = d.workers()[0];
             let tic_s = d.replicate_schedule(&tic(g, w0));
             let tac_s = d.replicate_schedule(&tac(g, w0, &oracle));
-            let engine = match selected_engine(g, &config) {
-                EngineChoice::Sequential => "seq",
-                EngineChoice::Parallel => "par",
-            };
-            let ([tic_make, tac_make], wall, eff) = timed_pair(&d, [&tic_s, &tac_s], &config);
-            let (seq_makes, seq_wall, _) = timed_pair(&d, [&tic_s, &tac_s], &seq_config);
-            assert_eq!(
-                seq_makes,
-                [tic_make, tac_make],
-                "engines must agree on the makespan"
-            );
-            let ns_per_op = |wall: f64| wall * 1e9 / (2 * g.len()) as f64;
+            let started = Instant::now();
+            let traces = [&tic_s, &tac_s].map(|s| simulate(g, s, &config, 0));
+            let wall = started.elapsed().as_secs_f64();
+            let eff = realized_efficiency(g, &traces[1]);
+            let [tic_make, tac_make] = traces.map(|t| t.makespan());
             t.row([
                 model.name().to_string(),
                 w.to_string(),
                 d.parameter_servers().len().to_string(),
-                engine.to_string(),
                 format!("{tic_make}"),
                 format!("{tac_make}"),
                 format!(
@@ -116,23 +85,15 @@ pub fn run(quick: bool) -> String {
                 format!("{:.3}", eff.efficiency),
                 format!("{:.3}", eff.speedup_potential),
                 format!("{:.0}ms", wall * 1e3),
-                format!("{:.0}", ns_per_op(wall)),
-                format!("{:.0}ms", seq_wall * 1e3),
-                format!("{:.0}", ns_per_op(seq_wall)),
-                format!("{:.2}x", seq_wall / wall),
+                format!("{:.0}", wall * 1e9 / (2 * g.len()) as f64),
             ]);
         }
     }
 
     format!(
         "Scale sweep (envG, training, batch 2, deterministic timing, enforced schedules)\n\
-         S = PS shards (W/32, clamped to the model's parameter count); engine = what the\n\
-         driver auto-selected at the default threshold; E / S_pot = Eq. 3/4 on the TAC run;\n\
-         wall, ns/op = the TIC + TAC simulations on that engine, per simulated graph op;\n\
-         seq ... = the same two forced through the sequential engine; speedup = seq wall /\n\
-         wall (nproc {}, TICTAC_THREADS {})\n\n{}\n",
-        std::thread::available_parallelism().map_or(1, usize::from),
-        std::env::var("TICTAC_THREADS").unwrap_or_else(|_| "unset".into()),
+         S = PS shards (W/32, clamped to the model's parameter count); E / S_pot = Eq. 3/4\n\
+         on the TAC run; wall, ns/op = the TIC + TAC simulations, per simulated graph op\n\n{}\n",
         t.render(),
     )
 }
@@ -142,12 +103,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_report_covers_both_engines() {
+    fn quick_report_has_one_row_per_shape_and_one_engine() {
         let out = run(true);
-        // 16 workers sits below the default threshold, 64 above it.
-        assert!(out.contains("seq"), "{out}");
-        assert!(out.contains("par"), "{out}");
-        assert!(out.contains("speedup"), "{out}");
+        for model in ["alexnet_v2", "resnet_v1_50"] {
+            for w in ["16", "64"] {
+                let rows = out
+                    .lines()
+                    .filter(|l| {
+                        let mut cols = l.split_whitespace();
+                        cols.next() == Some(model) && cols.next() == Some(w)
+                    })
+                    .count();
+                assert_eq!(rows, 1, "{model} at W = {w}:\n{out}");
+            }
+        }
+        assert!(!out.contains("engine") && !out.contains("speedup"), "{out}");
     }
 
     #[test]

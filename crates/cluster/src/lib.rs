@@ -274,6 +274,14 @@ impl ClusterSpec {
     }
 }
 
+/// The factors a spec accepts: the range in which a service time's float
+/// arithmetic — the fair-share stretch `share / f`, `flops / f` — stays
+/// finite for any cluster size. (`1e-308` is a normal float with a finite
+/// reciprocal, and `2.0 / 1e-308` is already infinite.) How *long* the
+/// resulting iteration may be is a separate bound, DESIGN.md §5.
+const MIN_FACTOR: f64 = 1e-280;
+const MAX_FACTOR: f64 = 1e280;
+
 /// Builder for [`ClusterSpec`] — the only way to construct a
 /// heterogeneous spec.
 ///
@@ -354,8 +362,8 @@ impl ClusterSpecBuilder {
     /// # Errors
     ///
     /// Returns the [`ClusterSpecError`] for a degenerate shape, a factor
-    /// vector of the wrong length, or a factor that is not positive and
-    /// finite.
+    /// vector of the wrong length, or a factor outside `[1e-280, 1e280]`
+    /// (which zero, negative and non-finite values all are).
     pub fn build(self) -> Result<ClusterSpec, ClusterSpecError> {
         let mut spec = ClusterSpec::try_new(self.workers, self.parameter_servers)?;
         if let Some(sharding) = self.sharding {
@@ -370,7 +378,7 @@ impl ClusterSpecBuilder {
                 });
             }
             for &f in v {
-                if !f.is_finite() || f <= 0.0 {
+                if !(MIN_FACTOR..=MAX_FACTOR).contains(&f) {
                     return Err(ClusterSpecError::NonPositiveFactor { field, value: f });
                 }
             }
@@ -416,7 +424,8 @@ pub enum ClusterSpecError {
         /// The length actually supplied.
         got: usize,
     },
-    /// A speed or bandwidth factor was zero, negative or non-finite.
+    /// A speed or bandwidth factor was zero, negative, non-finite or
+    /// outside `[1e-280, 1e280]`.
     NonPositiveFactor {
         /// Which builder field was malformed.
         field: &'static str,
@@ -443,7 +452,7 @@ impl fmt::Display for ClusterSpecError {
             ClusterSpecError::NonPositiveFactor { field, value } => {
                 write!(
                     f,
-                    "{field} factors must be positive and finite, got {value}"
+                    "{field} factors must lie in [1e-280, 1e280], got {value:e}"
                 )
             }
         }
@@ -1431,10 +1440,21 @@ mod tests {
                 value: 0.0
             }
         );
-        assert!(matches!(
-            base().link_bandwidths(vec![f64::NAN, 1.0]).build(),
-            Err(ClusterSpecError::NonPositiveFactor { .. })
-        ));
+        // NaN, and factors whose reciprocal (`1e-320`) or whose fair-share
+        // stretch `2.0 / f` (`1e-308`, a normal float) is infinite.
+        for bad in [f64::NAN, f64::INFINITY, 1e-308, 1e-320, 1e300] {
+            assert!(matches!(
+                base().link_bandwidths(vec![bad, 1.0]).build(),
+                Err(ClusterSpecError::NonPositiveFactor { .. })
+            ));
+            assert!(matches!(
+                base().worker_speeds(vec![1.0, bad]).build(),
+                Err(ClusterSpecError::NonPositiveFactor { .. })
+            ));
+        }
+        for ok in [1e-280, 1e-30, 1e280] {
+            assert!(base().link_bandwidths(vec![ok, 1.0]).build().is_ok());
+        }
         assert_eq!(
             ClusterSpec::builder().parameter_servers(1).build(),
             Err(ClusterSpecError::ZeroWorkers)
@@ -1454,7 +1474,6 @@ mod tests {
         let model = tiny_mlp(Mode::Training, 8);
         let d = deploy(&model, &spec).unwrap();
         let g = d.graph();
-        assert!(!g.is_uniform());
         assert_eq!(g.device_speed(d.workers()[0]), 1.0);
         assert_eq!(g.device_speed(d.workers()[1]), 0.5);
         assert_eq!(g.device_speed(d.parameter_servers()[0]), 2.0);
@@ -1478,7 +1497,15 @@ mod tests {
     #[test]
     fn uniform_spec_lowers_to_uniform_graph() {
         let d = mlp_cluster(3, 2, Mode::Training);
-        assert!(d.graph().is_uniform());
+        let g = d.graph();
+        assert!(g
+            .devices()
+            .iter()
+            .all(|dev| g.device_speed(dev.id()) == 1.0));
+        assert!(g
+            .channels()
+            .iter()
+            .all(|ch| g.channel_bandwidth(ch.id()) == 1.0));
     }
 
     #[test]

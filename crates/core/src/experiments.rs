@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tictac_cluster::DeployedModel;
 use tictac_sched::no_ordering;
-use tictac_sim::{simulate, thread_count, SimConfig};
+use tictac_sim::{simulate, SimConfig};
 
 /// Counts how many distinct parameter-arrival orders the reference worker
 /// observes over `runs` baseline iterations — the experiment of §2.2
@@ -38,9 +38,30 @@ pub fn speedup_pct(baseline_throughput: f64, scheduled_throughput: f64) -> f64 {
     (scheduled_throughput / baseline_throughput - 1.0) * 100.0
 }
 
-/// Maps `f` over `items` on [`thread_count`]`(items.len())` worker
-/// threads (the `TICTAC_THREADS` env var overrides the available
-/// parallelism; `1` forces serial), preserving input order in the output.
+/// Worker threads for `jobs` independent pieces of work: the
+/// `TICTAC_THREADS` environment variable when it holds a positive
+/// integer, else the available parallelism; never more than `jobs`,
+/// never fewer than one.
+fn thread_count(jobs: usize) -> usize {
+    let available = || std::thread::available_parallelism().map_or(1, usize::from);
+    let request = std::env::var("TICTAC_THREADS").ok();
+    thread_policy(request.as_deref(), available, jobs)
+}
+
+/// [`thread_count`] with the environment passed in; `available` is asked
+/// only when the request does not settle it.
+fn thread_policy(request: Option<&str>, available: impl FnOnce() -> usize, jobs: usize) -> usize {
+    request
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&t| t >= 1)
+        .unwrap_or_else(available)
+        .min(jobs)
+        .max(1)
+}
+
+/// Maps `f` over `items` on `thread_count(items.len())` worker threads
+/// (the `TICTAC_THREADS` env var overrides the available parallelism; `1`
+/// forces serial), preserving input order in the output.
 ///
 /// Results are identical at any thread count: every point seeds its own
 /// random streams, and outputs are written back by input index. A panic
@@ -100,6 +121,29 @@ mod tests {
         let n = count_unique_recv_orders(&d, &cfg, 8);
         // 116 parameters: every random iteration order should be fresh.
         assert_eq!(n, 8);
+    }
+
+    #[test]
+    fn thread_policy_honours_positive_requests_and_caps_by_jobs() {
+        // (TICTAC_THREADS, available parallelism, jobs) -> threads
+        let cases: [(Option<&str>, usize, usize, usize); 9] = [
+            (None, 4, 100, 4),
+            (Some("3"), 4, 100, 3),
+            (Some("0"), 4, 100, 4),
+            (Some(""), 4, 100, 4),
+            (Some("abc"), 4, 100, 4),
+            (Some("-2"), 4, 100, 4),
+            (Some("8"), 4, 2, 2),
+            (None, 4, 2, 2),
+            (Some("3"), 4, 0, 1),
+        ];
+        for (request, available, jobs, want) in cases {
+            assert_eq!(
+                thread_policy(request, || available, jobs),
+                want,
+                "request {request:?}, available {available}, jobs {jobs}"
+            );
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@ mod cache;
 mod experiments;
 pub mod optimal;
 mod session;
+mod stats;
 pub mod training;
 mod tune;
 
@@ -50,6 +51,7 @@ pub use session::{
     IterationRecord, RunOptions, RunReport, ScenarioBuildError, SchedulerKind, Session,
     SessionBuilder, SessionConfig,
 };
+pub use stats::{ols, percentile, Cdf, OlsFit, Summary};
 pub use tune::{auto_tune_with, TuneOptions, TuneResult};
 
 // Re-export the substrate so downstream users need only one dependency.
@@ -59,7 +61,6 @@ pub use tictac_graph::{
     GraphError, ModelGraph, ModelGraphBuilder, ModelOpId, ModelOpKind, NameId, NameTable, OpId,
     OpKind, OpName, ParamId, Resource,
 };
-pub use tictac_metrics::{ols, percentile, Cdf, OlsFit, Summary};
 pub use tictac_models::{tiny_mlp, Mode, Model};
 pub use tictac_obs::{
     overlap_report, perfetto_json, priority_inversions, realized_efficiency, validate_perfetto,
@@ -76,11 +77,12 @@ pub use tictac_sched::{
     TacScheduler, TicScheduler,
 };
 pub use tictac_sim::{
-    noise_free_profile, run_iteration_injected, selected_engine, simulate,
-    simulate_with_plan_observed, try_simulate, Blackout, Crash, EngineChoice, ExecOptions,
-    FaultClock, FaultCounters, FaultPlan, FaultSpec, IterationMetrics, RuntimeError, SimConfig,
-    SimError, Stall, DEFAULT_PAR_THRESHOLD,
+    noise_free_profile, run_iteration_injected, simulate, simulate_with_plan_observed,
+    try_simulate, Blackout, Crash, ExecOptions, FaultClock, FaultCounters, FaultPlan, FaultSpec,
+    IterationMetrics, RuntimeError, SimConfig, SimError, Stall,
 };
+#[doc(hidden)]
+pub use tictac_sim::{selected_engine, EngineChoice};
 pub use tictac_store::{
     self as store, diff_records, group_key, regress, MemorySink, Payload, RegressPolicy,
     RegressReport, RunFilter, RunRecord, RunSink, RunStore, SessionSummary,

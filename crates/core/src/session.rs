@@ -186,14 +186,21 @@ impl SessionBuilder {
 }
 
 /// Error turning a [`Scenario`] into a runnable [`Session`]: the
-/// deployment can be invalid, or the scenario can ask the threaded
-/// backend for a configuration it does not support.
+/// deployment can be invalid, the scenario can ask the threaded backend
+/// for a configuration it does not support, or its cluster can be too
+/// slow for an iteration to fit on the time axis.
 #[derive(Debug)]
 pub enum ScenarioBuildError {
     /// The model/cluster deployment failed.
     Deploy(DeployError),
     /// The threaded backend rejected the scenario's configuration.
     Runtime(tictac_sim::RuntimeError),
+    /// The deployment's noise-free service times sum to `total`
+    /// (saturating), at or past the 2^53 ns end of the time axis.
+    Horizon {
+        /// That sum: an upper bound on one noise-free iteration.
+        total: SimDuration,
+    },
 }
 
 impl std::fmt::Display for ScenarioBuildError {
@@ -201,6 +208,13 @@ impl std::fmt::Display for ScenarioBuildError {
         match self {
             ScenarioBuildError::Deploy(e) => write!(f, "invalid deployment: {e}"),
             ScenarioBuildError::Runtime(e) => write!(f, "unsupported backend config: {e}"),
+            ScenarioBuildError::Horizon { total } => write!(
+                f,
+                "one iteration's service times add up to {:.3e} s or more, past the \
+                 2^53 ns (104-day) horizon of the time axis; the speed and bandwidth \
+                 factors are too small",
+                total.as_secs_f64()
+            ),
         }
     }
 }
@@ -217,6 +231,30 @@ impl From<tictac_sim::RuntimeError> for ScenarioBuildError {
     fn from(e: tictac_sim::RuntimeError) -> Self {
         ScenarioBuildError::Runtime(e)
     }
+}
+
+/// The end of the time axis (DESIGN.md §5): instants and durations below
+/// it are exact as `f64`s, which is what the run store's JSON numbers and
+/// [`noise_free_profile`]'s exactness argument rely on.
+const HORIZON_NS: u64 = 1 << 53;
+
+/// Checks that an iteration of `deployed` fits below [`HORIZON_NS`]: a
+/// noise-free, fault-free iteration takes at most the sum of its ops'
+/// service times, a send costing nothing. The sum saturates, as each
+/// service time does, so no factor can wrap it back under the bound.
+fn check_horizon(deployed: &DeployedModel, config: &SimConfig) -> Result<(), ScenarioBuildError> {
+    let graph = deployed.graph();
+    let profile = noise_free_profile(graph, config);
+    let total = graph
+        .ops()
+        .filter(|(_, op)| !op.kind().is_send())
+        .fold(SimDuration::ZERO, |sum, (id, _)| {
+            sum.saturating_add(profile.get(id))
+        });
+    if total.as_nanos() >= HORIZON_NS {
+        return Err(ScenarioBuildError::Horizon { total });
+    }
+    Ok(())
 }
 
 /// Iteration-index offset for the TAC profiling runs, far from measured
@@ -468,13 +506,21 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns a [`ScenarioBuildError`] if the deployment is invalid or
-    /// the threaded backend rejects the scenario's configuration.
+    /// Returns a [`ScenarioBuildError`] if the deployment is invalid, the
+    /// threaded backend rejects the scenario's configuration, or the
+    /// scenario's heterogeneity factors push one iteration past the
+    /// 2^53 ns horizon of the time axis.
     pub fn from_scenario(scenario: &Scenario) -> Result<Session, ScenarioBuildError> {
         let model = scenario
             .model
             .build_with_batch(scenario.mode, scenario.batch);
         let config = scenario.sim_config();
+        // Before anything is scheduled or simulated: `build` profiles
+        // noisy TAC sessions by simulation.
+        check_horizon(
+            &*crate::DeployCache::global().deploy(&model, &scenario.cluster)?,
+            &config,
+        )?;
         let mut builder = Session::builder(model).settings(SessionConfig {
             cluster: scenario.cluster.clone(),
             config: config.clone(),

@@ -197,15 +197,6 @@ impl Graph {
             .unwrap_or(1.0)
     }
 
-    /// Whether every device and channel runs at the platform reference
-    /// rate (no heterogeneity side tables).
-    ///
-    /// The parallel engine only accepts uniform graphs; heterogeneous
-    /// ones fall back to the sequential oracle.
-    pub fn is_uniform(&self) -> bool {
-        self.device_speeds.is_empty() && self.channel_bandwidths.is_empty()
-    }
-
     /// All parameters.
     pub fn params(&self) -> &[ParamInfo] {
         &self.params

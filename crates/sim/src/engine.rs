@@ -1,11 +1,10 @@
-//! The sequential discrete-event execution engine and the shared
-//! simulation driver.
+//! The discrete-event execution engine and its driver.
 //!
 //! Every public `simulate*` entry point ends in one driver
-//! ([`simulate_with_plan_observed`]): validate the schedule, then select
-//! an engine — this sequential oracle, or the conservatively partitioned
-//! parallel engine in [`crate::par`] for large, parallel-safe workloads
-//! (see [`selected_engine`]).
+//! ([`simulate_with_plan_observed`]): validate the schedule, build the
+//! engine, run it. One single-threaded seeded event loop per run;
+//! parallelism lives outside it, in `tictac_core::parallel_map` over
+//! independent grid points (DESIGN.md §12).
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -71,8 +70,7 @@ pub fn try_simulate(
 /// recording engine metrics — per-channel bytes, busy/idle time and queue
 /// depths, per-device busy time and ready-set depths, event and
 /// retransmit counts — into `registry`. The driver behind every
-/// `simulate*` entry point: validates the schedule, then routes to the
-/// selected engine.
+/// `simulate*` entry point: validates the schedule, then runs the engine.
 ///
 /// The instrumentation only *reads* engine state: a run observed through
 /// an enabled registry produces exactly the trace the unobserved run
@@ -96,41 +94,7 @@ pub fn simulate_with_plan_observed(
             graph_len: graph.len(),
         });
     }
-    if !registry.is_enabled() && plan.is_quiet() && crate::par::eligible(graph, config) {
-        return crate::par::simulate_par(graph, schedule, config);
-    }
-    let mut engine = Engine::new(graph, schedule, config, iteration, plan);
-    engine.metrics = EngineMetrics::install(registry, graph);
-    engine.run()
-}
-
-/// The engine a `simulate*` call resolves to for a given workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// The sequential oracle engine (this module).
-    Sequential,
-    /// The conservatively partitioned parallel engine ([`crate::par`]).
-    Parallel,
-}
-
-/// Which engine the `simulate*` entry points select for `(graph, config)`.
-///
-/// The parallel engine is chosen only when the workload is *parallel-safe*
-/// — at least [`SimConfig::par_threshold`] workers, deterministic timing
-/// (no noise, no reorder error, disorder window 1), a quiet fault spec,
-/// and a pure worker↔PS topology — so that it is observationally
-/// equivalent to the sequential oracle (`tests/par_equivalence.rs`).
-/// Everything else runs sequentially. Two run-time inputs can still force
-/// the sequential engine even when this returns
-/// [`EngineChoice::Parallel`]: an *enabled* metrics [`Registry`] (engine
-/// metrics are sequential-only) and an explicitly supplied non-quiet
-/// [`FaultPlan`].
-pub fn selected_engine(graph: &Graph, config: &SimConfig) -> EngineChoice {
-    if crate::par::eligible(graph, config) {
-        EngineChoice::Parallel
-    } else {
-        EngineChoice::Sequential
-    }
+    Engine::new(graph, schedule, config, iteration, plan, registry).run()
 }
 
 /// Queue/ready-set depth histogram bounds (powers of two).
@@ -248,7 +212,7 @@ enum FaultAction {
 /// seed engine's candidate indices exposed (the RNG pick index must mean
 /// the same op).
 #[derive(Debug, Default)]
-pub(crate) struct ReadyQueue {
+struct ReadyQueue {
     seq: u64,
     /// Unprioritized ready ops in push order.
     unprio: VecDeque<(u64, OpId)>,
@@ -258,7 +222,7 @@ pub(crate) struct ReadyQueue {
 }
 
 impl ReadyQueue {
-    pub(crate) fn push(&mut self, op: OpId, priority: Option<u64>) {
+    fn push(&mut self, op: OpId, priority: Option<u64>) {
         self.seq += 1;
         match priority {
             None => self.unprio.push_back((self.seq, op)),
@@ -267,7 +231,7 @@ impl ReadyQueue {
         self.len += 1;
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -281,7 +245,7 @@ impl ReadyQueue {
     /// # Panics
     ///
     /// Panics if `idx >= self.candidates()`.
-    pub(crate) fn take_candidate(&mut self, idx: usize) -> OpId {
+    fn take_candidate(&mut self, idx: usize) -> OpId {
         let min_key = self.buckets.first_key_value().map(|(&k, _)| k);
         let bucket_at = |b: usize| {
             min_key.and_then(|k| self.buckets.get(&k).and_then(|q| q.get(b).map(|e| e.0)))
@@ -336,7 +300,7 @@ struct ChanEntry {
 /// the entry; dead prefixes pop eagerly and the deque is compacted when
 /// tombstones outnumber live entries, keeping walks amortized cheap.
 #[derive(Debug, Default)]
-pub(crate) struct ChanQueue {
+struct ChanQueue {
     seq: u64,
     /// Queued transfers in hand-off order; `seq` is strictly increasing
     /// along the deque (compaction preserves order).
@@ -347,7 +311,7 @@ pub(crate) struct ChanQueue {
 }
 
 impl ChanQueue {
-    pub(crate) fn push(&mut self, op: OpId, rank: Option<u64>) {
+    fn push(&mut self, op: OpId, rank: Option<u64>) {
         self.seq += 1;
         if let Some(r) = rank {
             let prev = self.ranked.insert(r, self.seq);
@@ -362,15 +326,15 @@ impl ChanQueue {
         self.live += 1;
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    pub(crate) fn live(&self) -> usize {
+    fn live(&self) -> usize {
         self.live
     }
 
-    pub(crate) fn has_ranked(&self) -> bool {
+    fn has_ranked(&self) -> bool {
         !self.ranked.is_empty()
     }
 
@@ -380,7 +344,7 @@ impl ChanQueue {
     /// # Panics
     ///
     /// Panics if no ranked transfer is queued.
-    pub(crate) fn pop_min_rank(&mut self) -> OpId {
+    fn pop_min_rank(&mut self) -> OpId {
         let (&rank, &seq) = self.ranked.iter().next().expect("a ranked entry");
         self.ranked.remove(&rank);
         let idx = self
@@ -399,7 +363,7 @@ impl ChanQueue {
     /// # Panics
     ///
     /// Panics if `idx >= self.live()`.
-    pub(crate) fn pop_live_index(&mut self, idx: usize) -> OpId {
+    fn pop_live_index(&mut self, idx: usize) -> OpId {
         let mut seen = 0usize;
         let pos = self
             .order
@@ -469,8 +433,8 @@ impl SendGate {
     }
 }
 
-/// Per-op transfer facts both engines read on the hand-off path, derived
-/// once per run.
+/// Per-op transfer facts the engine and the threaded runtime read on the
+/// hand-off path, derived once per run.
 pub(crate) struct TransferTable {
     /// Channel index of every send and recv op.
     pub(crate) chan: Vec<u32>,
@@ -635,6 +599,7 @@ impl<'g> Engine<'g> {
         config: &SimConfig,
         iteration: u64,
         plan: &'g FaultPlan,
+        registry: &Registry,
     ) -> Self {
         let n = graph.len();
         let mut rng = SmallRng::seed_from_u64(
@@ -706,7 +671,7 @@ impl<'g> Engine<'g> {
                 .collect(),
             dirty_devices: DirtySet::new(graph.devices().len()),
             dirty_channels: DirtySet::new(graph.channels().len()),
-            metrics: None,
+            metrics: EngineMetrics::install(registry, graph),
         }
     }
 

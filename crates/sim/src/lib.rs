@@ -25,7 +25,7 @@
 //! * **A threaded runtime** ([`run_iteration_injected`]): the same graph,
 //!   schedule and [`SimConfig`] executed on real OS threads against the
 //!   wall clock, reading the same transfer table, send gate and service
-//!   times as the event engines (see the `threaded` module docs).
+//!   times as the event engine (see the `threaded` module docs).
 //!
 //! * **Fault injection & fault-tolerant execution**: a seeded, fully
 //!   deterministic [`FaultSpec`]/[`FaultPlan`] model (transient transfer
@@ -52,17 +52,15 @@ mod engine;
 mod error;
 mod faults;
 mod metrics;
-mod par;
 mod service;
 mod threaded;
 
-pub use config::{SimConfig, DEFAULT_PAR_THRESHOLD, DEFAULT_SEED};
-pub use engine::{
-    selected_engine, simulate, simulate_with_plan_observed, try_simulate, EngineChoice,
-};
+#[doc(hidden)]
+pub use config::{selected_engine, EngineChoice};
+pub use config::{SimConfig, DEFAULT_SEED};
+pub use engine::{simulate, simulate_with_plan_observed, try_simulate};
 pub use error::SimError;
 pub use faults::{Blackout, Crash, FaultClock, FaultPlan, FaultSpec, Stall};
 pub use metrics::{FaultCounters, IterationMetrics};
-pub use par::thread_count;
 pub use service::noise_free_profile;
 pub use threaded::{run_iteration_injected, ExecOptions, RuntimeError};

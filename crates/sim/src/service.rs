@@ -1,7 +1,7 @@
 //! Noise-free service times: what an op costs on a dedicated resource
 //! before noise, slowdowns and faults are applied.
 //!
-//! Both event engines, the threaded runtime's busy-loops and the TAC
+//! The event engine, the threaded runtime's busy-loops and the TAC
 //! profiler read op durations from [`ServiceTimes::of`], so "what would a
 //! quiet, noise-free run measure" has one definition.
 

@@ -1,4 +1,4 @@
-//! The threaded cluster runtime: where the event engines *model* a
+//! The threaded cluster runtime: where the event engine *models* a
 //! Model-Replica + Parameter-Server cluster, this module *runs* one.
 //!
 //! Topology: one OS thread per device (worker or PS shard) draining a
@@ -10,7 +10,7 @@
 //! trace consumer works on real concurrent executions unchanged.
 //!
 //! Everything the paper's mechanism (§5.1) is made of is read from the
-//! items the event engines read: [`TransferTable`] for channel, rank and
+//! items the event engine reads: [`TransferTable`] for channel, rank and
 //! send pairing, one [`SendGate`] per channel for the hand-off counter,
 //! [`ServiceTimes::of`] (times `time_scale`) for every busy-loop, and the
 //! [`SimConfig`] for platform, enforcement, bandwidth share, fault spec
@@ -336,7 +336,7 @@ struct ChanQueue {
     /// Queued unranked transfers, keyed by seeded-shuffle hash: an
     /// arbitrary, per-seed-stable wire order (the baseline's behavior).
     unranked: BinaryHeap<Reverse<(u64, usize)>>,
-    /// The §5.1 hand-off counter and its parked sends — the engines' own.
+    /// The §5.1 hand-off counter and its parked sends — the engine's own.
     gate: SendGate,
     /// Next rank allowed to *start* on the wire; closes the hand-off
     /// interleaving window. The one wall-clock-only addition to the

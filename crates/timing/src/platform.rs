@@ -122,14 +122,19 @@ impl Platform {
         p
     }
 
-    /// Time to execute `flops` of work on a worker.
+    /// Time to execute `flops` of work on a worker. Saturates, as the
+    /// float-to-nanosecond conversion does, so a duration past the end of
+    /// the time axis stays there instead of wrapping to a short one.
     pub fn worker_compute_time(&self, flops: f64) -> SimDuration {
-        self.op_overhead + SimDuration::from_secs_f64(flops / self.worker_flops)
+        self.op_overhead
+            .saturating_add(SimDuration::from_secs_f64(flops / self.worker_flops))
     }
 
-    /// Time to execute `flops` of work on a parameter server.
+    /// Time to execute `flops` of work on a parameter server (saturating,
+    /// as [`worker_compute_time`](Self::worker_compute_time)).
     pub fn ps_compute_time(&self, flops: f64) -> SimDuration {
-        self.op_overhead + SimDuration::from_secs_f64(flops / self.ps_flops)
+        self.op_overhead
+            .saturating_add(SimDuration::from_secs_f64(flops / self.ps_flops))
     }
 
     /// Wire time for a `bytes`-byte transfer at full channel bandwidth.
@@ -171,7 +176,9 @@ impl Platform {
             factor.is_finite() && factor > 0.0,
             "transfer factor must be positive and finite, got {factor}"
         );
-        self.latency + SimDuration::from_secs_f64(bytes as f64 * factor / self.bandwidth)
+        // Saturating, as the compute times: see `worker_compute_time`.
+        let wire = SimDuration::from_secs_f64(bytes as f64 * factor / self.bandwidth);
+        self.latency.saturating_add(wire)
     }
 }
 
@@ -211,6 +218,15 @@ mod tests {
         // 1 ms of work at the platform's sustained throughput.
         let t = p.worker_compute_time(p.worker_flops() * 1e-3);
         assert_eq!(t, p.op_overhead() + SimDuration::from_millis(1));
+    }
+
+    #[test]
+    fn times_past_the_axis_saturate_instead_of_wrapping() {
+        let p = Platform::cloud_gpu();
+        let end = SimDuration::from_nanos(u64::MAX);
+        assert_eq!(p.transfer_time_scaled(1 << 20, 1e30), end);
+        assert_eq!(p.worker_compute_time(1e40), end);
+        assert_eq!(p.ps_compute_time(1e40), end);
     }
 
     #[test]

@@ -40,3 +40,46 @@ fn zero_iterations_is_a_usage_error_not_a_division_by_zero() {
         "{stderr}"
     );
 }
+
+/// A heterogeneity factor the cluster builder accepts must not run the
+/// simulated time axis off its 2^53 ns end (DESIGN.md §5): not into a
+/// wrapped `SimTime`, not into a silently short makespan, not into the
+/// run store's exact-integer assertion.
+#[test]
+fn factors_that_leave_the_time_axis_are_usage_errors() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let store = dir.join("horizon.jsonl");
+    let store = store.to_str().expect("utf-8 path");
+    // (cluster key, second factor, what stderr names; `None` = runs)
+    let rows = [
+        ("link_bandwidths", "1e-12", Some("2^53 ns")),
+        ("worker_speeds", "1e-12", Some("2^53 ns")),
+        ("link_bandwidths", "1e-30", Some("2^53 ns")),
+        ("link_bandwidths", "1e-320", Some("got 1e-320")),
+        ("worker_speeds", "1e-9", Some("2^53 ns")),
+        ("link_bandwidths", "1e-3", None),
+    ];
+    for (key, factor, names) in rows {
+        let stem = format!("{key}_{factor}");
+        let scenario = dir.join(format!("horizon_{stem}.yml"));
+        let doc = format!(
+            "model: alexnet_v2\ncluster:\n  workers: 2\n  parameter_servers: 1\n  \
+             {key}: [1.0, {factor}]\nenv: g\nscheduler: tic\niterations: 2\n"
+        );
+        std::fs::write(&scenario, doc).expect("write scenario");
+        let path = scenario.to_str().expect("utf-8 path");
+        for args in [&["run", path][..], &["run", path, "--store", store]] {
+            let (out, stderr) = tictac(args);
+            let Some(names) = names else {
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert_eq!(out.status.code(), Some(0), "{stem}: {stderr}");
+                assert!(stdout.contains("iteration 256."), "{stem}: {stdout}");
+                continue;
+            };
+            assert_eq!(out.status.code(), Some(2), "{stem}: {stderr}");
+            let first = stderr.lines().find(|l| l.starts_with("error: "));
+            let first = first.unwrap_or_else(|| panic!("{stem}: {stderr}"));
+            assert!(first.contains(path) && first.contains(names), "{first}");
+        }
+    }
+}

@@ -4,9 +4,8 @@
 //! five fault-free simulated runs, exactly as the session profiled before.
 //! Pinned here zoo-wide across every input the service times depend on —
 //! device speeds, link bandwidths, the bandwidth-share override, the
-//! partition/fusion passes, either engine — and end to end on the
-//! schedule a session enforces. Noisy configurations must keep taking the
-//! measured path.
+//! partition/fusion passes — and end to end on the schedule a session
+//! enforces. Noisy configurations must keep taking the measured path.
 
 use tictac::{
     deploy, estimate_profile, no_ordering, noise_free_profile, simulate, tac, ClusterSpec,
@@ -77,14 +76,6 @@ fn analytic_profile_equals_five_simulated_runs_zoo_wide() {
             det.clone().with_bandwidth_share(1.0),
         ),
         ("partition/fusion", comm_cluster(), det.clone()),
-        // Parallel-eligible: the measured side runs on the partitioned engine.
-        (
-            "parallel engine",
-            ClusterSpec::new(2, 2),
-            det.clone()
-                .with_disorder_window(Some(1))
-                .with_par_threshold(Some(1)),
-        ),
     ];
     for model in Model::ALL {
         for (what, cluster, config) in &cases {
