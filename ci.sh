@@ -67,6 +67,10 @@ echo "== golden traces =="
 # pinned Perfetto export bytes) fails here, not in review.
 cargo test --offline -q --test golden_traces
 cargo test --offline -q --test perfetto_snapshot
+# Again as optimised: the build the ledger and every user run, with the
+# engine's `debug_assert!`s compiled out.
+cargo test --offline -q --release --test golden_traces
+cargo test --offline -q --release --test perfetto_snapshot
 
 echo "== threaded backend smoke =="
 # Real-OS-thread runtime gate (DESIGN.md §9): the quick sim-vs-wall-clock

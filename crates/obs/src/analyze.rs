@@ -389,24 +389,14 @@ fn runnable_at(graph: &Graph, trace: &ExecutionTrace, recv: OpId) -> SimTime {
         .unwrap_or(SimTime::ZERO)
 }
 
-/// Detects priority inversions: transfers that *started* on a channel
-/// while a higher-priority transfer was already runnable on that channel
-/// but had not started.
-///
-/// `priority` is the reference rank (lower = more urgent) — typically a
-/// TAC or TIC schedule's assignment; transfers it leaves unranked are
-/// ignored. Each offending transfer is counted once, with the
-/// best-ranked waiting transfer as witness. Under sender-side rank
-/// enforcement on in-order channels (reorder error 0) the count is
-/// provably zero: the engine never pops a transfer while a runnable
-/// lower-rank one is queued.
-pub fn priority_inversions(
+/// The executed transfers `priority` ranks, per channel in op-id order:
+/// `(rank, recv, start)`.
+fn ranked_transfers(
     graph: &Graph,
     trace: &ExecutionTrace,
     priority: impl Fn(OpId) -> Option<u64>,
-) -> InversionReport {
-    let n_channels = graph.channels().len();
-    let mut per_channel: Vec<Vec<(u64, OpId, SimTime)>> = vec![Vec::new(); n_channels];
+) -> Vec<Vec<(u64, OpId, SimTime)>> {
+    let mut per_channel = vec![Vec::new(); graph.channels().len()];
     for (id, op) in graph.ops() {
         if !op.kind().is_recv() {
             continue;
@@ -419,25 +409,61 @@ pub fn priority_inversions(
             per_channel[c.index()].push((rank, id, rec.start));
         }
     }
+    per_channel
+}
+
+/// Detects priority inversions: transfers that *started* on a channel
+/// while a higher-priority transfer was already runnable on that channel
+/// but had not started.
+///
+/// `priority` is the reference rank (lower = more urgent) — typically a
+/// TAC or TIC schedule's assignment; transfers it leaves unranked are
+/// ignored. Each offending transfer is counted once, with the
+/// best-ranked waiting transfer as witness. Under sender-side rank
+/// enforcement on in-order channels (reorder error 0) the count is
+/// provably zero: the engine never pops a transfer while a runnable
+/// lower-rank one is queued.
+///
+/// A channel's `R` transfers are walked in rank order beside the latest
+/// start seen among the ranks already passed; only a transfer that one of
+/// those started after is searched for its witness, so a trace that kept
+/// its order costs `O(R log R)`.
+pub fn priority_inversions(
+    graph: &Graph,
+    trace: &ExecutionTrace,
+    priority: impl Fn(OpId) -> Option<u64>,
+) -> InversionReport {
+    let mut per_channel = ranked_transfers(graph, trace, priority);
 
     let mut records = Vec::new();
-    for (ci, transfers) in per_channel.iter().enumerate() {
-        for &(rank_a, a, start_a) in transfers {
-            // The best-ranked transfer that outranks A, was runnable by
-            // A's start, and had not started yet.
-            let witness = transfers
-                .iter()
-                .filter(|&&(rank_b, _, start_b)| rank_b < rank_a && start_b > start_a)
-                .filter(|&&(_, b, _)| runnable_at(graph, trace, b) <= start_a)
-                .min_by_key(|&&(rank_b, _, _)| rank_b);
-            if let Some(&(_, b, _)) = witness {
-                records.push(InversionRecord {
-                    channel: ChannelId::from_index(ci),
-                    started: a,
-                    preempted: b,
-                    at: start_a,
+    for (ci, transfers) in per_channel.iter_mut().enumerate() {
+        // Rank order; the sort is stable, so equal ranks stay in id order.
+        transfers.sort_by_key(|&(rank, _, _)| rank);
+        // `transfers[..outranking]` outrank the group being looked at, and
+        // `latest` is the last instant one of them started.
+        let (mut outranking, mut latest) = (0, SimTime::ZERO);
+        for group in transfers.chunk_by(|x, y| x.0 == y.0) {
+            for &(_, a, start_a) in group {
+                // Nothing that outranks A started after it: no witness.
+                if latest <= start_a {
+                    continue;
+                }
+                // The best-ranked transfer that outranks A, was runnable by
+                // A's start, and had not started yet.
+                let witness = transfers[..outranking].iter().find(|&&(_, b, start_b)| {
+                    start_b > start_a && runnable_at(graph, trace, b) <= start_a
                 });
+                if let Some(&(_, b, _)) = witness {
+                    records.push(InversionRecord {
+                        channel: ChannelId::from_index(ci),
+                        started: a,
+                        preempted: b,
+                        at: start_a,
+                    });
+                }
             }
+            latest = group.iter().fold(latest, |t, g| t.max(g.2));
+            outranking += group.len();
         }
     }
     records.sort_by_key(|r| (r.channel.index(), r.at, r.started.index()));
@@ -593,6 +619,117 @@ mod tests {
         let report = priority_inversions(&g, &tb.finish(), rank);
         assert_eq!(report.count(), 1);
         assert_eq!(report.records[0].preempted, r1);
+    }
+
+    /// The definition, word for word: every transfer against every other
+    /// on its channel. The oracle [`priority_inversions`] is tested against.
+    fn priority_inversions_by_definition(
+        graph: &Graph,
+        trace: &ExecutionTrace,
+        priority: impl Fn(OpId) -> Option<u64>,
+    ) -> InversionReport {
+        let per_channel = ranked_transfers(graph, trace, priority);
+        let mut records = Vec::new();
+        for (ci, transfers) in per_channel.iter().enumerate() {
+            for &(rank_a, a, start_a) in transfers {
+                let witness = transfers
+                    .iter()
+                    .filter(|&&(rank_b, _, start_b)| rank_b < rank_a && start_b > start_a)
+                    .filter(|&&(_, b, _)| runnable_at(graph, trace, b) <= start_a)
+                    .min_by_key(|&&(rank_b, _, _)| rank_b);
+                if let Some(&(_, b, _)) = witness {
+                    records.push(InversionRecord {
+                        channel: ChannelId::from_index(ci),
+                        started: a,
+                        preempted: b,
+                        at: start_a,
+                    });
+                }
+            }
+        }
+        records.sort_by_key(|r| (r.channel.index(), r.at, r.started.index()));
+        InversionReport { records }
+    }
+
+    /// Hand-built traces — root transfers and transfers behind a PS-side
+    /// compute, starts in any order, ranks drawn from a range narrow
+    /// enough to collide, some transfers unranked, some ops never run —
+    /// get the report the definition gives.
+    #[test]
+    fn inversions_equal_the_definition_on_random_traces() {
+        let mut found = 0;
+        for case in 0..60u64 {
+            // SplitMix64: this crate has no random-number dependency.
+            let mut state = case;
+            let mut next = move |bound: u64| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) % bound
+            };
+            let mut b = GraphBuilder::new();
+            let w = b.add_worker("w0");
+            let ps = b.add_parameter_server("ps0");
+            let mut tb_ops = Vec::new();
+            let mut ranks = Vec::new();
+            for _ in 0..1 + next(3) {
+                let ch = b.add_channel(w, ps);
+                // Sizes 1, 2, ... up to 200 a channel over the cases.
+                let transfers = 1 + next(if case % 4 == 0 { 200 } else { 12 });
+                let horizon = 4 * transfers;
+                let rank_range = 1 + next(2 * transfers);
+                for i in 0..transfers {
+                    let k = b.len();
+                    let p = b.add_param(format!("p{k}"), 8);
+                    let mut deps = Vec::new();
+                    if next(2) == 0 {
+                        let grad =
+                            b.add_op(format!("g{k}"), ps, OpKind::Compute, Cost::flops(1.0), &[]);
+                        let ready = next(horizon);
+                        if next(8) != 0 {
+                            tb_ops.push((grad, t(0), t(ready)));
+                        }
+                        deps.push(b.add_op(
+                            format!("s{k}"),
+                            ps,
+                            OpKind::send(p, ch),
+                            Cost::bytes(8),
+                            &[grad],
+                        ));
+                    }
+                    let recv = b.add_op(
+                        format!("r{k}"),
+                        w,
+                        OpKind::recv(p, ch),
+                        Cost::bytes(8),
+                        &deps,
+                    );
+                    let start = next(horizon);
+                    if next(10) != 0 {
+                        tb_ops.push((recv, t(start), t(start + 1 + i)));
+                    }
+                    if next(6) != 0 {
+                        ranks.push((recv, next(rank_range)));
+                    }
+                }
+            }
+            let g = b.build().unwrap();
+            let mut tb = TraceBuilder::new(g.len());
+            for (op, start, end) in tb_ops {
+                tb.record(op, start, end);
+            }
+            let trace = tb.finish();
+            let rank = |op: OpId| ranks.iter().find(|r| r.0 == op).map(|r| r.1);
+            let expected = priority_inversions_by_definition(&g, &trace, rank);
+            assert_eq!(
+                priority_inversions(&g, &trace, rank),
+                expected,
+                "case {case}"
+            );
+            found += expected.count();
+        }
+        assert!(found > 100, "the traces must hold real inversions: {found}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::service::{paired_send, ServiceTimes};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
 use tictac_obs::{BucketHistogram, Counter, Registry};
 use tictac_sched::Schedule;
@@ -201,24 +201,22 @@ enum FaultAction {
     StallEnd { device: DeviceId },
 }
 
-/// Per-device ready set, bucketed by schedule priority.
+/// Per-device ready set under the ready-queue rule of §3.1: the pick
+/// candidates are every unprioritized ready op plus the ready ops holding
+/// the lowest priority number, indexed in readiness order.
 ///
-/// The seed engine scanned the whole ready `Vec` per pick to find the
-/// minimum priority and collect candidates. Here the candidate set — all
-/// unprioritized ready ops plus the ops holding the minimum priority — is
-/// directly addressable: unprioritized ops in one FIFO, prioritized ops
-/// bucketed by priority. A monotone sequence number stamps every push so
-/// the two pools can be threaded back into the exact readiness order the
-/// seed engine's candidate indices exposed (the RNG pick index must mean
-/// the same op).
+/// Two pools, each in readiness order by a push stamp: unprioritized ops,
+/// and prioritized ops sorted by `(priority, stamp)` so the lowest
+/// priority's ops are a prefix. TIC, TAC and `random_order` prioritize
+/// recvs only, which never enter a ready queue, so outside hand-built
+/// schedules the second pool is empty and a pick is one `remove`.
 #[derive(Debug, Default)]
 struct ReadyQueue {
     seq: u64,
-    /// Unprioritized ready ops in push order.
+    /// Unprioritized ready ops, `(stamp, op)` in push order.
     unprio: VecDeque<(u64, OpId)>,
-    /// Prioritized ready ops, bucketed by priority, each in push order.
-    buckets: BTreeMap<u64, VecDeque<(u64, OpId)>>,
-    len: usize,
+    /// Prioritized ready ops, `(priority, stamp, op)` ascending.
+    prio: VecDeque<(u64, u64, OpId)>,
 }
 
 impl ReadyQueue {
@@ -226,18 +224,28 @@ impl ReadyQueue {
         self.seq += 1;
         match priority {
             None => self.unprio.push_back((self.seq, op)),
-            Some(p) => self.buckets.entry(p).or_default().push_back((self.seq, op)),
+            Some(p) => {
+                // Stamps only grow: the slot is the end of `p`'s run.
+                let at = self.prio.partition_point(|e| e.0 <= p);
+                self.prio.insert(at, (p, self.seq, op));
+            }
         }
-        self.len += 1;
     }
 
     fn is_empty(&self) -> bool {
-        self.len == 0
+        self.unprio.is_empty() && self.prio.is_empty()
     }
 
-    /// Number of pick candidates: unprioritized plus the minimum bucket.
+    /// Number of ready ops holding the lowest priority number.
+    fn min_priority_len(&self) -> usize {
+        self.prio
+            .front()
+            .map_or(0, |&(min, ..)| self.prio.partition_point(|e| e.0 <= min))
+    }
+
+    /// Number of pick candidates.
     fn candidates(&self) -> usize {
-        self.unprio.len() + self.buckets.first_key_value().map_or(0, |(_, b)| b.len())
+        self.unprio.len() + self.min_priority_len()
     }
 
     /// Removes and returns the `idx`-th candidate in readiness order.
@@ -246,92 +254,69 @@ impl ReadyQueue {
     ///
     /// Panics if `idx >= self.candidates()`.
     fn take_candidate(&mut self, idx: usize) -> OpId {
-        let min_key = self.buckets.first_key_value().map(|(&k, _)| k);
-        let bucket_at = |b: usize| {
-            min_key.and_then(|k| self.buckets.get(&k).and_then(|q| q.get(b).map(|e| e.0)))
-        };
-        // Merge the two pools by sequence number up to position `idx`.
-        let (mut a, mut b) = (0usize, 0usize);
-        for _ in 0..idx {
-            match (self.unprio.get(a).map(|e| e.0), bucket_at(b)) {
-                (Some(x), Some(y)) if x < y => a += 1,
-                (Some(_), Some(_)) | (None, Some(_)) => b += 1,
-                (Some(_), None) => a += 1,
-                (None, None) => panic!("candidate index out of range"),
-            }
+        let run = self.min_priority_len();
+        if run == 0 {
+            return self.unprio.remove(idx).expect("candidate index in range").1;
         }
-        let from_unprio = match (self.unprio.get(a).map(|e| e.0), bucket_at(b)) {
-            (Some(x), Some(y)) => x < y,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => panic!("candidate index out of range"),
-        };
-        self.len -= 1;
-        if from_unprio {
-            self.unprio.remove(a).expect("candidate present").1
-        } else {
-            let k = min_key.expect("bucket candidate implies a bucket");
-            let bucket = self.buckets.get_mut(&k).expect("minimum bucket");
-            let op = bucket.remove(b).expect("candidate present").1;
-            if bucket.is_empty() {
-                self.buckets.remove(&k);
+        // Merge the two pools by stamp: `a` entries of `unprio` and `b` of
+        // the lowest-priority run come before the candidate looked at.
+        let (mut a, mut b) = (0, 0);
+        let from_unprio = loop {
+            let next_unprio = match (self.unprio.get(a), self.prio.get(b)) {
+                (Some(u), Some(p)) if b < run => u.0 < p.1,
+                (Some(_), _) => true,
+                (None, _) => false,
+            };
+            if a + b == idx {
+                break next_unprio;
             }
-            op
+            if next_unprio {
+                a += 1;
+            } else {
+                b += 1;
+            }
+        };
+        if from_unprio {
+            self.unprio.remove(a).expect("an entry was seen at `a`").1
+        } else {
+            assert!(b < run, "candidate index out of range");
+            self.prio.remove(b).expect("`b` is inside the run").2
         }
     }
 }
 
-/// One queued transfer on a channel.
-#[derive(Debug, Clone, Copy)]
-struct ChanEntry {
-    seq: u64,
-    op: OpId,
-    rank: Option<u64>,
-    alive: bool,
-}
-
-/// Per-channel pending-transfer queue with an `O(log n)` ranked pick.
+/// Per-channel queue of handed-off transfers.
 ///
-/// The seed engine kept a flat `Vec` and scanned it per pick for the
-/// minimum enforcement rank, then `Vec::remove`d by index. Here entries
-/// live in `order` (hand-off order — the disorder-window pick indexes
-/// live entries in this order) with a side map from enforcement rank to
-/// entry sequence number for the lowest-rank fast path. Removals tombstone
-/// the entry; dead prefixes pop eagerly and the deque is compacted when
-/// tombstones outnumber live entries, keeping walks amortized cheap.
+/// `order` holds them in hand-off order, which is what the
+/// disorder-window pick indexes. `ranked` is a min-heap over the
+/// `(rank, stamp)` of the entries that carry an enforcement rank, so the
+/// lowest rank — the earliest handed off among equals — is found without
+/// a scan; stamps grow along `order`, so its entry is then a binary
+/// search away.
 #[derive(Debug, Default)]
 struct ChanQueue {
     seq: u64,
-    /// Queued transfers in hand-off order; `seq` is strictly increasing
-    /// along the deque (compaction preserves order).
-    order: VecDeque<ChanEntry>,
-    /// Enforcement rank -> `seq` of the live entry carrying it.
-    ranked: BTreeMap<u64, u64>,
-    live: usize,
+    /// Queued transfers, `(stamp, op, rank)` in hand-off order.
+    order: VecDeque<(u64, OpId, Option<u64>)>,
+    /// `(rank, stamp)` of every queued transfer that carries a rank.
+    ranked: BinaryHeap<Reverse<(u64, u64)>>,
 }
 
 impl ChanQueue {
     fn push(&mut self, op: OpId, rank: Option<u64>) {
         self.seq += 1;
         if let Some(r) = rank {
-            let prev = self.ranked.insert(r, self.seq);
-            debug_assert!(prev.is_none(), "duplicate enforcement rank {r} queued");
+            self.ranked.push(Reverse((r, self.seq)));
         }
-        self.order.push_back(ChanEntry {
-            seq: self.seq,
-            op,
-            rank,
-            alive: true,
-        });
-        self.live += 1;
+        self.order.push_back((self.seq, op, rank));
     }
 
     fn is_empty(&self) -> bool {
-        self.live == 0
+        self.order.is_empty()
     }
 
-    fn live(&self) -> usize {
-        self.live
+    fn len(&self) -> usize {
+        self.order.len()
     }
 
     fn has_ranked(&self) -> bool {
@@ -339,61 +324,32 @@ impl ChanQueue {
     }
 
     /// Removes and returns the queued transfer with the lowest enforcement
-    /// rank.
+    /// rank, the earliest handed off if several share it.
     ///
     /// # Panics
     ///
     /// Panics if no ranked transfer is queued.
     fn pop_min_rank(&mut self) -> OpId {
-        let (&rank, &seq) = self.ranked.iter().next().expect("a ranked entry");
-        self.ranked.remove(&rank);
+        let Reverse((_, seq)) = self.ranked.pop().expect("a ranked entry");
         let idx = self
             .order
-            .binary_search_by(|e| e.seq.cmp(&seq))
+            .binary_search_by_key(&seq, |e| e.0)
             .expect("ranked entry present in order");
-        let op = self.order[idx].op;
-        self.order[idx].alive = false;
-        self.live -= 1;
-        self.trim();
-        op
+        self.order.remove(idx).expect("index from the search").1
     }
 
-    /// Removes and returns the `idx`-th live transfer in hand-off order.
+    /// Removes and returns the `idx`-th queued transfer in hand-off order.
     ///
     /// # Panics
     ///
-    /// Panics if `idx >= self.live()`.
-    fn pop_live_index(&mut self, idx: usize) -> OpId {
-        let mut seen = 0usize;
-        let pos = self
-            .order
-            .iter()
-            .position(|e| {
-                if e.alive {
-                    seen += 1;
-                }
-                e.alive && seen == idx + 1
-            })
-            .expect("live index in range");
-        let entry = &mut self.order[pos];
-        entry.alive = false;
-        let op = entry.op;
-        if let Some(r) = entry.rank {
-            self.ranked.remove(&r);
+    /// Panics if `idx >= self.len()`.
+    fn pop_index(&mut self, idx: usize) -> OpId {
+        let (seq, op, rank) = self.order.remove(idx).expect("index in range");
+        if rank.is_some() {
+            // Only a reorder error takes a ranked transfer by index.
+            self.ranked.retain(|e| e.0 .1 != seq);
         }
-        self.live -= 1;
-        self.trim();
         op
-    }
-
-    /// Pops dead prefixes and compacts when tombstones dominate.
-    fn trim(&mut self) {
-        while self.order.front().is_some_and(|e| !e.alive) {
-            self.order.pop_front();
-        }
-        if self.order.len() > 2 * self.live.max(1) {
-            self.order.retain(|e| e.alive);
-        }
     }
 }
 
@@ -461,22 +417,28 @@ impl TransferTable {
             recv_rank: vec![None; n],
             send_of: vec![None; n],
         };
-        for recvs in schedule.ordered_recvs_per_channel(graph) {
-            for (r, recv) in recvs.into_iter().enumerate() {
-                let ranked_op = paired_send(graph, recv).unwrap_or(recv);
-                table.rank[ranked_op.index()] = Some(r as u64);
-            }
-        }
         for (id, op) in graph.ops() {
             if let Some(ch) = op.kind().channel() {
                 table.chan[id.index()] = ch.index() as u32;
             }
             if op.is_recv() {
-                let send = paired_send(graph, id);
-                table.send_of[id.index()] = send;
-                table.recv_rank[id.index()] = send
-                    .and_then(|s| table.rank[s.index()])
-                    .or(table.rank[id.index()]);
+                table.send_of[id.index()] = paired_send(graph, id);
+            }
+        }
+        // The baseline ranks nothing: both rank columns stay `None`.
+        if schedule.is_unordered() {
+            return table;
+        }
+        for recvs in schedule.ordered_recvs_per_channel(graph) {
+            for (r, recv) in recvs.into_iter().enumerate() {
+                let ranked_op = table.send_of[recv.index()].unwrap_or(recv);
+                table.rank[ranked_op.index()] = Some(r as u64);
+            }
+        }
+        for (id, op) in graph.ops() {
+            if op.is_recv() {
+                let ranked_op = table.send_of[id.index()].unwrap_or(id);
+                table.recv_rank[id.index()] = table.rank[ranked_op.index()];
             }
         }
         table
@@ -923,9 +885,8 @@ impl<'g> Engine<'g> {
         // RNG draw-order contract (DESIGN.md §7): the reorder-error
         // draw happens exactly when a ranked transfer is queued AND at
         // least two transfers are queued; the disorder-window draw
-        // spans the live queue in hand-off order — both identical to
-        // the seed engine's flat-Vec scan.
-        let len = self.chan_queue[ch].live();
+        // spans the queue in hand-off order.
+        let len = self.chan_queue[ch].len();
         if let Some(m) = &self.metrics {
             m.chan_queue_depth[ch].observe(len as u64);
         }
@@ -937,7 +898,7 @@ impl<'g> Engine<'g> {
             // Unranked pops are locally disordered: pick among the
             // oldest `disorder_window` queued transfers.
             let pick = self.rng.gen_range(0..len.min(self.disorder_window));
-            self.chan_queue[ch].pop_live_index(pick)
+            self.chan_queue[ch].pop_index(pick)
         };
         self.start_transfer(ch, recv);
     }
@@ -1006,9 +967,7 @@ impl<'g> Engine<'g> {
             m.dev_ready_depth[dev].observe(self.compute_ready[dev].candidates() as u64);
         }
         // Locally disordered pick: uniform over the oldest
-        // `disorder_window` candidates (unprioritized plus minimum-bucket
-        // ready ops, in readiness order — the same candidate list the seed
-        // engine's per-pick scan produced, so the RNG draw is identical).
+        // `disorder_window` candidates in readiness order.
         let window = self.compute_ready[dev]
             .candidates()
             .min(self.disorder_window);
@@ -1203,8 +1162,8 @@ impl<'g> Engine<'g> {
         debug_assert!(!self.done[op.index()], "op {op} completed twice");
         self.done[op.index()] = true;
         self.remaining -= 1;
-        for i in 0..self.graph.succs(op).len() {
-            let succ = self.graph.succs(op)[i];
+        let graph = self.graph;
+        for &succ in graph.succs(op) {
             self.indegree[succ.index()] -= 1;
             if self.indegree[succ.index()] == 0 {
                 self.dispatch(succ);
@@ -1217,6 +1176,7 @@ impl<'g> Engine<'g> {
 mod tests {
     use super::*;
     use crate::faults::{FaultSpec, Stall};
+    use proptest::prelude::*;
     use tictac_cluster::{deploy, ClusterSpec};
     use tictac_graph::{Cost, GraphBuilder};
     use tictac_models::{tiny_mlp, Mode};
@@ -1272,20 +1232,20 @@ mod tests {
     fn ready_queue_merges_pools_in_push_order() {
         let op = OpId::from_index;
         let mut q = ReadyQueue::default();
-        q.push(op(0), None); // seq 1, unprio
-        q.push(op(1), Some(5)); // seq 2, bucket 5
-        q.push(op(2), Some(3)); // seq 3, bucket 3 (min)
-        q.push(op(3), None); // seq 4, unprio
-        q.push(op(4), Some(3)); // seq 5, bucket 3
-                                // Candidates = unprio {0, 3} + min bucket {2, 4}, in push order:
-                                // [0, 2, 3, 4]; op 1 (bucket 5) is not a candidate.
+        q.push(op(0), None);
+        q.push(op(1), Some(5));
+        q.push(op(2), Some(3));
+        q.push(op(3), None);
+        q.push(op(4), Some(3));
+        // Candidates = unprioritized {0, 3} + lowest priority {2, 4}, in
+        // push order: [0, 2, 3, 4]; op 1 (priority 5) is not a candidate.
         assert_eq!(q.candidates(), 4);
         assert_eq!(q.take_candidate(2), op(3));
         assert_eq!(q.take_candidate(1), op(2));
-        // Bucket 3 now holds only op 4; candidates = [0, 4].
+        // Only op 4 holds priority 3 now; candidates = [0, 4].
         assert_eq!(q.candidates(), 2);
         assert_eq!(q.take_candidate(1), op(4));
-        // Bucket 3 drained: bucket 5 becomes the minimum.
+        // Priority 3 drained: 5 becomes the lowest.
         assert_eq!(q.candidates(), 2);
         assert_eq!(q.take_candidate(1), op(1));
         assert_eq!(q.take_candidate(0), op(0));
@@ -1293,27 +1253,131 @@ mod tests {
     }
 
     #[test]
-    fn chan_queue_ranked_and_live_index_pops() {
+    fn chan_queue_ranked_and_index_pops() {
         let op = OpId::from_index;
         let mut q = ChanQueue::default();
         q.push(op(0), None);
         q.push(op(1), Some(7));
         q.push(op(2), Some(2));
         q.push(op(3), None);
-        assert_eq!(q.live(), 4);
+        assert_eq!(q.len(), 4);
         assert!(q.has_ranked());
         // Lowest rank first, regardless of queue position.
         assert_eq!(q.pop_min_rank(), op(2));
-        // Live index skips the tombstone left behind: [0, 1, 3].
-        assert_eq!(q.pop_live_index(1), op(1));
+        // An index pick counts what is left, in hand-off order: [0, 1, 3].
+        assert_eq!(q.pop_index(1), op(1));
         assert!(!q.has_ranked());
-        assert_eq!(q.pop_live_index(1), op(3));
-        assert_eq!(q.pop_live_index(0), op(0));
+        assert_eq!(q.pop_index(1), op(3));
+        assert_eq!(q.pop_index(0), op(0));
         assert!(q.is_empty());
         // Requeue after drain (retransmit path): ranks come back.
         q.push(op(2), Some(2));
         assert!(q.has_ranked());
         assert_eq!(q.pop_min_rank(), op(2));
+    }
+
+    /// A queue as DESIGN.md §7 item 3 words it: one flat list in push
+    /// order, scanned per pick. The models both queues are tested against.
+    type Flat = Vec<(OpId, Option<u64>)>;
+
+    /// The first entry holding the lowest rank.
+    fn flat_min_rank(flat: &Flat) -> usize {
+        let min = flat.iter().filter_map(|e| e.1).min();
+        flat.iter()
+            .position(|e| e.1.is_some() && e.1 == min)
+            .unwrap()
+    }
+
+    /// The §3.1 candidates: positions of the unprioritized entries and of
+    /// those holding the lowest priority number, in push order.
+    fn flat_candidates(flat: &Flat) -> Vec<usize> {
+        let min = flat.iter().filter_map(|e| e.1).min();
+        let candidate = |e: &(OpId, Option<u64>)| e.1.is_none() || e.1 == min;
+        (0..flat.len()).filter(|&i| candidate(&flat[i])).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Hand-offs (some unranked, ranks narrow enough to be shared),
+        /// retransmits re-pushing an op with the rank it was popped with,
+        /// lowest-rank pops and index picks that may land on a ranked
+        /// entry, at queue depths from 1 to past 64: every pick returns
+        /// the op the flat scan returns.
+        #[test]
+        fn chan_queue_picks_what_the_flat_scan_picks(seed in any::<u64>(), ranks in 1u64..90) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for depth in [2usize, 9, 64, 150] {
+                let (mut q, mut flat, mut popped) = (ChanQueue::default(), Flat::new(), Flat::new());
+                let mut deepest = 0;
+                for step in 0..6 * depth {
+                    let filling = step < depth || flat.len() < depth / 2;
+                    if flat.is_empty() || rng.gen_range(0..5) < if filling { 4 } else { 2 } {
+                        let entry = if !popped.is_empty() && rng.gen_range(0..3) == 0 {
+                            popped.swap_remove(rng.gen_range(0..popped.len()))
+                        } else {
+                            let rank = (rng.gen_range(0..4) != 0).then(|| rng.gen_range(0..ranks));
+                            (OpId::from_index(step), rank)
+                        };
+                        q.push(entry.0, entry.1);
+                        flat.push(entry);
+                    } else {
+                        let by_rank = q.has_ranked() && rng.gen_range(0..4) != 0;
+                        let (got, at) = if by_rank {
+                            (q.pop_min_rank(), flat_min_rank(&flat))
+                        } else {
+                            let at = rng.gen_range(0..flat.len());
+                            (q.pop_index(at), at)
+                        };
+                        let want = flat.remove(at);
+                        prop_assert_eq!(got, want.0, "depth {} step {}", depth, step);
+                        popped.push(want);
+                    }
+                    prop_assert_eq!(q.len(), flat.len());
+                    prop_assert_eq!(q.has_ranked(), flat.iter().any(|e| e.1.is_some()));
+                    deepest = deepest.max(flat.len());
+                }
+                prop_assert!(deepest >= depth / 2, "depth {} reached only {}", depth, deepest);
+            }
+        }
+
+        /// Ready ops with and without priorities (none at all when
+        /// `prioritized` is 0, the production case), priorities narrow
+        /// enough to be shared, crash re-queues: every candidate index
+        /// names the op it names in the flat scan's candidate list.
+        #[test]
+        fn ready_queue_picks_what_the_flat_scan_picks(
+            seed in any::<u64>(),
+            prioritized in 0u32..4,
+            priorities in 1u64..12,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for depth in [2usize, 9, 64, 150] {
+                let (mut q, mut flat, mut popped) = (ReadyQueue::default(), Flat::new(), Flat::new());
+                for step in 0..6 * depth {
+                    let filling = step < depth || flat.len() < depth / 2;
+                    if flat.is_empty() || rng.gen_range(0..5) < if filling { 4 } else { 2 } {
+                        let entry = if !popped.is_empty() && rng.gen_range(0..8) == 0 {
+                            popped.swap_remove(rng.gen_range(0..popped.len()))
+                        } else {
+                            let priority = (rng.gen_range(0..3u32) < prioritized)
+                                .then(|| rng.gen_range(0..priorities));
+                            (OpId::from_index(step), priority)
+                        };
+                        q.push(entry.0, entry.1);
+                        flat.push(entry);
+                    } else {
+                        let candidates = flat_candidates(&flat);
+                        prop_assert_eq!(q.candidates(), candidates.len());
+                        let pick = rng.gen_range(0..candidates.len());
+                        let want = flat.remove(candidates[pick]);
+                        prop_assert_eq!(q.take_candidate(pick), want.0, "depth {} step {}", depth, step);
+                        popped.push(want);
+                    }
+                    prop_assert_eq!(q.is_empty(), flat.is_empty());
+                }
+            }
+        }
     }
 
     /// Four ops whose completions share the instant 100 us — `c` on the

@@ -412,12 +412,13 @@ pub fn regress(records: &[RunRecord], policy: &RegressPolicy) -> RegressReport {
     let mut groups: std::collections::HashMap<String, Vec<&RunRecord>> =
         std::collections::HashMap::new();
     for r in records {
-        let key = group_key(r);
-        groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
-        });
-        groups.get_mut(&group_key(r)).unwrap().push(r);
+        groups
+            .entry(group_key(r))
+            .or_insert_with_key(|key| {
+                order.push(key.clone());
+                Vec::new()
+            })
+            .push(r);
     }
     order.sort();
     let mut report = RegressReport::default();

@@ -448,6 +448,9 @@ fn runs(args: &[String], flags: &HashMap<String, String>) {
                 window: flag_usize(flags, "window", RegressPolicy::default().window),
                 ..RegressPolicy::default()
             };
+            if policy.window == 0 {
+                usage("--window must be at least 1");
+            }
             let owned: Vec<RunRecord> = filtered.iter().map(|r| (*r).clone()).collect();
             let report = regress(&owned, &policy);
             print!("{}", report.render());

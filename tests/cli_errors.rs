@@ -41,6 +41,19 @@ fn zero_iterations_is_a_usage_error_not_a_division_by_zero() {
     );
 }
 
+/// An empty window has no history to regress against: every group would
+/// read `NEW` and the gate would pass whatever the store holds.
+#[test]
+fn zero_window_is_a_usage_error_not_a_vacuous_pass() {
+    let store = concat!(env!("CARGO_MANIFEST_DIR"), "/results/runs.jsonl");
+    let (out, stderr) = tictac(&["runs", "regress", "--store", store, "--window", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: --window must be at least 1"));
+    assert!(out.stdout.is_empty(), "no verdict may be printed");
+    let (out, stderr) = tictac(&["runs", "regress", "--store", store, "--window", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
 /// A heterogeneity factor the cluster builder accepts must not run the
 /// simulated time axis off its 2^53 ns end (DESIGN.md §5): not into a
 /// wrapped `SimTime`, not into a silently short makespan, not into the

@@ -12,12 +12,13 @@
 //! 3. **Paper semantics** — under TAC enforcement with in-order
 //!    channels no transfer ever starts while a higher-priority transfer
 //!    is runnable on the same channel, while the unscheduled baseline
-//!    inverts on nearly every zoo model.
+//!    inverts on nearly every zoo model and every reorder error of an
+//!    enforced run is counted.
 
 use tictac::{
-    priority_inversions, realized_efficiency, simulate, simulate_with_plan_observed, ClusterSpec,
-    FaultCounters, FaultEventKind, Mode, Model, OpId, Registry, SchedulerKind, Session, SimConfig,
-    TraceBuilder,
+    priority_inversions, realized_efficiency, simulate, simulate_with_plan_observed, ChannelId,
+    ClusterSpec, FaultCounters, FaultEventKind, Mode, Model, OpId, Registry, SchedulerKind,
+    Session, SimConfig, TraceBuilder,
 };
 use tictac_models::tiny_mlp;
 use tictac_timing::SimTime;
@@ -219,6 +220,33 @@ fn tac_enforcement_eliminates_priority_inversions_across_the_zoo() {
         baseline_inverting >= 8,
         "only {baseline_inverting}/10 zoo models invert under the unscheduled baseline"
     );
+}
+
+#[test]
+fn reorder_errors_under_enforced_tic_are_counted_as_inversions() {
+    // gRPC's occasional out-of-order pop (§5.1) starts a transfer ahead
+    // of queued lower-ranked ones: each is an inversion against the TIC
+    // ranks, and the seeded run has exactly this many.
+    let session = Session::builder(Model::InceptionV3.build_with_batch(Mode::Training, 2))
+        .cluster(ClusterSpec::new(4, 2))
+        .config(SimConfig::cloud_gpu().with_reorder_error(0.05))
+        .scheduler(SchedulerKind::Tic)
+        .build()
+        .unwrap();
+    let g = session.deployed().graph();
+    let ranks = session.schedule();
+    let trace = session.trace_iteration(0).unwrap();
+    let report = priority_inversions(g, &trace, |op| ranks.priority(op));
+    assert_eq!(report.count(), 31);
+    let on_channels: usize = (0..g.channels().len())
+        .map(|c| report.on_channel(ChannelId::from_index(c)))
+        .sum();
+    assert_eq!(on_channels, report.count());
+    for r in &report.records {
+        assert!(ranks.priority(r.preempted) < ranks.priority(r.started));
+        let waited = trace.record(r.preempted).unwrap().start;
+        assert!(waited > r.at && r.at == trace.record(r.started).unwrap().start);
+    }
 }
 
 #[test]
