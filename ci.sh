@@ -62,6 +62,23 @@ if simulated target/ci-results/scale.txt | grep -vxFf target/ci-results/scale.co
     exit 1
 fi
 
+echo "== observe smoke =="
+# The same gate for results/observe.txt: every table row of the quick
+# sweep (alexnet_v2, resnet_v1_50) — predicted and observed E, inversions,
+# overlap — must appear in the committed file, whitespace-normalised
+# because the model column is as wide as the longest name swept. The
+# registry excerpt under the table counts engine events of what an
+# observed session simulated (its measured iterations, DESIGN.md §14) and
+# names a different model in the quick sweep, so it is not a row.
+./target/release/repro --exp observe --quick --out target/ci-results
+rows() { awk '$2 ~ /^[0-9.]+\/[0-9.]+\/[0-9.]+$/ { $1 = $1; print }' "$1"; }
+rows results/observe.txt > target/ci-results/observe.committed
+[ "$(rows target/ci-results/observe.txt | wc -l)" -eq 2 ]
+if rows target/ci-results/observe.txt | grep -vxFf target/ci-results/observe.committed; then
+    echo "error: the rows above are not in results/observe.txt" >&2
+    exit 1
+fi
+
 echo "== golden traces =="
 # Fingerprint gate: any change to simulated behavior (including the
 # pinned Perfetto export bytes) fails here, not in review.

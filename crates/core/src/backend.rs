@@ -1,7 +1,10 @@
 //! Pluggable execution backends behind the [`Session`] API.
 //!
 //! A backend turns one iteration of a deployed model plus a schedule into
-//! an [`ExecutionTrace`]. Two implementations ship:
+//! an [`ExecutionTrace`], reading the session's [`RunPlan`] — the tables
+//! and the [`SimConfig`](tictac_sim::SimConfig) derived once at build time
+//! — so no backend carries a configuration of its own that could disagree
+//! with the session's. Two implementations ship:
 //!
 //! * [`SimBackend`] — the discrete-event simulator. The default;
 //!   deterministic, virtual-time, supports fault injection and noise.
@@ -22,27 +25,29 @@ use std::fmt;
 use tictac_cluster::DeployedModel;
 use tictac_obs::Registry;
 use tictac_sched::Schedule;
-use tictac_sim::{
-    run_iteration_injected, simulate_with_plan_observed, ExecOptions, FaultPlan, RuntimeError,
-    SimConfig, SimError,
-};
+use tictac_sim::{ExecOptions, RunPlan, RuntimeError, SimConfig, SimError};
 use tictac_trace::{ExecutionTrace, FaultCounters};
 
 /// The clock domain a backend's trace timestamps live in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimeDomain {
-    /// Deterministic simulated time (event-engine ticks).
+    /// Deterministic simulated time (event-engine ticks). Iteration `i`
+    /// of a virtual-time backend is a pure function of `i`: nothing warms
+    /// up, so a session skips its warm-up indices instead of executing
+    /// them (see [`Session::try_run_with`](crate::Session::try_run_with)).
     Virtual,
-    /// Real elapsed time (nanoseconds since iteration start).
+    /// Real elapsed time (nanoseconds since iteration start). Caches,
+    /// thread start-up and the allocator do warm up, so warm-up
+    /// iterations are executed and discarded.
     WallClock,
 }
 
 /// An iteration failure from whichever backend ran it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
-    /// The simulator failed (retry exhaustion, deadlock, mismatch).
+    /// The simulator failed (retry exhaustion, deadlock).
     Sim(SimError),
-    /// The threaded runtime failed (stall, mismatch).
+    /// The threaded runtime failed (stall, retry exhaustion).
     Runtime(RuntimeError),
 }
 
@@ -90,7 +95,9 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync {
     /// The clock domain of emitted timestamps.
     fn time_domain(&self) -> TimeDomain;
 
-    /// Executes iteration `iteration` of `deployed` under `schedule`.
+    /// Executes iteration `iteration` of `deployed` under `schedule`,
+    /// from `plan` — built from exactly that graph and schedule, and the
+    /// only source of the configuration to run under.
     ///
     /// `registry`, when enabled, receives backend-internal metrics;
     /// observation must never perturb the trace.
@@ -102,29 +109,16 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync {
         &self,
         deployed: &DeployedModel,
         schedule: &Schedule,
+        plan: &RunPlan,
         iteration: u64,
         registry: &Registry,
     ) -> Result<ExecutionTrace, ExecError>;
 }
 
-/// The discrete-event simulator backend (the default).
-#[derive(Debug, Clone)]
-pub struct SimBackend {
-    config: SimConfig,
-}
-
-impl SimBackend {
-    /// A simulator backend running under `config` (platform, noise,
-    /// faults, seed).
-    pub fn new(config: SimConfig) -> Self {
-        Self { config }
-    }
-
-    /// The simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-}
+/// The discrete-event simulator backend (the default): the event engine
+/// under the plan's configuration (platform, noise, faults, seed).
+#[derive(Debug, Clone, Copy)]
+pub struct SimBackend;
 
 impl ExecutionBackend for SimBackend {
     fn name(&self) -> &'static str {
@@ -139,12 +133,13 @@ impl ExecutionBackend for SimBackend {
         &self,
         deployed: &DeployedModel,
         schedule: &Schedule,
+        plan: &RunPlan,
         iteration: u64,
         registry: &Registry,
     ) -> Result<ExecutionTrace, ExecError> {
         let graph = deployed.graph();
-        let plan = FaultPlan::sample(&self.config.faults, graph, self.config.seed, iteration);
-        simulate_with_plan_observed(graph, schedule, &self.config, iteration, &plan, registry)
+        let faults = plan.sample_faults(graph, iteration);
+        plan.simulate_observed(graph, schedule, iteration, &faults, registry)
             .map_err(ExecError::Sim)
     }
 }
@@ -161,19 +156,23 @@ impl ExecutionBackend for SimBackend {
 /// rather than silently dropping them. Schedules (including TAC's
 /// profiled one) are identical across backends, so sim and threaded runs
 /// of one session are directly comparable.
+///
+/// [`FaultPlan`]: tictac_sim::FaultPlan
 #[derive(Debug, Clone)]
 pub struct ThreadedBackend {
-    /// Platform, enforcement flag, bandwidth share, fault spec and seed:
-    /// read by the runtime exactly as the simulator reads them.
-    config: SimConfig,
+    /// The two values only a wall clock needs; platform, enforcement
+    /// flag, bandwidth share, fault spec and seed are the plan's.
     opts: ExecOptions,
 }
 
 impl ThreadedBackend {
-    /// A threaded backend running under `config`, with a 1:1 time scale
-    /// and a 30 s watchdog: the busy-loops replay the durations the
-    /// simulator models, and both backends sample identical
-    /// [`FaultPlan`]s per iteration.
+    /// A threaded backend for a session configured with `config`, with a
+    /// 1:1 time scale and a 30 s watchdog: the busy-loops replay the
+    /// durations the simulator models, and both backends sample identical
+    /// [`FaultPlan`]s per iteration. `config` is checked, not kept: the
+    /// backend runs under the session's configuration, through the plan,
+    /// and [`execute`](ExecutionBackend::execute) refuses a plan whose
+    /// configuration would not have passed here.
     ///
     /// # Errors
     ///
@@ -190,7 +189,15 @@ impl ThreadedBackend {
     ///   physical jitter.
     ///
     /// [`NoiseModel`]: tictac_timing::NoiseModel
+    /// [`FaultPlan`]: tictac_sim::FaultPlan
     pub fn from_config(config: &SimConfig) -> Result<Self, RuntimeError> {
+        Self::check(config)?;
+        Ok(Self {
+            opts: ExecOptions::default(),
+        })
+    }
+
+    fn check(config: &SimConfig) -> Result<(), RuntimeError> {
         if config.reorder_error > 0.01 {
             return Err(RuntimeError::UnsupportedConfig {
                 knob: "reorder_error",
@@ -212,10 +219,7 @@ impl ThreadedBackend {
                 ),
             });
         }
-        Ok(Self {
-            config: config.clone(),
-            opts: ExecOptions::default(),
-        })
+        Ok(())
     }
 
     /// Scales every modeled duration by `scale` (smaller = faster wall
@@ -247,18 +251,20 @@ impl ExecutionBackend for ThreadedBackend {
         &self,
         deployed: &DeployedModel,
         schedule: &Schedule,
+        plan: &RunPlan,
         iteration: u64,
         registry: &Registry,
     ) -> Result<ExecutionTrace, ExecError> {
         let started = std::time::Instant::now();
+        Self::check(plan.config()).map_err(ExecError::Runtime)?;
         let graph = deployed.graph();
-        // Same (spec, graph, seed, iteration) key as the simulator:
-        // identical seeds inject the identical fault set.
-        let plan = FaultPlan::sample(&self.config.faults, graph, self.config.seed, iteration);
-        let trace =
-            run_iteration_injected(graph, schedule, &self.config, &self.opts, iteration, &plan)
-                .map_err(ExecError::Runtime)?;
-        if !self.config.faults.is_quiet() {
+        // Same key as the simulator: identical seeds inject the identical
+        // fault set.
+        let faults = plan.sample_faults(graph, iteration);
+        let trace = plan
+            .run_threaded(graph, schedule, &self.opts, iteration, &faults)
+            .map_err(ExecError::Runtime)?;
+        if !plan.config().faults.is_quiet() {
             let c = FaultCounters::from_trace(&trace);
             registry.counter("exec.faults.drops").add(c.drops);
             registry
@@ -302,9 +308,10 @@ mod tests {
         let model = tiny_mlp(Mode::Training, 8);
         let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
         let s = no_ordering(d.graph());
+        let plan = RunPlan::new(d.graph(), &s, &SimConfig::cloud_gpu()).unwrap();
         let reg = Registry::disabled();
 
-        let sim: Box<dyn ExecutionBackend> = Box::new(SimBackend::new(SimConfig::cloud_gpu()));
+        let sim: Box<dyn ExecutionBackend> = Box::new(SimBackend);
         let thr: Box<dyn ExecutionBackend> = Box::new(
             ThreadedBackend::from_config(&SimConfig::cloud_gpu())
                 .expect("preset config is supported")
@@ -313,7 +320,7 @@ mod tests {
         assert_eq!(sim.time_domain(), TimeDomain::Virtual);
         assert_eq!(thr.time_domain(), TimeDomain::WallClock);
         for b in [&sim, &thr] {
-            let trace = b.execute(&d, &s, 0, &reg).unwrap();
+            let trace = b.execute(&d, &s, &plan, 0, &reg).unwrap();
             assert_eq!(
                 trace.executed_ops(),
                 d.graph().len(),
@@ -324,25 +331,34 @@ mod tests {
     }
 
     #[test]
-    fn exec_errors_wrap_and_display_both_sources() {
+    fn threaded_backend_refuses_a_plan_it_could_not_have_been_built_for() {
         let model = tiny_mlp(Mode::Training, 8);
         let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
-        let bad = Schedule::empty(d.graph().len() + 7);
-        let reg = Registry::disabled();
-
-        let sim = SimBackend::new(SimConfig::cloud_gpu());
-        match sim.execute(&d, &bad, 0, &reg) {
-            Err(e @ ExecError::Sim(SimError::ScheduleMismatch { .. })) => {
-                assert!(e.to_string().contains("simulation failed"));
-            }
-            other => panic!("expected sim mismatch, got {other:?}"),
-        }
+        let s = no_ordering(d.graph());
+        let heavy = SimConfig::cloud_gpu().with_reorder_error(0.5);
+        assert!(ThreadedBackend::from_config(&heavy).is_err());
+        let plan = RunPlan::new(d.graph(), &s, &heavy).unwrap();
         let thr = ThreadedBackend::from_config(&SimConfig::cloud_gpu()).unwrap();
-        match thr.execute(&d, &bad, 0, &reg) {
-            Err(e @ ExecError::Runtime(RuntimeError::ScheduleMismatch { .. })) => {
-                assert!(e.to_string().contains("threaded execution failed"));
+        match thr.execute(&d, &s, &plan, 0, &Registry::disabled()) {
+            Err(ExecError::Runtime(RuntimeError::UnsupportedConfig { knob, .. })) => {
+                assert_eq!(knob, "reorder_error");
             }
-            other => panic!("expected runtime mismatch, got {other:?}"),
+            other => panic!("expected an unsupported config, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn exec_errors_wrap_and_display_both_sources() {
+        let sim = ExecError::from(SimError::ScheduleMismatch {
+            schedule_len: 9,
+            graph_len: 2,
+        });
+        assert!(sim.to_string().contains("simulation failed"));
+        let thr = ExecError::from(RuntimeError::RetriesExhausted {
+            op: tictac_graph::OpId::from_index(4),
+            attempts: 3,
+        });
+        assert!(thr.to_string().contains("threaded execution failed"));
+        assert!(std::error::Error::source(&thr).is_some());
     }
 }

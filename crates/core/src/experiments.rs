@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tictac_cluster::DeployedModel;
 use tictac_sched::no_ordering;
-use tictac_sim::{simulate, SimConfig};
+use tictac_sim::{RunPlan, SimConfig};
 
 /// Counts how many distinct parameter-arrival orders the reference worker
 /// observes over `runs` baseline iterations — the experiment of §2.2
@@ -20,9 +20,12 @@ pub fn count_unique_recv_orders(
     let graph = deployed.graph();
     let schedule = no_ordering(graph);
     let w0 = deployed.workers()[0];
+    let plan = RunPlan::new(graph, &schedule, config).expect("`no_ordering` covers its graph");
     let mut seen = HashSet::with_capacity(runs);
     for i in 0..runs {
-        let trace = simulate(graph, &schedule, config, i as u64);
+        let trace = plan
+            .try_simulate(graph, &schedule, i as u64)
+            .unwrap_or_else(|e| panic!("{e}"));
         seen.insert(trace.recv_completion_order(graph, w0));
     }
     seen.len()

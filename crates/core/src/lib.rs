@@ -79,7 +79,7 @@ pub use tictac_sched::{
 pub use tictac_sim::{
     noise_free_profile, run_iteration_injected, simulate, simulate_with_plan_observed,
     try_simulate, Blackout, Crash, ExecOptions, FaultClock, FaultCounters, FaultPlan, FaultSpec,
-    IterationMetrics, RuntimeError, SimConfig, SimError, Stall,
+    IterationMetrics, RunPlan, RuntimeError, SimConfig, SimError, Stall,
 };
 #[doc(hidden)]
 pub use tictac_sim::{selected_engine, EngineChoice};

@@ -8,7 +8,7 @@ use tictac_scenario::{BackendKind, Scenario};
 use tictac_sched::{
     efficiency, no_ordering, Baseline, Random, Schedule, Scheduler, TacScheduler, TicScheduler,
 };
-use tictac_sim::{noise_free_profile, simulate, FaultCounters, FaultSpec, SimConfig};
+use tictac_sim::{noise_free_profile, FaultCounters, FaultSpec, RunPlan, SimConfig};
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
 use tictac_timing::{GeneralOracle, MeasuredProfile, NoiseModel, SimDuration, TimeOracle};
 use tictac_trace::{analyze, estimate_profile, ExecutionTrace};
@@ -34,7 +34,11 @@ pub struct SessionConfig {
     pub config: SimConfig,
     /// Transfer-scheduling policy.
     pub scheduler: SchedulerKind,
-    /// Discarded warm-up iterations.
+    /// Warm-up iterations: the first `warmup` iteration indices of a run
+    /// are never measured. A wall-clock backend executes and discards
+    /// them; a virtual-time backend, where nothing warms up, skips them —
+    /// measured iterations keep their indices (`warmup..`) either way, so
+    /// reports and records do not depend on which happened.
     pub warmup: usize,
     /// Measured iterations.
     pub iterations: usize,
@@ -93,7 +97,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Number of discarded warm-up iterations (default 2, as in §6).
+    /// Number of warm-up iterations (default 2, as in §6): indices
+    /// `0..warmup` are never measured — executed and discarded on a
+    /// wall-clock backend, skipped on a virtual-time one (see
+    /// [`SessionConfig::warmup`]).
     pub fn warmup(mut self, warmup: usize) -> Self {
         self.settings.warmup = warmup;
         self
@@ -139,7 +146,8 @@ impl SessionBuilder {
     /// Deploys the model and computes the schedule, consulting the
     /// process-wide [`DeployCache`](crate::DeployCache): sessions sharing
     /// a `(model, cluster, scheduler, config)` configuration share one
-    /// deployed graph and one schedule vector behind `Arc`s.
+    /// deployed graph and one schedule vector behind `Arc`s. Then derives
+    /// the [`RunPlan`] every iteration of the session runs from.
     ///
     /// # Errors
     ///
@@ -155,9 +163,9 @@ impl SessionBuilder {
             &self.registry,
         )?;
         let schedule_compute_time = started.elapsed();
-        let backend = self
-            .backend
-            .unwrap_or_else(|| Box::new(SimBackend::new(s.config.clone())));
+        let plan = RunPlan::new(deployed.graph(), &schedule, &s.config)
+            .expect("a derived schedule covers its graph");
+        let backend = self.backend.unwrap_or_else(|| Box::new(SimBackend));
         let sink = self
             .sink
             .or_else(|| tictac_store::global_store().map(|s| s as std::sync::Arc<dyn RunSink>));
@@ -173,6 +181,7 @@ impl SessionBuilder {
             warmup: s.warmup,
             iterations: s.iterations,
             schedule,
+            plan,
             schedule_compute_time,
             registry: self.registry,
             backend,
@@ -278,14 +287,12 @@ fn profile_oracle(deployed: &DeployedModel, config: &SimConfig) -> MeasuredProfi
         return noise_free_profile(graph, &profile_config);
     }
     let unordered = no_ordering(graph);
+    let plan =
+        RunPlan::new(graph, &unordered, &profile_config).expect("`no_ordering` covers its graph");
     let traces: Vec<_> = (0..5)
         .map(|i| {
-            simulate(
-                graph,
-                &unordered,
-                &profile_config,
-                PROFILE_ITERATION_BASE + i,
-            )
+            plan.try_simulate(graph, &unordered, PROFILE_ITERATION_BASE + i)
+                .expect("a fault-free run of a deployed graph completes")
         })
         .collect();
     estimate_profile(&traces)
@@ -431,6 +438,10 @@ pub struct Session {
     warmup: usize,
     iterations: usize,
     schedule: std::sync::Arc<Schedule>,
+    /// The tables and configuration every iteration runs from: derived
+    /// once from `deployed`, `schedule` and `sim_config`, none of which
+    /// changes afterwards.
+    plan: RunPlan,
     schedule_compute_time: std::time::Duration,
     registry: Registry,
     backend: Box<dyn ExecutionBackend>,
@@ -594,16 +605,24 @@ impl Session {
     }
 
     /// Executes one iteration on the session's backend and returns its
-    /// trace, exactly as [`try_run`](Session::try_run) would execute it at
-    /// the same iteration index (warm-up included: index 0 is the first
-    /// warm-up iteration).
+    /// trace, exactly as [`try_run`](Session::try_run) executes it at the
+    /// same iteration index. Indices count from the first warm-up
+    /// iteration: `0..warmup` are the warm-ups — which a run on a
+    /// virtual-time backend skips, but which are executed here like any
+    /// other index when asked for — and `warmup` is the first measured
+    /// one.
     ///
     /// # Errors
     ///
     /// Returns the [`ExecError`] of an unrecoverable iteration.
     pub fn trace_iteration(&self, iteration: u64) -> Result<ExecutionTrace, ExecError> {
-        self.backend
-            .execute(&self.deployed, &self.schedule, iteration, &self.registry)
+        self.backend.execute(
+            &self.deployed,
+            &self.schedule,
+            &self.plan,
+            iteration,
+            &self.registry,
+        )
     }
 
     /// Renders one iteration as Chrome/Perfetto `trace_event` JSON (load
@@ -640,7 +659,8 @@ impl Session {
         ))
     }
 
-    /// Runs warm-up plus measured iterations and reports metrics.
+    /// Runs the measured iterations (after any warm-up the backend needs)
+    /// and reports metrics.
     ///
     /// This is the zero-config sugar for
     /// [`run_with`](Session::run_with)`(RunOptions::default())` — use
@@ -663,10 +683,10 @@ impl Session {
         self.try_run_with(options).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs warm-up plus measured iterations, surfacing execution
-    /// failures (exhausted retry budgets with no degraded barrier,
-    /// deadlocks, threaded-runtime stalls) as typed errors instead of
-    /// panicking.
+    /// Runs the measured iterations (after any warm-up the backend
+    /// needs), surfacing execution failures (exhausted retry budgets with
+    /// no degraded barrier, deadlocks, threaded-runtime stalls) as typed
+    /// errors instead of panicking.
     ///
     /// # Errors
     ///
@@ -677,13 +697,24 @@ impl Session {
 
     /// Like [`try_run`](Session::try_run), with explicit [`RunOptions`].
     ///
+    /// Measured iterations are indices `offset + warmup ..`. On a
+    /// wall-clock backend the `warmup` indices before them are executed
+    /// first and their traces dropped; on a virtual-time backend they are
+    /// not executed at all — iteration `i` there is a pure function of
+    /// `(seed, i)`, so the result is the same and an attached registry's
+    /// engine counters cover the measured iterations only.
+    ///
     /// # Errors
     ///
-    /// Returns the first [`ExecError`] any iteration produces.
+    /// Returns the first [`ExecError`] any executed iteration produces.
     pub fn try_run_with(&self, options: RunOptions) -> Result<RunReport, ExecError> {
         let offset = options.offset;
         let iterations = options.iterations.unwrap_or(self.iterations);
         let graph = self.deployed.graph();
+        let first = match self.backend.time_domain() {
+            TimeDomain::Virtual => self.warmup,
+            TimeDomain::WallClock => 0,
+        };
 
         let m_iterations = self.registry.counter("session.iterations");
         let m_retries = self.registry.counter("session.retries");
@@ -697,9 +728,9 @@ impl Session {
         // Inversion detection walks the whole trace, so it runs only when
         // the run is being recorded into a store.
         let mut inversions = Vec::with_capacity(if self.sink.is_some() { iterations } else { 0 });
-        for i in 0..(self.warmup + iterations) as u64 {
-            let trace = self.trace_iteration(offset + i)?;
-            if (i as usize) < self.warmup {
+        for i in first..self.warmup + iterations {
+            let trace = self.trace_iteration(offset + i as u64)?;
+            if i < self.warmup {
                 continue;
             }
             if self.sink.is_some() {
@@ -948,6 +979,110 @@ mod tests {
             Some(tictac_obs::MetricValue::Gauge(v)) => assert_eq!(*v, 100.0),
             other => panic!("expected goodput gauge, got {other:?}"),
         }
+    }
+
+    /// Delegates to the simulator, counting calls, under a clock domain
+    /// of the test's choosing.
+    #[derive(Debug)]
+    struct Counting {
+        domain: TimeDomain,
+        calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl ExecutionBackend for Counting {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn time_domain(&self) -> TimeDomain {
+            self.domain
+        }
+
+        fn execute(
+            &self,
+            deployed: &DeployedModel,
+            schedule: &Schedule,
+            plan: &RunPlan,
+            iteration: u64,
+            registry: &Registry,
+        ) -> Result<ExecutionTrace, ExecError> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            SimBackend.execute(deployed, schedule, plan, iteration, registry)
+        }
+    }
+
+    #[test]
+    fn warmups_are_executed_on_a_wall_clock_and_skipped_in_virtual_time() {
+        use std::sync::atomic::Ordering;
+        let run = |domain| {
+            let calls = std::sync::Arc::default();
+            let report = Session::builder(tiny_mlp(Mode::Training, 8))
+                .scheduler(SchedulerKind::Tic)
+                .backend(Counting {
+                    domain,
+                    calls: std::sync::Arc::clone(&calls),
+                })
+                .warmup(2)
+                .iterations(3)
+                .build()
+                .unwrap()
+                .run();
+            (report, calls.load(Ordering::Relaxed))
+        };
+        let (virtual_time, virtual_calls) = run(TimeDomain::Virtual);
+        let (wall_clock, wall_calls) = run(TimeDomain::WallClock);
+        assert_eq!(virtual_calls, 3, "measured iterations only");
+        assert_eq!(wall_calls, 5, "warm-ups executed and discarded");
+        // Same indices measured either way.
+        assert_eq!(virtual_time.iterations, wall_clock.iterations);
+    }
+
+    #[test]
+    fn skipped_warmups_leave_reports_records_and_counters_as_if_run() {
+        use tictac_store::MemorySink;
+        let sink = std::sync::Arc::new(MemorySink::new());
+        let build = |warmup, registry: Registry| {
+            Session::builder(tiny_mlp(Mode::Training, 8))
+                .cluster(ClusterSpec::new(2, 1))
+                .scheduler(SchedulerKind::Tac)
+                .warmup(warmup)
+                .iterations(3)
+                .observe(registry)
+                .record_to(sink.clone())
+                .build()
+                .unwrap()
+        };
+        let warmed = build(2, Registry::disabled()).try_run().unwrap();
+        let shifted = build(0, Registry::disabled())
+            .try_run_with(RunOptions::new().offset(2))
+            .unwrap();
+        assert_eq!(warmed.iterations, shifted.iterations);
+        let lines: Vec<String> = sink.take().iter().map(RunRecord::encode).collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0], lines[1], "the stored bytes are the same");
+
+        // An observed session's engine counters cover what was simulated:
+        // the measured iterations 2, 3 and 4, each counted here on its own.
+        let registry = Registry::enabled();
+        let observed = build(2, registry.clone());
+        assert_eq!(observed.try_run().unwrap().iterations, warmed.iterations);
+        let events: u64 = (2..5)
+            .map(|i| {
+                let counted = Registry::enabled();
+                tictac_sim::simulate_with_plan_observed(
+                    observed.deployed().graph(),
+                    observed.schedule(),
+                    &SimConfig::cloud_gpu(),
+                    i,
+                    &tictac_sim::FaultPlan::quiet(),
+                    &counted,
+                )
+                .unwrap();
+                counted.snapshot().counter("sim.events").unwrap()
+            })
+            .sum();
+        assert_eq!(registry.snapshot().counter("sim.events"), Some(events));
     }
 
     #[test]

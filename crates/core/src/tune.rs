@@ -20,7 +20,7 @@
 
 use tictac_cluster::{ClusterSpec, CommConfig, DeployError};
 use tictac_graph::ModelGraph;
-use tictac_sim::{simulate, FaultSpec, SimConfig};
+use tictac_sim::{FaultSpec, RunPlan, SimConfig};
 
 use crate::cache::DeployCache;
 use crate::session::SchedulerKind;
@@ -150,9 +150,12 @@ pub fn auto_tune_with(
             &config,
             samples,
             |d, sched| {
+                let plan = RunPlan::new(d.graph(), sched, &config)
+                    .expect("a derived schedule covers its graph");
                 let sum: f64 = (0..u64::from(samples))
                     .map(|i| {
-                        simulate(d.graph(), sched, &config, EVAL_ITER_BASE + i)
+                        plan.try_simulate(d.graph(), sched, EVAL_ITER_BASE + i)
+                            .expect("a fault-free run of a deployed graph completes")
                             .makespan()
                             .as_secs_f64()
                     })

@@ -135,7 +135,10 @@ pub struct Scenario {
     pub seed: u64,
     /// Measured iterations.
     pub iterations: usize,
-    /// Discarded warm-up iterations.
+    /// Warm-up iterations (`warmup:`): iteration indices `0..warmup` are
+    /// never measured. The `threaded` backend executes and discards them;
+    /// the `sim` backend, whose iterations are pure functions of their
+    /// index, skips them. Measured iterations are `warmup..` on both.
     pub warmup: usize,
     /// Wall-clock compression for the threaded backend (`0.5` = twice as
     /// fast as modelled time). `None` = real time. Ignored by the sim.

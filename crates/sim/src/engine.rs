@@ -1,15 +1,16 @@
 //! The discrete-event execution engine and its driver.
 //!
 //! Every public `simulate*` entry point ends in one driver
-//! ([`simulate_with_plan_observed`]): validate the schedule, build the
-//! engine, run it. One single-threaded seeded event loop per run;
-//! parallelism lives outside it, in `tictac_core::parallel_map` over
-//! independent grid points (DESIGN.md §12).
+//! ([`RunPlan::simulate_observed`]): build the engine over the plan's
+//! tables, run it. The free functions are a plan for one run. One
+//! single-threaded seeded event loop per run; parallelism lives outside
+//! it, in `tictac_core::parallel_map` over independent grid points
+//! (DESIGN.md §12).
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::faults::{FaultClock, FaultPlan};
-use crate::service::{paired_send, ServiceTimes};
+use crate::plan::{RunPlan, TransferTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -17,7 +18,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
 use tictac_obs::{BucketHistogram, Counter, Registry};
 use tictac_sched::Schedule;
-use tictac_timing::SimTime;
+use tictac_timing::{SimDuration, SimTime};
 use tictac_trace::{ExecutionTrace, FaultEventKind, TraceBuilder};
 
 /// Simulates one iteration of `graph` under `schedule` and returns its
@@ -30,7 +31,9 @@ use tictac_trace::{ExecutionTrace, FaultEventKind, TraceBuilder};
 ///
 /// This is the panicking convenience wrapper around [`try_simulate`];
 /// prefer the latter when faults are enabled and failures (exhausted retry
-/// budgets without a degraded barrier) are expected outcomes.
+/// budgets without a degraded barrier) are expected outcomes. Both derive
+/// a [`RunPlan`] for the one run; callers that run many iterations of one
+/// `(graph, schedule, config)` build the plan once and run from it.
 ///
 /// # Panics
 ///
@@ -60,22 +63,13 @@ pub fn try_simulate(
     config: &SimConfig,
     iteration: u64,
 ) -> Result<ExecutionTrace, SimError> {
-    let plan = FaultPlan::sample(&config.faults, graph, config.seed, iteration);
-    let registry = Registry::disabled();
-    simulate_with_plan_observed(graph, schedule, config, iteration, &plan, &registry)
+    RunPlan::new(graph, schedule, config)?.try_simulate(graph, schedule, iteration)
 }
 
 /// Simulates one iteration under an explicit, pre-sampled [`FaultPlan`]
 /// (replayable: the same plan injects the same faults every time),
-/// recording engine metrics — per-channel bytes, busy/idle time and queue
-/// depths, per-device busy time and ready-set depths, event and
-/// retransmit counts — into `registry`. The driver behind every
-/// `simulate*` entry point: validates the schedule, then runs the engine.
-///
-/// The instrumentation only *reads* engine state: a run observed through
-/// an enabled registry produces exactly the trace the unobserved run
-/// does (the golden-trace fingerprints pin the disabled path, and
-/// `tests/observability.rs` pins enabled-vs-disabled equality).
+/// recording engine metrics into `registry`:
+/// [`RunPlan::simulate_observed`] on a plan built for this one run.
 ///
 /// # Errors
 ///
@@ -88,13 +82,54 @@ pub fn simulate_with_plan_observed(
     plan: &FaultPlan,
     registry: &Registry,
 ) -> Result<ExecutionTrace, SimError> {
-    if schedule.len() != graph.len() {
-        return Err(SimError::ScheduleMismatch {
-            schedule_len: schedule.len(),
-            graph_len: graph.len(),
-        });
+    RunPlan::new(graph, schedule, config)?
+        .simulate_observed(graph, schedule, iteration, plan, registry)
+}
+
+impl RunPlan {
+    /// Simulates iteration `iteration` of the plan's `graph` and
+    /// `schedule`, sampling the iteration's [`FaultPlan`] from the plan's
+    /// configuration, unobserved. Iterations run from one plan equal, trace
+    /// for trace, fresh [`try_simulate`] calls with the same arguments.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_simulate`], minus the mismatch the plan already excluded.
+    pub fn try_simulate(
+        &self,
+        graph: &Graph,
+        schedule: &Schedule,
+        iteration: u64,
+    ) -> Result<ExecutionTrace, SimError> {
+        let faults = self.sample_faults(graph, iteration);
+        self.simulate_observed(graph, schedule, iteration, &faults, &Registry::disabled())
     }
-    Engine::new(graph, schedule, config, iteration, plan, registry).run()
+
+    /// Simulates one iteration under the pre-sampled `faults`, recording
+    /// engine metrics — per-channel bytes, busy/idle time and queue
+    /// depths, per-device busy time and ready-set depths, event and
+    /// retransmit counts — into `registry`. The driver behind every
+    /// `simulate*` entry point.
+    ///
+    /// The instrumentation only *reads* engine state: a run observed through
+    /// an enabled registry produces exactly the trace the unobserved run
+    /// does (the golden-trace fingerprints pin the disabled path, and
+    /// `tests/observability.rs` pins enabled-vs-disabled equality).
+    ///
+    /// # Errors
+    ///
+    /// As [`RunPlan::try_simulate`].
+    pub fn simulate_observed(
+        &self,
+        graph: &Graph,
+        schedule: &Schedule,
+        iteration: u64,
+        faults: &FaultPlan,
+        registry: &Registry,
+    ) -> Result<ExecutionTrace, SimError> {
+        debug_assert!(self.covers(graph, schedule), "not this plan's graph");
+        Engine::new(graph, schedule, self, iteration, faults, registry).run()
+    }
 }
 
 /// Queue/ready-set depth histogram bounds (powers of two).
@@ -165,7 +200,7 @@ impl EngineMetrics {
 
     /// End-of-run derived gauges: per-channel idle time against the
     /// iteration makespan.
-    fn finish(&self, makespan: tictac_timing::SimDuration) {
+    fn finish(&self, makespan: SimDuration) {
         for (c, busy) in self.chan_busy_ns.iter().enumerate() {
             let idle = makespan.as_nanos().saturating_sub(busy.get());
             self.registry
@@ -389,62 +424,6 @@ impl SendGate {
     }
 }
 
-/// Per-op transfer facts the engine and the threaded runtime read on the
-/// hand-off path, derived once per run.
-pub(crate) struct TransferTable {
-    /// Channel index of every send and recv op.
-    pub(crate) chan: Vec<u32>,
-    /// Enforcement ranks: priorities normalized to `[0, n)` per channel,
-    /// attached to the PS-side send op of each prioritized transfer (§5.1:
-    /// enforcement happens at the sender before gRPC hand-off). Hand-built
-    /// graphs may model recvs as pure roots (no explicit send op); those
-    /// transfers carry the rank on the recv itself and are ordered by the
-    /// channel's rank-aware pop alone.
-    pub(crate) rank: Vec<Option<u64>>,
-    /// The rank each recv carries into its channel's queue: its send's
-    /// for PS-built graphs, its own for sendless ones.
-    pub(crate) recv_rank: Vec<Option<u64>>,
-    /// The send op feeding each recv (transfer pairing).
-    pub(crate) send_of: Vec<Option<OpId>>,
-}
-
-impl TransferTable {
-    pub(crate) fn new(graph: &Graph, schedule: &Schedule) -> Self {
-        let n = graph.len();
-        let mut table = Self {
-            chan: vec![0; n],
-            rank: vec![None; n],
-            recv_rank: vec![None; n],
-            send_of: vec![None; n],
-        };
-        for (id, op) in graph.ops() {
-            if let Some(ch) = op.kind().channel() {
-                table.chan[id.index()] = ch.index() as u32;
-            }
-            if op.is_recv() {
-                table.send_of[id.index()] = paired_send(graph, id);
-            }
-        }
-        // The baseline ranks nothing: both rank columns stay `None`.
-        if schedule.is_unordered() {
-            return table;
-        }
-        for recvs in schedule.ordered_recvs_per_channel(graph) {
-            for (r, recv) in recvs.into_iter().enumerate() {
-                let ranked_op = table.send_of[recv.index()].unwrap_or(recv);
-                table.rank[ranked_op.index()] = Some(r as u64);
-            }
-        }
-        for (id, op) in graph.ops() {
-            if op.is_recv() {
-                let ranked_op = table.send_of[id.index()].unwrap_or(id);
-                table.recv_rank[id.index()] = table.rank[ranked_op.index()];
-            }
-        }
-        table
-    }
-}
-
 /// Resource indices awaiting a start attempt, drained in ascending order.
 ///
 /// The pump's worklist. An index is marked when its resource frees or its
@@ -494,7 +473,8 @@ impl DirtySet {
 struct Engine<'g> {
     graph: &'g Graph,
     schedule: &'g Schedule,
-    service: ServiceTimes<'g>,
+    /// Noise-free service time per op (the plan's column).
+    service: &'g [SimDuration],
     noise: tictac_timing::NoiseModel,
     reorder_error: f64,
     enforcement: bool,
@@ -542,8 +522,8 @@ struct Engine<'g> {
     chan_down_until: Vec<u64>,
     /// Sender-side enforcement state.
     gate: Vec<SendGate>,
-    /// Channel, pairing and enforcement rank per transfer op.
-    transfers: TransferTable,
+    /// Channel, pairing and enforcement rank per transfer op (the plan's).
+    transfers: &'g TransferTable,
     /// Per-channel queues of handed-off transfers (recv ops).
     chan_queue: Vec<ChanQueue>,
     /// Devices and channels an event may have made startable since the
@@ -555,15 +535,18 @@ struct Engine<'g> {
 }
 
 impl<'g> Engine<'g> {
+    /// One iteration's mutable state over `run`'s tables: the indegree
+    /// template is copied, the columns are borrowed.
     fn new(
         graph: &'g Graph,
         schedule: &'g Schedule,
-        config: &SimConfig,
+        run: &'g RunPlan,
         iteration: u64,
         plan: &'g FaultPlan,
         registry: &Registry,
     ) -> Self {
         let n = graph.len();
+        let config = run.config();
         let mut rng = SmallRng::seed_from_u64(
             config
                 .seed
@@ -588,14 +571,10 @@ impl<'g> Engine<'g> {
             slowdown[device.index()] *= factor;
         }
 
-        let indegree: Vec<u32> = (0..n)
-            .map(|i| graph.preds(OpId::from_index(i)).len() as u32)
-            .collect();
-
         Self {
             graph,
             schedule,
-            service: ServiceTimes::new(graph, config),
+            service: &run.service,
             noise: config.noise,
             reorder_error: config.reorder_error,
             enforcement: config.enforcement,
@@ -605,7 +584,7 @@ impl<'g> Engine<'g> {
             clock: SimTime::ZERO,
             events: BinaryHeap::with_capacity(graph.devices().len() + graph.channels().len()),
             seq: 0,
-            indegree,
+            indegree: run.indegree.clone(),
             done: vec![false; n],
             started_at: vec![SimTime::ZERO; n],
             trace: TraceBuilder::new(n),
@@ -627,7 +606,7 @@ impl<'g> Engine<'g> {
             gate: (0..graph.channels().len())
                 .map(|_| SendGate::default())
                 .collect(),
-            transfers: TransferTable::new(graph, schedule),
+            transfers: &run.transfers,
             chan_queue: (0..graph.channels().len())
                 .map(|_| ChanQueue::default())
                 .collect(),
@@ -906,7 +885,7 @@ impl<'g> Engine<'g> {
     fn start_transfer(&mut self, ch: usize, recv: OpId) {
         self.chan_busy[ch] = true;
         self.inflight_recv[ch] = Some(recv);
-        let base = self.service.of(recv);
+        let base = self.service[recv.index()];
         // The wire-time draw happens whether or not the attempt survives,
         // so the noise stream is independent of drop decisions.
         let dur = self.noise.apply(&mut self.rng, base);
@@ -975,7 +954,7 @@ impl<'g> Engine<'g> {
         let op = self.compute_ready[dev].take_candidate(chosen);
 
         self.compute_busy[dev] = true;
-        let base = self.service.of(op);
+        let base = self.service[op.index()];
         let dur = self
             .noise
             .apply(&mut self.rng, base)
@@ -1452,7 +1431,8 @@ mod tests {
         let mut s = Schedule::empty(g.len());
         s.set(r1, 7);
         s.set(r2, 3);
-        let t = TransferTable::new(&g, &s);
+        let plan = RunPlan::new(&g, &s, &SimConfig::cloud_gpu()).unwrap();
+        let t = &plan.transfers;
         assert_eq!(t.send_of[r1.index()], Some(s1));
         assert_eq!(t.send_of[r2.index()], Some(s2));
         assert_eq!(t.send_of[op1.index()], None);
@@ -1473,7 +1453,8 @@ mod tests {
         let g = b.build().unwrap();
         let mut s = Schedule::empty(g.len());
         s.set(recv, 5);
-        let t = TransferTable::new(&g, &s);
+        let plan = RunPlan::new(&g, &s, &SimConfig::cloud_gpu()).unwrap();
+        let t = &plan.transfers;
         assert_eq!(t.send_of[recv.index()], None);
         assert_eq!(t.rank[recv.index()], Some(0));
         assert_eq!(t.recv_rank[recv.index()], Some(0));

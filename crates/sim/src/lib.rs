@@ -27,6 +27,12 @@
 //!   wall clock, reading the same transfer table, send gate and service
 //!   times as the event engine (see the `threaded` module docs).
 //!
+//! * **One plan per deployment** ([`RunPlan`]): what both executors read
+//!   and no iteration changes — the transfer table, the service times, the
+//!   indegrees, the configuration — derived and validated once, then run
+//!   from for as many iterations as the caller has. [`simulate`] and its
+//!   siblings are a plan for one run.
+//!
 //! * **Fault injection & fault-tolerant execution**: a seeded, fully
 //!   deterministic [`FaultSpec`]/[`FaultPlan`] model (transient transfer
 //!   drops, channel blackouts, worker crash/recover cycles, persistent
@@ -52,6 +58,7 @@ mod engine;
 mod error;
 mod faults;
 mod metrics;
+mod plan;
 mod service;
 mod threaded;
 
@@ -62,5 +69,6 @@ pub use engine::{simulate, simulate_with_plan_observed, try_simulate};
 pub use error::SimError;
 pub use faults::{Blackout, Crash, FaultClock, FaultPlan, FaultSpec, Stall};
 pub use metrics::{FaultCounters, IterationMetrics};
+pub use plan::RunPlan;
 pub use service::noise_free_profile;
 pub use threaded::{run_iteration_injected, ExecOptions, RuntimeError};

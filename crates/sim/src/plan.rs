@@ -1,0 +1,148 @@
+//! The static half of a run: everything that is a pure function of
+//! `(graph, schedule, config)`, derived and validated once.
+//!
+//! A session runs many iterations of one deployment, and so does every
+//! other consumer of the executors (TAC's profiling runs, the tuner's
+//! samples, the §2.2 order census). What differs between those iterations
+//! is the iteration index — the RNG stream, the sampled [`FaultPlan`] —
+//! and nothing else, so the per-op tables both executors read on their
+//! hot paths live here: the event engine (`engine.rs`) and the threaded
+//! runtime (`threaded.rs`) borrow one [`RunPlan`] and keep only their own
+//! mutable state per iteration. The one-shot entry points ([`simulate`],
+//! [`run_iteration_injected`], …) are "a plan for one run".
+//!
+//! [`simulate`]: crate::simulate
+//! [`run_iteration_injected`]: crate::run_iteration_injected
+
+use crate::config::SimConfig;
+use crate::error::SimError;
+use crate::faults::FaultPlan;
+use crate::service::{paired_send, service_times};
+use tictac_graph::{Graph, OpId};
+use tictac_sched::Schedule;
+use tictac_timing::SimDuration;
+
+/// One `(graph, schedule, config)` triple, checked and tabulated: what
+/// every iteration of it reads and none changes.
+///
+/// Not to be confused with a [`FaultPlan`](crate::FaultPlan), which is
+/// one *iteration's* sampled fault set; a `RunPlan` outlives all of them.
+/// It holds no reference to the graph or the schedule (so a session can
+/// keep it in a field beside them), which is why the run methods take
+/// both again: they must be the pair the plan was built from.
+#[derive(Debug)]
+pub struct RunPlan {
+    config: SimConfig,
+    /// Channel, pairing and enforcement rank per transfer op (§5.1).
+    pub(crate) transfers: TransferTable,
+    /// Noise-free service time per op (see [`service_times`]).
+    pub(crate) service: Vec<SimDuration>,
+    /// Predecessor count per op: the template each iteration's
+    /// dependency counters start from.
+    pub(crate) indegree: Vec<u32>,
+}
+
+impl RunPlan {
+    /// Tabulates `graph` under `schedule` and `config`. This is the one
+    /// place a schedule is checked against its graph; every executor
+    /// entry point goes through it.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ScheduleMismatch`] if `schedule` does not cover
+    /// `graph`, and nothing else.
+    pub fn new(graph: &Graph, schedule: &Schedule, config: &SimConfig) -> Result<Self, SimError> {
+        if schedule.len() != graph.len() {
+            return Err(SimError::ScheduleMismatch {
+                schedule_len: schedule.len(),
+                graph_len: graph.len(),
+            });
+        }
+        Ok(Self {
+            config: config.clone(),
+            transfers: TransferTable::new(graph, schedule),
+            service: service_times(graph, config),
+            indegree: graph
+                .op_ids()
+                .map(|op| graph.preds(op).len() as u32)
+                .collect(),
+        })
+    }
+
+    /// The configuration the plan was built under, and every iteration
+    /// run from it executes under.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Samples iteration `iteration`'s fault set from the plan's fault
+    /// spec and seed: the one `(spec, graph, seed, iteration)` key every
+    /// executor uses, so identical seeds inject the identical faults in
+    /// virtual time and on the wall clock.
+    pub fn sample_faults(&self, graph: &Graph, iteration: u64) -> FaultPlan {
+        FaultPlan::sample(&self.config.faults, graph, self.config.seed, iteration)
+    }
+
+    /// Whether `graph` and `schedule` can be the pair this plan
+    /// tabulates (a length check: the contract is the caller's).
+    pub(crate) fn covers(&self, graph: &Graph, schedule: &Schedule) -> bool {
+        self.indegree.len() == graph.len() && schedule.len() == graph.len()
+    }
+}
+
+/// Per-op transfer facts the engine and the threaded runtime read on the
+/// hand-off path.
+#[derive(Debug)]
+pub(crate) struct TransferTable {
+    /// Channel index of every send and recv op.
+    pub(crate) chan: Vec<u32>,
+    /// Enforcement ranks: priorities normalized to `[0, n)` per channel,
+    /// attached to the PS-side send op of each prioritized transfer (§5.1:
+    /// enforcement happens at the sender before gRPC hand-off). Hand-built
+    /// graphs may model recvs as pure roots (no explicit send op); those
+    /// transfers carry the rank on the recv itself and are ordered by the
+    /// channel's rank-aware pop alone.
+    pub(crate) rank: Vec<Option<u64>>,
+    /// The rank each recv carries into its channel's queue: its send's
+    /// for PS-built graphs, its own for sendless ones.
+    pub(crate) recv_rank: Vec<Option<u64>>,
+    /// The send op feeding each recv (transfer pairing).
+    pub(crate) send_of: Vec<Option<OpId>>,
+}
+
+impl TransferTable {
+    fn new(graph: &Graph, schedule: &Schedule) -> Self {
+        let n = graph.len();
+        let mut table = Self {
+            chan: vec![0; n],
+            rank: vec![None; n],
+            recv_rank: vec![None; n],
+            send_of: vec![None; n],
+        };
+        for (id, op) in graph.ops() {
+            if let Some(ch) = op.kind().channel() {
+                table.chan[id.index()] = ch.index() as u32;
+            }
+            if op.is_recv() {
+                table.send_of[id.index()] = paired_send(graph, id);
+            }
+        }
+        // The baseline ranks nothing: both rank columns stay `None`.
+        if schedule.is_unordered() {
+            return table;
+        }
+        for recvs in schedule.ordered_recvs_per_channel(graph) {
+            for (r, recv) in recvs.into_iter().enumerate() {
+                let ranked_op = table.send_of[recv.index()].unwrap_or(recv);
+                table.rank[ranked_op.index()] = Some(r as u64);
+            }
+        }
+        for (id, op) in graph.ops() {
+            if op.is_recv() {
+                let ranked_op = table.send_of[id.index()].unwrap_or(id);
+                table.recv_rank[id.index()] = table.rank[ranked_op.index()];
+            }
+        }
+        table
+    }
+}

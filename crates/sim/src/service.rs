@@ -2,8 +2,8 @@
 //! before noise, slowdowns and faults are applied.
 //!
 //! The event engine, the threaded runtime's busy-loops and the TAC
-//! profiler read op durations from [`ServiceTimes::of`], so "what would a
-//! quiet, noise-free run measure" has one definition.
+//! profiler read op durations from the column [`service_times`] fills, so
+//! "what would a quiet, noise-free run measure" has one definition.
 
 use crate::config::SimConfig;
 use tictac_graph::{ChannelId, Graph, OpId, OpKind};
@@ -19,53 +19,36 @@ pub(crate) fn paired_send(graph: &Graph, recv: OpId) -> Option<OpId> {
         .find(|&p| graph.op(p).kind().is_send())
 }
 
-/// Service times of one `(graph, config)` pair.
-pub(crate) struct ServiceTimes<'g> {
-    graph: &'g Graph,
-    oracle: CostOracle,
-    /// Per-channel wire-time stretch factor: the topology fair share
-    /// (see [`Platform::transfer_time_shared`]) divided by the channel's
-    /// relative bandwidth. Uniform graphs divide by exactly `1.0`, so the
-    /// factor — and every transfer duration — is bit-for-bit the
-    /// homogeneous value.
-    ///
-    /// [`Platform::transfer_time_shared`]: tictac_timing::Platform::transfer_time_shared
-    chan_share: Vec<f64>,
-}
-
-impl<'g> ServiceTimes<'g> {
-    pub(crate) fn new(graph: &'g Graph, config: &SimConfig) -> Self {
-        let bandwidth_share = config.bandwidth_share_override.unwrap_or_else(|| {
-            // Every server fans out to all workers.
-            let workers = graph.workers().count();
-            let servers = graph.parameter_servers().count();
-            workers.max(servers).max(1) as f64
-        });
-        let chan_share = (0..graph.channels().len())
-            .map(|c| bandwidth_share / graph.channel_bandwidth(ChannelId::from_index(c)))
-            .collect();
-        Self {
-            graph,
-            oracle: CostOracle::new(config.platform.clone()),
-            chan_share,
-        }
-    }
-
-    /// Service time of `op`: the wire time of the whole transfer for a
-    /// recv, nothing for a send (an instantaneous hand-off — traces mirror
-    /// the paired recv's interval onto it), and the cost oracle's
-    /// prediction, device speed included, for everything else.
-    pub(crate) fn of(&self, op: OpId) -> SimDuration {
-        let o = self.graph.op(op);
-        match o.kind() {
-            OpKind::Recv { channel, .. } => self
-                .oracle
+/// Service time of every op of `graph` under `config`, by op index: the
+/// wire time of the whole transfer for a recv, nothing for a send (an
+/// instantaneous hand-off — traces mirror the paired recv's interval onto
+/// it), and the cost oracle's prediction, device speed included, for
+/// everything else.
+pub(crate) fn service_times(graph: &Graph, config: &SimConfig) -> Vec<SimDuration> {
+    let bandwidth_share = config.bandwidth_share_override.unwrap_or_else(|| {
+        // Every server fans out to all workers.
+        let workers = graph.workers().count();
+        let servers = graph.parameter_servers().count();
+        workers.max(servers).max(1) as f64
+    });
+    // Per-channel wire-time stretch factor: the topology fair share (see
+    // `Platform::transfer_time_shared`) divided by the channel's relative
+    // bandwidth. Uniform graphs divide by exactly `1.0`, so the factor —
+    // and every transfer duration — is bit-for-bit the homogeneous value.
+    let chan_share: Vec<f64> = (0..graph.channels().len())
+        .map(|c| bandwidth_share / graph.channel_bandwidth(ChannelId::from_index(c)))
+        .collect();
+    let oracle = CostOracle::new(config.platform.clone());
+    graph
+        .ops()
+        .map(|(id, op)| match op.kind() {
+            OpKind::Recv { channel, .. } => oracle
                 .platform()
-                .transfer_time_scaled(o.cost().bytes, self.chan_share[channel.index()]),
+                .transfer_time_scaled(op.cost().bytes, chan_share[channel.index()]),
             OpKind::Send { .. } => SimDuration::ZERO,
-            _ => self.oracle.duration(self.graph, op),
-        }
-    }
+            _ => oracle.duration(graph, id),
+        })
+        .collect()
 }
 
 /// The time oracle a noise-free configuration measures, without running
@@ -80,18 +63,13 @@ impl<'g> ServiceTimes<'g> {
 /// engine still multiplies by are exact below 2^53 ns.) Under any other
 /// noise model runs do differ and the profile must be measured.
 pub fn noise_free_profile(graph: &Graph, config: &SimConfig) -> MeasuredProfile {
-    let service = ServiceTimes::new(graph, config);
-    let mut durations = vec![SimDuration::ZERO; graph.len()];
+    let mut durations = service_times(graph, config);
     for (id, op) in graph.ops() {
-        if op.kind().is_send() {
+        if !op.is_recv() {
             continue;
         }
-        let d = service.of(id);
-        durations[id.index()] = d;
-        if op.is_recv() {
-            if let Some(send) = paired_send(graph, id) {
-                durations[send.index()] = d;
-            }
+        if let Some(send) = paired_send(graph, id) {
+            durations[send.index()] = durations[id.index()];
         }
     }
     MeasuredProfile::from_durations(durations)

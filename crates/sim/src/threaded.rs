@@ -10,15 +10,15 @@
 //! trace consumer works on real concurrent executions unchanged.
 //!
 //! Everything the paper's mechanism (§5.1) is made of is read from the
-//! items the event engine reads: [`TransferTable`] for channel, rank and
-//! send pairing, one [`SendGate`] per channel for the hand-off counter,
-//! [`ServiceTimes::of`] (times `time_scale`) for every busy-loop, and the
-//! [`SimConfig`] for platform, enforcement, bandwidth share, fault spec
-//! and seed. What is wall-clock-only is `next_rank_to_fly`: the chain of
-//! releases is observed by the channel thread in arbitrary interleavings,
-//! so the channel additionally gates ranked *starts* on it, which closes
-//! the window where a later rank is queued before an earlier one has been
-//! pushed.
+//! items the event engine reads — the [`RunPlan`] both run from: its
+//! transfer table for channel, rank and send pairing, its service-time
+//! column (times `time_scale`) for every busy-loop, its indegree template
+//! and its [`SimConfig`] for the enforcement flag — plus one [`SendGate`]
+//! per channel for the hand-off counter. What is wall-clock-only is
+//! `next_rank_to_fly`: the chain of releases is observed by the channel
+//! thread in arbitrary interleavings, so the channel additionally gates
+//! ranked *starts* on it, which closes the window where a later rank is
+//! queued before an earlier one has been pushed.
 //!
 //! Unprioritized work — every compute op, and every transfer under the
 //! baseline — pops in a *seeded-shuffle* order rather than FIFO readiness
@@ -47,12 +47,12 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::config::SimConfig;
-use crate::engine::{SendGate, TransferTable};
+use crate::engine::SendGate;
 use crate::faults::{mix, FaultClock, FaultPlan};
-use crate::service::ServiceTimes;
+use crate::plan::{RunPlan, TransferTable};
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
 use tictac_sched::Schedule;
-use tictac_timing::SimTime;
+use tictac_timing::{SimDuration, SimTime};
 use tictac_trace::{ExecutionTrace, FaultEvent, FaultEventKind, TraceBuilder};
 
 /// Cap on op names reported by [`RuntimeError::Stalled`]; past it a
@@ -169,42 +169,17 @@ impl std::fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {}
 
 /// Executes iteration `iteration` of `graph` under `schedule` on real
-/// threads, with the concrete faults of `faults` brought to the wall
-/// clock, and returns its wall-clock [`ExecutionTrace`].
-///
+/// threads: [`RunPlan::run_threaded`] on a plan built for this one run.
 /// Platform, enforcement flag and bandwidth share come from `config` —
 /// the same fields, read through the same tables, as [`simulate`] reads.
-/// Spawns one thread per device plus one per channel for the duration of
-/// the call; the calling thread blocks until completion. Timestamps are
-/// nanoseconds since iteration start, so traces are directly comparable
-/// to simulator traces — ordering-exact, timing-real.
-///
-/// A supervisor thread walks the plan's fault agenda (instants mapped
-/// through [`FaultClock::wall_clock`] at `opts.time_scale`): transfer
-/// drops wedge the channel until the [`RetryPolicy`] timeout fires and
-/// then retransmit; blackouts park the channel thread for the window;
-/// worker crashes kill the device thread mid-iteration (lost compute is
-/// requeued) and respawn it at the recovery instant; PS stalls park the
-/// shard and pause in-flight updates; stragglers scale the calibrated
-/// busy-loops. If the plan carries a degraded barrier, an iteration that
-/// cannot finish closes with the missing ops deferred (mirroring the
-/// simulator's degraded-mode barrier) instead of erroring. Under
-/// [`FaultPlan::quiet`] every fault check short-circuits.
-///
-/// A stall is detected within `opts.watchdog`; the abort then drains
-/// every queue and cuts in-flight busy-waits short, so the call returns
-/// within a few milliseconds of the watchdog firing.
 ///
 /// # Errors
 ///
 /// [`RuntimeError::ScheduleMismatch`] if `schedule` does not cover
-/// `graph`; [`RuntimeError::RetriesExhausted`] if a transfer burns its
-/// whole retry budget with no barrier configured;
-/// [`RuntimeError::Stalled`] if the watchdog expires (with the
-/// outstanding ops and channel depths named).
+/// `graph` — [`RunPlan::new`]'s one error, in this function's error type
+/// — and otherwise as [`RunPlan::run_threaded`].
 ///
 /// [`simulate`]: crate::simulate
-/// [`RetryPolicy`]: tictac_timing::RetryPolicy
 pub fn run_iteration_injected(
     graph: &Graph,
     schedule: &Schedule,
@@ -213,60 +188,107 @@ pub fn run_iteration_injected(
     iteration: u64,
     faults: &FaultPlan,
 ) -> Result<ExecutionTrace, RuntimeError> {
-    if schedule.len() != graph.len() {
-        return Err(RuntimeError::ScheduleMismatch {
+    RunPlan::new(graph, schedule, config)
+        .map_err(|_| RuntimeError::ScheduleMismatch {
             schedule_len: schedule.len(),
             graph_len: graph.len(),
-        });
-    }
-    let shared = Shared::new(graph, schedule, config, opts, iteration, faults);
-    for &(device, _) in &faults.stragglers {
-        shared.log_fault(SimTime::ZERO, FaultEventKind::StragglerApplied { device });
-    }
-    let agenda = shared.build_agenda();
+        })?
+        .run_threaded(graph, schedule, opts, iteration, faults)
+}
 
-    std::thread::scope(|scope| {
-        for dev in 0..graph.devices().len() {
-            let shared = &shared;
-            std::thread::Builder::new()
-                .name(format!("tictac-dev{dev}"))
-                .spawn_scoped(scope, move || shared.device_loop(dev))
-                .expect("spawn device thread");
+impl RunPlan {
+    /// Executes iteration `iteration` of the plan's `graph` and `schedule`
+    /// on real threads, with the concrete faults of `faults` brought to
+    /// the wall clock, and returns its wall-clock [`ExecutionTrace`].
+    ///
+    /// Spawns one thread per device plus one per channel for the duration
+    /// of the call; the calling thread blocks until completion. Timestamps
+    /// are nanoseconds since iteration start, so traces are directly
+    /// comparable to simulator traces — ordering-exact, timing-real.
+    ///
+    /// A supervisor thread walks the fault agenda (instants mapped through
+    /// [`FaultClock::wall_clock`] at `opts.time_scale`): transfer drops
+    /// wedge the channel until the [`RetryPolicy`] timeout fires and then
+    /// retransmit; blackouts park the channel thread for the window;
+    /// worker crashes kill the device thread mid-iteration (lost compute
+    /// is requeued) and respawn it at the recovery instant; PS stalls park
+    /// the shard and pause in-flight updates; stragglers scale the
+    /// calibrated busy-loops. If `faults` carries a degraded barrier, an
+    /// iteration that cannot finish closes with the missing ops deferred
+    /// (mirroring the simulator's degraded-mode barrier) instead of
+    /// erroring. Under [`FaultPlan::quiet`] every fault check
+    /// short-circuits.
+    ///
+    /// A stall is detected within `opts.watchdog`; the abort then drains
+    /// every queue and cuts in-flight busy-waits short, so the call
+    /// returns within a few milliseconds of the watchdog firing.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::RetriesExhausted`] if a transfer burns its whole
+    /// retry budget with no barrier configured; [`RuntimeError::Stalled`]
+    /// if the watchdog expires (with the outstanding ops and channel
+    /// depths named).
+    ///
+    /// [`RetryPolicy`]: tictac_timing::RetryPolicy
+    pub fn run_threaded(
+        &self,
+        graph: &Graph,
+        schedule: &Schedule,
+        opts: &ExecOptions,
+        iteration: u64,
+        faults: &FaultPlan,
+    ) -> Result<ExecutionTrace, RuntimeError> {
+        debug_assert!(self.covers(graph, schedule), "not this plan's graph");
+        let shared = Shared::new(graph, schedule, self, opts, iteration, faults);
+        for &(device, _) in &faults.stragglers {
+            shared.log_fault(SimTime::ZERO, FaultEventKind::StragglerApplied { device });
         }
-        for ch in 0..graph.channels().len() {
-            let shared = &shared;
-            std::thread::Builder::new()
-                .name(format!("tictac-ch{ch}"))
-                .spawn_scoped(scope, move || shared.channel_loop(ch))
-                .expect("spawn channel thread");
+        let agenda = shared.build_agenda();
+
+        std::thread::scope(|scope| {
+            for dev in 0..graph.devices().len() {
+                let shared = &shared;
+                std::thread::Builder::new()
+                    .name(format!("tictac-dev{dev}"))
+                    .spawn_scoped(scope, move || shared.device_loop(dev))
+                    .expect("spawn device thread");
+            }
+            for ch in 0..graph.channels().len() {
+                let shared = &shared;
+                std::thread::Builder::new()
+                    .name(format!("tictac-ch{ch}"))
+                    .spawn_scoped(scope, move || shared.channel_loop(ch))
+                    .expect("spawn channel thread");
+            }
+
+            // Release the roots only once every thread can observe them.
+            for op in graph.roots() {
+                shared.dispatch(op);
+            }
+            shared.supervise(scope, agenda)
+        })?;
+
+        if let Some(err) = shared.error.lock().expect("error lock").take() {
+            return Err(err);
         }
 
-        // Release the roots only once every thread can observe them.
-        for op in graph.roots() {
-            shared.dispatch(op);
+        let mut builder = shared
+            .trace
+            .into_inner()
+            .expect("no thread panicked holding the trace");
+        let mut log = shared
+            .fault_log
+            .into_inner()
+            .expect("no thread panicked holding the fault log");
+        // Concurrent threads appended out of order; the trace contract is
+        // time-sorted events (stable, so same-instant events keep log order).
+        log.sort_by_key(|e| e.at);
+        for e in log {
+            builder.push_fault(e.at, e.kind);
         }
-        shared.supervise(scope, agenda)
-    })?;
-
-    if let Some(err) = shared.error.lock().expect("error lock").take() {
-        return Err(err);
+        Ok(builder.finish())
     }
-
-    let mut builder = shared
-        .trace
-        .into_inner()
-        .expect("no thread panicked holding the trace");
-    let mut log = shared
-        .fault_log
-        .into_inner()
-        .expect("no thread panicked holding the fault log");
-    // Concurrent threads appended out of order; the trace contract is
-    // time-sorted events (stable, so same-instant events keep log order).
-    log.sort_by_key(|e| e.at);
-    for e in log {
-        builder.push_fault(e.at, e.kind);
-    }
-    Ok(builder.finish())
 }
 
 /// Per-device ready queue: a binary heap keyed by `(schedule priority,
@@ -350,10 +372,10 @@ struct Shared<'g> {
     opts: &'g ExecOptions,
     /// Whether sender-side rank enforcement (§5.1) is active.
     enforcement: bool,
-    /// Channel, rank and send pairing per transfer op.
-    transfers: TransferTable,
-    /// Modeled duration of every op, before `time_scale`.
-    service: ServiceTimes<'g>,
+    /// Channel, rank and send pairing per transfer op (the plan's).
+    transfers: &'g TransferTable,
+    /// Modeled duration of every op, before `time_scale` (the plan's).
+    service: &'g [SimDuration],
     /// This iteration's seed of the unprioritized pop order.
     shuffle_seed: u64,
     started: Instant,
@@ -407,7 +429,7 @@ impl<'g> Shared<'g> {
     fn new(
         graph: &'g Graph,
         schedule: &'g Schedule,
-        config: &SimConfig,
+        plan: &'g RunPlan,
         opts: &'g ExecOptions,
         iteration: u64,
         faults: &'g FaultPlan,
@@ -454,17 +476,15 @@ impl<'g> Shared<'g> {
             graph,
             schedule,
             opts,
-            enforcement: config.enforcement,
-            transfers: TransferTable::new(graph, schedule),
-            service: ServiceTimes::new(graph, config),
+            enforcement: plan.config().enforcement,
+            transfers: &plan.transfers,
+            service: &plan.service,
             // A fresh arbitrary order every iteration, matching the
             // paper's baseline observation (unique transfer order in
             // every run). Ranked transfers are unaffected.
             shuffle_seed: SHUFFLE_SEED ^ iteration.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             started: Instant::now(),
-            indegree: (0..n)
-                .map(|i| AtomicU32::new(graph.preds(OpId::from_index(i)).len() as u32))
-                .collect(),
+            indegree: plan.indegree.iter().map(|&d| AtomicU32::new(d)).collect(),
             remaining: AtomicUsize::new(n),
             finished_at: AtomicU64::new(u64::MAX),
             shutdown: AtomicBool::new(false),
@@ -1023,7 +1043,7 @@ impl<'g> Shared<'g> {
                 }
             };
             let start = self.now();
-            let mut modeled = self.service.of(op);
+            let mut modeled = self.service[op.index()];
             let factor = self.slowdown[dev];
             if factor != 1.0 {
                 // Persistent straggler: the whole iteration's compute
@@ -1125,7 +1145,7 @@ impl<'g> Shared<'g> {
                     return;
                 }
             }
-            let wire = self.clock.wall_duration(self.service.of(recv));
+            let wire = self.clock.wall_duration(self.service[recv.index()]);
             let start = self.now();
             if !self.wait_until(self.started + (self.started.elapsed() + wire)) {
                 return; // aborted mid-transfer; the trace is discarded anyway
@@ -1480,15 +1500,14 @@ mod tests {
         // service time. (Comparing against a measured quiet run instead
         // is a coin toss at this scale: preemption inflates a
         // microsecond op by more than the factor.)
-        let config = SimConfig::cloud_gpu();
-        let service = ServiceTimes::new(d.graph(), &config);
+        let service = crate::service::service_times(d.graph(), &SimConfig::cloud_gpu());
         for id in d.graph().ops_on(w) {
             let op = d.graph().op(id);
             if op.is_recv() || op.kind().is_send() {
                 continue;
             }
             let r = slowed.record(id).unwrap();
-            let floor = service.of(id).mul_f64(8.0).mul_f64(0.2);
+            let floor = service[id.index()].mul_f64(8.0).mul_f64(0.2);
             assert!(
                 r.end - r.start >= floor,
                 "8x straggler ran {id:?} in {:?}, modeled at {floor:?}",

@@ -19,9 +19,9 @@
 
 use std::collections::HashMap;
 use tictac::{
-    deploy, diff_records, estimate_profile, gantt, no_ordering, parallel_map, regress, simulate,
-    tac_order, tic, ClusterSpec, Mode, Model, Payload, RegressPolicy, RunFilter, RunRecord,
-    RunStore, Scenario, SchedulerKind, Session, SessionSummary, SimConfig,
+    deploy, diff_records, gantt, no_ordering, parallel_map, regress, simulate, tic, ClusterSpec,
+    Mode, Model, Payload, RegressPolicy, RunFilter, RunRecord, RunStore, Scenario, SchedulerKind,
+    Session, SessionSummary, SimConfig,
 };
 
 fn main() {
@@ -29,23 +29,31 @@ fn main() {
     let Some(command) = args.first() else {
         usage("");
     };
-    let flags = parse_flags(&args[1..]);
     match command.as_str() {
-        "models" => models(),
-        "schedule" => schedule(&args, &flags),
-        "run" => run(&args, &flags),
-        "runs" => runs(&args, &flags),
-        "timeline" => timeline(&args, &flags),
+        "models" => {
+            parse_flags(&args, &[]);
+            models();
+        }
+        "schedule" => schedule(&args),
+        "run" => run(&args),
+        "runs" => runs(&args),
+        "timeline" => timeline(&args),
         "--help" | "-h" | "help" => usage(""),
         other => usage(&format!("unknown command `{other}`")),
     }
 }
 
-fn parse_flags(rest: &[String]) -> HashMap<String, String> {
+/// The `--name [value]` flags after the subcommand. Each subcommand
+/// passes the names it reads as `known`; any other flag is a usage error
+/// rather than a setting silently left at its default.
+fn parse_flags(args: &[String], known: &[&str]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
-    let mut it = rest.iter().peekable();
+    let mut it = args[1..].iter().peekable();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !known.contains(&name) {
+                usage(&format!("unknown flag --{name}"));
+            }
             let value = it
                 .peek()
                 .filter(|v| !v.starts_with("--"))
@@ -129,31 +137,27 @@ fn models() {
     }
 }
 
-fn schedule(args: &[String], flags: &HashMap<String, String>) {
+/// Prints the transfer order a 1 worker × 1 PS session of the model
+/// enforces: the session's own schedule, so what is printed is what runs.
+fn schedule(args: &[String]) {
+    let flags = &parse_flags(args, &["mode", "scheduler", "top", "env"]);
     let model = model_arg(args);
     let top = flag_usize(flags, "top", 25);
-    let config = flag_config(flags);
-    let graph = model.build(flag_mode(flags));
-    let deployed = deploy(&graph, &ClusterSpec::new(1, 1))
+    let scheduler = flag_scheduler(flags);
+    if !matches!(scheduler, SchedulerKind::Tic | SchedulerKind::Tac) {
+        usage(&format!(
+            "`schedule` prints a tic or tac order; --scheduler {scheduler} enforces none"
+        ));
+    }
+    let session = Session::builder(model.build(flag_mode(flags)))
+        .cluster(ClusterSpec::new(1, 1))
+        .config(flag_config(flags))
+        .scheduler(scheduler)
+        .build()
         .unwrap_or_else(|e| usage(&format!("invalid deployment: {e}")));
-    let g = deployed.graph();
-    let worker = deployed.workers()[0];
-
-    let order = match flag_scheduler(flags) {
-        SchedulerKind::Tac => {
-            let unordered = no_ordering(g);
-            let traces: Vec<_> = (0..5)
-                .map(|i| simulate(g, &unordered, &config, i))
-                .collect();
-            tac_order(g, worker, &estimate_profile(&traces))
-        }
-        _ => {
-            let s = tic(g, worker);
-            let mut recvs = g.recv_ops_on(worker);
-            recvs.sort_by_key(|&op| (s.priority(op), op));
-            recvs
-        }
-    };
+    let g = session.deployed().graph();
+    let mut order = g.recv_ops_on(session.deployed().workers()[0]);
+    order.sort_by_key(|&op| (session.schedule().priority(op), op));
     println!(
         "{}: transfer order ({} of {} shown)",
         model.name(),
@@ -235,13 +239,25 @@ fn run_scenario(path: &str, flags: &HashMap<String, String>) {
     }
 }
 
-fn run(args: &[String], flags: &HashMap<String, String>) {
+fn run(args: &[String]) {
     if let Some(arg) = args.get(1).filter(|a| !a.starts_with("--")) {
         if is_scenario_arg(arg) {
-            run_scenario(arg, flags);
+            run_scenario(arg, &parse_flags(args, &["dry-run", "store"]));
             return;
         }
     }
+    let flags = &parse_flags(
+        args,
+        &[
+            "workers",
+            "ps",
+            "scheduler",
+            "iterations",
+            "mode",
+            "env",
+            "store",
+        ],
+    );
     let model = model_arg(args);
     let workers = flag_usize(flags, "workers", 4);
     let ps = flag_usize(flags, "ps", (workers / 4).max(1));
@@ -380,12 +396,30 @@ fn show_record(r: &RunRecord) {
     }
 }
 
-fn runs(args: &[String], flags: &HashMap<String, String>) {
+fn runs(args: &[String]) {
     let sub = args
         .get(1)
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .unwrap_or("list");
+    // The store and the record filters, then what the subcommand adds.
+    let mut known = vec![
+        "store",
+        "workload",
+        "scheduler",
+        "backend",
+        "kind",
+        "seed-min",
+        "seed-max",
+    ];
+    known.extend_from_slice(match sub {
+        "list" => &[],
+        "show" => &["id"],
+        "diff" => &["a", "b", "last-two"],
+        "regress" => &["window"],
+        other => usage(&format!("unknown runs subcommand `{other}`")),
+    });
+    let flags = &parse_flags(args, &known);
     let store = runs_store(flags);
     let records = store
         .load()
@@ -458,11 +492,15 @@ fn runs(args: &[String], flags: &HashMap<String, String>) {
                 std::process::exit(1);
             }
         }
-        other => usage(&format!("unknown runs subcommand `{other}`")),
+        _ => unreachable!("`sub` was matched above"),
     }
 }
 
-fn timeline(args: &[String], flags: &HashMap<String, String>) {
+fn timeline(args: &[String]) {
+    let flags = &parse_flags(
+        args,
+        &["workers", "ps", "scheduler", "format", "out", "env", "mode"],
+    );
     let model = model_arg(args);
     let workers = flag_usize(flags, "workers", 2);
     let ps = flag_usize(flags, "ps", 1);
@@ -475,7 +513,10 @@ fn timeline(args: &[String], flags: &HashMap<String, String>) {
     let g = deployed.graph();
     let schedule = match flag_scheduler(flags) {
         SchedulerKind::Baseline => no_ordering(g),
-        _ => deployed.replicate_schedule(&tic(g, deployed.workers()[0])),
+        SchedulerKind::Tic => deployed.replicate_schedule(&tic(g, deployed.workers()[0])),
+        other => usage(&format!(
+            "`timeline` renders a baseline or tic run, not --scheduler {other}"
+        )),
     };
     let trace = simulate(g, &schedule, &config, 0);
     let rendered = match flags.get("format").map(String::as_str) {
@@ -512,7 +553,7 @@ fn usage(err: &str) -> ! {
          \x20        [--scheduler S] [--backend B] [--kind session|bench|report]\n\
          \x20        [--seed-min N] [--seed-max N] [--id RID] [--a RID --b RID] [--window N]\n\
          \x20 tictac timeline <model> [--workers N] [--ps N] [--scheduler baseline|tic]\n\
-         \x20        [--format gantt|chrome|tsv] [--out FILE] [--env g|c]"
+         \x20        [--mode train|inference] [--format gantt|chrome|tsv] [--out FILE] [--env g|c]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -3,7 +3,7 @@
 //! guarantees the simulator models — while its timestamps live on the
 //! real wall clock.
 //!
-//! Four families of checks:
+//! Five families of checks:
 //!
 //! * **DAG-ordering invariants** (proptest): on a threaded trace no op
 //!   starts before its predecessors end. Send predecessors are skipped:
@@ -19,11 +19,18 @@
 //!   heterogeneous cluster with a bandwidth-share override, every
 //!   threaded transfer takes at least the simulator's noise-free service
 //!   time, and the slow link is slow by the configured factor.
+//! * **One plan, both executors**: iterations run from one `RunPlan`
+//!   equal fresh one-shot calls trace for trace, the threaded runtime
+//!   flies transfers in the rank order the engine reads from the same
+//!   plan, and a schedule that does not cover its graph is rejected by the
+//!   plan's one check on every entry point.
 
 use proptest::prelude::*;
 use tictac::{
-    noise_free_profile, priority_inversions, ClusterSpec, Mode, Model, RunOptions, Scenario,
-    SchedulerKind, Session, SimConfig, ThreadedBackend, TimeOracle,
+    noise_free_profile, priority_inversions, run_iteration_injected, simulate_with_plan_observed,
+    try_simulate, ClusterSpec, ExecOptions, ExecutionTrace, FaultPlan, FaultSpec, Graph, Mode,
+    Model, Registry, RetryPolicy, RunOptions, RunPlan, RuntimeError, Scenario, Schedule,
+    SchedulerKind, Session, SimConfig, SimDuration, SimError, ThreadedBackend, TimeOracle,
 };
 use tictac_models::tiny_mlp;
 
@@ -276,4 +283,116 @@ fn hetero_cluster_and_share_override_reach_the_threaded_busy_loops() {
         compared += 1;
     }
     assert!(compared > 0, "vgg_19 has parameters over 16 MiB");
+}
+
+/// The prioritized recvs of each channel in the order they started on the
+/// wire (gradient pushes carry no rank and fill in between them).
+fn wire_order(
+    graph: &Graph,
+    schedule: &Schedule,
+    trace: &ExecutionTrace,
+) -> Vec<Vec<tictac::OpId>> {
+    let mut per_channel = vec![Vec::new(); graph.channels().len()];
+    for (recv, _) in schedule.prioritized() {
+        let channel = graph.op(recv).kind().channel().expect("a recv has one");
+        let start = trace.record(recv).expect("recv recorded").start;
+        per_channel[channel.index()].push((start, recv));
+    }
+    per_channel
+        .into_iter()
+        .map(|mut recvs| {
+            recvs.sort_unstable();
+            recvs.into_iter().map(|(_, recv)| recv).collect()
+        })
+        .collect()
+}
+
+/// Iterations `0..6` run from one plan are, trace for trace, six fresh
+/// `simulate_with_plan_observed` calls — quiet or faulty, observed or not
+/// — and are what the session built on the same triple executes. Under an
+/// enforced schedule the threaded runtime, run from that plan too, flies
+/// every channel's transfers in the schedule's rank order, as the engine
+/// does once its modeled reorder error is off.
+#[test]
+fn one_plan_serves_every_iteration_and_both_executors() {
+    let recoverable = FaultSpec::none()
+        .with_drop_prob(0.2)
+        .with_retry(RetryPolicy::fixed(SimDuration::from_micros(50), 40));
+    let opts = ExecOptions {
+        time_scale: 0.25,
+        watchdog: std::time::Duration::from_secs(60),
+    };
+    for scheduler in [
+        SchedulerKind::Baseline,
+        SchedulerKind::Tic,
+        SchedulerKind::Tac,
+    ] {
+        for faults in [FaultSpec::none(), recoverable.clone()] {
+            let config = SimConfig::cloud_gpu().with_faults(faults);
+            let session = Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
+                .cluster(ClusterSpec::new(2, 1))
+                .config(config.clone())
+                .scheduler(scheduler)
+                .build()
+                .expect("model deploys");
+            let (graph, schedule) = (session.deployed().graph(), session.schedule());
+            let plan = RunPlan::new(graph, schedule, &config).expect("schedule covers graph");
+            for i in 0..6 {
+                let sampled = plan.sample_faults(graph, i);
+                let fresh = try_simulate(graph, schedule, &config, i).expect("recoverable");
+                for registry in [Registry::disabled, Registry::enabled] {
+                    let planned = plan.simulate_observed(graph, schedule, i, &sampled, &registry());
+                    let one_shot = simulate_with_plan_observed(
+                        graph,
+                        schedule,
+                        &config,
+                        i,
+                        &sampled,
+                        &registry(),
+                    );
+                    assert_eq!(planned.as_ref(), Ok(&fresh), "{scheduler}, iteration {i}");
+                    assert_eq!(one_shot.as_ref(), Ok(&fresh), "{scheduler}, iteration {i}");
+                }
+                assert_eq!(plan.try_simulate(graph, schedule, i).as_ref(), Ok(&fresh));
+                assert_eq!(session.trace_iteration(i).ok().as_ref(), Some(&fresh));
+            }
+
+            if scheduler == SchedulerKind::Baseline || !config.faults.is_quiet() {
+                continue;
+            }
+            let ranked = schedule.ordered_recvs_per_channel(graph);
+            let exact = RunPlan::new(graph, schedule, &config.clone().with_reorder_error(0.0))
+                .expect("schedule covers graph");
+            let engine = exact.try_simulate(graph, schedule, 0).expect("quiet run");
+            let threads = exact
+                .run_threaded(graph, schedule, &opts, 0, &FaultPlan::quiet())
+                .expect("quiet run");
+            let flown = |trace| wire_order(graph, schedule, trace);
+            assert_eq!(flown(&engine), ranked, "{scheduler}: engine");
+            assert_eq!(flown(&threads), ranked, "{scheduler}: threads");
+        }
+    }
+
+    // A schedule one op short never reaches an executor.
+    let session = threaded_session(
+        tiny_mlp(Mode::Training, 8),
+        ClusterSpec::new(2, 1),
+        SchedulerKind::Tic,
+        1,
+    );
+    let graph = session.deployed().graph();
+    let (config, short) = (SimConfig::cloud_gpu(), Schedule::empty(graph.len() - 1));
+    let mismatch = SimError::ScheduleMismatch {
+        schedule_len: graph.len() - 1,
+        graph_len: graph.len(),
+    };
+    assert_eq!(RunPlan::new(graph, &short, &config).err(), Some(mismatch));
+    assert_eq!(try_simulate(graph, &short, &config, 0), Err(mismatch));
+    assert_eq!(
+        run_iteration_injected(graph, &short, &config, &opts, 0, &FaultPlan::quiet()),
+        Err(RuntimeError::ScheduleMismatch {
+            schedule_len: graph.len() - 1,
+            graph_len: graph.len(),
+        })
+    );
 }

@@ -1,5 +1,6 @@
 //! `tictac` answers bad input with `error: ...` and a non-zero exit code —
-//! never with a panic (ROADMAP aim 3).
+//! never with a panic (ROADMAP aim 3) and never by quietly doing something
+//! other than what was asked.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -94,5 +95,107 @@ fn factors_that_leave_the_time_axis_are_usage_errors() {
             let first = first.unwrap_or_else(|| panic!("{stem}: {stderr}"));
             assert!(first.contains(path) && first.contains(names), "{first}");
         }
+    }
+}
+
+/// A flag the subcommand does not read is refused, not dropped: a typo
+/// must not run the defaults and exit 0.
+#[test]
+fn unknown_flags_are_usage_errors_on_every_subcommand() {
+    let store = concat!(env!("CARGO_MANIFEST_DIR"), "/results/runs.jsonl");
+    let scenario = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/vgg19_hetero.yml"
+    );
+    let rows: [(&[&str], &str); 7] = [
+        (&["run", "alexnet_v2", "--warmup", "0"], "--warmup"),
+        (&["run", "alexnet_v2", "--iteration", "4"], "--iteration"),
+        (
+            &["run", scenario, "--dry-run", "--workers", "3"],
+            "--workers",
+        ),
+        (&["schedule", "alexnet_v2", "--tpo", "3"], "--tpo"),
+        (
+            &["runs", "list", "--store", store, "--window", "3"],
+            "--window",
+        ),
+        (
+            &["timeline", "alexnet_v2", "--iterations", "2"],
+            "--iterations",
+        ),
+        (&["models", "--verbose"], "--verbose"),
+    ];
+    for (args, flag) in rows {
+        let (out, stderr) = tictac(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("error: unknown flag {flag}"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+    // The same subcommands with only flags they read still run.
+    let (out, stderr) = tictac(&["run", scenario, "--dry-run"]);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let (out, stderr) = tictac(&["runs", "regress", "--store", store, "--window", "3"]);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+/// `schedule` prints the order a session enforces — for TAC the one its
+/// own profile yields, not a private re-profiling — and a policy the
+/// subcommand cannot show is refused rather than swapped for TIC.
+#[test]
+fn schedule_prints_the_session_order_or_refuses() {
+    use tictac::{ClusterSpec, Mode, Model, SchedulerKind, Session, SimConfig};
+    let session = Session::builder(Model::InceptionV1.build(Mode::Training))
+        .cluster(ClusterSpec::new(1, 1))
+        .config(SimConfig::cloud_gpu())
+        .scheduler(SchedulerKind::Tac)
+        .build()
+        .expect("model deploys");
+    let graph = session.deployed().graph();
+    let mut recvs = graph.recv_ops_on(session.deployed().workers()[0]);
+    recvs.sort_by_key(|&op| session.schedule().priority(op));
+    let expected: Vec<String> = recvs
+        .iter()
+        .map(|&op| graph.op_name(op).to_string())
+        .collect();
+
+    let args = [
+        "schedule",
+        "inception_v1",
+        "--scheduler",
+        "tac",
+        "--top",
+        "999",
+    ];
+    let (out, stderr) = tictac(&args);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let printed: Vec<&str> = stdout
+        .lines()
+        .skip(1)
+        .map(|line| line.split_whitespace().nth(1).expect("rank, then name"))
+        .collect();
+    assert_eq!(printed, expected);
+
+    for (command, scheduler) in [
+        ("schedule", "baseline"),
+        ("schedule", "random"),
+        ("timeline", "tac"),
+        ("timeline", "random"),
+    ] {
+        let (out, stderr) = tictac(&[command, "alexnet_v2", "--scheduler", scheduler]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{command} {scheduler}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("--scheduler {scheduler}")),
+            "{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{command} {scheduler} printed a result"
+        );
     }
 }
