@@ -88,6 +88,9 @@ cargo test --offline -q --test perfetto_snapshot
 # engine's `debug_assert!`s compiled out.
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release --test perfetto_snapshot
+# The fault code both executors share (agenda, loss ladder, record and
+# barrier steps) in that same build, on the engine and on real threads.
+cargo test --offline -q --release --test faults --test chaos --test backend_equivalence
 
 echo "== threaded backend smoke =="
 # Real-OS-thread runtime gate (DESIGN.md §9): the quick sim-vs-wall-clock

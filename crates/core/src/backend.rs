@@ -14,8 +14,9 @@
 //!   rank enforcement, wall-clock timestamps.
 //!
 //! Both emit the same trace type, so every downstream consumer — metrics,
-//! `tictac-obs` analyzers, Perfetto export — works on either unchanged.
-//! Select with [`SessionBuilder::backend`].
+//! `tictac-obs` analyzers, Perfetto export — works on either unchanged,
+//! and fail with the same [`SimError`]. Select with
+//! [`SessionBuilder::backend`].
 //!
 //! [`Session`]: crate::Session
 //! [`SessionBuilder::backend`]: crate::SessionBuilder::backend
@@ -25,7 +26,7 @@ use std::fmt;
 use tictac_cluster::DeployedModel;
 use tictac_obs::Registry;
 use tictac_sched::Schedule;
-use tictac_sim::{ExecOptions, RunPlan, RuntimeError, SimConfig, SimError};
+use tictac_sim::{ExecOptions, RunPlan, SimConfig, SimError};
 use tictac_trace::{ExecutionTrace, FaultCounters};
 
 /// The clock domain a backend's trace timestamps live in.
@@ -40,45 +41,6 @@ pub enum TimeDomain {
     /// thread start-up and the allocator do warm up, so warm-up
     /// iterations are executed and discarded.
     WallClock,
-}
-
-/// An iteration failure from whichever backend ran it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecError {
-    /// The simulator failed (retry exhaustion, deadlock).
-    Sim(SimError),
-    /// The threaded runtime failed (stall, retry exhaustion).
-    Runtime(RuntimeError),
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecError::Sim(e) => write!(f, "simulation failed: {e}"),
-            ExecError::Runtime(e) => write!(f, "threaded execution failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::Sim(e) => Some(e),
-            ExecError::Runtime(e) => Some(e),
-        }
-    }
-}
-
-impl From<SimError> for ExecError {
-    fn from(e: SimError) -> Self {
-        ExecError::Sim(e)
-    }
-}
-
-impl From<RuntimeError> for ExecError {
-    fn from(e: RuntimeError) -> Self {
-        ExecError::Runtime(e)
-    }
 }
 
 /// An engine that executes one iteration and produces a trace.
@@ -104,7 +66,7 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExecError`] for unrecoverable iterations.
+    /// Returns a [`SimError`] for unrecoverable iterations.
     fn execute(
         &self,
         deployed: &DeployedModel,
@@ -112,7 +74,7 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync {
         plan: &RunPlan,
         iteration: u64,
         registry: &Registry,
-    ) -> Result<ExecutionTrace, ExecError>;
+    ) -> Result<ExecutionTrace, SimError>;
 }
 
 /// The discrete-event simulator backend (the default): the event engine
@@ -136,11 +98,10 @@ impl ExecutionBackend for SimBackend {
         plan: &RunPlan,
         iteration: u64,
         registry: &Registry,
-    ) -> Result<ExecutionTrace, ExecError> {
+    ) -> Result<ExecutionTrace, SimError> {
         let graph = deployed.graph();
         let faults = plan.sample_faults(graph, iteration);
         plan.simulate_observed(graph, schedule, iteration, &faults, registry)
-            .map_err(ExecError::Sim)
     }
 }
 
@@ -176,7 +137,7 @@ impl ThreadedBackend {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::UnsupportedConfig`] for knobs the wall clock
+    /// [`SimError::UnsupportedConfig`] for knobs the wall clock
     /// cannot honor, instead of silently ignoring them:
     ///
     /// * `reorder_error > 0.01` — the runtime does not inject artificial
@@ -190,16 +151,16 @@ impl ThreadedBackend {
     ///
     /// [`NoiseModel`]: tictac_timing::NoiseModel
     /// [`FaultPlan`]: tictac_sim::FaultPlan
-    pub fn from_config(config: &SimConfig) -> Result<Self, RuntimeError> {
+    pub fn from_config(config: &SimConfig) -> Result<Self, SimError> {
         Self::check(config)?;
         Ok(Self {
             opts: ExecOptions::default(),
         })
     }
 
-    fn check(config: &SimConfig) -> Result<(), RuntimeError> {
+    fn check(config: &SimConfig) -> Result<(), SimError> {
         if config.reorder_error > 0.01 {
-            return Err(RuntimeError::UnsupportedConfig {
+            return Err(SimError::UnsupportedConfig {
                 knob: "reorder_error",
                 reason: format!(
                     "injected reorder rate {} exceeds what physical hand-off jitter \
@@ -209,7 +170,7 @@ impl ThreadedBackend {
             });
         }
         if config.noise.sigma() > 0.1 || config.noise.slowdown_prob() > 0.05 {
-            return Err(RuntimeError::UnsupportedConfig {
+            return Err(SimError::UnsupportedConfig {
                 knob: "noise",
                 reason: format!(
                     "modeled noise (sigma {}, slowdown prob {}) is too heavy to be \
@@ -254,16 +215,14 @@ impl ExecutionBackend for ThreadedBackend {
         plan: &RunPlan,
         iteration: u64,
         registry: &Registry,
-    ) -> Result<ExecutionTrace, ExecError> {
+    ) -> Result<ExecutionTrace, SimError> {
         let started = std::time::Instant::now();
-        Self::check(plan.config()).map_err(ExecError::Runtime)?;
+        Self::check(plan.config())?;
         let graph = deployed.graph();
         // Same key as the simulator: identical seeds inject the identical
         // fault set.
         let faults = plan.sample_faults(graph, iteration);
-        let trace = plan
-            .run_threaded(graph, schedule, &self.opts, iteration, &faults)
-            .map_err(ExecError::Runtime)?;
+        let trace = plan.run_threaded(graph, schedule, &self.opts, iteration, &faults)?;
         if !plan.config().faults.is_quiet() {
             let c = FaultCounters::from_trace(&trace);
             registry.counter("exec.faults.drops").add(c.drops);
@@ -340,25 +299,10 @@ mod tests {
         let plan = RunPlan::new(d.graph(), &s, &heavy).unwrap();
         let thr = ThreadedBackend::from_config(&SimConfig::cloud_gpu()).unwrap();
         match thr.execute(&d, &s, &plan, 0, &Registry::disabled()) {
-            Err(ExecError::Runtime(RuntimeError::UnsupportedConfig { knob, .. })) => {
+            Err(SimError::UnsupportedConfig { knob, .. }) => {
                 assert_eq!(knob, "reorder_error");
             }
             other => panic!("expected an unsupported config, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn exec_errors_wrap_and_display_both_sources() {
-        let sim = ExecError::from(SimError::ScheduleMismatch {
-            schedule_len: 9,
-            graph_len: 2,
-        });
-        assert!(sim.to_string().contains("simulation failed"));
-        let thr = ExecError::from(RuntimeError::RetriesExhausted {
-            op: tictac_graph::OpId::from_index(4),
-            attempts: 3,
-        });
-        assert!(thr.to_string().contains("threaded execution failed"));
-        assert!(std::error::Error::source(&thr).is_some());
     }
 }

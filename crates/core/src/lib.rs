@@ -43,7 +43,7 @@ mod stats;
 pub mod training;
 mod tune;
 
-pub use backend::{ExecError, ExecutionBackend, SimBackend, ThreadedBackend, TimeDomain};
+pub use backend::{ExecutionBackend, SimBackend, ThreadedBackend, TimeDomain};
 pub use cache::{CacheStats, DeployCache};
 pub use experiments::{count_unique_recv_orders, parallel_map, speedup_pct};
 pub use optimal::{makespan_of_order, optimal_order, OptimalSearch};
@@ -79,7 +79,7 @@ pub use tictac_sched::{
 pub use tictac_sim::{
     noise_free_profile, run_iteration_injected, simulate, simulate_with_plan_observed,
     try_simulate, Blackout, Crash, ExecOptions, FaultClock, FaultCounters, FaultPlan, FaultSpec,
-    IterationMetrics, RunPlan, RuntimeError, SimConfig, SimError, Stall,
+    IterationMetrics, RunPlan, SimConfig, SimError, Stall,
 };
 #[doc(hidden)]
 pub use tictac_sim::{selected_engine, EngineChoice};

@@ -8,12 +8,12 @@ use tictac_scenario::{BackendKind, Scenario};
 use tictac_sched::{
     efficiency, no_ordering, Baseline, Random, Schedule, Scheduler, TacScheduler, TicScheduler,
 };
-use tictac_sim::{noise_free_profile, FaultCounters, FaultSpec, RunPlan, SimConfig};
+use tictac_sim::{noise_free_profile, FaultCounters, FaultSpec, RunPlan, SimConfig, SimError};
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
 use tictac_timing::{GeneralOracle, MeasuredProfile, NoiseModel, SimDuration, TimeOracle};
 use tictac_trace::{analyze, estimate_profile, ExecutionTrace};
 
-use crate::backend::{ExecError, ExecutionBackend, SimBackend, TimeDomain};
+use crate::backend::{ExecutionBackend, SimBackend, TimeDomain};
 
 // `SchedulerKind` moved to `tictac-sched` (re-exported here for API
 // compatibility) so policy-naming surfaces — scenario files, run records
@@ -202,8 +202,9 @@ impl SessionBuilder {
 pub enum ScenarioBuildError {
     /// The model/cluster deployment failed.
     Deploy(DeployError),
-    /// The threaded backend rejected the scenario's configuration.
-    Runtime(tictac_sim::RuntimeError),
+    /// The threaded backend rejected the scenario's configuration
+    /// ([`SimError::UnsupportedConfig`]).
+    Backend(SimError),
     /// The deployment's noise-free service times sum to `total`
     /// (saturating), at or past the 2^53 ns end of the time axis.
     Horizon {
@@ -216,7 +217,7 @@ impl std::fmt::Display for ScenarioBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioBuildError::Deploy(e) => write!(f, "invalid deployment: {e}"),
-            ScenarioBuildError::Runtime(e) => write!(f, "unsupported backend config: {e}"),
+            ScenarioBuildError::Backend(e) => write!(f, "unsupported backend config: {e}"),
             ScenarioBuildError::Horizon { total } => write!(
                 f,
                 "one iteration's service times add up to {:.3e} s or more, past the \
@@ -236,9 +237,9 @@ impl From<DeployError> for ScenarioBuildError {
     }
 }
 
-impl From<tictac_sim::RuntimeError> for ScenarioBuildError {
-    fn from(e: tictac_sim::RuntimeError) -> Self {
-        ScenarioBuildError::Runtime(e)
+impl From<SimError> for ScenarioBuildError {
+    fn from(e: SimError) -> Self {
+        ScenarioBuildError::Backend(e)
     }
 }
 
@@ -614,8 +615,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns the [`ExecError`] of an unrecoverable iteration.
-    pub fn trace_iteration(&self, iteration: u64) -> Result<ExecutionTrace, ExecError> {
+    /// Returns the [`SimError`] of an unrecoverable iteration.
+    pub fn trace_iteration(&self, iteration: u64) -> Result<ExecutionTrace, SimError> {
         self.backend.execute(
             &self.deployed,
             &self.schedule,
@@ -637,8 +638,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns the [`ExecError`] of an unrecoverable iteration.
-    pub fn perfetto_json(&self, iteration: u64) -> Result<String, ExecError> {
+    /// Returns the [`SimError`] of an unrecoverable iteration.
+    pub fn perfetto_json(&self, iteration: u64) -> Result<String, SimError> {
         let trace = self.trace_iteration(iteration)?;
         let label = match self.backend.time_domain() {
             TimeDomain::Virtual => {
@@ -669,7 +670,7 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if an iteration fails with an [`ExecError`].
+    /// Panics if an iteration fails with a [`SimError`].
     pub fn run(&self) -> RunReport {
         self.run_with(RunOptions::default())
     }
@@ -678,7 +679,7 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if an iteration fails with an [`ExecError`].
+    /// Panics if an iteration fails with a [`SimError`].
     pub fn run_with(&self, options: RunOptions) -> RunReport {
         self.try_run_with(options).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -690,8 +691,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ExecError`] any iteration produces.
-    pub fn try_run(&self) -> Result<RunReport, ExecError> {
+    /// Returns the first [`SimError`] any iteration produces.
+    pub fn try_run(&self) -> Result<RunReport, SimError> {
         self.try_run_with(RunOptions::default())
     }
 
@@ -706,8 +707,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ExecError`] any executed iteration produces.
-    pub fn try_run_with(&self, options: RunOptions) -> Result<RunReport, ExecError> {
+    /// Returns the first [`SimError`] any executed iteration produces.
+    pub fn try_run_with(&self, options: RunOptions) -> Result<RunReport, SimError> {
         let offset = options.offset;
         let iterations = options.iterations.unwrap_or(self.iterations);
         let graph = self.deployed.graph();
@@ -927,7 +928,7 @@ mod tests {
             .build()
             .unwrap();
         match doomed.try_run() {
-            Err(ExecError::Sim(tictac_sim::SimError::RetriesExhausted { .. })) => {}
+            Err(SimError::RetriesExhausted { .. }) => {}
             other => panic!("expected retry exhaustion, got {other:?}"),
         }
     }
@@ -1005,7 +1006,7 @@ mod tests {
             plan: &RunPlan,
             iteration: u64,
             registry: &Registry,
-        ) -> Result<ExecutionTrace, ExecError> {
+        ) -> Result<ExecutionTrace, SimError> {
             self.calls
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             SimBackend.execute(deployed, schedule, plan, iteration, registry)

@@ -50,7 +50,6 @@
 
 mod builder;
 mod device;
-mod dot;
 mod error;
 mod graph;
 mod hash;
@@ -62,7 +61,6 @@ pub mod topo;
 
 pub use builder::GraphBuilder;
 pub use device::{Channel, Device, DeviceKind, Resource};
-pub use dot::{model_to_dot, to_dot};
 pub use error::GraphError;
 pub use graph::{Graph, ParamInfo};
 pub use hash::Fnv1a;

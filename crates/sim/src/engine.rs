@@ -9,13 +9,15 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::faults::{FaultClock, FaultPlan};
+use crate::faults::{
+    close_at_barrier, darkened_by_crash, AfterLoss, FaultClock, FaultPlan, Transition,
+};
 use crate::plan::{RunPlan, TransferTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
+use tictac_graph::{Graph, OpId, OpKind};
 use tictac_obs::{BucketHistogram, Counter, Registry};
 use tictac_sched::Schedule;
 use tictac_timing::{SimDuration, SimTime};
@@ -218,22 +220,9 @@ enum EventKind {
     TransferDone(OpId, u32),
     /// Loss-detection timeout of a dropped transfer attempt fired.
     TransferTimeout(OpId, u32),
-    /// Injected availability change from the iteration's fault plan.
-    Fault(FaultAction),
-    /// Degraded-mode sync barrier release.
-    Barrier,
-}
-
-/// Availability transitions scheduled from a [`FaultPlan`]. Times are in
-/// nanoseconds (the `Ev` clock domain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum FaultAction {
-    BlackoutStart { channel: ChannelId, until: u64 },
-    BlackoutEnd { channel: ChannelId },
-    CrashStart { device: DeviceId, until: u64 },
-    CrashEnd { device: DeviceId },
-    StallStart { device: DeviceId, until: u64 },
-    StallEnd { device: DeviceId },
+    /// An entry of the fault plan's agenda: an availability change or the
+    /// degraded barrier's release.
+    Fault(Transition),
 }
 
 /// Per-device ready set under the ready-queue rule of §3.1: the pick
@@ -616,64 +605,19 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// Pre-schedules every availability transition of the fault plan plus
-    /// the degraded barrier, and logs the iteration-long stragglers.
+    /// Logs the iteration-long stragglers and schedules the fault plan's
+    /// agenda in plan order, through [`FaultClock::virtual_time`] — an
+    /// exact identity, since plans are sampled in this engine's domain.
     /// Quiet plans schedule nothing, keeping the event stream identical to
     /// a fault-free run.
-    ///
-    /// Plan instants pass through [`FaultClock::virtual_time`] — an exact
-    /// identity, since plans are sampled in this engine's own domain. The
-    /// threaded runtime maps the same plan through
-    /// `FaultClock::wall_clock(time_scale)` instead; the clock is the only
-    /// seam between the two interpretations.
     fn schedule_faults(&mut self) {
         let plan = self.plan;
-        let clock = FaultClock::virtual_time();
         for &(device, _) in &plan.stragglers {
             self.trace
                 .push_fault(SimTime::ZERO, FaultEventKind::StragglerApplied { device });
         }
-        for b in &plan.blackouts {
-            self.schedule_event(
-                clock.instant(b.at),
-                EventKind::Fault(FaultAction::BlackoutStart {
-                    channel: b.channel,
-                    until: clock.instant(b.until).as_nanos(),
-                }),
-            );
-            self.schedule_event(
-                clock.instant(b.until),
-                EventKind::Fault(FaultAction::BlackoutEnd { channel: b.channel }),
-            );
-        }
-        for c in &plan.crashes {
-            self.schedule_event(
-                clock.instant(c.at),
-                EventKind::Fault(FaultAction::CrashStart {
-                    device: c.device,
-                    until: clock.instant(c.until).as_nanos(),
-                }),
-            );
-            self.schedule_event(
-                clock.instant(c.until),
-                EventKind::Fault(FaultAction::CrashEnd { device: c.device }),
-            );
-        }
-        for s in &plan.stalls {
-            self.schedule_event(
-                clock.instant(s.at),
-                EventKind::Fault(FaultAction::StallStart {
-                    device: s.device,
-                    until: clock.instant(s.until).as_nanos(),
-                }),
-            );
-            self.schedule_event(
-                clock.instant(s.until),
-                EventKind::Fault(FaultAction::StallEnd { device: s.device }),
-            );
-        }
-        if let Some(timeout) = plan.barrier_timeout {
-            self.schedule_event(SimTime::ZERO + clock.duration(timeout), EventKind::Barrier);
+        for (at, transition) in plan.agenda(FaultClock::virtual_time()) {
+            self.schedule_event(at, EventKind::Fault(transition));
         }
     }
 
@@ -715,8 +659,7 @@ impl<'g> Engine<'g> {
                     }
                     self.on_transfer_timeout(op);
                 }
-                EventKind::Fault(action) => self.on_fault(action),
-                EventKind::Barrier => self.on_barrier(),
+                EventKind::Fault(transition) => self.on_fault(transition),
             }
             if self.error.is_some() || self.degraded {
                 break;
@@ -724,7 +667,7 @@ impl<'g> Engine<'g> {
             self.pump();
         }
 
-        if let Some(e) = self.error {
+        if let Some(e) = self.error.take() {
             return Err(e);
         }
         if self.remaining > 0 && !self.degraded {
@@ -890,24 +833,29 @@ impl<'g> Engine<'g> {
         // so the noise stream is independent of drop decisions.
         let dur = self.noise.apply(&mut self.rng, base);
         self.started_at[recv.index()] = self.clock;
-        let epoch = self.epoch[recv.index()];
-        let attempt = self.attempts[recv.index()];
-        if self.plan.drops_attempt(recv, attempt) {
-            // Lost on the wire: the receiver only notices when the
-            // loss-detection timeout for this attempt fires; the channel
-            // stays wedged on the failed stream until then.
-            self.trace.push_fault(
-                self.clock,
-                FaultEventKind::TransferDropped { op: recv, attempt },
-            );
-            let timeout = self.plan.retry.timeout_for(attempt);
-            self.schedule_event(
-                self.clock + timeout,
-                EventKind::TransferTimeout(recv, epoch),
-            );
+        if self.plan.drops_attempt(recv, self.attempts[recv.index()]) {
+            // Lost on the wire: the channel stays wedged on the failed
+            // stream until loss detection fires.
+            self.lose(recv);
         } else {
+            let epoch = self.epoch[recv.index()];
             self.schedule_event(self.clock + dur, EventKind::TransferDone(recv, epoch));
         }
+    }
+
+    /// The current attempt of `recv` is lost now: the receiver only
+    /// notices when the attempt's loss-detection timeout fires.
+    fn lose(&mut self, recv: OpId) {
+        let attempt = self.attempts[recv.index()];
+        self.trace.push_fault(
+            self.clock,
+            FaultEventKind::TransferDropped { op: recv, attempt },
+        );
+        let epoch = self.epoch[recv.index()];
+        self.schedule_event(
+            self.clock + self.plan.retry.timeout_for(attempt),
+            EventKind::TransferTimeout(recv, epoch),
+        );
     }
 
     /// Kills the transfer in flight on `ch` (endpoint crash or blackout):
@@ -916,17 +864,7 @@ impl<'g> Engine<'g> {
     fn kill_inflight_transfer(&mut self, ch: usize) {
         if let Some(recv) = self.inflight_recv[ch].take() {
             self.epoch[recv.index()] += 1;
-            let attempt = self.attempts[recv.index()];
-            self.trace.push_fault(
-                self.clock,
-                FaultEventKind::TransferDropped { op: recv, attempt },
-            );
-            let timeout = self.plan.retry.timeout_for(attempt);
-            let epoch = self.epoch[recv.index()];
-            self.schedule_event(
-                self.clock + timeout,
-                EventKind::TransferTimeout(recv, epoch),
-            );
+            self.lose(recv);
         }
     }
 
@@ -995,18 +933,13 @@ impl<'g> Engine<'g> {
             m.chan_transfers[ch].inc();
             m.chan_busy_ns[ch].add(self.clock.duration_since(start).as_nanos());
         }
-        self.trace.record(recv, start, self.clock);
-        // Attribute the same interval to the sending end (already `done`
-        // for dependency purposes at hand-off time).
-        if let Some(send) = self.transfers.send_of[recv.index()] {
-            self.trace.record(send, start, self.clock);
-        }
+        self.transfers
+            .record(&mut self.trace, recv, start, self.clock);
         self.mark_done(recv);
     }
 
-    /// A transfer attempt was declared lost: free the channel, then either
-    /// retransmit (within budget) or give up — a hard error unless a
-    /// degraded barrier will absorb the loss.
+    /// A transfer attempt was declared lost: free the channel, count the
+    /// attempt and take the loss ladder's answer.
     fn on_transfer_timeout(&mut self, recv: OpId) {
         let ch = self.transfers.chan[recv.index()] as usize;
         self.chan_busy[ch] = false;
@@ -1015,53 +948,36 @@ impl<'g> Engine<'g> {
             self.inflight_recv[ch] = None;
         }
         let attempt = self.attempts[recv.index()];
-        self.trace.push_fault(
-            self.clock,
-            FaultEventKind::TransferTimeout { op: recv, attempt },
-        );
-        let next = attempt + 1;
-        self.attempts[recv.index()] = next;
-        if self.plan.retry.attempt_allowed(next) {
-            if let Some(m) = &self.metrics {
-                m.retransmits.inc();
+        self.attempts[recv.index()] = attempt + 1;
+        match self
+            .plan
+            .after_timeout(&mut self.trace, recv, attempt, self.clock)
+        {
+            AfterLoss::Retransmit => {
+                if let Some(m) = &self.metrics {
+                    m.retransmits.inc();
+                }
+                self.chan_queue[ch].push(recv, self.transfers.recv_rank[recv.index()]);
             }
-            self.trace.push_fault(
-                self.clock,
-                FaultEventKind::Retransmit {
-                    op: recv,
-                    attempt: next,
-                },
-            );
-            self.chan_queue[ch].push(recv, self.transfers.recv_rank[recv.index()]);
-        } else if self.plan.barrier_timeout.is_none() {
-            self.error = Some(SimError::RetriesExhausted {
-                op: recv,
-                attempts: next,
-                at: self.clock,
-            });
+            // Left incomplete; the barrier defers it when it fires.
+            AfterLoss::Abandon => {}
+            AfterLoss::Fail(e) => self.error = Some(e),
         }
-        // With a barrier configured, the abandoned transfer is left
-        // incomplete and deferred when the barrier fires.
     }
 
-    fn on_fault(&mut self, action: FaultAction) {
-        match action {
-            FaultAction::BlackoutStart { channel, until } => {
+    fn on_fault(&mut self, transition: Transition) {
+        if let Some(kind) = transition.event() {
+            self.trace.push_fault(self.clock, kind);
+        }
+        match transition {
+            Transition::BlackoutStart { channel, until } => {
                 let ch = channel.index();
-                self.chan_down_until[ch] = self.chan_down_until[ch].max(until);
-                self.trace
-                    .push_fault(self.clock, FaultEventKind::BlackoutStart { channel });
+                self.chan_down_until[ch] = self.chan_down_until[ch].max(until.as_nanos());
                 self.kill_inflight_transfer(ch);
             }
-            FaultAction::BlackoutEnd { channel } => {
-                self.trace
-                    .push_fault(self.clock, FaultEventKind::BlackoutEnd { channel });
-            }
-            FaultAction::CrashStart { device, until } => {
+            Transition::CrashStart { device, until } => {
                 let dev = device.index();
-                self.device_down_until[dev] = self.device_down_until[dev].max(until);
-                self.trace
-                    .push_fault(self.clock, FaultEventKind::WorkerCrashed { device });
+                self.device_down_until[dev] = self.device_down_until[dev].max(until.as_nanos());
                 // In-flight compute is lost and re-run after recovery.
                 if let Some((op, _)) = self.inflight_compute[dev].take() {
                     self.epoch[op.index()] += 1;
@@ -1069,29 +985,21 @@ impl<'g> Engine<'g> {
                     self.compute_ready[dev].push(op, self.schedule.priority(op));
                     self.dirty_devices.mark(dev);
                 }
-                // The crashed worker's channels go dark; in-flight
-                // transfers on them are lost and retried after detection.
-                for ch in 0..self.graph.channels().len() {
-                    if self.graph.channels()[ch].worker().index() == dev {
-                        self.chan_down_until[ch] = self.chan_down_until[ch].max(until);
-                        self.kill_inflight_transfer(ch);
-                    }
+                // In-flight transfers on the darkened channels are lost
+                // and retried after detection.
+                for ch in darkened_by_crash(self.graph, device) {
+                    self.chan_down_until[ch] = self.chan_down_until[ch].max(until.as_nanos());
+                    self.kill_inflight_transfer(ch);
                 }
             }
-            FaultAction::CrashEnd { device } => {
-                self.trace
-                    .push_fault(self.clock, FaultEventKind::WorkerRecovered { device });
-            }
-            FaultAction::StallStart { device, until } => {
+            Transition::StallStart { device, until } => {
                 let dev = device.index();
-                self.device_down_until[dev] = self.device_down_until[dev].max(until);
-                self.trace
-                    .push_fault(self.clock, FaultEventKind::PsStallStart { device });
+                self.device_down_until[dev] = self.device_down_until[dev].max(until.as_nanos());
                 // Pause semantics: the in-flight update is not lost, it
                 // finishes late by the stall length.
                 if let Some((op, end)) = self.inflight_compute[dev] {
                     self.epoch[op.index()] += 1;
-                    let pause = until.saturating_sub(self.clock.as_nanos());
+                    let pause = until.as_nanos().saturating_sub(self.clock.as_nanos());
                     let new_end = end.saturating_add(pause);
                     self.inflight_compute[dev] = Some((op, new_end));
                     let epoch = self.epoch[op.index()];
@@ -1101,39 +1009,18 @@ impl<'g> Engine<'g> {
                     );
                 }
             }
-            FaultAction::StallEnd { device } => {
-                self.trace
-                    .push_fault(self.clock, FaultEventKind::PsStallEnd { device });
+            // Degraded-mode sync barrier: work still outstanding when it
+            // fires is deferred to the next iteration.
+            Transition::Barrier => {
+                let done = &self.done;
+                let undone = (0..done.len()).filter(|&i| !done[i]).map(OpId::from_index);
+                close_at_barrier(&mut self.trace, self.clock, undone);
+                self.degraded = true;
             }
+            Transition::BlackoutEnd { .. }
+            | Transition::CrashEnd { .. }
+            | Transition::StallEnd { .. } => {}
         }
-    }
-
-    /// Degraded-mode sync barrier (fault-tolerant execution): if work is
-    /// still outstanding when the barrier timeout expires, the iteration
-    /// completes anyway and the stragglers' remaining ops are deferred to
-    /// the next iteration.
-    fn on_barrier(&mut self) {
-        if self.remaining == 0 {
-            return;
-        }
-        for i in 0..self.graph.len() {
-            if !self.done[i] {
-                self.trace.push_fault(
-                    self.clock,
-                    FaultEventKind::DeferredOp {
-                        op: OpId::from_index(i),
-                    },
-                );
-            }
-        }
-        self.trace.push_fault(
-            self.clock,
-            FaultEventKind::BarrierDegraded {
-                remaining: self.remaining as u32,
-            },
-        );
-        self.trace.raise_makespan(self.clock);
-        self.degraded = true;
     }
 
     /// Marks an op complete and dispatches newly-ready successors.

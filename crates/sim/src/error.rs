@@ -1,11 +1,14 @@
-//! Typed simulation failures.
+//! Typed failures of both executors: one error type for the event engine
+//! and the threaded runtime.
 
 use std::fmt;
+use std::time::Duration;
 use tictac_graph::OpId;
 use tictac_timing::SimTime;
 
-/// Why a simulation could not produce a complete trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why an iteration could not produce a complete trace, on either
+/// executor.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The schedule does not cover the graph (length mismatch).
     ScheduleMismatch {
@@ -32,8 +35,31 @@ pub enum SimError {
         op: OpId,
         /// Attempts made (initial send plus retransmits).
         attempts: u32,
-        /// Virtual time of the final timeout.
+        /// When the final timeout fired, in the executor's clock.
         at: SimTime,
+    },
+    /// The threaded runtime's watchdog expired with work outstanding (a
+    /// wedged thread or an impossible schedule).
+    Stalled {
+        /// Ops that completed before the abort.
+        completed: usize,
+        /// Ops still outstanding.
+        remaining: usize,
+        /// How long the watchdog waited.
+        waited: Duration,
+        /// Names of the outstanding ops, capped (a trailing `+ N more`
+        /// entry summarizes any excess).
+        outstanding: Vec<String>,
+        /// Queued-transfer depth per channel at the abort.
+        channel_depths: Vec<usize>,
+    },
+    /// A `SimConfig` knob was set that the threaded backend cannot honor;
+    /// refusing it loudly beats silently dropping it.
+    UnsupportedConfig {
+        /// The offending configuration field.
+        knob: &'static str,
+        /// Why the backend cannot honor it.
+        reason: String,
     },
 }
 
@@ -59,6 +85,25 @@ impl fmt::Display for SimError {
                 f,
                 "transfer {op} exhausted its retry budget ({attempts} attempts) at {at}"
             ),
+            SimError::Stalled {
+                completed,
+                remaining,
+                waited,
+                outstanding,
+                channel_depths,
+            } => {
+                write!(
+                    f,
+                    "runtime stalled after {waited:?}: {completed} ops done, {remaining} outstanding"
+                )?;
+                if !outstanding.is_empty() {
+                    write!(f, " [{}]", outstanding.join(", "))?;
+                }
+                write!(f, "; channel queue depths {channel_depths:?}")
+            }
+            SimError::UnsupportedConfig { knob, reason } => {
+                write!(f, "threaded backend cannot honor `{knob}`: {reason}")
+            }
         }
     }
 }
@@ -89,5 +134,18 @@ mod tests {
         };
         assert!(e.to_string().contains("retry budget"));
         assert!(std::error::Error::source(&e).is_none());
+        let e = SimError::Stalled {
+            completed: 1,
+            remaining: 2,
+            waited: Duration::from_millis(5),
+            outstanding: vec!["w0/recv".into()],
+            channel_depths: vec![0, 3],
+        };
+        assert!(e.to_string().contains("stalled") && e.to_string().contains("[w0/recv]"));
+        let e = SimError::UnsupportedConfig {
+            knob: "noise",
+            reason: "too heavy".into(),
+        };
+        assert!(e.to_string().contains("cannot honor `noise`"));
     }
 }

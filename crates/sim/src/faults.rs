@@ -14,17 +14,24 @@
 //! variance, and a quiet spec leaves execution byte-identical to a
 //! fault-free run.
 //!
-//! Nothing here knows how faults are *applied*: the discrete-event
-//! simulator schedules them as virtual-time events, while the threaded
-//! runtime arms real timers and kills real threads. Both sample the same
-//! plan from the same `(spec, graph, seed, iteration)` key, and both map
-//! its instants through a [`FaultClock`] — which is why identical seeds
-//! yield the identical fault set on either backend.
+//! The executor-agnostic rules of fault handling live here too, written
+//! once and called by both executors: the plan's [`Transition`] agenda
+//! and the event each transition logs, the channels a crash darkens, the
+//! loss ladder after a timeout ([`FaultPlan::after_timeout`]) and the
+//! degraded barrier's closing step ([`close_at_barrier`]). What stays
+//! per executor is how an answer is *enacted*: the discrete-event
+//! simulator schedules virtual-time events, while the threaded runtime
+//! arms real timers and kills real threads. Both sample the same plan
+//! from the same `(spec, graph, seed, iteration)` key, and both map its
+//! instants through a [`FaultClock`] — which is why identical seeds yield
+//! the identical fault set on either backend.
 
+use crate::error::SimError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tictac_graph::{ChannelId, DeviceId, Fnv1a, Graph, OpId};
 use tictac_timing::{RetryPolicy, SimDuration, SimTime};
+use tictac_trace::{FaultEventKind, TraceBuilder};
 
 /// Stream tag separating fault sampling from any engine's noise RNG.
 const FAULT_STREAM: u64 = 0xFA17_5EED_0DD5_ED17;
@@ -470,6 +477,161 @@ impl FaultPlan {
         let h = mix(self.drop_seed, key);
         // Top 53 bits → uniform in [0, 1).
         ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < self.drop_prob
+    }
+
+    /// Every availability transition of the plan plus the degraded
+    /// barrier, mapped through `clock`, in plan order: each blackout's
+    /// start and end, then each crash's, then each stall's, then the
+    /// barrier. Every start carries its window's end.
+    ///
+    /// The event engine schedules the list as it comes, so plan order is
+    /// its `(at, seq)` order; the threaded runtime stable-sorts it by
+    /// instant, which keeps same-instant entries in that same order. A
+    /// quiet plan yields nothing and allocates nothing.
+    pub(crate) fn agenda(
+        &self,
+        clock: FaultClock,
+    ) -> impl Iterator<Item = (SimTime, Transition)> + '_ {
+        let blackouts = self.blackouts.iter().flat_map(move |b| {
+            let (at, until, channel) = (clock.instant(b.at), clock.instant(b.until), b.channel);
+            [
+                (at, Transition::BlackoutStart { channel, until }),
+                (until, Transition::BlackoutEnd { channel }),
+            ]
+        });
+        let crashes = self.crashes.iter().flat_map(move |c| {
+            let (at, until, device) = (clock.instant(c.at), clock.instant(c.until), c.device);
+            [
+                (at, Transition::CrashStart { device, until }),
+                (until, Transition::CrashEnd { device }),
+            ]
+        });
+        let stalls = self.stalls.iter().flat_map(move |s| {
+            let (at, until, device) = (clock.instant(s.at), clock.instant(s.until), s.device);
+            [
+                (at, Transition::StallStart { device, until }),
+                (until, Transition::StallEnd { device }),
+            ]
+        });
+        let barrier = self
+            .barrier_timeout
+            .map(|t| (SimTime::ZERO + clock.duration(t), Transition::Barrier));
+        blackouts.chain(crashes).chain(stalls).chain(barrier)
+    }
+
+    /// The loss ladder: attempt `attempt` of `recv`'s transfer timed out at
+    /// `at`. Logs `TransferTimeout`, then decides from the retry budget
+    /// and the barrier alone whether attempt `attempt + 1` flies (logging
+    /// its `Retransmit`), the transfer is left to the degraded barrier, or
+    /// the iteration fails. The caller counts the attempt and enacts the
+    /// answer in its own clock.
+    pub(crate) fn after_timeout(
+        &self,
+        trace: &mut TraceBuilder,
+        recv: OpId,
+        attempt: u32,
+        at: SimTime,
+    ) -> AfterLoss {
+        trace.push_fault(at, FaultEventKind::TransferTimeout { op: recv, attempt });
+        let next = attempt + 1;
+        if self.retry.attempt_allowed(next) {
+            let retransmit = FaultEventKind::Retransmit {
+                op: recv,
+                attempt: next,
+            };
+            trace.push_fault(at, retransmit);
+            AfterLoss::Retransmit
+        } else if self.barrier_timeout.is_some() {
+            AfterLoss::Abandon
+        } else {
+            AfterLoss::Fail(SimError::RetriesExhausted {
+                op: recv,
+                attempts: next,
+                at,
+            })
+        }
+    }
+}
+
+/// One entry of a [`FaultPlan`]'s agenda, in some clock's domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Transition {
+    BlackoutStart {
+        channel: ChannelId,
+        until: SimTime,
+    },
+    BlackoutEnd {
+        channel: ChannelId,
+    },
+    CrashStart {
+        device: DeviceId,
+        until: SimTime,
+    },
+    CrashEnd {
+        device: DeviceId,
+    },
+    StallStart {
+        device: DeviceId,
+        until: SimTime,
+    },
+    StallEnd {
+        device: DeviceId,
+    },
+    /// The degraded barrier's release ([`close_at_barrier`] logs it).
+    Barrier,
+}
+
+impl Transition {
+    /// The fault event the transition logs when it takes effect.
+    pub(crate) fn event(self) -> Option<FaultEventKind> {
+        Some(match self {
+            Transition::BlackoutStart { channel, .. } => FaultEventKind::BlackoutStart { channel },
+            Transition::BlackoutEnd { channel } => FaultEventKind::BlackoutEnd { channel },
+            Transition::CrashStart { device, .. } => FaultEventKind::WorkerCrashed { device },
+            Transition::CrashEnd { device } => FaultEventKind::WorkerRecovered { device },
+            Transition::StallStart { device, .. } => FaultEventKind::PsStallStart { device },
+            Transition::StallEnd { device } => FaultEventKind::PsStallEnd { device },
+            Transition::Barrier => return None,
+        })
+    }
+}
+
+/// The channels a crash of `worker` takes dark for its downtime: every
+/// channel it is the worker end of.
+pub(crate) fn darkened_by_crash(
+    graph: &Graph,
+    worker: DeviceId,
+) -> impl Iterator<Item = usize> + '_ {
+    (0..graph.channels().len()).filter(move |&ch| graph.channels()[ch].worker() == worker)
+}
+
+/// What an executor does with a transfer after a loss timeout.
+#[derive(Debug)]
+pub(crate) enum AfterLoss {
+    /// Requeue it under the channel's normal discipline.
+    Retransmit,
+    /// Leave it incomplete: the degraded barrier defers it.
+    Abandon,
+    /// Give the iteration up.
+    Fail(SimError),
+}
+
+/// The degraded barrier's closing step at `at`: logs every op of `undone`
+/// as deferred, then `BarrierDegraded`, and raises the makespan to `at`.
+/// Nothing at all if every op made it in before the barrier.
+pub(crate) fn close_at_barrier(
+    trace: &mut TraceBuilder,
+    at: SimTime,
+    undone: impl IntoIterator<Item = OpId>,
+) {
+    let mut remaining = 0;
+    for op in undone {
+        trace.push_fault(at, FaultEventKind::DeferredOp { op });
+        remaining += 1;
+    }
+    if remaining > 0 {
+        trace.push_fault(at, FaultEventKind::BarrierDegraded { remaining });
+        trace.raise_makespan(at);
     }
 }
 

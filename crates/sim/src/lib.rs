@@ -40,7 +40,7 @@
 //!   exponential backoff and, optionally, a degraded-mode sync barrier
 //!   that completes the iteration with the slowest workers' updates
 //!   deferred. Failures that cannot be absorbed surface as typed
-//!   [`SimError`]s via [`try_simulate`].
+//!   [`SimError`]s — one error type for both executors.
 //!
 //! The simulator consumes the partitioned [`Graph`] built by
 //! `tictac-cluster`, a [`Schedule`] from `tictac-sched`, and produces an
@@ -71,4 +71,4 @@ pub use faults::{Blackout, Crash, FaultClock, FaultPlan, FaultSpec, Stall};
 pub use metrics::{FaultCounters, IterationMetrics};
 pub use plan::RunPlan;
 pub use service::noise_free_profile;
-pub use threaded::{run_iteration_injected, ExecOptions, RuntimeError};
+pub use threaded::{run_iteration_injected, ExecOptions};

@@ -20,7 +20,8 @@ use crate::faults::FaultPlan;
 use crate::service::{paired_send, service_times};
 use tictac_graph::{Graph, OpId};
 use tictac_sched::Schedule;
-use tictac_timing::SimDuration;
+use tictac_timing::{SimDuration, SimTime};
+use tictac_trace::TraceBuilder;
 
 /// One `(graph, schedule, config)` triple, checked and tabulated: what
 /// every iteration of it reads and none changes.
@@ -144,5 +145,26 @@ impl TransferTable {
             }
         }
         table
+    }
+
+    /// Records a finished transfer of `recv` over `[start, end]`, on the
+    /// recv and on its paired send: the send completed at hand-off, but
+    /// its interval is only known now (TF's tracer likewise reports
+    /// transfer time at the send op). A graph may feed one send into
+    /// several recvs; the send keeps the interval of whichever finished
+    /// first.
+    pub(crate) fn record(
+        &self,
+        trace: &mut TraceBuilder,
+        recv: OpId,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        trace.record(recv, start, end);
+        if let Some(send) = self.send_of[recv.index()] {
+            if !trace.is_recorded(send) {
+                trace.record(send, start, end);
+            }
+        }
     }
 }

@@ -32,31 +32,34 @@
 //!
 //! Seeded faults bring the simulator's fault model to the wall clock: the
 //! same [`FaultPlan`] both backends sample is delivered here by a
-//! supervisor walking a wall-clock agenda (instants mapped through
-//! [`FaultClock::wall_clock`]), with keyed per-attempt drop decisions
-//! shared with the simulator — identical seeds inject the identical fault
-//! set on either backend. What is deliberately *not* reproduced: modeled
-//! noise and reorder errors — a threaded run's variance is physical
-//! (scheduler jitter, cache effects), which is the point of having this
-//! backend.
+//! supervisor walking the plan's agenda (instants mapped through
+//! [`FaultClock::wall_clock`]), with keyed per-attempt drop decisions,
+//! the loss ladder and the barrier step shared with the simulator —
+//! identical seeds inject the identical fault set on either backend. What
+//! is deliberately *not* reproduced: modeled noise and reorder errors — a
+//! threaded run's variance is physical (scheduler jitter, cache effects),
+//! which is the point of having this backend.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::config::SimConfig;
 use crate::engine::SendGate;
-use crate::faults::{mix, FaultClock, FaultPlan};
+use crate::error::SimError;
+use crate::faults::{
+    close_at_barrier, darkened_by_crash, mix, AfterLoss, FaultClock, FaultPlan, Transition,
+};
 use crate::plan::{RunPlan, TransferTable};
-use tictac_graph::{ChannelId, DeviceId, Graph, OpId, OpKind};
+use tictac_graph::{Graph, OpId, OpKind};
 use tictac_sched::Schedule;
 use tictac_timing::{SimDuration, SimTime};
-use tictac_trace::{ExecutionTrace, FaultEvent, FaultEventKind, TraceBuilder};
+use tictac_trace::{ExecutionTrace, FaultEventKind, TraceBuilder};
 
-/// Cap on op names reported by [`RuntimeError::Stalled`]; past it a
-/// single `+ N more` entry summarizes the rest.
+/// Cap on op names reported by [`SimError::Stalled`]; past it a single
+/// `+ N more` entry summarizes the rest.
 const STALL_REPORT_CAP: usize = 12;
 
 /// Base seed of the arbitrary pop order of *unprioritized* queue entries
@@ -71,7 +74,7 @@ pub struct ExecOptions {
     /// wall time at the cost of a larger relative scheduling overhead.
     pub time_scale: f64,
     /// Wall-clock budget for the whole iteration; exceeding it aborts the
-    /// run with [`RuntimeError::Stalled`].
+    /// run with [`SimError::Stalled`].
     pub watchdog: Duration,
 }
 
@@ -85,89 +88,6 @@ impl Default for ExecOptions {
     }
 }
 
-/// Failures of the threaded runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RuntimeError {
-    /// The schedule covers a different graph.
-    ScheduleMismatch {
-        /// Ops covered by the schedule.
-        schedule_len: usize,
-        /// Ops in the graph.
-        graph_len: usize,
-    },
-    /// The watchdog expired with work outstanding (a wedged thread or an
-    /// impossible schedule).
-    Stalled {
-        /// Ops that completed before the abort.
-        completed: usize,
-        /// Ops still outstanding.
-        remaining: usize,
-        /// How long the watchdog waited.
-        waited: Duration,
-        /// Names of the outstanding ops, capped at [`STALL_REPORT_CAP`]
-        /// (a trailing `+ N more` entry summarizes any excess).
-        outstanding: Vec<String>,
-        /// Queued-transfer depth per channel at the abort (ranked +
-        /// unranked entries).
-        channel_depths: Vec<usize>,
-    },
-    /// A transfer exhausted its retry budget with no degraded barrier
-    /// configured to absorb the loss.
-    RetriesExhausted {
-        /// The recv op of the abandoned transfer.
-        op: OpId,
-        /// Attempts made (the initial send plus every retransmit).
-        attempts: u32,
-    },
-    /// A `SimConfig` knob was set that the threaded backend cannot honor;
-    /// refusing it loudly beats silently dropping it.
-    UnsupportedConfig {
-        /// The offending configuration field.
-        knob: &'static str,
-        /// Why the backend cannot honor it.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeError::ScheduleMismatch {
-                schedule_len,
-                graph_len,
-            } => write!(
-                f,
-                "schedule covers {schedule_len} ops but the graph has {graph_len}"
-            ),
-            RuntimeError::Stalled {
-                completed,
-                remaining,
-                waited,
-                outstanding,
-                channel_depths,
-            } => {
-                write!(
-                    f,
-                    "runtime stalled after {waited:?}: {completed} ops done, {remaining} outstanding"
-                )?;
-                if !outstanding.is_empty() {
-                    write!(f, " [{}]", outstanding.join(", "))?;
-                }
-                write!(f, "; channel queue depths {channel_depths:?}")
-            }
-            RuntimeError::RetriesExhausted { op, attempts } => write!(
-                f,
-                "transfer {op:?} was lost on all {attempts} attempts and no degraded barrier is configured"
-            ),
-            RuntimeError::UnsupportedConfig { knob, reason } => {
-                write!(f, "threaded backend cannot honor `{knob}`: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
 /// Executes iteration `iteration` of `graph` under `schedule` on real
 /// threads: [`RunPlan::run_threaded`] on a plan built for this one run.
 /// Platform, enforcement flag and bandwidth share come from `config` —
@@ -175,9 +95,9 @@ impl std::error::Error for RuntimeError {}
 ///
 /// # Errors
 ///
-/// [`RuntimeError::ScheduleMismatch`] if `schedule` does not cover
-/// `graph` — [`RunPlan::new`]'s one error, in this function's error type
-/// — and otherwise as [`RunPlan::run_threaded`].
+/// [`SimError::ScheduleMismatch`] if `schedule` does not cover `graph`
+/// ([`RunPlan::new`]'s one error), and otherwise as
+/// [`RunPlan::run_threaded`].
 ///
 /// [`simulate`]: crate::simulate
 pub fn run_iteration_injected(
@@ -187,13 +107,8 @@ pub fn run_iteration_injected(
     opts: &ExecOptions,
     iteration: u64,
     faults: &FaultPlan,
-) -> Result<ExecutionTrace, RuntimeError> {
-    RunPlan::new(graph, schedule, config)
-        .map_err(|_| RuntimeError::ScheduleMismatch {
-            schedule_len: schedule.len(),
-            graph_len: graph.len(),
-        })?
-        .run_threaded(graph, schedule, opts, iteration, faults)
+) -> Result<ExecutionTrace, SimError> {
+    RunPlan::new(graph, schedule, config)?.run_threaded(graph, schedule, opts, iteration, faults)
 }
 
 impl RunPlan {
@@ -225,10 +140,10 @@ impl RunPlan {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::RetriesExhausted`] if a transfer burns its whole
-    /// retry budget with no barrier configured; [`RuntimeError::Stalled`]
-    /// if the watchdog expires (with the outstanding ops and channel
-    /// depths named).
+    /// [`SimError::RetriesExhausted`] if a transfer burns its whole retry
+    /// budget with no barrier configured; [`SimError::Stalled`] if the
+    /// watchdog expires (with the outstanding ops and channel depths
+    /// named).
     ///
     /// [`RetryPolicy`]: tictac_timing::RetryPolicy
     pub fn run_threaded(
@@ -238,13 +153,12 @@ impl RunPlan {
         opts: &ExecOptions,
         iteration: u64,
         faults: &FaultPlan,
-    ) -> Result<ExecutionTrace, RuntimeError> {
+    ) -> Result<ExecutionTrace, SimError> {
         debug_assert!(self.covers(graph, schedule), "not this plan's graph");
         let shared = Shared::new(graph, schedule, self, opts, iteration, faults);
         for &(device, _) in &faults.stragglers {
             shared.log_fault(SimTime::ZERO, FaultEventKind::StragglerApplied { device });
         }
-        let agenda = shared.build_agenda();
 
         std::thread::scope(|scope| {
             for dev in 0..graph.devices().len() {
@@ -266,29 +180,29 @@ impl RunPlan {
             for op in graph.roots() {
                 shared.dispatch(op);
             }
-            shared.supervise(scope, agenda)
+            shared.supervise(scope)
         })?;
 
         if let Some(err) = shared.error.lock().expect("error lock").take() {
             return Err(err);
         }
-
-        let mut builder = shared
+        // Concurrent threads logged fault events out of order; `finish`
+        // sorts them, keeping same-instant events in log order.
+        Ok(shared
             .trace
             .into_inner()
-            .expect("no thread panicked holding the trace");
-        let mut log = shared
-            .fault_log
-            .into_inner()
-            .expect("no thread panicked holding the fault log");
-        // Concurrent threads appended out of order; the trace contract is
-        // time-sorted events (stable, so same-instant events keep log order).
-        log.sort_by_key(|e| e.at);
-        for e in log {
-            builder.push_fault(e.at, e.kind);
-        }
-        Ok(builder.finish())
+            .expect("no thread panicked holding the trace")
+            .finish())
     }
+}
+
+/// The supervisor's agenda: the plan's transitions on the wall clock at
+/// `clock`, stable-sorted by instant so same-instant entries keep the
+/// plan order the engine schedules them in.
+fn wall_agenda(faults: &FaultPlan, clock: FaultClock) -> Vec<(SimTime, Transition)> {
+    let mut agenda: Vec<_> = faults.agenda(clock).collect();
+    agenda.sort_by_key(|&(at, _)| at);
+    agenda
 }
 
 /// Per-device ready queue: a binary heap keyed by `(schedule priority,
@@ -305,17 +219,6 @@ struct DeviceQueue {
     crash: Option<u64>,
     /// Set by the dying thread; consumed by the supervisor's respawn.
     dead: bool,
-}
-
-/// One due item of the supervisor's fault agenda (wall-clock ordered).
-enum FaultDue {
-    BlackoutStart { ch: usize },
-    BlackoutEnd { ch: usize },
-    CrashStart { dev: usize, until: u64 },
-    CrashEnd { dev: usize },
-    StallStart { dev: usize },
-    StallEnd { dev: usize },
-    Barrier,
 }
 
 /// How a fault-aware busy-wait ended.
@@ -402,6 +305,8 @@ struct Shared<'g> {
     faults: &'g FaultPlan,
     /// Maps plan instants onto the wall clock at `opts.time_scale`.
     clock: FaultClock,
+    /// The plan's transitions on that clock, sorted (see [`wall_agenda`]).
+    agenda: Vec<(SimTime, Transition)>,
     /// False for a quiet plan: every fault check short-circuits.
     faulty: bool,
     /// Per-op completion flags (for the degraded-barrier scan and stall
@@ -419,10 +324,7 @@ struct Shared<'g> {
     /// Per-device crash interrupt: cuts the busy-loop of an op short.
     crash_pending: Vec<AtomicBool>,
     /// First fatal runtime error (a thread latches it and shuts down).
-    error: Mutex<Option<RuntimeError>>,
-    /// Fault events accumulated across threads, merged into the trace at
-    /// the end of the iteration.
-    fault_log: Mutex<Vec<FaultEvent>>,
+    error: Mutex<Option<SimError>>,
 }
 
 impl<'g> Shared<'g> {
@@ -442,30 +344,24 @@ impl<'g> Shared<'g> {
         for &(device, factor) in &faults.stragglers {
             slowdown[device.index()] = factor;
         }
+        let agenda = wall_agenda(faults, clock);
         let mut stall_windows: Vec<Vec<(u64, u64)>> = vec![Vec::new(); ndev];
-        for s in &faults.stalls {
-            stall_windows[s.device.index()].push((
-                clock.instant(s.at).as_nanos(),
-                clock.instant(s.until).as_nanos(),
-            ));
-        }
         let mut chan_windows: Vec<Vec<(u64, u64)>> = vec![Vec::new(); graph.channels().len()];
-        for b in &faults.blackouts {
-            chan_windows[b.channel.index()].push((
-                clock.instant(b.at).as_nanos(),
-                clock.instant(b.until).as_nanos(),
-            ));
-        }
-        for c in &faults.crashes {
-            // A crashed worker's channels go dark for the whole downtime,
-            // exactly as the simulator darkens them.
-            for (ch, channel) in graph.channels().iter().enumerate() {
-                if channel.worker() == c.device {
-                    chan_windows[ch].push((
-                        clock.instant(c.at).as_nanos(),
-                        clock.instant(c.until).as_nanos(),
-                    ));
+        for &(at, transition) in &agenda {
+            let window = |until: SimTime| (at.as_nanos(), until.as_nanos());
+            match transition {
+                Transition::BlackoutStart { channel, until } => {
+                    chan_windows[channel.index()].push(window(until));
                 }
+                Transition::CrashStart { device, until } => {
+                    for ch in darkened_by_crash(graph, device) {
+                        chan_windows[ch].push(window(until));
+                    }
+                }
+                Transition::StallStart { device, until } => {
+                    stall_windows[device.index()].push(window(until));
+                }
+                _ => {}
             }
         }
         for w in stall_windows.iter_mut().chain(chan_windows.iter_mut()) {
@@ -496,6 +392,7 @@ impl<'g> Shared<'g> {
             trace: Mutex::new(TraceBuilder::new(n)),
             faults,
             clock,
+            agenda,
             faulty: !faults.is_quiet(),
             completed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
@@ -504,16 +401,12 @@ impl<'g> Shared<'g> {
             chan_windows,
             crash_pending: (0..ndev).map(|_| AtomicBool::new(false)).collect(),
             error: Mutex::new(None),
-            fault_log: Mutex::new(Vec::new()),
         }
     }
 
-    /// Appends a timestamped fault event to the iteration's log.
+    /// Appends a timestamped fault event to the iteration's trace.
     fn log_fault(&self, at: SimTime, kind: FaultEventKind) {
-        self.fault_log
-            .lock()
-            .expect("fault log lock")
-            .push(FaultEvent { at, kind });
+        self.trace.lock().expect("trace lock").push_fault(at, kind);
     }
 
     /// Wall-clock time since iteration start, in the trace's clock domain.
@@ -668,81 +561,40 @@ impl<'g> Shared<'g> {
         cv.notify_all();
     }
 
-    /// The iteration's fault agenda: every plan instant mapped onto the
-    /// wall clock, sorted. Fault events are logged at their *scheduled*
-    /// instants, so the event stream is a deterministic function of the
-    /// plan even when the supervisor delivers an item a bit late.
-    fn build_agenda(&self) -> VecDeque<(u64, FaultDue)> {
-        let mut items: Vec<(u64, FaultDue)> = Vec::new();
-        for b in &self.faults.blackouts {
-            let ch = b.channel.index();
-            items.push((
-                self.clock.instant(b.at).as_nanos(),
-                FaultDue::BlackoutStart { ch },
-            ));
-            items.push((
-                self.clock.instant(b.until).as_nanos(),
-                FaultDue::BlackoutEnd { ch },
-            ));
-        }
-        for c in &self.faults.crashes {
-            let dev = c.device.index();
-            let until = self.clock.instant(c.until).as_nanos();
-            items.push((
-                self.clock.instant(c.at).as_nanos(),
-                FaultDue::CrashStart { dev, until },
-            ));
-            items.push((until, FaultDue::CrashEnd { dev }));
-        }
-        for s in &self.faults.stalls {
-            let dev = s.device.index();
-            items.push((
-                self.clock.instant(s.at).as_nanos(),
-                FaultDue::StallStart { dev },
-            ));
-            items.push((
-                self.clock.instant(s.until).as_nanos(),
-                FaultDue::StallEnd { dev },
-            ));
-        }
-        if let Some(t) = self.faults.barrier_timeout {
-            items.push((self.clock.duration(t).as_nanos(), FaultDue::Barrier));
-        }
-        items.sort_by_key(|&(at, _)| at);
-        items.into()
-    }
-
     /// The grown-up watchdog: waits for completion while delivering the
     /// fault agenda, aborting with diagnostics (or degrading, when a
     /// barrier is configured and a quorum of work survived) on expiry.
+    /// Fault events are logged at their *scheduled* instants, so the event
+    /// stream is a deterministic function of the plan even when the
+    /// supervisor delivers an entry a bit late.
     fn supervise<'scope, 'env>(
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
-        mut agenda: VecDeque<(u64, FaultDue)>,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<(), SimError> {
         let watchdog_deadline = self.started + self.opts.watchdog;
         let (lock, cv) = &self.done;
+        let mut next = 0;
         loop {
-            // Deliver due agenda items before taking the done lock
+            // Deliver due agenda entries before taking the done lock
             // (applying a fault takes queue locks).
-            let now_ns = self.started.elapsed().as_nanos() as u64;
-            while agenda.front().is_some_and(|&(at, _)| at <= now_ns) {
-                let (at, due) = agenda.pop_front().expect("checked non-empty");
-                if at >= self.finished_at.load(Ordering::Acquire) {
+            let now = SimTime::from_nanos(self.started.elapsed().as_nanos() as u64);
+            while let Some(&(at, transition)) = self.agenda.get(next).filter(|e| e.0 <= now) {
+                next += 1;
+                if at.as_nanos() >= self.finished_at.load(Ordering::Acquire) {
                     // Scheduled after the last op completed: moot,
                     // mirroring the simulator's remaining-work gate. The
-                    // test is on the *scheduled* instant, so an item this
+                    // test is on the *scheduled* instant, so an entry this
                     // thread delivers late (it was descheduled while a
                     // short iteration ran to completion) still counts, as
                     // it does in the simulator.
-                    agenda.clear();
+                    next = self.agenda.len();
                     break;
                 }
-                if matches!(due, FaultDue::Barrier) {
-                    self.degrade(SimTime::from_nanos(at));
+                if transition == Transition::Barrier {
+                    self.degrade(at);
                     return Ok(());
                 }
-                self.apply_fault(scope, SimTime::from_nanos(at), due);
+                self.apply_fault(scope, at, transition);
             }
             let done = lock.lock().expect("done lock");
             if *done {
@@ -753,9 +605,10 @@ impl<'g> Shared<'g> {
                 drop(done);
                 return self.abort_stalled();
             }
-            let next_due = agenda
-                .front()
-                .map(|&(at, _)| self.started + Duration::from_nanos(at));
+            let next_due = self
+                .agenda
+                .get(next)
+                .map(|&(at, _)| self.started + Duration::from_nanos(at.as_nanos()));
             let deadline = next_due.map_or(watchdog_deadline, |d| d.min(watchdog_deadline));
             let timeout = deadline
                 .saturating_duration_since(now)
@@ -764,58 +617,33 @@ impl<'g> Shared<'g> {
         }
     }
 
-    /// Delivers one due fault to the runtime.
+    /// Delivers one due availability change to the runtime. Blackouts and
+    /// stalls are enforced by the threads' own window checks; unlike the
+    /// simulator, an attempt already on the wire finishes (DESIGN.md §11).
     fn apply_fault<'scope, 'env>(
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
         at: SimTime,
-        due: FaultDue,
+        transition: Transition,
     ) {
-        match due {
-            FaultDue::BlackoutStart { ch } => {
-                // The window itself is enforced by the channel thread's
-                // dark-window check; unlike the simulator, an attempt
-                // already on the wire finishes (DESIGN.md §11).
-                self.log_fault(
-                    at,
-                    FaultEventKind::BlackoutStart {
-                        channel: ChannelId::from_index(ch),
-                    },
-                );
-            }
-            FaultDue::BlackoutEnd { ch } => {
-                self.log_fault(
-                    at,
-                    FaultEventKind::BlackoutEnd {
-                        channel: ChannelId::from_index(ch),
-                    },
-                );
-            }
-            FaultDue::CrashStart { dev, until } => {
-                self.log_fault(
-                    at,
-                    FaultEventKind::WorkerCrashed {
-                        device: DeviceId::from_index(dev),
-                    },
-                );
-                let (lock, cv) = &self.devices[dev];
+        if let Some(kind) = transition.event() {
+            self.log_fault(at, kind);
+        }
+        match transition {
+            Transition::CrashStart { device, until } => {
+                let (lock, cv) = &self.devices[device.index()];
                 {
                     // Mailbox first (under the queue lock), interrupt flag
                     // second: a busy thread observing the interrupt is
                     // then guaranteed to find the mailbox when it aborts.
                     let mut q = lock.lock().expect("device lock");
-                    q.crash = Some(until);
+                    q.crash = Some(until.as_nanos());
                 }
-                self.crash_pending[dev].store(true, Ordering::Release);
+                self.crash_pending[device.index()].store(true, Ordering::Release);
                 cv.notify_all();
             }
-            FaultDue::CrashEnd { dev } => {
-                self.log_fault(
-                    at,
-                    FaultEventKind::WorkerRecovered {
-                        device: DeviceId::from_index(dev),
-                    },
-                );
+            Transition::CrashEnd { device } => {
+                let dev = device.index();
                 let (lock, _) = &self.devices[dev];
                 let respawn = {
                     let mut q = lock.lock().expect("device lock");
@@ -838,29 +666,13 @@ impl<'g> Shared<'g> {
                         .expect("respawn device thread");
                 }
             }
-            FaultDue::StallStart { dev } => {
-                self.log_fault(
-                    at,
-                    FaultEventKind::PsStallStart {
-                        device: DeviceId::from_index(dev),
-                    },
-                );
-            }
-            FaultDue::StallEnd { dev } => {
-                self.log_fault(
-                    at,
-                    FaultEventKind::PsStallEnd {
-                        device: DeviceId::from_index(dev),
-                    },
-                );
-            }
-            FaultDue::Barrier => unreachable!("the barrier is handled by supervise"),
+            _ => {}
         }
     }
 
     /// Watchdog expiry: degrade if a configured barrier can absorb the
     /// loss and any work survived, else abort with diagnostics.
-    fn abort_stalled(&self) -> Result<(), RuntimeError> {
+    fn abort_stalled(&self) -> Result<(), SimError> {
         let remaining = self.remaining.load(Ordering::Acquire);
         if self.faults.barrier_timeout.is_some() && remaining < self.graph.len() {
             self.degrade(self.now());
@@ -871,9 +683,9 @@ impl<'g> Shared<'g> {
         Err(err)
     }
 
-    /// Assembles [`RuntimeError::Stalled`] diagnostics: which ops are
+    /// Assembles [`SimError::Stalled`] diagnostics: which ops are
     /// outstanding (by name, capped) and how deep each channel queue is.
-    fn stall_error(&self) -> RuntimeError {
+    fn stall_error(&self) -> SimError {
         let waited = self.started.elapsed();
         let remaining = self.remaining.load(Ordering::Acquire);
         let mut outstanding = Vec::new();
@@ -897,7 +709,7 @@ impl<'g> Shared<'g> {
                 q.ranked.len() + q.unranked.len()
             })
             .collect();
-        RuntimeError::Stalled {
+        SimError::Stalled {
             completed: self.graph.len() - remaining,
             remaining,
             waited,
@@ -906,50 +718,25 @@ impl<'g> Shared<'g> {
         }
     }
 
-    /// Closes a degraded iteration at `at`: shuts every thread down,
-    /// logs the incomplete ops as deferred plus the barrier event, and
-    /// raises the trace's makespan to the barrier instant — the
-    /// wall-clock analogue of the simulator's degraded-mode barrier
-    /// (and of `Trainer::step_degraded`'s deferred gradients).
+    /// Closes a degraded iteration at `at`: shuts every thread down, then
+    /// takes the barrier step the simulator takes (and
+    /// `Trainer::step_degraded` mirrors with deferred gradients).
     fn degrade(&self, at: SimTime) {
         self.finish();
         // Let in-flight busy-waits observe the latch and retire (their
         // records, if any, land before the scan); the sleep cap bounds
         // this settle window.
         std::thread::sleep(Duration::from_millis(3));
-        let deferred: Vec<OpId> = self
-            .completed
-            .iter()
-            .enumerate()
-            .filter(|(_, flag)| !flag.load(Ordering::Acquire))
-            .map(|(i, _)| OpId::from_index(i))
-            .collect();
-        if deferred.is_empty() {
-            return; // everything made it in before the barrier fired
-        }
-        {
-            let mut log = self.fault_log.lock().expect("fault log lock");
-            for &op in &deferred {
-                log.push(FaultEvent {
-                    at,
-                    kind: FaultEventKind::DeferredOp { op },
-                });
-            }
-            log.push(FaultEvent {
-                at,
-                kind: FaultEventKind::BarrierDegraded {
-                    remaining: deferred.len() as u32,
-                },
-            });
-        }
-        self.trace.lock().expect("trace lock").raise_makespan(at);
+        let undone = (0..self.completed.len())
+            .filter(|&i| !self.completed[i].load(Ordering::Acquire))
+            .map(OpId::from_index);
+        close_at_barrier(&mut self.trace.lock().expect("trace lock"), at, undone);
     }
 
     /// Attempt `attempt` of `recv` was lost on the wire: the channel
     /// wedges on the dead stream until the loss-detection timeout fires,
-    /// then retransmits (within budget), abandons the transfer to the
-    /// degraded barrier, or latches [`RuntimeError::RetriesExhausted`].
-    /// Returns `false` when the channel thread must exit.
+    /// then takes the loss ladder's answer. Returns `false` when the
+    /// channel thread must exit.
     fn lose_attempt(&self, ch: usize, recv: OpId, attempt: u32) -> bool {
         let dropped_at = self.now();
         self.log_fault(
@@ -964,39 +751,28 @@ impl<'g> Shared<'g> {
             return false;
         }
         let detected = self.now();
-        self.log_fault(
+        self.attempts[recv.index()].store(attempt + 1, Ordering::Release);
+        let step = self.faults.after_timeout(
+            &mut self.trace.lock().expect("trace lock"),
+            recv,
+            attempt,
             detected,
-            FaultEventKind::TransferTimeout { op: recv, attempt },
         );
-        let next = attempt + 1;
-        self.attempts[recv.index()].store(next, Ordering::Release);
-        if self.faults.retry.attempt_allowed(next) {
-            self.log_fault(
-                detected,
-                FaultEventKind::Retransmit {
-                    op: recv,
-                    attempt: next,
-                },
-            );
-            let (lock, _) = &self.channels[ch];
-            self.enqueue_transfer(&mut lock.lock().expect("channel lock"), recv);
-            // No notify needed: we are this channel's own thread and loop
-            // straight back to the pop.
-            true
-        } else if self.faults.barrier_timeout.is_some() {
-            // Abandoned: the degraded barrier defers its downstream work.
-            true
-        } else {
-            let mut err = self.error.lock().expect("error lock");
-            if err.is_none() {
-                *err = Some(RuntimeError::RetriesExhausted {
-                    op: recv,
-                    attempts: next,
-                });
+        match step {
+            AfterLoss::Retransmit => {
+                let (lock, _) = &self.channels[ch];
+                self.enqueue_transfer(&mut lock.lock().expect("channel lock"), recv);
+                // No notify needed: we are this channel's own thread and
+                // loop straight back to the pop.
+                true
             }
-            drop(err);
-            self.finish();
-            false
+            // The degraded barrier defers its downstream work.
+            AfterLoss::Abandon => true,
+            AfterLoss::Fail(e) => {
+                self.error.lock().expect("error lock").get_or_insert(e);
+                self.finish();
+                false
+            }
         }
     }
 
@@ -1151,19 +927,12 @@ impl<'g> Shared<'g> {
                 return; // aborted mid-transfer; the trace is discarded anyway
             }
             let end = self.now();
-            {
-                let mut trace = self.trace.lock().expect("trace lock");
-                trace.record(recv, start, end);
-                // The transfer interval is attributed to both endpoints,
-                // as the simulator (and TF's tracer) does. A hand-built
-                // graph may legally feed one send into several recvs; the
-                // send keeps the interval of whichever recv flew first.
-                if let Some(send) = self.transfers.send_of[recv.index()] {
-                    if !trace.is_recorded(send) {
-                        trace.record(send, start, end);
-                    }
-                }
-            }
+            self.transfers.record(
+                &mut self.trace.lock().expect("trace lock"),
+                recv,
+                start,
+                end,
+            );
             self.complete(recv);
         }
     }
@@ -1200,7 +969,7 @@ mod tests {
         graph: &Graph,
         schedule: &Schedule,
         opts: &ExecOptions,
-    ) -> Result<ExecutionTrace, RuntimeError> {
+    ) -> Result<ExecutionTrace, SimError> {
         let config = SimConfig::cloud_gpu();
         run_iteration_injected(graph, schedule, &config, opts, 0, &FaultPlan::quiet())
     }
@@ -1271,7 +1040,7 @@ mod tests {
         let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
         let bad = Schedule::empty(d.graph().len() + 1);
         match run_iteration(d.graph(), &bad, &opts()) {
-            Err(RuntimeError::ScheduleMismatch { graph_len, .. }) => {
+            Err(SimError::ScheduleMismatch { graph_len, .. }) => {
                 assert_eq!(graph_len, d.graph().len());
             }
             other => panic!("expected mismatch, got {other:?}"),
@@ -1306,7 +1075,7 @@ mod tests {
         let o = doomed();
         let started = std::time::Instant::now();
         match run_iteration(d.graph(), &no_ordering(d.graph()), &o) {
-            Err(RuntimeError::Stalled { remaining, .. }) => assert!(remaining > 0),
+            Err(SimError::Stalled { remaining, .. }) => assert!(remaining > 0),
             other => panic!("expected a stall, got {other:?}"),
         }
         assert!(
@@ -1316,31 +1085,105 @@ mod tests {
         );
     }
 
+    /// One agenda, two clocks: the plan's transitions come in plan order,
+    /// the supervisor's sort keeps same-instant entries in that order, and
+    /// a wall clock scales every instant, window ends included.
     #[test]
-    fn send_shared_by_two_recvs_records_once() {
-        // Regression: the entry point is public API, and a hand-built graph
-        // may feed one send into several recvs; recording the shared send
-        // once per recv used to panic the trace builder.
-        use tictac_graph::{Cost, GraphBuilder, OpKind};
-        let mut b = GraphBuilder::new();
-        let w = b.add_worker("w0");
-        let ps = b.add_parameter_server("ps0");
-        let ch = b.add_channel(w, ps);
-        let p = b.add_param("p", 4096);
-        b.assign_param_to_ps(p, ps);
-        let send = b.add_op("send", ps, OpKind::send(p, ch), Cost::bytes(4096), &[]);
-        b.add_op("recv_a", w, OpKind::recv(p, ch), Cost::bytes(4096), &[send]);
-        b.add_op("recv_b", w, OpKind::recv(p, ch), Cost::bytes(4096), &[send]);
-        let g = b.build().unwrap();
-        let trace = run_iteration(&g, &no_ordering(&g), &opts()).unwrap();
-        assert_eq!(trace.executed_ops(), g.len());
+    fn one_agenda_two_clocks() {
+        use crate::faults::{Blackout, Crash, Stall};
+        use tictac_graph::{ChannelId, DeviceId};
+        let t = SimTime::from_nanos;
+        let (ch, w, ps) = (
+            ChannelId::from_index(0),
+            DeviceId::from_index(1),
+            DeviceId::from_index(0),
+        );
+        let mut plan = FaultPlan::quiet();
+        assert_eq!(plan.agenda(FaultClock::virtual_time()).count(), 0);
+        plan.blackouts.push(Blackout {
+            channel: ch,
+            at: t(400),
+            until: t(900),
+        });
+        plan.crashes.push(Crash {
+            device: w,
+            at: t(100),
+            until: t(400),
+        });
+        plan.stalls.push(Stall {
+            device: ps,
+            at: t(400),
+            until: t(600),
+        });
+        plan.barrier_timeout = Some(SimDuration::from_nanos(900));
+        let virtual_time: Vec<_> = plan.agenda(FaultClock::virtual_time()).collect();
+        assert_eq!(
+            virtual_time,
+            [
+                (
+                    t(400),
+                    Transition::BlackoutStart {
+                        channel: ch,
+                        until: t(900)
+                    }
+                ),
+                (t(900), Transition::BlackoutEnd { channel: ch }),
+                (
+                    t(100),
+                    Transition::CrashStart {
+                        device: w,
+                        until: t(400)
+                    }
+                ),
+                (t(400), Transition::CrashEnd { device: w }),
+                (
+                    t(400),
+                    Transition::StallStart {
+                        device: ps,
+                        until: t(600)
+                    }
+                ),
+                (t(600), Transition::StallEnd { device: ps }),
+                (t(900), Transition::Barrier),
+            ]
+        );
+        assert_eq!(
+            wall_agenda(&plan, FaultClock::wall_clock(0.5)),
+            [
+                (
+                    t(50),
+                    Transition::CrashStart {
+                        device: w,
+                        until: t(200)
+                    }
+                ),
+                (
+                    t(200),
+                    Transition::BlackoutStart {
+                        channel: ch,
+                        until: t(450)
+                    }
+                ),
+                (t(200), Transition::CrashEnd { device: w }),
+                (
+                    t(200),
+                    Transition::StallStart {
+                        device: ps,
+                        until: t(300)
+                    }
+                ),
+                (t(300), Transition::StallEnd { device: ps }),
+                (t(450), Transition::BlackoutEnd { channel: ch }),
+                (t(450), Transition::Barrier),
+            ]
+        );
     }
 
     fn injected(
         d: &tictac_cluster::DeployedModel,
         opts: &ExecOptions,
         faults: &FaultPlan,
-    ) -> Result<ExecutionTrace, RuntimeError> {
+    ) -> Result<ExecutionTrace, SimError> {
         let s = no_ordering(d.graph());
         run_iteration_injected(d.graph(), &s, &SimConfig::cloud_gpu(), opts, 0, faults)
     }
@@ -1353,7 +1196,7 @@ mod tests {
         let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
         let o = doomed();
         match run_iteration(d.graph(), &no_ordering(d.graph()), &o) {
-            Err(RuntimeError::Stalled {
+            Err(SimError::Stalled {
                 remaining,
                 outstanding,
                 channel_depths,
@@ -1399,7 +1242,7 @@ mod tests {
         faults.retry = RetryPolicy::fixed(SimDuration::from_micros(200), 2);
         let o = opts_at(0.05);
         match injected(&d, &o, &faults) {
-            Err(RuntimeError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 3),
+            Err(SimError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 3),
             other => panic!("expected exhausted retries, got {other:?}"),
         }
     }

@@ -227,55 +227,6 @@ impl ExecutionTrace {
         }
         out
     }
-
-    /// Renders the trace in Chrome trace-event JSON (the array format), one
-    /// complete (`"ph":"X"`) event per op, grouped so each device is a
-    /// process and each resource (compute unit / channel) a thread. Load
-    /// the output in `chrome://tracing` or Perfetto.
-    ///
-    /// Send ops are skipped: their interval duplicates the paired recv's
-    /// transfer.
-    pub fn to_chrome_json(&self, graph: &Graph) -> String {
-        use tictac_graph::Resource;
-
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-
-        let mut out = String::from("[\n");
-        let mut first = true;
-        for (i, rec) in self.records.iter().enumerate() {
-            let Some(r) = rec else { continue };
-            let id = OpId::from_index(i);
-            let op = graph.op(id);
-            if op.kind().is_send() {
-                continue;
-            }
-            let (pid, tid, cat) = match graph.resource(id) {
-                Resource::Compute(d) => (d.index(), 0usize, "compute"),
-                Resource::Channel(c) => {
-                    let ch = graph.channel(c);
-                    (ch.worker().index(), 1 + c.index(), "transfer")
-                }
-            };
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "  {{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-                escape(graph.op_name(id)),
-                cat,
-                r.start.as_nanos() / 1_000,
-                ((r.end - r.start).as_nanos() / 1_000).max(1),
-                pid,
-                tid
-            );
-        }
-        out.push_str("\n]\n");
-        out
-    }
 }
 
 /// Incremental construction of an [`ExecutionTrace`] (used by the
@@ -316,8 +267,8 @@ impl TraceBuilder {
         self.records[op.index()].is_some()
     }
 
-    /// Appends a fault-handling event. Callers push in time order (the
-    /// simulator processes events chronologically).
+    /// Appends a fault-handling event. Events may arrive out of time order
+    /// (concurrent threads log them); [`finish`](Self::finish) sorts them.
     pub fn push_fault(&mut self, at: SimTime, kind: FaultEventKind) {
         self.events.push(FaultEvent { at, kind });
     }
@@ -329,8 +280,10 @@ impl TraceBuilder {
         self.makespan_floor = self.makespan_floor.max(at);
     }
 
-    /// Finalizes the trace.
-    pub fn finish(self) -> ExecutionTrace {
+    /// Finalizes the trace, fault events sorted by instant (stable, so
+    /// same-instant events keep the order they were pushed in).
+    pub fn finish(mut self) -> ExecutionTrace {
+        self.events.sort_by_key(|e| e.at);
         let makespan = self
             .records
             .iter()
@@ -536,6 +489,8 @@ mod tests {
         let (g, _, ops) = sample_graph();
         let mut tb = TraceBuilder::new(g.len());
         tb.record(ops[0], t(0), t(100));
+        // Pushed out of time order, as concurrent threads do.
+        tb.push_fault(t(90), FaultEventKind::DeferredOp { op: ops[1] });
         tb.push_fault(
             t(40),
             FaultEventKind::TransferDropped {
@@ -543,7 +498,6 @@ mod tests {
                 attempt: 0,
             },
         );
-        tb.push_fault(t(90), FaultEventKind::DeferredOp { op: ops[1] });
         tb.raise_makespan(t(500));
         let trace = tb.finish();
         assert_eq!(trace.makespan(), SimDuration::from_nanos(500));
@@ -554,24 +508,6 @@ mod tests {
         tb.record(ops[0], t(0), t(900));
         tb.raise_makespan(t(500));
         assert_eq!(tb.finish().makespan(), SimDuration::from_nanos(900));
-    }
-
-    #[test]
-    fn chrome_json_emits_complete_events() {
-        let (g, _, ops) = sample_graph();
-        let mut tb = TraceBuilder::new(g.len());
-        tb.record(ops[0], t(0), t(5_000));
-        tb.record(ops[2], t(5_000), t(9_000));
-        let json = tb.finish().to_chrome_json(&g);
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"cat\":\"transfer\""));
-        assert!(json.contains("\"cat\":\"compute\""));
-        assert!(json.contains("\"name\":\"r1\""));
-        // Two events, separated by exactly one comma line.
-        assert_eq!(json.matches("\"ph\"").count(), 2);
-        assert_eq!(json.matches("},\n").count(), 1);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 
 use std::collections::HashMap;
 use tictac::{
-    deploy, diff_records, gantt, no_ordering, parallel_map, regress, simulate, tic, ClusterSpec,
-    Mode, Model, Payload, RegressPolicy, RunFilter, RunRecord, RunStore, Scenario, SchedulerKind,
-    Session, SessionSummary, SimConfig,
+    deploy, diff_records, gantt, no_ordering, parallel_map, perfetto_json, regress, simulate, tic,
+    ClusterSpec, Mode, Model, Payload, RegressPolicy, RunFilter, RunRecord, RunStore, Scenario,
+    SchedulerKind, Session, SessionSummary, SimConfig,
 };
 
 fn main() {
@@ -217,7 +217,6 @@ fn run_scenario(path: &str, flags: &HashMap<String, String>) {
             .unwrap_or_else(|e| usage(&format!("{path} ({}/{}): {e}", s.scheduler, s.backend)));
         let report = session
             .try_run()
-            .map_err(|e| format!("{e}"))
             .unwrap_or_else(|e| usage(&format!("{path} ({}/{}): {e}", s.scheduler, s.backend)));
         (s.clone(), report)
     });
@@ -511,7 +510,8 @@ fn timeline(args: &[String]) {
     let deployed =
         deploy(&graph, &cluster).unwrap_or_else(|e| usage(&format!("invalid deployment: {e}")));
     let g = deployed.graph();
-    let schedule = match flag_scheduler(flags) {
+    let scheduler = flag_scheduler(flags);
+    let schedule = match scheduler {
         SchedulerKind::Baseline => no_ordering(g),
         SchedulerKind::Tic => deployed.replicate_schedule(&tic(g, deployed.workers()[0])),
         other => usage(&format!(
@@ -520,7 +520,7 @@ fn timeline(args: &[String]) {
     };
     let trace = simulate(g, &schedule, &config, 0);
     let rendered = match flags.get("format").map(String::as_str) {
-        Some("chrome") => trace.to_chrome_json(g),
+        Some("chrome") => perfetto_json(g, &trace, &format!("{}/{scheduler}/iter0", model.name())),
         Some("tsv") => trace.to_tsv(g),
         Some("gantt") | None => gantt(g, &trace, 100),
         Some(other) => usage(&format!("unknown --format `{other}`")),

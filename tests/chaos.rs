@@ -14,9 +14,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use tictac::{
-    deploy, no_ordering, simulate, validate_perfetto, ClusterSpec, DeployedModel, ExecError,
-    FaultCounters, FaultPlan, FaultSpec, Mode, RetryPolicy, RuntimeError, SchedulerKind, Session,
-    SimConfig, SimDuration, ThreadedBackend,
+    deploy, no_ordering, run_iteration_injected, simulate, simulate_with_plan_observed,
+    validate_perfetto, Blackout, ClusterSpec, Crash, DeployedModel, ExecOptions, ExecutionTrace,
+    FaultCounters, FaultEventKind, FaultPlan, FaultSpec, Mode, Platform, Registry, RetryPolicy,
+    SchedulerKind, Session, SimConfig, SimDuration, SimError, SimTime, Stall, ThreadedBackend,
 };
 use tictac_models::tiny_mlp;
 
@@ -155,6 +156,82 @@ fn blackouts_and_crashes_recover_and_match_the_sampled_plan() {
     assert!(windows > 0, "no blackout or crash fired in 4 iterations");
 }
 
+/// One agenda, two clocks, end to end: a hand-built plan with a blackout,
+/// a crash, a PS stall, a straggler and a barrier that never fires, every
+/// window inside the first tenth of the noise-free makespan so neither
+/// run ends first. Both executors log the same transitions in the same
+/// order, at the same instants once the wall clock's are divided by its
+/// time scale.
+#[test]
+fn both_executors_log_the_plans_transitions_alike() {
+    const TIME_SCALE: f64 = 0.5;
+    let d = deploy(&tiny_mlp(Mode::Training, 8), &ClusterSpec::new(2, 1)).unwrap();
+    let graph = d.graph();
+    let (s, config) = (
+        no_ordering(graph),
+        SimConfig::deterministic(Platform::cloud_gpu()),
+    );
+    let m = simulate(graph, &s, &config, 0).makespan();
+    // Per mille of the makespan, in whole microseconds: exact at any
+    // power-of-two time scale.
+    let at = |per_mille: u64| SimTime::from_nanos(m.as_nanos() * per_mille / 1_000_000 * 1_000);
+    let mut plan = FaultPlan::quiet();
+    plan.blackouts.push(Blackout {
+        channel: graph.channels()[0].id(),
+        at: at(10),
+        until: at(50),
+    });
+    plan.crashes.push(Crash {
+        device: d.workers()[1],
+        at: at(20),
+        until: at(70),
+    });
+    plan.stalls.push(Stall {
+        device: d.parameter_servers()[0],
+        at: at(30),
+        until: at(90),
+    });
+    plan.stragglers.push((d.workers()[0], 1.5));
+    plan.retry = RetryPolicy::fixed(m.mul_f64(0.02), 60);
+    plan.barrier_timeout = Some(m * 1000);
+
+    let engine = simulate_with_plan_observed(graph, &s, &config, 0, &plan, &Registry::disabled())
+        .expect("engine recovers");
+    let opts = ExecOptions {
+        time_scale: TIME_SCALE,
+        watchdog: Duration::from_secs(60),
+    };
+    let threads =
+        run_iteration_injected(graph, &s, &config, &opts, 0, &plan).expect("threads recover");
+    let transitions = |trace: &ExecutionTrace, scale: f64| -> Vec<(SimTime, FaultEventKind)> {
+        assert_eq!(trace.executed_ops(), graph.len(), "the barrier never fires");
+        trace
+            .fault_events()
+            .iter()
+            .filter(|e| {
+                use FaultEventKind::*;
+                matches!(
+                    e.kind,
+                    BlackoutStart { .. }
+                        | BlackoutEnd { .. }
+                        | WorkerCrashed { .. }
+                        | WorkerRecovered { .. }
+                        | PsStallStart { .. }
+                        | PsStallEnd { .. }
+                        | StragglerApplied { .. }
+                )
+            })
+            .map(|e| {
+                let at = (e.at.as_nanos() as f64 / scale).round() as u64;
+                (SimTime::from_nanos(at), e.kind)
+            })
+            .collect()
+    };
+    let logged = transitions(&engine, 1.0);
+    assert_eq!(logged.len(), 7, "{logged:?}");
+    assert_eq!(logged, transitions(&threads, TIME_SCALE));
+}
+
 /// A threaded `Session` that stalls (here: a blackout far longer than
 /// the watchdog) reports *which* ops and channels wedged — and the same
 /// session object then runs a clean iteration to completion. Each
@@ -202,12 +279,12 @@ fn a_stalled_session_is_diagnosable_and_reusable() {
         .expect("model deploys");
 
     match session.trace_iteration(stalling) {
-        Err(ExecError::Runtime(RuntimeError::Stalled {
+        Err(SimError::Stalled {
             remaining,
             outstanding,
             channel_depths,
             ..
-        })) => {
+        }) => {
             assert!(remaining > 0);
             assert!(
                 !outstanding.is_empty(),
@@ -251,7 +328,7 @@ fn threaded_session_surfaces_retries_exhausted() {
         .build()
         .expect("model deploys");
     match session.try_run() {
-        Err(ExecError::Runtime(RuntimeError::RetriesExhausted { attempts, .. })) => {
+        Err(SimError::RetriesExhausted { attempts, .. }) => {
             assert_eq!(attempts, 3)
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use tictac::{
     deploy, no_ordering, simulate, simulate_with_plan_observed, tic, tiny_mlp, try_simulate,
-    ClusterSpec, ExecError, FaultCounters, FaultPlan, FaultSpec, Mode, Registry, RetryPolicy,
-    SchedulerKind, Session, SimConfig, SimDuration, SimError,
+    ClusterSpec, FaultCounters, FaultPlan, FaultSpec, Mode, Registry, RetryPolicy, SchedulerKind,
+    Session, SimConfig, SimDuration, SimError,
 };
 
 /// A fault spec exercising every fault class at once, with a retry budget
@@ -132,7 +132,7 @@ fn degraded_barrier_defers_work_instead_of_erroring() {
         .build()
         .unwrap();
     match doomed.try_run() {
-        Err(ExecError::Sim(SimError::RetriesExhausted { attempts, .. })) => assert_eq!(attempts, 3),
+        Err(SimError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 3),
         other => panic!("expected RetriesExhausted, got {other:?}"),
     }
 }
