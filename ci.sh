@@ -81,16 +81,21 @@ fi
 
 echo "== golden traces =="
 # Fingerprint gate: any change to simulated behavior (including the
-# pinned Perfetto export bytes) fails here, not in review.
+# pinned Perfetto export bytes, fault-free and faulty) fails here, not in
+# review.
 cargo test --offline -q --test golden_traces
 cargo test --offline -q --test perfetto_snapshot
+cargo test --offline -q --test perfetto_fault_snapshot
 # Again as optimised: the build the ledger and every user run, with the
 # engine's `debug_assert!`s compiled out.
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release --test perfetto_snapshot
+cargo test --offline -q --release --test perfetto_fault_snapshot
 # The fault code both executors share (agenda, loss ladder, record and
-# barrier steps) in that same build, on the engine and on real threads.
-cargo test --offline -q --release --test faults --test chaos --test backend_equivalence
+# barrier steps) in that same build, on the engine and on real threads,
+# and the observers' flush on every way a run ends.
+cargo test --offline -q --release --test faults --test chaos --test backend_equivalence \
+    --test observability
 
 echo "== threaded backend smoke =="
 # Real-OS-thread runtime gate (DESIGN.md §9): the quick sim-vs-wall-clock

@@ -13,27 +13,47 @@
 //! form, which round-trips exactly through [`parse_json`] — for any
 //! finite tree, `render(parse(render(v))) == render(v)` byte for byte.
 //! The run store's byte-exact append-only guarantee rests on this.
-//! (The Perfetto exporter keeps its own historical formatting because
-//! its output bytes are pinned by a golden snapshot.)
+//! The Perfetto exporter writes its documents directly, not through
+//! [`Json`]: its fixed three-decimal timestamps are pinned byte for byte
+//! by golden snapshots. It shares only the string escape, [`quote`]'s.
+
+use std::fmt::Write as _;
 
 /// Escapes `s` as a JSON string literal, including the surrounding
 /// quotes.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out.push('"');
     out
+}
+
+/// Appends `s` to `out` escaped as the body of a JSON string literal:
+/// quote, backslash and control characters escaped, everything else
+/// copied as is, in runs between escapes.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            b if b < 0x20 => "",
+            _ => continue,
+        };
+        // An ASCII byte is a whole character, so `i` is a char boundary.
+        out.push_str(&s[copied..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
 }
 
 /// A parsed JSON value (the workspace vendors no JSON crate).

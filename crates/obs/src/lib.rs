@@ -46,8 +46,8 @@ pub use analyze::{
 pub use json::{parse_json, quote, render_json, render_json_pretty, Json};
 pub use perfetto::{perfetto_json, validate_perfetto, PerfettoStats};
 pub use registry::{
-    BucketHistogram, Counter, Gauge, HistogramStats, MetricValue, Registry, Snapshot, Timer,
-    TimerGuard, TimerStats,
+    BucketHistogram, Counter, Gauge, HistogramStats, HistogramTally, MetricValue, Registry,
+    Snapshot, Timer, TimerGuard, TimerStats,
 };
 
 use tictac_trace::ExecutionTrace;

@@ -16,17 +16,23 @@
 //!
 //! Timestamps are microseconds with fixed three-decimal precision, so
 //! identical traces always serialize byte-identically (the golden
-//! snapshot test pins this). Open the output at <https://ui.perfetto.dev>
+//! snapshot tests pin this). Open the output at <https://ui.perfetto.dev>
 //! or `chrome://tracing`.
+//!
+//! The writer appends every field straight into one buffer sized to the
+//! document, with no per-event temporaries. A timestamp below
+//! [`US_EXACT_BELOW`] nanoseconds is written in integer arithmetic —
+//! `ns / 1000`, a point, `ns % 1000` in three digits — which is the text
+//! `format!("{:.3}", ns as f64 / 1000.0)` produces, byte for byte (see
+//! [`US_EXACT_BELOW`]); later instants keep that float path.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use tictac_graph::{Graph, OpId, Resource};
-use tictac_timing::SimTime;
 use tictac_trace::{ExecutionTrace, FaultEventKind};
 
-use crate::json::{parse_json, quote, Json};
+use crate::json::{escape_into, parse_json, Json};
 
 /// The synthetic pid hosting barrier/iteration-scope events: one past the
 /// last device pid.
@@ -45,9 +51,87 @@ fn lane(graph: &Graph, resource: Resource) -> (usize, usize) {
     }
 }
 
-/// Microseconds with fixed 3-decimal precision (nanosecond resolution).
-fn us(t: SimTime) -> String {
-    format!("{:.3}", t.as_nanos() as f64 / 1000.0)
+/// Below this many nanoseconds (`1000·2^43`, about 101 simulated days)
+/// the integer timestamp writer is exact. There `x = ns / 1000 < 2^43`,
+/// so the double nearest `x` is within half an ulp, at most
+/// `2^(42-52-1) = 2^-11 < 0.0005`, of it: rounding that double to three
+/// decimals gives back `x`, which has three decimals exactly.
+const US_EXACT_BELOW: u64 = 1000 << 43;
+
+/// Bytes an event takes besides its name, for sizing the buffer: the
+/// fixed text of a transfer slice (about 90 bytes) plus typical widths of
+/// its numbers.
+const EVENT_BYTES: usize = 120;
+
+/// The document under construction: one buffer, events separated by
+/// `,\n`.
+struct Doc {
+    out: String,
+    first: bool,
+}
+
+impl Doc {
+    /// Opens the next event with `head`, after the previous one's
+    /// separator.
+    fn event(&mut self, head: &str) -> &mut Self {
+        if !self.first {
+            self.out.push_str(",\n");
+        }
+        self.first = false;
+        self.raw(head)
+    }
+
+    fn raw(&mut self, text: &str) -> &mut Self {
+        self.out.push_str(text);
+        self
+    }
+
+    /// `n` in decimal. Digits are written by hand rather than through
+    /// `write!`, which makes a whole export about ×1.35 slower.
+    fn num(&mut self, n: impl Into<u64>) -> &mut Self {
+        let mut n = n.into();
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.raw(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+    }
+
+    /// An index in decimal.
+    fn index(&mut self, i: usize) -> &mut Self {
+        self.num(i as u64)
+    }
+
+    /// `ns` as microseconds with three decimals.
+    fn us(&mut self, ns: u64) -> &mut Self {
+        if ns >= US_EXACT_BELOW {
+            let _ = write!(self.out, "{:.3}", ns as f64 / 1000.0);
+            return self;
+        }
+        let frac = ns % 1000;
+        let frac = [frac / 100, frac / 10 % 10, frac % 10].map(|d| b'0' + d as u8);
+        self.num(ns / 1000)
+            .raw(".")
+            .raw(std::str::from_utf8(&frac).expect("ASCII digits"))
+    }
+
+    /// `text` as a JSON string literal.
+    fn quoted(&mut self, text: &str) -> &mut Self {
+        self.out.push('"');
+        escape_into(&mut self.out, text);
+        self.raw("\"")
+    }
+
+    /// `"pid":…,"tid":…` of a lane.
+    fn lane(&mut self, (pid, tid): (usize, usize)) -> &mut Self {
+        self.raw("\"pid\":").index(pid).raw(",\"tid\":").index(tid)
+    }
 }
 
 /// Renders `trace` as Chrome `trace_event` JSON (the object format).
@@ -55,50 +139,43 @@ fn us(t: SimTime) -> String {
 /// `label` names the trace in the `otherData` block — typically
 /// `"model=alexnet_v2 schedule=tac iteration=0"`.
 pub fn perfetto_json(graph: &Graph, trace: &ExecutionTrace, label: &str) -> String {
-    let mut out = String::from("{\n\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
+    let names: usize = graph
+        .ops()
+        .filter(|(id, op)| !op.kind().is_send() && trace.record(*id).is_some())
+        .map(|(id, _)| EVENT_BYTES + graph.op_name(id).len())
+        .sum();
+    let lanes = graph.devices().len() * 2 + graph.channels().len() + 1;
+    let faults = trace.fault_events().len() * 2;
+    let mut doc = Doc {
+        out: String::with_capacity(names + (lanes + faults) * EVENT_BYTES + label.len()),
+        first: true,
     };
+    doc.raw("{\n\"traceEvents\": [\n");
 
     // Metadata: process and lane names. Devices first, then the barrier
     // process, then channel lanes in channel order.
     for (pid, dev) in graph.devices().iter().enumerate() {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-                quote(dev.name())
-            ),
-            &mut out,
-        );
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"thread_name\",\"args\":{{\"name\":\"compute\"}}}}"
-            ),
-            &mut out,
-        );
+        doc.event("{\"ph\":\"M\",")
+            .lane((pid, 0))
+            .raw(",\"name\":\"process_name\",\"args\":{\"name\":")
+            .quoted(dev.name())
+            .raw("}}");
+        doc.event("{\"ph\":\"M\",")
+            .lane((pid, 0))
+            .raw(",\"name\":\"thread_name\",\"args\":{\"name\":\"compute\"}}");
     }
     let bpid = barrier_pid(graph);
-    push(
-        format!(
-            "{{\"ph\":\"M\",\"pid\":{bpid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"barrier\"}}}}"
-        ),
-        &mut out,
-    );
+    doc.event("{\"ph\":\"M\",")
+        .lane((bpid, 0))
+        .raw(",\"name\":\"process_name\",\"args\":{\"name\":\"barrier\"}}");
     for ch in graph.channels() {
-        let (pid, tid) = lane(graph, Resource::Channel(ch.id()));
-        let name = format!("ch{} -> {}", ch.id().index(), graph.device(ch.ps()).name());
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                quote(&name)
-            ),
-            &mut out,
-        );
+        doc.event("{\"ph\":\"M\",")
+            .lane(lane(graph, Resource::Channel(ch.id())))
+            .raw(",\"name\":\"thread_name\",\"args\":{\"name\":\"ch")
+            .index(ch.id().index())
+            .raw(" -> ");
+        escape_into(&mut doc.out, graph.device(ch.ps()).name());
+        doc.raw("\"}}");
     }
 
     // Complete slices, one per executed op (sends skipped).
@@ -110,132 +187,130 @@ pub fn perfetto_json(graph: &Graph, trace: &ExecutionTrace, label: &str) -> Stri
             continue;
         }
         let resource = graph.resource(id);
-        let (pid, tid) = lane(graph, resource);
         let cat = if resource.is_channel() {
-            "transfer"
+            "\",\"cat\":\"transfer\",\"ts\":"
         } else {
-            "compute"
+            "\",\"cat\":\"compute\",\"ts\":"
         };
-        let mut args = format!("\"op\":{}", id.index());
+        doc.event("{\"ph\":\"X\",\"name\":\"");
+        escape_into(&mut doc.out, graph.op_name(id));
+        doc.raw(cat)
+            .us(rec.start.as_nanos())
+            .raw(",\"dur\":")
+            .us(rec.duration().as_nanos())
+            .raw(",")
+            .lane(lane(graph, resource))
+            .raw(",\"args\":{\"op\":")
+            .index(id.index());
         if resource.is_channel() {
-            let _ = write!(args, ",\"bytes\":{}", op.cost().bytes);
+            doc.raw(",\"bytes\":").num(op.cost().bytes);
         }
-        push(
-            format!(
-                "{{\"ph\":\"X\",\"name\":{},\"cat\":\"{cat}\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}",
-                quote(graph.op_name(id)),
-                us(rec.start),
-                us(SimTime::from_nanos(rec.duration().as_nanos())),
-            ),
-            &mut out,
-        );
+        doc.raw("}}");
     }
 
     // Fault events as thread-scoped instants on the affected lane, plus a
     // flow arrow from the barrier lane to each deferred op's lane.
-    let mut flow_id = 0usize;
+    let mut flow_id = 0u64;
     for event in trace.fault_events() {
-        let (name, lane_at, args) = fault_instant(graph, event.kind);
-        let (pid, tid) = lane_at;
-        push(
-            format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{name}\",\"cat\":\"fault\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}",
-                us(event.at),
-            ),
-            &mut out,
-        );
+        let at = event.at.as_nanos();
+        let instant = fault_instant(graph, event.kind);
+        doc.event("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"")
+            .raw(instant.name)
+            .raw("\",\"cat\":\"fault\",\"ts\":")
+            .us(at)
+            .raw(",")
+            .lane(instant.lane)
+            .raw(",\"args\":{\"")
+            .raw(instant.key)
+            .raw("\":")
+            .num(instant.value);
+        if let Some(attempt) = instant.attempt {
+            doc.raw(",\"attempt\":").num(attempt);
+        }
+        doc.raw("}}");
         if let FaultEventKind::DeferredOp { op } = event.kind {
             flow_id += 1;
-            let (dpid, dtid) = lane(graph, graph.resource(op));
-            push(
-                format!(
-                    "{{\"ph\":\"s\",\"name\":\"deferred\",\"cat\":\"flow\",\"id\":{flow_id},\"ts\":{},\"pid\":{bpid},\"tid\":0}}",
-                    us(event.at),
-                ),
-                &mut out,
-            );
-            push(
-                format!(
-                    "{{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"deferred\",\"cat\":\"flow\",\"id\":{flow_id},\"ts\":{},\"pid\":{dpid},\"tid\":{dtid}}}",
-                    us(event.at),
-                ),
-                &mut out,
-            );
+            doc.event("{\"ph\":\"s\",\"name\":\"deferred\",\"cat\":\"flow\",\"id\":")
+                .num(flow_id)
+                .raw(",\"ts\":")
+                .us(at)
+                .raw(",")
+                .lane((bpid, 0))
+                .raw("}");
+            doc.event("{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"deferred\",\"cat\":\"flow\",\"id\":")
+                .num(flow_id)
+                .raw(",\"ts\":")
+                .us(at)
+                .raw(",")
+                .lane(lane(graph, graph.resource(op)))
+                .raw("}");
         }
     }
 
-    let _ = write!(
-        out,
-        "\n],\n\"displayTimeUnit\": \"ns\",\n\"otherData\": {{\"label\": {}, \"makespan_ns\": {}}}\n}}\n",
-        quote(label),
-        trace.makespan().as_nanos()
-    );
-    out
+    doc.raw("\n],\n\"displayTimeUnit\": \"ns\",\n\"otherData\": {\"label\": ")
+        .quoted(label)
+        .raw(", \"makespan_ns\": ")
+        .num(trace.makespan().as_nanos())
+        .raw("}\n}\n");
+    doc.out
 }
 
-/// The instant name (the `FaultEventKind` variant), lane, and args for a
-/// fault event.
-fn fault_instant(graph: &Graph, kind: FaultEventKind) -> (&'static str, (usize, usize), String) {
-    let op_lane = |op: OpId| lane(graph, graph.resource(op));
+/// A fault event's instant: its name (the `FaultEventKind` variant), its
+/// lane, and its args — one `key: value` pair, plus the attempt of a
+/// transfer-attempt event.
+struct FaultInstant {
+    name: &'static str,
+    lane: (usize, usize),
+    key: &'static str,
+    value: u64,
+    attempt: Option<u32>,
+}
+
+fn fault_instant(graph: &Graph, kind: FaultEventKind) -> FaultInstant {
+    let on_op = |name, op: OpId, attempt| FaultInstant {
+        name,
+        lane: lane(graph, graph.resource(op)),
+        key: "op",
+        value: op.index() as u64,
+        attempt,
+    };
+    let on_device = |name, device: tictac_graph::DeviceId| FaultInstant {
+        name,
+        lane: (device.index(), 0),
+        key: "device",
+        value: device.index() as u64,
+        attempt: None,
+    };
+    let on_channel = |name, channel: tictac_graph::ChannelId| FaultInstant {
+        name,
+        lane: lane(graph, Resource::Channel(channel)),
+        key: "channel",
+        value: channel.index() as u64,
+        attempt: None,
+    };
     match kind {
-        FaultEventKind::TransferDropped { op, attempt } => (
-            "TransferDropped",
-            op_lane(op),
-            format!("\"op\":{},\"attempt\":{attempt}", op.index()),
-        ),
-        FaultEventKind::TransferTimeout { op, attempt } => (
-            "TransferTimeout",
-            op_lane(op),
-            format!("\"op\":{},\"attempt\":{attempt}", op.index()),
-        ),
-        FaultEventKind::Retransmit { op, attempt } => (
-            "Retransmit",
-            op_lane(op),
-            format!("\"op\":{},\"attempt\":{attempt}", op.index()),
-        ),
-        FaultEventKind::BlackoutStart { channel } => (
-            "BlackoutStart",
-            lane(graph, Resource::Channel(channel)),
-            format!("\"channel\":{}", channel.index()),
-        ),
-        FaultEventKind::BlackoutEnd { channel } => (
-            "BlackoutEnd",
-            lane(graph, Resource::Channel(channel)),
-            format!("\"channel\":{}", channel.index()),
-        ),
-        FaultEventKind::WorkerCrashed { device } => (
-            "WorkerCrashed",
-            (device.index(), 0),
-            format!("\"device\":{}", device.index()),
-        ),
-        FaultEventKind::WorkerRecovered { device } => (
-            "WorkerRecovered",
-            (device.index(), 0),
-            format!("\"device\":{}", device.index()),
-        ),
-        FaultEventKind::PsStallStart { device } => (
-            "PsStallStart",
-            (device.index(), 0),
-            format!("\"device\":{}", device.index()),
-        ),
-        FaultEventKind::PsStallEnd { device } => (
-            "PsStallEnd",
-            (device.index(), 0),
-            format!("\"device\":{}", device.index()),
-        ),
-        FaultEventKind::StragglerApplied { device } => (
-            "StragglerApplied",
-            (device.index(), 0),
-            format!("\"device\":{}", device.index()),
-        ),
-        FaultEventKind::DeferredOp { op } => {
-            ("DeferredOp", op_lane(op), format!("\"op\":{}", op.index()))
+        FaultEventKind::TransferDropped { op, attempt } => {
+            on_op("TransferDropped", op, Some(attempt))
         }
-        FaultEventKind::BarrierDegraded { remaining } => (
-            "BarrierDegraded",
-            (barrier_pid(graph), 0),
-            format!("\"remaining\":{remaining}"),
-        ),
+        FaultEventKind::TransferTimeout { op, attempt } => {
+            on_op("TransferTimeout", op, Some(attempt))
+        }
+        FaultEventKind::Retransmit { op, attempt } => on_op("Retransmit", op, Some(attempt)),
+        FaultEventKind::BlackoutStart { channel } => on_channel("BlackoutStart", channel),
+        FaultEventKind::BlackoutEnd { channel } => on_channel("BlackoutEnd", channel),
+        FaultEventKind::WorkerCrashed { device } => on_device("WorkerCrashed", device),
+        FaultEventKind::WorkerRecovered { device } => on_device("WorkerRecovered", device),
+        FaultEventKind::PsStallStart { device } => on_device("PsStallStart", device),
+        FaultEventKind::PsStallEnd { device } => on_device("PsStallEnd", device),
+        FaultEventKind::StragglerApplied { device } => on_device("StragglerApplied", device),
+        FaultEventKind::DeferredOp { op } => on_op("DeferredOp", op, None),
+        FaultEventKind::BarrierDegraded { remaining } => FaultInstant {
+            name: "BarrierDegraded",
+            lane: (barrier_pid(graph), 0),
+            key: "remaining",
+            value: remaining.into(),
+            attempt: None,
+        },
     }
 }
 
@@ -372,11 +447,79 @@ pub fn validate_perfetto(src: &str) -> Result<PerfettoStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tictac_graph::{Cost, GraphBuilder, OpKind};
+    use tictac_timing::SimTime;
     use tictac_trace::TraceBuilder;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    /// What the writer puts down for `ns`, and the float formatting it
+    /// replaces.
+    fn us_both(ns: u64) -> (String, String) {
+        let mut doc = Doc {
+            out: String::new(),
+            first: true,
+        };
+        doc.us(ns);
+        (doc.out, format!("{:.3}", ns as f64 / 1000.0))
+    }
+
+    #[test]
+    fn integer_timestamps_equal_the_float_formatting() {
+        let mut cases = vec![0, 999, 1000, 1001, (1 << 53) - 1];
+        for k in 1..=15 {
+            let p = 10u64.pow(k);
+            cases.extend([p - 1, p, p + 1]);
+        }
+        cases.extend([US_EXACT_BELOW - 1, US_EXACT_BELOW, US_EXACT_BELOW + 1]);
+        for ns in cases {
+            let (written, float) = us_both(ns);
+            assert_eq!(written, float, "ns = {ns}");
+        }
+        assert_eq!(us_both(1_234_567).0, "1234.567");
+        assert_eq!(us_both(5).0, "0.005");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn integer_timestamps_equal_the_float_formatting_below_2_53(ns in 0u64..1 << 53) {
+            let (written, float) = us_both(ns);
+            prop_assert_eq!(written, float);
+        }
+
+        /// Names drawn from quotes, backslashes, control and multi-byte
+        /// characters escape as the char-by-char escape did.
+        #[test]
+        fn escapes_equal_the_char_by_char_escape(seed in any::<u64>(), len in 0usize..40) {
+            const ALPHABET: [char; 12] =
+                ['a', 'Z', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '→'];
+            let mut x = seed;
+            let text: String = (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    ALPHABET[(x >> 33) as usize % ALPHABET.len()]
+                })
+                .collect();
+            let mut want = String::from("\"");
+            for c in text.chars() {
+                match c {
+                    '"' => want.push_str("\\\""),
+                    '\\' => want.push_str("\\\\"),
+                    '\n' => want.push_str("\\n"),
+                    '\r' => want.push_str("\\r"),
+                    '\t' => want.push_str("\\t"),
+                    c if (c as u32) < 0x20 => want.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => want.push(c),
+                }
+            }
+            want.push('"');
+            prop_assert_eq!(crate::json::quote(&text), want);
+        }
     }
 
     fn sample() -> (Graph, Vec<OpId>) {

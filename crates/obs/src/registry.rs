@@ -9,7 +9,10 @@
 //!
 //! Handles are cheap to clone and are meant to be created once at setup
 //! time (registration formats metric names and takes a lock) and then used
-//! lock-free on the hot path (plain relaxed atomic updates).
+//! lock-free on the hot path (plain relaxed atomic updates). Per-index
+//! metrics such as `sim.chan{c}.bytes` ([`Registry::counters`] and its
+//! siblings) format and look up each name once per registry; a later
+//! request reuses the metrics it found.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -20,12 +23,28 @@ use std::time::Instant;
 /// A named-metric store. Cloning shares the underlying state.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Arc<Mutex<State>>>,
 }
 
 #[derive(Debug, Default)]
-struct Inner {
-    metrics: Mutex<BTreeMap<String, Metric>>,
+struct State {
+    metrics: BTreeMap<String, Metric>,
+    /// The metrics `{prefix}{i}{suffix}` resolved so far, `i`-th at `i`,
+    /// keyed by `(prefix, suffix)`.
+    indexed: Vec<(String, String, Vec<Metric>)>,
+}
+
+/// The metric `name`, registered as `mk()` if it is new. The key is
+/// allocated only to insert.
+fn resolve<'m>(
+    metrics: &'m mut BTreeMap<String, Metric>,
+    name: &str,
+    mk: impl FnOnce() -> Metric,
+) -> &'m Metric {
+    if !metrics.contains_key(name) {
+        metrics.insert(name.to_string(), mk());
+    }
+    &metrics[name]
 }
 
 #[derive(Debug, Clone)]
@@ -46,13 +65,54 @@ impl Metric {
             Metric::Timer(_) => "timer",
         }
     }
+
+    fn new_counter() -> Self {
+        Metric::Counter(Arc::default())
+    }
+
+    fn counter(&self) -> Option<Counter> {
+        match self {
+            Metric::Counter(c) => Some(Counter(Some(c.clone()))),
+            _ => None,
+        }
+    }
+
+    fn new_gauge() -> Self {
+        Metric::Gauge(Arc::default())
+    }
+
+    fn gauge(&self) -> Option<Gauge> {
+        match self {
+            Metric::Gauge(g) => Some(Gauge(Some(g.clone()))),
+            _ => None,
+        }
+    }
+
+    /// The histogram handle, if this is a histogram over `bounds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is a histogram over other bounds.
+    fn histogram(&self, bounds: &[u64]) -> Option<BucketHistogram> {
+        match self {
+            Metric::Histogram(h) => {
+                assert_eq!(
+                    h.bounds, bounds,
+                    "histogram over {:?} re-registered with different bounds",
+                    h.bounds
+                );
+                Some(BucketHistogram(Some(h.clone())))
+            }
+            _ => None,
+        }
+    }
 }
 
 impl Registry {
     /// An enabled registry: handles record into shared state.
     pub fn enabled() -> Self {
         Self {
-            inner: Some(Arc::new(Inner::default())),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -73,17 +133,7 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.slot(
-            name,
-            || Metric::Counter(Arc::default()),
-            |m| {
-                if let Metric::Counter(c) = m {
-                    Some(c.clone())
-                } else {
-                    None
-                }
-            },
-        ))
+        self.slot(name, Metric::new_counter, Metric::counter)
     }
 
     /// Registers (or re-attaches to) the gauge `name`.
@@ -92,17 +142,7 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.slot(
-            name,
-            || Metric::Gauge(Arc::default()),
-            |m| {
-                if let Metric::Gauge(g) = m {
-                    Some(g.clone())
-                } else {
-                    None
-                }
-            },
-        ))
+        self.slot(name, Metric::new_gauge, Metric::gauge)
     }
 
     /// Registers (or re-attaches to) the fixed-bucket histogram `name`.
@@ -114,26 +154,11 @@ impl Registry {
     /// Panics if `bounds` is not strictly increasing, or if `name` is
     /// already registered as a different kind or with different bounds.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> BucketHistogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        let core = self.slot(
+        self.slot(
             name,
-            || Metric::Histogram(Arc::new(HistogramCore::new(bounds))),
-            |m| {
-                if let Metric::Histogram(h) = m {
-                    assert_eq!(
-                        h.bounds, bounds,
-                        "histogram {name:?} re-registered with different bounds"
-                    );
-                    Some(h.clone())
-                } else {
-                    None
-                }
-            },
-        );
-        BucketHistogram(core)
+            || HistogramCore::metric(bounds),
+            |m| m.histogram(bounds),
+        )
     }
 
     /// Registers (or re-attaches to) the monotonic timer `name`. Timers
@@ -143,33 +168,123 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn timer(&self, name: &str) -> Timer {
-        Timer(self.slot(
+        self.slot(
             name,
             || Metric::Timer(Arc::default()),
-            |m| {
-                if let Metric::Timer(t) = m {
-                    Some(t.clone())
-                } else {
-                    None
-                }
+            |m| match m {
+                Metric::Timer(t) => Some(Timer(Some(t.clone()))),
+                _ => None,
             },
-        ))
+        )
     }
 
-    fn slot<T>(
+    /// The counters `{prefix}{i}{suffix}` for `i` in `0..n`, handle `i`
+    /// index `i`'s — so `counters("sim.chan", ".bytes", 2)` holds
+    /// `sim.chan0.bytes` and `sim.chan1.bytes` — each registered or
+    /// re-attached to as [`counter`](Self::counter) does. The registry
+    /// formats and looks up each name once: a later request with the same
+    /// `prefix` and `suffix` reuses the metrics found.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of the names is already registered as a different
+    /// metric kind.
+    pub fn counters(&self, prefix: &str, suffix: &str, n: usize) -> Vec<Counter> {
+        self.indexed(prefix, suffix, n, Metric::new_counter, Metric::counter)
+    }
+
+    /// The gauges `{prefix}{i}{suffix}` for `i` in `0..n`, as
+    /// [`counters`](Self::counters) resolves counters.
+    ///
+    /// # Panics
+    ///
+    /// As [`counters`](Self::counters).
+    pub fn gauges(&self, prefix: &str, suffix: &str, n: usize) -> Vec<Gauge> {
+        self.indexed(prefix, suffix, n, Metric::new_gauge, Metric::gauge)
+    }
+
+    /// The histograms `{prefix}{i}{suffix}` over `bounds` for `i` in
+    /// `0..n`, as [`counters`](Self::counters) resolves counters.
+    ///
+    /// # Panics
+    ///
+    /// As [`histogram`](Self::histogram).
+    pub fn histograms(
+        &self,
+        prefix: &str,
+        suffix: &str,
+        bounds: &[u64],
+        n: usize,
+    ) -> Vec<BucketHistogram> {
+        self.indexed(
+            prefix,
+            suffix,
+            n,
+            || HistogramCore::metric(bounds),
+            |m| m.histogram(bounds),
+        )
+    }
+
+    /// The handles of `{prefix}{i}{suffix}` for `i` in `0..n`: the names
+    /// not resolved by an earlier request are registered as
+    /// [`slot`](Self::slot) registers one, the rest come from the cache.
+    fn indexed<H: Clone + Default>(
+        &self,
+        prefix: &str,
+        suffix: &str,
+        n: usize,
+        mk: impl Fn() -> Metric,
+        handle: impl Fn(&Metric) -> Option<H>,
+    ) -> Vec<H> {
+        let Some(inner) = &self.inner else {
+            return vec![H::default(); n];
+        };
+        let mut state = inner.lock().expect("registry lock");
+        let State { metrics, indexed } = &mut *state;
+        let at = match indexed
+            .iter()
+            .position(|(p, s, _)| p == prefix && s == suffix)
+        {
+            Some(at) => at,
+            None => {
+                indexed.push((prefix.to_string(), suffix.to_string(), Vec::new()));
+                indexed.len() - 1
+            }
+        };
+        let resolved = &mut indexed[at].2;
+        for i in resolved.len()..n {
+            let metric = resolve(metrics, &format!("{prefix}{i}{suffix}"), &mk);
+            resolved.push(metric.clone());
+        }
+        resolved[..n]
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                handle(m).unwrap_or_else(|| {
+                    panic!(
+                        "metric \"{prefix}{i}{suffix}\" already registered as a {}",
+                        m.kind()
+                    )
+                })
+            })
+            .collect()
+    }
+
+    /// The handle of `name`: re-attached if registered, made by `mk` and
+    /// registered otherwise, the default no-op handle when disabled.
+    fn slot<H: Default>(
         &self,
         name: &str,
         mk: impl FnOnce() -> Metric,
-        extract: impl FnOnce(&Metric) -> Option<T>,
-    ) -> Option<T> {
-        let inner = self.inner.as_ref()?;
-        let mut metrics = inner.metrics.lock().expect("registry lock");
-        let entry = metrics.entry(name.to_string()).or_insert_with(mk);
-        let kind = entry.kind();
-        match extract(entry) {
-            Some(t) => Some(t),
-            None => panic!("metric {name:?} already registered as a {kind}"),
-        }
+        handle: impl FnOnce(&Metric) -> Option<H>,
+    ) -> H {
+        let Some(inner) = &self.inner else {
+            return H::default();
+        };
+        let mut state = inner.lock().expect("registry lock");
+        let metric = resolve(&mut state.metrics, name, mk);
+        handle(metric)
+            .unwrap_or_else(|| panic!("metric {name:?} already registered as a {}", metric.kind()))
     }
 
     /// A point-in-time snapshot of every registered metric, sorted by
@@ -177,8 +292,8 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         let mut entries = Vec::new();
         if let Some(inner) = &self.inner {
-            let metrics = inner.metrics.lock().expect("registry lock");
-            for (name, metric) in metrics.iter() {
+            let state = inner.lock().expect("registry lock");
+            for (name, metric) in state.metrics.iter() {
                 let value = match metric {
                     Metric::Counter(c) => MetricValue::Counter(c.load(Relaxed)),
                     Metric::Gauge(g) => MetricValue::Gauge(f64::from_bits(g.load(Relaxed))),
@@ -242,6 +357,20 @@ impl Gauge {
     }
 }
 
+/// Panics unless `bounds` is strictly increasing.
+fn check_bounds(bounds: &[u64]) {
+    assert!(
+        bounds.windows(2).all(|w| w[0] < w[1]),
+        "histogram bounds must be strictly increasing"
+    );
+}
+
+/// The bucket `value` lands in: that of the first bound at or above it,
+/// or the overflow slot `bounds.len()`.
+fn bucket(bounds: &[u64], value: u64) -> usize {
+    bounds.partition_point(|&b| b < value)
+}
+
 #[derive(Debug)]
 struct HistogramCore {
     /// Inclusive upper bucket bounds, strictly increasing.
@@ -254,26 +383,47 @@ struct HistogramCore {
 }
 
 impl HistogramCore {
-    fn new(bounds: &[u64]) -> Self {
-        Self {
+    /// A fresh histogram metric over `bounds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` is not strictly increasing.
+    fn metric(bounds: &[u64]) -> Metric {
+        check_bounds(bounds);
+        Metric::Histogram(Arc::new(Self {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
-        }
+        }))
     }
 
     fn observe(&self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Relaxed);
+        self.buckets[bucket(&self.bounds, value)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(value, Relaxed);
         self.max.fetch_max(value, Relaxed);
+    }
+
+    fn merge<const N: usize>(&self, tally: &HistogramTally<N>) {
+        assert_eq!(
+            self.bounds, tally.bounds,
+            "histogram merged a tally over different bounds"
+        );
+        let counts = tally.buckets.iter().chain([&tally.overflow]);
+        let count: u64 = counts.clone().sum();
+        if count == 0 {
+            return;
+        }
+        for (slot, &n) in self.buckets.iter().zip(counts) {
+            if n > 0 {
+                slot.fetch_add(n, Relaxed);
+            }
+        }
+        self.count.fetch_add(count, Relaxed);
+        self.sum.fetch_add(tally.sum, Relaxed);
+        self.max.fetch_max(tally.max, Relaxed);
     }
 
     fn snapshot(&self) -> HistogramStats {
@@ -300,6 +450,19 @@ impl BucketHistogram {
         }
     }
 
+    /// Records every sample of `tally`, exactly as observing each of them
+    /// would. No-op on a disabled handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tally` is over other bounds than this histogram.
+    #[inline]
+    pub fn merge<const N: usize>(&self, tally: &HistogramTally<N>) {
+        if let Some(h) = &self.0 {
+            h.merge(tally);
+        }
+    }
+
     /// The current stats (empty defaults on a disabled handle).
     pub fn stats(&self) -> HistogramStats {
         self.0
@@ -312,6 +475,52 @@ impl BucketHistogram {
                 sum: 0,
                 max: 0,
             })
+    }
+}
+
+/// Samples over `N` fixed bounds counted in plain integers by their one
+/// owner, for a [`BucketHistogram`] over the same bounds to record in one
+/// [`merge`](BucketHistogram::merge): a hot loop pays no atomic update per
+/// sample.
+#[derive(Debug, Clone)]
+pub struct HistogramTally<const N: usize> {
+    /// Inclusive upper bucket bounds, strictly increasing.
+    bounds: [u64; N],
+    /// One slot per bound.
+    buckets: [u64; N],
+    /// Samples above the last bound.
+    overflow: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl<const N: usize> HistogramTally<N> {
+    /// An empty tally over `bounds`, which mean what they mean to
+    /// [`Registry::histogram`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` is not strictly increasing.
+    pub fn new(bounds: [u64; N]) -> Self {
+        check_bounds(&bounds);
+        Self {
+            bounds,
+            buckets: [0; N],
+            overflow: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+
+    /// Counts one sample.
+    #[inline]
+    pub fn observe(&mut self, value: u64) {
+        match self.buckets.get_mut(bucket(&self.bounds, value)) {
+            Some(n) => *n += 1,
+            None => self.overflow += 1,
+        }
+        self.sum += value;
+        self.max = self.max.max(value);
     }
 }
 
@@ -597,6 +806,89 @@ mod tests {
             .snapshot()
             .render()
             .contains("lat = count 10 / mean 204.5 / p50 10 / p95 2000 / p99 2000 / max 2000"));
+    }
+
+    #[test]
+    fn merged_tallies_equal_observed_samples() {
+        let reg = Registry::enabled();
+        let (one, batch) = (
+            reg.histogram("one", &[1, 4, 16]),
+            reg.histogram("batch", &[1, 4, 16]),
+        );
+        let mut tally = HistogramTally::new([1, 4, 16]);
+        for v in [0, 1, 2, 5, 100] {
+            one.observe(v);
+            tally.observe(v);
+        }
+        batch.merge(&tally);
+        batch.merge(&HistogramTally::new([1, 4, 16]));
+        assert_eq!(one.stats(), batch.stats());
+        assert_eq!(batch.stats().buckets, vec![2, 1, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different bounds")]
+    fn merging_a_tally_over_other_bounds_panics() {
+        let reg = Registry::enabled();
+        reg.histogram("h", &[1, 4])
+            .merge(&HistogramTally::new([1, 5]));
+    }
+
+    #[test]
+    fn indexed_metrics_are_the_named_ones() {
+        let reg = Registry::enabled();
+        reg.counter("sim.chan1.bytes").add(5);
+        let bytes = reg.counters("sim.chan", ".bytes", 2);
+        bytes[0].add(7);
+        bytes[1].inc();
+        assert_eq!(reg.counter("sim.chan0.bytes").get(), 7);
+        assert_eq!(reg.counter("sim.chan1.bytes").get(), 6);
+        // A larger request resolves the new indices; a smaller one is cut.
+        let grown = reg.counters("sim.chan", ".bytes", 3);
+        grown[2].inc();
+        assert_eq!(
+            (grown[1].get(), reg.counter("sim.chan2.bytes").get()),
+            (6, 1)
+        );
+        assert_eq!(reg.counters("sim.chan", ".bytes", 1).len(), 1);
+        reg.gauges("sim.chan", ".idle_ns", 1)[0].set(2.5);
+        reg.histograms("sim.dev", ".depth", &[1, 2], 1)[0].observe(2);
+        let snap = reg.snapshot();
+        let names: Vec<_> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "sim.chan0.bytes",
+                "sim.chan0.idle_ns",
+                "sim.chan1.bytes",
+                "sim.chan2.bytes",
+                "sim.dev0.depth"
+            ]
+        );
+        assert_eq!(
+            snap.get("sim.chan0.idle_ns"),
+            Some(&MetricValue::Gauge(2.5))
+        );
+        // Disabled handles are inert.
+        let off = Registry::disabled().counters("sim.chan", ".bytes", 2);
+        off[0].inc();
+        assert_eq!((off.len(), off[0].get()), (2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered as a counter")]
+    fn indexed_kind_mismatch_panics() {
+        let reg = Registry::enabled();
+        let _ = reg.counters("f", "", 1);
+        let _ = reg.gauges("f", "", 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "different bounds")]
+    fn indexed_bounds_mismatch_panics() {
+        let reg = Registry::enabled();
+        let _ = reg.histograms("h", "", &[1, 2], 1);
+        let _ = reg.histograms("h", "", &[1, 3], 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use tictac_graph::{Graph, OpId, OpKind};
-use tictac_obs::{BucketHistogram, Counter, Registry};
+use tictac_obs::{HistogramTally, Registry};
 use tictac_sched::Schedule;
 use tictac_timing::{SimDuration, SimTime};
 use tictac_trace::{ExecutionTrace, FaultEventKind, TraceBuilder};
@@ -137,77 +137,105 @@ impl RunPlan {
 /// Queue/ready-set depth histogram bounds (powers of two).
 const DEPTH_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
-/// The engine's registry handles, allocated once per run so the hot path
-/// only touches atomics. Present only for enabled registries; every hook
-/// *reads* engine state and never draws from the RNG, so enabling
-/// metrics cannot perturb the simulated outcome.
-struct EngineMetrics {
-    registry: Registry,
-    /// `sim.events`: events popped from the queue.
-    events: Counter,
-    /// `sim.retransmits`: transfer attempts re-queued after a timeout.
-    retransmits: Counter,
+/// One run's samples of a depth histogram.
+type DepthTally = HistogramTally<{ DEPTH_BUCKETS.len() }>;
+
+/// One channel's observations in one run.
+#[derive(Debug, Clone)]
+struct ChanTally {
     /// `sim.chan{c}.bytes`: payload bytes of completed transfers.
-    chan_bytes: Vec<Counter>,
+    bytes: u64,
     /// `sim.chan{c}.busy_ns`: wire time of completed transfers.
-    chan_busy_ns: Vec<Counter>,
+    busy_ns: u64,
     /// `sim.chan{c}.transfers`: completed transfers.
-    chan_transfers: Vec<Counter>,
+    transfers: u64,
     /// `sim.chan{c}.queue_depth`: pending transfers, sampled whenever an
     /// idle channel considers starting one.
-    chan_queue_depth: Vec<BucketHistogram>,
-    /// `sim.dev{d}.busy_ns`: compute time of completed ops.
-    dev_busy_ns: Vec<Counter>,
-    /// `sim.dev{d}.ops`: completed compute ops.
-    dev_ops: Vec<Counter>,
-    /// `sim.dev{d}.ready_depth`: pick candidates, sampled whenever an
-    /// idle device starts an op.
-    dev_ready_depth: Vec<BucketHistogram>,
+    queue_depth: DepthTally,
 }
 
-impl EngineMetrics {
+/// One device's observations in one run.
+#[derive(Debug, Clone)]
+struct DevTally {
+    /// `sim.dev{d}.busy_ns`: compute time of completed ops.
+    busy_ns: u64,
+    /// `sim.dev{d}.ops`: completed compute ops.
+    ops: u64,
+    /// `sim.dev{d}.ready_depth`: pick candidates, sampled whenever an
+    /// idle device starts an op.
+    ready_depth: DepthTally,
+}
+
+/// The engine's observations of one run (DESIGN.md §8): a hook writes a
+/// plain integer here, and the registry sees one flush when the run ends,
+/// however it ends. Present only for enabled registries; every hook
+/// *reads* engine state and never draws from the RNG, so enabling
+/// metrics cannot perturb the simulated outcome.
+struct Tally {
+    registry: Registry,
+    /// `sim.events`: events popped from the queue.
+    events: u64,
+    /// `sim.retransmits`: transfer attempts re-queued after a timeout.
+    retransmits: u64,
+    chans: Vec<ChanTally>,
+    devs: Vec<DevTally>,
+}
+
+impl Tally {
     fn install(registry: &Registry, graph: &Graph) -> Option<Box<Self>> {
-        if !registry.is_enabled() {
-            return None;
-        }
-        let chans = graph.channels().len();
-        let devs = graph.devices().len();
-        Some(Box::new(Self {
-            registry: registry.clone(),
-            events: registry.counter("sim.events"),
-            retransmits: registry.counter("sim.retransmits"),
-            chan_bytes: (0..chans)
-                .map(|c| registry.counter(&format!("sim.chan{c}.bytes")))
-                .collect(),
-            chan_busy_ns: (0..chans)
-                .map(|c| registry.counter(&format!("sim.chan{c}.busy_ns")))
-                .collect(),
-            chan_transfers: (0..chans)
-                .map(|c| registry.counter(&format!("sim.chan{c}.transfers")))
-                .collect(),
-            chan_queue_depth: (0..chans)
-                .map(|c| registry.histogram(&format!("sim.chan{c}.queue_depth"), &DEPTH_BUCKETS))
-                .collect(),
-            dev_busy_ns: (0..devs)
-                .map(|d| registry.counter(&format!("sim.dev{d}.busy_ns")))
-                .collect(),
-            dev_ops: (0..devs)
-                .map(|d| registry.counter(&format!("sim.dev{d}.ops")))
-                .collect(),
-            dev_ready_depth: (0..devs)
-                .map(|d| registry.histogram(&format!("sim.dev{d}.ready_depth"), &DEPTH_BUCKETS))
-                .collect(),
-        }))
+        registry.is_enabled().then(|| {
+            let depth = DepthTally::new(DEPTH_BUCKETS);
+            let chan = ChanTally {
+                bytes: 0,
+                busy_ns: 0,
+                transfers: 0,
+                queue_depth: depth.clone(),
+            };
+            let dev = DevTally {
+                busy_ns: 0,
+                ops: 0,
+                ready_depth: depth,
+            };
+            Box::new(Self {
+                registry: registry.clone(),
+                events: 0,
+                retransmits: 0,
+                chans: vec![chan; graph.channels().len()],
+                devs: vec![dev; graph.devices().len()],
+            })
+        })
     }
 
-    /// End-of-run derived gauges: per-channel idle time against the
-    /// iteration makespan.
-    fn finish(&self, makespan: SimDuration) {
-        for (c, busy) in self.chan_busy_ns.iter().enumerate() {
-            let idle = makespan.as_nanos().saturating_sub(busy.get());
-            self.registry
-                .gauge(&format!("sim.chan{c}.idle_ns"))
-                .set(idle as f64);
+    /// Adds the run's tallies to the registry. `makespan` is the finished
+    /// run's, which sets each channel's idle gauge to the makespan less
+    /// the channel's busy time in this run; a failed run has none.
+    fn flush(self, makespan: Option<SimDuration>) {
+        let (r, chans, devs) = (&self.registry, self.chans.len(), self.devs.len());
+        r.counter("sim.events").add(self.events);
+        r.counter("sim.retransmits").add(self.retransmits);
+        let bytes = r.counters("sim.chan", ".bytes", chans);
+        let busy = r.counters("sim.chan", ".busy_ns", chans);
+        let transfers = r.counters("sim.chan", ".transfers", chans);
+        let depth = r.histograms("sim.chan", ".queue_depth", &DEPTH_BUCKETS, chans);
+        for (c, t) in self.chans.iter().enumerate() {
+            bytes[c].add(t.bytes);
+            busy[c].add(t.busy_ns);
+            transfers[c].add(t.transfers);
+            depth[c].merge(&t.queue_depth);
+        }
+        let busy = r.counters("sim.dev", ".busy_ns", devs);
+        let ops = r.counters("sim.dev", ".ops", devs);
+        let depth = r.histograms("sim.dev", ".ready_depth", &DEPTH_BUCKETS, devs);
+        for (d, t) in self.devs.iter().enumerate() {
+            busy[d].add(t.busy_ns);
+            ops[d].add(t.ops);
+            depth[d].merge(&t.ready_depth);
+        }
+        if let Some(makespan) = makespan {
+            let idle = r.gauges("sim.chan", ".idle_ns", chans);
+            for (c, t) in self.chans.iter().enumerate() {
+                idle[c].set(makespan.as_nanos().saturating_sub(t.busy_ns) as f64);
+            }
         }
     }
 }
@@ -519,8 +547,8 @@ struct Engine<'g> {
     /// last pump; everything else is known to be busy, empty or handled.
     dirty_devices: DirtySet,
     dirty_channels: DirtySet,
-    /// Registry handles (read-only observation; `None` when disabled).
-    metrics: Option<Box<EngineMetrics>>,
+    /// This run's observations (read-only; `None` when disabled).
+    tally: Option<Box<Tally>>,
 }
 
 impl<'g> Engine<'g> {
@@ -601,7 +629,7 @@ impl<'g> Engine<'g> {
                 .collect(),
             dirty_devices: DirtySet::new(graph.devices().len()),
             dirty_channels: DirtySet::new(graph.channels().len()),
-            metrics: EngineMetrics::install(registry, graph),
+            tally: Tally::install(registry, graph),
         }
     }
 
@@ -621,6 +649,8 @@ impl<'g> Engine<'g> {
         }
     }
 
+    /// Runs the iteration and flushes its tally, on success and failure
+    /// alike.
     fn run(mut self) -> Result<ExecutionTrace, SimError> {
         self.schedule_faults();
 
@@ -636,8 +666,8 @@ impl<'g> Engine<'g> {
             let Some(Reverse((at, _seq, kind))) = self.events.pop() else {
                 break;
             };
-            if let Some(m) = &self.metrics {
-                m.events.inc();
+            if let Some(t) = &mut self.tally {
+                t.events += 1;
             }
             self.clock = SimTime::from_nanos(at);
             match kind {
@@ -667,21 +697,21 @@ impl<'g> Engine<'g> {
             self.pump();
         }
 
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        if self.remaining > 0 && !self.degraded {
-            return Err(SimError::Deadlock {
+        let outcome = if let Some(e) = self.error.take() {
+            Err(e)
+        } else if self.remaining > 0 && !self.degraded {
+            Err(SimError::Deadlock {
                 completed: self.graph.len() - self.remaining,
                 remaining: self.remaining,
                 at: self.clock,
-            });
+            })
+        } else {
+            Ok(self.trace.finish())
+        };
+        if let Some(tally) = self.tally.take() {
+            tally.flush(outcome.as_ref().ok().map(ExecutionTrace::makespan));
         }
-        let trace = self.trace.finish();
-        if let Some(m) = &self.metrics {
-            m.finish(trace.makespan());
-        }
-        Ok(trace)
+        outcome
     }
 
     /// Runs all synchronous starts enabled by the current state: one start
@@ -809,8 +839,8 @@ impl<'g> Engine<'g> {
         // least two transfers are queued; the disorder-window draw
         // spans the queue in hand-off order.
         let len = self.chan_queue[ch].len();
-        if let Some(m) = &self.metrics {
-            m.chan_queue_depth[ch].observe(len as u64);
+        if let Some(t) = &mut self.tally {
+            t.chans[ch].queue_depth.observe(len as u64);
         }
         let take_ranked = self.chan_queue[ch].has_ranked()
             && !(len >= 2 && self.rng.gen::<f64>() < self.reorder_error);
@@ -880,8 +910,9 @@ impl<'g> Engine<'g> {
             self.dirty_devices.mark(dev);
             return;
         }
-        if let Some(m) = &self.metrics {
-            m.dev_ready_depth[dev].observe(self.compute_ready[dev].candidates() as u64);
+        if let Some(t) = &mut self.tally {
+            let candidates = self.compute_ready[dev].candidates();
+            t.devs[dev].ready_depth.observe(candidates as u64);
         }
         // Locally disordered pick: uniform over the oldest
         // `disorder_window` candidates in readiness order.
@@ -909,13 +940,10 @@ impl<'g> Engine<'g> {
         self.compute_busy[dev] = false;
         self.inflight_compute[dev] = None;
         self.dirty_devices.mark(dev);
-        if let Some(m) = &self.metrics {
-            m.dev_busy_ns[dev].add(
-                self.clock
-                    .duration_since(self.started_at[op.index()])
-                    .as_nanos(),
-            );
-            m.dev_ops[dev].inc();
+        if let Some(t) = &mut self.tally {
+            let busy = self.clock.duration_since(self.started_at[op.index()]);
+            t.devs[dev].busy_ns += busy.as_nanos();
+            t.devs[dev].ops += 1;
         }
         self.trace
             .record(op, self.started_at[op.index()], self.clock);
@@ -928,10 +956,11 @@ impl<'g> Engine<'g> {
         self.inflight_recv[ch] = None;
         self.dirty_channels.mark(ch);
         let start = self.started_at[recv.index()];
-        if let Some(m) = &self.metrics {
-            m.chan_bytes[ch].add(self.graph.op(recv).cost().bytes);
-            m.chan_transfers[ch].inc();
-            m.chan_busy_ns[ch].add(self.clock.duration_since(start).as_nanos());
+        if let Some(t) = &mut self.tally {
+            let chan = &mut t.chans[ch];
+            chan.bytes += self.graph.op(recv).cost().bytes;
+            chan.transfers += 1;
+            chan.busy_ns += self.clock.duration_since(start).as_nanos();
         }
         self.transfers
             .record(&mut self.trace, recv, start, self.clock);
@@ -954,8 +983,8 @@ impl<'g> Engine<'g> {
             .after_timeout(&mut self.trace, recv, attempt, self.clock)
         {
             AfterLoss::Retransmit => {
-                if let Some(m) = &self.metrics {
-                    m.retransmits.inc();
+                if let Some(t) = &mut self.tally {
+                    t.retransmits += 1;
                 }
                 self.chan_queue[ch].push(recv, self.transfers.recv_rank[recv.index()]);
             }

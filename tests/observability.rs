@@ -14,11 +14,17 @@
 //!    is runnable on the same channel, while the unscheduled baseline
 //!    inverts on nearly every zoo model and every reorder error of an
 //!    enforced run is counted.
+//! 4. **One flush per run** — the engine tallies a run in plain integers
+//!    and adds them to the registry when the run ends, however it ends:
+//!    a failed run's counts still land, each run's idle gauges are its
+//!    own, and registries sharing one `RunPlan` never see each other's
+//!    runs.
 
 use tictac::{
-    priority_inversions, realized_efficiency, simulate, simulate_with_plan_observed, ChannelId,
-    ClusterSpec, FaultCounters, FaultEventKind, Mode, Model, OpId, Registry, SchedulerKind,
-    Session, SimConfig, TraceBuilder,
+    priority_inversions, realized_efficiency, simulate, simulate_with_plan_observed, tic,
+    ChannelId, ClusterSpec, DeployedModel, FaultCounters, FaultEventKind, FaultPlan, FaultSpec,
+    MetricValue, Mode, Model, OpId, Registry, RetryPolicy, RunPlan, Schedule, SchedulerKind,
+    Session, SimConfig, SimDuration, SimError, TraceBuilder,
 };
 use tictac_models::tiny_mlp;
 use tictac_timing::SimTime;
@@ -276,4 +282,88 @@ fn observed_efficiency_orders_schedulers() {
         tac >= tic && tic >= base,
         "efficiency ordering violated: baseline {base:.3}, tic {tic:.3}, tac {tac:.3}"
     );
+}
+
+/// A TIC-enforced tiny MLP on 2 workers × 1 PS losing 30% of transfer
+/// attempts with two retransmits each: iteration 3 exhausts a budget
+/// midway, iterations 0, 1, 2 and 4 recover.
+fn lossy_tiny_mlp() -> (DeployedModel, Schedule, SimConfig) {
+    let d = tictac::deploy(&tiny_mlp(Mode::Training, 8), &ClusterSpec::new(2, 1)).unwrap();
+    let s = d.replicate_schedule(&tic(d.graph(), d.workers()[0]));
+    let retry = RetryPolicy::fixed(SimDuration::from_micros(50), 2);
+    let faults = FaultSpec::none().with_drop_prob(0.3).with_retry(retry);
+    (d, s, SimConfig::cloud_gpu().with_faults(faults))
+}
+
+#[test]
+fn a_failed_run_still_flushes_its_tallies() {
+    let (d, s, cfg) = lossy_tiny_mlp();
+    let g = d.graph();
+    let registry = Registry::enabled();
+    let plan = FaultPlan::sample(&cfg.faults, g, cfg.seed, 3);
+    let failed = simulate_with_plan_observed(g, &s, &cfg, 3, &plan, &registry);
+    assert!(
+        matches!(failed, Err(SimError::RetriesExhausted { .. })),
+        "{failed:?}"
+    );
+    // What the engine's per-event atomic updates recorded for this run
+    // before it tallied runs and flushed them once.
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("sim.events"), Some(52));
+    assert_eq!(snap.counter("sim.retransmits"), Some(9));
+    assert_eq!(snap.counter("sim.chan0.bytes"), Some(38_480));
+    // A failed run has no makespan to set idle time against.
+    assert_eq!(snap.get("sim.chan0.idle_ns"), None);
+}
+
+#[test]
+fn idle_gauges_read_each_runs_own_idle_time() {
+    let (d, s, cfg) = lossy_tiny_mlp();
+    let g = d.graph();
+    let registry = Registry::enabled();
+    let channels = g.channels().len();
+    let busy = |c: usize| registry.counter(&format!("sim.chan{c}.busy_ns")).get();
+    for iteration in [0, 1, 2] {
+        let before: Vec<u64> = (0..channels).map(busy).collect();
+        let plan = FaultPlan::sample(&cfg.faults, g, cfg.seed, iteration);
+        let trace = simulate_with_plan_observed(g, &s, &cfg, iteration, &plan, &registry).unwrap();
+        for (c, before) in before.into_iter().enumerate() {
+            let own_busy = busy(c) - before;
+            assert!(own_busy > 0, "channel {c} carried nothing");
+            let idle = trace.makespan().as_nanos() - own_busy;
+            assert_eq!(
+                registry.snapshot().get(&format!("sim.chan{c}.idle_ns")),
+                Some(&MetricValue::Gauge(idle as f64)),
+                "iteration {iteration}, channel {c}"
+            );
+        }
+    }
+}
+
+#[test]
+fn registries_alternating_on_one_plan_see_only_their_own_runs() {
+    let (d, s, cfg) = lossy_tiny_mlp();
+    let g = d.graph();
+    let shared = RunPlan::new(g, &s, &cfg).unwrap();
+    let (a, b) = (Registry::enabled(), Registry::enabled());
+    for (iteration, registry) in [(0, &a), (1, &b), (2, &a), (4, &b)] {
+        let faults = shared.sample_faults(g, iteration);
+        shared
+            .simulate_observed(g, &s, iteration, &faults, registry)
+            .unwrap();
+    }
+    // The same runs, each registry on its own and each run from a fresh
+    // plan.
+    let alone = |iterations: [u64; 2]| {
+        let registry = Registry::enabled();
+        for iteration in iterations {
+            let plan = FaultPlan::sample(&cfg.faults, g, cfg.seed, iteration);
+            simulate_with_plan_observed(g, &s, &cfg, iteration, &plan, &registry).unwrap();
+        }
+        registry.snapshot()
+    };
+    assert!(a.snapshot().counter("sim.retransmits").unwrap() > 0);
+    assert_eq!(a.snapshot(), alone([0, 2]));
+    assert_eq!(b.snapshot(), alone([1, 4]));
+    assert_ne!(a.snapshot(), b.snapshot());
 }
