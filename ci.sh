@@ -93,9 +93,11 @@ cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
 # The fault code both executors share (agenda, loss ladder, record and
 # barrier steps) in that same build, on the engine and on real threads,
-# and the observers' flush on every way a run ends.
+# the observers' flush on every way a run ends, and the run-record codec:
+# its round-trips, integer rule and mutation fuzz against the tree oracle.
 cargo test --offline -q --release --test faults --test chaos --test backend_equivalence \
-    --test observability
+    --test observability --test run_store
+cargo test --offline -q --release -p tictac-store
 
 echo "== threaded backend smoke =="
 # Real-OS-thread runtime gate (DESIGN.md §9): the quick sim-vs-wall-clock

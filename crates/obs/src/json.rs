@@ -1,13 +1,19 @@
 //! A minimal JSON value, parser, and string writer.
 //!
 //! The build environment vendors no JSON crate, so the workspace
-//! hand-rolls the little it needs: the run store (`tictac-store`)
-//! encodes and strictly decodes its JSONL records with it, the Perfetto
-//! exporter's validator ([`crate::perfetto::validate_perfetto`]) parses
-//! trace files back, and the benchmark (`benchmark/`) writes its reports
-//! with it. Lives here so every side shares one implementation:
-//! [`Json`] is the value type, [`parse_json`] the parser, and
-//! [`render_json`] / [`render_json_pretty`] the writers.
+//! hand-rolls the little it needs: [`Json`] is the value type,
+//! [`parse_json`] the parser, and [`render_json`] / [`render_json_pretty`]
+//! the writers. The Perfetto exporter's validator
+//! ([`crate::perfetto::validate_perfetto`]) parses trace files back with
+//! them, and the benchmark (`benchmark/`) writes its reports with them.
+//!
+//! The lexing rules are written once: [`Lexer`] reads whitespace, strings
+//! (escapes and `\u` surrogate pairs included), number tokens, literals
+//! and list steps, and [`escape_into`] and [`number_into`] (finite or
+//! `null`) write. [`parse_json`] builds its tree from them. The run store
+//! (`tictac-store`) does not go through [`Json`] at all: its record codec
+//! reads and writes each field with the same primitives, so a record line
+//! follows the grammar `parse_json` accepts.
 //!
 //! Writer invariant: numbers are emitted in Rust's shortest `Display`
 //! form, which round-trips exactly through [`parse_json`] — for any
@@ -17,22 +23,27 @@
 //! [`Json`]: its fixed three-decimal timestamps are pinned byte for byte
 //! by golden snapshots. It shares only the string escape, [`quote`]'s.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Escapes `s` as a JSON string literal, including the surrounding
 /// quotes.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
+    quote_into(&mut out, s);
     out
+}
+
+fn quote_into(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 /// Appends `s` to `out` escaped as the body of a JSON string literal:
 /// quote, backslash and control characters escaped, everything else
 /// copied as is, in runs between escapes.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+pub fn escape_into(out: &mut String, s: &str) {
     let mut copied = 0;
     for (i, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -123,68 +134,67 @@ impl Json {
     }
 }
 
-/// Formats a JSON number: Rust's shortest `Display` representation,
-/// which never uses exponent notation and round-trips exactly through
-/// `str::parse::<f64>`. Non-finite values have no JSON spelling and
-/// render as `null`; writers that must reject them should validate
-/// before rendering.
-fn fmt_num(n: f64) -> String {
+/// Appends a JSON number: Rust's shortest `Display` form, which never
+/// uses exponent notation and round-trips exactly through
+/// `str::parse::<f64>`. Non-finite values have no JSON spelling and are
+/// written as `null`; writers that must reject them should validate
+/// before writing.
+pub fn number_into(out: &mut String, n: f64) {
     if n.is_finite() {
-        format!("{n}")
+        let _ = write!(out, "{n}");
     } else {
-        "null".to_string()
+        out.push_str("null");
+    }
+}
+
+/// A line break and `width × depth` spaces when pretty-printing.
+fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(width) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', width * depth));
     }
 }
 
 fn render_into(value: &Json, indent: Option<usize>, depth: usize, out: &mut String) {
-    let (open_sep, item_sep, close_sep) = match indent {
-        Some(width) => (
-            format!("\n{}", " ".repeat(width * (depth + 1))),
-            format!(",\n{}", " ".repeat(width * (depth + 1))),
-            format!("\n{}", " ".repeat(width * depth)),
-        ),
-        None => (String::new(), ",".to_string(), String::new()),
-    };
     match value {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(n) => out.push_str(&fmt_num(*n)),
-        Json::Str(s) => out.push_str(&quote(s)),
+        Json::Num(n) => number_into(out, *n),
+        Json::Str(s) => quote_into(out, s),
+        Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+        Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
         Json::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
             out.push('[');
             for (i, item) in items.iter().enumerate() {
-                out.push_str(if i == 0 { &open_sep } else { &item_sep });
+                if i > 0 {
+                    out.push(',');
+                }
+                newline(out, indent, depth + 1);
                 render_into(item, indent, depth + 1, out);
             }
-            out.push_str(&close_sep);
+            newline(out, indent, depth);
             out.push(']');
         }
         Json::Obj(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
             out.push('{');
             for (i, (key, item)) in fields.iter().enumerate() {
-                out.push_str(if i == 0 { &open_sep } else { &item_sep });
-                out.push_str(&quote(key));
+                if i > 0 {
+                    out.push(',');
+                }
+                newline(out, indent, depth + 1);
+                quote_into(out, key);
                 out.push_str(if indent.is_some() { ": " } else { ":" });
                 render_into(item, indent, depth + 1, out);
             }
-            out.push_str(&close_sep);
+            newline(out, indent, depth);
             out.push('}');
         }
     }
 }
 
 /// Renders a JSON value compactly (no whitespace), in shortest-number
-/// form. This is the run store's canonical single-line encoding:
-/// `render_json(&parse_json(&render_json(v))?) == render_json(v)` for
-/// any tree of finite numbers.
+/// form: `render_json(&parse_json(&render_json(v))?) == render_json(v)`
+/// for any tree of finite numbers.
 pub fn render_json(value: &Json) -> String {
     let mut out = String::new();
     render_into(value, None, 0, &mut out);
@@ -199,32 +209,55 @@ pub fn render_json_pretty(value: &Json) -> String {
     out
 }
 
-/// Deepest array/object nesting [`parse_json`] follows: it recurses once
-/// per level, so unbounded, a file of nothing but `[` overflows the stack.
-/// What the workspace writes nests six levels at most (a run record).
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
+/// A cursor over one JSON document: the lexing primitives [`parse_json`]
+/// and the run store's record codec (`tictac-store`) share, so both read
+/// whitespace, strings, numbers and literals by one set of rules.
+///
+/// A token reader is called on the token's first byte and leaves the
+/// cursor just past it; only [`Lexer::skip_ws`] and the list steps move
+/// over whitespace. Every error has one shape, `json error at byte N: …`,
+/// with `N` the byte offset it names.
+#[derive(Debug)]
+pub struct Lexer<'a> {
     src: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
-        Err(format!("json error at byte {}: {msg}", self.pos))
+impl<'a> Lexer<'a> {
+    /// A cursor on the first byte of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Self { src, pos: 0 }
     }
 
-    fn skip_ws(&mut self) {
+    /// The cursor's byte offset.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The byte under the cursor, if any.
+    pub fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// An error at the cursor.
+    pub fn err<T>(&self, msg: &str) -> Result<T, String> {
+        self.err_at(self.pos, msg)
+    }
+
+    /// An error at byte `at`.
+    pub fn err_at<T>(&self, at: usize, msg: &str) -> Result<T, String> {
+        Err(format!("json error at byte {at}: {msg}"))
+    }
+
+    /// Moves past spaces, tabs, carriage returns and line feeds.
+    pub fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    /// Consumes the byte `b`.
+    pub fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -233,101 +266,76 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    /// Consumes the literal `word` (`true`, `false` or `null`).
+    pub fn literal(&mut self, word: &str) -> Result<(), String> {
         if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             self.err(&format!("expected {word}"))
         }
     }
 
-    /// One value, `depth` arrays and objects down from the document.
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    /// Consumes `open` and the whitespace after it. `Ok(true)`: an item
+    /// follows; `Ok(false)`: `close` followed at once and was consumed.
+    pub fn open_list(&mut self, open: u8, close: u8) -> Result<bool, String> {
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After an item: skips whitespace, then consumes either a comma and
+    /// the whitespace after it (`Ok(true)`: another item follows) or
+    /// `close` (`Ok(false)`: the list ended).
+    pub fn next_item(&mut self, close: u8) -> Result<bool, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{' | b'[') if depth == MAX_DEPTH => {
-                self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
             }
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => self.err(&format!("unexpected {:?}", c as char)),
-            None => self.err("unexpected end of input"),
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => self.err(&format!("expected ',' or '{}'", close as char)),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads a string literal, borrowed from the source when it holds no
+    /// escape.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut unescaped: Option<String> = None;
         loop {
             // Everything up to the next quote, backslash or control byte
-            // is copied as one run. All three are ASCII, so the run starts
-            // and ends on a char boundary of the (already valid) source.
+            // is one run. All three are ASCII, so the run starts and ends
+            // on a char boundary of the (already valid) source.
             let run = self.pos;
-            while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0..=0x1f)) {
-                self.pos += 1;
-            }
-            out.push_str(&self.src[run..self.pos]);
+            self.pos += self.src.as_bytes()[run..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(self.src.len() - run);
+            let text = &self.src[run..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(text),
+                        Some(mut out) => {
+                            out.push_str(text);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(text);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -372,7 +380,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Scans a number token — an optional `-`, then any run of digits,
+    /// `.`, `e`, `E`, `+` and `-` — and returns its text unparsed (empty
+    /// when none is there). [`Lexer::number`] reads it as an `f64`; the
+    /// run store reads its integer fields from the text exactly.
+    pub fn number_text(&mut self) -> &'a str {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -383,10 +395,25 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = &self.src[start..self.pos];
+        &self.src[start..self.pos]
+    }
+
+    /// Reads a number token as a finite `f64`.
+    pub fn number(&mut self) -> Result<f64, String> {
+        let text = self.number_text();
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(n) if n.is_finite() => Ok(n),
             _ => self.err(&format!("bad number {text:?}")),
+        }
+    }
+
+    /// Skips trailing whitespace and fails unless the document ends there.
+    pub fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
+            Ok(())
+        } else {
+            self.err("trailing characters after document")
         }
     }
 }
@@ -399,16 +426,56 @@ fn hex4(digits: &[u8]) -> Option<u32> {
         .try_fold(0, |unit, &d| Some(unit * 16 + (d as char).to_digit(16)?))
 }
 
+/// Deepest array/object nesting [`parse_json`] follows: it recurses once
+/// per level, so unbounded, a file of nothing but `[` overflows the stack.
+/// What the workspace writes nests six levels at most (a run record).
+const MAX_DEPTH: usize = 128;
+
+/// One value, `depth` arrays and objects down from the document.
+fn value(lx: &mut Lexer, depth: usize) -> Result<Json, String> {
+    lx.skip_ws();
+    match lx.peek() {
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            lx.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+        }
+        Some(b'{') => {
+            let mut fields = Vec::new();
+            let mut more = lx.open_list(b'{', b'}')?;
+            while more {
+                let key = lx.string()?.into_owned();
+                lx.skip_ws();
+                lx.expect(b':')?;
+                fields.push((key, value(lx, depth + 1)?));
+                more = lx.next_item(b'}')?;
+            }
+            Ok(Json::Obj(fields))
+        }
+        Some(b'[') => {
+            let mut items = Vec::new();
+            let mut more = lx.open_list(b'[', b']')?;
+            while more {
+                items.push(value(lx, depth + 1)?);
+                more = lx.next_item(b']')?;
+            }
+            Ok(Json::Arr(items))
+        }
+        Some(b'"') => Ok(Json::Str(lx.string()?.into_owned())),
+        Some(b't') => lx.literal("true").map(|()| Json::Bool(true)),
+        Some(b'f') => lx.literal("false").map(|()| Json::Bool(false)),
+        Some(b'n') => lx.literal("null").map(|()| Json::Null),
+        Some(b'-' | b'0'..=b'9') => lx.number().map(Json::Num),
+        Some(c) => lx.err(&format!("unexpected {:?}", c as char)),
+        None => lx.err("unexpected end of input"),
+    }
+}
+
 /// Parses one JSON document, rejecting trailing garbage and nesting
 /// deeper than 128 levels.
 pub fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = Parser { src, pos: 0 };
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return p.err("trailing characters after document");
-    }
-    Ok(value)
+    let lx = &mut Lexer::new(src);
+    let doc = value(lx, 0)?;
+    lx.end()?;
+    Ok(doc)
 }
 
 #[cfg(test)]

@@ -23,8 +23,9 @@
 //!   while a higher-priority transfer was already runnable on the same
 //!   channel.
 //! - [`json`] — the workspace's hand-rolled JSON value/parser/writer
-//!   (the build environment vendors no JSON crate), shared with the run
-//!   store (`tictac-store`) and the benchmark (`benchmark/`).
+//!   (the build environment vendors no JSON crate), shared with the
+//!   benchmark (`benchmark/`); the run store (`tictac-store`) builds its
+//!   record codec from the same lexing primitives.
 //!
 //! Dependency discipline: this crate sees only `graph`, `timing`, and
 //! `trace`. The schedulers and the simulator depend on *it*, so the

@@ -26,7 +26,8 @@
 //!    flagged and skipped.
 //!
 //! Dependency discipline: this crate sees only `tictac-obs` (the JSON
-//! value and the metrics `Snapshot`) and `tictac-trace`
+//! lexing and escaping primitives its codec is built from, and the
+//! metrics `Snapshot`) and `tictac-trace`
 //! ([`FaultCounters`](tictac_trace::FaultCounters)). `tictac-core`
 //! depends on *it*, so records carry scheduler/backend names as plain
 //! strings and fingerprints as `u64`s computed by the producer.

@@ -124,13 +124,18 @@ impl RunStore {
         Ok(record.id)
     }
 
-    /// Loads every record, in append order.
+    /// Loads every record, in append order. The file is read under the
+    /// append lock, so no append of this handle is half-read, and decoded
+    /// after it is released, so appenders do not wait out the decode.
     pub fn load(&self) -> io::Result<Vec<RunRecord>> {
-        let _appends_wait = self
-            .tail
-            .lock()
-            .expect("an append panicked holding the store lock");
-        let text = match fs::read_to_string(&self.path) {
+        let read = {
+            let _appends_wait = self
+                .tail
+                .lock()
+                .expect("an append panicked holding the store lock");
+            fs::read_to_string(&self.path)
+        };
+        let text = match read {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),

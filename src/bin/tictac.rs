@@ -420,19 +420,19 @@ fn runs(args: &[String]) {
     });
     let flags = &parse_flags(args, &known);
     let store = runs_store(flags);
-    let records = store
+    let mut filtered = store
         .load()
         .unwrap_or_else(|e| usage(&format!("cannot load {}: {e}", store.path().display())));
+    let total = filtered.len();
     let filter = runs_filter(flags);
-    let filtered: Vec<&RunRecord> = records.iter().filter(|r| filter.matches(r)).collect();
+    filtered.retain(|r| filter.matches(r));
     match sub {
         "list" => {
             for r in &filtered {
                 println!("{}", list_line(r));
             }
             println!(
-                "{} record(s) in {} ({} after filters)",
-                records.len(),
+                "{total} record(s) in {} ({} after filters)",
                 store.path().display(),
                 filtered.len()
             );
@@ -452,7 +452,7 @@ fn runs(args: &[String]) {
         "diff" => {
             let by_id = |key: &str| {
                 flags.get(key).filter(|v| !v.is_empty()).map(|id| {
-                    *filtered
+                    filtered
                         .iter()
                         .find(|r| &r.id == id)
                         .unwrap_or_else(|| usage(&format!("no record with id {id}")))
@@ -466,7 +466,7 @@ fn runs(args: &[String]) {
                     if filtered.len() < 2 {
                         usage("need at least two records to diff");
                     }
-                    (filtered[filtered.len() - 2], filtered[filtered.len() - 1])
+                    (&filtered[filtered.len() - 2], &filtered[filtered.len() - 1])
                 }
                 _ => usage("--a and --b must be passed together"),
             };
@@ -484,8 +484,7 @@ fn runs(args: &[String]) {
             if policy.window == 0 {
                 usage("--window must be at least 1");
             }
-            let owned: Vec<RunRecord> = filtered.iter().map(|r| (*r).clone()).collect();
-            let report = regress(&owned, &policy);
+            let report = regress(&filtered, &policy);
             print!("{}", report.render());
             if report.failed() {
                 std::process::exit(1);

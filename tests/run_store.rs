@@ -1,7 +1,8 @@
 //! Run-store integration tests: encode→decode→encode byte identity over
-//! randomized records, schema-version rejection, append/load through a
-//! real file, history-aware regression gating, and a golden snapshot
-//! pinning the `tictac-run/v2` wire format.
+//! randomized records and the committed corpus, schema-version and
+//! integer-spelling rejection, append/load through a real file,
+//! history-aware regression gating, and a golden snapshot pinning the
+//! `tictac-run/v3` wire format.
 //!
 //! Regenerate the golden file after an intentional schema change with:
 //!
@@ -198,6 +199,55 @@ fn other_schema_versions_are_rejected() {
     assert!(RunRecord::decode(&extra).is_err());
 }
 
+/// An integer field carried as a JSON number reads only in the spelling
+/// the encoder writes, `0|[1-9][0-9]*` up to 2^53, and any other is an
+/// error at the number's first byte. Each of these once decoded through
+/// an f64, and none re-encodes to its own bytes.
+#[test]
+fn integer_fields_are_canonical_or_rejected() {
+    let line = sample_record().encode();
+    for (field, spelling) in [
+        ("\"time_ms\":1754000000000", "9007199254740993"),
+        ("\"workers\":2", "-0"),
+        ("\"workers\":2", "02"),
+        ("\"workers\":2", "2.0"),
+        ("\"workers\":2", "2e0"),
+    ] {
+        let (key, _) = field.split_once(':').unwrap();
+        let tampered = line.replacen(field, &format!("{key}:{spelling}"), 1);
+        let at = line.find(field).unwrap() + key.len() + 1;
+        let err = RunRecord::decode(&tampered).expect_err(spelling);
+        assert!(
+            err.starts_with(&format!("json error at byte {at}: ")),
+            "{spelling}: {err}"
+        );
+    }
+    // The canonical spellings at the ends of the range still decode.
+    for (field, spelling) in [
+        ("\"time_ms\":1754000000000", "9007199254740992"),
+        ("\"workers\":2", "0"),
+    ] {
+        let (key, _) = field.split_once(':').unwrap();
+        let edge = line.replacen(field, &format!("{key}:{spelling}"), 1);
+        assert_eq!(RunRecord::decode(&edge).expect(spelling).encode(), edge);
+    }
+}
+
+/// Every committed line — the corpus and the golden record — decodes and
+/// re-encodes to its own bytes.
+#[test]
+fn committed_lines_round_trip_byte_exactly() {
+    for file in ["results/runs.jsonl", GOLDEN] {
+        let text = std::fs::read_to_string(file).expect("committed file");
+        assert!(text.lines().count() > 0, "{file} is empty");
+        for (i, line) in text.lines().enumerate() {
+            let record =
+                RunRecord::decode(line).unwrap_or_else(|e| panic!("{file}:{}: {e}", i + 1));
+            assert_eq!(record.encode(), line, "{file}:{}", i + 1);
+        }
+    }
+}
+
 #[test]
 fn store_append_assigns_ids_and_loads_back() {
     let path = std::env::temp_dir().join(format!("tictac-run-store-{}.jsonl", std::process::id()));
@@ -328,7 +378,7 @@ fn sample_record() -> RunRecord {
     }
 }
 
-/// Pins the `tictac-run/v2` wire format: any byte-level change to the
+/// Pins the `tictac-run/v3` wire format: any byte-level change to the
 /// encoder shows up as a diff against the committed golden line.
 #[test]
 fn golden_run_record_snapshot() {
