@@ -143,6 +143,21 @@ awk -F'"' '$6 != "id" || $8 != sprintf("r%06d", NR - 1) {
 ./target/release/tictac runs diff --store target/ci-runs.jsonl --kind session | grep -q "zero drift"
 ./target/release/tictac runs diff --store target/ci-runs.jsonl --kind report | grep -q "zero drift"
 ./target/release/tictac runs regress --store target/ci-runs.jsonl
+# A torn tail (a writer killed mid-line): every load fails naming the
+# line, and an append refuses the file instead of gluing a record onto
+# that line, so the copy stays byte-identical.
+cp target/ci-runs.jsonl target/ci-torn.jsonl
+printf '{"schema"' >> target/ci-torn.jsonl
+cp target/ci-torn.jsonl target/ci-torn.before
+if ./target/release/tictac runs list --store target/ci-torn.jsonl > /dev/null 2> target/ci-torn.err; then
+    echo "error: runs list loaded a store with a torn tail" >&2
+    exit 1
+fi
+grep -q "line [0-9]*:" target/ci-torn.err
+./target/release/tictac run alexnet_v2 --workers 2 --ps 1 --scheduler tac \
+    --iterations 4 --env g --store target/ci-torn.jsonl > /dev/null 2> target/ci-torn.err
+grep -q "has no newline" target/ci-torn.err
+cmp target/ci-torn.jsonl target/ci-torn.before
 
 echo "== scenario smoke =="
 # Scenario DSL gate (DESIGN.md §14): every committed example scenario

@@ -1,8 +1,8 @@
 //! The append-only JSONL store, the [`RunSink`] seam producers emit
 //! through, and the process-global store wired up from `TICTAC_RUN_STORE`.
 
-use std::fs::{self, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -50,18 +50,77 @@ impl RunSink for MemorySink {
 /// second process appending to the same path cannot land inside a line;
 /// a torn line would poison the whole corpus. Loads are strict — any
 /// undecodable line fails with its line number rather than being skipped.
+/// A handle's appends and loads each read only past the prefix they last
+/// saw, while the file still holds it (DESIGN.md §13, the seam).
 #[derive(Debug)]
 pub struct RunStore {
     path: PathBuf,
-    /// The file length this handle's last append left and the records in
-    /// a file of that length; a missing or empty file holds none.
-    tail: Mutex<Tail>,
+    /// The append lock, over what this handle's appends know of the file.
+    tail: Mutex<Seen>,
+    /// The load-only lock, over the prefix this handle's loads decoded.
+    decoded: Mutex<(Seen, Vec<RunRecord>)>,
 }
 
+/// A prefix of the store file, ending at a `'\n'`: its byte length, its
+/// *seam* (the prefix from its last non-blank line on), and its line and
+/// record counts. The default is the empty prefix.
 #[derive(Debug, Default)]
-struct Tail {
+struct Seen {
     len: u64,
+    seam: String,
+    lines: usize,
     records: usize,
+}
+
+impl Seen {
+    /// Reads the file past this prefix: after the seam if the seam is still
+    /// where the prefix left it, else — the prefix forgotten — from the top.
+    fn read_past(&mut self, file: &mut File) -> io::Result<String> {
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(self.len - self.seam.len() as u64))?;
+        file.read_to_end(&mut bytes)?;
+        if !bytes.starts_with(self.seam.as_bytes()) {
+            *self = Self::default();
+            bytes.clear();
+            file.rewind()?;
+            file.read_to_end(&mut bytes)?;
+        }
+        bytes.drain(..self.seam.len()); // a forgotten prefix has no seam
+        String::from_utf8(bytes).map_err(|_| invalid("stream did not contain valid UTF-8"))
+    }
+
+    /// Moves the prefix over the complete lines of `text` (the file past it),
+    /// giving `take` each non-blank one and its line number in the file, and
+    /// returns the unterminated rest; an error from `take` moves nothing.
+    fn extend<'t>(
+        &mut self,
+        text: &'t str,
+        mut take: impl FnMut(usize, &str) -> io::Result<()>,
+    ) -> io::Result<&'t str> {
+        let (done, torn) = text.split_at(text.rfind('\n').map_or(0, |i| i + 1));
+        let (mut at, mut last, mut lines, mut records) = (0, None, self.lines, self.records);
+        for piece in done.split_inclusive('\n') {
+            lines += 1;
+            if !piece.trim().is_empty() {
+                let line = &piece[..piece.len() - 1];
+                take(lines, line.strip_suffix('\r').unwrap_or(line))?;
+                records += 1;
+                last = Some(at);
+            }
+            at += piece.len();
+        }
+        (self.lines, self.records) = (lines, records);
+        match last {
+            Some(start) => self.seam = done[start..].to_owned(),
+            None => self.seam.push_str(done),
+        }
+        self.len += done.len() as u64;
+        Ok(torn)
+    }
+}
+
+fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 impl RunStore {
@@ -70,6 +129,7 @@ impl RunStore {
         Self {
             path: path.into(),
             tail: Mutex::default(),
+            decoded: Mutex::default(),
         }
     }
 
@@ -83,9 +143,9 @@ impl RunStore {
     /// timestamp. Returns the assigned id.
     ///
     /// The id is the number of records already in the file: remembered
-    /// while the file still has the length this handle's last append left,
-    /// counted afresh when it does not (first use, another handle or
-    /// process appended, the file was truncated or replaced).
+    /// while the file keeps the length this handle's last append left, else
+    /// counted past the seam (DESIGN.md §13). A file whose last line has no
+    /// `'\n'` is refused with `InvalidData` naming its offset, and left as is.
     pub fn append(&self, mut record: RunRecord) -> io::Result<String> {
         let mut tail = self
             .tail
@@ -102,12 +162,12 @@ impl RunStore {
             opened => opened?,
         };
         if file.metadata()?.len() != tail.len {
-            let mut text = String::new();
-            file.read_to_string(&mut text)?;
-            *tail = Tail {
-                len: text.len() as u64,
-                records: text.lines().filter(|l| !l.trim().is_empty()).count(),
-            };
+            let text = tail.read_past(&mut file)?;
+            if !tail.extend(&text, |_, _| Ok(()))?.is_empty() {
+                let (path, at) = (self.path.display(), tail.len);
+                let torn = format!("{path}: the line at byte {at} has no newline");
+                return Err(invalid(torn));
+            }
         }
         record.id = format!("r{:06}", tail.records);
         if record.time_ms == 0 {
@@ -119,38 +179,47 @@ impl RunStore {
         let mut line = record.encode();
         line.push('\n');
         file.write_all(line.as_bytes())?;
-        tail.len += line.len() as u64;
-        tail.records += 1;
+        tail.extend(&line, |_, _| Ok(()))?;
         Ok(record.id)
     }
 
-    /// Loads every record, in append order. The file is read under the
-    /// append lock, so no append of this handle is half-read, and decoded
-    /// after it is released, so appenders do not wait out the decode.
+    /// Loads every record, in append order, decoding only the lines past
+    /// what this handle's last load decoded and returning a clone of the
+    /// one decoded copy it keeps. The file is read under the append lock,
+    /// so no append of this handle is half-read, and decoded under a
+    /// load-only lock, so appenders do not wait out the decode.
     pub fn load(&self) -> io::Result<Vec<RunRecord>> {
+        let mut decoded = self
+            .decoded
+            .lock()
+            .expect("a load panicked holding the load lock");
+        let (seen, records) = &mut *decoded;
         let read = {
             let _appends_wait = self
                 .tail
                 .lock()
                 .expect("an append panicked holding the store lock");
-            fs::read_to_string(&self.path)
+            File::open(&self.path).and_then(|mut file| seen.read_past(&mut file))
         };
         let text = match read {
             Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                *decoded = Default::default();
+                return Ok(Vec::new());
+            }
             Err(e) => return Err(e),
         };
-        load_lines(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        records.truncate(seen.records); // drops what a forgotten prefix held
+        let decode = |n: usize, line: &str| {
+            RunRecord::decode(line).map_err(|e| invalid(format!("line {n}: {e}")))
+        };
+        let torn = seen.extend(&text, |n, line| decode(n, line).map(|r| records.push(r)))?;
+        let mut loaded = records.clone();
+        if !torn.trim().is_empty() {
+            loaded.push(decode(seen.lines + 1, torn)?);
+        }
+        Ok(loaded)
     }
-}
-
-/// Parses a JSONL corpus, failing on the first bad line with its number.
-fn load_lines(text: &str) -> Result<Vec<RunRecord>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| RunRecord::decode(l).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
 }
 
 impl RunSink for RunStore {
@@ -360,16 +429,169 @@ mod tests {
         assert!(store.load().unwrap().is_empty());
     }
 
+    /// Appends `bytes` to the store file as they are, as a hand edit or a
+    /// writer killed mid-line would.
+    fn write_raw(store: &RunStore, bytes: &[u8]) {
+        std::fs::create_dir_all(store.path().parent().unwrap()).unwrap();
+        let mut options = OpenOptions::new();
+        let mut file = options
+            .create(true)
+            .append(true)
+            .open(store.path())
+            .unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
     #[test]
     fn bad_lines_fail_with_line_numbers() {
+        let store = scratch("bad-lines");
         let mut r = record(3);
         r.payload = Payload::Report(ReportEvidence {
             report_fp: 9,
             quick: false,
         });
-        let text = format!("{}\n{{\"schema\":\"bogus\"}}\n", r.encode());
-        let err = load_lines(&text).unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
+        let good = format!("{}\n", r.encode());
+        write_raw(
+            &store,
+            format!("{good}{{\"schema\":\"bogus\"}}\n").as_bytes(),
+        );
+        let err = store.load().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 2:"), "{err}");
+        // Past the prefix a handle has decoded, lines are still numbered
+        // from the top of the file.
+        std::fs::write(store.path(), good.repeat(3)).unwrap();
+        assert_eq!(store.load().unwrap().len(), 3);
+        write_raw(&store, b"{\"schema\":\"bogus\"}\n");
+        let err = store.load().unwrap_err();
+        assert!(err.to_string().starts_with("line 4:"), "{err}");
+        cleanup(&store);
+    }
+
+    #[test]
+    fn a_torn_tail_is_refused_not_glued_onto() {
+        let store = scratch("torn");
+        store.append(record(1)).unwrap();
+        let len = std::fs::metadata(store.path()).unwrap().len();
+        write_raw(&store, b"{\"schema\"");
+        let before = std::fs::read(store.path()).unwrap();
+        // A fresh handle, and one that remembers the file as it was.
+        for handle in [&RunStore::at(store.path()), &store] {
+            let err = handle.append(record(2)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("byte {len}")), "{err}");
+            assert_eq!(std::fs::read(store.path()).unwrap(), before);
+        }
+        let err = store.load().unwrap_err();
+        assert!(err.to_string().starts_with("line 2:"), "{err}");
+        // Once the line is ended, appends go on after it.
+        write_raw(&store, b"\n");
+        assert_eq!(store.append(record(3)).unwrap(), "r000002");
+        cleanup(&store);
+    }
+
+    #[test]
+    fn a_blank_last_line_is_no_seam() {
+        let store = scratch("blank-seam");
+        let line = |seed, id: &str| {
+            let mut r = record(seed);
+            (r.id, r.time_ms) = (id.into(), 1);
+            r.encode() + "\n"
+        };
+        write_raw(&store, format!("{}\n", line(1, "r000000")).as_bytes());
+        assert_eq!(store.load().unwrap()[0].seed, 1);
+        // The new first line ends where the blank line did: a seam of just
+        // that blank line would match it.
+        let replaced = line(10, "r000000") + &line(11, "r000001");
+        assert_eq!(replaced.find('\n'), Some(line(1, "r000000").len()));
+        std::fs::write(store.path(), replaced).unwrap();
+        let seeds: Vec<u64> = store.load().unwrap().iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, [10, 11]);
+        cleanup(&store);
+    }
+
+    /// SplitMix64, so a case's operations follow from its one seed.
+    fn split_mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn an_incremental_load_equals_a_fresh_one((ops, mut rng) in (1usize..48, any::<u64>())) {
+            let a = scratch("incremental");
+            let b = RunStore::at(a.path());
+            let path = a.path();
+            // Every record written differs from every other, so no seam
+            // matches a file it is not a prefix of by chance.
+            let mut seed = 1000;
+            for op in 0..=ops {
+                let text = std::fs::read(path).ok();
+                match if op == ops { 9 } else { split_mix(&mut rng) % 10 } {
+                    which @ 0..=2 => {
+                        seed += 1;
+                        let torn = text.as_ref().and_then(|t| t.last()).is_some_and(|&c| c != b'\n');
+                        match [&a, &b][which as usize / 2].append(record(seed)) {
+                            Ok(_) => prop_assert!(!torn),
+                            Err(e) => {
+                                prop_assert!(torn, "{e}");
+                                prop_assert_eq!(std::fs::read(path).ok(), text);
+                            }
+                        }
+                    }
+                    3 => write_raw(&a, b"\n"),
+                    4 => if let Some(text) = text {
+                        let r = split_mix(&mut rng);
+                        let len = if r.is_multiple_of(2) {
+                            let ends: Vec<usize> = std::iter::once(0)
+                                .chain((0..text.len()).filter(|&i| text[i] == b'\n').map(|i| i + 1))
+                                .collect();
+                            ends[(r / 2 % ends.len() as u64) as usize]
+                        } else {
+                            (r / 2 % (text.len() as u64 + 1)) as usize
+                        };
+                        let file = OpenOptions::new().write(true).open(path).unwrap();
+                        file.set_len(len as u64).unwrap();
+                    },
+                    5 => {
+                        // More records than the file has lines, each
+                        // longer than any line it has: a longer file.
+                        let lines = text.map_or(0, |t| t.split(|&c| c == b'\n').count());
+                        let corpus: String = (0..lines + 1 + (split_mix(&mut rng) % 3) as usize)
+                            .map(|i| {
+                                let mut r = record(5000 + i as u64);
+                                r.id = format!("r{i:06}");
+                                r.time_ms = 1;
+                                r.workload = "replaced_by_a_longer_corpus".into();
+                                r.encode() + "\n"
+                            })
+                            .collect();
+                        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                        std::fs::write(path, corpus).unwrap();
+                    }
+                    6 => drop(std::fs::remove_file(path)),
+                    _ => {
+                        let as_text = |loaded: io::Result<Vec<RunRecord>>| {
+                            loaded.map_err(|e| (e.kind(), e.to_string()))
+                        };
+                        let fresh = as_text(RunStore::at(path).load());
+                        prop_assert_eq!(as_text(a.load()), fresh.clone());
+                        prop_assert_eq!(as_text(b.load()), fresh.clone());
+                        if fresh.is_ok() {
+                            assert_ids_are_line_numbers(&a);
+                        }
+                    }
+                }
+            }
+            cleanup(&a);
+        }
     }
 
     #[test]
