@@ -46,6 +46,18 @@ if cargo tree --offline -p tictac -e normal |
     exit 1
 fi
 
+echo "== deterministic reports =="
+# Zero-drift gate: every report without a wall-clock column (all but
+# sched-cost, scale, faults, chaos and exec) is regenerated in full and
+# must be byte-identical to its committed copy in results/ (~3 s on two
+# vCPUs).
+reports=table1,unique-orders,fig7,fig8,fig9,fig10,fig11,fig12,fig13,ext-spread
+reports=$reports,ablation-reorder,ablation-enforcement,ablation-sharding,observe,autotune
+./target/release/repro --exp "$reports" --out target/ci-results/repro > /dev/null
+for name in $(echo "$reports" | tr , ' '); do
+    cmp "target/ci-results/repro/$name.txt" "results/$name.txt"
+done
+
 echo "== scale smoke =="
 # Zero-drift gate: every row of the quick sweep (alexnet_v2 and
 # resnet_v1_50 at W = 16 and 64), cut to its simulated columns — model,
@@ -113,7 +125,7 @@ echo "== chaos smoke =="
 # priority inversions under enforced TAC, inside a hard timeout so a
 # wedged supervisor fails the gate instead of hanging it. The exported
 # fault-event trace is the CI artifact for post-mortems.
-TICTAC_THREADS=2 timeout 600 ./target/release/repro --exp faults --backend threaded --quick --out target/ci-results
+TICTAC_THREADS=2 timeout 600 ./target/release/repro --exp chaos --quick --out target/ci-results
 grep -q "priority inversions under enforced TAC with faults (threaded): 0" target/ci-results/chaos.txt
 ./target/release/repro --export-chaos-trace target/chaos_trace_smoke.json
 ./target/release/repro --validate-trace target/chaos_trace_smoke.json

@@ -8,8 +8,6 @@
 //! repro --exp fig12 --quick       # trimmed run counts for smoke tests
 //! repro --list                    # list experiment names
 //! repro --out results/            # also write one report file per experiment
-//! repro --backend threaded        # wall-clock variant of an experiment
-//!                                 # (e.g. --exp faults lands chaos.txt)
 //! repro --export-trace out.json   # write a Perfetto trace of one iteration
 //! repro --export-chaos-trace out.json # same, with injected faults
 //! repro --validate-trace out.json # parse + sanity-check an exported trace
@@ -27,9 +25,21 @@
 use std::path::{Path, PathBuf};
 use tictac_bench::experiments;
 use tictac_core::{
-    validate_perfetto, ClusterSpec, Fnv1a, Mode, Model, Registry, SchedulerKind, Session,
-    SimConfig, ThreadedBackend,
+    validate_perfetto, BackendKind, ClusterSpec, Fnv1a, Mode, Model, Registry, SchedulerKind,
+    Session, SessionBuilder, SimConfig, ThreadedBackend,
 };
+
+/// The backend a report's record names: `chaos` runs every measured
+/// session on the threaded runtime. Every other report is recorded as
+/// `sim`, `exec` and `faults` included, whose threaded columns sit beside
+/// simulated ones.
+fn report_backend(name: &str) -> BackendKind {
+    if name == "chaos" {
+        BackendKind::Threaded
+    } else {
+        BackendKind::Sim
+    }
+}
 
 /// Exits 1 with `error: <path>: <cause>`: an output path that cannot be
 /// written is bad input, not a bug.
@@ -38,38 +48,48 @@ fn io_fail(path: &Path, e: std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// Exports one TAC-scheduled AlexNet iteration (2 workers, 1 PS, seed 0)
-/// as Chrome/Perfetto `trace_event` JSON — load it at `ui.perfetto.dev`.
-fn export_trace(path: &Path) {
-    let session = Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
+/// The TAC-scheduled AlexNet training session (batch 2, 2 workers, 1 PS)
+/// whose iteration 0 both trace exports render.
+fn alexnet_tac(config: SimConfig) -> SessionBuilder {
+    Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
         .cluster(ClusterSpec::new(2, 1))
-        .config(SimConfig::cloud_gpu())
+        .config(config)
         .scheduler(SchedulerKind::Tac)
+}
+
+/// Renders iteration 0 of `session`, observed, to `path` as
+/// Chrome/Perfetto `trace_event` JSON and says what the trace holds.
+fn write_trace(path: &Path, session: SessionBuilder) {
+    let session = session
         .observe(Registry::enabled())
         .build()
         .expect("zoo model deploys");
-    let json = session.perfetto_json(0).expect("fault-free iteration");
+    let json = session.perfetto_json(0).expect("iteration 0 recovers");
     std::fs::write(path, &json).unwrap_or_else(|e| io_fail(path, e));
     let stats = validate_perfetto(&json).expect("exporter emits valid trace JSON");
     eprintln!(
-        "wrote {} ({} events: {} slices, {} instants, {} flows)",
+        "wrote {} ({} events: {} slices, {} instants, {} flows, fault instants {:?})",
         path.display(),
         stats.events,
         stats.slices,
         stats.instants,
         stats.flow_starts + stats.flow_ends,
+        stats.fault_names,
     );
 }
 
-/// Exports one TAC-scheduled AlexNet iteration run on the *threaded*
-/// backend under the chaos reference fault spec (fixed seed), so the
-/// fault instants — drops, retransmits, blackout/crash windows — land in
-/// the wall-clock Perfetto lanes. CI uploads this as its chaos artifact.
+/// Exports one TAC-scheduled AlexNet iteration — load it at
+/// `ui.perfetto.dev`.
+fn export_trace(path: &Path) {
+    write_trace(path, alexnet_tac(SimConfig::cloud_gpu()));
+}
+
+/// Exports the same iteration run on the *threaded* backend under the
+/// chaos reference fault spec (fixed seed), so the fault instants —
+/// drops, retransmits, blackout/crash windows — land in the wall-clock
+/// Perfetto lanes. CI uploads this as its chaos artifact.
 fn export_chaos_trace(path: &Path) {
-    let clean = Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
-        .cluster(ClusterSpec::new(2, 1))
-        .config(SimConfig::cloud_gpu())
-        .scheduler(SchedulerKind::Tac)
+    let clean = alexnet_tac(SimConfig::cloud_gpu())
         .warmup(0)
         .iterations(1)
         .build()
@@ -79,33 +99,12 @@ fn export_chaos_trace(path: &Path) {
     let config = SimConfig::cloud_gpu()
         .with_seed(experiments::CHAOS_SEED)
         .with_faults(experiments::reference_spec(clean));
-    let session = Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
-        .cluster(ClusterSpec::new(2, 1))
-        .config(config.clone())
-        .scheduler(SchedulerKind::Tac)
-        .backend(
-            ThreadedBackend::from_config(&config)
-                .expect("chaos config is threaded-supported")
-                .with_watchdog(std::time::Duration::from_secs(120)),
-        )
-        .observe(Registry::enabled())
-        .build()
-        .expect("zoo model deploys");
-    let json = session.perfetto_json(0).expect("faulty iteration recovers");
-    std::fs::write(path, &json).unwrap_or_else(|e| io_fail(path, e));
-    let stats = validate_perfetto(&json).expect("exporter emits valid trace JSON");
-    eprintln!(
-        "wrote {} ({} events: {} slices, {} instants, {} fault instants: {:?})",
-        path.display(),
-        stats.events,
-        stats.slices,
-        stats.instants,
-        stats.fault_names.len(),
-        stats.fault_names,
-    );
+    let threaded =
+        ThreadedBackend::from_config(&config).expect("chaos config is threaded-supported");
+    write_trace(path, alexnet_tac(config).backend(threaded));
 }
 
-fn validate_trace(path: &PathBuf) {
+fn validate_trace(path: &Path) {
     let src = std::fs::read_to_string(path)
         .unwrap_or_else(|e| usage(&format!("cannot read {}: {e}", path.display())));
     match validate_perfetto(&src) {
@@ -151,57 +150,23 @@ fn main() {
     let mut exp: Vec<String> = Vec::new();
     let mut quick = false;
     let mut out_dir: Option<PathBuf> = None;
-    let mut threaded = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
-            "--exp" => {
-                let value = args.next().unwrap_or_else(|| usage("--exp needs a value"));
-                exp.extend(value.split(',').map(str::to_string));
-            }
+            "--exp" => exp.extend(value().split(',').map(str::to_string)),
             "--quick" => quick = true,
-            "--backend" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--backend needs `sim` or `threaded`"));
-                threaded = match value.as_str() {
-                    "sim" => false,
-                    "threaded" => true,
-                    other => usage(&format!("unknown backend `{other}` (sim|threaded)")),
-                };
-            }
-            "--out" => {
-                let value = args.next().unwrap_or_else(|| usage("--out needs a value"));
-                out_dir = Some(PathBuf::from(value));
-            }
+            "--out" => out_dir = Some(PathBuf::from(value())),
             "--store" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--store needs a file path"));
-                tictac_store::arm_global_store(Some(&value));
+                tictac_store::arm_global_store(Some(&value()));
             }
-            "--export-trace" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--export-trace needs a file path"));
-                export_trace(&PathBuf::from(value));
-                return;
-            }
-            "--export-chaos-trace" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--export-chaos-trace needs a file path"));
-                export_chaos_trace(&PathBuf::from(value));
-                return;
-            }
-            "--validate-trace" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--validate-trace needs a file path"));
-                validate_trace(&PathBuf::from(value));
-                return;
-            }
+            "--export-trace" => return export_trace(Path::new(&value())),
+            "--export-chaos-trace" => return export_chaos_trace(Path::new(&value())),
+            "--validate-trace" => return validate_trace(Path::new(&value())),
             "--list" => {
                 for (name, _) in experiments::ALL {
                     println!("{name}");
@@ -229,40 +194,22 @@ fn main() {
     }
 
     for name in selected {
-        // `--backend threaded` swaps in an experiment's wall-clock
-        // variant; the report then lands under the variant's own name
-        // (e.g. `faults` → `chaos.txt`).
-        let (label, runner) = if threaded {
-            let Some((label, runner)) = experiments::find_threaded(name) else {
-                usage(&format!(
-                    "experiment `{name}` has no threaded-backend variant (have: {})",
-                    experiments::THREADED_VARIANTS
-                        .iter()
-                        .map(|(n, _, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            };
-            (label, runner)
-        } else {
-            let Some(runner) = experiments::find(name) else {
-                usage(&format!("unknown experiment `{name}` (see --list)"));
-            };
-            (name, runner)
+        let Some(runner) = experiments::find(name) else {
+            usage(&format!("unknown experiment `{name}` (see --list)"));
         };
         eprintln!(
-            "== running {label}{} ==",
+            "== running {name}{} ==",
             if quick { " (quick)" } else { "" }
         );
         let started = std::time::Instant::now();
         let report = runner(quick);
         eprintln!(
-            "== {label} done in {:.1}s ==",
+            "== {name} done in {:.1}s ==",
             started.elapsed().as_secs_f64()
         );
         println!("{report}");
         if let Some(dir) = &out_dir {
-            let path = dir.join(format!("{label}.txt"));
+            let path = dir.join(format!("{name}.txt"));
             std::fs::write(&path, report.as_bytes()).unwrap_or_else(|e| io_fail(&path, e));
             eprintln!("wrote {}", path.display());
         }
@@ -271,12 +218,12 @@ fn main() {
                 id: String::new(),
                 time_ms: 0,
                 source: "repro".into(),
-                workload: label.to_string(),
+                workload: name.to_string(),
                 model_fp: 0,
                 workers: 0,
                 ps: 0,
                 scheduler: "-".into(),
-                backend: if threaded { "threaded" } else { "sim" }.into(),
+                backend: report_backend(name).name().into(),
                 seed: SimConfig::cloud_gpu().seed,
                 fault_fp: 0,
                 scenario_fp: 0,
@@ -303,7 +250,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: repro --exp <name|all>[,name...] [--quick] [--backend sim|threaded] [--out DIR] [--store FILE.jsonl] [--list]\n\
+        "usage: repro --exp <name|all>[,name...] [--quick] [--out DIR] [--store FILE.jsonl] [--list]\n\
          \x20      repro --export-trace FILE.json   (Perfetto trace of one TAC AlexNet iteration)\n\
          \x20      repro --export-chaos-trace FILE.json (same, threaded backend with injected faults)\n\
          \x20      repro --validate-trace FILE.json (parse + sanity-check an exported trace)\n\
@@ -315,4 +262,17 @@ fn usage(err: &str) -> ! {
             .join(", ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_chaos_report_is_recorded_as_threaded() {
+        assert_eq!(report_backend("chaos"), BackendKind::Threaded);
+        for (name, _) in experiments::ALL.iter().filter(|(n, _)| *n != "chaos") {
+            assert_eq!(report_backend(name), BackendKind::Sim, "{name}");
+        }
+    }
 }

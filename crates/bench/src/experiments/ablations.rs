@@ -2,9 +2,31 @@
 //! paper): enforcement location, gRPC reorder errors and parameter
 //! sharding.
 
+use super::{point, sweep};
 use crate::format::Table;
-use crate::runner::Point;
-use tictac_core::{parallel_map, speedup_pct, Mode, Model, SchedulerKind, Sharding, SimConfig};
+use tictac_core::{
+    parallel_map, speedup_pct, ClusterSpec, Mode, Model, RunReport, Scenario, SchedulerKind,
+    Session, Sharding, SimConfig,
+};
+
+/// Runs `model` inference on 4 workers / 1 PS under each `(scheduler,
+/// config)`: the swept knobs are `SimConfig` fields no scenario spells.
+fn config_sweep(
+    model: Model,
+    iterations: usize,
+    variants: Vec<(SchedulerKind, SimConfig)>,
+) -> Vec<RunReport> {
+    parallel_map(variants, |(scheduler, config)| {
+        Session::builder(model.build(Mode::Inference))
+            .cluster(ClusterSpec::new(4, 1))
+            .config(config.clone())
+            .scheduler(*scheduler)
+            .iterations(iterations)
+            .build()
+            .expect("zoo model deploys")
+            .run()
+    })
+}
 
 /// Sensitivity of TIC's gain to the network's out-of-order probability.
 ///
@@ -14,44 +36,23 @@ use tictac_core::{parallel_map, speedup_pct, Mode, Model, SchedulerKind, Shardin
 pub fn reorder(quick: bool) -> String {
     let probs = [0.0, 0.005, 0.05, 0.25, 1.0];
     let iterations = if quick { 4 } else { 10 };
-    let model = Model::ResNet50V1;
-
-    let mut points = Vec::new();
-    for &p in &probs {
-        for scheduler in [SchedulerKind::Baseline, SchedulerKind::Tic] {
-            let mut pt = Point::new(
-                model,
-                Mode::Inference,
-                4,
-                1,
-                scheduler,
-                SimConfig::cloud_gpu().with_reorder_error(p),
-            );
-            pt.iterations = iterations;
-            points.push(pt);
-        }
-    }
-    let reports = parallel_map(points.clone(), |p| p.run());
+    let variants = probs
+        .iter()
+        .flat_map(|&p| {
+            [SchedulerKind::Baseline, SchedulerKind::Tic]
+                .map(|s| (s, SimConfig::cloud_gpu().with_reorder_error(p)))
+        })
+        .collect();
+    let reports = config_sweep(Model::ResNet50V1, iterations, variants);
 
     let mut t = Table::new(["reorder probability", "TIC speedup", "TIC efficiency E"]);
-    for &prob in &probs {
-        let find = |sched: SchedulerKind| {
-            points
-                .iter()
-                .zip(&reports)
-                .find(|(pt, _)| pt.scheduler == sched && pt.config.reorder_error == prob)
-                .map(|(_, r)| r.clone())
-                .expect("point was swept")
-        };
-        let base = find(SchedulerKind::Baseline);
-        let tic = find(SchedulerKind::Tic);
+    for (prob, run) in probs.iter().zip(reports.chunks_exact(2)) {
+        let gain = speedup_pct(run[0].mean_throughput(), run[1].mean_throughput());
+        let efficiency = run[1].mean_efficiency();
         t.row([
             format!("{prob}"),
-            format!(
-                "{:+.1}%",
-                speedup_pct(base.mean_throughput(), tic.mean_throughput())
-            ),
-            format!("{:.3}", tic.mean_efficiency()),
+            format!("{gain:+.1}%"),
+            format!("{efficiency:.3}"),
         ]);
     }
     format!(
@@ -65,54 +66,29 @@ pub fn reorder(quick: bool) -> String {
 /// ordering at all.
 pub fn enforcement(quick: bool) -> String {
     let iterations = if quick { 4 } else { 10 };
-    let model = Model::InceptionV3;
 
-    // With counters disabled, randomize pops fully (reorder error 1.0
-    // would ignore ranks at the pop too); instead keep the pop rank-aware
-    // but remove the gate, showing drift between hand-off and wire order.
-    let variants: [(&str, SchedulerKind, bool, f64); 4] = [
-        (
-            "baseline (no ordering)",
-            SchedulerKind::Baseline,
-            true,
-            0.005,
-        ),
-        (
-            "TIC, sender-side counters (TicTac)",
-            SchedulerKind::Tic,
-            true,
-            0.005,
-        ),
+    // (label, policy, sender-side counters, reorder probability). Without
+    // counters the pop stays rank-aware, showing drift between hand-off
+    // and wire order; reorder error 1.0 then randomizes the pops too.
+    let (baseline, tic) = (SchedulerKind::Baseline, SchedulerKind::Tic);
+    let variants = [
+        ("baseline (no ordering)", baseline, true, 0.005),
+        ("TIC, sender-side counters (TicTac)", tic, true, 0.005),
         (
             "TIC, no counters (activation order only)",
-            SchedulerKind::Tic,
+            tic,
             false,
             0.005,
         ),
-        (
-            "TIC, no counters + random pops",
-            SchedulerKind::Tic,
-            false,
-            1.0,
-        ),
+        ("TIC, no counters + random pops", tic, false, 1.0),
     ];
-
-    let mut points = Vec::new();
-    for &(_, scheduler, enforce, reorder) in &variants {
-        let mut p = Point::new(
-            model,
-            Mode::Inference,
-            4,
-            1,
-            scheduler,
-            SimConfig::cloud_gpu()
-                .with_enforcement(enforce)
-                .with_reorder_error(reorder),
-        );
-        p.iterations = iterations;
-        points.push(p);
-    }
-    let reports = parallel_map(points, |p| p.run());
+    let config = |enforce, reorder| {
+        SimConfig::cloud_gpu()
+            .with_enforcement(enforce)
+            .with_reorder_error(reorder)
+    };
+    let configs = variants.map(|(_, s, enforce, reorder)| (s, config(enforce, reorder)));
+    let reports = config_sweep(Model::InceptionV3, iterations, configs.to_vec());
 
     let base = reports[0].mean_throughput();
     let mut t = Table::new(["variant", "throughput (samples/s)", "vs baseline", "E"]);
@@ -134,31 +110,21 @@ pub fn enforcement(quick: bool) -> String {
 /// placement across 4 parameter servers.
 pub fn sharding(quick: bool) -> String {
     let iterations = if quick { 4 } else { 10 };
-    let models = [Model::Vgg16, Model::ResNet50V1];
-
     let mut points = Vec::new();
-    for &model in &models {
+    for model in [Model::Vgg16, Model::ResNet50V1] {
         for sharding in [Sharding::SizeBalanced, Sharding::RoundRobin] {
-            let mut p = Point::new(
-                model,
-                Mode::Training,
-                8,
-                4,
-                SchedulerKind::Tic,
-                SimConfig::cloud_gpu(),
-            );
-            p.sharding = sharding;
-            p.iterations = iterations;
-            points.push(p);
+            let cluster = ClusterSpec::new(8, 4).with_sharding(sharding);
+            let p = point(model, Mode::Training, cluster, SchedulerKind::Tic);
+            points.push(Scenario { iterations, ..p });
         }
     }
-    let reports = parallel_map(points.clone(), |p| p.run());
+    let reports = sweep(points.clone());
 
     let mut t = Table::new(["model", "sharding", "throughput (samples/s)"]);
     for (p, r) in points.iter().zip(&reports) {
         t.row([
             p.model.name().to_string(),
-            format!("{:?}", p.sharding),
+            format!("{:?}", p.cluster.sharding),
             format!("{:.1}", r.mean_throughput()),
         ]);
     }

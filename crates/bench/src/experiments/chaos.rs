@@ -10,10 +10,11 @@
 //! deployment graph and seed, not the schedule), so the comparison
 //! isolates scheduling under identical misfortune.
 
+use super::{inversions, point, sweep};
 use crate::format::Table;
 use tictac_core::{
-    priority_inversions, ClusterSpec, FaultCounters, FaultSpec, Mode, Model, RetryPolicy,
-    SchedulerKind, Session, SimConfig, SimDuration, ThreadedBackend,
+    speedup_pct, BackendKind, ClusterSpec, FaultCounters, FaultSpec, Mode, RetryPolicy, Scenario,
+    SchedulerKind, Session, SimDuration,
 };
 
 /// Seed for every chaos run; fixed so CI smoke runs are reproducible.
@@ -31,32 +32,6 @@ pub fn reference_spec(m: SimDuration) -> FaultSpec {
         .with_ps_stalls(0.3, m.mul_f64(0.05))
         .with_onset_window(m.mul_f64(0.3))
         .with_retry(RetryPolicy::fixed(m.mul_f64(0.02), 60))
-}
-
-fn session(
-    model: Model,
-    scheduler: SchedulerKind,
-    config: &SimConfig,
-    iterations: usize,
-    threaded: bool,
-) -> Session {
-    let graph = model.build_with_batch(Mode::Training, model.default_batch());
-    let builder = Session::builder(graph)
-        .cluster(ClusterSpec::new(2, 1))
-        .config(config.clone())
-        .scheduler(scheduler)
-        .warmup(0)
-        .iterations(iterations);
-    let builder = if threaded {
-        builder.backend(
-            ThreadedBackend::from_config(config)
-                .expect("chaos config is threaded-supported")
-                .with_watchdog(std::time::Duration::from_secs(120)),
-        )
-    } else {
-        builder
-    };
-    builder.build().expect("zoo model deploys")
 }
 
 /// Runs the chaos sweep and renders the report.
@@ -79,52 +54,46 @@ pub fn run(quick: bool) -> String {
     let mut total_inversions = 0usize;
     let mut totals = FaultCounters::default();
 
-    for &model in &models {
-        // The fault yardstick: this model's clean simulated step time.
-        let clean = session(
-            model,
-            SchedulerKind::Baseline,
-            &SimConfig::cloud_gpu(),
-            1,
-            false,
-        )
-        .run()
-        .mean_makespan();
-        let config = SimConfig::cloud_gpu()
-            .with_seed(CHAOS_SEED)
-            .with_faults(reference_spec(clean));
+    let scenario = |model, scheduler, iterations| Scenario {
+        warmup: 0,
+        iterations,
+        ..point(model, Mode::Training, ClusterSpec::new(2, 1), scheduler)
+    };
+    // The fault yardstick: each model's clean simulated step time.
+    let baseline = |&model| scenario(model, SchedulerKind::Baseline, 1);
+    let clean = sweep(models.iter().map(baseline).collect());
 
-        let base = session(model, SchedulerKind::Baseline, &config, iterations, true)
-            .try_run()
-            .expect("retry budget absorbs the reference spec");
-        let tac_session = session(model, SchedulerKind::Tac, &config, iterations, true);
-        let tac = tac_session
-            .try_run()
-            .expect("retry budget absorbs the reference spec");
+    for (&model, clean) in models.iter().zip(&clean) {
+        let threaded = |scheduler| {
+            let p = Scenario {
+                backend: BackendKind::Threaded,
+                seed: CHAOS_SEED,
+                faults: reference_spec(clean.mean_makespan()),
+                ..scenario(model, scheduler, iterations)
+            };
+            let session = Session::from_scenario(&p).expect("zoo model deploys");
+            let report = session
+                .try_run()
+                .expect("retry budget absorbs the reference spec");
+            (session, report)
+        };
+        let (_, base) = threaded(SchedulerKind::Baseline);
+        let (tac_session, tac) = threaded(SchedulerKind::Tac);
 
         // Enforcement claim under fire: retransmits, parked channels and
         // respawned workers must not let a lower-ranked runnable transfer
         // be overtaken.
-        let schedule = tac_session.schedule().clone();
-        let trace = tac_session.trace_iteration(0).expect("iteration recovers");
-        total_inversions += priority_inversions(tac_session.deployed().graph(), &trace, |op| {
-            schedule.priority(op)
-        })
-        .count();
+        total_inversions += inversions(&tac_session);
 
         let faults = tac.total_faults();
         totals.merge(&faults);
-        if tac.mean_throughput() >= base.mean_throughput() {
-            tac_wins += 1;
-        }
+        let (base_thr, tac_thr) = (base.mean_throughput(), tac.mean_throughput());
+        tac_wins += usize::from(tac_thr >= base_thr);
         t.row([
             model.name().to_string(),
-            format!("{:.0}", base.mean_throughput()),
-            format!("{:.0}", tac.mean_throughput()),
-            format!(
-                "{:+.1}%",
-                (tac.mean_throughput() / base.mean_throughput() - 1.0) * 100.0
-            ),
+            format!("{base_thr:.0}"),
+            format!("{tac_thr:.0}"),
+            format!("{:+.1}%", speedup_pct(base_thr, tac_thr)),
             format!("{:.2}", tac.mean_goodput_pct()),
             faults.to_string(),
         ]);

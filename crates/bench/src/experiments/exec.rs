@@ -1,6 +1,6 @@
 //! Backend comparison: the discrete-event simulator vs the in-process
-//! multi-threaded runtime (`ThreadedBackend`), per zoo model, baseline vs TIC
-//! vs TAC.
+//! multi-threaded runtime (`backend: threaded`), per zoo model, baseline vs
+//! TIC vs TAC.
 //!
 //! For every model the same deployment and the same schedules run on both
 //! backends (schedules are backend-invariant by construction), so the
@@ -13,10 +13,10 @@
 //! * TAC's wall-clock throughput beats the baseline's on most models —
 //!   the paper's headline effect, reproduced outside the simulator.
 
+use super::{inversions, point, sweep};
 use crate::format::Table;
 use tictac_core::{
-    priority_inversions, ClusterSpec, Mode, Model, RunReport, SchedulerKind, Session, SimConfig,
-    ThreadedBackend,
+    speedup_pct, BackendKind, ClusterSpec, Mode, Model, Scenario, SchedulerKind, Session,
 };
 
 /// Schedulers compared; baseline first so speedups read against column 1.
@@ -26,32 +26,6 @@ const SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::Tac,
 ];
 
-fn session(
-    model: Model,
-    scheduler: SchedulerKind,
-    config: &SimConfig,
-    iterations: usize,
-    threaded: bool,
-) -> Session {
-    let graph = model.build_with_batch(Mode::Training, model.default_batch());
-    let builder = Session::builder(graph)
-        .cluster(ClusterSpec::new(4, 1))
-        .config(config.clone())
-        .scheduler(scheduler)
-        .warmup(1)
-        .iterations(iterations);
-    let builder = if threaded {
-        builder.backend(
-            ThreadedBackend::from_config(config)
-                .expect("bench configs are threaded-supported")
-                .with_watchdog(std::time::Duration::from_secs(120)),
-        )
-    } else {
-        builder
-    };
-    builder.build().expect("zoo model deploys")
-}
-
 /// Runs the sweep and renders the comparison table.
 ///
 /// Threaded sessions run **sequentially**: each one already spawns a
@@ -60,7 +34,18 @@ fn session(
 pub fn run(quick: bool) -> String {
     let models = super::pick_models_zoo(quick);
     let iterations = if quick { 2 } else { 5 };
-    let config = SimConfig::cloud_gpu();
+    let scenario = |model: Model, scheduler, backend| Scenario {
+        backend,
+        warmup: 1,
+        iterations,
+        ..point(model, Mode::Training, ClusterSpec::new(4, 1), scheduler)
+    };
+    let sim = sweep(
+        models
+            .iter()
+            .flat_map(|&m| SCHEDULERS.map(|s| scenario(m, s, BackendKind::Sim)))
+            .collect(),
+    );
 
     let mut t = Table::new([
         "model",
@@ -77,52 +62,34 @@ pub fn run(quick: bool) -> String {
     let mut rank_agreements = 0usize;
     let mut total_inversions = 0usize;
 
-    for &model in &models {
-        let mut sim_thr = [0.0f64; 3];
-        let mut wall_thr = [0.0f64; 3];
-        for (i, &scheduler) in SCHEDULERS.iter().enumerate() {
-            let sim_report: RunReport = session(model, scheduler, &config, iterations, false).run();
-            sim_thr[i] = sim_report.mean_throughput();
-
-            let threaded = session(model, scheduler, &config, iterations, true);
-            let wall_report = threaded.run();
-            wall_thr[i] = wall_report.mean_throughput();
-
+    for (&model, sim) in models.iter().zip(sim.chunks_exact(SCHEDULERS.len())) {
+        let sim_thr: [f64; 3] = std::array::from_fn(|i| sim[i].mean_throughput());
+        let wall_thr = SCHEDULERS.map(|scheduler| {
+            let p = scenario(model, scheduler, BackendKind::Threaded);
+            let threaded = Session::from_scenario(&p).expect("zoo model deploys");
+            let throughput = threaded.run().mean_throughput();
             if scheduler == SchedulerKind::Tac {
                 // Enforcement claim: under enforced TAC, no transfer may
                 // start while a lower-ranked runnable transfer waits.
-                let schedule = threaded.schedule().clone();
-                let trace = threaded.trace_iteration(0).expect("fault-free iteration");
-                let report = priority_inversions(threaded.deployed().graph(), &trace, |op| {
-                    schedule.priority(op)
-                });
-                total_inversions += report.count();
+                total_inversions += inversions(&threaded);
             }
-        }
-        if wall_thr[2] >= wall_thr[0] {
-            tac_wins += 1;
-        }
+            throughput
+        });
+        tac_wins += usize::from(wall_thr[2] >= wall_thr[0]);
         // Do both backends order the three policies the same way?
         let rank = |thr: &[f64; 3]| {
             let mut idx = [0usize, 1, 2];
             idx.sort_by(|&a, &b| thr[a].total_cmp(&thr[b]));
             idx
         };
-        if rank(&sim_thr) == rank(&wall_thr) {
-            rank_agreements += 1;
-        }
-        let pct = |num: f64, den: f64| format!("{:+.1}%", (num / den - 1.0) * 100.0);
-        t.row([
-            model.name().to_string(),
-            format!("{:.0}", sim_thr[0]),
-            format!("{:.0}", sim_thr[1]),
-            format!("{:.0}", sim_thr[2]),
-            format!("{:.0}", wall_thr[0]),
-            format!("{:.0}", wall_thr[1]),
-            format!("{:.0}", wall_thr[2]),
-            pct(sim_thr[2], sim_thr[0]),
-            pct(wall_thr[2], wall_thr[0]),
-        ]);
+        rank_agreements += usize::from(rank(&sim_thr) == rank(&wall_thr));
+        let throughputs = sim_thr.iter().chain(&wall_thr).map(|t| format!("{t:.0}"));
+        let gains = [sim_thr, wall_thr].map(|thr| format!("{:+.1}%", speedup_pct(thr[0], thr[2])));
+        t.row(
+            std::iter::once(model.name().to_string())
+                .chain(throughputs)
+                .chain(gains),
+        );
     }
 
     format!(

@@ -6,10 +6,11 @@
 //! loss. Part (b) injects persistent stragglers under a degraded-mode
 //! barrier and reports how much work each policy defers.
 
+use super::{point, sweep};
 use crate::format::Table;
 use tictac_core::{
-    ClusterSpec, FaultSpec, Mode, Model, RetryPolicy, SchedulerKind, Session, SimConfig,
-    SimDuration, ThreadedBackend,
+    BackendKind, ClusterSpec, EnvPreset, FaultSpec, Mode, Model, RetryPolicy, Scenario,
+    SchedulerKind, Session, SimDuration,
 };
 
 const POLICIES: [SchedulerKind; 3] = [
@@ -18,21 +19,10 @@ const POLICIES: [SchedulerKind; 3] = [
     SchedulerKind::Tac,
 ];
 
-fn session(
-    model: Model,
-    config: SimConfig,
-    scheduler: SchedulerKind,
-    iterations: usize,
-) -> Session {
-    Session::builder(model.build(Mode::Training))
-        .cluster(ClusterSpec::new(4, 1))
-        .config(config)
-        .scheduler(scheduler)
-        .warmup(1)
-        .iterations(iterations)
-        .build()
-        .expect("valid cluster")
-}
+/// Wall-clock compression of part (c)'s threaded runs: an envC iteration
+/// models up to 53 s (VGG-19) and the threaded backend's watchdog allows
+/// 30 s. Their throughput is converted back to model time.
+const WALL_SCALE: f64 = 0.25;
 
 /// Runs the fault sweep; `quick` trims the model and iteration counts.
 pub fn run(quick: bool) -> String {
@@ -44,10 +34,28 @@ pub fn run(quick: bool) -> String {
     // Detection well under the iteration time, exponential backoff, and a
     // budget deep enough that even a 10% drop rate always recovers.
     let retry = RetryPolicy::fixed(SimDuration::from_millis(20), 12).with_backoff(1.5);
-    let base = SimConfig::cpu_cluster();
+    // envC training on 4 workers / 1 PS, one warm-up iteration.
+    let scenario = |model, scheduler, faults, iterations| Scenario {
+        env: EnvPreset::C,
+        faults,
+        warmup: 1,
+        iterations,
+        ..point(model, Mode::Training, ClusterSpec::new(4, 1), scheduler)
+    };
 
-    // (a) Drop-rate sweep: every loss recovered by retransmission.
-    let mut sweep = Table::new([
+    // (a) Drop-rate sweep: every loss recovered by retransmission. The
+    // first run of reports is the clean one.
+    let drops = [0.0, 0.005, 0.02, 0.05, 0.10];
+    let reports = sweep(
+        drops
+            .iter()
+            .flat_map(|&drop| {
+                let spec = FaultSpec::none().with_drop_prob(drop).with_retry(retry);
+                POLICIES.map(|policy| scenario(model, policy, spec.clone(), iterations))
+            })
+            .collect(),
+    );
+    let mut table_a = Table::new([
         "drop%",
         "policy",
         "samples/s",
@@ -56,24 +64,16 @@ pub fn run(quick: bool) -> String {
         "rexmits",
         "timeouts",
     ]);
-    let mut clean_throughput = [0.0f64; POLICIES.len()];
-    for &drop in &[0.0, 0.005, 0.02, 0.05, 0.10] {
-        for (p, &policy) in POLICIES.iter().enumerate() {
-            let spec = FaultSpec::none().with_drop_prob(drop).with_retry(retry);
-            let config = base.clone().with_faults(spec);
-            let report = session(model, config, policy, iterations)
-                .try_run()
-                .expect("retry budget covers the sweep");
+    let runs = reports.chunks_exact(POLICIES.len());
+    for (drop, run) in drops.iter().zip(runs) {
+        for ((policy, report), clean) in POLICIES.iter().zip(run).zip(&reports) {
             let throughput = report.mean_throughput();
-            if drop == 0.0 {
-                clean_throughput[p] = throughput;
-            }
             let faults = report.total_faults();
-            sweep.row([
+            table_a.row([
                 format!("{:.1}", drop * 100.0),
                 policy.to_string(),
                 format!("{throughput:.1}"),
-                format!("{:.3}", throughput / clean_throughput[p]),
+                format!("{:.3}", throughput / clean.mean_throughput()),
                 faults.drops.to_string(),
                 faults.retransmits.to_string(),
                 faults.timeouts.to_string(),
@@ -83,8 +83,16 @@ pub fn run(quick: bool) -> String {
 
     // (b) Degraded barrier under persistent stragglers: barrier at 1.2x
     // the clean baseline step, stragglers 3x slower.
-    let clean = session(model, base.clone(), SchedulerKind::Baseline, iterations).run();
-    let barrier = clean.mean_makespan().mul_f64(1.2);
+    let barrier = reports[0].mean_makespan().mul_f64(1.2);
+    let spec = FaultSpec::none()
+        .with_stragglers(0.5, 3.0)
+        .with_retry(retry)
+        .with_barrier_timeout(barrier);
+    let reports = sweep(
+        POLICIES
+            .map(|p| scenario(model, p, spec.clone(), iterations))
+            .to_vec(),
+    );
     let mut degraded = Table::new([
         "policy",
         "goodput%",
@@ -92,15 +100,7 @@ pub fn run(quick: bool) -> String {
         "degraded iters",
         "samples/s",
     ]);
-    for &policy in &POLICIES {
-        let spec = FaultSpec::none()
-            .with_stragglers(0.5, 3.0)
-            .with_retry(retry)
-            .with_barrier_timeout(barrier);
-        let config = base.clone().with_faults(spec);
-        let report = session(model, config, policy, iterations)
-            .try_run()
-            .expect("the barrier absorbs all losses");
+    for (policy, report) in POLICIES.iter().zip(&reports) {
         let faults = report.total_faults();
         degraded.row([
             policy.to_string(),
@@ -116,7 +116,9 @@ pub fn run(quick: bool) -> String {
     // tally identically on both (the sampler and the keyed drop decisions
     // are backend-agnostic); goodput and retransmission load stay
     // comparable on the wall clock.
-    let models = super::pick_models(quick);
+    let models = &super::pick_models(quick)[..if quick { 2 } else { 4 }];
+    let clean_tac = |&m| scenario(m, SchedulerKind::Tac, FaultSpec::none(), 1);
+    let clean = sweep(models.iter().map(clean_tac).collect());
     let mut backends = Table::new([
         "model",
         "backend",
@@ -127,44 +129,29 @@ pub fn run(quick: bool) -> String {
         "faults",
         "json",
     ]);
-    for &model in models.iter().take(if quick { 2 } else { 4 }) {
-        let clean = session(model, base.clone(), SchedulerKind::Tac, 1)
-            .run()
-            .mean_makespan();
+    for (&model, clean) in models.iter().zip(&clean) {
+        let clean = clean.mean_makespan();
         let spec = FaultSpec::none()
             .with_drop_prob(0.02)
             .with_stragglers(0.3, 2.0)
             .with_ps_stalls(0.3, clean.mul_f64(0.05))
             .with_onset_window(clean.mul_f64(0.3))
             .with_retry(RetryPolicy::fixed(clean.mul_f64(0.02), 60));
-        let config = base.clone().with_faults(spec);
-        for threaded in [false, true] {
-            let graph = model.build(Mode::Training);
-            let builder = Session::builder(graph)
-                .cluster(ClusterSpec::new(4, 1))
-                .config(config.clone())
-                .scheduler(SchedulerKind::Tac)
-                .warmup(0)
-                .iterations(iterations);
-            let builder = if threaded {
-                builder.backend(
-                    ThreadedBackend::from_config(&config)
-                        .expect("fault sweep config is threaded-supported")
-                        .with_watchdog(std::time::Duration::from_secs(120)),
-                )
-            } else {
-                builder
-            };
-            let report = builder
-                .build()
-                .expect("valid cluster")
-                .try_run()
-                .expect("retry budget covers the sweep");
+        for (backend, scale) in [(BackendKind::Sim, 1.0), (BackendKind::Threaded, WALL_SCALE)] {
+            let report = Session::from_scenario(&Scenario {
+                backend,
+                warmup: 0,
+                time_scale: Some(WALL_SCALE),
+                ..scenario(model, SchedulerKind::Tac, spec.clone(), iterations)
+            })
+            .expect("valid cluster")
+            .try_run()
+            .expect("retry budget covers the sweep");
             let faults = report.total_faults();
             backends.row([
                 model.name().to_string(),
-                if threaded { "threaded" } else { "sim" }.to_string(),
-                format!("{:.1}", report.mean_throughput()),
+                backend.to_string(),
+                format!("{:.1}", report.mean_throughput() * scale),
                 format!("{:.2}", report.mean_goodput_pct()),
                 faults.drops.to_string(),
                 faults.retransmits.to_string(),
@@ -179,8 +166,8 @@ pub fn run(quick: bool) -> String {
 (a) Transient transfer drops, recovered by timeout + retransmit\n    (detection 20 ms, backoff 1.5x, <=12 retransmits):\n{}\n\
 (b) Persistent 3x stragglers (p=0.5/worker) under a degraded barrier\n    at 1.2x the clean baseline step ({barrier}):\n{}\n\
     Goodput below 100% means the barrier released the iteration with\n    the stragglers' updates deferred to the next iteration.\n\n\
-(c) Same seed, same spec, both backends (TAC; 2% drops + stragglers +\n    PS stalls; wall-clock runs on the threaded runtime):\n{}\n",
-        sweep.render(),
+(c) Same seed, same spec, both backends (TAC; 2% drops + stragglers +\n    PS stalls; the threaded runtime replays model time 4x faster on the\n    wall clock, and its samples/s are converted back to model time):\n{}\n",
+        table_a.render(),
         degraded.render(),
         backends.render(),
     )

@@ -1,64 +1,50 @@
 //! Figure 11: (a) scheduling-efficiency metric and (b) straggler time,
 //! baseline vs TIC, against partition size (envG, training + inference).
 
+use super::{mode_label, pick_models_zoo, point, sweep, TASKS};
 use crate::format::Table;
-use crate::runner::Point;
-use tictac_core::{parallel_map, ClusterSpec, DeployCache, Mode, Model, SchedulerKind, SimConfig};
+use tictac_core::{ClusterSpec, DeployCache, Scenario, SchedulerKind};
 
 /// `(ops_per_worker, model, task, [E_base, E_tic], [strag_base, strag_tic])`.
-type Row = (usize, String, String, [f64; 2], [f64; 2]);
+type Row = (usize, &'static str, &'static str, [f64; 2], [f64; 2]);
 
 /// Runs every Table-1 model in both tasks under baseline and TIC and
 /// reports the efficiency metric `E` and straggler time (%) against the
 /// number of ops per worker (the paper's x-axis).
 pub fn run(quick: bool) -> String {
-    let models: Vec<Model> = if quick {
-        vec![Model::AlexNetV2, Model::ResNet50V1]
-    } else {
-        Model::ALL.to_vec()
-    };
+    let models = pick_models_zoo(quick);
     let iterations = if quick { 4 } else { 10 };
 
     let mut points = Vec::new();
     for &model in &models {
-        for mode in [Mode::Inference, Mode::Training] {
+        for mode in TASKS {
             for scheduler in [SchedulerKind::Baseline, SchedulerKind::Tic] {
-                let mut p = Point::new(model, mode, 4, 1, scheduler, SimConfig::cloud_gpu());
-                p.iterations = iterations;
-                points.push(p);
+                let p = point(model, mode, ClusterSpec::new(4, 1), scheduler);
+                points.push(Scenario { iterations, ..p });
             }
         }
     }
-    let reports = parallel_map(points.clone(), |p| p.run());
+    let reports = sweep(points.clone());
 
     // Rows sorted by partition size, like the figure's x-axis.
-    let mut rows: Vec<Row> = Vec::new();
-    for &model in &models {
-        for mode in [Mode::Inference, Mode::Training] {
+    let mut rows: Vec<Row> = points
+        .chunks_exact(2)
+        .zip(reports.chunks_exact(2))
+        .map(|(p, r)| {
+            let (model, mode) = (p[0].model, p[0].mode);
             let graph = model.build_with_batch(mode, 2);
             let deployed = DeployCache::global()
-                .deploy(&graph, &ClusterSpec::new(4, 1))
+                .deploy(&graph, &p[0].cluster)
                 .expect("valid cluster");
-            let ops = deployed.ops_per_worker();
-            let get = |sched: SchedulerKind| {
-                points
-                    .iter()
-                    .zip(&reports)
-                    .find(|(p, _)| p.model == model && p.mode == mode && p.scheduler == sched)
-                    .map(|(_, r)| (r.mean_efficiency(), r.max_straggler_pct()))
-                    .expect("point was swept")
-            };
-            let (e_base, s_base) = get(SchedulerKind::Baseline);
-            let (e_tic, s_tic) = get(SchedulerKind::Tic);
-            rows.push((
-                ops,
-                model.name().to_string(),
-                super::mode_label(mode).to_string(),
-                [e_base, e_tic],
-                [s_base, s_tic],
-            ));
-        }
-    }
+            (
+                deployed.ops_per_worker(),
+                model.name(),
+                mode_label(mode),
+                [r[0].mean_efficiency(), r[1].mean_efficiency()],
+                [r[0].max_straggler_pct(), r[1].max_straggler_pct()],
+            )
+        })
+        .collect();
     rows.sort_by_key(|r| r.0);
 
     let mut t = Table::new([
@@ -73,8 +59,8 @@ pub fn run(quick: bool) -> String {
     for (ops, model, task, e, s) in &rows {
         t.row([
             ops.to_string(),
-            model.clone(),
-            task.clone(),
+            model.to_string(),
+            task.to_string(),
             format!("{:.3}", e[0]),
             format!("{:.3}", e[1]),
             format!("{:.1}", s[0]),

@@ -2,9 +2,11 @@
 //! efficiency (R² = 0.98 in the paper), (b) step-time CDFs, baseline vs
 //! TAC — 1000 single-iteration runs of Inception v2 on envC.
 
+use super::point;
 use crate::format::Table;
 use tictac_core::{
-    ols, parallel_map, Cdf, ClusterSpec, Mode, Model, RunOptions, SchedulerKind, Session, SimConfig,
+    ols, parallel_map, Cdf, ClusterSpec, EnvPreset, Mode, Model, RunOptions, Scenario,
+    SchedulerKind, Session,
 };
 
 /// Runs Inception v2 training `N` times with and without TAC, then fits
@@ -14,18 +16,16 @@ use tictac_core::{
 /// step over the step), so 1.0 is best.
 pub fn run(quick: bool) -> String {
     let runs = if quick { 60 } else { 1000 };
-    let graph = Model::InceptionV2.build(Mode::Training);
-    let config = SimConfig::cpu_cluster();
-
-    let collect = |scheduler: SchedulerKind| -> (Vec<f64>, Vec<f64>) {
-        let session = Session::builder(graph.clone())
-            .cluster(ClusterSpec::new(4, 1))
-            .config(config.clone())
-            .scheduler(scheduler)
-            .warmup(0)
-            .iterations(1)
-            .build()
-            .expect("valid cluster");
+    let collect = |scheduler| -> (Vec<f64>, Vec<f64>) {
+        let cluster = ClusterSpec::new(4, 1);
+        let p = point(Model::InceptionV2, Mode::Training, cluster, scheduler);
+        let p = Scenario {
+            env: EnvPreset::C,
+            warmup: 0,
+            iterations: 1,
+            ..p
+        };
+        let session = Session::from_scenario(&p).expect("valid cluster");
         // Each run seeds its own streams from the offset, so the points
         // are independent and fan out across threads.
         parallel_map((0..runs as u64).collect(), |&i| {

@@ -40,11 +40,7 @@ fn build_session(model: Model, kind: SchedulerKind, cfg: &SimConfig, reg: &Regis
 
 /// Runs the observability sweep and renders the report.
 pub fn run(quick: bool) -> String {
-    let models: Vec<Model> = if quick {
-        vec![Model::AlexNetV2, Model::ResNet50V1]
-    } else {
-        Model::ALL.to_vec()
-    };
+    let models = super::pick_models_zoo(quick);
     // In-order channels isolate scheduling effects: with reorder errors
     // enabled a TAC run could legitimately invert.
     let noisy = SimConfig::cloud_gpu().with_reorder_error(0.0);
@@ -65,12 +61,11 @@ pub fn run(quick: bool) -> String {
         // The TAC reference ranks every row's inversions are judged by.
         let registry = Registry::enabled();
         let tac_session = build_session(model, SchedulerKind::Tac, &noisy, &registry);
-        let tac_ranks = tac_session.schedule().clone();
 
         let mut e_pred = [0.0f64; 3];
         let mut e_obs = [0.0f64; 3];
         let mut inv = [0usize; 3];
-        let mut overlap = [0.0f64; 2];
+        let mut overlap = [0.0f64; 3];
         for (i, &kind) in KINDS.iter().enumerate() {
             let observed = if kind == SchedulerKind::Tac {
                 tac_session.trace_iteration(0).expect("fault-free run")
@@ -87,13 +82,9 @@ pub fn run(quick: bool) -> String {
             let graph = tac_session.deployed().graph();
             e_pred[i] = realized_efficiency(graph, &predicted).efficiency;
             e_obs[i] = realized_efficiency(graph, &observed).efficiency;
-            inv[i] = priority_inversions(graph, &observed, |op| tac_ranks.priority(op)).count();
-            if kind == SchedulerKind::Baseline {
-                overlap[0] = 100.0 * overlap_report(graph, &observed).overlap_frac();
-            }
-            if kind == SchedulerKind::Tac {
-                overlap[1] = 100.0 * overlap_report(graph, &observed).overlap_frac();
-            }
+            let tac_rank = |op| tac_session.schedule().priority(op);
+            inv[i] = priority_inversions(graph, &observed, tac_rank).count();
+            overlap[i] = 100.0 * overlap_report(graph, &observed).overlap_frac();
             mean_pred[i] += e_pred[i];
             mean_obs[i] += e_obs[i];
         }
@@ -102,7 +93,7 @@ pub fn run(quick: bool) -> String {
             format!("{:.3}/{:.3}/{:.3}", e_pred[0], e_pred[1], e_pred[2]),
             format!("{:.3}/{:.3}/{:.3}", e_obs[0], e_obs[1], e_obs[2]),
             format!("{}/{}/{}", inv[0], inv[1], inv[2]),
-            format!("{:.1}/{:.1}", overlap[0], overlap[1]),
+            format!("{:.1}/{:.1}", overlap[0], overlap[2]),
         ]);
 
         // Deterministic registry excerpt for the last model: scheduler

@@ -4,8 +4,7 @@
 use crate::format::Table;
 use std::time::Instant;
 use tictac_core::{
-    estimate_profile, no_ordering, simulate, tac, tic, ClusterSpec, DeployCache, Mode, Model,
-    SimConfig,
+    estimate_profile, no_ordering, simulate, tac, tic, ClusterSpec, DeployCache, Mode, SimConfig,
 };
 
 /// Times TIC and TAC schedule computation per model (training graphs,
@@ -15,11 +14,7 @@ use tictac_core::{
 /// wall-clock measurement, and concurrent rows would contend for cores
 /// and inflate each other's timings.
 pub fn run(quick: bool) -> String {
-    let models: Vec<Model> = if quick {
-        vec![Model::AlexNetV2, Model::ResNet50V1]
-    } else {
-        Model::ALL.to_vec()
-    };
+    let models = super::pick_models_zoo(quick);
     let config = SimConfig::cloud_gpu();
 
     let mut t = Table::new(["model", "recvs", "ops/worker", "TIC (ms)", "TAC (ms)"]);

@@ -9,8 +9,8 @@
 
 use crate::format::Table;
 use tictac_core::{
-    estimate_profile, no_ordering, parallel_map, simulate, tac, worst_case, ClusterSpec, Mode,
-    Model, NoiseModel, SchedulerKind, Session, SimConfig,
+    noise_free_profile, parallel_map, simulate, worst_case, ClusterSpec, Mode, Model, NoiseModel,
+    SchedulerKind, Session, SimConfig,
 };
 
 /// Measures the empirical spread (worst-order makespan over best-order
@@ -39,37 +39,26 @@ pub fn run(quick: bool) -> String {
     ]);
     // One independent measurement pipeline per model.
     let rows = parallel_map(models, |&model| {
-        let graph = model.build(Mode::Inference);
-        let deployed = tictac_core::DeployCache::global()
-            .deploy(&graph, &ClusterSpec::new(4, 1))
-            .expect("valid cluster");
-        let g = deployed.graph();
-        let w0 = deployed.workers()[0];
-
-        // Profile, then race the best (TAC) against the adversary.
-        let unordered = no_ordering(g);
-        let traces: Vec<_> = (0..5)
-            .map(|i| simulate(g, &unordered, &base_config, 1000 + i))
-            .collect();
-        let profile = estimate_profile(&traces);
-        let best_schedule = deployed.replicate_schedule(&tac(g, w0, &profile));
-        let worst_schedule = deployed.replicate_schedule(&worst_case(g, w0, &profile));
-        let best = simulate(g, &best_schedule, &base_config, 0).makespan();
-        let worst = simulate(g, &worst_schedule, &base_config, 0).makespan();
-        let spread = worst.as_secs_f64() / best.as_secs_f64() - 1.0;
-
-        // The theoretical potential from a measured iteration.
-        let report = Session::builder(graph.clone())
+        // Noise off: the TAC session's schedule is the best order, and
+        // its profile is `noise_free_profile` (DESIGN.md §5, item 5).
+        let session = Session::builder(model.build(Mode::Inference))
             .cluster(ClusterSpec::new(4, 1))
             .config(base_config.clone())
             .scheduler(SchedulerKind::Tac)
             .warmup(0)
             .iterations(1)
             .build()
-            .expect("valid cluster")
-            .run();
-        let s = report.iterations[0].speedup_potential;
-
+            .expect("valid cluster");
+        let deployed = session.deployed();
+        let g = deployed.graph();
+        let profile = noise_free_profile(g, &base_config);
+        let worst_schedule =
+            deployed.replicate_schedule(&worst_case(g, deployed.workers()[0], &profile));
+        let best = session.run().iterations[0];
+        let worst = simulate(g, &worst_schedule, &base_config, 0).makespan();
+        let spread = worst.as_secs_f64() / best.makespan.as_secs_f64() - 1.0;
+        // The theoretical potential from the measured iteration.
+        let s = best.speedup_potential;
         [
             model.name().to_string(),
             format!("{s:.3}"),

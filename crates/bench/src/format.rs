@@ -32,56 +32,29 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
-        let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(cols) {
-                widths[i] = widths[i].max(cell.len());
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for (i, cell) in cells.iter().enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{:<width$}", cell, width = widths[i]));
-            }
-            line.trim_end().to_string()
+        let line = |cells: &[String]| {
+            let padded: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .map(|(c, w)| format!("{c:<w$}"))
+                .collect();
+            format!("{}\n", padded.join("  ").trim_end())
         };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols.saturating_sub(1));
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
+        let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1));
+        let rows = self.rows.iter().map(|row| line(row));
+        std::iter::once(line(&self.header))
+            .chain([rule + "\n"])
+            .chain(rows)
+            .collect()
     }
-}
-
-/// An ASCII horizontal bar scaled to `max` over `width` characters.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
-    if max <= 0.0 || value <= 0.0 {
-        return String::new();
-    }
-    let n = ((value / max) * width as f64).round() as usize;
-    "#".repeat(n.min(width))
 }
 
 #[cfg(test)]
@@ -99,7 +72,6 @@ mod tests {
         assert!(lines[0].starts_with("model"));
         assert!(lines[1].chars().all(|c| c == '-'));
         assert!(lines[3].starts_with("vgg_16_long_name"));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -107,13 +79,5 @@ mod tests {
         let mut t = Table::new(["a", "b", "c"]);
         t.row(["1"]);
         assert!(t.render().contains('1'));
-    }
-
-    #[test]
-    fn bars_scale() {
-        assert_eq!(bar(5.0, 10.0, 10), "#####");
-        assert_eq!(bar(20.0, 10.0, 10), "##########"); // clamped
-        assert_eq!(bar(0.0, 10.0, 10), "");
-        assert_eq!(bar(1.0, 0.0, 10), "");
     }
 }

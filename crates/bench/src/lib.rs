@@ -8,4 +8,3 @@
 
 pub mod experiments;
 pub mod format;
-pub mod runner;

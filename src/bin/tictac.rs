@@ -19,9 +19,8 @@
 
 use std::collections::HashMap;
 use tictac::{
-    deploy, diff_records, gantt, no_ordering, parallel_map, perfetto_json, regress, simulate, tic,
-    ClusterSpec, Mode, Model, Payload, RegressPolicy, RunFilter, RunRecord, RunStore, Scenario,
-    SchedulerKind, Session, SessionSummary, SimConfig,
+    diff_records, gantt, parallel_map, regress, ClusterSpec, Mode, Model, Payload, RegressPolicy,
+    RunFilter, RunRecord, RunStore, Scenario, SchedulerKind, Session, SessionSummary, SimConfig,
 };
 
 fn main() {
@@ -494,6 +493,8 @@ fn runs(args: &[String]) {
     }
 }
 
+/// Renders iteration 0 of a session: the trace its backend executes and
+/// the Perfetto export of that same iteration.
 fn timeline(args: &[String]) {
     let flags = &parse_flags(
         args,
@@ -502,24 +503,18 @@ fn timeline(args: &[String]) {
     let model = model_arg(args);
     let workers = flag_usize(flags, "workers", 2);
     let ps = flag_usize(flags, "ps", 1);
-    let config = flag_config(flags);
-    let graph = model.build(flag_mode(flags));
     let cluster = ClusterSpec::try_new(workers, ps)
         .unwrap_or_else(|e| usage(&format!("invalid cluster: {e}")));
-    let deployed =
-        deploy(&graph, &cluster).unwrap_or_else(|e| usage(&format!("invalid deployment: {e}")));
-    let g = deployed.graph();
-    let scheduler = flag_scheduler(flags);
-    let schedule = match scheduler {
-        SchedulerKind::Baseline => no_ordering(g),
-        SchedulerKind::Tic => deployed.replicate_schedule(&tic(g, deployed.workers()[0])),
-        other => usage(&format!(
-            "`timeline` renders a baseline or tic run, not --scheduler {other}"
-        )),
-    };
-    let trace = simulate(g, &schedule, &config, 0);
+    let session = Session::builder(model.build(flag_mode(flags)))
+        .cluster(cluster)
+        .config(flag_config(flags))
+        .scheduler(flag_scheduler(flags))
+        .build()
+        .unwrap_or_else(|e| usage(&format!("invalid deployment: {e}")));
+    let g = session.deployed().graph();
+    let trace = session.trace_iteration(0).expect("a fault-free iteration");
     let rendered = match flags.get("format").map(String::as_str) {
-        Some("chrome") => perfetto_json(g, &trace, &format!("{}/{scheduler}/iter0", model.name())),
+        Some("chrome") => session.perfetto_json(0).expect("a fault-free iteration"),
         Some("tsv") => trace.to_tsv(g),
         Some("gantt") | None => gantt(g, &trace, 100),
         Some(other) => usage(&format!("unknown --format `{other}`")),
@@ -551,7 +546,7 @@ fn usage(err: &str) -> ! {
          \x20 tictac runs [list|show|diff|regress] [--store FILE.jsonl] [--workload NAME]\n\
          \x20        [--scheduler S] [--backend B] [--kind session|bench|report]\n\
          \x20        [--seed-min N] [--seed-max N] [--id RID] [--a RID --b RID] [--window N]\n\
-         \x20 tictac timeline <model> [--workers N] [--ps N] [--scheduler baseline|tic]\n\
+         \x20 tictac timeline <model> [--workers N] [--ps N] [--scheduler baseline|random|tic|tac]\n\
          \x20        [--mode train|inference] [--format gantt|chrome|tsv] [--out FILE] [--env g|c]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });

@@ -177,25 +177,42 @@ fn schedule_prints_the_session_order_or_refuses() {
         .collect();
     assert_eq!(printed, expected);
 
-    for (command, scheduler) in [
-        ("schedule", "baseline"),
-        ("schedule", "random"),
-        ("timeline", "tac"),
-        ("timeline", "random"),
-    ] {
-        let (out, stderr) = tictac(&[command, "alexnet_v2", "--scheduler", scheduler]);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{command} {scheduler}: {stderr}"
-        );
+    for scheduler in ["baseline", "random"] {
+        let (out, stderr) = tictac(&["schedule", "alexnet_v2", "--scheduler", scheduler]);
+        assert_eq!(out.status.code(), Some(2), "schedule {scheduler}: {stderr}");
         assert!(
             stderr.contains(&format!("--scheduler {scheduler}")),
             "{stderr}"
         );
         assert!(
             out.stdout.is_empty(),
-            "{command} {scheduler} printed a result"
+            "schedule {scheduler} printed a result"
         );
+    }
+}
+
+/// `timeline` renders iteration 0 of the session the flags build, for
+/// every policy: its chrome output is that session's own Perfetto export.
+#[test]
+fn timeline_renders_the_sessions_iteration_for_every_scheduler() {
+    use tictac::{ClusterSpec, Mode, Model, SchedulerKind, Session, SimConfig};
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for scheduler in [SchedulerKind::Tac, SchedulerKind::Random] {
+        let path = dir.join(format!("timeline_{scheduler}.json"));
+        let path = path.to_str().expect("utf-8 path");
+        let name = scheduler.to_string();
+        let args = ["timeline", "alexnet_v2", "--scheduler", &name];
+        let (out, stderr) = tictac(&[&args[..], &["--format", "chrome", "--out", path]].concat());
+        assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
+        let json = std::fs::read_to_string(path).expect("timeline wrote its trace");
+        tictac::validate_perfetto(&json).expect("valid trace_event JSON");
+        let session = Session::builder(Model::AlexNetV2.build(Mode::Training))
+            .cluster(ClusterSpec::new(2, 1))
+            .config(SimConfig::cloud_gpu())
+            .scheduler(scheduler)
+            .build()
+            .expect("model deploys");
+        let expected = session.perfetto_json(0).expect("fault-free iteration");
+        assert!(json == expected, "{name}: not the session's export");
     }
 }
