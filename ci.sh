@@ -48,11 +48,11 @@ fi
 
 echo "== deterministic reports =="
 # Zero-drift gate: every report without a wall-clock column (all but
-# sched-cost, scale, faults, chaos and exec) is regenerated in full and
-# must be byte-identical to its committed copy in results/ (~3 s on two
-# vCPUs).
+# sched-cost, scale and exec) is regenerated in full and must be
+# byte-identical to its committed copy in results/ (~3 s on two vCPUs).
 reports=table1,unique-orders,fig7,fig8,fig9,fig10,fig11,fig12,fig13,ext-spread
 reports=$reports,ablation-reorder,ablation-enforcement,ablation-sharding,observe,autotune
+reports=$reports,faults
 ./target/release/repro --exp "$reports" --out target/ci-results/repro > /dev/null
 for name in $(echo "$reports" | tr , ' '); do
     cmp "target/ci-results/repro/$name.txt" "results/$name.txt"
@@ -103,11 +103,11 @@ cargo test --offline -q --test perfetto_fault_snapshot
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
-# The fault code both executors share (agenda, loss ladder, record and
-# barrier steps) in that same build, on the engine and on real threads,
-# the observers' flush on every way a run ends, and the run-record codec:
-# its round-trips, integer rule and mutation fuzz against the tree oracle.
-cargo test --offline -q --release --test faults --test chaos --test backend_equivalence \
+# The engine's fault rules (agenda, loss ladder, record and barrier
+# steps) in that same build, the threaded runtime's §5.1 checks, the
+# observers' flush on every way a run ends, and the run-record codec: its
+# round-trips, integer rule and mutation fuzz against the tree oracle.
+cargo test --offline -q --release --test faults --test backend_equivalence \
     --test observability --test run_store
 cargo test --offline -q --release -p tictac-store
 
@@ -118,17 +118,6 @@ echo "== threaded backend smoke =="
 # polluted by experiment-level fan-out on small CI boxes.
 TICTAC_THREADS=2 ./target/release/repro --exp exec --quick --out target/ci-results
 grep -q "priority inversions under enforced TAC (threaded): 0" target/ci-results/exec.txt
-
-echo "== chaos smoke =="
-# Seeded fault injection on the threaded backend (DESIGN.md §11): the
-# quick chaos sweep must recover from the reference fault spec with zero
-# priority inversions under enforced TAC, inside a hard timeout so a
-# wedged supervisor fails the gate instead of hanging it. The exported
-# fault-event trace is the CI artifact for post-mortems.
-TICTAC_THREADS=2 timeout 600 ./target/release/repro --exp chaos --quick --out target/ci-results
-grep -q "priority inversions under enforced TAC with faults (threaded): 0" target/ci-results/chaos.txt
-./target/release/repro --export-chaos-trace target/chaos_trace_smoke.json
-./target/release/repro --validate-trace target/chaos_trace_smoke.json
 
 echo "== trace export =="
 # Export one TAC AlexNet iteration and re-validate it from disk; the

@@ -9,7 +9,6 @@
 //! repro --list                    # list experiment names
 //! repro --out results/            # also write one report file per experiment
 //! repro --export-trace out.json   # write a Perfetto trace of one iteration
-//! repro --export-chaos-trace out.json # same, with injected faults
 //! repro --validate-trace out.json # parse + sanity-check an exported trace
 //! repro --exp table1 --store runs.jsonl # also append run records to a store
 //! ```
@@ -25,21 +24,8 @@
 use std::path::{Path, PathBuf};
 use tictac_bench::experiments;
 use tictac_core::{
-    validate_perfetto, BackendKind, ClusterSpec, Fnv1a, Mode, Model, Registry, SchedulerKind,
-    Session, SessionBuilder, SimConfig, ThreadedBackend,
+    validate_perfetto, ClusterSpec, Fnv1a, Mode, Model, Registry, SchedulerKind, Session, SimConfig,
 };
-
-/// The backend a report's record names: `chaos` runs every measured
-/// session on the threaded runtime. Every other report is recorded as
-/// `sim`, `exec` and `faults` included, whose threaded columns sit beside
-/// simulated ones.
-fn report_backend(name: &str) -> BackendKind {
-    if name == "chaos" {
-        BackendKind::Threaded
-    } else {
-        BackendKind::Sim
-    }
-}
 
 /// Exits 1 with `error: <path>: <cause>`: an output path that cannot be
 /// written is bad input, not a bug.
@@ -48,19 +34,15 @@ fn io_fail(path: &Path, e: std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// The TAC-scheduled AlexNet training session (batch 2, 2 workers, 1 PS)
-/// whose iteration 0 both trace exports render.
-fn alexnet_tac(config: SimConfig) -> SessionBuilder {
-    Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
+/// Renders iteration 0 of an observed, TAC-scheduled AlexNet training
+/// session (batch 2, 2 workers, 1 PS) to `path` as Chrome/Perfetto
+/// `trace_event` JSON — load it at `ui.perfetto.dev` — and says what the
+/// trace holds.
+fn export_trace(path: &Path) {
+    let session = Session::builder(Model::AlexNetV2.build_with_batch(Mode::Training, 2))
         .cluster(ClusterSpec::new(2, 1))
-        .config(config)
+        .config(SimConfig::cloud_gpu())
         .scheduler(SchedulerKind::Tac)
-}
-
-/// Renders iteration 0 of `session`, observed, to `path` as
-/// Chrome/Perfetto `trace_event` JSON and says what the trace holds.
-fn write_trace(path: &Path, session: SessionBuilder) {
-    let session = session
         .observe(Registry::enabled())
         .build()
         .expect("zoo model deploys");
@@ -76,32 +58,6 @@ fn write_trace(path: &Path, session: SessionBuilder) {
         stats.flow_starts + stats.flow_ends,
         stats.fault_names,
     );
-}
-
-/// Exports one TAC-scheduled AlexNet iteration — load it at
-/// `ui.perfetto.dev`.
-fn export_trace(path: &Path) {
-    write_trace(path, alexnet_tac(SimConfig::cloud_gpu()));
-}
-
-/// Exports the same iteration run on the *threaded* backend under the
-/// chaos reference fault spec (fixed seed), so the fault instants —
-/// drops, retransmits, blackout/crash windows — land in the wall-clock
-/// Perfetto lanes. CI uploads this as its chaos artifact.
-fn export_chaos_trace(path: &Path) {
-    let clean = alexnet_tac(SimConfig::cloud_gpu())
-        .warmup(0)
-        .iterations(1)
-        .build()
-        .expect("zoo model deploys")
-        .run()
-        .mean_makespan();
-    let config = SimConfig::cloud_gpu()
-        .with_seed(experiments::CHAOS_SEED)
-        .with_faults(experiments::reference_spec(clean));
-    let threaded =
-        ThreadedBackend::from_config(&config).expect("chaos config is threaded-supported");
-    write_trace(path, alexnet_tac(config).backend(threaded));
 }
 
 fn validate_trace(path: &Path) {
@@ -165,7 +121,6 @@ fn main() {
                 tictac_store::arm_global_store(Some(&value()));
             }
             "--export-trace" => return export_trace(Path::new(&value())),
-            "--export-chaos-trace" => return export_chaos_trace(Path::new(&value())),
             "--validate-trace" => return validate_trace(Path::new(&value())),
             "--list" => {
                 for (name, _) in experiments::ALL {
@@ -223,7 +178,7 @@ fn main() {
                 workers: 0,
                 ps: 0,
                 scheduler: "-".into(),
-                backend: report_backend(name).name().into(),
+                backend: "sim".into(),
                 seed: SimConfig::cloud_gpu().seed,
                 fault_fp: 0,
                 scenario_fp: 0,
@@ -252,7 +207,6 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: repro --exp <name|all>[,name...] [--quick] [--out DIR] [--store FILE.jsonl] [--list]\n\
          \x20      repro --export-trace FILE.json   (Perfetto trace of one TAC AlexNet iteration)\n\
-         \x20      repro --export-chaos-trace FILE.json (same, threaded backend with injected faults)\n\
          \x20      repro --validate-trace FILE.json (parse + sanity-check an exported trace)\n\
          experiments: {}",
         experiments::ALL
@@ -262,17 +216,4 @@ fn usage(err: &str) -> ! {
             .join(", ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn only_the_chaos_report_is_recorded_as_threaded() {
-        assert_eq!(report_backend("chaos"), BackendKind::Threaded);
-        for (name, _) in experiments::ALL.iter().filter(|(n, _)| *n != "chaos") {
-            assert_eq!(report_backend(name), BackendKind::Sim, "{name}");
-        }
-    }
 }

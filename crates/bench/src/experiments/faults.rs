@@ -9,8 +9,8 @@
 use super::{point, sweep};
 use crate::format::Table;
 use tictac_core::{
-    BackendKind, ClusterSpec, EnvPreset, FaultSpec, Mode, Model, RetryPolicy, Scenario,
-    SchedulerKind, Session, SimDuration,
+    ClusterSpec, EnvPreset, FaultSpec, Mode, Model, RetryPolicy, Scenario, SchedulerKind,
+    SimDuration,
 };
 
 const POLICIES: [SchedulerKind; 3] = [
@@ -18,11 +18,6 @@ const POLICIES: [SchedulerKind; 3] = [
     SchedulerKind::Tic,
     SchedulerKind::Tac,
 ];
-
-/// Wall-clock compression of part (c)'s threaded runs: an envC iteration
-/// models up to 53 s (VGG-19) and the threaded backend's watchdog allows
-/// 30 s. Their throughput is converted back to model time.
-const WALL_SCALE: f64 = 0.25;
 
 /// Runs the fault sweep; `quick` trims the model and iteration counts.
 pub fn run(quick: bool) -> String {
@@ -111,65 +106,13 @@ pub fn run(quick: bool) -> String {
         ]);
     }
 
-    // (c) Cross-backend fault accounting: the same seed and spec on the
-    // simulator and on the threaded runtime. Drops/stragglers/PS stalls
-    // tally identically on both (the sampler and the keyed drop decisions
-    // are backend-agnostic); goodput and retransmission load stay
-    // comparable on the wall clock.
-    let models = &super::pick_models(quick)[..if quick { 2 } else { 4 }];
-    let clean_tac = |&m| scenario(m, SchedulerKind::Tac, FaultSpec::none(), 1);
-    let clean = sweep(models.iter().map(clean_tac).collect());
-    let mut backends = Table::new([
-        "model",
-        "backend",
-        "samples/s",
-        "goodput%",
-        "drops",
-        "rexmits",
-        "faults",
-        "json",
-    ]);
-    for (&model, clean) in models.iter().zip(&clean) {
-        let clean = clean.mean_makespan();
-        let spec = FaultSpec::none()
-            .with_drop_prob(0.02)
-            .with_stragglers(0.3, 2.0)
-            .with_ps_stalls(0.3, clean.mul_f64(0.05))
-            .with_onset_window(clean.mul_f64(0.3))
-            .with_retry(RetryPolicy::fixed(clean.mul_f64(0.02), 60));
-        for (backend, scale) in [(BackendKind::Sim, 1.0), (BackendKind::Threaded, WALL_SCALE)] {
-            let report = Session::from_scenario(&Scenario {
-                backend,
-                warmup: 0,
-                time_scale: Some(WALL_SCALE),
-                ..scenario(model, SchedulerKind::Tac, spec.clone(), iterations)
-            })
-            .expect("valid cluster")
-            .try_run()
-            .expect("retry budget covers the sweep");
-            let faults = report.total_faults();
-            backends.row([
-                model.name().to_string(),
-                backend.to_string(),
-                format!("{:.1}", report.mean_throughput() * scale),
-                format!("{:.2}", report.mean_goodput_pct()),
-                faults.drops.to_string(),
-                faults.retransmits.to_string(),
-                faults.to_string(),
-                faults.to_json(),
-            ]);
-        }
-    }
-
     format!(
         "Fault sweep (envC, {model} training, 4 workers x 1 PS, {iterations} iterations/cell)\n\n\
 (a) Transient transfer drops, recovered by timeout + retransmit\n    (detection 20 ms, backoff 1.5x, <=12 retransmits):\n{}\n\
 (b) Persistent 3x stragglers (p=0.5/worker) under a degraded barrier\n    at 1.2x the clean baseline step ({barrier}):\n{}\n\
-    Goodput below 100% means the barrier released the iteration with\n    the stragglers' updates deferred to the next iteration.\n\n\
-(c) Same seed, same spec, both backends (TAC; 2% drops + stragglers +\n    PS stalls; the threaded runtime replays model time 4x faster on the\n    wall clock, and its samples/s are converted back to model time):\n{}\n",
+    Goodput below 100% means the barrier released the iteration with\n    the stragglers' updates deferred to the next iteration.\n",
         table_a.render(),
         degraded.render(),
-        backends.render(),
     )
 }
 

@@ -6,7 +6,6 @@
 
 mod ablations;
 mod autotune;
-mod chaos;
 mod exec;
 mod faults;
 mod fig07;
@@ -28,8 +27,6 @@ use tictac_core::{
     parallel_map, priority_inversions, speedup_pct, BackendKind, ClusterSpec, EnvPreset, FaultSpec,
     Mode, Model, RunReport, Scenario, SchedulerKind, Session, SimConfig,
 };
-
-pub use chaos::{reference_spec, CHAOS_SEED};
 
 /// An experiment entry point: takes a `quick` flag that trims run counts
 /// for smoke testing and returns the rendered report.
@@ -53,7 +50,6 @@ pub const ALL: &[(&str, Runner)] = &[
     ("ablation-enforcement", ablations::enforcement),
     ("ablation-sharding", ablations::sharding),
     ("faults", faults::run),
-    ("chaos", chaos::run),
     ("observe", observe::run),
     ("exec", exec::run),
     ("autotune", autotune::run),
@@ -228,7 +224,7 @@ mod tests {
             assert!(find(name).is_some(), "{name} missing");
         }
         assert!(find("nope").is_none());
-        assert_eq!(ALL.len(), 20);
+        assert_eq!(ALL.len(), 19);
     }
 
     #[test]

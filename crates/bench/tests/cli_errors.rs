@@ -36,7 +36,6 @@ fn unwritable_trace_paths_are_errors_not_panics() {
     let missing = scratch("repro-trace").join("no-such-dir/trace.json");
     let path = missing.to_str().expect("utf-8 path");
     assert_clean_failure(&["--export-trace", path], &missing);
-    assert_clean_failure(&["--export-chaos-trace", path], &missing);
 }
 
 #[test]

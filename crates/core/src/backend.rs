@@ -11,7 +11,7 @@
 //!   Traces are byte-identical to the pre-backend-API sessions.
 //! * [`ThreadedBackend`] — `tictac-sim`'s threaded runtime: real OS
 //!   threads per device and channel, prioritized queues with sender-side
-//!   rank enforcement, wall-clock timestamps.
+//!   rank enforcement, wall-clock timestamps; fault-free runs only.
 //!
 //! Both emit the same trace type, so every downstream consumer — metrics,
 //! `tictac-obs` analyzers, Perfetto export — works on either unchanged,
@@ -27,7 +27,7 @@ use tictac_cluster::DeployedModel;
 use tictac_obs::Registry;
 use tictac_sched::Schedule;
 use tictac_sim::{ExecOptions, RunPlan, SimConfig, SimError};
-use tictac_trace::{ExecutionTrace, FaultCounters};
+use tictac_trace::ExecutionTrace;
 
 /// The clock domain a backend's trace timestamps live in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,29 +108,25 @@ impl ExecutionBackend for SimBackend {
 /// The multi-threaded runtime backend: OS threads, prioritized channel
 /// queues with sender-side enforcement, wall-clock timestamps.
 ///
-/// Seeded faults configured on the session's [`SimConfig`] *do* apply
-/// here: the same [`FaultPlan`] the simulator samples for `(seed,
-/// iteration)` is injected on the wall clock (timer-driven retransmits,
-/// real thread kills and respawns). Modeled noise and reorder errors do
-/// not — a threaded run's variance is physical — and
+/// It exists to check §5.1 — sender-side enforcement holds when hand-offs
+/// race on real threads — and runs quiet iterations only: faults are
+/// simulated by [`SimBackend`]. Modeled noise and reorder errors are not
+/// replayed either — a threaded run's variance is physical — and
 /// [`ThreadedBackend::from_config`] rejects settings it cannot honor
 /// rather than silently dropping them. Schedules (including TAC's
 /// profiled one) are identical across backends, so sim and threaded runs
 /// of one session are directly comparable.
-///
-/// [`FaultPlan`]: tictac_sim::FaultPlan
 #[derive(Debug, Clone)]
 pub struct ThreadedBackend {
     /// The two values only a wall clock needs; platform, enforcement
-    /// flag, bandwidth share, fault spec and seed are the plan's.
+    /// flag and bandwidth share are the plan's.
     opts: ExecOptions,
 }
 
 impl ThreadedBackend {
     /// A threaded backend for a session configured with `config`, with a
     /// 1:1 time scale and a 30 s watchdog: the busy-loops replay the
-    /// durations the simulator models, and both backends sample identical
-    /// [`FaultPlan`]s per iteration. `config` is checked, not kept: the
+    /// durations the simulator models. `config` is checked, not kept: the
     /// backend runs under the session's configuration, through the plan,
     /// and [`execute`](ExecutionBackend::execute) refuses a plan whose
     /// configuration would not have passed here.
@@ -148,9 +144,11 @@ impl ThreadedBackend {
     ///   probability above 5%) — modeled noise cannot be replayed by
     ///   calibrated busy-loops; the presets' mild noise is subsumed by
     ///   physical jitter.
+    /// * a [`FaultSpec`] that can inject a fault or sets a degraded
+    ///   barrier — faults are simulated only.
     ///
     /// [`NoiseModel`]: tictac_timing::NoiseModel
-    /// [`FaultPlan`]: tictac_sim::FaultPlan
+    /// [`FaultSpec`]: tictac_sim::FaultSpec
     pub fn from_config(config: &SimConfig) -> Result<Self, SimError> {
         Self::check(config)?;
         Ok(Self {
@@ -178,6 +176,13 @@ impl ThreadedBackend {
                     config.noise.sigma(),
                     config.noise.slowdown_prob()
                 ),
+            });
+        }
+        if !config.faults.is_quiet() || config.faults.barrier_timeout.is_some() {
+            return Err(SimError::UnsupportedConfig {
+                knob: "faults",
+                reason: "faults are simulated only; run a faulty config on the sim backend"
+                    .to_string(),
             });
         }
         Ok(())
@@ -218,23 +223,7 @@ impl ExecutionBackend for ThreadedBackend {
     ) -> Result<ExecutionTrace, SimError> {
         let started = std::time::Instant::now();
         Self::check(plan.config())?;
-        let graph = deployed.graph();
-        // Same key as the simulator: identical seeds inject the identical
-        // fault set.
-        let faults = plan.sample_faults(graph, iteration);
-        let trace = plan.run_threaded(graph, schedule, &self.opts, iteration, &faults)?;
-        if !plan.config().faults.is_quiet() {
-            let c = FaultCounters::from_trace(&trace);
-            registry.counter("exec.faults.drops").add(c.drops);
-            registry
-                .counter("exec.faults.retransmits")
-                .add(c.retransmits);
-            registry.counter("exec.faults.crashes").add(c.crashes);
-            registry.counter("exec.faults.blackouts").add(c.blackouts);
-            registry
-                .counter("exec.faults.deferred_ops")
-                .add(c.deferred_ops);
-        }
+        let trace = plan.run_threaded(deployed.graph(), schedule, &self.opts, iteration)?;
         registry.counter("exec.iterations").inc();
         registry
             .histogram("exec.wall_us", &WALL_BUCKETS_US)
@@ -303,6 +292,35 @@ mod tests {
                 assert_eq!(knob, "reorder_error");
             }
             other => panic!("expected an unsupported config, got {other:?}"),
+        }
+    }
+
+    /// Faults are simulated only: a spec that can inject one, or that
+    /// sets a degraded barrier, is refused at construction and again at
+    /// execution, never run quietly in its place.
+    #[test]
+    fn threaded_backend_refuses_a_faulty_config_at_both_doors() {
+        use tictac_sim::FaultSpec;
+        use tictac_timing::SimDuration;
+        let model = tiny_mlp(Mode::Training, 8);
+        let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+        let s = no_ordering(d.graph());
+        let thr = ThreadedBackend::from_config(&SimConfig::cloud_gpu()).unwrap();
+        let refused = |r: Result<_, SimError>| match r {
+            Err(SimError::UnsupportedConfig { knob, .. }) => assert_eq!(knob, "faults"),
+            other => panic!("expected an unsupported config, got {other:?}"),
+        };
+        for faults in [
+            FaultSpec::none().with_drop_prob(0.01),
+            FaultSpec::none().with_barrier_timeout(SimDuration::from_millis(5)),
+        ] {
+            let faulty = SimConfig::cloud_gpu().with_faults(faults);
+            refused(ThreadedBackend::from_config(&faulty).map(|_| ()));
+            let plan = RunPlan::new(d.graph(), &s, &faulty).unwrap();
+            refused(
+                thr.execute(&d, &s, &plan, 0, &Registry::disabled())
+                    .map(|_| ()),
+            );
         }
     }
 }

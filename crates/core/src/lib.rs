@@ -77,9 +77,9 @@ pub use tictac_sched::{
     TacScheduler, TicScheduler,
 };
 pub use tictac_sim::{
-    noise_free_profile, run_iteration_injected, simulate, simulate_with_plan_observed,
-    try_simulate, Blackout, Crash, ExecOptions, FaultClock, FaultCounters, FaultPlan, FaultSpec,
-    IterationMetrics, RunPlan, SimConfig, SimError, Stall,
+    noise_free_profile, simulate, simulate_with_plan_observed, try_simulate, Blackout, Crash,
+    ExecOptions, FaultCounters, FaultPlan, FaultSpec, IterationMetrics, RunPlan, SimConfig,
+    SimError, Stall,
 };
 #[doc(hidden)]
 pub use tictac_sim::{selected_engine, EngineChoice};

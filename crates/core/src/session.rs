@@ -1225,6 +1225,28 @@ warmup: 0
     }
 
     #[test]
+    fn a_faulty_threaded_scenario_is_refused_at_build() {
+        let doc = "\
+model: alexnet_v2
+cluster:
+  workers: 2
+  parameter_servers: 1
+backend: [sim, threaded]
+faults:
+  drop_prob: 0.01
+";
+        let grid = Scenario::parse_grid(doc).unwrap();
+        assert_eq!(grid.len(), 2);
+        assert!(Session::from_scenario(&grid[0]).is_ok(), "sim runs faults");
+        match Session::from_scenario(&grid[1]) {
+            Err(ScenarioBuildError::Backend(SimError::UnsupportedConfig { knob, .. })) => {
+                assert_eq!(knob, "faults");
+            }
+            other => panic!("expected a refused backend, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
     fn scheduler_kinds_display() {
         assert_eq!(SchedulerKind::Tic.to_string(), "tic");
         assert_eq!(SchedulerKind::ALL.len(), 4);

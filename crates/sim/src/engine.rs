@@ -9,9 +9,7 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::faults::{
-    close_at_barrier, darkened_by_crash, AfterLoss, FaultClock, FaultPlan, Transition,
-};
+use crate::faults::{close_at_barrier, darkened_by_crash, AfterLoss, FaultPlan, Transition};
 use crate::plan::{RunPlan, TransferTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -634,17 +632,16 @@ impl<'g> Engine<'g> {
     }
 
     /// Logs the iteration-long stragglers and schedules the fault plan's
-    /// agenda in plan order, through [`FaultClock::virtual_time`] — an
-    /// exact identity, since plans are sampled in this engine's domain.
-    /// Quiet plans schedule nothing, keeping the event stream identical to
-    /// a fault-free run.
+    /// agenda in plan order, at the plan's own instants: plans are sampled
+    /// in this engine's time domain. Quiet plans schedule nothing, keeping
+    /// the event stream identical to a fault-free run.
     fn schedule_faults(&mut self) {
         let plan = self.plan;
         for &(device, _) in &plan.stragglers {
             self.trace
                 .push_fault(SimTime::ZERO, FaultEventKind::StragglerApplied { device });
         }
-        for (at, transition) in plan.agenda(FaultClock::virtual_time()) {
+        for (at, transition) in plan.agenda() {
             self.schedule_event(at, EventKind::Fault(transition));
         }
     }

@@ -35,7 +35,7 @@ pub enum SimError {
         op: OpId,
         /// Attempts made (initial send plus retransmits).
         attempts: u32,
-        /// When the final timeout fired, in the executor's clock.
+        /// When the final timeout fired, in virtual time.
         at: SimTime,
     },
     /// The threaded runtime's watchdog expired with work outstanding (a

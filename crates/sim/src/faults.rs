@@ -1,7 +1,5 @@
-//! Seeded fault injection shared by every backend: probabilistic
-//! specifications, the concrete per-iteration plans sampled from them, and
-//! the clock that maps plan instants onto an execution backend's time
-//! domain.
+//! Seeded fault injection: probabilistic specifications and the concrete
+//! per-iteration plans sampled from them.
 //!
 //! A [`FaultSpec`] describes *rates* — how likely each fault class is per
 //! iteration — and the recovery policy ([`RetryPolicy`], degraded-barrier
@@ -14,17 +12,13 @@
 //! variance, and a quiet spec leaves execution byte-identical to a
 //! fault-free run.
 //!
-//! The executor-agnostic rules of fault handling live here too, written
-//! once and called by both executors: the plan's [`Transition`] agenda
-//! and the event each transition logs, the channels a crash darkens, the
-//! loss ladder after a timeout ([`FaultPlan::after_timeout`]) and the
-//! degraded barrier's closing step ([`close_at_barrier`]). What stays
-//! per executor is how an answer is *enacted*: the discrete-event
-//! simulator schedules virtual-time events, while the threaded runtime
-//! arms real timers and kills real threads. Both sample the same plan
-//! from the same `(spec, graph, seed, iteration)` key, and both map its
-//! instants through a [`FaultClock`] — which is why identical seeds yield
-//! the identical fault set on either backend.
+//! The rules of fault handling live here too, each written once beside
+//! the plan it reads: the plan's [`Transition`] agenda and the event each
+//! transition logs, the channels a crash darkens, the loss ladder after a
+//! timeout ([`FaultPlan::after_timeout`]) and the degraded barrier's
+//! closing step ([`close_at_barrier`]). The event engine enacts them in
+//! virtual time, the one clock plans are sampled in. Faults are simulated
+//! only: the threaded runtime executes quiet plans.
 
 use crate::error::SimError;
 use rand::rngs::SmallRng;
@@ -43,68 +37,6 @@ pub(crate) fn mix(seed: u64, x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Maps the model-time instants of a [`FaultPlan`] onto an execution
-/// backend's clock domain.
-///
-/// Plans are sampled in *model time* (the virtual nanoseconds the
-/// simulator ticks in). The simulator consumes them through
-/// [`FaultClock::virtual_time`], an exact identity; the threaded runtime
-/// consumes them through [`FaultClock::wall_clock`] with its
-/// `time_scale`, so a blackout sampled at model time 40 µs starts 40 µs ×
-/// scale after iteration start on the wall. One plan, two clocks — the
-/// fault *set* is identical on both backends by construction, and only
-/// the domain its instants are expressed in differs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultClock {
-    scale: f64,
-}
-
-impl FaultClock {
-    /// The simulator's clock: plan instants are already in this domain,
-    /// so the mapping is an exact identity (bit-for-bit; fault-free and
-    /// faulty sim traces stay byte-reproducible).
-    pub fn virtual_time() -> Self {
-        Self { scale: 1.0 }
-    }
-
-    /// A wall-clock mapping scaling every instant and duration by
-    /// `time_scale` (the threaded runtime's modeled-duration multiplier).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time_scale` is not strictly positive and finite.
-    pub fn wall_clock(time_scale: f64) -> Self {
-        assert!(
-            time_scale > 0.0 && time_scale.is_finite(),
-            "time_scale must be positive and finite"
-        );
-        Self { scale: time_scale }
-    }
-
-    /// Maps a plan instant into this clock's domain.
-    pub fn instant(&self, at: SimTime) -> SimTime {
-        if self.scale == 1.0 {
-            at // exact: the identity branch keeps sim traces byte-stable
-        } else {
-            SimTime::from_nanos((at.as_nanos() as f64 * self.scale).round() as u64)
-        }
-    }
-
-    /// Maps a plan duration into this clock's domain.
-    pub fn duration(&self, d: SimDuration) -> SimDuration {
-        if self.scale == 1.0 {
-            d
-        } else {
-            d.mul_f64(self.scale)
-        }
-    }
-
-    /// [`FaultClock::duration`] as a wall-clock duration.
-    pub fn wall_duration(&self, d: SimDuration) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.duration(d).as_nanos())
-    }
 }
 
 /// Probabilistic fault model of one deployment.
@@ -328,8 +260,7 @@ pub struct Stall {
 /// The concrete faults of one iteration, sampled from a [`FaultSpec`].
 ///
 /// Plans compare with `==`, so tests can assert that identical
-/// `(seed, iteration)` pairs produce identical plans — and, through the
-/// backends, identical fault sets on virtual and wall clocks alike.
+/// `(seed, iteration)` pairs produce identical plans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Channel blackout windows.
@@ -347,7 +278,7 @@ pub struct FaultPlan {
     /// Degraded-barrier release time, if enabled.
     pub barrier_timeout: Option<SimDuration>,
     /// Seed of the keyed per-attempt drop hash (kept inside the plan so
-    /// replaying a plan replays its drops, on any backend).
+    /// replaying a plan replays its drops).
     drop_seed: u64,
 }
 
@@ -461,11 +392,11 @@ impl FaultPlan {
     /// the wire.
     ///
     /// A pure keyed hash of `(plan, op, attempt)` — not a sequential
-    /// stream — so the decision is independent of the *order* in which a
-    /// backend starts transfers. That is what lets the simulator and the
-    /// threaded runtime, which interleave channel work very differently,
-    /// lose exactly the same attempts and report identical drop,
-    /// timeout and retransmit counters for one plan.
+    /// stream — so the decision is independent of the *order* in which
+    /// transfers start. That is what lets schedules that interleave
+    /// channel work very differently lose exactly the same attempts and
+    /// report identical drop, timeout and retransmit counters for one
+    /// plan.
     pub fn drops_attempt(&self, recv: OpId, attempt: u32) -> bool {
         if self.drop_prob <= 0.0 {
             return false;
@@ -480,34 +411,33 @@ impl FaultPlan {
     }
 
     /// Every availability transition of the plan plus the degraded
-    /// barrier, mapped through `clock`, in plan order: each blackout's
-    /// start and end, then each crash's, then each stall's, then the
-    /// barrier. Every start carries its window's end.
+    /// barrier, in plan order: each blackout's start and end, then each
+    /// crash's, then each stall's, then the barrier. Every start carries
+    /// its window's end.
     ///
     /// The event engine schedules the list as it comes, so plan order is
-    /// its `(at, seq)` order; the threaded runtime stable-sorts it by
-    /// instant, which keeps same-instant entries in that same order. A
-    /// quiet plan yields nothing and allocates nothing.
-    pub(crate) fn agenda(
-        &self,
-        clock: FaultClock,
-    ) -> impl Iterator<Item = (SimTime, Transition)> + '_ {
-        let blackouts = self.blackouts.iter().flat_map(move |b| {
-            let (at, until, channel) = (clock.instant(b.at), clock.instant(b.until), b.channel);
-            [
-                (at, Transition::BlackoutStart { channel, until }),
-                (until, Transition::BlackoutEnd { channel }),
-            ]
-        });
-        let crashes = self.crashes.iter().flat_map(move |c| {
-            let (at, until, device) = (clock.instant(c.at), clock.instant(c.until), c.device);
-            [
-                (at, Transition::CrashStart { device, until }),
-                (until, Transition::CrashEnd { device }),
-            ]
-        });
-        let stalls = self.stalls.iter().flat_map(move |s| {
-            let (at, until, device) = (clock.instant(s.at), clock.instant(s.until), s.device);
+    /// its `(at, seq)` order. A quiet plan yields nothing and allocates
+    /// nothing.
+    pub(crate) fn agenda(&self) -> impl Iterator<Item = (SimTime, Transition)> + '_ {
+        let blackouts = self
+            .blackouts
+            .iter()
+            .flat_map(|&Blackout { channel, at, until }| {
+                [
+                    (at, Transition::BlackoutStart { channel, until }),
+                    (until, Transition::BlackoutEnd { channel }),
+                ]
+            });
+        let crashes = self
+            .crashes
+            .iter()
+            .flat_map(|&Crash { device, at, until }| {
+                [
+                    (at, Transition::CrashStart { device, until }),
+                    (until, Transition::CrashEnd { device }),
+                ]
+            });
+        let stalls = self.stalls.iter().flat_map(|&Stall { device, at, until }| {
             [
                 (at, Transition::StallStart { device, until }),
                 (until, Transition::StallEnd { device }),
@@ -515,7 +445,7 @@ impl FaultPlan {
         });
         let barrier = self
             .barrier_timeout
-            .map(|t| (SimTime::ZERO + clock.duration(t), Transition::Barrier));
+            .map(|t| (SimTime::ZERO + t, Transition::Barrier));
         blackouts.chain(crashes).chain(stalls).chain(barrier)
     }
 
@@ -524,7 +454,7 @@ impl FaultPlan {
     /// and the barrier alone whether attempt `attempt + 1` flies (logging
     /// its `Retransmit`), the transfer is left to the degraded barrier, or
     /// the iteration fails. The caller counts the attempt and enacts the
-    /// answer in its own clock.
+    /// answer.
     pub(crate) fn after_timeout(
         &self,
         trace: &mut TraceBuilder,
@@ -553,7 +483,7 @@ impl FaultPlan {
     }
 }
 
-/// One entry of a [`FaultPlan`]'s agenda, in some clock's domain.
+/// One entry of a [`FaultPlan`]'s agenda.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Transition {
     BlackoutStart {
@@ -743,17 +673,66 @@ mod tests {
         assert!((0..32).all(|i| !FaultPlan::quiet().drops_attempt(op(i), 0)));
     }
 
+    /// The plan's transitions come in plan order — blackouts, crashes,
+    /// stalls, barrier — not sorted by instant: the engine schedules them
+    /// as listed, so same-instant entries take effect in this order.
     #[test]
-    fn fault_clock_maps_identity_and_scaled_domains() {
-        let at = SimTime::from_nanos(123_456);
-        let d = SimDuration::from_nanos(10_000);
-        let virt = FaultClock::virtual_time();
-        assert_eq!(virt.instant(at), at);
-        assert_eq!(virt.duration(d), d);
-        let wall = FaultClock::wall_clock(0.5);
-        assert_eq!(wall.instant(at).as_nanos(), 61_728);
-        assert_eq!(wall.duration(d).as_nanos(), 5_000);
-        assert_eq!(wall.wall_duration(d), std::time::Duration::from_micros(5));
+    fn agenda_lists_transitions_in_plan_order() {
+        let t = SimTime::from_nanos;
+        let (ch, w, ps) = (
+            ChannelId::from_index(0),
+            DeviceId::from_index(1),
+            DeviceId::from_index(0),
+        );
+        let mut plan = FaultPlan::quiet();
+        assert_eq!(plan.agenda().count(), 0);
+        plan.blackouts.push(Blackout {
+            channel: ch,
+            at: t(400),
+            until: t(900),
+        });
+        plan.crashes.push(Crash {
+            device: w,
+            at: t(100),
+            until: t(400),
+        });
+        plan.stalls.push(Stall {
+            device: ps,
+            at: t(400),
+            until: t(600),
+        });
+        plan.barrier_timeout = Some(SimDuration::from_nanos(900));
+        let agenda: Vec<_> = plan.agenda().collect();
+        assert_eq!(
+            agenda,
+            [
+                (
+                    t(400),
+                    Transition::BlackoutStart {
+                        channel: ch,
+                        until: t(900)
+                    }
+                ),
+                (t(900), Transition::BlackoutEnd { channel: ch }),
+                (
+                    t(100),
+                    Transition::CrashStart {
+                        device: w,
+                        until: t(400)
+                    }
+                ),
+                (t(400), Transition::CrashEnd { device: w }),
+                (
+                    t(400),
+                    Transition::StallStart {
+                        device: ps,
+                        until: t(600)
+                    }
+                ),
+                (t(600), Transition::StallEnd { device: ps }),
+                (t(900), Transition::Barrier),
+            ]
+        );
     }
 
     #[test]

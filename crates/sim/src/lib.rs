@@ -22,10 +22,11 @@
 //! * **Runtime variance**: multiplicative log-normal per-op noise and
 //!   occasional whole-worker slowdowns ([`NoiseModel`]).
 //!
-//! * **A threaded runtime** ([`run_iteration_injected`]): the same graph,
+//! * **A threaded runtime** ([`RunPlan::run_threaded`]): the same graph,
 //!   schedule and [`SimConfig`] executed on real OS threads against the
 //!   wall clock, reading the same transfer table, send gate and service
-//!   times as the event engine (see the `threaded` module docs).
+//!   times as the event engine (see the `threaded` module docs). It runs
+//!   quiet plans: faults are simulated only.
 //!
 //! * **One plan per deployment** ([`RunPlan`]): what both executors read
 //!   and no iteration changes — the transfer table, the service times, the
@@ -39,8 +40,8 @@
 //!   stragglers, PS stalls) recovered by timeout-driven retransmits with
 //!   exponential backoff and, optionally, a degraded-mode sync barrier
 //!   that completes the iteration with the slowest workers' updates
-//!   deferred. Failures that cannot be absorbed surface as typed
-//!   [`SimError`]s — one error type for both executors.
+//!   deferred, all in virtual time. Failures that cannot be absorbed
+//!   surface as typed [`SimError`]s — one error type for both executors.
 //!
 //! The simulator consumes the partitioned [`Graph`] built by
 //! `tictac-cluster`, a [`Schedule`] from `tictac-sched`, and produces an
@@ -67,8 +68,8 @@ pub use config::{selected_engine, EngineChoice};
 pub use config::{SimConfig, DEFAULT_SEED};
 pub use engine::{simulate, simulate_with_plan_observed, try_simulate};
 pub use error::SimError;
-pub use faults::{Blackout, Crash, FaultClock, FaultPlan, FaultSpec, Stall};
+pub use faults::{Blackout, Crash, FaultPlan, FaultSpec, Stall};
 pub use metrics::{FaultCounters, IterationMetrics};
 pub use plan::RunPlan;
 pub use service::noise_free_profile;
-pub use threaded::{run_iteration_injected, ExecOptions};
+pub use threaded::ExecOptions;

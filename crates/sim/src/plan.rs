@@ -9,10 +9,10 @@
 //! hot paths live here: the event engine (`engine.rs`) and the threaded
 //! runtime (`threaded.rs`) borrow one [`RunPlan`] and keep only their own
 //! mutable state per iteration. The one-shot entry points ([`simulate`],
-//! [`run_iteration_injected`], …) are "a plan for one run".
+//! [`try_simulate`], …) are "a plan for one run".
 //!
 //! [`simulate`]: crate::simulate
-//! [`run_iteration_injected`]: crate::run_iteration_injected
+//! [`try_simulate`]: crate::try_simulate
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -77,9 +77,8 @@ impl RunPlan {
     }
 
     /// Samples iteration `iteration`'s fault set from the plan's fault
-    /// spec and seed: the one `(spec, graph, seed, iteration)` key every
-    /// executor uses, so identical seeds inject the identical faults in
-    /// virtual time and on the wall clock.
+    /// spec and seed: the one `(spec, graph, seed, iteration)` key, so
+    /// identical seeds inject the identical faults.
     pub fn sample_faults(&self, graph: &Graph, iteration: u64) -> FaultPlan {
         FaultPlan::sample(&self.config.faults, graph, self.config.seed, iteration)
     }

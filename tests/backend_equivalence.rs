@@ -23,16 +23,16 @@
 //!   equal fresh one-shot calls trace for trace, the threaded runtime
 //!   flies transfers in the rank order the engine reads from the same
 //!   plan, a schedule that does not cover its graph is rejected by the
-//!   plan's one check on every entry point, and a send feeding two recvs
-//!   is recorded once by the one record step.
+//!   plan's one check, a send feeding two recvs is recorded once by the
+//!   one record step, and a plan whose threaded run stalled (diagnosed)
+//!   runs again to completion.
 
 use proptest::prelude::*;
 use tictac::{
-    no_ordering, noise_free_profile, priority_inversions, run_iteration_injected,
-    simulate_with_plan_observed, try_simulate, ClusterSpec, Cost, ExecOptions, ExecutionTrace,
-    FaultPlan, FaultSpec, Graph, GraphBuilder, Mode, Model, OpKind, Registry, RetryPolicy,
-    RunOptions, RunPlan, Scenario, Schedule, SchedulerKind, Session, SimConfig, SimDuration,
-    SimError, ThreadedBackend, TimeOracle,
+    deploy, no_ordering, noise_free_profile, priority_inversions, simulate_with_plan_observed,
+    try_simulate, ClusterSpec, Cost, ExecOptions, ExecutionTrace, FaultSpec, Graph, GraphBuilder,
+    Mode, Model, OpKind, Registry, RetryPolicy, RunOptions, RunPlan, Scenario, Schedule,
+    SchedulerKind, Session, SimConfig, SimDuration, SimError, ThreadedBackend, TimeOracle,
 };
 use tictac_models::tiny_mlp;
 
@@ -359,7 +359,7 @@ fn one_plan_serves_every_iteration_and_both_executors() {
                 .expect("schedule covers graph");
             let engine = exact.try_simulate(graph, schedule, 0).expect("quiet run");
             let threads = exact
-                .run_threaded(graph, schedule, &opts, 0, &FaultPlan::quiet())
+                .run_threaded(graph, schedule, &opts, 0)
                 .expect("quiet run");
             let flown = |trace| wire_order(graph, schedule, trace);
             assert_eq!(flown(&engine), ranked, "{scheduler}: engine");
@@ -384,14 +384,43 @@ fn one_plan_serves_every_iteration_and_both_executors() {
         RunPlan::new(graph, &short, &config).err(),
         Some(mismatch.clone())
     );
-    assert_eq!(
-        try_simulate(graph, &short, &config, 0),
-        Err(mismatch.clone())
-    );
-    assert_eq!(
-        run_iteration_injected(graph, &short, &config, &opts, 0, &FaultPlan::quiet()),
-        Err(mismatch)
-    );
+    assert_eq!(try_simulate(graph, &short, &config, 0), Err(mismatch));
+}
+
+/// A run that outlives its watchdog reports *which* ops and channels were
+/// left — and the same plan then runs an iteration to completion: each
+/// run builds fresh runtime state, so one stall must not poison the plan.
+/// The iteration models ~50 ms, fifty times the first run's watchdog.
+#[test]
+fn a_stalled_plan_is_diagnosable_and_reusable() {
+    let model = Model::InceptionV1.build_with_batch(Mode::Training, 2);
+    let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+    let (graph, s) = (d.graph(), no_ordering(d.graph()));
+    let plan = RunPlan::new(graph, &s, &SimConfig::cloud_gpu()).expect("schedule covers graph");
+    let doomed = ExecOptions {
+        watchdog: std::time::Duration::from_millis(1),
+        ..ExecOptions::default()
+    };
+    match plan.run_threaded(graph, &s, &doomed, 0) {
+        Err(SimError::Stalled {
+            remaining,
+            outstanding,
+            channel_depths,
+            ..
+        }) => {
+            assert!(remaining > 0);
+            assert!(
+                !outstanding.is_empty(),
+                "a stall must name its outstanding ops"
+            );
+            assert_eq!(channel_depths.len(), graph.channels().len());
+        }
+        other => panic!("expected a Stalled error, got {other:?}"),
+    }
+    let trace = plan
+        .run_threaded(graph, &s, &ExecOptions::default(), 0)
+        .expect("the same plan must run an iteration after a stall");
+    assert_eq!(trace.executed_ops(), graph.len());
 }
 
 /// A hand-built graph may feed one send into several recvs. Both
@@ -415,7 +444,8 @@ fn a_send_feeding_two_recvs_is_recorded_once_on_both_executors() {
         watchdog: std::time::Duration::from_secs(60),
     };
     let engine = try_simulate(&g, &s, &config, 0).expect("engine completes");
-    let threads = run_iteration_injected(&g, &s, &config, &opts, 0, &FaultPlan::quiet())
+    let threads = RunPlan::new(&g, &s, &config)
+        .and_then(|plan| plan.run_threaded(&g, &s, &opts, 0))
         .expect("threads complete");
     for (executor, trace) in [("engine", engine), ("threads", threads)] {
         assert_eq!(trace.executed_ops(), g.len(), "{executor}");

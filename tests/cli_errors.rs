@@ -98,6 +98,24 @@ fn factors_that_leave_the_time_axis_are_usage_errors() {
     }
 }
 
+/// Faults are simulated only: a grid that asks the threaded backend for
+/// them is refused in one line, not run fault-free in their place.
+#[test]
+fn faults_on_the_threaded_backend_are_refused() {
+    let scenario = Path::new(env!("CARGO_TARGET_TMPDIR")).join("threaded_faults.yml");
+    let doc = "model: alexnet_v2\ncluster:\n  workers: 2\n  parameter_servers: 1\n\
+               backend: [sim, threaded]\niterations: 1\nfaults:\n  drop_prob: 0.01\n";
+    std::fs::write(&scenario, doc).expect("write scenario");
+    let (out, stderr) = tictac(&["run", scenario.to_str().expect("utf-8 path")]);
+    assert_ne!(out.status.code(), Some(0), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with("error: ") && first.contains("threaded backend cannot honor `faults`"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a refused grid printed a result");
+}
+
 /// A flag the subcommand does not read is refused, not dropped: a typo
 /// must not run the defaults and exit 0.
 #[test]

@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 use tictac::{
     deploy, no_ordering, simulate, simulate_with_plan_observed, tic, tiny_mlp, try_simulate,
-    ClusterSpec, FaultCounters, FaultPlan, FaultSpec, Mode, Registry, RetryPolicy, SchedulerKind,
-    Session, SimConfig, SimDuration, SimError,
+    ClusterSpec, Cost, FaultCounters, FaultEventKind, FaultPlan, FaultSpec, GraphBuilder, Mode,
+    OpKind, Platform, Registry, RetryPolicy, SchedulerKind, Session, SimConfig, SimDuration,
+    SimError, SimTime,
 };
 
 /// A fault spec exercising every fault class at once, with a retry budget
@@ -135,6 +136,47 @@ fn degraded_barrier_defers_work_instead_of_erroring() {
         Err(SimError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 3),
         other => panic!("expected RetriesExhausted, got {other:?}"),
     }
+}
+
+/// The barrier's smallest cut: one op undone, and that op is op 0 (a long
+/// root on the worker; the PS's short root finishes first). The barrier
+/// defers it alone — one `DeferredOp`, then `BarrierDegraded {
+/// remaining: 1 }` — and raises the makespan from the last recorded end
+/// to the barrier instant.
+#[test]
+fn a_barrier_with_one_op_undone_defers_it_and_raises_the_makespan() {
+    // One flop is one nanosecond; nothing else costs time.
+    let (rate, free) = (1e9, SimDuration::ZERO);
+    let platform = Platform::new("unit", rate, rate, rate, free, free);
+    let mut b = GraphBuilder::new();
+    let w = b.add_worker("w0");
+    let ps = b.add_parameter_server("ps0");
+    let slow = b.add_op("slow", w, OpKind::Compute, Cost::flops(100_000.0), &[]);
+    let fast = b.add_op("fast", ps, OpKind::Compute, Cost::flops(10_000.0), &[]);
+    let g = b.build().expect("valid graph");
+    assert_eq!(slow.index(), 0);
+
+    let barrier = SimDuration::from_micros(50);
+    let cfg = SimConfig::deterministic(platform)
+        .with_faults(FaultSpec::none().with_barrier_timeout(barrier));
+    let trace = try_simulate(&g, &no_ordering(&g), &cfg, 0).expect("the barrier absorbs it");
+    let at = SimTime::ZERO + barrier;
+    let fast_end = trace.record(fast).map(|r| r.end);
+    assert_eq!(fast_end, Some(SimTime::ZERO + SimDuration::from_micros(10)));
+    assert_eq!(trace.record(slow), None);
+    let events: Vec<_> = trace
+        .fault_events()
+        .iter()
+        .map(|e| (e.at, e.kind))
+        .collect();
+    assert_eq!(
+        events,
+        [
+            (at, FaultEventKind::DeferredOp { op: slow }),
+            (at, FaultEventKind::BarrierDegraded { remaining: 1 }),
+        ]
+    );
+    assert_eq!(trace.makespan(), barrier);
 }
 
 proptest! {
