@@ -99,8 +99,11 @@ cargo test --offline -q --test golden_traces
 cargo test --offline -q --test perfetto_snapshot
 cargo test --offline -q --test perfetto_fault_snapshot
 # Again as optimised: the build the ledger and every user run, with the
-# engine's `debug_assert!`s compiled out.
+# engine's `debug_assert!`s compiled out — the event queue's no-push-into-
+# the-past check among them, so its proptest against a binary heap runs
+# here too.
 cargo test --offline -q --release --test golden_traces
+cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_heap_pops
 cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
 # The engine's fault rules (agenda, loss ladder, record and barrier

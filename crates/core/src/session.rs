@@ -10,7 +10,9 @@ use tictac_sched::{
 };
 use tictac_sim::{noise_free_profile, FaultCounters, FaultSpec, RunPlan, SimConfig, SimError};
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
-use tictac_timing::{GeneralOracle, MeasuredProfile, NoiseModel, SimDuration, TimeOracle};
+use tictac_timing::{
+    GeneralOracle, MeasuredProfile, NoiseModel, SimDuration, TimeOracle, HORIZON_NS,
+};
 use tictac_trace::{analyze, estimate_profile, ExecutionTrace};
 
 use crate::backend::{ExecutionBackend, SimBackend, TimeDomain};
@@ -242,11 +244,6 @@ impl From<SimError> for ScenarioBuildError {
         ScenarioBuildError::Backend(e)
     }
 }
-
-/// The end of the time axis (DESIGN.md §5): instants and durations below
-/// it are exact as `f64`s, which is what the run store's JSON numbers and
-/// [`noise_free_profile`]'s exactness argument rely on.
-const HORIZON_NS: u64 = 1 << 53;
 
 /// Checks that an iteration of `deployed` fits below [`HORIZON_NS`]: a
 /// noise-free, fault-free iteration takes at most the sum of its ops'

@@ -18,7 +18,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use tictac_graph::{Graph, OpId, OpKind};
 use tictac_obs::{HistogramTally, Registry};
 use tictac_sched::Schedule;
-use tictac_timing::{SimDuration, SimTime};
+use tictac_timing::{SimDuration, SimTime, HORIZON_NS};
 use tictac_trace::{ExecutionTrace, FaultEventKind, TraceBuilder};
 
 /// Simulates one iteration of `graph` under `schedule` and returns its
@@ -53,10 +53,12 @@ pub fn simulate(
 /// # Errors
 ///
 /// Returns [`SimError::ScheduleMismatch`] if `schedule` does not cover
-/// `graph`, [`SimError::RetriesExhausted`] if a transfer runs out of
-/// retransmits with no degraded barrier configured, and
-/// [`SimError::Deadlock`] if the event queue drains with work outstanding
-/// (impossible for builder-validated DAGs without fault injection).
+/// `graph`, [`SimError::RetryPastHorizon`] if the retry policy's worst case
+/// reaches the end of the time axis, [`SimError::RetriesExhausted`] if a
+/// transfer runs out of retransmits with no degraded barrier configured,
+/// and [`SimError::Deadlock`] if the event queue drains with work
+/// outstanding (impossible for builder-validated DAGs without fault
+/// injection).
 pub fn try_simulate(
     graph: &Graph,
     schedule: &Schedule,
@@ -116,6 +118,12 @@ impl RunPlan {
     /// does (the golden-trace fingerprints pin the disabled path, and
     /// `tests/observability.rs` pins enabled-vs-disabled equality).
     ///
+    /// The retry policy is checked here, on `faults`, because that is the
+    /// one the engine reads (sampled plans copy the spec's, hand-built
+    /// ones set their own): a loss-detection timeout lands `timeout_for`
+    /// after the clock, and one that wrapped the clock would put an event
+    /// into the past, which the event queue cannot hold.
+    ///
     /// # Errors
     ///
     /// As [`RunPlan::try_simulate`].
@@ -128,6 +136,10 @@ impl RunPlan {
         registry: &Registry,
     ) -> Result<ExecutionTrace, SimError> {
         debug_assert!(self.covers(graph, schedule), "not this plan's graph");
+        let budget = faults.retry.total_budget();
+        if budget.as_nanos() >= HORIZON_NS {
+            return Err(SimError::RetryPastHorizon { budget });
+        }
         Engine::new(graph, schedule, self, iteration, faults, registry).run()
     }
 }
@@ -238,7 +250,7 @@ impl Tally {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum EventKind {
     /// Op finished on its compute unit (stale if the epoch mismatches).
     ComputeDone(OpId, u32),
@@ -249,6 +261,73 @@ enum EventKind {
     /// An entry of the fault plan's agenda: an availability change or the
     /// degraded barrier's release.
     Fault(Transition),
+}
+
+/// Pending events, popped in ascending `at` and, among equal `at`, in the
+/// order they were pushed — the event order of DESIGN.md §7.3 — with no
+/// stamp stored (§7, *Event queue*, has the argument).
+///
+/// A radix heap over `at`: an entry waits in the bucket named by the
+/// highest bit where its `at` differs from `last`, the last popped
+/// instant, and bucket 0 (the entries at `last`) is popped from the
+/// front. When it runs dry, the lowest occupied bucket is pushed again
+/// around its minimum, which becomes `last`. No push falls below `last`,
+/// so equal instants always share a bucket, and a bucket is only appended
+/// to or emptied, in order, into empty lower buckets: ties leave in push
+/// order.
+#[derive(Debug)]
+struct EventQueue<T> {
+    last: u64,
+    /// `(at, item)` in push order; bucket `b >= 1` holds the entries whose
+    /// highest bit differing from `last` is bit `b - 1`.
+    buckets: [Vec<(u64, T)>; 65],
+    /// The next entry of bucket 0 to pop.
+    head: usize,
+    /// Bit `b - 1` is set when bucket `b` holds an entry.
+    occupied: u64,
+}
+
+impl<T: Copy> EventQueue<T> {
+    fn new() -> Self {
+        Self {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            head: 0,
+            occupied: 0,
+        }
+    }
+
+    fn push(&mut self, at: u64, item: T) {
+        debug_assert!(at >= self.last, "event scheduled into the past");
+        let b = (u64::BITS - (at ^ self.last).leading_zeros()) as usize;
+        self.buckets[b].push((at, item));
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, T)> {
+        if self.head == self.buckets[0].len() {
+            if self.occupied == 0 {
+                return None;
+            }
+            self.buckets[0].clear();
+            self.head = 0;
+            let b = self.occupied.trailing_zeros() as usize + 1;
+            self.occupied &= self.occupied - 1;
+            let mut spill = std::mem::take(&mut self.buckets[b]);
+            self.last = spill.iter().map(|e| e.0).min().expect("occupied");
+            for &(at, item) in &spill {
+                self.push(at, item);
+            }
+            // Keep the allocation: nothing lands in bucket `b` now.
+            spill.clear();
+            self.buckets[b] = spill;
+        }
+        let entry = self.buckets[0][self.head];
+        self.head += 1;
+        Some(entry)
+    }
 }
 
 /// Per-device ready set under the ready-queue rule of §3.1: the pick
@@ -498,10 +577,8 @@ struct Engine<'g> {
     plan: &'g FaultPlan,
 
     clock: SimTime,
-    /// Pending events `(at, seq, kind)`, popped in ascending `(at, seq)`;
-    /// `seq` is unique, so `kind` never decides a comparison.
-    events: BinaryHeap<Reverse<(u64, u64, EventKind)>>,
-    seq: u64,
+    /// Pending events, popped in ascending `at`, ties in scheduling order.
+    events: EventQueue<EventKind>,
 
     indegree: Vec<u32>,
     done: Vec<bool>,
@@ -597,8 +674,7 @@ impl<'g> Engine<'g> {
             rng,
             plan,
             clock: SimTime::ZERO,
-            events: BinaryHeap::with_capacity(graph.devices().len() + graph.channels().len()),
-            seq: 0,
+            events: EventQueue::new(),
             indegree: run.indegree.clone(),
             done: vec![false; n],
             started_at: vec![SimTime::ZERO; n],
@@ -660,7 +736,7 @@ impl<'g> Engine<'g> {
         self.pump();
 
         while self.remaining > 0 {
-            let Some(Reverse((at, _seq, kind))) = self.events.pop() else {
+            let Some((at, kind)) = self.events.pop() else {
                 break;
             };
             if let Some(t) = &mut self.tally {
@@ -751,9 +827,7 @@ impl<'g> Engine<'g> {
     }
 
     fn schedule_event(&mut self, at: SimTime, kind: EventKind) {
-        debug_assert!(at >= self.clock, "event scheduled into the past");
-        self.seq += 1;
-        self.events.push(Reverse((at.as_nanos(), self.seq, kind)));
+        self.events.push(at.as_nanos(), kind);
     }
 
     /// Routes an op whose dependencies are all satisfied.
@@ -1270,6 +1344,55 @@ mod tests {
                 }
             }
         }
+
+        /// Pushes at the last popped instant (also while entries of that
+        /// instant are still queued), bursts of one instant and gaps up to
+        /// 2^53 ns, in phases that fill the queue and drain it past empty:
+        /// every pop returns what a binary heap over `(at, seq)` returns,
+        /// `None` included.
+        #[test]
+        fn event_queue_pops_what_the_heap_pops(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut q = EventQueue::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let (mut now, mut seq, mut mid_drain) = (0, 0, 0);
+            // At most 2 000 distinct instants, each at most 2^53 past the
+            // last: no instant overflows.
+            for step in 0..2000 {
+                let filling = step / 250 % 2 == 0;
+                if rng.gen_range(0..5) < if filling { 4 } else { 1 } {
+                    let gap = match rng.gen_range(0..4) {
+                        0 => 0,
+                        1 => rng.gen_range(1..64),
+                        _ => {
+                            let bits = rng.gen_range(0..=53);
+                            rng.gen_range(0..=1u64 << bits)
+                        }
+                    };
+                    if gap == 0 && heap.peek().is_some_and(|Reverse(e)| e.0 == now) {
+                        mid_drain += 1;
+                    }
+                    let burst = if rng.gen_range(0..4) == 0 { rng.gen_range(2..8) } else { 1 };
+                    for _ in 0..burst {
+                        seq += 1;
+                        q.push(now + gap, seq);
+                        heap.push(Reverse((now + gap, seq)));
+                    }
+                } else {
+                    let want = heap.pop().map(|Reverse(e)| e);
+                    prop_assert_eq!(q.pop(), want, "step {}", step);
+                    now = want.map_or(now, |e| e.0);
+                }
+            }
+            loop {
+                let want = heap.pop().map(|Reverse(e)| e);
+                prop_assert_eq!(q.pop(), want);
+                if want.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(mid_drain > 0, "no push landed on an instant being drained");
+        }
     }
 
     /// Four ops whose completions share the instant 100 us — `c` on the
@@ -1319,16 +1442,17 @@ mod tests {
         order.map(|(_, name)| name)
     }
 
-    /// Equal-`at` completions are processed in schedule (`seq`) order,
-    /// including those the drain of that instant schedules itself.
+    /// Equal-`at` completions are processed in the order they were
+    /// scheduled, including those the drain of that instant schedules
+    /// itself.
     #[test]
     fn same_instant_completions_run_in_schedule_order() {
         assert_eq!(same_instant_order(100_000.0, None), ["c", "r", "a", "z"]);
     }
 
     /// A 40 us stall at 20 us moves `c`'s completion from 60 to 100 us and
-    /// re-schedules it: it now runs after `r`, by its new `seq`, and still
-    /// before what the drain adds.
+    /// re-schedules it: it now runs after `r`, scheduled before it was, and
+    /// still before what the drain adds.
     #[test]
     fn stall_rescheduled_completion_takes_its_new_place_in_the_instant() {
         let order = same_instant_order(60_000.0, Some((20_000, 60_000)));

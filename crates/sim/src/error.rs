@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 use tictac_graph::OpId;
-use tictac_timing::SimTime;
+use tictac_timing::{SimDuration, SimTime};
 
 /// Why an iteration could not produce a complete trace, on either
 /// executor.
@@ -37,6 +37,13 @@ pub enum SimError {
         attempts: u32,
         /// When the final timeout fired, in virtual time.
         at: SimTime,
+    },
+    /// The fault plan's retry policy can keep one transfer waiting for
+    /// `budget`, at or past the 2^53 ns end of the time axis: its
+    /// loss-detection timeouts would be scheduled past it.
+    RetryPastHorizon {
+        /// The policy's worst case, `RetryPolicy::total_budget`.
+        budget: SimDuration,
     },
     /// The threaded runtime's watchdog expired with work outstanding (a
     /// wedged thread or an impossible schedule).
@@ -84,6 +91,11 @@ impl fmt::Display for SimError {
             SimError::RetriesExhausted { op, attempts, at } => write!(
                 f,
                 "transfer {op} exhausted its retry budget ({attempts} attempts) at {at}"
+            ),
+            SimError::RetryPastHorizon { budget } => write!(
+                f,
+                "the retry policy can spend {budget} on one transfer, reaching the \
+                 2^53 ns (104-day) horizon of the time axis"
             ),
             SimError::Stalled {
                 completed,
@@ -134,6 +146,10 @@ mod tests {
         };
         assert!(e.to_string().contains("retry budget"));
         assert!(std::error::Error::source(&e).is_none());
+        let e = SimError::RetryPastHorizon {
+            budget: SimDuration::from_nanos(u64::MAX),
+        };
+        assert!(e.to_string().contains("2^53 ns"));
         let e = SimError::Stalled {
             completed: 1,
             remaining: 2,

@@ -416,7 +416,7 @@ impl FaultPlan {
     /// its window's end.
     ///
     /// The event engine schedules the list as it comes, so plan order is
-    /// its `(at, seq)` order. A quiet plan yields nothing and allocates
+    /// the order its entries of one instant are processed in. A quiet plan yields nothing and allocates
     /// nothing.
     pub(crate) fn agenda(&self) -> impl Iterator<Item = (SimTime, Transition)> + '_ {
         let blackouts = self
@@ -484,7 +484,7 @@ impl FaultPlan {
 }
 
 /// One entry of a [`FaultPlan`]'s agenda.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Transition {
     BlackoutStart {
         channel: ChannelId,

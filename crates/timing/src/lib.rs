@@ -32,4 +32,4 @@ pub use noise::NoiseModel;
 pub use oracle::{CostOracle, GeneralOracle, MeasuredProfile, TimeOracle};
 pub use platform::Platform;
 pub use retry::RetryPolicy;
-pub use time::{SimDuration, SimTime};
+pub use time::{SimDuration, SimTime, HORIZON_NS};

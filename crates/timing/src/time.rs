@@ -4,6 +4,11 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
+/// The end of the time axis (DESIGN.md §5): instants and durations below
+/// it are exact as `f64`s. Configurations that could carry an iteration
+/// to it are refused where they enter, not checked per event.
+pub const HORIZON_NS: u64 = 1 << 53;
+
 /// A span of virtual time, in nanoseconds.
 ///
 /// All simulator and oracle arithmetic is integral to keep results exactly

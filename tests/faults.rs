@@ -138,6 +138,64 @@ fn degraded_barrier_defers_work_instead_of_erroring() {
     }
 }
 
+/// A retry policy whose timeouts can add up to the 2^53 ns end of the time
+/// axis is refused before anything is simulated, in debug and release
+/// builds alike. Its last timeout saturates at `u64::MAX` ns, which used to
+/// overflow the clock (debug) or wrap it into the past (release: the
+/// failure named an instant before the clock). One nanosecond inside the
+/// horizon still runs, and fails as the loss ladder says.
+#[test]
+fn a_retry_budget_reaching_the_horizon_is_a_typed_error() {
+    let model = tiny_mlp(Mode::Training, 8);
+    let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+    let s = no_ordering(d.graph());
+    let faulty = |retry| {
+        SimConfig::cloud_gpu().with_faults(FaultSpec::none().with_drop_prob(1.0).with_retry(retry))
+    };
+    let huge = RetryPolicy::grpc_default().with_backoff(1e6);
+    let refused = |e: Option<SimError>| match e {
+        Some(SimError::RetryPastHorizon { budget }) => budget,
+        other => panic!("expected RetryPastHorizon, got {other:?}"),
+    };
+    assert_eq!(
+        refused(try_simulate(d.graph(), &s, &faulty(huge), 0).err()),
+        SimDuration::from_nanos(u64::MAX)
+    );
+
+    // A session builds and reports it from its run; an explicit plan
+    // carrying the policy is refused the same way.
+    let session = Session::builder(model)
+        .cluster(ClusterSpec::new(2, 1))
+        .config(faulty(huge))
+        .scheduler(SchedulerKind::Baseline)
+        .warmup(0)
+        .iterations(1)
+        .build()
+        .unwrap();
+    refused(session.try_run().err());
+    let mut plan = FaultPlan::quiet();
+    plan.retry = huge;
+    let cfg = SimConfig::cloud_gpu();
+    refused(
+        simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &plan, &Registry::disabled()).err(),
+    );
+
+    let horizon = SimDuration::from_nanos(1 << 53);
+    let at_horizon = RetryPolicy::fixed(horizon, 0);
+    assert_eq!(
+        refused(try_simulate(d.graph(), &s, &faulty(at_horizon), 0).err()),
+        horizon
+    );
+    let inside = RetryPolicy::fixed(SimDuration::from_nanos((1 << 53) - 1), 0);
+    match try_simulate(d.graph(), &s, &faulty(inside), 0) {
+        Err(SimError::RetriesExhausted { attempts, at, .. }) => {
+            assert_eq!(attempts, 1);
+            assert!(at >= SimTime::ZERO + SimDuration::from_nanos((1 << 53) - 1));
+        }
+        other => panic!("expected RetriesExhausted, got {other:?}"),
+    }
+}
+
 /// The barrier's smallest cut: one op undone, and that op is op 0 (a long
 /// root on the worker; the PS's short root finishes first). The barrier
 /// defers it alone — one `DeferredOp`, then `BarrierDegraded {

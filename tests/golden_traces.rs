@@ -208,8 +208,8 @@ fn golden_overlapping_outages() {
 }
 
 /// Deterministic timing on identical workers: hundreds of completions
-/// share a timestamp, so the event queue's `seq` tie-break — not `at` —
-/// decides the pop order, and under the baseline schedule every RNG pick
+/// share a timestamp, so the event queue's tie order — the order events
+/// were scheduled in, not `at` — decides the pop order, and under the baseline schedule every RNG pick
 /// depends on it. The noisy goldens above almost never see a tie.
 #[test]
 fn golden_deterministic_ties() {
