@@ -775,6 +775,74 @@ fn fusion_groups(units: &[Unit], shard_of: &[usize], fusion: Option<u64>) -> Vec
     out
 }
 
+/// What `deploy` decides before it adds an op: the partition pass's
+/// transfer units, each unit's shard, the fusion pass's groups and each
+/// model parameter's gradient producers (none for inference).
+struct Lowering {
+    units: Vec<Unit>,
+    shard_of: Vec<usize>,
+    groups: Vec<TransferGroup>,
+    grad_producers: Vec<Vec<usize>>,
+}
+
+impl Lowering {
+    fn new(model: &ModelGraph, spec: &ClusterSpec) -> Result<Self, DeployError> {
+        // Partition pass: lower parameters to transfer units before
+        // sharding, so chunks of one split tensor can land on different
+        // shards.
+        let units = transfer_units(model, spec.comm);
+        if spec.parameter_servers > units.len() {
+            return Err(DeployError::ShardsExceedParams {
+                shards: spec.parameter_servers,
+                params: units.len(),
+            });
+        }
+        let unit_bytes: Vec<u64> = units.iter().map(|u| u.bytes).collect();
+        let shard_of = spec
+            .sharding
+            .assign_weighted(&unit_bytes, spec.parameter_servers);
+        // Fusion pass: group small same-shard transfers.
+        let groups = fusion_groups(&units, &shard_of, spec.comm.fusion_bytes);
+        // Gradient producers per parameter, computed once for all workers
+        // (this was previously an O(params × ops) rescan per worker).
+        let mut grad_producers: Vec<Vec<usize>> = vec![Vec::new(); model.params().len()];
+        if model.is_training() {
+            for (id, mop) in model.ops_enumerated() {
+                for g in mop.produces_grads() {
+                    grad_producers[g.index()].push(id.index());
+                }
+            }
+        }
+        Ok(Self {
+            units,
+            shard_of,
+            groups,
+            grad_producers,
+        })
+    }
+
+    /// Exactly the number of ops `deploy` adds on `workers` workers, its
+    /// builder's capacity: a read per unit; per worker a send and a recv
+    /// per group, the replica's compute ops, and a gradient send and recv
+    /// per group that carries a gradient; then an aggregate and an update
+    /// per unit that has one.
+    fn op_count(&self, model: &ModelGraph, workers: usize) -> usize {
+        let has_grad = |u: usize| !self.grad_producers[self.units[u].param].is_empty();
+        let grad_groups = self
+            .groups
+            .iter()
+            .filter(|g| match g {
+                TransferGroup::Solo(u) => has_grad(*u),
+                TransferGroup::Fused { members, .. } => members.iter().any(|&m| has_grad(m)),
+            })
+            .count();
+        let grad_units = (0..self.units.len()).filter(|&u| has_grad(u)).count();
+        self.units.len()
+            + workers * (2 * self.groups.len() + model.ops().len() + 2 * grad_groups)
+            + 2 * grad_units
+    }
+}
+
 /// Deploys `model` onto a cluster of the given shape.
 ///
 /// # Errors
@@ -792,21 +860,14 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         return Err(DeployError::NoParameters);
     }
     spec.comm.validate()?;
-
-    // Partition pass: lower parameters to transfer units before sharding,
-    // so chunks of one split tensor can land on different shards.
-    let units = transfer_units(model, spec.comm);
-    if spec.parameter_servers > units.len() {
-        return Err(DeployError::ShardsExceedParams {
-            shards: spec.parameter_servers,
-            params: units.len(),
-        });
-    }
-
-    let mut b = GraphBuilder::with_capacity(
-        spec.workers * (model.ops().len() + 2 * units.len())
-            + spec.parameter_servers * 5 * units.len(),
-    );
+    let lowering = Lowering::new(model, spec)?;
+    let mut b = GraphBuilder::with_capacity(lowering.op_count(model, spec.workers));
+    let Lowering {
+        units,
+        shard_of,
+        groups,
+        grad_producers,
+    } = lowering;
 
     // Devices and channels.
     let workers: Vec<DeviceId> = (0..spec.workers)
@@ -836,14 +897,10 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         }
     }
 
-    // Units and shards. Parameter and model-op names are interned once up
-    // front; every op below carries a compact structured `OpName` instead
-    // of a freshly formatted `String` — this loop used to be the
+    // Parameters and names. Parameter and model-op names are interned once
+    // up front; every op below carries a compact structured `OpName`
+    // instead of a freshly formatted `String` — this loop used to be the
     // allocation hot spot of the whole deployment.
-    let unit_bytes: Vec<u64> = units.iter().map(|u| u.bytes).collect();
-    let shard_of = spec
-        .sharding
-        .assign_weighted(&unit_bytes, spec.parameter_servers);
     let params: Vec<ParamId> = units
         .iter()
         .map(|u| {
@@ -865,20 +922,6 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
     let mut param_units: Vec<Vec<usize>> = vec![Vec::new(); model.params().len()];
     for (u, unit) in units.iter().enumerate() {
         param_units[unit.param].push(u);
-    }
-
-    // Fusion pass: group small same-shard transfers.
-    let groups = fusion_groups(&units, &shard_of, spec.comm.fusion_bytes);
-
-    // Gradient producers per parameter, computed once for all workers
-    // (this was previously an O(params × ops) rescan per worker).
-    let mut grad_producers: Vec<Vec<usize>> = vec![Vec::new(); model.params().len()];
-    if model.is_training() {
-        for (id, mop) in model.ops_enumerated() {
-            for g in mop.produces_grads() {
-                grad_producers[g.index()].push(id.index());
-            }
-        }
     }
 
     // PS-side read ops (one per transfer unit, shared by all workers).
@@ -1390,6 +1433,39 @@ mod tests {
             }
         );
         assert!(deploy(&model, &ClusterSpec::new(2, 4)).is_ok());
+    }
+
+    /// `deploy` reserves exactly the ops it adds: every zoo model, training
+    /// and inference, at 1 × 1, 8 × 2 and 256 × 8, and vgg_16 under the
+    /// `comm:` block of `examples/scenarios/autotune.yml` (partition and
+    /// fusion passes).
+    #[test]
+    fn capacity_hint_is_the_op_count() {
+        use tictac_models::Model;
+        let mut cases = Vec::new();
+        for model in Model::ALL {
+            for mode in [Mode::Training, Mode::Inference] {
+                let graph = model.build(mode);
+                for (w, s) in [(1, 1), (8, 2), (256, 8)] {
+                    cases.push((graph.clone(), ClusterSpec::new(w, s)));
+                }
+            }
+        }
+        let comm = CommConfig::default()
+            .with_partition_bytes(Some(4 << 20))
+            .with_fusion_bytes(Some(64 << 10));
+        cases.push((
+            Model::Vgg16.build(Mode::Training),
+            ClusterSpec::new(4, 2).with_comm(comm),
+        ));
+        for (model, spec) in &cases {
+            let planned = Lowering::new(model, spec)
+                .unwrap()
+                .op_count(model, spec.workers);
+            let built = deploy(model, spec).unwrap().graph().len();
+            let shape = (spec.workers, spec.parameter_servers);
+            assert_eq!(planned, built, "{} at {shape:?}", model.name());
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::ids::{ChannelId, DeviceId, OpId, ParamId};
 use crate::name::{NameId, NameTable, OpName};
 use crate::op::{Cost, Op, OpKind};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Builder for [`Graph`].
 ///
@@ -275,64 +276,24 @@ impl GraphBuilder {
     /// a channel whose endpoints are not a worker–PS pair, a communication op
     /// on a device its channel does not connect, or duplicate op names.
     pub fn build(self) -> Result<Graph, GraphError> {
-        // Validate channel endpoints.
-        for ch in &self.channels {
-            let (worker, ps) = (ch.worker(), ch.ps());
-            let endpoints_ok = self
-                .devices
-                .get(worker.index())
-                .is_some_and(Device::is_worker)
-                && self
-                    .devices
-                    .get(ps.index())
-                    .is_some_and(Device::is_parameter_server);
-            if !endpoints_ok {
-                return Err(GraphError::InvalidChannelEndpoints { worker, ps });
-            }
-        }
+        check_parts(
+            &self.ops,
+            &self.pred_edges,
+            &self.pred_offsets,
+            &self.devices,
+            &self.channels,
+            self.params.len(),
+            &self.names,
+        )?;
+        let graph = self.assemble();
+        crate::topo::check_acyclic(&graph)?;
+        Ok(graph)
+    }
 
-        // Validate op references and name uniqueness. Names are compared
-        // structurally (the interner dedups raw strings, so two identical
-        // string names collide here exactly as before); a raw name that
-        // *renders* like a structured one is not flagged — deployment only
-        // emits structured names and hand-built graphs only raw ones.
-        let mut names = HashSet::with_capacity(self.ops.len());
-        for (i, op) in self.ops.iter().enumerate() {
-            let id = OpId::from_index(i);
-            if op.device.index() >= self.devices.len() {
-                return Err(GraphError::UnknownDevice(op.device));
-            }
-            if let Some(ch) = op.kind.channel() {
-                if ch.index() >= self.channels.len() {
-                    return Err(GraphError::UnknownChannel(ch));
-                }
-                if !self.channels[ch.index()].connects(op.device) {
-                    return Err(GraphError::ChannelMismatch {
-                        op: id,
-                        device: op.device,
-                        channel: ch,
-                    });
-                }
-            }
-            if let Some(p) = op.kind.param() {
-                if p.index() >= self.params.len() {
-                    return Err(GraphError::UnknownParam(p));
-                }
-            }
-            let (s, e) = (
-                self.pred_offsets[i] as usize,
-                self.pred_offsets[i + 1] as usize,
-            );
-            for &pr in &self.pred_edges[s..e] {
-                if pr.index() >= self.ops.len() {
-                    return Err(GraphError::UnknownOp(pr));
-                }
-            }
-            if !names.insert(op.name) {
-                return Err(GraphError::DuplicateOpName(op.name.render(&self.names)));
-            }
-        }
-
+    /// The graph these parts make, unchecked: [`build`](Self::build)
+    /// without its validation. Every id must be in bounds, as the edge
+    /// arenas are indexed by them.
+    fn assemble(self) -> Graph {
         // Derive the successor and device CSRs by counting sort: both come
         // out sorted by op id, as per-op pushes would produce.
         let n = self.ops.len();
@@ -369,7 +330,7 @@ impl GraphBuilder {
             channel_bandwidths.resize(self.channels.len(), 1.0);
         }
 
-        let graph = Graph {
+        Graph {
             ops: self.ops,
             pred_edges: self.pred_edges,
             pred_offsets: self.pred_offsets,
@@ -386,11 +347,7 @@ impl GraphBuilder {
             rendered: std::sync::OnceLock::new(),
             name_index: std::sync::OnceLock::new(),
             structured_index: std::sync::OnceLock::new(),
-        };
-
-        // Acyclicity.
-        crate::topo::topo_order(&graph)?;
-        Ok(graph)
+        }
     }
 }
 
@@ -418,9 +375,117 @@ fn csr(
     (edges, offsets)
 }
 
+/// The checks [`GraphBuilder::build`] and [`Graph::check`] share, reported
+/// in this order: channel endpoints, then op by op in id order its device,
+/// channel, parameter, predecessors and name.
+///
+/// Names are compared structurally (the interner dedups raw strings, so two
+/// identical string names collide here exactly as before); a raw name that
+/// *renders* like a structured one is not flagged — deployment only emits
+/// structured names and hand-built graphs only raw ones.
+pub(crate) fn check_parts(
+    ops: &[Op],
+    pred_edges: &[OpId],
+    pred_offsets: &[u32],
+    devices: &[Device],
+    channels: &[Channel],
+    params: usize,
+    names: &NameTable,
+) -> Result<(), GraphError> {
+    for ch in channels {
+        let (worker, ps) = (ch.worker(), ch.ps());
+        let endpoints_ok = devices.get(worker.index()).is_some_and(Device::is_worker)
+            && devices
+                .get(ps.index())
+                .is_some_and(Device::is_parameter_server);
+        if !endpoints_ok {
+            return Err(GraphError::InvalidChannelEndpoints { worker, ps });
+        }
+    }
+    let mut seen: HashSet<OpName, BuildHasherDefault<NameHasher>> =
+        HashSet::with_capacity_and_hasher(ops.len(), BuildHasherDefault::default());
+    for (i, op) in ops.iter().enumerate() {
+        if op.device.index() >= devices.len() {
+            return Err(GraphError::UnknownDevice(op.device));
+        }
+        if let Some(ch) = op.kind.channel() {
+            if ch.index() >= channels.len() {
+                return Err(GraphError::UnknownChannel(ch));
+            }
+            if !channels[ch.index()].connects(op.device) {
+                return Err(GraphError::ChannelMismatch {
+                    op: OpId::from_index(i),
+                    device: op.device,
+                    channel: ch,
+                });
+            }
+        }
+        if let Some(p) = op.kind.param() {
+            if p.index() >= params {
+                return Err(GraphError::UnknownParam(p));
+            }
+        }
+        let deps = &pred_edges[pred_offsets[i] as usize..pred_offsets[i + 1] as usize];
+        if let Some(&pr) = deps.iter().find(|pr| pr.index() >= ops.len()) {
+            return Err(GraphError::UnknownOp(pr));
+        }
+        if !seen.insert(op.name) {
+            return Err(GraphError::DuplicateOpName(op.name.render(names)));
+        }
+    }
+    Ok(())
+}
+
+/// A word-at-a-time multiplicative hasher (FxHash's mix) for the name
+/// check: an [`OpName`] hashes as two to six small integers, which SipHash
+/// spends most of its time on. The keys are program-made (structured fields
+/// and interner indices handed out in order), so no input from outside the
+/// program picks them, and SipHash's resistance to crafted collisions buys
+/// nothing here.
+#[derive(Default)]
+struct NameHasher(u64);
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's well-mixed bits are its high ones; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topo;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn rejects_cycles() {
@@ -514,5 +579,112 @@ mod tests {
         assert_eq!(g.param(p).ps(), Some(ps));
         assert_eq!(g.param(p).bytes(), 64);
         assert_eq!(g.param(p).name(), "p");
+    }
+
+    /// A random builder graph: `n` compute ops on one worker, each
+    /// depending on a random subset of the earlier ones; `back` edges added
+    /// afterwards with `add_dep`, each from an op to one at or before it
+    /// (self-loops included); and up to `renames` ops renamed after an
+    /// earlier one.
+    struct Drawn {
+        names: Vec<String>,
+        preds: Vec<Vec<usize>>,
+        back: Vec<(usize, usize)>,
+    }
+
+    impl Drawn {
+        fn new(seed: u64, n: usize, back: usize, renames: usize) -> Self {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut names: Vec<String> = (0..n).map(|i| format!("op{i}")).collect();
+            for _ in 0..renames {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                names[a.max(b)] = names[a.min(b)].clone();
+            }
+            let preds = (0..n)
+                .map(|i| (0..i).filter(|_| rng.gen_range(0..4) == 0).collect())
+                .collect();
+            let back = (0..back)
+                .map(|_| {
+                    let to = rng.gen_range(0..n);
+                    (rng.gen_range(to..n), to)
+                })
+                .collect();
+            Self { names, preds, back }
+        }
+
+        fn builder(&self) -> GraphBuilder {
+            let mut b = GraphBuilder::new();
+            let w = b.add_worker("w0");
+            let mut ids: Vec<OpId> = Vec::new();
+            for (name, preds) in self.names.iter().zip(&self.preds) {
+                let deps: Vec<OpId> = preds.iter().map(|&p| ids[p]).collect();
+                ids.push(b.add_op(name, w, OpKind::Compute, Cost::ZERO, &deps));
+            }
+            for &(from, to) in &self.back {
+                b.add_dep(ids[from], ids[to]);
+            }
+            b
+        }
+
+        /// The naive acyclicity reference: remove every op whose
+        /// predecessors are all removed, rescanning until nothing changes,
+        /// and name the lowest-index op left.
+        fn cycle(&self) -> Result<(), GraphError> {
+            let n = self.names.len();
+            let mut preds = self.preds.clone();
+            for &(from, to) in &self.back {
+                preds[to].push(from);
+            }
+            let mut removed = vec![false; n];
+            loop {
+                let ready: Vec<usize> = (0..n)
+                    .filter(|&i| !removed[i] && preds[i].iter().all(|&p| removed[p]))
+                    .collect();
+                if ready.is_empty() {
+                    break;
+                }
+                for i in ready {
+                    removed[i] = true;
+                }
+            }
+            match removed.iter().position(|&r| !r) {
+                Some(i) => Err(GraphError::Cycle(OpId::from_index(i))),
+                None => Ok(()),
+            }
+        }
+
+        /// The naive reference for the whole check: the first name, in op
+        /// order, that was already seen; else [`cycle`](Self::cycle).
+        fn validation(&self) -> Result<(), GraphError> {
+            for (i, name) in self.names.iter().enumerate() {
+                if self.names[..i].contains(name) {
+                    return Err(GraphError::DuplicateOpName(name.clone()));
+                }
+            }
+            self.cycle()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `build`, `Graph::check`, `is_acyclic` and `topo_order` report
+        /// what the naive references report, on graphs with and without
+        /// back-edges and duplicate names.
+        #[test]
+        fn validation_errors_match_the_naive_reference(
+            seed in any::<u64>(),
+            n in 1usize..40,
+            back in 0usize..4,
+            renames in 0usize..3,
+        ) {
+            let drawn = Drawn::new(seed, n, back, renames);
+            let want = drawn.validation();
+            prop_assert_eq!(drawn.builder().build().map(|_| ()), want.clone());
+            let graph = drawn.builder().assemble();
+            prop_assert_eq!(graph.check(), want);
+            prop_assert_eq!(topo::is_acyclic(&graph), drawn.cycle().is_ok());
+            prop_assert_eq!(topo::topo_order(&graph).map(|_| ()), drawn.cycle());
+        }
     }
 }

@@ -344,44 +344,28 @@ impl Graph {
         self.ops.iter().filter(|op| pred(op)).count()
     }
 
-    /// Verifies structural invariants (debug aid; builder-validated graphs
-    /// always pass).
+    /// Verifies what [`GraphBuilder::build`](crate::GraphBuilder::build)
+    /// checks, in the same order: channel endpoints, ids in bounds, channel
+    /// placement, name uniqueness, acyclicity (debug aid; builder-validated
+    /// graphs always pass).
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant as a [`GraphError`].
+    /// Returns the first violated invariant as a [`GraphError`], the one
+    /// `build` reports.
     ///
     /// [`GraphError`]: crate::GraphError
     pub fn check(&self) -> Result<(), crate::GraphError> {
-        use crate::GraphError;
-        for (id, op) in self.ops() {
-            if op.device().index() >= self.devices.len() {
-                return Err(GraphError::UnknownDevice(op.device()));
-            }
-            if let Some(ch) = op.kind().channel() {
-                if ch.index() >= self.channels.len() {
-                    return Err(GraphError::UnknownChannel(ch));
-                }
-                if !self.channel(ch).connects(op.device()) {
-                    return Err(GraphError::ChannelMismatch {
-                        op: id,
-                        device: op.device(),
-                        channel: ch,
-                    });
-                }
-            }
-            if let Some(p) = op.kind().param() {
-                if p.index() >= self.params.len() {
-                    return Err(GraphError::UnknownParam(p));
-                }
-            }
-            for &pr in self.preds(id) {
-                if pr.index() >= self.ops.len() {
-                    return Err(GraphError::UnknownOp(pr));
-                }
-            }
-        }
-        crate::topo::topo_order(self).map(|_| ())
+        crate::builder::check_parts(
+            &self.ops,
+            &self.pred_edges,
+            &self.pred_offsets,
+            &self.devices,
+            &self.channels,
+            self.params.len(),
+            &self.names,
+        )?;
+        crate::topo::check_acyclic(self)
     }
 }
 

@@ -10,12 +10,12 @@
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::faults::{close_at_barrier, darkened_by_crash, AfterLoss, FaultPlan, Transition};
-use crate::plan::{RunPlan, TransferTable};
+use crate::plan::{Route, RunPlan, TransferTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use tictac_graph::{Graph, OpId, OpKind};
+use tictac_graph::{Graph, OpId};
 use tictac_obs::{HistogramTally, Registry};
 use tictac_sched::Schedule;
 use tictac_timing::{SimDuration, SimTime, HORIZON_NS};
@@ -247,6 +247,16 @@ impl Tally {
                 idle[c].set(makespan.as_nanos().saturating_sub(t.busy_ns) as f64);
             }
         }
+    }
+
+    /// Counts a transfer of `recv` that finished on channel `ch` after
+    /// `busy` on the wire. Its payload is read off the graph here, by the
+    /// observer; the engine's own paths route by the plan's columns.
+    fn transfer_done(&mut self, graph: &Graph, ch: usize, recv: OpId, busy: SimDuration) {
+        let chan = &mut self.chans[ch];
+        chan.bytes += graph.op(recv).cost().bytes;
+        chan.transfers += 1;
+        chan.busy_ns += busy.as_nanos();
     }
 }
 
@@ -569,6 +579,8 @@ struct Engine<'g> {
     schedule: &'g Schedule,
     /// Noise-free service time per op (the plan's column).
     service: &'g [SimDuration],
+    /// Where each op goes and what it holds (the plan's column).
+    route: &'g [Route],
     noise: tictac_timing::NoiseModel,
     reorder_error: f64,
     enforcement: bool,
@@ -667,6 +679,7 @@ impl<'g> Engine<'g> {
             graph,
             schedule,
             service: &run.service,
+            route: &run.route,
             noise: config.noise,
             reorder_error: config.reorder_error,
             enforcement: config.enforcement,
@@ -832,32 +845,31 @@ impl<'g> Engine<'g> {
 
     /// Routes an op whose dependencies are all satisfied.
     fn dispatch(&mut self, op: OpId) {
-        match self.graph.op(op).kind() {
-            OpKind::Send { .. } => self.try_handoff(op),
-            OpKind::Recv { .. } => {
+        match self.route[op.index()] {
+            Route::Send(ch) => self.try_handoff(op, ch as usize),
+            Route::Recv(ch) => {
                 // Handed to the network (its send completed): queue the
                 // transfer on its channel, carrying the sender's rank.
-                let ch = self.transfers.chan[op.index()] as usize;
+                let ch = ch as usize;
                 self.chan_queue[ch].push(op, self.transfers.recv_rank[op.index()]);
                 self.dirty_channels.mark(ch);
             }
-            _ => {
-                let dev = self.graph.op(op).device().index();
+            Route::Compute(dev) => {
+                let dev = dev as usize;
                 self.compute_ready[dev].push(op, self.schedule.priority(op));
                 self.dirty_devices.mark(dev);
             }
         }
     }
 
-    /// Sender-side enforcement: a ranked transfer is handed to the channel
-    /// only when its channel counter reaches its rank (§5.1).
-    fn try_handoff(&mut self, send: OpId) {
-        let ch = self.transfers.chan[send.index()] as usize;
+    /// Sender-side enforcement: a ranked transfer is handed to channel `ch`
+    /// only when the channel's counter reaches its rank (§5.1).
+    fn try_handoff(&mut self, send: OpId, ch: usize) {
         match self.transfers.rank[send.index()] {
             Some(r) if self.enforcement && !self.gate[ch].admits(r) => {
                 self.gate[ch].block(r, send);
             }
-            _ => self.complete_send(send),
+            _ => self.complete_send(send, ch),
         }
     }
 
@@ -868,13 +880,13 @@ impl<'g> Engine<'g> {
     /// interval to both endpoints once the wire time is known (TF's tracer
     /// likewise reports transfer time at the send op), so recording happens
     /// in [`on_transfer_done`](Self::on_transfer_done).
-    fn complete_send(&mut self, send: OpId) {
+    fn complete_send(&mut self, send: OpId, ch: usize) {
+        // Every send the gate releases is one of `ch`'s.
         let mut next = Some(send);
         while let Some(s) = next.take() {
             self.mark_done(s);
             if let Some(r) = self.transfers.rank[s.index()] {
                 if self.enforcement {
-                    let ch = self.transfers.chan[s.index()] as usize;
                     next = self.gate[ch].advance(r);
                 }
             }
@@ -1007,7 +1019,7 @@ impl<'g> Engine<'g> {
     }
 
     fn on_compute_done(&mut self, op: OpId) {
-        let dev = self.graph.op(op).device().index();
+        let dev = self.route[op.index()].index();
         self.compute_busy[dev] = false;
         self.inflight_compute[dev] = None;
         self.dirty_devices.mark(dev);
@@ -1022,16 +1034,13 @@ impl<'g> Engine<'g> {
     }
 
     fn on_transfer_done(&mut self, recv: OpId) {
-        let ch = self.transfers.chan[recv.index()] as usize;
+        let ch = self.route[recv.index()].index();
         self.chan_busy[ch] = false;
         self.inflight_recv[ch] = None;
         self.dirty_channels.mark(ch);
         let start = self.started_at[recv.index()];
         if let Some(t) = &mut self.tally {
-            let chan = &mut t.chans[ch];
-            chan.bytes += self.graph.op(recv).cost().bytes;
-            chan.transfers += 1;
-            chan.busy_ns += self.clock.duration_since(start).as_nanos();
+            t.transfer_done(self.graph, ch, recv, self.clock.duration_since(start));
         }
         self.transfers
             .record(&mut self.trace, recv, start, self.clock);
@@ -1041,7 +1050,7 @@ impl<'g> Engine<'g> {
     /// A transfer attempt was declared lost: free the channel, count the
     /// attempt and take the loss ladder's answer.
     fn on_transfer_timeout(&mut self, recv: OpId) {
-        let ch = self.transfers.chan[recv.index()] as usize;
+        let ch = self.route[recv.index()].index();
         self.chan_busy[ch] = false;
         self.dirty_channels.mark(ch);
         if self.inflight_recv[ch] == Some(recv) {
@@ -1144,7 +1153,7 @@ mod tests {
     use crate::faults::{FaultSpec, Stall};
     use proptest::prelude::*;
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_graph::{Cost, GraphBuilder};
+    use tictac_graph::{Cost, GraphBuilder, OpKind};
     use tictac_models::{tiny_mlp, Mode};
     use tictac_sched::no_ordering;
     use tictac_timing::{Platform, RetryPolicy, SimDuration};
@@ -1478,7 +1487,8 @@ mod tests {
         assert_eq!((t.rank[r1.index()], t.rank[r2.index()]), (None, None));
         assert_eq!(t.recv_rank[r2.index()], Some(0));
         assert_eq!(t.recv_rank[r1.index()], Some(1));
-        assert_eq!(t.chan[s1.index()], t.chan[r2.index()]);
+        assert_eq!(plan.route[s1.index()], Route::Send(0));
+        assert_eq!(plan.route[r2.index()], Route::Recv(0));
 
         let mut b = GraphBuilder::new();
         let w = b.add_worker("w0");
@@ -1495,7 +1505,7 @@ mod tests {
         assert_eq!(t.send_of[recv.index()], None);
         assert_eq!(t.rank[recv.index()], Some(0));
         assert_eq!(t.recv_rank[recv.index()], Some(0));
-        assert_eq!(t.chan[recv.index()], 1);
+        assert_eq!(plan.route[recv.index()], Route::Recv(1));
     }
 
     #[test]

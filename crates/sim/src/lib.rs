@@ -29,8 +29,8 @@
 //!   quiet plans: faults are simulated only.
 //!
 //! * **One plan per deployment** ([`RunPlan`]): what both executors read
-//!   and no iteration changes — the transfer table, the service times, the
-//!   indegrees, the configuration — derived and validated once, then run
+//!   and no iteration changes — the op routes, the transfer table, the
+//!   service times, the indegrees, the configuration — derived and validated once, then run
 //!   from for as many iterations as the caller has. [`simulate`] and its
 //!   siblings are a plan for one run.
 //!

@@ -18,7 +18,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::service::{paired_send, service_times};
-use tictac_graph::{Graph, OpId};
+use tictac_graph::{Graph, OpId, OpKind};
 use tictac_sched::Schedule;
 use tictac_timing::{SimDuration, SimTime};
 use tictac_trace::TraceBuilder;
@@ -34,7 +34,9 @@ use tictac_trace::TraceBuilder;
 #[derive(Debug)]
 pub struct RunPlan {
     config: SimConfig,
-    /// Channel, pairing and enforcement rank per transfer op (§5.1).
+    /// Where each op goes once its dependencies are done (see [`Route`]).
+    pub(crate) route: Vec<Route>,
+    /// Pairing and enforcement rank per transfer op (§5.1).
     pub(crate) transfers: TransferTable,
     /// Noise-free service time per op (see [`service_times`]).
     pub(crate) service: Vec<SimDuration>,
@@ -61,6 +63,14 @@ impl RunPlan {
         }
         Ok(Self {
             config: config.clone(),
+            route: graph
+                .ops()
+                .map(|(_, op)| match op.kind() {
+                    OpKind::Send { channel, .. } => Route::Send(channel.index() as u32),
+                    OpKind::Recv { channel, .. } => Route::Recv(channel.index() as u32),
+                    _ => Route::Compute(op.device().index() as u32),
+                })
+                .collect(),
             transfers: TransferTable::new(graph, schedule),
             service: service_times(graph, config),
             indegree: graph
@@ -90,12 +100,32 @@ impl RunPlan {
     }
 }
 
+/// Where an op goes once its dependencies are done, and the resource it
+/// holds while it runs: all that the executors' dispatch and completion
+/// paths need to know of an op, so neither reads the graph's `Op` there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// A send on this channel: handed off through the channel's gate.
+    Send(u32),
+    /// A recv on this channel: queued on the channel.
+    Recv(u32),
+    /// Any other op, on this device's compute unit.
+    Compute(u32),
+}
+
+impl Route {
+    /// The channel (send, recv) or device (compute) index.
+    pub(crate) fn index(self) -> usize {
+        match self {
+            Route::Send(i) | Route::Recv(i) | Route::Compute(i) => i as usize,
+        }
+    }
+}
+
 /// Per-op transfer facts the engine and the threaded runtime read on the
-/// hand-off path.
+/// hand-off path (the channel is the op's [`Route`]).
 #[derive(Debug)]
 pub(crate) struct TransferTable {
-    /// Channel index of every send and recv op.
-    pub(crate) chan: Vec<u32>,
     /// Enforcement ranks: priorities normalized to `[0, n)` per channel,
     /// attached to the PS-side send op of each prioritized transfer (§5.1:
     /// enforcement happens at the sender before gRPC hand-off). Hand-built
@@ -114,15 +144,11 @@ impl TransferTable {
     fn new(graph: &Graph, schedule: &Schedule) -> Self {
         let n = graph.len();
         let mut table = Self {
-            chan: vec![0; n],
             rank: vec![None; n],
             recv_rank: vec![None; n],
             send_of: vec![None; n],
         };
         for (id, op) in graph.ops() {
-            if let Some(ch) = op.kind().channel() {
-                table.chan[id.index()] = ch.index() as u32;
-            }
             if op.is_recv() {
                 table.send_of[id.index()] = paired_send(graph, id);
             }

@@ -11,7 +11,8 @@
 //!
 //! Everything the paper's mechanism (§5.1) is made of is read from the
 //! items the event engine reads — the [`RunPlan`] both run from: its
-//! transfer table for channel, rank and send pairing, its service-time
+//! route column for each op's channel or device, its transfer table for
+//! rank and send pairing, its service-time
 //! column (times `time_scale`) for every busy-loop, its indegree template
 //! and its [`SimConfig`] for the enforcement flag — plus one [`SendGate`]
 //! per channel for the hand-off counter. What is wall-clock-only is
@@ -46,8 +47,8 @@ use std::time::{Duration, Instant};
 use crate::engine::SendGate;
 use crate::error::SimError;
 use crate::faults::mix;
-use crate::plan::{RunPlan, TransferTable};
-use tictac_graph::{Graph, OpId, OpKind};
+use crate::plan::{Route, RunPlan, TransferTable};
+use tictac_graph::{Graph, OpId};
 use tictac_sched::Schedule;
 use tictac_timing::{SimDuration, SimTime};
 use tictac_trace::{ExecutionTrace, TraceBuilder};
@@ -184,7 +185,9 @@ struct Shared<'g> {
     opts: &'g ExecOptions,
     /// Whether sender-side rank enforcement (§5.1) is active.
     enforcement: bool,
-    /// Channel, rank and send pairing per transfer op (the plan's).
+    /// Channel or device of every op (the plan's).
+    route: &'g [Route],
+    /// Rank and send pairing per transfer op (the plan's).
     transfers: &'g TransferTable,
     /// Modeled duration of every op, before `time_scale` (the plan's).
     service: &'g [SimDuration],
@@ -224,6 +227,7 @@ impl<'g> Shared<'g> {
             schedule,
             opts,
             enforcement: plan.config().enforcement,
+            route: &plan.route,
             transfers: &plan.transfers,
             service: &plan.service,
             // A fresh arbitrary order every iteration, matching the
@@ -309,15 +313,15 @@ impl<'g> Shared<'g> {
 
     /// Routes an op whose dependencies are all satisfied.
     fn dispatch(&self, op: OpId) {
-        match self.graph.op(op).kind() {
-            OpKind::Send { .. } => self.handoff(op),
-            OpKind::Recv { .. } => {
-                let (lock, cv) = &self.channels[self.transfers.chan[op.index()] as usize];
+        match self.route[op.index()] {
+            Route::Send(ch) => self.handoff(op, ch as usize),
+            Route::Recv(ch) => {
+                let (lock, cv) = &self.channels[ch as usize];
                 self.enqueue_transfer(&mut lock.lock().expect("channel lock"), op);
                 cv.notify_all();
             }
-            _ => {
-                let (lock, cv) = &self.devices[self.graph.op(op).device().index()];
+            Route::Compute(dev) => {
+                let (lock, cv) = &self.devices[dev as usize];
                 self.enqueue_compute(&mut lock.lock().expect("device lock"), op);
                 cv.notify_all();
             }
@@ -329,10 +333,10 @@ impl<'g> Shared<'g> {
     /// completes the send (its wire interval is recorded later, with the
     /// recv); completing it may release further parked sends — the whole
     /// chain is collected under the channel lock, then completed outside.
-    fn handoff(&self, send: OpId) {
+    fn handoff(&self, send: OpId, ch: usize) {
         let mut chain = vec![send];
         if let (Some(mut r), true) = (self.transfers.rank[send.index()], self.enforcement) {
-            let (lock, _) = &self.channels[self.transfers.chan[send.index()] as usize];
+            let (lock, _) = &self.channels[ch];
             let mut q = lock.lock().expect("channel lock");
             if !q.gate.admits(r) {
                 q.gate.block(r, send);

@@ -42,7 +42,7 @@ impl SimDuration {
     /// Panics (debug builds) if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         debug_assert!(secs.is_finite() && secs >= 0.0, "invalid seconds {secs}");
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_to_nanos(secs * 1e9))
     }
 
     /// Nanosecond count.
@@ -84,12 +84,7 @@ impl SimDuration {
     /// Panics (debug builds) if `factor` is negative or NaN.
     pub fn saturating_mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(!factor.is_nan() && factor >= 0.0, "invalid factor");
-        let product = self.0 as f64 * factor;
-        if product >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(product.round() as u64)
-        }
+        SimDuration(round_to_nanos(self.0 as f64 * factor))
     }
 
     /// Multiplies by a non-negative float factor, rounding to nanoseconds.
@@ -99,7 +94,7 @@ impl SimDuration {
     /// Panics (debug builds) if `factor` is negative or not finite.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor.is_finite() && factor >= 0.0, "invalid factor");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_nanos(self.0 as f64 * factor))
     }
 
     /// The larger of two durations.
@@ -118,6 +113,23 @@ impl SimDuration {
         } else {
             other
         }
+    }
+}
+
+/// `x` rounded half away from zero to a nanosecond count, exactly as
+/// `f64::round` followed by `as u64` gives it, without the call to a
+/// software `round` that `f64::round` is on a baseline x86-64 target: the
+/// truncation `t`, plus one when the dropped fraction `x − t` is at least a
+/// half. Below 2^53 both `t` and `x − t` are exact; from 2^53 up every
+/// double is an integer, so `x − t` is 0; and `as` sends NaN and negatives
+/// to 0 and everything from 2^64 up to `u64::MAX`, as it does the rounded
+/// value (hence the saturating add).
+fn round_to_nanos(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -242,6 +254,7 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_and_conversions() {
@@ -284,5 +297,76 @@ mod tests {
         assert_eq!(SimDuration::from_millis(2).to_string(), "2.000ms");
         assert_eq!(SimDuration::from_secs_f64(1.25).to_string(), "1.250s");
         assert_eq!(SimTime::from_nanos(1_000).to_string(), "t+1.000us");
+    }
+
+    /// The reference: what the three rounding callers computed before
+    /// they shared `round_to_nanos`.
+    fn rounded(x: f64) -> u64 {
+        f64::round(x) as u64
+    }
+
+    #[test]
+    fn round_to_nanos_is_round_on_edge_values() {
+        let two = 2f64;
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            below_half,
+            two.powi(52) - 0.5,
+            two.powi(52) + 0.5,
+            two.powi(53) - 1.0,
+            two.powi(63),
+            two.powi(64),
+            1e300,
+            -0.3,
+            -0.7,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for x in edges {
+            assert_eq!(round_to_nanos(x), rounded(x), "{x:e}");
+        }
+        // Halves round away from zero, the largest double below a half
+        // does not, and everything from 2^64 up saturates.
+        assert_eq!(round_to_nanos(below_half), 0);
+        assert_eq!(round_to_nanos(2.5), 3);
+        assert_eq!(round_to_nanos(two.powi(52) - 0.5), 1 << 52);
+        assert_eq!(round_to_nanos(two.powi(64)), u64::MAX);
+        assert_eq!(round_to_nanos(f64::NAN), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Every bit pattern as drawn (most lie far outside `[0, 2^64)` or
+        /// below one), and again with its exponent forced into
+        /// `[2^-2, 2^65)`, where truncation, the half and saturation all
+        /// happen.
+        #[test]
+        fn round_to_nanos_is_round_over_bit_patterns(bits in any::<u64>(), exp in 1021u64..1088) {
+            let raw = f64::from_bits(bits);
+            prop_assert_eq!(round_to_nanos(raw), rounded(raw), "{:e}", raw);
+            let near = f64::from_bits((bits & !(0x7ff << 52)) | (exp << 52));
+            prop_assert_eq!(round_to_nanos(near), rounded(near), "{:e}", near);
+        }
+
+        /// `mul_f64`, `saturating_mul_f64` and `from_secs_f64` against the
+        /// expressions they replaced, over durations of every magnitude and
+        /// factors in `[0, 4)`.
+        #[test]
+        fn round_to_nanos_keeps_scaled_durations(nanos in any::<u64>(), shift in 0u32..64, factor in 0.0f64..4.0) {
+            let d = SimDuration::from_nanos(nanos >> shift);
+            let product = d.as_nanos() as f64 * factor;
+            prop_assert_eq!(d.mul_f64(factor).as_nanos(), rounded(product));
+            let saturated = if product >= u64::MAX as f64 { u64::MAX } else { rounded(product) };
+            prop_assert_eq!(d.saturating_mul_f64(factor).as_nanos(), saturated);
+            let secs = d.as_secs_f64() * factor;
+            prop_assert_eq!(SimDuration::from_secs_f64(secs).as_nanos(), rounded(secs * 1e9));
+        }
     }
 }
