@@ -40,6 +40,31 @@ done | awk '{ print }
     $1 !~ /^vendor/ { lines += $2; pubs += $4; if ($1 ~ /^crates/) pkgs++ }
     END { printf "%-20s %6d lines %5d pub %3d packages\n", "total", lines, pubs, pkgs }' |
     tee target/ci-results/loc.txt
+# The `pub` items no file outside their crate names (ROADMAP "Crates and
+# `pub` follow the façade"): per crate, every `pub fn` / `struct` / `enum` /
+# `trait` / `type` / `const` / `static` / `mod` above the `#[cfg(test)]`
+# line whose name is not a word of any .rs file in the other crates, the
+# crate's own `src/bin` and `tests`, src/, examples/, tests/ or
+# benchmark/src — with the façade (crates/core/src/lib.rs) counted as
+# outside. What is left is `pub` only because a public signature that
+# something outside names exposes it. target/ci-results/pub-unused.txt is
+# the list; its count is the last line of loc.txt.
+for crate in crates/*; do
+    find crates src examples tests benchmark/src -name '*.rs' |
+        awk -v lib="$crate/src/" -v bin="$crate/src/bin/" \
+            'index($0, lib) != 1 || index($0, bin) == 1 || $0 == "crates/core/src/lib.rs"' |
+        xargs grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u > target/ci-results/words.txt
+    find "$crate/src" -name '*.rs' ! -path "$crate/src/bin/*" | sort | xargs awk '
+        FNR == 1 { test = 0 }
+        /^#\[cfg\(test\)\]/ { test = 1 }
+        !test && match($0, /^[ \t]*pub (const fn |unsafe fn |const |static |fn |struct |enum |trait |type |mod )[A-Za-z_][A-Za-z0-9_]*/) {
+            name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name)
+            print FILENAME ":" FNR ": " name
+        }' | awk 'NR == FNR { named[$0] = 1; next } !($2 in named)' target/ci-results/words.txt -
+done > target/ci-results/pub-unused.txt
+rm target/ci-results/words.txt
+printf "%-20s %6d\n" "pub-unused" "$(wc -l < target/ci-results/pub-unused.txt)" |
+    tee -a target/ci-results/loc.txt
 if cargo tree --offline -p tictac -e normal |
     grep -E 'tictac-bench|serde|crossbeam|parking_lot|criterion'; then
     echo "error: the tictac package must not depend on the crates above" >&2
@@ -106,7 +131,7 @@ cargo test --offline -q --test perfetto_fault_snapshot
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_heap_pops
 cargo test --offline -q --release -p tictac-graph --lib validation_errors_match_the_naive_reference
-cargo test --offline -q --release -p tictac-timing --lib round_to_nanos
+cargo test --offline -q --release -p tictac-trace --lib round_to_nanos
 cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
 # The engine's fault rules (agenda, loss ladder, record and barrier

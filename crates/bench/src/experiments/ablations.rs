@@ -33,7 +33,7 @@ fn config_sweep(
 /// The paper measures 0.4–0.5% reorder errors at the gRPC level; at 100%
 /// the enforced hand-off order is destroyed at the channel and the gain
 /// should collapse toward the baseline.
-pub fn reorder(quick: bool) -> String {
+pub(crate) fn reorder(quick: bool) -> String {
     let probs = [0.0, 0.005, 0.05, 0.25, 1.0];
     let iterations = if quick { 4 } else { 10 };
     let variants = probs
@@ -64,7 +64,7 @@ pub fn reorder(quick: bool) -> String {
 /// Enforcement-location ablation (§5.1): full sender-side counters vs
 /// hand-off without counters (priorities only steer queue pops) vs no
 /// ordering at all.
-pub fn enforcement(quick: bool) -> String {
+pub(crate) fn enforcement(quick: bool) -> String {
     let iterations = if quick { 4 } else { 10 };
 
     // (label, policy, sender-side counters, reorder probability). Without
@@ -108,7 +108,7 @@ pub fn enforcement(quick: bool) -> String {
 
 /// Parameter-sharding ablation: size-balanced (default) vs round-robin
 /// placement across 4 parameter servers.
-pub fn sharding(quick: bool) -> String {
+pub(crate) fn sharding(quick: bool) -> String {
     let iterations = if quick { 4 } else { 10 };
     let mut points = Vec::new();
     for model in [Model::Vgg16, Model::ResNet50V1] {

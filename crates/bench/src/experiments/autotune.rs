@@ -29,7 +29,7 @@ fn size_label(bytes: Option<u64>) -> String {
 
 /// Runs the search across the zoo (quick: AlexNet + VGG-16 with a
 /// reduced ladder) and renders the plain-vs-tuned comparison table.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let models = if quick {
         vec![Model::AlexNetV2, Model::Vgg16]
     } else {

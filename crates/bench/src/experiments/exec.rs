@@ -31,7 +31,7 @@ const SCHEDULERS: [SchedulerKind; 3] = [
 /// Threaded sessions run **sequentially**: each one already spawns a
 /// thread per device and per channel, so fanning sessions out across a
 /// pool would oversubscribe the machine and poison the wall-clock numbers.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let models = super::pick_models_zoo(quick);
     let iterations = if quick { 2 } else { 5 };
     let scenario = |model: Model, scheduler, backend| Scenario {

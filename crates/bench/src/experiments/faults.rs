@@ -20,7 +20,7 @@ const POLICIES: [SchedulerKind; 3] = [
 ];
 
 /// Runs the fault sweep; `quick` trims the model and iteration counts.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let (model, iterations) = if quick {
         (Model::InceptionV1, 2)
     } else {

@@ -5,7 +5,7 @@ use tictac_core::ClusterSpec;
 /// Sweeps worker counts {1, 2, 4, 8, 16} with PS:W fixed at 1:4 on envG,
 /// reporting TIC's throughput gain over the baseline for training and
 /// inference (the paper uses TIC as its envG representative; Appendix B).
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let worker_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8, 16] };
     let clusters: Vec<ClusterSpec> = worker_counts
         .iter()

@@ -12,7 +12,7 @@ use tictac_core::training::{loss_curve, TrainingConfig};
 
 /// Trains the Fig. 8 learner for 500 iterations under both policies and
 /// reports the curves plus their maximum divergence.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let iterations = if quick { 100 } else { 500 };
     let cfg = TrainingConfig::default();
     // The two runs are independent full training loops; train them on two

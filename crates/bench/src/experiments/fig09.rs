@@ -5,7 +5,7 @@ use tictac_core::ClusterSpec;
 
 /// Sweeps PS counts {1, 2, 4} at 8 workers on envG; reports TIC's gain
 /// over the baseline per task.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let ps_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
     let workers = if quick { 4 } else { 8 };
     let clusters: Vec<ClusterSpec> = ps_counts

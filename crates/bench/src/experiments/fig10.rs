@@ -6,7 +6,7 @@ use tictac_core::{ClusterSpec, Mode, Scenario, SchedulerKind};
 
 /// Scales each model's Table-1 batch by {0.5, 1, 2} and reports TIC's
 /// inference gain over the baseline.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let factors: &[(f64, &str)] = &[(0.5, "x1/2"), (1.0, "x1"), (2.0, "x2")];
     let models = pick_models(quick);
     let iterations = if quick { 4 } else { 10 };

@@ -11,7 +11,7 @@ type Row = (usize, &'static str, &'static str, [f64; 2], [f64; 2]);
 /// Runs every Table-1 model in both tasks under baseline and TIC and
 /// reports the efficiency metric `E` and straggler time (%) against the
 /// number of ops per worker (the paper's x-axis).
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let models = pick_models_zoo(quick);
     let iterations = if quick { 4 } else { 10 };
 

@@ -14,7 +14,7 @@ use tictac_core::{
 ///
 /// Normalized step time follows the paper's convention (fastest observed
 /// step over the step), so 1.0 is best.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let runs = if quick { 60 } else { 1000 };
     let collect = |scheduler| -> (Vec<f64>, Vec<f64>) {
         let cluster = ClusterSpec::new(4, 1);

@@ -6,7 +6,7 @@ use tictac_core::{ClusterSpec, EnvPreset, Model, Scenario, SchedulerKind};
 /// Compares TIC and TAC against the baseline on envC for the three models
 /// of Figure 13 (Inception v2, VGG-16, AlexNet v2), training and
 /// inference.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let models = [Model::InceptionV2, Model::Vgg16, Model::AlexNetV2];
     let iterations = if quick { 4 } else { 10 };
     let schedulers = [

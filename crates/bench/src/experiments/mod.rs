@@ -30,7 +30,7 @@ use tictac_core::{
 
 /// An experiment entry point: takes a `quick` flag that trims run counts
 /// for smoke testing and returns the rendered report.
-pub type Runner = fn(bool) -> String;
+pub(crate) type Runner = fn(bool) -> String;
 
 /// All experiments, in paper order: `(name, runner)`.
 pub const ALL: &[(&str, Runner)] = &[
@@ -62,7 +62,7 @@ pub fn find(name: &str) -> Option<Runner> {
 
 /// The nine models shown in Figures 7, 9 and 10 of the paper (all of
 /// Table 1 except ResNet-101 v2).
-pub const FIGURE_MODELS: [Model; 9] = [
+pub(crate) const FIGURE_MODELS: [Model; 9] = [
     Model::InceptionV1,
     Model::Vgg19,
     Model::InceptionV2,

@@ -6,7 +6,7 @@
 //! is simulated twice: once noise-free — the *predicted* efficiency
 //! under the cost oracle — and once under the usual runtime noise — the
 //! *realized* efficiency of Equation 3 recomputed from the observed
-//! trace by `tictac_obs::realized_efficiency`. Priority inversions are
+//! trace by `efficiency::realized_efficiency`. Priority inversions are
 //! counted against the TAC reference ranks: a transfer that started on
 //! a channel while a higher-ranked (lower TAC rank) transfer was
 //! already runnable there. Under TAC enforcement with in-order channels
@@ -39,7 +39,7 @@ fn build_session(model: Model, kind: SchedulerKind, cfg: &SimConfig, reg: &Regis
 }
 
 /// Runs the observability sweep and renders the report.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let models = super::pick_models_zoo(quick);
     // In-order channels isolate scheduling effects: with reorder errors
     // enabled a TAC run could legitimately invert.

@@ -12,7 +12,7 @@ use tictac_core::{
 
 /// Counts unique parameter-arrival orders at one worker over N baseline
 /// iterations.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let runs = if quick { 50 } else { 1000 };
     let paper: Vec<(Model, usize)> = vec![
         (Model::ResNet50V2, 1000),

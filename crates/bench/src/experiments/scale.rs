@@ -42,7 +42,7 @@ fn deploy_at(model: Model, workers: usize) -> DeployedModel {
     deploy(&graph, &ClusterSpec::new(workers, shards)).expect("zoo model deploys at scale")
 }
 
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let sizes: &[usize] = if quick { &SIZES[..2] } else { &SIZES };
     let models = super::pick_models_zoo(quick);
     let config = sweep_config();

@@ -13,7 +13,7 @@ use tictac_core::{
 /// Deliberately serial: the whole point of each row is an undisturbed
 /// wall-clock measurement, and concurrent rows would contend for cores
 /// and inflate each other's timings.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let models = super::pick_models_zoo(quick);
     let config = SimConfig::cloud_gpu();
 

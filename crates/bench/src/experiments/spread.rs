@@ -15,7 +15,7 @@ use tictac_core::{
 
 /// Measures the empirical spread (worst-order makespan over best-order
 /// makespan − 1) per model and compares it to the potential `S`.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let models: Vec<Model> = if quick {
         vec![Model::AlexNetV2, Model::ResNet50V1]
     } else {

@@ -9,7 +9,7 @@ use tictac_core::{parallel_map, Mode, Model};
 /// Parameter counts match exactly; sizes within a few percent; op counts
 /// are semantic layer ops rather than TensorFlow kernels, hence smaller
 /// (see DESIGN.md §3).
-pub fn run(_quick: bool) -> String {
+pub(crate) fn run(_quick: bool) -> String {
     let mut t = Table::new([
         "model",
         "#par",

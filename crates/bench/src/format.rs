@@ -9,7 +9,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new<I, S>(header: I) -> Self
+    pub(crate) fn new<I, S>(header: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -21,7 +21,7 @@ impl Table {
     }
 
     /// Appends a row (padded/truncated to the header width).
-    pub fn row<I, S>(&mut self, cells: I) -> &mut Self
+    pub(crate) fn row<I, S>(&mut self, cells: I) -> &mut Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -33,7 +33,7 @@ impl Table {
     }
 
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (width, cell) in widths.iter_mut().zip(row) {

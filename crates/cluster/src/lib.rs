@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use tictac_cluster::{deploy, ClusterSpec};
-//! use tictac_models::{tiny_mlp, Mode};
+//! use tictac_graph::{tiny_mlp, Mode};
 //!
 //! let model = tiny_mlp(Mode::Training, 8);
 //! let deployed = deploy(&model, &ClusterSpec::new(4, 2))?;
@@ -301,11 +301,9 @@ const MAX_FACTOR: f64 = 1e280;
 pub struct ClusterSpecBuilder {
     workers: usize,
     parameter_servers: usize,
-    sharding: Option<Sharding>,
     worker_speeds: Vec<f64>,
     ps_speeds: Vec<f64>,
     link_bandwidths: Vec<f64>,
-    comm: CommConfig,
 }
 
 impl ClusterSpecBuilder {
@@ -318,12 +316,6 @@ impl ClusterSpecBuilder {
     /// Sets the number of parameter servers.
     pub fn parameter_servers(mut self, parameter_servers: usize) -> Self {
         self.parameter_servers = parameter_servers;
-        self
-    }
-
-    /// Sets the sharding policy (default: size-balanced).
-    pub fn sharding(mut self, sharding: Sharding) -> Self {
-        self.sharding = Some(sharding);
         self
     }
 
@@ -347,12 +339,6 @@ impl ClusterSpecBuilder {
         self
     }
 
-    /// Sets the communication granularity (default: both passes off).
-    pub fn comm(mut self, comm: CommConfig) -> Self {
-        self.comm = comm;
-        self
-    }
-
     /// Validates and builds the spec.
     ///
     /// All-`1.0` factor vectors are normalized to the empty (uniform)
@@ -366,9 +352,6 @@ impl ClusterSpecBuilder {
     /// (which zero, negative and non-finite values all are).
     pub fn build(self) -> Result<ClusterSpec, ClusterSpecError> {
         let mut spec = ClusterSpec::try_new(self.workers, self.parameter_servers)?;
-        if let Some(sharding) = self.sharding {
-            spec.sharding = sharding;
-        }
         let check = |field: &'static str, v: &[f64], expected: &[usize]| {
             if !v.is_empty() && !expected.contains(&v.len()) {
                 return Err(ClusterSpecError::FactorLength {
@@ -402,7 +385,6 @@ impl ClusterSpecBuilder {
         spec.worker_speeds = normalize(self.worker_speeds);
         spec.ps_speeds = normalize(self.ps_speeds);
         spec.link_bandwidths = normalize(self.link_bandwidths);
-        spec.comm = self.comm;
         Ok(spec)
     }
 }
@@ -530,14 +512,11 @@ pub struct DeployedModel {
     /// `recv_ops[w][u]` — worker `w`'s recv of transfer unit `u` (fused
     /// units share one op id).
     recv_ops: Vec<Vec<OpId>>,
-    /// `channels[w][s]` — the channel between worker `w` and PS `s`.
-    channels: Vec<Vec<ChannelId>>,
     /// Transfer unit → PS shard index.
     shard_of: Vec<usize>,
     /// Transfer unit → (model parameter index, chunk index). `None` =
     /// the whole tensor (the identity lowering).
     origin: Vec<(usize, Option<u16>)>,
-    training: bool,
 }
 
 impl DeployedModel {
@@ -556,35 +535,12 @@ impl DeployedModel {
         &self.parameter_servers
     }
 
-    /// Whether the deployment is a training job (gradient path present).
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
     /// Worker `w`'s recv op for parameter `p`.
     pub fn recv_op(&self, worker: usize, param: ParamId) -> Option<OpId> {
         self.recv_ops
             .get(worker)
             .and_then(|r| r.get(param.index()))
             .copied()
-    }
-
-    /// The channel between worker index `w` and PS index `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn channel(&self, worker: usize, ps: usize) -> ChannelId {
-        self.channels[worker][ps]
-    }
-
-    /// The PS shard index a parameter lives on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `param` is out of range.
-    pub fn shard_of(&self, param: ParamId) -> usize {
-        self.shard_of[param.index()]
     }
 
     /// Maps a graph parameter (transfer unit) back to the model parameter
@@ -625,31 +581,6 @@ impl DeployedModel {
     /// Ops per worker partition (the x-axis of Fig. 11).
     pub fn ops_per_worker(&self) -> usize {
         self.graph.device_ops(self.workers[0]).len()
-    }
-
-    /// Parameter bytes hosted per PS shard, in shard-index order.
-    ///
-    /// This is the blast radius of a PS fault: a stall on shard `s` delays
-    /// every transfer of `shard_bytes()[s]` bytes to all workers.
-    pub fn shard_bytes(&self) -> Vec<u64> {
-        let mut bytes = vec![0u64; self.parameter_servers.len()];
-        for (p, &shard) in self.graph.params().iter().zip(&self.shard_of) {
-            bytes[shard] += p.bytes();
-        }
-        bytes
-    }
-
-    /// The PS shard hosting the most parameter bytes — the server whose
-    /// stall or straggling hurts the iteration most.
-    ///
-    /// Ties break deterministically to the lowest shard index.
-    pub fn hottest_shard(&self) -> usize {
-        self.shard_bytes()
-            .iter()
-            .enumerate()
-            .max_by_key(|&(s, &b)| (b, std::cmp::Reverse(s)))
-            .map(|(s, _)| s)
-            .unwrap_or(0)
     }
 }
 
@@ -1272,17 +1203,22 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         workers,
         parameter_servers: ps,
         recv_ops,
-        channels,
         shard_of,
         origin: units.iter().map(|u| (u.param, u.chunk)).collect(),
-        training: model.is_training(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tictac_models::{tiny_mlp, Mode};
+    use tictac_graph::{tiny_mlp, Mode};
+
+    /// The channel between worker index `w` and PS index `s`.
+    fn channel(d: &DeployedModel, w: usize, s: usize) -> ChannelId {
+        d.graph()
+            .channel_between(d.workers()[w], d.parameter_servers()[s])
+            .unwrap()
+    }
 
     fn mlp_cluster(workers: usize, servers: usize, mode: Mode) -> DeployedModel {
         let model = tiny_mlp(mode, 8);
@@ -1309,7 +1245,6 @@ mod tests {
     fn inference_deployment_has_no_gradient_path() {
         let d = mlp_cluster(2, 1, Mode::Inference);
         let g = d.graph();
-        assert!(!d.is_training());
         // No aggregate/update ops anywhere.
         assert_eq!(
             g.count_ops(|o| matches!(o.kind(), OpKind::Aggregate { .. })),
@@ -1352,7 +1287,9 @@ mod tests {
         assert_eq!(g.channels().len(), 6);
         for w in 0..3 {
             for s in 0..2 {
-                let ch = d.channel(w, s);
+                let ch = g
+                    .channel_between(d.workers()[w], d.parameter_servers()[s])
+                    .unwrap();
                 assert_eq!(g.channel(ch).worker(), d.workers()[w]);
                 assert_eq!(g.channel(ch).ps(), d.parameter_servers()[s]);
             }
@@ -1365,7 +1302,7 @@ mod tests {
         let g = d.graph();
         let mut bytes = [0u64; 2];
         for (i, p) in g.params().iter().enumerate() {
-            bytes[d.shard_of(ParamId::from_index(i))] += p.bytes();
+            bytes[d.shard_of[i]] += p.bytes();
         }
         assert!(bytes[0] > 0 && bytes[1] > 0, "both shards used: {bytes:?}");
     }
@@ -1441,7 +1378,7 @@ mod tests {
     /// fusion passes).
     #[test]
     fn capacity_hint_is_the_op_count() {
-        use tictac_models::Model;
+        use tictac_graph::Model;
         let mut cases = Vec::new();
         for model in Model::ALL {
             for mode in [Mode::Training, Mode::Inference] {
@@ -1554,9 +1491,9 @@ mod tests {
         assert_eq!(g.device_speed(d.workers()[1]), 0.5);
         assert_eq!(g.device_speed(d.parameter_servers()[0]), 2.0);
         // Worker 1's channels to both shards inherit its uplink factor.
-        assert_eq!(g.channel_bandwidth(d.channel(1, 0)), 0.25);
-        assert_eq!(g.channel_bandwidth(d.channel(1, 1)), 0.25);
-        assert_eq!(g.channel_bandwidth(d.channel(0, 0)), 1.0);
+        assert_eq!(g.channel_bandwidth(channel(&d, 1, 0)), 0.25);
+        assert_eq!(g.channel_bandwidth(channel(&d, 1, 1)), 0.25);
+        assert_eq!(g.channel_bandwidth(channel(&d, 0, 0)), 1.0);
 
         // Full-matrix form targets a single link.
         let spec = ClusterSpec::builder()
@@ -1566,8 +1503,8 @@ mod tests {
             .build()
             .unwrap();
         let d = deploy(&model, &spec).unwrap();
-        assert_eq!(d.graph().channel_bandwidth(d.channel(1, 1)), 4.0);
-        assert_eq!(d.graph().channel_bandwidth(d.channel(1, 0)), 1.0);
+        assert_eq!(d.graph().channel_bandwidth(channel(&d, 1, 1)), 4.0);
+        assert_eq!(d.graph().channel_bandwidth(channel(&d, 1, 0)), 1.0);
     }
 
     #[test]
@@ -1582,39 +1519,6 @@ mod tests {
             .channels()
             .iter()
             .all(|ch| g.channel_bandwidth(ch.id()) == 1.0));
-    }
-
-    #[test]
-    fn shard_bytes_account_for_every_parameter() {
-        let d = mlp_cluster(2, 2, Mode::Training);
-        let bytes = d.shard_bytes();
-        assert_eq!(bytes.len(), 2);
-        let total: u64 = d.graph().params().iter().map(|p| p.bytes()).sum();
-        assert_eq!(bytes.iter().sum::<u64>(), total);
-        let hottest = d.hottest_shard();
-        assert_eq!(bytes[hottest], bytes.iter().copied().max().unwrap());
-    }
-
-    #[test]
-    fn hottest_shard_ties_break_to_the_lowest_index() {
-        // Two equal-size parameters across two shards: both shards host
-        // the same byte count, so the tie must resolve to shard 0.
-        let mut b = tictac_graph::ModelGraphBuilder::new("tie", 1);
-        let w1 = b.add_param("a/w", vec![256]);
-        let w2 = b.add_param("b/w", vec![256]);
-        let f = b.add_op(
-            "f",
-            tictac_graph::ModelOpKind::Forward,
-            1.0,
-            &[],
-            &[w1, w2],
-            &[],
-        );
-        b.add_op("loss", tictac_graph::ModelOpKind::Loss, 1.0, &[f], &[], &[]);
-        let d = deploy(&b.build(), &ClusterSpec::new(1, 2)).unwrap();
-        let bytes = d.shard_bytes();
-        assert_eq!(bytes[0], bytes[1], "setup: shards must tie");
-        assert_eq!(d.hottest_shard(), 0);
     }
 
     #[test]

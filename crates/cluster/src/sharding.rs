@@ -1,7 +1,5 @@
 //! Parameter-to-PS sharding policies.
 
-use tictac_graph::ModelGraph;
-
 /// How parameters are assigned to parameter-server shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Sharding {
@@ -17,25 +15,15 @@ pub enum Sharding {
 }
 
 impl Sharding {
-    /// Computes the shard index of every parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn assign(self, model: &ModelGraph, shards: usize) -> Vec<usize> {
-        let bytes: Vec<u64> = model.params().iter().map(|p| p.bytes()).collect();
-        self.assign_weighted(&bytes, shards)
-    }
-
     /// Computes the shard index of every transfer unit, given unit byte
-    /// sizes directly. [`Sharding::assign`] delegates here with one unit
-    /// per parameter; the partition pass calls it with chunked units so a
-    /// split tensor's chunks can land on different shards.
+    /// sizes directly: one unit per parameter, or chunked units from the
+    /// partition pass so a split tensor's chunks can land on different
+    /// shards.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn assign_weighted(self, bytes: &[u64], shards: usize) -> Vec<usize> {
+    pub(crate) fn assign_weighted(self, bytes: &[u64], shards: usize) -> Vec<usize> {
         assert!(shards > 0, "at least one shard required");
         let n = bytes.len();
         match self {
@@ -59,13 +47,18 @@ impl Sharding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tictac_models::{Mode, Model};
+    use tictac_graph::{Mode, Model, ModelGraph};
+
+    fn assign(sharding: Sharding, m: &ModelGraph, shards: usize) -> Vec<usize> {
+        let bytes: Vec<u64> = m.params().iter().map(|p| p.bytes()).collect();
+        sharding.assign_weighted(&bytes, shards)
+    }
 
     #[test]
     fn round_robin_cycles() {
-        let m = tictac_models::tiny_mlp(Mode::Inference, 1);
-        assert_eq!(Sharding::RoundRobin.assign(&m, 3), vec![0, 1, 2, 0]);
-        assert_eq!(Sharding::RoundRobin.assign(&m, 1), vec![0, 0, 0, 0]);
+        let m = tictac_graph::tiny_mlp(Mode::Inference, 1);
+        assert_eq!(assign(Sharding::RoundRobin, &m, 3), vec![0, 1, 2, 0]);
+        assert_eq!(assign(Sharding::RoundRobin, &m, 1), vec![0, 0, 0, 0]);
     }
 
     #[test]
@@ -82,8 +75,8 @@ mod tests {
             let avg = load.iter().sum::<u64>() as f64 / shards as f64;
             max / avg
         };
-        let balanced = imbalance(&Sharding::SizeBalanced.assign(&m, 4), 4);
-        let rr = imbalance(&Sharding::RoundRobin.assign(&m, 4), 4);
+        let balanced = imbalance(&assign(Sharding::SizeBalanced, &m, 4), 4);
+        let rr = imbalance(&assign(Sharding::RoundRobin, &m, 4), 4);
         assert!(balanced <= rr, "balanced {balanced:.3} vs rr {rr:.3}");
         // VGG-16's fc6 holds ~74% of all bytes, so the best achievable
         // max/avg with 4 shards is bounded below by that one tensor.
@@ -100,7 +93,7 @@ mod tests {
     fn every_param_is_assigned_in_range() {
         let m = Model::InceptionV1.build_with_batch(Mode::Inference, 2);
         for sharding in [Sharding::SizeBalanced, Sharding::RoundRobin] {
-            let a = sharding.assign(&m, 4);
+            let a = assign(sharding, &m, 4);
             assert_eq!(a.len(), m.params().len());
             assert!(a.iter().all(|&s| s < 4));
         }

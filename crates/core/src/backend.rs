@@ -35,7 +35,7 @@ pub enum TimeDomain {
     /// Deterministic simulated time (event-engine ticks). Iteration `i`
     /// of a virtual-time backend is a pure function of `i`: nothing warms
     /// up, so a session skips its warm-up indices instead of executing
-    /// them (see [`Session::try_run_with`](crate::Session::try_run_with)).
+    /// them (see [`Session::run_with`](crate::Session::run_with)).
     Virtual,
     /// Real elapsed time (nanoseconds since iteration start). Caches,
     /// thread start-up and the allocator do warm up, so warm-up
@@ -147,7 +147,7 @@ impl ThreadedBackend {
     /// * a [`FaultSpec`] that can inject a fault or sets a degraded
     ///   barrier — faults are simulated only.
     ///
-    /// [`NoiseModel`]: tictac_timing::NoiseModel
+    /// [`NoiseModel`]: tictac_trace::NoiseModel
     /// [`FaultSpec`]: tictac_sim::FaultSpec
     pub fn from_config(config: &SimConfig) -> Result<Self, SimError> {
         Self::check(config)?;
@@ -248,7 +248,7 @@ const WALL_BUCKETS_US: [u64; 8] = [
 mod tests {
     use super::*;
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_models::{tiny_mlp, Mode};
+    use tictac_graph::{tiny_mlp, Mode};
     use tictac_sched::no_ordering;
 
     #[test]
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn threaded_backend_refuses_a_faulty_config_at_both_doors() {
         use tictac_sim::FaultSpec;
-        use tictac_timing::SimDuration;
+        use tictac_trace::SimDuration;
         let model = tiny_mlp(Mode::Training, 8);
         let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
         let s = no_ordering(d.graph());

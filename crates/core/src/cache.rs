@@ -31,10 +31,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use tictac_cluster::{deploy, ClusterSpec, DeployError, DeployedModel};
 use tictac_graph::{Fnv1a, ModelGraph};
 use tictac_obs::Registry;
-use tictac_sched::Schedule;
+use tictac_sched::{Schedule, SchedulerKind};
 use tictac_sim::{FaultSpec, SimConfig};
 
-use crate::session::{compute_schedule, SchedulerKind};
+use crate::session::compute_schedule;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct DeployKey {
@@ -192,7 +192,7 @@ impl DeployCache {
     /// # Errors
     ///
     /// Returns a [`DeployError`] if the cluster spec or model is invalid.
-    pub fn tune_eval<F>(
+    pub(crate) fn tune_eval<F>(
         &self,
         model: &ModelGraph,
         cluster: &ClusterSpec,
@@ -259,7 +259,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tictac_models::{tiny_mlp, Mode};
+    use tictac_graph::{tiny_mlp, Mode};
 
     #[test]
     fn deploy_hits_share_one_arc() {
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn fault_spec_does_not_split_the_schedule_key() {
-        use tictac_timing::{RetryPolicy, SimDuration};
+        use tictac_trace::{RetryPolicy, SimDuration};
         let faulty = SimConfig::cloud_gpu().with_faults(
             FaultSpec::none()
                 .with_drop_prob(0.5)

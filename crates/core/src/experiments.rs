@@ -114,7 +114,7 @@ where
 mod tests {
     use super::*;
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_models::{Mode, Model};
+    use tictac_graph::{Mode, Model};
 
     #[test]
     fn unique_orders_grow_with_runs_for_baseline() {

@@ -38,6 +38,7 @@ mod backend;
 mod cache;
 mod experiments;
 pub mod optimal;
+pub mod scenario;
 mod session;
 mod stats;
 pub mod training;
@@ -47,9 +48,10 @@ pub use backend::{ExecutionBackend, SimBackend, ThreadedBackend, TimeDomain};
 pub use cache::{CacheStats, DeployCache};
 pub use experiments::{count_unique_recv_orders, parallel_map, speedup_pct};
 pub use optimal::{makespan_of_order, optimal_order, OptimalSearch};
+pub use scenario::{BackendKind, EnvPreset, ParseError as ScenarioParseError, Scenario};
 pub use session::{
-    IterationRecord, RunOptions, RunReport, ScenarioBuildError, SchedulerKind, Session,
-    SessionBuilder, SessionConfig,
+    IterationRecord, RunOptions, RunReport, ScenarioBuildError, Session, SessionBuilder,
+    SessionConfig,
 };
 pub use stats::{ols, percentile, Cdf, OlsFit, Summary};
 pub use tune::{auto_tune_with, TuneOptions, TuneResult};
@@ -57,29 +59,24 @@ pub use tune::{auto_tune_with, TuneOptions, TuneResult};
 // Re-export the substrate so downstream users need only one dependency.
 pub use tictac_cluster::{deploy, ClusterSpec, CommConfig, DeployError, DeployedModel, Sharding};
 pub use tictac_graph::{
-    Channel, ChannelId, CommRole, Cost, Device, DeviceId, DeviceKind, Fnv1a, Graph, GraphBuilder,
-    GraphError, ModelGraph, ModelGraphBuilder, ModelOpId, ModelOpKind, NameId, NameTable, OpId,
-    OpKind, OpName, ParamId, Resource,
+    tiny_mlp, Channel, ChannelId, CommRole, Cost, Device, DeviceId, DeviceKind, Fnv1a, Graph,
+    GraphBuilder, GraphError, Mode, Model, ModelGraph, ModelGraphBuilder, ModelOpId, ModelOpKind,
+    NameId, NameTable, OpId, OpKind, OpName, ParamId, Resource,
 };
-pub use tictac_models::{tiny_mlp, Mode, Model};
 pub use tictac_obs::{
-    overlap_report, perfetto_json, priority_inversions, realized_efficiency, validate_perfetto,
-    BucketHistogram, ChannelUsage, Counter, DeviceUsage, Gauge, HistogramStats, InversionRecord,
-    InversionReport, MetricValue, OverlapReport, PerfettoStats, RealizedEfficiency, Registry,
-    Snapshot, Timer, TimerStats,
-};
-pub use tictac_scenario::{
-    self as scenario, BackendKind, EnvPreset, ParseError as ScenarioParseError, Scenario,
+    overlap_report, perfetto_json, priority_inversions, validate_perfetto, BucketHistogram,
+    ChannelUsage, Counter, DeviceUsage, Gauge, HistogramStats, InversionRecord, InversionReport,
+    MetricValue, OverlapReport, PerfettoStats, Registry, Snapshot, Timer, TimerStats,
 };
 pub use tictac_sched::{
-    efficiency, no_ordering, random_order, tac, tac_observed, tac_order, tac_order_observed, tic,
-    tic_observed, worst_case, Baseline, OpProperties, PartitionGraph, Random, Schedule, Scheduler,
+    efficiency::{self, realized_efficiency, RealizedEfficiency},
+    no_ordering, random_order, tac, tac_observed, tac_order, tac_order_observed, tic, tic_observed,
+    worst_case, Baseline, OpProperties, PartitionGraph, Random, Schedule, Scheduler, SchedulerKind,
     TacScheduler, TicScheduler,
 };
 pub use tictac_sim::{
     noise_free_profile, simulate, simulate_with_plan_observed, try_simulate, Blackout, Crash,
-    ExecOptions, FaultCounters, FaultPlan, FaultSpec, IterationMetrics, RunPlan, SimConfig,
-    SimError, Stall,
+    ExecOptions, FaultPlan, FaultSpec, RunPlan, SimConfig, SimError, Stall,
 };
 #[doc(hidden)]
 pub use tictac_sim::{selected_engine, EngineChoice};
@@ -87,11 +84,8 @@ pub use tictac_store::{
     self as store, diff_records, group_key, regress, MemorySink, Payload, RegressPolicy,
     RegressReport, RunFilter, RunRecord, RunSink, RunStore, SessionSummary,
 };
-pub use tictac_timing::{
-    CostOracle, GeneralOracle, MeasuredProfile, NoiseModel, Platform, RetryPolicy, SimDuration,
-    SimTime, TimeOracle,
-};
 pub use tictac_trace::{
-    analyze, estimate_profile, gantt, straggler_pct, ExecutionTrace, FaultEvent, FaultEventKind,
-    OpRecord, TraceBuilder,
+    analyze, estimate_profile, gantt, straggler_pct, CostOracle, ExecutionTrace, FaultCounters,
+    FaultEvent, FaultEventKind, GeneralOracle, IterationMetrics, MeasuredProfile, NoiseModel,
+    OpRecord, Platform, RetryPolicy, SimDuration, SimTime, TimeOracle, TraceBuilder,
 };

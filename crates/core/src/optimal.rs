@@ -9,7 +9,7 @@
 use tictac_graph::{DeviceId, Graph, OpId};
 use tictac_sched::Schedule;
 use tictac_sim::{simulate, SimConfig};
-use tictac_timing::{NoiseModel, SimDuration};
+use tictac_trace::{NoiseModel, SimDuration};
 
 /// The outcome of an exhaustive search over transfer orders.
 #[derive(Debug, Clone)]
@@ -18,19 +18,10 @@ pub struct OptimalSearch {
     pub best_order: Vec<OpId>,
     /// Iteration makespan under the best order.
     pub best_makespan: SimDuration,
-    /// Iteration makespan under the worst order (for the spread).
+    /// Iteration makespan under the worst order.
     pub worst_makespan: SimDuration,
     /// Number of permutations evaluated.
     pub evaluated: usize,
-}
-
-impl OptimalSearch {
-    /// The best-vs-worst spread, as the paper's speedup `S` would see it:
-    /// `(worst − best) / best`.
-    pub fn spread(&self) -> f64 {
-        (self.worst_makespan.as_secs_f64() - self.best_makespan.as_secs_f64())
-            / self.best_makespan.as_secs_f64()
-    }
 }
 
 /// Evaluates the makespan of one fully-specified transfer order
@@ -100,7 +91,7 @@ fn permute<T, F: FnMut(&[T])>(items: &mut [T], k: usize, visit: &mut F) {
 mod tests {
     use super::*;
     use tictac_graph::{Cost, GraphBuilder, OpKind};
-    use tictac_timing::Platform;
+    use tictac_trace::Platform;
 
     /// Figure-1a-style graph with `n` transfers feeding a compute chain.
     fn chain(n: usize) -> (Graph, DeviceId) {
@@ -161,13 +152,15 @@ mod tests {
         let forward: Vec<OpId> = g.recv_ops_on(w);
         assert_eq!(makespan_of_order(&g, &forward, &cfg), result.best_makespan);
         // And the spread is meaningful: a bad order is measurably worse.
-        assert!(result.spread() > 0.01, "spread {}", result.spread());
+        let spread = (result.worst_makespan.as_secs_f64() - result.best_makespan.as_secs_f64())
+            / result.best_makespan.as_secs_f64();
+        assert!(spread > 0.01, "spread {spread}");
     }
 
     #[test]
     fn tic_and_tac_are_near_optimal_on_small_chains() {
         use tictac_sched::{tac_order, tic};
-        use tictac_timing::CostOracle;
+        use tictac_trace::CostOracle;
         let (g, w) = chain(6);
         let cfg = SimConfig::deterministic(Platform::cloud_gpu());
         let optimum = optimal_order(&g, w, &cfg);

@@ -16,9 +16,6 @@
 //! each `RunRecord`'s identity so sweep records stay groupable across
 //! processes and machines.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod parse;
 
 pub use parse::{ParseError, Value};
@@ -26,11 +23,10 @@ pub use parse::{ParseError, Value};
 use parse::Entry;
 use std::fmt;
 use tictac_cluster::{ClusterSpec, CommConfig};
-use tictac_graph::Fnv1a;
-use tictac_models::{Mode, Model};
+use tictac_graph::{Fnv1a, Mode, Model};
 use tictac_sched::SchedulerKind;
 use tictac_sim::{FaultSpec, SimConfig, DEFAULT_SEED};
-use tictac_timing::SimDuration;
+use tictac_trace::SimDuration;
 
 /// Which execution backend runs the measured iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,7 +39,7 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// The backend's short lowercase name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             BackendKind::Sim => "sim",
             BackendKind::Threaded => "threaded",
@@ -51,7 +47,7 @@ impl BackendKind {
     }
 
     /// Parses a backend from its short lowercase name.
-    pub fn from_name(name: &str) -> Option<BackendKind> {
+    pub(crate) fn from_name(name: &str) -> Option<BackendKind> {
         match name {
             "sim" => Some(BackendKind::Sim),
             "threaded" => Some(BackendKind::Threaded),
@@ -77,7 +73,7 @@ pub enum EnvPreset {
 
 impl EnvPreset {
     /// The preset's short lowercase name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EnvPreset::G => "g",
             EnvPreset::C => "c",
@@ -85,7 +81,7 @@ impl EnvPreset {
     }
 
     /// Parses a preset from its short name.
-    pub fn from_name(name: &str) -> Option<EnvPreset> {
+    pub(crate) fn from_name(name: &str) -> Option<EnvPreset> {
         match name {
             "g" => Some(EnvPreset::G),
             "c" => Some(EnvPreset::C),
@@ -94,7 +90,7 @@ impl EnvPreset {
     }
 
     /// The preset's base [`SimConfig`] (before seed/fault overrides).
-    pub fn base_config(self) -> SimConfig {
+    pub(crate) fn base_config(self) -> SimConfig {
         match self {
             EnvPreset::G => SimConfig::cloud_gpu(),
             EnvPreset::C => SimConfig::cpu_cluster(),
@@ -209,7 +205,10 @@ impl Scenario {
             None => Mode::Training,
         };
         let batch = match f.take("batch") {
-            Some(e) => parse_num::<usize>(&scalar(&e)?, e.line, "batch")?,
+            Some(e) => match parse_num::<usize>(&scalar(&e)?, e.line, "batch")? {
+                0 => return Err(ParseError::at(e.line, "batch must be at least 1")),
+                n => n,
+            },
             None => model.default_batch(),
         };
 
@@ -720,6 +719,7 @@ seed: [1, 2, 3]
             (format!("{base}mode: eval\n"), "mode must be"),
             (format!("{base}iterations: many\n"), "invalid iterations"),
             (format!("{base}iterations: 0\n"), "line 5: iterations must be at least 1"),
+            (format!("{base}batch: 0\n"), "line 5: batch must be at least 1"),
             (format!("{base}time_scale: -1\n"), "time_scale must be positive"),
             (
                 "model: alexnet_v2\ncluster:\n  workers: 2\n  parameter_servers: 1\n  worker_speeds: [1.0]\n".into(),

@@ -63,7 +63,7 @@ pub enum Value {
 
 /// One `key: value` entry with its source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Entry {
+pub(crate) struct Entry {
     pub line: usize,
     pub key: String,
     pub value: Option<Value>,

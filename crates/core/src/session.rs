@@ -4,23 +4,19 @@ use std::time::Instant;
 use tictac_cluster::{ClusterSpec, DeployError, DeployedModel};
 use tictac_graph::ModelGraph;
 use tictac_obs::Registry;
-use tictac_scenario::{BackendKind, Scenario};
 use tictac_sched::{
-    efficiency, no_ordering, Baseline, Random, Schedule, Scheduler, TacScheduler, TicScheduler,
+    efficiency, no_ordering, Baseline, Random, Schedule, Scheduler, SchedulerKind, TacScheduler,
+    TicScheduler,
 };
-use tictac_sim::{noise_free_profile, FaultCounters, FaultSpec, RunPlan, SimConfig, SimError};
+use tictac_sim::{noise_free_profile, FaultSpec, RunPlan, SimConfig, SimError};
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
-use tictac_timing::{
-    GeneralOracle, MeasuredProfile, NoiseModel, SimDuration, TimeOracle, HORIZON_NS,
+use tictac_trace::{
+    analyze, estimate_profile, ExecutionTrace, FaultCounters, GeneralOracle, MeasuredProfile,
+    NoiseModel, SimDuration, TimeOracle, HORIZON_NS,
 };
-use tictac_trace::{analyze, estimate_profile, ExecutionTrace};
 
 use crate::backend::{ExecutionBackend, SimBackend, TimeDomain};
-
-// `SchedulerKind` moved to `tictac-sched` (re-exported here for API
-// compatibility) so policy-naming surfaces — scenario files, run records
-// — need not depend on the whole session layer.
-pub use tictac_sched::SchedulerKind;
+use crate::scenario::{BackendKind, Scenario};
 
 /// The declarative half of a session: every knob that determines *what*
 /// runs — and therefore the run's recorded identity — separate from the
@@ -76,7 +72,7 @@ pub struct SessionBuilder {
 
 impl SessionBuilder {
     /// Replaces the whole declarative configuration at once.
-    pub fn settings(mut self, settings: SessionConfig) -> Self {
+    pub(crate) fn settings(mut self, settings: SessionConfig) -> Self {
         self.settings = settings;
         self
     }
@@ -175,9 +171,6 @@ impl SessionBuilder {
             model_name: self.model.name().to_string(),
             model_fp: self.model.fingerprint(),
             batch: self.model.batch_size(),
-            model: std::sync::Arc::new(self.model),
-            cluster: s.cluster.clone(),
-            sim_config: s.config.clone(),
             deployed,
             scheduler: s.scheduler,
             warmup: s.warmup,
@@ -389,15 +382,6 @@ impl RunReport {
             .fold(0.0, f64::max)
     }
 
-    /// Maximum scheduling efficiency across iterations (as reported for
-    /// Fig. 11a).
-    pub fn max_efficiency(&self) -> f64 {
-        self.iterations
-            .iter()
-            .map(|r| r.efficiency)
-            .fold(0.0, f64::max)
-    }
-
     /// Mean scheduling efficiency.
     pub fn mean_efficiency(&self) -> f64 {
         self.iterations.iter().map(|r| r.efficiency).sum::<f64>() / self.iterations.len() as f64
@@ -425,20 +409,17 @@ impl RunReport {
 /// Create with [`Session::builder`].
 #[derive(Debug)]
 pub struct Session {
-    model: std::sync::Arc<ModelGraph>,
     model_name: String,
     model_fp: u64,
     batch: usize,
-    cluster: ClusterSpec,
-    sim_config: SimConfig,
     deployed: std::sync::Arc<DeployedModel>,
     scheduler: SchedulerKind,
     warmup: usize,
     iterations: usize,
     schedule: std::sync::Arc<Schedule>,
     /// The tables and configuration every iteration runs from: derived
-    /// once from `deployed`, `schedule` and `sim_config`, none of which
-    /// changes afterwards.
+    /// once from `deployed`, `schedule` and the session's config, none of
+    /// which changes afterwards.
     plan: RunPlan,
     schedule_compute_time: std::time::Duration,
     registry: Registry,
@@ -450,7 +431,7 @@ pub struct Session {
     sink: Option<std::sync::Arc<dyn RunSink>>,
 }
 
-/// Options for [`Session::run_with`] / [`Session::try_run_with`].
+/// Options for [`Session::run_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOptions {
     /// Iteration-index offset, so repeated runs observe fresh random
@@ -556,50 +537,9 @@ impl Session {
         &self.deployed
     }
 
-    /// Searches for the communication granularity ([`CommConfig`]) that
-    /// minimises this session's fault-free makespan under its own
-    /// scheduler, via [`auto_tune_with`](crate::auto_tune_with) against
-    /// the process-wide [`DeployCache`](crate::DeployCache). The
-    /// session itself is unchanged; rebuild with
-    /// `cluster.with_comm(result.best)` to run the tuned deployment.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DeployError`] if a candidate deployment fails (e.g.
-    /// a zero threshold in the options' ladders).
-    pub fn auto_tune(
-        &self,
-        options: &crate::TuneOptions,
-    ) -> Result<crate::TuneResult, DeployError> {
-        crate::tune::auto_tune_with(
-            crate::DeployCache::global(),
-            &self.model,
-            &self.cluster,
-            self.scheduler,
-            &self.sim_config,
-            options,
-        )
-    }
-
     /// The enforced schedule (empty for the baseline).
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
-    }
-
-    /// The scheduling policy.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
-    /// The metrics registry attached via
-    /// [`SessionBuilder::observe`] (disabled by default).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The execution backend running this session's iterations.
-    pub fn backend(&self) -> &dyn ExecutionBackend {
-        self.backend.as_ref()
     }
 
     /// Executes one iteration on the session's backend and returns its
@@ -705,7 +645,7 @@ impl Session {
     /// # Errors
     ///
     /// Returns the first [`SimError`] any executed iteration produces.
-    pub fn try_run_with(&self, options: RunOptions) -> Result<RunReport, SimError> {
+    pub(crate) fn try_run_with(&self, options: RunOptions) -> Result<RunReport, SimError> {
         let offset = options.offset;
         let iterations = options.iterations.unwrap_or(self.iterations);
         let graph = self.deployed.graph();
@@ -740,18 +680,12 @@ impl Session {
             // Scheduling efficiency per worker partition with measured
             // per-op durations (§3.2); the iteration's efficiency is the
             // slowest worker's.
-            let mut min_e = 1.0_f64;
-            let mut potential = 0.0;
-            for (&w, finish) in self.deployed.workers().iter().zip(&metrics.worker_finish) {
-                let report = efficiency::evaluate(
-                    graph,
-                    graph.device_ops(w),
-                    |op| trace.duration(op),
-                    finish.duration_since(tictac_timing::SimTime::ZERO),
-                );
-                min_e = min_e.min(report.efficiency_clamped());
-                potential = report.speedup_potential;
-            }
+            let realized = efficiency::realized_efficiency_with(
+                graph,
+                &trace,
+                self.deployed.workers(),
+                &metrics.worker_finish,
+            );
             let throughput = metrics.throughput(self.batch, self.deployed.workers().len());
             m_iterations.inc();
             m_retries.add(metrics.faults.retransmits);
@@ -762,8 +696,8 @@ impl Session {
                 makespan: metrics.makespan,
                 throughput,
                 straggler_pct: metrics.straggler_pct,
-                efficiency: min_e,
-                speedup_potential: potential,
+                efficiency: realized.efficiency,
+                speedup_potential: realized.speedup_potential,
                 faults: metrics.faults,
                 goodput_pct: metrics.goodput_pct,
             });
@@ -831,7 +765,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tictac_models::{tiny_mlp, Mode};
+    use tictac_graph::{tiny_mlp, Mode};
 
     fn session(kind: SchedulerKind) -> Session {
         Session::builder(tiny_mlp(Mode::Training, 8))
@@ -852,7 +786,7 @@ mod tests {
         assert_eq!(report.parameter_servers, 1);
         assert!(report.mean_throughput() > 0.0);
         assert!(report.mean_makespan() > SimDuration::ZERO);
-        assert!(report.max_efficiency() <= 1.0);
+        assert!(report.iterations.iter().all(|r| r.efficiency <= 1.0));
     }
 
     #[test]
@@ -884,7 +818,7 @@ mod tests {
 
     #[test]
     fn faulty_sessions_report_counters_and_errors() {
-        use tictac_timing::{RetryPolicy, SimDuration as D};
+        use tictac_trace::{RetryPolicy, SimDuration as D};
         // Recoverable drops: run succeeds and counters are non-zero.
         let s = Session::builder(tiny_mlp(Mode::Training, 8))
             .cluster(ClusterSpec::new(2, 1))
@@ -932,7 +866,7 @@ mod tests {
 
     #[test]
     fn tac_profiles_fault_free() {
-        use tictac_timing::{RetryPolicy, SimDuration as D};
+        use tictac_trace::{RetryPolicy, SimDuration as D};
         // TAC under heavy faults must still compute the same schedule it
         // computes on a healthy cluster: profiling ignores the fault spec.
         let faulty = Session::builder(tiny_mlp(Mode::Training, 8))
@@ -1160,7 +1094,7 @@ warmup: 1
         let scenario = Scenario::parse(doc).unwrap();
         let from_scenario = Session::from_scenario(&scenario).unwrap();
         let by_hand = Session::builder(
-            tictac_models::Model::AlexNetV2.build_with_batch(Mode::Training, scenario.batch),
+            tictac_graph::Model::AlexNetV2.build_with_batch(Mode::Training, scenario.batch),
         )
         .cluster(ClusterSpec::new(2, 1))
         .config(SimConfig::cloud_gpu())
@@ -1217,7 +1151,7 @@ warmup: 0
         assert_ne!(records[0].scenario_fp, 0);
         // The threaded scenario builds too, and carries its own backend.
         let threaded = Session::from_scenario(&scenario).unwrap();
-        assert_eq!(threaded.backend().name(), "threaded");
+        assert_eq!(threaded.backend.name(), "threaded");
         assert_eq!(threaded.schedule(), session.schedule());
     }
 
@@ -1268,7 +1202,7 @@ faults:
     #[test]
     fn threaded_backend_runs_and_labels_wall_clock_traces() {
         let s = threaded_session(SchedulerKind::Tac);
-        assert_eq!(s.backend().name(), "threaded");
+        assert_eq!(s.backend.name(), "threaded");
         let report = s.run();
         assert_eq!(report.iterations.len(), 2);
         assert!(report.mean_throughput() > 0.0);

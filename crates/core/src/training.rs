@@ -8,12 +8,6 @@
 //! synthetic data. The transfer order enters only as the order in which
 //! worker gradients are accumulated at the parameter server — which
 //! perturbs nothing beyond floating-point round-off.
-//!
-//! The learner also models the *degraded-mode barrier* of the fault
-//! subsystem: when an iteration releases with a slow worker's update still
-//! in flight ([`step_degraded`](Trainer::step_degraded)), that gradient is
-//! deferred and folded into the next iteration's aggregation — a one-step
-//! stale gradient, the numeric counterpart of a deferred transfer.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -57,7 +51,7 @@ impl Default for TrainingConfig {
 
 /// A two-layer MLP with data-parallel synchronous SGD.
 #[derive(Debug, Clone)]
-pub struct Trainer {
+pub(crate) struct Trainer {
     cfg: TrainingConfig,
     /// Row-major `[input_dim][hidden]`.
     w1: Vec<f64>,
@@ -69,15 +63,12 @@ pub struct Trainer {
     /// Whether gradient accumulation follows a fixed (enforced) worker
     /// order or a per-iteration random order (baseline).
     ordered: bool,
-    /// Gradients deferred by a degraded barrier, applied (stale) at the
-    /// next aggregation.
-    pending: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
 impl Trainer {
     /// Creates a trainer; `ordered` selects enforced vs random gradient
     /// accumulation order (the knob scheduling turns).
-    pub fn new(cfg: TrainingConfig, ordered: bool) -> Self {
+    pub(crate) fn new(cfg: TrainingConfig, ordered: bool) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         // Class-conditional Gaussian blobs.
         let means: Vec<Vec<f64>> = (0..cfg.classes)
@@ -114,24 +105,12 @@ impl Trainer {
             data,
             labels,
             ordered,
-            pending: Vec::new(),
         }
     }
 
     /// Runs one synchronous iteration and returns the mean training loss
     /// of the global batch (before the update).
-    pub fn step(&mut self, iteration: usize) -> f64 {
-        self.step_degraded(iteration, &[])
-    }
-
-    /// Like [`step`](Trainer::step), but the iteration's barrier released
-    /// in degraded mode: gradients of `deferred_workers` do not reach the
-    /// parameter server in time and are folded into the *next*
-    /// aggregation instead (one-step-stale updates).
-    ///
-    /// Workers still compute their shards (the reported loss covers the
-    /// full global batch); only the update is late.
-    pub fn step_degraded(&mut self, iteration: usize, deferred_workers: &[usize]) -> f64 {
+    pub(crate) fn step(&mut self, iteration: usize) -> f64 {
         let cfg = self.cfg;
         let start = (iteration * cfg.batch) % cfg.samples;
         let idx: Vec<usize> = (0..cfg.batch).map(|i| (start + i) % cfg.samples).collect();
@@ -158,23 +137,10 @@ impl Trainer {
         }
         let mut g1 = vec![0.0; self.w1.len()];
         let mut g2 = vec![0.0; self.w2.len()];
-        // Late arrivals from a previous degraded barrier land first.
-        for (p1, p2) in std::mem::take(&mut self.pending) {
-            for (a, b) in g1.iter_mut().zip(&p1) {
-                *a += b;
-            }
-            for (a, b) in g2.iter_mut().zip(&p2) {
-                *a += b;
-            }
-        }
         let mut loss = 0.0;
         for &w in &order {
             let (gw1, gw2, l) = &grads[w];
             loss += l;
-            if deferred_workers.contains(&w) {
-                self.pending.push((gw1.clone(), gw2.clone()));
-                continue;
-            }
             for (a, b) in g1.iter_mut().zip(gw1) {
                 *a += b;
             }
@@ -258,28 +224,6 @@ pub fn loss_curve(cfg: TrainingConfig, ordered: bool, iterations: usize) -> Vec<
     (0..iterations).map(|i| t.step(i)).collect()
 }
 
-/// Loss curve with degraded barriers injected: at each iteration in
-/// `degraded_at`, `worker`'s gradient arrives one iteration late (the
-/// training-side picture of the simulator's deferred transfers).
-pub fn loss_curve_degraded(
-    cfg: TrainingConfig,
-    ordered: bool,
-    iterations: usize,
-    degraded_at: &[usize],
-    worker: usize,
-) -> Vec<f64> {
-    let mut t = Trainer::new(cfg, ordered);
-    (0..iterations)
-        .map(|i| {
-            if degraded_at.contains(&i) {
-                t.step_degraded(i, &[worker])
-            } else {
-                t.step(i)
-            }
-        })
-        .collect()
-}
-
 fn standard_normal(rng: &mut impl Rng) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
@@ -320,33 +264,5 @@ mod tests {
     fn training_is_reproducible() {
         let cfg = TrainingConfig::default();
         assert_eq!(loss_curve(cfg, true, 10), loss_curve(cfg, true, 10));
-    }
-
-    #[test]
-    fn deferred_gradients_still_converge() {
-        // Degraded barriers early in training (worker 1's update one step
-        // stale at iterations 3, 9 and 15) must not break convergence —
-        // the stale gradients are applied, just late.
-        let cfg = TrainingConfig::default();
-        let curve = loss_curve_degraded(cfg, true, 60, &[3, 9, 15], 1);
-        let head: f64 = curve[..10].iter().sum::<f64>() / 10.0;
-        let tail: f64 = curve[50..].iter().sum::<f64>() / 10.0;
-        assert!(
-            tail < 0.7 * head,
-            "degraded training failed to converge: head {head:.3} tail {tail:.3}"
-        );
-        // And it must actually differ from the clean run (the update path
-        // changed), while staying reproducible.
-        let clean = loss_curve(cfg, true, 60);
-        assert_ne!(curve, clean);
-        assert_eq!(curve, loss_curve_degraded(cfg, true, 60, &[3, 9, 15], 1));
-    }
-
-    #[test]
-    fn deferral_with_no_deferred_workers_is_a_plain_step() {
-        let cfg = TrainingConfig::default();
-        let a = loss_curve(cfg, true, 12);
-        let b = loss_curve_degraded(cfg, true, 12, &[], 0);
-        assert_eq!(a, b);
     }
 }

@@ -20,10 +20,10 @@
 
 use tictac_cluster::{ClusterSpec, CommConfig, DeployError};
 use tictac_graph::ModelGraph;
+use tictac_sched::SchedulerKind;
 use tictac_sim::{FaultSpec, RunPlan, SimConfig};
 
 use crate::cache::DeployCache;
-use crate::session::SchedulerKind;
 
 /// Iteration-index base for tuning simulations, far away from the
 /// ranges used by sessions (run offsets) and experiments, so the noise
@@ -115,7 +115,7 @@ impl TuneResult {
 /// is strictly better. The seed permutes which axis each sweep probes
 /// first. Every candidate evaluation — deploy, schedule, `samples`
 /// fault-free simulated iterations — flows through
-/// [`DeployCache::tune_eval`], so repeated searches over overlapping
+/// `DeployCache::tune_eval`, so repeated searches over overlapping
 /// ladders re-simulate nothing.
 ///
 /// The comm thresholds of `cluster` itself are ignored: the search
@@ -214,7 +214,7 @@ pub fn auto_tune_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tictac_models::{tiny_mlp, Mode, Model};
+    use tictac_graph::{tiny_mlp, Mode, Model};
 
     fn setup() -> (ModelGraph, ClusterSpec, SimConfig) {
         let model = Model::InceptionV1.build_with_batch(Mode::Training, 4);

@@ -93,7 +93,7 @@ impl GraphBuilder {
     }
 
     /// Registers a device of the given kind and returns its id.
-    pub fn add_device(&mut self, kind: DeviceKind, name: impl Into<String>) -> DeviceId {
+    pub(crate) fn add_device(&mut self, kind: DeviceKind, name: impl Into<String>) -> DeviceId {
         let id = DeviceId::from_index(self.devices.len());
         self.devices.push(Device::new(id, kind, name));
         id
@@ -243,7 +243,8 @@ impl GraphBuilder {
     /// # Panics
     ///
     /// Panics if `to` was not created by this builder.
-    pub fn add_dep(&mut self, from: OpId, to: OpId) {
+    #[cfg(test)]
+    fn add_dep(&mut self, from: OpId, to: OpId) {
         let (start, end) = (
             self.pred_offsets[to.index()] as usize,
             self.pred_offsets[to.index() + 1] as usize,
@@ -576,7 +577,7 @@ mod tests {
         let p = b.add_param("p", 64);
         b.assign_param_to_ps(p, ps);
         let g = b.build().unwrap();
-        assert_eq!(g.param(p).ps(), Some(ps));
+        assert_eq!(g.param(p).ps, Some(ps));
         assert_eq!(g.param(p).bytes(), 64);
         assert_eq!(g.param(p).name(), "p");
     }

@@ -48,11 +48,6 @@ impl Device {
         self.id
     }
 
-    /// The device's role.
-    pub fn kind(&self) -> DeviceKind {
-        self.kind
-    }
-
     /// The device's human-readable name (e.g. `"worker/0"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -108,7 +103,7 @@ impl Channel {
     }
 
     /// Whether `device` is one of the two endpoints.
-    pub fn connects(&self, device: DeviceId) -> bool {
+    pub(crate) fn connects(&self, device: DeviceId) -> bool {
         self.worker == device || self.ps == device
     }
 }
@@ -136,11 +131,6 @@ impl Resource {
     /// Whether this resource is a communication channel.
     pub fn is_channel(&self) -> bool {
         matches!(self, Resource::Channel(_))
-    }
-
-    /// Whether this resource is a compute unit.
-    pub fn is_compute(&self) -> bool {
-        matches!(self, Resource::Compute(_))
     }
 }
 
@@ -181,8 +171,8 @@ mod tests {
     fn resource_kind_predicates() {
         let c = Resource::Compute(DeviceId::from_index(0));
         let ch = Resource::Channel(ChannelId::from_index(0));
-        assert!(c.is_compute() && !c.is_channel());
-        assert!(ch.is_channel() && !ch.is_compute());
+        assert!(!c.is_channel());
+        assert!(ch.is_channel());
     }
 
     #[test]

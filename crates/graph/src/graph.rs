@@ -3,7 +3,7 @@
 use crate::device::{Channel, Device, Resource};
 use crate::ids::{ChannelId, DeviceId, OpId, ParamId};
 use crate::name::{NameTable, OpName};
-use crate::op::{Op, OpKind};
+use crate::op::Op;
 
 /// Metadata about one model parameter (a trainable tensor).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,11 +22,6 @@ impl ParamInfo {
     /// The parameter's size in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// The parameter server the parameter is sharded onto, if assigned.
-    pub fn ps(&self) -> Option<DeviceId> {
-        self.ps
     }
 }
 
@@ -121,19 +116,9 @@ impl Graph {
         &self.succ_edges[self.succ_offsets[i] as usize..self.succ_offsets[i + 1] as usize]
     }
 
-    /// Total number of dependency edges.
-    pub fn edge_count(&self) -> usize {
-        self.pred_edges.len()
-    }
-
     /// Ops with no predecessors.
     pub fn roots(&self) -> impl Iterator<Item = OpId> + '_ {
         self.op_ids().filter(|id| self.preds(*id).is_empty())
-    }
-
-    /// Ops with no successors.
-    pub fn leaves(&self) -> impl Iterator<Item = OpId> + '_ {
-        self.op_ids().filter(|id| self.succs(*id).is_empty())
     }
 
     /// All devices.
@@ -334,11 +319,6 @@ impl Graph {
             .map(|c| c.id())
     }
 
-    /// Total bytes across all parameters.
-    pub fn total_param_bytes(&self) -> u64 {
-        self.params.iter().map(|p| p.bytes).sum()
-    }
-
     /// Counts ops by a predicate — convenience for statistics.
     pub fn count_ops(&self, mut pred: impl FnMut(&Op) -> bool) -> usize {
         self.ops.iter().filter(|op| pred(op)).count()
@@ -369,34 +349,6 @@ impl Graph {
     }
 }
 
-/// Summary statistics of a graph, used by reporting code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphCounts {
-    /// Total op count.
-    pub ops: usize,
-    /// Number of `recv` ops.
-    pub recvs: usize,
-    /// Number of `send` ops.
-    pub sends: usize,
-    /// Number of compute ops.
-    pub computes: usize,
-    /// Number of dependency edges.
-    pub edges: usize,
-}
-
-impl Graph {
-    /// Computes summary counts.
-    pub fn counts(&self) -> GraphCounts {
-        GraphCounts {
-            ops: self.len(),
-            recvs: self.count_ops(|o| o.kind().is_recv()),
-            sends: self.count_ops(|o| o.kind().is_send()),
-            computes: self.count_ops(|o| matches!(o.kind(), OpKind::Compute)),
-            edges: self.edge_count(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{Cost, GraphBuilder, OpKind, Resource};
@@ -417,9 +369,7 @@ mod tests {
         let g = b.build().unwrap();
 
         assert_eq!(g.len(), 4);
-        assert_eq!(g.edge_count(), 3);
         assert_eq!(g.roots().collect::<Vec<_>>(), vec![r1, r2]);
-        assert_eq!(g.leaves().collect::<Vec<_>>(), vec![op2]);
         assert_eq!(g.preds(op2), &[r2, op1]); // builder sorts deps by id
         assert_eq!(g.succs(r1), &[op1]);
         assert_eq!(g.recv_ops_on(w), vec![r1, r2]);
@@ -427,7 +377,6 @@ mod tests {
         assert!(g.device_ops(ps).is_empty());
         assert_eq!(g.resource(r1), Resource::Channel(ch));
         assert_eq!(g.resource(op1), Resource::Compute(w));
-        assert_eq!(g.total_param_bytes(), 200);
         assert!(g.check().is_ok());
     }
 
@@ -454,24 +403,5 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.find_op("unique"), Some(id));
         assert_eq!(g.find_op("missing"), None);
-    }
-
-    #[test]
-    fn counts_classify_kinds() {
-        let mut b = GraphBuilder::new();
-        let w = b.add_worker("worker/0");
-        let ps = b.add_parameter_server("ps/0");
-        let ch = b.add_channel(w, ps);
-        let p = b.add_param("w", 8);
-        let r = b.add_op("r", w, OpKind::recv(p, ch), Cost::bytes(8), &[]);
-        let c = b.add_op("c", w, OpKind::Compute, Cost::flops(1.0), &[r]);
-        b.add_op("s", w, OpKind::send(p, ch), Cost::bytes(8), &[c]);
-        let g = b.build().unwrap();
-        let counts = g.counts();
-        assert_eq!(counts.ops, 3);
-        assert_eq!(counts.recvs, 1);
-        assert_eq!(counts.sends, 1);
-        assert_eq!(counts.computes, 1);
-        assert_eq!(counts.edges, 2);
     }
 }

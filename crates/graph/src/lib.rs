@@ -16,6 +16,8 @@
 //!   DNN (layers, parameters, gradients). Model-zoo generators produce these;
 //!   the `tictac-cluster` crate lowers them onto a [`Graph`] spanning a
 //!   Model-Replica + Parameter-Server deployment.
+//! * [`zoo`] — the ten networks of Table 1 ([`Model`]) and a tiny MLP
+//!   ([`tiny_mlp`]), as [`ModelGraph`] generators.
 //! * [`topo`] — topological utilities (Kahn ordering, reachability, critical
 //!   path) used by the schedulers and the simulator.
 //!
@@ -58,6 +60,7 @@ mod model;
 mod name;
 mod op;
 pub mod topo;
+pub mod zoo;
 
 pub use builder::GraphBuilder;
 pub use device::{Channel, Device, DeviceKind, Resource};
@@ -70,3 +73,4 @@ pub use model::{
 };
 pub use name::{CommRole, NameId, NameTable, OpName};
 pub use op::{Cost, Op, OpKind};
+pub use zoo::{tiny_mlp, Mode, Model};

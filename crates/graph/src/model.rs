@@ -15,18 +15,13 @@ use std::fmt;
 pub struct TensorShape(Vec<usize>);
 
 impl TensorShape {
-    /// Creates a shape from dimensions.
-    pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        Self(dims.into())
-    }
-
     /// The dimensions.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.0
     }
 
     /// Total number of elements (product of dimensions; 1 for a scalar).
-    pub fn elems(&self) -> u64 {
+    pub(crate) fn elems(&self) -> u64 {
         self.0.iter().map(|&d| d as u64).product()
     }
 }
@@ -66,7 +61,7 @@ pub struct ParamSpec {
 
 impl ParamSpec {
     /// Creates a parameter with 4-byte (f32) elements.
-    pub fn f32(name: impl Into<String>, shape: impl Into<TensorShape>) -> Self {
+    pub(crate) fn f32(name: impl Into<String>, shape: impl Into<TensorShape>) -> Self {
         Self {
             name: name.into(),
             shape: shape.into(),
@@ -77,11 +72,6 @@ impl ParamSpec {
     /// The parameter's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The parameter's shape.
-    pub fn shape(&self) -> &TensorShape {
-        &self.shape
     }
 
     /// Number of elements.
@@ -211,15 +201,6 @@ impl ModelGraph {
         &self.ops
     }
 
-    /// The op with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of bounds.
-    pub fn op(&self, id: ModelOpId) -> &ModelOp {
-        &self.ops[id.index()]
-    }
-
     /// Iterates over `(id, op)` pairs.
     pub fn ops_enumerated(&self) -> impl Iterator<Item = (ModelOpId, &ModelOp)> {
         self.ops
@@ -281,21 +262,6 @@ impl ModelGraph {
             }
         }
         h.finish()
-    }
-
-    /// Returns a copy with every op's flops scaled by `factor`.
-    ///
-    /// Used for the batch-size scaling experiment (Fig. 10): compute cost is
-    /// roughly linear in batch size while parameter transfer size is
-    /// unchanged.
-    pub fn scale_compute(&self, factor: f64) -> ModelGraph {
-        assert!(factor.is_finite() && factor > 0.0, "invalid factor");
-        let mut out = self.clone();
-        for op in &mut out.ops {
-            op.flops *= factor;
-        }
-        out.batch_size = ((self.batch_size as f64) * factor).round().max(1.0) as usize;
-        out
     }
 }
 
@@ -373,23 +339,13 @@ impl ModelGraphBuilder {
         id
     }
 
-    /// Number of ops added so far.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether no ops have been added.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Inspects an op already added to the builder (used by layer-level
     /// builders to synthesize backward passes).
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of bounds.
-    pub fn peek_op(&self, id: ModelOpId) -> &ModelOp {
+    pub(crate) fn peek_op(&self, id: ModelOpId) -> &ModelOp {
         &self.ops[id.index()]
     }
 
@@ -414,10 +370,10 @@ mod tests {
 
     #[test]
     fn tensor_shape_elems() {
-        assert_eq!(TensorShape::new(vec![3, 3, 64, 128]).elems(), 73_728);
-        assert_eq!(TensorShape::new(vec![]).elems(), 1);
-        assert_eq!(TensorShape::new(vec![10]).to_string(), "[10]");
-        assert_eq!(TensorShape::new(vec![2, 3]).to_string(), "[2x3]");
+        assert_eq!(TensorShape::from(vec![3, 3, 64, 128]).elems(), 73_728);
+        assert_eq!(TensorShape::from(vec![]).elems(), 1);
+        assert_eq!(TensorShape::from(vec![10]).to_string(), "[10]");
+        assert_eq!(TensorShape::from(vec![2, 3]).to_string(), "[2x3]");
     }
 
     #[test]
@@ -459,16 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_compute_scales_flops_and_batch() {
-        let m = tiny_training_model();
-        let doubled = m.scale_compute(2.0);
-        assert_eq!(doubled.stats().flops, 1820.0);
-        assert_eq!(doubled.batch_size(), 16);
-        // Parameter sizes unchanged.
-        assert_eq!(doubled.stats().param_bytes, m.stats().param_bytes);
-    }
-
-    #[test]
     #[should_panic(expected = "unknown model op")]
     fn add_op_rejects_forward_references() {
         let mut b = ModelGraphBuilder::new("bad", 1);
@@ -481,7 +427,6 @@ mod tests {
         let m = tiny_training_model();
         assert_eq!(m.fingerprint(), tiny_training_model().fingerprint());
         // Any deployment-relevant change moves the fingerprint.
-        assert_ne!(m.fingerprint(), m.scale_compute(2.0).fingerprint());
         let mut renamed = ModelGraphBuilder::new("tiny2", 8);
         let w = renamed.add_param("l1/w", vec![16, 32]);
         renamed.add_op("l1", ModelOpKind::Forward, 100.0, &[], &[w], &[]);

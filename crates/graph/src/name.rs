@@ -20,7 +20,7 @@ pub struct NameId(u32);
 impl NameId {
     /// The raw table index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -39,12 +39,12 @@ pub struct NameTable {
 
 impl NameTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Interns `s`, returning its id (existing id if already present).
-    pub fn intern(&mut self, s: &str) -> NameId {
+    pub(crate) fn intern(&mut self, s: &str) -> NameId {
         if let Some(&id) = self.index.get(s) {
             return id;
         }
@@ -59,23 +59,13 @@ impl NameTable {
     /// # Panics
     ///
     /// Panics if `id` did not come from this table.
-    pub fn get(&self, id: NameId) -> &str {
+    pub(crate) fn get(&self, id: NameId) -> &str {
         &self.strings[id.index()]
     }
 
     /// Looks up an already-interned string without inserting.
     pub fn lookup(&self, s: &str) -> Option<NameId> {
         self.index.get(s).copied()
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
     }
 }
 
@@ -109,7 +99,7 @@ pub enum CommRole {
 /// The `Ps*`/`Worker*` variants cover every op the MR+PS lowering emits
 /// (paper §2.2); [`OpName::Chunk`] and [`OpName::Fused`] cover the
 /// partition/fusion communication passes; and [`OpName::Raw`] holds
-/// arbitrary interned strings for hand-built graphs. [`OpName::render`]
+/// arbitrary interned strings for hand-built graphs. `OpName::render`
 /// reproduces the historical `format!` strings byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpName {
@@ -209,7 +199,7 @@ pub enum OpName {
 impl OpName {
     /// Renders the legacy string form into `out` (byte-identical to the
     /// historical `format!` calls).
-    pub fn render_into(&self, table: &NameTable, out: &mut String) {
+    pub(crate) fn render_into(&self, table: &NameTable, out: &mut String) {
         match *self {
             OpName::Raw(id) => out.push_str(table.get(id)),
             OpName::PsRead { shard, param } => {
@@ -308,7 +298,7 @@ impl OpName {
     }
 
     /// Renders the legacy string form.
-    pub fn render(&self, table: &NameTable) -> String {
+    pub(crate) fn render(&self, table: &NameTable) -> String {
         let mut out = String::new();
         self.render_into(table, &mut out);
         out
@@ -330,7 +320,7 @@ mod tests {
         assert_eq!(t.get(a), "conv1/weights");
         assert_eq!(t.lookup("conv1/bias"), Some(b));
         assert_eq!(t.lookup("missing"), None);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.strings.len(), 2);
     }
 
     #[test]

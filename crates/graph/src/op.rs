@@ -78,7 +78,7 @@ impl OpKind {
     }
 
     /// The parameter this op involves, if any.
-    pub fn param(&self) -> Option<ParamId> {
+    pub(crate) fn param(&self) -> Option<ParamId> {
         match *self {
             OpKind::Compute => None,
             OpKind::Recv { param, .. }
@@ -112,7 +112,7 @@ impl fmt::Display for OpKind {
 }
 
 /// Platform-independent cost annotation of an op, interpreted by a time
-/// oracle (`tictac-timing`).
+/// oracle (`tictac-trace`).
 ///
 /// Compute ops carry floating-point work; communication ops carry a byte
 /// count. Either may be zero (e.g. a control-dependency barrier).
@@ -144,11 +144,6 @@ impl Cost {
     /// Cost of a communication op moving `bytes` bytes.
     pub fn bytes(bytes: u64) -> Self {
         Cost { flops: 0.0, bytes }
-    }
-
-    /// Whether the op performs no modelled work.
-    pub fn is_zero(&self) -> bool {
-        self.flops == 0.0 && self.bytes == 0
     }
 }
 
@@ -232,8 +227,6 @@ mod tests {
         assert_eq!(c.bytes, 0);
         let b = Cost::bytes(1024);
         assert_eq!(b.bytes, 1024);
-        assert!(Cost::ZERO.is_zero());
-        assert!(!b.is_zero());
     }
 
     #[test]

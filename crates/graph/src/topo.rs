@@ -120,7 +120,7 @@ pub fn is_topological(graph: &Graph, order: &[OpId]) -> bool {
 ///
 /// With unit weights this is the op's depth; with time-oracle weights the
 /// maximum over all ops is the critical-path length of the DAG.
-pub fn longest_path_to(graph: &Graph, mut weight: impl FnMut(OpId) -> f64) -> Vec<f64> {
+pub(crate) fn longest_path_to(graph: &Graph, mut weight: impl FnMut(OpId) -> f64) -> Vec<f64> {
     let order = topo_order(graph).expect("longest_path_to requires an acyclic graph");
     let mut dist = vec![0.0_f64; graph.len()];
     for &id in &order {
@@ -139,73 +139,6 @@ pub fn critical_path(graph: &Graph, weight: impl FnMut(OpId) -> f64) -> f64 {
     longest_path_to(graph, weight)
         .into_iter()
         .fold(0.0, f64::max)
-}
-
-/// All ops that `op` transitively depends on (excluding `op` itself), in
-/// ascending id order.
-pub fn ancestors(graph: &Graph, op: OpId) -> Vec<OpId> {
-    reach(graph, op, |g, id| g.preds(id))
-}
-
-/// All ops that transitively depend on `op` (excluding `op` itself), in
-/// ascending id order.
-pub fn descendants(graph: &Graph, op: OpId) -> Vec<OpId> {
-    reach(graph, op, |g, id| g.succs(id))
-}
-
-fn reach<'g>(
-    graph: &'g Graph,
-    start: OpId,
-    next: impl Fn(&'g Graph, OpId) -> &'g [OpId],
-) -> Vec<OpId> {
-    let mut seen = vec![false; graph.len()];
-    let mut stack = vec![start];
-    seen[start.index()] = true;
-    while let Some(id) = stack.pop() {
-        for &n in next(graph, id) {
-            if !seen[n.index()] {
-                seen[n.index()] = true;
-                stack.push(n);
-            }
-        }
-    }
-    seen[start.index()] = false;
-    seen.iter()
-        .enumerate()
-        .filter(|(_, &s)| s)
-        .map(|(i, _)| OpId::from_index(i))
-        .collect()
-}
-
-/// For each op, the set of *root* recv ops it transitively depends on,
-/// encoded as fixed-width bitsets over `recvs`.
-///
-/// This is the *communication dependency* `op.dep` of the paper (§4.1),
-/// computed by propagating bitsets in topological order instead of the
-/// paper's depth-first post-fix traversal (same result, better complexity).
-///
-/// `recvs` gives the recv ops that define bit positions; ops not reachable
-/// from any recv get an empty set.
-pub fn recv_dependencies(graph: &Graph, recvs: &[OpId]) -> Vec<RecvSet> {
-    let words = RecvSet::words_for(recvs.len());
-    let mut bit_of = vec![usize::MAX; graph.len()];
-    for (bit, r) in recvs.iter().enumerate() {
-        bit_of[r.index()] = bit;
-    }
-    let order = topo_order(graph).expect("recv_dependencies requires an acyclic graph");
-    let mut deps: Vec<RecvSet> = (0..graph.len()).map(|_| RecvSet::empty(words)).collect();
-    for &id in &order {
-        // Union over predecessors, split to appease the borrow checker.
-        let mut acc = RecvSet::empty(words);
-        for &p in graph.preds(id) {
-            acc.union_with(&deps[p.index()]);
-        }
-        if bit_of[id.index()] != usize::MAX {
-            acc.insert(bit_of[id.index()]);
-        }
-        deps[id.index()] = acc;
-    }
-    deps
 }
 
 /// A fixed-width bitset over recv-op bit positions.
@@ -253,20 +186,6 @@ impl RecvSet {
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether no bits are set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Number of set bits that are also set in `mask`.
-    pub fn intersection_count(&self, mask: &RecvSet) -> usize {
-        self.words
-            .iter()
-            .zip(&mask.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
     }
 
     /// Iterates over set bit positions in ascending order.
@@ -382,34 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn recv_dependencies_match_figure_1a() {
-        let mut b = GraphBuilder::new();
-        let w = b.add_worker("w0");
-        let ps = b.add_parameter_server("ps0");
-        let ch = b.add_channel(w, ps);
-        let p1 = b.add_param("w1", 10);
-        let p2 = b.add_param("w2", 10);
-        let r1 = b.add_op("recv1", w, OpKind::recv(p1, ch), Cost::bytes(10), &[]);
-        let r2 = b.add_op("recv2", w, OpKind::recv(p2, ch), Cost::bytes(10), &[]);
-        let op1 = b.add_op("op1", w, OpKind::Compute, Cost::flops(1.0), &[r1]);
-        let op2 = b.add_op("op2", w, OpKind::Compute, Cost::flops(1.0), &[op1, r2]);
-        let g = b.build().unwrap();
-
-        let recvs = vec![r1, r2];
-        let deps = recv_dependencies(&g, &recvs);
-        // op1.dep = {recv1}; op2.dep = {recv1, recv2} (transitive).
-        assert!(deps[op1.index()].contains(0));
-        assert!(!deps[op1.index()].contains(1));
-        assert!(deps[op2.index()].contains(0));
-        assert!(deps[op2.index()].contains(1));
-        // A recv depends (only) on itself.
-        assert_eq!(deps[r1.index()].iter().collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
     fn recvset_operations() {
         let mut s = RecvSet::empty(2);
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         s.insert(0);
         s.insert(63);
         s.insert(64);
@@ -422,7 +316,6 @@ mod tests {
         let mut mask = RecvSet::empty(2);
         mask.insert(63);
         mask.insert(100);
-        assert_eq!(s.intersection_count(&mask), 2);
         assert_eq!(
             s.iter_intersection(&mask).collect::<Vec<_>>(),
             vec![63, 100]
@@ -458,17 +351,6 @@ mod tests {
         s.copy_from(&a);
         s.difference_with(&b);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 70]);
-    }
-
-    #[test]
-    fn ancestors_and_descendants_on_a_diamond() {
-        let (g, [a, l, r, z]) = diamond();
-        assert_eq!(ancestors(&g, a), vec![]);
-        assert_eq!(ancestors(&g, z), vec![a, l, r]);
-        assert_eq!(ancestors(&g, l), vec![a]);
-        assert_eq!(descendants(&g, a), vec![l, r, z]);
-        assert_eq!(descendants(&g, z), vec![]);
-        assert_eq!(descendants(&g, r), vec![z]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Synthetic DNN model zoo for the TicTac reproduction.
+//! The synthetic DNN model zoo.
 //!
 //! Structural generators for the ten networks of Table 1 of the paper,
 //! producing device-agnostic [`ModelGraph`]s with realistic layer shapes,
@@ -13,15 +13,12 @@
 //! # Example
 //!
 //! ```
-//! use tictac_models::{Mode, Model};
+//! use tictac_graph::{Mode, Model};
 //!
 //! let m = Model::ResNet50V1.build(Mode::Training);
 //! assert_eq!(m.params().len(), 108); // Table 1
 //! assert!(m.is_training());
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod alexnet;
 mod inception;
@@ -29,11 +26,11 @@ mod layers;
 mod resnet;
 mod vgg;
 
-pub use layers::{Mode, NetBuilder, Norm, Padding, Tensor};
-pub use resnet::ResNetVersion;
+pub use layers::Mode;
 
+use crate::ModelGraph;
+use layers::NetBuilder;
 use std::fmt;
-use tictac_graph::ModelGraph;
 
 /// The ten benchmark networks of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

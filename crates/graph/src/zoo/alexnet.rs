@@ -3,11 +3,11 @@
 //! 5 convolutions + 3 fully-connected layers, each with weights and bias:
 //! 16 parameters, ≈191.9 MiB — matching Table 1 of the paper.
 
-use crate::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
-use tictac_graph::ModelGraph;
+use super::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
+use crate::ModelGraph;
 
 /// Builds AlexNet v2.
-pub fn alexnet_v2(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn alexnet_v2(mode: Mode, batch: usize) -> ModelGraph {
     let mut n = NetBuilder::new("alexnet_v2", batch);
     let x = n.input(224, 224, 3);
 

@@ -4,13 +4,13 @@
 //! weights+bias; v2's stem depthwise kernel is weight-only; v3 includes the
 //! auxiliary classifier) reproduces Table 1: 116 / 141 / 196 parameters.
 
-use crate::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
-use tictac_graph::ModelGraph;
+use super::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
+use crate::ModelGraph;
 
 // ---------------------------------------------------------------- v1 ----
 
 /// Builds Inception v1 (GoogLeNet): 9 inception modules, 57 convs, one FC.
-pub fn inception_v1(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn inception_v1(mode: Mode, batch: usize) -> ModelGraph {
     let mut n = NetBuilder::new("inception_v1", batch);
     let x = n.input(224, 224, 3);
     let mut t = n.conv(x, "Conv2d_1a_7x7", 7, 2, 64, Norm::FusedBn, Padding::Same);
@@ -118,7 +118,7 @@ fn inception_v1_module(n: &mut NetBuilder, t: Tensor, scope: &str, w: [usize; 6]
 
 /// Builds Inception v2 (BN-Inception): separable stem, 3x3-factorized
 /// modules, 141 parameters.
-pub fn inception_v2(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn inception_v2(mode: Mode, batch: usize) -> ModelGraph {
     let mut n = NetBuilder::new("inception_v2", batch);
     let x = n.input(224, 224, 3);
     // Separable 7x7 stem: depthwise (weight-only) + pointwise (with BN).
@@ -302,7 +302,7 @@ fn inception_v2_reduction(n: &mut NetBuilder, t: Tensor, scope: &str, w: [usize;
 
 /// Builds Inception v3 with the auxiliary classifier: 94 main convs, a
 /// 2-conv aux head, two FC heads — 196 parameters.
-pub fn inception_v3(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn inception_v3(mode: Mode, batch: usize) -> ModelGraph {
     let mut n = NetBuilder::new("inception_v3", batch);
     let x = n.input(299, 299, 3);
     let mut t = n.conv(x, "Conv2d_1a_3x3", 3, 2, 32, Norm::FusedBn, Padding::Valid);
@@ -814,7 +814,7 @@ mod tests {
             assert!(m.is_training());
             // Every param has a gradient producer.
             for i in 0..m.params().len() {
-                let pid = tictac_graph::ParamId::from_index(i);
+                let pid = crate::ParamId::from_index(i);
                 assert!(
                     m.ops().iter().any(|o| o.produces_grads().contains(&pid)),
                     "{} param {} has no gradient",

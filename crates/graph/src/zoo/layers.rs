@@ -8,8 +8,8 @@
 //! *consumed* in forward order while gradients are *produced* in reverse
 //! order.
 
+use crate::{ModelGraph, ModelGraphBuilder, ModelOpId, ModelOpKind, ParamId};
 use std::collections::HashMap;
-use tictac_graph::{ModelGraph, ModelGraphBuilder, ModelOpId, ModelOpKind, ParamId};
 
 /// Whether a graph contains only the forward pass or forward + loss +
 /// backward.
@@ -25,7 +25,7 @@ pub enum Mode {
 
 /// Normalization/bias applied after a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Norm {
+pub(crate) enum Norm {
     /// A learned bias vector `[out_c]` (AlexNet, VGG).
     Bias,
     /// A fused batch-norm parameter tensor `[2, out_c]` (γ and β), as in
@@ -37,7 +37,7 @@ pub enum Norm {
 
 /// Convolution padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Padding {
+pub(crate) enum Padding {
     /// TensorFlow `SAME`: output = ceil(input / stride).
     Same,
     /// TensorFlow `VALID`: output = ceil((input − k + 1) / stride).
@@ -55,27 +55,27 @@ impl Padding {
 
 /// An activation tensor flowing through the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tensor {
+pub(crate) struct Tensor {
     /// The op that produced this tensor (`None` for the network input).
-    pub op: Option<ModelOpId>,
+    pub(crate) op: Option<ModelOpId>,
     /// Spatial height.
-    pub h: usize,
+    pub(crate) h: usize,
     /// Spatial width.
-    pub w: usize,
+    pub(crate) w: usize,
     /// Channels.
-    pub c: usize,
+    pub(crate) c: usize,
 }
 
 impl Tensor {
     /// Elements per sample.
-    pub fn elems(&self) -> u64 {
+    pub(crate) fn elems(&self) -> u64 {
         (self.h * self.w * self.c) as u64
     }
 }
 
 /// Shape- and FLOP-tracking network builder.
 #[derive(Debug)]
-pub struct NetBuilder {
+pub(crate) struct NetBuilder {
     b: ModelGraphBuilder,
     batch: usize,
     /// Insertion-ordered forward op ids with their parameter reads, used to
@@ -86,7 +86,7 @@ pub struct NetBuilder {
 
 impl NetBuilder {
     /// Starts a network with the given name and batch size.
-    pub fn new(name: impl Into<String>, batch: usize) -> Self {
+    pub(crate) fn new(name: impl Into<String>, batch: usize) -> Self {
         Self {
             b: ModelGraphBuilder::new(name, batch),
             batch,
@@ -95,13 +95,8 @@ impl NetBuilder {
         }
     }
 
-    /// The batch size.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
     /// The network input tensor (`h × w × c` per sample).
-    pub fn input(&self, h: usize, w: usize, c: usize) -> Tensor {
+    pub(crate) fn input(&self, h: usize, w: usize, c: usize) -> Tensor {
         Tensor { op: None, h, w, c }
     }
 
@@ -126,7 +121,7 @@ impl NetBuilder {
     /// A 2-D convolution with square kernel `k`, plus its normalization and
     /// a ReLU, emitted as three ops (conv, norm, relu).
     #[allow(clippy::too_many_arguments)]
-    pub fn conv(
+    pub(crate) fn conv(
         &mut self,
         t: Tensor,
         name: &str,
@@ -142,7 +137,7 @@ impl NetBuilder {
     /// A convolution with rectangular kernel `(kh, kw)` (Inception v3's
     /// factorized convolutions), optionally without activation.
     #[allow(clippy::too_many_arguments)]
-    pub fn conv_rect(
+    pub(crate) fn conv_rect(
         &mut self,
         t: Tensor,
         name: &str,
@@ -195,7 +190,7 @@ impl NetBuilder {
 
     /// A standalone batch-norm + ReLU (pre-activation ResNet v2 blocks):
     /// adds one fused BN parameter.
-    pub fn bn_relu(&mut self, t: Tensor, name: &str) -> Tensor {
+    pub(crate) fn bn_relu(&mut self, t: Tensor, name: &str) -> Tensor {
         let bn = self.b.add_param(format!("{name}/BatchNorm"), vec![2, t.c]);
         let spatial = t.elems() as f64 * self.batch as f64;
         let bn_op = self.push_op(
@@ -212,7 +207,7 @@ impl NetBuilder {
     }
 
     /// Max pooling.
-    pub fn max_pool(
+    pub(crate) fn max_pool(
         &mut self,
         t: Tensor,
         name: &str,
@@ -224,7 +219,7 @@ impl NetBuilder {
     }
 
     /// Average pooling.
-    pub fn avg_pool(
+    pub(crate) fn avg_pool(
         &mut self,
         t: Tensor,
         name: &str,
@@ -257,7 +252,7 @@ impl NetBuilder {
     }
 
     /// Global average pooling to `1 × 1 × c`.
-    pub fn global_avg_pool(&mut self, t: Tensor, name: &str) -> Tensor {
+    pub(crate) fn global_avg_pool(&mut self, t: Tensor, name: &str) -> Tensor {
         let flops = t.elems() as f64 * self.batch as f64;
         let op = self.push_op(format!("{name}/GlobalAvgPool"), flops, &[t.op], &[]);
         Tensor {
@@ -269,7 +264,7 @@ impl NetBuilder {
     }
 
     /// Local response normalization (AlexNet, GoogLeNet); no parameters.
-    pub fn lrn(&mut self, t: Tensor, name: &str) -> Tensor {
+    pub(crate) fn lrn(&mut self, t: Tensor, name: &str) -> Tensor {
         let flops = 8.0 * t.elems() as f64 * self.batch as f64;
         let op = self.push_op(format!("{name}/LRN"), flops, &[t.op], &[]);
         Tensor { op: Some(op), ..t }
@@ -280,7 +275,7 @@ impl NetBuilder {
     /// # Panics
     ///
     /// Panics if `inputs` is empty or spatial dimensions disagree.
-    pub fn concat(&mut self, inputs: &[Tensor], name: &str) -> Tensor {
+    pub(crate) fn concat(&mut self, inputs: &[Tensor], name: &str) -> Tensor {
         assert!(!inputs.is_empty(), "concat needs at least one input");
         let (h, w) = (inputs[0].h, inputs[0].w);
         assert!(
@@ -304,7 +299,7 @@ impl NetBuilder {
     /// # Panics
     ///
     /// Panics if shapes disagree.
-    pub fn add(&mut self, a: Tensor, b: Tensor, name: &str) -> Tensor {
+    pub(crate) fn add(&mut self, a: Tensor, b: Tensor, name: &str) -> Tensor {
         assert_eq!((a.h, a.w, a.c), (b.h, b.w, b.c), "residual shapes differ");
         let flops = a.elems() as f64 * self.batch as f64;
         let op = self.push_op(format!("{name}/Add"), flops, &[a.op, b.op], &[]);
@@ -313,7 +308,7 @@ impl NetBuilder {
 
     /// A fully-connected layer (flattens spatial dims), with bias, no
     /// activation.
-    pub fn fc(&mut self, t: Tensor, name: &str, out: usize) -> Tensor {
+    pub(crate) fn fc(&mut self, t: Tensor, name: &str, out: usize) -> Tensor {
         let input = (t.h * t.w * t.c) as u64;
         let weights = self
             .b
@@ -336,14 +331,14 @@ impl NetBuilder {
     }
 
     /// A ReLU on a fully-connected output.
-    pub fn relu(&mut self, t: Tensor, name: &str) -> Tensor {
+    pub(crate) fn relu(&mut self, t: Tensor, name: &str) -> Tensor {
         let flops = t.elems() as f64 * self.batch as f64;
         let op = self.push_op(format!("{name}/Relu"), flops, &[t.op], &[]);
         Tensor { op: Some(op), ..t }
     }
 
     /// Softmax over the final logits.
-    pub fn softmax(&mut self, t: Tensor, name: &str) -> Tensor {
+    pub(crate) fn softmax(&mut self, t: Tensor, name: &str) -> Tensor {
         let flops = 5.0 * t.elems() as f64 * self.batch as f64;
         let op = self.push_op(format!("{name}/Softmax"), flops, &[t.op], &[]);
         Tensor { op: Some(op), ..t }
@@ -362,7 +357,12 @@ impl NetBuilder {
     /// * re-reads the parameters the forward op read, and produces their
     ///   gradients (`2×` the forward FLOPs for parametrized ops, `1×`
     ///   otherwise).
-    pub fn finish(mut self, mode: Mode, output: Tensor, extra_heads: &[Tensor]) -> ModelGraph {
+    pub(crate) fn finish(
+        mut self,
+        mode: Mode,
+        output: Tensor,
+        extra_heads: &[Tensor],
+    ) -> ModelGraph {
         if mode == Mode::Inference {
             return self.b.build();
         }
@@ -424,7 +424,7 @@ impl NetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tictac_graph::ModelOpKind;
+    use crate::ModelOpKind;
 
     #[test]
     fn padding_arithmetic() {
@@ -444,8 +444,8 @@ mod tests {
         let m = n.finish(Mode::Inference, y, &[]);
         // weights + fused bn.
         assert_eq!(m.params().len(), 2);
-        assert_eq!(m.params()[0].shape().dims(), &[3, 3, 3, 16]);
-        assert_eq!(m.params()[1].shape().dims(), &[2, 16]);
+        assert_eq!(m.params()[0].elems(), 3 * 3 * 3 * 16);
+        assert_eq!(m.params()[1].elems(), 2 * 16);
         // conv + bn + relu ops.
         assert_eq!(m.ops().len(), 3);
         let conv_flops = 2.0 * (4 * 4 * 16) as f64 * (3 * 3 * 3) as f64 * 2.0;
@@ -459,8 +459,8 @@ mod tests {
         let y = n.fc(x, "fc", 10);
         assert_eq!((y.h, y.w, y.c), (1, 1, 10));
         let m = n.finish(Mode::Inference, y, &[]);
-        assert_eq!(m.params()[0].shape().dims(), &[128, 10]);
-        assert_eq!(m.params()[1].shape().dims(), &[10]);
+        assert_eq!(m.params()[0].elems(), 128 * 10);
+        assert_eq!(m.params()[1].elems(), 10);
     }
 
     #[test]
@@ -496,7 +496,7 @@ mod tests {
         assert_eq!(m.ops().len(), fwd_ops + 1 + fwd_ops);
         // Every parameter has exactly one gradient producer.
         for (i, _) in m.params().iter().enumerate() {
-            let pid = tictac_graph::ParamId::from_index(i);
+            let pid = crate::ParamId::from_index(i);
             let producers = m
                 .ops()
                 .iter()

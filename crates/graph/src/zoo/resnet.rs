@@ -6,12 +6,12 @@
 //! ResNet-50 v1 = 108 params, ResNet-101 v1 = 210, ResNet-50 v2 = 125
 //! (per-block pre-activation BN + final post-norm BN), ResNet-101 v2 = 244.
 
-use crate::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
-use tictac_graph::ModelGraph;
+use super::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
+use crate::ModelGraph;
 
 /// Which ResNet formulation to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResNetVersion {
+pub(crate) enum ResNetVersion {
     /// Original post-activation residual units.
     V1,
     /// Pre-activation residual units with a final post-norm.
@@ -19,12 +19,12 @@ pub enum ResNetVersion {
 }
 
 /// Builds ResNet-50 v1 (blocks 3-4-6-3).
-pub fn resnet_50_v1(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn resnet_50_v1(mode: Mode, batch: usize) -> ModelGraph {
     resnet("resnet_v1_50", mode, batch, [3, 4, 6, 3], ResNetVersion::V1)
 }
 
 /// Builds ResNet-101 v1 (blocks 3-4-23-3).
-pub fn resnet_101_v1(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn resnet_101_v1(mode: Mode, batch: usize) -> ModelGraph {
     resnet(
         "resnet_v1_101",
         mode,
@@ -35,12 +35,12 @@ pub fn resnet_101_v1(mode: Mode, batch: usize) -> ModelGraph {
 }
 
 /// Builds ResNet-50 v2 (blocks 3-4-6-3, pre-activation).
-pub fn resnet_50_v2(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn resnet_50_v2(mode: Mode, batch: usize) -> ModelGraph {
     resnet("resnet_v2_50", mode, batch, [3, 4, 6, 3], ResNetVersion::V2)
 }
 
 /// Builds ResNet-101 v2 (blocks 3-4-23-3, pre-activation).
-pub fn resnet_101_v2(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn resnet_101_v2(mode: Mode, batch: usize) -> ModelGraph {
     resnet(
         "resnet_v2_101",
         mode,

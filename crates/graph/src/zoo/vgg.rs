@@ -4,16 +4,16 @@
 //! 32 parameters / ≈527.8 MiB (VGG-16) and 38 / ≈548.1 MiB (VGG-19),
 //! matching Table 1.
 
-use crate::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
-use tictac_graph::ModelGraph;
+use super::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
+use crate::ModelGraph;
 
 /// Builds VGG-16 (13 convs: 2-2-3-3-3).
-pub fn vgg_16(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn vgg_16(mode: Mode, batch: usize) -> ModelGraph {
     vgg(mode, batch, "vgg_16", &[2, 2, 3, 3, 3])
 }
 
 /// Builds VGG-19 (16 convs: 2-2-4-4-4).
-pub fn vgg_19(mode: Mode, batch: usize) -> ModelGraph {
+pub(crate) fn vgg_19(mode: Mode, batch: usize) -> ModelGraph {
     vgg(mode, batch, "vgg_19", &[2, 2, 4, 4, 4])
 }
 

@@ -1,8 +1,7 @@
 //! Structural integration tests over the full model zoo: every generator
 //! must produce a graph whose shape supports the scheduling experiments.
 
-use tictac_graph::{ModelGraph, ModelOpKind, ParamId};
-use tictac_models::{Mode, Model};
+use tictac_graph::{Mode, Model, ModelGraph, ModelOpKind, ParamId};
 
 fn for_all_models(mut f: impl FnMut(Model, &ModelGraph)) {
     for model in Model::ALL {

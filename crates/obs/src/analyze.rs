@@ -1,21 +1,18 @@
-//! Trace-derived analyzers: comm/compute overlap, realized scheduling
-//! efficiency, and priority-inversion detection.
+//! Trace-derived analyzers: comm/compute overlap and priority-inversion
+//! detection.
 //!
-//! All three consume an [`ExecutionTrace`] — *observed* behaviour — and
-//! so double as correctness checks on the schedulers: TAC should realize
-//! at least TIC's efficiency, TIC at least the unscheduled baseline's,
-//! and a trace produced under TAC enforcement on in-order channels must
-//! contain zero priority inversions against the TAC ranks.
+//! Both consume an [`ExecutionTrace`] — *observed* behaviour — and so
+//! double as correctness checks on the schedulers: a trace produced under
+//! TAC enforcement on in-order channels must contain zero priority
+//! inversions against the TAC ranks. Realized scheduling efficiency is
+//! `tictac_sched::efficiency::realized_efficiency`.
 //!
 //! To keep the dependency graph acyclic (the schedulers depend on this
 //! crate), [`priority_inversions`] takes a plain `Fn(OpId) -> Option<u64>`
 //! priority closure rather than a `Schedule`.
 
-use std::fmt::Write as _;
-
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, Resource};
-use tictac_timing::{SimDuration, SimTime};
-use tictac_trace::ExecutionTrace;
+use tictac_trace::{ExecutionTrace, SimDuration, SimTime};
 
 /// How one channel was used over an iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,45 +83,6 @@ impl OverlapReport {
     /// The usage row for `channel`, if it exists.
     pub fn channel(&self, channel: ChannelId) -> Option<&ChannelUsage> {
         self.channels.iter().find(|c| c.channel == channel)
-    }
-
-    /// Renders the report as aligned text lines.
-    pub fn render(&self, graph: &Graph) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "makespan {:.3} ms | comm busy {:.3} ms | compute busy {:.3} ms | overlap {:.3} ms ({:.1}% of comm)",
-            self.makespan.as_millis_f64(),
-            self.comm_busy.as_millis_f64(),
-            self.compute_busy.as_millis_f64(),
-            self.overlap.as_millis_f64(),
-            100.0 * self.overlap_frac()
-        );
-        for ch in &self.channels {
-            let c = graph.channel(ch.channel);
-            let _ = writeln!(
-                out,
-                "  ch{} {}<->{}: busy {:.3} ms, idle {:.3} ms, {} transfers, {} bytes, {:.1}% util",
-                ch.channel.index(),
-                graph.device(c.worker()).name(),
-                graph.device(c.ps()).name(),
-                ch.busy.as_millis_f64(),
-                ch.idle.as_millis_f64(),
-                ch.transfers,
-                ch.bytes,
-                100.0 * ch.utilization(self.makespan)
-            );
-        }
-        for d in &self.devices {
-            let _ = writeln!(
-                out,
-                "  {} [compute]: busy {:.3} ms, {} ops",
-                graph.device(d.device).name(),
-                d.busy.as_millis_f64(),
-                d.ops
-            );
-        }
-        out
     }
 }
 
@@ -239,96 +197,6 @@ pub fn overlap_report(graph: &Graph, trace: &ExecutionTrace) -> OverlapReport {
         comm_busy: SimDuration::from_nanos(total_ns(&comm)),
         compute_busy: SimDuration::from_nanos(total_ns(&compute)),
         overlap: SimDuration::from_nanos(intersection_ns(&comm, &compute)),
-    }
-}
-
-/// One worker's observed makespan bounds (paper Equations 1–3 with
-/// measured durations).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerEfficiency {
-    /// The worker.
-    pub device: DeviceId,
-    /// Equation 1: `U = Σ Time(op)` over the worker's ops.
-    pub upper: SimDuration,
-    /// Equation 2: the bottleneck resource's load `L`.
-    pub lower: SimDuration,
-    /// When the worker's last op finished.
-    pub finish: SimDuration,
-    /// Equation 3: `E = (U − m) / (U − L)`, clamped to `[0, 1]`.
-    pub efficiency: f64,
-    /// Equation 4: `S = (U − L) / L`.
-    pub speedup_potential: f64,
-}
-
-/// Realized scheduling efficiency of one iteration, per worker and
-/// overall (the slowest worker's).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RealizedEfficiency {
-    /// Per-worker reports, in worker order.
-    pub per_worker: Vec<WorkerEfficiency>,
-    /// The iteration's efficiency: the minimum clamped per-worker value
-    /// (1.0 when there are no workers).
-    pub efficiency: f64,
-    /// The last worker's speedup potential (matching the training
-    /// session's bookkeeping).
-    pub speedup_potential: f64,
-}
-
-/// Computes the paper's scheduling-efficiency metric (§3.2, Equations
-/// 1–4) from *observed* per-op durations, per worker partition.
-///
-/// Agrees with `tictac_sched::efficiency::evaluate` over each worker's
-/// ops with `trace.duration` as the duration oracle and the worker's
-/// device-finish time as the measured makespan; the top-level
-/// `tests/observability.rs` pins that agreement.
-pub fn realized_efficiency(graph: &Graph, trace: &ExecutionTrace) -> RealizedEfficiency {
-    let mut per_worker = Vec::new();
-    let mut min_e = 1.0_f64;
-    let mut potential = 0.0;
-    let finishes = trace.device_finishes(graph);
-    for w in graph.workers() {
-        let ops = graph.device_ops(w);
-        let upper: SimDuration = ops.iter().map(|&op| trace.duration(op)).sum();
-        let mut per_resource: std::collections::HashMap<Resource, SimDuration> =
-            std::collections::HashMap::new();
-        for &op in ops {
-            *per_resource
-                .entry(graph.resource(op))
-                .or_insert(SimDuration::ZERO) += trace.duration(op);
-        }
-        let lower = per_resource
-            .into_values()
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        let finish = finishes[w.index()]
-            .map(|t| t.duration_since(SimTime::ZERO))
-            .unwrap_or(SimDuration::ZERO);
-        let span = upper.saturating_sub(lower);
-        let efficiency = if span.is_zero() {
-            1.0
-        } else {
-            ((upper.as_secs_f64() - finish.as_secs_f64()) / span.as_secs_f64()).clamp(0.0, 1.0)
-        };
-        let speedup_potential = if lower.is_zero() {
-            0.0
-        } else {
-            span.as_secs_f64() / lower.as_secs_f64()
-        };
-        min_e = min_e.min(efficiency);
-        potential = speedup_potential;
-        per_worker.push(WorkerEfficiency {
-            device: w,
-            upper,
-            lower,
-            finish,
-            efficiency,
-            speedup_potential,
-        });
-    }
-    RealizedEfficiency {
-        per_worker,
-        efficiency: min_e,
-        speedup_potential: potential,
     }
 }
 
@@ -515,9 +383,6 @@ mod tests {
         assert_eq!(ch.transfers, 2);
         assert!((ch.utilization(report.makespan) - 0.75).abs() < 1e-12);
         assert!((report.overlap_frac() - 1.0 / 3.0).abs() < 1e-12);
-        let text = report.render(&g);
-        assert!(text.contains("overlap"));
-        assert!(text.contains("ch0"));
     }
 
     #[test]
@@ -527,25 +392,6 @@ mod tests {
         assert_eq!(total_ns(&merged), 30);
         assert_eq!(intersection_ns(&merged, &[(10, 25)]), 10);
         assert_eq!(intersection_ns(&merged, &[]), 0);
-    }
-
-    #[test]
-    fn realized_efficiency_matches_hand_computation() {
-        let (g, ops) = sample();
-        let mut tb = TraceBuilder::new(g.len());
-        // Perfect overlap: transfers 0-100/100-300, computes 100-200/300-400.
-        tb.record(ops[0], t(0), t(100));
-        tb.record(ops[1], t(100), t(300));
-        tb.record(ops[2], t(100), t(200));
-        tb.record(ops[3], t(300), t(400));
-        let r = realized_efficiency(&g, &tb.finish());
-        // U = 100+200+100+100 = 500, L = max(channel 300, compute 200) = 300,
-        // m = 400 → E = (500-400)/(500-300) = 0.5, S = 200/300.
-        assert_eq!(r.per_worker.len(), 1);
-        assert_eq!(r.per_worker[0].upper, SimDuration::from_nanos(500));
-        assert_eq!(r.per_worker[0].lower, SimDuration::from_nanos(300));
-        assert!((r.efficiency - 0.5).abs() < 1e-12);
-        assert!((r.speedup_potential - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

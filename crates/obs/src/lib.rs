@@ -16,9 +16,8 @@
 //!   fault events as instants, and degraded-barrier deferrals as flow
 //!   arrows. Open the output in <https://ui.perfetto.dev>.
 //! - [`analyze`] — the derived reports: per-channel busy/idle and
-//!   comm/compute overlap ([`analyze::overlap_report`]), the paper's
-//!   scheduling-efficiency metric computed from *observed* durations
-//!   ([`analyze::realized_efficiency`]), and a priority-inversion detector
+//!   comm/compute overlap ([`analyze::overlap_report`]) and a
+//!   priority-inversion detector
 //!   ([`analyze::priority_inversions`]) counting transfers that started
 //!   while a higher-priority transfer was already runnable on the same
 //!   channel.
@@ -27,10 +26,11 @@
 //!   benchmark (`benchmark/`); the run store (`tictac-store`) builds its
 //!   record codec from the same lexing primitives.
 //!
-//! Dependency discipline: this crate sees only `graph`, `timing`, and
-//! `trace`. The schedulers and the simulator depend on *it*, so the
-//! analyzers take plain closures (e.g. a priority function) instead of
-//! scheduler types.
+//! Dependency discipline: this crate sees only `graph` and `trace`. The
+//! schedulers and the simulator depend on *it*, so the analyzers take
+//! plain closures (e.g. a priority function) instead of scheduler types.
+//!
+//! [`ExecutionTrace`]: tictac_trace::ExecutionTrace
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,8 +41,8 @@ pub mod perfetto;
 pub mod registry;
 
 pub use analyze::{
-    overlap_report, priority_inversions, realized_efficiency, ChannelUsage, DeviceUsage,
-    InversionRecord, InversionReport, OverlapReport, RealizedEfficiency,
+    overlap_report, priority_inversions, ChannelUsage, DeviceUsage, InversionRecord,
+    InversionReport, OverlapReport,
 };
 pub use json::{parse_json, quote, render_json, render_json_pretty, Json};
 pub use perfetto::{perfetto_json, validate_perfetto, PerfettoStats};
@@ -50,9 +50,3 @@ pub use registry::{
     BucketHistogram, Counter, Gauge, HistogramStats, HistogramTally, MetricValue, Registry,
     Snapshot, Timer, TimerGuard, TimerStats,
 };
-
-use tictac_trace::ExecutionTrace;
-
-/// Convenience re-export target so dependents can name the trace type the
-/// analyzers and exporter consume without also importing `tictac-trace`.
-pub type Trace = ExecutionTrace;

@@ -449,8 +449,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tictac_graph::{Cost, GraphBuilder, OpKind};
-    use tictac_timing::SimTime;
-    use tictac_trace::TraceBuilder;
+    use tictac_trace::{SimTime, TraceBuilder};
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)

@@ -348,13 +348,6 @@ impl Gauge {
             g.store(value.to_bits(), Relaxed);
         }
     }
-
-    /// The current value (0.0 on a disabled handle).
-    pub fn get(&self) -> f64 {
-        self.0
-            .as_ref()
-            .map_or(0.0, |g| f64::from_bits(g.load(Relaxed)))
-    }
 }
 
 /// Panics unless `bounds` is strictly increasing.
@@ -462,20 +455,6 @@ impl BucketHistogram {
             h.merge(tally);
         }
     }
-
-    /// The current stats (empty defaults on a disabled handle).
-    pub fn stats(&self) -> HistogramStats {
-        self.0
-            .as_ref()
-            .map(|h| h.snapshot())
-            .unwrap_or_else(|| HistogramStats {
-                bounds: Vec::new(),
-                buckets: vec![0],
-                count: 0,
-                sum: 0,
-                max: 0,
-            })
-    }
 }
 
 /// Samples over `N` fixed bounds counted in plain integers by their one
@@ -541,7 +520,7 @@ pub struct HistogramStats {
 
 impl HistogramStats {
     /// Mean sample value, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -558,7 +537,7 @@ impl HistogramStats {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub(crate) fn percentile(&self, p: f64) -> u64 {
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
         if self.count == 0 {
             return 0;
@@ -580,17 +559,17 @@ impl HistogramStats {
     }
 
     /// Median estimate (see [`percentile`](Self::percentile)).
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.percentile(50.0)
     }
 
     /// 95th-percentile estimate.
-    pub fn p95(&self) -> u64 {
+    pub(crate) fn p95(&self) -> u64 {
         self.percentile(95.0)
     }
 
     /// 99th-percentile estimate.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.percentile(99.0)
     }
 }
@@ -620,14 +599,6 @@ impl Timer {
     #[inline]
     pub fn start(&self) -> TimerGuard {
         TimerGuard(self.0.as_ref().map(|c| (c.clone(), Instant::now())))
-    }
-
-    /// Records an externally measured span of `ns` nanoseconds.
-    #[inline]
-    pub fn record_ns(&self, ns: u64) {
-        if let Some(c) = &self.0 {
-            c.record(ns);
-        }
     }
 }
 
@@ -731,6 +702,14 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    /// What the registry's snapshot holds for histogram `name`.
+    fn stats(reg: &Registry, name: &str) -> HistogramStats {
+        match reg.snapshot().get(name) {
+            Some(MetricValue::Histogram(s)) => s.clone(),
+            other => panic!("expected a histogram, got {other:?}"),
+        }
+    }
+
     #[test]
     fn disabled_handles_are_no_ops() {
         let reg = Registry::disabled();
@@ -741,13 +720,10 @@ mod tests {
         assert_eq!(c.get(), 0);
         let g = reg.gauge("b");
         g.set(3.5);
-        assert_eq!(g.get(), 0.0);
         let h = reg.histogram("c", &[1, 2]);
         h.observe(5);
-        assert_eq!(h.stats().count, 0);
         let t = reg.timer("d");
         drop(t.start());
-        t.record_ns(99);
         assert!(reg.snapshot().entries.is_empty());
     }
 
@@ -761,7 +737,6 @@ mod tests {
         assert_eq!(reg.counter("sim.events").get(), 5);
         let g = reg.gauge("goodput");
         g.set(87.5);
-        assert_eq!(g.get(), 87.5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim.events"), Some(5));
         assert_eq!(snap.get("goodput"), Some(&MetricValue::Gauge(87.5)));
@@ -775,7 +750,7 @@ mod tests {
         for v in [0, 1, 2, 5, 100] {
             h.observe(v);
         }
-        let s = h.stats();
+        let s = stats(&reg, "depth");
         assert_eq!(s.buckets, vec![2, 1, 1, 1]); // ≤1, ≤4, ≤16, overflow
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 108);
@@ -790,7 +765,7 @@ mod tests {
         for v in [1, 2, 3, 4, 5, 6, 7, 8, 9, 2000] {
             h.observe(v);
         }
-        let s = h.stats();
+        let s = stats(&reg, "lat");
         // Nine samples land in the ≤10 bucket, one overflows.
         assert_eq!(s.percentile(0.0), 10);
         assert_eq!(s.p50(), 10);
@@ -800,7 +775,8 @@ mod tests {
         assert_eq!(s.p99(), 2000);
         assert_eq!(s.percentile(100.0), 2000);
         // Empty histograms are well-defined.
-        assert_eq!(reg.histogram("empty", &[1]).stats().p50(), 0);
+        reg.histogram("empty", &[1]);
+        assert_eq!(stats(&reg, "empty").p50(), 0);
         // The snapshot renderer surfaces the estimates.
         assert!(reg
             .snapshot()
@@ -822,8 +798,8 @@ mod tests {
         }
         batch.merge(&tally);
         batch.merge(&HistogramTally::new([1, 4, 16]));
-        assert_eq!(one.stats(), batch.stats());
-        assert_eq!(batch.stats().buckets, vec![2, 1, 1, 1]);
+        assert_eq!(stats(&reg, "one").buckets, vec![2, 1, 1, 1]);
+        assert_eq!(stats(&reg, "one"), stats(&reg, "batch"));
     }
 
     #[test]
@@ -898,11 +874,15 @@ mod tests {
         {
             let _guard = t.start();
         }
-        t.record_ns(1_000);
+        {
+            let _guard = t.start();
+            std::thread::sleep(std::time::Duration::from_micros(1));
+        }
         match reg.snapshot().get("derive") {
             Some(MetricValue::Timer(stats)) => {
                 assert_eq!(stats.count, 2);
                 assert!(stats.total_ns >= 1_000);
+                assert!(stats.max_ns >= 1_000);
             }
             other => panic!("expected a timer, got {other:?}"),
         }

@@ -12,9 +12,12 @@
 //!   measured makespan `m`: 1 is a perfect ordering, 0 the worst.
 //! * Equation 4 — **speedup potential** `S = (U − L) / L`: the maximum
 //!   throughput gain a perfect schedule can deliver over the worst one.
+//!
+//! [`realized_efficiency`] applies them to an executed iteration, per
+//! worker partition, with the trace's *observed* durations.
 
-use tictac_graph::{Graph, OpId, Resource};
-use tictac_timing::SimDuration;
+use tictac_graph::{DeviceId, Graph, OpId, Resource};
+use tictac_trace::{ExecutionTrace, SimDuration, SimTime};
 
 /// The makespan bounds and derived metrics for one iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +44,7 @@ impl EfficiencyReport {
 }
 
 /// Equation 1: `U = Σ Time(op)`.
-pub fn upper_makespan<I>(durations: I) -> SimDuration
+pub(crate) fn upper_makespan<I>(durations: I) -> SimDuration
 where
     I: IntoIterator<Item = SimDuration>,
 {
@@ -75,17 +78,6 @@ fn resource_loads(
         loads[base[class] + i - lo[class]] += duration(op);
     }
     loads
-}
-
-/// Equation 2: `L = max_d Σ_{op ∈ G_d} Time(op)` over the resources the
-/// given ops execute on.
-pub fn lower_makespan(
-    graph: &Graph,
-    ops: &[OpId],
-    duration: impl FnMut(OpId) -> SimDuration,
-) -> SimDuration {
-    let loads = resource_loads(graph, ops, duration);
-    loads.into_iter().max().unwrap_or_default()
 }
 
 /// Computes the full efficiency report (Equations 1–4) for `ops` with the
@@ -124,10 +116,94 @@ pub fn evaluate(
     }
 }
 
+/// One worker's observed makespan bounds (paper Equations 1–3 with
+/// measured durations).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorkerEfficiency {
+    /// The worker.
+    pub device: DeviceId,
+    /// Equation 1: `U = Σ Time(op)` over the worker's ops.
+    pub upper: SimDuration,
+    /// Equation 2: the bottleneck resource's load `L`.
+    pub lower: SimDuration,
+    /// When the worker's last op finished.
+    pub finish: SimDuration,
+    /// Equation 3: `E = (U − m) / (U − L)`, clamped to `[0, 1]`.
+    pub efficiency: f64,
+    /// Equation 4: `S = (U − L) / L`.
+    pub speedup_potential: f64,
+}
+
+/// Realized scheduling efficiency of one iteration, per worker and
+/// overall (the slowest worker's).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RealizedEfficiency {
+    /// Per-worker reports, in worker order.
+    pub per_worker: Vec<WorkerEfficiency>,
+    /// The iteration's efficiency: the minimum clamped per-worker value
+    /// (1.0 when there are no workers).
+    pub efficiency: f64,
+    /// The last worker's speedup potential.
+    pub speedup_potential: f64,
+}
+
+/// Computes the paper's scheduling-efficiency metric (§3.2, Equations
+/// 1–4) from *observed* per-op durations, per worker partition: [`evaluate`]
+/// over each worker's ops with `trace.duration` as the duration oracle
+/// and the worker's device-finish time as the measured makespan.
+pub fn realized_efficiency(graph: &Graph, trace: &ExecutionTrace) -> RealizedEfficiency {
+    let finishes = trace.device_finishes(graph);
+    let workers: Vec<DeviceId> = graph.workers().collect();
+    let finish: Vec<SimTime> = workers
+        .iter()
+        .map(|w| finishes[w.index()].unwrap_or(SimTime::ZERO))
+        .collect();
+    realized_efficiency_with(graph, trace, &workers, &finish)
+}
+
+/// [`realized_efficiency`] over `workers` whose finish times are already
+/// known (`finish[i]` is `workers[i]`'s, as `tictac_trace::analyze`
+/// reports them), so the trace is not walked for them again.
+pub fn realized_efficiency_with(
+    graph: &Graph,
+    trace: &ExecutionTrace,
+    workers: &[DeviceId],
+    finish: &[SimTime],
+) -> RealizedEfficiency {
+    let mut per_worker = Vec::with_capacity(workers.len());
+    let mut efficiency = 1.0_f64;
+    let mut speedup_potential = 0.0;
+    for (&device, finish) in workers.iter().zip(finish) {
+        let finish = finish.duration_since(SimTime::ZERO);
+        let report = evaluate(
+            graph,
+            graph.device_ops(device),
+            |op| trace.duration(op),
+            finish,
+        );
+        efficiency = efficiency.min(report.efficiency_clamped());
+        speedup_potential = report.speedup_potential;
+        per_worker.push(WorkerEfficiency {
+            device,
+            upper: report.upper,
+            lower: report.lower,
+            finish,
+            efficiency: report.efficiency_clamped(),
+            speedup_potential: report.speedup_potential,
+        });
+    }
+    RealizedEfficiency {
+        per_worker,
+        efficiency,
+        speedup_potential,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tictac_graph::{Cost, GraphBuilder, OpKind};
+    use tictac_trace::TraceBuilder;
 
     /// Two resources: channel carries two 10us recvs, compute runs two
     /// 10us ops. U = 40us, L = 20us.
@@ -157,10 +233,9 @@ mod tests {
             upper_makespan(ops.iter().map(|_| SimDuration::from_micros(10))),
             SimDuration::from_micros(40)
         );
-        assert_eq!(
-            lower_makespan(&g, &ops, ten_us),
-            SimDuration::from_micros(20)
-        );
+        let r = evaluate(&g, &ops, ten_us, SimDuration::from_micros(30));
+        assert_eq!(r.upper, SimDuration::from_micros(40));
+        assert_eq!(r.lower, SimDuration::from_micros(20));
     }
 
     #[test]
@@ -214,5 +289,25 @@ mod tests {
         assert_eq!(r.lower, SimDuration::ZERO);
         assert_eq!(r.efficiency, 1.0);
         assert_eq!(r.speedup_potential, 0.0);
+    }
+
+    #[test]
+    fn realized_efficiency_matches_hand_computation() {
+        let (g, ops) = balanced();
+        let t = SimTime::from_nanos;
+        let mut tb = TraceBuilder::new(g.len());
+        // Perfect overlap: transfers 0-100/100-300, computes 100-200/300-400.
+        tb.record(ops[0], t(0), t(100));
+        tb.record(ops[1], t(100), t(300));
+        tb.record(ops[2], t(100), t(200));
+        tb.record(ops[3], t(300), t(400));
+        let r = realized_efficiency(&g, &tb.finish());
+        // U = 100+200+100+100 = 500, L = max(channel 300, compute 200) = 300,
+        // m = 400 → E = (500-400)/(500-300) = 0.5, S = 200/300.
+        assert_eq!(r.per_worker.len(), 1);
+        assert_eq!(r.per_worker[0].upper, SimDuration::from_nanos(500));
+        assert_eq!(r.per_worker[0].lower, SimDuration::from_nanos(300));
+        assert!((r.efficiency - 0.5).abs() < 1e-12);
+        assert!((r.speedup_potential - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -1,8 +1,7 @@
 //! Worker-partition views of the global graph.
 
-use tictac_graph::topo::RecvSet;
-use tictac_graph::{DeviceId, Graph, OpId};
-use tictac_timing::{SimDuration, TimeOracle};
+use tictac_graph::{topo::RecvSet, DeviceId, Graph, OpId};
+use tictac_trace::{SimDuration, TimeOracle};
 
 /// A worker's partition of the computational graph, prepared for the
 /// scheduling algorithms.
@@ -17,7 +16,6 @@ use tictac_timing::{SimDuration, TimeOracle};
 /// whose bit positions index [`PartitionGraph::recvs`].
 #[derive(Debug, Clone)]
 pub struct PartitionGraph {
-    device: DeviceId,
     /// Global op ids in the partition; local index = position.
     ops: Vec<OpId>,
     /// Local index of a global op id.
@@ -80,18 +78,12 @@ impl PartitionGraph {
         }
 
         Self {
-            device,
             ops,
             local,
             preds,
             recvs,
             deps,
         }
-    }
-
-    /// The worker device this partition belongs to.
-    pub fn device(&self) -> DeviceId {
-        self.device
     }
 
     /// Number of ops in the partition.
@@ -109,7 +101,7 @@ impl PartitionGraph {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
-    pub fn global(&self, i: usize) -> OpId {
+    pub(crate) fn global(&self, i: usize) -> OpId {
         self.ops[i]
     }
 
@@ -138,7 +130,7 @@ impl PartitionGraph {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
-    pub fn deps(&self, i: usize) -> &RecvSet {
+    pub(crate) fn deps(&self, i: usize) -> &RecvSet {
         &self.deps[i]
     }
 
@@ -222,7 +214,6 @@ mod tests {
         // recv1 has a PS-side pred which must be cut: locally a root.
         assert!(p.preds(p.local(r1).unwrap()).is_empty());
         assert_eq!(p.preds(p.local(op1).unwrap()), &[0]);
-        assert_eq!(p.device(), w);
     }
 
     #[test]
@@ -241,7 +232,7 @@ mod tests {
 
     #[test]
     fn durations_use_oracle() {
-        use tictac_timing::GeneralOracle;
+        use tictac_trace::GeneralOracle;
         let (g, w, _) = fig1a_with_ps();
         let p = PartitionGraph::new(&g, w);
         let d = p.durations(&g, &GeneralOracle);

@@ -44,7 +44,7 @@
 
 use crate::partition::PartitionGraph;
 use tictac_graph::topo::RecvSet;
-use tictac_timing::SimDuration;
+use tictac_trace::SimDuration;
 
 /// Properties of Algorithm 1, maintained incrementally as recvs complete.
 #[derive(Debug, Clone)]
@@ -157,27 +157,13 @@ impl OpProperties {
     }
 
     /// Number of recvs still outstanding.
-    pub fn outstanding_count(&self) -> usize {
+    pub(crate) fn outstanding_count(&self) -> usize {
         self.n_outstanding
     }
 
-    /// Whether recv bit `bit` is outstanding.
-    pub fn is_outstanding(&self, bit: usize) -> bool {
-        self.outstanding.contains(bit)
-    }
-
     /// Iterates over outstanding recv bits.
-    pub fn outstanding(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn outstanding(&self) -> impl Iterator<Item = usize> + '_ {
         self.outstanding.iter()
-    }
-
-    /// `op.M` of local op `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn m(&self, i: usize) -> SimDuration {
-        self.m[i]
     }
 
     /// `P` of recv bit `bit`.
@@ -206,13 +192,13 @@ impl OpProperties {
     /// Total `M⁺` min-merges applied by the incremental
     /// [`complete`](Self::complete) so far — one per (candidate, bit) pair
     /// actually touched in the frontier-restricted merge.
-    pub fn merges(&self) -> u64 {
+    pub(crate) fn merges(&self) -> u64 {
         self.merges
     }
 
     /// Total dirty bits whose `M⁺` the incremental
     /// [`complete`](Self::complete) re-derived exactly so far.
-    pub fn rederived(&self) -> u64 {
+    pub(crate) fn rederived(&self) -> u64 {
         self.rederived
     }
 
@@ -228,7 +214,7 @@ impl OpProperties {
     /// # Panics
     ///
     /// Panics if the recv is not outstanding.
-    pub fn complete(&mut self, part: &PartitionGraph, bit: usize) {
+    pub(crate) fn complete(&mut self, part: &PartitionGraph, bit: usize) {
         assert!(self.outstanding.contains(bit), "recv {bit} not outstanding");
         self.outstanding.remove(bit);
         self.n_outstanding -= 1;
@@ -394,7 +380,7 @@ impl OpProperties {
 mod tests {
     use super::*;
     use tictac_graph::{Cost, DeviceId, Graph, GraphBuilder, OpId, OpKind};
-    use tictac_timing::{CostOracle, Platform, TimeOracle};
+    use tictac_trace::{CostOracle, Platform, TimeOracle};
 
     /// Figure 1a: recv1 -> op1 -> op2, recv2 -> op2.
     fn fig1a() -> (Graph, DeviceId, [OpId; 4]) {
@@ -436,8 +422,8 @@ mod tests {
         let t_op1 = oracle.duration(&g, op1);
 
         // op1.M = Time(recv1); op2.M = Time(recv1) + Time(recv2) (§4.1).
-        assert_eq!(props.m(part.local(op1).unwrap()), t_r1);
-        assert_eq!(props.m(part.local(op2).unwrap()), t_r1 + t_r2);
+        assert_eq!(props.m[part.local(op1).unwrap()], t_r1);
+        assert_eq!(props.m[part.local(op2).unwrap()], t_r1 + t_r2);
 
         // recv1.P = Time(op1); recv2.P = 0 (§4.1).
         assert_eq!(props.p(0), t_op1);
@@ -466,18 +452,18 @@ mod tests {
         props.complete(&part, 0); // recv1 done
         props.recompute_m_plus(&part);
 
-        assert!(!props.is_outstanding(0));
-        assert!(props.is_outstanding(1));
+        assert!(!props.outstanding().any(|b| b == 0));
+        assert!(props.outstanding().any(|b| b == 1));
         assert_eq!(props.outstanding_count(), 1);
         // op2 now waits only on recv2.
-        assert_eq!(props.m(part.local(op2).unwrap()), t_r2);
+        assert_eq!(props.m[part.local(op2).unwrap()], t_r2);
         // op2's only outstanding dependency is recv2 => contributes to P.
         // op1 has no outstanding deps and contributes to nothing.
         assert_eq!(props.p(1), t_op2);
         // No op has multiple outstanding recv deps anymore: M+ = infinity.
         assert_eq!(props.m_plus(1), None);
         // op1.M dropped to zero.
-        assert_eq!(props.m(part.local(op1).unwrap()), SimDuration::ZERO);
+        assert_eq!(props.m[part.local(op1).unwrap()], SimDuration::ZERO);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::partition::PartitionGraph;
 use crate::properties::OpProperties;
 use crate::tac::select_best;
 use tictac_graph::{DeviceId, Graph, OpId};
-use tictac_timing::TimeOracle;
+use tictac_trace::TimeOracle;
 
 /// [`tac_order`](crate::tac_order) with the naive full sweep
 /// (`complete_naive` + `recompute_m_plus`) every round. Returns the same

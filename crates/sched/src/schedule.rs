@@ -2,7 +2,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use tictac_graph::{ChannelId, DeviceId, Graph, OpId};
+use tictac_graph::{DeviceId, Graph, OpId};
 
 /// Priority assignments for a graph's ops.
 ///
@@ -61,31 +61,9 @@ impl Schedule {
             .filter_map(|(i, p)| p.map(|p| (OpId::from_index(i), p)))
     }
 
-    /// The prioritized `recv` ops of `channel`, in priority order (ties by
-    /// op id).
-    ///
-    /// This is the per-channel transfer order the enforcement module
-    /// normalizes to ranks `[0, n)` (paper §5.1). For one channel at a
-    /// time; callers walking *every* channel should use
-    /// [`ordered_recvs_per_channel`](Self::ordered_recvs_per_channel),
-    /// which buckets all channels in one pass instead of rescanning the
-    /// prioritized set per channel.
-    pub fn ordered_recvs(&self, graph: &Graph, channel: ChannelId) -> Vec<OpId> {
-        let mut recvs: Vec<(u64, OpId)> = self
-            .prioritized()
-            .filter(|(op, _)| {
-                let o = graph.op(*op);
-                o.is_recv() && o.kind().channel() == Some(channel)
-            })
-            .map(|(op, p)| (p, op))
-            .collect();
-        recvs.sort_unstable();
-        recvs.into_iter().map(|(_, op)| op).collect()
-    }
-
-    /// [`ordered_recvs`](Self::ordered_recvs) for every channel at once:
-    /// `result[c]` is the prioritized recv order of channel `c` (priority
-    /// order, ties by op id).
+    /// The prioritized `recv` ops of every channel: `result[c]` is channel
+    /// `c`'s transfer order (priority order, ties by op id), the order the
+    /// enforcement module normalizes to ranks `[0, n)` (paper §5.1).
     ///
     /// A single pass over the prioritized set with per-channel bucketing —
     /// `O(P log P)` total instead of the `O(C · P)` a per-channel rescan
@@ -192,8 +170,10 @@ mod tests {
         s.set(recvs[0], 5);
         s.set(recvs[2], 1);
         s.set(recvs[1], 0);
-        assert_eq!(s.ordered_recvs(&g, ch0), vec![recvs[2], recvs[0]]);
-        assert_eq!(s.ordered_recvs(&g, ch1), vec![recvs[1]]);
+        let bulk = s.ordered_recvs_per_channel(&g);
+        assert_eq!(bulk.len(), g.channels().len());
+        assert_eq!(bulk[ch0.index()], vec![recvs[2], recvs[0]]);
+        assert_eq!(bulk[ch1.index()], vec![recvs[1]]);
     }
 
     #[test]
@@ -203,22 +183,10 @@ mod tests {
         let mut s = Schedule::empty(g.len());
         s.set(recvs[0], 3);
         s.set(recvs[2], 3);
-        assert_eq!(s.ordered_recvs(&g, ch0), vec![recvs[0], recvs[2]]);
-    }
-
-    #[test]
-    fn per_channel_bucketing_matches_the_single_channel_path() {
-        let (g, _, recvs) = two_channel_graph();
-        let mut s = Schedule::empty(g.len());
-        s.set(recvs[0], 5);
-        s.set(recvs[2], 1);
-        s.set(recvs[1], 0);
-        // recv3 deliberately unprioritized; ties exercised separately.
-        let bulk = s.ordered_recvs_per_channel(&g);
-        assert_eq!(bulk.len(), g.channels().len());
-        for ch in g.channels() {
-            assert_eq!(bulk[ch.id().index()], s.ordered_recvs(&g, ch.id()));
-        }
+        assert_eq!(
+            s.ordered_recvs_per_channel(&g)[ch0.index()],
+            vec![recvs[0], recvs[2]]
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tictac_graph::{DeviceId, Graph};
 use tictac_obs::Registry;
-use tictac_timing::TimeOracle;
+use tictac_trace::TimeOracle;
 
 use crate::schedule::{no_ordering, random_order, Schedule};
 use crate::tac::tac_observed;
@@ -183,8 +183,8 @@ mod tests {
     use super::*;
     use crate::{tac, tic};
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_models::{tiny_mlp, Mode};
-    use tictac_timing::GeneralOracle;
+    use tictac_graph::{tiny_mlp, Mode};
+    use tictac_trace::GeneralOracle;
 
     fn deployed() -> (Graph, DeviceId) {
         let model = tiny_mlp(Mode::Training, 8);

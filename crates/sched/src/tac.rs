@@ -5,7 +5,7 @@ use crate::properties::OpProperties;
 use crate::schedule::Schedule;
 use tictac_graph::{DeviceId, Graph, OpId};
 use tictac_obs::Registry;
-use tictac_timing::{SimDuration, TimeOracle};
+use tictac_trace::{SimDuration, TimeOracle};
 
 /// The pairwise comparator of §4.3.
 ///
@@ -177,7 +177,7 @@ pub fn worst_case(graph: &Graph, worker: DeviceId, oracle: &dyn TimeOracle) -> S
 mod tests {
     use super::*;
     use tictac_graph::{Cost, GraphBuilder, OpKind};
-    use tictac_timing::{CostOracle, Platform};
+    use tictac_trace::{CostOracle, Platform};
 
     fn dur(us: u64) -> SimDuration {
         SimDuration::from_micros(us)

@@ -5,7 +5,7 @@ use crate::properties::OpProperties;
 use crate::schedule::Schedule;
 use tictac_graph::{DeviceId, Graph};
 use tictac_obs::Registry;
-use tictac_timing::GeneralOracle;
+use tictac_trace::GeneralOracle;
 
 /// Computes the TIC schedule for the recv ops of `worker`.
 ///

@@ -2,10 +2,10 @@
 //! tictac-sched applied to graphs deployed by tictac-cluster).
 
 use tictac_cluster::{deploy, ClusterSpec};
-use tictac_models::{Mode, Model};
+use tictac_graph::{Mode, Model};
 use tictac_sched::reference::tac_order_naive;
 use tictac_sched::{tac_order, tic, PartitionGraph};
-use tictac_timing::{CostOracle, Platform};
+use tictac_trace::{CostOracle, Platform};
 
 #[test]
 fn tic_covers_every_recv_on_every_model() {

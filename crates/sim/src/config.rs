@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::faults::FaultSpec;
-use tictac_timing::{NoiseModel, Platform};
+use tictac_trace::{NoiseModel, Platform};
 
 /// Default base seed (reads roughly as "TICTAC").
 pub const DEFAULT_SEED: u64 = 0x11C7AC;
@@ -37,11 +37,6 @@ pub struct SimConfig {
     /// never repeat). The default window of 32 calibrates baseline
     /// schedule quality to the paper's measured speedup range.
     pub disorder_window: Option<usize>,
-    /// Overrides the fair-share factor applied to transfer wire time.
-    ///
-    /// By default it is derived from the topology: `max(W, S)`, since every
-    /// PS fans out to all `W` workers.
-    pub bandwidth_share_override: Option<f64>,
     /// Fault-injection model. The quiet default ([`FaultSpec::none`])
     /// injects nothing and leaves every trace byte-identical to a run
     /// without the fault subsystem.
@@ -59,7 +54,6 @@ impl SimConfig {
             seed: DEFAULT_SEED,
             enforcement: true,
             disorder_window: Some(32),
-            bandwidth_share_override: None,
             faults: FaultSpec::none(),
         }
     }
@@ -73,7 +67,6 @@ impl SimConfig {
             seed: DEFAULT_SEED,
             enforcement: true,
             disorder_window: Some(32),
-            bandwidth_share_override: None,
             faults: FaultSpec::none(),
         }
     }
@@ -88,7 +81,6 @@ impl SimConfig {
             seed: DEFAULT_SEED,
             enforcement: true,
             disorder_window: Some(32),
-            bandwidth_share_override: None,
             faults: FaultSpec::none(),
         }
     }
@@ -102,18 +94,6 @@ impl SimConfig {
     /// Overrides the noise model.
     pub fn with_noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Overrides the bandwidth fair-share factor (see
-    /// [`SimConfig::bandwidth_share_override`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `share < 1`.
-    pub fn with_bandwidth_share(mut self, share: f64) -> Self {
-        assert!(share >= 1.0, "share must be at least 1");
-        self.bandwidth_share_override = Some(share);
         self
     }
 

@@ -18,8 +18,9 @@ use std::collections::{BinaryHeap, VecDeque};
 use tictac_graph::{Graph, OpId};
 use tictac_obs::{HistogramTally, Registry};
 use tictac_sched::Schedule;
-use tictac_timing::{SimDuration, SimTime, HORIZON_NS};
-use tictac_trace::{ExecutionTrace, FaultEventKind, TraceBuilder};
+use tictac_trace::{
+    ExecutionTrace, FaultEventKind, SimDuration, SimTime, TraceBuilder, HORIZON_NS,
+};
 
 /// Simulates one iteration of `graph` under `schedule` and returns its
 /// execution trace.
@@ -581,7 +582,7 @@ struct Engine<'g> {
     service: &'g [SimDuration],
     /// Where each op goes and what it holds (the plan's column).
     route: &'g [Route],
-    noise: tictac_timing::NoiseModel,
+    noise: tictac_trace::NoiseModel,
     reorder_error: f64,
     enforcement: bool,
     disorder_window: usize,
@@ -1153,10 +1154,9 @@ mod tests {
     use crate::faults::{FaultSpec, Stall};
     use proptest::prelude::*;
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_graph::{Cost, GraphBuilder, OpKind};
-    use tictac_models::{tiny_mlp, Mode};
+    use tictac_graph::{tiny_mlp, Cost, GraphBuilder, Mode, OpKind};
     use tictac_sched::no_ordering;
-    use tictac_timing::{Platform, RetryPolicy, SimDuration};
+    use tictac_trace::{Platform, RetryPolicy, SimDuration};
 
     fn fig1a() -> (Graph, [OpId; 6]) {
         // Full Figure 1a including PS side, sized so the recv order
@@ -1567,7 +1567,7 @@ mod tests {
 
     #[test]
     fn baseline_produces_varying_recv_orders() {
-        let model = tictac_models::Model::InceptionV1.build_with_batch(Mode::Inference, 4);
+        let model = tictac_graph::Model::InceptionV1.build_with_batch(Mode::Inference, 4);
         let d = deploy(&model, &ClusterSpec::new(1, 1)).unwrap();
         let cfg = SimConfig::cloud_gpu();
         let s = no_ordering(d.graph());
@@ -1579,7 +1579,7 @@ mod tests {
 
     #[test]
     fn tic_schedule_fixes_recv_order_across_iterations() {
-        let model = tictac_models::Model::InceptionV1.build_with_batch(Mode::Inference, 4);
+        let model = tictac_graph::Model::InceptionV1.build_with_batch(Mode::Inference, 4);
         let d = deploy(&model, &ClusterSpec::new(1, 1)).unwrap();
         // No reorder errors for exactness.
         let cfg = SimConfig::cloud_gpu().with_reorder_error(0.0);
@@ -1841,5 +1841,23 @@ mod tests {
         assert_eq!(a, b, "same plan, same trace — bytes and all");
         let c = try_simulate(d.graph(), &s, &cfg, 3).unwrap();
         assert_eq!(a, c, "try_simulate samples exactly this plan");
+    }
+
+    #[test]
+    fn analyze_extracts_worker_finishes() {
+        let model = tiny_mlp(Mode::Training, 8);
+        let d = deploy(&model, &ClusterSpec::new(3, 1)).unwrap();
+        let cfg = SimConfig::cloud_gpu();
+        let trace = simulate(d.graph(), &no_ordering(d.graph()), &cfg, 0);
+        let m = tictac_trace::analyze(d.graph(), d.workers(), &trace);
+        assert_eq!(m.worker_finish.len(), 3);
+        assert!(m.worker_finish.iter().all(|&f| f > SimTime::ZERO));
+        assert!(m.makespan >= m.worker_finish.iter().copied().max().unwrap() - SimTime::ZERO);
+        assert!(m.straggler_pct >= 0.0 && m.straggler_pct <= 100.0);
+        let tput = m.throughput(8, 3);
+        assert!(tput > 0.0);
+        // A fault-free run is clean with full goodput.
+        assert!(m.faults.is_clean());
+        assert_eq!(m.goodput_pct, 100.0);
     }
 }

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 use tictac_graph::OpId;
-use tictac_timing::{SimDuration, SimTime};
+use tictac_trace::{SimDuration, SimTime};
 
 /// Why an iteration could not produce a complete trace, on either
 /// executor.

@@ -24,8 +24,7 @@ use crate::error::SimError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tictac_graph::{ChannelId, DeviceId, Fnv1a, Graph, OpId};
-use tictac_timing::{RetryPolicy, SimDuration, SimTime};
-use tictac_trace::{FaultEventKind, TraceBuilder};
+use tictac_trace::{FaultEventKind, RetryPolicy, SimDuration, SimTime, TraceBuilder};
 
 /// Stream tag separating fault sampling from any engine's noise RNG.
 const FAULT_STREAM: u64 = 0xFA17_5EED_0DD5_ED17;
@@ -378,16 +377,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan can inject nothing.
-    pub fn is_quiet(&self) -> bool {
-        self.blackouts.is_empty()
-            && self.crashes.is_empty()
-            && self.stragglers.is_empty()
-            && self.stalls.is_empty()
-            && self.drop_prob == 0.0
-            && self.barrier_timeout.is_none()
-    }
-
     /// Decides whether attempt `attempt` of `recv`'s transfer is lost on
     /// the wire.
     ///
@@ -397,7 +386,7 @@ impl FaultPlan {
     /// channel work very differently lose exactly the same attempts and
     /// report identical drop, timeout and retransmit counters for one
     /// plan.
-    pub fn drops_attempt(&self, recv: OpId, attempt: u32) -> bool {
+    pub(crate) fn drops_attempt(&self, recv: OpId, attempt: u32) -> bool {
         if self.drop_prob <= 0.0 {
             return false;
         }
@@ -569,7 +558,7 @@ pub(crate) fn close_at_barrier(
 mod tests {
     use super::*;
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_models::{tiny_mlp, Mode};
+    use tictac_graph::{tiny_mlp, Mode};
 
     fn graph() -> tictac_graph::Graph {
         deploy(&tiny_mlp(Mode::Training, 8), &ClusterSpec::new(3, 2))
@@ -602,10 +591,17 @@ mod tests {
     #[test]
     fn quiet_spec_samples_quiet_plans() {
         let g = graph();
-        let plan = FaultPlan::sample(&FaultSpec::none(), &g, 1, 0);
-        assert!(plan.is_quiet());
+        let quiet = |p: &FaultPlan| {
+            p.blackouts.is_empty()
+                && p.crashes.is_empty()
+                && p.stragglers.is_empty()
+                && p.stalls.is_empty()
+                && p.drop_prob == 0.0
+                && p.barrier_timeout.is_none()
+        };
+        assert!(quiet(&FaultPlan::sample(&FaultSpec::none(), &g, 1, 0)));
         assert!(FaultSpec::none().is_quiet());
-        assert!(FaultPlan::quiet().is_quiet());
+        assert!(quiet(&FaultPlan::quiet()));
     }
 
     #[test]

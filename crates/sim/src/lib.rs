@@ -47,7 +47,9 @@
 //! `tictac-cluster`, a [`Schedule`] from `tictac-sched`, and produces an
 //! [`ExecutionTrace`] per iteration plus [`IterationMetrics`].
 //!
-//! [`NoiseModel`]: tictac_timing::NoiseModel
+//! [`Graph`]: tictac_graph::Graph
+//! [`IterationMetrics`]: tictac_trace::IterationMetrics
+//! [`NoiseModel`]: tictac_trace::NoiseModel
 //! [`Schedule`]: tictac_sched::Schedule
 //! [`ExecutionTrace`]: tictac_trace::ExecutionTrace
 
@@ -58,7 +60,6 @@ mod config;
 mod engine;
 mod error;
 mod faults;
-mod metrics;
 mod plan;
 mod service;
 mod threaded;
@@ -69,7 +70,6 @@ pub use config::{SimConfig, DEFAULT_SEED};
 pub use engine::{simulate, simulate_with_plan_observed, try_simulate};
 pub use error::SimError;
 pub use faults::{Blackout, Crash, FaultPlan, FaultSpec, Stall};
-pub use metrics::{FaultCounters, IterationMetrics};
 pub use plan::RunPlan;
 pub use service::noise_free_profile;
 pub use threaded::ExecOptions;

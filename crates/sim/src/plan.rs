@@ -20,8 +20,7 @@ use crate::faults::FaultPlan;
 use crate::service::{paired_send, service_times};
 use tictac_graph::{Graph, OpId, OpKind};
 use tictac_sched::Schedule;
-use tictac_timing::{SimDuration, SimTime};
-use tictac_trace::TraceBuilder;
+use tictac_trace::{SimDuration, SimTime, TraceBuilder};
 
 /// One `(graph, schedule, config)` triple, checked and tabulated: what
 /// every iteration of it reads and none changes.

@@ -7,7 +7,7 @@
 
 use crate::config::SimConfig;
 use tictac_graph::{ChannelId, Graph, OpId, OpKind};
-use tictac_timing::{CostOracle, MeasuredProfile, SimDuration, TimeOracle};
+use tictac_trace::{CostOracle, MeasuredProfile, SimDuration, TimeOracle};
 
 /// The send op feeding `recv` (transfer pairing), if the graph models one:
 /// hand-built graphs may leave recvs as pure roots.
@@ -25,14 +25,12 @@ pub(crate) fn paired_send(graph: &Graph, recv: OpId) -> Option<OpId> {
 /// it), and the cost oracle's prediction, device speed included, for
 /// everything else.
 pub(crate) fn service_times(graph: &Graph, config: &SimConfig) -> Vec<SimDuration> {
-    let bandwidth_share = config.bandwidth_share_override.unwrap_or_else(|| {
-        // Every server fans out to all workers.
-        let workers = graph.workers().count();
-        let servers = graph.parameter_servers().count();
-        workers.max(servers).max(1) as f64
-    });
+    // Every server fans out to all workers.
+    let workers = graph.workers().count();
+    let servers = graph.parameter_servers().count();
+    let bandwidth_share = workers.max(servers).max(1) as f64;
     // Per-channel wire-time stretch factor: the topology fair share (see
-    // `Platform::transfer_time_shared`) divided by the channel's relative
+    // `Platform::transfer_time_scaled`) divided by the channel's relative
     // bandwidth. Uniform graphs divide by exactly `1.0`, so the factor —
     // and every transfer duration — is bit-for-bit the homogeneous value.
     let chan_share: Vec<f64> = (0..graph.channels().len())
@@ -54,7 +52,7 @@ pub(crate) fn service_times(graph: &Graph, config: &SimConfig) -> Vec<SimDuratio
 /// The time oracle a noise-free configuration measures, without running
 /// it: exactly what `estimate_profile` returns over any number of
 /// fault-free `simulate` runs of `graph` when `config.noise` is
-/// [`NoiseModel::none`](tictac_timing::NoiseModel::none).
+/// [`NoiseModel::none`](tictac_trace::NoiseModel::none).
 ///
 /// Such runs can differ only in the *order* the ready queues and channels
 /// pick work, and no recorded duration depends on that order: every op

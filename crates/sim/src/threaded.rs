@@ -50,8 +50,7 @@ use crate::faults::mix;
 use crate::plan::{Route, RunPlan, TransferTable};
 use tictac_graph::{Graph, OpId};
 use tictac_sched::Schedule;
-use tictac_timing::{SimDuration, SimTime};
-use tictac_trace::{ExecutionTrace, TraceBuilder};
+use tictac_trace::{ExecutionTrace, SimDuration, SimTime, TraceBuilder};
 
 /// Cap on op names reported by [`SimError::Stalled`]; past it a single
 /// `+ N more` entry summarizes the rest.
@@ -532,7 +531,7 @@ mod tests {
     use super::*;
     use crate::SimConfig;
     use tictac_cluster::{deploy, ClusterSpec};
-    use tictac_models::{tiny_mlp, Mode};
+    use tictac_graph::{tiny_mlp, Mode};
     use tictac_sched::{no_ordering, tic};
 
     fn opts_at(time_scale: f64) -> ExecOptions {

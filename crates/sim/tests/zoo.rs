@@ -1,11 +1,10 @@
 //! Simulator invariants over realistic deployments of the model zoo.
 
 use tictac_cluster::{deploy, ClusterSpec};
-use tictac_models::{Mode, Model};
+use tictac_graph::{Mode, Model};
 use tictac_sched::no_ordering;
 use tictac_sim::{simulate, SimConfig};
-use tictac_timing::SimTime;
-use tictac_trace::analyze;
+use tictac_trace::{analyze, SimTime};
 
 #[test]
 fn every_model_simulates_to_completion_on_a_multi_ps_cluster() {

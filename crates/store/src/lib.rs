@@ -49,5 +49,5 @@ pub use record::{
 };
 pub use store::{
     arm_global_store, global_store, resolve_store_path, set_global_store, MemorySink, RunSink,
-    RunStore, DEFAULT_STORE_PATH,
+    RunStore,
 };

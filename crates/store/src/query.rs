@@ -149,12 +149,12 @@ pub struct MetricDelta {
 
 impl MetricDelta {
     /// Signed change `b - a`.
-    pub fn delta(&self) -> f64 {
+    pub(crate) fn delta(&self) -> f64 {
         self.b - self.a
     }
 
     /// Bitwise equality — `NaN` vs `NaN` counts as unchanged.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.a.to_bits() == self.b.to_bits()
     }
 }

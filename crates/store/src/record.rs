@@ -44,7 +44,7 @@ use tictac_trace::FaultCounters;
 /// of the communication granularity the run deployed with (`"0"` for the
 /// default per-parameter lowering, so pre-pass runs keep their identity).
 ///
-/// [`Scenario::fingerprint`]: https://docs.rs/tictac-scenario
+/// [`Scenario::fingerprint`]: https://docs.rs/tictac-core
 pub const SCHEMA: &str = "tictac-run/v3";
 
 /// Largest integer exactly representable in an f64-backed JSON number.

@@ -258,7 +258,7 @@ pub fn global_store() -> Option<Arc<RunStore>> {
 
 /// The committed default corpus the read-side `runs` subcommands fall
 /// back to when neither `--store` nor `TICTAC_RUN_STORE` names a path.
-pub const DEFAULT_STORE_PATH: &str = "results/runs.jsonl";
+pub(crate) const DEFAULT_STORE_PATH: &str = "results/runs.jsonl";
 
 /// The one `--store` / `TICTAC_RUN_STORE` resolution rule, shared by
 /// every binary that *arms recording* (`tictac run`, `repro`):
@@ -275,7 +275,7 @@ pub fn arm_global_store(explicit: Option<&str>) -> Option<Arc<RunStore>> {
 
 /// The same resolution rule for *read-side* commands (`tictac runs`),
 /// which always need a path: `--store`, else `TICTAC_RUN_STORE`, else
-/// the committed [`DEFAULT_STORE_PATH`].
+/// the committed `results/runs.jsonl`.
 pub fn resolve_store_path(explicit: Option<&str>) -> PathBuf {
     explicit
         .filter(|p| !p.is_empty())

@@ -5,8 +5,8 @@
 //! backend (the discrete-event simulator or the threaded runtime) can be
 //! analyzed with them.
 
+use crate::{SimDuration, SimTime};
 use tictac_graph::{DeviceId, Graph};
-use tictac_timing::{SimDuration, SimTime};
 
 use crate::{ExecutionTrace, FaultEvent, FaultEventKind};
 
@@ -42,7 +42,7 @@ impl FaultCounters {
     }
 
     /// Tallies a raw fault-event stream.
-    pub fn from_events(events: &[FaultEvent]) -> Self {
+    pub(crate) fn from_events(events: &[FaultEvent]) -> Self {
         let mut c = Self::default();
         for e in events {
             match e.kind {
@@ -67,7 +67,7 @@ impl FaultCounters {
     /// names, exactly as the Perfetto exporter emits them as
     /// `cat:"fault"` instants. Unknown names are ignored, and the
     /// End/Recovered variants do not increment, mirroring
-    /// [`from_events`](Self::from_events); counters rebuilt from an
+    /// `from_events`; counters rebuilt from an
     /// exported trace therefore equal the trace-derived ones.
     pub fn from_event_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Self {
         let mut c = Self::default();
@@ -104,26 +104,6 @@ impl FaultCounters {
         self.stragglers += other.stragglers;
         self.deferred_ops += other.deferred_ops;
         self.degraded_barriers += other.degraded_barriers;
-    }
-
-    /// The counters as one JSON object (stable key order), for report
-    /// files and log lines. Hand-rolled — the values are plain `u64`s, so
-    /// no serializer dependency is warranted.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"drops\":{},\"timeouts\":{},\"retransmits\":{},\"blackouts\":{},\
-             \"crashes\":{},\"ps_stalls\":{},\"stragglers\":{},\"deferred_ops\":{},\
-             \"degraded_barriers\":{}}}",
-            self.drops,
-            self.timeouts,
-            self.retransmits,
-            self.blackouts,
-            self.crashes,
-            self.ps_stalls,
-            self.stragglers,
-            self.deferred_ops,
-            self.degraded_barriers
-        )
     }
 }
 
@@ -287,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_render_as_text_and_json() {
+    fn counters_render_as_text() {
         assert_eq!(FaultCounters::default().to_string(), "clean");
         let c = FaultCounters {
             drops: 3,
@@ -303,12 +283,6 @@ mod tests {
         assert_eq!(
             c.to_string(),
             "drops 3 timeouts 3 rexmits 2 crashes 1 deferred 4 degraded 1"
-        );
-        assert_eq!(
-            c.to_json(),
-            "{\"drops\":3,\"timeouts\":3,\"retransmits\":2,\"blackouts\":0,\
-             \"crashes\":1,\"ps_stalls\":0,\"stragglers\":0,\"deferred_ops\":4,\
-             \"degraded_barriers\":1}"
         );
     }
 }

@@ -66,7 +66,7 @@ pub struct CostOracle {
 
 impl CostOracle {
     /// Cost attributed to a `send` op (hand-off to the channel).
-    pub const SEND_COST: SimDuration = SimDuration::from_micros(1);
+    pub(crate) const SEND_COST: SimDuration = SimDuration::from_micros(1);
 
     /// Creates an oracle for the given platform.
     pub fn new(platform: Platform) -> Self {
@@ -112,8 +112,10 @@ impl TimeOracle for CostOracle {
 /// The paper's time-oracle estimator executes each op five times and takes
 /// the **minimum** of the measured runs (§5) — the minimum filters out
 /// queueing delay and interference, approximating the dedicated-resource
-/// time the scheduling problem is defined over. Build profiles with
-/// [`MeasuredProfile::from_runs`] (typically fed by `tictac-trace`).
+/// time the scheduling problem is defined over. [`estimate_profile`]
+/// builds one from warm-up traces.
+///
+/// [`estimate_profile`]: crate::estimate_profile
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasuredProfile {
     durations: Vec<SimDuration>,
@@ -126,7 +128,7 @@ impl MeasuredProfile {
     /// # Panics
     ///
     /// Panics if `runs` is empty or the runs have inconsistent lengths.
-    pub fn from_runs(runs: &[Vec<SimDuration>]) -> Self {
+    pub(crate) fn from_runs(runs: &[Vec<SimDuration>]) -> Self {
         assert!(!runs.is_empty(), "at least one run is required");
         let n = runs[0].len();
         assert!(
@@ -142,16 +144,6 @@ impl MeasuredProfile {
     /// Builds a profile directly from one duration per op.
     pub fn from_durations(durations: Vec<SimDuration>) -> Self {
         Self { durations }
-    }
-
-    /// Number of profiled ops.
-    pub fn len(&self) -> usize {
-        self.durations.len()
-    }
-
-    /// Whether the profile is empty.
-    pub fn is_empty(&self) -> bool {
-        self.durations.is_empty()
     }
 
     /// The profiled duration of `op`, or zero if unprofiled.
@@ -207,7 +199,7 @@ mod tests {
         let (g, recv, comp, send) = sample_graph();
         let p = Platform::cloud_gpu();
         let o = CostOracle::new(p.clone());
-        assert_eq!(o.duration(&g, recv), p.transfer_time(1 << 20));
+        assert_eq!(o.duration(&g, recv), p.transfer_time_scaled(1 << 20, 1.0));
         assert_eq!(o.duration(&g, comp), p.worker_compute_time(3.0e9));
         assert_eq!(o.duration(&g, send), CostOracle::SEND_COST);
     }
@@ -239,7 +231,7 @@ mod tests {
             vec![SimDuration::from_nanos(25), SimDuration::from_nanos(90)],
         ];
         let prof = MeasuredProfile::from_runs(&runs);
-        assert_eq!(prof.len(), 2);
+        assert_eq!(prof.durations.len(), 2);
         assert_eq!(prof.get(OpId::from_index(0)), SimDuration::from_nanos(20));
         assert_eq!(prof.get(OpId::from_index(1)), SimDuration::from_nanos(90));
         // Out-of-range ops are unprofiled.

@@ -80,22 +80,6 @@ impl RetryPolicy {
             .map(|k| self.timeout_for(k))
             .fold(SimDuration::ZERO, SimDuration::saturating_add)
     }
-
-    /// [`RetryPolicy::timeout_for`] mapped onto the wall clock: the real
-    /// time a wall-clock runtime arms its loss-detection timer for, with
-    /// model time scaled by `time_scale` (the threaded runtime's modeled
-    /// duration multiplier).
-    pub fn wall_timeout_for(&self, attempt: u32, time_scale: f64) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.timeout_for(attempt).mul_f64(time_scale).as_nanos())
-    }
-
-    /// [`RetryPolicy::total_budget`] mapped onto the wall clock at
-    /// `time_scale`: an upper bound on the real time one transfer may
-    /// spend in retransmission before it is abandoned. Useful for sizing
-    /// watchdog budgets around a fault spec.
-    pub fn wall_total_budget(&self, time_scale: f64) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.total_budget().mul_f64(time_scale).as_nanos())
-    }
 }
 
 impl Default for RetryPolicy {
@@ -138,19 +122,6 @@ mod tests {
         let t = p.timeout_for(80);
         assert_eq!(t, SimDuration::from_nanos(u64::MAX));
         assert_eq!(p.total_budget(), SimDuration::from_nanos(u64::MAX));
-    }
-
-    #[test]
-    fn wall_clock_mapping_scales_model_time() {
-        let p = RetryPolicy::fixed(SimDuration::from_millis(10), 2).with_backoff(2.0);
-        assert_eq!(
-            p.wall_timeout_for(1, 0.5),
-            std::time::Duration::from_millis(10)
-        );
-        assert_eq!(
-            p.wall_total_budget(1.0),
-            std::time::Duration::from_millis(70)
-        );
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics (debug builds) if `factor` is negative or NaN.
-    pub fn saturating_mul_f64(self, factor: f64) -> SimDuration {
+    pub(crate) fn saturating_mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(!factor.is_nan() && factor >= 0.0, "invalid factor");
         SimDuration(round_to_nanos(self.0 as f64 * factor))
     }
@@ -95,24 +95,6 @@ impl SimDuration {
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor.is_finite() && factor >= 0.0, "invalid factor");
         SimDuration(round_to_nanos(self.0 as f64 * factor))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -206,11 +188,6 @@ impl SimTime {
         self.0
     }
 
-    /// Seconds since origin as a float.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Duration elapsed since `earlier`.
     ///
     /// # Panics
@@ -222,7 +199,7 @@ impl SimTime {
     }
 
     /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {

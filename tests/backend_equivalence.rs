@@ -16,9 +16,9 @@
 //!   TAC-over-baseline win, the threaded runtime agrees within a jitter
 //!   margin, and schedules are byte-identical across backends.
 //! * **Service-time agreement off the uniform preset**: on a
-//!   heterogeneous cluster with a bandwidth-share override, every
-//!   threaded transfer takes at least the simulator's noise-free service
-//!   time, and that service time carries the link factor exactly.
+//!   heterogeneous cluster, every threaded transfer takes at least the
+//!   simulator's noise-free service time, and that service time carries
+//!   the link factor exactly.
 //! * **One plan, both executors**: iterations run from one `RunPlan`
 //!   equal fresh one-shot calls trace for trace, the threaded runtime
 //!   flies transfers in the rank order the engine reads from the same
@@ -34,7 +34,7 @@ use tictac::{
     Mode, Model, OpKind, Registry, RetryPolicy, RunOptions, RunPlan, Scenario, Schedule,
     SchedulerKind, Session, SimConfig, SimDuration, SimError, ThreadedBackend, TimeOracle,
 };
-use tictac_models::tiny_mlp;
+use tictac_graph::tiny_mlp;
 
 fn threaded_session(
     model: tictac::ModelGraph,
@@ -214,20 +214,20 @@ fn decisive_sim_rankings_hold_on_the_wall_clock() {
 
 /// The threaded busy-loops replay the simulator's service times off the
 /// uniform preset too: on the `vgg19_hetero.yml` cluster (worker 3 at
-/// 0.5x speed behind a 0.25x link) with a bandwidth-share override, every
-/// recv lasts at least `time_scale` x its noise-free service time, and
-/// that service time carries the link factor exactly. Nothing compares
+/// 0.5x speed behind a 0.25x link) every recv lasts at least `time_scale`
+/// x its noise-free service time, and that service time carries the link
+/// factor exactly. Nothing compares
 /// two wall times: preemption only ever lengthens one, so the one-sided
 /// floor is what the wall clock can be held to, and for the 0.25x link it
 /// already proves the factor reached the busy-loop.
 #[test]
-fn hetero_cluster_and_share_override_reach_the_threaded_busy_loops() {
+fn hetero_cluster_reaches_the_threaded_busy_loops() {
     const TIME_SCALE: f64 = 0.25;
     let text = std::fs::read_to_string("examples/scenarios/vgg19_hetero.yml").expect("scenario");
     let scenario = Scenario::parse_grid(&text)
         .expect("scenario parses")
         .remove(0);
-    let config = SimConfig::cloud_gpu().with_bandwidth_share(3.0);
+    let config = SimConfig::cloud_gpu();
     let session = Session::builder(scenario.model.build_with_batch(Mode::Training, 2))
         .cluster(scenario.cluster.clone())
         .config(config.clone())

@@ -40,6 +40,16 @@ fn zero_iterations_is_a_usage_error_not_a_division_by_zero() {
         stderr.contains("scenario line 5: iterations must be at least 1"),
         "{stderr}"
     );
+
+    let scenario = Path::new(env!("CARGO_TARGET_TMPDIR")).join("zero_batch.yml");
+    let doc = "model: alexnet_v2\ncluster:\n  workers: 2\n  parameter_servers: 1\nbatch: 0\n";
+    std::fs::write(&scenario, doc).expect("write scenario");
+    let (out, stderr) = tictac(&["run", scenario.to_str().expect("utf-8 path")]);
+    assert_ne!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("scenario line 5: batch must be at least 1"),
+        "{stderr}"
+    );
 }
 
 /// An empty window has no history to regress against: every group would

@@ -24,7 +24,7 @@ use tictac::{
     ClusterSpec, Crash, ExecutionTrace, FaultPlan, FaultSpec, Mode, Model, Platform, Registry,
     RetryPolicy, SimConfig, SimDuration, SimTime, Stall,
 };
-use tictac_models::tiny_mlp;
+use tictac_graph::tiny_mlp;
 
 /// FNV-1a over every op interval (in op-id order), fault event and the
 /// makespan. Any change to any byte of the trace changes the fingerprint.

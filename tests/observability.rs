@@ -26,8 +26,8 @@ use tictac::{
     MetricValue, Mode, Model, OpId, Registry, RetryPolicy, RunPlan, Schedule, SchedulerKind,
     Session, SimConfig, SimDuration, SimError, TraceBuilder,
 };
-use tictac_models::tiny_mlp;
-use tictac_timing::SimTime;
+use tictac_graph::tiny_mlp;
+use tictac_trace::SimTime;
 
 fn t(ns: u64) -> SimTime {
     SimTime::from_nanos(ns)

@@ -16,7 +16,7 @@
 use tictac::{
     ClusterSpec, FaultSpec, Mode, RetryPolicy, SchedulerKind, Session, SimConfig, SimDuration,
 };
-use tictac_models::tiny_mlp;
+use tictac_graph::tiny_mlp;
 
 const SNAPSHOT: &str = "tests/snapshots/tiny_mlp_faulty_iter1.perfetto.json";
 

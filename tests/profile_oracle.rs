@@ -3,9 +3,8 @@
 //! is only sound if it *equals* the measurement: the per-op minimum over
 //! five fault-free simulated runs, exactly as the session profiled before.
 //! Pinned here zoo-wide across every input the service times depend on —
-//! device speeds, link bandwidths, the bandwidth-share override, the
-//! partition/fusion passes — and end to end on the schedule a session
-//! enforces. Noisy configurations must keep taking the measured path.
+//! device speeds, link bandwidths, the partition/fusion passes — and end
+//! to end on the schedule a session enforces. Noisy configurations must keep taking the measured path.
 
 use tictac::{
     deploy, estimate_profile, no_ordering, noise_free_profile, simulate, tac, ClusterSpec,
@@ -65,16 +64,6 @@ fn analytic_profile_equals_five_simulated_runs_zoo_wide() {
             SimConfig::deterministic(Platform::cpu_cluster()),
         ),
         ("hetero", hetero_cluster(), det.clone()),
-        (
-            "share override",
-            ClusterSpec::new(2, 2),
-            det.clone().with_bandwidth_share(3.5),
-        ),
-        (
-            "hetero + share override",
-            hetero_cluster(),
-            det.clone().with_bandwidth_share(1.0),
-        ),
         ("partition/fusion", comm_cluster(), det.clone()),
     ];
     for model in Model::ALL {
