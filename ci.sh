@@ -126,10 +126,12 @@ cargo test --offline -q --test perfetto_fault_snapshot
 # Again as optimised: the build the ledger and every user run, with the
 # engine's `debug_assert!`s compiled out — the event queue's no-push-into-
 # the-past check among them, so its proptest against a binary heap runs
-# here too, beside the graph validator's against a naive reference and the
+# here too, beside the pump's worklists' against the sorted `Vec` they
+# replaced, the graph validator's against a naive reference and the
 # nanosecond rounding's against `f64::round`.
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_heap_pops
+cargo test --offline -q --release -p tictac-sim --lib worklists_drain_what_the_sorted_vec_drains
 cargo test --offline -q --release -p tictac-graph --lib validation_errors_match_the_naive_reference
 cargo test --offline -q --release -p tictac-trace --lib round_to_nanos
 cargo test --offline -q --release --test perfetto_snapshot

@@ -105,12 +105,14 @@ impl Graph {
     }
 
     /// Direct predecessors (dependencies) of `id`.
+    #[inline]
     pub fn preds(&self, id: OpId) -> &[OpId] {
         let i = id.index();
         &self.pred_edges[self.pred_offsets[i] as usize..self.pred_offsets[i + 1] as usize]
     }
 
     /// Direct successors (dependents) of `id`.
+    #[inline]
     pub fn succs(&self, id: OpId) -> &[OpId] {
         let i = id.index();
         &self.succ_edges[self.succ_offsets[i] as usize..self.succ_offsets[i + 1] as usize]

@@ -529,49 +529,76 @@ impl SendGate {
     }
 }
 
-/// Resource indices awaiting a start attempt, drained in ascending order.
+/// Resource indices awaiting a start attempt: one bit per device or
+/// channel, drained in ascending order.
 ///
 /// The pump's worklist. An index is marked when its resource frees or its
 /// queue gains an entry — the only transitions that can make it startable
 /// besides an outage ending, and a resource skipped because it is down
 /// re-marks itself, so it is retried on every pump until it is back up.
+/// Every word holding a mark lies in `lo..hi`.
 #[derive(Debug)]
 struct DirtySet {
-    queued: Vec<bool>,
-    pending: Vec<u32>,
+    words: Vec<u64>,
+    lo: usize,
+    hi: usize,
 }
 
 impl DirtySet {
     fn new(len: usize) -> Self {
         Self {
-            queued: vec![false; len],
-            pending: Vec::new(),
+            words: vec![0; len.div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
         }
     }
 
+    #[inline]
     fn mark(&mut self, index: usize) {
-        if !std::mem::replace(&mut self.queued[index], true) {
-            self.pending.push(index as u32);
-        }
+        let w = index / 64;
+        self.words[w] |= 1 << (index % 64);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w + 1);
     }
 
-    /// Takes the marked indices, ascending; marks made while the batch is
-    /// processed land in the next one.
-    fn take_sorted(&mut self) -> Vec<u32> {
-        let mut batch = std::mem::take(&mut self.pending);
-        batch.sort_unstable();
-        for &i in &batch {
-            self.queued[i as usize] = false;
+    /// Starts a drain of the marked indices, ascending. The range is reset
+    /// here and each word is cleared as the drain reaches it, so a mark
+    /// made while the drain runs — by the engine, only a down resource
+    /// re-marking itself, whose word is already taken — lands in the next
+    /// drain.
+    #[inline]
+    fn drain(&mut self) -> Drain {
+        let words = self.lo..self.hi;
+        self.lo = usize::MAX;
+        self.hi = 0;
+        Drain {
+            words,
+            base: 0,
+            bits: 0,
         }
-        batch
     }
+}
 
-    /// Hands a processed batch's allocation back for the next one.
-    fn recycle(&mut self, mut batch: Vec<u32>) {
-        if self.pending.is_empty() {
-            batch.clear();
-            self.pending = batch;
+/// A drain of a [`DirtySet`] in progress: the words still to take, and
+/// the bits left of the word taken last.
+struct Drain {
+    words: std::ops::Range<usize>,
+    base: usize,
+    bits: u64,
+}
+
+impl Drain {
+    /// The next marked index, taking each word before walking its bits.
+    #[inline]
+    fn next(&mut self, set: &mut DirtySet) -> Option<usize> {
+        while self.bits == 0 {
+            let w = self.words.next()?;
+            self.base = w * 64;
+            self.bits = std::mem::take(&mut set.words[w]);
         }
+        let index = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(index)
     }
 }
 
@@ -808,16 +835,14 @@ impl<'g> Engine<'g> {
     /// resource and schedules a completion, so it never makes another
     /// resource startable and one drain suffices.
     fn pump(&mut self) {
-        let devices = self.dirty_devices.take_sorted();
-        for &dev in &devices {
-            self.try_start_compute(dev as usize);
+        let mut devices = self.dirty_devices.drain();
+        while let Some(dev) = devices.next(&mut self.dirty_devices) {
+            self.try_start_compute(dev);
         }
-        self.dirty_devices.recycle(devices);
-        let channels = self.dirty_channels.take_sorted();
-        for &ch in &channels {
-            self.try_start_transfer(ch as usize);
+        let mut channels = self.dirty_channels.drain();
+        while let Some(ch) = channels.next(&mut self.dirty_channels) {
+            self.try_start_transfer(ch);
         }
-        self.dirty_channels.recycle(channels);
         debug_assert!(
             self.nothing_startable(),
             "a resource became startable without being marked dirty"
@@ -1401,6 +1426,50 @@ mod tests {
                 }
             }
             prop_assert!(mid_drain > 0, "no push landed on an instant being drained");
+        }
+
+        /// Marks over up to 4 096 indices (256 workers × 8 servers make
+        /// 2 048 channels), crowded onto word boundaries, drained while the
+        /// index being drained is re-marked, as a down resource re-marks
+        /// itself: every drain yields what the worklist it replaced — push
+        /// unless queued, sort, clear the flags — yields.
+        #[test]
+        fn worklists_drain_what_the_sorted_vec_drains(seed in any::<u64>(), len in 1usize..=4096) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut set = DirtySet::new(len);
+            let (mut queued, mut pending) = (vec![false; len], Vec::<usize>::new());
+            let mut remarks = 0;
+            for round in 0..64 {
+                for _ in 0..rng.gen_range(0..3) * rng.gen_range(0..24) {
+                    let index = match rng.gen_range(0..3) {
+                        0 => [0, 63, 64, 127, 128, len - 1][rng.gen_range(0..6usize)].min(len - 1),
+                        _ => rng.gen_range(0..len),
+                    };
+                    set.mark(index);
+                    if !std::mem::replace(&mut queued[index], true) {
+                        pending.push(index);
+                    }
+                }
+                let mut want = std::mem::take(&mut pending);
+                want.sort_unstable();
+                for &i in &want {
+                    queued[i] = false;
+                }
+                let mut got = Vec::new();
+                let mut drain = set.drain();
+                while let Some(index) = drain.next(&mut set) {
+                    got.push(index);
+                    if rng.gen_range(0..4) == 0 {
+                        remarks += 1;
+                        set.mark(index);
+                        if !std::mem::replace(&mut queued[index], true) {
+                            pending.push(index);
+                        }
+                    }
+                }
+                prop_assert_eq!(got, want, "round {}", round);
+            }
+            prop_assert!(remarks > 0, "no index was re-marked mid-drain");
         }
     }
 

@@ -84,7 +84,7 @@ impl SimDuration {
     /// Panics (debug builds) if `factor` is negative or NaN.
     pub(crate) fn saturating_mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(!factor.is_nan() && factor >= 0.0, "invalid factor");
-        SimDuration(round_to_nanos(self.0 as f64 * factor))
+        SimDuration(scale_nanos(self.0, factor))
     }
 
     /// Multiplies by a non-negative float factor, rounding to nanoseconds.
@@ -92,10 +92,47 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics (debug builds) if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor.is_finite() && factor >= 0.0, "invalid factor");
-        SimDuration(round_to_nanos(self.0 as f64 * factor))
+        SimDuration(scale_nanos(self.0, factor))
     }
+}
+
+/// Below this bound a nanosecond count or a product converts between `u64`
+/// and `f64` through `i64`, to the same value: one instruction each way on
+/// the baseline x86-64 target, where the unsigned conversions are
+/// multi-instruction sequences.
+const SIGNED_NS: u64 = 1 << 62;
+
+/// `nanos × factor` rounded to nanoseconds: `round_to_nanos(nanos as f64 *
+/// factor)`, the expression every duration scaling computes. A factor of
+/// exactly 1.0 returns a count below 2^53 unchanged — it converts to `f64`
+/// exactly, so the product is the count — but not a larger one, which the
+/// conversion may round (2^53 + 1 becomes 2^53).
+#[inline]
+fn scale_nanos(nanos: u64, factor: f64) -> u64 {
+    if nanos < SIGNED_NS {
+        if factor == 1.0 && nanos < HORIZON_NS {
+            return nanos;
+        }
+        let x = nanos as i64 as f64 * factor;
+        if let Some(rounded) = round_signed(x) {
+            return rounded;
+        }
+    }
+    round_to_nanos(nanos as f64 * factor)
+}
+
+/// [`round_to_nanos`] on `[0, 2^62)` through the signed conversions, or
+/// `None` outside it (NaN included).
+#[inline]
+fn round_signed(x: f64) -> Option<u64> {
+    if !(0.0..SIGNED_NS as f64).contains(&x) {
+        return None;
+    }
+    let t = x as i64;
+    Some((t + i64::from(x - t as f64 >= 0.5)) as u64)
 }
 
 /// `x` rounded half away from zero to a nanosecond count, exactly as
@@ -105,8 +142,13 @@ impl SimDuration {
 /// half. Below 2^53 both `t` and `x − t` are exact; from 2^53 up every
 /// double is an integer, so `x − t` is 0; and `as` sends NaN and negatives
 /// to 0 and everything from 2^64 up to `u64::MAX`, as it does the rounded
-/// value (hence the saturating add).
+/// value (hence the saturating add). On `[0, 2^62)` the truncation and
+/// its conversion back are the signed ones ([`round_signed`]).
+#[inline]
 fn round_to_nanos(x: f64) -> u64 {
+    if let Some(rounded) = round_signed(x) {
+        return rounded;
+    }
     let t = x as u64;
     if x - t as f64 >= 0.5 {
         t.saturating_add(1)
@@ -296,7 +338,13 @@ mod tests {
             two.powi(52) - 0.5,
             two.powi(52) + 0.5,
             two.powi(53) - 1.0,
+            two.powi(53) + 2.0,
+            two.powi(62) - 512.0,
+            two.powi(62),
+            two.powi(62) + 1024.0,
+            two.powi(63) - 1024.0,
             two.powi(63),
+            two.powi(64) - 2048.0,
             two.powi(64),
             1e300,
             -0.3,
@@ -315,6 +363,43 @@ mod tests {
         assert_eq!(round_to_nanos(two.powi(52) - 0.5), 1 << 52);
         assert_eq!(round_to_nanos(two.powi(64)), u64::MAX);
         assert_eq!(round_to_nanos(f64::NAN), 0);
+
+        // Scaled durations on both sides of 2^53, 2^62, 2^63 and 2^64, and
+        // a factor of exactly 1.0 at each.
+        let scaled = [
+            (3, 0.5),
+            (5, 0.5),
+            ((1 << 53) - 1, 1.0),
+            (1 << 53, 1.0),
+            ((1 << 53) + 1, 1.0),
+            ((1 << 53) + 3, 1.0),
+            ((1 << 52) + 1, 2.0),
+            ((1 << 62) - 1, 1.0),
+            (1 << 62, 1.0),
+            ((1 << 61) - 1, 2.0),
+            (1 << 61, 2.0),
+            ((1 << 62) + 1, 0.5),
+            ((1 << 63) + 1, 1.0),
+            (1 << 63, 2.0),
+            ((1 << 63) - 1, 2.0),
+            (u64::MAX, 1.0),
+            (u64::MAX, 0.5),
+            (u64::MAX, 0.0),
+        ];
+        for (nanos, factor) in scaled {
+            let want = rounded(nanos as f64 * factor);
+            let d = SimDuration::from_nanos(nanos);
+            assert_eq!(d.mul_f64(factor).as_nanos(), want, "{nanos} × {factor}");
+            assert_eq!(
+                d.saturating_mul_f64(factor).as_nanos(),
+                want,
+                "{nanos} × {factor}"
+            );
+        }
+        // 2^53 + 1 is not a double: scaling it by 1.0 rounds it to 2^53,
+        // as `f64::round` of the product does.
+        let odd = SimDuration::from_nanos((1 << 53) + 1);
+        assert_eq!(odd.mul_f64(1.0).as_nanos(), 1 << 53);
     }
 
     proptest! {
@@ -344,6 +429,26 @@ mod tests {
             prop_assert_eq!(d.saturating_mul_f64(factor).as_nanos(), saturated);
             let secs = d.as_secs_f64() * factor;
             prop_assert_eq!(SimDuration::from_secs_f64(secs).as_nanos(), rounded(secs * 1e9));
+            // A factor of exactly 1.0, at every magnitude: above 2^53 the
+            // duration itself need not be a double.
+            let unit = rounded(d.as_nanos() as f64);
+            prop_assert_eq!(d.mul_f64(1.0).as_nanos(), unit);
+            prop_assert_eq!(d.saturating_mul_f64(1.0).as_nanos(), unit);
+        }
+
+        /// Products within a few thousand nanoseconds of 2^53, 2^62, 2^63
+        /// and 2^64, on either side, from factors in `[1/4, 4)` — exactly
+        /// 1.0 in a quarter of the cases — so durations fall on both sides
+        /// of 2^53 and 2^62 too.
+        #[test]
+        fn round_to_nanos_keeps_products_at_the_bounds(bound in 0usize..4, factor in 0.25f64..4.0, unit in 0u32..4, offset in -4096i64..4096) {
+            let factor = if unit == 0 { 1.0 } else { factor };
+            let exp = [53, 62, 63, 64][bound];
+            let nanos = ((2f64.powi(exp) / factor) as u64).saturating_add_signed(offset);
+            let d = SimDuration::from_nanos(nanos);
+            let want = rounded(nanos as f64 * factor);
+            prop_assert_eq!(d.mul_f64(factor).as_nanos(), want, "{} × {}", nanos, factor);
+            prop_assert_eq!(d.saturating_mul_f64(factor).as_nanos(), want, "{} × {}", nanos, factor);
         }
     }
 }

@@ -21,8 +21,8 @@
 
 use tictac::{
     deploy, no_ordering, simulate, simulate_with_plan_observed, tic, try_simulate, Blackout,
-    ClusterSpec, Crash, ExecutionTrace, FaultPlan, FaultSpec, Mode, Model, Platform, Registry,
-    RetryPolicy, SimConfig, SimDuration, SimTime, Stall,
+    ClusterSpec, Crash, ExecutionTrace, FaultEventKind, FaultPlan, FaultSpec, Mode, Model,
+    Platform, Registry, RetryPolicy, SimConfig, SimDuration, SimTime, Stall,
 };
 use tictac_graph::tiny_mlp;
 
@@ -221,5 +221,46 @@ fn golden_deterministic_ties() {
         "deterministic_ties_alexnet_it2",
         &simulate(d.graph(), &s, &cfg, 2),
         0x451aa16e4464b446,
+    );
+}
+
+/// More devices and channels than one 64-bit word holds (82 devices, 160
+/// channels): the pump's worklists drain words in ascending order, and
+/// under noise every start draws, so a drain in any other order moves the
+/// trace. The faulty run crashes workers in both device words, whose
+/// resources re-mark themselves while they are down. Every other golden
+/// fits its devices and its channels in one word each.
+#[test]
+fn golden_worklists_past_one_word() {
+    let d = deploy(&tiny_mlp(Mode::Training, 8), &ClusterSpec::new(80, 2)).unwrap();
+    let s = no_ordering(d.graph());
+    check(
+        "worklists_past_one_word_it0",
+        &simulate(d.graph(), &s, &SimConfig::cloud_gpu(), 0),
+        0x851ac3a077a33f7d,
+    );
+    let faulty = SimConfig::cloud_gpu().with_faults(
+        FaultSpec::none()
+            .with_drop_prob(0.05)
+            .with_crashes(0.1, SimDuration::from_millis(10))
+            .with_retry(RetryPolicy::fixed(SimDuration::from_millis(5), 30)),
+    );
+    let trace = try_simulate(d.graph(), &s, &faulty, 0).unwrap();
+    let crashed_words: Vec<usize> = trace
+        .fault_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            FaultEventKind::WorkerCrashed { device } => Some(device.index() / 64),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        crashed_words.contains(&0) && crashed_words.contains(&1),
+        "crashes in both device words: {crashed_words:?}"
+    );
+    check(
+        "worklists_past_one_word_faulty_it0",
+        &trace,
+        0x624d19c799ea29d3,
     );
 }
