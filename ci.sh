@@ -127,19 +127,23 @@ cargo test --offline -q --test perfetto_fault_snapshot
 # engine's `debug_assert!`s compiled out — the event queue's no-push-into-
 # the-past check among them, so its proptest against a binary heap runs
 # here too, beside the pump's worklists' against the sorted `Vec` they
-# replaced, the graph validator's against a naive reference and the
-# nanosecond rounding's against `f64::round`.
+# replaced, the graph validator's against a naive reference, the
+# nanosecond rounding's against `f64::round` and the JSON float writer's
+# against `format!("{}")` (10^6 cases here, 10^4 in the debug run).
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_heap_pops
 cargo test --offline -q --release -p tictac-sim --lib worklists_drain_what_the_sorted_vec_drains
 cargo test --offline -q --release -p tictac-graph --lib validation_errors_match_the_naive_reference
 cargo test --offline -q --release -p tictac-trace --lib round_to_nanos
+cargo test --offline -q --release -p tictac-obs --lib shortest_float_matches_display
 cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
 # The engine's fault rules (agenda, loss ladder, record and barrier
 # steps) in that same build, the threaded runtime's §5.1 checks, the
 # observers' flush on every way a run ends, and the run-record codec: its
-# round-trips, integer rule and mutation fuzz against the tree oracle.
+# round-trips, integer rule and mutation fuzz against the tree oracle,
+# respelled lines against the bytes the writer wrote, and `regress`'s key
+# buffer against a `format!` key per record.
 cargo test --offline -q --release --test faults --test backend_equivalence \
     --test observability --test run_store
 cargo test --offline -q --release -p tictac-store

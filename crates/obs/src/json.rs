@@ -9,8 +9,9 @@
 //!
 //! The lexing rules are written once: [`Lexer`] reads whitespace, strings
 //! (escapes and `\u` surrogate pairs included), number tokens, literals
-//! and list steps, and [`escape_into`] and [`number_into`] (finite or
-//! `null`) write. [`parse_json`] builds its tree from them. The run store
+//! and list steps, and [`escape_into`], [`integer_into`] and
+//! [`number_into`] (finite or `null`) write, none of them through
+//! `core::fmt`. [`parse_json`] builds its tree from them. The run store
 //! (`tictac-store`) does not go through [`Json`] at all: its record codec
 //! reads and writes each field with the same primitives, so a record line
 //! follows the grammar `parse_json` accepts.
@@ -21,10 +22,13 @@
 //! The run store's byte-exact append-only guarantee rests on this.
 //! The Perfetto exporter writes its documents directly, not through
 //! [`Json`]: its fixed three-decimal timestamps are pinned byte for byte
-//! by golden snapshots. It shares only the string escape, [`quote`]'s.
+//! by golden snapshots. It shares the string escape, [`quote`]'s, and the
+//! digit writer, [`integer_into`].
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
+
+mod shortest;
 
 /// Escapes `s` as a JSON string literal, including the surrounding
 /// quotes.
@@ -134,16 +138,90 @@ impl Json {
     }
 }
 
-/// Appends a JSON number: Rust's shortest `Display` form, which never
-/// uses exponent notation and round-trips exactly through
-/// `str::parse::<f64>`. Non-finite values have no JSON spelling and are
-/// written as `null`; writers that must reject them should validate
-/// before writing.
-pub fn number_into(out: &mut String, n: f64) {
-    if n.is_finite() {
-        let _ = write!(out, "{n}");
+/// Appends `n` in decimal: the one digit writer the workspace's JSON
+/// writers share, in place of `write!`.
+pub fn integer_into(out: &mut String, n: u64) {
+    let mut buf = [0; 20];
+    out.push_str(decimal(&mut buf, n));
+}
+
+/// `"00" "01" … "99"`: two digits a lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// `n`'s decimal digits, written into the tail of `buf` four at a time.
+fn decimal(buf: &mut [u8; 20], mut n: u64) -> &str {
+    let pair = |i: u64| &DIGIT_PAIRS[2 * i as usize..][..2];
+    let mut at = buf.len();
+    while n >= 10_000 {
+        let four = n % 10_000;
+        n /= 10_000;
+        at -= 4;
+        buf[at..at + 2].copy_from_slice(pair(four / 100));
+        buf[at + 2..at + 4].copy_from_slice(pair(four % 100));
+    }
+    if n >= 100 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(pair(n % 100));
+        n /= 100;
+    }
+    if n >= 10 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(pair(n));
     } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+/// Appends a JSON number: Rust's shortest `Display` form, byte for byte —
+/// the fewest significant digits that read back as `n` (the nearest such
+/// decimal), laid out in plain decimal with no exponent, no point after
+/// an integral value and `-0` for negative zero — so it round-trips
+/// exactly through `str::parse::<f64>`. Integral values below 2^53 are
+/// their integer's digits; the rest go through the shortest-digit search.
+/// Non-finite values have no JSON spelling and are written as `null`;
+/// writers that must reject them should validate before writing.
+pub fn number_into(out: &mut String, n: f64) {
+    if !n.is_finite() {
         out.push_str("null");
+        return;
+    }
+    if n.is_sign_negative() {
+        out.push('-');
+    }
+    let n = n.abs();
+    // Below 2^53 the signed conversions are exact both ways.
+    if n < (1u64 << 53) as f64 && n as i64 as f64 == n {
+        return integer_into(out, n as u64);
+    }
+    let (digits, e10) = shortest::shortest(n.to_bits());
+    let mut buf = [0; 20];
+    let digits = decimal(&mut buf, digits);
+    let zeros = |out: &mut String, count: i32| out.extend(std::iter::repeat_n('0', count as usize));
+    // Digits before the point.
+    let whole = e10 + digits.len() as i32;
+    if e10 >= 0 {
+        out.push_str(digits);
+        zeros(out, e10);
+    } else if whole > 0 {
+        let (int, frac) = digits.split_at(whole as usize);
+        out.push_str(int);
+        out.push('.');
+        out.push_str(frac);
+    } else {
+        out.push_str("0.");
+        zeros(out, -whole);
+        out.push_str(digits);
     }
 }
 
@@ -264,6 +342,23 @@ impl<'a> Lexer<'a> {
         } else {
             self.err(&format!("expected {:?}", b as char))
         }
+    }
+
+    /// Consumes `sep"key":` if the source holds exactly those bytes at the
+    /// cursor — an object key as a compact writer emits it — and reports
+    /// whether it did; otherwise the cursor stays put, for the token-by-
+    /// token path. `key` must need no escape.
+    pub fn compact_key(&mut self, sep: u8, key: &str) -> bool {
+        let (rest, key) = (&self.src.as_bytes()[self.pos..], key.as_bytes());
+        let len = key.len() + 4;
+        let as_written = rest.len() >= len
+            && rest[..2] == [sep, b'"']
+            && &rest[2..len - 2] == key
+            && rest[len - 2..len] == *b"\":";
+        if as_written {
+            self.pos += len;
+        }
+        as_written
     }
 
     /// Consumes the literal `word` (`true`, `false` or `null`).
@@ -639,6 +734,128 @@ mod tests {
         // Non-finite numbers have no JSON spelling.
         assert_eq!(render_json(&Json::Num(f64::NAN)), "null");
         assert_eq!(render_json(&Json::Num(f64::INFINITY)), "null");
+    }
+
+    fn number(n: f64) -> String {
+        let mut out = String::new();
+        number_into(&mut out, n);
+        out
+    }
+
+    /// SplitMix64, so the cases are fixed and need no dev-dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The float writer against `format!("{}")`, the spelling the run
+    /// store's committed bytes were written in: an edge table, then
+    /// random bit patterns spread over every exponent (subnormals and
+    /// negatives included), doubles with a few fraction bits (ties
+    /// between two nearest candidates) and doubles parsed from short
+    /// decimals (the search's exact-lower-bound path). 10^4 cases in a
+    /// debug build, 10^6 in release.
+    #[test]
+    fn shortest_float_matches_display() {
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            9007199254740991.0,
+            9007199254740992.0,
+            9007199254740993.0, // 2^53 + 1, read as 2^53
+            9007199254740994.0,
+            9223372036854775808.0,
+            18446744073709551616.0,
+            0.1 + 0.2,
+            0.1,
+            1.0 / 3.0,
+            123456789012345.0,
+            0.123456789012345,
+            1234567890123456.7,
+            0.30000000000000004,
+            5e-324,
+            1.5e300,
+        ];
+        for k in -7..=22 {
+            let p: f64 = format!("1e{k}").parse().unwrap();
+            let bits = p.to_bits();
+            edges.extend([p, f64::from_bits(bits - 1), f64::from_bits(bits + 1)]);
+        }
+        for &v in &edges {
+            assert_eq!(number(v), format!("{v}"), "{v:e}");
+            assert_eq!(number(-v), format!("{}", -v), "{:e}", -v);
+        }
+
+        let cases = if cfg!(debug_assertions) {
+            10_000
+        } else {
+            1_000_000
+        };
+        let state = &mut 0x5407_7E57;
+        for case in 0..cases {
+            let r = splitmix(state);
+            let v = match case % 4 {
+                // A short decimal, up to 17 digits, at a random scale.
+                3 => {
+                    let digits = r % 10u64.pow(1 + (r >> 59) as u32 % 17);
+                    let scale = (splitmix(state) % 620) as i32 - 324;
+                    format!("{digits}e{scale}").parse().unwrap()
+                }
+                // A few fraction bits below 2^53, where the two nearest
+                // 17-digit candidates can tie.
+                2 => (r >> 11) as f64 / (1 << (r % 13)) as f64,
+                // Sign and mantissa random, exponents 0..=2046 in turn.
+                _ => f64::from_bits(r & !(0x7ff << 52) | (case as u64 % 2047) << 52),
+            };
+            if v.is_finite() {
+                assert_eq!(number(v), format!("{v}"), "{:#x}", v.to_bits());
+            }
+        }
+    }
+
+    /// Every width, both sides of every power of ten, and random values.
+    #[test]
+    fn integer_writer_writes_every_width() {
+        let state = &mut 0x01D1_6175;
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        let edges = powers.flat_map(|p| [p - 1, p, p + 1]);
+        let mut out = String::new();
+        for n in edges
+            .chain([u64::MAX])
+            .chain((0..10_000).map(|_| splitmix(state)))
+        {
+            out.clear();
+            integer_into(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+    }
+
+    /// The compact-key step consumes exactly `sep"key":` and otherwise
+    /// leaves the cursor for the token-by-token path.
+    #[test]
+    fn compact_keys_match_only_as_written() {
+        for (src, sep, key, hit) in [
+            (",\"id\":1", b',', "id", true),
+            ("{\"id\":", b'{', "id", true),
+            (",\"id\" :1", b',', "id", false),
+            (", \"id\":1", b',', "id", false),
+            (",\"i\\u0064\":1", b',', "id", false),
+            (",\"idx\":1", b',', "id", false),
+            (",\"id", b',', "id", false),
+            ("{\"id\":", b',', "id", false),
+        ] {
+            let mut lx = Lexer::new(src);
+            assert_eq!(lx.compact_key(sep, key), hit, "{src}");
+            assert_eq!(lx.pos(), if hit { key.len() + 4 } else { 0 }, "{src}");
+        }
     }
 
     #[test]

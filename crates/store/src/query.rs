@@ -7,6 +7,10 @@
 //! Bench records carry wall-clock timings and are explicitly skipped by
 //! [`regress`] (and flagged by [`diff_records`]).
 
+use std::collections::HashMap;
+
+use tictac_obs::json::integer_into;
+
 use crate::record::{Payload, RunRecord, SessionEvidence};
 
 /// Filter predicates for `runs list` / `runs diff` / `runs regress`.
@@ -42,29 +46,39 @@ impl RunFilter {
 /// key observed the same configuration, so any metric difference between
 /// them is drift, not design.
 pub fn group_key(r: &RunRecord) -> String {
-    let mut key = format!(
-        "{}/{}/{}x{}/{}/{}/seed{}",
-        r.payload.kind(),
-        r.workload,
-        r.workers,
-        r.ps,
-        r.scheduler,
-        r.backend,
-        r.seed
-    );
+    let mut key = String::new();
+    group_key_into(&mut key, r);
+    key
+}
+
+/// Appends [`group_key`]'s text to `key`:
+/// `kind/workload/WxP/scheduler/backend/seedN`, then `/scn` and `/comm`
+/// with 16 hex digits when those fingerprints are nonzero.
+fn group_key_into(key: &mut String, r: &RunRecord) {
+    for part in [r.payload.kind(), "/", &r.workload, "/"] {
+        key.push_str(part);
+    }
+    integer_into(key, r.workers.into());
+    key.push('x');
+    integer_into(key, r.ps.into());
+    for part in ["/", &r.scheduler, "/", &r.backend, "/seed"] {
+        key.push_str(part);
+    }
+    integer_into(key, r.seed);
     // Scenario-driven runs carry the scenario identity too: the same
     // model/cluster-shape/seed tuple under different heterogeneity or
-    // fault regimes is a different experiment, not drift.
-    if r.scenario_fp != 0 {
-        key.push_str(&format!("/scn{:016x}", r.scenario_fp));
+    // fault regimes is a different experiment, not drift. Likewise for
+    // communication granularity: a tuned partition/fusion deployment is a
+    // different experiment from the default lowering. Both default to 0,
+    // so keys from before either existed are stable.
+    for (tag, fp) in [("/scn", r.scenario_fp), ("/comm", r.comm_fp)] {
+        if fp != 0 {
+            key.push_str(tag);
+            key.extend((0..16).rev().map(|nibble| {
+                char::from_digit((fp >> (4 * nibble) & 0xf) as u32, 16).expect("a hex digit")
+            }));
+        }
     }
-    // Likewise for communication granularity: a tuned partition/fusion
-    // deployment is a different experiment from the default lowering.
-    // The default config fingerprints to 0, so pre-pass keys are stable.
-    if r.comm_fp != 0 {
-        key.push_str(&format!("/comm{:016x}", r.comm_fp));
-    }
-    key
 }
 
 /// Nearest-rank percentile over a sorted sample (exact, not binned).
@@ -408,41 +422,49 @@ impl RegressReport {
 /// fingerprint equality with their most recent predecessor. Bench groups
 /// and threaded-backend sessions observe wall-clock time and are skipped.
 pub fn regress(records: &[RunRecord], policy: &RegressPolicy) -> RegressReport {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: std::collections::HashMap<String, Vec<&RunRecord>> =
-        std::collections::HashMap::new();
+    // One key buffer for the whole corpus; a key is allocated only when
+    // it opens a group.
+    let mut groups: HashMap<String, Vec<&RunRecord>> = HashMap::new();
+    let mut key = String::new();
     for r in records {
-        groups
-            .entry(group_key(r))
-            .or_insert_with_key(|key| {
-                order.push(key.clone());
-                Vec::new()
-            })
-            .push(r);
+        key.clear();
+        group_key_into(&mut key, r);
+        match groups.get_mut(&key) {
+            Some(runs) => runs.push(r),
+            None => {
+                groups.insert(key.clone(), vec![r]);
+            }
+        }
     }
-    order.sort();
-    let mut report = RegressReport::default();
-    for key in order {
-        let runs = &groups[&key];
-        let latest = *runs.last().unwrap();
-        let verdict = if matches!(latest.payload, Payload::Bench(_)) {
-            Verdict::Skipped("wall-clock bench timings are machine-dependent".into())
-        } else if latest.backend == "threaded" {
-            Verdict::Skipped("threaded backend observes wall-clock time".into())
-        } else if runs.len() < 2 {
-            Verdict::New
-        } else {
-            let window_start = runs.len().saturating_sub(1 + policy.window);
-            let window = &runs[window_start..runs.len() - 1];
-            judge(latest, window, policy)
-        };
-        report.groups.push(GroupVerdict {
-            key,
-            latest_id: latest.id.clone(),
-            verdict,
-        });
+    let mut groups: Vec<_> = groups.into_iter().collect();
+    groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+    RegressReport {
+        groups: groups
+            .into_iter()
+            .map(|(key, runs)| group_verdict(key, &runs, policy))
+            .collect(),
     }
-    report
+}
+
+/// The verdict on one group, its runs in append order.
+fn group_verdict(key: String, runs: &[&RunRecord], policy: &RegressPolicy) -> GroupVerdict {
+    let latest = *runs.last().expect("a group holds at least one run");
+    let verdict = if matches!(latest.payload, Payload::Bench(_)) {
+        Verdict::Skipped("wall-clock bench timings are machine-dependent".into())
+    } else if latest.backend == "threaded" {
+        Verdict::Skipped("threaded backend observes wall-clock time".into())
+    } else if runs.len() < 2 {
+        Verdict::New
+    } else {
+        let window_start = runs.len().saturating_sub(1 + policy.window);
+        let window = &runs[window_start..runs.len() - 1];
+        judge(latest, window, policy)
+    };
+    GroupVerdict {
+        key,
+        latest_id: latest.id.clone(),
+        verdict,
+    }
 }
 
 fn judge(latest: &RunRecord, window: &[&RunRecord], policy: &RegressPolicy) -> Verdict {
@@ -515,7 +537,9 @@ fn judge(latest: &RunRecord, window: &[&RunRecord], policy: &RegressPolicy) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{IterationEvidence, ReportEvidence, SessionEvidence};
+    use crate::record::tests::Rng;
+    use crate::record::{BenchEvidence, IterationEvidence, ReportEvidence, SessionEvidence};
+    use proptest::prelude::*;
 
     fn iteration(makespan_ns: u64, efficiency: f64, inversions: u64) -> IterationEvidence {
         IterationEvidence {
@@ -664,5 +688,112 @@ mod tests {
         let rep = regress(&[bench], &RegressPolicy::default());
         assert!(!rep.failed());
         assert!(matches!(rep.groups[0].verdict, Verdict::Skipped(_)));
+    }
+
+    /// `group_key` before its buffer writer: one `format!` per record.
+    fn format_group_key(r: &RunRecord) -> String {
+        let mut key = format!(
+            "{}/{}/{}x{}/{}/{}/seed{}",
+            r.payload.kind(),
+            r.workload,
+            r.workers,
+            r.ps,
+            r.scheduler,
+            r.backend,
+            r.seed
+        );
+        if r.scenario_fp != 0 {
+            key.push_str(&format!("/scn{:016x}", r.scenario_fp));
+        }
+        if r.comm_fp != 0 {
+            key.push_str(&format!("/comm{:016x}", r.comm_fp));
+        }
+        key
+    }
+
+    /// `regress` before its key buffer: a `format!` key per record into a
+    /// `HashMap<String, _>`, groups visited in key order.
+    fn regress_by_format(records: &[RunRecord], policy: &RegressPolicy) -> RegressReport {
+        let mut order: Vec<String> = Vec::new();
+        let mut groups: HashMap<String, Vec<&RunRecord>> = HashMap::new();
+        for r in records {
+            groups
+                .entry(format_group_key(r))
+                .or_insert_with_key(|key| {
+                    order.push(key.clone());
+                    Vec::new()
+                })
+                .push(r);
+        }
+        order.sort();
+        RegressReport {
+            groups: order
+                .into_iter()
+                .map(|key| {
+                    let runs = &groups[&key];
+                    group_verdict(key, runs, policy)
+                })
+                .collect(),
+        }
+    }
+
+    /// A record over few enough identities that groups grow histories:
+    /// names holding the key's own `/` and `x`, nonzero scenario and
+    /// comm fingerprints, every payload kind, both backends.
+    fn any_record(rng: &mut Rng) -> RunRecord {
+        let fp = |rng: &mut Rng| *rng.pick(&[0, 1, 0xABC_DEF0, u64::MAX]);
+        let makespan = |rng: &mut Rng| 100 + rng.below(3) as u64;
+        let payload = match rng.below(4) {
+            0 => Payload::Bench(BenchEvidence::default()),
+            1 => Payload::Report(ReportEvidence {
+                report_fp: makespan(rng),
+                quick: true,
+            }),
+            _ => Payload::Session(SessionEvidence {
+                iterations: (0..1 + rng.below(2))
+                    .map(|_| {
+                        let m = makespan(rng);
+                        iteration(m, 0.9 - m as f64 / 1e3, rng.below(2) as u64)
+                    })
+                    .collect(),
+                ..SessionEvidence::default()
+            }),
+        };
+        RunRecord {
+            workload: rng.pick(&["tiny_mlp", "a/b", "x", "a/1x2"]).to_string(),
+            workers: rng.below(3) as u32,
+            ps: rng.below(3) as u32,
+            scheduler: rng.pick(&["tac", "x", "b/x"]).to_string(),
+            backend: rng.pick(&["sim", "threaded"]).to_string(),
+            seed: *rng.pick(&[7, 12, u64::MAX]),
+            scenario_fp: fp(rng),
+            comm_fp: fp(rng),
+            payload,
+            ..session("", &[], 0.0)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The key buffer changes what `regress` allocates, not what it
+        /// groups: every key is `format!`'s, and every report the one
+        /// the per-record `format!` grouping returns.
+        #[test]
+        fn regress_groups_what_group_key_groups(
+            seed in any::<u64>(),
+            len in 0usize..80,
+            window in 1usize..4,
+        ) {
+            let rng = &mut Rng(seed);
+            let records: Vec<RunRecord> = (0..len)
+                .map(|i| RunRecord { id: format!("r{i:06}"), ..any_record(rng) })
+                .collect();
+            for r in &records {
+                prop_assert_eq!(group_key(r), format_group_key(r));
+            }
+            let policy = RegressPolicy { window, ..RegressPolicy::default() };
+            prop_assert_eq!(regress(&records, &policy), regress_by_format(&records, &policy));
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! [`RunRecord::decode`] checks each expected key in schema order and
 //! parses its value straight into the field, borrowing strings that hold
 //! no escape; no `Json` tree is built. Both sides use the primitives of
-//! `tictac_obs::json` (its `Lexer`, `escape_into` and `number_into`), so a
-//! line reads by the same whitespace, string and number rules as
-//! `parse_json`. The codec is deliberately rigid so the corpus stays
-//! machine-checkable:
+//! `tictac_obs::json` (its `Lexer`, `escape_into`, `integer_into` and
+//! `number_into`), so a line reads by the same whitespace, string and
+//! number rules as `parse_json`, and no field goes through `core::fmt`.
+//! The codec is deliberately rigid so the corpus stays machine-checkable:
 //!
 //! - **Canonical field order.** Encoding emits object keys in one fixed
 //!   order; decoding rejects any object whose key *sequence* differs —
@@ -19,20 +19,18 @@
 //!   error instead of being silently reinterpreted.
 //! - **Byte-exact round-trips.** `encode(decode(line)) == line` for every
 //!   line `encode` can produce. Floats are rendered in shortest-
-//!   round-trip form (`format!("{n}")`), and `u64` values that can exceed
-//!   2^53 (seeds, fingerprints) are carried as decimal strings. The
-//!   remaining integer fields are JSON numbers of at most 2^53: encoding
-//!   asserts the bound, and decoding accepts only the canonical spelling
-//!   `0|[1-9][0-9]*`, read exactly as a `u64` — the one spelling that
-//!   re-encodes to its own bytes.
+//!   round-trip form (the bytes of `format!("{n}")`), and `u64` values
+//!   that can exceed 2^53 (seeds, fingerprints) are carried as decimal
+//!   strings. The remaining integer fields are JSON numbers of at most
+//!   2^53: encoding asserts the bound, and decoding accepts only the
+//!   canonical spelling `0|[1-9][0-9]*`, read exactly as a `u64` — the
+//!   one spelling that re-encodes to its own bytes.
 //!
 //! Non-finite floats encode as `null` and decode back to `NaN` — the
 //! round-trip stays byte-exact, and analytics treat them as missing.
 //! Every rejection names the byte it stopped at (`json error at byte N`).
 
-use std::fmt::Write as _;
-
-use tictac_obs::json::{escape_into, number_into, Lexer};
+use tictac_obs::json::{escape_into, integer_into, number_into, Lexer};
 use tictac_obs::registry::{HistogramStats, MetricValue, Snapshot, TimerStats};
 use tictac_trace::FaultCounters;
 
@@ -215,13 +213,15 @@ impl Writer {
             v <= MAX_SAFE_INT,
             "{what} = {v} exceeds 2^53 and would lose precision as a JSON number"
         );
-        let _ = write!(self.0, "{v}");
+        integer_into(&mut self.0, v);
     }
 
     /// A `u64` carried as a decimal string (full range, no f64 involvement).
     fn u64_str(&mut self, sep: u8, name: &str, v: u64) {
         self.key(sep, name);
-        let _ = write!(self.0, "\"{v}\"");
+        self.0.push('"');
+        integer_into(&mut self.0, v);
+        self.0.push('"');
     }
 
     fn float(&mut self, sep: u8, name: &str, v: f64) {
@@ -426,9 +426,16 @@ impl RunRecord {
 struct Reader<'a>(Lexer<'a>);
 
 impl<'a> Reader<'a> {
-    /// Reads `sep` and the key `name`, leaving the cursor on the value.
+    /// Reads `sep` and the key `name`, leaving the cursor on the value:
+    /// in one step when the line holds the bytes [`Writer::key`] writes,
+    /// else token by token from the same byte, whitespace and escapes
+    /// allowed and every error as before.
     fn key(&mut self, sep: u8, name: &str) -> Result<(), String> {
         let lx = &mut self.0;
+        if lx.compact_key(sep, name) {
+            lx.skip_ws();
+            return Ok(());
+        }
         lx.skip_ws();
         lx.expect(sep)?;
         lx.skip_ws();
@@ -923,7 +930,7 @@ mod oracle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tictac_obs::parse_json;
 
@@ -1052,21 +1059,21 @@ mod tests {
 
     /// SplitMix64: the fuzz's own generator, so its cases are fixed and
     /// the crate needs no further dev-dependency.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
 
-        fn pick<'t, T>(&mut self, items: &'t [T]) -> &'t T {
+        pub(crate) fn pick<'t, T>(&mut self, items: &'t [T]) -> &'t T {
             &items[self.below(items.len())]
         }
     }
@@ -1285,6 +1292,77 @@ mod tests {
             agreed > 0 && rejected > 0 && integer_rule > 0,
             "agreed {agreed}, rejected {rejected}, integer rule {integer_rule}"
         );
+    }
+
+    /// `line` spelled differently: whitespace around every structural
+    /// byte when `spaced`, and every key's first character as a `\u`
+    /// escape when `escaped`. Either way the key reader's one-step match
+    /// fails, so the line is read token by token.
+    fn respelled(line: &str, spaced: bool, escaped: bool, rng: &mut Rng) -> String {
+        let bytes = line.as_bytes();
+        let mut out = String::with_capacity(2 * line.len());
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'"' => {
+                    let mut end = i + 1;
+                    while bytes[end] != b'"' {
+                        end += 1 + usize::from(bytes[end] == b'\\');
+                    }
+                    if escaped && bytes.get(end + 1) == Some(&b':') {
+                        out.push_str(&format!("\"\\u{:04x}", bytes[i + 1]));
+                        out.push_str(&line[i + 2..=end]);
+                    } else {
+                        out.push_str(&line[i..=end]);
+                    }
+                    i = end + 1;
+                }
+                b @ (b'{' | b'}' | b'[' | b']' | b',' | b':') => {
+                    let ws = |rng: &mut Rng| *rng.pick(&[" ", "\t", "\r\n", "  "]);
+                    if spaced {
+                        out.push_str(ws(rng));
+                    }
+                    out.push(b as char);
+                    if spaced {
+                        out.push_str(ws(rng));
+                    }
+                    i += 1;
+                }
+                _ => {
+                    let end = i + bytes[i..]
+                        .iter()
+                        .position(|b| b"{}[],:\"".contains(b))
+                        .unwrap_or(bytes.len() - i);
+                    out.push_str(&line[i..end]);
+                    i = end;
+                }
+            }
+        }
+        out
+    }
+
+    /// Lines the writer did not write — whitespace between tokens,
+    /// escaped keys — skip the one-step key match and decode token by
+    /// token to the record the writer's own bytes decode to, as the tree
+    /// oracle reads them too.
+    #[test]
+    fn respelled_lines_decode_to_the_written_record() {
+        let rng = &mut Rng(0x5BAC_E5ED);
+        let mut lines = committed_lines();
+        lines.push(sample().encode());
+        lines.extend((0..64).map(|_| random_record(rng).encode()));
+        for line in &lines {
+            // Debug text, so NaN fields compare equal.
+            let want = format!("{:?}", RunRecord::decode(line).unwrap());
+            for (spaced, escaped) in [(true, false), (false, true), (true, true)] {
+                let other = respelled(line, spaced, escaped, rng);
+                assert_ne!(&other, line);
+                let got = RunRecord::decode(&other).unwrap_or_else(|e| panic!("{e}: {other}"));
+                assert_eq!(format!("{got:?}"), want, "{other}");
+                let tree = oracle::decode(&other).unwrap();
+                assert_eq!(format!("{tree:?}"), want, "{other}");
+            }
+        }
     }
 
     /// The same mutation loop over the two Perfetto snapshots, against

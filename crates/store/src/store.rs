@@ -110,9 +110,11 @@ impl Seen {
             at += piece.len();
         }
         (self.lines, self.records) = (lines, records);
-        match last {
-            Some(start) => self.seam = done[start..].to_owned(),
-            None => self.seam.push_str(done),
+        if let Some(start) = last {
+            self.seam.clear();
+            self.seam.push_str(&done[start..]);
+        } else {
+            self.seam.push_str(done);
         }
         self.len += done.len() as u64;
         Ok(torn)
