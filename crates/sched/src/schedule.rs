@@ -10,9 +10,21 @@ use tictac_graph::{DeviceId, Graph, OpId};
 /// numbers are scheduled first; ops may share a priority if their relative
 /// order is insignificant; ops without a priority are unconstrained. The
 /// simulator's ready-queue rule consumes this type.
+///
+/// Stored as one presence bit per op plus one `u64` per op, the second
+/// allocated at the first [`set`](Self::set): a baseline schedule costs a
+/// bit an op, a TIC or TAC one 8.125 bytes. Every `u64` is a legal
+/// priority — TIC gives `M⁺ = ∞` as `u64::MAX` — so no value can stand
+/// for "absent". Absent slots hold 0, which keeps the derived equality
+/// exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
-    by_op: Vec<Option<u64>>,
+    /// Number of ops covered.
+    len: usize,
+    /// Bit `i % 64` of word `i / 64` is set when op `i` has a priority.
+    present: Vec<u64>,
+    /// Priority per op; empty until the first `set`.
+    values: Vec<u64>,
 }
 
 impl Schedule {
@@ -20,7 +32,9 @@ impl Schedule {
     /// *baseline*: execution order is arbitrary).
     pub fn empty(n: usize) -> Self {
         Self {
-            by_op: vec![None; n],
+            len: n,
+            present: vec![0; n.div_ceil(64)],
+            values: Vec::new(),
         }
     }
 
@@ -30,35 +44,54 @@ impl Schedule {
     ///
     /// Panics if `op` is out of bounds for the schedule.
     pub fn set(&mut self, op: OpId, priority: u64) {
-        self.by_op[op.index()] = Some(priority);
+        let i = op.index();
+        assert!(
+            i < self.len,
+            "index out of bounds: the len is {} but the index is {i}",
+            self.len
+        );
+        if self.values.is_empty() {
+            self.values = vec![0; self.len];
+        }
+        self.values[i] = priority;
+        self.present[i / 64] |= 1 << (i % 64);
     }
 
     /// The priority of `op`, if assigned.
     pub fn priority(&self, op: OpId) -> Option<u64> {
-        self.by_op.get(op.index()).copied().flatten()
+        let i = op.index();
+        let word = *self.present.get(i / 64)?;
+        (word >> (i % 64) & 1 != 0).then(|| self.values[i])
     }
 
     /// Number of ops covered (prioritized or not).
     pub fn len(&self) -> usize {
-        self.by_op.len()
+        self.len
     }
 
     /// Whether the schedule covers zero ops.
     pub fn is_empty(&self) -> bool {
-        self.by_op.is_empty()
+        self.len == 0
     }
 
     /// Whether no op has a priority (baseline behaviour).
     pub fn is_unordered(&self) -> bool {
-        self.by_op.iter().all(Option::is_none)
+        self.present.iter().all(|&word| word == 0)
     }
 
-    /// Iterates over `(op, priority)` pairs that have priorities.
+    /// Iterates over `(op, priority)` pairs that have priorities, in
+    /// ascending op order.
     pub fn prioritized(&self) -> impl Iterator<Item = (OpId, u64)> + '_ {
-        self.by_op
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.map(|p| (OpId::from_index(i), p)))
+        self.present.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    (OpId::from_index(i), self.values[i])
+                })
+            })
+        })
     }
 
     /// The prioritized `recv` ops of every channel: `result[c]` is channel
@@ -112,6 +145,7 @@ pub fn random_order(graph: &Graph, worker: DeviceId, rng: &mut impl Rng) -> Sche
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tictac_graph::{Cost, GraphBuilder, OpKind};
@@ -158,6 +192,130 @@ mod tests {
         assert_eq!(s.priority(recvs[1]), None);
         assert!(!s.is_unordered());
         assert_eq!(s.prioritized().count(), 2);
+    }
+
+    /// Heap bytes a schedule holds, by capacity.
+    fn heap_bytes(s: &Schedule) -> usize {
+        (s.present.capacity() + s.values.capacity()) * std::mem::size_of::<u64>()
+    }
+
+    /// A chain of `n` recvs, each feeding one layer that also needs the
+    /// layer before it: TIC prioritizes every recv.
+    fn chain(n: usize) -> (Graph, DeviceId) {
+        let mut b = GraphBuilder::new();
+        let w = b.add_worker("w0");
+        let ps = b.add_parameter_server("ps0");
+        let ch = b.add_channel(w, ps);
+        let mut prev = None;
+        for i in 0..n {
+            let p = b.add_param(format!("p{i}"), 8);
+            let r = b.add_op(format!("r{i}"), w, OpKind::recv(p, ch), Cost::bytes(8), &[]);
+            let deps: Vec<OpId> = std::iter::once(r).chain(prev).collect();
+            prev = Some(b.add_op(format!("l{i}"), w, OpKind::Compute, Cost::flops(1.0), &deps));
+        }
+        (b.build().unwrap(), w)
+    }
+
+    /// Width pins: a prioritized schedule holds eight bytes an op plus a
+    /// bit, an empty one the bit alone.
+    #[test]
+    fn schedule_heap_is_a_bit_plus_eight_bytes_per_op() {
+        let (g, w) = chain(500);
+        let n = g.len();
+        let tic = crate::tic(&g, w);
+        assert!(!tic.is_unordered());
+        assert!(
+            heap_bytes(&tic) <= 8 * n + n / 8 + 64,
+            "{}",
+            heap_bytes(&tic)
+        );
+        let empty = no_ordering(&g);
+        assert!(heap_bytes(&empty) <= n / 8 + 64, "{}", heap_bytes(&empty));
+        assert!(heap_bytes(&empty.clone()) <= n / 8 + 64);
+    }
+
+    /// An out-of-range `set` panics as indexing the `Vec<Option<u64>>`
+    /// table it replaced did, and leaves the schedule as it was.
+    #[test]
+    fn out_of_range_set_panics_as_the_option_table_did() {
+        let message = |f: &mut dyn FnMut()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted message")
+        };
+        for n in [0, 3, 64] {
+            let mut model: Vec<Option<u64>> = vec![None; n];
+            let mut s = Schedule::empty(n);
+            let op = OpId::from_index(n);
+            let want = message(&mut || model[op.index()] = Some(1));
+            assert_eq!(message(&mut || s.set(op, 1)), want);
+            assert_eq!(s, Schedule::empty(n));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The bitset schedule answers every query as the
+        /// `Vec<Option<u64>>` table it replaced: re-sets, out-of-range
+        /// lookups, empty and baseline schedules, more than 64 ops.
+        #[test]
+        fn schedule_matches_the_option_table(seed in any::<u64>(), n in 0usize..200) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut model: Vec<Option<u64>> = vec![None; n];
+            let mut s = Schedule::empty(n);
+            for _ in 0..rng.gen_range(0..64) {
+                // Word boundaries and the two extreme priorities on purpose.
+                let i = match rng.gen_range(0..4) {
+                    0 => [63, 64, 127, 128][rng.gen_range(0..4usize)],
+                    _ => rng.gen_range(0..n + 2),
+                };
+                let p = match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => rng.gen_range(0..4),
+                    _ => rng.gen(),
+                };
+                if i < n && rng.gen_range(0..4) != 0 {
+                    model[i] = Some(p);
+                    s.set(OpId::from_index(i), p);
+                } else {
+                    let want = model.get(i).copied().flatten();
+                    prop_assert_eq!(s.priority(OpId::from_index(i)), want);
+                }
+            }
+            prop_assert_eq!(s.len(), model.len());
+            prop_assert_eq!(s.is_empty(), model.is_empty());
+            prop_assert_eq!(s.is_unordered(), model.iter().all(Option::is_none));
+            for i in 0..n + 130 {
+                let op = OpId::from_index(i);
+                prop_assert_eq!(s.priority(op), model.get(i).copied().flatten());
+            }
+            let want: Vec<(OpId, u64)> = model
+                .iter()
+                .enumerate()
+                .filter_map(|(i, p)| p.map(|p| (OpId::from_index(i), p)))
+                .collect();
+            prop_assert_eq!(s.prioritized().collect::<Vec<_>>(), want.clone());
+            // Equality is exact: the same table built in another order,
+            // each op set once, is the same schedule, and a clone is too.
+            let mut again = Schedule::empty(n);
+            for &(op, p) in want.iter().rev() {
+                again.set(op, p);
+            }
+            prop_assert_eq!(&again, &s);
+            prop_assert_eq!(&s.clone(), &s);
+            let differs = want.first().map(|&(op, p)| {
+                let mut other = s.clone();
+                other.set(op, p.wrapping_add(1));
+                other
+            });
+            if let Some(other) = differs {
+                prop_assert_ne!(&other, &s);
+            }
+            prop_assert_eq!(s == Schedule::empty(n), want.is_empty());
+        }
     }
 
     #[test]

@@ -768,11 +768,12 @@ impl<'g> Engine<'g> {
     fn run(mut self) -> Result<ExecutionTrace, SimError> {
         self.schedule_faults();
 
-        // Dispatch roots.
-        for i in 0..self.graph.len() {
-            if self.indegree[i] == 0 {
-                self.dispatch(OpId::from_index(i));
-            }
+        // Dispatch roots: ops without predecessors, not ops whose count
+        // a root's instant hand-off already took to zero (those were
+        // dispatched by that hand-off).
+        let graph = self.graph;
+        for root in graph.roots() {
+            self.dispatch(root);
         }
         self.pump();
 
@@ -877,7 +878,7 @@ impl<'g> Engine<'g> {
                 // Handed to the network (its send completed): queue the
                 // transfer on its channel, carrying the sender's rank.
                 let ch = ch as usize;
-                self.chan_queue[ch].push(op, self.transfers.recv_rank[op.index()]);
+                self.chan_queue[ch].push(op, self.transfers.recv_rank(op));
                 self.dirty_channels.mark(ch);
             }
             Route::Compute(dev) => {
@@ -891,7 +892,7 @@ impl<'g> Engine<'g> {
     /// Sender-side enforcement: a ranked transfer is handed to channel `ch`
     /// only when the channel's counter reaches its rank (§5.1).
     fn try_handoff(&mut self, send: OpId, ch: usize) {
-        match self.transfers.rank[send.index()] {
+        match self.transfers.rank(send) {
             Some(r) if self.enforcement && !self.gate[ch].admits(r) => {
                 self.gate[ch].block(r, send);
             }
@@ -911,7 +912,7 @@ impl<'g> Engine<'g> {
         let mut next = Some(send);
         while let Some(s) = next.take() {
             self.mark_done(s);
-            if let Some(r) = self.transfers.rank[s.index()] {
+            if let Some(r) = self.transfers.rank(s) {
                 if self.enforcement {
                     next = self.gate[ch].advance(r);
                 }
@@ -1092,7 +1093,7 @@ impl<'g> Engine<'g> {
                 if let Some(t) = &mut self.tally {
                     t.retransmits += 1;
                 }
-                self.chan_queue[ch].push(recv, self.transfers.recv_rank[recv.index()]);
+                self.chan_queue[ch].push(recv, self.transfers.recv_rank(recv));
             }
             // Left incomplete; the barrier defers it when it fires.
             AfterLoss::Abandon => {}
@@ -1548,14 +1549,14 @@ mod tests {
         s.set(r2, 3);
         let plan = RunPlan::new(&g, &s, &SimConfig::cloud_gpu()).unwrap();
         let t = &plan.transfers;
-        assert_eq!(t.send_of[r1.index()], Some(s1));
-        assert_eq!(t.send_of[r2.index()], Some(s2));
-        assert_eq!(t.send_of[op1.index()], None);
+        assert_eq!(t.send_of(r1), Some(s1));
+        assert_eq!(t.send_of(r2), Some(s2));
+        assert_eq!(t.send_of(op1), None);
         // Priorities 3 < 7 normalize to ranks 0, 1 on the one channel.
-        assert_eq!((t.rank[s2.index()], t.rank[s1.index()]), (Some(0), Some(1)));
-        assert_eq!((t.rank[r1.index()], t.rank[r2.index()]), (None, None));
-        assert_eq!(t.recv_rank[r2.index()], Some(0));
-        assert_eq!(t.recv_rank[r1.index()], Some(1));
+        assert_eq!((t.rank(s2), t.rank(s1)), (Some(0), Some(1)));
+        assert_eq!((t.rank(r1), t.rank(r2)), (None, None));
+        assert_eq!(t.recv_rank(r2), Some(0));
+        assert_eq!(t.recv_rank(r1), Some(1));
         assert_eq!(plan.route[s1.index()], Route::Send(0));
         assert_eq!(plan.route[r2.index()], Route::Recv(0));
 
@@ -1571,10 +1572,32 @@ mod tests {
         s.set(recv, 5);
         let plan = RunPlan::new(&g, &s, &SimConfig::cloud_gpu()).unwrap();
         let t = &plan.transfers;
-        assert_eq!(t.send_of[recv.index()], None);
-        assert_eq!(t.rank[recv.index()], Some(0));
-        assert_eq!(t.recv_rank[recv.index()], Some(0));
+        assert_eq!(t.send_of(recv), None);
+        assert_eq!(t.rank(recv), Some(0));
+        assert_eq!(t.recv_rank(recv), Some(0));
         assert_eq!(plan.route[recv.index()], Route::Recv(1));
+    }
+
+    /// A root send hands off at dispatch and so dispatches its recv
+    /// before the root loop reaches it; the loop must not dispatch that
+    /// recv a second time (it would fly twice and be recorded twice).
+    #[test]
+    fn a_root_send_dispatches_its_recv_once() {
+        let mut b = GraphBuilder::new();
+        let w = b.add_worker("w0");
+        let ps = b.add_parameter_server("ps0");
+        let ch = b.add_channel(w, ps);
+        let p = b.add_param("p", 4096);
+        b.assign_param_to_ps(p, ps);
+        let send = b.add_op("send", ps, OpKind::send(p, ch), Cost::bytes(4096), &[]);
+        let recv = b.add_op("recv", w, OpKind::recv(p, ch), Cost::bytes(4096), &[send]);
+        let c = b.add_op("c", w, OpKind::Compute, Cost::flops(1e10), &[recv]);
+        b.add_op("d", w, OpKind::Compute, Cost::flops(1e10), &[c]);
+        let g = b.build().unwrap();
+        let cfg = SimConfig::deterministic(Platform::cloud_gpu());
+        let trace = try_simulate(&g, &no_ordering(&g), &cfg, 0).expect("completes");
+        assert_eq!(trace.executed_ops(), g.len());
+        assert_eq!(trace.record(send), trace.record(recv));
     }
 
     #[test]

@@ -123,6 +123,9 @@ impl Route {
 
 /// Per-op transfer facts the engine and the threaded runtime read on the
 /// hand-off path (the channel is the op's [`Route`]).
+///
+/// Each column keeps four bytes an op, [`NONE`] for "no value", and is
+/// read through its accessor, which returns the `Option`.
 #[derive(Debug)]
 pub(crate) struct TransferTable {
     /// Enforcement ranks: priorities normalized to `[0, n)` per channel,
@@ -131,44 +134,93 @@ pub(crate) struct TransferTable {
     /// graphs may model recvs as pure roots (no explicit send op); those
     /// transfers carry the rank on the recv itself and are ordered by the
     /// channel's rank-aware pop alone.
-    pub(crate) rank: Vec<Option<u64>>,
+    rank: Vec<u32>,
     /// The rank each recv carries into its channel's queue: its send's
     /// for PS-built graphs, its own for sendless ones.
-    pub(crate) recv_rank: Vec<Option<u64>>,
-    /// The send op feeding each recv (transfer pairing).
-    pub(crate) send_of: Vec<Option<OpId>>,
+    recv_rank: Vec<u32>,
+    /// The send op feeding each recv (transfer pairing), by index.
+    send_of: Vec<u32>,
+}
+
+/// The empty cell of a [`TransferTable`] column. A rank is a position in
+/// one channel's order and a send an op index, so both are below the op
+/// count, which [`OpId`]'s `u32` bounds.
+const NONE: u32 = u32::MAX;
+
+/// The value in `cell`, if it holds one.
+fn cell(cell: u32) -> Option<u32> {
+    (cell != NONE).then_some(cell)
 }
 
 impl TransferTable {
+    /// Pairs every recv with its send and, unless the schedule is the
+    /// baseline, ranks each *ranked op* — a recv's send, or the recv
+    /// itself when it has none — once, on the ranked op's own channel,
+    /// densely, at the position of its first recv in that channel's
+    /// priority order (ties by recv id). A send feeding several recvs
+    /// thus takes one rank, and its gate counter reaches it; with one
+    /// recv per send, a rank is the recv's position.
     fn new(graph: &Graph, schedule: &Schedule) -> Self {
         let n = graph.len();
         let mut table = Self {
-            rank: vec![None; n],
-            recv_rank: vec![None; n],
-            send_of: vec![None; n],
+            rank: vec![NONE; n],
+            recv_rank: vec![NONE; n],
+            send_of: vec![NONE; n],
         };
         for (id, op) in graph.ops() {
             if op.is_recv() {
-                table.send_of[id.index()] = paired_send(graph, id);
+                if let Some(send) = paired_send(graph, id) {
+                    table.send_of[id.index()] = send.index() as u32;
+                }
             }
         }
-        // The baseline ranks nothing: both rank columns stay `None`.
+        // The baseline ranks nothing: both rank columns stay empty.
         if schedule.is_unordered() {
             return table;
         }
-        for recvs in schedule.ordered_recvs_per_channel(graph) {
-            for (r, recv) in recvs.into_iter().enumerate() {
-                let ranked_op = table.send_of[recv.index()].unwrap_or(recv);
-                table.rank[ranked_op.index()] = Some(r as u64);
+        let mut per_channel: Vec<Vec<(u64, OpId, OpId)>> = vec![Vec::new(); graph.channels().len()];
+        for (recv, priority) in schedule.prioritized() {
+            if !graph.op(recv).is_recv() {
+                continue;
+            }
+            let ranked = table.send_of(recv).unwrap_or(recv);
+            if let Some(ch) = graph.op(ranked).kind().channel() {
+                per_channel[ch.index()].push((priority, recv, ranked));
+            }
+        }
+        for mut order in per_channel {
+            order.sort_unstable();
+            let mut next = 0;
+            for (_, _, ranked) in order {
+                let rank = &mut table.rank[ranked.index()];
+                if *rank == NONE {
+                    *rank = next;
+                    next += 1;
+                }
             }
         }
         for (id, op) in graph.ops() {
             if op.is_recv() {
-                let ranked_op = table.send_of[id.index()].unwrap_or(id);
-                table.recv_rank[id.index()] = table.rank[ranked_op.index()];
+                let ranked = table.send_of(id).unwrap_or(id);
+                table.recv_rank[id.index()] = table.rank[ranked.index()];
             }
         }
         table
+    }
+
+    /// The enforcement rank of `op`, if it is a ranked op.
+    pub(crate) fn rank(&self, op: OpId) -> Option<u64> {
+        cell(self.rank[op.index()]).map(u64::from)
+    }
+
+    /// The rank recv `op` carries into its channel's queue, if any.
+    pub(crate) fn recv_rank(&self, op: OpId) -> Option<u64> {
+        cell(self.recv_rank[op.index()]).map(u64::from)
+    }
+
+    /// The send op feeding recv `op`, if the graph models one.
+    pub(crate) fn send_of(&self, op: OpId) -> Option<OpId> {
+        cell(self.send_of[op.index()]).map(|i| OpId::from_index(i as usize))
     }
 
     /// Records a finished transfer of `recv` over `[start, end]`, on the
@@ -185,10 +237,209 @@ impl TransferTable {
         end: SimTime,
     ) {
         trace.record(recv, start, end);
-        if let Some(send) = self.send_of[recv.index()] {
+        if let Some(send) = self.send_of(recv) {
             if !trace.is_recorded(send) {
                 trace.record(send, start, end);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use tictac_graph::{Cost, GraphBuilder};
+
+    /// `rank`, `recv_rank` and `send_of` as `Option` columns.
+    type OptionColumns = (Vec<Option<u64>>, Vec<Option<u64>>, Vec<Option<OpId>>);
+
+    /// The `Option` columns the four-byte ones replaced, derived as they
+    /// were: over each channel's recvs in priority order, the ranked op
+    /// (the recv's send, else the recv) took the recv's position. With
+    /// `first_recv`, the rule that replaced it for shared sends: a ranked
+    /// op keeps the rank of its first recv, and ranks stay dense.
+    fn option_columns(graph: &Graph, schedule: &Schedule, first_recv: bool) -> OptionColumns {
+        let n = graph.len();
+        let (mut rank, mut recv_rank, mut send_of) = (vec![None; n], vec![None; n], vec![None; n]);
+        for (id, op) in graph.ops() {
+            if op.is_recv() {
+                send_of[id.index()] = paired_send(graph, id);
+            }
+        }
+        if schedule.is_unordered() {
+            return (rank, recv_rank, send_of);
+        }
+        for recvs in schedule.ordered_recvs_per_channel(graph) {
+            let mut next = 0;
+            for (r, recv) in recvs.into_iter().enumerate() {
+                let ranked_op = send_of[recv.index()].unwrap_or(recv);
+                if !first_recv {
+                    rank[ranked_op.index()] = Some(r as u64);
+                } else if rank[ranked_op.index()].is_none() {
+                    rank[ranked_op.index()] = Some(next);
+                    next += 1;
+                }
+            }
+        }
+        for (id, op) in graph.ops() {
+            if op.is_recv() {
+                let ranked_op = send_of[id.index()].unwrap_or(id);
+                recv_rank[id.index()] = rank[ranked_op.index()];
+            }
+        }
+        (rank, recv_rank, send_of)
+    }
+
+    /// Workers and PSs joined by one or two channels each; every
+    /// parameter sits on one channel and is sent by its PS (after a read,
+    /// sometimes) to one, two or three recvs on that channel, or reaches
+    /// one or two sendless recvs; compute ops join random recvs. Returns
+    /// the graph and whether some send feeds several recvs.
+    fn random_graph(rng: &mut SmallRng) -> (Graph, bool) {
+        let mut b = GraphBuilder::new();
+        let workers: Vec<_> = (0..rng.gen_range(1..4))
+            .map(|i| b.add_worker(format!("w{i}")))
+            .collect();
+        let servers: Vec<_> = (0..rng.gen_range(1..3))
+            .map(|i| b.add_parameter_server(format!("ps{i}")))
+            .collect();
+        let mut channels = Vec::new();
+        for &w in &workers {
+            for &ps in &servers {
+                for _ in 0..rng.gen_range(1..3) {
+                    channels.push((w, ps, b.add_channel(w, ps)));
+                }
+            }
+        }
+        let (mut recvs, mut shared) = (Vec::new(), false);
+        for i in 0..rng.gen_range(1..60) {
+            let (w, ps, ch) = channels[rng.gen_range(0..channels.len())];
+            let p = b.add_param(format!("p{i}"), 64);
+            b.assign_param_to_ps(p, ps);
+            let send = (rng.gen_range(0..4) != 0).then(|| {
+                let deps: Vec<OpId> = (rng.gen_range(0..2) == 0)
+                    .then(|| {
+                        let read = OpKind::Read { param: p };
+                        b.add_op(format!("read{i}"), ps, read, Cost::flops(1.0), &[])
+                    })
+                    .into_iter()
+                    .collect();
+                b.add_op(
+                    format!("send{i}"),
+                    ps,
+                    OpKind::send(p, ch),
+                    Cost::bytes(64),
+                    &deps,
+                )
+            });
+            let fan_out = if send.is_some() {
+                rng.gen_range(1..4)
+            } else {
+                rng.gen_range(1..3)
+            };
+            shared |= send.is_some() && fan_out > 1;
+            for k in 0..fan_out {
+                let deps: Vec<OpId> = send.into_iter().collect();
+                let kind = OpKind::recv(p, ch);
+                recvs.push(b.add_op(format!("recv{i}.{k}"), w, kind, Cost::bytes(64), &deps));
+            }
+        }
+        for j in 0..rng.gen_range(0..20) {
+            let deps: Vec<OpId> = (0..rng.gen_range(1..4))
+                .map(|_| recvs[rng.gen_range(0..recvs.len())])
+                .collect();
+            let w = workers[rng.gen_range(0..workers.len())];
+            b.add_op(format!("c{j}"), w, OpKind::Compute, Cost::flops(1.0), &deps);
+        }
+        (b.build().expect("valid graph"), shared)
+    }
+
+    /// The baseline, or priorities on a random subset of ops: narrow
+    /// (ties), extreme (0 and `u64::MAX`) or wide, on recvs and on
+    /// compute ops (which rank nothing).
+    fn random_schedule(rng: &mut SmallRng, graph: &Graph) -> Schedule {
+        let mut s = Schedule::empty(graph.len());
+        if rng.gen_range(0..4) == 0 {
+            return s;
+        }
+        let narrow = rng.gen_range(0..2) == 0;
+        for op in graph.op_ids() {
+            if rng.gen_range(0..3) == 0 {
+                continue;
+            }
+            let priority = match rng.gen_range(0..8) {
+                0 => 0,
+                1 => u64::MAX,
+                _ if narrow => rng.gen_range(0..4),
+                _ => rng.gen(),
+            };
+            s.set(op, priority);
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The four-byte columns read back as the `Option` columns:
+        /// sendless recvs, unordered schedules, ordered ones with ties,
+        /// and shared sends (ranked at their first recv). Without a shared
+        /// send, that rule is today's rank = position.
+        #[test]
+        fn transfer_table_matches_the_option_columns(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (graph, shared) = random_graph(&mut rng);
+            let schedule = random_schedule(&mut rng, &graph);
+            let table = TransferTable::new(&graph, &schedule);
+            let (rank, recv_rank, send_of) = option_columns(&graph, &schedule, true);
+            for op in graph.op_ids() {
+                prop_assert_eq!(table.rank(op), rank[op.index()], "rank of {}", op);
+                prop_assert_eq!(table.recv_rank(op), recv_rank[op.index()], "recv rank of {}", op);
+                prop_assert_eq!(table.send_of(op), send_of[op.index()], "send of {}", op);
+            }
+            if !shared {
+                let today = option_columns(&graph, &schedule, false);
+                prop_assert_eq!(today, (rank.clone(), recv_rank, send_of));
+            }
+            // Dense per channel: each channel's ranked ops hold 0..k once.
+            let mut per_channel = vec![Vec::new(); graph.channels().len()];
+            for (id, op) in graph.ops() {
+                if let (Some(r), Some(ch)) = (rank[id.index()], op.kind().channel()) {
+                    per_channel[ch.index()].push(r);
+                }
+            }
+            for mut ranks in per_channel {
+                ranks.sort_unstable();
+                prop_assert!(ranks.iter().enumerate().all(|(i, &r)| r == i as u64), "{:?}", ranks);
+            }
+        }
+    }
+
+    /// Width pins: rank and pairing cells are four bytes, and with them
+    /// a plan keeps 32 bytes per op.
+    #[test]
+    fn transfer_cells_are_four_bytes() {
+        fn cell_width<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let (graph, _) = random_graph(&mut SmallRng::seed_from_u64(1));
+        let plan = RunPlan::new(
+            &graph,
+            &Schedule::empty(graph.len()),
+            &SimConfig::cloud_gpu(),
+        )
+        .expect("schedule covers graph");
+        let t = &plan.transfers;
+        let cells = [
+            cell_width(&t.rank),
+            cell_width(&t.recv_rank),
+            cell_width(&t.send_of),
+        ];
+        assert_eq!(cells, [4; 3]);
+        let rest = cell_width(&plan.route) + cell_width(&plan.service) + cell_width(&plan.indegree);
+        assert_eq!(rest + cells.iter().sum::<usize>(), 32);
     }
 }

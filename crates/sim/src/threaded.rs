@@ -290,7 +290,7 @@ impl<'g> Shared<'g> {
 
     /// Queues `recv` on its channel's ranked or seeded-shuffle heap.
     fn enqueue_transfer(&self, q: &mut ChanQueue, recv: OpId) {
-        match self.transfers.recv_rank[recv.index()] {
+        match self.transfers.recv_rank(recv) {
             Some(r) => q.ranked.push(Reverse((r, recv.index()))),
             None => {
                 let key = mix(self.shuffle_seed, recv.index() as u64);
@@ -334,7 +334,7 @@ impl<'g> Shared<'g> {
     /// chain is collected under the channel lock, then completed outside.
     fn handoff(&self, send: OpId, ch: usize) {
         let mut chain = vec![send];
-        if let (Some(mut r), true) = (self.transfers.rank[send.index()], self.enforcement) {
+        if let (Some(mut r), true) = (self.transfers.rank(send), self.enforcement) {
             let (lock, _) = &self.channels[ch];
             let mut q = lock.lock().expect("channel lock");
             if !q.gate.admits(r) {
@@ -492,15 +492,16 @@ impl<'g> Shared<'g> {
                     if self.shutdown.load(Ordering::Acquire) {
                         return;
                     }
-                    // Each rank is queued exactly once, so under
-                    // enforcement the head flies only when it is the next
-                    // rank due.
+                    // Each rank is queued once per recv of its ranked op
+                    // (once, unless a send feeds several recvs), so under
+                    // enforcement the head flies only when its rank is
+                    // due: the next one, or one already flown.
                     let gate_open = q.ranked.peek().is_some_and(|Reverse((r, _))| {
-                        !self.enforcement || *r == q.next_rank_to_fly
+                        !self.enforcement || *r <= q.next_rank_to_fly
                     });
                     if gate_open {
-                        let Reverse((_, op)) = q.ranked.pop().expect("peeked entry");
-                        q.next_rank_to_fly += 1;
+                        let Reverse((r, op)) = q.ranked.pop().expect("peeked entry");
+                        q.next_rank_to_fly = q.next_rank_to_fly.max(r + 1);
                         break OpId::from_index(op);
                     }
                     if let Some(Reverse((_, op))) = q.unranked.pop() {

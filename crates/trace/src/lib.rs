@@ -152,10 +152,26 @@ impl OpRecord {
     }
 }
 
+/// The slot of an op that did not execute: a start past [`HORIZON_NS`],
+/// which no recorded instant reaches ([`TraceBuilder::record`] refuses
+/// it), so a trace keeps one 16-byte [`OpRecord`] per op instead of a
+/// 24-byte `Option`. Its end is zero, so it never raises a maximum of
+/// ends.
+const UNRECORDED: OpRecord = OpRecord {
+    start: SimTime::from_nanos(u64::MAX),
+    end: SimTime::ZERO,
+};
+
+/// The record in `slot`, if the op executed.
+fn executed(slot: &OpRecord) -> Option<OpRecord> {
+    (slot.start != UNRECORDED.start).then_some(*slot)
+}
+
 /// The execution timeline of one simulated iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionTrace {
-    records: Vec<Option<OpRecord>>,
+    /// One slot per op, [`UNRECORDED`] where the op did not execute.
+    records: Vec<OpRecord>,
     makespan: SimDuration,
     events: Vec<FaultEvent>,
 }
@@ -175,7 +191,7 @@ impl ExecutionTrace {
 
     /// The record of `op`, if it executed.
     pub fn record(&self, op: OpId) -> Option<OpRecord> {
-        self.records.get(op.index()).copied().flatten()
+        self.records.get(op.index()).and_then(executed)
     }
 
     /// The measured duration of `op` (zero if it did not execute).
@@ -187,7 +203,7 @@ impl ExecutionTrace {
 
     /// Number of ops that executed.
     pub fn executed_ops(&self) -> usize {
-        self.records.iter().flatten().count()
+        self.records.iter().filter_map(executed).count()
     }
 
     /// Number of op slots (graph size).
@@ -219,7 +235,7 @@ impl ExecutionTrace {
     pub fn device_finishes(&self, graph: &Graph) -> Vec<Option<SimTime>> {
         let mut finish = vec![None; graph.devices().len()];
         for (i, record) in self.records.iter().enumerate() {
-            if let Some(r) = record {
+            if let Some(r) = executed(record) {
                 let slot = &mut finish[graph.op(OpId::from_index(i)).device().index()];
                 *slot = (*slot).max(Some(r.end));
             }
@@ -244,7 +260,7 @@ impl ExecutionTrace {
     pub fn to_tsv(&self, graph: &Graph) -> String {
         let mut out = String::from("op\tstart_ns\tend_ns\n");
         for (i, rec) in self.records.iter().enumerate() {
-            if let Some(r) = rec {
+            if let Some(r) = executed(rec) {
                 let _ = writeln!(
                     out,
                     "{}\t{}\t{}",
@@ -262,7 +278,8 @@ impl ExecutionTrace {
 /// simulator).
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
-    records: Vec<Option<OpRecord>>,
+    /// One slot per op, [`UNRECORDED`] until the op is recorded.
+    records: Vec<OpRecord>,
     events: Vec<FaultEvent>,
     makespan_floor: SimTime,
 }
@@ -271,7 +288,7 @@ impl TraceBuilder {
     /// A builder covering `n` ops.
     pub fn new(n: usize) -> Self {
         Self {
-            records: vec![None; n],
+            records: vec![UNRECORDED; n],
             events: Vec::new(),
             makespan_floor: SimTime::ZERO,
         }
@@ -282,18 +299,23 @@ impl TraceBuilder {
     /// # Panics
     ///
     /// Panics if `op` is out of bounds, was already recorded, or
-    /// `end < start`.
+    /// `end < start`, or if `start` is `u64::MAX` ns, the instant that
+    /// marks an op as not executed.
     pub fn record(&mut self, op: OpId, start: SimTime, end: SimTime) {
         assert!(end >= start, "op {op} ends before it starts");
+        assert!(
+            start != UNRECORDED.start,
+            "op {op} starts at the not-executed mark"
+        );
         let slot = &mut self.records[op.index()];
-        assert!(slot.is_none(), "op {op} recorded twice");
-        *slot = Some(OpRecord { start, end });
+        assert!(executed(slot).is_none(), "op {op} recorded twice");
+        *slot = OpRecord { start, end };
     }
 
     /// Whether `op` already has a record (recording it again would
     /// panic).
     pub fn is_recorded(&self, op: OpId) -> bool {
-        self.records[op.index()].is_some()
+        executed(&self.records[op.index()]).is_some()
     }
 
     /// Appends a fault-handling event. Events may arrive out of time order
@@ -313,10 +335,10 @@ impl TraceBuilder {
     /// same-instant events keep the order they were pushed in).
     pub fn finish(mut self) -> ExecutionTrace {
         self.events.sort_by_key(|e| e.at);
+        // An unrecorded slot ends at zero: it never raises the maximum.
         let makespan = self
             .records
             .iter()
-            .flatten()
             .map(|r| r.end)
             .max()
             .unwrap_or(SimTime::ZERO)
@@ -422,6 +444,9 @@ pub fn estimate_profile(traces: &[ExecutionTrace]) -> MeasuredProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use tictac_graph::{Cost, GraphBuilder, OpKind};
 
     fn t(ns: u64) -> SimTime {
@@ -477,6 +502,193 @@ mod tests {
         let mut tb = TraceBuilder::new(g.len());
         tb.record(ops[0], t(0), t(1));
         tb.record(ops[0], t(1), t(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not-executed mark")]
+    fn recording_the_unrecorded_instant_panics() {
+        let (g, _, ops) = sample_graph();
+        let mut tb = TraceBuilder::new(g.len());
+        tb.record(ops[0], t(u64::MAX), t(u64::MAX));
+    }
+
+    /// Width pin: a trace keeps 16 bytes per op slot, in the builder and
+    /// in the finished trace.
+    #[test]
+    fn trace_slot_is_16_bytes() {
+        fn slot_width<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let tb = TraceBuilder::new(3);
+        assert_eq!(slot_width(&tb.records), 16);
+        assert_eq!(slot_width(&tb.finish().records), 16);
+    }
+
+    /// A worker and a PS joined by two channels; each parameter's send
+    /// on the PS feeds one recv, or two (a shared send), on the worker,
+    /// and a compute op on the worker joins two recvs.
+    fn mirrored_graph(rng: &mut SmallRng) -> (Graph, Vec<(OpId, Option<OpId>)>) {
+        let mut b = GraphBuilder::new();
+        let w = b.add_worker("w0");
+        let ps = b.add_parameter_server("ps0");
+        let chans = [b.add_channel(w, ps), b.add_channel(w, ps)];
+        let mut recvs = Vec::new();
+        for i in 0..rng.gen_range(1..40) {
+            let ch = chans[rng.gen_range(0..2usize)];
+            let p = b.add_param(format!("p{i}"), 8);
+            b.assign_param_to_ps(p, ps);
+            let send = (rng.gen_range(0..4) != 0).then(|| {
+                b.add_op(
+                    format!("s{i}"),
+                    ps,
+                    OpKind::send(p, ch),
+                    Cost::bytes(8),
+                    &[],
+                )
+            });
+            for k in 0..rng.gen_range(1..3) {
+                let preds: Vec<OpId> = send.into_iter().collect();
+                let r = b.add_op(
+                    format!("r{i}.{k}"),
+                    w,
+                    OpKind::recv(p, ch),
+                    Cost::bytes(8),
+                    &preds,
+                );
+                recvs.push((r, send));
+            }
+        }
+        for (j, pair) in recvs.clone().chunks(2).enumerate() {
+            let preds: Vec<OpId> = pair.iter().map(|&(r, _)| r).collect();
+            b.add_op(
+                format!("c{j}"),
+                w,
+                OpKind::Compute,
+                Cost::flops(1.0),
+                &preds,
+            );
+        }
+        (b.build().unwrap(), recvs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The 16-byte slots answer every query as the `Option<OpRecord>`
+        /// table they replaced: zero-length ops, start 0, ends at
+        /// `HORIZON_NS - 1`, sends mirrored from their first recv, and ops
+        /// a degraded barrier deferred (never recorded, makespan floor).
+        #[test]
+        fn trace_slots_match_option_records(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (g, recvs) = mirrored_graph(&mut rng);
+            let instant = |rng: &mut SmallRng| match rng.gen_range(0..6) {
+                0 => 0,
+                1 => HORIZON_NS - 1,
+                _ => rng.gen_range(0..1_000),
+            };
+            let mut model: Vec<Option<OpRecord>> = vec![None; g.len()];
+            let mut tb = TraceBuilder::new(g.len());
+            type Model = Vec<Option<OpRecord>>;
+            let record = |tb: &mut TraceBuilder, model: &mut Model, op: OpId, start, end| {
+                prop_assert_eq!(tb.is_recorded(op), model[op.index()].is_some());
+                tb.record(op, t(start), t(end));
+                model[op.index()] = Some(OpRecord { start: t(start), end: t(end) });
+                prop_assert!(tb.is_recorded(op));
+            };
+            let mut floor = None;
+            for &(recv, send) in &recvs {
+                if rng.gen_range(0..5) == 0 {
+                    // Deferred by the barrier: no record, an event and a
+                    // release instant.
+                    tb.push_fault(t(5), FaultEventKind::DeferredOp { op: recv });
+                    let at = instant(&mut rng);
+                    tb.raise_makespan(t(at));
+                    floor = floor.max(Some(at));
+                    continue;
+                }
+                let (a, b) = (instant(&mut rng), instant(&mut rng));
+                // One in four is zero-length.
+                let (start, end) = match rng.gen_range(0..4) {
+                    0 => (a, a),
+                    _ => (a.min(b), a.max(b)),
+                };
+                record(&mut tb, &mut model, recv, start, end);
+                if let Some(send) = send {
+                    if !tb.is_recorded(send) {
+                        record(&mut tb, &mut model, send, start, end);
+                    }
+                }
+            }
+            for (id, op) in g.ops() {
+                if matches!(op.kind(), OpKind::Compute) && rng.gen_range(0..2) == 0 {
+                    let start = instant(&mut rng);
+                    record(&mut tb, &mut model, id, start, start.max(instant(&mut rng)));
+                }
+            }
+            let trace = tb.clone().finish();
+
+            let executed: Vec<(OpId, OpRecord)> = model
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| r.map(|r| (OpId::from_index(i), r)))
+                .collect();
+            prop_assert_eq!(trace.len(), model.len());
+            prop_assert_eq!(trace.executed_ops(), executed.len());
+            prop_assert_eq!(trace.is_empty(), executed.is_empty());
+            for i in 0..model.len() + 2 {
+                let op = OpId::from_index(i);
+                let want = model.get(i).copied().flatten();
+                prop_assert_eq!(trace.record(op), want);
+                let duration = want.map_or(SimDuration::ZERO, |r| r.end - r.start);
+                prop_assert_eq!(trace.duration(op), duration);
+            }
+            let last_end = executed.iter().map(|(_, r)| r.end).max().unwrap_or(SimTime::ZERO);
+            let makespan = last_end.max(t(floor.unwrap_or(0))).duration_since(SimTime::ZERO);
+            prop_assert_eq!(trace.makespan(), makespan);
+            let mut finishes = vec![None; g.devices().len()];
+            for &(op, r) in &executed {
+                let slot = &mut finishes[g.op(op).device().index()];
+                *slot = (*slot).max(Some(r.end));
+            }
+            prop_assert_eq!(trace.device_finishes(&g), finishes.clone());
+            for (d, device) in g.devices().iter().enumerate() {
+                prop_assert_eq!(trace.device_finish(&g, device.id()), finishes[d]);
+                let mut done: Vec<(SimTime, OpId)> = g
+                    .recv_ops_on(device.id())
+                    .into_iter()
+                    .filter_map(|op| model[op.index()].map(|r| (r.end, op)))
+                    .collect();
+                done.sort_unstable();
+                let order: Vec<OpId> = done.into_iter().map(|(_, op)| op).collect();
+                prop_assert_eq!(trace.recv_completion_order(&g, device.id()), order);
+            }
+            let mut tsv = String::from("op\tstart_ns\tend_ns\n");
+            for &(op, r) in &executed {
+                let (start, end) = (r.start.as_nanos(), r.end.as_nanos());
+                tsv += &format!("{}\t{start}\t{end}\n", g.op_name(op));
+            }
+            prop_assert_eq!(trace.to_tsv(&g), tsv);
+
+            // Equality is exact: the same records written in reverse order
+            // make the same trace, and one record more does not.
+            let mut again = TraceBuilder::new(g.len());
+            for &(op, r) in executed.iter().rev() {
+                again.record(op, r.start, r.end);
+            }
+            for e in trace.fault_events() {
+                again.push_fault(e.at, e.kind);
+            }
+            if let Some(f) = floor {
+                again.raise_makespan(t(f));
+            }
+            prop_assert_eq!(&again.clone().finish(), &trace);
+            let missing = g.op_ids().find(|op| model[op.index()].is_none());
+            if let Some(missing) = missing {
+                again.record(missing, t(1), t(2));
+                prop_assert_ne!(&again.finish(), &trace);
+            }
+        }
     }
 
     #[test]

@@ -24,14 +24,15 @@
 //!   flies transfers in the rank order the engine reads from the same
 //!   plan, a schedule that does not cover its graph is rejected by the
 //!   plan's one check, a send feeding two recvs is recorded once by the
-//!   one record step, and a plan whose threaded run stalled (diagnosed)
-//!   runs again to completion.
+//!   one record step and, under an enforced order, completes on both,
+//!   and a plan whose threaded run stalled (diagnosed) runs again to
+//!   completion.
 
 use proptest::prelude::*;
 use tictac::{
     deploy, no_ordering, noise_free_profile, priority_inversions, simulate_with_plan_observed,
     try_simulate, ClusterSpec, Cost, ExecOptions, ExecutionTrace, FaultSpec, Graph, GraphBuilder,
-    Mode, Model, OpKind, Registry, RetryPolicy, RunOptions, RunPlan, Scenario, Schedule,
+    Mode, Model, OpKind, Platform, Registry, RetryPolicy, RunOptions, RunPlan, Scenario, Schedule,
     SchedulerKind, Session, SimConfig, SimDuration, SimError, ThreadedBackend, TimeOracle,
 };
 use tictac_graph::tiny_mlp;
@@ -421,6 +422,85 @@ fn a_stalled_plan_is_diagnosable_and_reusable() {
         .run_threaded(graph, &s, &ExecOptions::default(), 0)
         .expect("the same plan must run an iteration after a stall");
     assert_eq!(trace.executed_ops(), graph.len());
+}
+
+/// Two parameters on one channel: `p`'s send (after its read) feeds two
+/// recvs, `q`'s one; a compute op joins all three. Under the enforced
+/// order `[pa, pb, q]` the shared send holds one rank, that of its first
+/// recv. Returns the graph, the schedule and the recvs.
+fn shared_send_under_an_enforced_order() -> (Graph, Schedule, [tictac::OpId; 3]) {
+    let mut b = GraphBuilder::new();
+    let w = b.add_worker("w0");
+    let ps = b.add_parameter_server("ps0");
+    let ch = b.add_channel(w, ps);
+    let mut sends = Vec::new();
+    for name in ["p", "q"] {
+        let param = b.add_param(name, 4096);
+        b.assign_param_to_ps(param, ps);
+        let read = b.add_op(
+            format!("read_{name}"),
+            ps,
+            OpKind::Read { param },
+            Cost::flops(1.0),
+            &[],
+        );
+        let send = OpKind::send(param, ch);
+        sends.push((
+            param,
+            b.add_op(format!("send_{name}"), ps, send, Cost::bytes(4096), &[read]),
+        ));
+    }
+    let recvs = [
+        ("recv_pa", sends[0]),
+        ("recv_pb", sends[0]),
+        ("recv_q", sends[1]),
+    ]
+    .map(|(name, (param, send))| {
+        b.add_op(name, w, OpKind::recv(param, ch), Cost::bytes(4096), &[send])
+    });
+    b.add_op("c", w, OpKind::Compute, Cost::flops(1e6), &recvs);
+    let g = b.build().expect("valid graph");
+    let mut s = Schedule::empty(g.len());
+    for (priority, &recv) in recvs.iter().enumerate() {
+        s.set(recv, priority as u64);
+    }
+    (g, s, recvs)
+}
+
+/// The engine completes the shared send's iteration: ranked at its last
+/// recv, the send left the gate waiting for a rank no send held
+/// (`Deadlock { completed: 2, remaining: 6 }`, the two reads done).
+#[test]
+fn an_enforced_send_feeding_two_recvs_completes_on_the_engine() {
+    let (g, s, [pa, ..]) = shared_send_under_an_enforced_order();
+    let config = SimConfig::deterministic(Platform::cloud_gpu());
+    let trace = try_simulate(&g, &s, &config, 0).expect("no deadlock");
+    assert_eq!(trace.executed_ops(), g.len());
+    let send = g.preds(pa)[0];
+    assert_eq!(
+        trace.record(send),
+        trace.record(pa),
+        "recorded at its first recv"
+    );
+}
+
+/// The threaded runtime flies both recvs of the shared send at its one
+/// rank, before the next send's recv, and completes the iteration
+/// instead of stalling behind a rank no send holds.
+#[test]
+fn an_enforced_send_feeding_two_recvs_completes_on_the_threads() {
+    let (g, s, recvs) = shared_send_under_an_enforced_order();
+    let config = SimConfig::deterministic(Platform::cloud_gpu());
+    let opts = ExecOptions {
+        time_scale: 0.5,
+        watchdog: std::time::Duration::from_secs(5),
+    };
+    let trace = RunPlan::new(&g, &s, &config)
+        .and_then(|plan| plan.run_threaded(&g, &s, &opts, 0))
+        .expect("threads complete");
+    assert_eq!(trace.executed_ops(), g.len());
+    let start = |op| trace.record(op).expect("recorded").start;
+    assert!(start(recvs[0]).max(start(recvs[1])) <= start(recvs[2]));
 }
 
 /// A hand-built graph may feed one send into several recvs. Both
