@@ -70,6 +70,18 @@ if cargo tree --offline -p tictac -e normal |
     echo "error: the tictac package must not depend on the crates above" >&2
     exit 1
 fi
+# One engine path (DESIGN.md §8): the simulator keeps no metrics, so it
+# names the observability crate only in its tests (the schedulers it
+# depends on still take a registry), and nothing in the engine tallies;
+# an observer derives `sim.*` from the trace after the run.
+if cargo tree --offline -p tictac-sim -e normal --depth 1 | grep tictac-obs; then
+    echo "error: tictac-sim must not depend on tictac-obs" >&2
+    exit 1
+fi
+if [ "$(grep -ci tally crates/sim/src/engine.rs)" -ne 0 ]; then
+    echo "error: crates/sim/src/engine.rs tallies metrics again" >&2
+    exit 1
+fi
 
 echo "== deterministic reports =="
 # Zero-drift gate: every report without a wall-clock column (all but
@@ -129,10 +141,12 @@ cargo test --offline -q --test perfetto_fault_snapshot
 # here too, beside the pump's worklists' against the sorted `Vec` they
 # replaced, the graph validator's against a naive reference, the
 # nanosecond rounding's against `f64::round`, the JSON float writer's
-# against `format!("{}")` (10^6 cases here, 10^4 in the debug run), and
-# the three narrow per-op tables' against the `Option` tables they
-# replaced (the schedule's bitset, the plan's four-byte rank and pairing
-# columns, the trace's 16-byte slot).
+# against `format!("{}")` (10^6 cases here, 10^4 in the debug run), the
+# three narrow per-op tables' against the `Option` tables they replaced
+# (the schedule's bitset, the plan's four-byte rank and pairing columns,
+# the trace's 16-byte slot beside its ready column), and the depth
+# histograms derived from a trace against an O(n^2) count from their
+# definition.
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_heap_pops
 cargo test --offline -q --release -p tictac-sim --lib worklists_drain_what_the_sorted_vec_drains
@@ -142,16 +156,18 @@ cargo test --offline -q --release -p tictac-obs --lib shortest_float_matches_dis
 cargo test --offline -q --release -p tictac-sched --lib schedule_matches_the_option_table
 cargo test --offline -q --release -p tictac-sim --lib transfer_table_matches_the_option_columns
 cargo test --offline -q --release -p tictac-trace --lib trace_slots_match_option_records
+cargo test --offline -q --release -p tictac-obs --lib depth_histograms_match_the_definition
 cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
 # The engine's fault rules (agenda, loss ladder, record and barrier
 # steps) in that same build, the threaded runtime's §5.1 checks, the
-# observers' flush on every way a run ends, and the run-record codec: its
+# metrics derived from the trace on every way a run ends, against the
+# engine's own tallies over a fixed matrix, and the run-record codec: its
 # round-trips, integer rule and mutation fuzz against the tree oracle,
 # respelled lines against the bytes the writer wrote, and `regress`'s key
 # buffer against a `format!` key per record.
 cargo test --offline -q --release --test faults --test backend_equivalence \
-    --test observability --test run_store
+    --test observability --test engine_metrics --test run_store
 cargo test --offline -q --release -p tictac-store
 
 echo "== threaded backend smoke =="

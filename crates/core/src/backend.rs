@@ -24,9 +24,10 @@
 use std::fmt;
 
 use tictac_cluster::DeployedModel;
-use tictac_obs::Registry;
+use tictac_graph::Graph;
+use tictac_obs::{sim_metrics, Registry};
 use tictac_sched::Schedule;
-use tictac_sim::{ExecOptions, RunPlan, SimConfig, SimError};
+use tictac_sim::{ExecOptions, FaultPlan, RunPlan, SimConfig, SimError};
 use tictac_trace::ExecutionTrace;
 
 /// The clock domain a backend's trace timestamps live in.
@@ -61,8 +62,8 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync {
     /// from `plan` — built from exactly that graph and schedule, and the
     /// only source of the configuration to run under.
     ///
-    /// `registry`, when enabled, receives backend-internal metrics;
-    /// observation must never perturb the trace.
+    /// `registry`, when enabled, receives the run's metrics; observation
+    /// must never perturb the trace.
     ///
     /// # Errors
     ///
@@ -101,8 +102,44 @@ impl ExecutionBackend for SimBackend {
     ) -> Result<ExecutionTrace, SimError> {
         let graph = deployed.graph();
         let faults = plan.sample_faults(graph, iteration);
-        plan.simulate_observed(graph, schedule, iteration, &faults, registry)
+        run_observed(plan, graph, schedule, iteration, &faults, registry)
     }
+}
+
+/// [`tictac_sim::simulate_with_plan`], plus, for an enabled `registry`,
+/// the run's `sim.*` metrics derived from its trace, a failed run's too
+/// ([`sim_metrics`]).
+///
+/// # Errors
+///
+/// As [`tictac_sim::try_simulate`].
+pub fn simulate_with_plan_observed(
+    graph: &Graph,
+    schedule: &Schedule,
+    config: &SimConfig,
+    iteration: u64,
+    plan: &FaultPlan,
+    registry: &Registry,
+) -> Result<ExecutionTrace, SimError> {
+    let run = RunPlan::new(graph, schedule, config)?;
+    run_observed(&run, graph, schedule, iteration, plan, registry)
+}
+
+/// One engine run from `run`, then the analysis of its trace.
+fn run_observed(
+    run: &RunPlan,
+    graph: &Graph,
+    schedule: &Schedule,
+    iteration: u64,
+    faults: &FaultPlan,
+    registry: &Registry,
+) -> Result<ExecutionTrace, SimError> {
+    let (trace, error) = run.run(graph, schedule, iteration, faults)?;
+    if registry.is_enabled() {
+        let priority = |op| schedule.priority(op);
+        sim_metrics(registry, graph, &trace, error.is_none(), priority);
+    }
+    error.map_or(Ok(trace), Err)
 }
 
 /// The multi-threaded runtime backend: OS threads, prioritized channel
@@ -322,5 +359,50 @@ mod tests {
                     .map(|_| ()),
             );
         }
+    }
+
+    #[test]
+    fn observed_runs_match_unobserved_and_populate_metrics() {
+        let model = tiny_mlp(Mode::Training, 8);
+        let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+        let cfg = SimConfig::cloud_gpu();
+        let s = no_ordering(d.graph());
+        let plain = tictac_sim::try_simulate(d.graph(), &s, &cfg, 0).unwrap();
+        let registry = Registry::enabled();
+        let quiet = FaultPlan::quiet();
+        let observed =
+            simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &quiet, &registry).unwrap();
+        assert_eq!(plain, observed, "observation must not perturb the run");
+
+        let snap = registry.snapshot();
+        assert!(snap.counter("sim.events").unwrap() > 0);
+        assert_eq!(snap.counter("sim.retransmits"), Some(0));
+        let compute_ops: u64 = (0..d.graph().devices().len())
+            .map(|i| snap.counter(&format!("sim.dev{i}.ops")).unwrap())
+            .sum();
+        let transfers: u64 = (0..d.graph().channels().len())
+            .map(|i| snap.counter(&format!("sim.chan{i}.transfers")).unwrap())
+            .sum();
+        let sends = d.graph().count_ops(|op| op.kind().is_send()) as u64;
+        // Every op executes once: transfers cover send+recv pairs, compute
+        // ops cover the rest.
+        assert_eq!(transfers, sends);
+        assert_eq!(compute_ops + 2 * transfers, d.graph().len() as u64);
+        let bytes: u64 = (0..d.graph().channels().len())
+            .map(|i| snap.counter(&format!("sim.chan{i}.bytes")).unwrap())
+            .sum();
+        assert!(bytes > 0);
+        // Idle gauges exist and are bounded by the makespan.
+        match snap.get("sim.chan0.idle_ns") {
+            Some(tictac_obs::MetricValue::Gauge(idle)) => {
+                assert!(*idle >= 0.0 && *idle <= plain.makespan().as_nanos() as f64);
+            }
+            other => panic!("expected idle gauge, got {other:?}"),
+        }
+        // A disabled registry records nothing.
+        let disabled = Registry::disabled();
+        let again = simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &quiet, &disabled).unwrap();
+        assert_eq!(plain, again);
+        assert!(disabled.snapshot().entries.is_empty());
     }
 }

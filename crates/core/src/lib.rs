@@ -44,7 +44,9 @@ mod stats;
 pub mod training;
 mod tune;
 
-pub use backend::{ExecutionBackend, SimBackend, ThreadedBackend, TimeDomain};
+pub use backend::{
+    simulate_with_plan_observed, ExecutionBackend, SimBackend, ThreadedBackend, TimeDomain,
+};
 pub use cache::{CacheStats, DeployCache};
 pub use experiments::{count_unique_recv_orders, parallel_map, speedup_pct};
 pub use optimal::{makespan_of_order, optimal_order, OptimalSearch};
@@ -75,8 +77,8 @@ pub use tictac_sched::{
     TacScheduler, TicScheduler,
 };
 pub use tictac_sim::{
-    noise_free_profile, simulate, simulate_with_plan_observed, try_simulate, Blackout, Crash,
-    ExecOptions, FaultPlan, FaultSpec, RunPlan, SimConfig, SimError, Stall,
+    noise_free_profile, simulate, simulate_with_plan, try_simulate, Blackout, Crash, ExecOptions,
+    FaultPlan, FaultSpec, RunPlan, SimConfig, SimError, Stall,
 };
 #[doc(hidden)]
 pub use tictac_sim::{selected_engine, EngineChoice};

@@ -1002,7 +1002,7 @@ mod tests {
         let events: u64 = (2..5)
             .map(|i| {
                 let counted = Registry::enabled();
-                tictac_sim::simulate_with_plan_observed(
+                crate::simulate_with_plan_observed(
                     observed.deployed().graph(),
                     observed.schedule(),
                     &SimConfig::cloud_gpu(),

@@ -1,18 +1,21 @@
-//! Trace-derived analyzers: comm/compute overlap and priority-inversion
-//! detection.
+//! Trace-derived analyzers: comm/compute overlap, priority-inversion
+//! detection and the simulator's `sim.*` metrics ([`sim_metrics`]).
 //!
-//! Both consume an [`ExecutionTrace`] — *observed* behaviour — and so
+//! All consume an [`ExecutionTrace`] — *observed* behaviour — and so
 //! double as correctness checks on the schedulers: a trace produced under
 //! TAC enforcement on in-order channels must contain zero priority
 //! inversions against the TAC ranks. Realized scheduling efficiency is
 //! `tictac_sched::efficiency::realized_efficiency`.
 //!
 //! To keep the dependency graph acyclic (the schedulers depend on this
-//! crate), [`priority_inversions`] takes a plain `Fn(OpId) -> Option<u64>`
-//! priority closure rather than a `Schedule`.
+//! crate), [`priority_inversions`] and [`sim_metrics`] take a plain
+//! `Fn(OpId) -> Option<u64>` priority closure rather than a `Schedule`.
 
+use std::collections::BTreeMap;
+
+use crate::registry::Registry;
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, Resource};
-use tictac_trace::{ExecutionTrace, SimDuration, SimTime};
+use tictac_trace::{ExecutionTrace, FaultCounters, OpRecord, SimDuration, SimTime};
 
 /// How one channel was used over an iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +89,57 @@ impl OverlapReport {
     }
 }
 
+/// Per-channel and per-device use of one trace in one pass, `visit`ing
+/// every op but the sends (which share their recv's interval) with its
+/// resource and record. A resource holds one op at a time, so its busy
+/// time is the sum of its ops' durations.
+fn usage(
+    graph: &Graph,
+    trace: &ExecutionTrace,
+    mut visit: impl FnMut(Resource, OpId, Option<OpRecord>),
+) -> (Vec<ChannelUsage>, Vec<DeviceUsage>) {
+    let makespan = trace.makespan();
+    let mut channels: Vec<ChannelUsage> = (0..graph.channels().len())
+        .map(|i| ChannelUsage {
+            channel: ChannelId::from_index(i),
+            busy: SimDuration::ZERO,
+            idle: SimDuration::ZERO,
+            bytes: 0,
+            transfers: 0,
+        })
+        .collect();
+    let mut devices: Vec<DeviceUsage> = (0..graph.devices().len())
+        .map(|i| DeviceUsage {
+            device: DeviceId::from_index(i),
+            busy: SimDuration::ZERO,
+            ops: 0,
+        })
+        .collect();
+    for (id, op) in graph.ops().filter(|(_, op)| !op.kind().is_send()) {
+        let (resource, record) = (graph.resource(id), trace.record(id));
+        visit(resource, id, record);
+        let Some(busy) = record.map(|r| r.duration()) else {
+            continue;
+        };
+        match resource {
+            Resource::Channel(c) => {
+                let c = &mut channels[c.index()];
+                c.busy += busy;
+                c.bytes += op.cost().bytes;
+                c.transfers += 1;
+            }
+            Resource::Compute(d) => {
+                devices[d.index()].busy += busy;
+                devices[d.index()].ops += 1;
+            }
+        }
+    }
+    for c in &mut channels {
+        c.idle = makespan.saturating_sub(c.busy);
+    }
+    (channels, devices)
+}
+
 /// Sorts and merges half-open nanosecond intervals into a disjoint union.
 fn merge_intervals(mut iv: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     iv.sort_unstable();
@@ -124,74 +178,29 @@ fn intersection_ns(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
 /// Computes the per-iteration [`OverlapReport`] for `trace`.
 ///
 /// Transfer intervals are taken from executed recv ops (sends share the
-/// interval); compute intervals from executed compute ops. Busy time per
-/// resource is the union of its intervals, so overlapping retransmit
-/// bookkeeping can never double-count.
+/// interval); compute intervals from executed compute ops. The
+/// per-resource rows are [`usage`]'s sums; the comm and compute busy
+/// times and their overlap are unions, each resource's intervals merged
+/// first.
 pub fn overlap_report(graph: &Graph, trace: &ExecutionTrace) -> OverlapReport {
-    let makespan = trace.makespan();
-    let n_channels = graph.channels().len();
-    let mut chan_iv: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_channels];
-    let mut chan_bytes = vec![0u64; n_channels];
-    let mut chan_transfers = vec![0usize; n_channels];
-    let n_devices = graph.devices().len();
-    let mut dev_iv: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_devices];
-    let mut dev_ops = vec![0usize; n_devices];
-
-    for (id, op) in graph.ops() {
-        let Some(rec) = trace.record(id) else {
-            continue;
+    let mut chan_iv = vec![Vec::new(); graph.channels().len()];
+    let mut dev_iv = vec![Vec::new(); graph.devices().len()];
+    let (channels, devices) = usage(graph, trace, |resource, _, record| {
+        let Some(rec) = record else {
+            return;
         };
-        if op.kind().is_send() {
-            continue;
+        let interval = (rec.start.as_nanos(), rec.end.as_nanos());
+        match resource {
+            Resource::Channel(c) => chan_iv[c.index()].push(interval),
+            Resource::Compute(d) => dev_iv[d.index()].push(interval),
         }
-        let (start, end) = (rec.start.as_nanos(), rec.end.as_nanos());
-        match graph.resource(id) {
-            Resource::Channel(c) => {
-                chan_iv[c.index()].push((start, end));
-                chan_bytes[c.index()] += op.cost().bytes;
-                chan_transfers[c.index()] += 1;
-            }
-            Resource::Compute(d) => {
-                dev_iv[d.index()].push((start, end));
-                dev_ops[d.index()] += 1;
-            }
-        }
-    }
-
-    let mut all_comm = Vec::new();
-    let channels = (0..n_channels)
-        .map(|i| {
-            let merged = merge_intervals(std::mem::take(&mut chan_iv[i]));
-            let busy = SimDuration::from_nanos(total_ns(&merged));
-            all_comm.extend_from_slice(&merged);
-            ChannelUsage {
-                channel: ChannelId::from_index(i),
-                busy,
-                idle: makespan.saturating_sub(busy),
-                bytes: chan_bytes[i],
-                transfers: chan_transfers[i],
-            }
-        })
-        .collect();
-
-    let mut all_compute = Vec::new();
-    let devices = (0..n_devices)
-        .map(|i| {
-            let merged = merge_intervals(std::mem::take(&mut dev_iv[i]));
-            let busy = SimDuration::from_nanos(total_ns(&merged));
-            all_compute.extend_from_slice(&merged);
-            DeviceUsage {
-                device: DeviceId::from_index(i),
-                busy,
-                ops: dev_ops[i],
-            }
-        })
-        .collect();
-
-    let comm = merge_intervals(all_comm);
-    let compute = merge_intervals(all_compute);
+    });
+    let union = |per_resource: Vec<Vec<(u64, u64)>>| {
+        merge_intervals(per_resource.into_iter().flat_map(merge_intervals).collect())
+    };
+    let (comm, compute) = (union(chan_iv), union(dev_iv));
     OverlapReport {
-        makespan,
+        makespan: trace.makespan(),
         channels,
         devices,
         comm_busy: SimDuration::from_nanos(total_ns(&comm)),
@@ -338,11 +347,174 @@ pub fn priority_inversions(
     InversionReport { records }
 }
 
+/// Bounds of the queue- and ready-depth histograms (powers of two).
+const DEPTH_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
+
+/// Adds the simulator's `sim.*` metrics of one run to `registry`, derived
+/// from the trace it left, a failed (not `finished`) run's too. DESIGN.md
+/// §8 defines them: per channel and device the completed transfers' and
+/// ops' bytes, busy time and count, a finished run's idle time, and one
+/// depth sample per recorded start — the ops ready by then and not
+/// started before it, on a device only §3.1's candidates by `priority`.
+pub fn sim_metrics(
+    registry: &Registry,
+    graph: &Graph,
+    trace: &ExecutionTrace,
+    finished: bool,
+    priority: impl Fn(OpId) -> Option<u64>,
+) {
+    // Each lane's (channel's, then device's) ready and start instants, in
+    // two buffers lane by lane; a device that runs a prioritized op keeps
+    // its instants in two lists of its own, beside its lane and the op's
+    // priority.
+    let nc = graph.channels().len();
+    let lane = |resource| match resource {
+        Resource::Channel(c) => c.index(),
+        Resource::Compute(d) => nc + d.index(),
+    };
+    let lanes = nc + graph.devices().len();
+    let (mut first, mut ranked) = (vec![0; lanes + 1], vec![false; lanes]);
+    for (id, _) in graph.ops().filter(|(_, op)| !op.kind().is_send()) {
+        let l = lane(graph.resource(id));
+        first[l + 1] += 1;
+        ranked[l] |= l >= nc && priority(id).is_some();
+    }
+    for l in 0..lanes {
+        first[l + 1] += first[l];
+    }
+    let (mut readies, mut starts) = (vec![0; first[lanes]], vec![0; first[lanes]]);
+    let (mut ready_end, mut start_end) = (first.clone(), first.clone());
+    let (mut ranked_readies, mut ranked_starts) = (Vec::new(), Vec::new());
+    let (channels, devices) = usage(graph, trace, |resource, id, record| {
+        let (Some(ready), l) = (trace.ready(id), lane(resource)) else {
+            return;
+        };
+        let (ready, start) = (ready.as_nanos(), record.map(|r| r.start.as_nanos()));
+        if ranked[l] {
+            ranked_readies.push((l, ready, priority(id)));
+            ranked_starts.extend(start.map(|s| (l, s, priority(id))));
+            return;
+        }
+        readies[ready_end[l]] = ready;
+        ready_end[l] += 1;
+        if let Some(s) = start {
+            starts[start_end[l]] = s;
+            start_end[l] += 1;
+        }
+    });
+    ranked_readies.sort_unstable();
+    ranked_starts.sort_unstable();
+
+    let r = registry;
+    r.counter("sim.events").add(trace.popped_events());
+    r.counter("sim.retransmits")
+        .add(FaultCounters::from_trace(trace).retransmits);
+    let bytes = r.counters("sim.chan", ".bytes", nc);
+    let busy = r.counters("sim.chan", ".busy_ns", nc);
+    let transfers = r.counters("sim.chan", ".transfers", nc);
+    for (c, u) in channels.iter().enumerate() {
+        bytes[c].add(u.bytes);
+        busy[c].add(u.busy.as_nanos());
+        transfers[c].add(u.transfers as u64);
+    }
+    let busy = r.counters("sim.dev", ".busy_ns", devices.len());
+    let ops = r.counters("sim.dev", ".ops", devices.len());
+    for (d, u) in devices.iter().enumerate() {
+        busy[d].add(u.busy.as_nanos());
+        ops[d].add(u.ops as u64);
+    }
+    if finished {
+        let idle = r.gauges("sim.chan", ".idle_ns", nc);
+        for (gauge, c) in idle.iter().zip(&channels) {
+            gauge.set(c.idle.as_nanos() as f64);
+        }
+    }
+    let queue = r.histograms("sim.chan", ".queue_depth", &DEPTH_BUCKETS, nc);
+    let ready = r.histograms("sim.dev", ".ready_depth", &DEPTH_BUCKETS, devices.len());
+    let (mut ranked_readies, mut ranked_starts) = (&ranked_readies[..], &ranked_starts[..]);
+    // One lane's samples, by depth.
+    let mut samples = Vec::new();
+    for (l, histogram) in queue.iter().chain(&ready).enumerate() {
+        samples.clear();
+        if ranked[l] {
+            let own = |all: &[(usize, u64, Option<u64>)]| all.partition_point(|e| e.0 == l);
+            let (r, s) = (own(ranked_readies), own(ranked_starts));
+            candidate_depths(&ranked_readies[..r], &ranked_starts[..s], &mut samples);
+            (ranked_readies, ranked_starts) = (&ranked_readies[r..], &ranked_starts[s..]);
+        } else {
+            let readies = &mut readies[first[l]..ready_end[l]];
+            let starts = &mut starts[first[l]..start_end[l]];
+            readies.sort_unstable();
+            starts.sort_unstable();
+            depths(readies, starts, &mut samples);
+        }
+        for (depth, &n) in samples.iter().enumerate().filter(|s| *s.1 > 0) {
+            histogram.observe_n(depth as u64, n);
+        }
+    }
+}
+
+/// Counts `n` samples of `depth` into `samples`, indexed by depth.
+fn sample(samples: &mut Vec<u64>, depth: usize, n: usize) {
+    if samples.len() <= depth {
+        samples.resize(depth + 1, 0);
+    }
+    samples[depth] += n as u64;
+}
+
+/// One lane's depth samples from its sorted `readies` and `starts`: at
+/// each start instant, the ops ready by then less those started before
+/// it. The starts of one instant share one value.
+fn depths(readies: &[u64], starts: &[u64], samples: &mut Vec<u64>) {
+    let (mut ready, mut started) = (0, 0);
+    for group in starts.chunk_by(|a, b| a == b) {
+        while readies.get(ready).is_some_and(|&r| r <= group[0]) {
+            ready += 1;
+        }
+        sample(samples, ready - started, group.len());
+        started += group.len();
+    }
+}
+
+/// [`depths`] on a lane of `(lane, instant, priority)` entries, counting
+/// only §3.1's pick candidates among the waiting ops: the unprioritized
+/// ones and those at the lowest priority.
+fn candidate_depths(
+    readies: &[(usize, u64, Option<u64>)],
+    starts: &[(usize, u64, Option<u64>)],
+    samples: &mut Vec<u64>,
+) {
+    // How many waiting ops are unprioritized, how many hold each priority.
+    let (mut unprio, mut levels) = (0, BTreeMap::<u64, usize>::new());
+    let mut readies = readies.iter().peekable();
+    for group in starts.chunk_by(|a, b| a.1 == b.1) {
+        while let Some(&(_, _, p)) = readies.next_if(|r| r.1 <= group[0].1) {
+            match p {
+                Some(p) => *levels.entry(p).or_default() += 1,
+                None => unprio += 1,
+            }
+        }
+        let lowest = levels.first_key_value().map_or(0, |(_, &n)| n);
+        sample(samples, unprio + lowest, group.len());
+        for &(_, _, p) in group {
+            match p {
+                Some(p) if levels[&p] == 1 => {
+                    levels.remove(&p);
+                }
+                Some(p) => *levels.get_mut(&p).expect("a started op waited") -= 1,
+                None => unprio -= 1,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricValue;
+    use proptest::prelude::*;
     use tictac_graph::{Cost, GraphBuilder, OpKind};
-    use tictac_trace::TraceBuilder;
+    use tictac_trace::{FaultEventKind, TraceBuilder};
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -576,6 +748,216 @@ mod tests {
             found += expected.count();
         }
         assert!(found > 100, "the traces must hold real inversions: {found}");
+    }
+
+    /// SplitMix64 over `seed`: a draw below `bound` per call (this crate
+    /// has no random-number dependency).
+    fn split_mix(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    /// A random cluster graph and a trace of it: workers and PSs joined
+    /// by channels, parameters sent by their PS to one or two recvs (or
+    /// reaching a sendless recv), compute ops on every device, some of
+    /// them prioritized. Each resource runs its ops one at a time, each
+    /// op starting at or after it became ready, on a time axis narrow
+    /// enough for instants to coincide and with zero-length ops. When
+    /// `faulty`, some ops become ready and never start, some never become
+    /// ready, and a barrier raises the makespan.
+    fn random_run(seed: u64, faulty: bool) -> (Graph, ExecutionTrace, Vec<Option<u64>>) {
+        let mut next = split_mix(seed);
+        let mut b = GraphBuilder::new();
+        let workers: Vec<_> = (0..1 + next(3))
+            .map(|i| b.add_worker(format!("w{i}")))
+            .collect();
+        let servers: Vec<_> = (0..1 + next(2))
+            .map(|i| b.add_parameter_server(format!("ps{i}")))
+            .collect();
+        let mut channels = Vec::new();
+        for &w in &workers {
+            for &ps in &servers {
+                channels.push((w, ps, b.add_channel(w, ps)));
+            }
+        }
+        let mut recvs = Vec::new();
+        for i in 0..1 + next(40) {
+            let (w, ps, ch) = channels[next(channels.len() as u64) as usize];
+            let p = b.add_param(format!("p{i}"), 1 + next(100));
+            let send = (next(4) != 0).then(|| {
+                b.add_op(
+                    format!("s{i}"),
+                    ps,
+                    OpKind::send(p, ch),
+                    Cost::bytes(1),
+                    &[],
+                )
+            });
+            for k in 0..1 + next(2) {
+                let deps: Vec<OpId> = send.into_iter().collect();
+                recvs.push(b.add_op(
+                    format!("r{i}.{k}"),
+                    w,
+                    OpKind::recv(p, ch),
+                    Cost::bytes(1),
+                    &deps,
+                ));
+            }
+        }
+        let devices: Vec<_> = workers.iter().chain(&servers).copied().collect();
+        for j in 0..next(60) {
+            let dev = devices[next(devices.len() as u64) as usize];
+            b.add_op(format!("c{j}"), dev, OpKind::Compute, Cost::flops(1.0), &[]);
+        }
+        let g = b.build().unwrap();
+
+        let narrow = 1 + next(4);
+        let priority: Vec<Option<u64>> = g
+            .op_ids()
+            .map(|_| (next(3) == 0).then(|| next(narrow)))
+            .collect();
+        let span = 1 + next(200);
+        let mut tb = TraceBuilder::new(g.len());
+        let mut free = vec![0u64; g.channels().len() + g.devices().len()];
+        let mut order: Vec<OpId> = g.op_ids().collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, next(i as u64 + 1) as usize);
+        }
+        for op in order {
+            if g.op(op).kind().is_send() {
+                continue;
+            }
+            let lane = match g.resource(op) {
+                Resource::Channel(c) => c.index(),
+                Resource::Compute(d) => g.channels().len() + d.index(),
+            };
+            if faulty && next(6) == 0 {
+                continue; // never ready
+            }
+            let ready = next(span);
+            tb.mark_ready(op, t(ready));
+            if faulty && next(5) == 0 {
+                continue; // ready, never started
+            }
+            let start = free[lane].max(ready) + next(3);
+            let end = start + next(2) * next(span / 4 + 1);
+            free[lane] = end;
+            tb.record(op, t(start), t(end));
+            if let Some(&send) = g.preds(op).first() {
+                if !tb.is_recorded(send) {
+                    tb.mark_ready(send, t(ready.min(start)));
+                    tb.record(send, t(start), t(end));
+                }
+            }
+        }
+        if faulty {
+            tb.push_fault(
+                t(span),
+                FaultEventKind::Retransmit {
+                    op: recvs[0],
+                    attempt: 1,
+                },
+            );
+            tb.raise_makespan(t(4 * span));
+        }
+        (g, tb.finish(), priority)
+    }
+
+    /// The depth histograms from their definitions, pair by pair: at
+    /// each executed op's start `s`, the ops of its resource ready by `s`
+    /// and not started before it; on a device, only those unprioritized
+    /// or at the lowest priority among them.
+    fn depths_by_definition(
+        registry: &Registry,
+        graph: &Graph,
+        trace: &ExecutionTrace,
+        priority: &[Option<u64>],
+    ) {
+        let waiting = |op: OpId, s: SimTime| {
+            trace.ready(op).is_some_and(|r| r <= s) && trace.record(op).is_none_or(|r| r.start >= s)
+        };
+        for (id, op) in graph.ops() {
+            let Some(rec) = trace.record(id) else {
+                continue;
+            };
+            if op.kind().is_send() {
+                continue;
+            }
+            let s = rec.start;
+            let mates = graph.op_ids().filter(|&p| {
+                graph.resource(p) == graph.resource(id)
+                    && !graph.op(p).kind().is_send()
+                    && waiting(p, s)
+            });
+            let (name, depth) = match graph.resource(id) {
+                Resource::Channel(c) => {
+                    (format!("sim.chan{}.queue_depth", c.index()), mates.count())
+                }
+                Resource::Compute(d) => {
+                    let mates: Vec<OpId> = mates.collect();
+                    let lowest = mates.iter().filter_map(|p| priority[p.index()]).min();
+                    let candidates = mates
+                        .iter()
+                        .filter(|p| priority[p.index()].is_none() || priority[p.index()] == lowest)
+                        .count();
+                    (format!("sim.dev{}.ready_depth", d.index()), candidates)
+                }
+            };
+            registry
+                .histogram(&name, &DEPTH_BUCKETS)
+                .observe(depth as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random quiet and faulty traces, every depth histogram
+        /// [`sim_metrics`] derives holds the samples the definition
+        /// gives, op by op; the counters agree with the per-resource
+        /// rows of the overlap report.
+        #[test]
+        fn depth_histograms_match_the_definition(seed in any::<u64>(), faulty in any::<bool>()) {
+            let (g, trace, priority) = random_run(seed, faulty);
+            let derived = Registry::enabled();
+            sim_metrics(&derived, &g, &trace, !faulty, |op| priority[op.index()]);
+            let defined = Registry::enabled();
+            depths_by_definition(&defined, &g, &trace, &priority);
+            let defined = defined.snapshot();
+            let mut sampled = 0;
+            for (name, value) in &derived.snapshot().entries {
+                let MetricValue::Histogram(h) = value else { continue };
+                sampled += h.count;
+                match defined.get(name) {
+                    Some(MetricValue::Histogram(want)) => prop_assert_eq!(h, want, "{}", name),
+                    _ => prop_assert_eq!(h.count, 0, "{} has samples the definition lacks", name),
+                }
+            }
+            let executed = g
+                .ops()
+                .filter(|(id, op)| !op.kind().is_send() && trace.record(*id).is_some())
+                .count() as u64;
+            prop_assert_eq!(sampled, executed, "one sample per executed op");
+            let report = overlap_report(&g, &trace);
+            let snap = derived.snapshot();
+            for c in &report.channels {
+                let i = c.channel.index();
+                prop_assert_eq!(snap.counter(&format!("sim.chan{i}.busy_ns")), Some(c.busy.as_nanos()));
+                prop_assert_eq!(snap.counter(&format!("sim.chan{i}.bytes")), Some(c.bytes));
+                let idle = snap.get(&format!("sim.chan{i}.idle_ns"));
+                prop_assert_eq!(idle.is_some(), !faulty);
+            }
+            for d in &report.devices {
+                let i = d.device.index();
+                prop_assert_eq!(snap.counter(&format!("sim.dev{i}.ops")), Some(d.ops as u64));
+            }
+            prop_assert_eq!(snap.counter("sim.retransmits"), Some(u64::from(faulty)));
+        }
     }
 
     #[test]

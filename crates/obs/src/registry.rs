@@ -189,7 +189,7 @@ impl Registry {
     ///
     /// Panics if one of the names is already registered as a different
     /// metric kind.
-    pub fn counters(&self, prefix: &str, suffix: &str, n: usize) -> Vec<Counter> {
+    pub(crate) fn counters(&self, prefix: &str, suffix: &str, n: usize) -> Vec<Counter> {
         self.indexed(prefix, suffix, n, Metric::new_counter, Metric::counter)
     }
 
@@ -199,7 +199,7 @@ impl Registry {
     /// # Panics
     ///
     /// As [`counters`](Self::counters).
-    pub fn gauges(&self, prefix: &str, suffix: &str, n: usize) -> Vec<Gauge> {
+    pub(crate) fn gauges(&self, prefix: &str, suffix: &str, n: usize) -> Vec<Gauge> {
         self.indexed(prefix, suffix, n, Metric::new_gauge, Metric::gauge)
     }
 
@@ -209,7 +209,7 @@ impl Registry {
     /// # Panics
     ///
     /// As [`histogram`](Self::histogram).
-    pub fn histograms(
+    pub(crate) fn histograms(
         &self,
         prefix: &str,
         suffix: &str,
@@ -350,20 +350,6 @@ impl Gauge {
     }
 }
 
-/// Panics unless `bounds` is strictly increasing.
-fn check_bounds(bounds: &[u64]) {
-    assert!(
-        bounds.windows(2).all(|w| w[0] < w[1]),
-        "histogram bounds must be strictly increasing"
-    );
-}
-
-/// The bucket `value` lands in: that of the first bound at or above it,
-/// or the overflow slot `bounds.len()`.
-fn bucket(bounds: &[u64], value: u64) -> usize {
-    bounds.partition_point(|&b| b < value)
-}
-
 #[derive(Debug)]
 struct HistogramCore {
     /// Inclusive upper bucket bounds, strictly increasing.
@@ -382,7 +368,10 @@ impl HistogramCore {
     ///
     /// Panics if `bounds` is not strictly increasing.
     fn metric(bounds: &[u64]) -> Metric {
-        check_bounds(bounds);
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
         Metric::Histogram(Arc::new(Self {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
@@ -390,33 +379,6 @@ impl HistogramCore {
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }))
-    }
-
-    fn observe(&self, value: u64) {
-        self.buckets[bucket(&self.bounds, value)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-        self.sum.fetch_add(value, Relaxed);
-        self.max.fetch_max(value, Relaxed);
-    }
-
-    fn merge<const N: usize>(&self, tally: &HistogramTally<N>) {
-        assert_eq!(
-            self.bounds, tally.bounds,
-            "histogram merged a tally over different bounds"
-        );
-        let counts = tally.buckets.iter().chain([&tally.overflow]);
-        let count: u64 = counts.clone().sum();
-        if count == 0 {
-            return;
-        }
-        for (slot, &n) in self.buckets.iter().zip(counts) {
-            if n > 0 {
-                slot.fetch_add(n, Relaxed);
-            }
-        }
-        self.count.fetch_add(count, Relaxed);
-        self.sum.fetch_add(tally.sum, Relaxed);
-        self.max.fetch_max(tally.max, Relaxed);
     }
 
     fn snapshot(&self) -> HistogramStats {
@@ -438,68 +400,20 @@ impl BucketHistogram {
     /// Records one sample. No-op on a disabled handle.
     #[inline]
     pub fn observe(&self, value: u64) {
-        if let Some(h) = &self.0 {
-            h.observe(value);
-        }
+        self.observe_n(value, 1);
     }
 
-    /// Records every sample of `tally`, exactly as observing each of them
-    /// would. No-op on a disabled handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tally` is over other bounds than this histogram.
+    /// Records `n > 0` samples of `value`, exactly as observing each of
+    /// them would: in the bucket of the first bound at or above it, or
+    /// the overflow one. No-op on a disabled handle.
     #[inline]
-    pub fn merge<const N: usize>(&self, tally: &HistogramTally<N>) {
+    pub(crate) fn observe_n(&self, value: u64, n: u64) {
         if let Some(h) = &self.0 {
-            h.merge(tally);
+            h.buckets[h.bounds.partition_point(|&b| b < value)].fetch_add(n, Relaxed);
+            h.count.fetch_add(n, Relaxed);
+            h.sum.fetch_add(value * n, Relaxed);
+            h.max.fetch_max(value, Relaxed);
         }
-    }
-}
-
-/// Samples over `N` fixed bounds counted in plain integers by their one
-/// owner, for a [`BucketHistogram`] over the same bounds to record in one
-/// [`merge`](BucketHistogram::merge): a hot loop pays no atomic update per
-/// sample.
-#[derive(Debug, Clone)]
-pub struct HistogramTally<const N: usize> {
-    /// Inclusive upper bucket bounds, strictly increasing.
-    bounds: [u64; N],
-    /// One slot per bound.
-    buckets: [u64; N],
-    /// Samples above the last bound.
-    overflow: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl<const N: usize> HistogramTally<N> {
-    /// An empty tally over `bounds`, which mean what they mean to
-    /// [`Registry::histogram`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is not strictly increasing.
-    pub fn new(bounds: [u64; N]) -> Self {
-        check_bounds(&bounds);
-        Self {
-            bounds,
-            buckets: [0; N],
-            overflow: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Counts one sample.
-    #[inline]
-    pub fn observe(&mut self, value: u64) {
-        match self.buckets.get_mut(bucket(&self.bounds, value)) {
-            Some(n) => *n += 1,
-            None => self.overflow += 1,
-        }
-        self.sum += value;
-        self.max = self.max.max(value);
     }
 }
 
@@ -785,29 +699,20 @@ mod tests {
     }
 
     #[test]
-    fn merged_tallies_equal_observed_samples() {
+    fn repeated_samples_equal_observed_ones() {
         let reg = Registry::enabled();
         let (one, batch) = (
             reg.histogram("one", &[1, 4, 16]),
             reg.histogram("batch", &[1, 4, 16]),
         );
-        let mut tally = HistogramTally::new([1, 4, 16]);
-        for v in [0, 1, 2, 5, 100] {
-            one.observe(v);
-            tally.observe(v);
+        for (v, n) in [(0, 2), (2, 1), (5, 3), (100, 1)] {
+            for _ in 0..n {
+                one.observe(v);
+            }
+            batch.observe_n(v, n);
         }
-        batch.merge(&tally);
-        batch.merge(&HistogramTally::new([1, 4, 16]));
-        assert_eq!(stats(&reg, "one").buckets, vec![2, 1, 1, 1]);
+        assert_eq!(stats(&reg, "one").buckets, vec![2, 1, 3, 1]);
         assert_eq!(stats(&reg, "one"), stats(&reg, "batch"));
-    }
-
-    #[test]
-    #[should_panic(expected = "different bounds")]
-    fn merging_a_tally_over_other_bounds_panics() {
-        let reg = Registry::enabled();
-        reg.histogram("h", &[1, 4])
-            .merge(&HistogramTally::new([1, 5]));
     }
 
     #[test]

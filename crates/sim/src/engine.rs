@@ -1,11 +1,12 @@
 //! The discrete-event execution engine and its driver.
 //!
 //! Every public `simulate*` entry point ends in one driver
-//! ([`RunPlan::simulate_observed`]): build the engine over the plan's
-//! tables, run it. The free functions are a plan for one run. One
-//! single-threaded seeded event loop per run; parallelism lives outside
-//! it, in `tictac_core::parallel_map` over independent grid points
-//! (DESIGN.md §12).
+//! ([`RunPlan::run`]): build the engine over the plan's tables, run it.
+//! The free functions are a plan for one run. One single-threaded seeded
+//! event loop per run; parallelism lives outside it, in
+//! `tictac_core::parallel_map` over independent grid points (DESIGN.md
+//! §12). The engine keeps no metrics: they are derived from its trace
+//! (§8).
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -16,7 +17,6 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use tictac_graph::{Graph, OpId};
-use tictac_obs::{HistogramTally, Registry};
 use tictac_sched::Schedule;
 use tictac_trace::{
     ExecutionTrace, FaultEventKind, SimDuration, SimTime, TraceBuilder, HORIZON_NS,
@@ -70,30 +70,29 @@ pub fn try_simulate(
 }
 
 /// Simulates one iteration under an explicit, pre-sampled [`FaultPlan`]
-/// (replayable: the same plan injects the same faults every time),
-/// recording engine metrics into `registry`:
-/// [`RunPlan::simulate_observed`] on a plan built for this one run.
+/// (replayable: the same plan injects the same faults every time):
+/// [`RunPlan::run`] on a plan built for this one run.
 ///
 /// # Errors
 ///
 /// As [`try_simulate`].
-pub fn simulate_with_plan_observed(
+pub fn simulate_with_plan(
     graph: &Graph,
     schedule: &Schedule,
     config: &SimConfig,
     iteration: u64,
     plan: &FaultPlan,
-    registry: &Registry,
 ) -> Result<ExecutionTrace, SimError> {
-    RunPlan::new(graph, schedule, config)?
-        .simulate_observed(graph, schedule, iteration, plan, registry)
+    let (trace, error) =
+        RunPlan::new(graph, schedule, config)?.run(graph, schedule, iteration, plan)?;
+    error.map_or(Ok(trace), Err)
 }
 
 impl RunPlan {
     /// Simulates iteration `iteration` of the plan's `graph` and
     /// `schedule`, sampling the iteration's [`FaultPlan`] from the plan's
-    /// configuration, unobserved. Iterations run from one plan equal, trace
-    /// for trace, fresh [`try_simulate`] calls with the same arguments.
+    /// configuration. Iterations run from one plan equal, trace for trace,
+    /// fresh [`try_simulate`] calls with the same arguments.
     ///
     /// # Errors
     ///
@@ -105,19 +104,14 @@ impl RunPlan {
         iteration: u64,
     ) -> Result<ExecutionTrace, SimError> {
         let faults = self.sample_faults(graph, iteration);
-        self.simulate_observed(graph, schedule, iteration, &faults, &Registry::disabled())
+        let (trace, error) = self.run(graph, schedule, iteration, &faults)?;
+        error.map_or(Ok(trace), Err)
     }
 
-    /// Simulates one iteration under the pre-sampled `faults`, recording
-    /// engine metrics — per-channel bytes, busy/idle time and queue
-    /// depths, per-device busy time and ready-set depths, event and
-    /// retransmit counts — into `registry`. The driver behind every
-    /// `simulate*` entry point.
-    ///
-    /// The instrumentation only *reads* engine state: a run observed through
-    /// an enabled registry produces exactly the trace the unobserved run
-    /// does (the golden-trace fingerprints pin the disabled path, and
-    /// `tests/observability.rs` pins enabled-vs-disabled equality).
+    /// Simulates one iteration under the pre-sampled `faults`: the driver
+    /// behind every `simulate*` entry point. Returns the trace the engine
+    /// built however the run ended — a failed run's holds what executed
+    /// before it stopped — beside the error that stopped it, if any.
     ///
     /// The retry policy is checked here, on `faults`, because that is the
     /// one the engine reads (sampled plans copy the spec's, hand-built
@@ -127,137 +121,21 @@ impl RunPlan {
     ///
     /// # Errors
     ///
-    /// As [`RunPlan::try_simulate`].
-    pub fn simulate_observed(
+    /// [`SimError::RetryPastHorizon`], before the engine starts: there is
+    /// no trace.
+    pub fn run(
         &self,
         graph: &Graph,
         schedule: &Schedule,
         iteration: u64,
         faults: &FaultPlan,
-        registry: &Registry,
-    ) -> Result<ExecutionTrace, SimError> {
+    ) -> Result<(ExecutionTrace, Option<SimError>), SimError> {
         debug_assert!(self.covers(graph, schedule), "not this plan's graph");
         let budget = faults.retry.total_budget();
         if budget.as_nanos() >= HORIZON_NS {
             return Err(SimError::RetryPastHorizon { budget });
         }
-        Engine::new(graph, schedule, self, iteration, faults, registry).run()
-    }
-}
-
-/// Queue/ready-set depth histogram bounds (powers of two).
-const DEPTH_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
-/// One run's samples of a depth histogram.
-type DepthTally = HistogramTally<{ DEPTH_BUCKETS.len() }>;
-
-/// One channel's observations in one run.
-#[derive(Debug, Clone)]
-struct ChanTally {
-    /// `sim.chan{c}.bytes`: payload bytes of completed transfers.
-    bytes: u64,
-    /// `sim.chan{c}.busy_ns`: wire time of completed transfers.
-    busy_ns: u64,
-    /// `sim.chan{c}.transfers`: completed transfers.
-    transfers: u64,
-    /// `sim.chan{c}.queue_depth`: pending transfers, sampled whenever an
-    /// idle channel considers starting one.
-    queue_depth: DepthTally,
-}
-
-/// One device's observations in one run.
-#[derive(Debug, Clone)]
-struct DevTally {
-    /// `sim.dev{d}.busy_ns`: compute time of completed ops.
-    busy_ns: u64,
-    /// `sim.dev{d}.ops`: completed compute ops.
-    ops: u64,
-    /// `sim.dev{d}.ready_depth`: pick candidates, sampled whenever an
-    /// idle device starts an op.
-    ready_depth: DepthTally,
-}
-
-/// The engine's observations of one run (DESIGN.md §8): a hook writes a
-/// plain integer here, and the registry sees one flush when the run ends,
-/// however it ends. Present only for enabled registries; every hook
-/// *reads* engine state and never draws from the RNG, so enabling
-/// metrics cannot perturb the simulated outcome.
-struct Tally {
-    registry: Registry,
-    /// `sim.events`: events popped from the queue.
-    events: u64,
-    /// `sim.retransmits`: transfer attempts re-queued after a timeout.
-    retransmits: u64,
-    chans: Vec<ChanTally>,
-    devs: Vec<DevTally>,
-}
-
-impl Tally {
-    fn install(registry: &Registry, graph: &Graph) -> Option<Box<Self>> {
-        registry.is_enabled().then(|| {
-            let depth = DepthTally::new(DEPTH_BUCKETS);
-            let chan = ChanTally {
-                bytes: 0,
-                busy_ns: 0,
-                transfers: 0,
-                queue_depth: depth.clone(),
-            };
-            let dev = DevTally {
-                busy_ns: 0,
-                ops: 0,
-                ready_depth: depth,
-            };
-            Box::new(Self {
-                registry: registry.clone(),
-                events: 0,
-                retransmits: 0,
-                chans: vec![chan; graph.channels().len()],
-                devs: vec![dev; graph.devices().len()],
-            })
-        })
-    }
-
-    /// Adds the run's tallies to the registry. `makespan` is the finished
-    /// run's, which sets each channel's idle gauge to the makespan less
-    /// the channel's busy time in this run; a failed run has none.
-    fn flush(self, makespan: Option<SimDuration>) {
-        let (r, chans, devs) = (&self.registry, self.chans.len(), self.devs.len());
-        r.counter("sim.events").add(self.events);
-        r.counter("sim.retransmits").add(self.retransmits);
-        let bytes = r.counters("sim.chan", ".bytes", chans);
-        let busy = r.counters("sim.chan", ".busy_ns", chans);
-        let transfers = r.counters("sim.chan", ".transfers", chans);
-        let depth = r.histograms("sim.chan", ".queue_depth", &DEPTH_BUCKETS, chans);
-        for (c, t) in self.chans.iter().enumerate() {
-            bytes[c].add(t.bytes);
-            busy[c].add(t.busy_ns);
-            transfers[c].add(t.transfers);
-            depth[c].merge(&t.queue_depth);
-        }
-        let busy = r.counters("sim.dev", ".busy_ns", devs);
-        let ops = r.counters("sim.dev", ".ops", devs);
-        let depth = r.histograms("sim.dev", ".ready_depth", &DEPTH_BUCKETS, devs);
-        for (d, t) in self.devs.iter().enumerate() {
-            busy[d].add(t.busy_ns);
-            ops[d].add(t.ops);
-            depth[d].merge(&t.ready_depth);
-        }
-        if let Some(makespan) = makespan {
-            let idle = r.gauges("sim.chan", ".idle_ns", chans);
-            for (c, t) in self.chans.iter().enumerate() {
-                idle[c].set(makespan.as_nanos().saturating_sub(t.busy_ns) as f64);
-            }
-        }
-    }
-
-    /// Counts a transfer of `recv` that finished on channel `ch` after
-    /// `busy` on the wire. Its payload is read off the graph here, by the
-    /// observer; the engine's own paths route by the plan's columns.
-    fn transfer_done(&mut self, graph: &Graph, ch: usize, recv: OpId, busy: SimDuration) {
-        let chan = &mut self.chans[ch];
-        chan.bytes += graph.op(recv).cost().bytes;
-        chan.transfers += 1;
-        chan.busy_ns += busy.as_nanos();
+        Ok(Engine::new(graph, schedule, self, iteration, faults).run())
     }
 }
 
@@ -622,7 +500,6 @@ struct Engine<'g> {
 
     indegree: Vec<u32>,
     done: Vec<bool>,
-    started_at: Vec<SimTime>,
     trace: TraceBuilder,
     remaining: usize,
 
@@ -637,9 +514,9 @@ struct Engine<'g> {
 
     /// Per-device compute state.
     compute_ready: Vec<ReadyQueue>,
-    compute_busy: Vec<bool>,
-    /// The op running on each device and its scheduled completion (ns).
-    inflight_compute: Vec<Option<(OpId, u64)>>,
+    /// The op running on each device (busy while one is), its start and
+    /// its end (ns).
+    inflight_compute: Vec<Option<(OpId, SimTime, u64)>>,
     /// Device unavailable until this instant (ns; crash or stall).
     device_down_until: Vec<u64>,
     /// Per-worker slowdown factor for this iteration.
@@ -647,8 +524,8 @@ struct Engine<'g> {
 
     /// Per-channel gRPC state.
     chan_busy: Vec<bool>,
-    /// The transfer (recv op) in flight on each channel.
-    inflight_recv: Vec<Option<OpId>>,
+    /// The transfer (recv op) in flight on each channel and its start.
+    inflight_recv: Vec<Option<(OpId, SimTime)>>,
     /// Channel unavailable until this instant (ns; blackout or endpoint
     /// crash).
     chan_down_until: Vec<u64>,
@@ -662,8 +539,6 @@ struct Engine<'g> {
     /// last pump; everything else is known to be busy, empty or handled.
     dirty_devices: DirtySet,
     dirty_channels: DirtySet,
-    /// This run's observations (read-only; `None` when disabled).
-    tally: Option<Box<Tally>>,
 }
 
 impl<'g> Engine<'g> {
@@ -675,7 +550,6 @@ impl<'g> Engine<'g> {
         run: &'g RunPlan,
         iteration: u64,
         plan: &'g FaultPlan,
-        registry: &Registry,
     ) -> Self {
         let n = graph.len();
         let config = run.config();
@@ -718,7 +592,6 @@ impl<'g> Engine<'g> {
             events: EventQueue::new(),
             indegree: run.indegree.clone(),
             done: vec![false; n],
-            started_at: vec![SimTime::ZERO; n],
             trace: TraceBuilder::new(n),
             remaining: n,
             epoch: vec![0; n],
@@ -728,7 +601,6 @@ impl<'g> Engine<'g> {
             compute_ready: (0..graph.devices().len())
                 .map(|_| ReadyQueue::default())
                 .collect(),
-            compute_busy: vec![false; graph.devices().len()],
             inflight_compute: vec![None; graph.devices().len()],
             device_down_until: vec![0; graph.devices().len()],
             slowdown,
@@ -744,7 +616,6 @@ impl<'g> Engine<'g> {
                 .collect(),
             dirty_devices: DirtySet::new(graph.devices().len()),
             dirty_channels: DirtySet::new(graph.channels().len()),
-            tally: Tally::install(registry, graph),
         }
     }
 
@@ -763,9 +634,8 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// Runs the iteration and flushes its tally, on success and failure
-    /// alike.
-    fn run(mut self) -> Result<ExecutionTrace, SimError> {
+    /// Runs the iteration: its trace however it ended, and any error.
+    fn run(mut self) -> (ExecutionTrace, Option<SimError>) {
         self.schedule_faults();
 
         // Dispatch roots: ops without predecessors, not ops whose count
@@ -777,13 +647,12 @@ impl<'g> Engine<'g> {
         }
         self.pump();
 
+        let mut popped = 0;
         while self.remaining > 0 {
             let Some((at, kind)) = self.events.pop() else {
                 break;
             };
-            if let Some(t) = &mut self.tally {
-                t.events += 1;
-            }
+            popped += 1;
             self.clock = SimTime::from_nanos(at);
             match kind {
                 EventKind::ComputeDone(op, epoch) => {
@@ -812,21 +681,15 @@ impl<'g> Engine<'g> {
             self.pump();
         }
 
-        let outcome = if let Some(e) = self.error.take() {
-            Err(e)
-        } else if self.remaining > 0 && !self.degraded {
-            Err(SimError::Deadlock {
+        let error = self.error.take().or_else(|| {
+            (self.remaining > 0 && !self.degraded).then(|| SimError::Deadlock {
                 completed: self.graph.len() - self.remaining,
                 remaining: self.remaining,
                 at: self.clock,
             })
-        } else {
-            Ok(self.trace.finish())
-        };
-        if let Some(tally) = self.tally.take() {
-            tally.flush(outcome.as_ref().ok().map(ExecutionTrace::makespan));
-        }
-        outcome
+        });
+        self.trace.set_popped_events(popped);
+        (self.trace.finish(), error)
     }
 
     /// Runs all synchronous starts enabled by the current state: one start
@@ -855,14 +718,14 @@ impl<'g> Engine<'g> {
     fn nothing_startable(&self) -> bool {
         let now = self.clock.as_nanos();
         let device_startable = |d: usize| {
-            !self.compute_busy[d]
+            self.inflight_compute[d].is_none()
                 && !self.compute_ready[d].is_empty()
                 && self.device_down_until[d] <= now
         };
         let channel_startable = |c: usize| {
             !self.chan_busy[c] && !self.chan_queue[c].is_empty() && self.chan_down_until[c] <= now
         };
-        !(0..self.compute_busy.len()).any(device_startable)
+        !(0..self.inflight_compute.len()).any(device_startable)
             && !(0..self.chan_busy.len()).any(channel_startable)
     }
 
@@ -870,8 +733,10 @@ impl<'g> Engine<'g> {
         self.events.push(at.as_nanos(), kind);
     }
 
-    /// Routes an op whose dependencies are all satisfied.
+    /// Routes an op whose dependencies are all satisfied: the instant it
+    /// becomes ready on its resource.
     fn dispatch(&mut self, op: OpId) {
+        self.trace.mark_ready(op, self.clock);
         match self.route[op.index()] {
             Route::Send(ch) => self.try_handoff(op, ch as usize),
             Route::Recv(ch) => {
@@ -949,9 +814,6 @@ impl<'g> Engine<'g> {
         // least two transfers are queued; the disorder-window draw
         // spans the queue in hand-off order.
         let len = self.chan_queue[ch].len();
-        if let Some(t) = &mut self.tally {
-            t.chans[ch].queue_depth.observe(len as u64);
-        }
         let take_ranked = self.chan_queue[ch].has_ranked()
             && !(len >= 2 && self.rng.gen::<f64>() < self.reorder_error);
         let recv = if take_ranked {
@@ -967,12 +829,11 @@ impl<'g> Engine<'g> {
 
     fn start_transfer(&mut self, ch: usize, recv: OpId) {
         self.chan_busy[ch] = true;
-        self.inflight_recv[ch] = Some(recv);
+        self.inflight_recv[ch] = Some((recv, self.clock));
         let base = self.service[recv.index()];
         // The wire-time draw happens whether or not the attempt survives,
         // so the noise stream is independent of drop decisions.
         let dur = self.noise.apply(&mut self.rng, base);
-        self.started_at[recv.index()] = self.clock;
         if self.plan.drops_attempt(recv, self.attempts[recv.index()]) {
             // Lost on the wire: the channel stays wedged on the failed
             // stream until loss detection fires.
@@ -1002,7 +863,7 @@ impl<'g> Engine<'g> {
     /// the attempt's completion is cancelled and loss detection restarts
     /// now, as if the outage reset the stream.
     fn kill_inflight_transfer(&mut self, ch: usize) {
-        if let Some(recv) = self.inflight_recv[ch].take() {
+        if let Some((recv, _)) = self.inflight_recv[ch].take() {
             self.epoch[recv.index()] += 1;
             self.lose(recv);
         }
@@ -1013,16 +874,12 @@ impl<'g> Engine<'g> {
     /// among candidates is uniformly random. Crashed or stalled devices
     /// start nothing — and stay dirty — until they come back.
     fn try_start_compute(&mut self, dev: usize) {
-        if self.compute_busy[dev] || self.compute_ready[dev].is_empty() {
+        if self.inflight_compute[dev].is_some() || self.compute_ready[dev].is_empty() {
             return;
         }
         if self.device_down_until[dev] > self.clock.as_nanos() {
             self.dirty_devices.mark(dev);
             return;
-        }
-        if let Some(t) = &mut self.tally {
-            let candidates = self.compute_ready[dev].candidates();
-            t.devs[dev].ready_depth.observe(candidates as u64);
         }
         // Locally disordered pick: uniform over the oldest
         // `disorder_window` candidates in readiness order.
@@ -1032,43 +889,30 @@ impl<'g> Engine<'g> {
         let chosen = self.rng.gen_range(0..window);
         let op = self.compute_ready[dev].take_candidate(chosen);
 
-        self.compute_busy[dev] = true;
         let base = self.service[op.index()];
         let dur = self
             .noise
             .apply(&mut self.rng, base)
             .mul_f64(self.slowdown[dev]);
-        self.started_at[op.index()] = self.clock;
         let end = self.clock + dur;
-        self.inflight_compute[dev] = Some((op, end.as_nanos()));
+        self.inflight_compute[dev] = Some((op, self.clock, end.as_nanos()));
         let epoch = self.epoch[op.index()];
         self.schedule_event(end, EventKind::ComputeDone(op, epoch));
     }
 
     fn on_compute_done(&mut self, op: OpId) {
         let dev = self.route[op.index()].index();
-        self.compute_busy[dev] = false;
-        self.inflight_compute[dev] = None;
+        let (_, start, _) = self.inflight_compute[dev].take().expect("in flight");
         self.dirty_devices.mark(dev);
-        if let Some(t) = &mut self.tally {
-            let busy = self.clock.duration_since(self.started_at[op.index()]);
-            t.devs[dev].busy_ns += busy.as_nanos();
-            t.devs[dev].ops += 1;
-        }
-        self.trace
-            .record(op, self.started_at[op.index()], self.clock);
+        self.trace.record(op, start, self.clock);
         self.mark_done(op);
     }
 
     fn on_transfer_done(&mut self, recv: OpId) {
         let ch = self.route[recv.index()].index();
         self.chan_busy[ch] = false;
-        self.inflight_recv[ch] = None;
+        let (_, start) = self.inflight_recv[ch].take().expect("in flight");
         self.dirty_channels.mark(ch);
-        let start = self.started_at[recv.index()];
-        if let Some(t) = &mut self.tally {
-            t.transfer_done(self.graph, ch, recv, self.clock.duration_since(start));
-        }
         self.transfers
             .record(&mut self.trace, recv, start, self.clock);
         self.mark_done(recv);
@@ -1080,7 +924,7 @@ impl<'g> Engine<'g> {
         let ch = self.route[recv.index()].index();
         self.chan_busy[ch] = false;
         self.dirty_channels.mark(ch);
-        if self.inflight_recv[ch] == Some(recv) {
+        if self.inflight_recv[ch].is_some_and(|(r, _)| r == recv) {
             self.inflight_recv[ch] = None;
         }
         let attempt = self.attempts[recv.index()];
@@ -1089,12 +933,7 @@ impl<'g> Engine<'g> {
             .plan
             .after_timeout(&mut self.trace, recv, attempt, self.clock)
         {
-            AfterLoss::Retransmit => {
-                if let Some(t) = &mut self.tally {
-                    t.retransmits += 1;
-                }
-                self.chan_queue[ch].push(recv, self.transfers.recv_rank(recv));
-            }
+            AfterLoss::Retransmit => self.chan_queue[ch].push(recv, self.transfers.recv_rank(recv)),
             // Left incomplete; the barrier defers it when it fires.
             AfterLoss::Abandon => {}
             AfterLoss::Fail(e) => self.error = Some(e),
@@ -1115,9 +954,8 @@ impl<'g> Engine<'g> {
                 let dev = device.index();
                 self.device_down_until[dev] = self.device_down_until[dev].max(until.as_nanos());
                 // In-flight compute is lost and re-run after recovery.
-                if let Some((op, _)) = self.inflight_compute[dev].take() {
+                if let Some((op, ..)) = self.inflight_compute[dev].take() {
                     self.epoch[op.index()] += 1;
-                    self.compute_busy[dev] = false;
                     self.compute_ready[dev].push(op, self.schedule.priority(op));
                     self.dirty_devices.mark(dev);
                 }
@@ -1133,11 +971,11 @@ impl<'g> Engine<'g> {
                 self.device_down_until[dev] = self.device_down_until[dev].max(until.as_nanos());
                 // Pause semantics: the in-flight update is not lost, it
                 // finishes late by the stall length.
-                if let Some((op, end)) = self.inflight_compute[dev] {
+                if let Some((op, start, end)) = self.inflight_compute[dev] {
                     self.epoch[op.index()] += 1;
                     let pause = until.as_nanos().saturating_sub(self.clock.as_nanos());
                     let new_end = end.saturating_add(pause);
-                    self.inflight_compute[dev] = Some((op, new_end));
+                    self.inflight_compute[dev] = Some((op, start, new_end));
                     let epoch = self.epoch[op.index()];
                     self.schedule_event(
                         SimTime::from_nanos(new_end),
@@ -1505,15 +1343,7 @@ mod tests {
             at: SimTime::from_nanos(at),
             until: SimTime::from_nanos(until),
         }));
-        let trace = simulate_with_plan_observed(
-            &g,
-            &no_ordering(&g),
-            &cfg,
-            0,
-            &plan,
-            &Registry::disabled(),
-        )
-        .unwrap();
+        let trace = simulate_with_plan(&g, &no_ordering(&g), &cfg, 0, &plan).unwrap();
         let end = |op| trace.record(op).unwrap().end;
         assert_eq!([end(c), end(a), end(z)], [end(r); 3]);
         let mut order = watchers.map(|(name, w)| (trace.record(w).unwrap().start, name));
@@ -1538,9 +1368,8 @@ mod tests {
         assert_eq!(order, ["r", "c", "a", "z"]);
     }
 
-    /// Ranks sit on the paired send when the graph models one and on the
-    /// recv itself when it does not; either way the recv carries the rank
-    /// into its channel's queue.
+    /// Gate ranks sit on the paired send when the graph models one; the
+    /// recv carries its position into its channel's queue either way.
     #[test]
     fn transfer_table_pairs_sends_and_carries_ranks_to_recvs() {
         let (g, [s1, s2, r1, r2, op1, _]) = fig1a();
@@ -1573,7 +1402,8 @@ mod tests {
         let plan = RunPlan::new(&g, &s, &SimConfig::cloud_gpu()).unwrap();
         let t = &plan.transfers;
         assert_eq!(t.send_of(recv), None);
-        assert_eq!(t.rank(recv), Some(0));
+        // No send, so no gate rank: the recv's position orders the queue.
+        assert_eq!(t.rank(recv), None);
         assert_eq!(t.recv_rank(recv), Some(0));
         assert_eq!(plan.route[recv.index()], Route::Recv(1));
     }
@@ -1869,51 +1699,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_runs_match_unobserved_and_populate_metrics() {
-        let model = tiny_mlp(Mode::Training, 8);
-        let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
-        let cfg = SimConfig::cloud_gpu();
-        let s = no_ordering(d.graph());
-        let plain = try_simulate(d.graph(), &s, &cfg, 0).unwrap();
-        let registry = Registry::enabled();
-        let quiet = FaultPlan::quiet();
-        let observed =
-            simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &quiet, &registry).unwrap();
-        assert_eq!(plain, observed, "observation must not perturb the run");
-
-        let snap = registry.snapshot();
-        assert!(snap.counter("sim.events").unwrap() > 0);
-        assert_eq!(snap.counter("sim.retransmits"), Some(0));
-        let compute_ops: u64 = (0..d.graph().devices().len())
-            .map(|i| snap.counter(&format!("sim.dev{i}.ops")).unwrap())
-            .sum();
-        let transfers: u64 = (0..d.graph().channels().len())
-            .map(|i| snap.counter(&format!("sim.chan{i}.transfers")).unwrap())
-            .sum();
-        let sends = d.graph().count_ops(|op| op.kind().is_send()) as u64;
-        // Every op executes once: transfers cover send+recv pairs, compute
-        // ops cover the rest.
-        assert_eq!(transfers, sends);
-        assert_eq!(compute_ops + 2 * transfers, d.graph().len() as u64);
-        let bytes: u64 = (0..d.graph().channels().len())
-            .map(|i| snap.counter(&format!("sim.chan{i}.bytes")).unwrap())
-            .sum();
-        assert!(bytes > 0);
-        // Idle gauges exist and are bounded by the makespan.
-        match snap.get("sim.chan0.idle_ns") {
-            Some(tictac_obs::MetricValue::Gauge(idle)) => {
-                assert!(*idle >= 0.0 && *idle <= plain.makespan().as_nanos() as f64);
-            }
-            other => panic!("expected idle gauge, got {other:?}"),
-        }
-        // A disabled registry records nothing.
-        let disabled = Registry::disabled();
-        let again = simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &quiet, &disabled).unwrap();
-        assert_eq!(plain, again);
-        assert!(disabled.snapshot().entries.is_empty());
-    }
-
-    #[test]
     fn faulty_runs_replay_exactly_with_an_explicit_plan() {
         let model = tiny_mlp(Mode::Training, 8);
         let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
@@ -1925,10 +1710,7 @@ mod tests {
         );
         let s = no_ordering(d.graph());
         let plan = FaultPlan::sample(&cfg.faults, d.graph(), cfg.seed, 3);
-        let replay = || {
-            simulate_with_plan_observed(d.graph(), &s, &cfg, 3, &plan, &Registry::disabled())
-                .unwrap()
-        };
+        let replay = || simulate_with_plan(d.graph(), &s, &cfg, 3, &plan).unwrap();
         let (a, b) = (replay(), replay());
         assert_eq!(a, b, "same plan, same trace — bytes and all");
         let c = try_simulate(d.graph(), &s, &cfg, 3).unwrap();

@@ -67,7 +67,7 @@ mod threaded;
 #[doc(hidden)]
 pub use config::{selected_engine, EngineChoice};
 pub use config::{SimConfig, DEFAULT_SEED};
-pub use engine::{simulate, simulate_with_plan_observed, try_simulate};
+pub use engine::{simulate, simulate_with_plan, try_simulate};
 pub use error::SimError;
 pub use faults::{Blackout, Crash, FaultPlan, FaultSpec, Stall};
 pub use plan::RunPlan;

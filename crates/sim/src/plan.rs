@@ -128,15 +128,13 @@ impl Route {
 /// read through its accessor, which returns the `Option`.
 #[derive(Debug)]
 pub(crate) struct TransferTable {
-    /// Enforcement ranks: priorities normalized to `[0, n)` per channel,
-    /// attached to the PS-side send op of each prioritized transfer (§5.1:
-    /// enforcement happens at the sender before gRPC hand-off). Hand-built
-    /// graphs may model recvs as pure roots (no explicit send op); those
-    /// transfers carry the rank on the recv itself and are ordered by the
-    /// channel's rank-aware pop alone.
+    /// Gate ranks: each prioritized transfer's PS-side send's position
+    /// among its channel's sends (§5.1: the sender's gate counts
+    /// hand-offs). Sendless recvs, which hand-built graphs may model as
+    /// roots, have none and are ordered by the channel's pop alone.
     rank: Vec<u32>,
-    /// The rank each recv carries into its channel's queue: its send's
-    /// for PS-built graphs, its own for sendless ones.
+    /// The rank each recv carries into its channel's queue: its position
+    /// in the channel's priority order.
     recv_rank: Vec<u32>,
     /// The send op feeding each recv (transfer pairing), by index.
     send_of: Vec<u32>,
@@ -154,12 +152,13 @@ fn cell(cell: u32) -> Option<u32> {
 
 impl TransferTable {
     /// Pairs every recv with its send and, unless the schedule is the
-    /// baseline, ranks each *ranked op* — a recv's send, or the recv
+    /// baseline, places each *ranked op* — a recv's send, or the recv
     /// itself when it has none — once, on the ranked op's own channel,
     /// densely, at the position of its first recv in that channel's
-    /// priority order (ties by recv id). A send feeding several recvs
-    /// thus takes one rank, and its gate counter reaches it; with one
-    /// recv per send, a rank is the recv's position.
+    /// priority order (ties by recv id), which its recvs carry. A send's
+    /// gate rank counts the sends before it, so the gate, which only
+    /// hand-offs advance, reaches it; a send feeding several recvs takes
+    /// one.
     fn new(graph: &Graph, schedule: &Schedule) -> Self {
         let n = graph.len();
         let mut table = Self {
@@ -188,27 +187,31 @@ impl TransferTable {
                 per_channel[ch.index()].push((priority, recv, ranked));
             }
         }
+        let mut position = vec![NONE; n];
         for mut order in per_channel {
             order.sort_unstable();
-            let mut next = 0;
-            for (_, _, ranked) in order {
-                let rank = &mut table.rank[ranked.index()];
-                if *rank == NONE {
-                    *rank = next;
+            let (mut next, mut next_send) = (0, 0);
+            for (_, recv, ranked) in order {
+                if position[ranked.index()] == NONE {
+                    position[ranked.index()] = next;
                     next += 1;
+                    if ranked != recv {
+                        table.rank[ranked.index()] = next_send;
+                        next_send += 1;
+                    }
                 }
             }
         }
         for (id, op) in graph.ops() {
             if op.is_recv() {
                 let ranked = table.send_of(id).unwrap_or(id);
-                table.recv_rank[id.index()] = table.rank[ranked.index()];
+                table.recv_rank[id.index()] = position[ranked.index()];
             }
         }
         table
     }
 
-    /// The enforcement rank of `op`, if it is a ranked op.
+    /// The gate rank of `op`, if it is a ranked send.
     pub(crate) fn rank(&self, op: OpId) -> Option<u64> {
         cell(self.rank[op.index()]).map(u64::from)
     }
@@ -256,12 +259,13 @@ mod tests {
     /// `rank`, `recv_rank` and `send_of` as `Option` columns.
     type OptionColumns = (Vec<Option<u64>>, Vec<Option<u64>>, Vec<Option<OpId>>);
 
-    /// The `Option` columns the four-byte ones replaced, derived as they
-    /// were: over each channel's recvs in priority order, the ranked op
-    /// (the recv's send, else the recv) took the recv's position. With
-    /// `first_recv`, the rule that replaced it for shared sends: a ranked
-    /// op keeps the rank of its first recv, and ranks stay dense.
-    fn option_columns(graph: &Graph, schedule: &Schedule, first_recv: bool) -> OptionColumns {
+    /// The table as `Option` columns, derived from the rule's words:
+    /// over each channel's recvs in priority order, a ranked op (the
+    /// recv's send, else the recv) keeps the position of its first recv,
+    /// positions stay dense, and every recv carries its ranked op's; the
+    /// sends among the ranked ops are numbered `0, 1, ...` in that order,
+    /// which is their gate rank.
+    fn option_columns(graph: &Graph, schedule: &Schedule) -> OptionColumns {
         let n = graph.len();
         let (mut rank, mut recv_rank, mut send_of) = (vec![None; n], vec![None; n], vec![None; n]);
         for (id, op) in graph.ops() {
@@ -272,22 +276,27 @@ mod tests {
         if schedule.is_unordered() {
             return (rank, recv_rank, send_of);
         }
+        let mut position = vec![None; n];
         for recvs in schedule.ordered_recvs_per_channel(graph) {
-            let mut next = 0;
-            for (r, recv) in recvs.into_iter().enumerate() {
+            let mut placed = Vec::new();
+            for recv in recvs {
                 let ranked_op = send_of[recv.index()].unwrap_or(recv);
-                if !first_recv {
-                    rank[ranked_op.index()] = Some(r as u64);
-                } else if rank[ranked_op.index()].is_none() {
-                    rank[ranked_op.index()] = Some(next);
-                    next += 1;
+                if !placed.contains(&ranked_op) {
+                    position[ranked_op.index()] = Some(placed.len() as u64);
+                    placed.push(ranked_op);
                 }
+            }
+            let sends = placed
+                .into_iter()
+                .filter(|&op| graph.op(op).kind().is_send());
+            for (gate, send) in sends.enumerate() {
+                rank[send.index()] = Some(gate as u64);
             }
         }
         for (id, op) in graph.ops() {
             if op.is_recv() {
                 let ranked_op = send_of[id.index()].unwrap_or(id);
-                recv_rank[id.index()] = rank[ranked_op.index()];
+                recv_rank[id.index()] = position[ranked_op.index()];
             }
         }
         (rank, recv_rank, send_of)
@@ -385,29 +394,35 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The four-byte columns read back as the `Option` columns:
-        /// sendless recvs, unordered schedules, ordered ones with ties,
-        /// and shared sends (ranked at their first recv). Without a shared
-        /// send, that rule is today's rank = position.
+        /// sendless recvs, on channels of their own and beside sends,
+        /// unordered schedules, ordered ones with ties, and shared sends
+        /// (placed at their first recv). Without a shared send, a recv
+        /// carries its own position in its channel's priority order.
         #[test]
         fn transfer_table_matches_the_option_columns(seed in any::<u64>()) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let (graph, shared) = random_graph(&mut rng);
             let schedule = random_schedule(&mut rng, &graph);
             let table = TransferTable::new(&graph, &schedule);
-            let (rank, recv_rank, send_of) = option_columns(&graph, &schedule, true);
+            let (rank, recv_rank, send_of) = option_columns(&graph, &schedule);
             for op in graph.op_ids() {
                 prop_assert_eq!(table.rank(op), rank[op.index()], "rank of {}", op);
                 prop_assert_eq!(table.recv_rank(op), recv_rank[op.index()], "recv rank of {}", op);
                 prop_assert_eq!(table.send_of(op), send_of[op.index()], "send of {}", op);
             }
-            if !shared {
-                let today = option_columns(&graph, &schedule, false);
-                prop_assert_eq!(today, (rank.clone(), recv_rank, send_of));
+            if !shared && !schedule.is_unordered() {
+                for recvs in schedule.ordered_recvs_per_channel(&graph) {
+                    for (position, recv) in recvs.into_iter().enumerate() {
+                        prop_assert_eq!(recv_rank[recv.index()], Some(position as u64));
+                    }
+                }
             }
-            // Dense per channel: each channel's ranked ops hold 0..k once.
+            // Dense per channel: each channel's sends hold gate ranks
+            // 0..k once, and nothing else holds one.
             let mut per_channel = vec![Vec::new(); graph.channels().len()];
             for (id, op) in graph.ops() {
                 if let (Some(r), Some(ch)) = (rank[id.index()], op.kind().channel()) {
+                    prop_assert!(op.kind().is_send(), "{} holds a gate rank", id);
                     per_channel[ch.index()].push(r);
                 }
             }

@@ -152,19 +152,22 @@ impl OpRecord {
     }
 }
 
-/// The slot of an op that did not execute: a start past [`HORIZON_NS`],
-/// which no recorded instant reaches ([`TraceBuilder::record`] refuses
-/// it), so a trace keeps one 16-byte [`OpRecord`] per op instead of a
-/// 24-byte `Option`. Its end is zero, so it never raises a maximum of
-/// ends.
+/// An instant past [`HORIZON_NS`], which no recorded instant reaches
+/// ([`TraceBuilder::record`] refuses it as a start): the start of an op
+/// that did not execute, and the ready instant of one never ready.
+const UNSET: SimTime = SimTime::from_nanos(u64::MAX);
+
+/// The slot of an op that did not execute: one 16-byte [`OpRecord`] per
+/// op instead of a 24-byte `Option`. Its end of zero never raises a
+/// maximum of ends.
 const UNRECORDED: OpRecord = OpRecord {
-    start: SimTime::from_nanos(u64::MAX),
+    start: UNSET,
     end: SimTime::ZERO,
 };
 
 /// The record in `slot`, if the op executed.
 fn executed(slot: &OpRecord) -> Option<OpRecord> {
-    (slot.start != UNRECORDED.start).then_some(*slot)
+    (slot.start != UNSET).then_some(*slot)
 }
 
 /// The execution timeline of one simulated iteration.
@@ -172,8 +175,11 @@ fn executed(slot: &OpRecord) -> Option<OpRecord> {
 pub struct ExecutionTrace {
     /// One slot per op, [`UNRECORDED`] where the op did not execute.
     records: Vec<OpRecord>,
+    /// When each op became ready, [`UNSET`] where it never did.
+    ready: Vec<SimTime>,
     makespan: SimDuration,
     events: Vec<FaultEvent>,
+    popped_events: u64,
 }
 
 impl ExecutionTrace {
@@ -189,9 +195,22 @@ impl ExecutionTrace {
         &self.events
     }
 
+    /// The number of events the event engine popped for this trace, stale
+    /// ones included (zero on the threaded runtime).
+    pub fn popped_events(&self) -> u64 {
+        self.popped_events
+    }
+
     /// The record of `op`, if it executed.
     pub fn record(&self, op: OpId) -> Option<OpRecord> {
         self.records.get(op.index()).and_then(executed)
+    }
+
+    /// When `op` became ready on its resource — joined its device's ready
+    /// queue, was handed to its channel, reached its send gate — if it
+    /// did; never after it started.
+    pub fn ready(&self, op: OpId) -> Option<SimTime> {
+        self.ready.get(op.index()).copied().filter(|&r| r != UNSET)
     }
 
     /// The measured duration of `op` (zero if it did not execute).
@@ -280,8 +299,11 @@ impl ExecutionTrace {
 pub struct TraceBuilder {
     /// One slot per op, [`UNRECORDED`] until the op is recorded.
     records: Vec<OpRecord>,
+    /// When each op became ready, [`UNSET`] until it does.
+    ready: Vec<SimTime>,
     events: Vec<FaultEvent>,
     makespan_floor: SimTime,
+    popped_events: u64,
 }
 
 impl TraceBuilder {
@@ -289,9 +311,16 @@ impl TraceBuilder {
     pub fn new(n: usize) -> Self {
         Self {
             records: vec![UNRECORDED; n],
+            ready: vec![UNSET; n],
             events: Vec::new(),
             makespan_floor: SimTime::ZERO,
+            popped_events: 0,
         }
+    }
+
+    /// Notes that `op` became ready on its resource at `at`.
+    pub fn mark_ready(&mut self, op: OpId, at: SimTime) {
+        self.ready[op.index()] = at;
     }
 
     /// Records one op execution.
@@ -303,10 +332,7 @@ impl TraceBuilder {
     /// marks an op as not executed.
     pub fn record(&mut self, op: OpId, start: SimTime, end: SimTime) {
         assert!(end >= start, "op {op} ends before it starts");
-        assert!(
-            start != UNRECORDED.start,
-            "op {op} starts at the not-executed mark"
-        );
+        assert!(start != UNSET, "op {op} starts at the not-executed mark");
         let slot = &mut self.records[op.index()];
         assert!(executed(slot).is_none(), "op {op} recorded twice");
         *slot = OpRecord { start, end };
@@ -331,23 +357,38 @@ impl TraceBuilder {
         self.makespan_floor = self.makespan_floor.max(at);
     }
 
+    /// Sets [`ExecutionTrace::popped_events`].
+    pub fn set_popped_events(&mut self, n: u64) {
+        self.popped_events = n;
+    }
+
     /// Finalizes the trace, fault events sorted by instant (stable, so
-    /// same-instant events keep the order they were pushed in).
+    /// same-instant events keep the order they were pushed in). An op
+    /// recorded but never [marked ready](Self::mark_ready) was ready when
+    /// it started.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op was marked ready after it started.
     pub fn finish(mut self) -> ExecutionTrace {
         self.events.sort_by_key(|e| e.at);
-        // An unrecorded slot ends at zero: it never raises the maximum.
-        let makespan = self
-            .records
-            .iter()
-            .map(|r| r.end)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .max(self.makespan_floor)
-            .duration_since(SimTime::ZERO);
+        let mut last_end = self.makespan_floor;
+        for (i, (record, ready)) in self.records.iter().zip(&mut self.ready).enumerate() {
+            // An unrecorded slot ends at zero: it never raises the maximum.
+            last_end = last_end.max(record.end);
+            if executed(record).is_some() {
+                if *ready == UNSET {
+                    *ready = record.start;
+                }
+                assert!(*ready <= record.start, "op{i} starts before it is ready");
+            }
+        }
         ExecutionTrace {
             records: self.records,
-            makespan,
+            ready: self.ready,
+            makespan: last_end.duration_since(SimTime::ZERO),
             events: self.events,
+            popped_events: self.popped_events,
         }
     }
 }
@@ -430,15 +471,23 @@ pub fn gantt(graph: &Graph, trace: &ExecutionTrace, width: usize) -> String {
 /// Panics if `traces` is empty or trace lengths disagree.
 pub fn estimate_profile(traces: &[ExecutionTrace]) -> MeasuredProfile {
     assert!(!traces.is_empty(), "at least one trace required");
-    let runs: Vec<Vec<SimDuration>> = traces
-        .iter()
-        .map(|t| {
-            (0..t.len())
-                .map(|i| t.duration(OpId::from_index(i)))
-                .collect()
-        })
-        .collect();
-    MeasuredProfile::from_runs(&runs)
+    let n = traces[0].len();
+    assert!(
+        traces.iter().all(|t| t.len() == n),
+        "all traces must cover the same ops"
+    );
+    MeasuredProfile::from_durations(
+        (0..n)
+            .map(|i| {
+                let op = OpId::from_index(i);
+                traces
+                    .iter()
+                    .map(|t| t.duration(op))
+                    .min()
+                    .unwrap_or_default()
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -512,16 +561,30 @@ mod tests {
         tb.record(ops[0], t(u64::MAX), t(u64::MAX));
     }
 
-    /// Width pin: a trace keeps 16 bytes per op slot, in the builder and
-    /// in the finished trace.
     #[test]
-    fn trace_slot_is_16_bytes() {
+    #[should_panic(expected = "starts before it is ready")]
+    fn an_op_ready_after_its_start_panics() {
+        let (g, _, ops) = sample_graph();
+        let mut tb = TraceBuilder::new(g.len());
+        tb.mark_ready(ops[0], t(5));
+        tb.record(ops[0], t(4), t(6));
+        tb.finish();
+    }
+
+    /// Width pins: a trace keeps a 16-byte record slot and an 8-byte
+    /// ready instant per op, in the builder and in the finished trace.
+    #[test]
+    fn trace_slots_are_16_and_8_bytes() {
         fn slot_width<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
         let tb = TraceBuilder::new(3);
-        assert_eq!(slot_width(&tb.records), 16);
-        assert_eq!(slot_width(&tb.finish().records), 16);
+        assert_eq!((slot_width(&tb.records), slot_width(&tb.ready)), (16, 8));
+        let trace = tb.finish();
+        assert_eq!(
+            (slot_width(&trace.records), slot_width(&trace.ready)),
+            (16, 8)
+        );
     }
 
     /// A worker and a PS joined by two channels; each parameter's send
@@ -574,10 +637,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The 16-byte slots answer every query as the `Option<OpRecord>`
-        /// table they replaced: zero-length ops, start 0, ends at
-        /// `HORIZON_NS - 1`, sends mirrored from their first recv, and ops
-        /// a degraded barrier deferred (never recorded, makespan floor).
+        /// The slots answer every query as an `Option<OpRecord>` table
+        /// beside an `Option` ready column: zero-length ops, start 0, ends
+        /// at `HORIZON_NS - 1`, sends mirrored from their first recv, ops
+        /// marked ready before they start or not at all, and ops a
+        /// degraded barrier deferred (ready, never recorded; makespan
+        /// floor).
         #[test]
         fn trace_slots_match_option_records(seed in any::<u64>()) {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -588,6 +653,7 @@ mod tests {
                 _ => rng.gen_range(0..1_000),
             };
             let mut model: Vec<Option<OpRecord>> = vec![None; g.len()];
+            let mut ready: Vec<Option<SimTime>> = vec![None; g.len()];
             let mut tb = TraceBuilder::new(g.len());
             type Model = Vec<Option<OpRecord>>;
             let record = |tb: &mut TraceBuilder, model: &mut Model, op: OpId, start, end| {
@@ -600,7 +666,10 @@ mod tests {
             for &(recv, send) in &recvs {
                 if rng.gen_range(0..5) == 0 {
                     // Deferred by the barrier: no record, an event and a
-                    // release instant.
+                    // release instant; ready before, and started or not.
+                    let at = instant(&mut rng);
+                    tb.mark_ready(recv, t(at));
+                    ready[recv.index()] = Some(t(at));
                     tb.push_fault(t(5), FaultEventKind::DeferredOp { op: recv });
                     let at = instant(&mut rng);
                     tb.raise_makespan(t(at));
@@ -613,9 +682,21 @@ mod tests {
                     0 => (a, a),
                     _ => (a.min(b), a.max(b)),
                 };
+                // Ready at or before the start, or never marked: then
+                // ready when it started.
+                let at = match rng.gen_range(0..3) {
+                    0 => None,
+                    1 => Some(start),
+                    _ => Some(rng.gen_range(0..=start)),
+                };
+                if let Some(at) = at {
+                    tb.mark_ready(recv, t(at));
+                }
+                ready[recv.index()] = Some(t(at.unwrap_or(start)));
                 record(&mut tb, &mut model, recv, start, end);
                 if let Some(send) = send {
                     if !tb.is_recorded(send) {
+                        ready[send.index()].get_or_insert(t(start));
                         record(&mut tb, &mut model, send, start, end);
                     }
                 }
@@ -623,6 +704,7 @@ mod tests {
             for (id, op) in g.ops() {
                 if matches!(op.kind(), OpKind::Compute) && rng.gen_range(0..2) == 0 {
                     let start = instant(&mut rng);
+                    ready[id.index()] = Some(t(start));
                     record(&mut tb, &mut model, id, start, start.max(instant(&mut rng)));
                 }
             }
@@ -640,6 +722,7 @@ mod tests {
                 let op = OpId::from_index(i);
                 let want = model.get(i).copied().flatten();
                 prop_assert_eq!(trace.record(op), want);
+                prop_assert_eq!(trace.ready(op), ready.get(i).copied().flatten());
                 let duration = want.map_or(SimDuration::ZERO, |r| r.end - r.start);
                 prop_assert_eq!(trace.duration(op), duration);
             }
@@ -673,6 +756,11 @@ mod tests {
             // Equality is exact: the same records written in reverse order
             // make the same trace, and one record more does not.
             let mut again = TraceBuilder::new(g.len());
+            for (i, &at) in ready.iter().enumerate().rev() {
+                if let Some(at) = at {
+                    again.mark_ready(OpId::from_index(i), at);
+                }
+            }
             for &(op, r) in executed.iter().rev() {
                 again.record(op, r.start, r.end);
             }
@@ -685,7 +773,8 @@ mod tests {
             prop_assert_eq!(&again.clone().finish(), &trace);
             let missing = g.op_ids().find(|op| model[op.index()].is_none());
             if let Some(missing) = missing {
-                again.record(missing, t(1), t(2));
+                let at = ready[missing.index()].unwrap_or(t(1));
+                again.record(missing, at, at + SimDuration::from_nanos(1));
                 prop_assert_ne!(&again.finish(), &trace);
             }
         }
@@ -705,6 +794,14 @@ mod tests {
         assert_eq!(profile.get(ops[0]), SimDuration::from_nanos(80));
         assert_eq!(profile.get(ops[1]), SimDuration::from_nanos(200));
         assert_eq!(profile.get(ops[2]), SimDuration::from_nanos(40));
+        // Out-of-range ops are unprofiled.
+        assert_eq!(profile.get(OpId::from_index(9)), SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "same ops")]
+    fn profile_estimation_rejects_ragged_traces() {
+        estimate_profile(&[TraceBuilder::new(1).finish(), TraceBuilder::new(2).finish()]);
     }
 
     #[test]

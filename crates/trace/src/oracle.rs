@@ -122,25 +122,6 @@ pub struct MeasuredProfile {
 }
 
 impl MeasuredProfile {
-    /// Builds a profile from per-run, per-op measurements, taking the
-    /// minimum across runs for every op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs` is empty or the runs have inconsistent lengths.
-    pub(crate) fn from_runs(runs: &[Vec<SimDuration>]) -> Self {
-        assert!(!runs.is_empty(), "at least one run is required");
-        let n = runs[0].len();
-        assert!(
-            runs.iter().all(|r| r.len() == n),
-            "all runs must cover the same ops"
-        );
-        let durations = (0..n)
-            .map(|i| runs.iter().map(|r| r[i]).min().expect("non-empty runs"))
-            .collect();
-        Self { durations }
-    }
-
     /// Builds a profile directly from one duration per op.
     pub fn from_durations(durations: Vec<SimDuration>) -> Self {
         Self { durations }
@@ -221,30 +202,6 @@ mod tests {
         let plat = Platform::cloud_gpu();
         let o = CostOracle::new(plat.clone());
         assert_eq!(o.duration(&g, agg), plat.ps_compute_time(4.0e8));
-    }
-
-    #[test]
-    fn measured_profile_takes_min_across_runs() {
-        let runs = vec![
-            vec![SimDuration::from_nanos(30), SimDuration::from_nanos(100)],
-            vec![SimDuration::from_nanos(20), SimDuration::from_nanos(150)],
-            vec![SimDuration::from_nanos(25), SimDuration::from_nanos(90)],
-        ];
-        let prof = MeasuredProfile::from_runs(&runs);
-        assert_eq!(prof.durations.len(), 2);
-        assert_eq!(prof.get(OpId::from_index(0)), SimDuration::from_nanos(20));
-        assert_eq!(prof.get(OpId::from_index(1)), SimDuration::from_nanos(90));
-        // Out-of-range ops are unprofiled.
-        assert_eq!(prof.get(OpId::from_index(9)), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "same ops")]
-    fn measured_profile_rejects_ragged_runs() {
-        MeasuredProfile::from_runs(&[
-            vec![SimDuration::ZERO],
-            vec![SimDuration::ZERO, SimDuration::ZERO],
-        ]);
     }
 
     #[test]

@@ -31,9 +31,10 @@
 use proptest::prelude::*;
 use tictac::{
     deploy, no_ordering, noise_free_profile, priority_inversions, simulate_with_plan_observed,
-    try_simulate, ClusterSpec, Cost, ExecOptions, ExecutionTrace, FaultSpec, Graph, GraphBuilder,
-    Mode, Model, OpKind, Platform, Registry, RetryPolicy, RunOptions, RunPlan, Scenario, Schedule,
-    SchedulerKind, Session, SimConfig, SimDuration, SimError, ThreadedBackend, TimeOracle,
+    try_simulate, ClusterSpec, Cost, ExecOptions, ExecutionBackend, ExecutionTrace, FaultSpec,
+    Graph, GraphBuilder, Mode, Model, OpKind, Platform, Registry, RetryPolicy, RunOptions, RunPlan,
+    Scenario, Schedule, SchedulerKind, Session, SimBackend, SimConfig, SimDuration, SimError,
+    ThreadedBackend, TimeOracle,
 };
 use tictac_graph::tiny_mlp;
 
@@ -302,8 +303,9 @@ fn wire_order(
         .collect()
 }
 
-/// Iterations `0..6` run from one plan are, trace for trace, six fresh
-/// `simulate_with_plan_observed` calls — quiet or faulty, observed or not
+/// Iterations `0..6` run from one plan (observed or not, through the sim
+/// backend) are, trace for trace, six fresh `simulate_with_plan_observed`
+/// calls — quiet or faulty, observed or not
 /// — and are what the session built on the same triple executes. Under an
 /// enforced schedule the threaded runtime, run from that plan too, flies
 /// every channel's transfers in the schedule's rank order, as the engine
@@ -336,7 +338,8 @@ fn one_plan_serves_every_iteration_and_both_executors() {
                 let sampled = plan.sample_faults(graph, i);
                 let fresh = try_simulate(graph, schedule, &config, i).expect("recoverable");
                 for registry in [Registry::disabled, Registry::enabled] {
-                    let planned = plan.simulate_observed(graph, schedule, i, &sampled, &registry());
+                    let planned =
+                        SimBackend.execute(session.deployed(), schedule, &plan, i, &registry());
                     let one_shot = simulate_with_plan_observed(
                         graph,
                         schedule,
@@ -501,6 +504,82 @@ fn an_enforced_send_feeding_two_recvs_completes_on_the_threads() {
     assert_eq!(trace.executed_ops(), g.len());
     let start = |op| trace.record(op).expect("recorded").start;
     assert!(start(recvs[0]).max(start(recvs[1])) <= start(recvs[2]));
+}
+
+/// One channel whose ranked transfers mix sendless recvs (roots, as a
+/// hand-built graph may model them) and a send behind a PS read, under
+/// the enforced priority order sendless, send, sendless. Returns the
+/// graph, the schedule and the three recvs in priority order.
+fn sendless_recvs_beside_a_send() -> (Graph, Schedule, [tictac::OpId; 3]) {
+    let mut b = GraphBuilder::new();
+    let w = b.add_worker("w0");
+    let ps = b.add_parameter_server("ps0");
+    let ch = b.add_channel(w, ps);
+    let [pa, pb, pc] = ["pa", "pb", "pc"].map(|name| b.add_param(name, 4096));
+    b.assign_param_to_ps(pb, ps);
+    let read = b.add_op(
+        "read_pb",
+        ps,
+        OpKind::Read { param: pb },
+        Cost::flops(1.0),
+        &[],
+    );
+    let send = b.add_op(
+        "send_pb",
+        ps,
+        OpKind::send(pb, ch),
+        Cost::bytes(4096),
+        &[read],
+    );
+    let recvs = [
+        ("recv_pa", pa, None),
+        ("recv_pb", pb, Some(send)),
+        ("recv_pc", pc, None),
+    ]
+    .map(|(name, param, send)| {
+        let deps: Vec<_> = send.into_iter().collect();
+        b.add_op(name, w, OpKind::recv(param, ch), Cost::bytes(4096), &deps)
+    });
+    b.add_op("c", w, OpKind::Compute, Cost::flops(1e6), &recvs);
+    let g = b.build().expect("valid graph");
+    let mut s = Schedule::empty(g.len());
+    for (priority, &recv) in recvs.iter().enumerate() {
+        s.set(recv, priority as u64);
+    }
+    (g, s, recvs)
+}
+
+/// The engine completes a channel that mixes sendless recvs and a send
+/// under enforcement, in priority order: the send's gate rank counts the
+/// channel's sends only. When the sendless recvs held ranks in the gate's
+/// sequence, no hand-off advanced the gate past them and the send waited
+/// for ever (`Deadlock`).
+#[test]
+fn an_enforced_channel_mixing_sendless_recvs_and_sends_completes_on_the_engine() {
+    let (g, s, recvs) = sendless_recvs_beside_a_send();
+    let config = SimConfig::deterministic(Platform::cloud_gpu());
+    let trace = try_simulate(&g, &s, &config, 0).expect("no deadlock");
+    assert_eq!(trace.executed_ops(), g.len());
+    let w = g.devices()[0].id();
+    assert_eq!(trace.recv_completion_order(&g, w), recvs);
+}
+
+/// The threaded runtime reads the same gate ranks and flies the mixed
+/// channel's transfers in priority order too.
+#[test]
+fn an_enforced_channel_mixing_sendless_recvs_and_sends_completes_on_the_threads() {
+    let (g, s, recvs) = sendless_recvs_beside_a_send();
+    let config = SimConfig::deterministic(Platform::cloud_gpu());
+    let opts = ExecOptions {
+        time_scale: 0.5,
+        watchdog: std::time::Duration::from_secs(5),
+    };
+    let trace = RunPlan::new(&g, &s, &config)
+        .and_then(|plan| plan.run_threaded(&g, &s, &opts, 0))
+        .expect("threads complete");
+    assert_eq!(trace.executed_ops(), g.len());
+    let w = g.devices()[0].id();
+    assert_eq!(trace.recv_completion_order(&g, w), recvs);
 }
 
 /// A hand-built graph may feed one send into several recvs. Both

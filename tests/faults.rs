@@ -5,10 +5,9 @@
 
 use proptest::prelude::*;
 use tictac::{
-    deploy, no_ordering, simulate, simulate_with_plan_observed, tic, tiny_mlp, try_simulate,
-    ClusterSpec, Cost, FaultCounters, FaultEventKind, FaultPlan, FaultSpec, GraphBuilder, Mode,
-    OpKind, Platform, Registry, RetryPolicy, SchedulerKind, Session, SimConfig, SimDuration,
-    SimError, SimTime,
+    deploy, no_ordering, simulate, simulate_with_plan, tic, tiny_mlp, try_simulate, ClusterSpec,
+    Cost, FaultCounters, FaultEventKind, FaultPlan, FaultSpec, GraphBuilder, Mode, OpKind,
+    Platform, RetryPolicy, SchedulerKind, Session, SimConfig, SimDuration, SimError, SimTime,
 };
 
 /// A fault spec exercising every fault class at once, with a retry budget
@@ -54,8 +53,7 @@ fn explicit_plans_replay_and_quiet_plans_change_nothing() {
 
     // Replay: sampling the plan up front is exactly try_simulate.
     let plan = FaultPlan::sample(&cfg.faults, d.graph(), cfg.seed, 2);
-    let a =
-        simulate_with_plan_observed(d.graph(), &s, &cfg, 2, &plan, &Registry::disabled()).unwrap();
+    let a = simulate_with_plan(d.graph(), &s, &cfg, 2, &plan).unwrap();
     let b = try_simulate(d.graph(), &s, &cfg, 2).unwrap();
     assert_eq!(a, b);
 
@@ -176,9 +174,7 @@ fn a_retry_budget_reaching_the_horizon_is_a_typed_error() {
     let mut plan = FaultPlan::quiet();
     plan.retry = huge;
     let cfg = SimConfig::cloud_gpu();
-    refused(
-        simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &plan, &Registry::disabled()).err(),
-    );
+    refused(simulate_with_plan(d.graph(), &s, &cfg, 0, &plan).err());
 
     let horizon = SimDuration::from_nanos(1 << 53);
     let at_horizon = RetryPolicy::fixed(horizon, 0);

@@ -20,9 +20,9 @@
 //! to print current fingerprints (for deliberate re-pinning).
 
 use tictac::{
-    deploy, no_ordering, simulate, simulate_with_plan_observed, tic, try_simulate, Blackout,
-    ClusterSpec, Crash, ExecutionTrace, FaultEventKind, FaultPlan, FaultSpec, Mode, Model,
-    Platform, Registry, RetryPolicy, SimConfig, SimDuration, SimTime, Stall,
+    deploy, no_ordering, simulate, simulate_with_plan, tic, try_simulate, Blackout, ClusterSpec,
+    Crash, ExecutionTrace, FaultEventKind, FaultPlan, FaultSpec, Mode, Model, Platform,
+    RetryPolicy, SimConfig, SimDuration, SimTime, Stall,
 };
 use tictac_graph::tiny_mlp;
 
@@ -194,15 +194,7 @@ fn golden_overlapping_outages() {
         .to_vec();
     plan.drop_prob = 0.1;
     plan.retry = RetryPolicy::fixed(SimDuration::from_micros(100), 30);
-    let trace = simulate_with_plan_observed(
-        g,
-        &no_ordering(g),
-        &SimConfig::cloud_gpu(),
-        5,
-        &plan,
-        &Registry::disabled(),
-    )
-    .unwrap();
+    let trace = simulate_with_plan(g, &no_ordering(g), &SimConfig::cloud_gpu(), 5, &plan).unwrap();
     assert_eq!(trace.executed_ops(), g.len());
     check("overlapping_outages_it5", &trace, 0x010989942776ae40);
 }

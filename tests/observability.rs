@@ -1,6 +1,6 @@
 //! Cross-crate observability contract tests.
 //!
-//! Three invariants gate this layer:
+//! Four invariants gate this layer:
 //!
 //! 1. **Transparency** — attaching an (enabled or disabled) metrics
 //!    registry never changes a simulated outcome: traces are equal op
@@ -14,17 +14,17 @@
 //!    is runnable on the same channel, while the unscheduled baseline
 //!    inverts on nearly every zoo model and every reorder error of an
 //!    enforced run is counted.
-//! 4. **One flush per run** — the engine tallies a run in plain integers
-//!    and adds them to the registry when the run ends, however it ends:
-//!    a failed run's counts still land, each run's idle gauges are its
-//!    own, and registries sharing one `RunPlan` never see each other's
-//!    runs.
+//! 4. **Derived after the run** — the engine keeps no metrics; an
+//!    observed run's `sim.*` metrics are computed from the trace it left,
+//!    however it ended: a failed run's counts still land, each run's idle
+//!    gauges are its own, and registries sharing one `RunPlan` never see
+//!    each other's runs.
 
 use tictac::{
     priority_inversions, realized_efficiency, simulate, simulate_with_plan_observed, tic,
-    ChannelId, ClusterSpec, DeployedModel, FaultCounters, FaultEventKind, FaultPlan, FaultSpec,
-    MetricValue, Mode, Model, OpId, Registry, RetryPolicy, RunPlan, Schedule, SchedulerKind,
-    Session, SimConfig, SimDuration, SimError, TraceBuilder,
+    ChannelId, ClusterSpec, DeployedModel, ExecutionBackend, FaultCounters, FaultEventKind,
+    FaultPlan, FaultSpec, MetricValue, Mode, Model, OpId, Registry, RetryPolicy, RunPlan, Schedule,
+    SchedulerKind, Session, SimBackend, SimConfig, SimDuration, SimError, TraceBuilder,
 };
 use tictac_graph::tiny_mlp;
 use tictac_trace::SimTime;
@@ -306,8 +306,8 @@ fn a_failed_run_still_flushes_its_tallies() {
         matches!(failed, Err(SimError::RetriesExhausted { .. })),
         "{failed:?}"
     );
-    // What the engine's per-event atomic updates recorded for this run
-    // before it tallied runs and flushed them once.
+    // A failed run's metrics come from the trace it left: what executed
+    // before its retry budget ran out.
     let snap = registry.snapshot();
     assert_eq!(snap.counter("sim.events"), Some(52));
     assert_eq!(snap.counter("sim.retransmits"), Some(9));
@@ -347,9 +347,8 @@ fn registries_alternating_on_one_plan_see_only_their_own_runs() {
     let shared = RunPlan::new(g, &s, &cfg).unwrap();
     let (a, b) = (Registry::enabled(), Registry::enabled());
     for (iteration, registry) in [(0, &a), (1, &b), (2, &a), (4, &b)] {
-        let faults = shared.sample_faults(g, iteration);
-        shared
-            .simulate_observed(g, &s, iteration, &faults, registry)
+        SimBackend
+            .execute(&d, &s, &shared, iteration, registry)
             .unwrap();
     }
     // The same runs, each registry on its own and each run from a fresh
