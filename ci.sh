@@ -144,9 +144,12 @@ cargo test --offline -q --test perfetto_fault_snapshot
 # against `format!("{}")` (10^6 cases here, 10^4 in the debug run), the
 # three narrow per-op tables' against the `Option` tables they replaced
 # (the schedule's bitset, the plan's four-byte rank and pairing columns,
-# the trace's 16-byte slot beside its ready column), and the depth
+# the trace's 16-byte slot beside its ready column), the depth
 # histograms derived from a trace against an O(n^2) count from their
-# definition.
+# definition, the streaming trace validator against the tree walk it
+# replaced on exports and edits of them (2·10^4 documents here, 10^3 in
+# the debug run), and the op-name writer against the `format!` strings at
+# every digit-width edge.
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_heap_pops
 cargo test --offline -q --release -p tictac-sim --lib worklists_drain_what_the_sorted_vec_drains
@@ -157,6 +160,8 @@ cargo test --offline -q --release -p tictac-sched --lib schedule_matches_the_opt
 cargo test --offline -q --release -p tictac-sim --lib transfer_table_matches_the_option_columns
 cargo test --offline -q --release -p tictac-trace --lib trace_slots_match_option_records
 cargo test --offline -q --release -p tictac-obs --lib depth_histograms_match_the_definition
+cargo test --offline -q --release -p tictac-obs --lib streaming_validator_matches_the_tree_walk
+cargo test --offline -q --release -p tictac-graph --lib names_render_as_the_format_strings
 cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
 # The engine's fault rules (agenda, loss ladder, record and barrier

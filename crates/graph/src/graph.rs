@@ -259,7 +259,7 @@ impl Graph {
     /// Built lazily on first use: deployment stores only compact
     /// [`OpName`]s, so graphs that are simulated or scheduled but never
     /// printed pay nothing for their names.
-    pub fn rendered_names(&self) -> &[String] {
+    pub(crate) fn rendered_names(&self) -> &[String] {
         self.rendered.get_or_init(|| {
             self.ops
                 .iter()

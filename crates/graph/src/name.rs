@@ -5,13 +5,16 @@
 //! models that is tens of thousands of allocations on the deploy hot path.
 //! An [`OpName`] is a 16-byte `Copy` value instead: a role tag plus small
 //! integer fields, with model-level strings (parameter and layer names)
-//! deduplicated through a [`NameTable`] interner. Rendering to the legacy string happens lazily — and
-//! **byte-identically**, so the golden trace fingerprints and the pinned
-//! Perfetto snapshot do not move — only when something actually asks for a
-//! display name ([`Graph::op_name`](crate::Graph::op_name)).
+//! deduplicated through a [`NameTable`] interner. Rendering to the legacy
+//! string happens lazily — and **byte-identically**, so the golden trace
+//! fingerprints and the pinned Perfetto snapshot do not move — only when
+//! something actually asks for a display name: [`Graph::op_name`]'s
+//! cache, or a writer that appends a name where it needs it
+//! ([`OpName::render_into`], which the Perfetto exporter calls per slice).
+//!
+//! [`Graph::op_name`]: crate::Graph::op_name
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Index of an interned string in a [`NameTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -197,103 +200,88 @@ pub enum OpName {
 }
 
 impl OpName {
-    /// Renders the legacy string form into `out` (byte-identical to the
-    /// historical `format!` calls).
-    pub(crate) fn render_into(&self, table: &NameTable, out: &mut String) {
-        match *self {
-            OpName::Raw(id) => out.push_str(table.get(id)),
-            OpName::PsRead { shard, param } => {
-                let _ = write!(out, "ps{shard}/read/{}", table.get(param));
+    /// Appends the legacy string form to `out`, byte-identical to the
+    /// historical `format!` calls, without `core::fmt`: the fixed parts
+    /// and interned strings are copied, the integers written by
+    /// [`integer_into`].
+    pub fn render_into(&self, table: &NameTable, out: &mut String) {
+        let (role, shard, worker, param) = match *self {
+            OpName::Raw(id) => return out.push_str(table.get(id)),
+            OpName::WorkerOp { worker, op } => {
+                out.push('w');
+                integer_into(out, worker.into());
+                out.push('/');
+                return out.push_str(table.get(op));
             }
+            OpName::PsRead { shard, param } => (CommRole::Read, shard, 0, Param::Plain(param)),
             OpName::PsSend {
                 shard,
                 param,
                 worker,
-            } => {
-                let _ = write!(out, "ps{shard}/send/{}/w{worker}", table.get(param));
-            }
+            } => (CommRole::Send, shard, worker, Param::Plain(param)),
             OpName::WorkerRecv { worker, param } => {
-                let _ = write!(out, "w{worker}/recv/{}", table.get(param));
-            }
-            OpName::WorkerOp { worker, op } => {
-                let _ = write!(out, "w{worker}/{}", table.get(op));
+                (CommRole::Recv, 0, worker, Param::Plain(param))
             }
             OpName::WorkerSendGrad { worker, param } => {
-                let _ = write!(out, "w{worker}/send_grad/{}", table.get(param));
+                (CommRole::SendGrad, 0, worker, Param::Plain(param))
             }
             OpName::PsRecvGrad {
                 shard,
                 param,
                 worker,
-            } => {
-                let _ = write!(out, "ps{shard}/recv_grad/{}/w{worker}", table.get(param));
-            }
+            } => (CommRole::RecvGrad, shard, worker, Param::Plain(param)),
             OpName::PsAggregate { shard, param } => {
-                let _ = write!(out, "ps{shard}/aggregate/{}", table.get(param));
+                (CommRole::Aggregate, shard, 0, Param::Plain(param))
             }
-            OpName::PsUpdate { shard, param } => {
-                let _ = write!(out, "ps{shard}/update/{}", table.get(param));
-            }
+            OpName::PsUpdate { shard, param } => (CommRole::Update, shard, 0, Param::Plain(param)),
             OpName::Chunk {
                 role,
                 shard,
                 worker,
                 param,
                 chunk,
-            } => {
-                let p = table.get(param);
-                match role {
-                    CommRole::Read => {
-                        let _ = write!(out, "ps{shard}/read/{p}.part{chunk}");
-                    }
-                    CommRole::Send => {
-                        let _ = write!(out, "ps{shard}/send/{p}.part{chunk}/w{worker}");
-                    }
-                    CommRole::Recv => {
-                        let _ = write!(out, "w{worker}/recv/{p}.part{chunk}");
-                    }
-                    CommRole::SendGrad => {
-                        let _ = write!(out, "w{worker}/send_grad/{p}.part{chunk}");
-                    }
-                    CommRole::RecvGrad => {
-                        let _ = write!(out, "ps{shard}/recv_grad/{p}.part{chunk}/w{worker}");
-                    }
-                    CommRole::Aggregate => {
-                        let _ = write!(out, "ps{shard}/aggregate/{p}.part{chunk}");
-                    }
-                    CommRole::Update => {
-                        let _ = write!(out, "ps{shard}/update/{p}.part{chunk}");
-                    }
-                }
-            }
+            } => (role, shard.into(), worker.into(), Param::Part(param, chunk)),
             OpName::Fused {
                 role,
                 shard,
                 worker,
                 group,
-            } => match role {
-                CommRole::Send => {
-                    let _ = write!(out, "ps{shard}/send/fused{group}/w{worker}");
-                }
-                CommRole::Recv => {
-                    let _ = write!(out, "w{worker}/recv/fused{group}");
-                }
-                CommRole::SendGrad => {
-                    let _ = write!(out, "w{worker}/send_grad/fused{group}");
-                }
-                CommRole::RecvGrad => {
-                    let _ = write!(out, "ps{shard}/recv_grad/fused{group}/w{worker}");
-                }
-                CommRole::Read => {
-                    let _ = write!(out, "ps{shard}/read/fused{group}");
-                }
-                CommRole::Aggregate => {
-                    let _ = write!(out, "ps{shard}/aggregate/fused{group}");
-                }
-                CommRole::Update => {
-                    let _ = write!(out, "ps{shard}/update/fused{group}");
-                }
-            },
+            } => (role, shard.into(), worker.into(), Param::Fused(group)),
+        };
+        // `ps{shard}/{verb}/{param}` on the PS side, `w{worker}/…` on the
+        // worker side, and `/w{worker}` after a transfer between the two.
+        let (on_ps, verb, to_worker) = match role {
+            CommRole::Read => (true, "/read/", false),
+            CommRole::Send => (true, "/send/", true),
+            CommRole::Recv => (false, "/recv/", false),
+            CommRole::SendGrad => (false, "/send_grad/", false),
+            CommRole::RecvGrad => (true, "/recv_grad/", true),
+            CommRole::Aggregate => (true, "/aggregate/", false),
+            CommRole::Update => (true, "/update/", false),
+        };
+        if on_ps {
+            out.push_str("ps");
+            integer_into(out, shard.into());
+        } else {
+            out.push('w');
+            integer_into(out, worker.into());
+        }
+        out.push_str(verb);
+        match param {
+            Param::Plain(p) => out.push_str(table.get(p)),
+            Param::Part(p, chunk) => {
+                out.push_str(table.get(p));
+                out.push_str(".part");
+                integer_into(out, chunk.into());
+            }
+            Param::Fused(group) => {
+                out.push_str("fused");
+                integer_into(out, group.into());
+            }
+        }
+        if to_worker {
+            out.push_str("/w");
+            integer_into(out, worker.into());
         }
     }
 
@@ -303,6 +291,64 @@ impl OpName {
         self.render_into(table, &mut out);
         out
     }
+}
+
+/// The parameter part of a communication op's name.
+#[derive(Clone, Copy)]
+enum Param {
+    /// `{param}`
+    Plain(NameId),
+    /// `{param}.part{chunk}`
+    Part(NameId, u16),
+    /// `fused{group}`
+    Fused(u32),
+}
+
+/// Appends `n` in decimal, through [`decimal`].
+fn integer_into(out: &mut String, n: u64) {
+    out.push_str(decimal(&mut [0; 20], n));
+}
+
+/// `"00" "01" … "99"`: two digits a lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// `n`'s decimal digits, written into the tail of `buf` four at a time:
+/// the one digit writer the workspace's writers share — op names here,
+/// the JSON writers of `tictac-obs` (`json::integer_into`,
+/// `json::number_into`) — in place of `write!`.
+#[inline]
+pub fn decimal(buf: &mut [u8; 20], mut n: u64) -> &str {
+    let pair = |i: u64| &DIGIT_PAIRS[2 * i as usize..][..2];
+    let mut at = buf.len();
+    while n >= 10_000 {
+        let four = n % 10_000;
+        n /= 10_000;
+        at -= 4;
+        buf[at..at + 2].copy_from_slice(pair(four / 100));
+        buf[at + 2..at + 4].copy_from_slice(pair(four % 100));
+    }
+    if n >= 100 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(pair(n % 100));
+        n /= 100;
+    }
+    if n >= 10 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(pair(n));
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 #[cfg(test)]
@@ -444,5 +490,145 @@ mod tests {
     #[test]
     fn op_name_is_small() {
         assert!(std::mem::size_of::<OpName>() <= 16);
+    }
+
+    /// The name as the historical `format!` calls spelled it: the oracle
+    /// the writer is held to.
+    fn legacy(name: OpName, t: &NameTable) -> String {
+        match name {
+            OpName::Raw(id) => t.get(id).to_string(),
+            OpName::PsRead { shard, param } => format!("ps{shard}/read/{}", t.get(param)),
+            OpName::PsSend {
+                shard,
+                param,
+                worker,
+            } => format!("ps{shard}/send/{}/w{worker}", t.get(param)),
+            OpName::WorkerRecv { worker, param } => format!("w{worker}/recv/{}", t.get(param)),
+            OpName::WorkerOp { worker, op } => format!("w{worker}/{}", t.get(op)),
+            OpName::WorkerSendGrad { worker, param } => {
+                format!("w{worker}/send_grad/{}", t.get(param))
+            }
+            OpName::PsRecvGrad {
+                shard,
+                param,
+                worker,
+            } => format!("ps{shard}/recv_grad/{}/w{worker}", t.get(param)),
+            OpName::PsAggregate { shard, param } => {
+                format!("ps{shard}/aggregate/{}", t.get(param))
+            }
+            OpName::PsUpdate { shard, param } => format!("ps{shard}/update/{}", t.get(param)),
+            OpName::Chunk {
+                role,
+                shard,
+                worker,
+                param,
+                chunk,
+            } => {
+                let p = t.get(param);
+                match role {
+                    CommRole::Read => format!("ps{shard}/read/{p}.part{chunk}"),
+                    CommRole::Send => format!("ps{shard}/send/{p}.part{chunk}/w{worker}"),
+                    CommRole::Recv => format!("w{worker}/recv/{p}.part{chunk}"),
+                    CommRole::SendGrad => format!("w{worker}/send_grad/{p}.part{chunk}"),
+                    CommRole::RecvGrad => format!("ps{shard}/recv_grad/{p}.part{chunk}/w{worker}"),
+                    CommRole::Aggregate => format!("ps{shard}/aggregate/{p}.part{chunk}"),
+                    CommRole::Update => format!("ps{shard}/update/{p}.part{chunk}"),
+                }
+            }
+            OpName::Fused {
+                role,
+                shard,
+                worker,
+                group,
+            } => match role {
+                CommRole::Send => format!("ps{shard}/send/fused{group}/w{worker}"),
+                CommRole::Recv => format!("w{worker}/recv/fused{group}"),
+                CommRole::SendGrad => format!("w{worker}/send_grad/fused{group}"),
+                CommRole::RecvGrad => format!("ps{shard}/recv_grad/fused{group}/w{worker}"),
+                CommRole::Read => format!("ps{shard}/read/fused{group}"),
+                CommRole::Aggregate => format!("ps{shard}/aggregate/fused{group}"),
+                CommRole::Update => format!("ps{shard}/update/fused{group}"),
+            },
+        }
+    }
+
+    /// Both sides of every power of ten a `u64` can hold, up to `max`.
+    fn width_edges(max: u64) -> Vec<u64> {
+        let mut edges = vec![0, max];
+        for k in 1..20 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p].into_iter().filter(|&v| v <= max));
+        }
+        edges
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 4096 } else { 262_144 }
+        ))]
+
+        /// Every variant — raw, the eight plain round-trip names, a chunk
+        /// and a fused name in each of the seven roles — with its integers
+        /// at every digit-width edge of their type and interned strings
+        /// that a JSON writer must escape, rendered as `format!` did.
+        #[test]
+        fn names_render_as_the_format_strings(
+            seed in proptest::prelude::any::<u64>(),
+            variant in 0usize..23,
+        ) {
+            const STRINGS: [&str; 7] =
+                ["fc/weights", "a\"b", "back\\slash", "line\nfeed", "\u{1}ctl", "é漢😀", ""];
+            let (wide, narrow) = (width_edges(u32::MAX.into()), width_edges(u16::MAX.into()));
+            let mut x = seed;
+            let mut draw = |n: usize| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (x >> 33) as usize % n
+            };
+            let mut t = NameTable::new();
+            let param = t.intern(STRINGS[draw(STRINGS.len())]);
+            let (shard, worker) = (wide[draw(wide.len())] as u32, wide[draw(wide.len())] as u32);
+            let (s16, w16, chunk) = (
+                narrow[draw(narrow.len())] as u16,
+                narrow[draw(narrow.len())] as u16,
+                narrow[draw(narrow.len())] as u16,
+            );
+            let group = wide[draw(wide.len())] as u32;
+            const ROLES: [CommRole; 7] = [
+                CommRole::Read,
+                CommRole::Send,
+                CommRole::Recv,
+                CommRole::SendGrad,
+                CommRole::RecvGrad,
+                CommRole::Aggregate,
+                CommRole::Update,
+            ];
+            let name = match variant {
+                0 => OpName::Raw(param),
+                1 => OpName::PsRead { shard, param },
+                2 => OpName::PsSend { shard, param, worker },
+                3 => OpName::WorkerRecv { worker, param },
+                4 => OpName::WorkerOp { worker, op: param },
+                5 => OpName::WorkerSendGrad { worker, param },
+                6 => OpName::PsRecvGrad { shard, param, worker },
+                7 => OpName::PsAggregate { shard, param },
+                8 => OpName::PsUpdate { shard, param },
+                9..=15 => OpName::Chunk {
+                    role: ROLES[variant - 9],
+                    shard: s16,
+                    worker: w16,
+                    param,
+                    chunk,
+                },
+                _ => OpName::Fused {
+                    role: ROLES[variant - 16],
+                    shard: s16,
+                    worker: w16,
+                    group,
+                },
+            };
+            let mut out = String::from("prefix:");
+            name.render_into(&t, &mut out);
+            proptest::prop_assert_eq!(&out["prefix:".len()..], legacy(name, &t));
+        }
     }
 }

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::registry::Registry;
+use crate::registry::{BucketHistogram, Registry};
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, Resource};
 use tictac_trace::{ExecutionTrace, FaultCounters, OpRecord, SimDuration, SimTime};
 
@@ -347,9 +347,6 @@ pub fn priority_inversions(
     InversionReport { records }
 }
 
-/// Bounds of the queue- and ready-depth histograms (powers of two).
-const DEPTH_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
 /// Adds the simulator's `sim.*` metrics of one run to `registry`, derived
 /// from the trace it left, a failed (not `finished`) run's too. DESIGN.md
 /// §8 defines them: per channel and device the completed transfers' and
@@ -364,8 +361,9 @@ pub fn sim_metrics(
     priority: impl Fn(OpId) -> Option<u64>,
 ) {
     // Each lane's (channel's, then device's) ready and start instants, in
-    // two buffers lane by lane; a device that runs a prioritized op keeps
-    // its instants in two lists of its own, beside its lane and the op's
+    // two buffers lane by lane, with one slot more a lane for the ready
+    // side's sentinel; a device that runs a prioritized op keeps its
+    // instants in two lists of its own, beside its lane and the op's
     // priority.
     let nc = graph.channels().len();
     let lane = |resource| match resource {
@@ -380,7 +378,7 @@ pub fn sim_metrics(
         ranked[l] |= l >= nc && priority(id).is_some();
     }
     for l in 0..lanes {
-        first[l + 1] += first[l];
+        first[l + 1] += first[l] + 1;
     }
     let (mut readies, mut starts) = (vec![0; first[lanes]], vec![0; first[lanes]]);
     let (mut ready_end, mut start_end) = (first.clone(), first.clone());
@@ -402,55 +400,108 @@ pub fn sim_metrics(
             start_end[l] += 1;
         }
     });
+    let mut samples = vec![DepthSamples::default(); lanes];
+    for l in (0..lanes).filter(|&l| !ranked[l]) {
+        let readies = &mut readies[first[l]..=ready_end[l]];
+        let starts = &mut starts[first[l]..start_end[l]];
+        let (sorted, sentinel) = readies.split_at_mut(readies.len() - 1);
+        sorted.sort_unstable();
+        sentinel[0] = u64::MAX;
+        starts.sort_unstable();
+        depths(readies, starts, &mut samples[l]);
+    }
     ranked_readies.sort_unstable();
     ranked_starts.sort_unstable();
+    let (mut ranked_readies, mut ranked_starts) = (&ranked_readies[..], &ranked_starts[..]);
+    let mut by_depth = Vec::new();
+    for l in (0..lanes).filter(|&l| ranked[l]) {
+        let own = |all: &[(usize, u64, Option<u64>)]| all.partition_point(|e| e.0 == l);
+        let (r, s) = (own(ranked_readies), own(ranked_starts));
+        by_depth.clear();
+        candidate_depths(&ranked_readies[..r], &ranked_starts[..s], &mut by_depth);
+        (ranked_readies, ranked_starts) = (&ranked_readies[r..], &ranked_starts[s..]);
+        for (depth, &n) in by_depth.iter().enumerate().filter(|s| *s.1 > 0) {
+            samples[l].add(depth as u64, n);
+        }
+    }
 
     let r = registry;
     r.counter("sim.events").add(trace.popped_events());
     r.counter("sim.retransmits")
         .add(FaultCounters::from_trace(trace).retransmits);
-    let bytes = r.counters("sim.chan", ".bytes", nc);
-    let busy = r.counters("sim.chan", ".busy_ns", nc);
-    let transfers = r.counters("sim.chan", ".transfers", nc);
-    for (c, u) in channels.iter().enumerate() {
-        bytes[c].add(u.bytes);
-        busy[c].add(u.busy.as_nanos());
-        transfers[c].add(u.transfers as u64);
-    }
-    let busy = r.counters("sim.dev", ".busy_ns", devices.len());
-    let ops = r.counters("sim.dev", ".ops", devices.len());
-    for (d, u) in devices.iter().enumerate() {
-        busy[d].add(u.busy.as_nanos());
-        ops[d].add(u.ops as u64);
-    }
+    let nd = devices.len();
+    r.counters("sim.chan", ".bytes", nc, |c, m| m.add(channels[c].bytes));
+    r.counters("sim.chan", ".busy_ns", nc, |c, m| {
+        m.add(channels[c].busy.as_nanos())
+    });
+    r.counters("sim.chan", ".transfers", nc, |c, m| {
+        m.add(channels[c].transfers as u64)
+    });
+    r.counters("sim.dev", ".busy_ns", nd, |d, m| {
+        m.add(devices[d].busy.as_nanos())
+    });
+    r.counters("sim.dev", ".ops", nd, |d, m| m.add(devices[d].ops as u64));
     if finished {
-        let idle = r.gauges("sim.chan", ".idle_ns", nc);
-        for (gauge, c) in idle.iter().zip(&channels) {
-            gauge.set(c.idle.as_nanos() as f64);
-        }
+        r.gauges("sim.chan", ".idle_ns", nc, |c, m| {
+            m.set(channels[c].idle.as_nanos() as f64)
+        });
     }
-    let queue = r.histograms("sim.chan", ".queue_depth", &DEPTH_BUCKETS, nc);
-    let ready = r.histograms("sim.dev", ".ready_depth", &DEPTH_BUCKETS, devices.len());
-    let (mut ranked_readies, mut ranked_starts) = (&ranked_readies[..], &ranked_starts[..]);
-    // One lane's samples, by depth.
-    let mut samples = Vec::new();
-    for (l, histogram) in queue.iter().chain(&ready).enumerate() {
-        samples.clear();
-        if ranked[l] {
-            let own = |all: &[(usize, u64, Option<u64>)]| all.partition_point(|e| e.0 == l);
-            let (r, s) = (own(ranked_readies), own(ranked_starts));
-            candidate_depths(&ranked_readies[..r], &ranked_starts[..s], &mut samples);
-            (ranked_readies, ranked_starts) = (&ranked_readies[r..], &ranked_starts[s..]);
-        } else {
-            let readies = &mut readies[first[l]..ready_end[l]];
-            let starts = &mut starts[first[l]..start_end[l]];
-            readies.sort_unstable();
-            starts.sort_unstable();
-            depths(readies, starts, &mut samples);
+    let (queue, ready) = samples.split_at(nc);
+    let observe =
+        |s: &DepthSamples, h: &BucketHistogram| h.observe_counts(&s.buckets, s.sum, s.max);
+    r.histograms("sim.chan", ".queue_depth", &DEPTH_BUCKETS, nc, |c, h| {
+        observe(&queue[c], h)
+    });
+    r.histograms("sim.dev", ".ready_depth", &DEPTH_BUCKETS, nd, |d, h| {
+        observe(&ready[d], h)
+    });
+}
+
+/// Bounds of the queue- and ready-depth histograms: the powers of two
+/// from 1 to 128, so [`depth_bucket`] is a bit count.
+const DEPTH_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
+
+/// The bucket of [`DEPTH_BUCKETS`] a depth falls in, the overflow one
+/// last: `DEPTH_BUCKETS.partition_point(|&b| b < depth)`, without the
+/// search — the bits of `depth - 1`, at most 8.
+fn depth_bucket(depth: u64) -> usize {
+    (u64::BITS - depth.saturating_sub(1).leading_zeros()).min(8) as usize
+}
+
+/// One lane's depth samples, counted per bucket of its histogram with
+/// their sum and maximum, to be recorded at once.
+#[derive(Debug, Clone, Copy, Default)]
+struct DepthSamples {
+    buckets: [u64; DEPTH_BUCKETS.len() + 1],
+    sum: u64,
+    max: u64,
+}
+
+impl DepthSamples {
+    /// Counts `n` samples of `depth`.
+    #[inline]
+    fn add(&mut self, depth: u64, n: u64) {
+        self.buckets[depth_bucket(depth)] += n;
+        self.sum += depth * n;
+        self.max = self.max.max(depth);
+    }
+}
+
+/// One lane's depth samples from its sorted `readies`, which end in a
+/// `u64::MAX` sentinel, and its sorted `starts`: at each start, the ops
+/// ready by then less those started before its instant, so the starts of
+/// one instant share one value.
+fn depths(readies: &[u64], starts: &[u64], samples: &mut DepthSamples) {
+    // `group` is where the starts of instant `at` begin.
+    let (mut ready, mut group, mut at) = (0, 0, u64::MAX);
+    for (i, &start) in starts.iter().enumerate() {
+        while readies[ready] <= start {
+            ready += 1;
         }
-        for (depth, &n) in samples.iter().enumerate().filter(|s| *s.1 > 0) {
-            histogram.observe_n(depth as u64, n);
+        if start != at {
+            (group, at) = (i, start);
         }
+        samples.add((ready - group) as u64, 1);
     }
 }
 
@@ -460,20 +511,6 @@ fn sample(samples: &mut Vec<u64>, depth: usize, n: usize) {
         samples.resize(depth + 1, 0);
     }
     samples[depth] += n as u64;
-}
-
-/// One lane's depth samples from its sorted `readies` and `starts`: at
-/// each start instant, the ops ready by then less those started before
-/// it. The starts of one instant share one value.
-fn depths(readies: &[u64], starts: &[u64], samples: &mut Vec<u64>) {
-    let (mut ready, mut started) = (0, 0);
-    for group in starts.chunk_by(|a, b| a == b) {
-        while readies.get(ready).is_some_and(|&r| r <= group[0]) {
-            ready += 1;
-        }
-        sample(samples, ready - started, group.len());
-        started += group.len();
-    }
 }
 
 /// [`depths`] on a lane of `(lane, instant, priority)` entries, counting
@@ -957,6 +994,14 @@ mod tests {
                 prop_assert_eq!(snap.counter(&format!("sim.dev{i}.ops")), Some(d.ops as u64));
             }
             prop_assert_eq!(snap.counter("sim.retransmits"), Some(u64::from(faulty)));
+        }
+    }
+
+    #[test]
+    fn depth_buckets_are_bit_counts() {
+        for depth in (0..=300).chain([u64::MAX - 1, u64::MAX]) {
+            let searched = DEPTH_BUCKETS.partition_point(|&b| b < depth);
+            assert_eq!(depth_bucket(depth), searched, "depth {depth}");
         }
     }
 

@@ -3,18 +3,22 @@
 //! The build environment vendors no JSON crate, so the workspace
 //! hand-rolls the little it needs: [`Json`] is the value type,
 //! [`parse_json`] the parser, and [`render_json`] / [`render_json_pretty`]
-//! the writers. The Perfetto exporter's validator
-//! ([`crate::perfetto::validate_perfetto`]) parses trace files back with
-//! them, and the benchmark (`benchmark/`) writes its reports with them.
+//! the writers. The benchmark (`benchmark/`) writes its reports with
+//! them and reads them back.
 //!
 //! The lexing rules are written once: [`Lexer`] reads whitespace, strings
 //! (escapes and `\u` surrogate pairs included), number tokens, literals
 //! and list steps, and [`escape_into`], [`integer_into`] and
 //! [`number_into`] (finite or `null`) write, none of them through
-//! `core::fmt`. [`parse_json`] builds its tree from them. The run store
-//! (`tictac-store`) does not go through [`Json`] at all: its record codec
-//! reads and writes each field with the same primitives, so a record line
-//! follows the grammar `parse_json` accepts.
+//! `core::fmt` (the digits come from the graph crate's digit writer,
+//! which op names share). [`parse_json`] builds its tree from them. Two
+//! readers do not go through [`Json`] at all and read each field with
+//! the same primitives:
+//! the run store's record codec (`tictac-store`), so a record line
+//! follows the grammar `parse_json` accepts, and the streaming Perfetto
+//! validator ([`crate::perfetto::validate_perfetto`]), which steps over
+//! the values it does not read as `parse_json` would read them, with the
+//! same errors at the same bytes.
 //!
 //! Writer invariant: numbers are emitted in Rust's shortest `Display`
 //! form, which round-trips exactly through [`parse_json`] — for any
@@ -22,21 +26,14 @@
 //! The run store's byte-exact append-only guarantee rests on this.
 //! The Perfetto exporter writes its documents directly, not through
 //! [`Json`]: its fixed three-decimal timestamps are pinned byte for byte
-//! by golden snapshots. It shares the string escape, [`quote`]'s, and the
-//! digit writer, [`integer_into`].
+//! by golden snapshots. It shares the string escape, [`escape_into`], and
+//! the digit writer, [`integer_into`].
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
+
+use tictac_graph::decimal;
 
 mod shortest;
-
-/// Escapes `s` as a JSON string literal, including the surrounding
-/// quotes.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    quote_into(&mut out, s);
-    out
-}
 
 fn quote_into(out: &mut String, s: &str) {
     out.push('"');
@@ -62,7 +59,10 @@ pub fn escape_into(out: &mut String, s: &str) {
         // An ASCII byte is a whole character, so `i` is a char boundary.
         out.push_str(&s[copied..i]);
         if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
         } else {
             out.push_str(escape);
         }
@@ -138,49 +138,12 @@ impl Json {
     }
 }
 
-/// Appends `n` in decimal: the one digit writer the workspace's JSON
-/// writers share, in place of `write!`.
+/// Appends `n` in decimal: the workspace's one digit writer
+/// ([`decimal`], in `tictac-graph`, which op names share), in place of
+/// `write!`.
 pub fn integer_into(out: &mut String, n: u64) {
     let mut buf = [0; 20];
     out.push_str(decimal(&mut buf, n));
-}
-
-/// `"00" "01" … "99"`: two digits a lookup.
-const DIGIT_PAIRS: [u8; 200] = {
-    let mut pairs = [0; 200];
-    let mut i = 0;
-    while i < 100 {
-        pairs[2 * i] = b'0' + (i / 10) as u8;
-        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
-    }
-    pairs
-};
-
-/// `n`'s decimal digits, written into the tail of `buf` four at a time.
-fn decimal(buf: &mut [u8; 20], mut n: u64) -> &str {
-    let pair = |i: u64| &DIGIT_PAIRS[2 * i as usize..][..2];
-    let mut at = buf.len();
-    while n >= 10_000 {
-        let four = n % 10_000;
-        n /= 10_000;
-        at -= 4;
-        buf[at..at + 2].copy_from_slice(pair(four / 100));
-        buf[at + 2..at + 4].copy_from_slice(pair(four % 100));
-    }
-    if n >= 100 {
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(pair(n % 100));
-        n /= 100;
-    }
-    if n >= 10 {
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(pair(n));
-    } else {
-        at -= 1;
-        buf[at] = b'0' + n as u8;
-    }
-    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 /// Appends a JSON number: Rust's shortest `Display` form, byte for byte —
@@ -526,8 +489,10 @@ fn hex4(digits: &[u8]) -> Option<u32> {
 /// What the workspace writes nests six levels at most (a run record).
 const MAX_DEPTH: usize = 128;
 
-/// One value, `depth` arrays and objects down from the document.
-fn value(lx: &mut Lexer, depth: usize) -> Result<Json, String> {
+/// One value, `depth` arrays and objects down from the document. With
+/// `keep` false the value is checked, not built: strings stay borrowed
+/// where they can, containers collect nothing, and `Null` comes back.
+fn value(lx: &mut Lexer, depth: usize, keep: bool) -> Result<Json, String> {
     lx.skip_ws();
     match lx.peek() {
         Some(b'{' | b'[') if depth == MAX_DEPTH => {
@@ -537,10 +502,13 @@ fn value(lx: &mut Lexer, depth: usize) -> Result<Json, String> {
             let mut fields = Vec::new();
             let mut more = lx.open_list(b'{', b'}')?;
             while more {
-                let key = lx.string()?.into_owned();
+                let key = lx.string()?;
                 lx.skip_ws();
                 lx.expect(b':')?;
-                fields.push((key, value(lx, depth + 1)?));
+                let item = value(lx, depth + 1, keep)?;
+                if keep {
+                    fields.push((key.into_owned(), item));
+                }
                 more = lx.next_item(b'}')?;
             }
             Ok(Json::Obj(fields))
@@ -549,12 +517,22 @@ fn value(lx: &mut Lexer, depth: usize) -> Result<Json, String> {
             let mut items = Vec::new();
             let mut more = lx.open_list(b'[', b']')?;
             while more {
-                items.push(value(lx, depth + 1)?);
+                let item = value(lx, depth + 1, keep)?;
+                if keep {
+                    items.push(item);
+                }
                 more = lx.next_item(b']')?;
             }
             Ok(Json::Arr(items))
         }
-        Some(b'"') => Ok(Json::Str(lx.string()?.into_owned())),
+        Some(b'"') => {
+            let text = lx.string()?;
+            Ok(if keep {
+                Json::Str(text.into_owned())
+            } else {
+                Json::Null
+            })
+        }
         Some(b't') => lx.literal("true").map(|()| Json::Bool(true)),
         Some(b'f') => lx.literal("false").map(|()| Json::Bool(false)),
         Some(b'n') => lx.literal("null").map(|()| Json::Null),
@@ -564,13 +542,29 @@ fn value(lx: &mut Lexer, depth: usize) -> Result<Json, String> {
     }
 }
 
+/// Checks one value `depth` levels down as [`parse_json`] reads it —
+/// the same errors at the same bytes — without building it: the
+/// streaming validator's step over the fields it does not read.
+pub(crate) fn skip_value(lx: &mut Lexer, depth: usize) -> Result<(), String> {
+    value(lx, depth, false).map(drop)
+}
+
 /// Parses one JSON document, rejecting trailing garbage and nesting
 /// deeper than 128 levels.
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let lx = &mut Lexer::new(src);
-    let doc = value(lx, 0)?;
+    let doc = value(lx, 0, true)?;
     lx.end()?;
     Ok(doc)
+}
+
+/// Escapes `s` as a JSON string literal, including the surrounding
+/// quotes.
+#[cfg(test)]
+pub(crate) fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    quote_into(&mut out, s);
+    out
 }
 
 #[cfg(test)]
@@ -855,6 +849,23 @@ mod tests {
             let mut lx = Lexer::new(src);
             assert_eq!(lx.compact_key(sep, key), hit, "{src}");
             assert_eq!(lx.pos(), if hit { key.len() + 4 } else { 0 }, "{src}");
+        }
+    }
+
+    /// Every control byte as the six-byte `\u00XX` escape `format!` wrote,
+    /// but for the three with a short escape.
+    #[test]
+    fn control_bytes_escape_as_format_wrote_them() {
+        for b in 0u8..0x20 {
+            let mut out = String::new();
+            escape_into(&mut out, &char::from(b).to_string());
+            let want = match b {
+                b'\n' => "\\n".to_string(),
+                b'\r' => "\\r".to_string(),
+                b'\t' => "\\t".to_string(),
+                _ => format!("\\u{:04x}", b),
+            };
+            assert_eq!(out, want, "byte {b:#04x}");
         }
     }
 

@@ -44,7 +44,7 @@ pub use analyze::{
     overlap_report, priority_inversions, sim_metrics, ChannelUsage, DeviceUsage, InversionRecord,
     InversionReport, OverlapReport,
 };
-pub use json::{parse_json, quote, render_json, render_json_pretty, Json};
+pub use json::{parse_json, render_json, render_json_pretty, Json};
 pub use perfetto::{perfetto_json, validate_perfetto, PerfettoStats};
 pub use registry::{
     BucketHistogram, Counter, Gauge, HistogramStats, MetricValue, Registry, Snapshot, Timer,

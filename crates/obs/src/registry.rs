@@ -47,13 +47,13 @@ fn resolve<'m>(
     &metrics[name]
 }
 
+/// A registered metric: its handle, which always records.
 #[derive(Debug, Clone)]
 enum Metric {
-    Counter(Arc<AtomicU64>),
-    /// Gauges store `f64` bits.
-    Gauge(Arc<AtomicU64>),
-    Histogram(Arc<HistogramCore>),
-    Timer(Arc<TimerCore>),
+    Counter(Counter),
+    Gauge(Gauge),
+    Histogram(BucketHistogram),
+    Timer(Timer),
 }
 
 impl Metric {
@@ -67,23 +67,23 @@ impl Metric {
     }
 
     fn new_counter() -> Self {
-        Metric::Counter(Arc::default())
+        Metric::Counter(Counter(Some(Arc::default())))
     }
 
-    fn counter(&self) -> Option<Counter> {
+    fn counter(&self) -> Option<&Counter> {
         match self {
-            Metric::Counter(c) => Some(Counter(Some(c.clone()))),
+            Metric::Counter(c) => Some(c),
             _ => None,
         }
     }
 
     fn new_gauge() -> Self {
-        Metric::Gauge(Arc::default())
+        Metric::Gauge(Gauge(Some(Arc::default())))
     }
 
-    fn gauge(&self) -> Option<Gauge> {
+    fn gauge(&self) -> Option<&Gauge> {
         match self {
-            Metric::Gauge(g) => Some(Gauge(Some(g.clone()))),
+            Metric::Gauge(g) => Some(g),
             _ => None,
         }
     }
@@ -93,15 +93,16 @@ impl Metric {
     /// # Panics
     ///
     /// Panics if it is a histogram over other bounds.
-    fn histogram(&self, bounds: &[u64]) -> Option<BucketHistogram> {
+    fn histogram(&self, bounds: &[u64]) -> Option<&BucketHistogram> {
         match self {
             Metric::Histogram(h) => {
+                let core = h.0.as_ref().expect("a registered histogram records");
                 assert_eq!(
-                    h.bounds, bounds,
+                    core.bounds, bounds,
                     "histogram over {:?} re-registered with different bounds",
-                    h.bounds
+                    core.bounds
                 );
-                Some(BucketHistogram(Some(h.clone())))
+                Some(h)
             }
             _ => None,
         }
@@ -170,41 +171,51 @@ impl Registry {
     pub fn timer(&self, name: &str) -> Timer {
         self.slot(
             name,
-            || Metric::Timer(Arc::default()),
+            || Metric::Timer(Timer(Some(Arc::default()))),
             |m| match m {
-                Metric::Timer(t) => Some(Timer(Some(t.clone()))),
+                Metric::Timer(t) => Some(t),
                 _ => None,
             },
         )
     }
 
-    /// The counters `{prefix}{i}{suffix}` for `i` in `0..n`, handle `i`
-    /// index `i`'s — so `counters("sim.chan", ".bytes", 2)` holds
-    /// `sim.chan0.bytes` and `sim.chan1.bytes` — each registered or
-    /// re-attached to as [`counter`](Self::counter) does. The registry
-    /// formats and looks up each name once: a later request with the same
-    /// `prefix` and `suffix` reuses the metrics found.
+    /// Calls `f(i, counter)` for the counters `{prefix}{i}{suffix}`, `i`
+    /// in `0..n` — so `counters("sim.chan", ".bytes", 2, f)` visits
+    /// `sim.chan0.bytes` and `sim.chan1.bytes` — registering the new ones,
+    /// with the registry locked. It formats and looks up each name once: a
+    /// later call with the same `prefix` and `suffix` reuses the metrics
+    /// found, and no handle is cloned. A disabled registry calls nothing.
     ///
     /// # Panics
     ///
     /// Panics if one of the names is already registered as a different
     /// metric kind.
-    pub(crate) fn counters(&self, prefix: &str, suffix: &str, n: usize) -> Vec<Counter> {
-        self.indexed(prefix, suffix, n, Metric::new_counter, Metric::counter)
+    pub(crate) fn counters(
+        &self,
+        prefix: &str,
+        suffix: &str,
+        n: usize,
+        f: impl FnMut(usize, &Counter),
+    ) {
+        self.indexed(prefix, suffix, n, Metric::new_counter, Metric::counter, f);
     }
 
-    /// The gauges `{prefix}{i}{suffix}` for `i` in `0..n`, as
-    /// [`counters`](Self::counters) resolves counters.
+    /// [`counters`](Self::counters) for gauges.
     ///
     /// # Panics
     ///
     /// As [`counters`](Self::counters).
-    pub(crate) fn gauges(&self, prefix: &str, suffix: &str, n: usize) -> Vec<Gauge> {
-        self.indexed(prefix, suffix, n, Metric::new_gauge, Metric::gauge)
+    pub(crate) fn gauges(
+        &self,
+        prefix: &str,
+        suffix: &str,
+        n: usize,
+        f: impl FnMut(usize, &Gauge),
+    ) {
+        self.indexed(prefix, suffix, n, Metric::new_gauge, Metric::gauge, f);
     }
 
-    /// The histograms `{prefix}{i}{suffix}` over `bounds` for `i` in
-    /// `0..n`, as [`counters`](Self::counters) resolves counters.
+    /// [`counters`](Self::counters) for histograms over `bounds`.
     ///
     /// # Panics
     ///
@@ -215,29 +226,32 @@ impl Registry {
         suffix: &str,
         bounds: &[u64],
         n: usize,
-    ) -> Vec<BucketHistogram> {
+        f: impl FnMut(usize, &BucketHistogram),
+    ) {
         self.indexed(
             prefix,
             suffix,
             n,
             || HistogramCore::metric(bounds),
             |m| m.histogram(bounds),
-        )
+            f,
+        );
     }
 
-    /// The handles of `{prefix}{i}{suffix}` for `i` in `0..n`: the names
-    /// not resolved by an earlier request are registered as
+    /// Visits the handles of `{prefix}{i}{suffix}` for `i` in `0..n`: the
+    /// names not resolved by an earlier request are registered as
     /// [`slot`](Self::slot) registers one, the rest come from the cache.
-    fn indexed<H: Clone + Default>(
+    fn indexed<H>(
         &self,
         prefix: &str,
         suffix: &str,
         n: usize,
         mk: impl Fn() -> Metric,
-        handle: impl Fn(&Metric) -> Option<H>,
-    ) -> Vec<H> {
+        handle: impl Fn(&Metric) -> Option<&H>,
+        mut f: impl FnMut(usize, &H),
+    ) {
         let Some(inner) = &self.inner else {
-            return vec![H::default(); n];
+            return;
         };
         let mut state = inner.lock().expect("registry lock");
         let State { metrics, indexed } = &mut *state;
@@ -256,27 +270,24 @@ impl Registry {
             let metric = resolve(metrics, &format!("{prefix}{i}{suffix}"), &mk);
             resolved.push(metric.clone());
         }
-        resolved[..n]
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                handle(m).unwrap_or_else(|| {
-                    panic!(
-                        "metric \"{prefix}{i}{suffix}\" already registered as a {}",
-                        m.kind()
-                    )
-                })
-            })
-            .collect()
+        for (i, m) in resolved[..n].iter().enumerate() {
+            let h = handle(m).unwrap_or_else(|| {
+                panic!(
+                    "metric \"{prefix}{i}{suffix}\" already registered as a {}",
+                    m.kind()
+                )
+            });
+            f(i, h);
+        }
     }
 
     /// The handle of `name`: re-attached if registered, made by `mk` and
     /// registered otherwise, the default no-op handle when disabled.
-    fn slot<H: Default>(
+    fn slot<H: Clone + Default>(
         &self,
         name: &str,
         mk: impl FnOnce() -> Metric,
-        handle: impl FnOnce(&Metric) -> Option<H>,
+        handle: impl FnOnce(&Metric) -> Option<&H>,
     ) -> H {
         let Some(inner) = &self.inner else {
             return H::default();
@@ -284,6 +295,7 @@ impl Registry {
         let mut state = inner.lock().expect("registry lock");
         let metric = resolve(&mut state.metrics, name, mk);
         handle(metric)
+            .cloned()
             .unwrap_or_else(|| panic!("metric {name:?} already registered as a {}", metric.kind()))
     }
 
@@ -294,15 +306,23 @@ impl Registry {
         if let Some(inner) = &self.inner {
             let state = inner.lock().expect("registry lock");
             for (name, metric) in state.metrics.iter() {
+                let recording = "a registered metric records";
                 let value = match metric {
-                    Metric::Counter(c) => MetricValue::Counter(c.load(Relaxed)),
-                    Metric::Gauge(g) => MetricValue::Gauge(f64::from_bits(g.load(Relaxed))),
-                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                    Metric::Timer(t) => MetricValue::Timer(TimerStats {
-                        count: t.count.load(Relaxed),
-                        total_ns: t.total_ns.load(Relaxed),
-                        max_ns: t.max_ns.load(Relaxed),
-                    }),
+                    Metric::Counter(c) => MetricValue::Counter(c.get()),
+                    Metric::Gauge(Gauge(g)) => MetricValue::Gauge(f64::from_bits(
+                        g.as_ref().expect(recording).load(Relaxed),
+                    )),
+                    Metric::Histogram(BucketHistogram(h)) => {
+                        MetricValue::Histogram(h.as_ref().expect(recording).snapshot())
+                    }
+                    Metric::Timer(Timer(t)) => {
+                        let t = t.as_ref().expect(recording);
+                        MetricValue::Timer(TimerStats {
+                            count: t.count.load(Relaxed),
+                            total_ns: t.total_ns.load(Relaxed),
+                            max_ns: t.max_ns.load(Relaxed),
+                        })
+                    }
                 };
                 entries.push((name.clone(), value));
             }
@@ -372,13 +392,13 @@ impl HistogramCore {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
-        Metric::Histogram(Arc::new(Self {
+        Metric::Histogram(BucketHistogram(Some(Arc::new(Self {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
-        }))
+        }))))
     }
 
     fn snapshot(&self) -> HistogramStats {
@@ -400,20 +420,37 @@ impl BucketHistogram {
     /// Records one sample. No-op on a disabled handle.
     #[inline]
     pub fn observe(&self, value: u64) {
-        self.observe_n(value, 1);
-    }
-
-    /// Records `n > 0` samples of `value`, exactly as observing each of
-    /// them would: in the bucket of the first bound at or above it, or
-    /// the overflow one. No-op on a disabled handle.
-    #[inline]
-    pub(crate) fn observe_n(&self, value: u64, n: u64) {
         if let Some(h) = &self.0 {
-            h.buckets[h.bounds.partition_point(|&b| b < value)].fetch_add(n, Relaxed);
-            h.count.fetch_add(n, Relaxed);
-            h.sum.fetch_add(value * n, Relaxed);
+            h.buckets[h.bounds.partition_point(|&b| b < value)].fetch_add(1, Relaxed);
+            h.count.fetch_add(1, Relaxed);
+            h.sum.fetch_add(value, Relaxed);
             h.max.fetch_max(value, Relaxed);
         }
+    }
+
+    /// Records samples already counted per bucket — `counts[i]` in the
+    /// bucket of the `i`-th bound, the overflow one last — with their
+    /// `sum` and `max`, exactly as observing each of them would. No-op on
+    /// a disabled handle or with no samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` has not one slot per bucket.
+    pub(crate) fn observe_counts(&self, counts: &[u64], sum: u64, max: u64) {
+        let Some(h) = &self.0 else {
+            return;
+        };
+        assert_eq!(counts.len(), h.buckets.len(), "one count per bucket");
+        let n: u64 = counts.iter().sum();
+        if n == 0 {
+            return;
+        }
+        for (bucket, &c) in h.buckets.iter().zip(counts).filter(|(_, &c)| c > 0) {
+            bucket.fetch_add(c, Relaxed);
+        }
+        h.count.fetch_add(n, Relaxed);
+        h.sum.fetch_add(sum, Relaxed);
+        h.max.fetch_max(max, Relaxed);
     }
 }
 
@@ -699,41 +736,43 @@ mod tests {
     }
 
     #[test]
-    fn repeated_samples_equal_observed_ones() {
+    fn counted_samples_equal_observed_ones() {
         let reg = Registry::enabled();
-        let (one, batch) = (
+        let (one, counted) = (
             reg.histogram("one", &[1, 4, 16]),
-            reg.histogram("batch", &[1, 4, 16]),
+            reg.histogram("counted", &[1, 4, 16]),
         );
         for (v, n) in [(0, 2), (2, 1), (5, 3), (100, 1)] {
             for _ in 0..n {
                 one.observe(v);
             }
-            batch.observe_n(v, n);
         }
+        counted.observe_counts(&[2, 1, 3, 1], 117, 100);
+        counted.observe_counts(&[0; 4], 0, 0);
         assert_eq!(stats(&reg, "one").buckets, vec![2, 1, 3, 1]);
-        assert_eq!(stats(&reg, "one"), stats(&reg, "batch"));
+        assert_eq!(stats(&reg, "one"), stats(&reg, "counted"));
     }
 
     #[test]
     fn indexed_metrics_are_the_named_ones() {
         let reg = Registry::enabled();
         reg.counter("sim.chan1.bytes").add(5);
-        let bytes = reg.counters("sim.chan", ".bytes", 2);
-        bytes[0].add(7);
-        bytes[1].inc();
+        reg.counters("sim.chan", ".bytes", 2, |i, c| c.add([7, 1][i]));
         assert_eq!(reg.counter("sim.chan0.bytes").get(), 7);
         assert_eq!(reg.counter("sim.chan1.bytes").get(), 6);
         // A larger request resolves the new indices; a smaller one is cut.
-        let grown = reg.counters("sim.chan", ".bytes", 3);
-        grown[2].inc();
-        assert_eq!(
-            (grown[1].get(), reg.counter("sim.chan2.bytes").get()),
-            (6, 1)
-        );
-        assert_eq!(reg.counters("sim.chan", ".bytes", 1).len(), 1);
-        reg.gauges("sim.chan", ".idle_ns", 1)[0].set(2.5);
-        reg.histograms("sim.dev", ".depth", &[1, 2], 1)[0].observe(2);
+        let mut grown = Vec::new();
+        reg.counters("sim.chan", ".bytes", 3, |i, c| {
+            c.add(u64::from(i == 2));
+            grown.push(c.get());
+        });
+        assert_eq!(grown, [7, 6, 1]);
+        assert_eq!(reg.counter("sim.chan2.bytes").get(), 1);
+        let mut visited = 0;
+        reg.counters("sim.chan", ".bytes", 1, |_, _| visited += 1);
+        assert_eq!(visited, 1);
+        reg.gauges("sim.chan", ".idle_ns", 1, |_, g| g.set(2.5));
+        reg.histograms("sim.dev", ".depth", &[1, 2], 1, |_, h| h.observe(2));
         let snap = reg.snapshot();
         let names: Vec<_> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
@@ -750,26 +789,26 @@ mod tests {
             snap.get("sim.chan0.idle_ns"),
             Some(&MetricValue::Gauge(2.5))
         );
-        // Disabled handles are inert.
-        let off = Registry::disabled().counters("sim.chan", ".bytes", 2);
-        off[0].inc();
-        assert_eq!((off.len(), off[0].get()), (2, 0));
+        // A disabled registry visits nothing.
+        let mut visited = 0;
+        Registry::disabled().counters("sim.chan", ".bytes", 2, |_, _| visited += 1);
+        assert_eq!(visited, 0);
     }
 
     #[test]
     #[should_panic(expected = "already registered as a counter")]
     fn indexed_kind_mismatch_panics() {
         let reg = Registry::enabled();
-        let _ = reg.counters("f", "", 1);
-        let _ = reg.gauges("f", "", 1);
+        reg.counters("f", "", 1, |_, _| {});
+        reg.gauges("f", "", 1, |_, _| {});
     }
 
     #[test]
     #[should_panic(expected = "different bounds")]
     fn indexed_bounds_mismatch_panics() {
         let reg = Registry::enabled();
-        let _ = reg.histograms("h", "", &[1, 2], 1);
-        let _ = reg.histograms("h", "", &[1, 3], 1);
+        reg.histograms("h", "", &[1, 2], 1, |_, _| {});
+        reg.histograms("h", "", &[1, 3], 1, |_, _| {});
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `tictac` answers bad input with `error: ...` and a non-zero exit code —
 //! never with a panic (ROADMAP aim 3) and never by quietly doing something
-//! other than what was asked.
+//! other than what was asked. So does `repro --validate-trace`.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn tictac(args: &[&str]) -> (Output, String) {
@@ -243,4 +243,61 @@ fn timeline_renders_the_sessions_iteration_for_every_scheduler() {
         let expected = session.perfetto_json(0).expect("fault-free iteration");
         assert!(json == expected, "{name}: not the session's export");
     }
+}
+
+/// The `repro` binary of this build's profile. It belongs to another
+/// package of the workspace, so it is built here if this test run has not
+/// built it.
+fn repro() -> PathBuf {
+    let dir = Path::new(env!("CARGO_BIN_EXE_tictac")).parent().unwrap();
+    let bin = dir.join(format!("repro{}", std::env::consts::EXE_SUFFIX));
+    if !bin.exists() {
+        let release = dir.ends_with("release").then_some("--release");
+        let status = Command::new(env!("CARGO"))
+            .args([
+                "build",
+                "-q",
+                "--offline",
+                "-p",
+                "tictac-bench",
+                "--bin",
+                "repro",
+            ])
+            .args(release)
+            .status()
+            .expect("spawn cargo");
+        assert!(status.success(), "building repro failed");
+    }
+    bin
+}
+
+#[test]
+fn validate_trace_refuses_a_slice_on_an_undeclared_process() {
+    let dir = std::env::temp_dir().join(format!("tictac-validate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let slice = r#"{"ph":"X","name":"op","ts":1.000,"dur":2.000,"pid":1,"tid":0}"#;
+    let declared = r#"{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"w0"}}"#;
+    let run = |events: &str| {
+        let path = dir.join("trace.json");
+        std::fs::write(&path, format!("{{\"traceEvents\": [\n{events}\n]}}\n")).unwrap();
+        let out = Command::new(repro())
+            .arg("--validate-trace")
+            .arg(&path)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+        (out.status.success(), stderr)
+    };
+    let (ok, stderr) = run(&format!("{declared},\n{slice}"));
+    assert!(!ok, "a slice on pid 1 passed with only pid 0 declared");
+    assert!(
+        stderr.contains("slice on pid 1, which no process_name metadata declares"),
+        "{stderr}"
+    );
+    // Declared after the slice is declared.
+    let declared_later = r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"w1"}}"#;
+    let (ok, stderr) = run(&format!("{slice},\n{declared_later}"));
+    assert!(ok, "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

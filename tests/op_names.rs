@@ -13,9 +13,10 @@
 
 use std::collections::HashMap;
 use tictac::{
-    deploy, ClusterSpec, Cost, DeployedModel, DeviceId, GraphBuilder, Mode, Model, ModelGraph,
-    OpId, OpKind, OpName,
+    deploy, no_ordering, perfetto_json, simulate, ClusterSpec, CommConfig, Cost, DeployedModel,
+    DeviceId, GraphBuilder, Mode, Model, ModelGraph, OpId, OpKind, OpName, SimConfig,
 };
+use tictac_obs::{parse_json, Json};
 
 /// Rebuilds the legacy `format!` name of `id` without consulting the
 /// rendering path. `compute_seq` tracks, per worker, how many compute ops
@@ -122,6 +123,67 @@ fn rendered_names_match_legacy_strings_for_inference_zoo() {
         let graph = model.build_with_batch(Mode::Inference, 2);
         check_deployment(&graph, &ClusterSpec::new(4, 2));
     }
+}
+
+/// An export writes each slice's name straight from its [`OpName`], not
+/// through the graph's name cache, and writes what the cache holds: on
+/// zoo models deployed with a `comm:` block (chunked and fused
+/// transfers), every slice of a fresh graph's export carries the name
+/// [`Graph::op_name`] renders, and a graph whose cache was filled first
+/// exports the same document.
+#[test]
+fn exports_write_the_names_the_cache_renders() {
+    let comm = CommConfig::default()
+        .with_partition_bytes(Some(1 << 20))
+        .with_fusion_bytes(Some(64 << 10));
+    for model in [Model::AlexNetV2, Model::InceptionV1, Model::ResNet50V1] {
+        let graph = model.build_with_batch(Mode::Training, 2);
+        let spec = ClusterSpec::new(2, 2).with_comm(comm);
+        let (fresh, cached) = (
+            deploy(&graph, &spec).unwrap(),
+            deploy(&graph, &spec).unwrap(),
+        );
+        let config = SimConfig::cloud_gpu();
+        let trace = simulate(fresh.graph(), &no_ordering(fresh.graph()), &config, 0);
+        let doc = perfetto_json(fresh.graph(), &trace, "names");
+        let cached_names: Vec<&str> = cached
+            .graph()
+            .op_ids()
+            .map(|id| cached.graph().op_name(id))
+            .collect();
+        assert_eq!(doc, perfetto_json(cached.graph(), &trace, "names"));
+        let parsed = parse_json(&doc).unwrap();
+        let mut slices = 0;
+        let mut chunked = 0;
+        for event in parsed.get("traceEvents").and_then(Json::as_array).unwrap() {
+            if event.get("ph").and_then(Json::as_str) != Some("X") {
+                continue;
+            }
+            let op = event
+                .get("args")
+                .and_then(|a| a.get("op"))
+                .and_then(Json::as_f64)
+                .unwrap();
+            let name = event.get("name").and_then(Json::as_str).unwrap();
+            assert_eq!(name, cached_names[op as usize], "{model:?}");
+            slices += 1;
+            chunked += usize::from(name.contains(".part") || name.contains("fused"));
+        }
+        assert_eq!(
+            slices,
+            trace.executed_ops() - sends(fresh.graph(), &trace),
+            "{model:?}"
+        );
+        assert!(chunked > 0, "{model:?}: no chunked or fused transfer");
+    }
+}
+
+/// Executed sends, which an export skips.
+fn sends(graph: &tictac::Graph, trace: &tictac::ExecutionTrace) -> usize {
+    graph
+        .ops()
+        .filter(|(id, op)| op.kind().is_send() && trace.record(*id).is_some())
+        .count()
 }
 
 /// Hand-built graphs go through [`OpName::Raw`]: the builder interns the
