@@ -83,6 +83,22 @@ if [ "$(grep -ci tally crates/sim/src/engine.rs)" -ne 0 ]; then
     exit 1
 fi
 
+echo "== design citations =="
+# Every `DESIGN.md §N` (or `§N.M`) cited in the code, its tests and this
+# script names a `## N.` heading of DESIGN.md. Each line is read joined
+# to the next with its comment marker stripped, so a citation broken
+# over two comment lines is checked too.
+cited=$({ find crates src tests -name '*.rs' | sort; echo ci.sh; } | xargs awk '
+    FNR == 1 { prev = "" }
+    { line = $0; sub(/^[ \t]*(\/\/[\/!]?|#)?[ \t]*/, "", line); print prev " " line; prev = line }' |
+    grep -oE 'DESIGN\.md §[0-9]+' | sed 's/.*§//' | sort -un)
+for n in $cited; do
+    if ! grep -q "^## $n\. " DESIGN.md; then
+        echo "error: DESIGN.md §$n is cited but DESIGN.md has no '## $n.' heading" >&2
+        exit 1
+    fi
+done
+
 echo "== deterministic reports =="
 # Zero-drift gate: every report without a wall-clock column (all but
 # sched-cost, scale and exec) is regenerated in full and must be
@@ -93,6 +109,23 @@ reports=$reports,faults
 ./target/release/repro --exp "$reports" --out target/ci-results/repro > /dev/null
 for name in $(echo "$reports" | tr , ' '); do
     cmp "target/ci-results/repro/$name.txt" "results/$name.txt"
+done
+# Every committed artifact has a gate: a report above, a row gate (scale,
+# observe: the smokes below), the run store (runs.jsonl: the run store
+# smoke below) or a wall-clock measurement that drifts with the machine
+# and is regenerated by hand (sched-cost, exec, scale).
+row_gated=scale,observe
+wall_clock=sched-cost,exec,scale
+for path in results/*; do
+    case "$path" in
+        results/runs.jsonl) continue ;;
+        *.txt) name=$(basename "$path" .txt) ;;
+        *) name= ;;
+    esac
+    if [ -z "$name" ] || ! echo ",$reports,$row_gated,$wall_clock," | grep -qF ",$name,"; then
+        echo "error: $path is in no gate (add it to a list above or delete it)" >&2
+        exit 1
+    fi
 done
 
 echo "== scale smoke =="
@@ -144,12 +177,10 @@ cargo test --offline -q --test perfetto_fault_snapshot
 # against `format!("{}")` (10^6 cases here, 10^4 in the debug run), the
 # three narrow per-op tables' against the `Option` tables they replaced
 # (the schedule's bitset, the plan's four-byte rank and pairing columns,
-# the trace's 16-byte slot beside its ready column), the depth
-# histograms derived from a trace against an O(n^2) count from their
-# definition, the streaming trace validator against the tree walk it
-# replaced on exports and edits of them (2·10^4 documents here, 10^3 in
-# the debug run), and the op-name writer against the `format!` strings at
-# every digit-width edge.
+# the trace's 16-byte slot beside its ready column), the streaming trace
+# validator against the tree walk it replaced on exports and edits of
+# them (2·10^4 documents here, 10^3 in the debug run), and the op-name
+# writer against the `format!` strings at every digit-width edge.
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_heap_pops
 cargo test --offline -q --release -p tictac-sim --lib worklists_drain_what_the_sorted_vec_drains
@@ -159,7 +190,6 @@ cargo test --offline -q --release -p tictac-obs --lib shortest_float_matches_dis
 cargo test --offline -q --release -p tictac-sched --lib schedule_matches_the_option_table
 cargo test --offline -q --release -p tictac-sim --lib transfer_table_matches_the_option_columns
 cargo test --offline -q --release -p tictac-trace --lib trace_slots_match_option_records
-cargo test --offline -q --release -p tictac-obs --lib depth_histograms_match_the_definition
 cargo test --offline -q --release -p tictac-obs --lib streaming_validator_matches_the_tree_walk
 cargo test --offline -q --release -p tictac-graph --lib names_render_as_the_format_strings
 cargo test --offline -q --release --test perfetto_snapshot

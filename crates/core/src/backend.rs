@@ -136,8 +136,7 @@ fn run_observed(
 ) -> Result<ExecutionTrace, SimError> {
     let (trace, error) = run.run(graph, schedule, iteration, faults)?;
     if registry.is_enabled() {
-        let priority = |op| schedule.priority(op);
-        sim_metrics(registry, graph, &trace, error.is_none(), priority);
+        sim_metrics(registry, graph, &trace, error.is_none());
     }
     error.map_or(Ok(trace), Err)
 }

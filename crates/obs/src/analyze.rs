@@ -8,12 +8,10 @@
 //! `tictac_sched::efficiency::realized_efficiency`.
 //!
 //! To keep the dependency graph acyclic (the schedulers depend on this
-//! crate), [`priority_inversions`] and [`sim_metrics`] take a plain
+//! crate), [`priority_inversions`] takes a plain
 //! `Fn(OpId) -> Option<u64>` priority closure rather than a `Schedule`.
 
-use std::collections::BTreeMap;
-
-use crate::registry::{BucketHistogram, Registry};
+use crate::registry::Registry;
 use tictac_graph::{ChannelId, DeviceId, Graph, OpId, Resource};
 use tictac_trace::{ExecutionTrace, FaultCounters, OpRecord, SimDuration, SimTime};
 
@@ -90,13 +88,13 @@ impl OverlapReport {
 }
 
 /// Per-channel and per-device use of one trace in one pass, `visit`ing
-/// every op but the sends (which share their recv's interval) with its
-/// resource and record. A resource holds one op at a time, so its busy
-/// time is the sum of its ops' durations.
+/// every executed op but the sends (which share their recv's interval)
+/// with its resource and record. A resource holds one op at a time, so
+/// its busy time is the sum of its ops' durations.
 fn usage(
     graph: &Graph,
     trace: &ExecutionTrace,
-    mut visit: impl FnMut(Resource, OpId, Option<OpRecord>),
+    mut visit: impl FnMut(Resource, OpRecord),
 ) -> (Vec<ChannelUsage>, Vec<DeviceUsage>) {
     let makespan = trace.makespan();
     let mut channels: Vec<ChannelUsage> = (0..graph.channels().len())
@@ -116,11 +114,11 @@ fn usage(
         })
         .collect();
     for (id, op) in graph.ops().filter(|(_, op)| !op.kind().is_send()) {
-        let (resource, record) = (graph.resource(id), trace.record(id));
-        visit(resource, id, record);
-        let Some(busy) = record.map(|r| r.duration()) else {
+        let Some(record) = trace.record(id) else {
             continue;
         };
+        let (resource, busy) = (graph.resource(id), record.duration());
+        visit(resource, record);
         match resource {
             Resource::Channel(c) => {
                 let c = &mut channels[c.index()];
@@ -185,10 +183,7 @@ fn intersection_ns(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
 pub fn overlap_report(graph: &Graph, trace: &ExecutionTrace) -> OverlapReport {
     let mut chan_iv = vec![Vec::new(); graph.channels().len()];
     let mut dev_iv = vec![Vec::new(); graph.devices().len()];
-    let (channels, devices) = usage(graph, trace, |resource, _, record| {
-        let Some(rec) = record else {
-            return;
-        };
+    let (channels, devices) = usage(graph, trace, |resource, rec| {
         let interval = (rec.start.as_nanos(), rec.end.as_nanos());
         match resource {
             Resource::Channel(c) => chan_iv[c.index()].push(interval),
@@ -349,87 +344,16 @@ pub fn priority_inversions(
 
 /// Adds the simulator's `sim.*` metrics of one run to `registry`, derived
 /// from the trace it left, a failed (not `finished`) run's too. DESIGN.md
-/// §8 defines them: per channel and device the completed transfers' and
-/// ops' bytes, busy time and count, a finished run's idle time, and one
-/// depth sample per recorded start — the ops ready by then and not
-/// started before it, on a device only §3.1's candidates by `priority`.
-pub fn sim_metrics(
-    registry: &Registry,
-    graph: &Graph,
-    trace: &ExecutionTrace,
-    finished: bool,
-    priority: impl Fn(OpId) -> Option<u64>,
-) {
-    // Each lane's (channel's, then device's) ready and start instants, in
-    // two buffers lane by lane, with one slot more a lane for the ready
-    // side's sentinel; a device that runs a prioritized op keeps its
-    // instants in two lists of its own, beside its lane and the op's
-    // priority.
-    let nc = graph.channels().len();
-    let lane = |resource| match resource {
-        Resource::Channel(c) => c.index(),
-        Resource::Compute(d) => nc + d.index(),
-    };
-    let lanes = nc + graph.devices().len();
-    let (mut first, mut ranked) = (vec![0; lanes + 1], vec![false; lanes]);
-    for (id, _) in graph.ops().filter(|(_, op)| !op.kind().is_send()) {
-        let l = lane(graph.resource(id));
-        first[l + 1] += 1;
-        ranked[l] |= l >= nc && priority(id).is_some();
-    }
-    for l in 0..lanes {
-        first[l + 1] += first[l] + 1;
-    }
-    let (mut readies, mut starts) = (vec![0; first[lanes]], vec![0; first[lanes]]);
-    let (mut ready_end, mut start_end) = (first.clone(), first.clone());
-    let (mut ranked_readies, mut ranked_starts) = (Vec::new(), Vec::new());
-    let (channels, devices) = usage(graph, trace, |resource, id, record| {
-        let (Some(ready), l) = (trace.ready(id), lane(resource)) else {
-            return;
-        };
-        let (ready, start) = (ready.as_nanos(), record.map(|r| r.start.as_nanos()));
-        if ranked[l] {
-            ranked_readies.push((l, ready, priority(id)));
-            ranked_starts.extend(start.map(|s| (l, s, priority(id))));
-            return;
-        }
-        readies[ready_end[l]] = ready;
-        ready_end[l] += 1;
-        if let Some(s) = start {
-            starts[start_end[l]] = s;
-            start_end[l] += 1;
-        }
-    });
-    let mut samples = vec![DepthSamples::default(); lanes];
-    for l in (0..lanes).filter(|&l| !ranked[l]) {
-        let readies = &mut readies[first[l]..=ready_end[l]];
-        let starts = &mut starts[first[l]..start_end[l]];
-        let (sorted, sentinel) = readies.split_at_mut(readies.len() - 1);
-        sorted.sort_unstable();
-        sentinel[0] = u64::MAX;
-        starts.sort_unstable();
-        depths(readies, starts, &mut samples[l]);
-    }
-    ranked_readies.sort_unstable();
-    ranked_starts.sort_unstable();
-    let (mut ranked_readies, mut ranked_starts) = (&ranked_readies[..], &ranked_starts[..]);
-    let mut by_depth = Vec::new();
-    for l in (0..lanes).filter(|&l| ranked[l]) {
-        let own = |all: &[(usize, u64, Option<u64>)]| all.partition_point(|e| e.0 == l);
-        let (r, s) = (own(ranked_readies), own(ranked_starts));
-        by_depth.clear();
-        candidate_depths(&ranked_readies[..r], &ranked_starts[..s], &mut by_depth);
-        (ranked_readies, ranked_starts) = (&ranked_readies[r..], &ranked_starts[s..]);
-        for (depth, &n) in by_depth.iter().enumerate().filter(|s| *s.1 > 0) {
-            samples[l].add(depth as u64, n);
-        }
-    }
-
+/// §8 defines them: the popped events and retransmits, per channel and
+/// device the completed transfers' and ops' bytes, busy time and count,
+/// and a finished run's channel idle time.
+pub fn sim_metrics(registry: &Registry, graph: &Graph, trace: &ExecutionTrace, finished: bool) {
+    let (channels, devices) = usage(graph, trace, |_, _| {});
     let r = registry;
     r.counter("sim.events").add(trace.popped_events());
     r.counter("sim.retransmits")
         .add(FaultCounters::from_trace(trace).retransmits);
-    let nd = devices.len();
+    let (nc, nd) = (channels.len(), devices.len());
     r.counters("sim.chan", ".bytes", nc, |c, m| m.add(channels[c].bytes));
     r.counters("sim.chan", ".busy_ns", nc, |c, m| {
         m.add(channels[c].busy.as_nanos())
@@ -445,103 +369,6 @@ pub fn sim_metrics(
         r.gauges("sim.chan", ".idle_ns", nc, |c, m| {
             m.set(channels[c].idle.as_nanos() as f64)
         });
-    }
-    let (queue, ready) = samples.split_at(nc);
-    let observe =
-        |s: &DepthSamples, h: &BucketHistogram| h.observe_counts(&s.buckets, s.sum, s.max);
-    r.histograms("sim.chan", ".queue_depth", &DEPTH_BUCKETS, nc, |c, h| {
-        observe(&queue[c], h)
-    });
-    r.histograms("sim.dev", ".ready_depth", &DEPTH_BUCKETS, nd, |d, h| {
-        observe(&ready[d], h)
-    });
-}
-
-/// Bounds of the queue- and ready-depth histograms: the powers of two
-/// from 1 to 128, so [`depth_bucket`] is a bit count.
-const DEPTH_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
-/// The bucket of [`DEPTH_BUCKETS`] a depth falls in, the overflow one
-/// last: `DEPTH_BUCKETS.partition_point(|&b| b < depth)`, without the
-/// search — the bits of `depth - 1`, at most 8.
-fn depth_bucket(depth: u64) -> usize {
-    (u64::BITS - depth.saturating_sub(1).leading_zeros()).min(8) as usize
-}
-
-/// One lane's depth samples, counted per bucket of its histogram with
-/// their sum and maximum, to be recorded at once.
-#[derive(Debug, Clone, Copy, Default)]
-struct DepthSamples {
-    buckets: [u64; DEPTH_BUCKETS.len() + 1],
-    sum: u64,
-    max: u64,
-}
-
-impl DepthSamples {
-    /// Counts `n` samples of `depth`.
-    #[inline]
-    fn add(&mut self, depth: u64, n: u64) {
-        self.buckets[depth_bucket(depth)] += n;
-        self.sum += depth * n;
-        self.max = self.max.max(depth);
-    }
-}
-
-/// One lane's depth samples from its sorted `readies`, which end in a
-/// `u64::MAX` sentinel, and its sorted `starts`: at each start, the ops
-/// ready by then less those started before its instant, so the starts of
-/// one instant share one value.
-fn depths(readies: &[u64], starts: &[u64], samples: &mut DepthSamples) {
-    // `group` is where the starts of instant `at` begin.
-    let (mut ready, mut group, mut at) = (0, 0, u64::MAX);
-    for (i, &start) in starts.iter().enumerate() {
-        while readies[ready] <= start {
-            ready += 1;
-        }
-        if start != at {
-            (group, at) = (i, start);
-        }
-        samples.add((ready - group) as u64, 1);
-    }
-}
-
-/// Counts `n` samples of `depth` into `samples`, indexed by depth.
-fn sample(samples: &mut Vec<u64>, depth: usize, n: usize) {
-    if samples.len() <= depth {
-        samples.resize(depth + 1, 0);
-    }
-    samples[depth] += n as u64;
-}
-
-/// [`depths`] on a lane of `(lane, instant, priority)` entries, counting
-/// only §3.1's pick candidates among the waiting ops: the unprioritized
-/// ones and those at the lowest priority.
-fn candidate_depths(
-    readies: &[(usize, u64, Option<u64>)],
-    starts: &[(usize, u64, Option<u64>)],
-    samples: &mut Vec<u64>,
-) {
-    // How many waiting ops are unprioritized, how many hold each priority.
-    let (mut unprio, mut levels) = (0, BTreeMap::<u64, usize>::new());
-    let mut readies = readies.iter().peekable();
-    for group in starts.chunk_by(|a, b| a.1 == b.1) {
-        while let Some(&(_, _, p)) = readies.next_if(|r| r.1 <= group[0].1) {
-            match p {
-                Some(p) => *levels.entry(p).or_default() += 1,
-                None => unprio += 1,
-            }
-        }
-        let lowest = levels.first_key_value().map_or(0, |(_, &n)| n);
-        sample(samples, unprio + lowest, group.len());
-        for &(_, _, p) in group {
-            match p {
-                Some(p) if levels[&p] == 1 => {
-                    levels.remove(&p);
-                }
-                Some(p) => *levels.get_mut(&p).expect("a started op waited") -= 1,
-                None => unprio -= 1,
-            }
-        }
     }
 }
 
@@ -801,13 +628,13 @@ mod tests {
 
     /// A random cluster graph and a trace of it: workers and PSs joined
     /// by channels, parameters sent by their PS to one or two recvs (or
-    /// reaching a sendless recv), compute ops on every device, some of
-    /// them prioritized. Each resource runs its ops one at a time, each
+    /// reaching a sendless recv), compute ops on every device. Each
+    /// resource runs its ops one at a time, each
     /// op starting at or after it became ready, on a time axis narrow
     /// enough for instants to coincide and with zero-length ops. When
     /// `faulty`, some ops become ready and never start, some never become
     /// ready, and a barrier raises the makespan.
-    fn random_run(seed: u64, faulty: bool) -> (Graph, ExecutionTrace, Vec<Option<u64>>) {
+    fn random_run(seed: u64, faulty: bool) -> (Graph, ExecutionTrace) {
         let mut next = split_mix(seed);
         let mut b = GraphBuilder::new();
         let workers: Vec<_> = (0..1 + next(3))
@@ -853,11 +680,6 @@ mod tests {
         }
         let g = b.build().unwrap();
 
-        let narrow = 1 + next(4);
-        let priority: Vec<Option<u64>> = g
-            .op_ids()
-            .map(|_| (next(3) == 0).then(|| next(narrow)))
-            .collect();
         let span = 1 + next(200);
         let mut tb = TraceBuilder::new(g.len());
         let mut free = vec![0u64; g.channels().len() + g.devices().len()];
@@ -902,106 +724,41 @@ mod tests {
             );
             tb.raise_makespan(t(4 * span));
         }
-        (g, tb.finish(), priority)
-    }
-
-    /// The depth histograms from their definitions, pair by pair: at
-    /// each executed op's start `s`, the ops of its resource ready by `s`
-    /// and not started before it; on a device, only those unprioritized
-    /// or at the lowest priority among them.
-    fn depths_by_definition(
-        registry: &Registry,
-        graph: &Graph,
-        trace: &ExecutionTrace,
-        priority: &[Option<u64>],
-    ) {
-        let waiting = |op: OpId, s: SimTime| {
-            trace.ready(op).is_some_and(|r| r <= s) && trace.record(op).is_none_or(|r| r.start >= s)
-        };
-        for (id, op) in graph.ops() {
-            let Some(rec) = trace.record(id) else {
-                continue;
-            };
-            if op.kind().is_send() {
-                continue;
-            }
-            let s = rec.start;
-            let mates = graph.op_ids().filter(|&p| {
-                graph.resource(p) == graph.resource(id)
-                    && !graph.op(p).kind().is_send()
-                    && waiting(p, s)
-            });
-            let (name, depth) = match graph.resource(id) {
-                Resource::Channel(c) => {
-                    (format!("sim.chan{}.queue_depth", c.index()), mates.count())
-                }
-                Resource::Compute(d) => {
-                    let mates: Vec<OpId> = mates.collect();
-                    let lowest = mates.iter().filter_map(|p| priority[p.index()]).min();
-                    let candidates = mates
-                        .iter()
-                        .filter(|p| priority[p.index()].is_none() || priority[p.index()] == lowest)
-                        .count();
-                    (format!("sim.dev{}.ready_depth", d.index()), candidates)
-                }
-            };
-            registry
-                .histogram(&name, &DEPTH_BUCKETS)
-                .observe(depth as u64);
-        }
+        (g, tb.finish())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// On random quiet and faulty traces, every depth histogram
-        /// [`sim_metrics`] derives holds the samples the definition
-        /// gives, op by op; the counters agree with the per-resource
-        /// rows of the overlap report.
+        /// On random quiet and faulty traces, the `sim.*` counters are
+        /// the overlap report's per-resource rows and the trace's event
+        /// and retransmit counts, a finished run alone sets idle gauges,
+        /// and nothing else is registered.
         #[test]
-        fn depth_histograms_match_the_definition(seed in any::<u64>(), faulty in any::<bool>()) {
-            let (g, trace, priority) = random_run(seed, faulty);
-            let derived = Registry::enabled();
-            sim_metrics(&derived, &g, &trace, !faulty, |op| priority[op.index()]);
-            let defined = Registry::enabled();
-            depths_by_definition(&defined, &g, &trace, &priority);
-            let defined = defined.snapshot();
-            let mut sampled = 0;
-            for (name, value) in &derived.snapshot().entries {
-                let MetricValue::Histogram(h) = value else { continue };
-                sampled += h.count;
-                match defined.get(name) {
-                    Some(MetricValue::Histogram(want)) => prop_assert_eq!(h, want, "{}", name),
-                    _ => prop_assert_eq!(h.count, 0, "{} has samples the definition lacks", name),
-                }
-            }
-            let executed = g
-                .ops()
-                .filter(|(id, op)| !op.kind().is_send() && trace.record(*id).is_some())
-                .count() as u64;
-            prop_assert_eq!(sampled, executed, "one sample per executed op");
+        fn sim_metrics_are_the_usage_rows(seed in any::<u64>(), faulty in any::<bool>()) {
+            let (g, trace) = random_run(seed, faulty);
+            let registry = Registry::enabled();
+            sim_metrics(&registry, &g, &trace, !faulty);
+            let snap = registry.snapshot();
             let report = overlap_report(&g, &trace);
-            let snap = derived.snapshot();
             for c in &report.channels {
                 let i = c.channel.index();
                 prop_assert_eq!(snap.counter(&format!("sim.chan{i}.busy_ns")), Some(c.busy.as_nanos()));
                 prop_assert_eq!(snap.counter(&format!("sim.chan{i}.bytes")), Some(c.bytes));
-                let idle = snap.get(&format!("sim.chan{i}.idle_ns"));
-                prop_assert_eq!(idle.is_some(), !faulty);
+                prop_assert_eq!(snap.counter(&format!("sim.chan{i}.transfers")), Some(c.transfers as u64));
+                let idle = (!faulty).then_some(MetricValue::Gauge(c.idle.as_nanos() as f64));
+                prop_assert_eq!(snap.get(&format!("sim.chan{i}.idle_ns")), idle.as_ref());
             }
             for d in &report.devices {
                 let i = d.device.index();
+                prop_assert_eq!(snap.counter(&format!("sim.dev{i}.busy_ns")), Some(d.busy.as_nanos()));
                 prop_assert_eq!(snap.counter(&format!("sim.dev{i}.ops")), Some(d.ops as u64));
             }
+            prop_assert_eq!(snap.counter("sim.events"), Some(trace.popped_events()));
             prop_assert_eq!(snap.counter("sim.retransmits"), Some(u64::from(faulty)));
-        }
-    }
-
-    #[test]
-    fn depth_buckets_are_bit_counts() {
-        for depth in (0..=300).chain([u64::MAX - 1, u64::MAX]) {
-            let searched = DEPTH_BUCKETS.partition_point(|&b| b < depth);
-            assert_eq!(depth_bucket(depth), searched, "depth {depth}");
+            let per_channel = 3 + usize::from(!faulty);
+            let expected = 2 + per_channel * report.channels.len() + 2 * report.devices.len();
+            prop_assert_eq!(snap.entries.len(), expected);
         }
     }
 

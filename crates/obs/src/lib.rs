@@ -9,8 +9,9 @@
 //!   monotonic timers behind zero-cost-when-disabled handles. The
 //!   schedulers and the training session register into a shared
 //!   [`Registry`], and the simulator's metrics are added to it from each
-//!   run's trace ([`analyze::sim_metrics`]); with the registry disabled,
-//!   the handles hold no allocation and nothing is derived.
+//!   run's trace ([`analyze::sim_metrics`]): counters and gauges from one
+//!   linear pass, no histogram. With the registry disabled, the handles
+//!   hold no allocation and nothing is derived.
 //! - [`perfetto`] — renders a trace as Chrome `trace_event` JSON: one lane
 //!   per device compute unit and per channel, compute/transfer slices,
 //!   fault events as instants, and degraded-barrier deferrals as flow
@@ -20,7 +21,8 @@
 //!   priority-inversion detector
 //!   ([`analyze::priority_inversions`]) counting transfers that started
 //!   while a higher-priority transfer was already runnable on the same
-//!   channel, and the simulator's `sim.*` metrics of one run.
+//!   channel, and the simulator's `sim.*` metrics of one run (per channel
+//!   and device busy time, bytes and counts, channel idle time).
 //! - [`json`] — the workspace's hand-rolled JSON value/parser/writer
 //!   (the build environment vendors no JSON crate), shared with the
 //!   benchmark (`benchmark/`); the run store (`tictac-store`) builds its

@@ -215,29 +215,6 @@ impl Registry {
         self.indexed(prefix, suffix, n, Metric::new_gauge, Metric::gauge, f);
     }
 
-    /// [`counters`](Self::counters) for histograms over `bounds`.
-    ///
-    /// # Panics
-    ///
-    /// As [`histogram`](Self::histogram).
-    pub(crate) fn histograms(
-        &self,
-        prefix: &str,
-        suffix: &str,
-        bounds: &[u64],
-        n: usize,
-        f: impl FnMut(usize, &BucketHistogram),
-    ) {
-        self.indexed(
-            prefix,
-            suffix,
-            n,
-            || HistogramCore::metric(bounds),
-            |m| m.histogram(bounds),
-            f,
-        );
-    }
-
     /// Visits the handles of `{prefix}{i}{suffix}` for `i` in `0..n`: the
     /// names not resolved by an earlier request are registered as
     /// [`slot`](Self::slot) registers one, the rest come from the cache.
@@ -426,31 +403,6 @@ impl BucketHistogram {
             h.sum.fetch_add(value, Relaxed);
             h.max.fetch_max(value, Relaxed);
         }
-    }
-
-    /// Records samples already counted per bucket — `counts[i]` in the
-    /// bucket of the `i`-th bound, the overflow one last — with their
-    /// `sum` and `max`, exactly as observing each of them would. No-op on
-    /// a disabled handle or with no samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` has not one slot per bucket.
-    pub(crate) fn observe_counts(&self, counts: &[u64], sum: u64, max: u64) {
-        let Some(h) = &self.0 else {
-            return;
-        };
-        assert_eq!(counts.len(), h.buckets.len(), "one count per bucket");
-        let n: u64 = counts.iter().sum();
-        if n == 0 {
-            return;
-        }
-        for (bucket, &c) in h.buckets.iter().zip(counts).filter(|(_, &c)| c > 0) {
-            bucket.fetch_add(c, Relaxed);
-        }
-        h.count.fetch_add(n, Relaxed);
-        h.sum.fetch_add(sum, Relaxed);
-        h.max.fetch_max(max, Relaxed);
     }
 }
 
@@ -736,24 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn counted_samples_equal_observed_ones() {
-        let reg = Registry::enabled();
-        let (one, counted) = (
-            reg.histogram("one", &[1, 4, 16]),
-            reg.histogram("counted", &[1, 4, 16]),
-        );
-        for (v, n) in [(0, 2), (2, 1), (5, 3), (100, 1)] {
-            for _ in 0..n {
-                one.observe(v);
-            }
-        }
-        counted.observe_counts(&[2, 1, 3, 1], 117, 100);
-        counted.observe_counts(&[0; 4], 0, 0);
-        assert_eq!(stats(&reg, "one").buckets, vec![2, 1, 3, 1]);
-        assert_eq!(stats(&reg, "one"), stats(&reg, "counted"));
-    }
-
-    #[test]
     fn indexed_metrics_are_the_named_ones() {
         let reg = Registry::enabled();
         reg.counter("sim.chan1.bytes").add(5);
@@ -772,7 +706,6 @@ mod tests {
         reg.counters("sim.chan", ".bytes", 1, |_, _| visited += 1);
         assert_eq!(visited, 1);
         reg.gauges("sim.chan", ".idle_ns", 1, |_, g| g.set(2.5));
-        reg.histograms("sim.dev", ".depth", &[1, 2], 1, |_, h| h.observe(2));
         let snap = reg.snapshot();
         let names: Vec<_> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
@@ -782,7 +715,6 @@ mod tests {
                 "sim.chan0.idle_ns",
                 "sim.chan1.bytes",
                 "sim.chan2.bytes",
-                "sim.dev0.depth"
             ]
         );
         assert_eq!(
@@ -805,10 +737,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "different bounds")]
-    fn indexed_bounds_mismatch_panics() {
+    fn histogram_bounds_mismatch_panics() {
         let reg = Registry::enabled();
-        reg.histograms("h", "", &[1, 2], 1, |_, _| {});
-        reg.histograms("h", "", &[1, 3], 1, |_, _| {});
+        reg.histogram("h", &[1, 2]);
+        reg.histogram("h", &[1, 3]);
     }
 
     #[test]

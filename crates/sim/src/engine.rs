@@ -153,8 +153,9 @@ enum EventKind {
 }
 
 /// Pending events, popped in ascending `at` and, among equal `at`, in the
-/// order they were pushed — the event order of DESIGN.md §7.3 — with no
-/// stamp stored (§7, *Event queue*, has the argument).
+/// order they were pushed — the event order of DESIGN.md §7's
+/// *RNG-draw-order contract* — with no stamp stored (§7, *Event queue*,
+/// has the argument).
 ///
 /// A radix heap over `at`: an entry waits in the bucket named by the
 /// highest bit where its `at` differs from `last`, the last popped

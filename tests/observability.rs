@@ -18,7 +18,8 @@
 //!    observed run's `sim.*` metrics are computed from the trace it left,
 //!    however it ended: a failed run's counts still land, each run's idle
 //!    gauges are its own, and registries sharing one `RunPlan` never see
-//!    each other's runs.
+//!    each other's runs. Every `sim.*` metric is one DESIGN.md §8
+//!    defines, and none is a histogram.
 
 use tictac::{
     priority_inversions, realized_efficiency, simulate, simulate_with_plan_observed, tic,
@@ -365,4 +366,97 @@ fn registries_alternating_on_one_plan_see_only_their_own_runs() {
     assert_eq!(a.snapshot(), alone([0, 2]));
     assert_eq!(b.snapshot(), alone([1, 4]));
     assert_ne!(a.snapshot(), b.snapshot());
+}
+
+/// The `sim.*` names DESIGN.md §8 writes in backticks, each `{a,b}`
+/// expanded to its alternatives; `{c}` and `{d}` stand for a channel's
+/// and a device's index.
+fn sim_names_design_lists() -> Vec<String> {
+    fn expand(name: &str, out: &mut Vec<String>) {
+        let group = name.match_indices('{').find_map(|(open, _)| {
+            let close = open + name[open..].find('}')?;
+            name[open..close].contains(',').then_some((open, close))
+        });
+        match group {
+            Some((open, close)) => {
+                for alt in name[open + 1..close].split(',') {
+                    expand(
+                        &format!("{}{alt}{}", &name[..open], &name[close + 1..]),
+                        out,
+                    );
+                }
+            }
+            None => out.push(name.to_string()),
+        }
+    }
+    let design = include_str!("../DESIGN.md");
+    let start = design.find("\n## 8. ").expect("DESIGN.md has a section 8");
+    let end = start + design[start..].find("\n## 9. ").expect("and a section 9");
+    let mut names = Vec::new();
+    for span in design[start..end].split('`').skip(1).step_by(2) {
+        let span: String = span.split_whitespace().collect();
+        if span.starts_with("sim.") {
+            expand(&span, &mut names);
+        }
+    }
+    names
+}
+
+#[test]
+fn every_sim_metric_is_one_design_defines_and_none_is_a_histogram() {
+    let registry = Registry::enabled();
+    let session = Session::builder(Model::InceptionV1.build_with_batch(Mode::Training, 2))
+        .cluster(ClusterSpec::new(2, 1))
+        .scheduler(SchedulerKind::Tac)
+        .iterations(2)
+        .observe(registry.clone())
+        .build()
+        .unwrap();
+    session.run();
+    // Each name with its index written as DESIGN.md writes it.
+    let family = |name: &str| {
+        for (lane, index) in [("sim.chan", "{c}"), ("sim.dev", "{d}")] {
+            if let Some(rest) = name.strip_prefix(lane) {
+                let digits =
+                    rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+                if digits > 0 {
+                    return format!("{lane}{index}{}", &rest[digits..]);
+                }
+            }
+        }
+        name.to_string()
+    };
+    let mut families = Vec::new();
+    for (name, value) in &registry.snapshot().entries {
+        if !name.starts_with("sim.") {
+            continue;
+        }
+        assert!(
+            !matches!(value, MetricValue::Histogram(_)),
+            "{name} is a histogram"
+        );
+        families.push(family(name));
+    }
+    families.sort();
+    families.dedup();
+    assert_eq!(
+        families,
+        [
+            "sim.chan{c}.busy_ns",
+            "sim.chan{c}.bytes",
+            "sim.chan{c}.idle_ns",
+            "sim.chan{c}.transfers",
+            "sim.dev{d}.busy_ns",
+            "sim.dev{d}.ops",
+            "sim.events",
+            "sim.retransmits",
+        ]
+    );
+    let listed = sim_names_design_lists();
+    for family in &families {
+        assert!(
+            listed.contains(family),
+            "{family} is not defined in DESIGN.md §8: {listed:?}"
+        );
+    }
 }
