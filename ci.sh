@@ -286,7 +286,15 @@ echo "== benchmark smoke =="
 # that reaches this one through path dependencies: one untraced pass per
 # workload with every correctness check on, so a break of the surface it
 # pins fails here rather than in the benchmark pipeline. Timings are
-# never judged in CI — that is `ledger compare`'s job.
-benchmark/run.sh --smoke
+# never judged in CI — that is `ledger compare`'s job. Building it makes
+# cargo rewrite benchmark/Cargo.lock, so the committed lock file is put
+# back afterwards, pass or fail, and a green run leaves the tree clean.
+cp benchmark/Cargo.lock target/ci-results/benchmark-Cargo.lock
+smoke=0
+benchmark/run.sh --smoke || smoke=$?
+cp target/ci-results/benchmark-Cargo.lock benchmark/Cargo.lock
+if [ "$smoke" -ne 0 ]; then
+    exit "$smoke"
+fi
 
 echo "== ci.sh: all green =="

@@ -53,7 +53,6 @@ pub use optimal::{makespan_of_order, optimal_order, OptimalSearch};
 pub use scenario::{BackendKind, EnvPreset, ParseError as ScenarioParseError, Scenario};
 pub use session::{
     IterationRecord, RunOptions, RunReport, ScenarioBuildError, Session, SessionBuilder,
-    SessionConfig,
 };
 pub use stats::{ols, percentile, Cdf, OlsFit, Summary};
 pub use tune::{auto_tune_with, TuneOptions, TuneResult};
@@ -72,9 +71,8 @@ pub use tictac_obs::{
 };
 pub use tictac_sched::{
     efficiency::{self, realized_efficiency, RealizedEfficiency},
-    no_ordering, random_order, tac, tac_observed, tac_order, tac_order_observed, tic, tic_observed,
-    worst_case, Baseline, OpProperties, PartitionGraph, Random, Schedule, Scheduler, SchedulerKind,
-    TacScheduler, TicScheduler,
+    no_ordering, random_order, tac, tac_observed, tac_order, tic, tic_observed, worst_case,
+    OpProperties, PartitionGraph, Schedule, SchedulerKind,
 };
 pub use tictac_sim::{
     noise_free_profile, simulate, simulate_with_plan, try_simulate, Blackout, Crash, ExecOptions,

@@ -1,18 +1,19 @@
 //! The end-to-end session: model → cluster → schedule → measure.
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::time::Instant;
 use tictac_cluster::{ClusterSpec, DeployError, DeployedModel};
 use tictac_graph::ModelGraph;
 use tictac_obs::Registry;
 use tictac_sched::{
-    efficiency, no_ordering, Baseline, Random, Schedule, Scheduler, SchedulerKind, TacScheduler,
-    TicScheduler,
+    efficiency, no_ordering, random_order, tac_observed, tic_observed, Schedule, SchedulerKind,
 };
 use tictac_sim::{noise_free_profile, FaultSpec, RunPlan, SimConfig, SimError};
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
 use tictac_trace::{
-    analyze, estimate_profile, ExecutionTrace, FaultCounters, GeneralOracle, MeasuredProfile,
-    NoiseModel, SimDuration, TimeOracle, HORIZON_NS,
+    analyze, estimate_profile, ExecutionTrace, FaultCounters, MeasuredProfile, NoiseModel,
+    SimDuration, HORIZON_NS,
 };
 
 use crate::backend::{ExecutionBackend, SimBackend, TimeDomain};
@@ -25,7 +26,7 @@ use crate::scenario::{BackendKind, Scenario};
 /// and [`Session::from_scenario`] fills it from a parsed scenario file;
 /// both construction paths flow through the same `build`.
 #[derive(Debug, Clone)]
-pub struct SessionConfig {
+pub(crate) struct SessionConfig {
     /// Cluster shape, including heterogeneity factors.
     pub cluster: ClusterSpec,
     /// Simulation configuration: platform, noise, faults, seed.
@@ -97,8 +98,8 @@ impl SessionBuilder {
 
     /// Number of warm-up iterations (default 2, as in §6): indices
     /// `0..warmup` are never measured — executed and discarded on a
-    /// wall-clock backend, skipped on a virtual-time one (see
-    /// [`SessionConfig::warmup`]).
+    /// wall-clock backend, skipped on a virtual-time one; measured
+    /// iterations keep their indices `warmup..` either way.
     pub fn warmup(mut self, warmup: usize) -> Self {
         self.settings.warmup = warmup;
         self
@@ -297,22 +298,22 @@ pub(crate) fn compute_schedule(
 ) -> Schedule {
     let graph = deployed.graph();
     let reference = deployed.workers()[0];
-    // Policy selection is the only per-kind branching left: everything
-    // downstream (assign on the reference worker, replicate across
-    // workers) is one uniform path through the `Scheduler` trait.
-    let policy: Box<dyn Scheduler> = match scheduler {
-        SchedulerKind::Baseline => Box::new(Baseline),
-        SchedulerKind::Random => Box::new(Random {
-            seed: config.seed ^ 0x5EED,
-        }),
-        SchedulerKind::Tic => Box::new(TicScheduler),
-        SchedulerKind::Tac => Box::new(TacScheduler),
+    let schedule = match scheduler {
+        SchedulerKind::Baseline => no_ordering(graph),
+        SchedulerKind::Random => random_order(
+            graph,
+            reference,
+            &mut SmallRng::seed_from_u64(config.seed ^ 0x5EED),
+        ),
+        SchedulerKind::Tic => tic_observed(graph, reference, registry),
+        SchedulerKind::Tac => tac_observed(
+            graph,
+            reference,
+            &profile_oracle(deployed, config),
+            registry,
+        ),
     };
-    let oracle: Box<dyn TimeOracle> = match scheduler {
-        SchedulerKind::Tac => Box::new(profile_oracle(deployed, config)),
-        _ => Box::new(GeneralOracle),
-    };
-    deployed.replicate_schedule(&policy.assign(graph, reference, oracle.as_ref(), Some(registry)))
+    deployed.replicate_schedule(&schedule)
 }
 
 /// One measured iteration.
@@ -1174,6 +1175,37 @@ faults:
                 assert_eq!(knob, "faults");
             }
             other => panic!("expected a refused backend, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn each_kind_lowers_onto_its_free_function() {
+        // Inception's branches give TAC an order that the profiled
+        // oracle decides: under the general oracle it would differ.
+        let config = SimConfig::deterministic(tictac_trace::Platform::cloud_gpu());
+        for kind in SchedulerKind::ALL {
+            let s = Session::builder(tictac_graph::Model::InceptionV1.build(Mode::Training))
+                .cluster(ClusterSpec::new(2, 1))
+                .config(config.clone())
+                .scheduler(kind)
+                .build()
+                .unwrap();
+            let (graph, w) = (s.deployed().graph(), s.deployed().workers()[0]);
+            let direct = match kind {
+                SchedulerKind::Baseline => no_ordering(graph),
+                SchedulerKind::Random => {
+                    random_order(graph, w, &mut SmallRng::seed_from_u64(config.seed ^ 0x5EED))
+                }
+                SchedulerKind::Tic => tictac_sched::tic(graph, w),
+                SchedulerKind::Tac => {
+                    tictac_sched::tac(graph, w, &noise_free_profile(graph, &config))
+                }
+            };
+            assert_eq!(
+                s.schedule(),
+                &s.deployed().replicate_schedule(&direct),
+                "{kind}"
+            );
         }
     }
 

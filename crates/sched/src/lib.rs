@@ -14,9 +14,9 @@
 //!   iterative selection with the comparator derived in §4.3 (Equation 6).
 //! * [`Schedule`] — priority assignments over `recv` ops, plus baselines
 //!   ([`no_ordering`], [`random_order`]).
-//! * [`Scheduler`] — a trait over the ordering policies ([`Baseline`],
-//!   [`Random`], [`TicScheduler`], [`TacScheduler`]) so engines and
-//!   sessions can dispatch without matching on policy kinds.
+//! * [`SchedulerKind`] — the closed set of policies (baseline, random,
+//!   TIC, TAC) that config surfaces name; each kind is one of the free
+//!   functions above, and `tictac-core` matches on it in one place.
 //! * [`efficiency`] — the scheduling-efficiency metric `E` (Equation 3),
 //!   makespan bounds (Equations 1–2) and the speedup potential `S`
 //!   (Equation 4).
@@ -45,8 +45,6 @@ mod tic;
 pub use partition::PartitionGraph;
 pub use properties::OpProperties;
 pub use schedule::{no_ordering, random_order, Schedule};
-pub use scheduler::{
-    Baseline, Random, Scheduler, SchedulerKind, Tac as TacScheduler, Tic as TicScheduler,
-};
-pub use tac::{tac, tac_observed, tac_order, tac_order_observed, worst_case};
+pub use scheduler::SchedulerKind;
+pub use tac::{tac, tac_observed, tac_order, worst_case};
 pub use tic::{tic, tic_observed};

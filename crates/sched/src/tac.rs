@@ -92,20 +92,12 @@ pub(crate) fn select_best(part: &PartitionGraph, props: &OpProperties) -> usize 
 /// [`reference::tac_order_naive`](crate::reference::tac_order_naive) is the
 /// paper's per-round recomputation, the oracle of the equivalence tests.
 pub fn tac_order(graph: &Graph, worker: DeviceId, oracle: &dyn TimeOracle) -> Vec<OpId> {
-    tac_order_observed(graph, worker, oracle, &Registry::disabled())
+    derive_order(graph, worker, oracle, &Registry::disabled())
 }
 
-/// [`tac_order`] with derivation instrumented into `registry`:
-///
-/// * `sched.tac.derive_ns` (timer) — the wall-clock derivation span;
-/// * `sched.tac.merges` (counter) — `M⁺` min-merges applied by the
-///   incremental property maintenance;
-/// * `sched.tac.rederived` (counter) — dirty bits whose `M⁺` was
-///   re-derived exactly.
-///
-/// With a disabled registry this is exactly [`tac_order`]: the order never
-/// depends on the registry.
-pub fn tac_order_observed(
+/// [`tac_order`] with derivation instrumented into `registry` (the
+/// metrics [`tac_observed`] lists).
+fn derive_order(
     graph: &Graph,
     worker: DeviceId,
     oracle: &dyn TimeOracle,
@@ -136,8 +128,16 @@ pub fn tac(graph: &Graph, worker: DeviceId, oracle: &dyn TimeOracle) -> Schedule
     tac_observed(graph, worker, oracle, &Registry::disabled())
 }
 
-/// [`tac`] with derivation instrumented into `registry`; see
-/// [`tac_order_observed`] for the metrics recorded.
+/// [`tac`] with derivation instrumented into `registry`:
+///
+/// * `sched.tac.derive_ns` (timer) — the wall-clock derivation span;
+/// * `sched.tac.merges` (counter) — `M⁺` min-merges applied by the
+///   incremental property maintenance;
+/// * `sched.tac.rederived` (counter) — dirty bits whose `M⁺` was
+///   re-derived exactly.
+///
+/// With a disabled registry this is exactly [`tac`]: the schedule never
+/// depends on the registry.
 pub fn tac_observed(
     graph: &Graph,
     worker: DeviceId,
@@ -145,7 +145,7 @@ pub fn tac_observed(
     registry: &Registry,
 ) -> Schedule {
     let mut schedule = Schedule::empty(graph.len());
-    for (rank, op) in tac_order_observed(graph, worker, oracle, registry)
+    for (rank, op) in derive_order(graph, worker, oracle, registry)
         .into_iter()
         .enumerate()
     {
@@ -289,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_order_matches_and_records_metrics() {
+    fn observed_schedule_matches_and_records_metrics() {
         // Figure 4b topology: merges and re-derivations both fire.
         let mut b = GraphBuilder::new();
         let w = b.add_worker("w0");
@@ -307,9 +307,9 @@ mod tests {
         let g = b.build().unwrap();
         let oracle = CostOracle::new(Platform::cpu_cluster());
 
-        let registry = tictac_obs::Registry::enabled();
-        let observed = tac_order_observed(&g, w, &oracle, &registry);
-        assert_eq!(observed, tac_order(&g, w, &oracle));
+        let registry = Registry::enabled();
+        let observed = tac_observed(&g, w, &oracle, &registry);
+        assert_eq!(observed, tac(&g, w, &oracle));
 
         let snap = registry.snapshot();
         assert!(snap.counter("sched.tac.merges").unwrap() > 0);

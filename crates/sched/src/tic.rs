@@ -122,6 +122,17 @@ mod tests {
     }
 
     #[test]
+    fn registry_presence_never_changes_the_schedule() {
+        let (g, w, _) = chain(5);
+        let registry = Registry::enabled();
+        assert_eq!(tic_observed(&g, w, &registry), tic(&g, w));
+        assert!(matches!(
+            registry.snapshot().get("sched.tic.derive_ns"),
+            Some(tictac_obs::MetricValue::Timer(t)) if t.count == 1
+        ));
+    }
+
+    #[test]
     fn tic_only_prioritizes_the_requested_worker() {
         let mut b = GraphBuilder::new();
         let w0 = b.add_worker("w0");

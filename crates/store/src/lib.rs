@@ -22,8 +22,8 @@
 //! 3. **Determinism-aware analytics** ([`query`]): diffs and the
 //!    [`regress`] gate compare virtual-time observations, which are
 //!    machine-independent on the sim backend — a corpus committed from
-//!    one machine gates CI on another. Wall-clock bench records are
-//!    flagged and skipped.
+//!    one machine gates CI on another. Threaded-backend sessions, which
+//!    observe wall-clock time, are skipped.
 //!
 //! Dependency discipline: this crate sees only `tictac-obs` (the JSON
 //! lexing and escaping primitives its codec is built from, and the
@@ -43,10 +43,7 @@ pub use query::{
     diff_records, group_key, regress, GroupVerdict, MetricDelta, RegressPolicy, RegressReport,
     RunDiff, RunFilter, SessionSummary, Verdict,
 };
-pub use record::{
-    BenchEvidence, IterationEvidence, Payload, PhaseMean, ReportEvidence, RunRecord,
-    SessionEvidence, SCHEMA,
-};
+pub use record::{IterationEvidence, Payload, ReportEvidence, RunRecord, SessionEvidence, SCHEMA};
 pub use store::{
     arm_global_store, global_store, resolve_store_path, set_global_store, MemorySink, RunSink,
     RunStore,

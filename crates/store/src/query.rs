@@ -4,8 +4,8 @@
 //! Everything here compares *simulated* observations — virtual-time
 //! makespans, efficiencies, inversion counts — which are machine-
 //! independent, so a corpus committed on one machine gates CI on another.
-//! Bench records carry wall-clock timings and are explicitly skipped by
-//! [`regress`] (and flagged by [`diff_records`]).
+//! Threaded-backend sessions observe wall-clock time and are skipped by
+//! [`regress`].
 
 use std::collections::HashMap;
 
@@ -22,7 +22,7 @@ pub struct RunFilter {
     pub scheduler: Option<String>,
     /// Exact backend name.
     pub backend: Option<String>,
-    /// Exact record kind (`session` / `bench` / `report`).
+    /// Exact record kind (`session` / `report`).
     pub kind: Option<String>,
     /// Inclusive seed lower bound.
     pub seed_min: Option<u64>,
@@ -275,22 +275,6 @@ pub fn diff_records(a: &RunRecord, b: &RunRecord) -> RunDiff {
     }
     let metrics = match (&a.payload, &b.payload) {
         (Payload::Session(sa), Payload::Session(sb)) => session_metrics(sa, sb),
-        (Payload::Bench(ba), Payload::Bench(bb)) => {
-            notes.push("bench timings are wall-clock; cross-machine drift is expected".into());
-            ba.phases
-                .iter()
-                .filter_map(|pa| {
-                    bb.phases
-                        .iter()
-                        .find(|pb| pb.name == pa.name)
-                        .map(|pb| MetricDelta {
-                            name: format!("{}_ms", pa.name),
-                            a: pa.mean_ms,
-                            b: pb.mean_ms,
-                        })
-                })
-                .collect()
-        }
         (Payload::Report(ra), Payload::Report(rb)) => {
             if ra.report_fp != rb.report_fp {
                 notes.push(format!(
@@ -419,8 +403,8 @@ impl RegressReport {
 /// exceed the window's best by more than `makespan_pct`), mean efficiency
 /// (must not fall more than `efficiency_abs` below the window's best) and
 /// inversion count (must not exceed the window's worst); report groups on
-/// fingerprint equality with their most recent predecessor. Bench groups
-/// and threaded-backend sessions observe wall-clock time and are skipped.
+/// fingerprint equality with their most recent predecessor.
+/// Threaded-backend sessions observe wall-clock time and are skipped.
 pub fn regress(records: &[RunRecord], policy: &RegressPolicy) -> RegressReport {
     // One key buffer for the whole corpus; a key is allocated only when
     // it opens a group.
@@ -449,9 +433,7 @@ pub fn regress(records: &[RunRecord], policy: &RegressPolicy) -> RegressReport {
 /// The verdict on one group, its runs in append order.
 fn group_verdict(key: String, runs: &[&RunRecord], policy: &RegressPolicy) -> GroupVerdict {
     let latest = *runs.last().expect("a group holds at least one run");
-    let verdict = if matches!(latest.payload, Payload::Bench(_)) {
-        Verdict::Skipped("wall-clock bench timings are machine-dependent".into())
-    } else if latest.backend == "threaded" {
+    let verdict = if latest.backend == "threaded" {
         Verdict::Skipped("threaded backend observes wall-clock time".into())
     } else if runs.len() < 2 {
         Verdict::New
@@ -525,7 +507,6 @@ fn judge(latest: &RunRecord, window: &[&RunRecord], policy: &RegressPolicy) -> V
                 Some(_) => {}
             }
         }
-        Payload::Bench(_) => unreachable!("bench groups are skipped before judging"),
     }
     if gates.is_empty() {
         Verdict::Pass
@@ -538,7 +519,7 @@ fn judge(latest: &RunRecord, window: &[&RunRecord], policy: &RegressPolicy) -> V
 mod tests {
     use super::*;
     use crate::record::tests::Rng;
-    use crate::record::{BenchEvidence, IterationEvidence, ReportEvidence, SessionEvidence};
+    use crate::record::{IterationEvidence, ReportEvidence, SessionEvidence};
     use proptest::prelude::*;
 
     fn iteration(makespan_ns: u64, efficiency: f64, inversions: u64) -> IterationEvidence {
@@ -590,7 +571,7 @@ mod tests {
             ..RunFilter::default()
         };
         assert!(f.matches(&r));
-        f.kind = Some("bench".into());
+        f.kind = Some("report".into());
         assert!(!f.matches(&r));
         f.kind = Some("session".into());
         assert!(f.matches(&r));
@@ -653,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn regress_gates_report_fingerprints_and_skips_bench() {
+    fn regress_gates_report_fingerprints_and_skips_threaded_sessions() {
         let report_rec = |id: &str, fp: u64| RunRecord {
             id: id.into(),
             time_ms: 1,
@@ -681,11 +662,14 @@ mod tests {
         assert!(rep.failed());
         assert!(rep.render().contains("fingerprint changed"));
 
-        let bench = RunRecord {
-            payload: Payload::Bench(crate::record::BenchEvidence::default()),
-            ..report_rec("r000002", 0)
+        let threaded = |id: &str, makespan: u64| RunRecord {
+            backend: "threaded".into(),
+            ..session(id, &[makespan], 0.9)
         };
-        let rep = regress(&[bench], &RegressPolicy::default());
+        let rep = regress(
+            &[threaded("r000002", 100), threaded("r000003", 900)],
+            &RegressPolicy::default(),
+        );
         assert!(!rep.failed());
         assert!(matches!(rep.groups[0].verdict, Verdict::Skipped(_)));
     }
@@ -743,9 +727,8 @@ mod tests {
     fn any_record(rng: &mut Rng) -> RunRecord {
         let fp = |rng: &mut Rng| *rng.pick(&[0, 1, 0xABC_DEF0, u64::MAX]);
         let makespan = |rng: &mut Rng| 100 + rng.below(3) as u64;
-        let payload = match rng.below(4) {
-            0 => Payload::Bench(BenchEvidence::default()),
-            1 => Payload::Report(ReportEvidence {
+        let payload = match rng.below(3) {
+            0 => Payload::Report(ReportEvidence {
                 report_fp: makespan(rng),
                 quick: true,
             }),

@@ -57,9 +57,9 @@ pub struct RunRecord {
     /// Wall-clock append time, milliseconds since the Unix epoch
     /// (0 when unknown; never compared by analytics).
     pub time_ms: u64,
-    /// Which producer emitted the record: `session`, `bench` or `repro`.
+    /// Which producer emitted the record: `session` or `repro`.
     pub source: String,
-    /// Workload label: the model name, or the experiment / bench label.
+    /// Workload label: the model name, or the experiment label.
     pub workload: String,
     /// [`ModelGraph::fingerprint`] of the workload (0 when not model-shaped).
     ///
@@ -98,11 +98,6 @@ pub enum Payload {
     /// snapshot. Deterministic on the sim backend (virtual time), so two
     /// same-seed runs carry byte-identical payloads.
     Session(SessionEvidence),
-    /// A wall-clock micro-benchmark: per-phase mean timings. Machine-
-    /// dependent by nature; regression gating skips these groups. Nothing
-    /// in this workspace emits them any more (the `bench` binary is gone);
-    /// stores in the field hold such lines, so they stay decodable.
-    Bench(BenchEvidence),
     /// A rendered experiment report, reduced to a fingerprint: cheap
     /// drift detection for experiments that run no sessions themselves.
     Report(ReportEvidence),
@@ -113,7 +108,6 @@ impl Payload {
     pub fn kind(&self) -> &'static str {
         match self {
             Payload::Session(_) => "session",
-            Payload::Bench(_) => "bench",
             Payload::Report(_) => "report",
         }
     }
@@ -147,22 +141,6 @@ pub struct SessionEvidence {
     pub faults: FaultCounters,
     /// The session registry's final snapshot (empty when disabled).
     pub snapshot: Snapshot,
-}
-
-/// One phase's mean wall-clock timing inside a [`Payload::Bench`] record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseMean {
-    /// Phase name (`build`, `deploy`, `tic`, `simulate`, …).
-    pub name: String,
-    /// Mean wall-clock milliseconds over the bench's repetitions.
-    pub mean_ms: f64,
-}
-
-/// Evidence payload of a [`Payload::Bench`] record.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BenchEvidence {
-    /// Per-phase mean timings.
-    pub phases: Vec<PhaseMean>,
 }
 
 /// Evidence payload of a [`Payload::Report`] record.
@@ -307,11 +285,6 @@ fn write_payload(w: &mut Writer, payload: &Payload) {
                 write_metric(w, n, v)
             });
         }
-        Payload::Bench(b) => w.list(b'{', "phases", &b.phases, |w, p| {
-            w.str(b'{', "name", &p.name);
-            w.float(b',', "mean_ms", p.mean_ms);
-            w.close();
-        }),
         Payload::Report(r) => {
             w.u64_str(b'{', "report_fp", r.report_fp);
             w.key(b',', "quick");
@@ -363,7 +336,6 @@ impl RunRecord {
         .sum::<usize>();
         let payload = match &self.payload {
             Payload::Session(s) => 256 + 200 * s.iterations.len() + 160 * s.snapshot.entries.len(),
-            Payload::Bench(b) => 16 + 64 * b.phases.len(),
             Payload::Report(_) => 64,
         };
         400 + text + payload
@@ -603,16 +575,6 @@ fn read_payload(r: &mut Reader<'_>, kind: &str, kind_at: usize) -> Result<Payloa
             snapshot: Snapshot {
                 entries: r.list(b',', "snapshot", read_metric)?,
             },
-        }),
-        "bench" => Payload::Bench(BenchEvidence {
-            phases: r.list(b'{', "phases", |r| {
-                let phase = PhaseMean {
-                    name: r.str(b'{', "name")?,
-                    mean_ms: r.float(b',', "mean_ms")?,
-                };
-                r.close()?;
-                Ok(phase)
-            })?,
         }),
         "report" => Payload::Report(ReportEvidence {
             report_fp: r.u64_str(b'{', "report_fp")?,
@@ -901,22 +863,6 @@ mod oracle {
                     snapshot: Snapshot { entries },
                 }))
             }
-            "bench" => {
-                let f = fields(j, "bench payload", &["phases"])?;
-                let phases = f[0]
-                    .as_array()
-                    .ok_or_else(|| "phases: expected an array".to_string())?
-                    .iter()
-                    .map(|p| {
-                        let pf = fields(p, "phase", &["name", "mean_ms"])?;
-                        Ok(PhaseMean {
-                            name: get_str(pf[0], "name")?,
-                            mean_ms: get_f64(pf[1], "mean_ms")?,
-                        })
-                    })
-                    .collect::<Result<_, String>>()?;
-                Ok(Payload::Bench(BenchEvidence { phases }))
-            }
             "report" => {
                 let f = fields(j, "report payload", &["report_fp", "quick"])?;
                 Ok(Payload::Report(ReportEvidence {
@@ -1030,23 +976,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn bench_and_report_payloads_round_trip() {
+    fn report_payloads_round_trip() {
         let mut r = sample();
-        r.payload = Payload::Bench(BenchEvidence {
-            phases: vec![
-                PhaseMean {
-                    name: "build".into(),
-                    mean_ms: 0.125,
-                },
-                PhaseMean {
-                    name: "tic".into(),
-                    mean_ms: 3.5,
-                },
-            ],
-        });
-        let line = r.encode();
-        assert_eq!(RunRecord::decode(&line).unwrap().encode(), line);
-
         r.payload = Payload::Report(ReportEvidence {
             report_fp: u64::MAX - 1,
             quick: true,
@@ -1055,6 +986,29 @@ pub(crate) mod tests {
         let back = RunRecord::decode(&line).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.encode(), line);
+    }
+
+    #[test]
+    fn a_bench_line_is_an_unknown_kind() {
+        // The shape the retired wall-clock `bench` kind was written in.
+        let mut r = sample();
+        r.payload = Payload::Report(ReportEvidence {
+            report_fp: 1,
+            quick: false,
+        });
+        let line = r
+            .encode()
+            .replacen("\"kind\":\"report\"", "\"kind\":\"bench\"", 1);
+        let payload_at = line.find("\"payload\":").unwrap();
+        let line = format!(
+            "{}\"payload\":{{\"phases\":[{{\"name\":\"tic\",\"mean_ms\":3.5}}]}}}}",
+            &line[..payload_at]
+        );
+        let kind_at = line.find("\"bench\"").unwrap();
+        assert_eq!(
+            RunRecord::decode(&line).unwrap_err(),
+            format!("json error at byte {kind_at}: unknown record kind `bench`")
+        );
     }
 
     /// SplitMix64: the fuzz's own generator, so its cases are fixed and
@@ -1105,7 +1059,7 @@ pub(crate) mod tests {
                 rng.next()
             }
         };
-        let payload = match rng.below(3) {
+        let payload = match rng.below(2) {
             0 => Payload::Session(SessionEvidence {
                 iterations: (0..rng.below(3))
                     .map(|_| IterationEvidence {
@@ -1147,14 +1101,6 @@ pub(crate) mod tests {
                         ),
                     ],
                 },
-            }),
-            1 => Payload::Bench(BenchEvidence {
-                phases: (0..rng.below(3))
-                    .map(|_| PhaseMean {
-                        name: label(rng),
-                        mean_ms: float(rng),
-                    })
-                    .collect(),
             }),
             _ => Payload::Report(ReportEvidence {
                 report_fp: fp(rng),

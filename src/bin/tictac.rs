@@ -106,12 +106,10 @@ fn flag_config(flags: &HashMap<String, String>) -> SimConfig {
 }
 
 fn flag_scheduler(flags: &HashMap<String, String>) -> SchedulerKind {
-    match flags.get("scheduler").map(String::as_str) {
-        Some("baseline") => SchedulerKind::Baseline,
-        Some("random") => SchedulerKind::Random,
-        Some("tic") | None => SchedulerKind::Tic,
-        Some("tac") => SchedulerKind::Tac,
-        Some(other) => usage(&format!("unknown --scheduler `{other}`")),
+    match flags.get("scheduler") {
+        None => SchedulerKind::Tic,
+        Some(name) => SchedulerKind::from_name(name)
+            .unwrap_or_else(|| usage(&format!("unknown --scheduler `{name}`"))),
     }
 }
 
@@ -306,12 +304,22 @@ fn flag_u64(flags: &HashMap<String, String>, name: &str) -> Option<u64> {
     })
 }
 
+/// The record kinds a store holds (`Payload::kind`).
+const RECORD_KINDS: [&str; 2] = ["session", "report"];
+
 fn runs_filter(flags: &HashMap<String, String>) -> RunFilter {
+    let kind = flags.get("kind").cloned().filter(|v| !v.is_empty());
+    if let Some(kind) = kind.as_deref().filter(|k| !RECORD_KINDS.contains(k)) {
+        usage(&format!(
+            "unknown --kind `{kind}` (use {})",
+            RECORD_KINDS.join(" or ")
+        ));
+    }
     RunFilter {
         workload: flags.get("workload").cloned().filter(|v| !v.is_empty()),
         scheduler: flags.get("scheduler").cloned().filter(|v| !v.is_empty()),
         backend: flags.get("backend").cloned().filter(|v| !v.is_empty()),
-        kind: flags.get("kind").cloned().filter(|v| !v.is_empty()),
+        kind,
         seed_min: flag_u64(flags, "seed-min"),
         seed_max: flag_u64(flags, "seed-max"),
     }
@@ -327,7 +335,6 @@ fn list_line(r: &RunRecord) -> String {
                 sum.iterations, sum.mean_makespan_ns, sum.mean_efficiency, sum.inversions
             )
         }
-        Payload::Bench(b) => format!("{} phases (wall-clock)", b.phases.len()),
         Payload::Report(rep) => format!(
             "report fp {:016x}{}",
             rep.report_fp,
@@ -381,12 +388,6 @@ fn show_record(r: &RunRecord) {
                 }
             }
         }
-        Payload::Bench(b) => {
-            println!("phases (wall-clock medians):");
-            for p in &b.phases {
-                println!("  {:<18} {:.3} ms", p.name, p.mean_ms);
-            }
-        }
         Payload::Report(rep) => {
             println!("report fp         {:016x}", rep.report_fp);
             println!("quick             {}", rep.quick);
@@ -418,12 +419,12 @@ fn runs(args: &[String]) {
         other => usage(&format!("unknown runs subcommand `{other}`")),
     });
     let flags = &parse_flags(args, &known);
+    let filter = runs_filter(flags);
     let store = runs_store(flags);
     let mut filtered = store
         .load()
         .unwrap_or_else(|e| usage(&format!("cannot load {}: {e}", store.path().display())));
     let total = filtered.len();
-    let filter = runs_filter(flags);
     filtered.retain(|r| filter.matches(r));
     match sub {
         "list" => {
@@ -544,7 +545,7 @@ fn usage(err: &str) -> ! {
          \x20        [--iterations N] [--mode train|inference] [--env g|c] [--store FILE.jsonl]\n\
          \x20 tictac run <scenario.yml> [--dry-run] [--store FILE.jsonl]\n\
          \x20 tictac runs [list|show|diff|regress] [--store FILE.jsonl] [--workload NAME]\n\
-         \x20        [--scheduler S] [--backend B] [--kind session|bench|report]\n\
+         \x20        [--scheduler S] [--backend B] [--kind session|report]\n\
          \x20        [--seed-min N] [--seed-max N] [--id RID] [--a RID --b RID] [--window N]\n\
          \x20 tictac timeline <model> [--workers N] [--ps N] [--scheduler baseline|random|tic|tac]\n\
          \x20        [--mode train|inference] [--format gantt|chrome|tsv] [--out FILE] [--env g|c]"

@@ -65,6 +65,37 @@ fn zero_window_is_a_usage_error_not_a_vacuous_pass() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
+/// A name outside the vocabulary is refused, not matched against
+/// nothing: `runs --kind` names the record kinds a store holds, and
+/// `--scheduler` parses as the scenario DSL does (`SchedulerKind`).
+#[test]
+fn unknown_kinds_and_schedulers_are_usage_errors() {
+    let store = concat!(env!("CARGO_MANIFEST_DIR"), "/results/runs.jsonl");
+    let (out, stderr) = tictac(&["runs", "list", "--store", store, "--kind", "bench"]);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert_eq!(
+        first,
+        "error: unknown --kind `bench` (use session or report)"
+    );
+    assert!(out.stdout.is_empty(), "a refused filter listed records");
+    for kind in ["session", "report"] {
+        let (out, stderr) = tictac(&["runs", "list", "--store", store, "--kind", kind]);
+        assert_eq!(out.status.code(), Some(0), "{kind}: {stderr}");
+    }
+
+    for args in [
+        &["run", "alexnet_v2", "--scheduler", "bogus"][..],
+        &["timeline", "alexnet_v2", "--scheduler", "bogus"],
+    ] {
+        let (out, stderr) = tictac(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(first, "error: unknown --scheduler `bogus`", "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+}
+
 /// A heterogeneity factor the cluster builder accepts must not run the
 /// simulated time axis off its 2^53 ns end (DESIGN.md §5): not into a
 /// wrapped `SimTime`, not into a silently short makespan, not into the

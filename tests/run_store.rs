@@ -15,8 +15,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tictac_obs::{HistogramStats, MetricValue, Snapshot, TimerStats};
 use tictac_store::{
-    diff_records, regress, BenchEvidence, IterationEvidence, Payload, PhaseMean, RegressPolicy,
-    ReportEvidence, RunRecord, RunStore, SessionEvidence, SCHEMA,
+    diff_records, regress, IterationEvidence, Payload, RegressPolicy, ReportEvidence, RunRecord,
+    RunStore, SessionEvidence, SCHEMA,
 };
 use tictac_trace::FaultCounters;
 
@@ -89,7 +89,7 @@ fn random_snapshot(rng: &mut SmallRng) -> Snapshot {
 }
 
 fn random_payload(rng: &mut SmallRng) -> Payload {
-    match rng.gen_range(0..3u32) {
+    match rng.gen_range(0..2u32) {
         0 => Payload::Session(SessionEvidence {
             iterations: (0..rng.gen_range(0..4usize))
                 .map(|_| IterationEvidence {
@@ -114,14 +114,6 @@ fn random_payload(rng: &mut SmallRng) -> Payload {
                 degraded_barriers: rng.gen_range(0..100),
             },
             snapshot: random_snapshot(rng),
-        }),
-        1 => Payload::Bench(BenchEvidence {
-            phases: (0..rng.gen_range(1..5usize))
-                .map(|i| PhaseMean {
-                    name: format!("phase{i}"),
-                    mean_ms: random_float(rng).abs(),
-                })
-                .collect(),
         }),
         _ => Payload::Report(ReportEvidence {
             report_fp: rng.gen::<u64>(),
