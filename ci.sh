@@ -176,11 +176,13 @@ cargo test --offline -q --test perfetto_fault_snapshot
 # nanosecond rounding's against `f64::round`, the JSON float writer's
 # against `format!("{}")` (10^6 cases here, 10^4 in the debug run), the
 # three narrow per-op tables' against the `Option` tables they replaced
-# (the schedule's bitset, the plan's four-byte rank and pairing columns,
-# the trace's 16-byte slot beside its ready column), the streaming trace
-# validator against the tree walk it replaced on exports and edits of
-# them (2·10^4 documents here, 10^3 in the debug run), and the op-name
-# writer against the `format!` strings at every digit-width edge.
+# (the schedule's bitset with its rank prefix, set op by op and built in
+# bulk, the plan's four-byte rank and pairing columns, the trace's
+# 16-byte slot beside its ready column), the streaming trace validator
+# against the tree walk it replaced on exports and edits of them (2·10^4
+# documents here, 10^3 in the debug run), the op-name writer against the
+# `format!` strings at every digit-width edge, and the heap bytes per op
+# a cached deployment and its schedules hold, counted by an allocator.
 cargo test --offline -q --release --test golden_traces
 cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_heap_pops
 cargo test --offline -q --release -p tictac-sim --lib worklists_drain_what_the_sorted_vec_drains
@@ -192,6 +194,7 @@ cargo test --offline -q --release -p tictac-sim --lib transfer_table_matches_the
 cargo test --offline -q --release -p tictac-trace --lib trace_slots_match_option_records
 cargo test --offline -q --release -p tictac-obs --lib streaming_validator_matches_the_tree_walk
 cargo test --offline -q --release -p tictac-graph --lib names_render_as_the_format_strings
+cargo test --offline -q --release --test bytes_per_op
 cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
 # The engine's fault rules (agenda, loss ladder, record and barrier

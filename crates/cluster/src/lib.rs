@@ -561,21 +561,14 @@ impl DeployedModel {
     /// Panics if `reference` does not cover this deployment's graph.
     pub fn replicate_schedule(&self, reference: &Schedule) -> Schedule {
         assert_eq!(reference.len(), self.graph.len(), "schedule/graph mismatch");
-        let mut out = Schedule::empty(self.graph.len());
-        for p in 0..self.shard_of.len() {
-            let param = ParamId::from_index(p);
-            let Some(r0) = self.recv_op(0, param) else {
-                continue;
-            };
-            if let Some(priority) = reference.priority(r0) {
-                for w in 0..self.workers.len() {
-                    if let Some(r) = self.recv_op(w, param) {
-                        out.set(r, priority);
-                    }
-                }
-            }
-        }
-        out
+        let priorities = (0..self.shard_of.len())
+            .map(ParamId::from_index)
+            .filter_map(|param| Some((param, reference.priority(self.recv_op(0, param)?)?)))
+            .flat_map(|(param, priority)| {
+                (0..self.workers.len())
+                    .filter_map(move |w| Some((self.recv_op(w, param)?, priority)))
+            });
+        Schedule::from_priorities(self.graph.len(), priorities)
     }
 
     /// Ops per worker partition (the x-axis of Fig. 11).

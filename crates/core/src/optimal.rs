@@ -27,10 +27,7 @@ pub struct OptimalSearch {
 /// Evaluates the makespan of one fully-specified transfer order
 /// (deterministically: noise and reorder errors disabled).
 pub fn makespan_of_order(graph: &Graph, order: &[OpId], config: &SimConfig) -> SimDuration {
-    let mut schedule = Schedule::empty(graph.len());
-    for (rank, &op) in order.iter().enumerate() {
-        schedule.set(op, rank as u64);
-    }
+    let schedule = Schedule::from_priorities(graph.len(), order.iter().copied().zip(0..));
     let exact = config
         .clone()
         .with_noise(NoiseModel::none())

@@ -13,7 +13,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 ///
 /// Ids are handed out eagerly so that later ops can depend on earlier ones;
 /// [`GraphBuilder::build`] validates the result (acyclicity, id bounds,
-/// channel placement, name uniqueness).
+/// channel placement, cost fields, name uniqueness).
 ///
 /// # Example
 ///
@@ -44,6 +44,10 @@ pub struct GraphBuilder {
     device_speeds: Vec<f64>,
     channel_bandwidths: Vec<f64>,
     names: NameTable,
+    /// The first op whose cost set a field its class never reads, and
+    /// that field; the op keeps only the other one, so `build` reports it
+    /// from here.
+    unread_cost: Option<(OpId, &'static str)>,
 }
 
 impl Default for GraphBuilder {
@@ -58,6 +62,7 @@ impl Default for GraphBuilder {
             device_speeds: Vec::new(),
             channel_bandwidths: Vec::new(),
             names: NameTable::new(),
+            unread_cost: None,
         }
     }
 }
@@ -74,8 +79,8 @@ impl GraphBuilder {
         pred_offsets.push(0);
         Self {
             ops: Vec::with_capacity(ops),
-            // Most deployment ops carry 1–2 deps; 2× op count is a good
-            // first reservation either way.
+            // Deployment ops carry 1.6 deps on average; `assemble` gives
+            // back what this first reservation leaves spare.
             pred_edges: Vec::with_capacity(ops * 2),
             pred_offsets,
             ..Self::default()
@@ -184,7 +189,9 @@ impl GraphBuilder {
     /// avoids touching strings entirely.
     ///
     /// `deps` are control/data dependencies: the op becomes ready only when
-    /// all of them have finished.
+    /// all of them have finished. `cost` sets bytes on a send or recv and
+    /// flops on any other op; [`build`](Self::build) refuses the other
+    /// field.
     pub fn add_op(
         &mut self,
         name: impl AsRef<str>,
@@ -211,12 +218,10 @@ impl GraphBuilder {
         deps: &[OpId],
     ) -> OpId {
         let id = OpId::from_index(self.ops.len());
-        self.ops.push(Op {
-            name,
-            kind,
-            device,
-            cost,
-        });
+        if self.unread_cost.is_none() {
+            self.unread_cost = Op::unread_field(kind, cost).map(|field| (id, field));
+        }
+        self.ops.push(Op::new(name, kind, device, cost));
         // Append, then sort + dedup the newly added range in place — no
         // per-op allocation.
         let start = self.pred_edges.len();
@@ -275,8 +280,12 @@ impl GraphBuilder {
     ///
     /// Returns a [`GraphError`] if the graph contains a cycle, dangling ids,
     /// a channel whose endpoints are not a worker–PS pair, a communication op
-    /// on a device its channel does not connect, or duplicate op names.
+    /// on a device its channel does not connect, a cost field its op's class
+    /// never reads, or duplicate op names.
     pub fn build(self) -> Result<Graph, GraphError> {
+        if let Some((op, field)) = self.unread_cost {
+            return Err(GraphError::UnreadCost { op, field });
+        }
         check_parts(
             &self.ops,
             &self.pred_edges,
@@ -331,9 +340,15 @@ impl GraphBuilder {
             channel_bandwidths.resize(self.channels.len(), 1.0);
         }
 
+        // The graph outlives the build, often in a cache: keep no spare
+        // reservation in its edge arena, and no interning index.
+        let mut pred_edges = self.pred_edges;
+        pred_edges.shrink_to_fit();
+        let mut names = self.names;
+        names.finish();
         Graph {
             ops: self.ops,
-            pred_edges: self.pred_edges,
+            pred_edges,
             pred_offsets: self.pred_offsets,
             succ_edges,
             succ_offsets,
@@ -344,7 +359,7 @@ impl GraphBuilder {
             params: self.params,
             device_speeds,
             channel_bandwidths,
-            names: self.names,
+            names,
             rendered: std::sync::OnceLock::new(),
             name_index: std::sync::OnceLock::new(),
             structured_index: std::sync::OnceLock::new(),
@@ -378,7 +393,8 @@ fn csr(
 
 /// The checks [`GraphBuilder::build`] and [`Graph::check`] share, reported
 /// in this order: channel endpoints, then op by op in id order its device,
-/// channel, parameter, predecessors and name.
+/// channel, parameter, predecessors and name. (`build` reports an unread
+/// cost field before all of them: a built graph cannot hold one.)
 ///
 /// Names are compared structurally (the interner dedups raw strings, so two
 /// identical string names collide here exactly as before); a raw name that
@@ -547,6 +563,34 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_cost_field_its_class_never_reads() {
+        let mut b = GraphBuilder::new();
+        let w = b.add_worker("w0");
+        let ps = b.add_parameter_server("ps0");
+        let ch = b.add_channel(w, ps);
+        let p = b.add_param("p", 8);
+        b.add_op("r", w, OpKind::recv(p, ch), Cost::bytes(8), &[]);
+        let both = Cost {
+            flops: 1.0,
+            bytes: 8,
+        };
+        let s = b.add_op("s", ps, OpKind::send(p, ch), both, &[]);
+        b.add_op("c", w, OpKind::Compute, both, &[]);
+        let err = b.build().unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::UnreadCost {
+                op: s,
+                field: "flops"
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "op op1 sets flops, which its class never reads"
+        );
+    }
+
+    #[test]
     fn duplicate_deps_are_collapsed() {
         let mut b = GraphBuilder::new();
         let w = b.add_worker("w0");
@@ -582,24 +626,32 @@ mod tests {
         assert_eq!(g.param(p).name(), "p");
     }
 
-    /// A random builder graph: `n` compute ops on one worker, each
+    /// A random builder graph: `n` compute and recv ops on one worker, each
     /// depending on a random subset of the earlier ones; `back` edges added
     /// afterwards with `add_dep`, each from an op to one at or before it
-    /// (self-loops included); and up to `renames` ops renamed after an
-    /// earlier one.
+    /// (self-loops included); up to `renames` ops renamed after an earlier
+    /// one; and up to `unread` ops whose cost sets the field their class
+    /// never reads (bytes on a compute op, flops on a recv).
     struct Drawn {
         names: Vec<String>,
         preds: Vec<Vec<usize>>,
         back: Vec<(usize, usize)>,
+        recv: Vec<bool>,
+        unread: Vec<bool>,
     }
 
     impl Drawn {
-        fn new(seed: u64, n: usize, back: usize, renames: usize) -> Self {
+        fn new(seed: u64, n: usize, back: usize, renames: usize, unread: usize) -> Self {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut names: Vec<String> = (0..n).map(|i| format!("op{i}")).collect();
             for _ in 0..renames {
                 let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 names[a.max(b)] = names[a.min(b)].clone();
+            }
+            let recv = (0..n).map(|_| rng.gen_range(0..3) == 0).collect();
+            let mut unread_ops = vec![false; n];
+            for _ in 0..unread {
+                unread_ops[rng.gen_range(0..n)] = true;
             }
             let preds = (0..n)
                 .map(|i| (0..i).filter(|_| rng.gen_range(0..4) == 0).collect())
@@ -610,16 +662,45 @@ mod tests {
                     (rng.gen_range(to..n), to)
                 })
                 .collect();
-            Self { names, preds, back }
+            Self {
+                names,
+                preds,
+                back,
+                recv,
+                unread: unread_ops,
+            }
         }
 
         fn builder(&self) -> GraphBuilder {
             let mut b = GraphBuilder::new();
             let w = b.add_worker("w0");
+            let ps = b.add_parameter_server("ps0");
+            let ch = b.add_channel(w, ps);
+            let p = b.add_param("p", 8);
             let mut ids: Vec<OpId> = Vec::new();
-            for (name, preds) in self.names.iter().zip(&self.preds) {
+            for (i, (name, preds)) in self.names.iter().zip(&self.preds).enumerate() {
                 let deps: Vec<OpId> = preds.iter().map(|&p| ids[p]).collect();
-                ids.push(b.add_op(name, w, OpKind::Compute, Cost::ZERO, &deps));
+                // Zero in the other field; an unread cost sets it too (a
+                // negative zero counts as set).
+                let (kind, cost) = match (self.recv[i], self.unread[i]) {
+                    (true, false) => (OpKind::recv(p, ch), Cost::bytes(8)),
+                    (true, true) => (
+                        OpKind::recv(p, ch),
+                        Cost {
+                            flops: -0.0,
+                            bytes: 8,
+                        },
+                    ),
+                    (false, false) => (OpKind::Compute, Cost::flops(2.0)),
+                    (false, true) => (
+                        OpKind::Compute,
+                        Cost {
+                            flops: 2.0,
+                            bytes: 1,
+                        },
+                    ),
+                };
+                ids.push(b.add_op(name, w, kind, cost, &deps));
             }
             for &(from, to) in &self.back {
                 b.add_dep(ids[from], ids[to]);
@@ -654,9 +735,15 @@ mod tests {
             }
         }
 
-        /// The naive reference for the whole check: the first name, in op
-        /// order, that was already seen; else [`cycle`](Self::cycle).
+        /// The naive reference for the whole check: the first op with an
+        /// unread cost field; else the first name, in op order, that was
+        /// already seen; else [`cycle`](Self::cycle).
         fn validation(&self) -> Result<(), GraphError> {
+            if let Some(i) = self.unread.iter().position(|&u| u) {
+                let field = if self.recv[i] { "flops" } else { "bytes" };
+                let op = OpId::from_index(i);
+                return Err(GraphError::UnreadCost { op, field });
+            }
             for (i, name) in self.names.iter().enumerate() {
                 if self.names[..i].contains(name) {
                     return Err(GraphError::DuplicateOpName(name.clone()));
@@ -671,19 +758,29 @@ mod tests {
 
         /// `build`, `Graph::check`, `is_acyclic` and `topo_order` report
         /// what the naive references report, on graphs with and without
-        /// back-edges and duplicate names.
+        /// back-edges, duplicate names and unread cost fields. A built
+        /// graph no longer holds an unread field, so `check` sees none,
+        /// and every op's cost reads back as it was given, the unread
+        /// field zeroed.
         #[test]
         fn validation_errors_match_the_naive_reference(
             seed in any::<u64>(),
             n in 1usize..40,
             back in 0usize..4,
             renames in 0usize..3,
+            unread in 0usize..3,
         ) {
-            let drawn = Drawn::new(seed, n, back, renames);
+            let drawn = Drawn::new(seed, n, back, renames, unread);
             let want = drawn.validation();
             prop_assert_eq!(drawn.builder().build().map(|_| ()), want.clone());
             let graph = drawn.builder().assemble();
-            prop_assert_eq!(graph.check(), want);
+            let read = Drawn { unread: vec![false; n], ..drawn };
+            prop_assert_eq!(graph.check(), read.validation());
+            for (id, op) in graph.ops() {
+                let want = if read.recv[id.index()] { Cost::bytes(8) } else { Cost::flops(2.0) };
+                prop_assert_eq!(op.cost(), want);
+            }
+            let drawn = read;
             prop_assert_eq!(topo::is_acyclic(&graph), drawn.cycle().is_ok());
             prop_assert_eq!(topo::topo_order(&graph).map(|_| ()), drawn.cycle());
         }

@@ -35,6 +35,14 @@ pub enum GraphError {
         /// Second endpoint.
         ps: DeviceId,
     },
+    /// An op's cost sets the field its class never reads: flops on a send
+    /// or recv, bytes on any other op.
+    UnreadCost {
+        /// The offending op.
+        op: OpId,
+        /// The field it set: `"flops"` or `"bytes"`.
+        field: &'static str,
+    },
     /// Two ops share the same name.
     DuplicateOpName(String),
     /// The graph is empty where a non-empty graph was required.
@@ -62,6 +70,9 @@ impl fmt::Display for GraphError {
                     f,
                     "channel endpoints {worker} and {ps} are not a worker-ps pair"
                 )
+            }
+            GraphError::UnreadCost { op, field } => {
+                write!(f, "op {op} sets {field}, which its class never reads")
             }
             GraphError::DuplicateOpName(name) => write!(f, "duplicate op name `{name}`"),
             GraphError::Empty => f.write_str("graph is empty"),

@@ -33,10 +33,13 @@ impl NameId {
 /// Every distinct string is stored once; [`OpName`]s refer to it by
 /// [`NameId`]. Interning the same string twice returns the same id, which
 /// is what lets [`GraphBuilder`](crate::GraphBuilder) keep detecting
-/// duplicate raw op names by comparing `OpName`s.
+/// duplicate raw op names by comparing `OpName`s. The string → id index
+/// lives only while a builder interns: a built graph's table is read and
+/// never added to, so it keeps the strings alone.
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
     strings: Vec<String>,
+    /// Each interned string's id; emptied by [`finish`](Self::finish).
     index: HashMap<String, NameId>,
 }
 
@@ -66,9 +69,18 @@ impl NameTable {
         &self.strings[id.index()]
     }
 
-    /// Looks up an already-interned string without inserting.
+    /// Drops the interning index and any spare capacity: the table of a
+    /// built graph, which nothing interns into.
+    pub(crate) fn finish(&mut self) {
+        self.index = HashMap::new();
+        self.strings.shrink_to_fit();
+    }
+
+    /// Looks up an already-interned string without inserting, by a scan
+    /// of the strings.
     pub fn lookup(&self, s: &str) -> Option<NameId> {
-        self.index.get(s).copied()
+        let i = self.strings.iter().position(|t| t == s)?;
+        Some(NameId(i as u32))
     }
 }
 

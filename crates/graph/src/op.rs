@@ -114,8 +114,13 @@ impl fmt::Display for OpKind {
 /// Platform-independent cost annotation of an op, interpreted by a time
 /// oracle (`tictac-trace`).
 ///
-/// Compute ops carry floating-point work; communication ops carry a byte
-/// count. Either may be zero (e.g. a control-dependency barrier).
+/// Sends and recvs carry a byte count; compute, read, aggregate and update
+/// ops carry floating-point work. An [`Op`] stores only the field its class
+/// reads, and [`GraphBuilder::build`](crate::GraphBuilder::build) refuses a
+/// cost that sets the other one ([`GraphError::UnreadCost`]). Either may be
+/// zero (e.g. a control-dependency barrier).
+///
+/// [`GraphError::UnreadCost`]: crate::GraphError::UnreadCost
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cost {
     /// Floating-point operations performed by the op.
@@ -151,16 +156,53 @@ impl Cost {
 ///
 /// Ops carry a compact [`OpName`] rather than a `String`; the rendered
 /// display name lives in the owning graph
-/// ([`Graph::op_name`](crate::Graph::op_name)).
+/// ([`Graph::op_name`](crate::Graph::op_name)). Of the [`Cost`], an op
+/// keeps the one field its class reads, in one 8-byte word: the byte count
+/// of a send or recv, the bits of the flops of any other op.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Op {
     pub(crate) name: OpName,
     pub(crate) kind: OpKind,
     pub(crate) device: crate::ids::DeviceId,
-    pub(crate) cost: Cost,
+    cost: u64,
 }
 
+// A deployment holds one `Op` per op for as long as it is cached.
+const _: () = assert!(std::mem::size_of::<Op>() == 40);
+
 impl Op {
+    /// An op keeping the field of `cost` that `kind` reads. The caller
+    /// checks the other field first ([`Op::unread_field`]).
+    pub(crate) fn new(
+        name: OpName,
+        kind: OpKind,
+        device: crate::ids::DeviceId,
+        cost: Cost,
+    ) -> Self {
+        let cost = if kind.is_communication() {
+            cost.bytes
+        } else {
+            cost.flops.to_bits()
+        };
+        Self {
+            name,
+            kind,
+            device,
+            cost,
+        }
+    }
+
+    /// The field of `cost` an op of `kind` never reads, if `cost` sets it:
+    /// flops on a send or recv (a negative zero counts as set), bytes on
+    /// any other op.
+    pub(crate) fn unread_field(kind: OpKind, cost: Cost) -> Option<&'static str> {
+        if kind.is_communication() {
+            (cost.flops.to_bits() != 0).then_some("flops")
+        } else {
+            (cost.bytes != 0).then_some("bytes")
+        }
+    }
+
     /// The op's structured name. Render it through the owning graph's
     /// [`NameTable`](crate::NameTable), or use
     /// [`Graph::op_name`](crate::Graph::op_name) for the cached string.
@@ -178,9 +220,17 @@ impl Op {
         self.device
     }
 
-    /// The op's cost annotation.
+    /// The op's cost annotation: its byte count for a send or recv, its
+    /// flops for any other op, and zero in the field its class never reads.
     pub fn cost(&self) -> Cost {
-        self.cost
+        if self.kind.is_communication() {
+            Cost::bytes(self.cost)
+        } else {
+            Cost {
+                flops: f64::from_bits(self.cost),
+                bytes: 0,
+            }
+        }
     }
 
     /// Whether this op is a `recv`.

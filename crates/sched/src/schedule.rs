@@ -11,19 +11,24 @@ use tictac_graph::{DeviceId, Graph, OpId};
 /// order is insignificant; ops without a priority are unconstrained. The
 /// simulator's ready-queue rule consumes this type.
 ///
-/// Stored as one presence bit per op plus one `u64` per op, the second
-/// allocated at the first [`set`](Self::set): a baseline schedule costs a
-/// bit an op, a TIC or TAC one 8.125 bytes. Every `u64` is a legal
-/// priority — TIC gives `M⁺ = ∞` as `u64::MAX` — so no value can stand
-/// for "absent". Absent slots hold 0, which keeps the derived equality
-/// exact.
+/// Stored as one presence bit per op, a `u32` rank prefix per 64-bit word
+/// of bits (the prioritized ops in the words before it) and the priorities
+/// of the prioritized ops alone, in op order: op `i`'s value is at its
+/// word's prefix plus the set bits below `i` in that word. A baseline
+/// schedule costs a bit an op; a TIC or TAC one, which prioritizes the
+/// recvs of one worker in every worker's graph, about 1.3 bytes. Every
+/// `u64` is a legal priority — TIC gives `M⁺ = ∞` as `u64::MAX` — so no
+/// value stands for "absent". The prefix is empty while no op has a
+/// priority, which keeps the derived equality exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Number of ops covered.
     len: usize,
     /// Bit `i % 64` of word `i / 64` is set when op `i` has a priority.
     present: Vec<u64>,
-    /// Priority per op; empty until the first `set`.
+    /// `rank[w]`: the set bits in `present[..w]`; empty while `values` is.
+    rank: Vec<u32>,
+    /// The priorities of the prioritized ops, in ascending op order.
     values: Vec<u64>,
 }
 
@@ -34,34 +39,98 @@ impl Schedule {
         Self {
             len: n,
             present: vec![0; n.div_ceil(64)],
+            rank: Vec::new(),
             values: Vec::new(),
         }
     }
 
-    /// Assigns priority `priority` to `op`.
+    /// The schedule of `n` ops that [`set`](Self::set)ting each pair in
+    /// turn makes (a later pair for the same op wins), built in time linear
+    /// in `n` and the pairs: the presence bits first, then the rank prefix,
+    /// then each value at its rank. The pairs are walked twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op is out of bounds for the schedule, as `set` does.
+    pub fn from_priorities<I>(n: usize, pairs: I) -> Self
+    where
+        I: IntoIterator<Item = (OpId, u64)>,
+        I::IntoIter: Clone,
+    {
+        let mut s = Self::empty(n);
+        let pairs = pairs.into_iter();
+        for (op, _) in pairs.clone() {
+            let i = s.checked(op);
+            s.present[i / 64] |= 1 << (i % 64);
+        }
+        let mut count = 0u32;
+        let rank: Vec<u32> = s
+            .present
+            .iter()
+            .map(|word| {
+                let below = count;
+                count += word.count_ones();
+                below
+            })
+            .collect();
+        if count > 0 {
+            s.rank = rank;
+            s.values = vec![0; count as usize];
+            for (op, priority) in pairs {
+                let at = s.slot(op.index());
+                s.values[at] = priority;
+            }
+        }
+        s
+    }
+
+    /// Assigns priority `priority` to `op`. A first priority for `op`
+    /// moves every later value up one slot: build whole schedules with
+    /// [`from_priorities`](Self::from_priorities).
     ///
     /// # Panics
     ///
     /// Panics if `op` is out of bounds for the schedule.
     pub fn set(&mut self, op: OpId, priority: u64) {
+        let i = self.checked(op);
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if self.rank.is_empty() {
+            self.rank = vec![0; self.present.len()];
+        }
+        let at = self.slot(i);
+        if self.present[w] & bit != 0 {
+            self.values[at] = priority;
+            return;
+        }
+        self.present[w] |= bit;
+        self.values.insert(at, priority);
+        for r in &mut self.rank[w + 1..] {
+            *r += 1;
+        }
+    }
+
+    /// `op`'s index, after the bounds check `set` makes.
+    fn checked(&self, op: OpId) -> usize {
         let i = op.index();
         assert!(
             i < self.len,
             "index out of bounds: the len is {} but the index is {i}",
             self.len
         );
-        if self.values.is_empty() {
-            self.values = vec![0; self.len];
-        }
-        self.values[i] = priority;
-        self.present[i / 64] |= 1 << (i % 64);
+        i
+    }
+
+    /// Where op `i`'s value is, or would be, in `values`.
+    fn slot(&self, i: usize) -> usize {
+        let below = self.present[i / 64] & ((1u64 << (i % 64)) - 1);
+        self.rank[i / 64] as usize + below.count_ones() as usize
     }
 
     /// The priority of `op`, if assigned.
     pub fn priority(&self, op: OpId) -> Option<u64> {
         let i = op.index();
         let word = *self.present.get(i / 64)?;
-        (word >> (i % 64) & 1 != 0).then(|| self.values[i])
+        (word >> (i % 64) & 1 != 0).then(|| self.values[self.slot(i)])
     }
 
     /// Number of ops covered (prioritized or not).
@@ -76,22 +145,23 @@ impl Schedule {
 
     /// Whether no op has a priority (baseline behaviour).
     pub fn is_unordered(&self) -> bool {
-        self.present.iter().all(|&word| word == 0)
+        self.values.is_empty()
     }
 
     /// Iterates over `(op, priority)` pairs that have priorities, in
     /// ascending op order.
     pub fn prioritized(&self) -> impl Iterator<Item = (OpId, u64)> + '_ {
-        self.present.iter().enumerate().flat_map(move |(w, &word)| {
+        let ops = self.present.iter().enumerate().flat_map(|(w, &word)| {
             let mut bits = word;
             std::iter::from_fn(move || {
                 (bits != 0).then(|| {
                     let i = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    (OpId::from_index(i), self.values[i])
+                    OpId::from_index(i)
                 })
             })
-        })
+        });
+        ops.zip(self.values.iter().copied())
     }
 
     /// The prioritized `recv` ops of every channel: `result[c]` is channel
@@ -135,11 +205,7 @@ pub fn no_ordering(graph: &Graph) -> Schedule {
 pub fn random_order(graph: &Graph, worker: DeviceId, rng: &mut impl Rng) -> Schedule {
     let mut recvs = graph.recv_ops_on(worker);
     recvs.shuffle(rng);
-    let mut s = Schedule::empty(graph.len());
-    for (rank, op) in recvs.into_iter().enumerate() {
-        s.set(op, rank as u64);
-    }
-    s
+    Schedule::from_priorities(graph.len(), recvs.into_iter().zip(0..))
 }
 
 #[cfg(test)]
@@ -197,6 +263,7 @@ mod tests {
     /// Heap bytes a schedule holds, by capacity.
     fn heap_bytes(s: &Schedule) -> usize {
         (s.present.capacity() + s.values.capacity()) * std::mem::size_of::<u64>()
+            + s.rank.capacity() * std::mem::size_of::<u32>()
     }
 
     /// A chain of `n` recvs, each feeding one layer that also needs the
@@ -216,16 +283,20 @@ mod tests {
         (b.build().unwrap(), w)
     }
 
-    /// Width pins: a prioritized schedule holds eight bytes an op plus a
-    /// bit, an empty one the bit alone.
+    /// Width pins: a prioritized schedule holds a bit an op, four bytes a
+    /// word of bits and eight bytes a prioritized op, an empty one the bit
+    /// alone.
     #[test]
-    fn schedule_heap_is_a_bit_plus_eight_bytes_per_op() {
+    fn schedule_heap_is_a_bit_per_op_plus_eight_bytes_per_priority() {
         let (g, w) = chain(500);
         let n = g.len();
         let tic = crate::tic(&g, w);
-        assert!(!tic.is_unordered());
-        assert!(
-            heap_bytes(&tic) <= 8 * n + n / 8 + 64,
+        let prioritized = tic.prioritized().count();
+        assert_eq!(prioritized, 500);
+        let words = n.div_ceil(64);
+        assert_eq!(
+            heap_bytes(&tic),
+            8 * prioritized + 8 * words + 4 * words,
             "{}",
             heap_bytes(&tic)
         );
@@ -251,6 +322,9 @@ mod tests {
             let want = message(&mut || model[op.index()] = Some(1));
             assert_eq!(message(&mut || s.set(op, 1)), want);
             assert_eq!(s, Schedule::empty(n));
+            let pairs = [(OpId::from_index(0), 1), (op, 1)];
+            let bulk = message(&mut || drop(Schedule::from_priorities(n, pairs)));
+            assert_eq!(bulk, want);
         }
     }
 
@@ -259,12 +333,16 @@ mod tests {
 
         /// The bitset schedule answers every query as the
         /// `Vec<Option<u64>>` table it replaced: re-sets, out-of-range
-        /// lookups, empty and baseline schedules, more than 64 ops.
+        /// lookups, empty and baseline schedules, more than 64 ops. The
+        /// bulk constructor, given the pairs `set` was given (random op
+        /// order, an op set more than once, `0` and `u64::MAX`), builds
+        /// the same schedule.
         #[test]
         fn schedule_matches_the_option_table(seed in any::<u64>(), n in 0usize..200) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut model: Vec<Option<u64>> = vec![None; n];
             let mut s = Schedule::empty(n);
+            let mut pairs: Vec<(OpId, u64)> = Vec::new();
             for _ in 0..rng.gen_range(0..64) {
                 // Word boundaries and the two extreme priorities on purpose.
                 let i = match rng.gen_range(0..4) {
@@ -280,6 +358,7 @@ mod tests {
                 if i < n && rng.gen_range(0..4) != 0 {
                     model[i] = Some(p);
                     s.set(OpId::from_index(i), p);
+                    pairs.push((OpId::from_index(i), p));
                 } else {
                     let want = model.get(i).copied().flatten();
                     prop_assert_eq!(s.priority(OpId::from_index(i)), want);
@@ -315,6 +394,19 @@ mod tests {
                 prop_assert_ne!(&other, &s);
             }
             prop_assert_eq!(s == Schedule::empty(n), want.is_empty());
+
+            let bulk = Schedule::from_priorities(n, pairs.iter().copied());
+            prop_assert_eq!(&bulk, &s);
+            prop_assert_eq!(bulk.is_unordered(), model.iter().all(Option::is_none));
+            for i in 0..n + 130 {
+                let op = OpId::from_index(i);
+                prop_assert_eq!(bulk.priority(op), model.get(i).copied().flatten());
+            }
+            prop_assert_eq!(bulk.prioritized().collect::<Vec<_>>(), want.clone());
+            // What the bulk constructor reserves is what it holds.
+            prop_assert_eq!(bulk.values.capacity(), want.len());
+            let words = if want.is_empty() { 0 } else { n.div_ceil(64) };
+            prop_assert_eq!(bulk.rank.capacity(), words);
         }
     }
 

@@ -144,14 +144,8 @@ pub fn tac_observed(
     oracle: &dyn TimeOracle,
     registry: &Registry,
 ) -> Schedule {
-    let mut schedule = Schedule::empty(graph.len());
-    for (rank, op) in derive_order(graph, worker, oracle, registry)
-        .into_iter()
-        .enumerate()
-    {
-        schedule.set(op, rank as u64);
-    }
-    schedule
+    let order = derive_order(graph, worker, oracle, registry);
+    Schedule::from_priorities(graph.len(), order.into_iter().zip(0..))
 }
 
 /// An *adversarial* schedule: the reverse of [`tac_order`], delaying the
@@ -162,15 +156,8 @@ pub fn tac_observed(
 /// `S` of Equation 4 (which ignores DAG dependencies and therefore upper
 /// bounds it).
 pub fn worst_case(graph: &Graph, worker: DeviceId, oracle: &dyn TimeOracle) -> Schedule {
-    let mut schedule = Schedule::empty(graph.len());
-    for (rank, op) in tac_order(graph, worker, oracle)
-        .into_iter()
-        .rev()
-        .enumerate()
-    {
-        schedule.set(op, rank as u64);
-    }
-    schedule
+    let order = tac_order(graph, worker, oracle);
+    Schedule::from_priorities(graph.len(), order.into_iter().rev().zip(0..))
 }
 
 #[cfg(test)]

@@ -33,17 +33,16 @@ pub fn tic_observed(graph: &Graph, worker: DeviceId, registry: &Registry) -> Sch
     let durations = part.durations(graph, &GeneralOracle);
     let props = OpProperties::new(&part, durations);
 
-    let mut schedule = Schedule::empty(graph.len());
-    for (bit, &recv_local) in part.recvs().iter().enumerate() {
+    let priorities = part.recvs().iter().enumerate().map(|(bit, &recv_local)| {
         let priority = match props.m_plus(bit) {
             // Express M+ in whole units of the general oracle so equal
             // loads share a priority number.
             Some(d) => d.as_nanos() / GeneralOracle::UNIT.as_nanos(),
             None => u64::MAX,
         };
-        schedule.set(part.global(recv_local as usize), priority);
-    }
-    schedule
+        (part.global(recv_local as usize), priority)
+    });
+    Schedule::from_priorities(graph.len(), priorities)
 }
 
 #[cfg(test)]

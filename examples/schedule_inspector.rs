@@ -104,10 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Overlap and inversion report for the op's channel, observed on
         // one enforced TAC iteration.
         if let Some(ch) = g.find_op(&name).and_then(|op| g.op(op).kind().channel()) {
-            let mut tac_schedule = Schedule::empty(g.len());
-            for (rank, &op) in tac_seq.iter().enumerate() {
-                tac_schedule.set(op, rank as u64);
-            }
+            let ranked = tac_seq.iter().copied().zip(0..);
+            let tac_schedule = Schedule::from_priorities(g.len(), ranked);
             let tac_schedule = deployed.replicate_schedule(&tac_schedule);
             let trace = simulate(g, &tac_schedule, &config, 0);
             let report = overlap_report(g, &trace);

@@ -307,19 +307,47 @@ fn flag_u64(flags: &HashMap<String, String>, name: &str) -> Option<u64> {
 /// The record kinds a store holds (`Payload::kind`).
 const RECORD_KINDS: [&str; 2] = ["session", "report"];
 
-fn runs_filter(flags: &HashMap<String, String>) -> RunFilter {
-    let kind = flags.get("kind").cloned().filter(|v| !v.is_empty());
-    if let Some(kind) = kind.as_deref().filter(|k| !RECORD_KINDS.contains(k)) {
-        usage(&format!(
-            "unknown --kind `{kind}` (use {})",
-            RECORD_KINDS.join(" or ")
-        ));
+/// The backends a record names (`ExecutionBackend::name`).
+const RECORD_BACKENDS: [&str; 2] = ["sim", "threaded"];
+
+/// The non-empty value of `--flag`, refused as a usage error unless
+/// `known` accepts it (`expected` says what would be).
+fn known_flag(
+    flags: &HashMap<String, String>,
+    flag: &str,
+    known: impl Fn(&str) -> bool,
+    expected: &str,
+) -> Option<String> {
+    let value = flags.get(flag).cloned().filter(|v| !v.is_empty());
+    if let Some(v) = value.as_deref().filter(|v| !known(v)) {
+        usage(&format!("unknown --{flag} `{v}` (use {expected})"));
     }
+    value
+}
+
+fn runs_filter(flags: &HashMap<String, String>) -> RunFilter {
+    // A record's scheduler is a policy name, or `-` for a report.
+    let schedulers: Vec<&str> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
     RunFilter {
         workload: flags.get("workload").cloned().filter(|v| !v.is_empty()),
-        scheduler: flags.get("scheduler").cloned().filter(|v| !v.is_empty()),
-        backend: flags.get("backend").cloned().filter(|v| !v.is_empty()),
-        kind,
+        scheduler: known_flag(
+            flags,
+            "scheduler",
+            |s| s == "-" || SchedulerKind::from_name(s).is_some(),
+            &format!("{} or - for reports", schedulers.join(", ")),
+        ),
+        backend: known_flag(
+            flags,
+            "backend",
+            |b| RECORD_BACKENDS.contains(&b),
+            &RECORD_BACKENDS.join(" or "),
+        ),
+        kind: known_flag(
+            flags,
+            "kind",
+            |k| RECORD_KINDS.contains(&k),
+            &RECORD_KINDS.join(" or "),
+        ),
         seed_min: flag_u64(flags, "seed-min"),
         seed_max: flag_u64(flags, "seed-max"),
     }
@@ -545,7 +573,8 @@ fn usage(err: &str) -> ! {
          \x20        [--iterations N] [--mode train|inference] [--env g|c] [--store FILE.jsonl]\n\
          \x20 tictac run <scenario.yml> [--dry-run] [--store FILE.jsonl]\n\
          \x20 tictac runs [list|show|diff|regress] [--store FILE.jsonl] [--workload NAME]\n\
-         \x20        [--scheduler S] [--backend B] [--kind session|report]\n\
+         \x20        [--scheduler baseline|random|tic|tac|-] [--backend sim|threaded]\n\
+         \x20        [--kind session|report]\n\
          \x20        [--seed-min N] [--seed-max N] [--id RID] [--a RID --b RID] [--window N]\n\
          \x20 tictac timeline <model> [--workers N] [--ps N] [--scheduler baseline|random|tic|tac]\n\
          \x20        [--mode train|inference] [--format gantt|chrome|tsv] [--out FILE] [--env g|c]"

@@ -1,0 +1,83 @@
+//! Heap bytes per op of what a cached deployment holds (DESIGN.md §7,
+//! *Bytes per op*), counted by a global allocator around each level of a
+//! fresh `DeployCache`: the deployment, then each schedule derived on it.
+//! One test in this binary, so no other thread allocates while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use tictac::{ClusterSpec, DeployCache, Mode, Model, Platform, Registry, SchedulerKind, SimConfig};
+
+/// The system allocator, keeping a count of the bytes live.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter only
+// observes the sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, size);
+        if !q.is_null() {
+            LIVE.fetch_add(size, Relaxed);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Bytes `f` leaves live: what it returns plus what it cached.
+fn kept<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Relaxed);
+    let value = f();
+    (value, LIVE.load(Relaxed) - before)
+}
+
+/// A deployment holds ≤ 70 B an op (a 40-byte `Op`, the edge arenas with
+/// no spare reservation, the name strings without their index) and a
+/// TIC or TAC schedule ≤ 1.5 (a presence bit an op, a rank word per 64
+/// ops, eight bytes per prioritized recv), on two `scale_sweep` shapes:
+/// training, batch 2.
+#[test]
+fn a_cached_deployment_and_its_schedules_stay_within_their_bytes_per_op() {
+    let config = SimConfig::deterministic(Platform::cloud_gpu()).with_disorder_window(Some(1));
+    for (model, workers, ps) in [(Model::Vgg16, 64, 2), (Model::InceptionV1, 32, 1)] {
+        let graph = model.build_with_batch(Mode::Training, 2);
+        let cluster = ClusterSpec::new(workers, ps);
+        let cache = DeployCache::new();
+        let (deployed, deployment) = kept(|| cache.deploy(&graph, &cluster).unwrap());
+        let ops = deployed.graph().len() as f64;
+        let shape = format!("{} {workers} x {ps}", model.name());
+        let per_op = deployment as f64 / ops;
+        assert!(per_op <= 70.0, "{shape}: deployment {per_op:.2} B/op");
+        for scheduler in [SchedulerKind::Tic, SchedulerKind::Tac] {
+            let disabled = Registry::disabled();
+            let ((_, schedule), bytes) = kept(|| {
+                cache
+                    .schedule(&graph, &cluster, scheduler, &config, &disabled)
+                    .unwrap()
+            });
+            assert!(!schedule.is_unordered(), "{shape} {scheduler}");
+            let per_op = bytes as f64 / ops;
+            assert!(
+                per_op <= 1.5,
+                "{shape} {scheduler}: schedule {per_op:.3} B/op"
+            );
+        }
+    }
+}

@@ -84,6 +84,45 @@ fn unknown_kinds_and_schedulers_are_usage_errors() {
         assert_eq!(out.status.code(), Some(0), "{kind}: {stderr}");
     }
 
+    // `runs` filters refuse a scheduler or backend no record names, before
+    // the store is read: the missing store is never reported.
+    let missing = concat!(env!("CARGO_TARGET_TMPDIR"), "/no-such-store.jsonl");
+    for (flag, value, expected) in [
+        (
+            "--scheduler",
+            "bogus",
+            "baseline, random, tic, tac or - for reports",
+        ),
+        (
+            "--scheduler",
+            "TAC",
+            "baseline, random, tic, tac or - for reports",
+        ),
+        ("--backend", "nope", "sim or threaded"),
+    ] {
+        for sub in ["list", "regress"] {
+            let (out, stderr) = tictac(&["runs", sub, "--store", missing, flag, value]);
+            assert_eq!(out.status.code(), Some(2), "{sub} {flag}: {stderr}");
+            let first = stderr.lines().next().unwrap_or_default();
+            let name = flag.trim_start_matches('-');
+            assert_eq!(
+                first,
+                format!("error: unknown --{name} `{value}` (use {expected})")
+            );
+            assert!(out.stdout.is_empty(), "a refused filter listed records");
+        }
+    }
+    for (flag, value) in [
+        ("--scheduler", "-"),
+        ("--scheduler", "tac"),
+        ("--scheduler", "baseline"),
+        ("--backend", "sim"),
+        ("--backend", "threaded"),
+    ] {
+        let (out, stderr) = tictac(&["runs", "list", "--store", store, flag, value]);
+        assert_eq!(out.status.code(), Some(0), "{flag} {value}: {stderr}");
+    }
+
     for args in [
         &["run", "alexnet_v2", "--scheduler", "bogus"][..],
         &["timeline", "alexnet_v2", "--scheduler", "bogus"],
