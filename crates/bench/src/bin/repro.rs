@@ -24,7 +24,8 @@
 use std::path::{Path, PathBuf};
 use tictac_bench::experiments;
 use tictac_core::{
-    validate_perfetto, ClusterSpec, Fnv1a, Mode, Model, Registry, SchedulerKind, Session, SimConfig,
+    validate_perfetto, BackendKind, ClusterSpec, Fnv1a, Mode, Model, Registry, SchedulerKind,
+    Session, SimConfig,
 };
 
 /// Exits 1 with `error: <path>: <cause>`: an output path that cannot be
@@ -178,7 +179,7 @@ fn main() {
                 workers: 0,
                 ps: 0,
                 scheduler: "-".into(),
-                backend: "sim".into(),
+                backend: BackendKind::Sim.name().into(),
                 seed: SimConfig::cloud_gpu().seed,
                 fault_fp: 0,
                 scenario_fp: 0,

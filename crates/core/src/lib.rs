@@ -9,10 +9,10 @@
 //! 3. trace warm-up iterations and estimate the time oracle (min-of-5, §5),
 //! 4. compute a transfer schedule ([`SchedulerKind`]: baseline, random,
 //!    TIC or TAC) on the reference worker and replicate it,
-//! 5. execute measured iterations on a pluggable [`ExecutionBackend`] —
-//!    the discrete-event simulator ([`SimBackend`], default) or the
-//!    in-process multi-threaded runtime ([`ThreadedBackend`]) — and
-//!    report throughput, scheduling efficiency (Equation 3) and
+//! 5. execute measured iterations on a [`BackendKind`] — the
+//!    discrete-event simulator (default) or, through
+//!    [`SessionBuilder::threaded`], the in-process multi-threaded runtime
+//!    — and report throughput, scheduling efficiency (Equation 3) and
 //!    straggler impact.
 //!
 //! # Example
@@ -28,13 +28,12 @@
 //!     .build()?
 //!     .run();
 //! assert_eq!(report.iterations.len(), 3);
-//! # Ok::<(), tictac_core::DeployError>(())
+//! # Ok::<(), tictac_core::ScenarioBuildError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod cache;
 mod experiments;
 pub mod optimal;
@@ -44,15 +43,13 @@ mod stats;
 pub mod training;
 mod tune;
 
-pub use backend::{
-    simulate_with_plan_observed, ExecutionBackend, SimBackend, ThreadedBackend, TimeDomain,
-};
 pub use cache::{CacheStats, DeployCache};
 pub use experiments::{count_unique_recv_orders, parallel_map, speedup_pct};
 pub use optimal::{makespan_of_order, optimal_order, OptimalSearch};
-pub use scenario::{BackendKind, EnvPreset, ParseError as ScenarioParseError, Scenario};
+pub use scenario::{EnvPreset, ParseError as ScenarioParseError, Scenario};
 pub use session::{
-    IterationRecord, RunOptions, RunReport, ScenarioBuildError, Session, SessionBuilder,
+    simulate_with_plan_observed, IterationRecord, RunOptions, RunReport, ScenarioBuildError,
+    Session, SessionBuilder,
 };
 pub use stats::{ols, percentile, Cdf, OlsFit, Summary};
 pub use tune::{auto_tune_with, TuneOptions, TuneResult};
@@ -85,7 +82,7 @@ pub use tictac_store::{
     RegressReport, RunFilter, RunRecord, RunSink, RunStore, SessionSummary,
 };
 pub use tictac_trace::{
-    analyze, estimate_profile, gantt, straggler_pct, CostOracle, ExecutionTrace, FaultCounters,
-    FaultEvent, FaultEventKind, GeneralOracle, IterationMetrics, MeasuredProfile, NoiseModel,
-    OpRecord, Platform, RetryPolicy, SimDuration, SimTime, TimeOracle, TraceBuilder,
+    analyze, estimate_profile, gantt, straggler_pct, BackendKind, CostOracle, ExecutionTrace,
+    FaultCounters, FaultEvent, FaultEventKind, GeneralOracle, IterationMetrics, MeasuredProfile,
+    NoiseModel, OpRecord, Platform, RetryPolicy, SimDuration, SimTime, TimeOracle, TraceBuilder,
 };

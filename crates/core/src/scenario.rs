@@ -26,41 +26,7 @@ use tictac_cluster::{ClusterSpec, CommConfig};
 use tictac_graph::{Fnv1a, Mode, Model};
 use tictac_sched::SchedulerKind;
 use tictac_sim::{FaultSpec, SimConfig, DEFAULT_SEED};
-use tictac_trace::SimDuration;
-
-/// Which execution backend runs the measured iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The discrete-event simulator (deterministic model time).
-    Sim,
-    /// The in-process multi-threaded runtime (wall-clock time).
-    Threaded,
-}
-
-impl BackendKind {
-    /// The backend's short lowercase name.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            BackendKind::Sim => "sim",
-            BackendKind::Threaded => "threaded",
-        }
-    }
-
-    /// Parses a backend from its short lowercase name.
-    pub(crate) fn from_name(name: &str) -> Option<BackendKind> {
-        match name {
-            "sim" => Some(BackendKind::Sim),
-            "threaded" => Some(BackendKind::Threaded),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+use tictac_trace::{BackendKind, SimDuration};
 
 /// Which platform preset (`SimConfig`) the scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -4,25 +4,26 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use tictac_cluster::{ClusterSpec, DeployError, DeployedModel};
-use tictac_graph::ModelGraph;
-use tictac_obs::Registry;
+use tictac_graph::{Graph, ModelGraph};
+use tictac_obs::{sim_metrics, Registry};
 use tictac_sched::{
     efficiency, no_ordering, random_order, tac_observed, tic_observed, Schedule, SchedulerKind,
 };
-use tictac_sim::{noise_free_profile, FaultSpec, RunPlan, SimConfig, SimError};
+use tictac_sim::{
+    noise_free_profile, ExecOptions, FaultPlan, FaultSpec, RunPlan, SimConfig, SimError,
+};
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
 use tictac_trace::{
-    analyze, estimate_profile, ExecutionTrace, FaultCounters, MeasuredProfile, NoiseModel,
-    SimDuration, HORIZON_NS,
+    analyze, estimate_profile, BackendKind, ExecutionTrace, FaultCounters, MeasuredProfile,
+    NoiseModel, SimDuration, HORIZON_NS,
 };
 
-use crate::backend::{ExecutionBackend, SimBackend, TimeDomain};
-use crate::scenario::{BackendKind, Scenario};
+use crate::scenario::Scenario;
 
 /// The declarative half of a session: every knob that determines *what*
 /// runs — and therefore the run's recorded identity — separate from the
-/// process-local attachments (metrics registry, backend instance, record
-/// sink). [`SessionBuilder`] is a thin imperative layer over this struct,
+/// process-local attachments (metrics registry, threaded-runtime options,
+/// record sink). [`SessionBuilder`] is a thin imperative layer over this struct,
 /// and [`Session::from_scenario`] fills it from a parsed scenario file;
 /// both construction paths flow through the same `build`.
 #[derive(Debug, Clone)]
@@ -34,8 +35,8 @@ pub(crate) struct SessionConfig {
     /// Transfer-scheduling policy.
     pub scheduler: SchedulerKind,
     /// Warm-up iterations: the first `warmup` iteration indices of a run
-    /// are never measured. A wall-clock backend executes and discards
-    /// them; a virtual-time backend, where nothing warms up, skips them —
+    /// are never measured. The threaded runtime executes and discards
+    /// them; the simulator, where nothing warms up, skips them —
     /// measured iterations keep their indices (`warmup..`) either way, so
     /// reports and records do not depend on which happened.
     pub warmup: usize,
@@ -67,7 +68,7 @@ pub struct SessionBuilder {
     model: ModelGraph,
     settings: SessionConfig,
     registry: Registry,
-    backend: Option<Box<dyn ExecutionBackend>>,
+    threaded: Option<ExecOptions>,
     sink: Option<std::sync::Arc<dyn RunSink>>,
 }
 
@@ -97,8 +98,8 @@ impl SessionBuilder {
     }
 
     /// Number of warm-up iterations (default 2, as in §6): indices
-    /// `0..warmup` are never measured — executed and discarded on a
-    /// wall-clock backend, skipped on a virtual-time one; measured
+    /// `0..warmup` are never measured — executed and discarded on the
+    /// threaded runtime, skipped on the simulator; measured
     /// iterations keep their indices `warmup..` either way.
     pub fn warmup(mut self, warmup: usize) -> Self {
         self.settings.warmup = warmup;
@@ -121,14 +122,18 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the execution backend (default: the discrete-event simulator,
-    /// [`SimBackend`], built from this session's config).
+    /// Executes iterations on the threaded runtime with `opts` (default:
+    /// the discrete-event simulator): OS threads, prioritized channel
+    /// queues with sender-side enforcement, wall-clock timestamps.
     ///
-    /// Schedules — including TAC's profiled one — are computed identically
-    /// for every backend, so runs of one configuration differ only in how
-    /// the iteration is *executed*.
-    pub fn backend(mut self, backend: impl ExecutionBackend + 'static) -> Self {
-        self.backend = Some(Box::new(backend));
+    /// It exists to check §5.1 — sender-side enforcement holds when
+    /// hand-offs race on real threads — and runs quiet iterations only:
+    /// [`build`](SessionBuilder::build) refuses a configuration it cannot
+    /// honor. Schedules — including TAC's profiled one — are computed
+    /// identically on both backends, so runs of one configuration differ
+    /// only in how the iteration is *executed*.
+    pub fn threaded(mut self, opts: ExecOptions) -> Self {
+        self.threaded = Some(opts);
         self
     }
 
@@ -150,10 +155,19 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`DeployError`] if the cluster spec or model is invalid.
-    pub fn build(self) -> Result<Session, DeployError> {
+    /// [`ScenarioBuildError::Backend`], before anything is deployed, if
+    /// the session is [`threaded`](SessionBuilder::threaded) and its
+    /// config sets a knob the wall clock cannot honor: a reorder error
+    /// above 0.01, noise heavier than `sigma` 0.1 or a 5% slowdown
+    /// probability, or a fault spec that can inject a fault or sets a
+    /// degraded barrier. [`ScenarioBuildError::Deploy`] if the cluster
+    /// spec or model is invalid.
+    pub fn build(self) -> Result<Session, ScenarioBuildError> {
         let started = Instant::now();
         let s = &self.settings;
+        if self.threaded.is_some() {
+            check_threaded(&s.config)?;
+        }
         let (deployed, schedule) = crate::DeployCache::global().schedule(
             &self.model,
             &s.cluster,
@@ -164,7 +178,6 @@ impl SessionBuilder {
         let schedule_compute_time = started.elapsed();
         let plan = RunPlan::new(deployed.graph(), &schedule, &s.config)
             .expect("a derived schedule covers its graph");
-        let backend = self.backend.unwrap_or_else(|| Box::new(SimBackend));
         let sink = self
             .sink
             .or_else(|| tictac_store::global_store().map(|s| s as std::sync::Arc<dyn RunSink>));
@@ -180,7 +193,7 @@ impl SessionBuilder {
             plan,
             schedule_compute_time,
             registry: self.registry,
-            backend,
+            threaded: self.threaded,
             seed: s.config.seed,
             fault_fp: s.config.faults.fingerprint(),
             scenario_fp: s.scenario_fp,
@@ -190,15 +203,16 @@ impl SessionBuilder {
     }
 }
 
-/// Error turning a [`Scenario`] into a runnable [`Session`]: the
-/// deployment can be invalid, the scenario can ask the threaded backend
-/// for a configuration it does not support, or its cluster can be too
-/// slow for an iteration to fit on the time axis.
+/// Error building a runnable [`Session`], by [`SessionBuilder::build`] or
+/// from a [`Scenario`]: the deployment can be invalid, the session can ask
+/// the threaded runtime for a configuration it does not support, or a
+/// scenario's cluster can be too slow for an iteration to fit on the time
+/// axis.
 #[derive(Debug)]
 pub enum ScenarioBuildError {
     /// The model/cluster deployment failed.
     Deploy(DeployError),
-    /// The threaded backend rejected the scenario's configuration
+    /// The threaded runtime rejected the configuration
     /// ([`SimError::UnsupportedConfig`]).
     Backend(SimError),
     /// The deployment's noise-free service times sum to `total`
@@ -256,6 +270,84 @@ fn check_horizon(deployed: &DeployedModel, config: &SimConfig) -> Result<(), Sce
         return Err(ScenarioBuildError::Horizon { total });
     }
     Ok(())
+}
+
+/// Refuses, with [`SimError::UnsupportedConfig`], the knobs a threaded
+/// run cannot honor, instead of silently ignoring them:
+///
+/// * `reorder_error > 0.01` — the runtime does not inject artificial
+///   reorders; rates up to the paper's measured gRPC level (§5.1) are
+///   adequately represented by physical hand-off jitter, larger ones are
+///   not.
+/// * heavy [`NoiseModel`]s (`sigma > 0.1` or worker-slowdown probability
+///   above 5%) — modeled noise cannot be replayed by calibrated
+///   busy-loops; the presets' mild noise is subsumed by physical jitter.
+/// * a [`FaultSpec`] that can inject a fault or sets a degraded barrier —
+///   faults are simulated only.
+fn check_threaded(config: &SimConfig) -> Result<(), SimError> {
+    if config.reorder_error > 0.01 {
+        return Err(SimError::UnsupportedConfig {
+            knob: "reorder_error",
+            reason: format!(
+                "injected reorder rate {} exceeds what physical hand-off jitter \
+                 reproduces (max 0.01)",
+                config.reorder_error
+            ),
+        });
+    }
+    if config.noise.sigma() > 0.1 || config.noise.slowdown_prob() > 0.05 {
+        return Err(SimError::UnsupportedConfig {
+            knob: "noise",
+            reason: format!(
+                "modeled noise (sigma {}, slowdown prob {}) is too heavy to be \
+                 replayed by wall-clock busy-loops",
+                config.noise.sigma(),
+                config.noise.slowdown_prob()
+            ),
+        });
+    }
+    if !config.faults.is_quiet() || config.faults.barrier_timeout.is_some() {
+        return Err(SimError::UnsupportedConfig {
+            knob: "faults",
+            reason: "faults are simulated only; run a faulty config on the sim backend".to_string(),
+        });
+    }
+    Ok(())
+}
+
+/// [`tictac_sim::simulate_with_plan`], plus, for an enabled `registry`,
+/// the run's `sim.*` metrics derived from its trace, a failed run's too
+/// ([`sim_metrics`]).
+///
+/// # Errors
+///
+/// As [`tictac_sim::try_simulate`].
+pub fn simulate_with_plan_observed(
+    graph: &Graph,
+    schedule: &Schedule,
+    config: &SimConfig,
+    iteration: u64,
+    plan: &FaultPlan,
+    registry: &Registry,
+) -> Result<ExecutionTrace, SimError> {
+    let run = RunPlan::new(graph, schedule, config)?;
+    run_observed(&run, graph, schedule, iteration, plan, registry)
+}
+
+/// One engine run from `run`, then the analysis of its trace.
+fn run_observed(
+    run: &RunPlan,
+    graph: &Graph,
+    schedule: &Schedule,
+    iteration: u64,
+    faults: &FaultPlan,
+    registry: &Registry,
+) -> Result<ExecutionTrace, SimError> {
+    let (trace, error) = run.run(graph, schedule, iteration, faults)?;
+    if registry.is_enabled() {
+        sim_metrics(registry, graph, &trace, error.is_none());
+    }
+    error.map_or(Ok(trace), Err)
 }
 
 /// Iteration-index offset for the TAC profiling runs, far from measured
@@ -424,7 +516,9 @@ pub struct Session {
     plan: RunPlan,
     schedule_compute_time: std::time::Duration,
     registry: Registry,
-    backend: Box<dyn ExecutionBackend>,
+    /// The threaded runtime's options on a threaded session, `None` on
+    /// the simulator.
+    threaded: Option<ExecOptions>,
     seed: u64,
     fault_fp: u64,
     scenario_fp: u64,
@@ -484,7 +578,7 @@ impl Session {
             model,
             settings: SessionConfig::default(),
             registry: Registry::disabled(),
-            backend: None,
+            threaded: None,
             sink: None,
         }
     }
@@ -521,16 +615,16 @@ impl Session {
             scenario_fp: scenario.fingerprint(),
         });
         if scenario.backend == BackendKind::Threaded {
-            let mut threaded = crate::backend::ThreadedBackend::from_config(&config)?;
+            let mut opts = ExecOptions::default();
             if let Some(scale) = scenario.time_scale {
-                threaded = threaded.with_time_scale(scale);
+                opts.time_scale = scale;
             }
-            builder = builder.backend(threaded);
+            builder = builder.threaded(opts);
         }
         if let Some(path) = &scenario.store {
             builder = builder.record_to(std::sync::Arc::new(tictac_store::RunStore::at(path)));
         }
-        Ok(builder.build()?)
+        builder.build()
     }
 
     /// The deployed model.
@@ -543,25 +637,50 @@ impl Session {
         &self.schedule
     }
 
+    /// The backend that executes this session's iterations.
+    fn backend(&self) -> BackendKind {
+        match self.threaded {
+            None => BackendKind::Sim,
+            Some(_) => BackendKind::Threaded,
+        }
+    }
+
     /// Executes one iteration on the session's backend and returns its
     /// trace, exactly as [`try_run`](Session::try_run) executes it at the
     /// same iteration index. Indices count from the first warm-up
-    /// iteration: `0..warmup` are the warm-ups — which a run on a
-    /// virtual-time backend skips, but which are executed here like any
-    /// other index when asked for — and `warmup` is the first measured
-    /// one.
+    /// iteration: `0..warmup` are the warm-ups — which a run on the
+    /// simulator skips, but which are executed here like any other index
+    /// when asked for — and `warmup` is the first measured one.
+    ///
+    /// An enabled registry receives the simulator's `sim.*` metrics
+    /// derived from the trace, or, on the threaded runtime, one
+    /// `exec.iterations` count.
     ///
     /// # Errors
     ///
     /// Returns the [`SimError`] of an unrecoverable iteration.
     pub fn trace_iteration(&self, iteration: u64) -> Result<ExecutionTrace, SimError> {
-        self.backend.execute(
-            &self.deployed,
-            &self.schedule,
-            &self.plan,
-            iteration,
-            &self.registry,
-        )
+        let graph = self.deployed.graph();
+        match &self.threaded {
+            None => {
+                let faults = self.plan.sample_faults(graph, iteration);
+                run_observed(
+                    &self.plan,
+                    graph,
+                    &self.schedule,
+                    iteration,
+                    &faults,
+                    &self.registry,
+                )
+            }
+            Some(opts) => {
+                let trace = self
+                    .plan
+                    .run_threaded(graph, &self.schedule, opts, iteration)?;
+                self.registry.counter("exec.iterations").inc();
+                Ok(trace)
+            }
+        }
     }
 
     /// Renders one iteration as Chrome/Perfetto `trace_event` JSON (load
@@ -569,27 +688,26 @@ impl Session {
     /// device and channel, fault instants, degraded-barrier flows.
     ///
     /// The export is backend-aware: timestamps are taken from the trace in
-    /// the backend's own clock domain (virtual ticks for the simulator,
+    /// the backend's own clock (virtual ticks for the simulator,
     /// wall-clock nanoseconds for the threaded runtime — never re-derived
     /// from sim ticks), and wall-clock traces are labeled with the backend
-    /// name so the two domains cannot be confused in a trace viewer.
+    /// name so the two clocks cannot be confused in a trace viewer.
     ///
     /// # Errors
     ///
     /// Returns the [`SimError`] of an unrecoverable iteration.
     pub fn perfetto_json(&self, iteration: u64) -> Result<String, SimError> {
         let trace = self.trace_iteration(iteration)?;
-        let label = match self.backend.time_domain() {
-            TimeDomain::Virtual => {
-                format!("{}/{}/iter{}", self.model_name, self.scheduler, iteration)
-            }
-            TimeDomain::WallClock => format!(
+        let label = if self.backend() == BackendKind::Sim {
+            format!("{}/{}/iter{}", self.model_name, self.scheduler, iteration)
+        } else {
+            format!(
                 "{}/{}/{}/iter{} [wall-clock]",
                 self.model_name,
                 self.scheduler,
-                self.backend.name(),
+                self.backend(),
                 iteration
-            ),
+            )
         };
         Ok(tictac_obs::perfetto_json(
             self.deployed.graph(),
@@ -636,10 +754,10 @@ impl Session {
 
     /// Like [`try_run`](Session::try_run), with explicit [`RunOptions`].
     ///
-    /// Measured iterations are indices `offset + warmup ..`. On a
-    /// wall-clock backend the `warmup` indices before them are executed
-    /// first and their traces dropped; on a virtual-time backend they are
-    /// not executed at all — iteration `i` there is a pure function of
+    /// Measured iterations are indices `offset + warmup ..`. On the
+    /// threaded runtime the `warmup` indices before them are executed
+    /// first and their traces dropped; on the simulator they are not
+    /// executed at all — iteration `i` there is a pure function of
     /// `(seed, i)`, so the result is the same and an attached registry's
     /// engine counters cover the measured iterations only.
     ///
@@ -650,9 +768,10 @@ impl Session {
         let offset = options.offset;
         let iterations = options.iterations.unwrap_or(self.iterations);
         let graph = self.deployed.graph();
-        let first = match self.backend.time_domain() {
-            TimeDomain::Virtual => self.warmup,
-            TimeDomain::WallClock => 0,
+        let first = if self.backend() == BackendKind::Sim {
+            self.warmup
+        } else {
+            0
         };
 
         let m_iterations = self.registry.counter("session.iterations");
@@ -752,7 +871,7 @@ impl Session {
             workers: report.workers as u32,
             ps: report.parameter_servers as u32,
             scheduler: self.scheduler.to_string(),
-            backend: self.backend.name().to_string(),
+            backend: self.backend().name().to_string(),
             seed: self.seed,
             fault_fp: self.fault_fp,
             scenario_fp: self.scenario_fp,
@@ -909,6 +1028,52 @@ mod tests {
     }
 
     #[test]
+    fn observed_runs_match_unobserved_and_populate_metrics() {
+        use tictac_cluster::deploy;
+        let model = tiny_mlp(Mode::Training, 8);
+        let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+        let cfg = SimConfig::cloud_gpu();
+        let s = no_ordering(d.graph());
+        let plain = tictac_sim::try_simulate(d.graph(), &s, &cfg, 0).unwrap();
+        let registry = Registry::enabled();
+        let quiet = FaultPlan::quiet();
+        let observed =
+            simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &quiet, &registry).unwrap();
+        assert_eq!(plain, observed, "observation must not perturb the run");
+
+        let snap = registry.snapshot();
+        assert!(snap.counter("sim.events").unwrap() > 0);
+        assert_eq!(snap.counter("sim.retransmits"), Some(0));
+        let compute_ops: u64 = (0..d.graph().devices().len())
+            .map(|i| snap.counter(&format!("sim.dev{i}.ops")).unwrap())
+            .sum();
+        let transfers: u64 = (0..d.graph().channels().len())
+            .map(|i| snap.counter(&format!("sim.chan{i}.transfers")).unwrap())
+            .sum();
+        let sends = d.graph().count_ops(|op| op.kind().is_send()) as u64;
+        // Every op executes once: transfers cover send+recv pairs, compute
+        // ops cover the rest.
+        assert_eq!(transfers, sends);
+        assert_eq!(compute_ops + 2 * transfers, d.graph().len() as u64);
+        let bytes: u64 = (0..d.graph().channels().len())
+            .map(|i| snap.counter(&format!("sim.chan{i}.bytes")).unwrap())
+            .sum();
+        assert!(bytes > 0);
+        // Idle gauges exist and are bounded by the makespan.
+        match snap.get("sim.chan0.idle_ns") {
+            Some(tictac_obs::MetricValue::Gauge(idle)) => {
+                assert!(*idle >= 0.0 && *idle <= plain.makespan().as_nanos() as f64);
+            }
+            other => panic!("expected idle gauge, got {other:?}"),
+        }
+        // A disabled registry records nothing.
+        let disabled = Registry::disabled();
+        let again = simulate_with_plan_observed(d.graph(), &s, &cfg, 0, &quiet, &disabled).unwrap();
+        assert_eq!(plain, again);
+        assert!(disabled.snapshot().entries.is_empty());
+    }
+
+    #[test]
     fn observed_session_matches_unobserved_and_records_metrics() {
         let plain = session(SchedulerKind::Tac).run();
         let registry = Registry::enabled();
@@ -937,61 +1102,50 @@ mod tests {
         }
     }
 
-    /// Delegates to the simulator, counting calls, under a clock domain
-    /// of the test's choosing.
-    #[derive(Debug)]
-    struct Counting {
-        domain: TimeDomain,
-        calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl ExecutionBackend for Counting {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-
-        fn time_domain(&self) -> TimeDomain {
-            self.domain
-        }
-
-        fn execute(
-            &self,
-            deployed: &DeployedModel,
-            schedule: &Schedule,
-            plan: &RunPlan,
-            iteration: u64,
-            registry: &Registry,
-        ) -> Result<ExecutionTrace, SimError> {
-            self.calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            SimBackend.execute(deployed, schedule, plan, iteration, registry)
-        }
-    }
-
+    /// Warm-ups are executed and discarded on the threaded runtime, which
+    /// counts every iteration it executes, and skipped on the simulator,
+    /// whose registry sees the measured iterations only. Both measure
+    /// indices `2..5`: the last three of the threaded runtime's five, and
+    /// on the simulator the three `trace_iteration` executes at them.
     #[test]
-    fn warmups_are_executed_on_a_wall_clock_and_skipped_in_virtual_time() {
-        use std::sync::atomic::Ordering;
-        let run = |domain| {
-            let calls = std::sync::Arc::default();
-            let report = Session::builder(tiny_mlp(Mode::Training, 8))
+    fn warmups_are_executed_on_the_threaded_runtime_and_skipped_on_the_simulator() {
+        let run = |threaded: Option<ExecOptions>| {
+            let registry = Registry::enabled();
+            let mut builder = Session::builder(tiny_mlp(Mode::Training, 8))
                 .scheduler(SchedulerKind::Tic)
-                .backend(Counting {
-                    domain,
-                    calls: std::sync::Arc::clone(&calls),
-                })
+                .observe(registry.clone())
                 .warmup(2)
-                .iterations(3)
-                .build()
-                .unwrap()
-                .run();
-            (report, calls.load(Ordering::Relaxed))
+                .iterations(3);
+            if let Some(opts) = threaded {
+                builder = builder.threaded(opts);
+            }
+            let session = builder.build().unwrap();
+            let report = session.run();
+            (session, report, registry.snapshot())
         };
-        let (virtual_time, virtual_calls) = run(TimeDomain::Virtual);
-        let (wall_clock, wall_calls) = run(TimeDomain::WallClock);
-        assert_eq!(virtual_calls, 3, "measured iterations only");
-        assert_eq!(wall_calls, 5, "warm-ups executed and discarded");
-        // Same indices measured either way.
-        assert_eq!(virtual_time.iterations, wall_clock.iterations);
+        let (_, threaded, counted) = run(Some(fast()));
+        assert_eq!(
+            counted.counter("exec.iterations"),
+            Some(5),
+            "warm-ups executed"
+        );
+        assert_eq!(counted.counter("session.iterations"), Some(3));
+        assert_eq!(threaded.iterations.len(), 3);
+
+        let (sim, virtual_time, counted) = run(None);
+        assert_eq!(counted.counter("session.iterations"), Some(3));
+        assert!(
+            counted
+                .entries
+                .iter()
+                .all(|(name, _)| !name.starts_with("exec.")),
+            "nothing executes on the threaded runtime"
+        );
+        let measured: Vec<_> = (2..5)
+            .map(|i| sim.trace_iteration(i).unwrap().makespan())
+            .collect();
+        let reported: Vec<_> = virtual_time.iterations.iter().map(|r| r.makespan).collect();
+        assert_eq!(reported, measured);
     }
 
     #[test]
@@ -1175,7 +1329,7 @@ warmup: 0
         assert_ne!(records[0].scenario_fp, 0);
         // The threaded scenario builds too, and carries its own backend.
         let threaded = Session::from_scenario(&scenario).unwrap();
-        assert_eq!(threaded.backend.name(), "threaded");
+        assert_eq!(threaded.backend(), BackendKind::Threaded);
         assert_eq!(threaded.schedule(), session.schedule());
     }
 
@@ -1198,6 +1352,43 @@ faults:
                 assert_eq!(knob, "faults");
             }
             other => panic!("expected a refused backend, got {:?}", other.err()),
+        }
+    }
+
+    /// A threaded session's config is checked once, at `build`, where the
+    /// backend and the config are both known: whichever of `.threaded`
+    /// and `.config` comes first, a spec that can inject a fault or sets
+    /// a degraded barrier is refused there (faults are simulated only),
+    /// and so is a reorder error the wall clock cannot replay.
+    #[test]
+    fn a_threaded_session_is_checked_once_at_build_whatever_the_call_order() {
+        use tictac_trace::SimDuration as D;
+        let faulty = |faults| SimConfig::cloud_gpu().with_faults(faults);
+        let refusals = [
+            (faulty(FaultSpec::none().with_drop_prob(0.01)), "faults"),
+            (
+                faulty(FaultSpec::none().with_barrier_timeout(D::from_millis(5))),
+                "faults",
+            ),
+            (
+                SimConfig::cloud_gpu().with_reorder_error(0.5),
+                "reorder_error",
+            ),
+        ];
+        for (config, refused) in refusals {
+            let builder = || Session::builder(tiny_mlp(Mode::Training, 8));
+            for built in [
+                builder().threaded(fast()).config(config.clone()).build(),
+                builder().config(config.clone()).threaded(fast()).build(),
+            ] {
+                match built {
+                    Err(ScenarioBuildError::Backend(SimError::UnsupportedConfig {
+                        knob, ..
+                    })) => assert_eq!(knob, refused),
+                    other => panic!("expected {refused} refused, got {:?}", other.err()),
+                }
+            }
+            assert!(builder().config(config).build().is_ok(), "the sim runs it");
         }
     }
 
@@ -1238,16 +1429,20 @@ faults:
         assert_eq!(SchedulerKind::ALL.len(), 4);
     }
 
+    /// The threaded runtime at half the modeled time.
+    fn fast() -> ExecOptions {
+        ExecOptions {
+            time_scale: 0.5,
+            ..ExecOptions::default()
+        }
+    }
+
     fn threaded_session(kind: SchedulerKind) -> Session {
         Session::builder(tiny_mlp(Mode::Training, 8))
             .cluster(ClusterSpec::new(2, 1))
             .config(SimConfig::cloud_gpu())
             .scheduler(kind)
-            .backend(
-                crate::backend::ThreadedBackend::from_config(&SimConfig::cloud_gpu())
-                    .expect("preset config is supported")
-                    .with_time_scale(0.5),
-            )
+            .threaded(fast())
             .warmup(1)
             .iterations(2)
             .build()
@@ -1257,14 +1452,14 @@ faults:
     #[test]
     fn threaded_backend_runs_and_labels_wall_clock_traces() {
         let s = threaded_session(SchedulerKind::Tac);
-        assert_eq!(s.backend.name(), "threaded");
+        assert_eq!(s.backend(), BackendKind::Threaded);
         let report = s.run();
         assert_eq!(report.iterations.len(), 2);
         assert!(report.mean_throughput() > 0.0);
         assert!(report.mean_makespan() > SimDuration::ZERO);
         let json = s.perfetto_json(0).unwrap();
         assert!(
-            json.contains("[wall-clock]"),
+            json.contains("tiny_mlp/tac/threaded/iter0 [wall-clock]"),
             "wall-clock traces are labeled"
         );
         let stats = tictac_obs::validate_perfetto(&json).unwrap();

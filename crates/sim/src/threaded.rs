@@ -93,7 +93,8 @@ impl RunPlan {
     /// are nanoseconds since iteration start, so traces are directly
     /// comparable to simulator traces — ordering-exact, timing-real. The
     /// plan's fault spec is not consulted: the runtime executes no faults
-    /// (`ThreadedBackend` refuses a configuration that asks for them).
+    /// (a threaded session refuses, at build, a configuration that asks
+    /// for them).
     ///
     /// A stall is detected within `opts.watchdog`; the abort then drains
     /// every queue and cuts in-flight busy-waits short, so the call

@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 
 use tictac_obs::json::integer_into;
+use tictac_trace::BackendKind;
 
 use crate::record::{Payload, RunRecord, SessionEvidence};
 
@@ -433,7 +434,7 @@ pub fn regress(records: &[RunRecord], policy: &RegressPolicy) -> RegressReport {
 /// The verdict on one group, its runs in append order.
 fn group_verdict(key: String, runs: &[&RunRecord], policy: &RegressPolicy) -> GroupVerdict {
     let latest = *runs.last().expect("a group holds at least one run");
-    let verdict = if latest.backend == "threaded" {
+    let verdict = if latest.backend == BackendKind::Threaded.name() {
         Verdict::Skipped("threaded backend observes wall-clock time".into())
     } else if runs.len() < 2 {
         Verdict::New

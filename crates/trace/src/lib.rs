@@ -170,6 +170,42 @@ fn executed(slot: &OpRecord) -> Option<OpRecord> {
     (slot.start != UNSET).then_some(*slot)
 }
 
+/// Which executor produced an [`ExecutionTrace`], and so which clock its
+/// timestamps read. Run records and scenario files name it by
+/// [`name`](BackendKind::name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BackendKind {
+    /// The discrete-event simulator: virtual time, deterministic.
+    Sim,
+    /// The in-process multi-threaded runtime: wall-clock time.
+    Threaded,
+}
+
+impl BackendKind {
+    /// Both backends, the simulator first.
+    pub const ALL: [BackendKind; 2] = [BackendKind::Sim, BackendKind::Threaded];
+
+    /// The backend's short lowercase name (the
+    /// [`Display`](std::fmt::Display) form).
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendKind::Sim => "sim",
+            BackendKind::Threaded => "threaded",
+        }
+    }
+
+    /// The backend [`name`](BackendKind::name) spells, if any.
+    pub fn from_name(name: &str) -> Option<BackendKind> {
+        BackendKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+}
+
+impl std::fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// The execution timeline of one simulated iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionTrace {

@@ -19,8 +19,9 @@
 
 use std::collections::HashMap;
 use tictac::{
-    diff_records, gantt, parallel_map, regress, ClusterSpec, Mode, Model, Payload, RegressPolicy,
-    RunFilter, RunRecord, RunStore, Scenario, SchedulerKind, Session, SessionSummary, SimConfig,
+    diff_records, gantt, parallel_map, regress, BackendKind, ClusterSpec, Mode, Model, Payload,
+    RegressPolicy, RunFilter, RunRecord, RunStore, Scenario, SchedulerKind, Session,
+    SessionSummary, SimConfig,
 };
 
 fn main() {
@@ -307,9 +308,6 @@ fn flag_u64(flags: &HashMap<String, String>, name: &str) -> Option<u64> {
 /// The record kinds a store holds (`Payload::kind`).
 const RECORD_KINDS: [&str; 2] = ["session", "report"];
 
-/// The backends a record names (`ExecutionBackend::name`).
-const RECORD_BACKENDS: [&str; 2] = ["sim", "threaded"];
-
 /// The non-empty value of `--flag`, refused as a usage error unless
 /// `known` accepts it (`expected` says what would be).
 fn known_flag(
@@ -328,6 +326,7 @@ fn known_flag(
 fn runs_filter(flags: &HashMap<String, String>) -> RunFilter {
     // A record's scheduler is a policy name, or `-` for a report.
     let schedulers: Vec<&str> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
+    let backends: Vec<&str> = BackendKind::ALL.iter().map(|k| k.name()).collect();
     RunFilter {
         workload: flags.get("workload").cloned().filter(|v| !v.is_empty()),
         scheduler: known_flag(
@@ -339,8 +338,8 @@ fn runs_filter(flags: &HashMap<String, String>) -> RunFilter {
         backend: known_flag(
             flags,
             "backend",
-            |b| RECORD_BACKENDS.contains(&b),
-            &RECORD_BACKENDS.join(" or "),
+            |b| BackendKind::from_name(b).is_some(),
+            &backends.join(" or "),
         ),
         kind: known_flag(
             flags,

@@ -11,3 +11,8 @@
 #![forbid(unsafe_code)]
 
 pub use tictac_core::*;
+
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

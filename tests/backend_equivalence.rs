@@ -31,10 +31,9 @@
 use proptest::prelude::*;
 use tictac::{
     deploy, no_ordering, noise_free_profile, priority_inversions, simulate_with_plan_observed,
-    try_simulate, ClusterSpec, Cost, ExecOptions, ExecutionBackend, ExecutionTrace, FaultSpec,
-    Graph, GraphBuilder, Mode, Model, OpKind, Platform, Registry, RetryPolicy, RunOptions, RunPlan,
-    Scenario, Schedule, SchedulerKind, Session, SimBackend, SimConfig, SimDuration, SimError,
-    ThreadedBackend, TimeOracle,
+    try_simulate, ClusterSpec, Cost, ExecOptions, ExecutionTrace, FaultSpec, Graph, GraphBuilder,
+    Mode, Model, OpKind, Platform, Registry, RetryPolicy, RunOptions, RunPlan, Scenario, Schedule,
+    SchedulerKind, Session, SimConfig, SimDuration, SimError, TimeOracle,
 };
 use tictac_graph::tiny_mlp;
 
@@ -48,12 +47,10 @@ fn threaded_session(
         .cluster(cluster)
         .config(SimConfig::cloud_gpu())
         .scheduler(scheduler)
-        .backend(
-            ThreadedBackend::from_config(&SimConfig::cloud_gpu())
-                .expect("preset config is supported")
-                .with_time_scale(0.5)
-                .with_watchdog(std::time::Duration::from_secs(60)),
-        )
+        .threaded(ExecOptions {
+            time_scale: 0.5,
+            watchdog: std::time::Duration::from_secs(60),
+        })
         .warmup(0)
         .iterations(iterations)
         .build()
@@ -177,11 +174,10 @@ fn decisive_sim_rankings_hold_on_the_wall_clock() {
                 .warmup(1)
                 .iterations(3);
             let builder = if threaded {
-                builder.backend(
-                    ThreadedBackend::from_config(&SimConfig::cloud_gpu())
-                        .expect("preset config is supported")
-                        .with_watchdog(std::time::Duration::from_secs(60)),
-                )
+                builder.threaded(ExecOptions {
+                    watchdog: std::time::Duration::from_secs(60),
+                    ..ExecOptions::default()
+                })
             } else {
                 builder
             };
@@ -234,12 +230,10 @@ fn hetero_cluster_reaches_the_threaded_busy_loops() {
         .cluster(scenario.cluster.clone())
         .config(config.clone())
         .scheduler(SchedulerKind::Tac)
-        .backend(
-            ThreadedBackend::from_config(&config)
-                .expect("preset config is supported")
-                .with_time_scale(TIME_SCALE)
-                .with_watchdog(std::time::Duration::from_secs(120)),
-        )
+        .threaded(ExecOptions {
+            time_scale: TIME_SCALE,
+            watchdog: std::time::Duration::from_secs(120),
+        })
         .warmup(0)
         .iterations(1)
         .build()
@@ -337,18 +331,16 @@ fn one_plan_serves_every_iteration_and_both_executors() {
             for i in 0..6 {
                 let sampled = plan.sample_faults(graph, i);
                 let fresh = try_simulate(graph, schedule, &config, i).expect("recoverable");
-                for registry in [Registry::disabled, Registry::enabled] {
-                    let planned =
-                        SimBackend.execute(session.deployed(), schedule, &plan, i, &registry());
+                for registry in [Registry::disabled(), Registry::enabled()] {
+                    let (planned, error) = plan
+                        .run(graph, schedule, i, &sampled)
+                        .expect("a retry budget inside the horizon");
+                    tictac_obs::sim_metrics(&registry, graph, &planned, error.is_none());
                     let one_shot = simulate_with_plan_observed(
-                        graph,
-                        schedule,
-                        &config,
-                        i,
-                        &sampled,
-                        &registry(),
+                        graph, schedule, &config, i, &sampled, &registry,
                     );
-                    assert_eq!(planned.as_ref(), Ok(&fresh), "{scheduler}, iteration {i}");
+                    assert_eq!(error, None, "{scheduler}, iteration {i}");
+                    assert_eq!(planned, fresh, "{scheduler}, iteration {i}");
                     assert_eq!(one_shot.as_ref(), Ok(&fresh), "{scheduler}, iteration {i}");
                 }
                 assert_eq!(plan.try_simulate(graph, schedule, i).as_ref(), Ok(&fresh));

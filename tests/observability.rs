@@ -23,9 +23,9 @@
 
 use tictac::{
     priority_inversions, realized_efficiency, simulate, simulate_with_plan_observed, tic,
-    ChannelId, ClusterSpec, DeployedModel, ExecutionBackend, FaultCounters, FaultEventKind,
-    FaultPlan, FaultSpec, MetricValue, Mode, Model, OpId, Registry, RetryPolicy, RunPlan, Schedule,
-    SchedulerKind, Session, SimBackend, SimConfig, SimDuration, SimError, TraceBuilder,
+    ChannelId, ClusterSpec, DeployedModel, FaultCounters, FaultEventKind, FaultPlan, FaultSpec,
+    MetricValue, Mode, Model, OpId, Registry, RetryPolicy, RunPlan, Schedule, SchedulerKind,
+    Session, SimConfig, SimDuration, SimError, TraceBuilder,
 };
 use tictac_graph::tiny_mlp;
 use tictac_trace::SimTime;
@@ -348,9 +348,10 @@ fn registries_alternating_on_one_plan_see_only_their_own_runs() {
     let shared = RunPlan::new(g, &s, &cfg).unwrap();
     let (a, b) = (Registry::enabled(), Registry::enabled());
     for (iteration, registry) in [(0, &a), (1, &b), (2, &a), (4, &b)] {
-        SimBackend
-            .execute(&d, &s, &shared, iteration, registry)
-            .unwrap();
+        let faults = shared.sample_faults(g, iteration);
+        let (trace, error) = shared.run(g, &s, iteration, &faults).unwrap();
+        assert_eq!(error, None);
+        tictac_obs::sim_metrics(registry, g, &trace, true);
     }
     // The same runs, each registry on its own and each run from a fresh
     // plan.
