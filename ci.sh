@@ -22,6 +22,10 @@ cargo fmt --all --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== docs =="
+# Every intra-doc link resolves, and none points at a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== code size and dependency edges =="
 # The deletion budget, tracked like a perf number (ROADMAP "Code diet"):
 # per package, the lines of every src/ file above its `#[cfg(test)]` and

@@ -37,8 +37,8 @@ pub use sharding::Sharding;
 use std::error::Error;
 use std::fmt;
 use tictac_graph::{
-    ChannelId, CommRole, Cost, DeviceId, Fnv1a, Graph, GraphBuilder, GraphError, ModelGraph,
-    NameId, OpId, OpKind, OpName, ParamId,
+    ChannelId, CommParam, CommRole, Cost, DeviceId, Fnv1a, Graph, GraphBuilder, GraphError,
+    ModelGraph, NameId, OpId, OpKind, OpName, ParamId,
 };
 use tictac_sched::Schedule;
 
@@ -195,8 +195,10 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterSpecError::ZeroWorkers`] or
-    /// [`ClusterSpecError::ZeroParameterServers`]. Shapes that only turn
+    /// Returns [`ClusterSpecError::ZeroWorkers`],
+    /// [`ClusterSpecError::ZeroParameterServers`] or, for more than 2^16
+    /// workers and parameter servers together,
+    /// [`ClusterSpecError::TooManyDevices`]. Shapes that only turn
     /// out degenerate against a concrete model — more PS shards than the
     /// model has parameters — are rejected by [`deploy`] instead
     /// ([`DeployError::ShardsExceedParams`]).
@@ -206,6 +208,10 @@ impl ClusterSpec {
         }
         if parameter_servers == 0 {
             return Err(ClusterSpecError::ZeroParameterServers);
+        }
+        let devices = workers.saturating_add(parameter_servers);
+        if devices > MAX_DEVICES {
+            return Err(ClusterSpecError::TooManyDevices { devices });
         }
         Ok(Self {
             workers,
@@ -273,6 +279,10 @@ impl ClusterSpec {
         }
     }
 }
+
+/// The most devices, workers and parameter servers together, a cluster
+/// can hold: a [`DeviceId`] is a `u16`.
+const MAX_DEVICES: usize = 1 << 16;
 
 /// The factors a spec accepts: the range in which a service time's float
 /// arithmetic — the fair-share stretch `share / f`, `flops / f` — stays
@@ -397,6 +407,12 @@ pub enum ClusterSpecError {
     ZeroWorkers,
     /// The spec requested zero parameter servers.
     ZeroParameterServers,
+    /// The spec requested more than 2^16 devices, workers and parameter
+    /// servers together: more than a [`DeviceId`] can number.
+    TooManyDevices {
+        /// Workers plus parameter servers.
+        devices: usize,
+    },
     /// A heterogeneity factor vector does not match the cluster shape.
     FactorLength {
         /// Which builder field was malformed.
@@ -423,6 +439,7 @@ impl fmt::Display for ClusterSpecError {
             ClusterSpecError::ZeroParameterServers => {
                 f.write_str("cluster needs at least one parameter server")
             }
+            ClusterSpecError::TooManyDevices { devices } => too_many_devices(f, *devices),
             ClusterSpecError::FactorLength {
                 field,
                 expected,
@@ -443,12 +460,26 @@ impl fmt::Display for ClusterSpecError {
 
 impl Error for ClusterSpecError {}
 
+/// The message of both `TooManyDevices` errors.
+fn too_many_devices(f: &mut fmt::Formatter<'_>, devices: usize) -> fmt::Result {
+    write!(
+        f,
+        "{devices} workers and parameter servers exceed the {MAX_DEVICES} devices a cluster can hold"
+    )
+}
+
 /// Errors from [`deploy`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DeployError {
     /// The spec requested zero workers or zero parameter servers.
     EmptyCluster,
+    /// The spec requested more than 2^16 devices, workers and parameter
+    /// servers together: more than a [`DeviceId`] can number.
+    TooManyDevices {
+        /// Workers plus parameter servers.
+        devices: usize,
+    },
     /// The model has no parameters to distribute.
     NoParameters,
     /// The spec requested more PS shards than the model has parameters,
@@ -475,6 +506,7 @@ impl fmt::Display for DeployError {
             DeployError::EmptyCluster => {
                 f.write_str("cluster needs at least one worker and one parameter server")
             }
+            DeployError::TooManyDevices { devices } => too_many_devices(f, *devices),
             DeployError::NoParameters => f.write_str("model has no parameters to distribute"),
             DeployError::ShardsExceedParams { shards, params } => write!(
                 f,
@@ -628,75 +660,60 @@ fn transfer_units(model: &ModelGraph, comm: CommConfig) -> Vec<Unit> {
 }
 
 /// A transfer group after the fusion pass: one send/recv pair per group
-/// per worker (and one send_grad/recv_grad pair on the gradient path).
-enum TransferGroup {
-    /// A single unit, emitted exactly as the historical lowering did.
-    Solo(usize),
-    /// Several small same-shard units coalesced into one transfer.
-    Fused {
-        /// Globally unique fusion group id (rendered as `fused{id}`).
-        id: u32,
-        /// Member unit indices, in unit order.
-        members: Vec<usize>,
-    },
+/// per worker, and one send_grad/recv_grad pair when a member carries a
+/// gradient.
+struct TransferGroup {
+    /// Member unit indices, in unit order: one unit, or several small
+    /// same-shard ones that travel as one transfer.
+    members: Vec<usize>,
+    /// A multi-member group's fusion id (rendered as `fused{id}`),
+    /// numbered across shards in emission order.
+    fused: Option<u32>,
 }
 
 /// The fusion pass: greedily coalesces consecutive same-shard whole-tensor
 /// units smaller than `fusion_bytes` until a group reaches the threshold.
-/// Chunk units and large units always stay solo; single-member groups
-/// degrade to [`TransferGroup::Solo`], so with the threshold unset this
-/// emits one solo group per unit in unit order — the identity.
+/// Chunk units and large units always stay alone, and so does a unit that
+/// ends up with no same-shard partner: with the threshold unset this
+/// emits one single-member group per unit in unit order — the identity.
 fn fusion_groups(units: &[Unit], shard_of: &[usize], fusion: Option<u64>) -> Vec<TransferGroup> {
-    let Some(fuse) = fusion else {
-        return (0..units.len()).map(TransferGroup::Solo).collect();
-    };
-    let shards = shard_of.iter().copied().max().map_or(1, |s| s + 1);
-    let mut pending: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    let mut acc = vec![0u64; shards];
-    let mut groups: Vec<(usize, TransferGroup)> = Vec::with_capacity(units.len());
-    fn flush(pending: &mut Vec<usize>, acc: &mut u64, groups: &mut Vec<(usize, TransferGroup)>) {
-        *acc = 0;
-        match pending.len() {
-            0 => {}
-            1 => {
-                let only = pending.pop().expect("len checked");
-                groups.push((only, TransferGroup::Solo(only)));
+    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(units.len());
+    if let Some(fuse) = fusion {
+        let shards = shard_of.iter().copied().max().map_or(1, |s| s + 1);
+        let mut pending: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let mut acc = vec![0u64; shards];
+        for (u, unit) in units.iter().enumerate() {
+            let s = shard_of[u];
+            if unit.chunk.is_some() || unit.bytes >= fuse {
+                groups.push(vec![u]);
+                continue;
             }
-            _ => {
-                let members = std::mem::take(pending);
-                groups.push((members[0], TransferGroup::Fused { id: 0, members }));
+            pending[s].push(u);
+            acc[s] += unit.bytes;
+            if acc[s] >= fuse {
+                acc[s] = 0;
+                groups.push(std::mem::take(&mut pending[s]));
             }
         }
+        groups.extend(pending.into_iter().filter(|p| !p.is_empty()));
+        // Deterministic emission order: by first member unit index.
+        groups.sort_by_key(|members| members[0]);
+    } else {
+        groups.extend((0..units.len()).map(|u| vec![u]));
     }
-    for (u, unit) in units.iter().enumerate() {
-        let s = shard_of[u];
-        if unit.chunk.is_some() || unit.bytes >= fuse {
-            groups.push((u, TransferGroup::Solo(u)));
-            continue;
-        }
-        pending[s].push(u);
-        acc[s] += unit.bytes;
-        if acc[s] >= fuse {
-            flush(&mut pending[s], &mut acc[s], &mut groups);
-        }
-    }
-    for s in 0..shards {
-        flush(&mut pending[s], &mut acc[s], &mut groups);
-    }
-    // Deterministic emission order: by first member unit index. Fusion
-    // group ids are assigned in that order, globally unique across shards
-    // so rendered `fused{id}` names never collide.
-    groups.sort_by_key(|&(first, _)| first);
-    let mut next_id = 0u32;
-    let mut out = Vec::with_capacity(groups.len());
-    for (_, mut g) in groups {
-        if let TransferGroup::Fused { id, .. } = &mut g {
-            *id = next_id;
-            next_id += 1;
-        }
-        out.push(g);
-    }
-    out
+    // Fusion ids in emission order, unique across shards so rendered
+    // `fused{id}` names never collide.
+    let mut next_id = 0;
+    groups
+        .into_iter()
+        .map(|members| {
+            let fused = (members.len() > 1).then(|| {
+                next_id += 1;
+                next_id - 1
+            });
+            TransferGroup { members, fused }
+        })
+        .collect()
 }
 
 /// What `deploy` decides before it adds an op: the partition pass's
@@ -745,22 +762,23 @@ impl Lowering {
         })
     }
 
+    /// Whether unit `u` carries a gradient.
+    fn has_grad(&self, u: usize) -> bool {
+        !self.grad_producers[self.units[u].param].is_empty()
+    }
+
     /// Exactly the number of ops `deploy` adds on `workers` workers, its
     /// builder's capacity: a read per unit; per worker a send and a recv
     /// per group, the replica's compute ops, and a gradient send and recv
     /// per group that carries a gradient; then an aggregate and an update
     /// per unit that has one.
     fn op_count(&self, model: &ModelGraph, workers: usize) -> usize {
-        let has_grad = |u: usize| !self.grad_producers[self.units[u].param].is_empty();
         let grad_groups = self
             .groups
             .iter()
-            .filter(|g| match g {
-                TransferGroup::Solo(u) => has_grad(*u),
-                TransferGroup::Fused { members, .. } => members.iter().any(|&m| has_grad(m)),
-            })
+            .filter(|g| g.members.iter().any(|&m| self.has_grad(m)))
             .count();
-        let grad_units = (0..self.units.len()).filter(|&u| has_grad(u)).count();
+        let grad_units = (0..self.units.len()).filter(|&u| self.has_grad(u)).count();
         self.units.len()
             + workers * (2 * self.groups.len() + model.ops().len() + 2 * grad_groups)
             + 2 * grad_units
@@ -772,6 +790,7 @@ impl Lowering {
 /// # Errors
 ///
 /// Returns [`DeployError::EmptyCluster`] for a zero-sized spec,
+/// [`DeployError::TooManyDevices`] for one of more than 2^16 devices,
 /// [`DeployError::NoParameters`] for a parameterless model,
 /// [`DeployError::InvalidCommConfig`] for a zero-byte comm threshold, or a
 /// wrapped [`GraphError`] if construction produces an invalid graph (which
@@ -780,18 +799,16 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
     if spec.workers == 0 || spec.parameter_servers == 0 {
         return Err(DeployError::EmptyCluster);
     }
+    let devices = spec.workers.saturating_add(spec.parameter_servers);
+    if devices > MAX_DEVICES {
+        return Err(DeployError::TooManyDevices { devices });
+    }
     if model.params().is_empty() {
         return Err(DeployError::NoParameters);
     }
     spec.comm.validate()?;
     let lowering = Lowering::new(model, spec)?;
     let mut b = GraphBuilder::with_capacity(lowering.op_count(model, spec.workers));
-    let Lowering {
-        units,
-        shard_of,
-        groups,
-        grad_producers,
-    } = lowering;
 
     // Devices and channels.
     let workers: Vec<DeviceId> = (0..spec.workers)
@@ -821,10 +838,17 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         }
     }
 
-    // Parameters and names. Parameter and model-op names are interned once
-    // up front; every op below carries a compact structured `OpName`
-    // instead of a freshly formatted `String` — this loop used to be the
-    // allocation hot spot of the whole deployment.
+    // Parameters and names: one graph parameter per transfer unit, named
+    // `{param}` or `{param}.part{j}`, which the communication ops' names
+    // refer to by id; model-op names are interned once up front. Every op
+    // below carries a compact structured `OpName` instead of a freshly
+    // formatted `String`.
+    let Lowering {
+        units,
+        shard_of,
+        groups,
+        grad_producers,
+    } = &lowering;
     let params: Vec<ParamId> = units
         .iter()
         .map(|u| {
@@ -835,11 +859,22 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
             }
         })
         .collect();
-    let param_names: Vec<NameId> = model.params().iter().map(|p| b.intern(p.name())).collect();
     let mop_names: Vec<NameId> = model.ops().iter().map(|o| b.intern(o.name())).collect();
-    for (p, &shard) in params.iter().zip(&shard_of) {
+    for (p, &shard) in params.iter().zip(shard_of) {
         b.assign_param_to_ps(*p, ps[shard]);
     }
+    // Lossless: a cluster has at most `MAX_DEVICES` devices.
+    let comm = |role, shard: usize, worker: usize, param| OpName::Comm {
+        role,
+        shard: shard as u16,
+        worker: worker as u16,
+        param,
+    };
+    // What a group's transfers carry: its one unit or its fused id.
+    let carried = |g: &TransferGroup| match g.fused {
+        Some(id) => CommParam::Fused(id),
+        None => CommParam::Param(params[g.members[0]]),
+    };
 
     // Model parameter -> its transfer units (identity without the
     // partition pass: exactly one unit per parameter).
@@ -851,24 +886,11 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
     // PS-side read ops (one per transfer unit, shared by all workers).
     let read_ops: Vec<OpId> = units
         .iter()
-        .zip(&shard_of)
+        .zip(shard_of)
         .enumerate()
         .map(|(u, (unit, &shard))| {
-            let name = match unit.chunk {
-                None => OpName::PsRead {
-                    shard: shard as u32,
-                    param: param_names[unit.param],
-                },
-                Some(chunk) => OpName::Chunk {
-                    role: CommRole::Read,
-                    shard: shard as u16,
-                    worker: 0,
-                    param: param_names[unit.param],
-                    chunk,
-                },
-            };
             b.add_op_named(
-                name,
+                comm(CommRole::Read, shard, 0, CommParam::Param(params[u])),
                 ps[shard],
                 OpKind::Read { param: params[u] },
                 Cost::flops(unit.elems as f64),
@@ -884,118 +906,46 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
     // Dependency scratch, reused across every op of every replica.
     let mut deps: Vec<OpId> = Vec::new();
     // Chain scratch: the previous chunk's send (resp. send_grad) of each
-    // split parameter, per worker.
+    // split parameter, per worker. Chained chunks: each send also waits
+    // for the previous chunk of the same tensor, preserving in-order wire
+    // transmission (sends are cheap; the recvs still overlap across
+    // channels). A chunk is always a group of its own.
     let mut last_chunk_send: Vec<Option<OpId>> = vec![None; model.params().len()];
+    let split = |u: usize| units[u].chunk.map(|_| units[u].param);
 
     for (w, &worker) in workers.iter().enumerate() {
         // Parameter transfers PS -> worker, one per transfer group.
-        let mut w_recvs: Vec<Option<OpId>> = vec![None; units.len()];
+        let mut w_recvs: Vec<OpId> = vec![OpId::from_index(0); units.len()];
         last_chunk_send.fill(None);
-        for group in &groups {
-            match group {
-                TransferGroup::Solo(u) => {
-                    let unit = &units[*u];
-                    let shard = shard_of[*u];
-                    let ch = channels[w][shard];
-                    deps.clear();
-                    deps.push(read_ops[*u]);
-                    let (send_name, recv_name) = match unit.chunk {
-                        None => (
-                            OpName::PsSend {
-                                shard: shard as u32,
-                                param: param_names[unit.param],
-                                worker: w as u32,
-                            },
-                            OpName::WorkerRecv {
-                                worker: w as u32,
-                                param: param_names[unit.param],
-                            },
-                        ),
-                        Some(chunk) => {
-                            // Chained chunks: each send also waits for the
-                            // previous chunk of the same tensor, preserving
-                            // in-order wire transmission (sends are cheap;
-                            // the recvs still overlap across channels).
-                            if let Some(prev) = last_chunk_send[unit.param] {
-                                deps.push(prev);
-                            }
-                            (
-                                OpName::Chunk {
-                                    role: CommRole::Send,
-                                    shard: shard as u16,
-                                    worker: w as u16,
-                                    param: param_names[unit.param],
-                                    chunk,
-                                },
-                                OpName::Chunk {
-                                    role: CommRole::Recv,
-                                    shard: shard as u16,
-                                    worker: w as u16,
-                                    param: param_names[unit.param],
-                                    chunk,
-                                },
-                            )
-                        }
-                    };
-                    let send = b.add_op_named(
-                        send_name,
-                        ps[shard],
-                        OpKind::send(params[*u], ch),
-                        Cost::bytes(unit.bytes),
-                        &deps,
-                    );
-                    if unit.chunk.is_some() {
-                        last_chunk_send[unit.param] = Some(send);
-                    }
-                    let recv = b.add_op_named(
-                        recv_name,
-                        worker,
-                        OpKind::recv(params[*u], ch),
-                        Cost::bytes(unit.bytes),
-                        &[send],
-                    );
-                    w_recvs[*u] = Some(recv);
-                }
-                TransferGroup::Fused { id, members } => {
-                    let shard = shard_of[members[0]];
-                    let ch = channels[w][shard];
-                    deps.clear();
-                    deps.extend(members.iter().map(|&m| read_ops[m]));
-                    let bytes: u64 = members.iter().map(|&m| units[m].bytes).sum();
-                    let send = b.add_op_named(
-                        OpName::Fused {
-                            role: CommRole::Send,
-                            shard: shard as u16,
-                            worker: w as u16,
-                            group: *id,
-                        },
-                        ps[shard],
-                        OpKind::send(params[members[0]], ch),
-                        Cost::bytes(bytes),
-                        &deps,
-                    );
-                    let recv = b.add_op_named(
-                        OpName::Fused {
-                            role: CommRole::Recv,
-                            shard: shard as u16,
-                            worker: w as u16,
-                            group: *id,
-                        },
-                        worker,
-                        OpKind::recv(params[members[0]], ch),
-                        Cost::bytes(bytes),
-                        &[send],
-                    );
-                    for &m in members {
-                        w_recvs[m] = Some(recv);
-                    }
-                }
+        for group in groups {
+            let first = group.members[0];
+            let shard = shard_of[first];
+            let ch = channels[w][shard];
+            deps.clear();
+            deps.extend(group.members.iter().map(|&m| read_ops[m]));
+            deps.extend(split(first).and_then(|p| last_chunk_send[p]));
+            let bytes = group.members.iter().map(|&m| units[m].bytes).sum();
+            let send = b.add_op_named(
+                comm(CommRole::Send, shard, w, carried(group)),
+                ps[shard],
+                OpKind::send(params[first], ch),
+                Cost::bytes(bytes),
+                &deps,
+            );
+            if let Some(p) = split(first) {
+                last_chunk_send[p] = Some(send);
+            }
+            let recv = b.add_op_named(
+                comm(CommRole::Recv, shard, w, carried(group)),
+                worker,
+                OpKind::recv(params[first], ch),
+                Cost::bytes(bytes),
+                &[send],
+            );
+            for &m in &group.members {
+                w_recvs[m] = recv;
             }
         }
-        let w_recvs: Vec<OpId> = w_recvs
-            .into_iter()
-            .map(|r| r.expect("every unit belongs to exactly one transfer group"))
-            .collect();
 
         // Replica compute ops.
         let mut op_map: Vec<OpId> = Vec::with_capacity(model.ops().len());
@@ -1018,176 +968,74 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
             op_map.push(id);
         }
 
-        // Gradient path: worker send -> PS recv, per transfer group.
-        if model.is_training() {
-            last_chunk_send.fill(None);
-            for group in &groups {
-                match group {
-                    TransferGroup::Solo(u) => {
-                        let unit = &units[*u];
-                        if grad_producers[unit.param].is_empty() {
-                            continue;
-                        }
-                        deps.clear();
-                        deps.extend(grad_producers[unit.param].iter().map(|&mi| op_map[mi]));
-                        let shard = shard_of[*u];
-                        let ch = channels[w][shard];
-                        let (send_name, recv_name) = match unit.chunk {
-                            None => (
-                                OpName::WorkerSendGrad {
-                                    worker: w as u32,
-                                    param: param_names[unit.param],
-                                },
-                                OpName::PsRecvGrad {
-                                    shard: shard as u32,
-                                    param: param_names[unit.param],
-                                    worker: w as u32,
-                                },
-                            ),
-                            Some(chunk) => {
-                                if let Some(prev) = last_chunk_send[unit.param] {
-                                    deps.push(prev);
-                                }
-                                (
-                                    OpName::Chunk {
-                                        role: CommRole::SendGrad,
-                                        shard: shard as u16,
-                                        worker: w as u16,
-                                        param: param_names[unit.param],
-                                        chunk,
-                                    },
-                                    OpName::Chunk {
-                                        role: CommRole::RecvGrad,
-                                        shard: shard as u16,
-                                        worker: w as u16,
-                                        param: param_names[unit.param],
-                                        chunk,
-                                    },
-                                )
-                            }
-                        };
-                        let send = b.add_op_named(
-                            send_name,
-                            worker,
-                            OpKind::send(params[*u], ch),
-                            Cost::bytes(unit.bytes),
-                            &deps,
-                        );
-                        if unit.chunk.is_some() {
-                            last_chunk_send[unit.param] = Some(send);
-                        }
-                        let recv = b.add_op_named(
-                            recv_name,
-                            ps[shard],
-                            OpKind::recv(params[*u], ch),
-                            Cost::bytes(unit.bytes),
-                            &[send],
-                        );
-                        grad_recvs[*u].push(recv);
-                    }
-                    TransferGroup::Fused { id, members } => {
-                        let with_grads: Vec<usize> = members
-                            .iter()
-                            .copied()
-                            .filter(|&m| !grad_producers[units[m].param].is_empty())
-                            .collect();
-                        if with_grads.is_empty() {
-                            continue;
-                        }
-                        deps.clear();
-                        for &m in &with_grads {
-                            deps.extend(
-                                grad_producers[units[m].param].iter().map(|&mi| op_map[mi]),
-                            );
-                        }
-                        let shard = shard_of[members[0]];
-                        let ch = channels[w][shard];
-                        let bytes: u64 = with_grads.iter().map(|&m| units[m].bytes).sum();
-                        let send = b.add_op_named(
-                            OpName::Fused {
-                                role: CommRole::SendGrad,
-                                shard: shard as u16,
-                                worker: w as u16,
-                                group: *id,
-                            },
-                            worker,
-                            OpKind::send(params[with_grads[0]], ch),
-                            Cost::bytes(bytes),
-                            &deps,
-                        );
-                        let recv = b.add_op_named(
-                            OpName::Fused {
-                                role: CommRole::RecvGrad,
-                                shard: shard as u16,
-                                worker: w as u16,
-                                group: *id,
-                            },
-                            ps[shard],
-                            OpKind::recv(params[with_grads[0]], ch),
-                            Cost::bytes(bytes),
-                            &[send],
-                        );
-                        for &m in &with_grads {
-                            grad_recvs[m].push(recv);
-                        }
-                    }
-                }
+        // Gradient path: worker send -> PS recv, per transfer group, of
+        // the members that carry a gradient.
+        last_chunk_send.fill(None);
+        for group in groups {
+            let with_grad = || {
+                group
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|&m| lowering.has_grad(m))
+            };
+            let Some(first) = with_grad().next() else {
+                continue;
+            };
+            let shard = shard_of[first];
+            let ch = channels[w][shard];
+            deps.clear();
+            for m in with_grad() {
+                deps.extend(grad_producers[units[m].param].iter().map(|&mi| op_map[mi]));
+            }
+            deps.extend(split(first).and_then(|p| last_chunk_send[p]));
+            let bytes = with_grad().map(|m| units[m].bytes).sum();
+            let send = b.add_op_named(
+                comm(CommRole::SendGrad, shard, w, carried(group)),
+                worker,
+                OpKind::send(params[first], ch),
+                Cost::bytes(bytes),
+                &deps,
+            );
+            if let Some(p) = split(first) {
+                last_chunk_send[p] = Some(send);
+            }
+            let recv = b.add_op_named(
+                comm(CommRole::RecvGrad, shard, w, carried(group)),
+                ps[shard],
+                OpKind::recv(params[first], ch),
+                Cost::bytes(bytes),
+                &[send],
+            );
+            for m in with_grad() {
+                grad_recvs[m].push(recv);
             }
         }
         recv_ops.push(w_recvs);
     }
 
-    // PS-side aggregation and update, one pair per transfer unit (fusion
-    // only coalesces the wire transfers; state updates stay per unit).
-    if model.is_training() {
-        for (u, unit) in units.iter().enumerate() {
-            if grad_recvs[u].is_empty() {
-                continue;
-            }
-            let shard = shard_of[u];
-            let (agg_name, upd_name) = match unit.chunk {
-                None => (
-                    OpName::PsAggregate {
-                        shard: shard as u32,
-                        param: param_names[unit.param],
-                    },
-                    OpName::PsUpdate {
-                        shard: shard as u32,
-                        param: param_names[unit.param],
-                    },
-                ),
-                Some(chunk) => (
-                    OpName::Chunk {
-                        role: CommRole::Aggregate,
-                        shard: shard as u16,
-                        worker: 0,
-                        param: param_names[unit.param],
-                        chunk,
-                    },
-                    OpName::Chunk {
-                        role: CommRole::Update,
-                        shard: shard as u16,
-                        worker: 0,
-                        param: param_names[unit.param],
-                        chunk,
-                    },
-                ),
-            };
-            let agg = b.add_op_named(
-                agg_name,
-                ps[shard],
-                OpKind::Aggregate { param: params[u] },
-                Cost::flops((unit.elems * spec.workers as u64) as f64),
-                &grad_recvs[u],
-            );
-            b.add_op_named(
-                upd_name,
-                ps[shard],
-                OpKind::Update { param: params[u] },
-                Cost::flops(2.0 * unit.elems as f64),
-                &[agg],
-            );
+    // PS-side aggregation and update, one pair per transfer unit that
+    // carries a gradient (fusion only coalesces the wire transfers; state
+    // updates stay per unit).
+    for (u, unit) in units.iter().enumerate() {
+        if grad_recvs[u].is_empty() {
+            continue;
         }
+        let (shard, param) = (shard_of[u], CommParam::Param(params[u]));
+        let agg = b.add_op_named(
+            comm(CommRole::Aggregate, shard, 0, param),
+            ps[shard],
+            OpKind::Aggregate { param: params[u] },
+            Cost::flops((unit.elems * spec.workers as u64) as f64),
+            &grad_recvs[u],
+        );
+        b.add_op_named(
+            comm(CommRole::Update, shard, 0, param),
+            ps[shard],
+            OpKind::Update { param: params[u] },
+            Cost::flops(2.0 * unit.elems as f64),
+            &[agg],
+        );
     }
 
     let graph = b.build()?;
@@ -1196,8 +1044,8 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         workers,
         parameter_servers: ps,
         recv_ops,
-        shard_of,
-        origin: units.iter().map(|u| (u.param, u.chunk)).collect(),
+        shard_of: lowering.shard_of,
+        origin: lowering.units.iter().map(|u| (u.param, u.chunk)).collect(),
     })
 }
 
@@ -1343,6 +1191,40 @@ mod tests {
             deploy(&model, &zero_workers).unwrap_err(),
             DeployError::EmptyCluster
         );
+    }
+
+    /// A cluster holds at most 2^16 devices (a `DeviceId` is a `u16`):
+    /// `try_new`, the builder and `deploy` refuse one more, the last
+    /// before it builds anything, plain or fused alike.
+    #[test]
+    fn refuses_more_devices_than_a_device_id_numbers() {
+        assert!(ClusterSpec::try_new(65_535, 1).is_ok());
+        let too_many = ClusterSpecError::TooManyDevices { devices: 65_537 };
+        assert_eq!(ClusterSpec::try_new(65_536, 1).unwrap_err(), too_many);
+        assert_eq!(ClusterSpec::try_new(1, 65_536).unwrap_err(), too_many);
+        let built = ClusterSpec::builder()
+            .workers(65_536)
+            .parameter_servers(1)
+            .build();
+        assert_eq!(built.unwrap_err(), too_many);
+        assert!(too_many.to_string().contains("the 65536 devices"));
+
+        let model = tiny_mlp(Mode::Training, 1);
+        let fused = CommConfig::default().with_fusion_bytes(Some(1 << 20));
+        for spec in [
+            ClusterSpec::new(1, 1),
+            ClusterSpec::new(1, 1).with_comm(fused),
+        ] {
+            for workers in [65_536, usize::MAX] {
+                let mut spec = spec.clone();
+                spec.workers = workers;
+                let devices = workers.saturating_add(1);
+                assert_eq!(
+                    deploy(&model, &spec).unwrap_err(),
+                    DeployError::TooManyDevices { devices }
+                );
+            }
+        }
     }
 
     #[test]

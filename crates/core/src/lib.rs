@@ -57,9 +57,9 @@ pub use tune::{auto_tune_with, TuneOptions, TuneResult};
 // Re-export the substrate so downstream users need only one dependency.
 pub use tictac_cluster::{deploy, ClusterSpec, CommConfig, DeployError, DeployedModel, Sharding};
 pub use tictac_graph::{
-    tiny_mlp, Channel, ChannelId, CommRole, Cost, Device, DeviceId, DeviceKind, Fnv1a, Graph,
-    GraphBuilder, GraphError, Mode, Model, ModelGraph, ModelGraphBuilder, ModelOpId, ModelOpKind,
-    NameId, NameTable, OpId, OpKind, OpName, ParamId, Resource,
+    tiny_mlp, Channel, ChannelId, CommParam, CommRole, Cost, Device, DeviceId, DeviceKind, Fnv1a,
+    Graph, GraphBuilder, GraphError, Mode, Model, ModelGraph, ModelGraphBuilder, ModelOpId,
+    ModelOpKind, NameId, OpId, OpKind, OpName, ParamId, Resource,
 };
 pub use tictac_obs::{
     overlap_report, perfetto_json, priority_inversions, validate_perfetto, BucketHistogram,

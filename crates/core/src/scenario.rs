@@ -4,7 +4,7 @@
 //! shape (optionally heterogeneous), environment preset, scheduling
 //! policy, execution backend, seed, iteration counts and fault spec — the
 //! tuple every hand-written experiment in this repository used to encode
-//! in Rust. Scenario *files* are a strict YAML subset (see [`parse`])
+//! in Rust. Scenario *files* are a strict YAML subset (see [`Scenario::parse`])
 //! checked into the repository and executed with `tictac run
 //! scenario.yml`; the three fields `scheduler`, `backend` and `seed` may
 //! be list-valued, in which case the file expands into the cross-product
@@ -690,6 +690,10 @@ seed: [1, 2, 3]
             (
                 "model: alexnet_v2\ncluster:\n  workers: 2\n  parameter_servers: 1\n  worker_speeds: [1.0]\n".into(),
                 "invalid cluster",
+            ),
+            (
+                "model: alexnet_v2\ncluster:\n  workers: 65536\n  parameter_servers: 1\n".into(),
+                "invalid cluster: 65537 workers and parameter servers exceed the 65536 devices",
             ),
             (
                 format!("{base}faults:\n  drop_prob: 1.5\n"),

@@ -159,14 +159,15 @@ impl SessionBuilder {
     /// the session is [`threaded`](SessionBuilder::threaded) and its
     /// config sets a knob the wall clock cannot honor: a reorder error
     /// above 0.01, noise heavier than `sigma` 0.1 or a 5% slowdown
-    /// probability, or a fault spec that can inject a fault or sets a
-    /// degraded barrier. [`ScenarioBuildError::Deploy`] if the cluster
+    /// probability, a fault spec that can inject a fault or sets a
+    /// degraded barrier, or an [`ExecOptions::time_scale`] that is not
+    /// positive and finite. [`ScenarioBuildError::Deploy`] if the cluster
     /// spec or model is invalid.
     pub fn build(self) -> Result<Session, ScenarioBuildError> {
         let started = Instant::now();
         let s = &self.settings;
-        if self.threaded.is_some() {
-            check_threaded(&s.config)?;
+        if let Some(opts) = &self.threaded {
+            check_threaded(&s.config, opts)?;
         }
         let (deployed, schedule) = crate::DeployCache::global().schedule(
             &self.model,
@@ -284,7 +285,9 @@ fn check_horizon(deployed: &DeployedModel, config: &SimConfig) -> Result<(), Sce
 ///   busy-loops; the presets' mild noise is subsumed by physical jitter.
 /// * a [`FaultSpec`] that can inject a fault or sets a degraded barrier —
 ///   faults are simulated only.
-fn check_threaded(config: &SimConfig) -> Result<(), SimError> {
+/// * a `time_scale` that is not positive and finite — no wall-clock
+///   duration replays it.
+fn check_threaded(config: &SimConfig, opts: &ExecOptions) -> Result<(), SimError> {
     if config.reorder_error > 0.01 {
         return Err(SimError::UnsupportedConfig {
             knob: "reorder_error",
@@ -310,6 +313,12 @@ fn check_threaded(config: &SimConfig) -> Result<(), SimError> {
         return Err(SimError::UnsupportedConfig {
             knob: "faults",
             reason: "faults are simulated only; run a faulty config on the sim backend".to_string(),
+        });
+    }
+    if !(opts.time_scale > 0.0 && opts.time_scale.is_finite()) {
+        return Err(SimError::UnsupportedConfig {
+            knob: "time_scale",
+            reason: format!("{} is not a positive finite scale", opts.time_scale),
         });
     }
     Ok(())
@@ -1390,6 +1399,28 @@ faults:
             }
             assert!(builder().config(config).build().is_ok(), "the sim runs it");
         }
+    }
+
+    /// A threaded session whose `time_scale` no wall-clock duration can
+    /// replay is refused at `build`, not by a panic in the first run.
+    #[test]
+    fn a_threaded_session_with_a_degenerate_time_scale_is_refused_at_build() {
+        for time_scale in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let built = Session::builder(tiny_mlp(Mode::Training, 8))
+                .threaded(ExecOptions {
+                    time_scale,
+                    ..ExecOptions::default()
+                })
+                .build();
+            match built {
+                Err(ScenarioBuildError::Backend(SimError::UnsupportedConfig { knob, .. })) => {
+                    assert_eq!(knob, "time_scale");
+                }
+                other => panic!("{time_scale}: expected a refusal, got {:?}", other.err()),
+            }
+        }
+        let fine = Session::builder(tiny_mlp(Mode::Training, 8)).threaded(fast());
+        assert!(fine.build().is_ok());
     }
 
     #[test]

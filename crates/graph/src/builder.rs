@@ -4,7 +4,7 @@ use crate::device::{Channel, Device, DeviceKind};
 use crate::error::GraphError;
 use crate::graph::{Graph, ParamInfo};
 use crate::ids::{ChannelId, DeviceId, OpId, ParamId};
-use crate::name::{NameId, NameTable, OpName};
+use crate::name::{CommParam, NameId, NameTable, OpName};
 use crate::op::{Cost, Op, OpKind};
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -208,7 +208,8 @@ impl GraphBuilder {
     /// id.
     ///
     /// Interned components must come from [`intern`](Self::intern) on this
-    /// builder.
+    /// builder; [`build`](Self::build) refuses a communication name whose
+    /// parameter is not one of [`add_param`](Self::add_param)'s.
     pub fn add_op_named(
         &mut self,
         name: OpName,
@@ -292,7 +293,7 @@ impl GraphBuilder {
             &self.pred_offsets,
             &self.devices,
             &self.channels,
-            self.params.len(),
+            &self.params,
             &self.names,
         )?;
         let graph = self.assemble();
@@ -362,7 +363,6 @@ impl GraphBuilder {
             names,
             rendered: std::sync::OnceLock::new(),
             name_index: std::sync::OnceLock::new(),
-            structured_index: std::sync::OnceLock::new(),
         }
     }
 }
@@ -406,7 +406,7 @@ pub(crate) fn check_parts(
     pred_offsets: &[u32],
     devices: &[Device],
     channels: &[Channel],
-    params: usize,
+    params: &[ParamInfo],
     names: &NameTable,
 ) -> Result<(), GraphError> {
     for ch in channels {
@@ -437,17 +437,28 @@ pub(crate) fn check_parts(
                 });
             }
         }
-        if let Some(p) = op.kind.param() {
-            if p.index() >= params {
-                return Err(GraphError::UnknownParam(p));
-            }
+        let named = match op.name {
+            OpName::Comm {
+                param: CommParam::Param(p),
+                ..
+            } => Some(p),
+            _ => None,
+        };
+        if let Some(p) = op
+            .kind
+            .param()
+            .into_iter()
+            .chain(named)
+            .find(|p| p.index() >= params.len())
+        {
+            return Err(GraphError::UnknownParam(p));
         }
         let deps = &pred_edges[pred_offsets[i] as usize..pred_offsets[i + 1] as usize];
         if let Some(&pr) = deps.iter().find(|pr| pr.index() >= ops.len()) {
             return Err(GraphError::UnknownOp(pr));
         }
         if !seen.insert(op.name) {
-            return Err(GraphError::DuplicateOpName(op.name.render(names)));
+            return Err(GraphError::DuplicateOpName(op.name.render(names, params)));
         }
     }
     Ok(())
@@ -559,6 +570,18 @@ mod tests {
         let ch = b.add_channel(w, ps);
         let bogus = ParamId::from_index(5);
         b.add_op("r", w, OpKind::recv(bogus, ch), Cost::bytes(8), &[]);
+        assert_eq!(b.build().unwrap_err(), GraphError::UnknownParam(bogus));
+
+        // A name that renders a parameter names one the graph has, too.
+        let mut b = GraphBuilder::new();
+        let w = b.add_worker("w0");
+        let name = OpName::Comm {
+            role: crate::CommRole::Read,
+            shard: 0,
+            worker: 0,
+            param: CommParam::Param(bogus),
+        };
+        b.add_op_named(name, w, OpKind::Compute, Cost::flops(1.0), &[]);
         assert_eq!(b.build().unwrap_err(), GraphError::UnknownParam(bogus));
     }
 

@@ -2,7 +2,7 @@
 
 use crate::device::{Channel, Device, Resource};
 use crate::ids::{ChannelId, DeviceId, OpId, ParamId};
-use crate::name::{NameTable, OpName};
+use crate::name::NameTable;
 use crate::op::Op;
 
 /// Metadata about one model parameter (a trainable tensor).
@@ -60,15 +60,12 @@ pub struct Graph {
     /// Relative channel bandwidth factors, one per channel (empty =
     /// uniform). `2.0` = twice the platform bandwidth, `0.5` = half.
     pub(crate) channel_bandwidths: Vec<f64>,
-    /// Interned strings referenced by the ops' [`OpName`]s.
+    /// Interned strings referenced by the ops' [`OpName`](crate::OpName)s.
     pub(crate) names: NameTable,
     /// Lazily-rendered display names, one per op (see [`Graph::op_name`]).
     pub(crate) rendered: std::sync::OnceLock<Vec<String>>,
     /// Lazily-built name → id index backing [`Graph::find_op`].
     pub(crate) name_index: std::sync::OnceLock<std::collections::HashMap<String, OpId>>,
-    /// Lazily-built structured-name → id index backing
-    /// [`Graph::find_op_structured`].
-    pub(crate) structured_index: std::sync::OnceLock<std::collections::HashMap<OpName, OpId>>,
 }
 
 impl Graph {
@@ -249,21 +246,16 @@ impl Graph {
             .collect()
     }
 
-    /// The interned-string table behind the ops' [`OpName`]s.
-    pub fn names(&self) -> &NameTable {
-        &self.names
-    }
-
     /// Rendered display names for every op, in id order.
     ///
     /// Built lazily on first use: deployment stores only compact
-    /// [`OpName`]s, so graphs that are simulated or scheduled but never
-    /// printed pay nothing for their names.
+    /// [`OpName`](crate::OpName)s, so graphs that are simulated or
+    /// scheduled but never printed pay nothing for their names.
     pub(crate) fn rendered_names(&self) -> &[String] {
         self.rendered.get_or_init(|| {
             self.ops
                 .iter()
-                .map(|op| op.name.render(&self.names))
+                .map(|op| op.name.render(&self.names, &self.params))
                 .collect()
         })
     }
@@ -292,24 +284,6 @@ impl Graph {
                 index
             })
             .get(name)
-            .copied()
-    }
-
-    /// Looks up an op by structured name, without rendering any strings.
-    ///
-    /// Interned components ([`NameId`](crate::NameId)s) must come from this
-    /// graph's own [`NameTable`] (see [`Graph::names`]). Duplicate names
-    /// resolve to the earliest op, like [`Graph::find_op`].
-    pub fn find_op_structured(&self, name: OpName) -> Option<OpId> {
-        self.structured_index
-            .get_or_init(|| {
-                let mut index = std::collections::HashMap::with_capacity(self.ops.len());
-                for (id, op) in self.ops() {
-                    index.entry(op.name).or_insert(id);
-                }
-                index
-            })
-            .get(&name)
             .copied()
     }
 
@@ -344,7 +318,7 @@ impl Graph {
             &self.pred_offsets,
             &self.devices,
             &self.channels,
-            self.params.len(),
+            &self.params,
             &self.names,
         )?;
         crate::topo::check_acyclic(self)

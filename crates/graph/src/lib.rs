@@ -71,6 +71,6 @@ pub use ids::{ChannelId, DeviceId, ModelOpId, OpId, ParamId};
 pub use model::{
     ModelGraph, ModelGraphBuilder, ModelOp, ModelOpKind, ModelStats, ParamSpec, TensorShape,
 };
-pub use name::{decimal, CommRole, NameId, NameTable, OpName};
+pub use name::{decimal, CommParam, CommRole, NameId, OpName};
 pub use op::{Cost, Op, OpKind};
 pub use zoo::{tiny_mlp, Mode, Model};

@@ -4,19 +4,21 @@
 //! (`format!("ps{shard}/send/{param}/w{w}")`, …) — on inception/resnet-class
 //! models that is tens of thousands of allocations on the deploy hot path.
 //! An [`OpName`] is a 16-byte `Copy` value instead: a role tag plus small
-//! integer fields, with model-level strings (parameter and layer names)
-//! deduplicated through a [`NameTable`] interner. Rendering to the legacy
-//! string happens lazily — and **byte-identically**, so the golden trace
-//! fingerprints and the pinned Perfetto snapshot do not move — only when
-//! something actually asks for a display name: [`Graph::op_name`]'s
-//! cache, or a writer that appends a name where it needs it
-//! ([`OpName::render_into`], which the Perfetto exporter calls per slice).
-//!
-//! [`Graph::op_name`]: crate::Graph::op_name
+//! integer fields. A communication op names its parameter by [`ParamId`],
+//! whose name the graph's parameter table already holds; model-op names
+//! and raw names are deduplicated through a [`NameTable`] interner.
+//! Rendering to the legacy string happens lazily — and **byte-identically**,
+//! so the golden trace fingerprints and the pinned Perfetto snapshot do not
+//! move — only when something actually asks for a display name:
+//! [`Graph::op_name`]'s cache, or a writer that appends a name where it
+//! needs it ([`OpName::render_into`], which the Perfetto exporter calls per
+//! slice).
 
+use crate::graph::{Graph, ParamInfo};
+use crate::ids::ParamId;
 use std::collections::HashMap;
 
-/// Index of an interned string in a [`NameTable`].
+/// Index of an interned string: a raw op name or a model-op name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(u32);
 
@@ -37,7 +39,7 @@ impl NameId {
 /// lives only while a builder interns: a built graph's table is read and
 /// never added to, so it keeps the strings alone.
 #[derive(Debug, Clone, Default)]
-pub struct NameTable {
+pub(crate) struct NameTable {
     strings: Vec<String>,
     /// Each interned string's id; emptied by [`finish`](Self::finish).
     index: HashMap<String, NameId>,
@@ -75,22 +77,11 @@ impl NameTable {
         self.index = HashMap::new();
         self.strings.shrink_to_fit();
     }
-
-    /// Looks up an already-interned string without inserting, by a scan
-    /// of the strings.
-    pub fn lookup(&self, s: &str) -> Option<NameId> {
-        let i = self.strings.iter().position(|t| t == s)?;
-        Some(NameId(i as u32))
-    }
 }
 
-/// Which leg of the parameter round-trip a partitioned or fused
-/// communication op belongs to.
-///
-/// The partition/fusion lowering passes reuse the same role set as the
-/// plain MR+PS emission; [`OpName::Chunk`] and [`OpName::Fused`] pair a
-/// role with chunk/group coordinates instead of minting one enum variant
-/// per (pass × role) combination.
+/// Which leg of the parameter round-trip a communication op is (paper
+/// §2.2): one read, a send/recv pair per worker, and in training a
+/// send_grad/recv_grad pair per worker plus an aggregate and an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommRole {
     /// PS-side parameter read.
@@ -109,40 +100,30 @@ pub enum CommRole {
     Update,
 }
 
+/// What a communication op carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CommParam {
+    /// One parameter of the graph — a whole model parameter or, after the
+    /// partition pass, one chunk of a split one. It renders as its name in
+    /// the graph's parameter table: `{param}` or `{param}.part{j}`.
+    Param(ParamId),
+    /// A transfer the fusion pass coalesced from several small same-shard
+    /// parameters: `fused{group}`, with the group numbered across shards.
+    Fused(u32),
+}
+
 /// A compact structured op name.
 ///
-/// The `Ps*`/`Worker*` variants cover every op the MR+PS lowering emits
-/// (paper §2.2); [`OpName::Chunk`] and [`OpName::Fused`] cover the
-/// partition/fusion communication passes; and [`OpName::Raw`] holds
-/// arbitrary interned strings for hand-built graphs. `OpName::render`
-/// reproduces the historical `format!` strings byte for byte.
+/// [`OpName::Comm`] covers every op the MR+PS lowering emits besides the
+/// replica compute ops (paper §2.2), plain, partitioned or fused alike;
+/// [`OpName::WorkerOp`] names a replica compute op; and [`OpName::Raw`]
+/// holds arbitrary interned strings for hand-built graphs.
+/// [`OpName::render_into`] reproduces the historical `format!` strings
+/// byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpName {
     /// An arbitrary interned name (hand-built graphs, tests).
     Raw(NameId),
-    /// `ps{shard}/read/{param}`
-    PsRead {
-        /// PS shard index.
-        shard: u32,
-        /// Interned parameter name.
-        param: NameId,
-    },
-    /// `ps{shard}/send/{param}/w{worker}`
-    PsSend {
-        /// PS shard index.
-        shard: u32,
-        /// Interned parameter name.
-        param: NameId,
-        /// Destination worker index.
-        worker: u32,
-    },
-    /// `w{worker}/recv/{param}`
-    WorkerRecv {
-        /// Worker index.
-        worker: u32,
-        /// Interned parameter name.
-        param: NameId,
-    },
     /// `w{worker}/{op}` — a replica compute op.
     WorkerOp {
         /// Worker index.
@@ -150,115 +131,61 @@ pub enum OpName {
         /// Interned model-op name.
         op: NameId,
     },
-    /// `w{worker}/send_grad/{param}`
-    WorkerSendGrad {
-        /// Worker index.
-        worker: u32,
-        /// Interned parameter name.
-        param: NameId,
-    },
-    /// `ps{shard}/recv_grad/{param}/w{worker}`
-    PsRecvGrad {
-        /// PS shard index.
-        shard: u32,
-        /// Interned parameter name.
-        param: NameId,
-        /// Source worker index.
-        worker: u32,
-    },
-    /// `ps{shard}/aggregate/{param}`
-    PsAggregate {
-        /// PS shard index.
-        shard: u32,
-        /// Interned parameter name.
-        param: NameId,
-    },
-    /// `ps{shard}/update/{param}`
-    PsUpdate {
-        /// PS shard index.
-        shard: u32,
-        /// Interned parameter name.
-        param: NameId,
-    },
-    /// One chunk of a partitioned parameter: renders exactly like the
-    /// matching plain variant with `{param}.part{chunk}` as the parameter
-    /// name (e.g. `ps{shard}/send/{param}.part{chunk}/w{worker}`).
-    Chunk {
+    /// A communication op: `ps{shard}/{verb}/{param}` for the PS-local
+    /// roles (read, aggregate, update), `w{worker}/{verb}/{param}` for
+    /// the worker-side ones (recv, send_grad) and
+    /// `ps{shard}/{verb}/{param}/w{worker}` for the PS side of a transfer
+    /// (send, recv_grad). A cluster holds at most 2^16 devices, workers
+    /// and parameter servers together, because a
+    /// [`DeviceId`](crate::DeviceId) is a `u16` — so `shard` and `worker`
+    /// are too, losslessly.
+    Comm {
         /// Which leg of the round-trip this op is.
         role: CommRole,
-        /// PS shard index (unused for the worker-side roles' rendering).
+        /// PS shard index (0 for the worker-side roles, which do not
+        /// render it).
         shard: u16,
-        /// Worker index (unused for the PS-local roles' rendering).
+        /// Worker index (0 for the PS-local roles, which do not render
+        /// it).
         worker: u16,
-        /// Interned *original* parameter name.
-        param: NameId,
-        /// Chunk index within the partitioned parameter.
-        chunk: u16,
-    },
-    /// A fused transfer covering several small parameters: renders like
-    /// the matching plain variant with `fused{group}` as the parameter
-    /// name (e.g. `w{worker}/recv/fused{group}`). Only the four transfer
-    /// roles (`Send`, `Recv`, `SendGrad`, `RecvGrad`) are emitted.
-    Fused {
-        /// Which leg of the round-trip this op is.
-        role: CommRole,
-        /// PS shard index.
-        shard: u16,
-        /// Worker index.
-        worker: u16,
-        /// Fusion group index (unique per shard).
-        group: u32,
+        /// The parameter or fused group the op carries.
+        param: CommParam,
     },
 }
 
 impl OpName {
-    /// Appends the legacy string form to `out`, byte-identical to the
-    /// historical `format!` calls, without `core::fmt`: the fixed parts
-    /// and interned strings are copied, the integers written by
-    /// [`integer_into`].
-    pub fn render_into(&self, table: &NameTable, out: &mut String) {
+    /// Appends the name as `graph` spells it to `out`: byte-identical to
+    /// the historical `format!` calls, written without `core::fmt`.
+    pub fn render_into(&self, graph: &Graph, out: &mut String) {
+        self.write(&graph.names, &graph.params, out);
+    }
+
+    /// The name as a `String`, its interned strings read from `names` and
+    /// its parameter names from `params`.
+    pub(crate) fn render(&self, names: &NameTable, params: &[ParamInfo]) -> String {
+        let mut out = String::new();
+        self.write(names, params, &mut out);
+        out
+    }
+
+    /// [`render_into`](Self::render_into) from the graph's two tables:
+    /// the fixed parts and the strings are copied, the integers written by
+    /// [`decimal`].
+    fn write(&self, names: &NameTable, params: &[ParamInfo], out: &mut String) {
         let (role, shard, worker, param) = match *self {
-            OpName::Raw(id) => return out.push_str(table.get(id)),
+            OpName::Raw(id) => return out.push_str(names.get(id)),
             OpName::WorkerOp { worker, op } => {
                 out.push('w');
                 integer_into(out, worker.into());
                 out.push('/');
-                return out.push_str(table.get(op));
+                return out.push_str(names.get(op));
             }
-            OpName::PsRead { shard, param } => (CommRole::Read, shard, 0, Param::Plain(param)),
-            OpName::PsSend {
-                shard,
-                param,
-                worker,
-            } => (CommRole::Send, shard, worker, Param::Plain(param)),
-            OpName::WorkerRecv { worker, param } => {
-                (CommRole::Recv, 0, worker, Param::Plain(param))
-            }
-            OpName::WorkerSendGrad { worker, param } => {
-                (CommRole::SendGrad, 0, worker, Param::Plain(param))
-            }
-            OpName::PsRecvGrad {
-                shard,
-                param,
-                worker,
-            } => (CommRole::RecvGrad, shard, worker, Param::Plain(param)),
-            OpName::PsAggregate { shard, param } => {
-                (CommRole::Aggregate, shard, 0, Param::Plain(param))
-            }
-            OpName::PsUpdate { shard, param } => (CommRole::Update, shard, 0, Param::Plain(param)),
-            OpName::Chunk {
+            OpName::Comm {
                 role,
                 shard,
                 worker,
                 param,
-                chunk,
-            } => (role, shard.into(), worker.into(), Param::Part(param, chunk)),
-            OpName::Fused {
-                role,
-                shard,
-                worker,
-                group,
-            } => (role, shard.into(), worker.into(), Param::Fused(group)),
+            } => (role, shard, worker, param),
         };
         // `ps{shard}/{verb}/{param}` on the PS side, `w{worker}/…` on the
         // worker side, and `/w{worker}` after a transfer between the two.
@@ -280,13 +207,8 @@ impl OpName {
         }
         out.push_str(verb);
         match param {
-            Param::Plain(p) => out.push_str(table.get(p)),
-            Param::Part(p, chunk) => {
-                out.push_str(table.get(p));
-                out.push_str(".part");
-                integer_into(out, chunk.into());
-            }
-            Param::Fused(group) => {
+            CommParam::Param(p) => out.push_str(params[p.index()].name()),
+            CommParam::Fused(group) => {
                 out.push_str("fused");
                 integer_into(out, group.into());
             }
@@ -296,24 +218,6 @@ impl OpName {
             integer_into(out, worker.into());
         }
     }
-
-    /// Renders the legacy string form.
-    pub(crate) fn render(&self, table: &NameTable) -> String {
-        let mut out = String::new();
-        self.render_into(table, &mut out);
-        out
-    }
-}
-
-/// The parameter part of a communication op's name.
-#[derive(Clone, Copy)]
-enum Param {
-    /// `{param}`
-    Plain(NameId),
-    /// `{param}.part{chunk}`
-    Part(NameId, u16),
-    /// `fused{group}`
-    Fused(u32),
 }
 
 /// Appends `n` in decimal, through [`decimal`].
@@ -367,6 +271,28 @@ pub fn decimal(buf: &mut [u8; 20], mut n: u64) -> &str {
 mod tests {
     use super::*;
 
+    const ROLES: [CommRole; 7] = [
+        CommRole::Read,
+        CommRole::Send,
+        CommRole::Recv,
+        CommRole::SendGrad,
+        CommRole::RecvGrad,
+        CommRole::Aggregate,
+        CommRole::Update,
+    ];
+
+    /// A parameter table holding `names`, in order.
+    fn params(names: &[&str]) -> Vec<ParamInfo> {
+        names
+            .iter()
+            .map(|name| ParamInfo {
+                name: name.to_string(),
+                bytes: 0,
+                ps: None,
+            })
+            .collect()
+    }
+
     #[test]
     fn interner_dedups_and_round_trips() {
         let mut t = NameTable::new();
@@ -376,127 +302,47 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(t.get(a), "conv1/weights");
-        assert_eq!(t.lookup("conv1/bias"), Some(b));
-        assert_eq!(t.lookup("missing"), None);
+        assert_eq!(t.get(b), "conv1/bias");
         assert_eq!(t.strings.len(), 2);
     }
 
     #[test]
-    fn renders_match_the_legacy_format_strings() {
+    fn renders_every_role_of_a_parameter_and_a_fused_group() {
         let mut t = NameTable::new();
-        let p = t.intern("fc/weights");
-        let o = t.intern("conv2d_1a");
-        let cases = [
-            (OpName::Raw(p), "fc/weights".to_string()),
-            (
-                OpName::PsRead { shard: 2, param: p },
-                format!("ps{}/read/{}", 2, "fc/weights"),
-            ),
-            (
-                OpName::PsSend {
-                    shard: 0,
-                    param: p,
-                    worker: 3,
-                },
-                format!("ps{}/send/{}/w{}", 0, "fc/weights", 3),
-            ),
-            (
-                OpName::WorkerRecv {
-                    worker: 1,
-                    param: p,
-                },
-                format!("w{}/recv/{}", 1, "fc/weights"),
-            ),
-            (
-                OpName::WorkerOp { worker: 7, op: o },
-                format!("w{}/{}", 7, "conv2d_1a"),
-            ),
-            (
-                OpName::WorkerSendGrad {
-                    worker: 0,
-                    param: p,
-                },
-                format!("w{}/send_grad/{}", 0, "fc/weights"),
-            ),
-            (
-                OpName::PsRecvGrad {
-                    shard: 1,
-                    param: p,
-                    worker: 2,
-                },
-                format!("ps{}/recv_grad/{}/w{}", 1, "fc/weights", 2),
-            ),
-            (
-                OpName::PsAggregate { shard: 4, param: p },
-                format!("ps{}/aggregate/{}", 4, "fc/weights"),
-            ),
-            (
-                OpName::PsUpdate { shard: 4, param: p },
-                format!("ps{}/update/{}", 4, "fc/weights"),
-            ),
-        ];
-        for (name, expected) in cases {
-            assert_eq!(name.render(&t), expected);
-        }
-    }
-
-    #[test]
-    fn chunk_renders_every_role() {
-        let mut t = NameTable::new();
-        let p = t.intern("fc6/weights");
-        let chunk = |role| OpName::Chunk {
+        let raw = t.intern("fc/weights");
+        let op = t.intern("conv2d_1a");
+        let p = params(&["fc/weights", "fc6/weights.part3"]);
+        assert_eq!(OpName::Raw(raw).render(&t, &p), "fc/weights");
+        let worker_op = OpName::WorkerOp { worker: 7, op };
+        assert_eq!(worker_op.render(&t, &p), "w7/conv2d_1a");
+        let comm = |role, param| OpName::Comm {
             role,
             shard: 1,
             worker: 2,
-            param: p,
-            chunk: 3,
+            param,
         };
-        assert_eq!(
-            chunk(CommRole::Read).render(&t),
-            "ps1/read/fc6/weights.part3"
-        );
-        assert_eq!(
-            chunk(CommRole::Send).render(&t),
-            "ps1/send/fc6/weights.part3/w2"
-        );
-        assert_eq!(
-            chunk(CommRole::Recv).render(&t),
-            "w2/recv/fc6/weights.part3"
-        );
-        assert_eq!(
-            chunk(CommRole::SendGrad).render(&t),
-            "w2/send_grad/fc6/weights.part3"
-        );
-        assert_eq!(
-            chunk(CommRole::RecvGrad).render(&t),
-            "ps1/recv_grad/fc6/weights.part3/w2"
-        );
-        assert_eq!(
-            chunk(CommRole::Aggregate).render(&t),
-            "ps1/aggregate/fc6/weights.part3"
-        );
-        assert_eq!(
-            chunk(CommRole::Update).render(&t),
-            "ps1/update/fc6/weights.part3"
-        );
-    }
-
-    #[test]
-    fn fused_renders_transfer_roles() {
-        let t = NameTable::new();
-        let fused = |role| OpName::Fused {
-            role,
-            shard: 0,
-            worker: 4,
-            group: 7,
-        };
-        assert_eq!(fused(CommRole::Send).render(&t), "ps0/send/fused7/w4");
-        assert_eq!(fused(CommRole::Recv).render(&t), "w4/recv/fused7");
-        assert_eq!(fused(CommRole::SendGrad).render(&t), "w4/send_grad/fused7");
-        assert_eq!(
-            fused(CommRole::RecvGrad).render(&t),
-            "ps0/recv_grad/fused7/w4"
-        );
+        let expected = [
+            "ps1/read/{}",
+            "ps1/send/{}/w2",
+            "w2/recv/{}",
+            "w2/send_grad/{}",
+            "ps1/recv_grad/{}/w2",
+            "ps1/aggregate/{}",
+            "ps1/update/{}",
+        ];
+        for (role, pattern) in ROLES.into_iter().zip(expected) {
+            for (param, spelled) in [
+                (CommParam::Param(ParamId::from_index(0)), "fc/weights"),
+                (
+                    CommParam::Param(ParamId::from_index(1)),
+                    "fc6/weights.part3",
+                ),
+                (CommParam::Fused(7), "fused7"),
+            ] {
+                let name = comm(role, param).render(&t, &p);
+                assert_eq!(name, pattern.replace("{}", spelled));
+            }
+        }
     }
 
     #[test]
@@ -506,61 +352,29 @@ mod tests {
 
     /// The name as the historical `format!` calls spelled it: the oracle
     /// the writer is held to.
-    fn legacy(name: OpName, t: &NameTable) -> String {
-        match name {
-            OpName::Raw(id) => t.get(id).to_string(),
-            OpName::PsRead { shard, param } => format!("ps{shard}/read/{}", t.get(param)),
-            OpName::PsSend {
-                shard,
-                param,
-                worker,
-            } => format!("ps{shard}/send/{}/w{worker}", t.get(param)),
-            OpName::WorkerRecv { worker, param } => format!("w{worker}/recv/{}", t.get(param)),
-            OpName::WorkerOp { worker, op } => format!("w{worker}/{}", t.get(op)),
-            OpName::WorkerSendGrad { worker, param } => {
-                format!("w{worker}/send_grad/{}", t.get(param))
-            }
-            OpName::PsRecvGrad {
-                shard,
-                param,
-                worker,
-            } => format!("ps{shard}/recv_grad/{}/w{worker}", t.get(param)),
-            OpName::PsAggregate { shard, param } => {
-                format!("ps{shard}/aggregate/{}", t.get(param))
-            }
-            OpName::PsUpdate { shard, param } => format!("ps{shard}/update/{}", t.get(param)),
-            OpName::Chunk {
+    fn legacy(name: OpName, t: &NameTable, params: &[ParamInfo]) -> String {
+        let (role, shard, worker, param) = match name {
+            OpName::Raw(id) => return t.get(id).to_string(),
+            OpName::WorkerOp { worker, op } => return format!("w{worker}/{}", t.get(op)),
+            OpName::Comm {
                 role,
                 shard,
                 worker,
                 param,
-                chunk,
-            } => {
-                let p = t.get(param);
-                match role {
-                    CommRole::Read => format!("ps{shard}/read/{p}.part{chunk}"),
-                    CommRole::Send => format!("ps{shard}/send/{p}.part{chunk}/w{worker}"),
-                    CommRole::Recv => format!("w{worker}/recv/{p}.part{chunk}"),
-                    CommRole::SendGrad => format!("w{worker}/send_grad/{p}.part{chunk}"),
-                    CommRole::RecvGrad => format!("ps{shard}/recv_grad/{p}.part{chunk}/w{worker}"),
-                    CommRole::Aggregate => format!("ps{shard}/aggregate/{p}.part{chunk}"),
-                    CommRole::Update => format!("ps{shard}/update/{p}.part{chunk}"),
-                }
-            }
-            OpName::Fused {
-                role,
-                shard,
-                worker,
-                group,
-            } => match role {
-                CommRole::Send => format!("ps{shard}/send/fused{group}/w{worker}"),
-                CommRole::Recv => format!("w{worker}/recv/fused{group}"),
-                CommRole::SendGrad => format!("w{worker}/send_grad/fused{group}"),
-                CommRole::RecvGrad => format!("ps{shard}/recv_grad/fused{group}/w{worker}"),
-                CommRole::Read => format!("ps{shard}/read/fused{group}"),
-                CommRole::Aggregate => format!("ps{shard}/aggregate/fused{group}"),
-                CommRole::Update => format!("ps{shard}/update/fused{group}"),
-            },
+            } => (role, shard, worker, param),
+        };
+        let p = match param {
+            CommParam::Param(p) => params[p.index()].name().to_string(),
+            CommParam::Fused(group) => format!("fused{group}"),
+        };
+        match role {
+            CommRole::Read => format!("ps{shard}/read/{p}"),
+            CommRole::Send => format!("ps{shard}/send/{p}/w{worker}"),
+            CommRole::Recv => format!("w{worker}/recv/{p}"),
+            CommRole::SendGrad => format!("w{worker}/send_grad/{p}"),
+            CommRole::RecvGrad => format!("ps{shard}/recv_grad/{p}/w{worker}"),
+            CommRole::Aggregate => format!("ps{shard}/aggregate/{p}"),
+            CommRole::Update => format!("ps{shard}/update/{p}"),
         }
     }
 
@@ -579,17 +393,26 @@ mod tests {
             if cfg!(debug_assertions) { 4096 } else { 262_144 }
         ))]
 
-        /// Every variant — raw, the eight plain round-trip names, a chunk
-        /// and a fused name in each of the seven roles — with its integers
-        /// at every digit-width edge of their type and interned strings
-        /// that a JSON writer must escape, rendered as `format!` did.
+        /// Every variant — raw, a replica op, and a communication op in
+        /// each of the seven roles carrying a parameter or a fused group —
+        /// with its integers at every digit-width edge of their type and
+        /// strings that a JSON writer must escape, rendered as `format!`
+        /// did.
         #[test]
         fn names_render_as_the_format_strings(
             seed in proptest::prelude::any::<u64>(),
-            variant in 0usize..23,
+            variant in 0usize..16,
         ) {
-            const STRINGS: [&str; 7] =
-                ["fc/weights", "a\"b", "back\\slash", "line\nfeed", "\u{1}ctl", "é漢😀", ""];
+            const STRINGS: [&str; 8] = [
+                "fc/weights",
+                "fc6/weights.part65535",
+                "a\"b",
+                "back\\slash",
+                "line\nfeed",
+                "\u{1}ctl",
+                "é漢😀",
+                "",
+            ];
             let (wide, narrow) = (width_edges(u32::MAX.into()), width_edges(u16::MAX.into()));
             let mut x = seed;
             let mut draw = |n: usize| {
@@ -597,50 +420,21 @@ mod tests {
                 (x >> 33) as usize % n
             };
             let mut t = NameTable::new();
-            let param = t.intern(STRINGS[draw(STRINGS.len())]);
-            let (shard, worker) = (wide[draw(wide.len())] as u32, wide[draw(wide.len())] as u32);
-            let (s16, w16, chunk) = (
-                narrow[draw(narrow.len())] as u16,
-                narrow[draw(narrow.len())] as u16,
-                narrow[draw(narrow.len())] as u16,
-            );
-            let group = wide[draw(wide.len())] as u32;
-            const ROLES: [CommRole; 7] = [
-                CommRole::Read,
-                CommRole::Send,
-                CommRole::Recv,
-                CommRole::SendGrad,
-                CommRole::RecvGrad,
-                CommRole::Aggregate,
-                CommRole::Update,
-            ];
+            let interned = t.intern(STRINGS[draw(STRINGS.len())]);
+            let p = params(&STRINGS);
+            let (shard, worker) = (narrow[draw(narrow.len())] as u16, narrow[draw(narrow.len())] as u16);
+            let param = match variant % 2 {
+                0 => CommParam::Param(ParamId::from_index(draw(STRINGS.len()))),
+                _ => CommParam::Fused(wide[draw(wide.len())] as u32),
+            };
             let name = match variant {
-                0 => OpName::Raw(param),
-                1 => OpName::PsRead { shard, param },
-                2 => OpName::PsSend { shard, param, worker },
-                3 => OpName::WorkerRecv { worker, param },
-                4 => OpName::WorkerOp { worker, op: param },
-                5 => OpName::WorkerSendGrad { worker, param },
-                6 => OpName::PsRecvGrad { shard, param, worker },
-                7 => OpName::PsAggregate { shard, param },
-                8 => OpName::PsUpdate { shard, param },
-                9..=15 => OpName::Chunk {
-                    role: ROLES[variant - 9],
-                    shard: s16,
-                    worker: w16,
-                    param,
-                    chunk,
-                },
-                _ => OpName::Fused {
-                    role: ROLES[variant - 16],
-                    shard: s16,
-                    worker: w16,
-                    group,
-                },
+                0 => OpName::Raw(interned),
+                1 => OpName::WorkerOp { worker: wide[draw(wide.len())] as u32, op: interned },
+                _ => OpName::Comm { role: ROLES[variant / 2 - 1], shard, worker, param },
             };
             let mut out = String::from("prefix:");
-            name.render_into(&t, &mut out);
-            proptest::prop_assert_eq!(&out["prefix:".len()..], legacy(name, &t));
+            name.write(&t, &p, &mut out);
+            proptest::prop_assert_eq!(&out["prefix:".len()..], legacy(name, &t, &p));
         }
     }
 }

@@ -203,8 +203,8 @@ impl Op {
         }
     }
 
-    /// The op's structured name. Render it through the owning graph's
-    /// [`NameTable`](crate::NameTable), or use
+    /// The op's structured name. Render it with
+    /// [`OpName::render_into`] and the owning graph, or use
     /// [`Graph::op_name`](crate::Graph::op_name) for the cached string.
     pub fn op_name(&self) -> OpName {
         self.name

@@ -177,7 +177,7 @@ fn intersection_ns(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
 ///
 /// Transfer intervals are taken from executed recv ops (sends share the
 /// interval); compute intervals from executed compute ops. The
-/// per-resource rows are [`usage`]'s sums; the comm and compute busy
+/// per-resource rows are `usage`'s sums; the comm and compute busy
 /// times and their overlap are unions, each resource's intervals merged
 /// first.
 pub fn overlap_report(graph: &Graph, trace: &ExecutionTrace) -> OverlapReport {

@@ -21,10 +21,10 @@
 //!
 //! The writer appends every field straight into one buffer sized to the
 //! document, with no per-event temporaries. A timestamp below
-//! [`US_EXACT_BELOW`] nanoseconds is written in integer arithmetic —
+//! `US_EXACT_BELOW` nanoseconds is written in integer arithmetic —
 //! `ns / 1000`, a point, `ns % 1000` in three digits — which is the text
 //! `format!("{:.3}", ns as f64 / 1000.0)` produces, byte for byte (see
-//! [`US_EXACT_BELOW`]); later instants keep that float path.
+//! `US_EXACT_BELOW`); later instants keep that float path.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -123,10 +123,7 @@ impl Doc {
     /// straight into the document, then escaped in place if it needs it.
     fn op_name(&mut self, graph: &Graph, id: OpId) -> &mut Self {
         let start = self.out.len();
-        graph
-            .op(id)
-            .op_name()
-            .render_into(graph.names(), &mut self.out);
+        graph.op(id).op_name().render_into(graph, &mut self.out);
         let needs_escape = |b: &u8| matches!(b, b'"' | b'\\' | 0..=0x1f);
         if self.out.as_bytes()[start..].iter().any(needs_escape) {
             let name = self.out.split_off(start);

@@ -10,7 +10,7 @@
 //! Handles are cheap to clone and are meant to be created once at setup
 //! time (registration formats metric names and takes a lock) and then used
 //! lock-free on the hot path (plain relaxed atomic updates). Per-index
-//! metrics such as `sim.chan{c}.bytes` ([`Registry::counters`] and its
+//! metrics such as `sim.chan{c}.bytes` (`Registry::counters` and its
 //! siblings) format and look up each name once per registry; a later
 //! request reuses the metrics it found.
 

@@ -84,7 +84,7 @@ pub(crate) fn select_best(part: &PartitionGraph, props: &OpProperties) -> usize 
 /// Computes the TAC transfer order for the recv ops of `worker`.
 ///
 /// Iteratively (Algorithm 3): update properties for the outstanding set,
-/// pick the minimum recv under [`TacComparator`] (ties broken by op id for
+/// pick the minimum recv under `TacComparator` (ties broken by op id for
 /// determinism), mark it complete and repeat. Returns recv ops in transfer
 /// order.
 ///

@@ -52,6 +52,20 @@ fn zero_iterations_is_a_usage_error_not_a_division_by_zero() {
     );
 }
 
+/// A cluster holds at most 2^16 devices: one more is refused as an
+/// invalid cluster before anything is deployed, not reported as a graph
+/// the lowering built wrong.
+#[test]
+fn a_cluster_past_the_device_limit_is_a_usage_error() {
+    let (out, stderr) = tictac(&["run", "alexnet_v2", "--workers", "65536", "--ps", "1"]);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert_eq!(
+        first,
+        "error: invalid cluster: 65537 workers and parameter servers exceed the 65536 devices a cluster can hold"
+    );
+}
+
 /// An empty window has no history to regress against: every group would
 /// read `NEW` and the gate would pass whatever the store holds.
 #[test]

@@ -6,81 +6,136 @@
 //! golden traces and the Perfetto snapshot were pinned against. These
 //! tests reconstruct the expected string for every op of every zoo model
 //! from independent metadata — op kind, device membership, channel
-//! endpoints, parameter names and model-op order — and compare it to
-//! [`Graph::op_name`]. They also check that both lookup paths
-//! ([`Graph::find_op`] by rendered string, [`Graph::find_op_structured`]
-//! by compact name) resolve every op.
+//! endpoints, each transfer unit's origin (model parameter and chunk),
+//! which units share a worker's recv and model-op order — and compare it
+//! to [`Graph::op_name`], on plain, partitioned and fused deployments.
+//! They also check that [`Graph::find_op`] resolves every rendered name
+//! back to its op.
+//!
+//! [`OpName`]: tictac::OpName
 
 use std::collections::HashMap;
 use tictac::{
     deploy, no_ordering, perfetto_json, simulate, ClusterSpec, CommConfig, Cost, DeployedModel,
-    DeviceId, GraphBuilder, Mode, Model, ModelGraph, OpId, OpKind, OpName, SimConfig,
+    DeviceId, GraphBuilder, Mode, Model, ModelGraph, OpId, OpKind, ParamId, SimConfig,
 };
 use tictac_obs::{parse_json, Json};
 
-/// Rebuilds the legacy `format!` name of `id` without consulting the
-/// rendering path. `compute_seq` tracks, per worker, how many compute ops
-/// have been seen so far in id order — deployment replicates model ops in
-/// order, so that count indexes straight into `model.ops()`.
-fn legacy_name(
-    d: &DeployedModel,
-    model: &ModelGraph,
-    id: OpId,
-    compute_seq: &mut HashMap<DeviceId, usize>,
-) -> String {
-    let graph = d.graph();
-    let op = graph.op(id);
-    let dev = op.device();
-    let widx: HashMap<DeviceId, u32> = d
-        .workers()
-        .iter()
-        .enumerate()
-        .map(|(i, &dv)| (dv, i as u32))
-        .collect();
-    let sidx: HashMap<DeviceId, u32> = d
-        .parameter_servers()
-        .iter()
-        .enumerate()
-        .map(|(i, &dv)| (dv, i as u32))
-        .collect();
-    let pname = |p| graph.param(p).name();
-    match op.kind() {
-        OpKind::Compute => {
-            let seq = compute_seq.entry(dev).or_insert(0);
-            let mop = &model.ops()[*seq];
-            *seq += 1;
-            format!("w{}/{}", widx[&dev], mop.name())
+/// Rebuilds the legacy `format!` name of every op of one deployment
+/// without consulting the rendering path or the graph's parameter names.
+struct Oracle<'a> {
+    d: &'a DeployedModel,
+    model: &'a ModelGraph,
+    widx: HashMap<DeviceId, usize>,
+    sidx: HashMap<DeviceId, usize>,
+    /// Per worker: its recv op → (how many units it carries, the first).
+    shares: Vec<HashMap<OpId, (usize, usize)>>,
+    /// A fused group's first unit → its `fused{g}` number: dense from 0
+    /// in the order the groups first appear in op-id order, one number
+    /// for every worker's copy of the group.
+    fused: HashMap<usize, usize>,
+    /// Per worker, how many compute ops have been seen so far in id
+    /// order: deployment replicates model ops in order, so that count
+    /// indexes straight into `model.ops()`.
+    compute_seq: HashMap<DeviceId, usize>,
+}
+
+impl<'a> Oracle<'a> {
+    fn new(d: &'a DeployedModel, model: &'a ModelGraph) -> Self {
+        let index = |devs: &[DeviceId]| devs.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let units = d.graph().params().len();
+        let shares = (0..d.workers().len())
+            .map(|w| {
+                let mut shares: HashMap<OpId, (usize, usize)> = HashMap::new();
+                for u in 0..units {
+                    let recv = d.recv_op(w, ParamId::from_index(u)).expect("every unit");
+                    shares.entry(recv).or_insert((0, u)).0 += 1;
+                }
+                shares
+            })
+            .collect();
+        Self {
+            d,
+            model,
+            widx: index(d.workers()),
+            sidx: index(d.parameter_servers()),
+            shares,
+            fused: HashMap::new(),
+            compute_seq: HashMap::new(),
         }
-        OpKind::Read { param } => format!("ps{}/read/{}", sidx[&dev], pname(param)),
-        OpKind::Send { param, channel } => {
-            if let Some(&s) = sidx.get(&dev) {
-                let w = widx[&graph.channel(channel).worker()];
-                format!("ps{s}/send/{}/w{w}", pname(param))
-            } else {
-                format!("w{}/send_grad/{}", widx[&dev], pname(param))
+    }
+
+    /// The parameter part of a name: the unit's own name (`{param}` or
+    /// `{param}.part{j}`) from its origin, or `fused{g}` when the unit
+    /// travels with others in worker `w`'s transfers.
+    fn param(&mut self, p: ParamId, w: Option<usize>) -> String {
+        if let Some(w) = w {
+            let recv = self.d.recv_op(w, p).expect("every unit");
+            let (carried, first) = self.shares[w][&recv];
+            if carried > 1 {
+                let next = self.fused.len();
+                return format!("fused{}", self.fused.entry(first).or_insert(next));
             }
         }
-        OpKind::Recv { param, channel } => {
-            if let Some(&w) = widx.get(&dev) {
-                format!("w{w}/recv/{}", pname(param))
-            } else {
-                let w = widx[&graph.channel(channel).worker()];
-                format!("ps{}/recv_grad/{}/w{w}", sidx[&dev], pname(param))
+        let name = self.model.params()[self.d.unit_origin(p).0].name();
+        match self.d.unit_origin(p).1 {
+            None => name.to_string(),
+            Some(j) => format!("{name}.part{j}"),
+        }
+    }
+
+    fn name(&mut self, id: OpId) -> String {
+        let graph = self.d.graph();
+        let op = graph.op(id);
+        let dev = op.device();
+        let (on_worker, on_ps) = (self.widx.get(&dev).copied(), self.sidx.get(&dev).copied());
+        let peer = |ch| self.widx[&graph.channel(ch).worker()];
+        match op.kind() {
+            OpKind::Compute => {
+                let seq = self.compute_seq.entry(dev).or_insert(0);
+                let mop = &self.model.ops()[*seq];
+                *seq += 1;
+                format!("w{}/{}", on_worker.unwrap(), mop.name())
+            }
+            OpKind::Read { param } => {
+                format!("ps{}/read/{}", on_ps.unwrap(), self.param(param, None))
+            }
+            OpKind::Send { param, channel } => match (on_worker, on_ps) {
+                (_, Some(s)) => {
+                    let w = peer(channel);
+                    format!("ps{s}/send/{}/w{w}", self.param(param, Some(w)))
+                }
+                (Some(w), None) => format!("w{w}/send_grad/{}", self.param(param, Some(w))),
+                (None, None) => unreachable!("a send sits on a worker or a PS"),
+            },
+            OpKind::Recv { param, channel } => match (on_worker, on_ps) {
+                (Some(w), _) => format!("w{w}/recv/{}", self.param(param, Some(w))),
+                (None, Some(s)) => {
+                    let w = peer(channel);
+                    format!("ps{s}/recv_grad/{}/w{w}", self.param(param, Some(w)))
+                }
+                (None, None) => unreachable!("a recv sits on a worker or a PS"),
+            },
+            OpKind::Aggregate { param } => {
+                format!("ps{}/aggregate/{}", on_ps.unwrap(), self.param(param, None))
+            }
+            OpKind::Update { param } => {
+                format!("ps{}/update/{}", on_ps.unwrap(), self.param(param, None))
             }
         }
-        OpKind::Aggregate { param } => format!("ps{}/aggregate/{}", sidx[&dev], pname(param)),
-        OpKind::Update { param } => format!("ps{}/update/{}", sidx[&dev], pname(param)),
     }
 }
 
-/// Checks every op of one deployment: rendered name matches the legacy
-/// reconstruction, and both lookup paths resolve back to the op.
-fn check_deployment(model: &ModelGraph, spec: &ClusterSpec) {
+/// Checks every op of one deployment: its rendered name matches the
+/// legacy reconstruction, and the string lookup resolves back to the op.
+/// Returns how many ops carry a chunk and how many a fused group.
+fn check_deployment(model: &ModelGraph, spec: &ClusterSpec) -> (usize, usize) {
     let d = deploy(model, spec).expect("zoo model deploys");
     let graph = d.graph();
-    let mut compute_seq = HashMap::new();
+    let mut oracle = Oracle::new(&d, model);
+    let (mut chunked, mut fused) = (0, 0);
     for id in graph.op_ids() {
-        let expect = legacy_name(&d, model, id, &mut compute_seq);
+        let expect = oracle.name(id);
         let rendered = graph.op_name(id);
         assert_eq!(
             rendered,
@@ -93,13 +148,11 @@ fn check_deployment(model: &ModelGraph, spec: &ClusterSpec) {
             Some(id),
             "string lookup missed {rendered}"
         );
-        assert_eq!(
-            graph.find_op_structured(graph.op(id).op_name()),
-            Some(id),
-            "structured lookup missed {rendered}"
-        );
+        chunked += usize::from(rendered.contains(".part"));
+        fused += usize::from(rendered.contains("/fused"));
     }
     assert_eq!(graph.find_op("no/such/op"), None);
+    (chunked, fused)
 }
 
 /// Every zoo model, training mode, across several cluster shapes: all
@@ -125,12 +178,41 @@ fn rendered_names_match_legacy_strings_for_inference_zoo() {
     }
 }
 
+/// `comm:` deployments over the zoo, both modes: chunks render as
+/// `{param}.part{j}` and fused transfers as `fused{g}`, with `g` the same
+/// on every worker's copy of a group and dense from 0 in emission order.
+/// Every partitioned deployment holds a chunk and every fused one a
+/// fused transfer, so neither rule is checked vacuously.
+#[test]
+fn rendered_names_match_legacy_strings_for_comm_zoo() {
+    let partition = CommConfig::default().with_partition_bytes(Some(1 << 20));
+    let fusion = CommConfig::default().with_fusion_bytes(Some(64 << 10));
+    let both = partition.with_fusion_bytes(fusion.fusion_bytes);
+    for model in Model::ALL {
+        for mode in [Mode::Training, Mode::Inference] {
+            let graph = model.build_with_batch(mode, 2);
+            for (comm, (w, s)) in [(partition, (2, 2)), (fusion, (3, 2)), (both, (2, 3))] {
+                let (chunked, fused) =
+                    check_deployment(&graph, &ClusterSpec::new(w, s).with_comm(comm));
+                if comm.partition_bytes.is_some() {
+                    assert!(chunked > 0, "{model:?} {comm:?}: no chunk");
+                }
+                if comm.fusion_bytes.is_some() {
+                    assert!(fused > 0, "{model:?} {comm:?}: no fused transfer");
+                }
+            }
+        }
+    }
+}
+
 /// An export writes each slice's name straight from its [`OpName`], not
 /// through the graph's name cache, and writes what the cache holds: on
 /// zoo models deployed with a `comm:` block (chunked and fused
 /// transfers), every slice of a fresh graph's export carries the name
 /// [`Graph::op_name`] renders, and a graph whose cache was filled first
 /// exports the same document.
+///
+/// [`OpName`]: tictac::OpName
 #[test]
 fn exports_write_the_names_the_cache_renders() {
     let comm = CommConfig::default()
@@ -187,7 +269,9 @@ fn sends(graph: &tictac::Graph, trace: &tictac::ExecutionTrace) -> usize {
 }
 
 /// Hand-built graphs go through [`OpName::Raw`]: the builder interns the
-/// string verbatim and both lookups resolve it.
+/// string verbatim and the string lookup resolves it.
+///
+/// [`OpName::Raw`]: tictac::OpName::Raw
 #[test]
 fn raw_names_round_trip_through_the_interner() {
     let mut b = GraphBuilder::new();
@@ -197,9 +281,8 @@ fn raw_names_round_trip_through_the_interner() {
     let graph = b.build().unwrap();
 
     assert_eq!(graph.op_name(a), "alpha");
+    assert_eq!(graph.op_name(z), "omega");
     assert_eq!(graph.find_op("alpha"), Some(a));
     assert_eq!(graph.find_op("omega"), Some(z));
-    let id = graph.names().lookup("omega").expect("interned");
-    assert_eq!(graph.find_op_structured(OpName::Raw(id)), Some(z));
     assert_eq!(graph.find_op("alph"), None);
 }
