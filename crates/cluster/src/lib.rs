@@ -37,8 +37,8 @@ pub use sharding::Sharding;
 use std::error::Error;
 use std::fmt;
 use tictac_graph::{
-    ChannelId, CommParam, CommRole, Cost, DeviceId, Fnv1a, Graph, GraphBuilder, GraphError,
-    ModelGraph, NameId, OpId, OpKind, OpName, ParamId,
+    ChannelId, Cost, DeviceId, Fnv1a, Graph, GraphBuilder, GraphError, ModelGraph, OpId, OpKind,
+    ParamId,
 };
 use tictac_sched::Schedule;
 
@@ -659,24 +659,17 @@ fn transfer_units(model: &ModelGraph, comm: CommConfig) -> Vec<Unit> {
     units
 }
 
-/// A transfer group after the fusion pass: one send/recv pair per group
-/// per worker, and one send_grad/recv_grad pair when a member carries a
-/// gradient.
-struct TransferGroup {
-    /// Member unit indices, in unit order: one unit, or several small
-    /// same-shard ones that travel as one transfer.
-    members: Vec<usize>,
-    /// A multi-member group's fusion id (rendered as `fused{id}`),
-    /// numbered across shards in emission order.
-    fused: Option<u32>,
-}
-
 /// The fusion pass: greedily coalesces consecutive same-shard whole-tensor
 /// units smaller than `fusion_bytes` until a group reaches the threshold.
 /// Chunk units and large units always stay alone, and so does a unit that
 /// ends up with no same-shard partner: with the threshold unset this
 /// emits one single-member group per unit in unit order — the identity.
-fn fusion_groups(units: &[Unit], shard_of: &[usize], fusion: Option<u64>) -> Vec<TransferGroup> {
+///
+/// A transfer group is its member unit indices, in unit order: one unit,
+/// or several small same-shard ones that travel as one transfer. Each
+/// group has one send/recv pair per worker, and one send_grad/recv_grad
+/// pair when a member carries a gradient.
+fn fusion_groups(units: &[Unit], shard_of: &[usize], fusion: Option<u64>) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::with_capacity(units.len());
     if let Some(fuse) = fusion {
         let shards = shard_of.iter().copied().max().map_or(1, |s| s + 1);
@@ -701,19 +694,7 @@ fn fusion_groups(units: &[Unit], shard_of: &[usize], fusion: Option<u64>) -> Vec
     } else {
         groups.extend((0..units.len()).map(|u| vec![u]));
     }
-    // Fusion ids in emission order, unique across shards so rendered
-    // `fused{id}` names never collide.
-    let mut next_id = 0;
     groups
-        .into_iter()
-        .map(|members| {
-            let fused = (members.len() > 1).then(|| {
-                next_id += 1;
-                next_id - 1
-            });
-            TransferGroup { members, fused }
-        })
-        .collect()
 }
 
 /// What `deploy` decides before it adds an op: the partition pass's
@@ -722,7 +703,7 @@ fn fusion_groups(units: &[Unit], shard_of: &[usize], fusion: Option<u64>) -> Vec
 struct Lowering {
     units: Vec<Unit>,
     shard_of: Vec<usize>,
-    groups: Vec<TransferGroup>,
+    groups: Vec<Vec<usize>>,
     grad_producers: Vec<Vec<usize>>,
 }
 
@@ -776,7 +757,7 @@ impl Lowering {
         let grad_groups = self
             .groups
             .iter()
-            .filter(|g| g.members.iter().any(|&m| self.has_grad(m)))
+            .filter(|g| g.iter().any(|&m| self.has_grad(m)))
             .count();
         let grad_units = (0..self.units.len()).filter(|&u| self.has_grad(u)).count();
         self.units.len()
@@ -839,10 +820,10 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
     }
 
     // Parameters and names: one graph parameter per transfer unit, named
-    // `{param}` or `{param}.part{j}`, which the communication ops' names
-    // refer to by id; model-op names are interned once up front. Every op
-    // below carries a compact structured `OpName` instead of a freshly
-    // formatted `String`.
+    // `{param}` or `{param}.part{j}`; the replica's model-op names; and a
+    // fused group's number, `fused{g}` from 0 in group order, for each of
+    // its members. The ops below store no name: the graph derives each
+    // from the op's kind, device and channel (DESIGN.md §10).
     let Lowering {
         units,
         shard_of,
@@ -859,22 +840,13 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
             }
         })
         .collect();
-    let mop_names: Vec<NameId> = model.ops().iter().map(|o| b.intern(o.name())).collect();
+    b.name_replica(model.ops().iter().map(|o| o.name()));
+    for members in groups.iter().filter(|g| g.len() > 1) {
+        b.name_fused(members.iter().map(|&m| params[m]));
+    }
     for (p, &shard) in params.iter().zip(shard_of) {
         b.assign_param_to_ps(*p, ps[shard]);
     }
-    // Lossless: a cluster has at most `MAX_DEVICES` devices.
-    let comm = |role, shard: usize, worker: usize, param| OpName::Comm {
-        role,
-        shard: shard as u16,
-        worker: worker as u16,
-        param,
-    };
-    // What a group's transfers carry: its one unit or its fused id.
-    let carried = |g: &TransferGroup| match g.fused {
-        Some(id) => CommParam::Fused(id),
-        None => CommParam::Param(params[g.members[0]]),
-    };
 
     // Model parameter -> its transfer units (identity without the
     // partition pass: exactly one unit per parameter).
@@ -889,8 +861,7 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         .zip(shard_of)
         .enumerate()
         .map(|(u, (unit, &shard))| {
-            b.add_op_named(
-                comm(CommRole::Read, shard, 0, CommParam::Param(params[u])),
+            b.add_lowered_op(
                 ps[shard],
                 OpKind::Read { param: params[u] },
                 Cost::flops(unit.elems as f64),
@@ -918,15 +889,14 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         let mut w_recvs: Vec<OpId> = vec![OpId::from_index(0); units.len()];
         last_chunk_send.fill(None);
         for group in groups {
-            let first = group.members[0];
+            let first = group[0];
             let shard = shard_of[first];
             let ch = channels[w][shard];
             deps.clear();
-            deps.extend(group.members.iter().map(|&m| read_ops[m]));
+            deps.extend(group.iter().map(|&m| read_ops[m]));
             deps.extend(split(first).and_then(|p| last_chunk_send[p]));
-            let bytes = group.members.iter().map(|&m| units[m].bytes).sum();
-            let send = b.add_op_named(
-                comm(CommRole::Send, shard, w, carried(group)),
+            let bytes = group.iter().map(|&m| units[m].bytes).sum();
+            let send = b.add_lowered_op(
                 ps[shard],
                 OpKind::send(params[first], ch),
                 Cost::bytes(bytes),
@@ -935,36 +905,27 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
             if let Some(p) = split(first) {
                 last_chunk_send[p] = Some(send);
             }
-            let recv = b.add_op_named(
-                comm(CommRole::Recv, shard, w, carried(group)),
+            let recv = b.add_lowered_op(
                 worker,
                 OpKind::recv(params[first], ch),
                 Cost::bytes(bytes),
                 &[send],
             );
-            for &m in &group.members {
+            for &m in group {
                 w_recvs[m] = recv;
             }
         }
 
-        // Replica compute ops.
+        // Replica compute ops: contiguous ids, in model order, as the
+        // graph's name derivation requires.
         let mut op_map: Vec<OpId> = Vec::with_capacity(model.ops().len());
-        for (mi, mop) in model.ops().iter().enumerate() {
+        for mop in model.ops() {
             deps.clear();
             deps.extend(mop.preds().iter().map(|p| op_map[p.index()]));
             for p in mop.reads_params() {
                 deps.extend(param_units[p.index()].iter().map(|&u| w_recvs[u]));
             }
-            let id = b.add_op_named(
-                OpName::WorkerOp {
-                    worker: w as u32,
-                    op: mop_names[mi],
-                },
-                worker,
-                OpKind::Compute,
-                Cost::flops(mop.flops()),
-                &deps,
-            );
+            let id = b.add_lowered_op(worker, OpKind::Compute, Cost::flops(mop.flops()), &deps);
             op_map.push(id);
         }
 
@@ -972,13 +933,7 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         // the members that carry a gradient.
         last_chunk_send.fill(None);
         for group in groups {
-            let with_grad = || {
-                group
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&m| lowering.has_grad(m))
-            };
+            let with_grad = || group.iter().copied().filter(|&m| lowering.has_grad(m));
             let Some(first) = with_grad().next() else {
                 continue;
             };
@@ -990,8 +945,7 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
             }
             deps.extend(split(first).and_then(|p| last_chunk_send[p]));
             let bytes = with_grad().map(|m| units[m].bytes).sum();
-            let send = b.add_op_named(
-                comm(CommRole::SendGrad, shard, w, carried(group)),
+            let send = b.add_lowered_op(
                 worker,
                 OpKind::send(params[first], ch),
                 Cost::bytes(bytes),
@@ -1000,8 +954,7 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
             if let Some(p) = split(first) {
                 last_chunk_send[p] = Some(send);
             }
-            let recv = b.add_op_named(
-                comm(CommRole::RecvGrad, shard, w, carried(group)),
+            let recv = b.add_lowered_op(
                 ps[shard],
                 OpKind::recv(params[first], ch),
                 Cost::bytes(bytes),
@@ -1021,16 +974,14 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         if grad_recvs[u].is_empty() {
             continue;
         }
-        let (shard, param) = (shard_of[u], CommParam::Param(params[u]));
-        let agg = b.add_op_named(
-            comm(CommRole::Aggregate, shard, 0, param),
+        let shard = shard_of[u];
+        let agg = b.add_lowered_op(
             ps[shard],
             OpKind::Aggregate { param: params[u] },
             Cost::flops((unit.elems * spec.workers as u64) as f64),
             &grad_recvs[u],
         );
-        b.add_op_named(
-            comm(CommRole::Update, shard, 0, param),
+        b.add_lowered_op(
             ps[shard],
             OpKind::Update { param: params[u] },
             Cost::flops(2.0 * unit.elems as f64),

@@ -276,10 +276,10 @@ fn check_horizon(deployed: &DeployedModel, config: &SimConfig) -> Result<(), Sce
 /// Refuses, with [`SimError::UnsupportedConfig`], the knobs a threaded
 /// run cannot honor, instead of silently ignoring them:
 ///
-/// * `reorder_error > 0.01` — the runtime does not inject artificial
-///   reorders; rates up to the paper's measured gRPC level (§5.1) are
-///   adequately represented by physical hand-off jitter, larger ones are
-///   not.
+/// * `reorder_error` outside `[0, 0.01]` — the runtime does not inject
+///   artificial reorders; rates up to the paper's measured gRPC level
+///   (§5.1) are adequately represented by physical hand-off jitter,
+///   larger ones are not, and a NaN or negative one is no rate at all.
 /// * heavy [`NoiseModel`]s (`sigma > 0.1` or worker-slowdown probability
 ///   above 5%) — modeled noise cannot be replayed by calibrated
 ///   busy-loops; the presets' mild noise is subsumed by physical jitter.
@@ -288,14 +288,19 @@ fn check_horizon(deployed: &DeployedModel, config: &SimConfig) -> Result<(), Sce
 /// * a `time_scale` that is not positive and finite — no wall-clock
 ///   duration replays it.
 fn check_threaded(config: &SimConfig, opts: &ExecOptions) -> Result<(), SimError> {
-    if config.reorder_error > 0.01 {
+    let reorder = config.reorder_error;
+    if !(0.0..=0.01).contains(&reorder) {
+        let reason = if reorder > 0.01 {
+            format!(
+                "injected reorder rate {reorder} exceeds what physical hand-off jitter \
+                 reproduces (max 0.01)"
+            )
+        } else {
+            format!("reorder rate {reorder} is not a rate in [0, 0.01]")
+        };
         return Err(SimError::UnsupportedConfig {
             knob: "reorder_error",
-            reason: format!(
-                "injected reorder rate {} exceeds what physical hand-off jitter \
-                 reproduces (max 0.01)",
-                config.reorder_error
-            ),
+            reason,
         });
     }
     if config.noise.sigma() > 0.1 || config.noise.slowdown_prob() > 0.05 {
@@ -1398,6 +1403,41 @@ faults:
                 }
             }
             assert!(builder().config(config).build().is_ok(), "the sim runs it");
+        }
+    }
+
+    /// A threaded session whose reorder error is no rate in `[0, 0.01]`
+    /// is refused at `build`: NaN and negative ones too, which the `pub`
+    /// field takes without `with_reorder_error`'s assert. A rate above
+    /// 0.01 keeps its message; the range's ends build.
+    #[test]
+    fn a_threaded_session_with_a_reorder_error_outside_its_range_is_refused_at_build() {
+        let threaded = |reorder_error| {
+            let mut config = SimConfig::cloud_gpu();
+            config.reorder_error = reorder_error;
+            Session::builder(tiny_mlp(Mode::Training, 8))
+                .config(config)
+                .threaded(fast())
+                .build()
+        };
+        for (reorder_error, message) in [
+            (f64::NAN, "reorder rate NaN is not a rate in [0, 0.01]"),
+            (-0.5, "reorder rate -0.5 is not a rate in [0, 0.01]"),
+            (
+                0.5,
+                "injected reorder rate 0.5 exceeds what physical hand-off jitter \
+                 reproduces (max 0.01)",
+            ),
+        ] {
+            match threaded(reorder_error) {
+                Err(ScenarioBuildError::Backend(SimError::UnsupportedConfig { knob, reason })) => {
+                    assert_eq!((knob, reason.as_str()), ("reorder_error", message));
+                }
+                other => panic!("{reorder_error}: expected a refusal, got {:?}", other.err()),
+            }
+        }
+        for fine in [0.0, 0.01] {
+            assert!(threaded(fine).is_ok(), "{fine}");
         }
     }
 

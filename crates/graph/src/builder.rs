@@ -4,16 +4,14 @@ use crate::device::{Channel, Device, DeviceKind};
 use crate::error::GraphError;
 use crate::graph::{Graph, ParamInfo};
 use crate::ids::{ChannelId, DeviceId, OpId, ParamId};
-use crate::name::{CommParam, NameId, NameTable, OpName};
+use crate::name::{KeySpace, Naming};
 use crate::op::{Cost, Op, OpKind};
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Builder for [`Graph`].
 ///
 /// Ids are handed out eagerly so that later ops can depend on earlier ones;
 /// [`GraphBuilder::build`] validates the result (acyclicity, id bounds,
-/// channel placement, cost fields, name uniqueness).
+/// channel placement, cost fields, names).
 ///
 /// # Example
 ///
@@ -43,7 +41,10 @@ pub struct GraphBuilder {
     /// every factor is exactly `1.0`.
     device_speeds: Vec<f64>,
     channel_bandwidths: Vec<f64>,
-    names: NameTable,
+    names: Naming,
+    /// Devices registered so far of each [`DeviceKind`]: the next one's
+    /// ordinal.
+    per_kind: [usize; 2],
     /// The first op whose cost set a field its class never reads, and
     /// that field; the op keeps only the other one, so `build` reports it
     /// from here.
@@ -61,7 +62,8 @@ impl Default for GraphBuilder {
             params: Vec::new(),
             device_speeds: Vec::new(),
             channel_bandwidths: Vec::new(),
-            names: NameTable::new(),
+            names: Naming::default(),
+            per_kind: [0; 2],
             unread_cost: None,
         }
     }
@@ -100,7 +102,10 @@ impl GraphBuilder {
     /// Registers a device of the given kind and returns its id.
     pub(crate) fn add_device(&mut self, kind: DeviceKind, name: impl Into<String>) -> DeviceId {
         let id = DeviceId::from_index(self.devices.len());
-        self.devices.push(Device::new(id, kind, name));
+        let ordinal = &mut self.per_kind[kind as usize];
+        self.devices
+            .push(Device::new(id, kind, *ordinal as u16, name));
+        *ordinal += 1;
         id
     }
 
@@ -177,16 +182,31 @@ impl GraphBuilder {
         self.params[param.index()].ps = Some(ps);
     }
 
-    /// Interns a string for use in structured [`OpName`]s.
-    pub fn intern(&mut self, s: &str) -> NameId {
-        self.names.intern(s)
+    /// Names the replica's compute ops, in model order, for the ops
+    /// [`add_lowered_op`](Self::add_lowered_op) adds: each worker's
+    /// lowered compute ops must be as many contiguous ids, and the one at
+    /// `k` past its worker's first is `w{worker}/{ops[k]}`.
+    pub fn name_replica<S: AsRef<str>>(&mut self, ops: impl IntoIterator<Item = S>) {
+        self.names.replica(ops);
+    }
+
+    /// Numbers the next fused group, from 0 in call order: a lowered send
+    /// or recv whose parameter is one of `members` is named for the
+    /// group, `fused{g}`, instead of for the parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member was not created by this builder or is already
+    /// in a group.
+    pub fn name_fused(&mut self, members: impl IntoIterator<Item = ParamId>) {
+        self.names.fuse(members, self.params.len());
     }
 
     /// Adds an op with an arbitrary string name and returns its id.
     ///
-    /// The string is interned as [`OpName::Raw`]; deployment-style hot
-    /// paths should prefer [`add_op_named`](Self::add_op_named), which
-    /// avoids touching strings entirely.
+    /// The string is interned as the op's raw name; a deployment adds its
+    /// ops with [`add_lowered_op`](Self::add_lowered_op), which stores no
+    /// name at all.
     ///
     /// `deps` are control/data dependencies: the op becomes ready only when
     /// all of them have finished. `cost` sets bytes on a send or recv and
@@ -200,29 +220,41 @@ impl GraphBuilder {
         cost: Cost,
         deps: &[OpId],
     ) -> OpId {
-        let name = OpName::Raw(self.names.intern(name.as_ref()));
-        self.add_op_named(name, device, kind, cost, deps)
+        self.names.raw(self.ops.len(), name.as_ref());
+        self.push_op(device, kind, cost, deps)
     }
 
-    /// Adds an op with a structured, allocation-free name and returns its
-    /// id.
+    /// Adds an op of the MR + PS lowering and returns its id. Its name is
+    /// derived from where it sits and what it carries (DESIGN.md §10):
+    /// `ps{s}/read/{param}`, `ps{s}/send/{param}/w{w}`,
+    /// `w{w}/recv/{param}`, `w{w}/{op}` for a compute op (see
+    /// [`name_replica`](Self::name_replica)), `w{w}/send_grad/{param}`,
+    /// `ps{s}/recv_grad/{param}/w{w}`, `ps{s}/aggregate/{param}` and
+    /// `ps{s}/update/{param}`, with `w` and `s` the devices' ordinals
+    /// among the workers and the parameter servers.
     ///
-    /// Interned components must come from [`intern`](Self::intern) on this
-    /// builder; [`build`](Self::build) refuses a communication name whose
-    /// parameter is not one of [`add_param`](Self::add_param)'s.
-    pub fn add_op_named(
+    /// [`build`](Self::build) refuses a compute op on a parameter server,
+    /// a read, aggregate or update on a worker, a worker whose lowered
+    /// compute ops are not its replica, and two ops whose names render
+    /// alike.
+    pub fn add_lowered_op(
         &mut self,
-        name: OpName,
         device: DeviceId,
         kind: OpKind,
         cost: Cost,
         deps: &[OpId],
     ) -> OpId {
+        self.names.derived(self.ops.len(), kind, device);
+        self.push_op(device, kind, cost, deps)
+    }
+
+    /// Adds an op whose name is recorded, and returns its id.
+    fn push_op(&mut self, device: DeviceId, kind: OpKind, cost: Cost, deps: &[OpId]) -> OpId {
         let id = OpId::from_index(self.ops.len());
         if self.unread_cost.is_none() {
             self.unread_cost = Op::unread_field(kind, cost).map(|field| (id, field));
         }
-        self.ops.push(Op::new(name, kind, device, cost));
+        self.ops.push(Op::new(kind, device, cost));
         // Append, then sort + dedup the newly added range in place — no
         // per-op allocation.
         let start = self.pred_edges.len();
@@ -282,7 +314,8 @@ impl GraphBuilder {
     /// Returns a [`GraphError`] if the graph contains a cycle, dangling ids,
     /// a channel whose endpoints are not a worker–PS pair, a communication op
     /// on a device its channel does not connect, a cost field its op's class
-    /// never reads, or duplicate op names.
+    /// never reads, a lowered op its name cannot be derived for, or two op
+    /// names that render alike.
     pub fn build(self) -> Result<Graph, GraphError> {
         if let Some((op, field)) = self.unread_cost {
             return Err(GraphError::UnreadCost { op, field });
@@ -346,7 +379,7 @@ impl GraphBuilder {
         let mut pred_edges = self.pred_edges;
         pred_edges.shrink_to_fit();
         let mut names = self.names;
-        names.finish();
+        names.finish(n, self.devices.len());
         Graph {
             ops: self.ops,
             pred_edges,
@@ -393,13 +426,17 @@ fn csr(
 
 /// The checks [`GraphBuilder::build`] and [`Graph::check`] share, reported
 /// in this order: channel endpoints, then op by op in id order its device,
-/// channel, parameter, predecessors and name. (`build` reports an unread
-/// cost field before all of them: a built graph cannot hold one.)
+/// channel, parameter, predecessors and name, then each worker's replica
+/// size. (`build` reports an unread cost field before all of them: a built
+/// graph cannot hold one.)
 ///
-/// Names are compared structurally (the interner dedups raw strings, so two
-/// identical string names collide here exactly as before); a raw name that
-/// *renders* like a structured one is not flagged — deployment only emits
-/// structured names and hand-built graphs only raw ones.
+/// The name check derives each op's name and refuses one that renders
+/// like an earlier op's. It compares keys of the fields a name renders in
+/// a transient dense bitset (`OpName::key`), not strings: raw names are
+/// compared by interned id, so two equal strings collide. A raw name and
+/// a derived one that render alike are not refused; neither is a derived
+/// name whose parameter or model-op string spells another's (`fused3`,
+/// `recv/x`).
 pub(crate) fn check_parts(
     ops: &[Op],
     pred_edges: &[OpId],
@@ -407,7 +444,7 @@ pub(crate) fn check_parts(
     devices: &[Device],
     channels: &[Channel],
     params: &[ParamInfo],
-    names: &NameTable,
+    names: &Naming,
 ) -> Result<(), GraphError> {
     for ch in channels {
         let (worker, ps) = (ch.worker(), ch.ps());
@@ -419,8 +456,19 @@ pub(crate) fn check_parts(
             return Err(GraphError::InvalidChannelEndpoints { worker, ps });
         }
     }
-    let mut seen: HashSet<OpName, BuildHasherDefault<NameHasher>> =
-        HashSet::with_capacity_and_hasher(ops.len(), BuildHasherDefault::default());
+    let workers = devices.iter().filter(|d| d.is_worker()).count();
+    let space = KeySpace {
+        strings: names.strings.len(),
+        params: params.len(),
+        groups: names.groups as usize,
+        workers,
+        servers: devices.len() - workers,
+    };
+    let bounds = space.bounds();
+    let mut seen: [Vec<u64>; 3] = Default::default();
+    let replica = names.replica.len();
+    // Lowered compute ops per device.
+    let mut lowered = vec![0usize; devices.len()];
     for (i, op) in ops.iter().enumerate() {
         if op.device.index() >= devices.len() {
             return Err(GraphError::UnknownDevice(op.device));
@@ -437,74 +485,90 @@ pub(crate) fn check_parts(
                 });
             }
         }
-        let named = match op.name {
-            OpName::Comm {
-                param: CommParam::Param(p),
-                ..
-            } => Some(p),
-            _ => None,
-        };
-        if let Some(p) = op
-            .kind
-            .param()
-            .into_iter()
-            .chain(named)
-            .find(|p| p.index() >= params.len())
-        {
+        if let Some(p) = op.kind.param().filter(|p| p.index() >= params.len()) {
             return Err(GraphError::UnknownParam(p));
         }
         let deps = &pred_edges[pred_offsets[i] as usize..pred_offsets[i + 1] as usize];
         if let Some(&pr) = deps.iter().find(|pr| pr.index() >= ops.len()) {
             return Err(GraphError::UnknownOp(pr));
         }
-        if !seen.insert(op.name) {
-            return Err(GraphError::DuplicateOpName(op.name.render(names, params)));
+        if names.is_derived(i) {
+            check_lowered(i, op, ops, devices, names, &mut lowered)?;
         }
+        let name = names.name(i, op, devices, channels);
+        let (segment, key) = name.key(&space);
+        let bits = &mut seen[segment];
+        if bits.is_empty() {
+            *bits = vec![0; bounds[segment].div_ceil(64)];
+        }
+        let (word, bit) = (key / 64, 1u64 << (key % 64));
+        if bits[word] & bit != 0 {
+            return Err(GraphError::DuplicateOpName(
+                name.render(&names.strings, params),
+            ));
+        }
+        bits[word] |= bit;
     }
-    Ok(())
+    match devices
+        .iter()
+        .zip(lowered)
+        .find(|(device, compute_ops)| device.is_worker() && *compute_ops != replica)
+    {
+        Some((device, compute_ops)) => Err(GraphError::ReplicaLayout {
+            device: device.id(),
+            compute_ops,
+            model_ops: replica,
+        }),
+        None => Ok(()),
+    }
 }
 
-/// A word-at-a-time multiplicative hasher (FxHash's mix) for the name
-/// check: an [`OpName`] hashes as two to six small integers, which SipHash
-/// spends most of its time on. The keys are program-made (structured fields
-/// and interner indices handed out in order), so no input from outside the
-/// program picks them, and SipHash's resistance to crafted collisions buys
-/// nothing here.
-#[derive(Default)]
-struct NameHasher(u64);
-
-impl Hasher for NameHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+/// Refuses lowered op `i`, `op`, where its name cannot be derived: a
+/// compute op off a worker or past its worker's replica, a read,
+/// aggregate or update off a parameter server. Counts a compute op in
+/// `lowered`, per device.
+fn check_lowered(
+    i: usize,
+    op: &Op,
+    ops: &[Op],
+    devices: &[Device],
+    names: &Naming,
+    lowered: &mut [usize],
+) -> Result<(), GraphError> {
+    let device = &devices[op.device.index()];
+    let placed = match op.kind {
+        OpKind::Compute => device.is_worker(),
+        OpKind::Read { .. } | OpKind::Aggregate { .. } | OpKind::Update { .. } => {
+            device.is_parameter_server()
         }
+        OpKind::Send { .. } | OpKind::Recv { .. } => true,
+    };
+    if !placed {
+        return Err(GraphError::MisplacedOp {
+            op: OpId::from_index(i),
+            device: op.device,
+        });
     }
-
-    fn write_u8(&mut self, x: u8) {
-        self.write_u64(u64::from(x));
+    if op.kind != OpKind::Compute {
+        return Ok(());
     }
-
-    fn write_u16(&mut self, x: u16) {
-        self.write_u64(u64::from(x));
+    let d = op.device.index();
+    lowered[d] += 1;
+    if i - names.bases[d] as usize >= names.replica.len() {
+        // Off the contiguous run its first compute op starts: report
+        // how many the worker holds.
+        let compute_ops = (0..ops.len())
+            .filter(|&j| {
+                names.is_derived(j) && ops[j].kind == OpKind::Compute && ops[j].device == op.device
+            })
+            .count();
+        return Err(GraphError::ReplicaLayout {
+            device: op.device,
+            compute_ops,
+            model_ops: names.replica.len(),
+        });
     }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The product's well-mixed bits are its high ones; the table
-        // indexes by the low ones.
-        self.0.rotate_left(26)
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -571,18 +635,6 @@ mod tests {
         let bogus = ParamId::from_index(5);
         b.add_op("r", w, OpKind::recv(bogus, ch), Cost::bytes(8), &[]);
         assert_eq!(b.build().unwrap_err(), GraphError::UnknownParam(bogus));
-
-        // A name that renders a parameter names one the graph has, too.
-        let mut b = GraphBuilder::new();
-        let w = b.add_worker("w0");
-        let name = OpName::Comm {
-            role: crate::CommRole::Read,
-            shard: 0,
-            worker: 0,
-            param: CommParam::Param(bogus),
-        };
-        b.add_op_named(name, w, OpKind::Compute, Cost::flops(1.0), &[]);
-        assert_eq!(b.build().unwrap_err(), GraphError::UnknownParam(bogus));
     }
 
     #[test]
@@ -634,6 +686,190 @@ mod tests {
         b.add_dep(a, c);
         let g = b.build().unwrap();
         assert_eq!(g.preds(c), &[a]);
+    }
+
+    /// A deployment-shaped builder, as `deploy` lowers a one-op replica
+    /// (`fwd`) of a one-parameter model (`fc/weights`) onto `workers`
+    /// workers and `servers` parameter servers: the read on PS 0, then per
+    /// worker the send and recv over its channel to PS 0 and the compute
+    /// op. Returns the builder, the workers, the PSes, each worker's
+    /// channels and the parameter.
+    #[allow(clippy::type_complexity)]
+    fn lowered(
+        workers: usize,
+        servers: usize,
+    ) -> (
+        GraphBuilder,
+        Vec<DeviceId>,
+        Vec<DeviceId>,
+        Vec<Vec<ChannelId>>,
+        ParamId,
+    ) {
+        let mut b = GraphBuilder::new();
+        let w: Vec<DeviceId> = (0..workers)
+            .map(|i| b.add_worker(format!("worker/{i}")))
+            .collect();
+        let ps: Vec<DeviceId> = (0..servers)
+            .map(|s| b.add_parameter_server(format!("ps/{s}")))
+            .collect();
+        let ch: Vec<Vec<ChannelId>> = w
+            .iter()
+            .map(|&w| ps.iter().map(|&s| b.add_channel(w, s)).collect())
+            .collect();
+        let p = b.add_param("fc/weights", 8);
+        b.name_replica(["fwd"]);
+        let read = b.add_lowered_op(ps[0], OpKind::Read { param: p }, Cost::flops(1.0), &[]);
+        for (i, &worker) in w.iter().enumerate() {
+            let send = b.add_lowered_op(ps[0], OpKind::send(p, ch[i][0]), Cost::bytes(8), &[read]);
+            let recv = b.add_lowered_op(worker, OpKind::recv(p, ch[i][0]), Cost::bytes(8), &[send]);
+            b.add_lowered_op(worker, OpKind::Compute, Cost::flops(1.0), &[recv]);
+        }
+        (b, w, ps, ch, p)
+    }
+
+    /// A lowering bug that emits one send twice on a channel is refused
+    /// with the name both copies render, the text the check printed when
+    /// ops stored their names. So is one that names two ops alike
+    /// through a field the name does not render: worker 0 receiving the
+    /// parameter over both its channels (`w0/recv/…` says no shard).
+    #[test]
+    fn a_lowered_op_emitted_twice_is_refused_by_its_rendered_name() {
+        let (b, ..) = lowered(2, 1);
+        let g = b.build().unwrap();
+        let names: Vec<&str> = g.op_ids().map(|id| g.op_name(id)).collect();
+        assert_eq!(
+            names,
+            [
+                "ps0/read/fc/weights",
+                "ps0/send/fc/weights/w0",
+                "w0/recv/fc/weights",
+                "w0/fwd",
+                "ps0/send/fc/weights/w1",
+                "w1/recv/fc/weights",
+                "w1/fwd",
+            ]
+        );
+
+        let (mut b, _, ps, ch, p) = lowered(2, 1);
+        b.add_lowered_op(ps[0], OpKind::send(p, ch[1][0]), Cost::bytes(8), &[]);
+        let err = b.build().unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::DuplicateOpName("ps0/send/fc/weights/w1".into())
+        );
+        assert_eq!(
+            err.to_string(),
+            "duplicate op name `ps0/send/fc/weights/w1`"
+        );
+
+        let (mut b, w, _, ch, p) = lowered(1, 2);
+        b.add_lowered_op(w[0], OpKind::recv(p, ch[0][1]), Cost::bytes(8), &[]);
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::DuplicateOpName("w0/recv/fc/weights".into())
+        );
+    }
+
+    /// One worker and one PS with a two-op replica (`fwd`, `bwd`) and the
+    /// worker's lowered ops in `order`: `c` a compute op, `r` a recv.
+    fn replica(order: &str) -> Result<Graph, GraphError> {
+        let mut b = GraphBuilder::new();
+        let w = b.add_worker("worker/0");
+        let ps = b.add_parameter_server("ps/0");
+        let ch = b.add_channel(w, ps);
+        b.name_replica(["fwd", "bwd"]);
+        for (i, op) in order.chars().enumerate() {
+            let p = b.add_param(format!("p{i}"), 8);
+            match op {
+                'c' => b.add_lowered_op(w, OpKind::Compute, Cost::flops(1.0), &[]),
+                _ => b.add_lowered_op(w, OpKind::recv(p, ch), Cost::bytes(8), &[]),
+            };
+        }
+        b.build()
+    }
+
+    /// A worker whose lowered compute ops are not one contiguous run of
+    /// the replica's, in number or in place, is refused at `build` with
+    /// a typed error — not misnamed, and not a panic; so is a lowered op
+    /// whose name its device cannot say.
+    #[test]
+    fn a_worker_whose_compute_ops_are_not_its_replica_is_refused() {
+        let g = replica("rcc").unwrap();
+        let names: Vec<&str> = g.op_ids().map(|id| g.op_name(id)).collect();
+        assert_eq!(names, ["w0/recv/p0", "w0/fwd", "w0/bwd"]);
+        let w = DeviceId::from_index(0);
+        for (order, compute_ops) in [("crc", 2), ("rc", 1), ("rccc", 3), ("r", 0)] {
+            let err = replica(order).unwrap_err();
+            assert_eq!(
+                err,
+                GraphError::ReplicaLayout {
+                    device: w,
+                    compute_ops,
+                    model_ops: 2
+                },
+                "{order}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "worker dev0 holds {compute_ops} lowered compute ops where its replica \
+                     is 2 contiguous ones"
+                )
+            );
+        }
+
+        let (mut b, _, ps, ..) = lowered(1, 1);
+        let misplaced = b.add_lowered_op(ps[0], OpKind::Compute, Cost::flops(1.0), &[]);
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::MisplacedOp {
+                op: misplaced,
+                device: ps[0]
+            }
+        );
+        let (mut b, w, _, _, p) = lowered(1, 1);
+        let misplaced = b.add_lowered_op(w[0], OpKind::Update { param: p }, Cost::ZERO, &[]);
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::MisplacedOp {
+                op: misplaced,
+                device: w[0]
+            }
+        );
+    }
+
+    /// Fused groups number from 0 in call order, and a lowered send or
+    /// recv of any member is named for its group; reads stay per
+    /// parameter.
+    #[test]
+    fn a_fused_member_is_named_for_its_group() {
+        let mut b = GraphBuilder::new();
+        let w = b.add_worker("worker/0");
+        let ps = b.add_parameter_server("ps/0");
+        let ch = b.add_channel(w, ps);
+        let p: Vec<ParamId> = (0..4).map(|i| b.add_param(format!("p{i}"), 8)).collect();
+        b.name_fused([p[1], p[2]]);
+        b.name_fused([p[0], p[3]]);
+        for &param in &p {
+            b.add_lowered_op(ps, OpKind::Read { param }, Cost::ZERO, &[]);
+        }
+        b.add_lowered_op(ps, OpKind::send(p[1], ch), Cost::bytes(8), &[]);
+        b.add_lowered_op(w, OpKind::recv(p[3], ch), Cost::bytes(8), &[]);
+        b.add_lowered_op(w, OpKind::send(p[2], ch), Cost::bytes(8), &[]);
+        let g = b.build().unwrap();
+        let names: Vec<&str> = g.op_ids().map(|id| g.op_name(id)).collect();
+        assert_eq!(
+            names,
+            [
+                "ps0/read/p0",
+                "ps0/read/p1",
+                "ps0/read/p2",
+                "ps0/read/p3",
+                "ps0/send/fused0/w0",
+                "w0/recv/fused1",
+                "w0/send_grad/fused0",
+            ]
+        );
     }
 
     #[test]

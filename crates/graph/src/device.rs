@@ -31,16 +31,30 @@ impl fmt::Display for DeviceKind {
 pub struct Device {
     id: DeviceId,
     kind: DeviceKind,
+    /// The device's index among the devices of its kind.
+    ordinal: u16,
     name: String,
 }
 
 impl Device {
-    pub(crate) fn new(id: DeviceId, kind: DeviceKind, name: impl Into<String>) -> Self {
+    pub(crate) fn new(
+        id: DeviceId,
+        kind: DeviceKind,
+        ordinal: u16,
+        name: impl Into<String>,
+    ) -> Self {
         Self {
             id,
             kind,
+            ordinal,
             name: name.into(),
         }
+    }
+
+    /// The device's index among the devices of its kind: `w` of
+    /// `w{w}/…` names, `s` of `ps{s}/…` ones.
+    pub(crate) fn ordinal(&self) -> u16 {
+        self.ordinal
     }
 
     /// The device's identifier.
@@ -149,7 +163,7 @@ mod tests {
 
     #[test]
     fn device_accessors() {
-        let d = Device::new(DeviceId::from_index(0), DeviceKind::Worker, "worker/0");
+        let d = Device::new(DeviceId::from_index(0), DeviceKind::Worker, 0, "worker/0");
         assert!(d.is_worker());
         assert!(!d.is_parameter_server());
         assert_eq!(d.name(), "worker/0");

@@ -43,8 +43,26 @@ pub enum GraphError {
         /// The field it set: `"flops"` or `"bytes"`.
         field: &'static str,
     },
-    /// Two ops share the same name.
+    /// Two ops' names render alike.
     DuplicateOpName(String),
+    /// A lowered op sits where its name cannot be derived: a compute op
+    /// on a parameter server, or a read, aggregate or update on a worker.
+    MisplacedOp {
+        /// The offending op.
+        op: OpId,
+        /// The device it sits on.
+        device: DeviceId,
+    },
+    /// A worker's lowered compute ops are not its replica: their count
+    /// differs from the replica's, or other ops sit between them.
+    ReplicaLayout {
+        /// The worker.
+        device: DeviceId,
+        /// The lowered compute ops it holds.
+        compute_ops: usize,
+        /// The replica's ops.
+        model_ops: usize,
+    },
     /// The graph is empty where a non-empty graph was required.
     Empty,
 }
@@ -75,6 +93,20 @@ impl fmt::Display for GraphError {
                 write!(f, "op {op} sets {field}, which its class never reads")
             }
             GraphError::DuplicateOpName(name) => write!(f, "duplicate op name `{name}`"),
+            GraphError::MisplacedOp { op, device } => write!(
+                f,
+                "op {op} on {device} has no name: lowered compute ops sit on workers, \
+                 reads, aggregates and updates on parameter servers"
+            ),
+            GraphError::ReplicaLayout {
+                device,
+                compute_ops,
+                model_ops,
+            } => write!(
+                f,
+                "worker {device} holds {compute_ops} lowered compute ops where its replica \
+                 is {model_ops} contiguous ones"
+            ),
             GraphError::Empty => f.write_str("graph is empty"),
         }
     }

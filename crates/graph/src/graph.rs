@@ -2,7 +2,7 @@
 
 use crate::device::{Channel, Device, Resource};
 use crate::ids::{ChannelId, DeviceId, OpId, ParamId};
-use crate::name::NameTable;
+use crate::name::{Naming, OpName};
 use crate::op::Op;
 
 /// Metadata about one model parameter (a trainable tensor).
@@ -60,8 +60,9 @@ pub struct Graph {
     /// Relative channel bandwidth factors, one per channel (empty =
     /// uniform). `2.0` = twice the platform bandwidth, `0.5` = half.
     pub(crate) channel_bandwidths: Vec<f64>,
-    /// Interned strings referenced by the ops' [`OpName`](crate::OpName)s.
-    pub(crate) names: NameTable,
+    /// What the ops' names are derived from, and a hand-built graph's
+    /// raw names (DESIGN.md §10).
+    pub(crate) names: Naming,
     /// Lazily-rendered display names, one per op (see [`Graph::op_name`]).
     pub(crate) rendered: std::sync::OnceLock<Vec<String>>,
     /// Lazily-built name → id index backing [`Graph::find_op`].
@@ -246,18 +247,35 @@ impl Graph {
             .collect()
     }
 
+    /// Op `id`'s structured name, derived from where it sits (DESIGN.md
+    /// §10).
+    fn name(&self, id: OpId) -> OpName {
+        let i = id.index();
+        self.names
+            .name(i, &self.ops[i], &self.devices, &self.channels)
+    }
+
     /// Rendered display names for every op, in id order.
     ///
-    /// Built lazily on first use: deployment stores only compact
-    /// [`OpName`](crate::OpName)s, so graphs that are simulated or
-    /// scheduled but never printed pay nothing for their names.
+    /// Built lazily on first use: ops store no names, so graphs that are
+    /// simulated or scheduled but never printed pay nothing for them.
     pub(crate) fn rendered_names(&self) -> &[String] {
         self.rendered.get_or_init(|| {
-            self.ops
-                .iter()
-                .map(|op| op.name.render(&self.names, &self.params))
+            self.op_ids()
+                .map(|id| self.name(id).render(&self.names.strings, &self.params))
                 .collect()
         })
+    }
+
+    /// Appends op `id`'s display name to `out`, as
+    /// [`op_name`](Self::op_name) spells it, without filling its cache:
+    /// table lookups and a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of bounds.
+    pub fn write_op_name(&self, id: OpId, out: &mut String) {
+        self.name(id).write(&self.names.strings, &self.params, out);
     }
 
     /// The rendered display name of an op (e.g. `"ps0/send/fc/weights/w1"`).
@@ -302,8 +320,8 @@ impl Graph {
 
     /// Verifies what [`GraphBuilder::build`](crate::GraphBuilder::build)
     /// checks, in the same order: channel endpoints, ids in bounds, channel
-    /// placement, name uniqueness, acyclicity (debug aid; builder-validated
-    /// graphs always pass).
+    /// placement, names, the replicas, acyclicity (debug aid;
+    /// builder-validated graphs always pass).
     ///
     /// # Errors
     ///

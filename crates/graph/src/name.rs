@@ -1,28 +1,37 @@
-//! Compact structured op names.
+//! Op names, derived from where an op sits and what it carries.
 //!
-//! Deployment used to mint one heap `String` per op
-//! (`format!("ps{shard}/send/{param}/w{w}")`, …) — on inception/resnet-class
-//! models that is tens of thousands of allocations on the deploy hot path.
-//! An [`OpName`] is a 16-byte `Copy` value instead: a role tag plus small
-//! integer fields. A communication op names its parameter by [`ParamId`],
-//! whose name the graph's parameter table already holds; model-op names
-//! and raw names are deduplicated through a [`NameTable`] interner.
-//! Rendering to the legacy string happens lazily — and **byte-identically**,
-//! so the golden trace fingerprints and the pinned Perfetto snapshot do not
-//! move — only when something actually asks for a display name:
-//! [`Graph::op_name`]'s cache, or a writer that appends a name where it
-//! needs it ([`OpName::render_into`], which the Perfetto exporter calls per
-//! slice).
+//! A deployed op stores no name. The MR + PS lowering (paper §2.2) is
+//! regular, so [`Naming::name`] derives each op's [`OpName`] on demand
+//! from what the graph already holds: the op's kind, its device's side and
+//! ordinal, its channel's worker, a per-parameter fused-group table and
+//! one base offset per worker into the replica's model-op names. A
+//! hand-built graph keeps its raw names in a side table, one interned
+//! [`NameId`] an op, which a deployment leaves empty. An `OpName` is a
+//! 16-byte `Copy` value that lives only while a name is rendered or
+//! checked. Rendering is **byte-identical** to the historical `format!`
+//! strings, so the golden trace fingerprints and the pinned Perfetto
+//! snapshots do not move, and happens only when something asks for a
+//! display name: [`Graph::op_name`]'s cache, or a writer that appends a
+//! name where it needs it ([`Graph::write_op_name`], which the Perfetto
+//! exporter calls per slice).
+//!
+//! [`Graph::op_name`]: crate::Graph::op_name
+//! [`Graph::write_op_name`]: crate::Graph::write_op_name
 
-use crate::graph::{Graph, ParamInfo};
-use crate::ids::ParamId;
+use crate::device::{Channel, Device};
+use crate::graph::ParamInfo;
+use crate::ids::{ChannelId, DeviceId, ParamId};
+use crate::op::{Op, OpKind};
 use std::collections::HashMap;
 
 /// Index of an interned string: a raw op name or a model-op name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NameId(u32);
+pub(crate) struct NameId(u32);
 
 impl NameId {
+    /// The raw-name slot of an op whose name is derived.
+    const DERIVED: NameId = NameId(u32::MAX);
+
     /// The raw table index.
     #[inline]
     pub(crate) fn index(self) -> usize {
@@ -34,10 +43,9 @@ impl NameId {
 ///
 /// Every distinct string is stored once; [`OpName`]s refer to it by
 /// [`NameId`]. Interning the same string twice returns the same id, which
-/// is what lets [`GraphBuilder`](crate::GraphBuilder) keep detecting
-/// duplicate raw op names by comparing `OpName`s. The string → id index
-/// lives only while a builder interns: a built graph's table is read and
-/// never added to, so it keeps the strings alone.
+/// is what lets the duplicate-name check compare raw names as integers.
+/// The string → id index lives only while a builder interns: a built
+/// graph's table is read and never added to, so it keeps the strings alone.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NameTable {
     strings: Vec<String>,
@@ -47,6 +55,7 @@ pub(crate) struct NameTable {
 
 impl NameTable {
     /// An empty table.
+    #[cfg(test)]
     pub(crate) fn new() -> Self {
         Self::default()
     }
@@ -71,6 +80,11 @@ impl NameTable {
         &self.strings[id.index()]
     }
 
+    /// How many strings the table holds.
+    pub(crate) fn len(&self) -> usize {
+        self.strings.len()
+    }
+
     /// Drops the interning index and any spare capacity: the table of a
     /// built graph, which nothing interns into.
     pub(crate) fn finish(&mut self) {
@@ -83,7 +97,7 @@ impl NameTable {
 /// §2.2): one read, a send/recv pair per worker, and in training a
 /// send_grad/recv_grad pair per worker plus an aggregate and an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CommRole {
+pub(crate) enum CommRole {
     /// PS-side parameter read.
     Read,
     /// PS → worker parameter send.
@@ -100,9 +114,26 @@ pub enum CommRole {
     Update,
 }
 
+impl CommRole {
+    /// How a name of this role is spelled: whether it opens with
+    /// `ps{shard}` (else `w{worker}`), its verb, and whether `/w{worker}`
+    /// closes it — the fields the name renders.
+    fn spelling(self) -> (bool, &'static str, bool) {
+        match self {
+            CommRole::Read => (true, "/read/", false),
+            CommRole::Send => (true, "/send/", true),
+            CommRole::Recv => (false, "/recv/", false),
+            CommRole::SendGrad => (false, "/send_grad/", false),
+            CommRole::RecvGrad => (true, "/recv_grad/", true),
+            CommRole::Aggregate => (true, "/aggregate/", false),
+            CommRole::Update => (true, "/update/", false),
+        }
+    }
+}
+
 /// What a communication op carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CommParam {
+pub(crate) enum CommParam {
     /// One parameter of the graph — a whole model parameter or, after the
     /// partition pass, one chunk of a split one. It renders as its name in
     /// the graph's parameter table: `{param}` or `{param}.part{j}`.
@@ -112,16 +143,15 @@ pub enum CommParam {
     Fused(u32),
 }
 
-/// A compact structured op name.
+/// A structured op name, derived by [`Naming::name`].
 ///
 /// [`OpName::Comm`] covers every op the MR+PS lowering emits besides the
 /// replica compute ops (paper §2.2), plain, partitioned or fused alike;
 /// [`OpName::WorkerOp`] names a replica compute op; and [`OpName::Raw`]
-/// holds arbitrary interned strings for hand-built graphs.
-/// [`OpName::render_into`] reproduces the historical `format!` strings
-/// byte for byte.
+/// holds a hand-built graph's interned string. The writer reproduces the
+/// historical `format!` strings byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpName {
+pub(crate) enum OpName {
     /// An arbitrary interned name (hand-built graphs, tests).
     Raw(NameId),
     /// `w{worker}/{op}` — a replica compute op.
@@ -137,8 +167,8 @@ pub enum OpName {
     /// `ps{shard}/{verb}/{param}/w{worker}` for the PS side of a transfer
     /// (send, recv_grad). A cluster holds at most 2^16 devices, workers
     /// and parameter servers together, because a
-    /// [`DeviceId`](crate::DeviceId) is a `u16` — so `shard` and `worker`
-    /// are too, losslessly.
+    /// [`DeviceId`] is a `u16` — so `shard` and `worker` are too,
+    /// losslessly.
     Comm {
         /// Which leg of the round-trip this op is.
         role: CommRole,
@@ -154,12 +184,6 @@ pub enum OpName {
 }
 
 impl OpName {
-    /// Appends the name as `graph` spells it to `out`: byte-identical to
-    /// the historical `format!` calls, written without `core::fmt`.
-    pub fn render_into(&self, graph: &Graph, out: &mut String) {
-        self.write(&graph.names, &graph.params, out);
-    }
-
     /// The name as a `String`, its interned strings read from `names` and
     /// its parameter names from `params`.
     pub(crate) fn render(&self, names: &NameTable, params: &[ParamInfo]) -> String {
@@ -168,10 +192,10 @@ impl OpName {
         out
     }
 
-    /// [`render_into`](Self::render_into) from the graph's two tables:
-    /// the fixed parts and the strings are copied, the integers written by
+    /// Appends the name to `out` from the graph's two tables: the fixed
+    /// parts and the strings are copied, the integers written by
     /// [`decimal`].
-    fn write(&self, names: &NameTable, params: &[ParamInfo], out: &mut String) {
+    pub(crate) fn write(&self, names: &NameTable, params: &[ParamInfo], out: &mut String) {
         let (role, shard, worker, param) = match *self {
             OpName::Raw(id) => return out.push_str(names.get(id)),
             OpName::WorkerOp { worker, op } => {
@@ -189,15 +213,7 @@ impl OpName {
         };
         // `ps{shard}/{verb}/{param}` on the PS side, `w{worker}/…` on the
         // worker side, and `/w{worker}` after a transfer between the two.
-        let (on_ps, verb, to_worker) = match role {
-            CommRole::Read => (true, "/read/", false),
-            CommRole::Send => (true, "/send/", true),
-            CommRole::Recv => (false, "/recv/", false),
-            CommRole::SendGrad => (false, "/send_grad/", false),
-            CommRole::RecvGrad => (true, "/recv_grad/", true),
-            CommRole::Aggregate => (true, "/aggregate/", false),
-            CommRole::Update => (true, "/update/", false),
-        };
+        let (on_ps, verb, to_worker) = role.spelling();
         if on_ps {
             out.push_str("ps");
             integer_into(out, shard.into());
@@ -216,6 +232,210 @@ impl OpName {
         if to_worker {
             out.push_str("/w");
             integer_into(out, worker.into());
+        }
+    }
+
+    /// The duplicate-name key: a segment (0 raw, 1 replica op, 2
+    /// communication) and a dense index in it below `space`'s bound for
+    /// that segment. It holds exactly the fields the name renders, so two
+    /// names of one segment share a key exactly when their fields render
+    /// alike.
+    pub(crate) fn key(&self, space: &KeySpace) -> (usize, usize) {
+        match *self {
+            OpName::Raw(id) => (0, id.index()),
+            OpName::WorkerOp { worker, op } => (1, worker as usize * space.strings + op.index()),
+            OpName::Comm {
+                role,
+                shard,
+                worker,
+                param,
+            } => {
+                let (on_ps, _, to_worker) = role.spelling();
+                let shard = if on_ps { usize::from(shard) } else { 0 };
+                let worker = if on_ps && !to_worker {
+                    0
+                } else {
+                    usize::from(worker)
+                };
+                let carried = match param {
+                    CommParam::Param(p) => p.index(),
+                    CommParam::Fused(group) => space.params + group as usize,
+                };
+                let at = (role as usize * space.servers + shard) * space.workers + worker;
+                (2, at * space.carried() + carried)
+            }
+        }
+    }
+}
+
+/// The bounds of [`OpName::key`]'s segments over one graph's tables.
+pub(crate) struct KeySpace {
+    /// Interned strings.
+    pub(crate) strings: usize,
+    /// Parameters.
+    pub(crate) params: usize,
+    /// Fused groups.
+    pub(crate) groups: usize,
+    /// Worker devices.
+    pub(crate) workers: usize,
+    /// Parameter-server devices.
+    pub(crate) servers: usize,
+}
+
+impl KeySpace {
+    /// What a communication op can carry: a parameter or a fused group.
+    fn carried(&self) -> usize {
+        self.params + self.groups
+    }
+
+    /// The number of keys in each segment.
+    pub(crate) fn bounds(&self) -> [usize; 3] {
+        [
+            self.strings,
+            self.workers * self.strings,
+            7 * self.servers * self.workers * self.carried(),
+        ]
+    }
+}
+
+/// What a graph holds to name its ops (DESIGN.md §10): the interned
+/// strings, a hand-built graph's raw names, and the tables a derived name
+/// reads besides the op itself.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Naming {
+    /// Raw names and the replica's model-op names, each string once.
+    pub(crate) strings: NameTable,
+    /// One raw name per op, [`NameId::DERIVED`] for an op whose name is
+    /// derived; empty when every op's is, as in a deployment.
+    raw: Vec<NameId>,
+    /// The replica's model-op names, in model order.
+    pub(crate) replica: Vec<NameId>,
+    /// Per device, its first derived-name compute op (`u32::MAX` for
+    /// none): worker `w`'s op `base + mi` is model op `mi`.
+    pub(crate) bases: Vec<u32>,
+    /// Per parameter, the fused group its transfers travel in
+    /// (`u32::MAX` for none); empty without fusion.
+    fused: Vec<u32>,
+    /// Fused groups named so far.
+    pub(crate) groups: u32,
+}
+
+impl Naming {
+    /// Records op `op`'s raw name.
+    pub(crate) fn raw(&mut self, op: usize, name: &str) {
+        let id = self.strings.intern(name);
+        self.raw.resize(op, NameId::DERIVED);
+        self.raw.push(id);
+    }
+
+    /// Records that op `op`, of `kind` on `device`, has a derived name:
+    /// a compute op's device counts its model ops from the first.
+    pub(crate) fn derived(&mut self, op: usize, kind: OpKind, device: DeviceId) {
+        if kind == OpKind::Compute {
+            let d = device.index();
+            if self.bases.len() <= d {
+                self.bases.resize(d + 1, u32::MAX);
+            }
+            if self.bases[d] == u32::MAX {
+                self.bases[d] = op as u32;
+            }
+        }
+    }
+
+    /// Names the replica's model ops, in model order.
+    pub(crate) fn replica<S: AsRef<str>>(&mut self, ops: impl IntoIterator<Item = S>) {
+        self.replica = ops
+            .into_iter()
+            .map(|op| self.strings.intern(op.as_ref()))
+            .collect();
+    }
+
+    /// Numbers the next fused group and maps each of `members` to it.
+    pub(crate) fn fuse(&mut self, members: impl IntoIterator<Item = ParamId>, params: usize) {
+        self.fused.resize(params, u32::MAX);
+        for p in members {
+            assert!(
+                self.fused[p.index()] == u32::MAX,
+                "{p} is already in a fused group"
+            );
+            self.fused[p.index()] = self.groups;
+        }
+        self.groups += 1;
+    }
+
+    /// The tables of a built graph of `ops` ops on `devices` devices: the
+    /// raw names padded to one an op (unless there are none), one base an
+    /// existing device, no interning index and no spare capacity.
+    pub(crate) fn finish(&mut self, ops: usize, devices: usize) {
+        if !self.raw.is_empty() {
+            self.raw.resize(ops, NameId::DERIVED);
+        }
+        self.raw.shrink_to_fit();
+        self.bases.resize(devices, u32::MAX);
+        self.bases.shrink_to_fit();
+        self.strings.finish();
+    }
+
+    /// Whether op `i`'s name is derived rather than raw.
+    pub(crate) fn is_derived(&self, i: usize) -> bool {
+        self.raw.get(i).is_none_or(|&id| id == NameId::DERIVED)
+    }
+
+    /// The name of op `i`, `op`: its raw name, or the one derived from
+    /// where it sits. A derived compute op must sit on a worker within
+    /// its replica (its base plus fewer than the replica's ops), and a
+    /// read, aggregate or update on a parameter server; `check_parts`
+    /// refuses a graph where one does not.
+    ///
+    /// * A send on a PS is the parameter send, on a worker the gradient
+    ///   send; a recv on a worker is the parameter recv, on a PS the
+    ///   gradient recv. `shard` and `worker` are the device's ordinal
+    ///   among its kind, or the channel's worker's.
+    /// * A send or recv whose parameter is in a fused group carries the
+    ///   group; every other op carries its kind's parameter.
+    pub(crate) fn name(
+        &self,
+        i: usize,
+        op: &Op,
+        devices: &[Device],
+        channels: &[Channel],
+    ) -> OpName {
+        if !self.is_derived(i) {
+            return OpName::Raw(self.raw[i]);
+        }
+        let device = &devices[op.device.index()];
+        let at = device.ordinal();
+        let peer = |ch: ChannelId| devices[channels[ch.index()].worker().index()].ordinal();
+        let carried = |p: ParamId| match self.fused.get(p.index()) {
+            Some(&group) if group != u32::MAX => CommParam::Fused(group),
+            _ => CommParam::Param(p),
+        };
+        let comm = |role, shard, worker, param| OpName::Comm {
+            role,
+            shard,
+            worker,
+            param,
+        };
+        match op.kind {
+            OpKind::Compute => OpName::WorkerOp {
+                worker: at.into(),
+                op: self.replica[i - self.bases[op.device.index()] as usize],
+            },
+            OpKind::Read { param } => comm(CommRole::Read, at, 0, CommParam::Param(param)),
+            OpKind::Aggregate { param } => {
+                comm(CommRole::Aggregate, at, 0, CommParam::Param(param))
+            }
+            OpKind::Update { param } => comm(CommRole::Update, at, 0, CommParam::Param(param)),
+            OpKind::Send { param, channel } if device.is_parameter_server() => {
+                comm(CommRole::Send, at, peer(channel), carried(param))
+            }
+            OpKind::Send { param, .. } => comm(CommRole::SendGrad, 0, at, carried(param)),
+            OpKind::Recv { param, .. } if device.is_worker() => {
+                comm(CommRole::Recv, 0, at, carried(param))
+            }
+            OpKind::Recv { param, channel } => {
+                comm(CommRole::RecvGrad, at, peer(channel), carried(param))
+            }
         }
     }
 }

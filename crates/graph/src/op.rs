@@ -1,7 +1,6 @@
 //! Operations: the vertices of the partitioned computational graph.
 
 use crate::ids::{ChannelId, ParamId};
-use crate::name::OpName;
 use std::fmt;
 
 /// What an op does, and — for communication ops — which parameter and
@@ -154,42 +153,31 @@ impl Cost {
 
 /// A vertex of the partitioned graph.
 ///
-/// Ops carry a compact [`OpName`] rather than a `String`; the rendered
-/// display name lives in the owning graph
+/// An op stores no name: the owning graph derives it, or keeps a
+/// hand-built graph's raw one beside the ops
 /// ([`Graph::op_name`](crate::Graph::op_name)). Of the [`Cost`], an op
 /// keeps the one field its class reads, in one 8-byte word: the byte count
 /// of a send or recv, the bits of the flops of any other op.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Op {
-    pub(crate) name: OpName,
     pub(crate) kind: OpKind,
     pub(crate) device: crate::ids::DeviceId,
     cost: u64,
 }
 
 // A deployment holds one `Op` per op for as long as it is cached.
-const _: () = assert!(std::mem::size_of::<Op>() == 40);
+const _: () = assert!(std::mem::size_of::<Op>() == 24);
 
 impl Op {
     /// An op keeping the field of `cost` that `kind` reads. The caller
     /// checks the other field first ([`Op::unread_field`]).
-    pub(crate) fn new(
-        name: OpName,
-        kind: OpKind,
-        device: crate::ids::DeviceId,
-        cost: Cost,
-    ) -> Self {
+    pub(crate) fn new(kind: OpKind, device: crate::ids::DeviceId, cost: Cost) -> Self {
         let cost = if kind.is_communication() {
             cost.bytes
         } else {
             cost.flops.to_bits()
         };
-        Self {
-            name,
-            kind,
-            device,
-            cost,
-        }
+        Self { kind, device, cost }
     }
 
     /// The field of `cost` an op of `kind` never reads, if `cost` sets it:
@@ -201,13 +189,6 @@ impl Op {
         } else {
             (cost.bytes != 0).then_some("bytes")
         }
-    }
-
-    /// The op's structured name. Render it with
-    /// [`OpName::render_into`] and the owning graph, or use
-    /// [`Graph::op_name`](crate::Graph::op_name) for the cached string.
-    pub fn op_name(&self) -> OpName {
-        self.name
     }
 
     /// The op's kind.

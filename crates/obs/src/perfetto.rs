@@ -123,7 +123,7 @@ impl Doc {
     /// straight into the document, then escaped in place if it needs it.
     fn op_name(&mut self, graph: &Graph, id: OpId) -> &mut Self {
         let start = self.out.len();
-        graph.op(id).op_name().render_into(graph, &mut self.out);
+        graph.write_op_name(id, &mut self.out);
         let needs_escape = |b: &u8| matches!(b, b'"' | b'\\' | 0..=0x1f);
         if self.out.as_bytes()[start..].iter().any(needs_escape) {
             let name = self.out.split_off(start);

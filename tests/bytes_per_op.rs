@@ -4,8 +4,12 @@
 //! One test in this binary, so no other thread allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use tictac::{ClusterSpec, DeployCache, Mode, Model, Platform, Registry, SchedulerKind, SimConfig};
+use tictac::{
+    ClusterSpec, CommConfig, DeployCache, Mode, Model, ParamId, Platform, Registry, SchedulerKind,
+    SimConfig,
+};
 
 /// The system allocator, keeping a count of the bytes live.
 struct Counting;
@@ -48,23 +52,46 @@ fn kept<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (value, LIVE.load(Relaxed) - before)
 }
 
-/// A deployment holds ≤ 70 B an op (a 40-byte `Op`, the edge arenas with
-/// no spare reservation, the name strings without their index) and a
-/// TIC or TAC schedule ≤ 1.5 (a presence bit an op, a rank word per 64
-/// ops, eight bytes per prioritized recv), on two `scale_sweep` shapes:
-/// training, batch 2.
+/// A deployment holds ≤ 53 B an op (a 24-byte `Op` that stores no name,
+/// the edge arenas with no spare reservation, the model-op strings and
+/// the per-device naming tables) on two `scale_sweep` shapes, training,
+/// batch 2, and ≤ 56.5 on one deployed with both comm passes on, whose
+/// extra transfer units each add a parameter, a read and their edges, and
+/// whose fused-group table is then counted too. A TIC or TAC schedule
+/// on the two plain shapes holds ≤ 1.5 (a presence bit an op, a rank
+/// word per 64 ops, eight bytes per prioritized recv).
 #[test]
 fn a_cached_deployment_and_its_schedules_stay_within_their_bytes_per_op() {
     let config = SimConfig::deterministic(Platform::cloud_gpu()).with_disorder_window(Some(1));
-    for (model, workers, ps) in [(Model::Vgg16, 64, 2), (Model::InceptionV1, 32, 1)] {
+    let comm = CommConfig::default()
+        .with_partition_bytes(Some(1 << 20))
+        .with_fusion_bytes(Some(64 << 10));
+    for (model, workers, ps, comm, bound) in [
+        (Model::Vgg16, 64, 2, CommConfig::default(), 53.0),
+        (Model::InceptionV1, 32, 1, CommConfig::default(), 53.0),
+        (Model::Vgg16, 64, 2, comm, 56.5),
+    ] {
         let graph = model.build_with_batch(Mode::Training, 2);
-        let cluster = ClusterSpec::new(workers, ps);
+        let cluster = ClusterSpec::new(workers, ps).with_comm(comm);
         let cache = DeployCache::new();
         let (deployed, deployment) = kept(|| cache.deploy(&graph, &cluster).unwrap());
         let ops = deployed.graph().len() as f64;
-        let shape = format!("{} {workers} x {ps}", model.name());
+        let shape = format!("{} {workers} x {ps} {comm:?}", model.name());
         let per_op = deployment as f64 / ops;
-        assert!(per_op <= 70.0, "{shape}: deployment {per_op:.2} B/op");
+        assert!(per_op <= bound, "{shape}: deployment {per_op:.2} B/op");
+        if !comm.is_default() {
+            let units = deployed.graph().params().len();
+            let recvs: HashSet<_> = (0..units)
+                .map(|u| deployed.recv_op(0, ParamId::from_index(u)))
+                .collect();
+            let chunked =
+                (0..units).any(|u| deployed.unit_origin(ParamId::from_index(u)).1.is_some());
+            assert!(
+                recvs.len() < units && chunked,
+                "{shape}: no fused group or no chunk"
+            );
+            continue;
+        }
         for scheduler in [SchedulerKind::Tic, SchedulerKind::Tac] {
             let disabled = Registry::disabled();
             let ((_, schedule), bytes) = kept(|| {

@@ -1,7 +1,8 @@
 //! Structured-name fidelity over the full model zoo.
 //!
-//! Deployment mints compact [`OpName`]s instead of heap strings; the
-//! rendered display names must still be **byte-identical** to the legacy
+//! Deployed ops store no names: the graph derives each from where the op
+//! sits and what it carries (DESIGN.md §10). The rendered display names
+//! must still be **byte-identical** to the legacy
 //! `format!` patterns (`ps{shard}/send/{param}/w{worker}`, …) that the
 //! golden traces and the Perfetto snapshot were pinned against. These
 //! tests reconstruct the expected string for every op of every zoo model
@@ -11,8 +12,6 @@
 //! to [`Graph::op_name`], on plain, partitioned and fused deployments.
 //! They also check that [`Graph::find_op`] resolves every rendered name
 //! back to its op.
-//!
-//! [`OpName`]: tictac::OpName
 
 use std::collections::HashMap;
 use tictac::{
@@ -205,14 +204,15 @@ fn rendered_names_match_legacy_strings_for_comm_zoo() {
     }
 }
 
-/// An export writes each slice's name straight from its [`OpName`], not
-/// through the graph's name cache, and writes what the cache holds: on
-/// zoo models deployed with a `comm:` block (chunked and fused
-/// transfers), every slice of a fresh graph's export carries the name
-/// [`Graph::op_name`] renders, and a graph whose cache was filled first
-/// exports the same document.
+/// An export writes each slice's name straight through
+/// [`Graph::write_op_name`], not through the graph's name cache, and
+/// writes what the cache holds: on zoo models deployed with a `comm:`
+/// block (chunked and fused transfers), every slice of a fresh graph's
+/// export carries the name [`Graph::op_name`] renders, and a graph whose
+/// cache was filled first exports the same document.
 ///
-/// [`OpName`]: tictac::OpName
+/// [`Graph::write_op_name`]: tictac::Graph::write_op_name
+/// [`Graph::op_name`]: tictac::Graph::op_name
 #[test]
 fn exports_write_the_names_the_cache_renders() {
     let comm = CommConfig::default()
@@ -268,10 +268,8 @@ fn sends(graph: &tictac::Graph, trace: &tictac::ExecutionTrace) -> usize {
         .count()
 }
 
-/// Hand-built graphs go through [`OpName::Raw`]: the builder interns the
-/// string verbatim and the string lookup resolves it.
-///
-/// [`OpName::Raw`]: tictac::OpName::Raw
+/// Hand-built graphs keep raw names: the builder interns the string
+/// verbatim and the string lookup resolves it.
 #[test]
 fn raw_names_round_trip_through_the_interner() {
     let mut b = GraphBuilder::new();
