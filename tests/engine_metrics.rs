@@ -15,11 +15,16 @@
 //! gauges only, the metrics DESIGN.md §8 defines: the engine's queue- and
 //! ready-depth histograms are not derived from the trace, and their lines
 //! are not in it.
+//!
+//! The same matrix, at its seed and three more, holds the readiness rule
+//! (`derived_ready`): when an op became ready follows from the DAG, the
+//! schedule's gate order and the recorded intervals.
 
 use tictac::{
-    deploy, no_ordering, simulate_with_plan_observed, tic, ClusterSpec, DeployedModel, FaultPlan,
-    FaultSpec, MetricValue, Mode, Model, ModelGraph, Platform, Registry, RetryPolicy, Schedule,
-    SchedulerKind, Session, SimConfig, SimDuration,
+    deploy, no_ordering, simulate_with_plan_observed, tic, ClusterSpec, DeployedModel, ExecOptions,
+    ExecutionTrace, FaultPlan, FaultSpec, Graph, MetricValue, Mode, Model, ModelGraph, OpId,
+    Platform, Registry, RetryPolicy, RunPlan, Schedule, SchedulerKind, Session, SimConfig,
+    SimDuration, SimTime,
 };
 use tictac_graph::tiny_mlp;
 
@@ -79,23 +84,27 @@ fn line(name: &str, value: &MetricValue) -> String {
     }
 }
 
+/// One case of the matrix: a title, a deployment under a schedule, the
+/// config it runs under and the iterations it runs.
+struct Case {
+    title: String,
+    run: (DeployedModel, Schedule),
+    config: SimConfig,
+    iterations: std::ops::Range<u64>,
+}
+
 /// Runs `iterations` of one case into a fresh registry and renders its
 /// `sim.*` metrics, a failed iteration's included.
-fn case(
-    out: &mut String,
-    title: &str,
-    (d, s): &(DeployedModel, Schedule),
-    config: &SimConfig,
-    iterations: std::ops::Range<u64>,
-) {
+fn render(out: &mut String, c: &Case) {
+    let (d, s) = &c.run;
     let registry = Registry::enabled();
     let mut outcomes = Vec::new();
-    for i in iterations {
-        let plan = FaultPlan::sample(&config.faults, d.graph(), config.seed, i);
-        let run = simulate_with_plan_observed(d.graph(), s, config, i, &plan, &registry);
+    for i in c.iterations.clone() {
+        let plan = FaultPlan::sample(&c.config.faults, d.graph(), c.config.seed, i);
+        let run = simulate_with_plan_observed(d.graph(), s, &c.config, i, &plan, &registry);
         outcomes.push(if run.is_ok() { "ok" } else { "failed" });
     }
-    out.push_str(&format!("# {title}: {}\n", outcomes.join(" ")));
+    out.push_str(&format!("# {}: {}\n", c.title, outcomes.join(" ")));
     for (name, value) in &registry.snapshot().entries {
         if name.starts_with("sim.") {
             out.push_str(&line(name, value));
@@ -104,8 +113,21 @@ fn case(
     }
 }
 
-fn matrix() -> String {
-    let mut out = String::new();
+/// The matrix, at the config seed `seed` if one is given.
+fn cases(seed: Option<u64>) -> Vec<Case> {
+    let mut cases = Vec::new();
+    let mut push =
+        |title: String, model: &ModelGraph, cluster, config: &SimConfig, kind, iterations| {
+            let mut config = config.clone();
+            config.seed = seed.unwrap_or(config.seed);
+            let run = schedule(model, cluster, &config, kind);
+            cases.push(Case {
+                title,
+                run,
+                config,
+                iterations,
+            });
+        };
     let alexnet = Model::AlexNetV2.build_with_batch(Mode::Training, 2);
     let two = ClusterSpec::new(2, 1);
     let envs = [
@@ -120,14 +142,8 @@ fn matrix() -> String {
     ];
     for (env, config) in &envs {
         for (name, kind) in kinds {
-            let run = schedule(&alexnet, &two, config, kind);
-            case(
-                &mut out,
-                &format!("alexnet 2x1 {env} {name}"),
-                &run,
-                config,
-                0..2,
-            );
+            let title = format!("alexnet 2x1 {env} {name}");
+            push(title, &alexnet, &two, config, kind, 0..2);
         }
     }
 
@@ -163,14 +179,8 @@ fn matrix() -> String {
     for (fault, spec) in &faults {
         let config = SimConfig::cloud_gpu().with_faults(spec.clone());
         for (name, kind) in kinds {
-            let run = schedule(&alexnet, &two, &config, kind);
-            case(
-                &mut out,
-                &format!("alexnet 2x1 envG {fault} {name}"),
-                &run,
-                &config,
-                0..3,
-            );
+            let title = format!("alexnet 2x1 envG {fault} {name}");
+            push(title, &alexnet, &two, &config, kind, 0..3);
         }
     }
 
@@ -178,15 +188,17 @@ fn matrix() -> String {
     let tiny = tiny_mlp(Mode::Training, 8);
     for (env, config) in &envs[1..] {
         for (name, kind) in kinds {
-            let run = schedule(&tiny, &wide, config, kind);
-            case(
-                &mut out,
-                &format!("tiny_mlp 40x2 {env} {name}"),
-                &run,
-                config,
-                0..1,
-            );
+            let title = format!("tiny_mlp 40x2 {env} {name}");
+            push(title, &tiny, &wide, config, kind, 0..1);
         }
+    }
+    cases
+}
+
+fn matrix() -> String {
+    let mut out = String::new();
+    for c in cases(None) {
+        render(&mut out, &c);
     }
     out
 }
@@ -210,4 +222,173 @@ fn engine_metrics_equal_the_engines_tallies() {
         assert_eq!(line, want, "{case}: a metric moved");
     }
     assert_eq!(got.len(), tallied.len(), "the metrics registered");
+}
+
+/// The send feeding `recv`, if the graph models one.
+fn paired_send(graph: &Graph, recv: OpId) -> Option<OpId> {
+    graph
+        .preds(recv)
+        .iter()
+        .copied()
+        .find(|&p| graph.op(p).kind().is_send())
+}
+
+/// When each op became ready, derived from the graph, the schedule and
+/// the trace's records alone: an op is ready when its last predecessor
+/// completes, or at 0 if it has none. A recv or compute op completes
+/// where its record ends; a send completes when it is handed off, which
+/// is when it is ready, except that under enforcement a ranked send waits
+/// at its channel's gate for the send ranked just before it (§5.1). A
+/// channel's ranked sends are its recvs' sends in the schedule's priority
+/// order, each at its first recv. `None` for an op some predecessor of
+/// which never completed.
+fn derived_ready(
+    graph: &Graph,
+    schedule: &Schedule,
+    enforcement: bool,
+    trace: &ExecutionTrace,
+) -> Vec<Option<SimTime>> {
+    let n = graph.len();
+    // The gate order as edges: each ranked send's successor in it.
+    let mut gate_next: Vec<Option<OpId>> = vec![None; n];
+    let mut indegree: Vec<usize> = graph.op_ids().map(|op| graph.preds(op).len()).collect();
+    if enforcement && !schedule.is_unordered() {
+        let mut ranked = vec![false; n];
+        for recvs in schedule.ordered_recvs_per_channel(graph) {
+            let mut last: Option<OpId> = None;
+            for send in recvs.into_iter().filter_map(|r| paired_send(graph, r)) {
+                if std::mem::replace(&mut ranked[send.index()], true) {
+                    continue;
+                }
+                if let Some(prev) = last {
+                    gate_next[prev.index()] = Some(send);
+                    indegree[send.index()] += 1;
+                }
+                last = Some(send);
+            }
+        }
+    }
+    let mut gated_behind: Vec<Option<OpId>> = vec![None; n];
+    for (i, next) in gate_next.iter().enumerate() {
+        if let Some(next) = next {
+            gated_behind[next.index()] = Some(OpId::from_index(i));
+        }
+    }
+    // Kahn's order over the DAG's edges and the gates' together.
+    let (mut ready, mut done) = (vec![None; n], vec![None; n]);
+    let mut queue: Vec<OpId> = graph
+        .op_ids()
+        .filter(|op| indegree[op.index()] == 0)
+        .collect();
+    while let Some(op) = queue.pop() {
+        let preds = graph.preds(op);
+        let at = preds.iter().try_fold(SimTime::ZERO, |at, p| {
+            done[p.index()].map(|d: SimTime| at.max(d))
+        });
+        ready[op.index()] = at;
+        done[op.index()] = if graph.op(op).kind().is_send() {
+            match gated_behind[op.index()] {
+                Some(prev) => at.zip(done[prev.index()]).map(|(a, d)| a.max(d)),
+                None => at,
+            }
+        } else {
+            trace.record(op).map(|r| r.end)
+        };
+        for &next in graph.succs(op).iter().chain(&gate_next[op.index()]) {
+            indegree[next.index()] -= 1;
+            if indegree[next.index()] == 0 {
+                queue.push(next);
+            }
+        }
+    }
+    ready
+}
+
+/// Readiness follows from the DAG, the gates and the records: on every
+/// case of the matrix, at its seed and three more, every executed op's
+/// derived ready instant equals the one the trace recorded, and no
+/// executed op starts before it, on faulty and failed runs too. Prints
+/// the executed ops matched per case.
+#[test]
+fn readiness_derives_from_the_dag_the_gates_and_the_records() {
+    let mut report = String::new();
+    let (mut cases_run, mut all_executed, mut mismatched) = (0, 0, 0);
+    for seed in [None, Some(1), Some(2), Some(3)] {
+        for c in cases(seed) {
+            let (d, s) = &c.run;
+            let g = d.graph();
+            let plan = RunPlan::new(g, s, &c.config).unwrap();
+            let (mut executed, mut equal) = (0, 0);
+            for i in c.iterations.clone() {
+                let faults = plan.sample_faults(g, i);
+                let (trace, _) = plan.run(g, s, i, &faults).unwrap();
+                let ready = derived_ready(g, s, c.config.enforcement, &trace);
+                for op in g.op_ids() {
+                    let Some(record) = trace.record(op) else {
+                        continue;
+                    };
+                    let derived = ready[op.index()].expect("an executed op was ready");
+                    assert!(
+                        derived <= record.start,
+                        "{}: {op} starts before it is ready",
+                        c.title
+                    );
+                    executed += 1;
+                    equal += usize::from(Some(derived) == trace.ready(op));
+                }
+            }
+            cases_run += 1;
+            all_executed += executed;
+            mismatched += executed - equal;
+            let seed = seed.map_or("-".to_string(), |s| s.to_string());
+            report += &format!("seed {seed} {}: {equal}/{executed}\n", c.title);
+        }
+    }
+    report += &format!(
+        "{} of {all_executed} executed ops over {cases_run} cases\n",
+        all_executed - mismatched
+    );
+    println!("{report}");
+    assert_eq!(mismatched, 0, "derived != recorded ready:\n{report}");
+}
+
+/// On the threaded runtime, where the run is quiet, the wall clock runs
+/// on between a predecessor's end and its successor's dispatch: the
+/// derivation is never later than the recorded instant.
+#[test]
+fn threaded_readiness_is_never_earlier_than_derived() {
+    let opts = ExecOptions {
+        time_scale: 0.25,
+        watchdog: std::time::Duration::from_secs(60),
+    };
+    let mut report = String::new();
+    for c in cases(None).iter().filter(|c| c.title.contains("quiet")) {
+        let (d, s) = &c.run;
+        let g = d.graph();
+        let plan = RunPlan::new(g, s, &c.config).unwrap();
+        let (mut executed, mut equal) = (0, 0);
+        for i in c.iterations.clone() {
+            let trace = plan.run_threaded(g, s, &opts, i).unwrap();
+            let ready = derived_ready(g, s, c.config.enforcement, &trace);
+            for op in g.op_ids() {
+                let record = trace.record(op).expect("a quiet run executes every op");
+                let derived = ready[op.index()].expect("an executed op was ready");
+                assert!(
+                    derived <= record.start,
+                    "{}: {op} starts before it is ready",
+                    c.title
+                );
+                let recorded = trace.ready(op).expect("recorded");
+                assert!(
+                    derived <= recorded,
+                    "{}: {op} derived after recorded",
+                    c.title
+                );
+                executed += 1;
+                equal += usize::from(derived == recorded);
+            }
+        }
+        report += &format!("threaded {}: {equal}/{executed} equal\n", c.title);
+    }
+    println!("{report}");
 }
