@@ -182,7 +182,7 @@ cargo test --offline -q --test perfetto_fault_snapshot
 # three narrow per-op tables' against the `Option` tables they replaced
 # (the schedule's bitset with its rank prefix, set op by op and built in
 # bulk, the plan's four-byte rank and pairing columns, the trace's
-# 16-byte slot beside its ready column), the streaming trace validator
+# 16-byte slot), the streaming trace validator
 # against the tree walk it replaced on exports and edits of them (2·10^4
 # documents here, 10^3 in the debug run), the op-name writer against the
 # `format!` strings at every digit-width edge, and the heap bytes per op

@@ -699,7 +699,6 @@ mod tests {
                 continue; // never ready
             }
             let ready = next(span);
-            tb.mark_ready(op, t(ready));
             if faulty && next(5) == 0 {
                 continue; // ready, never started
             }
@@ -709,7 +708,6 @@ mod tests {
             tb.record(op, t(start), t(end));
             if let Some(&send) = g.preds(op).first() {
                 if !tb.is_recorded(send) {
-                    tb.mark_ready(send, t(ready.min(start)));
                     tb.record(send, t(start), t(end));
                 }
             }

@@ -737,7 +737,6 @@ impl<'g> Engine<'g> {
     /// Routes an op whose dependencies are all satisfied: the instant it
     /// becomes ready on its resource.
     fn dispatch(&mut self, op: OpId) {
-        self.trace.mark_ready(op, self.clock);
         match self.route[op.index()] {
             Route::Send(ch) => self.try_handoff(op, ch as usize),
             Route::Recv(ch) => {

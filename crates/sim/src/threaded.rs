@@ -311,10 +311,8 @@ impl<'g> Shared<'g> {
         q.heap.push(Reverse((priority, tiebreak, op.index())));
     }
 
-    /// Routes an op whose dependencies are all satisfied, noting when.
+    /// Routes an op whose dependencies are all satisfied.
     fn dispatch(&self, op: OpId) {
-        let ready = self.now();
-        self.trace.lock().expect("trace lock").mark_ready(op, ready);
         match self.route[op.index()] {
             Route::Send(ch) => self.handoff(op, ch as usize),
             Route::Recv(ch) => {

@@ -152,22 +152,18 @@ impl OpRecord {
     }
 }
 
-/// An instant past [`HORIZON_NS`], which no recorded instant reaches
-/// ([`TraceBuilder::record`] refuses it as a start): the start of an op
-/// that did not execute, and the ready instant of one never ready.
-const UNSET: SimTime = SimTime::from_nanos(u64::MAX);
-
 /// The slot of an op that did not execute: one 16-byte [`OpRecord`] per
-/// op instead of a 24-byte `Option`. Its end of zero never raises a
-/// maximum of ends.
+/// op instead of a 24-byte `Option`. Its start is past [`HORIZON_NS`],
+/// where no recorded instant is ([`TraceBuilder::record`] refuses it),
+/// and its end of zero never raises a maximum of ends.
 const UNRECORDED: OpRecord = OpRecord {
-    start: UNSET,
+    start: SimTime::from_nanos(u64::MAX),
     end: SimTime::ZERO,
 };
 
 /// The record in `slot`, if the op executed.
 fn executed(slot: &OpRecord) -> Option<OpRecord> {
-    (slot.start != UNSET).then_some(*slot)
+    (slot.start != UNRECORDED.start).then_some(*slot)
 }
 
 /// Which executor produced an [`ExecutionTrace`], and so which clock its
@@ -206,13 +202,14 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// The execution timeline of one simulated iteration.
+/// The execution timeline of one simulated iteration: when each op ran.
+/// When an op became ready is not stored; it follows from the graph, the
+/// schedule's gate order and the records. Equality compares the records,
+/// the makespan, the fault events and the popped-event count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionTrace {
     /// One slot per op, [`UNRECORDED`] where the op did not execute.
     records: Vec<OpRecord>,
-    /// When each op became ready, [`UNSET`] where it never did.
-    ready: Vec<SimTime>,
     makespan: SimDuration,
     events: Vec<FaultEvent>,
     popped_events: u64,
@@ -240,13 +237,6 @@ impl ExecutionTrace {
     /// The record of `op`, if it executed.
     pub fn record(&self, op: OpId) -> Option<OpRecord> {
         self.records.get(op.index()).and_then(executed)
-    }
-
-    /// When `op` became ready on its resource — joined its device's ready
-    /// queue, was handed to its channel, reached its send gate — if it
-    /// did; never after it started.
-    pub fn ready(&self, op: OpId) -> Option<SimTime> {
-        self.ready.get(op.index()).copied().filter(|&r| r != UNSET)
     }
 
     /// The measured duration of `op` (zero if it did not execute).
@@ -335,8 +325,6 @@ impl ExecutionTrace {
 pub struct TraceBuilder {
     /// One slot per op, [`UNRECORDED`] until the op is recorded.
     records: Vec<OpRecord>,
-    /// When each op became ready, [`UNSET`] until it does.
-    ready: Vec<SimTime>,
     events: Vec<FaultEvent>,
     makespan_floor: SimTime,
     popped_events: u64,
@@ -347,16 +335,10 @@ impl TraceBuilder {
     pub fn new(n: usize) -> Self {
         Self {
             records: vec![UNRECORDED; n],
-            ready: vec![UNSET; n],
             events: Vec::new(),
             makespan_floor: SimTime::ZERO,
             popped_events: 0,
         }
-    }
-
-    /// Notes that `op` became ready on its resource at `at`.
-    pub fn mark_ready(&mut self, op: OpId, at: SimTime) {
-        self.ready[op.index()] = at;
     }
 
     /// Records one op execution.
@@ -368,7 +350,10 @@ impl TraceBuilder {
     /// marks an op as not executed.
     pub fn record(&mut self, op: OpId, start: SimTime, end: SimTime) {
         assert!(end >= start, "op {op} ends before it starts");
-        assert!(start != UNSET, "op {op} starts at the not-executed mark");
+        assert!(
+            start != UNRECORDED.start,
+            "op {op} starts at the not-executed mark"
+        );
         let slot = &mut self.records[op.index()];
         assert!(executed(slot).is_none(), "op {op} recorded twice");
         *slot = OpRecord { start, end };
@@ -399,29 +384,17 @@ impl TraceBuilder {
     }
 
     /// Finalizes the trace, fault events sorted by instant (stable, so
-    /// same-instant events keep the order they were pushed in). An op
-    /// recorded but never [marked ready](Self::mark_ready) was ready when
-    /// it started.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an op was marked ready after it started.
+    /// same-instant events keep the order they were pushed in).
     pub fn finish(mut self) -> ExecutionTrace {
         self.events.sort_by_key(|e| e.at);
-        let mut last_end = self.makespan_floor;
-        for (i, (record, ready)) in self.records.iter().zip(&mut self.ready).enumerate() {
-            // An unrecorded slot ends at zero: it never raises the maximum.
-            last_end = last_end.max(record.end);
-            if executed(record).is_some() {
-                if *ready == UNSET {
-                    *ready = record.start;
-                }
-                assert!(*ready <= record.start, "op{i} starts before it is ready");
-            }
-        }
+        // An unrecorded slot ends at zero: it never raises the maximum.
+        let last_end = self
+            .records
+            .iter()
+            .map(|r| r.end)
+            .fold(self.makespan_floor, SimTime::max);
         ExecutionTrace {
             records: self.records,
-            ready: self.ready,
             makespan: last_end.duration_since(SimTime::ZERO),
             events: self.events,
             popped_events: self.popped_events,
@@ -597,30 +570,16 @@ mod tests {
         tb.record(ops[0], t(u64::MAX), t(u64::MAX));
     }
 
+    /// Width pin: a trace keeps one 16-byte record slot per op, in the
+    /// builder and in the finished trace.
     #[test]
-    #[should_panic(expected = "starts before it is ready")]
-    fn an_op_ready_after_its_start_panics() {
-        let (g, _, ops) = sample_graph();
-        let mut tb = TraceBuilder::new(g.len());
-        tb.mark_ready(ops[0], t(5));
-        tb.record(ops[0], t(4), t(6));
-        tb.finish();
-    }
-
-    /// Width pins: a trace keeps a 16-byte record slot and an 8-byte
-    /// ready instant per op, in the builder and in the finished trace.
-    #[test]
-    fn trace_slots_are_16_and_8_bytes() {
+    fn trace_slots_are_16_bytes() {
         fn slot_width<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
         let tb = TraceBuilder::new(3);
-        assert_eq!((slot_width(&tb.records), slot_width(&tb.ready)), (16, 8));
-        let trace = tb.finish();
-        assert_eq!(
-            (slot_width(&trace.records), slot_width(&trace.ready)),
-            (16, 8)
-        );
+        assert_eq!(slot_width(&tb.records), 16);
+        assert_eq!(slot_width(&tb.finish().records), 16);
     }
 
     /// A worker and a PS joined by two channels; each parameter's send
@@ -673,12 +632,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The slots answer every query as an `Option<OpRecord>` table
-        /// beside an `Option` ready column: zero-length ops, start 0, ends
-        /// at `HORIZON_NS - 1`, sends mirrored from their first recv, ops
-        /// marked ready before they start or not at all, and ops a
-        /// degraded barrier deferred (ready, never recorded; makespan
-        /// floor).
+        /// The slots answer every query as an `Option<OpRecord>` table:
+        /// zero-length ops, start 0, ends at `HORIZON_NS - 1`, sends
+        /// mirrored from their first recv, and ops a degraded barrier
+        /// deferred (never recorded; makespan floor).
         #[test]
         fn trace_slots_match_option_records(seed in any::<u64>()) {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -689,7 +646,6 @@ mod tests {
                 _ => rng.gen_range(0..1_000),
             };
             let mut model: Vec<Option<OpRecord>> = vec![None; g.len()];
-            let mut ready: Vec<Option<SimTime>> = vec![None; g.len()];
             let mut tb = TraceBuilder::new(g.len());
             type Model = Vec<Option<OpRecord>>;
             let record = |tb: &mut TraceBuilder, model: &mut Model, op: OpId, start, end| {
@@ -702,10 +658,7 @@ mod tests {
             for &(recv, send) in &recvs {
                 if rng.gen_range(0..5) == 0 {
                     // Deferred by the barrier: no record, an event and a
-                    // release instant; ready before, and started or not.
-                    let at = instant(&mut rng);
-                    tb.mark_ready(recv, t(at));
-                    ready[recv.index()] = Some(t(at));
+                    // release instant.
                     tb.push_fault(t(5), FaultEventKind::DeferredOp { op: recv });
                     let at = instant(&mut rng);
                     tb.raise_makespan(t(at));
@@ -718,21 +671,9 @@ mod tests {
                     0 => (a, a),
                     _ => (a.min(b), a.max(b)),
                 };
-                // Ready at or before the start, or never marked: then
-                // ready when it started.
-                let at = match rng.gen_range(0..3) {
-                    0 => None,
-                    1 => Some(start),
-                    _ => Some(rng.gen_range(0..=start)),
-                };
-                if let Some(at) = at {
-                    tb.mark_ready(recv, t(at));
-                }
-                ready[recv.index()] = Some(t(at.unwrap_or(start)));
                 record(&mut tb, &mut model, recv, start, end);
                 if let Some(send) = send {
                     if !tb.is_recorded(send) {
-                        ready[send.index()].get_or_insert(t(start));
                         record(&mut tb, &mut model, send, start, end);
                     }
                 }
@@ -740,7 +681,6 @@ mod tests {
             for (id, op) in g.ops() {
                 if matches!(op.kind(), OpKind::Compute) && rng.gen_range(0..2) == 0 {
                     let start = instant(&mut rng);
-                    ready[id.index()] = Some(t(start));
                     record(&mut tb, &mut model, id, start, start.max(instant(&mut rng)));
                 }
             }
@@ -758,7 +698,6 @@ mod tests {
                 let op = OpId::from_index(i);
                 let want = model.get(i).copied().flatten();
                 prop_assert_eq!(trace.record(op), want);
-                prop_assert_eq!(trace.ready(op), ready.get(i).copied().flatten());
                 let duration = want.map_or(SimDuration::ZERO, |r| r.end - r.start);
                 prop_assert_eq!(trace.duration(op), duration);
             }
@@ -792,11 +731,6 @@ mod tests {
             // Equality is exact: the same records written in reverse order
             // make the same trace, and one record more does not.
             let mut again = TraceBuilder::new(g.len());
-            for (i, &at) in ready.iter().enumerate().rev() {
-                if let Some(at) = at {
-                    again.mark_ready(OpId::from_index(i), at);
-                }
-            }
             for &(op, r) in executed.iter().rev() {
                 again.record(op, r.start, r.end);
             }
@@ -809,8 +743,7 @@ mod tests {
             prop_assert_eq!(&again.clone().finish(), &trace);
             let missing = g.op_ids().find(|op| model[op.index()].is_none());
             if let Some(missing) = missing {
-                let at = ready[missing.index()].unwrap_or(t(1));
-                again.record(missing, at, at + SimDuration::from_nanos(1));
+                again.record(missing, t(1), t(2));
                 prop_assert_ne!(&again.finish(), &trace);
             }
         }
