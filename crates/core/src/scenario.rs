@@ -455,90 +455,63 @@ fn comm_config(section: Entry) -> Result<CommConfig, ParseError> {
 }
 
 /// Lowers the `faults:` section onto a [`FaultSpec`], starting from
-/// [`FaultSpec::none`]. Durations are given in milliseconds.
+/// [`FaultSpec::none`]. Durations are given in milliseconds. The ranges
+/// are [`FaultSpec::check`]'s: each knob is set and checked in turn, so a
+/// refusal is the knob just set, reported at its line.
 fn fault_spec(section: Entry) -> Result<FaultSpec, ParseError> {
     if section.value.is_some() {
         return Err(ParseError::at(section.line, "`faults` must be a section"));
     }
     let mut f = Fields::new(section.children);
     let mut spec = FaultSpec::none();
-    let prob = |f: &mut Fields, key: &'static str, out: &mut f64| -> Result<(), ParseError> {
+    type Knob = fn(&mut FaultSpec) -> &mut f64;
+    let probabilities: [(&str, Knob); 5] = [
+        ("drop_prob", |s| &mut s.drop_prob),
+        ("blackout_prob", |s| &mut s.blackout_prob),
+        ("crash_prob", |s| &mut s.crash_prob),
+        ("straggler_prob", |s| &mut s.straggler_prob),
+        ("ps_stall_prob", |s| &mut s.ps_stall_prob),
+    ];
+    for (key, knob) in probabilities {
+        if let Some(e) = f.take(key) {
+            *knob(&mut spec) = parse_num::<f64>(&scalar(&e)?, e.line, key)?;
+            let text = format!("{key} must be in [0, 1]");
+            spec.check().map_err(|_| ParseError::at(e.line, text))?;
+        }
+    }
+
+    type Span = fn(&mut FaultSpec) -> &mut SimDuration;
+    let durations: [(&str, Span); 4] = [
+        ("blackout_ms", |s| &mut s.blackout),
+        ("crash_downtime_ms", |s| &mut s.crash_downtime),
+        ("ps_stall_ms", |s| &mut s.ps_stall),
+        ("onset_window_ms", |s| &mut s.onset_window),
+    ];
+    for (key, knob) in durations {
         if let Some(e) = f.take(key) {
             let v = parse_num::<f64>(&scalar(&e)?, e.line, key)?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(ParseError::at(e.line, format!("{key} must be in [0, 1]")));
+            if !v.is_finite() || v < 0.0 {
+                let text = format!("{key} must be non-negative");
+                return Err(ParseError::at(e.line, text));
             }
-            *out = v;
+            *knob(&mut spec) = SimDuration::from_secs_f64(v / 1e3);
         }
-        Ok(())
-    };
-    let mut p = (
-        spec.drop_prob,
-        spec.blackout_prob,
-        spec.crash_prob,
-        spec.straggler_prob,
-        spec.ps_stall_prob,
-    );
-    prob(&mut f, "drop_prob", &mut p.0)?;
-    prob(&mut f, "blackout_prob", &mut p.1)?;
-    prob(&mut f, "crash_prob", &mut p.2)?;
-    prob(&mut f, "straggler_prob", &mut p.3)?;
-    prob(&mut f, "ps_stall_prob", &mut p.4)?;
-    (
-        spec.drop_prob,
-        spec.blackout_prob,
-        spec.crash_prob,
-        spec.straggler_prob,
-        spec.ps_stall_prob,
-    ) = p;
-
-    let millis =
-        |f: &mut Fields, key: &'static str, out: &mut SimDuration| -> Result<(), ParseError> {
-            if let Some(e) = f.take(key) {
-                let v = parse_num::<f64>(&scalar(&e)?, e.line, key)?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(ParseError::at(
-                        e.line,
-                        format!("{key} must be non-negative"),
-                    ));
-                }
-                *out = SimDuration::from_secs_f64(v / 1e3);
-            }
-            Ok(())
-        };
-    let mut d = (
-        spec.blackout,
-        spec.crash_downtime,
-        spec.ps_stall,
-        spec.onset_window,
-    );
-    millis(&mut f, "blackout_ms", &mut d.0)?;
-    millis(&mut f, "crash_downtime_ms", &mut d.1)?;
-    millis(&mut f, "ps_stall_ms", &mut d.2)?;
-    millis(&mut f, "onset_window_ms", &mut d.3)?;
-    (
-        spec.blackout,
-        spec.crash_downtime,
-        spec.ps_stall,
-        spec.onset_window,
-    ) = d;
+    }
 
     if let Some(e) = f.take("straggler_factor") {
-        let v = parse_num::<f64>(&scalar(&e)?, e.line, "straggler_factor")?;
-        if !v.is_finite() || v < 1.0 {
-            return Err(ParseError::at(e.line, "straggler_factor must be >= 1"));
-        }
-        spec.straggler_factor = v;
+        spec.straggler_factor = parse_num::<f64>(&scalar(&e)?, e.line, "straggler_factor")?;
+        let text = "straggler_factor must be >= 1";
+        spec.check().map_err(|_| ParseError::at(e.line, text))?;
     }
     if let Some(e) = f.take("barrier_timeout_ms") {
         let v = parse_num::<f64>(&scalar(&e)?, e.line, "barrier_timeout_ms")?;
-        if !v.is_finite() || v <= 0.0 {
-            return Err(ParseError::at(
-                e.line,
-                "barrier_timeout_ms must be positive",
-            ));
+        // Milliseconds to a duration; a zero one is the rule's to refuse.
+        let positive = || ParseError::at(e.line, "barrier_timeout_ms must be positive");
+        if !v.is_finite() || v < 0.0 {
+            return Err(positive());
         }
         spec.barrier_timeout = Some(SimDuration::from_secs_f64(v / 1e3));
+        spec.check().map_err(|_| positive())?;
     }
     f.finish()?;
     Ok(spec)
@@ -702,6 +675,22 @@ seed: [1, 2, 3]
             (
                 format!("{base}faults:\n  straggler_factor: 0.5\n"),
                 "straggler_factor must be >= 1",
+            ),
+            (
+                format!("{base}faults:\n  crash_prob: NaN\n"),
+                "line 6: crash_prob must be in [0, 1]",
+            ),
+            (
+                format!("{base}faults:\n  straggler_factor: inf\n"),
+                "line 6: straggler_factor must be >= 1",
+            ),
+            (
+                format!("{base}faults:\n  barrier_timeout_ms: 0\n"),
+                "line 6: barrier_timeout_ms must be positive",
+            ),
+            (
+                format!("{base}faults:\n  barrier_timeout_ms: 1e-9\n"),
+                "line 6: barrier_timeout_ms must be positive",
             ),
             (
                 format!("{base}faults:\n  warp_prob: 0.5\n"),

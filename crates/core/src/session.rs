@@ -155,9 +155,11 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// [`ScenarioBuildError::Backend`], before anything is deployed, if
-    /// the session is [`threaded`](SessionBuilder::threaded) and its
-    /// config sets a knob the wall clock cannot honor: a reorder error
+    /// [`ScenarioBuildError::Backend`], before anything is deployed, with
+    /// [`SimError::InvalidKnob`] if a fault knob is out of range
+    /// ([`FaultSpec::check`]), or if the session is
+    /// [`threaded`](SessionBuilder::threaded) and its config sets a knob
+    /// the wall clock cannot honor: a reorder error
     /// above 0.01, noise heavier than `sigma` 0.1 or a 5% slowdown
     /// probability, a fault spec that can inject a fault or sets a
     /// degraded barrier, or an [`ExecOptions::time_scale`] that is not
@@ -166,6 +168,7 @@ impl SessionBuilder {
     pub fn build(self) -> Result<Session, ScenarioBuildError> {
         let started = Instant::now();
         let s = &self.settings;
+        s.config.faults.check()?;
         if let Some(opts) = &self.threaded {
             check_threaded(&s.config, opts)?;
         }
@@ -178,7 +181,7 @@ impl SessionBuilder {
         )?;
         let schedule_compute_time = started.elapsed();
         let plan = RunPlan::new(deployed.graph(), &schedule, &s.config)
-            .expect("a derived schedule covers its graph");
+            .expect("checked fault knobs and a derived schedule make a plan");
         let sink = self
             .sink
             .or_else(|| tictac_store::global_store().map(|s| s as std::sync::Arc<dyn RunSink>));
@@ -205,16 +208,17 @@ impl SessionBuilder {
 }
 
 /// Error building a runnable [`Session`], by [`SessionBuilder::build`] or
-/// from a [`Scenario`]: the deployment can be invalid, the session can ask
-/// the threaded runtime for a configuration it does not support, or a
-/// scenario's cluster can be too slow for an iteration to fit on the time
-/// axis.
+/// from a [`Scenario`]: the deployment can be invalid, a knob can be out
+/// of range, the session can ask the threaded runtime for a configuration
+/// it does not support, or a scenario's cluster can be too slow for an
+/// iteration to fit on the time axis.
 #[derive(Debug)]
 pub enum ScenarioBuildError {
     /// The model/cluster deployment failed.
     Deploy(DeployError),
-    /// The threaded runtime rejected the configuration
-    /// ([`SimError::UnsupportedConfig`]).
+    /// The executors refused the configuration: a knob out of range
+    /// ([`SimError::InvalidKnob`]) or one the threaded runtime cannot
+    /// honor ([`SimError::UnsupportedConfig`]).
     Backend(SimError),
     /// The deployment's noise-free service times sum to `total`
     /// (saturating), at or past the 2^53 ns end of the time axis.
@@ -228,7 +232,7 @@ impl std::fmt::Display for ScenarioBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioBuildError::Deploy(e) => write!(f, "invalid deployment: {e}"),
-            ScenarioBuildError::Backend(e) => write!(f, "unsupported backend config: {e}"),
+            ScenarioBuildError::Backend(e) => write!(f, "refused config: {e}"),
             ScenarioBuildError::Horizon { total } => write!(
                 f,
                 "one iteration's service times add up to {:.3e} s or more, past the \
@@ -995,6 +999,87 @@ mod tests {
         match doomed.try_run() {
             Err(SimError::RetriesExhausted { .. }) => {}
             other => panic!("expected retry exhaustion, got {other:?}"),
+        }
+
+        // A fault knob out of range is refused at build, naming it, and
+        // by the plan the executors run from: one row per knob, NaN, ±∞
+        // and out-of-range values; each range's ends build.
+        type Knob = fn(&mut FaultSpec) -> &mut f64;
+        let probabilities: [(&str, Knob); 5] = [
+            ("drop_prob", |f| &mut f.drop_prob),
+            ("blackout_prob", |f| &mut f.blackout_prob),
+            ("crash_prob", |f| &mut f.crash_prob),
+            ("straggler_prob", |f| &mut f.straggler_prob),
+            ("ps_stall_prob", |f| &mut f.ps_stall_prob),
+        ];
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let mut rows: Vec<(&str, Knob, Vec<f64>, Vec<f64>)> = probabilities
+            .into_iter()
+            .map(|(knob, field)| (knob, field, vec![nan, inf, -inf, -0.5, 1.5], vec![0.0, 1.0]))
+            .collect();
+        rows.push((
+            "straggler_factor",
+            |f| &mut f.straggler_factor,
+            vec![nan, inf, -inf, 0.5, 0.0],
+            vec![1.0, 1e3],
+        ));
+        let build = |faults: FaultSpec| {
+            let config = SimConfig {
+                faults,
+                ..SimConfig::cloud_gpu()
+            };
+            let model = tiny_mlp(Mode::Training, 8);
+            let built = Session::builder(model.clone())
+                .config(config.clone())
+                .build();
+            let d = tictac_cluster::deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+            let planned = RunPlan::new(d.graph(), &no_ordering(d.graph()), &config);
+            (built.map(|_| ()), planned.map(|_| ()))
+        };
+        let mut zero_barrier = FaultSpec::none();
+        zero_barrier.barrier_timeout = Some(D::ZERO);
+        let mut refusals = vec![("barrier_timeout", zero_barrier)];
+        for (knob, field, bad, good) in rows {
+            for v in bad {
+                let mut faults = FaultSpec::none();
+                *field(&mut faults) = v;
+                refusals.push((knob, faults));
+            }
+            for v in good {
+                let mut faults = FaultSpec::none();
+                *field(&mut faults) = v;
+                let (built, planned) = build(faults);
+                assert!(built.is_ok() && planned.is_ok(), "{knob} = {v} builds");
+            }
+        }
+        for (knob, faults) in refusals {
+            let value = format!("{faults:?}");
+            match build(faults) {
+                (
+                    Err(ScenarioBuildError::Backend(SimError::InvalidKnob {
+                        knob: at_build, ..
+                    })),
+                    Err(SimError::InvalidKnob { knob: in_plan, .. }),
+                ) => assert_eq!((at_build, in_plan), (knob, knob), "{value}"),
+                other => panic!("{knob} not refused by both doors: {other:?}"),
+            }
+        }
+        let barrier = FaultSpec::none().with_barrier_timeout(D::from_nanos(1));
+        let (built, planned) = build(barrier);
+        assert!(built.is_ok() && planned.is_ok(), "a 1 ns barrier builds");
+
+        // The defaults and every committed scenario still build.
+        assert!(Session::builder(tiny_mlp(Mode::Training, 8))
+            .build()
+            .is_ok());
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+        for file in std::fs::read_dir(dir).unwrap() {
+            let path = file.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            for scenario in Scenario::parse_grid(&text).unwrap() {
+                let built = Session::from_scenario(&scenario);
+                assert!(built.is_ok(), "{}: {:?}", path.display(), built.err());
+            }
         }
     }
 

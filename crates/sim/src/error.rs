@@ -60,6 +60,14 @@ pub enum SimError {
         /// Queued-transfer depth per channel at the abort.
         channel_depths: Vec<usize>,
     },
+    /// A knob of the configuration is outside its range
+    /// ([`FaultSpec::check`](crate::FaultSpec::check)).
+    InvalidKnob {
+        /// The offending configuration field.
+        knob: &'static str,
+        /// The value and the range it misses.
+        reason: String,
+    },
     /// A `SimConfig` knob was set that the threaded backend cannot honor;
     /// refusing it loudly beats silently dropping it.
     UnsupportedConfig {
@@ -113,6 +121,7 @@ impl fmt::Display for SimError {
                 }
                 write!(f, "; channel queue depths {channel_depths:?}")
             }
+            SimError::InvalidKnob { knob, reason } => write!(f, "`{knob}` out of range: {reason}"),
             SimError::UnsupportedConfig { knob, reason } => {
                 write!(f, "threaded backend cannot honor `{knob}`: {reason}")
             }
@@ -158,6 +167,14 @@ mod tests {
             channel_depths: vec![0, 3],
         };
         assert!(e.to_string().contains("stalled") && e.to_string().contains("[w0/recv]"));
+        let e = SimError::InvalidKnob {
+            knob: "drop_prob",
+            reason: "NaN is not a probability in [0, 1]".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "`drop_prob` out of range: NaN is not a probability in [0, 1]"
+        );
         let e = SimError::UnsupportedConfig {
             knob: "noise",
             reason: "too heavy".into(),

@@ -137,15 +137,58 @@ impl FaultSpec {
         h.finish()
     }
 
+    /// The fault knobs' ranges, stated once: the `with_*` methods,
+    /// [`RunPlan::new`](crate::RunPlan::new), `SessionBuilder::build` and
+    /// the scenario parser apply them.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidKnob`] naming the first knob out of range, in
+    /// field order: a probability outside `[0, 1]`, a `straggler_factor`
+    /// below 1 or not finite (NaN for either), a zero `barrier_timeout`.
+    pub fn check(&self) -> Result<(), SimError> {
+        let invalid = |knob, reason| Err(SimError::InvalidKnob { knob, reason });
+        let probabilities = [
+            ("drop_prob", self.drop_prob),
+            ("blackout_prob", self.blackout_prob),
+            ("crash_prob", self.crash_prob),
+            ("straggler_prob", self.straggler_prob),
+            ("ps_stall_prob", self.ps_stall_prob),
+        ];
+        for (knob, p) in probabilities {
+            if !(0.0..=1.0).contains(&p) {
+                return invalid(knob, format!("{p} is not a probability in [0, 1]"));
+            }
+        }
+        let factor = self.straggler_factor;
+        if !(factor.is_finite() && factor >= 1.0) {
+            return invalid(
+                "straggler_factor",
+                format!("{factor} is not a finite slowdown of at least 1"),
+            );
+        }
+        if self.barrier_timeout == Some(SimDuration::ZERO) {
+            return invalid("barrier_timeout", "a zero timeout is no barrier".into());
+        }
+        Ok(())
+    }
+
+    /// `self` if [`check`](Self::check) accepts it; a panic with its
+    /// error if not.
+    fn checked(self) -> Self {
+        self.check()
+            .map(|()| self)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Overrides the per-attempt transfer loss probability.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not a probability.
     pub fn with_drop_prob(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "drop_prob must be in [0,1]");
         self.drop_prob = p;
-        self
+        self.checked()
     }
 
     /// Overrides the per-channel blackout probability and duration.
@@ -154,10 +197,9 @@ impl FaultSpec {
     ///
     /// Panics if `p` is not a probability.
     pub fn with_blackouts(mut self, p: f64, duration: SimDuration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "blackout_prob must be in [0,1]");
         self.blackout_prob = p;
         self.blackout = duration;
-        self
+        self.checked()
     }
 
     /// Overrides the per-worker crash probability and downtime.
@@ -166,10 +208,9 @@ impl FaultSpec {
     ///
     /// Panics if `p` is not a probability.
     pub fn with_crashes(mut self, p: f64, downtime: SimDuration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "crash_prob must be in [0,1]");
         self.crash_prob = p;
         self.crash_downtime = downtime;
-        self
+        self.checked()
     }
 
     /// Overrides the per-worker persistent-straggler probability and
@@ -177,13 +218,11 @@ impl FaultSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not a probability or `factor < 1`.
+    /// Panics if `p` is not a probability or `factor` is below 1.
     pub fn with_stragglers(mut self, p: f64, factor: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "straggler_prob must be in [0,1]");
-        assert!(factor >= 1.0, "straggler_factor must be at least 1");
         self.straggler_prob = p;
         self.straggler_factor = factor;
-        self
+        self.checked()
     }
 
     /// Overrides the per-PS stall probability and duration.
@@ -192,10 +231,9 @@ impl FaultSpec {
     ///
     /// Panics if `p` is not a probability.
     pub fn with_ps_stalls(mut self, p: f64, duration: SimDuration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "ps_stall_prob must be in [0,1]");
         self.ps_stall_prob = p;
         self.ps_stall = duration;
-        self
+        self.checked()
     }
 
     /// Overrides the onset-sampling window.
@@ -210,10 +248,10 @@ impl FaultSpec {
         self
     }
 
-    /// Enables the degraded-mode barrier at `timeout`.
+    /// Enables the degraded-mode barrier at `timeout` (panics if zero).
     pub fn with_barrier_timeout(mut self, timeout: SimDuration) -> Self {
         self.barrier_timeout = Some(timeout);
-        self
+        self.checked()
     }
 }
 

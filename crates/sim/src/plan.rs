@@ -46,14 +46,17 @@ pub struct RunPlan {
 
 impl RunPlan {
     /// Tabulates `graph` under `schedule` and `config`. This is the one
-    /// place a schedule is checked against its graph; every executor
-    /// entry point goes through it.
+    /// place a schedule is checked against its graph, and the fault knobs
+    /// against their ranges; every executor entry point goes through it.
     ///
     /// # Errors
     ///
+    /// [`SimError::InvalidKnob`] if a fault knob is out of range
+    /// ([`FaultSpec::check`](crate::FaultSpec::check)), and
     /// [`SimError::ScheduleMismatch`] if `schedule` does not cover
-    /// `graph`, and nothing else.
+    /// `graph`.
     pub fn new(graph: &Graph, schedule: &Schedule, config: &SimConfig) -> Result<Self, SimError> {
+        config.faults.check()?;
         if schedule.len() != graph.len() {
             return Err(SimError::ScheduleMismatch {
                 schedule_len: schedule.len(),
