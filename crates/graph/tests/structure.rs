@@ -159,3 +159,118 @@ fn parameter_sizes_are_positive_and_plausible() {
         }
     });
 }
+
+/// Every zoo graph's `ModelGraph::fingerprint` — each param's name, dtype
+/// and shape, and each op's name, kind, flop bits, preds, param reads and
+/// grads, in order — at batch 1 and at the Table-1 batch, in both modes.
+/// A change to how the zoo builds its graphs must leave all 40 unchanged.
+#[test]
+fn zoo_fingerprints_are_pinned() {
+    // [inference at 1, training at 1, inference at Table 1, training at Table 1]
+    let pinned: [(Model, [u64; 4]); 10] = [
+        (
+            Model::AlexNetV2,
+            [
+                0xb0e5894a6f8fbf50,
+                0x209da8a437be0121,
+                0x15e084da769a16d7,
+                0xd0fa9f4cc2360d6e,
+            ],
+        ),
+        (
+            Model::InceptionV1,
+            [
+                0xf0e78d9a621e91a7,
+                0x63a92422051a5cf1,
+                0x8ebece5ff83ed2e6,
+                0x383bf179c04fb94e,
+            ],
+        ),
+        (
+            Model::InceptionV2,
+            [
+                0xa28c64c141c1706c,
+                0xc4d19d2f2e7c0efd,
+                0x8d22b8ae1ac20900,
+                0x6bb5a59fae4aaf41,
+            ],
+        ),
+        (
+            Model::InceptionV3,
+            [
+                0x1e82798578c6b6f0,
+                0x7334b18e77491e2f,
+                0xc74e85afad7cd482,
+                0x4c274991dafbd0e4,
+            ],
+        ),
+        (
+            Model::ResNet50V1,
+            [
+                0xb5929abbcfa35262,
+                0xdc718a6b56ac068d,
+                0xe086cfcc4d4a55c0,
+                0xd91b28a235b7d203,
+            ],
+        ),
+        (
+            Model::ResNet101V1,
+            [
+                0xdb1415adc7d29ddc,
+                0xa034d5ac91e42a21,
+                0xf6e7654882489b92,
+                0xb672bd256ed02dff,
+            ],
+        ),
+        (
+            Model::ResNet50V2,
+            [
+                0x1e2b2d968615c7fa,
+                0xf21e6aeb525f8979,
+                0xdc68fd107bcabe4b,
+                0xed86361ac2b3862d,
+            ],
+        ),
+        (
+            Model::ResNet101V2,
+            [
+                0x2652916b17ef3bdb,
+                0x01a57d176f9ed25e,
+                0xe6d838e91ec1a8f7,
+                0xea6ee463de9a81ed,
+            ],
+        ),
+        (
+            Model::Vgg16,
+            [
+                0xaf7142cc5403b460,
+                0x549ea5bc28d857f2,
+                0x009a62cb6f5a9beb,
+                0x3576081cef57302b,
+            ],
+        ),
+        (
+            Model::Vgg19,
+            [
+                0x7b4e95d834eadbcc,
+                0xf5c4cb5ece540cb4,
+                0xfd9e77bf3fa955bc,
+                0x598dbd98f79e02ae,
+            ],
+        ),
+    ];
+    assert_eq!(pinned.map(|(model, _)| model), Model::ALL);
+    for (model, want) in pinned {
+        let b = model.default_batch();
+        let points = [
+            (Mode::Inference, 1),
+            (Mode::Training, 1),
+            (Mode::Inference, b),
+            (Mode::Training, b),
+        ];
+        for ((mode, batch), want) in points.into_iter().zip(want) {
+            let got = model.build_with_batch(mode, batch).fingerprint();
+            assert_eq!(got, want, "{model} {mode:?} batch {batch}: {got:#018x}");
+        }
+    }
+}
