@@ -1,11 +1,127 @@
 //! Inception v1 (GoogLeNet), v2 (BN-Inception) and v3, TF-Slim layouts.
 //!
+//! Every "Mixed" module is one rule, built by `mixed`: branch *i* is a
+//! chain of layers named `{module}/Branch_{i}/{name}`, emitted branch by
+//! branch in chain order, and the branch tips are concatenated in order.
+//! A chain's last step may fork into several concat inputs (v3's 8×8
+//! modules). Each `Mixed_*` site states only its branch table of `Layer`
+//! specs; the layer names are TF-Slim's, kept as data —
+//! `Mixed_6a/Branch_0/Conv2d_1a_1x1` really is a 3×3 stride-2 conv. The
+//! stems and heads are written out layer by layer.
+//!
+//! `zoo_fingerprints_are_pinned` (`crates/graph/tests/structure.rs`)
+//! holds every zoo graph to its `ModelGraph::fingerprint`: a change here
+//! that moves an op, param, name, flop count or edge fails it.
+//!
 //! Parameter counting (conv weights + fused `[2,c]` BN per conv, FC
 //! weights+bias; v2's stem depthwise kernel is weight-only; v3 includes the
 //! auxiliary classifier) reproduces Table 1: 116 / 141 / 196 parameters.
 
 use super::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
 use crate::ModelGraph;
+use Padding::{Same, Valid};
+
+// ------------------------------------------------------------ modules ----
+
+/// What a [`Layer`] emits.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Conv,
+    MaxPool,
+    AvgPool,
+}
+
+/// One step of a module's branch: its TF-Slim name within the branch, a
+/// kernel `(kh, kw)`, a stride, an output width (pools keep their
+/// input's) and a padding. A conv carries a fused batch norm and a ReLU.
+#[derive(Debug, Clone, Copy)]
+struct Layer {
+    kind: Kind,
+    name: &'static str,
+    kernel: (usize, usize),
+    stride: usize,
+    width: usize,
+    padding: Padding,
+    /// One fork of the branch's last step: reads the tip of the chain
+    /// before the fork and feeds the concat itself.
+    fork: bool,
+}
+
+/// A stride-1 `SAME` convolution.
+fn conv(name: &'static str, kernel: (usize, usize), width: usize) -> Layer {
+    Layer {
+        kind: Kind::Conv,
+        name,
+        kernel,
+        stride: 1,
+        width,
+        padding: Same,
+        fork: false,
+    }
+}
+
+/// A stride-1 `SAME` max pool over a `k × k` window.
+fn max_pool(name: &'static str, k: usize) -> Layer {
+    Layer {
+        kind: Kind::MaxPool,
+        ..conv(name, (k, k), 0)
+    }
+}
+
+/// A stride-1 `SAME` average pool over a `k × k` window.
+fn avg_pool(name: &'static str, k: usize) -> Layer {
+    Layer {
+        kind: Kind::AvgPool,
+        ..conv(name, (k, k), 0)
+    }
+}
+
+impl Layer {
+    /// The same layer at stride 2 with `padding` (the reduction modules).
+    fn stride2(self, padding: Padding) -> Layer {
+        Layer {
+            stride: 2,
+            padding,
+            ..self
+        }
+    }
+
+    /// The same layer as one fork of its branch's last step.
+    fn fork(self) -> Layer {
+        Layer { fork: true, ..self }
+    }
+
+    fn emit(self, n: &mut NetBuilder, t: Tensor, name: &str) -> Tensor {
+        let (k, stride, padding) = (self.kernel, self.stride, self.padding);
+        match self.kind {
+            Kind::Conv => n.conv_rect(t, name, k, stride, self.width, Norm::FusedBn, padding, true),
+            Kind::MaxPool => n.max_pool(t, name, k.0, stride, padding),
+            Kind::AvgPool => n.avg_pool(t, name, k.0, stride, padding),
+        }
+    }
+}
+
+/// One "Mixed" module over `t`, scoped `module`: branch `i` chains its
+/// layers, named `{module}/Branch_{i}/{name}`, from `t`, and a branch's
+/// trailing forks each read the tip of the chain before them. The branch
+/// tips (every fork of a forked branch) are concatenated in order as
+/// `{module}/Concat`.
+fn mixed(n: &mut NetBuilder, t: Tensor, module: &str, branches: &[&[Layer]]) -> Tensor {
+    let mut tips = Vec::with_capacity(branches.len() + 2);
+    for (i, branch) in branches.iter().enumerate() {
+        let (chain, forks) =
+            branch.split_at(branch.iter().position(|l| l.fork).unwrap_or(branch.len()));
+        debug_assert!(forks.iter().all(|l| l.fork), "{module}: a fork mid-branch");
+        let mut emit = |l: &Layer, x| l.emit(n, x, &format!("{module}/Branch_{i}/{}", l.name));
+        let tip = chain.iter().fold(t, |x, l| emit(l, x));
+        if forks.is_empty() {
+            tips.push(tip);
+        } else {
+            tips.extend(forks.iter().map(|l| emit(l, tip)));
+        }
+    }
+    n.concat(&tips, module)
+}
 
 // ---------------------------------------------------------------- v1 ----
 
@@ -33,85 +149,34 @@ pub(crate) fn inception_v1(mode: Mode, batch: usize) -> ModelGraph {
         ("Mixed_5b", [256, 160, 320, 32, 128, 128]),
         ("Mixed_5c", [384, 192, 384, 48, 128, 128]),
     ];
-    for (i, (name, w)) in modules.iter().enumerate() {
+    for (i, (scope, [w1, w3r, w3, w5r, w5, wp])) in modules.into_iter().enumerate() {
         if i == 2 {
             t = n.max_pool(t, "MaxPool_4a_3x3", 3, 2, Padding::Same);
         }
         if i == 7 {
             t = n.max_pool(t, "MaxPool_5a_2x2", 2, 2, Padding::Same);
         }
-        t = inception_v1_module(&mut n, t, name, *w);
+        let branches: [&[Layer]; 4] = [
+            &[conv("Conv2d_0a_1x1", (1, 1), w1)],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), w3r),
+                conv("Conv2d_0b_3x3", (3, 3), w3),
+            ],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), w5r),
+                conv("Conv2d_0b_5x5", (5, 5), w5),
+            ],
+            &[
+                max_pool("MaxPool_0a_3x3", 3),
+                conv("Conv2d_0b_1x1", (1, 1), wp),
+            ],
+        ];
+        t = mixed(&mut n, t, scope, &branches);
     }
     t = n.global_avg_pool(t, "AvgPool_0a");
     let logits = n.fc(t, "Logits", 1000);
     let out = n.softmax(logits, "Predictions");
     n.finish(mode, out, &[])
-}
-
-fn inception_v1_module(n: &mut NetBuilder, t: Tensor, scope: &str, w: [usize; 6]) -> Tensor {
-    let [w1, w3r, w3, w5r, w5, wp] = w;
-    let b0 = n.conv(
-        t,
-        &format!("{scope}/Branch_0/Conv2d_0a_1x1"),
-        1,
-        1,
-        w1,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1a = n.conv(
-        t,
-        &format!("{scope}/Branch_1/Conv2d_0a_1x1"),
-        1,
-        1,
-        w3r,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1 = n.conv(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0b_3x3"),
-        3,
-        1,
-        w3,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2a = n.conv(
-        t,
-        &format!("{scope}/Branch_2/Conv2d_0a_1x1"),
-        1,
-        1,
-        w5r,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2 = n.conv(
-        b2a,
-        &format!("{scope}/Branch_2/Conv2d_0b_5x5"),
-        5,
-        1,
-        w5,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b3a = n.max_pool(
-        t,
-        &format!("{scope}/Branch_3/MaxPool_0a_3x3"),
-        3,
-        1,
-        Padding::Same,
-    );
-    let b3 = n.conv(
-        b3a,
-        &format!("{scope}/Branch_3/Conv2d_0b_1x1"),
-        1,
-        1,
-        wp,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    n.concat(&[b0, b1, b2, b3], scope)
 }
 
 // ---------------------------------------------------------------- v2 ----
@@ -147,155 +212,63 @@ pub(crate) fn inception_v2(mode: Mode, batch: usize) -> ModelGraph {
     t = n.conv(t, "Conv2d_2c_3x3", 3, 1, 192, Norm::FusedBn, Padding::Same);
     t = n.max_pool(t, "MaxPool_3a_3x3", 3, 2, Padding::Same);
 
-    // Standard module: (1x1, 3x3r, 3x3, d3x3r, d3x3, pool-proj).
-    t = inception_v2_module(&mut n, t, "Mixed_3b", [64, 64, 64, 64, 96, 32]);
-    t = inception_v2_module(&mut n, t, "Mixed_3c", [64, 64, 96, 64, 96, 64]);
-    t = inception_v2_reduction(&mut n, t, "Mixed_4a", [128, 160, 64, 96]);
-    t = inception_v2_module(&mut n, t, "Mixed_4b", [224, 64, 96, 96, 128, 128]);
-    t = inception_v2_module(&mut n, t, "Mixed_4c", [192, 96, 128, 96, 128, 128]);
-    t = inception_v2_module(&mut n, t, "Mixed_4d", [160, 128, 160, 128, 160, 96]);
-    t = inception_v2_module(&mut n, t, "Mixed_4e", [96, 128, 192, 160, 192, 96]);
-    t = inception_v2_reduction(&mut n, t, "Mixed_5a", [128, 192, 192, 256]);
-    t = inception_v2_module(&mut n, t, "Mixed_5b", [352, 192, 320, 160, 224, 128]);
-    t = inception_v2_module(&mut n, t, "Mixed_5c", [352, 192, 320, 192, 224, 128]);
+    // (name, #1x1, #3x3 reduce, #3x3, #double-3x3 reduce, #double 3x3, pool proj)
+    let modules: [(&str, [usize; 6]); 8] = [
+        ("Mixed_3b", [64, 64, 64, 64, 96, 32]),
+        ("Mixed_3c", [64, 64, 96, 64, 96, 64]),
+        ("Mixed_4b", [224, 64, 96, 96, 128, 128]),
+        ("Mixed_4c", [192, 96, 128, 96, 128, 128]),
+        ("Mixed_4d", [160, 128, 160, 128, 160, 96]),
+        ("Mixed_4e", [96, 128, 192, 160, 192, 96]),
+        ("Mixed_5b", [352, 192, 320, 160, 224, 128]),
+        ("Mixed_5c", [352, 192, 320, 192, 224, 128]),
+    ];
+    for (scope, [w1, w3r, w3, d3r, d3, wp]) in modules {
+        // A stride-2 reduction opens stages 4 and 5:
+        // (name, #3x3 reduce, #3x3, #double-3x3 reduce, #double 3x3).
+        let reduction = match scope {
+            "Mixed_4b" => Some(("Mixed_4a", [128, 160, 64, 96])),
+            "Mixed_5b" => Some(("Mixed_5a", [128, 192, 192, 256])),
+            _ => None,
+        };
+        if let Some((scope, [w3r, w3, d3r, d3])) = reduction {
+            let branches: [&[Layer]; 3] = [
+                &[
+                    conv("Conv2d_0a_1x1", (1, 1), w3r),
+                    conv("Conv2d_1a_3x3", (3, 3), w3).stride2(Same),
+                ],
+                &[
+                    conv("Conv2d_0a_1x1", (1, 1), d3r),
+                    conv("Conv2d_0b_3x3", (3, 3), d3),
+                    conv("Conv2d_1a_3x3", (3, 3), d3).stride2(Same),
+                ],
+                &[max_pool("MaxPool_1a_3x3", 3).stride2(Same)],
+            ];
+            t = mixed(&mut n, t, scope, &branches);
+        }
+        let branches: [&[Layer]; 4] = [
+            &[conv("Conv2d_0a_1x1", (1, 1), w1)],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), w3r),
+                conv("Conv2d_0b_3x3", (3, 3), w3),
+            ],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), d3r),
+                conv("Conv2d_0b_3x3", (3, 3), d3),
+                conv("Conv2d_0c_3x3", (3, 3), d3),
+            ],
+            &[
+                avg_pool("AvgPool_0a_3x3", 3),
+                conv("Conv2d_0b_1x1", (1, 1), wp),
+            ],
+        ];
+        t = mixed(&mut n, t, scope, &branches);
+    }
 
     t = n.global_avg_pool(t, "AvgPool_1a");
     let logits = n.fc(t, "Logits", 1000);
     let out = n.softmax(logits, "Predictions");
     n.finish(mode, out, &[])
-}
-
-fn inception_v2_module(n: &mut NetBuilder, t: Tensor, scope: &str, w: [usize; 6]) -> Tensor {
-    let [w1, w3r, w3, d3r, d3, wp] = w;
-    let b0 = n.conv(
-        t,
-        &format!("{scope}/Branch_0/Conv2d_0a_1x1"),
-        1,
-        1,
-        w1,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1a = n.conv(
-        t,
-        &format!("{scope}/Branch_1/Conv2d_0a_1x1"),
-        1,
-        1,
-        w3r,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1 = n.conv(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0b_3x3"),
-        3,
-        1,
-        w3,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2a = n.conv(
-        t,
-        &format!("{scope}/Branch_2/Conv2d_0a_1x1"),
-        1,
-        1,
-        d3r,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2b = n.conv(
-        b2a,
-        &format!("{scope}/Branch_2/Conv2d_0b_3x3"),
-        3,
-        1,
-        d3,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2 = n.conv(
-        b2b,
-        &format!("{scope}/Branch_2/Conv2d_0c_3x3"),
-        3,
-        1,
-        d3,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b3a = n.avg_pool(
-        t,
-        &format!("{scope}/Branch_3/AvgPool_0a_3x3"),
-        3,
-        1,
-        Padding::Same,
-    );
-    let b3 = n.conv(
-        b3a,
-        &format!("{scope}/Branch_3/Conv2d_0b_1x1"),
-        1,
-        1,
-        wp,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    n.concat(&[b0, b1, b2, b3], scope)
-}
-
-/// Stride-2 reduction module: two conv branches + a pooling branch.
-fn inception_v2_reduction(n: &mut NetBuilder, t: Tensor, scope: &str, w: [usize; 4]) -> Tensor {
-    let [w3r, w3, d3r, d3] = w;
-    let b0a = n.conv(
-        t,
-        &format!("{scope}/Branch_0/Conv2d_0a_1x1"),
-        1,
-        1,
-        w3r,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b0 = n.conv(
-        b0a,
-        &format!("{scope}/Branch_0/Conv2d_1a_3x3"),
-        3,
-        2,
-        w3,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1a = n.conv(
-        t,
-        &format!("{scope}/Branch_1/Conv2d_0a_1x1"),
-        1,
-        1,
-        d3r,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1b = n.conv(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0b_3x3"),
-        3,
-        1,
-        d3,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1 = n.conv(
-        b1b,
-        &format!("{scope}/Branch_1/Conv2d_1a_3x3"),
-        3,
-        2,
-        d3,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2 = n.max_pool(
-        t,
-        &format!("{scope}/Branch_2/MaxPool_1a_3x3"),
-        3,
-        2,
-        Padding::Same,
-    );
-    n.concat(&[b0, b1, b2], scope)
 }
 
 // ---------------------------------------------------------------- v3 ----
@@ -313,17 +286,66 @@ pub(crate) fn inception_v3(mode: Mode, batch: usize) -> ModelGraph {
     t = n.conv(t, "Conv2d_4a_3x3", 3, 1, 192, Norm::FusedBn, Padding::Valid);
     t = n.max_pool(t, "MaxPool_5a_3x3", 3, 2, Padding::Valid);
 
-    // 35x35 modules.
-    t = v3_module_a(&mut n, t, "Mixed_5b", 32);
-    t = v3_module_a(&mut n, t, "Mixed_5c", 64);
-    t = v3_module_a(&mut n, t, "Mixed_5d", 64);
-    // Reduction to 17x17.
-    t = v3_reduction_a(&mut n, t, "Mixed_6a");
-    // 17x17 factorized-7 modules.
-    t = v3_module_b(&mut n, t, "Mixed_6b", 128);
-    t = v3_module_b(&mut n, t, "Mixed_6c", 160);
-    t = v3_module_b(&mut n, t, "Mixed_6d", 160);
-    t = v3_module_b(&mut n, t, "Mixed_6e", 192);
+    // 35x35 modules: 1x1 / 1x1→5x5 / 1x1→3x3→3x3 / pool→1x1 (pool proj).
+    for (scope, wp) in [("Mixed_5b", 32), ("Mixed_5c", 64), ("Mixed_5d", 64)] {
+        let branches: [&[Layer]; 4] = [
+            &[conv("Conv2d_0a_1x1", (1, 1), 64)],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), 48),
+                conv("Conv2d_0b_5x5", (5, 5), 64),
+            ],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), 64),
+                conv("Conv2d_0b_3x3", (3, 3), 96),
+                conv("Conv2d_0c_3x3", (3, 3), 96),
+            ],
+            &[
+                avg_pool("AvgPool_0a_3x3", 3),
+                conv("Conv2d_0b_1x1", (1, 1), wp),
+            ],
+        ];
+        t = mixed(&mut n, t, scope, &branches);
+    }
+    // Reduction 35→17: 3x3/2 / 1x1→3x3→3x3/2 / pool.
+    let branches: [&[Layer]; 3] = [
+        &[conv("Conv2d_1a_1x1", (3, 3), 384).stride2(Valid)],
+        &[
+            conv("Conv2d_0a_1x1", (1, 1), 64),
+            conv("Conv2d_0b_3x3", (3, 3), 96),
+            conv("Conv2d_1a_1x1", (3, 3), 96).stride2(Valid),
+        ],
+        &[max_pool("MaxPool_1a_3x3", 3).stride2(Valid)],
+    ];
+    t = mixed(&mut n, t, "Mixed_6a", &branches);
+    // 17x17 modules with factorized 7x7: 1x1 / 1x1→1x7→7x1 /
+    // 1x1→7x1→1x7→7x1→1x7 / pool→1x1 (inner width w).
+    for (scope, w) in [
+        ("Mixed_6b", 128),
+        ("Mixed_6c", 160),
+        ("Mixed_6d", 160),
+        ("Mixed_6e", 192),
+    ] {
+        let branches: [&[Layer]; 4] = [
+            &[conv("Conv2d_0a_1x1", (1, 1), 192)],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), w),
+                conv("Conv2d_0b_1x7", (1, 7), w),
+                conv("Conv2d_0c_7x1", (7, 1), 192),
+            ],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), w),
+                conv("Conv2d_0b_7x1", (7, 1), w),
+                conv("Conv2d_0c_1x7", (1, 7), w),
+                conv("Conv2d_0d_7x1", (7, 1), w),
+                conv("Conv2d_0e_1x7", (1, 7), 192),
+            ],
+            &[
+                avg_pool("AvgPool_0a_3x3", 3),
+                conv("Conv2d_0b_1x1", (1, 1), 192),
+            ],
+        ];
+        t = mixed(&mut n, t, scope, &branches);
+    }
 
     // Auxiliary head hangs off Mixed_6e.
     let mut aux = n.avg_pool(t, "AuxLogits/AvgPool_1a_5x5", 5, 3, Padding::Valid);
@@ -348,415 +370,49 @@ pub(crate) fn inception_v3(mode: Mode, batch: usize) -> ModelGraph {
     );
     let aux_logits = n.fc(aux, "AuxLogits/Logits", 1000);
 
-    // Reduction to 8x8.
-    t = v3_reduction_b(&mut n, t, "Mixed_7a");
-    // 8x8 modules.
-    t = v3_module_c(&mut n, t, "Mixed_7b");
-    t = v3_module_c(&mut n, t, "Mixed_7c");
+    // Reduction 17→8: 1x1→3x3/2 / 1x1→1x7→7x1→3x3/2 / pool.
+    let branches: [&[Layer]; 3] = [
+        &[
+            conv("Conv2d_0a_1x1", (1, 1), 192),
+            conv("Conv2d_1a_3x3", (3, 3), 320).stride2(Valid),
+        ],
+        &[
+            conv("Conv2d_0a_1x1", (1, 1), 192),
+            conv("Conv2d_0b_1x7", (1, 7), 192),
+            conv("Conv2d_0c_7x1", (7, 1), 192),
+            conv("Conv2d_1a_3x3", (3, 3), 192).stride2(Valid),
+        ],
+        &[max_pool("MaxPool_1a_3x3", 3).stride2(Valid)],
+    ];
+    t = mixed(&mut n, t, "Mixed_7a", &branches);
+    // 8x8 modules with forked branches: 1x1 / 1x1→{1x3, 3x1} /
+    // 1x1→3x3→{1x3, 3x1} / pool→1x1.
+    for scope in ["Mixed_7b", "Mixed_7c"] {
+        let branches: [&[Layer]; 4] = [
+            &[conv("Conv2d_0a_1x1", (1, 1), 320)],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), 384),
+                conv("Conv2d_0b_1x3", (1, 3), 384).fork(),
+                conv("Conv2d_0c_3x1", (3, 1), 384).fork(),
+            ],
+            &[
+                conv("Conv2d_0a_1x1", (1, 1), 448),
+                conv("Conv2d_0b_3x3", (3, 3), 384),
+                conv("Conv2d_0c_1x3", (1, 3), 384).fork(),
+                conv("Conv2d_0d_3x1", (3, 1), 384).fork(),
+            ],
+            &[
+                avg_pool("AvgPool_0a_3x3", 3),
+                conv("Conv2d_0b_1x1", (1, 1), 192),
+            ],
+        ];
+        t = mixed(&mut n, t, scope, &branches);
+    }
 
     t = n.global_avg_pool(t, "AvgPool_1a");
     let logits = n.fc(t, "Logits", 1000);
     let out = n.softmax(logits, "Predictions");
     n.finish(mode, out, &[aux_logits])
-}
-
-/// 35x35 module: 1x1 / 1x1→5x5 / 1x1→3x3→3x3 / pool→1x1.
-fn v3_module_a(n: &mut NetBuilder, t: Tensor, scope: &str, pool_proj: usize) -> Tensor {
-    let b0 = n.conv(
-        t,
-        &format!("{scope}/Branch_0/Conv2d_0a_1x1"),
-        1,
-        1,
-        64,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1a = n.conv(
-        t,
-        &format!("{scope}/Branch_1/Conv2d_0a_1x1"),
-        1,
-        1,
-        48,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1 = n.conv(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0b_5x5"),
-        5,
-        1,
-        64,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2a = n.conv(
-        t,
-        &format!("{scope}/Branch_2/Conv2d_0a_1x1"),
-        1,
-        1,
-        64,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2b = n.conv(
-        b2a,
-        &format!("{scope}/Branch_2/Conv2d_0b_3x3"),
-        3,
-        1,
-        96,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2 = n.conv(
-        b2b,
-        &format!("{scope}/Branch_2/Conv2d_0c_3x3"),
-        3,
-        1,
-        96,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b3a = n.avg_pool(
-        t,
-        &format!("{scope}/Branch_3/AvgPool_0a_3x3"),
-        3,
-        1,
-        Padding::Same,
-    );
-    let b3 = n.conv(
-        b3a,
-        &format!("{scope}/Branch_3/Conv2d_0b_1x1"),
-        1,
-        1,
-        pool_proj,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    n.concat(&[b0, b1, b2, b3], scope)
-}
-
-/// Reduction 35→17: 3x3/2 / 1x1→3x3→3x3/2 / pool.
-fn v3_reduction_a(n: &mut NetBuilder, t: Tensor, scope: &str) -> Tensor {
-    let b0 = n.conv(
-        t,
-        &format!("{scope}/Branch_0/Conv2d_1a_1x1"),
-        3,
-        2,
-        384,
-        Norm::FusedBn,
-        Padding::Valid,
-    );
-    let b1a = n.conv(
-        t,
-        &format!("{scope}/Branch_1/Conv2d_0a_1x1"),
-        1,
-        1,
-        64,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1b = n.conv(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0b_3x3"),
-        3,
-        1,
-        96,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1 = n.conv(
-        b1b,
-        &format!("{scope}/Branch_1/Conv2d_1a_1x1"),
-        3,
-        2,
-        96,
-        Norm::FusedBn,
-        Padding::Valid,
-    );
-    let b2 = n.max_pool(
-        t,
-        &format!("{scope}/Branch_2/MaxPool_1a_3x3"),
-        3,
-        2,
-        Padding::Valid,
-    );
-    n.concat(&[b0, b1, b2], scope)
-}
-
-/// 17x17 module with factorized 7x7: 1x1 / 1x1→1x7→7x1 /
-/// 1x1→7x1→1x7→7x1→1x7 / pool→1x1.
-fn v3_module_b(n: &mut NetBuilder, t: Tensor, scope: &str, width: usize) -> Tensor {
-    let w = width;
-    let b0 = n.conv(
-        t,
-        &format!("{scope}/Branch_0/Conv2d_0a_1x1"),
-        1,
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1a = n.conv(
-        t,
-        &format!("{scope}/Branch_1/Conv2d_0a_1x1"),
-        1,
-        1,
-        w,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1b = n.conv_rect(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0b_1x7"),
-        (1, 7),
-        1,
-        w,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b1 = n.conv_rect(
-        b1b,
-        &format!("{scope}/Branch_1/Conv2d_0c_7x1"),
-        (7, 1),
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b2a = n.conv(
-        t,
-        &format!("{scope}/Branch_2/Conv2d_0a_1x1"),
-        1,
-        1,
-        w,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2b = n.conv_rect(
-        b2a,
-        &format!("{scope}/Branch_2/Conv2d_0b_7x1"),
-        (7, 1),
-        1,
-        w,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b2c = n.conv_rect(
-        b2b,
-        &format!("{scope}/Branch_2/Conv2d_0c_1x7"),
-        (1, 7),
-        1,
-        w,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b2d = n.conv_rect(
-        b2c,
-        &format!("{scope}/Branch_2/Conv2d_0d_7x1"),
-        (7, 1),
-        1,
-        w,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b2 = n.conv_rect(
-        b2d,
-        &format!("{scope}/Branch_2/Conv2d_0e_1x7"),
-        (1, 7),
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b3a = n.avg_pool(
-        t,
-        &format!("{scope}/Branch_3/AvgPool_0a_3x3"),
-        3,
-        1,
-        Padding::Same,
-    );
-    let b3 = n.conv(
-        b3a,
-        &format!("{scope}/Branch_3/Conv2d_0b_1x1"),
-        1,
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    n.concat(&[b0, b1, b2, b3], scope)
-}
-
-/// Reduction 17→8: 1x1→3x3/2 / 1x1→1x7→7x1→3x3/2 / pool.
-fn v3_reduction_b(n: &mut NetBuilder, t: Tensor, scope: &str) -> Tensor {
-    let b0a = n.conv(
-        t,
-        &format!("{scope}/Branch_0/Conv2d_0a_1x1"),
-        1,
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b0 = n.conv(
-        b0a,
-        &format!("{scope}/Branch_0/Conv2d_1a_3x3"),
-        3,
-        2,
-        320,
-        Norm::FusedBn,
-        Padding::Valid,
-    );
-    let b1a = n.conv(
-        t,
-        &format!("{scope}/Branch_1/Conv2d_0a_1x1"),
-        1,
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1b = n.conv_rect(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0b_1x7"),
-        (1, 7),
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b1c = n.conv_rect(
-        b1b,
-        &format!("{scope}/Branch_1/Conv2d_0c_7x1"),
-        (7, 1),
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b1 = n.conv(
-        b1c,
-        &format!("{scope}/Branch_1/Conv2d_1a_3x3"),
-        3,
-        2,
-        192,
-        Norm::FusedBn,
-        Padding::Valid,
-    );
-    let b2 = n.max_pool(
-        t,
-        &format!("{scope}/Branch_2/MaxPool_1a_3x3"),
-        3,
-        2,
-        Padding::Valid,
-    );
-    n.concat(&[b0, b1, b2], scope)
-}
-
-/// 8x8 module with split branches: 1x1 / 1x1→{1x3, 3x1} /
-/// 1x1→3x3→{1x3, 3x1} / pool→1x1.
-fn v3_module_c(n: &mut NetBuilder, t: Tensor, scope: &str) -> Tensor {
-    let b0 = n.conv(
-        t,
-        &format!("{scope}/Branch_0/Conv2d_0a_1x1"),
-        1,
-        1,
-        320,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1a = n.conv(
-        t,
-        &format!("{scope}/Branch_1/Conv2d_0a_1x1"),
-        1,
-        1,
-        384,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b1l = n.conv_rect(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0b_1x3"),
-        (1, 3),
-        1,
-        384,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b1r = n.conv_rect(
-        b1a,
-        &format!("{scope}/Branch_1/Conv2d_0c_3x1"),
-        (3, 1),
-        1,
-        384,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b2a = n.conv(
-        t,
-        &format!("{scope}/Branch_2/Conv2d_0a_1x1"),
-        1,
-        1,
-        448,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2b = n.conv(
-        b2a,
-        &format!("{scope}/Branch_2/Conv2d_0b_3x3"),
-        3,
-        1,
-        384,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    let b2l = n.conv_rect(
-        b2b,
-        &format!("{scope}/Branch_2/Conv2d_0c_1x3"),
-        (1, 3),
-        1,
-        384,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b2r = n.conv_rect(
-        b2b,
-        &format!("{scope}/Branch_2/Conv2d_0d_3x1"),
-        (3, 1),
-        1,
-        384,
-        Norm::FusedBn,
-        Padding::Same,
-        true,
-    );
-    let b3a = n.avg_pool(
-        t,
-        &format!("{scope}/Branch_3/AvgPool_0a_3x3"),
-        3,
-        1,
-        Padding::Same,
-    );
-    let b3 = n.conv(
-        b3a,
-        &format!("{scope}/Branch_3/Conv2d_0b_1x1"),
-        1,
-        1,
-        192,
-        Norm::FusedBn,
-        Padding::Same,
-    );
-    n.concat(&[b0, b1l, b1r, b2l, b2r, b3], scope)
 }
 
 #[cfg(test)]
