@@ -169,8 +169,7 @@ impl fmt::Display for Model {
 pub fn tiny_mlp(mode: Mode, batch: usize) -> ModelGraph {
     let mut n = NetBuilder::new("tiny_mlp", batch);
     let x = n.input(1, 1, 64);
-    let h = n.fc(x, "fc1", 128);
-    let h = n.relu(h, "fc1/relu");
+    let h = n.fc_relu(x, "fc1", 128);
     let logits = n.fc(h, "fc2", 10);
     let out = n.softmax(logits, "predictions");
     n.finish(mode, out, &[])

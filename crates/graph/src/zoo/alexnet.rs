@@ -3,7 +3,7 @@
 //! 5 convolutions + 3 fully-connected layers, each with weights and bias:
 //! 16 parameters, ≈191.9 MiB — matching Table 1 of the paper.
 
-use super::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
+use super::layers::{Mode, NetBuilder, Norm, Padding};
 use crate::ModelGraph;
 
 /// Builds AlexNet v2.
@@ -21,16 +21,11 @@ pub(crate) fn alexnet_v2(mode: Mode, batch: usize) -> ModelGraph {
     let p5 = n.max_pool(c5, "pool5", 3, 2, Padding::Valid);
 
     // Slim implements fc6 as a 5x5 VALID convolution over the 6x6 map.
-    let f6 = fc_block(&mut n, p5, "fc6", 4096);
-    let f7 = fc_block(&mut n, f6, "fc7", 4096);
+    let f6 = n.fc_relu(p5, "fc6", 4096);
+    let f7 = n.fc_relu(f6, "fc7", 4096);
     let logits = n.fc(f7, "fc8", 1000);
     let out = n.softmax(logits, "predictions");
     n.finish(mode, out, &[])
-}
-
-fn fc_block(n: &mut NetBuilder, t: Tensor, name: &str, width: usize) -> Tensor {
-    let fc = n.fc(t, name, width);
-    n.relu(fc, &format!("{name}/relu"))
 }
 
 #[cfg(test)]

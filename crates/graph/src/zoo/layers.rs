@@ -330,6 +330,13 @@ impl NetBuilder {
         }
     }
 
+    /// A fully-connected layer of width `out` followed by its ReLU,
+    /// `{name}/relu` (the hidden fc layers of AlexNet and VGG).
+    pub(crate) fn fc_relu(&mut self, t: Tensor, name: &str, out: usize) -> Tensor {
+        let fc = self.fc(t, name, out);
+        self.relu(fc, &format!("{name}/relu"))
+    }
+
     /// A ReLU on a fully-connected output.
     pub(crate) fn relu(&mut self, t: Tensor, name: &str) -> Tensor {
         let flops = t.elems() as f64 * self.batch as f64;

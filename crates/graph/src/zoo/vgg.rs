@@ -4,7 +4,7 @@
 //! 32 parameters / ≈527.8 MiB (VGG-16) and 38 / ≈548.1 MiB (VGG-19),
 //! matching Table 1.
 
-use super::layers::{Mode, NetBuilder, Norm, Padding, Tensor};
+use super::layers::{Mode, NetBuilder, Norm, Padding};
 use crate::ModelGraph;
 
 /// Builds VGG-16 (13 convs: 2-2-3-3-3).
@@ -35,16 +35,11 @@ fn vgg(mode: Mode, batch: usize, name: &str, convs_per_stage: &[usize]) -> Model
         }
         t = n.max_pool(t, &format!("pool{}", stage + 1), 2, 2, Padding::Valid);
     }
-    t = fc_relu(&mut n, t, "fc6", 4096);
-    t = fc_relu(&mut n, t, "fc7", 4096);
+    t = n.fc_relu(t, "fc6", 4096);
+    t = n.fc_relu(t, "fc7", 4096);
     let logits = n.fc(t, "fc8", 1000);
     let out = n.softmax(logits, "predictions");
     n.finish(mode, out, &[])
-}
-
-fn fc_relu(n: &mut NetBuilder, t: Tensor, name: &str, width: usize) -> Tensor {
-    let fc = n.fc(t, name, width);
-    n.relu(fc, &format!("{name}/relu"))
 }
 
 #[cfg(test)]
