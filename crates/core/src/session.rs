@@ -156,8 +156,8 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// [`ScenarioBuildError::Backend`], before anything is deployed, with
-    /// [`SimError::InvalidKnob`] if a fault knob is out of range
-    /// ([`FaultSpec::check`]), or if the session is
+    /// [`SimError::InvalidKnob`] if a config knob is out of range
+    /// ([`SimConfig::check`]), or if the session is
     /// [`threaded`](SessionBuilder::threaded) and its config sets a knob
     /// the wall clock cannot honor: a reorder error
     /// above 0.01, noise heavier than `sigma` 0.1 or a 5% slowdown
@@ -168,7 +168,7 @@ impl SessionBuilder {
     pub fn build(self) -> Result<Session, ScenarioBuildError> {
         let started = Instant::now();
         let s = &self.settings;
-        s.config.faults.check()?;
+        s.config.check()?;
         if let Some(opts) = &self.threaded {
             check_threaded(&s.config, opts)?;
         }
@@ -181,7 +181,7 @@ impl SessionBuilder {
         )?;
         let schedule_compute_time = started.elapsed();
         let plan = RunPlan::new(deployed.graph(), &schedule, &s.config)
-            .expect("checked fault knobs and a derived schedule make a plan");
+            .expect("checked knobs and a derived schedule make a plan");
         let sink = self
             .sink
             .or_else(|| tictac_store::global_store().map(|s| s as std::sync::Arc<dyn RunSink>));
@@ -277,13 +277,14 @@ fn check_horizon(deployed: &DeployedModel, config: &SimConfig) -> Result<(), Sce
     Ok(())
 }
 
-/// Refuses, with [`SimError::UnsupportedConfig`], the knobs a threaded
-/// run cannot honor, instead of silently ignoring them:
+/// Refuses, with [`SimError::UnsupportedConfig`], the knobs of a
+/// [checked](SimConfig::check) config that a threaded run cannot honor,
+/// instead of silently ignoring them:
 ///
-/// * `reorder_error` outside `[0, 0.01]` — the runtime does not inject
-///   artificial reorders; rates up to the paper's measured gRPC level
-///   (§5.1) are adequately represented by physical hand-off jitter,
-///   larger ones are not, and a NaN or negative one is no rate at all.
+/// * `reorder_error` above 0.01 — the runtime does not inject artificial
+///   reorders; rates up to the paper's measured gRPC level (§5.1) are
+///   adequately represented by physical hand-off jitter, larger ones are
+///   not.
 /// * heavy [`NoiseModel`]s (`sigma > 0.1` or worker-slowdown probability
 ///   above 5%) — modeled noise cannot be replayed by calibrated
 ///   busy-loops; the presets' mild noise is subsumed by physical jitter.
@@ -293,18 +294,13 @@ fn check_horizon(deployed: &DeployedModel, config: &SimConfig) -> Result<(), Sce
 ///   duration replays it.
 fn check_threaded(config: &SimConfig, opts: &ExecOptions) -> Result<(), SimError> {
     let reorder = config.reorder_error;
-    if !(0.0..=0.01).contains(&reorder) {
-        let reason = if reorder > 0.01 {
-            format!(
-                "injected reorder rate {reorder} exceeds what physical hand-off jitter \
-                 reproduces (max 0.01)"
-            )
-        } else {
-            format!("reorder rate {reorder} is not a rate in [0, 0.01]")
-        };
+    if reorder > 0.01 {
         return Err(SimError::UnsupportedConfig {
             knob: "reorder_error",
-            reason,
+            reason: format!(
+                "injected reorder rate {reorder} exceeds what physical hand-off jitter \
+                 reproduces (max 0.01)"
+            ),
         });
     }
     if config.noise.sigma() > 0.1 || config.noise.slowdown_prob() > 0.05 {
@@ -1023,6 +1019,12 @@ mod tests {
             vec![nan, inf, -inf, 0.5, 0.0],
             vec![1.0, 1e3],
         ));
+        rows.push((
+            "retry.backoff",
+            |f| &mut f.retry.backoff,
+            vec![nan, -inf, -2.0, 0.5],
+            vec![1.0, 1e3],
+        ));
         let build = |faults: FaultSpec| {
             let config = SimConfig {
                 faults,
@@ -1080,6 +1082,50 @@ mod tests {
                 let built = Session::from_scenario(&scenario);
                 assert!(built.is_ok(), "{}: {:?}", path.display(), built.err());
             }
+        }
+    }
+
+    /// `SimConfig::check`'s ranges at both doors: a `reorder_error`
+    /// outside `[0, 1]` or NaN, and a `disorder_window` of `Some(0)`, are
+    /// refused by `SessionBuilder::build` and by `RunPlan::new`, naming
+    /// the knob; each range's ends build.
+    #[test]
+    fn sim_config_knobs_out_of_range_are_refused_by_both_doors() {
+        let model = tiny_mlp(Mode::Training, 8);
+        let d = tictac_cluster::deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+        let build = |config: SimConfig| {
+            let built = Session::builder(model.clone())
+                .config(config.clone())
+                .build();
+            let planned = RunPlan::new(d.graph(), &no_ordering(d.graph()), &config);
+            (built.map(|_| ()), planned.map(|_| ()))
+        };
+        let reorder = |p| SimConfig {
+            reorder_error: p,
+            ..SimConfig::cloud_gpu()
+        };
+        let window = |w| SimConfig::cloud_gpu().with_disorder_window(w);
+        let refused = [1.5, -0.5, f64::NAN]
+            .map(|p| ("reorder_error", reorder(p)))
+            .into_iter()
+            .chain([("disorder_window", window(Some(0)))]);
+        for (knob, config) in refused {
+            let value = format!("{:?} / {:?}", config.reorder_error, config.disorder_window);
+            match build(config) {
+                (
+                    Err(ScenarioBuildError::Backend(SimError::InvalidKnob {
+                        knob: at_build, ..
+                    })),
+                    Err(SimError::InvalidKnob { knob: in_plan, .. }),
+                ) => assert_eq!((at_build, in_plan), (knob, knob), "{value}"),
+                other => panic!("{value} not refused by both doors: {other:?}"),
+            }
+        }
+        let fine = [reorder(0.0), reorder(1.0), window(None), window(Some(1))];
+        for config in fine {
+            let value = format!("{:?} / {:?}", config.reorder_error, config.disorder_window);
+            let (built, planned) = build(config);
+            assert!(built.is_ok() && planned.is_ok(), "{value} builds");
         }
     }
 
@@ -1492,9 +1538,10 @@ faults:
     }
 
     /// A threaded session whose reorder error is no rate in `[0, 0.01]`
-    /// is refused at `build`: NaN and negative ones too, which the `pub`
-    /// field takes without `with_reorder_error`'s assert. A rate above
-    /// 0.01 keeps its message; the range's ends build.
+    /// is refused at `build`: NaN and negative ones, which the `pub` field
+    /// takes without `with_reorder_error`'s panic, as no probability at
+    /// all ([`SimConfig::check`], on every backend), and a rate above 0.01
+    /// as one the wall clock cannot honor. The range's ends build.
     #[test]
     fn a_threaded_session_with_a_reorder_error_outside_its_range_is_refused_at_build() {
         let threaded = |reorder_error| {
@@ -1506,20 +1553,23 @@ faults:
                 .build()
         };
         for (reorder_error, message) in [
-            (f64::NAN, "reorder rate NaN is not a rate in [0, 0.01]"),
-            (-0.5, "reorder rate -0.5 is not a rate in [0, 0.01]"),
-            (
-                0.5,
-                "injected reorder rate 0.5 exceeds what physical hand-off jitter \
-                 reproduces (max 0.01)",
-            ),
+            (f64::NAN, "NaN is not a probability in [0, 1]"),
+            (-0.5, "-0.5 is not a probability in [0, 1]"),
         ] {
             match threaded(reorder_error) {
-                Err(ScenarioBuildError::Backend(SimError::UnsupportedConfig { knob, reason })) => {
+                Err(ScenarioBuildError::Backend(SimError::InvalidKnob { knob, reason })) => {
                     assert_eq!((knob, reason.as_str()), ("reorder_error", message));
                 }
                 other => panic!("{reorder_error}: expected a refusal, got {:?}", other.err()),
             }
+        }
+        match threaded(0.5) {
+            Err(ScenarioBuildError::Backend(SimError::UnsupportedConfig { knob, reason })) => {
+                let message = "injected reorder rate 0.5 exceeds what physical hand-off \
+                               jitter reproduces (max 0.01)";
+                assert_eq!((knob, reason.as_str()), ("reorder_error", message));
+            }
+            other => panic!("0.5: expected a refusal, got {:?}", other.err()),
         }
         for fine in [0.0, 0.01] {
             assert!(threaded(fine).is_ok(), "{fine}");

@@ -1,6 +1,7 @@
 //! Simulation configuration.
 
-use crate::faults::FaultSpec;
+use crate::error::SimError;
+use crate::faults::{probability, FaultSpec};
 use tictac_trace::{NoiseModel, Platform};
 
 /// Default base seed (reads roughly as "TICTAC").
@@ -120,11 +121,32 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not a probability.
+    /// Panics if `p` is not a probability (NaN included).
     pub fn with_reorder_error(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "reorder_error must be in [0,1]");
+        probability("reorder_error", p).unwrap_or_else(|e| panic!("{e}"));
         self.reorder_error = p;
         self
+    }
+
+    /// The configuration's ranges: a `reorder_error` in `[0, 1]`, a
+    /// `disorder_window` of at least one entry, and the fault knobs'
+    /// ([`FaultSpec::check`]). [`RunPlan::new`](crate::RunPlan::new) and
+    /// `SessionBuilder::build` apply it.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidKnob`] naming the first knob out of range: a
+    /// `reorder_error` outside `[0, 1]` (NaN too), a `disorder_window` of
+    /// `Some(0)` — a window of no entries picks nothing — or a fault knob.
+    pub fn check(&self) -> Result<(), SimError> {
+        probability("reorder_error", self.reorder_error)?;
+        if self.disorder_window == Some(0) {
+            return Err(SimError::InvalidKnob {
+                knob: "disorder_window",
+                reason: "a window of zero entries picks nothing".into(),
+            });
+        }
+        self.faults.check()
     }
 }
 

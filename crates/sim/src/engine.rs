@@ -18,9 +18,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use tictac_graph::{Graph, OpId};
 use tictac_sched::Schedule;
-use tictac_trace::{
-    ExecutionTrace, FaultEventKind, SimDuration, SimTime, TraceBuilder, HORIZON_NS,
-};
+use tictac_trace::{ExecutionTrace, FaultEventKind, SimDuration, SimTime, TraceBuilder};
 
 /// Simulates one iteration of `graph` under `schedule` and returns its
 /// execution trace.
@@ -113,16 +111,18 @@ impl RunPlan {
     /// built however the run ended — a failed run's holds what executed
     /// before it stopped — beside the error that stopped it, if any.
     ///
-    /// The retry policy is checked here, on `faults`, because that is the
-    /// one the engine reads (sampled plans copy the spec's, hand-built
-    /// ones set their own): a loss-detection timeout lands `timeout_for`
-    /// after the clock, and one that wrapped the clock would put an event
-    /// into the past, which the event queue cannot hold.
+    /// `faults` is checked here because it is what the engine reads:
+    /// sampled plans copy a checked spec's knobs, hand-built ones set their
+    /// own.
     ///
     /// # Errors
     ///
-    /// [`SimError::RetryPastHorizon`], before the engine starts: there is
-    /// no trace.
+    /// Before the engine starts, so there is no trace:
+    /// [`SimError::InvalidKnob`] for a plan knob out of
+    /// [`FaultSpec::check`](crate::FaultSpec::check)'s ranges (its
+    /// `drop_prob`, a straggler factor, its `retry.backoff` or
+    /// `barrier_timeout`), and [`SimError::RetryPastHorizon`] for a retry
+    /// policy whose timeouts can add up to the end of the time axis.
     pub fn run(
         &self,
         graph: &Graph,
@@ -131,10 +131,7 @@ impl RunPlan {
         faults: &FaultPlan,
     ) -> Result<(ExecutionTrace, Option<SimError>), SimError> {
         debug_assert!(self.covers(graph, schedule), "not this plan's graph");
-        let budget = faults.retry.total_budget();
-        if budget.as_nanos() >= HORIZON_NS {
-            return Err(SimError::RetryPastHorizon { budget });
-        }
+        faults.check()?;
         Ok(Engine::new(graph, schedule, self, iteration, faults).run())
     }
 }
@@ -586,7 +583,7 @@ impl<'g> Engine<'g> {
             noise: config.noise,
             reorder_error: config.reorder_error,
             enforcement: config.enforcement,
-            disorder_window: config.disorder_window.unwrap_or(usize::MAX).max(1),
+            disorder_window: config.disorder_window.unwrap_or(usize::MAX),
             rng,
             plan,
             clock: SimTime::ZERO,

@@ -24,7 +24,7 @@ use crate::error::SimError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tictac_graph::{ChannelId, DeviceId, Fnv1a, Graph, OpId};
-use tictac_trace::{FaultEventKind, RetryPolicy, SimDuration, SimTime, TraceBuilder};
+use tictac_trace::{FaultEventKind, RetryPolicy, SimDuration, SimTime, TraceBuilder, HORIZON_NS};
 
 /// Stream tag separating fault sampling from any engine's noise RNG.
 const FAULT_STREAM: u64 = 0xFA17_5EED_0DD5_ED17;
@@ -137,17 +137,18 @@ impl FaultSpec {
         h.finish()
     }
 
-    /// The fault knobs' ranges, stated once: the `with_*` methods,
+    /// The fault knobs' ranges: the `with_*` methods,
     /// [`RunPlan::new`](crate::RunPlan::new), `SessionBuilder::build` and
-    /// the scenario parser apply them.
+    /// the scenario parser apply them, and `RunPlan::run` applies the same
+    /// rules to a plan's own fields.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidKnob`] naming the first knob out of range, in
     /// field order: a probability outside `[0, 1]`, a `straggler_factor`
-    /// below 1 or not finite (NaN for either), a zero `barrier_timeout`.
+    /// below 1 or not finite, a `retry.backoff` below 1 (NaN for any of
+    /// them), a zero `barrier_timeout`.
     pub fn check(&self) -> Result<(), SimError> {
-        let invalid = |knob, reason| Err(SimError::InvalidKnob { knob, reason });
         let probabilities = [
             ("drop_prob", self.drop_prob),
             ("blackout_prob", self.blackout_prob),
@@ -156,21 +157,11 @@ impl FaultSpec {
             ("ps_stall_prob", self.ps_stall_prob),
         ];
         for (knob, p) in probabilities {
-            if !(0.0..=1.0).contains(&p) {
-                return invalid(knob, format!("{p} is not a probability in [0, 1]"));
-            }
+            probability(knob, p)?;
         }
-        let factor = self.straggler_factor;
-        if !(factor.is_finite() && factor >= 1.0) {
-            return invalid(
-                "straggler_factor",
-                format!("{factor} is not a finite slowdown of at least 1"),
-            );
-        }
-        if self.barrier_timeout == Some(SimDuration::ZERO) {
-            return invalid("barrier_timeout", "a zero timeout is no barrier".into());
-        }
-        Ok(())
+        slowdown(self.straggler_factor)?;
+        backoff(self.retry.backoff)?;
+        barrier(self.barrier_timeout)
     }
 
     /// `self` if [`check`](Self::check) accepts it; a panic with its
@@ -243,9 +234,13 @@ impl FaultSpec {
     }
 
     /// Overrides the retry policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if its backoff is below 1 or NaN.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
+        self.checked()
     }
 
     /// Enables the degraded-mode barrier at `timeout` (panics if zero).
@@ -259,6 +254,50 @@ impl Default for FaultSpec {
     fn default() -> Self {
         Self::none()
     }
+}
+
+// The range rules, each written once. `FaultSpec::check`,
+// `FaultPlan::check` and `SimConfig::check` apply them; each returns
+// `SimError::InvalidKnob` naming the knob and what its value misses.
+
+fn invalid(knob: &'static str, reason: String) -> Result<(), SimError> {
+    Err(SimError::InvalidKnob { knob, reason })
+}
+
+/// A probability: in `[0, 1]`, NaN refused.
+pub(crate) fn probability(knob: &'static str, p: f64) -> Result<(), SimError> {
+    if (0.0..=1.0).contains(&p) {
+        return Ok(());
+    }
+    invalid(knob, format!("{p} is not a probability in [0, 1]"))
+}
+
+/// A straggler's slowdown: finite and at least 1.
+fn slowdown(factor: f64) -> Result<(), SimError> {
+    if factor.is_finite() && factor >= 1.0 {
+        return Ok(());
+    }
+    let reason = format!("{factor} is not a finite slowdown of at least 1");
+    invalid("straggler_factor", reason)
+}
+
+/// A retry backoff multiplier: at least 1, NaN refused.
+fn backoff(backoff: f64) -> Result<(), SimError> {
+    if backoff >= 1.0 {
+        return Ok(());
+    }
+    invalid(
+        "retry.backoff",
+        format!("{backoff} is not a multiplier of at least 1"),
+    )
+}
+
+/// A degraded barrier: any timeout but zero.
+fn barrier(timeout: Option<SimDuration>) -> Result<(), SimError> {
+    if timeout != Some(SimDuration::ZERO) {
+        return Ok(());
+    }
+    invalid("barrier_timeout", "a zero timeout is no barrier".into())
 }
 
 /// One channel blackout window.
@@ -332,6 +371,33 @@ impl FaultPlan {
             barrier_timeout: None,
             drop_seed: 0,
         }
+    }
+
+    /// The plan's own knobs against [`FaultSpec::check`]'s ranges — a
+    /// hand-built plan sets its `pub` fields directly; a sampled one copies
+    /// a checked spec's — and its retry budget against the time axis: a
+    /// loss-detection timeout lands `timeout_for` after the clock, and one
+    /// that wrapped the clock would put an event into the past, which the
+    /// event queue cannot hold. `RunPlan::run` checks every plan it runs.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidKnob`] for a `drop_prob`, straggler factor,
+    /// `retry.backoff` or `barrier_timeout` out of range, and
+    /// [`SimError::RetryPastHorizon`] for a retry policy whose
+    /// `total_budget()` reaches `HORIZON_NS`.
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        probability("drop_prob", self.drop_prob)?;
+        for &(_, factor) in &self.stragglers {
+            slowdown(factor)?;
+        }
+        backoff(self.retry.backoff)?;
+        barrier(self.barrier_timeout)?;
+        let budget = self.retry.total_budget();
+        if budget.as_nanos() >= HORIZON_NS {
+            return Err(SimError::RetryPastHorizon { budget });
+        }
+        Ok(())
     }
 
     /// Samples the iteration's faults from `spec` for the given graph.

@@ -192,6 +192,72 @@ fn a_retry_budget_reaching_the_horizon_is_a_typed_error() {
     }
 }
 
+/// A hand-built plan sets its `pub` fields directly, so every run checks
+/// them against `FaultSpec::check`'s ranges before the engine starts: a
+/// `drop_prob` outside [0, 1], a straggler factor that is not finite and
+/// at least 1, a `retry.backoff` below 1 and a zero barrier are refused
+/// naming the knob, NaN for each included. A NaN factor used to run the
+/// straggler *faster* than a quiet run, and a NaN or negative backoff to
+/// fail later as an exhausted retry budget. Each range's ends run.
+#[test]
+fn a_hand_built_plan_out_of_range_is_a_typed_error() {
+    let model = tiny_mlp(Mode::Training, 8);
+    let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+    let s = no_ordering(d.graph());
+    let cfg = SimConfig::cloud_gpu();
+    let worker = d
+        .graph()
+        .devices()
+        .iter()
+        .find(|dev| dev.is_worker())
+        .unwrap()
+        .id();
+    let plan = |edit: &dyn Fn(&mut FaultPlan)| {
+        let mut plan = FaultPlan::quiet();
+        edit(&mut plan);
+        plan
+    };
+    let run = |plan: &FaultPlan| simulate_with_plan(d.graph(), &s, &cfg, 0, plan);
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let mut refused = Vec::new();
+    for v in [nan, -0.5, 1.5, inf] {
+        refused.push(("drop_prob", plan(&|p| p.drop_prob = v)));
+    }
+    for v in [nan, inf, 0.5, 0.0, -2.0] {
+        refused.push((
+            "straggler_factor",
+            plan(&|p| p.stragglers = vec![(worker, v)]),
+        ));
+    }
+    for v in [nan, -2.0, 0.5] {
+        refused.push(("retry.backoff", plan(&|p| p.retry.backoff = v)));
+    }
+    let zero = Some(SimDuration::ZERO);
+    refused.push(("barrier_timeout", plan(&|p| p.barrier_timeout = zero)));
+    for (knob, faults) in refused {
+        match run(&faults) {
+            Err(SimError::InvalidKnob { knob: named, .. }) => assert_eq!(named, knob),
+            other => panic!("{knob}: expected InvalidKnob, got {:?}", other.err()),
+        }
+    }
+    let quiet = run(&FaultPlan::quiet()).unwrap();
+    let slowed = run(&plan(&|p| p.stragglers = vec![(worker, 2.0)])).unwrap();
+    assert!(slowed.makespan() > quiet.makespan(), "a factor of 2 slows");
+    let fine = [
+        plan(&|p| p.drop_prob = 1.0),
+        plan(&|p| p.stragglers = vec![(worker, 1.0)]),
+        plan(&|p| p.retry.backoff = 1.0),
+        plan(&|p| p.barrier_timeout = Some(SimDuration::from_nanos(1))),
+    ];
+    for faults in fine {
+        let ran = run(&faults);
+        assert!(
+            !matches!(ran, Err(SimError::InvalidKnob { .. })),
+            "{faults:?}"
+        );
+    }
+}
+
 /// The barrier's smallest cut: one op undone, and that op is op 0 (a long
 /// root on the worker; the PS's short root finishes first). The barrier
 /// defers it alone — one `DeferredOp`, then `BarrierDegraded {
