@@ -88,11 +88,13 @@ if [ "$(grep -ci tally crates/sim/src/engine.rs)" -ne 0 ]; then
 fi
 
 echo "== design citations =="
-# Every `DESIGN.md §N` (or `§N.M`) cited in the code, its tests and this
-# script names a `## N.` heading of DESIGN.md. Each line is read joined
-# to the next with its comment marker stripped, so a citation broken
-# over two comment lines is checked too.
-cited=$({ find crates src tests -name '*.rs' | sort; echo ci.sh; } | xargs awk '
+# Every `DESIGN.md §N` (or `§N.M`) cited in the code, its tests, the
+# examples, README.md, EXPERIMENTS.md and this script names a `## N.`
+# heading of DESIGN.md. Each line is read joined to the next with its
+# comment marker stripped, so a citation broken over two lines is
+# checked too.
+cited=$({ find crates src tests -name '*.rs' | sort; ls examples/*.rs; echo README.md EXPERIMENTS.md ci.sh; } |
+    xargs awk '
     FNR == 1 { prev = "" }
     { line = $0; sub(/^[ \t]*(\/\/[\/!]?|#)?[ \t]*/, "", line); print prev " " line; prev = line }' |
     grep -oE 'DESIGN\.md §[0-9]+' | sed 's/.*§//' | sort -un)
