@@ -85,7 +85,7 @@ impl RunPlan {
 
     /// The configuration the plan was built under, and every iteration
     /// run from it executes under.
-    pub fn config(&self) -> &SimConfig {
+    pub(crate) fn config(&self) -> &SimConfig {
         &self.config
     }
 
