@@ -119,10 +119,9 @@ impl RunPlan {
     ///
     /// Before the engine starts, so there is no trace:
     /// [`SimError::InvalidKnob`] for a plan knob out of
-    /// [`FaultSpec::check`](crate::FaultSpec::check)'s ranges (its
-    /// `drop_prob`, a straggler factor, its `retry.backoff` or
-    /// `barrier_timeout`), and [`SimError::RetryPastHorizon`] for a retry
-    /// policy whose timeouts can add up to the end of the time axis.
+    /// [`FaultSpec::check`](crate::FaultSpec::check)'s ranges, and
+    /// [`SimError::RetryPastHorizon`] for a retry policy whose timeouts can
+    /// add up to the end of the time axis.
     pub fn run(
         &self,
         graph: &Graph,

@@ -256,9 +256,9 @@ impl Default for FaultSpec {
     }
 }
 
-// The range rules, each written once. `FaultSpec::check`,
-// `FaultPlan::check` and `SimConfig::check` apply them; each returns
-// `SimError::InvalidKnob` naming the knob and what its value misses.
+// The range rules, each written once: `FaultSpec::check`,
+// `FaultPlan::check` and `SimConfig::check` apply them, and each refusal
+// is `SimError::InvalidKnob` naming the knob and what its value misses.
 
 fn invalid(knob: &'static str, reason: String) -> Result<(), SimError> {
     Err(SimError::InvalidKnob { knob, reason })
@@ -286,10 +286,8 @@ fn backoff(backoff: f64) -> Result<(), SimError> {
     if backoff >= 1.0 {
         return Ok(());
     }
-    invalid(
-        "retry.backoff",
-        format!("{backoff} is not a multiplier of at least 1"),
-    )
+    let reason = format!("{backoff} is not a multiplier of at least 1");
+    invalid("retry.backoff", reason)
 }
 
 /// A degraded barrier: any timeout but zero.
@@ -373,17 +371,15 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's own knobs against [`FaultSpec::check`]'s ranges — a
-    /// hand-built plan sets its `pub` fields directly; a sampled one copies
-    /// a checked spec's — and its retry budget against the time axis: a
-    /// loss-detection timeout lands `timeout_for` after the clock, and one
-    /// that wrapped the clock would put an event into the past, which the
-    /// event queue cannot hold. `RunPlan::run` checks every plan it runs.
+    /// The plan's own knobs against [`FaultSpec::check`]'s ranges (a
+    /// hand-built plan sets its `pub` fields directly; a sampled one
+    /// copies a checked spec's), then its retry budget against the time
+    /// axis: a timeout that wrapped the clock would put an event into the
+    /// past, which the event queue cannot hold.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidKnob`] for a `drop_prob`, straggler factor,
-    /// `retry.backoff` or `barrier_timeout` out of range, and
+    /// [`SimError::InvalidKnob`] for a knob out of range, and
     /// [`SimError::RetryPastHorizon`] for a retry policy whose
     /// `total_budget()` reaches `HORIZON_NS`.
     pub(crate) fn check(&self) -> Result<(), SimError> {
