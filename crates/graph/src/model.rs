@@ -227,39 +227,41 @@ impl ModelGraph {
     }
 
     /// A stable structural fingerprint of the model (FNV-1a over every
-    /// field that affects deployment).
+    /// field that affects deployment, each variable-length one — a name,
+    /// a shape's dims, an op's preds, reads and grads — after its length,
+    /// so no two models fold the same bytes).
     ///
     /// Two models with the same fingerprint lower to identical deployed
     /// graphs for any given cluster spec; `tictac-core`'s `DeployCache`
     /// uses this as its model key. Stable within a process run — not a
     /// cross-version serialization format.
     pub fn fingerprint(&self) -> u64 {
+        fn name(h: &mut Fnv1a, s: &str) {
+            h.u64(s.len() as u64).bytes(s.as_bytes());
+        }
+        fn list(h: &mut Fnv1a, items: impl ExactSizeIterator<Item = usize>) {
+            h.u64(items.len() as u64);
+            for i in items {
+                h.u64(i as u64);
+            }
+        }
         let mut h = Fnv1a::new();
-        h.bytes(self.name.as_bytes());
+        name(&mut h, &self.name);
         h.u64(self.batch_size as u64);
         h.u64(self.params.len() as u64);
         for p in &self.params {
-            h.bytes(p.name.as_bytes());
-            h.bytes(&[0, p.dtype_bytes]);
-            for &d in p.shape.dims() {
-                h.u64(d as u64);
-            }
+            name(&mut h, &p.name);
+            h.bytes(&[p.dtype_bytes]);
+            list(&mut h, p.shape.dims().iter().copied());
         }
         h.u64(self.ops.len() as u64);
         for op in &self.ops {
-            h.bytes(op.name.as_bytes());
-            h.bytes(&[0, op.kind as u8]);
+            name(&mut h, &op.name);
+            h.bytes(&[op.kind as u8]);
             h.u64(op.flops.to_bits());
-            for d in &op.preds {
-                h.u64(d.index() as u64);
-            }
-            for p in &op.reads_params {
-                h.u64(p.index() as u64);
-            }
-            h.bytes(&[1]);
-            for p in &op.produces_grads {
-                h.u64(p.index() as u64);
-            }
+            list(&mut h, op.preds.iter().map(|d| d.index()));
+            list(&mut h, op.reads_params.iter().map(|p| p.index()));
+            list(&mut h, op.produces_grads.iter().map(|p| p.index()));
         }
         h.finish()
     }
@@ -431,6 +433,22 @@ mod tests {
         let w = renamed.add_param("l1/w", vec![16, 32]);
         renamed.add_op("l1", ModelOpKind::Forward, 100.0, &[], &[w], &[]);
         assert_ne!(m.fingerprint(), renamed.build().fingerprint());
+    }
+
+    /// Two 2-op models that differ only in whether `y` follows `x` or
+    /// reads `w`: each list is folded after its length, so the index
+    /// cannot pass from one list to the next unseen.
+    #[test]
+    fn fingerprint_tells_a_pred_from_a_read() {
+        let pair = |pred: bool| {
+            let mut b = ModelGraphBuilder::new("pair", 1);
+            let w = b.add_param("w", vec![4]);
+            let x = b.add_op("x", ModelOpKind::Forward, 1.0, &[], &[w], &[]);
+            let (preds, reads): (&[_], &[_]) = if pred { (&[x], &[]) } else { (&[], &[w]) };
+            b.add_op("y", ModelOpKind::Forward, 1.0, preds, reads, &[]);
+            b.build()
+        };
+        assert_ne!(pair(true).fingerprint(), pair(false).fingerprint());
     }
 
     #[test]

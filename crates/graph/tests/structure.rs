@@ -171,91 +171,91 @@ fn zoo_fingerprints_are_pinned() {
         (
             Model::AlexNetV2,
             [
-                0xb0e5894a6f8fbf50,
-                0x209da8a437be0121,
-                0x15e084da769a16d7,
-                0xd0fa9f4cc2360d6e,
+                0xe99d505e11a43d15,
+                0x53009b2dae9b8fb9,
+                0xbabd0f88161d6b42,
+                0xa4c7f3c0743854f2,
             ],
         ),
         (
             Model::InceptionV1,
             [
-                0xf0e78d9a621e91a7,
-                0x63a92422051a5cf1,
-                0x8ebece5ff83ed2e6,
-                0x383bf179c04fb94e,
+                0x4f826ce9ec424f06,
+                0x386bbe53dbd357ed,
+                0x5d8993a975bf4d67,
+                0x626d2df8c799bfbe,
             ],
         ),
         (
             Model::InceptionV2,
             [
-                0xa28c64c141c1706c,
-                0xc4d19d2f2e7c0efd,
-                0x8d22b8ae1ac20900,
-                0x6bb5a59fae4aaf41,
+                0x988e6bd47e4c54b9,
+                0x6a67d6b67614d2a7,
+                0xfbe6ccabbc760939,
+                0xd6e0a9944c984af3,
             ],
         ),
         (
             Model::InceptionV3,
             [
-                0x1e82798578c6b6f0,
-                0x7334b18e77491e2f,
-                0xc74e85afad7cd482,
-                0x4c274991dafbd0e4,
+                0xdcad02ee7e83b4ea,
+                0x6dc035c0fc5aa549,
+                0x4b76b0fc60d10c96,
+                0x4b9e94e536124a56,
             ],
         ),
         (
             Model::ResNet50V1,
             [
-                0xb5929abbcfa35262,
-                0xdc718a6b56ac068d,
-                0xe086cfcc4d4a55c0,
-                0xd91b28a235b7d203,
+                0xcdb30d90caa5d9bf,
+                0xa63b07f1be315da3,
+                0x13cdeefa10174a2f,
+                0x49091ad12449594b,
             ],
         ),
         (
             Model::ResNet101V1,
             [
-                0xdb1415adc7d29ddc,
-                0xa034d5ac91e42a21,
-                0xf6e7654882489b92,
-                0xb672bd256ed02dff,
+                0x835ddabb9f47a691,
+                0x28f3b971af765b48,
+                0xfe53a787c416f6b5,
+                0x7996538ff57262dc,
             ],
         ),
         (
             Model::ResNet50V2,
             [
-                0x1e2b2d968615c7fa,
-                0xf21e6aeb525f8979,
-                0xdc68fd107bcabe4b,
-                0xed86361ac2b3862d,
+                0x11e8bd249da734ae,
+                0xcbb63f493fe9b71c,
+                0xc8f086e6a9c2b9e1,
+                0x828561e2cb949054,
             ],
         ),
         (
             Model::ResNet101V2,
             [
-                0x2652916b17ef3bdb,
-                0x01a57d176f9ed25e,
-                0xe6d838e91ec1a8f7,
-                0xea6ee463de9a81ed,
+                0xe75316b1fc52ad8f,
+                0x5eee0d232d47408f,
+                0x38f3c897a0fc8d05,
+                0x04e975a39a6a7a44,
             ],
         ),
         (
             Model::Vgg16,
             [
-                0xaf7142cc5403b460,
-                0x549ea5bc28d857f2,
-                0x009a62cb6f5a9beb,
-                0x3576081cef57302b,
+                0x4c82bc8d3184cf67,
+                0x90ffa0a184d6d7e8,
+                0x3b9e8bffbcba42d0,
+                0x61f658b87f1c21d5,
             ],
         ),
         (
             Model::Vgg19,
             [
-                0x7b4e95d834eadbcc,
-                0xf5c4cb5ece540cb4,
-                0xfd9e77bf3fa955bc,
-                0x598dbd98f79e02ae,
+                0xb9552200c7fb7402,
+                0x2d3e2a12d55a4bdc,
+                0x39de226ff65d4a18,
+                0xa9d79429a38e2360,
             ],
         ),
     ];

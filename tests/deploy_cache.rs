@@ -5,8 +5,8 @@
 
 use std::time::Instant;
 use tictac::{
-    deploy, simulate, ClusterSpec, DeployCache, ExecutionTrace, Mode, Model, Registry,
-    SchedulerKind, SimConfig,
+    deploy, simulate, ClusterSpec, DeployCache, ExecutionTrace, Mode, Model, ModelGraphBuilder,
+    ModelOpKind, Registry, SchedulerKind, SimConfig,
 };
 
 /// FNV-1a over every op interval, fault event and the makespan — the same
@@ -150,6 +150,28 @@ fn keys_split_on_cluster_scheduler_and_config() {
         seen_misses + 1,
         "a different platform config must miss"
     );
+}
+
+/// Two models that differ only in whether op `y` follows op `x` or reads
+/// parameter `w` are two cache entries: the model key tells a
+/// predecessor from a parameter read at the same index.
+#[test]
+fn a_pred_and_a_read_are_two_deployments() {
+    let pair = |pred: bool| {
+        let mut b = ModelGraphBuilder::new("pair", 1);
+        let w = b.add_param("w", vec![4]);
+        let x = b.add_op("x", ModelOpKind::Forward, 1.0, &[], &[w], &[]);
+        let (preds, reads): (&[_], &[_]) = if pred { (&[x], &[]) } else { (&[], &[w]) };
+        b.add_op("y", ModelOpKind::Forward, 1.0, preds, reads, &[]);
+        b.build()
+    };
+    let cache = DeployCache::new();
+    let spec = ClusterSpec::new(1, 1);
+    let follows = cache.deploy(&pair(true), &spec).unwrap();
+    let reads = cache.deploy(&pair(false), &spec).unwrap();
+    let stats = cache.stats();
+    assert_eq!((stats.deploy_hits, stats.deploy_misses), (0, 2));
+    assert!(!std::sync::Arc::ptr_eq(&follows, &reads));
 }
 
 /// Repeated-deploy microbench: warm hits must be dramatically cheaper than

@@ -43,14 +43,14 @@ fn fingerprints_keep_their_recorded_values() {
         (
             "tiny_mlp",
             tiny_mlp(Mode::Training, 8).fingerprint(),
-            0x0fa9_495a_7447_3750,
+            0x85ae_f7c8_4f53_a5d6,
         ),
         (
             "alexnet_v2",
             Model::AlexNetV2
                 .build_with_batch(Mode::Training, 2)
                 .fingerprint(),
-            0xe0d5_82ce_a034_ff9e,
+            0x47ef_f76f_b31f_773e,
         ),
     ];
     for (what, got, want) in table {
