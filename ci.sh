@@ -179,9 +179,8 @@ cargo test --offline -q --test perfetto_fault_snapshot
 # the-past check among them, so its proptest against a binary heap runs
 # here too, beside the pump's worklists' against the sorted `Vec` they
 # replaced, the graph validator's against a naive reference, the
-# nanosecond rounding's against `f64::round`, the JSON float writer's
-# against `format!("{}")` (10^6 cases here, 10^4 in the debug run), the
-# three narrow per-op tables' against the `Option` tables they replaced
+# nanosecond rounding's against `f64::round`, the three narrow per-op
+# tables' against the `Option` tables they replaced
 # (the schedule's bitset with its rank prefix, set op by op and built in
 # bulk, the plan's four-byte rank and pairing columns, the trace's
 # 16-byte slot), the streaming trace validator
@@ -194,7 +193,6 @@ cargo test --offline -q --release -p tictac-sim --lib event_queue_pops_what_the_
 cargo test --offline -q --release -p tictac-sim --lib worklists_drain_what_the_sorted_vec_drains
 cargo test --offline -q --release -p tictac-graph --lib validation_errors_match_the_naive_reference
 cargo test --offline -q --release -p tictac-trace --lib round_to_nanos
-cargo test --offline -q --release -p tictac-obs --lib shortest_float_matches_display
 cargo test --offline -q --release -p tictac-sched --lib schedule_matches_the_option_table
 cargo test --offline -q --release -p tictac-sim --lib transfer_table_matches_the_option_columns
 cargo test --offline -q --release -p tictac-trace --lib trace_slots_match_option_records

@@ -459,8 +459,8 @@ const DIGIT_PAIRS: [u8; 200] = {
 
 /// `n`'s decimal digits, written into the tail of `buf` four at a time:
 /// the one digit writer the workspace's writers share — op names here,
-/// the JSON writers of `tictac-obs` (`json::integer_into`,
-/// `json::number_into`) — in place of `write!`.
+/// the JSON writers of `tictac-obs` (`json::integer_into`) — in place
+/// of `write!`.
 #[inline]
 pub fn decimal(buf: &mut [u8; 20], mut n: u64) -> &str {
     let pair = |i: u64| &DIGIT_PAIRS[2 * i as usize..][..2];

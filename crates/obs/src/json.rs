@@ -8,17 +8,16 @@
 //!
 //! The lexing rules are written once: [`Lexer`] reads whitespace, strings
 //! (escapes and `\u` surrogate pairs included), number tokens, literals
-//! and list steps, and [`escape_into`], [`integer_into`] and
-//! [`number_into`] (finite or `null`) write, none of them through
-//! `core::fmt` (the digits come from the graph crate's digit writer,
-//! which op names share). [`parse_json`] builds its tree from them. Two
-//! readers do not go through [`Json`] at all and read each field with
-//! the same primitives:
-//! the run store's record codec (`tictac-store`), so a record line
-//! follows the grammar `parse_json` accepts, and the streaming Perfetto
-//! validator ([`crate::perfetto::validate_perfetto`]), which steps over
-//! the values it does not read as `parse_json` would read them, with the
-//! same errors at the same bytes.
+//! and list steps, and [`escape_into`], [`integer_into`] (the graph
+//! crate's digit writer, which op names share) and [`number_into`]
+//! (`Display`'s `{}`, or `null`) write. [`parse_json`] builds its tree
+//! from them. Two readers do not go through [`Json`] at all and read
+//! each field with the same primitives: the run store's record codec
+//! (`tictac-store`), so a record line follows the grammar `parse_json`
+//! accepts, and the streaming Perfetto validator
+//! ([`crate::perfetto::validate_perfetto`]), which steps over the values
+//! it does not read as `parse_json` would read them, with the same errors
+//! at the same bytes.
 //!
 //! Writer invariant: numbers are emitted in Rust's shortest `Display`
 //! form, which round-trips exactly through [`parse_json`] — for any
@@ -30,10 +29,9 @@
 //! the digit writer, [`integer_into`].
 
 use std::borrow::Cow;
+use std::fmt::Write;
 
 use tictac_graph::decimal;
-
-mod shortest;
 
 fn quote_into(out: &mut String, s: &str) {
     out.push('"');
@@ -146,45 +144,17 @@ pub fn integer_into(out: &mut String, n: u64) {
     out.push_str(decimal(&mut buf, n));
 }
 
-/// Appends a JSON number: Rust's shortest `Display` form, byte for byte —
-/// the fewest significant digits that read back as `n` (the nearest such
-/// decimal), laid out in plain decimal with no exponent, no point after
-/// an integral value and `-0` for negative zero — so it round-trips
-/// exactly through `str::parse::<f64>`. Integral values below 2^53 are
-/// their integer's digits; the rest go through the shortest-digit search.
-/// Non-finite values have no JSON spelling and are written as `null`;
-/// writers that must reject them should validate before writing.
+/// Appends a JSON number: Rust's `Display` form, the fewest significant
+/// digits that read back as `n`, in plain decimal with no exponent, no
+/// point after an integral value and `-0` for negative zero — so it
+/// round-trips exactly through `str::parse::<f64>`. Non-finite values
+/// have no JSON spelling and are written as `null`; writers that must
+/// reject them should validate before writing.
 pub fn number_into(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    if n.is_sign_negative() {
-        out.push('-');
-    }
-    let n = n.abs();
-    // Below 2^53 the signed conversions are exact both ways.
-    if n < (1u64 << 53) as f64 && n as i64 as f64 == n {
-        return integer_into(out, n as u64);
-    }
-    let (digits, e10) = shortest::shortest(n.to_bits());
-    let mut buf = [0; 20];
-    let digits = decimal(&mut buf, digits);
-    let zeros = |out: &mut String, count: i32| out.extend(std::iter::repeat_n('0', count as usize));
-    // Digits before the point.
-    let whole = e10 + digits.len() as i32;
-    if e10 >= 0 {
-        out.push_str(digits);
-        zeros(out, e10);
-    } else if whole > 0 {
-        let (int, frac) = digits.split_at(whole as usize);
-        out.push_str(int);
-        out.push('.');
-        out.push_str(frac);
+    if n.is_finite() {
+        let _ = write!(out, "{n}");
     } else {
-        out.push_str("0.");
-        zeros(out, -whole);
-        out.push_str(digits);
+        out.push_str("null");
     }
 }
 
@@ -730,12 +700,6 @@ mod tests {
         assert_eq!(render_json(&Json::Num(f64::INFINITY)), "null");
     }
 
-    fn number(n: f64) -> String {
-        let mut out = String::new();
-        number_into(&mut out, n);
-        out
-    }
-
     /// SplitMix64, so the cases are fixed and need no dev-dependency.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -744,15 +708,14 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The float writer against `format!("{}")`, the spelling the run
-    /// store's committed bytes were written in: an edge table, then
-    /// random bit patterns spread over every exponent (subnormals and
-    /// negatives included), doubles with a few fraction bits (ties
-    /// between two nearest candidates) and doubles parsed from short
-    /// decimals (the search's exact-lower-bound path). 10^4 cases in a
-    /// debug build, 10^6 in release.
+    /// The writer invariant the run store's append-only bytes rest on:
+    /// every finite double is written without an exponent and parses back
+    /// to itself bit for bit, `-0` included, and a non-finite one is
+    /// `null`. An edge table, then random bit patterns spread over every
+    /// exponent (subnormals and negatives included), doubles with a few
+    /// fraction bits and doubles parsed from short decimals.
     #[test]
-    fn shortest_float_matches_display() {
+    fn floats_round_trip_bit_for_bit() {
         let mut edges = vec![
             0.0,
             -0.0,
@@ -783,35 +746,30 @@ mod tests {
             let bits = p.to_bits();
             edges.extend([p, f64::from_bits(bits - 1), f64::from_bits(bits + 1)]);
         }
-        for &v in &edges {
-            assert_eq!(number(v), format!("{v}"), "{v:e}");
-            assert_eq!(number(-v), format!("{}", -v), "{:e}", -v);
-        }
-
-        let cases = if cfg!(debug_assertions) {
-            10_000
-        } else {
-            1_000_000
-        };
         let state = &mut 0x5407_7E57;
-        for case in 0..cases {
+        let random = (0..4_000u64).map(|case| {
             let r = splitmix(state);
-            let v = match case % 4 {
+            match case % 4 {
                 // A short decimal, up to 17 digits, at a random scale.
                 3 => {
                     let digits = r % 10u64.pow(1 + (r >> 59) as u32 % 17);
                     let scale = (splitmix(state) % 620) as i32 - 324;
                     format!("{digits}e{scale}").parse().unwrap()
                 }
-                // A few fraction bits below 2^53, where the two nearest
-                // 17-digit candidates can tie.
+                // A few fraction bits below 2^53.
                 2 => (r >> 11) as f64 / (1 << (r % 13)) as f64,
                 // Sign and mantissa random, exponents 0..=2046 in turn.
-                _ => f64::from_bits(r & !(0x7ff << 52) | (case as u64 % 2047) << 52),
-            };
-            if v.is_finite() {
-                assert_eq!(number(v), format!("{v}"), "{:#x}", v.to_bits());
+                _ => f64::from_bits(r & !(0x7ff << 52) | (case % 2047) << 52),
             }
+        });
+        for x in edges.iter().flat_map(|&v| [v, -v]).chain(random) {
+            let text = render_json(&Json::Num(x));
+            assert!(!text.contains('e'), "{x:e} written as {text}");
+            let back = parse_json(&text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{x:e} written as {text}");
+        }
+        for x in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(render_json(&Json::Num(x)), "null");
         }
     }
 

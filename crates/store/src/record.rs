@@ -8,7 +8,7 @@
 //! no escape; no `Json` tree is built. Both sides use the primitives of
 //! `tictac_obs::json` (its `Lexer`, `escape_into`, `integer_into` and
 //! `number_into`), so a line reads by the same whitespace, string and
-//! number rules as `parse_json`, and no field goes through `core::fmt`.
+//! number rules as `parse_json`.
 //! The codec is deliberately rigid so the corpus stays machine-checkable:
 //!
 //! - **Canonical field order.** Encoding emits object keys in one fixed
@@ -18,8 +18,8 @@
 //!   record from a different schema version fails to decode with a clear
 //!   error instead of being silently reinterpreted.
 //! - **Byte-exact round-trips.** `encode(decode(line)) == line` for every
-//!   line `encode` can produce. Floats are rendered in shortest-
-//!   round-trip form (the bytes of `format!("{n}")`), and `u64` values
+//!   line `encode` can produce. Floats are written by `format!("{n}")`,
+//!   the shortest form that reads back as `n`, and `u64` values
 //!   that can exceed 2^53 (seeds, fingerprints) are carried as decimal
 //!   strings. The remaining integer fields are JSON numbers of at most
 //!   2^53: encoding asserts the bound, and decoding accepts only the
