@@ -202,14 +202,16 @@ cargo test --offline -q --release --test bytes_per_op
 cargo test --offline -q --release --test perfetto_snapshot
 cargo test --offline -q --release --test perfetto_fault_snapshot
 # The engine's fault rules (agenda, loss ladder, record and barrier
-# steps) in that same build, the threaded runtime's §5.1 checks, the
-# metrics derived from the trace on every way a run ends, against the
-# engine's own tallies over a fixed matrix, and the run-record codec: its
-# round-trips, integer rule and mutation fuzz against the tree oracle,
-# respelled lines against the bytes the writer wrote, and `regress`'s key
-# buffer against a `format!` key per record.
+# steps) in that same build, with the time-axis door matrix, the threaded
+# runtime's §5.1 checks, the metrics derived from the trace on every way
+# a run ends, against the engine's own tallies over a fixed matrix, the
+# run-record codec: its round-trips, integer rule and mutation fuzz
+# against the tree oracle, respelled lines against the bytes the writer
+# wrote, and `regress`'s key buffer against a `format!` key per record,
+# and the CLI's refusals, horizon ones included, in the build whose
+# integer arithmetic wraps instead of panicking.
 cargo test --offline -q --release --test faults --test backend_equivalence \
-    --test observability --test engine_metrics --test run_store
+    --test observability --test engine_metrics --test run_store --test cli_errors
 cargo test --offline -q --release -p tictac-store
 
 echo "== threaded backend smoke =="

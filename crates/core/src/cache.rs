@@ -32,14 +32,25 @@ use tictac_cluster::{deploy, ClusterSpec, DeployError, DeployedModel};
 use tictac_graph::{Fnv1a, ModelGraph};
 use tictac_obs::Registry;
 use tictac_sched::{Schedule, SchedulerKind};
-use tictac_sim::{FaultSpec, SimConfig};
+use tictac_sim::{FaultSpec, SimConfig, SimError};
 
-use crate::session::compute_schedule;
+use crate::session::{compute_schedule, ScenarioBuildError};
 
+/// The deploy level's key: built once per cache call (the model hash is
+/// the costly part) and passed down to the levels keyed on it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct DeployKey {
-    fingerprint: u64,
+pub(crate) struct DeployKey {
+    pub(crate) fingerprint: u64,
     cluster: ClusterSpec,
+}
+
+impl DeployKey {
+    pub(crate) fn new(model: &ModelGraph, cluster: &ClusterSpec) -> Self {
+        Self {
+            fingerprint: model.fingerprint(),
+            cluster: cluster.clone(),
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -127,16 +138,21 @@ impl DeployCache {
         model: &ModelGraph,
         cluster: &ClusterSpec,
     ) -> Result<Arc<DeployedModel>, DeployError> {
-        let key = DeployKey {
-            fingerprint: model.fingerprint(),
-            cluster: cluster.clone(),
-        };
+        self.deploy_at(DeployKey::new(model, cluster), model)
+    }
+
+    /// [`deploy`](Self::deploy) under `key`, `model`'s.
+    fn deploy_at(
+        &self,
+        key: DeployKey,
+        model: &ModelGraph,
+    ) -> Result<Arc<DeployedModel>, DeployError> {
         if let Some(hit) = lock(&self.deploys).get(&key) {
             self.deploy_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(hit));
         }
         self.deploy_misses.fetch_add(1, Ordering::Relaxed);
-        let deployed = Arc::new(deploy(model, cluster)?);
+        let deployed = Arc::new(deploy(model, &key.cluster)?);
         Ok(Arc::clone(
             lock(&self.deploys).entry(key).or_insert(deployed),
         ))
@@ -151,7 +167,9 @@ impl DeployCache {
     ///
     /// # Errors
     ///
-    /// Returns a [`DeployError`] if the cluster spec or model is invalid.
+    /// [`ScenarioBuildError::Deploy`] if the cluster spec or model is
+    /// invalid, and [`ScenarioBuildError::Backend`] with what TAC's
+    /// profiling plan refuses (a cluster too slow for the time axis).
     pub fn schedule(
         &self,
         model: &ModelGraph,
@@ -159,13 +177,24 @@ impl DeployCache {
         scheduler: SchedulerKind,
         config: &SimConfig,
         registry: &Registry,
-    ) -> Result<(Arc<DeployedModel>, Arc<Schedule>), DeployError> {
-        let deployed = self.deploy(model, cluster)?;
+    ) -> Result<(Arc<DeployedModel>, Arc<Schedule>), ScenarioBuildError> {
+        let key = DeployKey::new(model, cluster);
+        self.schedule_at(key, model, scheduler, config, registry)
+    }
+
+    /// [`schedule`](Self::schedule) under `key`, `model`'s and the
+    /// cluster's.
+    pub(crate) fn schedule_at(
+        &self,
+        key: DeployKey,
+        model: &ModelGraph,
+        scheduler: SchedulerKind,
+        config: &SimConfig,
+        registry: &Registry,
+    ) -> Result<(Arc<DeployedModel>, Arc<Schedule>), ScenarioBuildError> {
+        let deployed = self.deploy_at(key.clone(), model)?;
         let key = SchedKey {
-            deploy: DeployKey {
-                fingerprint: model.fingerprint(),
-                cluster: cluster.clone(),
-            },
+            deploy: key,
             scheduler,
             config_hash: schedule_config_hash(config),
         };
@@ -176,7 +205,7 @@ impl DeployCache {
             }
         }
         self.schedule_misses.fetch_add(1, Ordering::Relaxed);
-        let schedule = Arc::new(compute_schedule(&deployed, scheduler, config, registry));
+        let schedule = Arc::new(compute_schedule(&deployed, scheduler, config, registry)?);
         let shared = Arc::clone(lock(&self.schedules).entry(key).or_insert(schedule));
         Ok((deployed, shared))
     }
@@ -191,7 +220,7 @@ impl DeployCache {
     ///
     /// # Errors
     ///
-    /// Returns a [`DeployError`] if the cluster spec or model is invalid.
+    /// As [`schedule`](Self::schedule), and what `compute` returns.
     pub(crate) fn tune_eval<F>(
         &self,
         model: &ModelGraph,
@@ -200,16 +229,14 @@ impl DeployCache {
         config: &SimConfig,
         samples: u32,
         compute: F,
-    ) -> Result<f64, DeployError>
+    ) -> Result<f64, ScenarioBuildError>
     where
-        F: FnOnce(&DeployedModel, &Schedule) -> f64,
+        F: FnOnce(&DeployedModel, &Schedule) -> Result<f64, SimError>,
     {
+        let deploy = DeployKey::new(model, cluster);
         let key = EvalKey {
             sched: SchedKey {
-                deploy: DeployKey {
-                    fingerprint: model.fingerprint(),
-                    cluster: cluster.clone(),
-                },
+                deploy: deploy.clone(),
                 scheduler,
                 config_hash: schedule_config_hash(config),
             },
@@ -221,8 +248,8 @@ impl DeployCache {
         }
         self.eval_misses.fetch_add(1, Ordering::Relaxed);
         let (deployed, schedule) =
-            self.schedule(model, cluster, scheduler, config, &Registry::disabled())?;
-        let value = compute(&deployed, &schedule);
+            self.schedule_at(deploy, model, scheduler, config, &Registry::disabled())?;
+        let value = compute(&deployed, &schedule)?;
         lock(&self.evals).insert(key, value);
         Ok(value)
     }
@@ -336,7 +363,7 @@ mod tests {
         let v1 = cache
             .tune_eval(&model, &spec, SchedulerKind::Tac, &config, 2, |d, s| {
                 assert_eq!(s.len(), d.graph().len());
-                1.5
+                Ok(1.5)
             })
             .unwrap();
         let v2 = cache
@@ -350,7 +377,9 @@ mod tests {
             .clone()
             .with_comm(CommConfig::default().with_fusion_bytes(Some(1024)));
         let v3 = cache
-            .tune_eval(&model, &tuned, SchedulerKind::Tac, &config, 2, |_, _| 2.5)
+            .tune_eval(&model, &tuned, SchedulerKind::Tac, &config, 2, |_, _| {
+                Ok(2.5)
+            })
             .unwrap();
         assert_eq!(v3, 2.5);
         let stats = cache.stats();

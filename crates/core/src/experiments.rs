@@ -12,6 +12,11 @@ use tictac_sim::{RunPlan, SimConfig};
 /// observes over `runs` baseline iterations — the experiment of §2.2
 /// (ResNet-v2-50 and Inception-v3 produced 1000 unique orders in 1000
 /// runs; VGG-16 produced 493).
+///
+/// # Panics
+///
+/// Panics with the [`SimError`](tictac_sim::SimError) of a refused plan
+/// or a failed run.
 pub fn count_unique_recv_orders(
     deployed: &DeployedModel,
     config: &SimConfig,
@@ -20,7 +25,7 @@ pub fn count_unique_recv_orders(
     let graph = deployed.graph();
     let schedule = no_ordering(graph);
     let w0 = deployed.workers()[0];
-    let plan = RunPlan::new(graph, &schedule, config).expect("`no_ordering` covers its graph");
+    let plan = RunPlan::new(graph, &schedule, config).unwrap_or_else(|e| panic!("{e}"));
     let mut seen = HashSet::with_capacity(runs);
     for i in 0..runs {
         let trace = plan

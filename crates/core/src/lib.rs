@@ -72,8 +72,8 @@ pub use tictac_sched::{
     OpProperties, PartitionGraph, Schedule, SchedulerKind,
 };
 pub use tictac_sim::{
-    noise_free_profile, simulate, simulate_with_plan, try_simulate, Blackout, Crash, ExecOptions,
-    FaultPlan, FaultSpec, RunPlan, SimConfig, SimError, Stall,
+    noise_free_profile, simulate, Blackout, Crash, ExecOptions, FaultPlan, FaultSpec, RunPlan,
+    SimConfig, SimError, Stall,
 };
 #[doc(hidden)]
 pub use tictac_sim::{selected_engine, EngineChoice};

@@ -15,7 +15,7 @@ use tictac_sim::{
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
 use tictac_trace::{
     analyze, estimate_profile, BackendKind, ExecutionTrace, FaultCounters, MeasuredProfile,
-    NoiseModel, SimDuration, HORIZON_NS,
+    NoiseModel, SimDuration,
 };
 
 use crate::scenario::Scenario;
@@ -151,43 +151,44 @@ impl SessionBuilder {
     /// process-wide [`DeployCache`](crate::DeployCache): sessions sharing
     /// a `(model, cluster, scheduler, config)` configuration share one
     /// deployed graph and one schedule vector behind `Arc`s. Then derives
-    /// the [`RunPlan`] every iteration of the session runs from.
+    /// the [`RunPlan`] every iteration of the session runs from, whose
+    /// [`RunPlan::new`] checks the run.
     ///
     /// # Errors
     ///
     /// [`ScenarioBuildError::Backend`], before anything is deployed, with
     /// [`SimError::InvalidKnob`] if a config knob is out of range
     /// ([`SimConfig::check`]), or if the session is
-    /// [`threaded`](SessionBuilder::threaded) and its config sets a knob
-    /// the wall clock cannot honor: a reorder error
-    /// above 0.01, noise heavier than `sigma` 0.1 or a 5% slowdown
-    /// probability, a fault spec that can inject a fault or sets a
-    /// degraded barrier, or an [`ExecOptions::time_scale`] that is not
-    /// positive and finite. [`ScenarioBuildError::Deploy`] if the cluster
-    /// spec or model is invalid.
+    /// [`threaded`](SessionBuilder::threaded) and [`ExecOptions::check`]
+    /// refuses its config; after deployment, with what [`RunPlan::new`]
+    /// refuses (TAC's profiling plan's or the session's own), such as a
+    /// cluster whose speed or bandwidth factors push an iteration past the
+    /// 2^53 ns end of the time axis. [`ScenarioBuildError::Deploy`] if the
+    /// cluster spec or model is invalid.
     pub fn build(self) -> Result<Session, ScenarioBuildError> {
         let started = Instant::now();
         let s = &self.settings;
         s.config.check()?;
         if let Some(opts) = &self.threaded {
-            check_threaded(&s.config, opts)?;
+            opts.check(&s.config)?;
         }
-        let (deployed, schedule) = crate::DeployCache::global().schedule(
+        let key = crate::cache::DeployKey::new(&self.model, &s.cluster);
+        let model_fp = key.fingerprint;
+        let (deployed, schedule) = crate::DeployCache::global().schedule_at(
+            key,
             &self.model,
-            &s.cluster,
             s.scheduler,
             &s.config,
             &self.registry,
         )?;
         let schedule_compute_time = started.elapsed();
-        let plan = RunPlan::new(deployed.graph(), &schedule, &s.config)
-            .expect("checked knobs and a derived schedule make a plan");
+        let plan = RunPlan::new(deployed.graph(), &schedule, &s.config)?;
         let sink = self
             .sink
             .or_else(|| tictac_store::global_store().map(|s| s as std::sync::Arc<dyn RunSink>));
         Ok(Session {
             model_name: self.model.name().to_string(),
-            model_fp: self.model.fingerprint(),
+            model_fp,
             batch: self.model.batch_size(),
             deployed,
             scheduler: s.scheduler,
@@ -207,25 +208,20 @@ impl SessionBuilder {
     }
 }
 
-/// Error building a runnable [`Session`], by [`SessionBuilder::build`] or
-/// from a [`Scenario`]: the deployment can be invalid, a knob can be out
-/// of range, the session can ask the threaded runtime for a configuration
-/// it does not support, or a scenario's cluster can be too slow for an
-/// iteration to fit on the time axis.
+/// Error building a runnable [`Session`] — by [`SessionBuilder::build`],
+/// from a [`Scenario`] — or deriving a schedule or a tuning evaluation
+/// through the [`DeployCache`](crate::DeployCache): the deployment can be
+/// invalid, or the executors can refuse the run.
 #[derive(Debug)]
 pub enum ScenarioBuildError {
     /// The model/cluster deployment failed.
     Deploy(DeployError),
-    /// The executors refused the configuration: a knob out of range
-    /// ([`SimError::InvalidKnob`]) or one the threaded runtime cannot
-    /// honor ([`SimError::UnsupportedConfig`]).
+    /// The executors refused the run: a knob out of range
+    /// ([`SimError::InvalidKnob`]), one the threaded runtime cannot honor
+    /// ([`SimError::UnsupportedConfig`]), or an iteration or retry budget
+    /// past the end of the time axis ([`SimError::ServicePastHorizon`],
+    /// [`SimError::RetryPastHorizon`]).
     Backend(SimError),
-    /// The deployment's noise-free service times sum to `total`
-    /// (saturating), at or past the 2^53 ns end of the time axis.
-    Horizon {
-        /// That sum: an upper bound on one noise-free iteration.
-        total: SimDuration,
-    },
 }
 
 impl std::fmt::Display for ScenarioBuildError {
@@ -233,13 +229,6 @@ impl std::fmt::Display for ScenarioBuildError {
         match self {
             ScenarioBuildError::Deploy(e) => write!(f, "invalid deployment: {e}"),
             ScenarioBuildError::Backend(e) => write!(f, "refused config: {e}"),
-            ScenarioBuildError::Horizon { total } => write!(
-                f,
-                "one iteration's service times add up to {:.3e} s or more, past the \
-                 2^53 ns (104-day) horizon of the time axis; the speed and bandwidth \
-                 factors are too small",
-                total.as_secs_f64()
-            ),
         }
     }
 }
@@ -258,84 +247,15 @@ impl From<SimError> for ScenarioBuildError {
     }
 }
 
-/// Checks that an iteration of `deployed` fits below [`HORIZON_NS`]: a
-/// noise-free, fault-free iteration takes at most the sum of its ops'
-/// service times, a send costing nothing. The sum saturates, as each
-/// service time does, so no factor can wrap it back under the bound.
-fn check_horizon(deployed: &DeployedModel, config: &SimConfig) -> Result<(), ScenarioBuildError> {
-    let graph = deployed.graph();
-    let profile = noise_free_profile(graph, config);
-    let total = graph
-        .ops()
-        .filter(|(_, op)| !op.kind().is_send())
-        .fold(SimDuration::ZERO, |sum, (id, _)| {
-            sum.saturating_add(profile.get(id))
-        });
-    if total.as_nanos() >= HORIZON_NS {
-        return Err(ScenarioBuildError::Horizon { total });
-    }
-    Ok(())
-}
-
-/// Refuses, with [`SimError::UnsupportedConfig`], the knobs of a
-/// [checked](SimConfig::check) config that a threaded run cannot honor,
-/// instead of silently ignoring them:
-///
-/// * `reorder_error` above 0.01 — the runtime does not inject artificial
-///   reorders; rates up to the paper's measured gRPC level (§5.1) are
-///   adequately represented by physical hand-off jitter, larger ones are
-///   not.
-/// * heavy [`NoiseModel`]s (`sigma > 0.1` or worker-slowdown probability
-///   above 5%) — modeled noise cannot be replayed by calibrated
-///   busy-loops; the presets' mild noise is subsumed by physical jitter.
-/// * a [`FaultSpec`] that can inject a fault or sets a degraded barrier —
-///   faults are simulated only.
-/// * a `time_scale` that is not positive and finite — no wall-clock
-///   duration replays it.
-fn check_threaded(config: &SimConfig, opts: &ExecOptions) -> Result<(), SimError> {
-    let reorder = config.reorder_error;
-    if reorder > 0.01 {
-        return Err(SimError::UnsupportedConfig {
-            knob: "reorder_error",
-            reason: format!(
-                "injected reorder rate {reorder} exceeds what physical hand-off jitter \
-                 reproduces (max 0.01)"
-            ),
-        });
-    }
-    if config.noise.sigma() > 0.1 || config.noise.slowdown_prob() > 0.05 {
-        return Err(SimError::UnsupportedConfig {
-            knob: "noise",
-            reason: format!(
-                "modeled noise (sigma {}, slowdown prob {}) is too heavy to be \
-                 replayed by wall-clock busy-loops",
-                config.noise.sigma(),
-                config.noise.slowdown_prob()
-            ),
-        });
-    }
-    if !config.faults.is_quiet() || config.faults.barrier_timeout.is_some() {
-        return Err(SimError::UnsupportedConfig {
-            knob: "faults",
-            reason: "faults are simulated only; run a faulty config on the sim backend".to_string(),
-        });
-    }
-    if !(opts.time_scale > 0.0 && opts.time_scale.is_finite()) {
-        return Err(SimError::UnsupportedConfig {
-            knob: "time_scale",
-            reason: format!("{} is not a positive finite scale", opts.time_scale),
-        });
-    }
-    Ok(())
-}
-
-/// [`tictac_sim::simulate_with_plan`], plus, for an enabled `registry`,
-/// the run's `sim.*` metrics derived from its trace, a failed run's too
-/// ([`sim_metrics`]).
+/// One iteration under the explicit `plan` (replayable: the same plan
+/// injects the same faults every time), [`RunPlan::run`] on a plan built
+/// for the one run, plus, for an enabled `registry`, the run's `sim.*`
+/// metrics derived from its trace, a failed run's too ([`sim_metrics`]).
 ///
 /// # Errors
 ///
-/// As [`tictac_sim::try_simulate`].
+/// What [`RunPlan::new`] refuses, and what stopped the run: as
+/// [`RunPlan::try_simulate`].
 pub fn simulate_with_plan_observed(
     graph: &Graph,
     schedule: &Schedule,
@@ -378,30 +298,39 @@ const PROFILE_ITERATION_BASE: u64 = 1 << 40;
 /// Without noise the five runs measure the same durations by construction
 /// (see [`noise_free_profile`]), so the minimum is read off the engine's
 /// service times and nothing is simulated.
-fn profile_oracle(deployed: &DeployedModel, config: &SimConfig) -> MeasuredProfile {
+///
+/// # Errors
+///
+/// What the profiling plan's [`RunPlan::new`] refuses, and a profiling
+/// run's failure.
+fn profile_oracle(
+    deployed: &DeployedModel,
+    config: &SimConfig,
+) -> Result<MeasuredProfile, SimError> {
     let graph = deployed.graph();
     let profile_config = config.clone().with_faults(FaultSpec::none());
     if profile_config.noise == NoiseModel::none() {
-        return noise_free_profile(graph, &profile_config);
+        return Ok(noise_free_profile(graph, &profile_config));
     }
     let unordered = no_ordering(graph);
-    let plan =
-        RunPlan::new(graph, &unordered, &profile_config).expect("`no_ordering` covers its graph");
-    let traces: Vec<_> = (0..5)
-        .map(|i| {
-            plan.try_simulate(graph, &unordered, PROFILE_ITERATION_BASE + i)
-                .expect("a fault-free run of a deployed graph completes")
-        })
-        .collect();
-    estimate_profile(&traces)
+    let plan = RunPlan::new(graph, &unordered, &profile_config)?;
+    let traces = (0..5)
+        .map(|i| plan.try_simulate(graph, &unordered, PROFILE_ITERATION_BASE + i))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(estimate_profile(&traces))
 }
 
+/// The replicated schedule `scheduler` derives for `deployed`.
+///
+/// # Errors
+///
+/// What TAC's [`profile_oracle`] returns.
 pub(crate) fn compute_schedule(
     deployed: &DeployedModel,
     scheduler: SchedulerKind,
     config: &SimConfig,
     registry: &Registry,
-) -> Schedule {
+) -> Result<Schedule, SimError> {
     let graph = deployed.graph();
     let reference = deployed.workers()[0];
     let schedule = match scheduler {
@@ -415,11 +344,11 @@ pub(crate) fn compute_schedule(
         SchedulerKind::Tac => tac_observed(
             graph,
             reference,
-            &profile_oracle(deployed, config),
+            &profile_oracle(deployed, config)?,
             registry,
         ),
     };
-    deployed.replicate_schedule(&schedule)
+    Ok(deployed.replicate_schedule(&schedule))
 }
 
 /// One measured iteration.
@@ -605,24 +534,14 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns a [`ScenarioBuildError`] if the deployment is invalid, the
-    /// threaded backend rejects the scenario's configuration, or the
-    /// scenario's heterogeneity factors push one iteration past the
-    /// 2^53 ns horizon of the time axis.
+    /// As [`SessionBuilder::build`].
     pub fn from_scenario(scenario: &Scenario) -> Result<Session, ScenarioBuildError> {
         let model = scenario
             .model
             .build_with_batch(scenario.mode, scenario.batch);
-        let config = scenario.sim_config();
-        // Before anything is scheduled or simulated: `build` profiles
-        // noisy TAC sessions by simulation.
-        check_horizon(
-            &*crate::DeployCache::global().deploy(&model, &scenario.cluster)?,
-            &config,
-        )?;
         let mut builder = Session::builder(model).settings(SessionConfig {
             cluster: scenario.cluster.clone(),
-            config: config.clone(),
+            config: scenario.sim_config(),
             scheduler: scenario.scheduler,
             warmup: scenario.warmup,
             iterations: scenario.iterations,
@@ -1023,7 +942,7 @@ mod tests {
             "retry.backoff",
             |f| &mut f.retry.backoff,
             vec![nan, -inf, -2.0, 0.5],
-            vec![1.0, 1e3],
+            vec![1.0, 100.0],
         ));
         let build = |faults: FaultSpec| {
             let config = SimConfig {
@@ -1069,6 +988,17 @@ mod tests {
         let barrier = FaultSpec::none().with_barrier_timeout(D::from_nanos(1));
         let (built, planned) = build(barrier);
         assert!(built.is_ok() && planned.is_ok(), "a 1 ns barrier builds");
+        // A backoff of 1e3 is in range, but its four retries add up past
+        // the 2^53 ns time axis: both doors refuse the policy as such.
+        let mut far = FaultSpec::none();
+        far.retry.backoff = 1e3;
+        match build(far) {
+            (
+                Err(ScenarioBuildError::Backend(SimError::RetryPastHorizon { .. })),
+                Err(SimError::RetryPastHorizon { .. }),
+            ) => {}
+            other => panic!("a backoff of 1e3 not refused by both doors: {other:?}"),
+        }
 
         // The defaults and every committed scenario still build.
         assert!(Session::builder(tiny_mlp(Mode::Training, 8))
@@ -1179,7 +1109,9 @@ mod tests {
         let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
         let cfg = SimConfig::cloud_gpu();
         let s = no_ordering(d.graph());
-        let plain = tictac_sim::try_simulate(d.graph(), &s, &cfg, 0).unwrap();
+        let plain = RunPlan::new(d.graph(), &s, &cfg)
+            .and_then(|plan| plan.try_simulate(d.graph(), &s, 0))
+            .unwrap();
         let registry = Registry::enabled();
         let quiet = FaultPlan::quiet();
         let observed =

@@ -18,12 +18,13 @@
 //! the incumbent, so the tuned result can never regress below plain
 //! deployment on the metric it optimises.
 
-use tictac_cluster::{ClusterSpec, CommConfig, DeployError};
+use tictac_cluster::{ClusterSpec, CommConfig};
 use tictac_graph::ModelGraph;
 use tictac_sched::SchedulerKind;
-use tictac_sim::{FaultSpec, RunPlan, SimConfig};
+use tictac_sim::{FaultSpec, RunPlan, SimConfig, SimError};
 
 use crate::cache::DeployCache;
+use crate::session::ScenarioBuildError;
 
 /// Iteration-index base for tuning simulations, far away from the
 /// ranges used by sessions (run offsets) and experiments, so the noise
@@ -123,8 +124,11 @@ impl TuneResult {
 ///
 /// # Errors
 ///
-/// Returns a [`DeployError`] if the model does not fit the cluster or a
-/// ladder contains a zero threshold.
+/// [`ScenarioBuildError::Deploy`] if the model does not fit the cluster
+/// or a ladder contains a zero threshold, and
+/// [`ScenarioBuildError::Backend`] with what a candidate's
+/// [`RunPlan::new`] refuses (a cluster too slow for the time axis) or
+/// a sample run's failure.
 pub fn auto_tune_with(
     cache: &DeployCache,
     model: &ModelGraph,
@@ -132,7 +136,7 @@ pub fn auto_tune_with(
     scheduler: SchedulerKind,
     config: &SimConfig,
     options: &TuneOptions,
-) -> Result<TuneResult, DeployError> {
+) -> Result<TuneResult, ScenarioBuildError> {
     // Candidates are ranked on quiet simulations: injected faults would
     // make the objective depend on the fault stream rather than the
     // granularity under test.
@@ -140,7 +144,7 @@ pub fn auto_tune_with(
     config.faults = FaultSpec::default();
     let samples = options.samples.max(1);
     let mut evaluations = 0usize;
-    let mut eval = |comm: CommConfig| -> Result<f64, DeployError> {
+    let mut eval = |comm: CommConfig| -> Result<f64, ScenarioBuildError> {
         evaluations += 1;
         let candidate = cluster.clone().with_comm(comm);
         cache.tune_eval(
@@ -150,17 +154,14 @@ pub fn auto_tune_with(
             &config,
             samples,
             |d, sched| {
-                let plan = RunPlan::new(d.graph(), sched, &config)
-                    .expect("a derived schedule covers its graph");
-                let sum: f64 = (0..u64::from(samples))
+                let plan = RunPlan::new(d.graph(), sched, &config)?;
+                let sum = (0..u64::from(samples))
                     .map(|i| {
-                        plan.try_simulate(d.graph(), sched, EVAL_ITER_BASE + i)
-                            .expect("a fault-free run of a deployed graph completes")
-                            .makespan()
-                            .as_secs_f64()
+                        let trace = plan.try_simulate(d.graph(), sched, EVAL_ITER_BASE + i)?;
+                        Ok(trace.makespan().as_secs_f64())
                     })
-                    .sum();
-                sum / f64::from(samples)
+                    .sum::<Result<f64, SimError>>()?;
+                Ok(sum / f64::from(samples))
             },
         )
     };

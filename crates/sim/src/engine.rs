@@ -1,16 +1,17 @@
 //! The discrete-event execution engine and its driver.
 //!
-//! Every public `simulate*` entry point ends in one driver
-//! ([`RunPlan::run`]): build the engine over the plan's tables, run it.
-//! The free functions are a plan for one run. One single-threaded seeded
-//! event loop per run; parallelism lives outside it, in
-//! `tictac_core::parallel_map` over independent grid points (DESIGN.md
-//! §12). The engine keeps no metrics: they are derived from its trace
-//! (§8).
+//! Every engine run ends in one driver ([`RunPlan::run`]): build the
+//! engine over the plan's tables, run it. [`simulate`] is a plan for one
+//! run. One single-threaded seeded event loop per run; parallelism lives
+//! outside it, in `tictac_core::parallel_map` over independent grid
+//! points (DESIGN.md §12). The engine keeps no metrics: they are derived
+//! from its trace (§8).
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::faults::{close_at_barrier, darkened_by_crash, AfterLoss, FaultPlan, Transition};
+use crate::faults::{
+    close_at_barrier, darkened_by_crash, AfterLoss, FaultPlan, FaultSpec, Transition,
+};
 use crate::plan::{Route, RunPlan, TransferTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -28,73 +29,39 @@ use tictac_trace::{ExecutionTrace, FaultEventKind, SimDuration, SimTime, TraceBu
 /// reproducible while distinct iterations observe independent noise,
 /// ready-queue draws and injected faults.
 ///
-/// This is the panicking convenience wrapper around [`try_simulate`];
-/// prefer the latter when faults are enabled and failures (exhausted retry
-/// budgets without a degraded barrier) are expected outcomes. Both derive
-/// a [`RunPlan`] for the one run; callers that run many iterations of one
-/// `(graph, schedule, config)` build the plan once and run from it.
+/// This is the panicking one-shot wrapper around [`RunPlan::new`] and
+/// [`RunPlan::try_simulate`]; use those when a refusal or a failure
+/// (an exhausted retry budget without a degraded barrier) is an expected
+/// outcome, and to run many iterations of one `(graph, schedule,
+/// config)` from one plan.
 ///
 /// # Panics
 ///
-/// Panics if [`try_simulate`] returns an error.
+/// Panics with the [`SimError`] either returns.
 pub fn simulate(
     graph: &Graph,
     schedule: &Schedule,
     config: &SimConfig,
     iteration: u64,
 ) -> ExecutionTrace {
-    try_simulate(graph, schedule, config, iteration).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Simulates one iteration, sampling the iteration's [`FaultPlan`] from
-/// `config.faults`.
-///
-/// # Errors
-///
-/// Returns [`SimError::ScheduleMismatch`] if `schedule` does not cover
-/// `graph`, [`SimError::RetryPastHorizon`] if the retry policy's worst case
-/// reaches the end of the time axis, [`SimError::RetriesExhausted`] if a
-/// transfer runs out of retransmits with no degraded barrier configured,
-/// and [`SimError::Deadlock`] if the event queue drains with work
-/// outstanding (impossible for builder-validated DAGs without fault
-/// injection).
-pub fn try_simulate(
-    graph: &Graph,
-    schedule: &Schedule,
-    config: &SimConfig,
-    iteration: u64,
-) -> Result<ExecutionTrace, SimError> {
-    RunPlan::new(graph, schedule, config)?.try_simulate(graph, schedule, iteration)
-}
-
-/// Simulates one iteration under an explicit, pre-sampled [`FaultPlan`]
-/// (replayable: the same plan injects the same faults every time):
-/// [`RunPlan::run`] on a plan built for this one run.
-///
-/// # Errors
-///
-/// As [`try_simulate`].
-pub fn simulate_with_plan(
-    graph: &Graph,
-    schedule: &Schedule,
-    config: &SimConfig,
-    iteration: u64,
-    plan: &FaultPlan,
-) -> Result<ExecutionTrace, SimError> {
-    let (trace, error) =
-        RunPlan::new(graph, schedule, config)?.run(graph, schedule, iteration, plan)?;
-    error.map_or(Ok(trace), Err)
+    RunPlan::new(graph, schedule, config)
+        .and_then(|plan| plan.try_simulate(graph, schedule, iteration))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl RunPlan {
     /// Simulates iteration `iteration` of the plan's `graph` and
     /// `schedule`, sampling the iteration's [`FaultPlan`] from the plan's
     /// configuration. Iterations run from one plan equal, trace for trace,
-    /// fresh [`try_simulate`] calls with the same arguments.
+    /// fresh plans' runs with the same arguments.
     ///
     /// # Errors
     ///
-    /// As [`try_simulate`], minus the mismatch the plan already excluded.
+    /// [`SimError::RetriesExhausted`] if a transfer runs out of
+    /// retransmits with no degraded barrier configured, and
+    /// [`SimError::Deadlock`] if the event queue drains with work
+    /// outstanding (impossible for builder-validated DAGs without fault
+    /// injection).
     pub fn try_simulate(
         &self,
         graph: &Graph,
@@ -106,22 +73,18 @@ impl RunPlan {
         error.map_or(Ok(trace), Err)
     }
 
-    /// Simulates one iteration under the pre-sampled `faults`: the driver
-    /// behind every `simulate*` entry point. Returns the trace the engine
-    /// built however the run ended — a failed run's holds what executed
-    /// before it stopped — beside the error that stopped it, if any.
-    ///
-    /// `faults` is checked here because it is what the engine reads:
-    /// sampled plans copy a checked spec's knobs, hand-built ones set their
-    /// own.
+    /// Simulates one iteration under the pre-sampled `faults` (replayable:
+    /// the same plan injects the same faults every time), with the drop
+    /// rate, retry policy and barrier of the plan's configuration: the
+    /// driver behind every engine run. Returns the trace the engine built
+    /// however the run ended — a failed run's holds what executed before
+    /// it stopped — beside the error that stopped it, if any.
     ///
     /// # Errors
     ///
     /// Before the engine starts, so there is no trace:
-    /// [`SimError::InvalidKnob`] for a plan knob out of
-    /// [`FaultSpec::check`](crate::FaultSpec::check)'s ranges, and
-    /// [`SimError::RetryPastHorizon`] for a retry policy whose timeouts can
-    /// add up to the end of the time axis.
+    /// [`SimError::InvalidKnob`] for a straggler factor of `faults` out of
+    /// [`FaultSpec::check`]'s range (a hand-built plan sets its own).
     pub fn run(
         &self,
         graph: &Graph,
@@ -490,6 +453,9 @@ struct Engine<'g> {
     disorder_window: usize,
     rng: SmallRng,
     plan: &'g FaultPlan,
+    /// The configuration's fault spec: the drop rate, retry policy and
+    /// barrier `plan` runs under.
+    spec: &'g FaultSpec,
 
     clock: SimTime,
     /// Pending events, popped in ascending `at`, ties in scheduling order.
@@ -585,6 +551,7 @@ impl<'g> Engine<'g> {
             disorder_window: config.disorder_window.unwrap_or(usize::MAX),
             rng,
             plan,
+            spec: &config.faults,
             clock: SimTime::ZERO,
             events: EventQueue::new(),
             indegree: run.indegree.clone(),
@@ -626,7 +593,7 @@ impl<'g> Engine<'g> {
             self.trace
                 .push_fault(SimTime::ZERO, FaultEventKind::StragglerApplied { device });
         }
-        for (at, transition) in plan.agenda() {
+        for (at, transition) in plan.agenda(self.spec.barrier_timeout) {
             self.schedule_event(at, EventKind::Fault(transition));
         }
     }
@@ -830,7 +797,8 @@ impl<'g> Engine<'g> {
         // The wire-time draw happens whether or not the attempt survives,
         // so the noise stream is independent of drop decisions.
         let dur = self.noise.apply(&mut self.rng, base);
-        if self.plan.drops_attempt(recv, self.attempts[recv.index()]) {
+        let attempt = self.attempts[recv.index()];
+        if self.plan.drops_attempt(self.spec.drop_prob, recv, attempt) {
             // Lost on the wire: the channel stays wedged on the failed
             // stream until loss detection fires.
             self.lose(recv);
@@ -850,7 +818,7 @@ impl<'g> Engine<'g> {
         );
         let epoch = self.epoch[recv.index()];
         self.schedule_event(
-            self.clock + self.plan.retry.timeout_for(attempt),
+            self.clock + self.spec.retry.timeout_for(attempt),
             EventKind::TransferTimeout(recv, epoch),
         );
     }
@@ -926,7 +894,7 @@ impl<'g> Engine<'g> {
         let attempt = self.attempts[recv.index()];
         self.attempts[recv.index()] = attempt + 1;
         match self
-            .plan
+            .spec
             .after_timeout(&mut self.trace, recv, attempt, self.clock)
         {
             AfterLoss::Retransmit => self.chan_queue[ch].push(recv, self.transfers.recv_rank(recv)),
@@ -1017,6 +985,30 @@ mod tests {
     use tictac_graph::{tiny_mlp, Cost, GraphBuilder, Mode, OpKind};
     use tictac_sched::no_ordering;
     use tictac_trace::{Platform, RetryPolicy, SimDuration};
+
+    /// One iteration from a plan built for it.
+    fn try_simulate(
+        graph: &Graph,
+        schedule: &Schedule,
+        config: &SimConfig,
+        iteration: u64,
+    ) -> Result<ExecutionTrace, SimError> {
+        RunPlan::new(graph, schedule, config)?.try_simulate(graph, schedule, iteration)
+    }
+
+    /// One iteration under the explicit `faults`, which must complete.
+    fn run_with(
+        graph: &Graph,
+        schedule: &Schedule,
+        config: &SimConfig,
+        iteration: u64,
+        faults: &FaultPlan,
+    ) -> ExecutionTrace {
+        let plan = RunPlan::new(graph, schedule, config).unwrap();
+        let (trace, error) = plan.run(graph, schedule, iteration, faults).unwrap();
+        assert_eq!(error, None);
+        trace
+    }
 
     fn fig1a() -> (Graph, [OpId; 6]) {
         // Full Figure 1a including PS side, sized so the recv order
@@ -1339,7 +1331,7 @@ mod tests {
             at: SimTime::from_nanos(at),
             until: SimTime::from_nanos(until),
         }));
-        let trace = simulate_with_plan(&g, &no_ordering(&g), &cfg, 0, &plan).unwrap();
+        let trace = run_with(&g, &no_ordering(&g), &cfg, 0, &plan);
         let end = |op| trace.record(op).unwrap().end;
         assert_eq!([end(c), end(a), end(z)], [end(r); 3]);
         let mut order = watchers.map(|(name, w)| (trace.record(w).unwrap().start, name));
@@ -1558,7 +1550,7 @@ mod tests {
         let cfg = SimConfig::deterministic(Platform::cpu_cluster());
         let clean = simulate(&g, &no_ordering(&g), &cfg, 0);
         assert!(clean.fault_events().is_empty());
-        // try_simulate with a quiet spec is the same simulation.
+        // A plan's run with a quiet spec is the same simulation.
         let again = try_simulate(&g, &no_ordering(&g), &cfg, 0).unwrap();
         assert_eq!(clean, again);
     }
@@ -1706,7 +1698,7 @@ mod tests {
         );
         let s = no_ordering(d.graph());
         let plan = FaultPlan::sample(&cfg.faults, d.graph(), cfg.seed, 3);
-        let replay = || simulate_with_plan(d.graph(), &s, &cfg, 3, &plan).unwrap();
+        let replay = || run_with(d.graph(), &s, &cfg, 3, &plan);
         let (a, b) = (replay(), replay());
         assert_eq!(a, b, "same plan, same trace — bytes and all");
         let c = try_simulate(d.graph(), &s, &cfg, 3).unwrap();

@@ -45,6 +45,13 @@ pub enum SimError {
         /// The policy's worst case, `RetryPolicy::total_budget`.
         budget: SimDuration,
     },
+    /// The plan's noise-free service times sum to `total` (saturating),
+    /// at or past the 2^53 ns end of the time axis: one iteration of it
+    /// would leave the axis.
+    ServicePastHorizon {
+        /// That sum: an upper bound on one noise-free iteration.
+        total: SimDuration,
+    },
     /// The threaded runtime's watchdog expired with work outstanding (a
     /// wedged thread or an impossible schedule).
     Stalled {
@@ -105,6 +112,13 @@ impl fmt::Display for SimError {
                 "the retry policy can spend {budget} on one transfer, reaching the \
                  2^53 ns (104-day) horizon of the time axis"
             ),
+            SimError::ServicePastHorizon { total } => write!(
+                f,
+                "one iteration's service times add up to {:.3e} s or more, past the \
+                 2^53 ns (104-day) horizon of the time axis; the speed and bandwidth \
+                 factors are too small",
+                total.as_secs_f64()
+            ),
             SimError::Stalled {
                 completed,
                 remaining,
@@ -157,6 +171,10 @@ mod tests {
         assert!(std::error::Error::source(&e).is_none());
         let e = SimError::RetryPastHorizon {
             budget: SimDuration::from_nanos(u64::MAX),
+        };
+        assert!(e.to_string().contains("2^53 ns"));
+        let e = SimError::ServicePastHorizon {
+            total: SimDuration::from_nanos(u64::MAX),
         };
         assert!(e.to_string().contains("2^53 ns"));
         let e = SimError::Stalled {

@@ -12,10 +12,14 @@
 //! variance, and a quiet spec leaves execution byte-identical to a
 //! fault-free run.
 //!
+//! A plan keeps only what was sampled. The recovery policy and the drop
+//! rate stay on the spec, which the run's `SimConfig` holds: each knob
+//! has one home, checked once, by `RunPlan::new`.
+//!
 //! The rules of fault handling live here too, each written once beside
-//! the plan it reads: the plan's [`Transition`] agenda and the event each
+//! what it reads: the plan's [`Transition`] agenda and the event each
 //! transition logs, the channels a crash darkens, the loss ladder after a
-//! timeout ([`FaultPlan::after_timeout`]) and the degraded barrier's
+//! timeout ([`FaultSpec::after_timeout`]) and the degraded barrier's
 //! closing step ([`close_at_barrier`]). The event engine enacts them in
 //! virtual time, the one clock plans are sampled in. Faults are simulated
 //! only: the threaded runtime executes quiet plans.
@@ -24,7 +28,7 @@ use crate::error::SimError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tictac_graph::{ChannelId, DeviceId, Fnv1a, Graph, OpId};
-use tictac_trace::{FaultEventKind, RetryPolicy, SimDuration, SimTime, TraceBuilder, HORIZON_NS};
+use tictac_trace::{FaultEventKind, RetryPolicy, SimDuration, SimTime, TraceBuilder};
 
 /// Stream tag separating fault sampling from any engine's noise RNG.
 const FAULT_STREAM: u64 = 0xFA17_5EED_0DD5_ED17;
@@ -139,8 +143,8 @@ impl FaultSpec {
 
     /// The fault knobs' ranges: the `with_*` methods,
     /// [`RunPlan::new`](crate::RunPlan::new), `SessionBuilder::build` and
-    /// the scenario parser apply them, and `RunPlan::run` applies the same
-    /// rules to a plan's own fields.
+    /// the scenario parser apply them, and `RunPlan::run` applies the
+    /// slowdown rule to a plan's stragglers.
     ///
     /// # Errors
     ///
@@ -248,6 +252,39 @@ impl FaultSpec {
         self.barrier_timeout = Some(timeout);
         self.checked()
     }
+
+    /// The loss ladder: attempt `attempt` of `recv`'s transfer timed out at
+    /// `at`. Logs `TransferTimeout`, then decides from the retry budget
+    /// and the barrier alone whether attempt `attempt + 1` flies (logging
+    /// its `Retransmit`), the transfer is left to the degraded barrier, or
+    /// the iteration fails. The caller counts the attempt and enacts the
+    /// answer.
+    pub(crate) fn after_timeout(
+        &self,
+        trace: &mut TraceBuilder,
+        recv: OpId,
+        attempt: u32,
+        at: SimTime,
+    ) -> AfterLoss {
+        trace.push_fault(at, FaultEventKind::TransferTimeout { op: recv, attempt });
+        let next = attempt + 1;
+        if self.retry.attempt_allowed(next) {
+            let retransmit = FaultEventKind::Retransmit {
+                op: recv,
+                attempt: next,
+            };
+            trace.push_fault(at, retransmit);
+            AfterLoss::Retransmit
+        } else if self.barrier_timeout.is_some() {
+            AfterLoss::Abandon
+        } else {
+            AfterLoss::Fail(SimError::RetriesExhausted {
+                op: recv,
+                attempts: next,
+                at,
+            })
+        }
+    }
 }
 
 impl Default for FaultSpec {
@@ -257,8 +294,9 @@ impl Default for FaultSpec {
 }
 
 // The range rules, each written once: `FaultSpec::check`,
-// `FaultPlan::check` and `SimConfig::check` apply them, and each refusal
-// is `SimError::InvalidKnob` naming the knob and what its value misses.
+// `FaultPlan::check` (the slowdown rule) and `SimConfig::check` apply
+// them, and each refusal is `SimError::InvalidKnob` naming the knob and
+// what its value misses.
 
 fn invalid(knob: &'static str, reason: String) -> Result<(), SimError> {
     Err(SimError::InvalidKnob { knob, reason })
@@ -331,7 +369,10 @@ pub struct Stall {
     pub until: SimTime,
 }
 
-/// The concrete faults of one iteration, sampled from a [`FaultSpec`].
+/// The concrete faults of one iteration, sampled from a [`FaultSpec`]:
+/// what was drawn, and nothing the spec already says. The drop rate, the
+/// retry policy and the barrier are read from the spec of the run's
+/// `SimConfig`.
 ///
 /// Plans compare with `==`, so tests can assert that identical
 /// `(seed, iteration)` pairs produce identical plans.
@@ -345,12 +386,6 @@ pub struct FaultPlan {
     pub stragglers: Vec<(DeviceId, f64)>,
     /// Parameter-server stall windows.
     pub stalls: Vec<Stall>,
-    /// Per-attempt transfer loss probability.
-    pub drop_prob: f64,
-    /// Loss detection and retransmit policy.
-    pub retry: RetryPolicy,
-    /// Degraded-barrier release time, if enabled.
-    pub barrier_timeout: Option<SimDuration>,
     /// Seed of the keyed per-attempt drop hash (kept inside the plan so
     /// replaying a plan replays its drops).
     drop_seed: u64,
@@ -364,34 +399,20 @@ impl FaultPlan {
             crashes: Vec::new(),
             stragglers: Vec::new(),
             stalls: Vec::new(),
-            drop_prob: 0.0,
-            retry: RetryPolicy::grpc_default(),
-            barrier_timeout: None,
             drop_seed: 0,
         }
     }
 
-    /// The plan's own knobs against [`FaultSpec::check`]'s ranges (a
-    /// hand-built plan sets its `pub` fields directly; a sampled one
-    /// copies a checked spec's), then its retry budget against the time
-    /// axis: a timeout that wrapped the clock would put an event into the
-    /// past, which the event queue cannot hold.
+    /// The plan's straggler factors against the slowdown rule of
+    /// [`FaultSpec::check`]: a hand-built plan sets its `pub` fields
+    /// directly, a sampled one copies a checked spec's factor.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidKnob`] for a knob out of range, and
-    /// [`SimError::RetryPastHorizon`] for a retry policy whose
-    /// `total_budget()` reaches `HORIZON_NS`.
+    /// [`SimError::InvalidKnob`] naming `straggler_factor`.
     pub(crate) fn check(&self) -> Result<(), SimError> {
-        probability("drop_prob", self.drop_prob)?;
         for &(_, factor) in &self.stragglers {
             slowdown(factor)?;
-        }
-        backoff(self.retry.backoff)?;
-        barrier(self.barrier_timeout)?;
-        let budget = self.retry.total_budget();
-        if budget.as_nanos() >= HORIZON_NS {
-            return Err(SimError::RetryPastHorizon { budget });
         }
         Ok(())
     }
@@ -470,15 +491,12 @@ impl FaultPlan {
             crashes,
             stragglers,
             stalls,
-            drop_prob: spec.drop_prob,
-            retry: spec.retry,
-            barrier_timeout: spec.barrier_timeout,
             drop_seed: rng.gen(),
         }
     }
 
     /// Decides whether attempt `attempt` of `recv`'s transfer is lost on
-    /// the wire.
+    /// the wire, at the spec's per-attempt loss probability `drop_prob`.
     ///
     /// A pure keyed hash of `(plan, op, attempt)` — not a sequential
     /// stream — so the decision is independent of the *order* in which
@@ -486,28 +504,31 @@ impl FaultPlan {
     /// channel work very differently lose exactly the same attempts and
     /// report identical drop, timeout and retransmit counters for one
     /// plan.
-    pub(crate) fn drops_attempt(&self, recv: OpId, attempt: u32) -> bool {
-        if self.drop_prob <= 0.0 {
+    pub(crate) fn drops_attempt(&self, drop_prob: f64, recv: OpId, attempt: u32) -> bool {
+        if drop_prob <= 0.0 {
             return false;
         }
-        if self.drop_prob >= 1.0 {
+        if drop_prob >= 1.0 {
             return true;
         }
         let key = ((recv.index() as u64) << 32) | u64::from(attempt);
         let h = mix(self.drop_seed, key);
         // Top 53 bits → uniform in [0, 1).
-        ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < self.drop_prob
+        ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < drop_prob
     }
 
     /// Every availability transition of the plan plus the degraded
-    /// barrier, in plan order: each blackout's start and end, then each
-    /// crash's, then each stall's, then the barrier. Every start carries
-    /// its window's end.
+    /// barrier at `barrier` (the spec's timeout), in plan order: each
+    /// blackout's start and end, then each crash's, then each stall's,
+    /// then the barrier. Every start carries its window's end.
     ///
     /// The event engine schedules the list as it comes, so plan order is
     /// the order its entries of one instant are processed in. A quiet plan yields nothing and allocates
     /// nothing.
-    pub(crate) fn agenda(&self) -> impl Iterator<Item = (SimTime, Transition)> + '_ {
+    pub(crate) fn agenda(
+        &self,
+        barrier: Option<SimDuration>,
+    ) -> impl Iterator<Item = (SimTime, Transition)> + '_ {
         let blackouts = self
             .blackouts
             .iter()
@@ -532,43 +553,8 @@ impl FaultPlan {
                 (until, Transition::StallEnd { device }),
             ]
         });
-        let barrier = self
-            .barrier_timeout
-            .map(|t| (SimTime::ZERO + t, Transition::Barrier));
+        let barrier = barrier.map(|t| (SimTime::ZERO + t, Transition::Barrier));
         blackouts.chain(crashes).chain(stalls).chain(barrier)
-    }
-
-    /// The loss ladder: attempt `attempt` of `recv`'s transfer timed out at
-    /// `at`. Logs `TransferTimeout`, then decides from the retry budget
-    /// and the barrier alone whether attempt `attempt + 1` flies (logging
-    /// its `Retransmit`), the transfer is left to the degraded barrier, or
-    /// the iteration fails. The caller counts the attempt and enacts the
-    /// answer.
-    pub(crate) fn after_timeout(
-        &self,
-        trace: &mut TraceBuilder,
-        recv: OpId,
-        attempt: u32,
-        at: SimTime,
-    ) -> AfterLoss {
-        trace.push_fault(at, FaultEventKind::TransferTimeout { op: recv, attempt });
-        let next = attempt + 1;
-        if self.retry.attempt_allowed(next) {
-            let retransmit = FaultEventKind::Retransmit {
-                op: recv,
-                attempt: next,
-            };
-            trace.push_fault(at, retransmit);
-            AfterLoss::Retransmit
-        } else if self.barrier_timeout.is_some() {
-            AfterLoss::Abandon
-        } else {
-            AfterLoss::Fail(SimError::RetriesExhausted {
-                op: recv,
-                attempts: next,
-                at,
-            })
-        }
     }
 }
 
@@ -696,8 +682,6 @@ mod tests {
                 && p.crashes.is_empty()
                 && p.stragglers.is_empty()
                 && p.stalls.is_empty()
-                && p.drop_prob == 0.0
-                && p.barrier_timeout.is_none()
         };
         assert!(quiet(&FaultPlan::sample(&FaultSpec::none(), &g, 1, 0)));
         assert!(FaultSpec::none().is_quiet());
@@ -751,22 +735,19 @@ mod tests {
         let op = |i: usize| OpId::from_index(i);
         // The decision for one (op, attempt) key never changes, however
         // many times or in whatever order a backend asks.
-        let forward: Vec<bool> = (0..64).map(|i| plan.drops_attempt(op(i), 0)).collect();
-        let reverse: Vec<bool> = (0..64)
-            .rev()
-            .map(|i| plan.drops_attempt(op(i), 0))
-            .collect();
+        let drops = |i, attempt| plan.drops_attempt(0.5, op(i), attempt);
+        let forward: Vec<bool> = (0..64).map(|i| drops(i, 0)).collect();
+        let reverse: Vec<bool> = (0..64).rev().map(|i| drops(i, 0)).collect();
         assert_eq!(forward, reverse.into_iter().rev().collect::<Vec<_>>());
         // With p = 0.5 across 64 ops × 4 attempts, both outcomes appear.
         let outcomes: Vec<bool> = (0..64)
             .flat_map(|i| (0..4).map(move |a| (i, a)))
-            .map(|(i, a)| plan.drops_attempt(op(i), a))
+            .map(|(i, a)| drops(i, a))
             .collect();
         assert!(outcomes.iter().any(|&d| d) && outcomes.iter().any(|&d| !d));
         // Extremes never consult the hash.
-        let certain = FaultPlan::sample(&spec.clone().with_drop_prob(1.0), &g, 42, 0);
-        assert!((0..32).all(|i| certain.drops_attempt(op(i), 0)));
-        assert!((0..32).all(|i| !FaultPlan::quiet().drops_attempt(op(i), 0)));
+        assert!((0..32).all(|i| plan.drops_attempt(1.0, op(i), 0)));
+        assert!((0..32).all(|i| !plan.drops_attempt(0.0, op(i), 0)));
     }
 
     /// The plan's transitions come in plan order — blackouts, crashes,
@@ -781,7 +762,7 @@ mod tests {
             DeviceId::from_index(0),
         );
         let mut plan = FaultPlan::quiet();
-        assert_eq!(plan.agenda().count(), 0);
+        assert_eq!(plan.agenda(None).count(), 0);
         plan.blackouts.push(Blackout {
             channel: ch,
             at: t(400),
@@ -797,8 +778,7 @@ mod tests {
             at: t(400),
             until: t(600),
         });
-        plan.barrier_timeout = Some(SimDuration::from_nanos(900));
-        let agenda: Vec<_> = plan.agenda().collect();
+        let agenda: Vec<_> = plan.agenda(Some(SimDuration::from_nanos(900))).collect();
         assert_eq!(
             agenda,
             [

@@ -26,13 +26,15 @@
 //!   schedule and [`SimConfig`] executed on real OS threads against the
 //!   wall clock, reading the same transfer table, send gate and service
 //!   times as the event engine (see the `threaded` module docs). It runs
-//!   quiet plans: faults are simulated only.
+//!   quiet plans: faults are simulated only, and [`ExecOptions::check`]
+//!   states what else it refuses.
 //!
 //! * **One plan per deployment** ([`RunPlan`]): what both executors read
 //!   and no iteration changes — the op routes, the transfer table, the
-//!   service times, the indegrees, the configuration — derived and validated once, then run
-//!   from for as many iterations as the caller has. [`simulate`] and its
-//!   siblings are a plan for one run.
+//!   service times, the indegrees, the configuration — derived and
+//!   validated once (knob ranges, schedule coverage, the 2^53 ns time
+//!   axis), then run from for as many iterations as the caller has.
+//!   [`simulate`] is a plan for one run.
 //!
 //! * **Fault injection & fault-tolerant execution**: a seeded, fully
 //!   deterministic [`FaultSpec`]/[`FaultPlan`] model (transient transfer
@@ -67,7 +69,7 @@ mod threaded;
 #[doc(hidden)]
 pub use config::{selected_engine, EngineChoice};
 pub use config::{SimConfig, DEFAULT_SEED};
-pub use engine::{simulate, simulate_with_plan, try_simulate};
+pub use engine::simulate;
 pub use error::SimError;
 pub use faults::{Blackout, Crash, FaultPlan, FaultSpec, Stall};
 pub use plan::RunPlan;

@@ -8,11 +8,12 @@
 //! and nothing else, so the per-op tables both executors read on their
 //! hot paths live here: the event engine (`engine.rs`) and the threaded
 //! runtime (`threaded.rs`) borrow one [`RunPlan`] and keep only their own
-//! mutable state per iteration. The one-shot entry points ([`simulate`],
-//! [`try_simulate`], …) are "a plan for one run".
+//! mutable state per iteration. [`RunPlan::new`] is the one door every
+//! run passes, so the rules of a run are checked there once: the knobs'
+//! ranges, the schedule against its graph, and both ends of the time
+//! axis. [`simulate`] is "a plan for one run".
 //!
 //! [`simulate`]: crate::simulate
-//! [`try_simulate`]: crate::try_simulate
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -20,7 +21,7 @@ use crate::faults::FaultPlan;
 use crate::service::{paired_send, service_times};
 use tictac_graph::{Graph, OpId, OpKind};
 use tictac_sched::Schedule;
-use tictac_trace::{SimDuration, SimTime, TraceBuilder};
+use tictac_trace::{SimDuration, SimTime, TraceBuilder, HORIZON_NS};
 
 /// One `(graph, schedule, config)` triple, checked and tabulated: what
 /// every iteration of it reads and none changes.
@@ -46,23 +47,39 @@ pub struct RunPlan {
 
 impl RunPlan {
     /// Tabulates `graph` under `schedule` and `config`. This is the one
-    /// place a schedule is checked against its graph, and the config's
-    /// knobs against their ranges; every executor entry point goes
-    /// through it.
+    /// place a schedule is checked against its graph, the config's knobs
+    /// against their ranges, and a run against the 2^53 ns end of the
+    /// time axis; every executor entry point goes through it.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidKnob`] if a knob is out of range
-    /// ([`SimConfig::check`]), and
+    /// ([`SimConfig::check`]), [`SimError::RetryPastHorizon`] if the retry
+    /// policy's timeouts can add up to `HORIZON_NS` (a loss-detection
+    /// timeout past it would put an event into the past),
     /// [`SimError::ScheduleMismatch`] if `schedule` does not cover
-    /// `graph`.
+    /// `graph`, and [`SimError::ServicePastHorizon`] if the noise-free
+    /// service times sum to `HORIZON_NS` or more: a noise-free, fault-free
+    /// iteration takes at most that sum. Both sums saturate, as each
+    /// duration does, so no factor wraps them back under the bound.
     pub fn new(graph: &Graph, schedule: &Schedule, config: &SimConfig) -> Result<Self, SimError> {
         config.check()?;
+        let budget = config.faults.retry.total_budget();
+        if budget.as_nanos() >= HORIZON_NS {
+            return Err(SimError::RetryPastHorizon { budget });
+        }
         if schedule.len() != graph.len() {
             return Err(SimError::ScheduleMismatch {
                 schedule_len: schedule.len(),
                 graph_len: graph.len(),
             });
+        }
+        let service = service_times(graph, config);
+        let total = service
+            .iter()
+            .fold(SimDuration::ZERO, |sum, &d| sum.saturating_add(d));
+        if total.as_nanos() >= HORIZON_NS {
+            return Err(SimError::ServicePastHorizon { total });
         }
         Ok(Self {
             config: config.clone(),
@@ -75,7 +92,7 @@ impl RunPlan {
                 })
                 .collect(),
             transfers: TransferTable::new(graph, schedule),
-            service: service_times(graph, config),
+            service,
             indegree: graph
                 .op_ids()
                 .map(|op| graph.preds(op).len() as u32)

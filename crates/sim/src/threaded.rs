@@ -35,8 +35,6 @@
 //! and faults. A threaded run's variance is physical (scheduler jitter,
 //! cache effects), which is the point of having this backend; faults are
 //! simulated by the event engine only, and the runtime runs quiet plans.
-//!
-//! [`SimConfig`]: crate::SimConfig
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -44,6 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::config::SimConfig;
 use crate::engine::SendGate;
 use crate::error::SimError;
 use crate::faults::mix;
@@ -61,8 +60,6 @@ const STALL_REPORT_CAP: usize = 12;
 const SHUFFLE_SEED: u64 = 0x71C7AC;
 
 /// The two values a threaded iteration takes besides its [`SimConfig`].
-///
-/// [`SimConfig`]: crate::SimConfig
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Multiplier on every modeled duration (compute and wire). `1.0`
@@ -84,6 +81,68 @@ impl Default for ExecOptions {
     }
 }
 
+impl ExecOptions {
+    /// Refuses, with [`SimError::UnsupportedConfig`], the knobs of a
+    /// [checked](SimConfig::check) config that a threaded run cannot honor
+    /// under these options, instead of silently ignoring them:
+    ///
+    /// * `reorder_error` above 0.01 — the runtime does not inject artificial
+    ///   reorders; rates up to the paper's measured gRPC level (§5.1) are
+    ///   adequately represented by physical hand-off jitter, larger ones are
+    ///   not.
+    /// * heavy noise models (`sigma > 0.1` or worker-slowdown probability
+    ///   above 5%) — modeled noise cannot be replayed by calibrated
+    ///   busy-loops; the presets' mild noise is subsumed by physical jitter.
+    /// * a fault spec that can inject a fault or sets a degraded barrier —
+    ///   faults are simulated only.
+    /// * a `time_scale` that is not positive and finite — no wall-clock
+    ///   duration replays it.
+    ///
+    /// [`RunPlan::run_threaded`] applies it first, and
+    /// `SessionBuilder::build` applies it to a threaded session.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnsupportedConfig`] naming the first knob refused.
+    pub fn check(&self, config: &SimConfig) -> Result<(), SimError> {
+        let reorder = config.reorder_error;
+        if reorder > 0.01 {
+            return Err(SimError::UnsupportedConfig {
+                knob: "reorder_error",
+                reason: format!(
+                    "injected reorder rate {reorder} exceeds what physical hand-off jitter \
+                     reproduces (max 0.01)"
+                ),
+            });
+        }
+        if config.noise.sigma() > 0.1 || config.noise.slowdown_prob() > 0.05 {
+            return Err(SimError::UnsupportedConfig {
+                knob: "noise",
+                reason: format!(
+                    "modeled noise (sigma {}, slowdown prob {}) is too heavy to be \
+                     replayed by wall-clock busy-loops",
+                    config.noise.sigma(),
+                    config.noise.slowdown_prob()
+                ),
+            });
+        }
+        if !config.faults.is_quiet() || config.faults.barrier_timeout.is_some() {
+            return Err(SimError::UnsupportedConfig {
+                knob: "faults",
+                reason: "faults are simulated only; run a faulty config on the sim backend"
+                    .to_string(),
+            });
+        }
+        if !(self.time_scale > 0.0 && self.time_scale.is_finite()) {
+            return Err(SimError::UnsupportedConfig {
+                knob: "time_scale",
+                reason: format!("{} is not a positive finite scale", self.time_scale),
+            });
+        }
+        Ok(())
+    }
+}
+
 impl RunPlan {
     /// Executes iteration `iteration` of the plan's `graph` and `schedule`
     /// on real threads and returns its wall-clock [`ExecutionTrace`].
@@ -92,9 +151,8 @@ impl RunPlan {
     /// of the call; the calling thread blocks until completion. Timestamps
     /// are nanoseconds since iteration start, so traces are directly
     /// comparable to simulator traces — ordering-exact, timing-real. The
-    /// plan's fault spec is not consulted: the runtime executes no faults
-    /// (a threaded session refuses, at build, a configuration that asks
-    /// for them).
+    /// runtime executes no faults: [`ExecOptions::check`] refuses a plan
+    /// whose configuration asks for them, before any thread starts.
     ///
     /// A stall is detected within `opts.watchdog`; the abort then drains
     /// every queue and cuts in-flight busy-waits short, so the call
@@ -102,12 +160,9 @@ impl RunPlan {
     ///
     /// # Errors
     ///
+    /// [`SimError::UnsupportedConfig`] from [`ExecOptions::check`], and
     /// [`SimError::Stalled`] if the watchdog expires, with the outstanding
     /// ops and channel depths named.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.time_scale` is not strictly positive and finite.
     pub fn run_threaded(
         &self,
         graph: &Graph,
@@ -116,10 +171,7 @@ impl RunPlan {
         iteration: u64,
     ) -> Result<ExecutionTrace, SimError> {
         debug_assert!(self.covers(graph, schedule), "not this plan's graph");
-        assert!(
-            opts.time_scale > 0.0 && opts.time_scale.is_finite(),
-            "time_scale must be positive and finite"
-        );
+        opts.check(self.config())?;
         let shared = Shared::new(graph, schedule, self, opts, iteration);
 
         std::thread::scope(|scope| {
@@ -531,7 +583,7 @@ impl<'g> Shared<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimConfig;
+    use crate::FaultSpec;
     use tictac_cluster::{deploy, ClusterSpec};
     use tictac_graph::{tiny_mlp, Mode};
     use tictac_sched::{no_ordering, tic};
@@ -636,6 +688,33 @@ mod tests {
                 assert_eq!(graph_len, d.graph().len());
             }
             other => panic!("expected mismatch, got {other:?}"),
+        }
+    }
+
+    /// A direct run states the runtime's rules itself, before any thread
+    /// starts: a faulty config is refused, not run as a quiet iteration,
+    /// and a `time_scale` no wall-clock duration replays is refused, not
+    /// a panic. Each refusal reads as `SessionBuilder::build`'s.
+    #[test]
+    fn a_direct_run_refuses_what_the_runtime_cannot_honor() {
+        let model = tiny_mlp(Mode::Training, 8);
+        let d = deploy(&model, &ClusterSpec::new(2, 1)).unwrap();
+        let (graph, s) = (d.graph(), no_ordering(d.graph()));
+        let faulty = SimConfig::cloud_gpu().with_faults(FaultSpec::none().with_drop_prob(0.01));
+        let plan = RunPlan::new(graph, &s, &faulty).unwrap();
+        let refused = |run: Result<ExecutionTrace, SimError>| match run {
+            Err(SimError::UnsupportedConfig { knob, reason }) => format!("{knob}: {reason}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        };
+        assert_eq!(
+            refused(plan.run_threaded(graph, &s, &opts(), 0)),
+            "faults: faults are simulated only; run a faulty config on the sim backend"
+        );
+        for time_scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                refused(run_iteration(graph, &s, &opts_at(time_scale), 0)),
+                format!("time_scale: {time_scale} is not a positive finite scale")
+            );
         }
     }
 

@@ -30,10 +30,11 @@
 
 use proptest::prelude::*;
 use tictac::{
-    deploy, no_ordering, noise_free_profile, priority_inversions, simulate_with_plan_observed,
-    try_simulate, ClusterSpec, Cost, ExecOptions, ExecutionTrace, FaultSpec, Graph, GraphBuilder,
-    Mode, Model, OpKind, Platform, Registry, RetryPolicy, RunOptions, RunPlan, Scenario, Schedule,
-    SchedulerKind, Session, SimConfig, SimDuration, SimError, TimeOracle,
+    deploy, no_ordering, noise_free_profile, priority_inversions, simulate,
+    simulate_with_plan_observed, ClusterSpec, Cost, ExecOptions, ExecutionTrace, FaultPlan,
+    FaultSpec, Graph, GraphBuilder, Mode, Model, OpKind, Platform, Registry, RetryPolicy,
+    RunOptions, RunPlan, Scenario, Schedule, SchedulerKind, Session, SimConfig, SimDuration,
+    SimError, TimeOracle,
 };
 use tictac_graph::tiny_mlp;
 
@@ -330,7 +331,9 @@ fn one_plan_serves_every_iteration_and_both_executors() {
             let plan = RunPlan::new(graph, schedule, &config).expect("schedule covers graph");
             for i in 0..6 {
                 let sampled = plan.sample_faults(graph, i);
-                let fresh = try_simulate(graph, schedule, &config, i).expect("recoverable");
+                let fresh = RunPlan::new(graph, schedule, &config)
+                    .and_then(|fresh| fresh.try_simulate(graph, schedule, i))
+                    .expect("recoverable");
                 for registry in [Registry::disabled(), Registry::enabled()] {
                     let (planned, error) = plan
                         .run(graph, schedule, i, &sampled)
@@ -380,7 +383,10 @@ fn one_plan_serves_every_iteration_and_both_executors() {
         RunPlan::new(graph, &short, &config).err(),
         Some(mismatch.clone())
     );
-    assert_eq!(try_simulate(graph, &short, &config, 0), Err(mismatch));
+    let quiet = FaultPlan::quiet();
+    let one_shot =
+        simulate_with_plan_observed(graph, &short, &config, 0, &quiet, &Registry::disabled());
+    assert_eq!(one_shot, Err(mismatch));
 }
 
 /// A run that outlives its watchdog reports *which* ops and channels were
@@ -469,7 +475,7 @@ fn shared_send_under_an_enforced_order() -> (Graph, Schedule, [tictac::OpId; 3])
 fn an_enforced_send_feeding_two_recvs_completes_on_the_engine() {
     let (g, s, [pa, ..]) = shared_send_under_an_enforced_order();
     let config = SimConfig::deterministic(Platform::cloud_gpu());
-    let trace = try_simulate(&g, &s, &config, 0).expect("no deadlock");
+    let trace = simulate(&g, &s, &config, 0);
     assert_eq!(trace.executed_ops(), g.len());
     let send = g.preds(pa)[0];
     assert_eq!(
@@ -550,7 +556,7 @@ fn sendless_recvs_beside_a_send() -> (Graph, Schedule, [tictac::OpId; 3]) {
 fn an_enforced_channel_mixing_sendless_recvs_and_sends_completes_on_the_engine() {
     let (g, s, recvs) = sendless_recvs_beside_a_send();
     let config = SimConfig::deterministic(Platform::cloud_gpu());
-    let trace = try_simulate(&g, &s, &config, 0).expect("no deadlock");
+    let trace = simulate(&g, &s, &config, 0);
     assert_eq!(trace.executed_ops(), g.len());
     let w = g.devices()[0].id();
     assert_eq!(trace.recv_completion_order(&g, w), recvs);
@@ -594,7 +600,7 @@ fn a_send_feeding_two_recvs_is_recorded_once_on_both_executors() {
         time_scale: 0.5,
         watchdog: std::time::Duration::from_secs(60),
     };
-    let engine = try_simulate(&g, &s, &config, 0).expect("engine completes");
+    let engine = simulate(&g, &s, &config, 0);
     let threads = RunPlan::new(&g, &s, &config)
         .and_then(|plan| plan.run_threaded(&g, &s, &opts, 0))
         .expect("threads complete");

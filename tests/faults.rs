@@ -4,11 +4,37 @@
 //! retransmits.
 
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use tictac::{
-    deploy, no_ordering, simulate, simulate_with_plan, tic, tiny_mlp, try_simulate, ClusterSpec,
-    Cost, FaultCounters, FaultEventKind, FaultPlan, FaultSpec, GraphBuilder, Mode, OpKind,
-    Platform, RetryPolicy, SchedulerKind, Session, SimConfig, SimDuration, SimError, SimTime,
+    auto_tune_with, deploy, no_ordering, simulate, simulate_with_plan_observed, tic, tiny_mlp,
+    ClusterSpec, Cost, DeployCache, ExecutionTrace, FaultCounters, FaultEventKind, FaultPlan,
+    FaultSpec, Graph, GraphBuilder, Mode, OpKind, Platform, Registry, RetryPolicy, RunPlan,
+    RunStore, Scenario, ScenarioBuildError, Schedule, SchedulerKind, Session, SimConfig,
+    SimDuration, SimError, SimTime, TuneOptions,
 };
+
+/// One iteration from a plan built for it.
+fn try_simulate(
+    graph: &Graph,
+    schedule: &Schedule,
+    config: &SimConfig,
+    iteration: u64,
+) -> Result<ExecutionTrace, SimError> {
+    RunPlan::new(graph, schedule, config)?.try_simulate(graph, schedule, iteration)
+}
+
+/// One iteration under the explicit `faults`, through the one-shot door.
+fn run_with(
+    graph: &Graph,
+    schedule: &Schedule,
+    config: &SimConfig,
+    iteration: u64,
+    faults: &FaultPlan,
+) -> Result<ExecutionTrace, SimError> {
+    let registry = Registry::disabled();
+    simulate_with_plan_observed(graph, schedule, config, iteration, faults, &registry)
+}
 
 /// A fault spec exercising every fault class at once, with a retry budget
 /// deep enough that recovery always succeeds.
@@ -51,9 +77,9 @@ fn explicit_plans_replay_and_quiet_plans_change_nothing() {
     let cfg = SimConfig::cloud_gpu().with_faults(stormy());
     let s = no_ordering(d.graph());
 
-    // Replay: sampling the plan up front is exactly try_simulate.
+    // Replay: sampling the plan up front is exactly the plan's own run.
     let plan = FaultPlan::sample(&cfg.faults, d.graph(), cfg.seed, 2);
-    let a = simulate_with_plan(d.graph(), &s, &cfg, 2, &plan).unwrap();
+    let a = run_with(d.graph(), &s, &cfg, 2, &plan).unwrap();
     let b = try_simulate(d.graph(), &s, &cfg, 2).unwrap();
     assert_eq!(a, b);
 
@@ -137,11 +163,12 @@ fn degraded_barrier_defers_work_instead_of_erroring() {
 }
 
 /// A retry policy whose timeouts can add up to the 2^53 ns end of the time
-/// axis is refused before anything is simulated, in debug and release
-/// builds alike. Its last timeout saturates at `u64::MAX` ns, which used to
-/// overflow the clock (debug) or wrap it into the past (release: the
-/// failure named an instant before the clock). One nanosecond inside the
-/// horizon still runs, and fails as the loss ladder says.
+/// axis is refused by `RunPlan::new`, before anything is simulated, in
+/// debug and release builds alike. Its last timeout saturates at
+/// `u64::MAX` ns, which used to overflow the clock (debug) or wrap it into
+/// the past (release: the failure named an instant before the clock). One
+/// nanosecond inside the horizon still runs, and fails as the loss ladder
+/// says.
 #[test]
 fn a_retry_budget_reaching_the_horizon_is_a_typed_error() {
     let model = tiny_mlp(Mode::Training, 8);
@@ -160,21 +187,20 @@ fn a_retry_budget_reaching_the_horizon_is_a_typed_error() {
         SimDuration::from_nanos(u64::MAX)
     );
 
-    // A session builds and reports it from its run; an explicit plan
-    // carrying the policy is refused the same way.
+    // A session is refused at build; a hand-built plan run under the
+    // policy is refused the same way.
     let session = Session::builder(model)
         .cluster(ClusterSpec::new(2, 1))
         .config(faulty(huge))
         .scheduler(SchedulerKind::Baseline)
         .warmup(0)
         .iterations(1)
-        .build()
-        .unwrap();
-    refused(session.try_run().err());
-    let mut plan = FaultPlan::quiet();
-    plan.retry = huge;
-    let cfg = SimConfig::cloud_gpu();
-    refused(simulate_with_plan(d.graph(), &s, &cfg, 0, &plan).err());
+        .build();
+    match session {
+        Err(ScenarioBuildError::Backend(e)) => refused(Some(e)),
+        other => panic!("expected a refused build, got {:?}", other.err()),
+    };
+    refused(run_with(d.graph(), &s, &faulty(huge), 0, &FaultPlan::quiet()).err());
 
     let horizon = SimDuration::from_nanos(1 << 53);
     let at_horizon = RetryPolicy::fixed(horizon, 0);
@@ -193,12 +219,12 @@ fn a_retry_budget_reaching_the_horizon_is_a_typed_error() {
 }
 
 /// A hand-built plan sets its `pub` fields directly, so every run checks
-/// them against `FaultSpec::check`'s ranges before the engine starts: a
-/// `drop_prob` outside [0, 1], a straggler factor that is not finite and
-/// at least 1, a `retry.backoff` below 1 and a zero barrier are refused
-/// naming the knob, NaN for each included. A NaN factor used to run the
-/// straggler *faster* than a quiet run, and a NaN or negative backoff to
-/// fail later as an exhausted retry budget. Each range's ends run.
+/// its straggler factors against `FaultSpec::check`'s slowdown rule before
+/// the engine starts: a factor that is not finite and at least 1 is
+/// refused naming the knob, NaN included. A NaN factor used to run the
+/// straggler *faster* than a quiet run. The range's ends run. (The drop
+/// rate, retry policy and barrier are the config's, checked once by
+/// `RunPlan::new`.)
 #[test]
 fn a_hand_built_plan_out_of_range_is_a_typed_error() {
     let model = tiny_mlp(Mode::Training, 8);
@@ -217,23 +243,15 @@ fn a_hand_built_plan_out_of_range_is_a_typed_error() {
         edit(&mut plan);
         plan
     };
-    let run = |plan: &FaultPlan| simulate_with_plan(d.graph(), &s, &cfg, 0, plan);
+    let run = |plan: &FaultPlan| run_with(d.graph(), &s, &cfg, 0, plan);
     let (nan, inf) = (f64::NAN, f64::INFINITY);
     let mut refused = Vec::new();
-    for v in [nan, -0.5, 1.5, inf] {
-        refused.push(("drop_prob", plan(&|p| p.drop_prob = v)));
-    }
     for v in [nan, inf, 0.5, 0.0, -2.0] {
         refused.push((
             "straggler_factor",
             plan(&|p| p.stragglers = vec![(worker, v)]),
         ));
     }
-    for v in [nan, -2.0, 0.5] {
-        refused.push(("retry.backoff", plan(&|p| p.retry.backoff = v)));
-    }
-    let zero = Some(SimDuration::ZERO);
-    refused.push(("barrier_timeout", plan(&|p| p.barrier_timeout = zero)));
     for (knob, faults) in refused {
         match run(&faults) {
             Err(SimError::InvalidKnob { knob: named, .. }) => assert_eq!(named, knob),
@@ -243,18 +261,102 @@ fn a_hand_built_plan_out_of_range_is_a_typed_error() {
     let quiet = run(&FaultPlan::quiet()).unwrap();
     let slowed = run(&plan(&|p| p.stragglers = vec![(worker, 2.0)])).unwrap();
     assert!(slowed.makespan() > quiet.makespan(), "a factor of 2 slows");
-    let fine = [
-        plan(&|p| p.drop_prob = 1.0),
-        plan(&|p| p.stragglers = vec![(worker, 1.0)]),
-        plan(&|p| p.retry.backoff = 1.0),
-        plan(&|p| p.barrier_timeout = Some(SimDuration::from_nanos(1))),
-    ];
-    for faults in fine {
-        let ran = run(&faults);
-        assert!(
-            !matches!(ran, Err(SimError::InvalidKnob { .. })),
-            "{faults:?}"
-        );
+    let unit = run(&plan(&|p| p.stragglers = vec![(worker, 1.0)])).unwrap();
+    assert_eq!(
+        unit.makespan(),
+        quiet.makespan(),
+        "a factor of 1 slows nothing"
+    );
+}
+
+/// A cluster whose speed or bandwidth factors push one iteration past the
+/// 2^53 ns end of the time axis is refused by every door a run enters,
+/// naming the horizon: `SessionBuilder::build` with and without a run-store
+/// sink, `Session::from_scenario`, `RunPlan::new` and `auto_tune_with`
+/// return the refusal, and `simulate` panics with its text. These used to
+/// pass the builder door and fail later: in the record encoder (a makespan
+/// past 2^53), or with an op ending before it started (a wrapped clock).
+/// Noisy TAC profiles by simulation, so its profiling plan is the door
+/// there. A factor of 1e-3 still runs through every door.
+#[test]
+fn a_cluster_past_the_time_axis_is_refused_at_every_door() {
+    let store = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("door_matrix.jsonl");
+    let _ = std::fs::remove_file(&store);
+    for key in ["worker_speeds", "link_bandwidths"] {
+        for factor in ["1e-9", "1e-14", "1e-20", "1e-3"] {
+            for scheduler in ["tic", "tac"] {
+                let row = format!("{key}: [1.0, {factor}] under {scheduler}");
+                let doc = format!(
+                    "model: alexnet_v2\ncluster:\n  workers: 2\n  parameter_servers: 1\n  \
+                     {key}: [1.0, {factor}]\nenv: g\nscheduler: {scheduler}\n\
+                     warmup: 0\niterations: 1\n"
+                );
+                let scenario = Scenario::parse(&doc).unwrap();
+                let model = scenario
+                    .model
+                    .build_with_batch(scenario.mode, scenario.batch);
+                let (cluster, config) = (&scenario.cluster, scenario.sim_config());
+                let builder = || {
+                    Session::builder(model.clone())
+                        .cluster(cluster.clone())
+                        .config(config.clone())
+                        .scheduler(scenario.scheduler)
+                        .warmup(0)
+                        .iterations(1)
+                };
+                let sink = Arc::new(RunStore::at(&store));
+                let sessions = [
+                    builder().build(),
+                    builder().record_to(sink).build(),
+                    Session::from_scenario(&scenario),
+                ];
+                let d = deploy(&model, cluster).unwrap();
+                let (g, s) = (d.graph(), no_ordering(d.graph()));
+                let planned = RunPlan::new(g, &s, &config);
+                let cache = DeployCache::new();
+                let quick = TuneOptions::quick();
+                let tuned =
+                    auto_tune_with(&cache, &model, cluster, scenario.scheduler, &config, &quick);
+                let simulated = catch_unwind(AssertUnwindSafe(|| simulate(g, &s, &config, 0)));
+                if factor == "1e-3" {
+                    for session in sessions {
+                        session
+                            .unwrap()
+                            .try_run()
+                            .unwrap_or_else(|e| panic!("{row}: {e}"));
+                    }
+                    assert!(
+                        planned.is_ok() && tuned.is_ok() && simulated.is_ok(),
+                        "{row}"
+                    );
+                    continue;
+                }
+                let refusal = match planned {
+                    Err(e @ SimError::ServicePastHorizon { .. }) => e.to_string(),
+                    other => panic!("{row}: RunPlan::new gave {:?}", other.err()),
+                };
+                assert!(refusal.contains("2^53 ns"), "{row}: {refusal}");
+                for session in sessions {
+                    match session {
+                        Err(ScenarioBuildError::Backend(SimError::ServicePastHorizon {
+                            ..
+                        })) => {}
+                        other => panic!("{row}: a session door gave {:?}", other.err()),
+                    }
+                }
+                match tuned {
+                    Err(e @ ScenarioBuildError::Backend(SimError::ServicePastHorizon { .. })) => {
+                        assert!(e.to_string().contains("2^53 ns"), "{row}: {e}");
+                    }
+                    other => panic!("{row}: auto_tune_with gave {other:?}"),
+                }
+                let panicked = simulated.expect_err("simulate panics");
+                let message = panicked
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic");
+                assert_eq!(message, &refusal, "{row}");
+            }
+        }
     }
 }
 

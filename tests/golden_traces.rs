@@ -20,9 +20,9 @@
 //! to print current fingerprints (for deliberate re-pinning).
 
 use tictac::{
-    deploy, no_ordering, simulate, simulate_with_plan, tic, try_simulate, Blackout, ClusterSpec,
-    Crash, ExecutionTrace, FaultEventKind, FaultPlan, FaultSpec, Mode, Model, Platform,
-    RetryPolicy, SimConfig, SimDuration, SimTime, Stall,
+    deploy, no_ordering, simulate, tic, Blackout, ClusterSpec, Crash, ExecutionTrace,
+    FaultEventKind, FaultPlan, FaultSpec, Mode, Model, Platform, RetryPolicy, RunPlan, SimConfig,
+    SimDuration, SimTime, Stall,
 };
 use tictac_graph::tiny_mlp;
 
@@ -138,7 +138,7 @@ fn golden_faulty_run() {
             .with_retry(RetryPolicy::fixed(SimDuration::from_millis(5), 30)),
     );
     let s = no_ordering(d.graph());
-    let trace = try_simulate(d.graph(), &s, &cfg, 3).unwrap();
+    let trace = simulate(d.graph(), &s, &cfg, 3);
     // Re-pinned when drop decisions moved from a sequential RNG stream to
     // the keyed per-(op, attempt) hash shared with the threaded runtime.
     check("faulty_tiny_mlp_it3", &trace, 0x493830cc7b55cf35);
@@ -155,7 +155,7 @@ fn golden_degraded_barrier() {
             .with_barrier_timeout(SimDuration::from_millis(400)),
     );
     let s = no_ordering(d.graph());
-    let trace = try_simulate(d.graph(), &s, &cfg, 0).unwrap();
+    let trace = simulate(d.graph(), &s, &cfg, 0);
     check("degraded_barrier_it0", &trace, 0x5e8737d0047e993a);
 }
 
@@ -165,7 +165,8 @@ fn golden_degraded_barrier() {
 /// ending at the very instant worker 0 recovers (its end event pops
 /// first). Pins which pump restarts each resource — and so the RNG draw
 /// order — when availability is the maximum over several windows. Captured
-/// from the full-scan pump, before the engine went event-driven.
+/// from the full-scan pump, before the engine went event-driven. The drop
+/// rate and retry policy are the config's, the plan's windows hand-built.
 #[test]
 fn golden_overlapping_outages() {
     let d = deploy(&tiny_mlp(Mode::Training, 8), &ClusterSpec::new(2, 2)).unwrap();
@@ -192,10 +193,15 @@ fn golden_overlapping_outages() {
             until,
         })
         .to_vec();
-    plan.drop_prob = 0.1;
-    plan.retry = RetryPolicy::fixed(SimDuration::from_micros(100), 30);
-    let trace = simulate_with_plan(g, &no_ordering(g), &SimConfig::cloud_gpu(), 5, &plan).unwrap();
-    assert_eq!(trace.executed_ops(), g.len());
+    let cfg = SimConfig::cloud_gpu().with_faults(
+        FaultSpec::none()
+            .with_drop_prob(0.1)
+            .with_retry(RetryPolicy::fixed(SimDuration::from_micros(100), 30)),
+    );
+    let s = no_ordering(g);
+    let run = RunPlan::new(g, &s, &cfg).unwrap();
+    let (trace, error) = run.run(g, &s, 5, &plan).unwrap();
+    assert_eq!((error, trace.executed_ops()), (None, g.len()));
     check("overlapping_outages_it5", &trace, 0x010989942776ae40);
 }
 
@@ -237,7 +243,7 @@ fn golden_worklists_past_one_word() {
             .with_crashes(0.1, SimDuration::from_millis(10))
             .with_retry(RetryPolicy::fixed(SimDuration::from_millis(5), 30)),
     );
-    let trace = try_simulate(d.graph(), &s, &faulty, 0).unwrap();
+    let trace = simulate(d.graph(), &s, &faulty, 0);
     let crashed_words: Vec<usize> = trace
         .fault_events()
         .iter()
