@@ -541,9 +541,11 @@ pub struct DeployedModel {
     graph: Graph,
     workers: Vec<DeviceId>,
     parameter_servers: Vec<DeviceId>,
-    /// `recv_ops[w][u]` — worker `w`'s recv of transfer unit `u` (fused
-    /// units share one op id).
-    recv_ops: Vec<Vec<OpId>>,
+    /// `recv_ops[u]` — worker 0's recv of transfer unit `u` (fused units
+    /// share one op id); worker `w`'s is `block` ops on.
+    recv_ops: Vec<OpId>,
+    /// Ops in one worker's block (DESIGN.md §10).
+    block: usize,
     /// Transfer unit → PS shard index.
     shard_of: Vec<usize>,
     /// Transfer unit → (model parameter index, chunk index). `None` =
@@ -569,10 +571,8 @@ impl DeployedModel {
 
     /// Worker `w`'s recv op for parameter `p`.
     pub fn recv_op(&self, worker: usize, param: ParamId) -> Option<OpId> {
-        self.recv_ops
-            .get(worker)
-            .and_then(|r| r.get(param.index()))
-            .copied()
+        let first = self.recv_ops.get(param.index())?;
+        (worker < self.workers.len()).then(|| OpId::from_index(first.index() + worker * self.block))
     }
 
     /// Maps a graph parameter (transfer unit) back to the model parameter
@@ -605,7 +605,7 @@ impl DeployedModel {
 
     /// Ops per worker partition (the x-axis of Fig. 11).
     pub fn ops_per_worker(&self) -> usize {
-        self.graph.device_ops(self.workers[0]).len()
+        self.graph.ops_on(self.workers[0]).count()
     }
 }
 
@@ -748,11 +748,12 @@ impl Lowering {
         !self.grad_producers[self.units[u].param].is_empty()
     }
 
-    /// Exactly the number of ops `deploy` adds on `workers` workers, its
-    /// builder's capacity: a read per unit; per worker a send and a recv
-    /// per group, the replica's compute ops, and a gradient send and recv
-    /// per group that carries a gradient; then an aggregate and an update
-    /// per unit that has one.
+    /// Exactly the number of ops a deployment on `workers` workers runs: a
+    /// read per unit; per worker a send and a recv per group, the
+    /// replica's compute ops, and a gradient send and recv per group that
+    /// carries a gradient; then an aggregate and an update per unit that
+    /// has one. On one worker, the number `deploy` stores, its builder's
+    /// capacity (DESIGN.md §10).
     fn op_count(&self, model: &ModelGraph, workers: usize) -> usize {
         let grad_groups = self
             .groups
@@ -789,7 +790,7 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
     }
     spec.comm.validate()?;
     let lowering = Lowering::new(model, spec)?;
-    let mut b = GraphBuilder::with_capacity(lowering.op_count(model, spec.workers));
+    let mut b = GraphBuilder::with_capacity(lowering.op_count(model, 1));
 
     // Devices and channels.
     let workers: Vec<DeviceId> = (0..spec.workers)
@@ -870,116 +871,117 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         })
         .collect();
 
-    // Per-worker replicas.
-    let mut recv_ops: Vec<Vec<OpId>> = Vec::with_capacity(spec.workers);
-    // grad recvs at PS: grad_recvs[u] across workers.
-    let mut grad_recvs: Vec<Vec<OpId>> = vec![Vec::new(); units.len()];
-    // Dependency scratch, reused across every op of every replica.
+    // Worker 0's replica: the block every worker runs a copy of, over its
+    // own channels (DESIGN.md §10).
+    b.begin_block(workers[0]);
+    let worker = workers[0];
+    // Worker 0's recv of each unit.
+    let mut recv_ops: Vec<OpId> = vec![OpId::from_index(0); units.len()];
+    // Worker 0's grad recv of each unit that carries a gradient.
+    let mut grad_recvs: Vec<Option<OpId>> = vec![None; units.len()];
+    // Dependency scratch, reused across every op of the replica.
     let mut deps: Vec<OpId> = Vec::new();
     // Chain scratch: the previous chunk's send (resp. send_grad) of each
-    // split parameter, per worker. Chained chunks: each send also waits
-    // for the previous chunk of the same tensor, preserving in-order wire
+    // split parameter. Chained chunks: each send also waits for the
+    // previous chunk of the same tensor, preserving in-order wire
     // transmission (sends are cheap; the recvs still overlap across
     // channels). A chunk is always a group of its own.
     let mut last_chunk_send: Vec<Option<OpId>> = vec![None; model.params().len()];
     let split = |u: usize| units[u].chunk.map(|_| units[u].param);
 
-    for (w, &worker) in workers.iter().enumerate() {
-        // Parameter transfers PS -> worker, one per transfer group.
-        let mut w_recvs: Vec<OpId> = vec![OpId::from_index(0); units.len()];
-        last_chunk_send.fill(None);
-        for group in groups {
-            let first = group[0];
-            let shard = shard_of[first];
-            let ch = channels[w][shard];
-            deps.clear();
-            deps.extend(group.iter().map(|&m| read_ops[m]));
-            deps.extend(split(first).and_then(|p| last_chunk_send[p]));
-            let bytes = group.iter().map(|&m| units[m].bytes).sum();
-            let send = b.add_lowered_op(
-                ps[shard],
-                OpKind::send(params[first], ch),
-                Cost::bytes(bytes),
-                &deps,
-            );
-            if let Some(p) = split(first) {
-                last_chunk_send[p] = Some(send);
-            }
-            let recv = b.add_lowered_op(
-                worker,
-                OpKind::recv(params[first], ch),
-                Cost::bytes(bytes),
-                &[send],
-            );
-            for &m in group {
-                w_recvs[m] = recv;
-            }
+    // Parameter transfers PS -> worker, one per transfer group.
+    for group in groups {
+        let first = group[0];
+        let shard = shard_of[first];
+        let ch = channels[0][shard];
+        deps.clear();
+        deps.extend(group.iter().map(|&m| read_ops[m]));
+        deps.extend(split(first).and_then(|p| last_chunk_send[p]));
+        let bytes = group.iter().map(|&m| units[m].bytes).sum();
+        let send = b.add_lowered_op(
+            ps[shard],
+            OpKind::send(params[first], ch),
+            Cost::bytes(bytes),
+            &deps,
+        );
+        if let Some(p) = split(first) {
+            last_chunk_send[p] = Some(send);
         }
-
-        // Replica compute ops: contiguous ids, in model order, as the
-        // graph's name derivation requires.
-        let mut op_map: Vec<OpId> = Vec::with_capacity(model.ops().len());
-        for mop in model.ops() {
-            deps.clear();
-            deps.extend(mop.preds().iter().map(|p| op_map[p.index()]));
-            for p in mop.reads_params() {
-                deps.extend(param_units[p.index()].iter().map(|&u| w_recvs[u]));
-            }
-            let id = b.add_lowered_op(worker, OpKind::Compute, Cost::flops(mop.flops()), &deps);
-            op_map.push(id);
+        let recv = b.add_lowered_op(
+            worker,
+            OpKind::recv(params[first], ch),
+            Cost::bytes(bytes),
+            &[send],
+        );
+        for &m in group {
+            recv_ops[m] = recv;
         }
-
-        // Gradient path: worker send -> PS recv, per transfer group, of
-        // the members that carry a gradient.
-        last_chunk_send.fill(None);
-        for group in groups {
-            let with_grad = || group.iter().copied().filter(|&m| lowering.has_grad(m));
-            let Some(first) = with_grad().next() else {
-                continue;
-            };
-            let shard = shard_of[first];
-            let ch = channels[w][shard];
-            deps.clear();
-            for m in with_grad() {
-                deps.extend(grad_producers[units[m].param].iter().map(|&mi| op_map[mi]));
-            }
-            deps.extend(split(first).and_then(|p| last_chunk_send[p]));
-            let bytes = with_grad().map(|m| units[m].bytes).sum();
-            let send = b.add_lowered_op(
-                worker,
-                OpKind::send(params[first], ch),
-                Cost::bytes(bytes),
-                &deps,
-            );
-            if let Some(p) = split(first) {
-                last_chunk_send[p] = Some(send);
-            }
-            let recv = b.add_lowered_op(
-                ps[shard],
-                OpKind::recv(params[first], ch),
-                Cost::bytes(bytes),
-                &[send],
-            );
-            for m in with_grad() {
-                grad_recvs[m].push(recv);
-            }
-        }
-        recv_ops.push(w_recvs);
     }
+
+    // Replica compute ops: contiguous ids, in model order, as the graph's
+    // name derivation requires.
+    let mut op_map: Vec<OpId> = Vec::with_capacity(model.ops().len());
+    for mop in model.ops() {
+        deps.clear();
+        deps.extend(mop.preds().iter().map(|p| op_map[p.index()]));
+        for p in mop.reads_params() {
+            deps.extend(param_units[p.index()].iter().map(|&u| recv_ops[u]));
+        }
+        let id = b.add_lowered_op(worker, OpKind::Compute, Cost::flops(mop.flops()), &deps);
+        op_map.push(id);
+    }
+
+    // Gradient path: worker send -> PS recv, per transfer group, of the
+    // members that carry a gradient.
+    last_chunk_send.fill(None);
+    for group in groups {
+        let with_grad = || group.iter().copied().filter(|&m| lowering.has_grad(m));
+        let Some(first) = with_grad().next() else {
+            continue;
+        };
+        let shard = shard_of[first];
+        let ch = channels[0][shard];
+        deps.clear();
+        for m in with_grad() {
+            deps.extend(grad_producers[units[m].param].iter().map(|&mi| op_map[mi]));
+        }
+        deps.extend(split(first).and_then(|p| last_chunk_send[p]));
+        let bytes = with_grad().map(|m| units[m].bytes).sum();
+        let send = b.add_lowered_op(
+            worker,
+            OpKind::send(params[first], ch),
+            Cost::bytes(bytes),
+            &deps,
+        );
+        if let Some(p) = split(first) {
+            last_chunk_send[p] = Some(send);
+        }
+        let recv = b.add_lowered_op(
+            ps[shard],
+            OpKind::recv(params[first], ch),
+            Cost::bytes(bytes),
+            &[send],
+        );
+        for m in with_grad() {
+            grad_recvs[m] = Some(recv);
+        }
+    }
+    let block = b.repeat_block(spec.workers, spec.parameter_servers);
 
     // PS-side aggregation and update, one pair per transfer unit that
     // carries a gradient (fusion only coalesces the wire transfers; state
-    // updates stay per unit).
+    // updates stay per unit). An aggregate's dependency on worker 0's grad
+    // recv is one on every worker's.
     for (u, unit) in units.iter().enumerate() {
-        if grad_recvs[u].is_empty() {
+        let Some(grad_recv) = grad_recvs[u] else {
             continue;
-        }
+        };
         let shard = shard_of[u];
         let agg = b.add_lowered_op(
             ps[shard],
             OpKind::Aggregate { param: params[u] },
             Cost::flops((unit.elems * spec.workers as u64) as f64),
-            &grad_recvs[u],
+            &[grad_recv],
         );
         b.add_lowered_op(
             ps[shard],
@@ -995,6 +997,7 @@ pub fn deploy(model: &ModelGraph, spec: &ClusterSpec) -> Result<DeployedModel, D
         workers,
         parameter_servers: ps,
         recv_ops,
+        block,
         shard_of: lowering.shard_of,
         origin: lowering.units.iter().map(|u| (u.param, u.chunk)).collect(),
     })
@@ -1062,7 +1065,7 @@ mod tests {
         for (w, &worker) in d.workers().iter().enumerate() {
             for recv in g.recv_ops_on(worker) {
                 // The only predecessor is the PS-side send.
-                for &p in g.preds(recv) {
+                for p in g.preds(recv) {
                     assert!(g.device(g.op(p).device()).is_parameter_server());
                 }
                 // And it belongs to worker w.

@@ -142,7 +142,7 @@ impl DeployCache {
     }
 
     /// [`deploy`](Self::deploy) under `key`, `model`'s.
-    fn deploy_at(
+    pub(crate) fn deploy_at(
         &self,
         key: DeployKey,
         model: &ModelGraph,
@@ -179,20 +179,21 @@ impl DeployCache {
         registry: &Registry,
     ) -> Result<(Arc<DeployedModel>, Arc<Schedule>), ScenarioBuildError> {
         let key = DeployKey::new(model, cluster);
-        self.schedule_at(key, model, scheduler, config, registry)
+        let deployed = self.deploy_at(key.clone(), model)?;
+        let schedule = self.schedule_at(key, &deployed, scheduler, config, registry)?;
+        Ok((deployed, schedule))
     }
 
-    /// [`schedule`](Self::schedule) under `key`, `model`'s and the
-    /// cluster's.
+    /// [`schedule`](Self::schedule)'s second half: `deployed`'s schedule,
+    /// under `key`, the deployment's.
     pub(crate) fn schedule_at(
         &self,
         key: DeployKey,
-        model: &ModelGraph,
+        deployed: &DeployedModel,
         scheduler: SchedulerKind,
         config: &SimConfig,
         registry: &Registry,
-    ) -> Result<(Arc<DeployedModel>, Arc<Schedule>), ScenarioBuildError> {
-        let deployed = self.deploy_at(key.clone(), model)?;
+    ) -> Result<Arc<Schedule>, ScenarioBuildError> {
         let key = SchedKey {
             deploy: key,
             scheduler,
@@ -201,13 +202,14 @@ impl DeployCache {
         if !registry.is_enabled() {
             if let Some(hit) = lock(&self.schedules).get(&key) {
                 self.schedule_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((deployed, Arc::clone(hit)));
+                return Ok(Arc::clone(hit));
             }
         }
         self.schedule_misses.fetch_add(1, Ordering::Relaxed);
-        let schedule = Arc::new(compute_schedule(&deployed, scheduler, config, registry)?);
-        let shared = Arc::clone(lock(&self.schedules).entry(key).or_insert(schedule));
-        Ok((deployed, shared))
+        let schedule = Arc::new(compute_schedule(deployed, scheduler, config, registry)?);
+        Ok(Arc::clone(
+            lock(&self.schedules).entry(key).or_insert(schedule),
+        ))
     }
 
     /// Memoizes one communication-tuning evaluation: the makespan metric
@@ -247,8 +249,9 @@ impl DeployCache {
             return Ok(hit);
         }
         self.eval_misses.fetch_add(1, Ordering::Relaxed);
-        let (deployed, schedule) =
-            self.schedule_at(deploy, model, scheduler, config, &Registry::disabled())?;
+        let deployed = self.deploy_at(deploy.clone(), model)?;
+        let schedule =
+            self.schedule_at(deploy, &deployed, scheduler, config, &Registry::disabled())?;
         let value = compute(&deployed, &schedule)?;
         lock(&self.evals).insert(key, value);
         Ok(value)

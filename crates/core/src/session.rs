@@ -10,7 +10,7 @@ use tictac_sched::{
     efficiency, no_ordering, random_order, tac_observed, tic_observed, Schedule, SchedulerKind,
 };
 use tictac_sim::{
-    noise_free_profile, ExecOptions, FaultPlan, FaultSpec, RunPlan, SimConfig, SimError,
+    noise_free_profile, CheckedRun, ExecOptions, FaultPlan, FaultSpec, RunPlan, SimConfig, SimError,
 };
 use tictac_store::{IterationEvidence, Payload, RunRecord, RunSink, SessionEvidence};
 use tictac_trace::{
@@ -161,9 +161,10 @@ impl SessionBuilder {
     /// ([`SimConfig::check`]), or if the session is
     /// [`threaded`](SessionBuilder::threaded) and [`ExecOptions::check`]
     /// refuses its config; after deployment, with what [`RunPlan::new`]
-    /// refuses (TAC's profiling plan's or the session's own), such as a
-    /// cluster whose speed or bandwidth factors push an iteration past the
-    /// 2^53 ns end of the time axis. [`ScenarioBuildError::Deploy`] if the
+    /// refuses (the session's own, before any schedule is looked up or
+    /// derived, then TAC's profiling plan's), such as a cluster whose
+    /// speed or bandwidth factors push an iteration past the 2^53 ns end
+    /// of the time axis. [`ScenarioBuildError::Deploy`] if the
     /// cluster spec or model is invalid.
     pub fn build(self) -> Result<Session, ScenarioBuildError> {
         let started = Instant::now();
@@ -174,15 +175,13 @@ impl SessionBuilder {
         }
         let key = crate::cache::DeployKey::new(&self.model, &s.cluster);
         let model_fp = key.fingerprint;
-        let (deployed, schedule) = crate::DeployCache::global().schedule_at(
-            key,
-            &self.model,
-            s.scheduler,
-            &s.config,
-            &self.registry,
-        )?;
+        let cache = crate::DeployCache::global();
+        let deployed = cache.deploy_at(key.clone(), &self.model)?;
+        // Refused before a schedule is looked up or derived.
+        let run = CheckedRun::new(deployed.graph(), &s.config)?;
+        let schedule = cache.schedule_at(key, &deployed, s.scheduler, &s.config, &self.registry)?;
         let schedule_compute_time = started.elapsed();
-        let plan = RunPlan::new(deployed.graph(), &schedule, &s.config)?;
+        let plan = run.plan(deployed.graph(), &schedule)?;
         let sink = self
             .sink
             .or_else(|| tictac_store::global_store().map(|s| s as std::sync::Arc<dyn RunSink>));

@@ -2,7 +2,7 @@
 
 use crate::device::{Channel, Device, DeviceKind};
 use crate::error::GraphError;
-use crate::graph::{Graph, ParamInfo};
+use crate::graph::{Block, Graph, ParamInfo};
 use crate::ids::{ChannelId, DeviceId, OpId, ParamId};
 use crate::name::{KeySpace, Naming};
 use crate::op::{Cost, Op, OpKind};
@@ -34,6 +34,8 @@ pub struct GraphBuilder {
     /// One arena grows across the whole build instead of one `Vec` per op.
     pred_edges: Vec<OpId>,
     pred_offsets: Vec<u32>,
+    /// The block being built or repeated ([`begin_block`](Self::begin_block)).
+    block: Block,
     devices: Vec<Device>,
     channels: Vec<Channel>,
     params: Vec<ParamInfo>,
@@ -57,6 +59,7 @@ impl Default for GraphBuilder {
             ops: Vec::new(),
             pred_edges: Vec::new(),
             pred_offsets: vec![0],
+            block: Block::default(),
             devices: Vec::new(),
             channels: Vec::new(),
             params: Vec::new(),
@@ -220,7 +223,7 @@ impl GraphBuilder {
         cost: Cost,
         deps: &[OpId],
     ) -> OpId {
-        self.names.raw(self.ops.len(), name.as_ref());
+        self.names.raw(self.len(), name.as_ref());
         self.push_op(device, kind, cost, deps)
     }
 
@@ -244,13 +247,44 @@ impl GraphBuilder {
         cost: Cost,
         deps: &[OpId],
     ) -> OpId {
-        self.names.derived(self.ops.len(), kind, device);
+        self.names.derived(self.len(), kind, device);
         self.push_op(device, kind, cost, deps)
+    }
+
+    /// Starts worker `worker`'s block: the ops added from here to
+    /// [`repeat_block`](Self::repeat_block) are the block every worker
+    /// runs a copy of (paper §2.2, DESIGN.md §10).
+    pub fn begin_block(&mut self, worker: DeviceId) {
+        self.block.start = self.ops.len() as u32;
+        self.block.worker = worker.0;
+    }
+
+    /// Repeats the block begun by [`begin_block`](Self::begin_block) on
+    /// `copies` workers, stored once: copy `w` of an op on the block's
+    /// worker runs on the device `w` past it, and of an op on channel `c`
+    /// over channel `c + w·channels`. Returns the ops in one copy. The
+    /// next op's id follows the last copy, and a dependency on any copy of
+    /// a block op is one on that op in every copy.
+    ///
+    /// [`build`](Self::build) refuses a block op depending on an op added
+    /// after the block, and an op outside the block on one of its
+    /// workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `copies` is zero.
+    pub fn repeat_block(&mut self, copies: usize, channels: usize) -> usize {
+        assert!(copies > 0, "a block needs a copy");
+        let (start, worker) = (self.block.start, self.block.worker);
+        let len = self.ops.len() as u32 - start;
+        self.block = Block::new(start, len, copies as u32, worker, channels as u32);
+        self.names.repeat(worker, copies, len);
+        len as usize
     }
 
     /// Adds an op whose name is recorded, and returns its id.
     fn push_op(&mut self, device: DeviceId, kind: OpKind, cost: Cost, deps: &[OpId]) -> OpId {
-        let id = OpId::from_index(self.ops.len());
+        let id = self.block.first_id(self.ops.len());
         if self.unread_cost.is_none() {
             self.unread_cost = Op::unread_field(kind, cost).map(|field| (id, field));
         }
@@ -258,7 +292,8 @@ impl GraphBuilder {
         // Append, then sort + dedup the newly added range in place — no
         // per-op allocation.
         let start = self.pred_edges.len();
-        self.pred_edges.extend_from_slice(deps);
+        let block = self.block;
+        self.pred_edges.extend(deps.iter().map(|&d| block.fold(d)));
         self.pred_edges[start..].sort_unstable();
         let mut w = start;
         for r in start..self.pred_edges.len() {
@@ -297,9 +332,10 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of ops added so far.
+    /// Number of ops added so far, every copy of a repeated block
+    /// counted.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.ops.len() + self.block.tail_shift() as usize
     }
 
     /// Whether no ops have been added.
@@ -324,6 +360,7 @@ impl GraphBuilder {
             &self.ops,
             &self.pred_edges,
             &self.pred_offsets,
+            &self.block,
             &self.devices,
             &self.channels,
             &self.params,
@@ -339,15 +376,17 @@ impl GraphBuilder {
     /// arenas are indexed by them.
     fn assemble(self) -> Graph {
         // Derive the successor and device CSRs by counting sort: both come
-        // out sorted by op id, as per-op pushes would produce.
-        let n = self.ops.len();
+        // out sorted by op id, as per-op pushes would produce, and name
+        // ops as the block's first copy sees them, as the preds do.
+        let (n, block) = (self.ops.len(), self.block);
+        let stored = |id: OpId| block.locate(id).0;
         let (pred_edges, pred_offsets) = (&self.pred_edges, &self.pred_offsets);
         let (succ_edges, succ_offsets) = csr(
             n,
             (0..n).flat_map(|i| {
                 pred_edges[pred_offsets[i] as usize..pred_offsets[i + 1] as usize]
                     .iter()
-                    .map(move |p| (p.index(), OpId::from_index(i)))
+                    .map(move |&p| (stored(p), block.first_id(i)))
             }),
         );
         let (device_ops, device_offsets) = csr(
@@ -355,7 +394,7 @@ impl GraphBuilder {
             self.ops
                 .iter()
                 .enumerate()
-                .map(|(i, op)| (op.device.index(), OpId::from_index(i))),
+                .map(|(i, op)| (op.device.index(), block.first_id(i))),
         );
 
         // Canonicalize heterogeneity: an all-1.0 table IS the uniform
@@ -379,7 +418,7 @@ impl GraphBuilder {
         let mut pred_edges = self.pred_edges;
         pred_edges.shrink_to_fit();
         let mut names = self.names;
-        names.finish(n, self.devices.len());
+        names.finish(n + block.tail_shift() as usize, self.devices.len());
         Graph {
             ops: self.ops,
             pred_edges,
@@ -388,6 +427,7 @@ impl GraphBuilder {
             succ_offsets,
             device_ops,
             device_offsets,
+            block,
             devices: self.devices,
             channels: self.channels,
             params: self.params,
@@ -425,10 +465,10 @@ fn csr(
 }
 
 /// The checks [`GraphBuilder::build`] and [`Graph::check`] share, reported
-/// in this order: channel endpoints, then op by op in id order its device,
-/// channel, parameter, predecessors and name, then each worker's replica
-/// size. (`build` reports an unread cost field before all of them: a built
-/// graph cannot hold one.)
+/// in this order: channel endpoints, then op by op in id order (every copy
+/// of the block) its device, channel, parameter, predecessors, place and
+/// name, then each worker's replica size. (`build` reports an unread cost
+/// field before all of them: a built graph cannot hold one.)
 ///
 /// The name check derives each op's name and refuses one that renders
 /// like an earlier op's. It compares keys of the fields a name renders in
@@ -437,10 +477,12 @@ fn csr(
 /// a derived one that render alike are not refused; neither is a derived
 /// name whose parameter or model-op string spells another's (`fused3`,
 /// `recv/x`).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn check_parts(
     ops: &[Op],
     pred_edges: &[OpId],
     pred_offsets: &[u32],
+    block: &Block,
     devices: &[Device],
     channels: &[Channel],
     params: &[ParamInfo],
@@ -467,9 +509,17 @@ pub(crate) fn check_parts(
     let bounds = space.bounds();
     let mut seen: [Vec<u64>; 3] = Default::default();
     let replica = names.replica.len();
+    let n = ops.len() + block.tail_shift() as usize;
+    let op_at = |i: usize| {
+        let (s, copy) = block.locate(OpId::from_index(i));
+        (s, copy, block.moved(ops[s], copy))
+    };
+    // A block's workers: no shared op sits on one.
+    let on_block_worker = |d: DeviceId| u32::from(d.0.wrapping_sub(block.worker)) < block.copies;
     // Lowered compute ops per device.
     let mut lowered = vec![0usize; devices.len()];
-    for (i, op) in ops.iter().enumerate() {
+    for i in 0..n {
+        let (s, copy, op) = op_at(i);
         if op.device.index() >= devices.len() {
             return Err(GraphError::UnknownDevice(op.device));
         }
@@ -488,14 +538,25 @@ pub(crate) fn check_parts(
         if let Some(p) = op.kind.param().filter(|p| p.index() >= params.len()) {
             return Err(GraphError::UnknownParam(p));
         }
-        let deps = &pred_edges[pred_offsets[i] as usize..pred_offsets[i + 1] as usize];
-        if let Some(&pr) = deps.iter().find(|pr| pr.index() >= ops.len()) {
+        let deps = &pred_edges[pred_offsets[s] as usize..pred_offsets[s + 1] as usize];
+        // A block op's neighbours sit in its block or before it.
+        let bound = match copy {
+            Some(_) => (block.start + block.len) as usize,
+            None => n,
+        };
+        if let Some(&pr) = deps.iter().find(|pr| pr.index() >= bound) {
             return Err(GraphError::UnknownOp(pr));
         }
-        if names.is_derived(i) {
-            check_lowered(i, op, ops, devices, names, &mut lowered)?;
+        if copy.is_none() && block.len > 0 && on_block_worker(op.device) {
+            return Err(GraphError::MisplacedOp {
+                op: OpId::from_index(i),
+                device: op.device,
+            });
         }
-        let name = names.name(i, op, devices, channels);
+        if names.is_derived(i) {
+            check_lowered(i, &op, n, &|j| op_at(j).2, devices, names, &mut lowered)?;
+        }
+        let name = names.name(i, &op, devices, channels);
         let (segment, key) = name.key(&space);
         let bits = &mut seen[segment];
         if bits.is_empty() {
@@ -526,11 +587,12 @@ pub(crate) fn check_parts(
 /// Refuses lowered op `i`, `op`, where its name cannot be derived: a
 /// compute op off a worker or past its worker's replica, a read,
 /// aggregate or update off a parameter server. Counts a compute op in
-/// `lowered`, per device.
+/// `lowered`, per device. `op_at` reads any of the graph's `n` ops.
 fn check_lowered(
     i: usize,
     op: &Op,
-    ops: &[Op],
+    n: usize,
+    op_at: &dyn Fn(usize) -> Op,
     devices: &[Device],
     names: &Naming,
     lowered: &mut [usize],
@@ -554,12 +616,13 @@ fn check_lowered(
     }
     let d = op.device.index();
     lowered[d] += 1;
-    if i - names.bases[d] as usize >= names.replica.len() {
+    if i.wrapping_sub(names.bases[d] as usize) >= names.replica.len() {
         // Off the contiguous run its first compute op starts: report
         // how many the worker holds.
-        let compute_ops = (0..ops.len())
+        let compute_ops = (0..n)
             .filter(|&j| {
-                names.is_derived(j) && ops[j].kind == OpKind::Compute && ops[j].device == op.device
+                let other = op_at(j);
+                names.is_derived(j) && other.kind == OpKind::Compute && other.device == op.device
             })
             .count();
         return Err(GraphError::ReplicaLayout {
@@ -672,8 +735,8 @@ mod tests {
         let a = b.add_op("a", w, OpKind::Compute, Cost::ZERO, &[]);
         let c = b.add_op("c", w, OpKind::Compute, Cost::ZERO, &[a, a, a]);
         let g = b.build().unwrap();
-        assert_eq!(g.preds(c), &[a]);
-        assert_eq!(g.succs(a), &[c]);
+        assert_eq!(g.preds(c).collect::<Vec<_>>(), [a]);
+        assert_eq!(g.succs(a).collect::<Vec<_>>(), [c]);
     }
 
     #[test]
@@ -685,7 +748,7 @@ mod tests {
         b.add_dep(a, c);
         b.add_dep(a, c);
         let g = b.build().unwrap();
-        assert_eq!(g.preds(c), &[a]);
+        assert_eq!(g.preds(c).collect::<Vec<_>>(), [a]);
     }
 
     /// A deployment-shaped builder, as `deploy` lowers a one-op replica

@@ -342,6 +342,20 @@ impl Naming {
         }
     }
 
+    /// Gives each later copy of a block of `len` ops on device `worker`
+    /// its base: the first copy's, `w·len` on for copy `w`.
+    pub(crate) fn repeat(&mut self, worker: u16, copies: usize, len: u32) {
+        let first = usize::from(worker);
+        let Some(&base) = self.bases.get(first).filter(|&&b| b != u32::MAX) else {
+            return;
+        };
+        self.bases
+            .resize(self.bases.len().max(first + copies), u32::MAX);
+        for w in 1..copies {
+            self.bases[first + w] = base + w as u32 * len;
+        }
+    }
+
     /// Names the replica's model ops, in model order.
     pub(crate) fn replica<S: AsRef<str>>(&mut self, ops: impl IntoIterator<Item = S>) {
         self.replica = ops

@@ -20,7 +20,7 @@ use crate::ids::OpId;
 pub fn topo_order(graph: &Graph) -> Result<Vec<OpId>, GraphError> {
     let n = graph.len();
     let mut indegree: Vec<usize> = (0..n)
-        .map(|i| graph.preds(OpId::from_index(i)).len())
+        .map(|i| graph.preds(OpId::from_index(i)).count())
         .collect();
     // Min-heap on op id for determinism.
     let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<OpId>> = indegree
@@ -32,7 +32,7 @@ pub fn topo_order(graph: &Graph) -> Result<Vec<OpId>, GraphError> {
     let mut order = Vec::with_capacity(n);
     while let Some(std::cmp::Reverse(id)) = ready.pop() {
         order.push(id);
-        for &s in graph.succs(id) {
+        for s in graph.succs(id) {
             indegree[s.index()] -= 1;
             if indegree[s.index()] == 0 {
                 ready.push(std::cmp::Reverse(s));
@@ -63,7 +63,10 @@ pub fn topo_order(graph: &Graph) -> Result<Vec<OpId>, GraphError> {
 /// [`GraphError::Cycle`] naming the lowest-id op left holding a
 /// predecessor.
 pub(crate) fn check_acyclic(graph: &Graph) -> Result<(), GraphError> {
-    let mut indegree: Vec<u32> = graph.pred_offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut indegree: Vec<u32> = graph
+        .op_ids()
+        .map(|id| graph.preds(id).count() as u32)
+        .collect();
     let mut ready: Vec<OpId> = (0..indegree.len())
         .filter(|&i| indegree[i] == 0)
         .map(OpId::from_index)
@@ -71,7 +74,7 @@ pub(crate) fn check_acyclic(graph: &Graph) -> Result<(), GraphError> {
     let mut left = indegree.len();
     while let Some(id) = ready.pop() {
         left -= 1;
-        for &s in graph.succs(id) {
+        for s in graph.succs(id) {
             let d = &mut indegree[s.index()];
             *d -= 1;
             if *d == 0 {
@@ -110,7 +113,6 @@ pub fn is_topological(graph: &Graph, order: &[OpId]) -> bool {
     graph.op_ids().all(|id| {
         graph
             .preds(id)
-            .iter()
             .all(|p| position[p.index()] < position[id.index()])
     })
 }
@@ -126,7 +128,6 @@ pub(crate) fn longest_path_to(graph: &Graph, mut weight: impl FnMut(OpId) -> f64
     for &id in &order {
         let incoming = graph
             .preds(id)
-            .iter()
             .map(|p| dist[p.index()])
             .fold(0.0_f64, f64::max);
         dist[id.index()] = incoming + weight(id);

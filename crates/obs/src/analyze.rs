@@ -243,19 +243,11 @@ impl InversionReport {
 /// once its payload exists). Falls back to the recv's own non-send
 /// predecessors, then to time zero for root transfers.
 fn runnable_at(graph: &Graph, trace: &ExecutionTrace, recv: OpId) -> SimTime {
-    let send = graph
-        .preds(recv)
-        .iter()
-        .copied()
-        .find(|&p| graph.op(p).kind().is_send());
-    let preds: &[OpId] = match send {
-        Some(s) => graph.preds(s),
-        None => graph.preds(recv),
-    };
-    preds
-        .iter()
-        .filter(|&&p| !graph.op(p).kind().is_send())
-        .filter_map(|&p| trace.record(p))
+    let send = graph.preds(recv).find(|&p| graph.op(p).kind().is_send());
+    graph
+        .preds(send.unwrap_or(recv))
+        .filter(|&p| !graph.op(p).kind().is_send())
+        .filter_map(|p| trace.record(p))
         .map(|r| r.end)
         .max()
         .unwrap_or(SimTime::ZERO)
@@ -274,7 +266,7 @@ fn ranked_transfers(
             continue;
         }
         let Some(rank) = priority(id) else { continue };
-        let Resource::Channel(c) = graph.resource(id) else {
+        let Some(c) = op.kind().channel() else {
             continue;
         };
         if let Some(rec) = trace.record(id) {
@@ -706,7 +698,7 @@ mod tests {
             let end = start + next(2) * next(span / 4 + 1);
             free[lane] = end;
             tb.record(op, t(start), t(end));
-            if let Some(&send) = g.preds(op).first() {
+            if let Some(send) = g.preds(op).next() {
                 if !tb.is_recorded(send) {
                     tb.record(send, t(start), t(end));
                 }

@@ -96,6 +96,11 @@ pub fn evaluate(
     let loads = resource_loads(graph, ops, duration);
     let upper = upper_makespan(loads.iter().copied());
     let lower = loads.into_iter().max().unwrap_or_default();
+    report(upper, lower, makespan)
+}
+
+/// Equations 3 and 4 from the bounds `U` and `L` and the makespan.
+fn report(upper: SimDuration, lower: SimDuration, makespan: SimDuration) -> EfficiencyReport {
     let span = upper.saturating_sub(lower);
     let efficiency = if span.is_zero() {
         1.0
@@ -148,9 +153,10 @@ pub struct RealizedEfficiency {
 }
 
 /// Computes the paper's scheduling-efficiency metric (§3.2, Equations
-/// 1–4) from *observed* per-op durations, per worker partition: [`evaluate`]
-/// over each worker's ops with `trace.duration` as the duration oracle
-/// and the worker's device-finish time as the measured makespan.
+/// 1–4) from *observed* per-op durations, per worker partition: what
+/// [`evaluate`] reports over each worker's ops with `trace.duration` as
+/// the duration oracle and the worker's device-finish time as the
+/// measured makespan.
 pub fn realized_efficiency(graph: &Graph, trace: &ExecutionTrace) -> RealizedEfficiency {
     let finishes = trace.device_finishes(graph);
     let workers: Vec<DeviceId> = graph.workers().collect();
@@ -164,23 +170,41 @@ pub fn realized_efficiency(graph: &Graph, trace: &ExecutionTrace) -> RealizedEff
 /// [`realized_efficiency`] over `workers` whose finish times are already
 /// known (`finish[i]` is `workers[i]`'s, as `tictac_trace::analyze`
 /// reports them), so the trace is not walked for them again.
+///
+/// Every partition's loads come from one walk over the graph, in id
+/// order: a device's compute unit, and each channel's load from the ops
+/// on either end of it, its worker's side and its server's (a device's
+/// partition holds only the ops placed on it).
 pub fn realized_efficiency_with(
     graph: &Graph,
     trace: &ExecutionTrace,
     workers: &[DeviceId],
     finish: &[SimTime],
 ) -> RealizedEfficiency {
+    let mut compute = vec![SimDuration::ZERO; graph.devices().len()];
+    // Per channel, the load of its worker's side, then its server's.
+    let mut wire = vec![[SimDuration::ZERO; 2]; graph.channels().len()];
+    for (id, op) in graph.ops() {
+        let load = trace.duration(id);
+        match op.kind().channel() {
+            Some(c) => wire[c.index()][usize::from(op.device() == graph.channel(c).ps())] += load,
+            None => compute[op.device().index()] += load,
+        }
+    }
+    // Per device, its channels' total and largest load.
+    let (mut total, mut largest) = (compute.clone(), compute);
+    for (channel, sides) in graph.channels().iter().zip(&wire) {
+        for (device, &load) in [channel.worker(), channel.ps()].into_iter().zip(sides) {
+            total[device.index()] += load;
+            largest[device.index()] = largest[device.index()].max(load);
+        }
+    }
     let mut per_worker = Vec::with_capacity(workers.len());
     let mut efficiency = 1.0_f64;
     let mut speedup_potential = 0.0;
     for (&device, finish) in workers.iter().zip(finish) {
         let finish = finish.duration_since(SimTime::ZERO);
-        let report = evaluate(
-            graph,
-            graph.device_ops(device),
-            |op| trace.duration(op),
-            finish,
-        );
+        let report = report(total[device.index()], largest[device.index()], finish);
         efficiency = efficiency.min(report.efficiency_clamped());
         speedup_potential = report.speedup_potential;
         per_worker.push(WorkerEfficiency {

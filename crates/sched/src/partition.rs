@@ -32,20 +32,14 @@ pub struct PartitionGraph {
 impl PartitionGraph {
     /// Extracts the partition of `device` from `graph`.
     pub fn new(graph: &Graph, device: DeviceId) -> Self {
-        let ops: Vec<OpId> = graph.device_ops(device).to_vec();
+        let ops: Vec<OpId> = graph.ops_on(device).collect();
         let mut local = vec![None; graph.len()];
         for (i, &id) in ops.iter().enumerate() {
             local[id.index()] = Some(i as u32);
         }
         let preds: Vec<Vec<u32>> = ops
             .iter()
-            .map(|&id| {
-                graph
-                    .preds(id)
-                    .iter()
-                    .filter_map(|p| local[p.index()])
-                    .collect()
-            })
+            .map(|&id| graph.preds(id).filter_map(|p| local[p.index()]).collect())
             .collect();
         let recvs: Vec<u32> = ops
             .iter()

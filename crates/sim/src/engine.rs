@@ -462,6 +462,8 @@ struct Engine<'g> {
     events: EventQueue<EventKind>,
 
     indegree: Vec<u32>,
+    /// The plan's roots.
+    roots: &'g [OpId],
     done: Vec<bool>,
     trace: TraceBuilder,
     remaining: usize,
@@ -555,6 +557,7 @@ impl<'g> Engine<'g> {
             clock: SimTime::ZERO,
             events: EventQueue::new(),
             indegree: run.indegree.clone(),
+            roots: &run.roots,
             done: vec![false; n],
             trace: TraceBuilder::new(n),
             remaining: n,
@@ -605,8 +608,7 @@ impl<'g> Engine<'g> {
         // Dispatch roots: ops without predecessors, not ops whose count
         // a root's instant hand-off already took to zero (those were
         // dispatched by that hand-off).
-        let graph = self.graph;
-        for root in graph.roots() {
+        for &root in self.roots {
             self.dispatch(root);
         }
         self.pump();
@@ -967,7 +969,7 @@ impl<'g> Engine<'g> {
         self.done[op.index()] = true;
         self.remaining -= 1;
         let graph = self.graph;
-        for &succ in graph.succs(op) {
+        for succ in graph.succs(op) {
             self.indegree[succ.index()] -= 1;
             if self.indegree[succ.index()] == 0 {
                 self.dispatch(succ);

@@ -72,6 +72,6 @@ pub use config::{SimConfig, DEFAULT_SEED};
 pub use engine::simulate;
 pub use error::SimError;
 pub use faults::{Blackout, Crash, FaultPlan, FaultSpec, Stall};
-pub use plan::RunPlan;
+pub use plan::{CheckedRun, RunPlan};
 pub use service::noise_free_profile;
 pub use threaded::ExecOptions;

@@ -43,6 +43,9 @@ pub struct RunPlan {
     /// Predecessor count per op: the template each iteration's
     /// dependency counters start from.
     pub(crate) indegree: Vec<u32>,
+    /// The ops with no predecessor, in id order: what each iteration
+    /// dispatches first.
+    pub(crate) roots: Vec<OpId>,
 }
 
 impl RunPlan {
@@ -53,51 +56,11 @@ impl RunPlan {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidKnob`] if a knob is out of range
-    /// ([`SimConfig::check`]), [`SimError::RetryPastHorizon`] if the retry
-    /// policy's timeouts can add up to `HORIZON_NS` (a loss-detection
-    /// timeout past it would put an event into the past),
+    /// What [`CheckedRun::new`] refuses, then
     /// [`SimError::ScheduleMismatch`] if `schedule` does not cover
-    /// `graph`, and [`SimError::ServicePastHorizon`] if the noise-free
-    /// service times sum to `HORIZON_NS` or more: a noise-free, fault-free
-    /// iteration takes at most that sum. Both sums saturate, as each
-    /// duration does, so no factor wraps them back under the bound.
+    /// `graph`.
     pub fn new(graph: &Graph, schedule: &Schedule, config: &SimConfig) -> Result<Self, SimError> {
-        config.check()?;
-        let budget = config.faults.retry.total_budget();
-        if budget.as_nanos() >= HORIZON_NS {
-            return Err(SimError::RetryPastHorizon { budget });
-        }
-        if schedule.len() != graph.len() {
-            return Err(SimError::ScheduleMismatch {
-                schedule_len: schedule.len(),
-                graph_len: graph.len(),
-            });
-        }
-        let service = service_times(graph, config);
-        let total = service
-            .iter()
-            .fold(SimDuration::ZERO, |sum, &d| sum.saturating_add(d));
-        if total.as_nanos() >= HORIZON_NS {
-            return Err(SimError::ServicePastHorizon { total });
-        }
-        Ok(Self {
-            config: config.clone(),
-            route: graph
-                .ops()
-                .map(|(_, op)| match op.kind() {
-                    OpKind::Send { channel, .. } => Route::Send(channel.index() as u32),
-                    OpKind::Recv { channel, .. } => Route::Recv(channel.index() as u32),
-                    _ => Route::Compute(op.device().index() as u32),
-                })
-                .collect(),
-            transfers: TransferTable::new(graph, schedule),
-            service,
-            indegree: graph
-                .op_ids()
-                .map(|op| graph.preds(op).len() as u32)
-                .collect(),
-        })
+        CheckedRun::new(graph, config)?.plan(graph, schedule)
     }
 
     /// The configuration the plan was built under, and every iteration
@@ -117,6 +80,97 @@ impl RunPlan {
     /// tabulates (a length check: the contract is the caller's).
     pub(crate) fn covers(&self, graph: &Graph, schedule: &Schedule) -> bool {
         self.indegree.len() == graph.len() && schedule.len() == graph.len()
+    }
+}
+
+/// A run's rules checked before its schedule exists: the first half of
+/// [`RunPlan::new`]. A caller that derives a schedule (the session
+/// builder) checks first, so a run that can never start derives nothing,
+/// and the noise-free service column is built once for both halves.
+#[derive(Debug)]
+pub struct CheckedRun {
+    config: SimConfig,
+    service: Vec<SimDuration>,
+}
+
+impl CheckedRun {
+    /// Checks `config` for a run of `graph`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidKnob`] if a knob is out of range
+    /// ([`SimConfig::check`]), [`SimError::RetryPastHorizon`] if the retry
+    /// policy's timeouts can add up to `HORIZON_NS` (a loss-detection
+    /// timeout past it would put an event into the past), and
+    /// [`SimError::ServicePastHorizon`] if the noise-free service times
+    /// sum to `HORIZON_NS` or more: a noise-free, fault-free iteration
+    /// takes at most that sum. Both sums saturate, as each duration does,
+    /// so no factor wraps them back under the bound.
+    pub fn new(graph: &Graph, config: &SimConfig) -> Result<Self, SimError> {
+        config.check()?;
+        let budget = config.faults.retry.total_budget();
+        if budget.as_nanos() >= HORIZON_NS {
+            return Err(SimError::RetryPastHorizon { budget });
+        }
+        let service = service_times(graph, config);
+        let total = service
+            .iter()
+            .fold(SimDuration::ZERO, |sum, &d| sum.saturating_add(d));
+        if total.as_nanos() >= HORIZON_NS {
+            return Err(SimError::ServicePastHorizon { total });
+        }
+        Ok(Self {
+            config: config.clone(),
+            service,
+        })
+    }
+
+    /// The plan of this run under `schedule`: the second half of
+    /// [`RunPlan::new`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ScheduleMismatch`] if `schedule` does not cover
+    /// `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not the size of the one the run was checked
+    /// on.
+    pub fn plan(self, graph: &Graph, schedule: &Schedule) -> Result<RunPlan, SimError> {
+        assert_eq!(
+            self.service.len(),
+            graph.len(),
+            "run checked on another graph"
+        );
+        if schedule.len() != graph.len() {
+            return Err(SimError::ScheduleMismatch {
+                schedule_len: schedule.len(),
+                graph_len: graph.len(),
+            });
+        }
+        let indegree: Vec<u32> = graph
+            .op_ids()
+            .map(|op| graph.preds(op).count() as u32)
+            .collect();
+        Ok(RunPlan {
+            config: self.config,
+            route: graph
+                .ops()
+                .map(|(_, op)| match op.kind() {
+                    OpKind::Send { channel, .. } => Route::Send(channel.index() as u32),
+                    OpKind::Recv { channel, .. } => Route::Recv(channel.index() as u32),
+                    _ => Route::Compute(op.device().index() as u32),
+                })
+                .collect(),
+            transfers: TransferTable::new(graph, schedule),
+            service: self.service,
+            roots: (0..indegree.len())
+                .filter(|&i| indegree[i] == 0)
+                .map(OpId::from_index)
+                .collect(),
+            indegree,
+        })
     }
 }
 

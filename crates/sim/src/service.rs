@@ -7,16 +7,12 @@
 
 use crate::config::SimConfig;
 use tictac_graph::{ChannelId, Graph, OpId, OpKind};
-use tictac_trace::{CostOracle, MeasuredProfile, SimDuration, TimeOracle};
+use tictac_trace::{CostOracle, MeasuredProfile, SimDuration};
 
 /// The send op feeding `recv` (transfer pairing), if the graph models one:
 /// hand-built graphs may leave recvs as pure roots.
 pub(crate) fn paired_send(graph: &Graph, recv: OpId) -> Option<OpId> {
-    graph
-        .preds(recv)
-        .iter()
-        .copied()
-        .find(|&p| graph.op(p).kind().is_send())
+    graph.preds(recv).find(|&p| graph.op(p).kind().is_send())
 }
 
 /// Service time of every op of `graph` under `config`, by op index: the
@@ -39,12 +35,12 @@ pub(crate) fn service_times(graph: &Graph, config: &SimConfig) -> Vec<SimDuratio
     let oracle = CostOracle::new(config.platform.clone());
     graph
         .ops()
-        .map(|(id, op)| match op.kind() {
+        .map(|(_, op)| match op.kind() {
             OpKind::Recv { channel, .. } => oracle
                 .platform()
                 .transfer_time_scaled(op.cost().bytes, chan_share[channel.index()]),
             OpKind::Send { .. } => SimDuration::ZERO,
-            _ => oracle.duration(graph, id),
+            _ => oracle.op_duration(graph, &op),
         })
         .collect()
 }

@@ -191,7 +191,7 @@ impl RunPlan {
             }
 
             // Release the roots only once every thread can observe them.
-            for op in graph.roots() {
+            for &op in &self.roots {
                 shared.dispatch(op);
             }
             shared.watch()
@@ -410,7 +410,7 @@ impl<'g> Shared<'g> {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.finish();
         }
-        for &succ in self.graph.succs(op) {
+        for succ in self.graph.succs(op) {
             if self.indegree[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
                 self.dispatch(succ);
             }

@@ -279,9 +279,9 @@ impl ExecutionTrace {
     /// device.
     pub fn device_finishes(&self, graph: &Graph) -> Vec<Option<SimTime>> {
         let mut finish = vec![None; graph.devices().len()];
-        for (i, record) in self.records.iter().enumerate() {
+        for ((_, op), record) in graph.ops().zip(&self.records) {
             if let Some(r) = executed(record) {
-                let slot = &mut finish[graph.op(OpId::from_index(i)).device().index()];
+                let slot = &mut finish[op.device().index()];
                 *slot = (*slot).max(Some(r.end));
             }
         }

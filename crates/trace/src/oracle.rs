@@ -2,7 +2,7 @@
 
 use crate::platform::Platform;
 use crate::time::SimDuration;
-use tictac_graph::{Graph, OpId, OpKind};
+use tictac_graph::{Graph, Op, OpId, OpKind};
 
 /// Predicts the execution time of each op assuming a dedicated resource
 /// (the paper's `Time(op)`, §3.1).
@@ -77,15 +77,14 @@ impl CostOracle {
     pub fn platform(&self) -> &Platform {
         &self.platform
     }
-}
 
-impl TimeOracle for CostOracle {
-    fn duration(&self, graph: &Graph, op: OpId) -> SimDuration {
+    /// [`duration`](TimeOracle::duration) of `o`, an op of `graph`
+    /// already at hand.
+    pub fn op_duration(&self, graph: &Graph, o: &Op) -> SimDuration {
         // Heterogeneity: flops scale by the device's speed factor and wire
         // time by the channel's bandwidth factor. Both divisions are exact
         // for the uniform factor 1.0 (IEEE-754: `x / 1.0 == x` bitwise),
         // so homogeneous graphs keep byte-identical durations.
-        let o = graph.op(op);
         match o.kind() {
             OpKind::Recv { channel, .. } => self
                 .platform
@@ -104,6 +103,12 @@ impl TimeOracle for CostOracle {
                 self.platform.ps_compute_time(flops)
             }
         }
+    }
+}
+
+impl TimeOracle for CostOracle {
+    fn duration(&self, graph: &Graph, op: OpId) -> SimDuration {
+        self.op_duration(graph, &graph.op(op))
     }
 }
 

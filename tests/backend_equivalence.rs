@@ -66,7 +66,7 @@ fn assert_dag_order(session: &Session) {
     assert_eq!(trace.executed_ops(), graph.len(), "every op executed");
     for op in graph.op_ids() {
         let rec = trace.record(op).expect("op recorded");
-        for &pred in graph.preds(op) {
+        for pred in graph.preds(op) {
             if graph.op(pred).kind().is_send() {
                 continue;
             }
@@ -477,7 +477,7 @@ fn an_enforced_send_feeding_two_recvs_completes_on_the_engine() {
     let config = SimConfig::deterministic(Platform::cloud_gpu());
     let trace = simulate(&g, &s, &config, 0);
     assert_eq!(trace.executed_ops(), g.len());
-    let send = g.preds(pa)[0];
+    let send = g.preds(pa).next().unwrap();
     assert_eq!(
         trace.record(send),
         trace.record(pa),

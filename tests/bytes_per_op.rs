@@ -52,24 +52,32 @@ fn kept<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (value, LIVE.load(Relaxed) - before)
 }
 
-/// A deployment holds ≤ 53 B an op (a 24-byte `Op` that stores no name,
-/// the edge arenas with no spare reservation, the model-op strings and
-/// the per-device naming tables) on two `scale_sweep` shapes, training,
-/// batch 2, and ≤ 56.5 on one deployed with both comm passes on, whose
-/// extra transfer units each add a parameter, a read and their edges, and
-/// whose fused-group table is then counted too. A TIC or TAC schedule
-/// on the two plain shapes holds ≤ 1.5 (a presence bit an op, a rank
-/// word per 64 ops, eight bytes per prioritized recv).
+/// A deployment stores one worker's block and the shared ops once
+/// (DESIGN.md §7, *Bytes per op*; §10): a 24-byte `Op` that stores no
+/// name, the edge arenas with no spare reservation and the device index
+/// per stored op, then the model-op strings and the per-device and
+/// per-channel tables. Over the ops it runs, every worker's counted, it
+/// holds ≤ 8 B an op on vgg_16 and inception_v1 at W = 16, 32, 64 and
+/// 256, training, batch 2, and ≤ 2 on vgg_16 at W = 64 deployed with both
+/// comm passes on. Its bytes at W = 256 are within ×2.5 of its bytes at
+/// W = 16: only the per-device and per-channel tables grow with W. A TIC
+/// or TAC schedule on the plain shapes holds ≤ 1.5 B per op (a presence
+/// bit an op, a rank word per 64 ops, eight bytes per prioritized recv).
 #[test]
 fn a_cached_deployment_and_its_schedules_stay_within_their_bytes_per_op() {
     let config = SimConfig::deterministic(Platform::cloud_gpu()).with_disorder_window(Some(1));
     let comm = CommConfig::default()
         .with_partition_bytes(Some(1 << 20))
         .with_fusion_bytes(Some(64 << 10));
+    let mut at_16 = std::collections::HashMap::new();
     for (model, workers, ps, comm, bound) in [
-        (Model::Vgg16, 64, 2, CommConfig::default(), 53.0),
-        (Model::InceptionV1, 32, 1, CommConfig::default(), 53.0),
-        (Model::Vgg16, 64, 2, comm, 56.5),
+        (Model::Vgg16, 16, 2, CommConfig::default(), 8.0),
+        (Model::InceptionV1, 16, 1, CommConfig::default(), 8.0),
+        (Model::Vgg16, 64, 2, CommConfig::default(), 8.0),
+        (Model::InceptionV1, 32, 1, CommConfig::default(), 8.0),
+        (Model::Vgg16, 256, 2, CommConfig::default(), 8.0),
+        (Model::InceptionV1, 256, 1, CommConfig::default(), 8.0),
+        (Model::Vgg16, 64, 2, comm, 2.0),
     ] {
         let graph = model.build_with_batch(Mode::Training, 2);
         let cluster = ClusterSpec::new(workers, ps).with_comm(comm);
@@ -79,6 +87,13 @@ fn a_cached_deployment_and_its_schedules_stay_within_their_bytes_per_op() {
         let shape = format!("{} {workers} x {ps} {comm:?}", model.name());
         let per_op = deployment as f64 / ops;
         assert!(per_op <= bound, "{shape}: deployment {per_op:.2} B/op");
+        if workers == 16 {
+            at_16.insert(model.name(), deployment);
+        }
+        if workers == 256 {
+            let ratio = deployment as f64 / at_16[model.name()] as f64;
+            assert!(ratio <= 2.5, "{shape}: x{ratio:.2} the bytes at W = 16");
+        }
         if !comm.is_default() {
             let units = deployed.graph().params().len();
             let recvs: HashSet<_> = (0..units)

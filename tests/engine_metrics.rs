@@ -227,11 +227,7 @@ fn engine_metrics_equal_the_engines_tallies() {
 
 /// The send feeding `recv`, if the graph models one.
 fn paired_send(graph: &Graph, recv: OpId) -> Option<OpId> {
-    graph
-        .preds(recv)
-        .iter()
-        .copied()
-        .find(|&p| graph.op(p).kind().is_send())
+    graph.preds(recv).find(|&p| graph.op(p).kind().is_send())
 }
 
 /// When each op became ready, derived from the graph, the schedule and
@@ -252,7 +248,7 @@ fn derived_ready(
     let n = graph.len();
     // The gate order as edges: each ranked send's neighbours in it.
     let (mut gate_next, mut gated_behind) = (vec![None; n], vec![None; n]);
-    let mut indegree: Vec<usize> = graph.op_ids().map(|op| graph.preds(op).len()).collect();
+    let mut indegree: Vec<usize> = graph.op_ids().map(|op| graph.preds(op).count()).collect();
     if enforcement && !schedule.is_unordered() {
         let mut ranked = vec![false; n];
         for recvs in schedule.ordered_recvs_per_channel(graph) {
@@ -277,10 +273,8 @@ fn derived_ready(
         .filter(|op| indegree[op.index()] == 0)
         .collect();
     while let Some(op) = queue.pop() {
-        let preds = graph.preds(op);
-        let at = preds
-            .iter()
-            .try_fold(SimTime::ZERO, |at, p| done[p.index()].map(|d| at.max(d)));
+        let mut preds = graph.preds(op);
+        let at = preds.try_fold(SimTime::ZERO, |at, p| done[p.index()].map(|d| at.max(d)));
         ready[op.index()] = at;
         done[op.index()] = if graph.op(op).kind().is_send() {
             match gated_behind[op.index()] {
@@ -290,7 +284,7 @@ fn derived_ready(
         } else {
             trace.record(op).map(|r| r.end)
         };
-        for &next in graph.succs(op).iter().chain(&gate_next[op.index()]) {
+        for next in graph.succs(op).chain(gate_next[op.index()]) {
             indegree[next.index()] -= 1;
             if indegree[next.index()] == 0 {
                 queue.push(next);

@@ -186,6 +186,66 @@ fn realized_efficiency_agrees_with_session_report() {
     }
 }
 
+/// `realized_efficiency_with`'s one walk over the graph reports, for
+/// every device, what `efficiency::evaluate` reports over the ops placed
+/// on it: the same bounds, efficiency and speedup potential, bit for bit.
+/// Parameter servers included (their channel ends are their own), on
+/// uneven clusters, with both comm passes and with a heterogeneous one.
+#[test]
+fn realized_efficiency_is_evaluate_per_partition() {
+    let comm = tictac::CommConfig::default()
+        .with_partition_bytes(Some(1 << 20))
+        .with_fusion_bytes(Some(64 << 10));
+    let hetero = ClusterSpec::builder()
+        .workers(3)
+        .parameter_servers(2)
+        .worker_speeds(vec![1.0, 0.5, 1.0])
+        .link_bandwidths(vec![1.0, 1.0, 0.25])
+        .build()
+        .unwrap();
+    for model in [Model::AlexNetV2, Model::InceptionV1, Model::Vgg16] {
+        for cluster in [
+            ClusterSpec::new(3, 2),
+            ClusterSpec::new(5, 1).with_comm(comm),
+            hetero.clone(),
+        ] {
+            let session = Session::builder(model.build_with_batch(Mode::Training, 2))
+                .cluster(cluster)
+                .config(SimConfig::cloud_gpu())
+                .scheduler(SchedulerKind::Tic)
+                .build()
+                .unwrap();
+            let graph = session.deployed().graph();
+            let trace = session.trace_iteration(0).unwrap();
+            let devices: Vec<_> = graph.devices().iter().map(|d| d.id()).collect();
+            let finishes = trace.device_finishes(graph);
+            let finish: Vec<SimTime> = devices
+                .iter()
+                .map(|d| finishes[d.index()].unwrap_or(SimTime::ZERO))
+                .collect();
+            let realized =
+                tictac::efficiency::realized_efficiency_with(graph, &trace, &devices, &finish);
+            for (w, &device) in realized.per_worker.iter().zip(&devices) {
+                let ops: Vec<OpId> = graph.ops_on(device).collect();
+                let want = tictac::efficiency::evaluate(
+                    graph,
+                    &ops,
+                    |op| trace.duration(op),
+                    finish[device.index()].duration_since(SimTime::ZERO),
+                );
+                let what = format!("{} {device}", model.name());
+                assert_eq!((w.upper, w.lower), (want.upper, want.lower), "{what}");
+                assert_eq!(w.efficiency, want.efficiency_clamped(), "{what}");
+                assert_eq!(
+                    w.speedup_potential.to_bits(),
+                    want.speedup_potential.to_bits(),
+                    "{what}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn tac_enforcement_eliminates_priority_inversions_across_the_zoo() {
     // In-order channels (reorder_error = 0): under TAC enforcement no

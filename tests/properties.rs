@@ -189,7 +189,7 @@ proptest! {
                 continue;
             }
             let start = trace.record(id).unwrap().start;
-            for &p in g.graph.preds(id) {
+            for p in g.graph.preds(id) {
                 if g.graph.op(p).kind().is_send() {
                     continue;
                 }
